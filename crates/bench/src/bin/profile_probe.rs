@@ -92,10 +92,13 @@ fn main() {
     // The probe asserts on flame structure, not detector verdicts: the
     // wall-clock detectors fire spuriously on oversubscribed CI hosts, so
     // they are neutralized before profiling arms tracing + recorder.
-    dev.executor().enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
+    dev.executor().observe(gko::ObserveConfig {
+        flight: Some(DetectorConfig {
+            drift_min_solves: u64::MAX,
+            imbalance_ratio: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        ..gko::ObserveConfig::default()
     });
     let m = pg::SparseMatrix::from_triplets(
         &dev,
@@ -203,7 +206,7 @@ fn main() {
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     let (status, _) = http_get(addr, "/profile/diff?base=nope");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
-    dev.executor().profile_commit_baseline("main");
+    dev.executor().profile().commit_baseline("main");
     // More solves after the baseline so the diff has growth to report.
     for _ in 0..2 {
         let mut x2 = pg::as_tensor_fill(&dev, (rows, 1), "double", 0.0).expect("x0");

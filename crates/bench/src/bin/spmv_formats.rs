@@ -1,4 +1,4 @@
-//! Format × executor SpMV sweep with pool and profiler telemetry.
+//! Format × executor SpMV sweep with pool and metrics telemetry.
 //!
 //! Runs every sparse format on the reference executor and on OpenMP-model
 //! executors with 1/2/4/8/16 threads, on a large (~1.8M-nnz) Poisson
@@ -10,9 +10,9 @@
 //! virtual-time GFLOP/s, the speedup over the reference executor, the
 //! worker-pool counters (dispatches, chunks, steals, and
 //! `pool_ns_per_dispatch` — mean wall-clock nanoseconds a dispatch spends
-//! inside the pool, chunk execution included), and — via a [`Profiler`] and
-//! the metrics registry attached to each executor — the per-kernel
-//! call/time aggregates and virtual-latency quantiles of the whole sweep.
+//! inside the pool, chunk execution included), and — via the metrics
+//! registry observing each executor — the per-kernel call/time aggregates
+//! and virtual-latency quantiles of the whole sweep.
 //!
 //! The JSON is built as a [`gko::config::Config`] tree and serialized with
 //! the engine's own serializer, so `bench_gate` can parse it back with the
@@ -23,11 +23,10 @@
 
 use gko::config::Config;
 use gko::linop::LinOp;
-use gko::log::{Profiler, ProfilerSummary};
 use gko::matrix::{BatchCsr, BatchDense, Coo, Csr, Dense, Ell, Hybrid, Sellp, SpmvStrategy};
 use gko::solver::{BatchCg, Cg};
 use gko::stop::Criteria;
-use gko::{Dim2, Executor, MetricsSnapshot};
+use gko::{Dim2, Executor, MetricsSnapshot, ObserveConfig, PoolStats};
 use pygko_bench::{fmt, gflops, quick_mode, results_dir, Report};
 use pygko_matgen::generators::{poisson2d, power_law, spd_tridiag_batch};
 use std::sync::Arc;
@@ -96,18 +95,19 @@ fn main() {
     .collect();
 
     let mut records: Vec<Record> = Vec::new();
-    // One profiler per executor observes every kernel of that executor's
-    // sweep (including warm-up applies and format conversions); the metrics
-    // registry additionally folds the same stream into latency histograms,
-    // and the flight recorder's anomaly counters ride along so `bench_gate`
-    // can refuse a run that tripped a detector.
-    let mut profiles: Vec<(String, usize, ProfilerSummary)> = Vec::new();
-    let mut metrics: Vec<(String, usize, MetricsSnapshot)> = Vec::new();
+    // Each executor's metrics registry observes every kernel of that
+    // executor's sweep (including warm-up applies and format conversions),
+    // folding the stream into call counts, time sums and latency
+    // histograms; the flight recorder's anomaly counters ride along so
+    // `bench_gate` can refuse a run that tripped a detector. The pool's own
+    // counters complete the per-executor profile.
+    let mut metrics: Vec<(String, usize, MetricsSnapshot, PoolStats)> = Vec::new();
     for (name, threads, exec) in &executors {
-        let profiler = Arc::new(Profiler::new());
-        exec.add_logger(profiler.clone());
-        exec.enable_metrics();
-        exec.enable_flight_recorder();
+        exec.observe(ObserveConfig {
+            metrics: true,
+            flight: Some(gko::DetectorConfig::default()),
+            ..ObserveConfig::default()
+        });
         let csr = Csr::<f64, i32>::from_triplets(exec, dim, &gen.triplets).unwrap();
         let b = Dense::<f64>::vector(exec, gen.cols, 1.0);
         let mut x = Dense::zeros(exec, Dim2::new(gen.rows, 1));
@@ -161,11 +161,11 @@ fn main() {
         push(&skew_name, skew_nnz, "csr", "merge_path",
              &skew_csr.clone().with_strategy(SpmvStrategy::MergePath), &sb, &mut sx);
         push(&skew_name, skew_nnz, "csr", "auto", &skew_csr, &sb, &mut sx);
-        profiles.push((name.clone(), *threads, profiler.summary()));
         metrics.push((
             name.clone(),
             *threads,
-            exec.metrics_snapshot().expect("metrics enabled"),
+            exec.metrics().expect("metrics observed").snapshot(),
+            exec.pool_stats(),
         ));
         exec.clear_loggers();
     }
@@ -273,7 +273,10 @@ fn main() {
     let batch_n = 32usize;
     let bgen = spd_tridiag_batch("tridiag", batch_n, batch_systems, 7);
     let bt_exec = Executor::omp(16);
-    bt_exec.enable_flight_recorder();
+    bt_exec.observe(ObserveConfig {
+        flight: Some(gko::DetectorConfig::default()),
+        ..ObserveConfig::default()
+    });
     let bt_dim = Dim2::new(batch_n, batch_n);
     let proto =
         Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &bgen.prototype.triplets).unwrap();
@@ -382,16 +385,20 @@ fn main() {
         (0..runs).map(|_| timed_solve(exec)).min().unwrap_or(0)
     };
     let inert_ns = min_of(&tr_exec, 3);
-    tr_exec.enable_flight_recorder_with(gko::DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..gko::DetectorConfig::default()
-    });
-    tr_exec.enable_tracing_with(gko::TraceConfig {
-        sample_n: 1,
-        max_spans: 2_000_000,
-        ..gko::TraceConfig::default()
-    });
+    let tracing = ObserveConfig {
+        flight: Some(gko::DetectorConfig {
+            drift_min_solves: u64::MAX,
+            imbalance_ratio: f64::INFINITY,
+            ..gko::DetectorConfig::default()
+        }),
+        trace: Some(gko::TraceConfig {
+            sample_n: 1,
+            max_spans: 2_000_000,
+            ..gko::TraceConfig::default()
+        }),
+        ..ObserveConfig::default()
+    };
+    tr_exec.observe(tracing.clone());
     let armed_ns = min_of(&tr_exec, 3);
     let trace = tr_exec.tracer().latest().expect("armed solve retained");
     assert_eq!(trace.iterations as usize, tr_iters);
@@ -422,9 +429,12 @@ fn main() {
     // The fold runs off the solve's critical path only in the sense that it
     // is one pass per completed trace, so its cost rides the same tolerance
     // band as armed tracing.
-    tr_exec.enable_profiling();
+    tr_exec.observe(ObserveConfig {
+        profile: Some(gko::ProfileConfig::default()),
+        ..tracing
+    });
     let profiled_ns = min_of(&tr_exec, 3);
-    let prof = tr_exec.profile_snapshot();
+    let prof = tr_exec.profile().snapshot();
     assert!(prof.solves >= 4, "warm-up + 3 timed solves folded: {}", prof.solves);
     assert!(!prof.nodes.is_empty(), "profiled solve built a flame tree");
     let root = &prof.nodes[0];
@@ -438,8 +448,7 @@ fn main() {
         prof.nodes.len() <= prof.max_nodes,
         "flame store respects its node cap"
     );
-    tr_exec.disable_profiling();
-    tr_exec.disable_tracing();
+    tr_exec.observe(ObserveConfig::default());
     let inert_ns_per_iter = inert_ns as f64 / tr_iters as f64;
     let armed_ns_per_iter = armed_ns as f64 / tr_iters as f64;
     let profiled_ns_per_iter = profiled_ns as f64 / tr_iters as f64;
@@ -466,28 +475,26 @@ fn main() {
         prof.nodes.len()
     );
 
-    // Per-kernel profiler aggregates for the widest parallel executor.
-    if let Some((name, _, summary)) = profiles.last() {
-        println!("\nprofiler summary ({name}):");
-        for k in &summary.kernels {
+    // Per-kernel aggregates for the widest parallel executor, hottest first.
+    if let Some((name, _, snap, pool)) = metrics.last() {
+        println!("\nkernel profile ({name}):");
+        let mut kernels: Vec<_> = snap.kernels.iter().collect();
+        kernels.sort_by_key(|k| std::cmp::Reverse(k.virtual_ns.sum));
+        for k in kernels {
             println!(
-                "  {:<14} {:>6} calls  {:>12} virtual ns  {:>12} self ns",
-                k.op, k.calls, k.virtual_ns, k.self_virtual_ns
+                "  {:<14} {:>6} calls  {:>12} virtual ns  {:>12} wall ns",
+                k.op, k.calls, k.virtual_ns.sum, k.wall_ns.sum
             );
         }
         println!(
             "  pool: {} dispatches, {} chunks, {} steals; {} allocations ({} bytes)",
-            summary.pool_dispatches,
-            summary.pool_chunks,
-            summary.pool_steals,
-            summary.allocations,
-            summary.allocated_bytes
+            pool.dispatches, pool.chunks, pool.steals, snap.alloc_bytes.count, snap.alloc_bytes.sum
         );
     }
 
     // JSON via the engine's own Config tree + serializer (the workspace
     // carries no serialization dependency): timing records, each executor's
-    // profiler telemetry, and the metrics-registry quantile summaries.
+    // per-kernel totals and pool counters, and the quantile summaries.
     let record_json: Vec<Config> = records
         .iter()
         .map(|r| {
@@ -507,30 +514,28 @@ fn main() {
                 .with("pool_ns_per_dispatch", r.pool_ns_per_dispatch)
         })
         .collect();
-    let profile_json: Vec<Config> = profiles
+    let profile_json: Vec<Config> = metrics
         .iter()
-        .map(|(name, threads, summary)| {
-            let kernels: Vec<Config> = summary
+        .map(|(name, threads, snap, pool)| {
+            let kernels: Vec<Config> = snap
                 .kernels
                 .iter()
                 .map(|k| {
                     Config::map()
-                        .with("op", k.op)
+                        .with("op", k.op.as_str())
                         .with("calls", k.calls as i64)
-                        .with("wall_ns", k.wall_ns as i64)
-                        .with("virtual_ns", k.virtual_ns as i64)
-                        .with("self_wall_ns", k.self_wall_ns as i64)
-                        .with("self_virtual_ns", k.self_virtual_ns as i64)
+                        .with("wall_ns", k.wall_ns.sum as i64)
+                        .with("virtual_ns", k.virtual_ns.sum as i64)
                 })
                 .collect();
             Config::map()
                 .with("executor", name.as_str())
                 .with("threads", *threads)
-                .with("pool_dispatches", summary.pool_dispatches as i64)
-                .with("pool_chunks", summary.pool_chunks as i64)
-                .with("pool_steals", summary.pool_steals as i64)
-                .with("allocations", summary.allocations as i64)
-                .with("allocated_bytes", summary.allocated_bytes as i64)
+                .with("pool_dispatches", pool.dispatches as i64)
+                .with("pool_chunks", pool.chunks as i64)
+                .with("pool_steals", pool.steals as i64)
+                .with("allocations", snap.alloc_bytes.count as i64)
+                .with("allocated_bytes", snap.alloc_bytes.sum as i64)
                 .with("kernels", kernels)
         })
         .collect();
@@ -538,7 +543,7 @@ fn main() {
     // would make the committed baseline undiffable.
     let metrics_json: Vec<Config> = metrics
         .iter()
-        .map(|(name, threads, snap)| {
+        .map(|(name, threads, snap, _)| {
             let kernels: Vec<Config> = snap
                 .kernels
                 .iter()

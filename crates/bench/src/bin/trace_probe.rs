@@ -132,11 +132,14 @@ fn main() {
     // This probe asserts on tracing structure, not detector verdicts: the
     // wall-clock detectors fire spuriously on oversubscribed CI hosts with
     // a 16-lane pool, so they are neutralized before tracing arms the
-    // recorder (enable_flight_recorder is idempotent and keeps this config).
-    dev.executor().enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
+    // recorder (`with_tracing` keeps a recorder config already in force).
+    dev.executor().observe(gko::ObserveConfig {
+        flight: Some(DetectorConfig {
+            drift_min_solves: u64::MAX,
+            imbalance_ratio: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        ..gko::ObserveConfig::default()
     });
     let m = pg::SparseMatrix::from_triplets(
         &dev,
@@ -154,10 +157,13 @@ fn main() {
     // The full-grid solve assembles ~300k spans — past the default
     // per-trace cap, which exists for unattended production use. The probe
     // asserts zero truncation, so re-arm (idempotent) with a larger budget.
-    dev.executor().enable_tracing_with(gko::TraceConfig {
-        sample_n: 1,
-        max_spans: 2_000_000,
-        ..gko::TraceConfig::default()
+    dev.executor().observe(gko::ObserveConfig {
+        trace: Some(gko::TraceConfig {
+            sample_n: 1,
+            max_spans: 2_000_000,
+            ..gko::TraceConfig::default()
+        }),
+        ..dev.executor().observing()
     });
     let server = dev
         .executor()

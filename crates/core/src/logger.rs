@@ -61,8 +61,9 @@ impl Logger {
     }
 }
 
-/// One kernel's aggregated timings from an attached profiler
-/// (a rendered [`gko::log::KernelProfile`]).
+/// One kernel's aggregated timings from a `"profile"` logger: calls and
+/// inclusive times from the device executor's [`gko::MetricsRegistry`], self
+/// time from its continuous profiler ([`gko::ProfileStore`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileEntry {
     /// Kernel / operator name (`"csr"`, `"dense::dot"`, `"solver::Cg"`, ...).
@@ -73,10 +74,10 @@ pub struct ProfileEntry {
     pub wall_ns: u64,
     /// Inclusive simulated device time across all calls, nanoseconds.
     pub virtual_ns: u64,
-    /// Wall time excluding instrumented child kernels, nanoseconds.
+    /// Wall time excluding instrumented child spans, nanoseconds — summed
+    /// over the profiler's flame nodes of this name, so it covers the calls
+    /// made inside traced solves (0 for a kernel only ever run outside one).
     pub self_wall_ns: u64,
-    /// Simulated time excluding instrumented child kernels, nanoseconds.
-    pub self_virtual_ns: u64,
 }
 
 /// Snapshot of everything the loggers attached via `Solver::with_logger`

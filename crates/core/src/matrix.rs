@@ -13,7 +13,7 @@ use crate::error::{PyGinkgoError, PyResult};
 use crate::gil::binding_call;
 use crate::tensor::{Tensor, TensorData};
 use gko::matrix::{Coo, Csr, SpmvStrategy};
-use gko::{Dim2, LinOp, Value};
+use gko::{Dim2, Index, LinOp, Value};
 use pygko_half::Half;
 use std::sync::Arc;
 
@@ -368,20 +368,42 @@ impl SparseMatrix {
         })
     }
 
-    /// The triplets, widened to f64 (for writing back to Matrix Market).
+    /// The stored entries in row-major order, explicit zeros dropped and
+    /// values widened to f64 (for writing back to Matrix Market). Walks the
+    /// CSR/COO arrays, so the cost is O(nnz) whatever the shape.
     pub fn to_triplets(&self) -> Vec<(usize, usize, f64)> {
-        let dense = self.to_dense();
-        let (rows, cols) = dense.shape();
-        let mut out = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = dense.get(r, c).expect("in range");
-                if v != 0.0 {
-                    out.push((r, c, v));
-                }
+        let mut out = binding_call(&self.device.clone(), || {
+            with_impl!(&self.inner, m => m.stored_entries())
+        });
+        out.retain(|&(_, _, v)| v != 0.0);
+        out
+    }
+}
+
+/// A format's stored entries, widened to f64. Both formats keep them sorted
+/// by `(row, col)` without duplicates, so storage order is row-major order.
+trait StoredEntries {
+    fn stored_entries(&self) -> Vec<(usize, usize, f64)>;
+}
+
+impl<V: Value, I: Index> StoredEntries for Csr<V, I> {
+    fn stored_entries(&self) -> Vec<(usize, usize, f64)> {
+        let (row_ptrs, cols, vals) = (self.row_ptrs(), self.col_idxs(), self.values());
+        let mut out = Vec::with_capacity(vals.len());
+        for (r, span) in row_ptrs.windows(2).enumerate() {
+            for k in span[0].to_usize()..span[1].to_usize() {
+                out.push((r, cols[k].to_usize(), vals[k].to_f64()));
             }
         }
         out
+    }
+}
+
+impl<V: Value, I: Index> StoredEntries for Coo<V, I> {
+    fn stored_entries(&self) -> Vec<(usize, usize, f64)> {
+        (self.row_idxs().iter().zip(self.col_idxs()).zip(self.values()))
+            .map(|((r, c), v)| (r.to_usize(), c.to_usize(), v.to_f64()))
+            .collect()
     }
 }
 
@@ -490,6 +512,23 @@ mod tests {
         assert!(m.with_spmv_strategy("quantum").is_err());
     }
 
+    /// The O(rows·cols) scan `to_triplets` used to be: the reference the
+    /// stored-entry walk must reproduce (order, dropped zeros, widening).
+    fn dense_scan(m: &SparseMatrix) -> Vec<(usize, usize, f64)> {
+        let dense = m.to_dense();
+        let (rows, cols) = dense.shape();
+        let mut out = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = dense.get(r, c).unwrap();
+                if v != 0.0 {
+                    out.push((r, c, v));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn triplet_extraction_roundtrip() {
         let dev = device("reference").unwrap();
@@ -498,5 +537,31 @@ mod tests {
         assert_eq!(t.len(), 6);
         let m2 = SparseMatrix::from_triplets(&dev, (3, 3), &t, "double", "int32", "Csr").unwrap();
         assert_eq!(m2.to_dense().to_vec(), m.to_dense().to_vec());
+
+        // Every instantiation walks its stored entries to the same triplets
+        // the dense scan finds — unsorted input, an empty row, a stored
+        // explicit zero and a duplicate pair cancelling to zero included.
+        let entries = [
+            (3, 1, 0.5),
+            (0, 2, 1.0),
+            (0, 0, 2.0),
+            (1, 1, 0.0),
+            (3, 3, -4.0),
+            (1, 0, 3.0),
+            (1, 2, 7.0),
+            (1, 2, -7.0),
+        ];
+        for dtype in ["half", "float", "double"] {
+            for itype in ["int32", "int64"] {
+                for format in ["Csr", "Coo"] {
+                    let m = SparseMatrix::from_triplets(&dev, (4, 4), &entries, dtype, itype, format)
+                        .unwrap();
+                    assert_eq!(m.nnz(), 7, "zeros are stored");
+                    let t = m.to_triplets();
+                    assert_eq!(t, dense_scan(&m), "{dtype}/{itype}/{format}");
+                    assert_eq!(t.len(), 5, "and dropped on extraction");
+                }
+            }
+        }
     }
 }

@@ -92,6 +92,32 @@ mod tests {
         assert_eq!(back.to_dense().to_vec(), m.to_dense().to_vec());
     }
 
+    /// 200 000 x 200 000 with ~3 nonzeros a row: 320 GB as a dense array, a
+    /// few MB as stored entries — `write` must never densify.
+    #[test]
+    fn large_sparse_matrix_roundtrips_without_densifying() {
+        let n = 200_000usize;
+        let mut entries = Vec::with_capacity(3 * n);
+        for i in 0..n {
+            entries.push((i, i, 4.0 + (i % 7) as f64));
+            if i > 0 {
+                entries.push((i, i - 1, -1.0));
+            }
+            entries.push((i, (i * 31 + 17) % n, 0.25));
+        }
+        let dev = device("reference").unwrap();
+        let m = SparseMatrix::from_triplets(&dev, (n, n), &entries, "double", "int32", "Csr")
+            .unwrap();
+        let path = temp_path("large.mtx");
+        write(&m, &path).unwrap();
+        let back = read(&dev, &path, "double", "Csr").unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back.shape(), (n, n));
+        assert_eq!(back.nnz(), m.nnz());
+        assert!(m.nnz() > 2 * n && m.nnz() < 3 * n, "{} stored entries", m.nnz());
+        assert_eq!(back.to_triplets(), m.to_triplets());
+    }
+
     #[test]
     fn missing_file_is_os_error() {
         let dev = device("reference").unwrap();

@@ -13,14 +13,14 @@ use crate::logger::{Logger, LoggerData, ProfileEntry};
 use crate::matrix::{MatrixFormat, MatrixImpl, SparseMatrix};
 use crate::preconditioner::{PrecondImpl, Preconditioner};
 use crate::tensor::{Tensor, TensorData};
-use gko::log::{ConvergenceLogger, Profiler, Record, SharedBuf, Stream};
+use gko::log::{ConvergenceLogger, Record, SharedBuf, Stream};
 use gko::matrix::{BatchCsr, BatchDense};
 use gko::solver::{
     BatchBiCgStab, BatchCg, BatchSolveRecord, BiCgStab, Cg, Cgs, Direct, Gmres, LowerTrs, UpperTrs,
 };
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::{FlightRecorder, FlightReport};
-use gko::{LinOp, MetricsRegistry, MetricsSnapshot, Value};
+use gko::{LinOp, MetricsRegistry, MetricsSnapshot, ObserveConfig, PoolStats, Value};
 use pygko_half::Half;
 use std::sync::Arc;
 
@@ -38,7 +38,9 @@ pub(crate) enum SolverImpl {
 struct AttachedLoggers {
     record: Option<Arc<Record>>,
     stream: Option<SharedBuf>,
-    profiler: Option<Arc<Profiler>>,
+    /// `"profile"` logger attached: the device pool's counters at that
+    /// moment, so [`Solver::logger_data`] reports only what ran since.
+    profile_mark: Option<PoolStats>,
     metrics: Option<Arc<MetricsRegistry>>,
     flight: Option<Arc<FlightRecorder>>,
     /// Span tracing armed via [`Solver::with_tracing`]; the tracer itself
@@ -141,16 +143,18 @@ impl Solver {
     /// (`"record:N"` bounds it at `N` events; overflow is counted in
     /// [`LoggerData::dropped_events`], never silently lost), `"stream"`
     /// renders events to an internal text buffer, `"profile"` aggregates
-    /// per-kernel timings and pool counters, and `"metrics"` attaches the
-    /// device executor's [`MetricsRegistry`] (latency histograms with
-    /// p50/p95/p99, Prometheus and Chrome-trace exporters — read it back
-    /// with [`Solver::metrics`]). The logger is attached to the *device
+    /// per-kernel timings and pool counters (it switches the device
+    /// executor's metrics registry and continuous profiler on and reads
+    /// both back), and `"metrics"` attaches the device executor's
+    /// [`MetricsRegistry`] (latency histograms with p50/p95/p99 and the
+    /// Prometheus exporter — read it back with [`Solver::metrics`]). The
+    /// logger is attached to the *device
     /// executor*, so it observes kernel launches, allocations, and pool
     /// dispatches of every operation on this device alongside this solver's
     /// iteration events. Kinds may be combined by chaining calls; read
     /// results via [`Solver::logger_data`].
     pub fn with_logger(mut self, kind: &str) -> PyResult<Self> {
-        let exec = self.device.executor();
+        let exec = self.device.executor().clone();
         let kind = kind.to_ascii_lowercase();
         if let Some(spec) = kind.strip_prefix("record:") {
             let capacity: usize = spec.parse().ok().filter(|&c| c > 0).ok_or_else(|| {
@@ -175,12 +179,16 @@ impl Solver {
                 self.attached.stream = Some(buf);
             }
             "profile" | "profiler" => {
-                let profiler = Arc::new(Profiler::new());
-                exec.add_logger(profiler.clone());
-                self.attached.profiler = Some(profiler);
+                self.observe(|c| {
+                    c.metrics = true;
+                    c.profile.get_or_insert_with(Default::default);
+                });
+                self.attached.metrics = exec.metrics();
+                self.attached.profile_mark = Some(exec.pool_stats());
             }
             "metrics" => {
-                self.attached.metrics = Some(exec.enable_metrics());
+                self.observe(|c| c.metrics = true);
+                self.attached.metrics = exec.metrics();
             }
             other => {
                 return Err(PyGinkgoError::Value(format!(
@@ -225,7 +233,7 @@ impl Solver {
     }
 
     /// Arms the flight recorder on this solver's device executor — the
-    /// facade over [`gko::Executor::enable_flight_recorder`].
+    /// facade over [`gko::ObserveConfig::flight`].
     ///
     /// Every subsequent solve on the device is summarized into a bounded
     /// ring of structured [`FlightReport`]s (residual trajectory, per-kernel
@@ -235,12 +243,26 @@ impl Solver {
     /// format. Read the newest report back with [`Solver::flight_report`],
     /// or serve them live via [`gko::Executor::serve_telemetry`].
     pub fn with_flight_recorder(mut self) -> Self {
-        let recorder = self.device.executor().enable_flight_recorder();
-        if let Some((rows, cols, nnz, format)) = self.system {
+        self.observe(|c| {
+            c.flight.get_or_insert_with(Default::default);
+        });
+        self
+    }
+
+    /// Applies `change` to the device executor's [`ObserveConfig`], then
+    /// keeps the handle of the flight recorder that leaves armed (if any)
+    /// and annotates it with this solver's system matrix.
+    fn observe(&mut self, change: impl FnOnce(&mut ObserveConfig)) {
+        let exec = self.device.executor();
+        let mut config = exec.observing();
+        change(&mut config);
+        exec.observe(config);
+        self.attached.flight = exec.flight_recorder();
+        if let (Some(recorder), Some((rows, cols, nnz, format))) =
+            (&self.attached.flight, self.system)
+        {
             recorder.annotate(rows, cols, nnz, format);
         }
-        self.attached.flight = Some(recorder);
-        self
     }
 
     /// The most recent flight-recorder report, or `None` when the recorder
@@ -250,7 +272,7 @@ impl Solver {
     }
 
     /// Arms causal span tracing on this solver's device executor — the
-    /// facade over [`gko::Executor::enable_tracing`].
+    /// facade over [`gko::ObserveConfig::trace`].
     ///
     /// Every subsequent solve on the device assembles a hierarchical span
     /// tree (`solve → iteration → kernel apply → plan build → pool dispatch
@@ -267,12 +289,12 @@ impl Solver {
                 "tracing sample_n must be >= 1 (1 retains every solve)".to_string(),
             ));
         }
-        let recorder = self.device.executor().enable_flight_recorder();
-        if let Some((rows, cols, nnz, format)) = self.system {
-            recorder.annotate(rows, cols, nnz, format);
-        }
-        self.attached.flight = Some(recorder);
-        self.device.executor().enable_tracing(sample_n);
+        self.observe(|c| {
+            c.trace = Some(gko::TraceConfig {
+                sample_n,
+                ..Default::default()
+            })
+        });
         self.attached.traced = true;
         Ok(self)
     }
@@ -288,20 +310,20 @@ impl Solver {
     }
 
     /// Arms continuous profiling on this solver's device executor — the
-    /// facade over [`gko::Executor::enable_profiling`].
+    /// facade over [`gko::ObserveConfig::profile`].
     ///
     /// Every subsequent solve's span tree (sampled out by the trace store
     /// or not) is folded into a bounded, windowed flame aggregate keyed by
     /// span path: call counts, wall/virtual self- and total-time, per-lane
     /// attribution, and p50/p99 per path. Arms span tracing implicitly when
     /// it is not already live (the profiler consumes the span stream).
-    /// Unlike the per-solve `with_logger("profile")` event profiler, this
-    /// aggregates *across* solves. Read the aggregate back with
+    /// `with_logger("profile")` reads the same aggregate back flattened
+    /// per kernel name; this surface keeps the span paths. Read it with
     /// [`Solver::profile`], or serve it live via `GET /profile` (and
     /// `GET /profile?format=folded` / `GET /profile/diff?base=<name>`) on
     /// [`gko::Executor::serve_telemetry`].
     pub fn with_profiling(mut self) -> Self {
-        self.device.executor().enable_profiling();
+        self.observe(|c| c.profile = Some(Default::default()));
         self.attached.profiled = true;
         self
     }
@@ -312,7 +334,7 @@ impl Solver {
     pub fn profile(&self) -> Option<gko::ProfileSnapshot> {
         self.attached
             .profiled
-            .then(|| self.device.executor().profile_snapshot())
+            .then(|| self.device.executor().profile().snapshot())
     }
 
     /// Counters from the device executor's chunk-overlap detector: how many
@@ -324,10 +346,8 @@ impl Solver {
 
     /// Snapshot of the metrics registry attached via
     /// `with_logger("metrics")`: per-kernel call counts and latency
-    /// quantiles, solver iteration counters, pool-dispatch and allocation
-    /// histograms, and the trace spans behind
-    /// [`MetricsSnapshot::to_chrome_trace`]. `None` until the metrics
-    /// logger is attached.
+    /// quantiles, solver iteration counters, and pool-dispatch and
+    /// allocation histograms. `None` until the metrics logger is attached.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.attached.metrics.as_ref().map(|m| m.snapshot())
     }
@@ -345,28 +365,38 @@ impl Solver {
         if let Some(buf) = &self.attached.stream {
             data.stream = buf.contents();
         }
-        if let Some(profiler) = &self.attached.profiler {
-            let summary = profiler.summary();
-            data.profile = summary
+        if let (Some(mark), Some(metrics)) = (&self.attached.profile_mark, &self.attached.metrics)
+        {
+            let exec = self.device.executor();
+            let snap = metrics.snapshot();
+            let flame = exec.profile().snapshot();
+            data.profile = snap
                 .kernels
                 .iter()
                 .map(|k| ProfileEntry {
-                    op: k.op.to_string(),
+                    op: k.op.clone(),
                     calls: k.calls,
-                    wall_ns: k.wall_ns,
-                    virtual_ns: k.virtual_ns,
-                    self_wall_ns: k.self_wall_ns,
-                    self_virtual_ns: k.self_virtual_ns,
+                    wall_ns: k.wall_ns.sum,
+                    virtual_ns: k.virtual_ns.sum,
+                    self_wall_ns: flame
+                        .nodes
+                        .iter()
+                        .filter(|n| n.name == k.op)
+                        .map(|n| n.self_wall_ns)
+                        .sum(),
                 })
                 .collect();
-            data.iterations = summary.iterations;
-            data.criterion_checks = summary.criterion_checks;
-            data.solves = summary.solves;
-            data.pool_dispatches = summary.pool_dispatches;
-            data.pool_chunks = summary.pool_chunks;
-            data.pool_steals = summary.pool_steals;
-            data.allocations = summary.allocations;
-            data.allocated_bytes = summary.allocated_bytes;
+            data.profile
+                .sort_by(|a, b| b.virtual_ns.cmp(&a.virtual_ns).then(a.op.cmp(&b.op)));
+            data.iterations = snap.solver_iterations.iter().map(|(_, n)| n).sum();
+            data.criterion_checks = snap.criterion_checks;
+            data.solves = snap.solves;
+            let pool = exec.pool_stats().since(mark);
+            data.pool_dispatches = pool.dispatches;
+            data.pool_chunks = pool.chunks;
+            data.pool_steals = pool.steals;
+            data.allocations = snap.alloc_bytes.count;
+            data.allocated_bytes = snap.alloc_bytes.sum;
         }
         data
     }
@@ -1039,6 +1069,11 @@ mod tests {
         assert!(ops.contains(&"csr"), "profile ops: {ops:?}");
         assert!(ops.contains(&"dense::dot"), "profile ops: {ops:?}");
         assert!(ops.contains(&"solver::Cg"), "profile ops: {ops:?}");
+        assert!(
+            data.profile.iter().any(|p| p.op == "csr" && p.self_wall_ns > 0),
+            "self time comes from the flame profile: {:?}",
+            data.profile
+        );
         assert_eq!(data.iterations, log.iterations() as u64);
         assert_eq!(data.solves, 1);
         assert!(data.allocations > 0);
@@ -1117,12 +1152,10 @@ mod tests {
         assert_eq!(snap.solves, 1);
         assert!(snap.alloc_bytes.count > 0);
 
-        // Both exporters render from the same snapshot.
         assert!(snap.to_prometheus().contains("gko_kernel_calls_total{op=\"csr\"}"));
-        assert!(snap.to_chrome_trace().starts_with("{\"traceEvents\":["));
 
         // The same registry is also visible executor-wide.
-        let exec_snap = dev.executor().metrics_snapshot().unwrap();
+        let exec_snap = dev.executor().metrics().unwrap().snapshot();
         assert_eq!(exec_snap.events, snap.events);
     }
 

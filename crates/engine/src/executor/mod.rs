@@ -18,15 +18,15 @@ pub mod pool;
 
 use crate::base::error::Result;
 use crate::log::{Event, Logger, LoggerRegistry};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::profile::{ProfileConfig, ProfileSnapshot, ProfileStore};
+use crate::metrics::MetricsRegistry;
+use crate::profile::{ProfileConfig, ProfileStore};
 use crate::sanitize::{Sanitizer, SanitizerReport};
 use crate::telemetry::{DetectorConfig, FlightRecorder, TelemetryServer};
 use crate::trace::{TraceConfig, TraceHook, Tracer};
 use pool::{LaneStats, PoolStats, WorkerPool};
 use pygko_sim::{ChunkWork, DeviceKind, DeviceSpec, Timeline};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Upper bound on OS threads an executor will drive, regardless of how many
 /// workers the device model has. GPU specs model hundreds of schedulable
@@ -60,6 +60,105 @@ impl Backend {
     }
 }
 
+/// Which observability planes an executor runs — the one argument of
+/// [`Executor::observe`]. The default is everything off: the inert path,
+/// where every instrumented site costs one relaxed atomic load.
+///
+/// Planes build on each other, and `observe` fills in what a requested
+/// plane needs: `profile` folds finished span trees, so it implies `trace`
+/// ([`TraceConfig::default`] unless given); `trace` asks the flight
+/// recorder's detectors which solves to retain, so it implies `flight`
+/// ([`DetectorConfig::default`] unless given).
+#[derive(Clone, Debug, Default)]
+pub struct ObserveConfig {
+    /// Aggregate every event into a [`MetricsRegistry`] (latency
+    /// histograms, counters, the `/metrics` exposition).
+    pub metrics: bool,
+    /// Summarize every solve into the [`FlightRecorder`]'s bounded ring,
+    /// screened by the anomaly detectors with these thresholds.
+    pub flight: Option<DetectorConfig>,
+    /// Assemble a span tree per solve (single or batched), down to the
+    /// individual pool-lane chunks, tail-sampled into the [`Tracer`]'s
+    /// bounded store under this policy (see [`crate::trace`]).
+    pub trace: Option<TraceConfig>,
+    /// Fold every finished span tree (sampled out or not) into the
+    /// [`ProfileStore`]'s windowed flame aggregate under this policy.
+    pub profile: Option<ProfileConfig>,
+}
+
+impl ObserveConfig {
+    /// Applies the `profile` ⇒ `trace` ⇒ `flight` implication.
+    fn normalized(mut self) -> Self {
+        if self.profile.is_some() && self.trace.is_none() {
+            self.trace = Some(TraceConfig::default());
+        }
+        if self.trace.is_some() && self.flight.is_none() {
+            self.flight = Some(DetectorConfig::default());
+        }
+        self
+    }
+}
+
+/// The state behind `exec.observe`: the normalized config in force plus
+/// the loggers attached for it. Event delivery holds `log.loggers` and
+/// reads these slots back (the recorder looks up the registry, the tracer
+/// the recorder), so the lock order is `log.loggers -> exec.observe` and
+/// [`Executor::observe`] must never hold this lock across
+/// `LoggerRegistry::add`/`remove`.
+#[derive(Debug, Default)]
+struct Observers {
+    config: ObserveConfig,
+    metrics: Option<Arc<MetricsRegistry>>,
+    flight: Option<Arc<FlightRecorder>>,
+    trace_hook: Option<Arc<TraceHook>>,
+}
+
+impl Observers {
+    /// Whether `logger` is one of the currently wanted observers.
+    fn holds(&self, logger: &Arc<dyn Logger>) -> bool {
+        fn addr<L: ?Sized>(logger: &Arc<L>) -> *const () {
+            Arc::as_ptr(logger).cast()
+        }
+        [
+            self.metrics.as_ref().map(addr),
+            self.flight.as_ref().map(addr),
+            self.trace_hook.as_ref().map(addr),
+        ]
+        .contains(&Some(addr(logger)))
+    }
+}
+
+/// Loggers one [`Executor::observe`] call must attach and detach once it
+/// has released `exec.observe`.
+#[derive(Default)]
+struct RegistryChanges {
+    attach: Vec<Arc<dyn Logger>>,
+    detach: Vec<Arc<dyn Logger>>,
+}
+
+impl RegistryChanges {
+    /// Brings one observer slot in line with the new config: retires the
+    /// current logger unless `keep`, then fills an empty slot from `make`
+    /// (`None` when the plane is off).
+    fn retarget<L: Logger + 'static>(
+        &mut self,
+        slot: &mut Option<Arc<L>>,
+        keep: bool,
+        make: Option<impl FnOnce() -> L>,
+    ) {
+        if !keep || make.is_none() {
+            if let Some(old) = slot.take() {
+                self.detach.push(old);
+            }
+        }
+        if let (None, Some(make)) = (slot.as_ref(), make) {
+            let new = Arc::new(make());
+            self.attach.push(new.clone());
+            *slot = Some(new);
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     backend: Backend,
@@ -73,22 +172,15 @@ struct Inner {
     pool: OnceLock<Option<WorkerPool>>,
     /// Loggers attached to this executor (shared by all handle clones).
     loggers: LoggerRegistry,
-    /// The metrics registry enabled via [`Executor::enable_metrics`], if
-    /// any. Kept here (in addition to its logger attachment) so snapshots
-    /// can be read back without holding onto the `Arc` at the call site.
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>, // lock: exec.metrics
-    /// The flight recorder enabled via [`Executor::enable_flight_recorder`],
-    /// if any (kept here, like `metrics`, so reports can be read back).
-    flight: Mutex<Option<Arc<FlightRecorder>>>, // lock: exec.flight
+    /// Which observability planes are armed, and the loggers `observe`
+    /// attached for them (kept so they can be read back and detached).
+    observers: Mutex<Observers>, // lock: exec.observe
     /// Runtime sanitizer switch + counters, embedded (not boxed) so the
     /// disabled check in `parallel_chunks` is a single relaxed load.
     sanitizer: Sanitizer,
     /// Causal span tracer, embedded like the sanitizer so the pool's
     /// per-dispatch probe is a single relaxed load while no trace is live.
     tracer: Tracer,
-    /// The event hook attached while tracing is enabled (kept, like
-    /// `metrics`, so disable/clear can detach it from the registry).
-    trace_hook: Mutex<Option<Arc<TraceHook>>>, // lock: exec.trace_hook
     /// Continuous profiler folding finished span trees into flame
     /// aggregates, embedded like the sanitizer so the per-trace probe is a
     /// single relaxed load while profiling is disarmed.
@@ -129,11 +221,9 @@ impl Executor {
             peak_bytes: AtomicU64::new(0),
             pool: OnceLock::new(),
             loggers: LoggerRegistry::new(),
-            metrics: Mutex::new(None),
-            flight: Mutex::new(None),
+            observers: Mutex::new(Observers::default()),
             sanitizer: Sanitizer::new(),
             tracer: Tracer::new(),
-            trace_hook: Mutex::new(None),
             profile: ProfileStore::new(),
             // lint: allow(forbidden-api): uptime gauge epoch — wall-clock
             // construction instant, not simulated kernel time.
@@ -311,8 +401,8 @@ impl Executor {
     /// `LinOpApplyStarted`/`Completed` here; the memory accountant emits
     /// `AllocationComplete`; parallel kernel dispatches emit `PoolDispatch`;
     /// and solvers forward their iteration/solve events to their system
-    /// operator's executor, so an executor-attached [`crate::log::Profiler`]
-    /// sees the whole picture.
+    /// operator's executor, so an executor-attached logger sees the whole
+    /// picture.
     pub fn loggers(&self) -> &LoggerRegistry {
         &self.0.loggers
     }
@@ -323,203 +413,103 @@ impl Executor {
         self.0.loggers.add(logger);
     }
 
-    /// Detaches every logger from this executor (including a metrics
-    /// registry enabled via [`Executor::enable_metrics`], a flight
-    /// recorder enabled via [`Executor::enable_flight_recorder`], and the
-    /// trace hook attached by [`Executor::enable_tracing`] — tracing is
-    /// disarmed, though already-retained traces stay readable).
+    /// Detaches every logger from this executor and turns every
+    /// [`Executor::observe`] plane off (retained traces and flame windows
+    /// stay readable).
     pub fn clear_loggers(&self) {
+        self.observe(ObserveConfig::default());
         self.0.loggers.clear();
-        *self
-            .0
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        *self
-            .0
-            .flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        self.0.tracer.disarm();
-        *self
-            .0
-            .trace_hook
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
-    /// Enables the engine-wide metrics registry on this executor: creates a
-    /// [`MetricsRegistry`] (with span tracing), attaches it to the logger
-    /// registry, and returns it. Idempotent — repeated calls return the
-    /// already-enabled registry. While enabled, every instrumented kernel,
-    /// solver iteration, allocation, and pool dispatch on this executor is
-    /// aggregated; when no registry (or other logger) is attached the
-    /// instrumented fast path still costs a single relaxed atomic load.
-    pub fn enable_metrics(&self) -> Arc<MetricsRegistry> {
-        let registry = {
-            let mut slot = self
-                .0
-                .metrics
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(existing) = slot.as_ref() {
-                return existing.clone();
-            }
-            let registry = Arc::new(MetricsRegistry::new());
-            *slot = Some(registry.clone());
-            registry
-        };
-        // Attach outside the slot lock: event delivery holds `log.loggers`
-        // and can call back into `Executor::metrics`, so holding the slot
-        // across `add` inverts the `log.loggers -> exec.metrics` order.
-        self.0.loggers.add(registry.clone());
-        registry
-    }
-
-    /// Detaches and drops the metrics registry, if one was enabled.
-    pub fn disable_metrics(&self) {
-        let taken = self
-            .0
-            .metrics
+    fn observers(&self) -> MutexGuard<'_, Observers> {
+        self.0
+            .observers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(registry) = taken {
-            let as_logger: Arc<dyn Logger> = registry;
-            // Detach outside the slot lock (same inversion as
-            // `enable_metrics`).
-            self.0.loggers.remove(&as_logger);
+    }
+
+    /// Sets which observability planes this executor runs — the single
+    /// arming path for the metrics registry, flight recorder, span tracer
+    /// and continuous profiler. `config` is the complete desired state
+    /// (after the implications documented on [`ObserveConfig`]); planes it
+    /// leaves out are switched off, and `ObserveConfig::default()` returns
+    /// the executor to the inert path. To change one plane, start from
+    /// [`Executor::observing`].
+    ///
+    /// A plane whose setting is unchanged keeps its state: the registry
+    /// keeps its counters, and the recorder its reports as long as the
+    /// detector thresholds compare equal (different thresholds start a
+    /// fresh recorder). Re-arming the tracer or profiler updates the policy
+    /// and keeps retained traces and flame windows, which also stay
+    /// readable through [`Executor::tracer`] / [`Executor::profile`] after
+    /// the plane is switched off (an in-flight trace is abandoned then).
+    pub fn observe(&self, config: ObserveConfig) {
+        let config = config.normalized();
+        let mut changes = RegistryChanges::default();
+        {
+            let mut guard = self.observers();
+            let o = &mut *guard;
+            changes.retarget(
+                &mut o.metrics,
+                true,
+                config.metrics.then_some(MetricsRegistry::new),
+            );
+            let same_detectors =
+                o.flight.as_ref().map(|r| r.detector_config()) == config.flight.as_ref();
+            let exec = self.downgrade();
+            changes.retarget(
+                &mut o.flight,
+                same_detectors,
+                config
+                    .flight
+                    .clone()
+                    .map(|detectors| move || FlightRecorder::new(exec, detectors)),
+            );
+            let exec = self.downgrade();
+            changes.retarget(
+                &mut o.trace_hook,
+                true,
+                config.trace.map(|_| move || TraceHook::new(exec)),
+            );
+            match config.trace {
+                Some(policy) => self.0.tracer.arm(policy),
+                None => self.0.tracer.disarm(),
+            }
+            match config.profile {
+                Some(policy) => self.0.profile.arm(policy),
+                None => self.0.profile.disarm(),
+            }
+            o.config = config;
+        }
+        // Attach and detach outside `exec.observe` (see [`Observers`]).
+        for logger in &changes.detach {
+            self.0.loggers.remove(logger);
+        }
+        for logger in changes.attach {
+            self.0.loggers.add(logger.clone());
+            // A concurrent `observe` may have retired this logger between
+            // our slot update and the attach; its detach then found nothing
+            // to remove, so undo the attach here.
+            let retired = !self.observers().holds(&logger);
+            if retired {
+                self.0.loggers.remove(&logger);
+            }
         }
     }
 
-    /// The metrics registry enabled on this executor, if any.
+    /// The [`ObserveConfig`] in force (implications applied).
+    pub fn observing(&self) -> ObserveConfig {
+        self.observers().config.clone()
+    }
+
+    /// The metrics registry, while [`ObserveConfig::metrics`] is on.
     pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.0
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.observers().metrics.clone()
     }
 
-    /// Immutable snapshot of this executor's metrics ([`None`] until
-    /// [`Executor::enable_metrics`] is called).
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics().map(|m| m.snapshot())
-    }
-
-    /// Enables the flight recorder on this executor with default detector
-    /// thresholds: attaches a [`FlightRecorder`] to the logger registry so
-    /// every subsequent solve is summarized into a bounded ring of
-    /// structured reports and screened by the anomaly detectors. Idempotent
-    /// — repeated calls return the already-enabled recorder. The inert path
-    /// (no recorder, no other logger) stays one relaxed atomic load.
-    pub fn enable_flight_recorder(&self) -> Arc<FlightRecorder> {
-        self.enable_flight_recorder_with(DetectorConfig::default())
-    }
-
-    /// Like [`Executor::enable_flight_recorder`] with explicit detector
-    /// thresholds (ignored if a recorder is already enabled).
-    pub fn enable_flight_recorder_with(&self, config: DetectorConfig) -> Arc<FlightRecorder> {
-        let recorder = {
-            let mut slot = self
-                .0
-                .flight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(existing) = slot.as_ref() {
-                return existing.clone();
-            }
-            let recorder = Arc::new(FlightRecorder::new(self.downgrade(), config));
-            *slot = Some(recorder.clone());
-            recorder
-        };
-        // Attach outside the slot lock: delivery holds `log.loggers` and
-        // the recorder's detectors read back through the executor.
-        self.0.loggers.add(recorder.clone());
-        recorder
-    }
-
-    /// Detaches and drops the flight recorder, if one was enabled.
-    pub fn disable_flight_recorder(&self) {
-        let taken = self
-            .0
-            .flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(recorder) = taken {
-            let as_logger: Arc<dyn Logger> = recorder;
-            // Detach outside the slot lock (same inversion as
-            // `enable_flight_recorder_with`).
-            self.0.loggers.remove(&as_logger);
-        }
-    }
-
-    /// The flight recorder enabled on this executor, if any.
+    /// The flight recorder, while [`ObserveConfig::flight`] is set.
     pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.0
-            .flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Enables causal span tracing on this executor: every subsequent solve
-    /// (single or batched) acquires a trace id and assembles a span tree
-    /// down to the individual pool-lane chunks, tail-sampled into a bounded
-    /// store (healthy solves 1-in-`sample_n`; anomalous or slow solves
-    /// always retained — see [`crate::trace`]). Enables the flight recorder
-    /// too: its anomaly detectors drive the retention decision, and its
-    /// `/runs` reports link their `trace_id`. Idempotent; re-enabling
-    /// updates the sampling policy.
-    pub fn enable_tracing(&self, sample_n: u64) {
-        self.enable_tracing_with(TraceConfig {
-            sample_n,
-            ..TraceConfig::default()
-        });
-    }
-
-    /// Like [`Executor::enable_tracing`] with the full policy knobs.
-    pub fn enable_tracing_with(&self, config: TraceConfig) {
-        self.enable_flight_recorder();
-        let hook = {
-            let mut slot = self
-                .0
-                .trace_hook
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if slot.is_none() {
-                let hook = Arc::new(TraceHook::new(self.downgrade()));
-                *slot = Some(hook.clone());
-                Some(hook)
-            } else {
-                None
-            }
-        };
-        if let Some(hook) = hook {
-            // Attach outside the slot lock (same inversion as
-            // `enable_metrics`).
-            self.0.loggers.add(hook);
-        }
-        self.0.tracer.arm(config);
-    }
-
-    /// Disarms tracing and detaches the event hook; an in-flight trace is
-    /// abandoned, retained traces stay readable via [`Executor::tracer`].
-    pub fn disable_tracing(&self) {
-        self.0.tracer.disarm();
-        let taken = self
-            .0
-            .trace_hook
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(hook) = taken {
-            let as_logger: Arc<dyn Logger> = hook;
-            // Detach outside the slot lock (same inversion as
-            // `enable_metrics`).
-            self.0.loggers.remove(&as_logger);
-        }
+        self.observers().flight.clone()
     }
 
     /// The executor's span tracer (switch, store, and counters).
@@ -527,47 +517,9 @@ impl Executor {
         &self.0.tracer
     }
 
-    /// Enables continuous profiling with the default window and node cap:
-    /// every finished span tree (sampled out or not) is folded into an
-    /// aggregated flame profile keyed by span path, readable via
-    /// [`Executor::profile_snapshot`] and the `/profile` endpoints. Tracing
-    /// must be live for spans to exist, so this arms the tracer with
-    /// [`TraceConfig::default`] if it is not armed already. Idempotent;
-    /// re-enabling updates the profiler policy without clearing aggregates.
-    pub fn enable_profiling(&self) {
-        self.enable_profiling_with(ProfileConfig::default());
-    }
-
-    /// Like [`Executor::enable_profiling`] with explicit policy knobs.
-    pub fn enable_profiling_with(&self, config: ProfileConfig) {
-        if !self.0.tracer.is_armed() {
-            self.enable_tracing_with(TraceConfig::default());
-        }
-        self.0.profile.arm(config);
-    }
-
-    /// Disarms the profiler; aggregated windows stay readable and tracing
-    /// (if it was armed) stays armed.
-    pub fn disable_profiling(&self) {
-        self.0.profile.disarm();
-    }
-
     /// The executor's continuous profiler (switch, flame store, counters).
     pub fn profile(&self) -> &ProfileStore {
         &self.0.profile
-    }
-
-    /// Flattened snapshot of the live profiling window (empty while nothing
-    /// has been folded).
-    pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        self.0.profile.snapshot()
-    }
-
-    /// Commits the current live window as a named baseline for
-    /// `/profile/diff?base=<name>` comparisons, returning the committed
-    /// snapshot.
-    pub fn profile_commit_baseline(&self, name: &str) -> ProfileSnapshot {
-        self.0.profile.commit_baseline(name)
     }
 
     /// Real seconds since this executor was constructed (the
@@ -577,13 +529,18 @@ impl Executor {
     }
 
     /// Starts the telemetry HTTP exporter for this executor on `addr`
-    /// (e.g. `"127.0.0.1:9185"`, or port `0` to let the OS pick), enabling
-    /// the metrics registry and flight recorder first so `/metrics` and
-    /// `/runs` have content. Returns the server handle; dropping it (or
-    /// calling [`TelemetryServer::shutdown`]) stops the exporter.
+    /// (e.g. `"127.0.0.1:9185"`, or port `0` to let the OS pick), switching
+    /// the metrics registry and flight recorder on (other planes keep their
+    /// setting) so `/metrics` and `/runs` have content. Returns the server
+    /// handle; dropping it (or calling [`TelemetryServer::shutdown`]) stops
+    /// the exporter.
     pub fn serve_telemetry(&self, addr: &str) -> Result<TelemetryServer> {
-        self.enable_metrics();
-        self.enable_flight_recorder();
+        let current = self.observing();
+        self.observe(ObserveConfig {
+            metrics: true,
+            flight: current.flight.clone().or_else(|| Some(DetectorConfig::default())),
+            ..current
+        });
         TelemetryServer::bind(self.clone(), addr)
     }
 
@@ -595,7 +552,7 @@ impl Executor {
     /// panics with a diagnostic naming the piece and lanes involved.
     ///
     /// While disabled (the default) the cost is one relaxed atomic load per
-    /// dispatch, mirroring [`Executor::enable_metrics`]'s off path.
+    /// dispatch, mirroring the logger registry's off path.
     pub fn enable_sanitizer(&self) {
         self.0.sanitizer.set_enabled(true);
     }

@@ -21,7 +21,8 @@
 //!   and IC, backed by the [`factorization`] module's ILU(0)/IC(0).
 //! * **Stopping criteria** ([`stop`]), **loggers** ([`log`]), and the
 //!   always-on **metrics registry** ([`metrics`]: latency histograms,
-//!   Prometheus/Chrome-trace exporters).
+//!   Prometheus exporter). The registry, flight recorder, tracer and
+//!   profiler below are switched by one call, [`Executor::observe`].
 //! * **The live telemetry plane** ([`telemetry`]): a std-only HTTP scrape
 //!   endpoint (`/metrics`, `/healthz`, `/runs`), per-lane pool utilization
 //!   series, and an anomaly-detecting flight recorder.
@@ -30,7 +31,8 @@
 //!   a seeded schedule-perturbation stress harness.
 //! * **Causal span tracing** ([`trace`]): per-solve trace trees from the
 //!   solve root down to individual pool-lane chunks, tail-sampled into a
-//!   bounded store and served by the telemetry plane (`/traces`).
+//!   bounded store and served by the telemetry plane (`/traces`, with a
+//!   Chrome-trace export).
 //! * **Continuous profiling** ([`profile`]): always-on flame aggregation
 //!   over the span stream — windowed [`FlameNode`](profile) trees keyed by
 //!   span path with wall/virtual self-time, per-lane attribution, and
@@ -63,7 +65,7 @@ pub use base::dim::Dim2;
 pub use base::error::{GkoError, Result};
 pub use base::types::{Index, Value};
 pub use executor::pool::{LaneStats, PoolStats};
-pub use executor::Executor;
+pub use executor::{Executor, ObserveConfig};
 pub use linop::LinOp;
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{

@@ -1,4 +1,4 @@
-//! Event logging and profiling.
+//! Event logging.
 //!
 //! Ginkgo makes loggers first-class citizens of the engine: any event — a
 //! `LinOp` apply, a solver iteration, a criterion check, an allocation, a
@@ -9,10 +9,8 @@
 //! * the typed [`Event`] stream and the [`Logger`] trait observers implement;
 //! * a [`LoggerRegistry`] so several loggers can attach to one emitter
 //!   (executors and solvers each own a registry);
-//! * three concrete loggers: [`Record`] (bounded in-memory event history),
-//!   [`Stream`] (human-readable line writer), and [`Profiler`] (nested
-//!   per-kernel wall/virtual-time aggregation that folds in the worker
-//!   pool's dispatch/steal counters);
+//! * two concrete loggers: [`Record`] (bounded in-memory event history) and
+//!   [`Stream`] (human-readable line writer);
 //! * the [`OpTimer`] RAII guard kernels and solvers use to emit paired
 //!   `LinOpApplyStarted`/`LinOpApplyCompleted` events, and
 //! * the per-solve [`ConvergenceLogger`] that records residual history and
@@ -30,12 +28,11 @@
 
 use crate::executor::Executor;
 use crate::stop::StopReason;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -560,211 +557,6 @@ impl std::io::Write for SharedBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler logger
-// ---------------------------------------------------------------------------
-
-/// Aggregated timing of one instrumented operation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KernelProfile {
-    /// Operation name (e.g. `"csr"`, `"dense::dot"`, `"solver::Cg"`).
-    pub op: &'static str,
-    /// Completed invocations.
-    pub calls: u64,
-    /// Inclusive host wall-clock nanoseconds (children included).
-    pub wall_ns: u64,
-    /// Inclusive virtual (cost-model) nanoseconds.
-    pub virtual_ns: u64,
-    /// Exclusive wall nanoseconds (time not attributed to nested
-    /// instrumented operations on the same thread).
-    pub self_wall_ns: u64,
-    /// Exclusive virtual nanoseconds.
-    pub self_virtual_ns: u64,
-}
-
-/// Everything a [`Profiler`] accumulated.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfilerSummary {
-    /// Per-operation timing, sorted by descending inclusive virtual time.
-    pub kernels: Vec<KernelProfile>,
-    /// Solver iterations observed.
-    pub iterations: u64,
-    /// Criterion checks observed.
-    pub criterion_checks: u64,
-    /// Completed solves observed.
-    pub solves: u64,
-    /// SpMV plan (inspector) builds observed.
-    pub plan_builds: u64,
-    /// Worker-pool kernel dispatches observed.
-    pub pool_dispatches: u64,
-    /// Chunk closures executed across those dispatches.
-    pub pool_chunks: u64,
-    /// Chunks executed by a stealing lane.
-    pub pool_steals: u64,
-    /// Allocations observed.
-    pub allocations: u64,
-    /// Bytes across those allocations.
-    pub allocated_bytes: u64,
-}
-
-struct ProfFrame {
-    op: &'static str,
-    child_wall_ns: u64,
-    child_virtual_ns: u64,
-}
-
-#[derive(Default)]
-struct ProfState {
-    /// Per-thread stack of open `LinOpApplyStarted` frames; nesting is
-    /// tracked per emitting thread so concurrent solves on one executor
-    /// do not corrupt each other's attribution.
-    stacks: HashMap<ThreadId, Vec<ProfFrame>>,
-    kernels: BTreeMap<&'static str, KernelProfile>,
-    counters: ProfilerSummary,
-}
-
-/// Nested per-kernel wall/virtual-time profiler.
-///
-/// Attach to an *executor's* registry so it observes the instrumented
-/// kernels (`LinOpApply*` events); solver-level events and the worker pool's
-/// [`Event::PoolDispatch`] counters are folded into the same summary. For
-/// each operation the profiler tracks inclusive time and *exclusive* (self)
-/// time, so a solver's time can be broken down into SpMV vs dot/axpy vs
-/// bookkeeping.
-#[derive(Default)]
-pub struct Profiler {
-    state: Mutex<ProfState>, // lock: log.profiler.state
-}
-
-impl Profiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Profiler::default()
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, ProfState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Aggregated timing for one operation, if it was observed.
-    pub fn kernel(&self, op: &str) -> Option<KernelProfile> {
-        self.state().kernels.get(op).cloned()
-    }
-
-    /// Snapshot of everything accumulated so far.
-    pub fn summary(&self) -> ProfilerSummary {
-        let s = self.state();
-        let mut summary = s.counters.clone();
-        summary.kernels = s.kernels.values().cloned().collect();
-        summary
-            .kernels
-            .sort_by(|a, b| b.virtual_ns.cmp(&a.virtual_ns).then(a.op.cmp(b.op)));
-        summary
-    }
-
-    /// Human-readable profile table.
-    pub fn report(&self) -> String {
-        let summary = self.summary();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<20} {:>8} {:>14} {:>14} {:>14}\n",
-            "op", "calls", "virtual_ns", "self_virt_ns", "wall_ns"
-        ));
-        for k in &summary.kernels {
-            out.push_str(&format!(
-                "{:<20} {:>8} {:>14} {:>14} {:>14}\n",
-                k.op, k.calls, k.virtual_ns, k.self_virtual_ns, k.wall_ns
-            ));
-        }
-        out.push_str(&format!(
-            "iterations {} | checks {} | solves {} | plans {} | pool: {} dispatches, {} chunks, {} steals | allocs {} ({} bytes)\n",
-            summary.iterations,
-            summary.criterion_checks,
-            summary.solves,
-            summary.plan_builds,
-            summary.pool_dispatches,
-            summary.pool_chunks,
-            summary.pool_steals,
-            summary.allocations,
-            summary.allocated_bytes,
-        ));
-        out
-    }
-}
-
-impl Logger for Profiler {
-    fn on_event(&self, event: &Event) {
-        let mut s = self.state();
-        match *event {
-            Event::LinOpApplyStarted { op } => {
-                s.stacks
-                    .entry(std::thread::current().id())
-                    .or_default()
-                    .push(ProfFrame {
-                        op,
-                        child_wall_ns: 0,
-                        child_virtual_ns: 0,
-                    });
-            }
-            Event::LinOpApplyCompleted {
-                op,
-                wall_ns,
-                virtual_ns,
-            } => {
-                let tid = std::thread::current().id();
-                let (mut self_wall, mut self_virtual) = (wall_ns, virtual_ns);
-                if let Some(stack) = s.stacks.get_mut(&tid) {
-                    // Pop the matching frame (defensive: leave a mismatched
-                    // stack alone rather than mis-attributing time).
-                    if stack.last().is_some_and(|f| f.op == op) {
-                        // lint: allow(panic): guarded by the `last()` check
-                        // on the line above — the stack is non-empty here.
-                        let frame = stack.pop().expect("frame present");
-                        self_wall = wall_ns.saturating_sub(frame.child_wall_ns);
-                        self_virtual = virtual_ns.saturating_sub(frame.child_virtual_ns);
-                        if let Some(parent) = stack.last_mut() {
-                            parent.child_wall_ns += wall_ns;
-                            parent.child_virtual_ns += virtual_ns;
-                        }
-                    }
-                    if s.stacks.get(&tid).is_some_and(|st| st.is_empty()) {
-                        s.stacks.remove(&tid);
-                    }
-                }
-                let entry = s.kernels.entry(op).or_insert_with(|| KernelProfile {
-                    op,
-                    ..KernelProfile::default()
-                });
-                entry.calls += 1;
-                entry.wall_ns += wall_ns;
-                entry.virtual_ns += virtual_ns;
-                entry.self_wall_ns += self_wall;
-                entry.self_virtual_ns += self_virtual;
-            }
-            Event::IterationComplete { .. } => s.counters.iterations += 1,
-            Event::CriterionChecked { .. } => s.counters.criterion_checks += 1,
-            Event::SolveCompleted { .. } => s.counters.solves += 1,
-            // A batch counts as one solve: the profiler tracks pool-level
-            // work, and a batch drains the pool like a single solve does.
-            Event::BatchSolveCompleted { .. } => s.counters.solves += 1,
-            Event::PlanBuilt { .. } => s.counters.plan_builds += 1,
-            Event::AllocationComplete { bytes } => {
-                s.counters.allocations += 1;
-                s.counters.allocated_bytes += bytes as u64;
-            }
-            Event::PoolDispatch { chunks, steals, .. } => {
-                s.counters.pool_dispatches += 1;
-                s.counters.pool_chunks += chunks;
-                s.counters.pool_steals += steals;
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "profiler"
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ConvergenceLogger
 // ---------------------------------------------------------------------------
 
@@ -1087,81 +879,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("apply csr started"), "{text}");
         assert!(lines[1].contains("solver::Cg iteration 2"), "{text}");
-    }
-
-    #[test]
-    fn profiler_attributes_nested_self_time() {
-        let profiler = Profiler::new();
-        // outer (inclusive 100) wraps inner (inclusive 30).
-        profiler.on_event(&Event::LinOpApplyStarted { op: "outer" });
-        profiler.on_event(&Event::LinOpApplyStarted { op: "inner" });
-        profiler.on_event(&Event::LinOpApplyCompleted {
-            op: "inner",
-            wall_ns: 40,
-            virtual_ns: 30,
-        });
-        profiler.on_event(&Event::LinOpApplyCompleted {
-            op: "outer",
-            wall_ns: 100,
-            virtual_ns: 100,
-        });
-        let outer = profiler.kernel("outer").unwrap();
-        let inner = profiler.kernel("inner").unwrap();
-        assert_eq!(outer.virtual_ns, 100);
-        assert_eq!(outer.self_virtual_ns, 70);
-        assert_eq!(outer.self_wall_ns, 60);
-        assert_eq!(inner.virtual_ns, 30);
-        assert_eq!(inner.self_virtual_ns, 30);
-        let summary = profiler.summary();
-        assert_eq!(summary.kernels[0].op, "outer", "sorted by virtual time");
-        assert!(profiler.report().contains("outer"));
-    }
-
-    #[test]
-    fn profiler_folds_counters() {
-        let profiler = Profiler::new();
-        profiler.on_event(&Event::PoolDispatch {
-            chunks: 8,
-            steals: 2,
-            threads: 4,
-            wall_ns: 100,
-        });
-        profiler.on_event(&Event::AllocationComplete { bytes: 256 });
-        profiler.on_event(&Event::IterationComplete {
-            solver: "solver::Cg",
-            iteration: 1,
-            residual: 1.0,
-        });
-        profiler.on_event(&Event::CriterionChecked {
-            solver: "solver::Cg",
-            iteration: 1,
-            residual: 1.0,
-            stop: None,
-        });
-        profiler.on_event(&Event::SolveCompleted {
-            solver: "solver::Cg",
-            iterations: 1,
-            residual: 1.0,
-            reason: StopReason::MaxIterations,
-        });
-        profiler.on_event(&Event::PlanBuilt {
-            op: "csr",
-            strategy: "merge_path",
-            chunks: 16,
-            rows: 100,
-            nnz: 500,
-        });
-        let s = profiler.summary();
-        assert_eq!(s.pool_dispatches, 1);
-        assert_eq!(s.pool_chunks, 8);
-        assert_eq!(s.pool_steals, 2);
-        assert_eq!(s.allocations, 1);
-        assert_eq!(s.allocated_bytes, 256);
-        assert_eq!(s.iterations, 1);
-        assert_eq!(s.criterion_checks, 1);
-        assert_eq!(s.solves, 1);
-        assert_eq!(s.plan_builds, 1);
-        assert!(profiler.report().contains("plans 1"));
     }
 
     #[test]

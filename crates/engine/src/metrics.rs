@@ -1,4 +1,4 @@
-//! Always-on aggregated metrics: counters, latency histograms, trace spans.
+//! Always-on aggregated metrics: counters and latency histograms.
 //!
 //! [`crate::log`] gives the engine a raw event stream; this module gives it
 //! the layer a production deployment actually watches. A
@@ -7,17 +7,15 @@
 //! solver iteration, allocation, and pool dispatch is folded into
 //!
 //! * **sharded relaxed-atomic counters** (one cache line per shard, so
-//!   concurrent lanes never bounce a counter line between cores),
+//!   concurrent lanes never bounce a counter line between cores) and
 //! * **log2-bucketed latency histograms** per kernel kind (SpMV per format,
 //!   dense BLAS, solver applies), for pool-dispatch latency, and for
-//!   allocation sizes — each answering p50/p95/p99/max queries, and
-//! * an optional bounded **trace buffer** of completed spans rebuilt from
-//!   `LinOpApplyStarted`/`Completed` pairs, exportable as a
-//!   `chrome://tracing` / Perfetto-loadable JSON document.
+//!   allocation sizes — each answering p50/p95/p99/max queries.
 //!
 //! Reading happens through an immutable [`MetricsSnapshot`], which renders
-//! itself as Prometheus text exposition ([`MetricsSnapshot::to_prometheus`])
-//! or a Chrome trace ([`MetricsSnapshot::to_chrome_trace`]).
+//! itself as Prometheus text exposition ([`MetricsSnapshot::to_prometheus`]).
+//! Spans are not assembled here: [`crate::trace`] is the engine's one span
+//! assembler and Chrome-trace exporter.
 //!
 //! The fast path is unchanged: when no registry (or any other logger) is
 //! attached, instrumented sites still pay exactly one relaxed atomic load
@@ -26,12 +24,10 @@
 
 use crate::log::{Event, Logger};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::ThreadId;
-use std::time::Instant;
+use std::sync::{Arc, PoisonError, RwLock};
 
 // ---------------------------------------------------------------------------
 // Sharding
@@ -265,139 +261,6 @@ impl HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Trace buffer
-// ---------------------------------------------------------------------------
-
-/// One completed span in the trace buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceSpan {
-    /// Operation name (`"csr"`, `"dense::dot"`, `"pool::dispatch"`, ...).
-    pub name: &'static str,
-    /// Lane (rendered as the Chrome-trace `tid`), one per emitting thread.
-    pub lane: u32,
-    /// Start offset from registry creation, nanoseconds.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-struct OpenSpan {
-    op: &'static str,
-    start_ns: u64,
-}
-
-#[derive(Default)]
-struct TraceState {
-    /// Lane id and thread name per emitting thread, assigned on first span.
-    lanes: HashMap<ThreadId, (u32, String)>,
-    /// Per-thread stack of spans opened by `LinOpApplyStarted`.
-    open: HashMap<ThreadId, Vec<OpenSpan>>,
-    spans: Vec<TraceSpan>,
-    dropped: u64,
-}
-
-struct Trace {
-    epoch: Instant,
-    capacity: usize,
-    state: Mutex<TraceState>, // lock: metrics.trace.state
-}
-
-impl Trace {
-    fn new(capacity: usize) -> Self {
-        Trace {
-            epoch: Instant::now(),
-            capacity: capacity.max(1),
-            state: Mutex::new(TraceState::default()),
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, TraceState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lane_of(state: &mut TraceState, tid: ThreadId) -> u32 {
-        let next = state.lanes.len() as u32;
-        state
-            .lanes
-            .entry(tid)
-            .or_insert_with(|| {
-                let name = std::thread::current()
-                    .name()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| format!("thread-{next}"));
-                (next, name)
-            })
-            .0
-    }
-
-    fn begin(&self, op: &'static str) {
-        let start_ns = self.now_ns();
-        let tid = std::thread::current().id();
-        let mut state = self.state();
-        state.open.entry(tid).or_default().push(OpenSpan { op, start_ns });
-    }
-
-    fn push_span(state: &mut TraceState, capacity: usize, span: TraceSpan) {
-        if state.spans.len() >= capacity {
-            state.dropped += 1;
-        } else {
-            state.spans.push(span);
-        }
-    }
-
-    fn complete(&self, op: &'static str, wall_ns: u64) {
-        let now = self.now_ns();
-        let tid = std::thread::current().id();
-        let mut state = self.state();
-        let start_ns = match state.open.get_mut(&tid) {
-            // Defensive: only pop a frame that matches; an unpaired
-            // completion synthesizes its start from the event's duration.
-            Some(stack) if stack.last().is_some_and(|f| f.op == op) => {
-                // lint: allow(panic): guarded by the `last()` check in the
-                // match arm — the stack is non-empty here.
-                stack.pop().expect("frame present").start_ns
-            }
-            _ => now.saturating_sub(wall_ns),
-        };
-        let lane = Trace::lane_of(&mut state, tid);
-        let dur_ns = now.saturating_sub(start_ns);
-        Trace::push_span(
-            &mut state,
-            self.capacity,
-            TraceSpan {
-                name: op,
-                lane,
-                start_ns,
-                dur_ns,
-            },
-        );
-    }
-
-    /// Records a span retroactively: it ends now and lasted `wall_ns`
-    /// (used for events reported only on completion, like pool dispatches).
-    fn retro_span(&self, name: &'static str, wall_ns: u64) {
-        let now = self.now_ns();
-        let tid = std::thread::current().id();
-        let mut state = self.state();
-        let lane = Trace::lane_of(&mut state, tid);
-        Trace::push_span(
-            &mut state,
-            self.capacity,
-            TraceSpan {
-                name,
-                lane,
-                start_ns: now.saturating_sub(wall_ns),
-                dur_ns: wall_ns,
-            },
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -411,12 +274,12 @@ struct KernelMetrics {
 /// The engine-wide metrics registry.
 ///
 /// A registry is an ordinary [`Logger`]; attach it with
-/// [`crate::Executor::add_logger`] — or let
-/// [`crate::Executor::enable_metrics`] do both steps — and read it back with
+/// [`crate::Executor::add_logger`] — or let [`crate::Executor::observe`]
+/// with `metrics: true` do both steps — and read it back with
 /// [`MetricsRegistry::snapshot`]. All recording paths are lock-free sharded
 /// atomics except the first observation of a new kernel name (which takes a
-/// write lock once) and trace-span bookkeeping (a short mutex, only when
-/// tracing is enabled).
+/// write lock once).
+#[derive(Default)]
 pub struct MetricsRegistry {
     kernels: RwLock<BTreeMap<&'static str, Arc<KernelMetrics>>>, // lock: metrics.kernels
     solver_iterations: RwLock<BTreeMap<&'static str, Arc<ShardedCounter>>>, // lock: metrics.solver-iters
@@ -429,56 +292,20 @@ pub struct MetricsRegistry {
     /// Anomalies reported by the flight recorder (or any other detector),
     /// keyed by anomaly kind.
     anomalies: RwLock<BTreeMap<&'static str, Arc<ShardedCounter>>>, // lock: metrics.anomalies
-    trace: Option<Trace>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("events", &self.events.get())
-            .field("tracing", &self.trace.is_some())
             .finish()
     }
 }
 
 impl MetricsRegistry {
-    /// Default bound on retained trace spans.
-    pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
-    /// Registry with span tracing enabled at the default capacity.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        MetricsRegistry::with_trace_capacity(MetricsRegistry::DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Registry with span tracing bounded at `capacity` spans; spans beyond
-    /// the bound are counted as dropped, never silently lost.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        MetricsRegistry {
-            trace: Some(Trace::new(capacity)),
-            ..MetricsRegistry::without_trace()
-        }
-    }
-
-    /// Registry that aggregates histograms/counters only (no span buffer).
-    pub fn without_trace() -> Self {
-        MetricsRegistry {
-            kernels: RwLock::new(BTreeMap::new()),
-            solver_iterations: RwLock::new(BTreeMap::new()),
-            pool_dispatch_ns: LatencyHistogram::new(),
-            alloc_bytes: LatencyHistogram::new(),
-            solves: ShardedCounter::new(),
-            criterion_checks: ShardedCounter::new(),
-            plan_builds: ShardedCounter::new(),
-            events: ShardedCounter::new(),
-            anomalies: RwLock::new(BTreeMap::new()),
-            trace: None,
-        }
+        MetricsRegistry::default()
     }
 
     /// Total events this registry has observed.
@@ -572,16 +399,6 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, c)| (k.to_string(), c.get()))
             .collect();
-        let (spans, lanes, trace_dropped) = match &self.trace {
-            None => (Vec::new(), Vec::new(), 0),
-            Some(trace) => {
-                let state = trace.state();
-                let mut lanes: Vec<(u32, String)> =
-                    state.lanes.values().cloned().collect();
-                lanes.sort();
-                (state.spans.clone(), lanes, state.dropped)
-            }
-        };
         MetricsSnapshot {
             kernels,
             solver_iterations,
@@ -592,9 +409,6 @@ impl MetricsRegistry {
             plan_builds: self.plan_builds.get(),
             events: self.events.get(),
             anomalies,
-            spans,
-            lanes,
-            trace_dropped,
         }
     }
 }
@@ -603,11 +417,7 @@ impl Logger for MetricsRegistry {
     fn on_event(&self, event: &Event) {
         self.events.incr();
         match *event {
-            Event::LinOpApplyStarted { op } => {
-                if let Some(trace) = &self.trace {
-                    trace.begin(op);
-                }
-            }
+            Event::LinOpApplyStarted { .. } => {}
             Event::LinOpApplyCompleted {
                 op,
                 wall_ns,
@@ -616,9 +426,6 @@ impl Logger for MetricsRegistry {
                 let kernel = self.kernel(op);
                 kernel.wall_ns.record(wall_ns);
                 kernel.virtual_ns.record(virtual_ns);
-                if let Some(trace) = &self.trace {
-                    trace.complete(op, wall_ns);
-                }
             }
             Event::IterationComplete { solver, .. } => {
                 self.iteration_counter(solver).incr();
@@ -630,12 +437,7 @@ impl Logger for MetricsRegistry {
             Event::BatchSolveCompleted { .. } => self.solves.incr(),
             Event::PlanBuilt { .. } => self.plan_builds.incr(),
             Event::AllocationComplete { bytes } => self.alloc_bytes.record(bytes as u64),
-            Event::PoolDispatch { wall_ns, .. } => {
-                self.pool_dispatch_ns.record(wall_ns);
-                if let Some(trace) = &self.trace {
-                    trace.retro_span("pool::dispatch", wall_ns);
-                }
-            }
+            Event::PoolDispatch { wall_ns, .. } => self.pool_dispatch_ns.record(wall_ns),
         }
     }
 
@@ -682,12 +484,6 @@ pub struct MetricsSnapshot {
     pub events: u64,
     /// Detected anomalies per kind, sorted by kind.
     pub anomalies: Vec<(String, u64)>,
-    /// Completed trace spans (empty when tracing is disabled).
-    pub spans: Vec<TraceSpan>,
-    /// Lane id / thread name pairs for the span lanes.
-    pub lanes: Vec<(u32, String)>,
-    /// Spans discarded because the trace buffer was full.
-    pub trace_dropped: u64,
 }
 
 /// Escapes a label *value* per the Prometheus text-format spec: backslash,
@@ -732,22 +528,6 @@ fn prom_histogram(out: &mut String, metric: &str, labels: &str, h: &HistogramSna
         let _ = writeln!(out, "{metric}_sum{{{labels}}} {}", h.sum);
         let _ = writeln!(out, "{metric}_count{{{labels}}} {}", h.count);
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl MetricsSnapshot {
@@ -860,52 +640,6 @@ impl MetricsSnapshot {
         prom_histogram(&mut out, "gko_alloc_bytes", "", &self.alloc_bytes);
         out
     }
-
-    /// Renders the trace spans as a `chrome://tracing` / Perfetto-loadable
-    /// JSON document with balanced `"B"`/`"E"` event pairs and one named
-    /// lane (`tid`) per emitting thread.
-    pub fn to_chrome_trace(&self) -> String {
-        chrome_trace_json(&self.lanes, &self.spans)
-    }
-}
-
-/// Shared Chrome-trace emitter: renders named lanes plus balanced `"B"`/`"E"`
-/// event pairs. Used by [`MetricsSnapshot::to_chrome_trace`] and by the
-/// span tracer's per-trace export (`crate::trace`), so both produce the
-/// same viewer-compatible document shape.
-pub(crate) fn chrome_trace_json(lanes: &[(u32, String)], spans: &[TraceSpan]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"gko\"}}",
-    );
-    for (lane, name) in lanes {
-        let _ = write!(
-            out,
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
-        );
-    }
-    // Emit B/E pairs sorted by begin time so viewers reconstruct the
-    // nesting; each completed span contributes exactly one pair.
-    let mut sorted: Vec<&TraceSpan> = spans.iter().collect();
-    sorted.sort_by_key(|s| (s.start_ns, std::cmp::Reverse(s.dur_ns)));
-    for s in sorted {
-        let begin_us = s.start_ns as f64 / 1000.0;
-        let end_us = (s.start_ns + s.dur_ns) as f64 / 1000.0;
-        let name = json_escape(s.name);
-        let _ = write!(
-            out,
-            ",\n{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{begin_us:.3},\
-             \"pid\":1,\"tid\":{lane}}},\n\
-             {{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{end_us:.3},\
-             \"pid\":1,\"tid\":{lane}}}",
-            lane = s.lane
-        );
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]
@@ -1012,40 +746,6 @@ mod tests {
         assert_eq!(snap.alloc_bytes.max, 4096);
         assert_eq!(snap.pool_dispatch_ns.max, 2500);
         assert_eq!(snap.events, 5);
-        // Two spans: the completed csr apply plus the pool dispatch.
-        assert_eq!(snap.spans.len(), 2);
-        assert_eq!(snap.trace_dropped, 0);
-    }
-
-    #[test]
-    fn trace_capacity_counts_drops() {
-        let reg = MetricsRegistry::with_trace_capacity(1);
-        for _ in 0..3 {
-            reg.on_event(&Event::LinOpApplyStarted { op: "csr" });
-            reg.on_event(&Event::LinOpApplyCompleted {
-                op: "csr",
-                wall_ns: 10,
-                virtual_ns: 10,
-            });
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.trace_dropped, 2);
-        assert_eq!(snap.kernel("csr").unwrap().calls, 3, "histograms unaffected");
-    }
-
-    #[test]
-    fn untraced_registry_keeps_histograms_only() {
-        let reg = MetricsRegistry::without_trace();
-        reg.on_event(&Event::LinOpApplyStarted { op: "coo" });
-        reg.on_event(&Event::LinOpApplyCompleted {
-            op: "coo",
-            wall_ns: 7,
-            virtual_ns: 7,
-        });
-        let snap = reg.snapshot();
-        assert!(snap.spans.is_empty());
-        assert_eq!(snap.kernel("coo").unwrap().calls, 1);
     }
 
     #[test]
@@ -1110,28 +810,5 @@ mod tests {
         );
         let text = snap.to_prometheus();
         assert!(text.contains("gko_anomalies_total{kind=\"stagnation\"} 2"), "{text}");
-    }
-
-    #[test]
-    fn chrome_trace_pairs_are_balanced() {
-        let reg = MetricsRegistry::new();
-        reg.on_event(&Event::LinOpApplyStarted { op: "outer" });
-        reg.on_event(&Event::LinOpApplyStarted { op: "inner" });
-        reg.on_event(&Event::LinOpApplyCompleted {
-            op: "inner",
-            wall_ns: 10,
-            virtual_ns: 10,
-        });
-        reg.on_event(&Event::LinOpApplyCompleted {
-            op: "outer",
-            wall_ns: 30,
-            virtual_ns: 30,
-        });
-        let trace = reg.snapshot().to_chrome_trace();
-        let begins = trace.matches("\"ph\":\"B\"").count();
-        let ends = trace.matches("\"ph\":\"E\"").count();
-        assert_eq!(begins, 2);
-        assert_eq!(begins, ends);
-        assert!(trace.contains("\"thread_name\""));
     }
 }

@@ -31,9 +31,9 @@
 //! test, and a final `SolveCompleted` — to loggers attached either to the
 //! solver itself (`with_logger`) or to its executor
 //! ([`Executor::add_logger`](crate::Executor::add_logger)). The whole solve
-//! is additionally wrapped in a `solver::*` kernel frame so a
-//! [`Profiler`](crate::log::Profiler) can attribute SpMV/BLAS time to the
-//! enclosing solve. A logger attached to *both* the solver and its executor
+//! is additionally wrapped in a `solver::*` kernel frame so the
+//! [`Tracer`](crate::Tracer) can root a span tree at it and attribute
+//! SpMV/BLAS time to the enclosing solve. A logger attached to *both* the solver and its executor
 //! receives the iteration-level events twice.
 //!
 //! Implemented Krylov methods: [`Cg`](cg::Cg), [`Fcg`](fcg::Fcg),
@@ -84,9 +84,9 @@ use std::sync::Arc;
 /// Every iterative solver also carries a [`LoggerRegistry`] of its own:
 /// iteration, criterion-check, and solve-completion events are delivered
 /// both to loggers attached to the solver and to loggers attached to the
-/// system operator's executor (so an executor-wide
-/// [`Profiler`](crate::log::Profiler) sees solver events alongside the
-/// kernels). Attaching the same logger object to both therefore delivers
+/// system operator's executor (so an executor-wide observer such as the
+/// [`MetricsRegistry`](crate::MetricsRegistry) sees solver events alongside
+/// the kernels). Attaching the same logger object to both therefore delivers
 /// solver events twice — attach to one or the other.
 pub(crate) struct SolverCore<V: Value> {
     pub system: Arc<dyn LinOp<V>>,

@@ -23,8 +23,8 @@
 //!   `?format=folded` (one `path;path;... <self_wall_ns>` line per node);
 //! * `/profile/diff?base=<name>` — differential profile of the live window
 //!   against a baseline committed via
-//!   [`Executor::profile_commit_baseline`], rows ranked by self-time
-//!   regression.
+//!   [`ProfileStore::commit_baseline`](crate::ProfileStore::commit_baseline),
+//!   rows ranked by self-time regression.
 //!
 //! Requests are served sequentially — every response is a cheap immutable
 //! snapshot, so there is nothing to win by handing connections to a pool —

@@ -12,7 +12,7 @@
 //!   `GET /traces/<id>` (the tracer's tail-sampled span trees, JSON or
 //!   Chrome-trace), and `GET /profile` + `GET /profile/diff` (the
 //!   continuous profiler's flame aggregates, JSON or folded stacks);
-//! * [`FlightRecorder`] (see [`crate::Executor::enable_flight_recorder`]) —
+//! * [`FlightRecorder`] (see [`crate::ObserveConfig::flight`]) —
 //!   a bounded ring of per-solve [`FlightReport`]s screened by stagnation /
 //!   divergence, lane-imbalance, and latency-drift detectors
 //!   ([`DetectorConfig`] holds the thresholds);
@@ -41,8 +41,8 @@ use std::fmt::Write as _;
 /// the flight recorder's report gauge.
 pub fn render_prometheus(exec: &Executor) -> String {
     let mut out = exec
-        .metrics_snapshot()
-        .map(|s| s.to_prometheus())
+        .metrics()
+        .map(|m| m.snapshot().to_prometheus())
         .unwrap_or_default();
     let lanes = exec.pool_lane_stats();
     if !lanes.is_empty() {

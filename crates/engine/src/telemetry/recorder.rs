@@ -1,7 +1,7 @@
 //! Flight recorder: bounded ring of per-solve reports + anomaly detectors.
 //!
 //! A [`FlightRecorder`] is an ordinary [`Logger`]. While attached (see
-//! [`crate::Executor::enable_flight_recorder`]) it folds the event stream of
+//! [`crate::ObserveConfig::flight`]) it folds the event stream of
 //! each solve into one [`FlightReport`] — matrix context, iteration count,
 //! a residual-trajectory summary, per-kernel latency quantiles, and the
 //! per-lane pool utilization delta — then screens the report with three
@@ -524,9 +524,9 @@ impl Default for Baseline {
 
 /// The flight recorder (see the module docs).
 ///
-/// Create one through [`crate::Executor::enable_flight_recorder`] (which
-/// also attaches it), or [`FlightRecorder::detached`] for feeding events
-/// manually in tests.
+/// Create one through [`crate::Executor::observe`] (which also attaches
+/// it), or [`FlightRecorder::detached`] for feeding events manually in
+/// tests.
 pub struct FlightRecorder {
     exec: WeakExecutor,
     config: DetectorConfig,
@@ -657,10 +657,9 @@ impl FlightRecorder {
         // (lock-free of ours) when it judges the finished trace, so neither
         // side may hold both locks at once.
         let trace_id = exec.as_ref().and_then(|e| e.tracer().active_trace_id());
-        // Same rule for the metrics registry: `Executor::metrics` takes the
-        // executor's `exec.metrics` slot lock, and enabling/disabling locks
-        // that slot around logger-registry traffic that ends up back here —
-        // so fetch the handle before taking `recorder.state`.
+        // Same rule for the metrics registry: `Executor::metrics` takes
+        // `exec.observe`, and `Executor::observe` arms the tracer under that
+        // lock — so fetch the handle before taking `recorder.state`.
         let registry = exec.as_ref().and_then(|e| e.metrics());
         let mut state = self.state();
         let current = std::mem::take(&mut state.current);

@@ -30,7 +30,7 @@
 //! atomic load per probe: [`Tracer::begin_dispatch`] checks the `active`
 //! flag before touching any lock, and the event hook is only attached to the
 //! logger registry while tracing is enabled, so solves on an untraced
-//! executor never even reach [`Tracer::observe`]. `bench_gate` holds the
+//! executor never even reach [`Tracer::ingest`]. `bench_gate` holds the
 //! inert path inside a tolerance band (see `trace_overhead`).
 //!
 //! # Tail-based sampling
@@ -51,17 +51,16 @@
 //! The flight-recorder linkage is two-way: `FlightReport.trace_id` lets
 //! `/runs` anomaly entries link their trace, and the tracer reads the
 //! recorder's verdict for the just-finished solve to make the retention
-//! decision (enabling tracing enables the recorder).
+//! decision (arming tracing arms the recorder).
 //!
 //! Serving: `GET /traces` (index) and `GET /traces/<id>` (full span tree
-//! JSON; `?format=chrome` re-uses the §11 Chrome-trace emitter).
+//! JSON; `?format=chrome` renders [`TraceReport::to_chrome_trace`]).
 
-use crate::config::Config;
+use crate::config::{json, Config};
 use crate::executor::Executor;
 use crate::log::Event;
-use crate::metrics;
 use crate::stop::StopReason;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
@@ -241,26 +240,52 @@ impl TraceReport {
             .with("spans", spans)
     }
 
-    /// Renders the trace for `chrome://tracing` / Perfetto by re-using the
-    /// §11 metrics emitter: owner-thread spans land on lane 0 ("solve"),
-    /// chunk spans on one named lane per executing pool lane.
+    /// Renders the trace as a `chrome://tracing` / Perfetto-loadable JSON
+    /// document — the engine's only Chrome exporter: owner-thread spans
+    /// land on lane 0 ("solve"), chunk spans on one named lane per
+    /// executing pool lane, each span as one balanced `"B"`/`"E"` pair.
     pub fn to_chrome_trace(&self) -> String {
-        let mut lanes: Vec<(u32, String)> = vec![(0, format!("solve {}", self.annotation))];
-        let mut spans: Vec<metrics::TraceSpan> = Vec::with_capacity(self.spans.len());
-        for s in &self.spans {
-            let lane = if s.lane == OWNER_LANE { 0 } else { s.lane + 1 };
-            if s.lane != OWNER_LANE && !lanes.iter().any(|(l, _)| *l == lane) {
-                lanes.push((lane, format!("lane-{}", s.lane)));
-            }
-            spans.push(metrics::TraceSpan {
-                name: s.name,
-                lane,
-                start_ns: s.start_ns,
-                dur_ns: s.dur_ns,
-            });
+        let meta = |name: &str, tid: u32, label: String| {
+            Config::map()
+                .with("name", name)
+                .with("ph", "M")
+                .with("pid", 1i64)
+                .with("tid", tid as i64)
+                .with("args", Config::map().with("name", label))
+        };
+        let tid = |s: &SpanRecord| if s.lane == OWNER_LANE { 0 } else { s.lane + 1 };
+        let mut events = vec![
+            meta("process_name", 0, "gko".to_string()),
+            meta("thread_name", 0, format!("solve {}", self.annotation)),
+        ];
+        let pool_lanes: BTreeSet<u32> = self
+            .spans
+            .iter()
+            .filter(|s| s.lane != OWNER_LANE)
+            .map(|s| s.lane)
+            .collect();
+        for lane in pool_lanes {
+            events.push(meta("thread_name", lane + 1, format!("lane-{lane}")));
         }
-        lanes.sort_by_key(|(l, _)| *l);
-        metrics::chrome_trace_json(&lanes, &spans)
+        // B/E pairs sorted by begin time (longest first on ties) so viewers
+        // reconstruct the nesting.
+        let mut sorted: Vec<&SpanRecord> = self.spans.iter().collect();
+        sorted.sort_by_key(|s| (s.start_ns, std::cmp::Reverse(s.dur_ns)));
+        for s in sorted {
+            for (ph, at_ns) in [("B", s.start_ns), ("E", s.start_ns + s.dur_ns)] {
+                events.push(
+                    Config::map()
+                        .with("name", s.name)
+                        .with("ph", ph)
+                        .with("ts", at_ns as f64 / 1000.0)
+                        .with("pid", 1i64)
+                        .with("tid", tid(s) as i64),
+                );
+            }
+        }
+        let mut out = json::to_string(&Config::map().with("traceEvents", events));
+        out.push('\n');
+        out
     }
 }
 
@@ -516,7 +541,7 @@ impl Tracer {
             .with("drops_total", self.drops() as i64)
             .with("truncated_spans_total", s.truncated_total as i64)
             .with("armed", self.is_armed());
-        crate::config::json::to_string_pretty(&doc)
+        json::to_string_pretty(&doc)
     }
 
     // -- event-driven assembly (owner-thread layers) ------------------------
@@ -524,7 +549,7 @@ impl Tracer {
     /// Feeds one §10 event into the assembler. Called by the trace hook the
     /// executor attaches while tracing is armed; must never call back into
     /// the logger registry (the registry lock is held during delivery).
-    pub(crate) fn observe(&self, event: &Event, exec: &Executor) {
+    pub(crate) fn ingest(&self, event: &Event, exec: &Executor) {
         if !self.armed.load(Ordering::Relaxed) {
             return;
         }
@@ -889,9 +914,9 @@ impl Tracer {
 // ---------------------------------------------------------------------------
 
 /// Logger that forwards the executor's §10 event stream into its embedded
-/// tracer. Attached by `Executor::enable_tracing` and detached by
-/// `disable_tracing`/`clear_loggers`, so solves on an untraced executor pay
-/// only the registry's own relaxed-load fast path.
+/// tracer. Attached by `Executor::observe` while its config carries a
+/// `trace` policy and detached otherwise, so solves on an untraced executor
+/// pay only the registry's own relaxed-load fast path.
 pub(crate) struct TraceHook {
     exec: crate::executor::WeakExecutor,
 }
@@ -905,7 +930,7 @@ impl TraceHook {
 impl crate::log::Logger for TraceHook {
     fn on_event(&self, event: &Event) {
         if let Some(exec) = self.exec.upgrade() {
-            exec.tracer().observe(event, &exec);
+            exec.tracer().ingest(event, &exec);
         }
     }
 

@@ -1,13 +1,14 @@
-//! End-to-end event-logging acceptance: a CG solve with `Record` and
-//! `Profiler` loggers attached to the executor yields a per-iteration event
-//! stream and a per-kernel time breakdown that accounts for the whole solve.
+//! End-to-end event-logging acceptance: a CG solve with a `Record` logger
+//! attached to the executor — and its metrics registry and continuous
+//! profiler observing — yields a per-iteration event stream and a per-kernel
+//! time breakdown that accounts for the whole solve.
 
 use gko::linop::LinOp;
-use gko::log::{Event, Profiler, Record, SharedBuf, Stream};
+use gko::log::{Event, Record, SharedBuf, Stream};
 use gko::matrix::{Csr, Dense};
 use gko::solver::Cg;
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor};
+use gko::{Dim2, Executor, ObserveConfig, ProfileConfig};
 use std::sync::Arc;
 
 fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
@@ -45,10 +46,18 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     // Attach after constructing operands so every observed kernel belongs
     // to the solve.
     let record = Arc::new(Record::with_capacity(1 << 17));
-    let profiler = Arc::new(Profiler::new());
     exec.add_logger(record.clone());
-    exec.add_logger(profiler.clone());
-    assert_eq!(exec.loggers().len(), 2);
+    exec.observe(ObserveConfig {
+        metrics: true,
+        profile: Some(ProfileConfig::default()),
+        ..ObserveConfig::default()
+    });
+    let metrics = exec.metrics().unwrap();
+    assert_eq!(
+        exec.loggers().len(),
+        4,
+        "record + registry + the recorder and trace hook profiling implies"
+    );
 
     let solver = Cg::new(a as Arc<dyn LinOp<f64>>)
         .unwrap()
@@ -128,41 +137,42 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
         .iter()
         .any(|e| matches!(e, Event::AllocationComplete { .. })));
 
-    // Profiler folded the same stream into per-kernel aggregates.
-    let summary = profiler.summary();
-    assert_eq!(summary.solves, 1);
-    assert_eq!(summary.iterations as usize, iters);
-    assert_eq!(summary.criterion_checks as usize, iters + 1);
-    assert!(summary.pool_dispatches > 0);
-    assert!(summary.allocations > 0);
-    let ops: Vec<&str> = summary.kernels.iter().map(|k| k.op).collect();
+    // The registry folded the same stream into per-kernel aggregates.
+    let snap = metrics.snapshot();
+    assert_eq!(snap.solves, 1);
+    assert_eq!(snap.solver_iterations, vec![("solver::Cg".to_string(), iters as u64)]);
+    assert_eq!(snap.criterion_checks as usize, iters + 1);
+    assert!(snap.pool_dispatch_ns.count > 0);
+    assert_eq!(snap.pool_dispatch_ns.count, exec.pool_stats().dispatches);
+    assert!(snap.alloc_bytes.count > 0);
     for expected in ["solver::Cg", "csr", "dense::dot", "dense::axpy"] {
-        assert!(ops.contains(&expected), "missing {expected} in {ops:?}");
+        assert!(snap.kernel(expected).is_some(), "missing {expected} in {snap:?}");
     }
-    let spmv = profiler.kernel("csr").unwrap();
+    let spmv = snap.kernel("csr").unwrap();
     assert_eq!(spmv.calls as usize, iters + 1, "one SpMV per iteration + r0");
-
-    // The per-kernel self times decompose the solve: summed over every
-    // kernel nested inside the solver frame they must account for the
-    // solver's inclusive virtual time (within 10%; exact up to events
-    // outside the frame).
-    let solve = profiler.kernel("solver::Cg").unwrap();
+    let solve = snap.kernel("solver::Cg").unwrap();
     assert_eq!(solve.calls, 1);
-    let child_self: u64 = summary
-        .kernels
+    assert!(solve.virtual_ns.sum >= spmv.virtual_ns.sum, "the solve frame is inclusive");
+
+    // The profiler's self times decompose the solve exactly: owner-thread
+    // spans nest sequentially, so self times summed over the flame tree —
+    // each pool dispatch counted whole, its chunks run concurrently — give
+    // back the root's wall time.
+    let flame = exec.profile().snapshot();
+    assert_eq!(flame.solves, 1);
+    assert_eq!(exec.profile().evicted(), 0);
+    let root = flame.find("solver::Cg").expect("flame tree rooted at the solve");
+    assert!(root.wall_ns > 0);
+    let covered: u64 = flame
+        .nodes
         .iter()
-        .filter(|k| k.op != "solver::Cg")
-        .map(|k| k.self_virtual_ns)
+        .map(|n| match n.kind.as_str() {
+            "pool_dispatch" => n.wall_ns,
+            "chunk" => 0,
+            _ => n.self_wall_ns,
+        })
         .sum();
-    let total = solve.virtual_ns;
-    assert!(total > 0);
-    let covered = child_self + solve.self_virtual_ns;
-    let gap = total.abs_diff(covered);
-    assert!(
-        gap * 10 <= total,
-        "kernel breakdown ({covered} ns) must account for the solve \
-         ({total} ns) within 10%"
-    );
+    assert_eq!(covered, root.wall_ns, "self times must account for the solve");
 }
 
 /// Loggers attached to the *solver* see iteration-level events only; kernel

@@ -1,6 +1,7 @@
 //! Acceptance tests for the engine-wide metrics registry: inert fast path,
 //! histogram bucketing, end-to-end aggregation over real kernels, and
-//! exporter correctness (Prometheus text, Chrome-trace JSON).
+//! exporter correctness (Prometheus text; the Chrome-trace JSON of a traced
+//! solve, which the tracer renders).
 
 use gko::config::Config;
 use gko::linop::LinOp;
@@ -8,7 +9,7 @@ use gko::matrix::{Csr, Dense};
 use gko::metrics::{bucket_index, bucket_upper_bound, LatencyHistogram, HISTOGRAM_BUCKETS};
 use gko::solver::Cg;
 use gko::stop::Criteria;
-use gko::{Dim2, Executor};
+use gko::{Dim2, Executor, ObserveConfig, ProfileConfig, TraceConfig};
 use std::sync::Arc;
 
 fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
@@ -23,6 +24,14 @@ fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
     Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
 }
 
+/// Only the metrics plane on.
+fn metrics_only() -> ObserveConfig {
+    ObserveConfig {
+        metrics: true,
+        ..ObserveConfig::default()
+    }
+}
+
 fn run_spmv(exec: &Executor, a: &Csr<f64, i32>) {
     let n = a.size().cols;
     let b = Dense::<f64>::filled(exec, Dim2::new(n, 1), 1.0);
@@ -33,7 +42,9 @@ fn run_spmv(exec: &Executor, a: &Csr<f64, i32>) {
 /// The acceptance criterion for the inert path: an executor with no metrics
 /// registry (and no other logger) must not record anything anywhere — the
 /// instrumented sites branch away after one relaxed load, so a registry
-/// enabled *afterwards* starts from zero observed events.
+/// enabled *afterwards* starts from zero observed events. And
+/// `observe(ObserveConfig::default())` must lead back to that path from a
+/// fully armed executor, with what was retained still readable.
 #[test]
 fn unlogged_spmv_performs_no_histogram_writes() {
     let exec = Executor::omp(2);
@@ -42,34 +53,64 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         !exec.loggers().is_active(),
         "precondition: nothing attached, the OpTimer fast path is one relaxed load"
     );
-    assert!(exec.metrics_snapshot().is_none(), "no registry installed");
+    assert!(exec.metrics().is_none(), "no registry installed");
     for _ in 0..4 {
         run_spmv(&exec, &a);
     }
     // Enable metrics only now: everything that ran before must be invisible.
-    let registry = exec.enable_metrics();
+    exec.observe(metrics_only());
+    let registry = exec.metrics().unwrap();
     assert_eq!(
         registry.events_observed(),
         0,
         "pre-attachment kernels must not have recorded any event"
     );
-    let snap = exec.metrics_snapshot().unwrap();
+    let snap = registry.snapshot();
     assert!(snap.kernels.is_empty());
     assert_eq!(snap.pool_dispatch_ns.count, 0);
     assert_eq!(snap.alloc_bytes.count, 0);
-    exec.disable_metrics();
-    assert!(!exec.loggers().is_active(), "disable detaches the registry");
+
+    // Arm every plane, run one solve through them, then switch all off.
+    exec.observe(ObserveConfig {
+        metrics: true,
+        trace: Some(TraceConfig {
+            sample_n: 1,
+            ..TraceConfig::default()
+        }),
+        profile: Some(ProfileConfig::default()),
+        ..ObserveConfig::default()
+    });
+    assert_eq!(exec.loggers().len(), 3, "registry, recorder, trace hook");
+    let solver = Cg::new(Arc::new(poisson_csr(&exec, 256)))
+        .unwrap()
+        .with_criteria(Criteria::iterations(5));
+    let b = Dense::<f64>::filled(&exec, Dim2::new(256, 1), 1.0);
+    let mut x = Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
+    solver.apply(&b, &mut x).unwrap();
+    let observed = registry.events_observed();
+    assert!(observed > 0);
+
+    exec.observe(ObserveConfig::default());
+    assert!(!exec.loggers().is_active(), "back on the one-relaxed-load path");
+    let off = exec.observing();
+    assert!(!off.metrics && off.flight.is_none() && off.trace.is_none() && off.profile.is_none());
+    assert!(exec.metrics().is_none() && exec.flight_recorder().is_none());
+    assert!(!exec.tracer().is_armed() && !exec.profile().is_armed());
+    solver.apply(&b, &mut x).unwrap();
+    assert_eq!(registry.events_observed(), observed, "detached registry sees nothing");
+    assert_eq!(exec.tracer().retained(), 1, "retained trace stays readable");
+    assert_eq!(exec.profile().snapshot().solves, 1, "flame window stays readable");
 }
 
 #[test]
 fn executor_metrics_aggregate_spmv_and_pool_dispatches() {
     let exec = Executor::omp(2);
     let a = poisson_csr(&exec, 4096);
-    exec.enable_metrics();
+    exec.observe(metrics_only());
     for _ in 0..5 {
         run_spmv(&exec, &a);
     }
-    let snap = exec.metrics_snapshot().unwrap();
+    let snap = exec.metrics().unwrap().snapshot();
     let csr = snap.kernel("csr").expect("csr kernel aggregated");
     assert_eq!(csr.calls, 5);
     assert!(csr.virtual_ns.max > 0, "virtual time recorded");
@@ -83,23 +124,23 @@ fn executor_metrics_aggregate_spmv_and_pool_dispatches() {
     assert!(snap.alloc_bytes.count > 0, "vector allocations observed");
     assert!(snap.events > 0);
 
-    // Enabling twice returns the same registry (idempotent).
-    let again = exec.enable_metrics();
-    assert_eq!(again.events_observed(), snap.events);
+    // Observing the same config again keeps the same registry (idempotent).
+    exec.observe(metrics_only());
+    assert_eq!(exec.metrics().unwrap().events_observed(), snap.events);
 }
 
 #[test]
 fn cg_solve_reports_per_kernel_quantiles_and_iterations() {
     let exec = Executor::reference();
     let a = Arc::new(poisson_csr(&exec, 256));
-    exec.enable_metrics();
+    exec.observe(metrics_only());
     let solver = Cg::new(a.clone())
         .unwrap()
         .with_criteria(Criteria::iterations_and_reduction(400, 1e-10));
     let b = Dense::<f64>::filled(&exec, Dim2::new(256, 1), 1.0);
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
-    let snap = exec.metrics_snapshot().unwrap();
+    let snap = exec.metrics().unwrap().snapshot();
 
     let iters = solver.logger().snapshot().iterations as u64;
     assert!(iters > 0);
@@ -128,7 +169,13 @@ fn cg_solve_reports_per_kernel_quantiles_and_iterations() {
 fn chrome_trace_is_valid_json_with_balanced_spans() {
     let exec = Executor::reference();
     let a = Arc::new(poisson_csr(&exec, 128));
-    exec.enable_metrics();
+    exec.observe(ObserveConfig {
+        trace: Some(TraceConfig {
+            sample_n: 1,
+            ..TraceConfig::default()
+        }),
+        ..ObserveConfig::default()
+    });
     let solver = Cg::new(a.clone())
         .unwrap()
         .with_criteria(Criteria::iterations(10));
@@ -136,9 +183,9 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(128, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let snap = exec.metrics_snapshot().unwrap();
-    assert!(!snap.spans.is_empty());
-    let trace = snap.to_chrome_trace();
+    let report = exec.tracer().latest().expect("sample_n=1 retains the solve");
+    assert!(!report.spans.is_empty());
+    let trace = report.to_chrome_trace();
 
     // Must parse with the engine's own (strict, RFC 8259) JSON parser.
     let doc = Config::from_json(&trace).expect("chrome trace is valid JSON");
@@ -168,7 +215,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
         assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
     }
     assert_eq!(begins, ends, "balanced begin/end pairs");
-    assert_eq!(begins, snap.spans.len() as u64);
+    assert_eq!(begins, report.spans.len() as u64);
     assert!(metas >= 2, "process_name + at least one thread_name");
     assert!(depth_by_lane.values().all(|&d| d == 0));
 }
@@ -177,9 +224,9 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
 fn prometheus_export_covers_kernels_and_pool() {
     let exec = Executor::omp(2);
     let a = poisson_csr(&exec, 4096);
-    exec.enable_metrics();
+    exec.observe(metrics_only());
     run_spmv(&exec, &a);
-    let text = exec.metrics_snapshot().unwrap().to_prometheus();
+    let text = exec.metrics().unwrap().snapshot().to_prometheus();
     for needle in [
         "# TYPE gko_kernel_wall_ns histogram",
         "gko_kernel_calls_total{op=\"csr\"} 1",

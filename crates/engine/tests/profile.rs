@@ -8,7 +8,7 @@ use gko::matrix::{BatchCsr, BatchDense, Csr};
 use gko::solver::BatchCg;
 use gko::stop::Criteria;
 use gko::telemetry::{prom, DetectorConfig};
-use gko::{Dim2, Executor, LinOp, ProfileConfig};
+use gko::{Dim2, Executor, LinOp, ObserveConfig, ProfileConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,6 +42,20 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         .expect("response has a header/body split");
     let status = head.lines().next().unwrap_or("").to_string();
     (status, body.to_string())
+}
+
+/// Profiling under `policy`, with the timing-based detectors neutralized
+/// (they fire spuriously on oversubscribed CI hosts).
+fn profiled(policy: ProfileConfig) -> ObserveConfig {
+    ObserveConfig {
+        flight: Some(DetectorConfig {
+            drift_min_solves: u64::MAX,
+            imbalance_ratio: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        profile: Some(policy),
+        ..ObserveConfig::default()
+    }
 }
 
 /// Asserts the folded-stacks grammar: every line is `path(;path)* <count>`.
@@ -91,12 +105,7 @@ fn assert_flame_node(node: &Config, context: &str) {
 #[test]
 fn concurrent_profile_scrapes_during_armed_batched_solve() {
     let exec = Executor::omp(16);
-    exec.enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
-    });
-    exec.enable_profiling();
+    exec.observe(profiled(ProfileConfig::default()));
     assert!(exec.profile().is_armed());
     assert!(
         exec.tracer().is_armed(),
@@ -104,7 +113,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
     );
     // An empty-window baseline: every later path shows up as "new" in the
     // diff, which is exactly the torn-snapshot-or-not shape being tested.
-    exec.profile_commit_baseline("start");
+    exec.profile().commit_baseline("start");
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -158,7 +167,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
 
     // Every batched solve was folded (the profiler sees solves the trace
     // store samples out, so the count is exact, not 1-in-sample_n).
-    let snap = exec.profile_snapshot();
+    let snap = exec.profile().snapshot();
     assert_eq!(snap.solves, 8, "all armed solves folded: {}", snap.solves);
     assert!(!snap.nodes.is_empty());
     assert!(snap.nodes.len() <= snap.max_nodes);
@@ -199,7 +208,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
     assert_eq!(profiling.get("solves").and_then(Config::as_int), Some(8));
 
     server.shutdown();
-    exec.disable_profiling();
+    exec.observe(ObserveConfig::default());
     assert!(!exec.profile().is_armed());
 }
 
@@ -224,7 +233,7 @@ fn profile_diff_error_paths_and_empty_window() {
     let (status, body) = http_get(addr, "/profile/diff");
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert!(body.contains("missing base"), "{body}");
-    exec.profile_commit_baseline("known");
+    exec.profile().commit_baseline("known");
     let (status, body) = http_get(addr, "/profile/diff?base=unknown");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
     assert!(body.contains("\"known\""), "404 lists known baselines: {body}");
@@ -238,15 +247,10 @@ fn profile_diff_error_paths_and_empty_window() {
 #[test]
 fn tiny_node_cap_bounds_real_solves() {
     let exec = Executor::omp(4);
-    exec.enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
-    });
-    exec.enable_profiling_with(ProfileConfig {
+    exec.observe(profiled(ProfileConfig {
         max_nodes: 8,
         ..ProfileConfig::default()
-    });
+    }));
     let a = Arc::new(poisson_csr(&exec, 256));
     let solver = gko::solver::Cg::new(a)
         .unwrap()
@@ -255,15 +259,19 @@ fn tiny_node_cap_bounds_real_solves() {
     let mut x = gko::matrix::Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let snap = exec.profile_snapshot();
+    let snap = exec.profile().snapshot();
     assert!(snap.nodes.len() <= 8, "cap respected: {} nodes", snap.nodes.len());
     assert!(
         exec.profile().evicted() > 0,
         "a real solve tree has more than 8 distinct paths"
     );
-    // Disarm: folds stop, aggregates stay readable.
-    exec.disable_profiling();
+    // Disarm the profiler alone (tracing stays): folds stop, aggregates
+    // stay readable.
+    exec.observe(ObserveConfig {
+        profile: None,
+        ..exec.observing()
+    });
+    assert!(exec.tracer().is_armed());
     solver.apply(&b, &mut x).unwrap();
-    assert_eq!(exec.profile_snapshot().solves, snap.solves, "disarmed solves not folded");
-    exec.disable_tracing();
+    assert_eq!(exec.profile().snapshot().solves, snap.solves, "disarmed solves not folded");
 }

@@ -11,7 +11,7 @@ use gko::preconditioner::Jacobi;
 use gko::solver::{Cg, Ir};
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::prom;
-use gko::{Anomaly, DetectorConfig, Dim2, Executor, FlightRecorder};
+use gko::{Anomaly, DetectorConfig, Dim2, Executor, FlightRecorder, ObserveConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,6 +38,24 @@ fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) -> StopReason {
     let mut x = Dense::<f64>::zeros(exec, Dim2::new(n, 1));
     solver.apply(&b, &mut x).unwrap();
     solver.logger().snapshot().stop_reason.unwrap()
+}
+
+/// Arms the flight recorder alone with `detectors` and hands it back.
+fn record_flights(exec: &Executor, detectors: DetectorConfig) -> Arc<FlightRecorder> {
+    exec.observe(ObserveConfig {
+        flight: Some(detectors),
+        ..ObserveConfig::default()
+    });
+    exec.flight_recorder().expect("flight plane armed")
+}
+
+/// Detector thresholds with the two timing-based detectors switched off.
+fn quiet_detectors() -> DetectorConfig {
+    DetectorConfig {
+        drift_min_solves: u64::MAX,
+        imbalance_ratio: f64::INFINITY,
+        ..DetectorConfig::default()
+    }
 }
 
 /// Minimal HTTP/1.1 GET over a raw `TcpStream`; returns (status line, body).
@@ -71,11 +89,7 @@ fn concurrent_scrapes_during_solve_are_never_torn() {
     // genuinely skewed towards the submitting lane, so the two
     // timing-based detectors are switched off here — each has its own
     // deterministic test below.
-    exec.enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
-    });
+    record_flights(&exec, quiet_detectors());
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let addr = server.addr();
     let a = Arc::new(poisson_csr(&exec, 2048));
@@ -155,7 +169,7 @@ fn concurrent_scrapes_during_solve_are_never_torn() {
 #[test]
 fn stagnating_richardson_on_indefinite_matrix_is_flagged() {
     let exec = Executor::reference();
-    let recorder = exec.enable_flight_recorder();
+    let recorder = record_flights(&exec, DetectorConfig::default());
     let a = Csr::<f64, i32>::from_triplets(
         &exec,
         Dim2::square(2),
@@ -191,7 +205,6 @@ fn stagnating_richardson_on_indefinite_matrix_is_flagged() {
         recorder.anomaly_counts(),
         vec![("stagnation".to_string(), 1)]
     );
-    exec.disable_flight_recorder();
 }
 
 /// A fixed amount of CPU busy-work; opaque to the optimizer.
@@ -211,10 +224,13 @@ fn skewed_chunks_trigger_lane_imbalance() {
     let exec = Executor::omp(8);
     // Lower the busy-time floor so the test stays fast on any machine; the
     // ratio threshold (the part under test) keeps its default.
-    let recorder = exec.enable_flight_recorder_with(DetectorConfig {
-        imbalance_min_busy_ns: 10_000,
-        ..DetectorConfig::default()
-    });
+    let recorder = record_flights(
+        &exec,
+        DetectorConfig {
+            imbalance_min_busy_ns: 10_000,
+            ..DetectorConfig::default()
+        },
+    );
 
     // 8 chunks, one lane apiece: chunk 0 does ~20M flops, the rest ~1k.
     let mut out = vec![0.0f64; 8];
@@ -249,7 +265,6 @@ fn skewed_chunks_trigger_lane_imbalance() {
         }
         other => panic!("expected LaneImbalance, got {other:?}"),
     }
-    exec.disable_flight_recorder();
 }
 
 /// Satellite 4c: a kernel whose p99 jumps three orders of magnitude above
@@ -342,7 +357,7 @@ fn injected_slow_kernel_triggers_latency_drift() {
 #[test]
 fn healthy_reference_solves_produce_no_anomalies() {
     let exec = Executor::omp(4);
-    let recorder = exec.enable_flight_recorder();
+    let recorder = record_flights(&exec, DetectorConfig::default());
     let a = Arc::new(poisson_csr(&exec, 1024));
     for _ in 0..6 {
         assert!(solve_cg(&exec, &a).is_converged());
@@ -355,7 +370,6 @@ fn healthy_reference_solves_produce_no_anomalies() {
         assert!(report.residuals.last <= report.residuals.initial);
         assert!(report.kernels.iter().any(|k| k.op == "csr"));
     }
-    exec.disable_flight_recorder();
 }
 
 /// Inert-path regression: with no recorder (or any logger) attached, the
@@ -374,15 +388,15 @@ fn detached_recorder_observes_nothing() {
     for _ in 0..4 {
         a.apply(&b, &mut x).unwrap();
     }
-    let recorder = exec.enable_flight_recorder();
+    let recorder = record_flights(&exec, DetectorConfig::default());
     assert_eq!(
         recorder.events_observed(),
         0,
         "pre-attachment kernels must be invisible to the recorder"
     );
     assert_eq!(recorder.reports_len(), 0);
-    exec.disable_flight_recorder();
-    assert!(!exec.loggers().is_active(), "disable detaches the recorder");
+    exec.observe(ObserveConfig::default());
+    assert!(!exec.loggers().is_active(), "switching off detaches the recorder");
 }
 
 /// Satellite: `/runs?limit=N` returns the N newest reports, newest first,
@@ -390,11 +404,7 @@ fn detached_recorder_observes_nothing() {
 #[test]
 fn runs_limit_truncates_newest_first() {
     let exec = Executor::omp(2);
-    exec.enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
-    });
+    record_flights(&exec, quiet_detectors());
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let a = Arc::new(poisson_csr(&exec, 256));
     for _ in 0..5 {
@@ -426,7 +436,6 @@ fn runs_limit_truncates_newest_first() {
     let (status, _) = http_get(server.addr(), "/runs?limit=bogus");
     assert_eq!(status, "HTTP/1.1 200 OK");
     server.shutdown();
-    exec.disable_flight_recorder();
 }
 
 /// Satellite: a request line that exceeds the head cap without ever
@@ -471,13 +480,26 @@ fn unknown_method_on_traces_is_rejected() {
     server.shutdown();
 }
 
-/// Satellite: HEAD is honored on every route — identical status line and
-/// Content-Length to the corresponding GET, with the body suppressed.
+/// Satellite: HEAD is honored on every route — identical status line to the
+/// corresponding GET, a `Content-Length` advertising the GET body's length,
+/// and the body suppressed. `/metrics` and `/healthz` render the executor's
+/// uptime, whose digit count moves between the two requests, so their
+/// lengths are compared up to the width of that one number; every other
+/// route is time-invariant and must match exactly.
 #[test]
 fn head_requests_mirror_get_headers_without_body() {
+    /// Upper bound on how far two renderings of one `f64` uptime can differ
+    /// in length (`{}` never prints more than this many characters for it).
+    const UPTIME_WIDTH: usize = 32;
     let exec = Executor::reference();
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
-    for path in ["/metrics", "/healthz", "/traces", "/profile", "/nope"] {
+    for (path, renders_uptime) in [
+        ("/metrics", true),
+        ("/healthz", true),
+        ("/traces", false),
+        ("/profile", false),
+        ("/nope", false),
+    ] {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write!(
             stream,
@@ -499,7 +521,12 @@ fn head_requests_mirror_get_headers_without_body() {
         // The advertised length is the GET body's length, not zero.
         let (get_status, get_body) = http_get(server.addr(), path);
         assert_eq!(head_status, get_status, "status parity on {path}");
-        assert_eq!(head_len, get_body.len(), "length parity on {path}");
+        let slack = if renders_uptime { UPTIME_WIDTH } else { 0 };
+        assert!(
+            head_len.abs_diff(get_body.len()) <= slack,
+            "length parity on {path}: HEAD {head_len} vs GET {}",
+            get_body.len()
+        );
         assert!(head_len > 0, "every route has a body under GET: {path}");
     }
     server.shutdown();
@@ -515,12 +542,14 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
     use gko::stop::Criteria;
 
     let exec = Executor::omp(16);
-    exec.enable_flight_recorder_with(DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
+    exec.observe(ObserveConfig {
+        flight: Some(quiet_detectors()),
+        trace: Some(gko::TraceConfig {
+            sample_n: 1,
+            ..gko::TraceConfig::default()
+        }),
+        ..ObserveConfig::default()
     });
-    exec.enable_tracing(1);
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -603,5 +632,4 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
         assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
     }
     server.shutdown();
-    exec.disable_tracing();
 }

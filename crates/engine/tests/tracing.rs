@@ -10,7 +10,7 @@ use gko::preconditioner::Jacobi;
 use gko::solver::{BatchCg, Cg, Ir};
 use gko::stop::Criteria;
 use gko::trace::{SpanKind, TraceConfig, TraceReport, OWNER_LANE};
-use gko::{DetectorConfig, Dim2, Executor};
+use gko::{DetectorConfig, Dim2, Executor, ObserveConfig, ProfileConfig};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -48,6 +48,23 @@ fn quiet_detectors() -> DetectorConfig {
         drift_min_solves: u64::MAX,
         imbalance_ratio: f64::INFINITY,
         ..DetectorConfig::default()
+    }
+}
+
+/// Tracing under `policy`, screened by the quiet detectors.
+fn traced(policy: TraceConfig) -> ObserveConfig {
+    ObserveConfig {
+        flight: Some(quiet_detectors()),
+        trace: Some(policy),
+        ..ObserveConfig::default()
+    }
+}
+
+/// The default trace policy at 1-in-`sample_n` head sampling.
+fn sampled(sample_n: u64) -> TraceConfig {
+    TraceConfig {
+        sample_n,
+        ..TraceConfig::default()
     }
 }
 
@@ -115,8 +132,7 @@ fn assert_rooted_tree(report: &TraceReport, lanes: usize) {
 #[test]
 fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
     let exec = Executor::omp(16);
-    exec.enable_flight_recorder_with(quiet_detectors());
-    exec.enable_tracing(1);
+    exec.observe(traced(sampled(1)));
     let a = Arc::new(poisson_csr(&exec, 2048));
     solve_cg(&exec, &a);
 
@@ -172,7 +188,6 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
         .get("traceEvents")
         .and_then(|e| e.as_array())
         .is_some_and(|e| !e.is_empty()));
-    exec.disable_tracing();
 }
 
 /// Healthy solves head-sample 1-in-N: with `sample_n = 4`, eight healthy
@@ -180,8 +195,7 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
 #[test]
 fn healthy_solves_sample_one_in_n() {
     let exec = Executor::omp(4);
-    exec.enable_flight_recorder_with(quiet_detectors());
-    exec.enable_tracing(4);
+    exec.observe(traced(sampled(4)));
     let a = Arc::new(poisson_csr(&exec, 512));
     for _ in 0..8 {
         solve_cg(&exec, &a);
@@ -198,7 +212,6 @@ fn healthy_solves_sample_one_in_n() {
         assert_eq!(r.retained, "sampled");
         assert!(r.anomalies.is_empty());
     }
-    exec.disable_tracing();
 }
 
 /// Anomalous solves are always retained, regardless of the head sample: a
@@ -207,8 +220,11 @@ fn healthy_solves_sample_one_in_n() {
 #[test]
 fn anomalous_solves_are_always_retained() {
     let exec = Executor::reference();
-    exec.enable_flight_recorder();
-    exec.enable_tracing(1_000_000);
+    // No `flight` given: tracing arms the recorder with default detectors.
+    exec.observe(ObserveConfig {
+        trace: Some(sampled(1_000_000)),
+        ..ObserveConfig::default()
+    });
     // Solve 1 is the head-kept ordinal; it is healthy and retained as
     // "sampled", so the stagnating solve below is *not* head-kept.
     let a = Arc::new(poisson_csr(&exec, 64));
@@ -242,7 +258,6 @@ fn anomalous_solves_are_always_retained() {
     assert_eq!(flight.trace_id, Some(report.trace_id));
     assert!(!flight.anomalies.is_empty());
     assert_eq!(exec.tracer().drops(), 0, "anomalies never count as drops");
-    exec.disable_tracing();
 }
 
 /// Solves slower than the latency threshold are always retained, even when
@@ -250,12 +265,11 @@ fn anomalous_solves_are_always_retained() {
 #[test]
 fn slow_solves_are_retained_by_latency_threshold() {
     let exec = Executor::omp(2);
-    exec.enable_flight_recorder_with(quiet_detectors());
-    exec.enable_tracing_with(TraceConfig {
+    exec.observe(traced(TraceConfig {
         sample_n: 1_000_000,
         latency_threshold_ns: 1, // every real solve exceeds this
         ..TraceConfig::default()
-    });
+    }));
     let a = Arc::new(poisson_csr(&exec, 256));
     solve_cg(&exec, &a);
     solve_cg(&exec, &a);
@@ -266,7 +280,6 @@ fn slow_solves_are_retained_by_latency_threshold() {
     // precedence over the head sample; solve 2 survives only via latency.
     assert!(reports.iter().all(|r| r.retained == "latency"), "{reports:?}");
     assert_eq!(tracer.drops(), 0);
-    exec.disable_tracing();
 }
 
 /// Inert-path regression: an untraced executor assembles nothing, and
@@ -281,13 +294,17 @@ fn disarmed_tracer_observes_nothing() {
     assert_eq!(exec.tracer().drops(), 0);
     assert!(exec.tracer().active_trace_id().is_none());
 
-    exec.enable_flight_recorder_with(quiet_detectors());
-    exec.enable_tracing(1);
+    exec.observe(traced(sampled(1)));
     solve_cg(&exec, &a);
     assert_eq!(exec.tracer().retained(), 1);
 
-    exec.disable_tracing();
+    // Dropping `trace` from the config disarms it; the recorder stays.
+    exec.observe(ObserveConfig {
+        trace: None,
+        ..exec.observing()
+    });
     assert!(!exec.tracer().is_armed());
+    assert!(exec.flight_recorder().is_some());
     solve_cg(&exec, &a);
     assert_eq!(
         exec.tracer().retained(),
@@ -303,8 +320,7 @@ fn disarmed_tracer_observes_nothing() {
 #[test]
 fn batched_solve_produces_rooted_trace_without_iteration_layer() {
     let exec = Executor::omp(4);
-    exec.enable_flight_recorder_with(quiet_detectors());
-    exec.enable_tracing(1);
+    exec.observe(traced(sampled(1)));
     let single = poisson_csr(&exec, 96);
     let batch = Arc::new(BatchCsr::replicated(&single, 5).unwrap());
     let mut b = BatchDense::<f64>::zeros(&exec, 5, Dim2::new(96, 1));
@@ -330,5 +346,97 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
         "batched solves have no iteration layer: {report:?}"
     );
     assert_rooted_tree(&report, 4);
-    exec.disable_tracing();
+}
+
+/// `profile` alone arms the whole chain it feeds on: the tracer (default
+/// policy) and, through it, the flight recorder (default detectors).
+#[test]
+fn profile_only_config_arms_tracer_and_flight_recorder() {
+    let exec = Executor::reference();
+    exec.observe(ObserveConfig {
+        profile: Some(ProfileConfig::default()),
+        ..ObserveConfig::default()
+    });
+    assert!(exec.profile().is_armed());
+    assert!(exec.tracer().is_armed());
+    let recorder = exec.flight_recorder().expect("trace implies flight");
+    assert_eq!(recorder.detector_config(), &DetectorConfig::default());
+    let now = exec.observing();
+    assert!(!now.metrics && exec.metrics().is_none(), "metrics was not asked for");
+    assert_eq!(
+        now.trace.map(|t| t.sample_n),
+        Some(TraceConfig::default().sample_n)
+    );
+    assert_eq!(now.flight, Some(DetectorConfig::default()));
+
+    let a = Arc::new(poisson_csr(&exec, 64));
+    solve_cg(&exec, &a);
+    assert_eq!(exec.profile().snapshot().solves, 1, "the solve was folded");
+    assert_eq!(recorder.reports_len(), 1, "and recorded");
+}
+
+/// Two threads keep re-targeting `observe` (metrics on/off against
+/// trace+profile on/off, the recorder wanted throughout) while CG solves run
+/// on a 16-lane pool. Nothing may deadlock, the recorder must survive every
+/// flip with one report per solve in its `/runs` document, and switching
+/// everything off afterwards must leave no logger behind.
+#[test]
+fn concurrent_observe_flips_keep_every_solve_in_runs() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    const SOLVES: usize = 12;
+    let exec = Executor::omp(16);
+    let base = ObserveConfig {
+        flight: Some(quiet_detectors()),
+        ..ObserveConfig::default()
+    };
+    exec.observe(base.clone());
+    let a = Arc::new(poisson_csr(&exec, 1024));
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    let flips = std::thread::scope(|scope| {
+        let flipper = |on: ObserveConfig| {
+            let (exec, base, stop, start) = (&exec, &base, &stop, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut flips = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    exec.observe(on.clone());
+                    exec.observe(base.clone());
+                    flips += 1;
+                }
+                flips
+            })
+        };
+        let metrics = flipper(ObserveConfig {
+            metrics: true,
+            ..base.clone()
+        });
+        let spans = flipper(ObserveConfig {
+            trace: Some(sampled(1)),
+            profile: Some(ProfileConfig::default()),
+            ..base.clone()
+        });
+        start.wait();
+        for _ in 0..SOLVES {
+            solve_cg(&exec, &a);
+        }
+        stop.store(true, Ordering::Release);
+        metrics.join().unwrap() + spans.join().unwrap()
+    });
+    assert!(flips > 0);
+
+    let recorder = exec.flight_recorder().expect("recorder wanted throughout");
+    let runs = gko::config::Config::from_json(&recorder.runs_json(64)).unwrap();
+    assert_eq!(
+        runs.get("total").and_then(|t| t.as_int()),
+        Some(SOLVES as i64),
+        "every solve reported once: {runs:?}"
+    );
+    exec.observe(ObserveConfig::default());
+    assert!(
+        !exec.loggers().is_active(),
+        "a flip that lost a race must not leave its logger attached"
+    );
 }

@@ -1,13 +1,17 @@
 #!/usr/bin/env sh
-# Offline verification gate: warning-free release build, full test suite,
-# lint-clean clippy, and one wall-clock benchmark smoke run. Run from
-# anywhere; operates on the workspace containing this script.
+# Offline verification gate: warning-free release build, full test suite
+# (workspace and the standalone benchmark package), lint-clean clippy, and
+# one wall-clock benchmark smoke run. Run from anywhere; operates on the
+# workspace containing this script.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The benchmark package is its own workspace, so nothing above compiles it:
+# build and test it here to catch an engine API it imports disappearing.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Static lint gate (plus its injected-violation self-test).
