@@ -111,17 +111,18 @@ impl<V: Value, I: Index> LinOp<V> for TfCoo<V, I> {
         for v in xs.iter_mut() {
             *v = V::zero();
         }
+        let mut acc = vec![0.0f64; k];
         let mut idx = 0usize;
         while idx < nnz {
             let r = ri[idx].to_usize();
-            let mut acc = vec![0.0f64; k];
+            acc.fill(0.0);
             while idx < nnz && ri[idx].to_usize() == r {
                 for (c, a) in acc.iter_mut().enumerate() {
                     *a += products[idx * k + c];
                 }
                 idx += 1;
             }
-            for (c, a) in acc.into_iter().enumerate() {
+            for (c, &a) in acc.iter().enumerate() {
                 xs[r * k + c] = V::from_f64(a);
             }
         }

@@ -11,10 +11,17 @@
 use gko::linop::LinOp;
 use gko::matrix::{Coo, Csr, Dense, Ell, Sellp, SpmvStrategy};
 use gko::{Dim2, Executor, Value};
-use pygko_bench::{fmt, micro_iters, wall_secs, Report};
+use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
 use pygko_matgen::generators::{circuit, poisson2d};
 
-fn bench_formats(report: &mut Report) {
+/// COO may cost at most this multiple of CSR on `formats_poisson2d_200`
+/// (it moves 20 B/nnz against CSR's 16; the per-row allocation this guards
+/// against read 4.9).
+const COO_OVER_CSR_LIMIT: f64 = 2.5;
+
+/// Times every format on one stencil and returns COO's best repetition over
+/// CSR's.
+fn bench_formats(report: &mut Report) -> f64 {
     let exec = Executor::reference();
     let gen = poisson2d("p", 200, 200);
     let t: Vec<(usize, usize, f64)> = gen.triplets.clone();
@@ -29,8 +36,10 @@ fn bench_formats(report: &mut Report) {
     let iters = micro_iters(50);
     let ops: [(&str, &dyn LinOp<f64>); 4] =
         [("csr", &csr), ("coo", &coo), ("ell", &ell), ("sellp", &sellp)];
+    let mut best = std::collections::BTreeMap::new();
     for (name, op) in ops {
         let secs = wall_secs(iters, || op.apply(&b, &mut x).unwrap());
+        best.insert(name, wall_secs_best(iters, || op.apply(&b, &mut x).unwrap()));
         report.row(vec![
             "formats_poisson2d_200".into(),
             name.into(),
@@ -39,6 +48,7 @@ fn bench_formats(report: &mut Report) {
             fmt(gen.nnz() as f64 / secs / 1e6),
         ]);
     }
+    best["coo"] / best["csr"]
 }
 
 fn bench_strategies(report: &mut Report) {
@@ -103,10 +113,15 @@ fn main() {
         "SpMV wall-clock microbenchmarks",
         &["group", "case", "nnz", "us/op", "Mnnz/s"],
     );
-    bench_formats(&mut report);
+    let coo_over_csr = bench_formats(&mut report);
     bench_strategies(&mut report);
     bench_value_types(&mut report);
     report.print();
     let path = report.write_csv("micro_spmv").expect("write csv");
     println!("\nwrote {}", path.display());
+    println!("coo_over_csr = {coo_over_csr:.2} (formats_poisson2d_200, limit {COO_OVER_CSR_LIMIT})");
+    if coo_over_csr > COO_OVER_CSR_LIMIT {
+        eprintln!("micro_spmv: FAIL — COO SpMV costs {coo_over_csr:.2}x CSR, above {COO_OVER_CSR_LIMIT}");
+        std::process::exit(1);
+    }
 }

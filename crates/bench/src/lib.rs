@@ -90,6 +90,22 @@ pub fn wall_secs(iters: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
+/// Fastest single call of `f` over `iters` calls, in wall-clock seconds,
+/// after one warm-up call. A gate on a ratio of two kernels compares these:
+/// a preempted repetition inflates a mean but never a minimum. Each call is
+/// timed on its own, so use it for calls far longer than a clock read.
+pub fn wall_secs_best(iters: usize, mut f: impl FnMut()) -> f64 {
+    assert!(iters > 0, "need at least one timed iteration");
+    f();
+    (0..iters)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Iteration count for the wall-clock micro benches (reduced in quick mode).
 pub fn micro_iters(full: usize) -> usize {
     if quick_mode() {

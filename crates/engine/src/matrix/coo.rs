@@ -11,12 +11,13 @@ use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
-use crate::executor::pool::{parallel_chunks, uniform_bounds};
+use crate::executor::pool::uniform_bounds;
 use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
+use crate::matrix::plan::{self, MergeSegment};
 use pygko_sim::ChunkWork;
 
 /// Sparse matrix in coordinate format.
@@ -81,8 +82,24 @@ impl<V: Value, I: Index> Coo<V, I> {
         size: Dim2,
         triplets: &[(usize, usize, V)],
     ) -> Result<Self> {
-        let csr = Csr::<V, I>::from_triplets(exec, size, triplets)?;
-        Ok(Coo::from_csr(&csr))
+        let (size, row_ptrs, col_idxs, values) =
+            Csr::<V, I>::from_triplets(exec, size, triplets)?.into_parts();
+        Ok(Coo::from_csr_parts(size, row_ptrs.as_slice(), col_idxs, values))
+    }
+
+    /// A CSR matrix's column and value arrays are already the COO ones; only
+    /// the row pointers need expanding into one row index per nonzero.
+    fn from_csr_parts(size: Dim2, row_ptrs: &[I], col_idxs: Array<I>, values: Array<V>) -> Self {
+        let mut row_idxs = Vec::with_capacity(values.len());
+        for r in 0..size.rows {
+            row_idxs.resize(row_ptrs[r + 1].to_usize(), I::from_usize(r));
+        }
+        Coo {
+            size,
+            row_idxs: Array::from_vec(values.executor(), row_idxs),
+            col_idxs,
+            values,
+        }
     }
 
     /// Builds a COO matrix from raw index/value arrays **without** checking
@@ -146,19 +163,13 @@ impl<V: Value, I: Index> Coo<V, I> {
 
     /// Converts from CSR.
     pub fn from_csr(csr: &Csr<V, I>) -> Self {
-        let rp = csr.row_ptrs();
-        let mut row_idxs = Vec::with_capacity(csr.nnz());
-        for r in 0..csr.size().rows {
-            for _ in rp[r].to_usize()..rp[r + 1].to_usize() {
-                row_idxs.push(I::from_usize(r));
-            }
-        }
-        Coo {
-            size: csr.size(),
-            row_idxs: Array::from_vec(csr.executor(), row_idxs),
-            col_idxs: Array::from_vec(csr.executor(), csr.col_idxs().to_vec()),
-            values: Array::from_vec(csr.executor(), csr.values().to_vec()),
-        }
+        let exec = csr.executor();
+        Coo::from_csr_parts(
+            csr.size(),
+            csr.row_ptrs(),
+            Array::from_vec(exec, csr.col_idxs().to_vec()),
+            Array::from_vec(exec, csr.values().to_vec()),
+        )
     }
 
     /// Converts to CSR.
@@ -254,24 +265,6 @@ impl<V: Value, I: Index> Coo<V, I> {
     }
 }
 
-/// Raw output pointer shared across segment lanes for interior-row writes.
-struct SharedOut<V>(*mut V);
-
-// SAFETY: lanes only dereference offsets of rows *interior* to their own
-// segment, which are disjoint between segments (entries are sorted by row).
-unsafe impl<V: Send> Send for SharedOut<V> {}
-unsafe impl<V: Send> Sync for SharedOut<V> {}
-
-impl<V> SharedOut<V> {
-    /// # Safety
-    ///
-    /// The caller's lane must own `offset` exclusively for the duration of
-    /// the job.
-    unsafe fn slot(&self, offset: usize) -> *mut V {
-        self.0.add(offset)
-    }
-}
-
 impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
     fn size(&self) -> Dim2 {
         self.size
@@ -289,12 +282,12 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
     /// `x = alpha * A b + beta * x`, accumulating per row in `f64`.
     ///
     /// The sorted triplets are cut into nnz-balanced *segments* (the same
-    /// partition the cost model charges). Each segment owns every row that
-    /// lies strictly inside it — those outputs are written directly — while
-    /// its first and last rows, which a segment boundary may split, go into
-    /// a per-segment scratch block that a serial second pass merges in
-    /// segment order. No atomics, and the segment count derives from the
-    /// device spec, so results are reproducible on any host.
+    /// partition the cost model charges) and handed to
+    /// [`plan::run_segments`], the scaffold shared with CSR merge-path: rows
+    /// strictly inside a segment are written directly, its first and last
+    /// rows — which a boundary may split — are merged serially in segment
+    /// order. No atomics, and the segment count derives from the device
+    /// spec, so results are reproducible on any host.
     fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
         check_apply_dims::<V>(self.size, b, x)?;
         if !self.executor().same_memory_space(b.executor()) {
@@ -307,8 +300,6 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
         let k = b.size().cols;
         let spec = self.executor().spec();
         let work = self.spmv_work(spec.workers * 4);
-        let bounds = uniform_bounds(self.nnz(), spec.workers * 4);
-        let segments = bounds.len() - 1;
 
         if beta != V::one() {
             x.scale(beta);
@@ -317,70 +308,45 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
         let ci = self.col_idxs.as_slice();
         let vals = self.values.as_slice();
         let bv = b.as_slice();
-        let exec = self.executor().clone();
-
-        // Scratch layout: per segment, k slots for its first row followed by
-        // k slots for its last row (unused when the segment has one row).
-        let mut scratch = vec![0.0f64; segments * 2 * k];
-        let scratch_bounds: Vec<usize> = (0..=segments).map(|s| s * 2 * k).collect();
-        let xs_out = SharedOut(x.as_mut_slice().as_mut_ptr());
-        parallel_chunks(&exec, scratch.as_mut_slice(), &scratch_bounds, |s, sc| {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
-            if lo == hi {
-                return;
-            }
-            let r_first = ri[lo].to_usize();
-            let r_last = ri[hi - 1].to_usize();
-            let mut idx = lo;
+        let segments: Vec<MergeSegment> = uniform_bounds(self.nnz(), spec.workers * 4)
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| MergeSegment {
+                nnz_start: w[0],
+                nnz_end: w[1],
+                row_first: ri[w[0]].to_usize(),
+                row_last: ri[w[1] - 1].to_usize(),
+            })
+            .collect();
+        plan::run_segments(self.executor(), x.as_mut_slice(), k, alpha, &segments, |seg, acc, mut sink| {
+            let hi = seg.nnz_end;
+            let mut idx = seg.nnz_start;
             while idx < hi {
-                let r = ri[idx].to_usize();
-                let mut acc = vec![0.0f64; k];
-                while idx < hi && ri[idx].to_usize() == r {
-                    let col = ci[idx].to_usize();
-                    let v = vals[idx].to_f64();
-                    for (c, a) in acc.iter_mut().enumerate() {
-                        *a += v * bv[col * k + c].to_f64();
+                let r = ri[idx];
+                if k == 1 {
+                    // Scalar row sum in entry order.
+                    let mut sum = 0.0f64;
+                    while idx < hi && ri[idx] == r {
+                        sum += vals[idx].to_f64() * bv[ci[idx].to_usize()].to_f64();
+                        idx += 1;
                     }
-                    idx += 1;
-                }
-                if r == r_first {
-                    sc[..k].copy_from_slice(&acc);
-                } else if r == r_last {
-                    sc[k..].copy_from_slice(&acc);
+                    sink.put(r.to_usize(), 0, sum);
                 } else {
-                    // Interior row: sortedness puts every entry of `r` in
-                    // this segment, so this lane owns outputs r*k..(r+1)*k
-                    // exclusively.
-                    for (c, a) in acc.into_iter().enumerate() {
-                        // SAFETY: disjoint ownership argued above.
-                        unsafe {
-                            let slot = xs_out.slot(r * k + c);
-                            *slot += alpha * V::from_f64(a);
+                    acc.fill(0.0);
+                    while idx < hi && ri[idx] == r {
+                        let col = ci[idx].to_usize();
+                        let v = vals[idx].to_f64();
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            *a += v * bv[col * k + c].to_f64();
                         }
+                        idx += 1;
+                    }
+                    for (c, &a) in acc.iter().enumerate() {
+                        sink.put(r.to_usize(), c, a);
                     }
                 }
             }
         });
-        // Merge boundary rows serially in segment order: split rows receive
-        // their pieces in a fixed sequence, keeping the result deterministic.
-        let xs = x.as_mut_slice();
-        for s in 0..segments {
-            let (lo, hi) = (bounds[s], bounds[s + 1]);
-            if lo == hi {
-                continue;
-            }
-            let r_first = ri[lo].to_usize();
-            let r_last = ri[hi - 1].to_usize();
-            let sc = &scratch[s * 2 * k..(s + 1) * 2 * k];
-            for c in 0..k {
-                xs[r_first * k + c] += alpha * V::from_f64(sc[c]);
-            }
-            if r_last != r_first {
-                for c in 0..k {
-                    xs[r_last * k + c] += alpha * V::from_f64(sc[k + c]);
-                }
-            }
-        }
         self.executor().launch(&work);
         Ok(())
     }

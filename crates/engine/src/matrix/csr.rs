@@ -29,7 +29,9 @@ use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::dense::Dense;
-use crate::matrix::plan::{self, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan};
+use crate::matrix::plan::{
+    self, MergeSegment, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan,
+};
 use crate::sanitize::{report_merge_violation, verify_merge_segments};
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
@@ -84,23 +86,20 @@ pub(crate) fn dot_span<V: Value, I: Index>(vals: &[V], cols: &[I], bv: &[V]) -> 
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// Raw output pointer shared across merge-path lanes for interior-row
-/// writes (same scheme as the COO segment kernel).
-struct SharedOut<V>(*mut V);
-
-// SAFETY: lanes only dereference offsets of rows *interior* to their own
-// segment; a row interior to a segment has every nonzero inside that
-// segment's range, so those offsets are disjoint between lanes.
-unsafe impl<V: Send> Send for SharedOut<V> {}
-unsafe impl<V: Send> Sync for SharedOut<V> {}
-
-impl<V> SharedOut<V> {
-    /// # Safety
-    ///
-    /// The caller's lane must own `offset` exclusively for the duration of
-    /// the job.
-    unsafe fn slot(&self, offset: usize) -> *mut V {
-        self.0.add(offset)
+/// Calls `row(r, lo, hi)` for every row `r` with nonzeros in `seg`, where
+/// `lo..hi` is the part of the row's span that lies inside the segment.
+#[inline]
+fn segment_rows<I: Index>(rp: &[I], seg: MergeSegment, mut row: impl FnMut(usize, usize, usize)) {
+    let mut idx = seg.nnz_start;
+    let mut r = seg.row_first;
+    while idx < seg.nnz_end {
+        // Skip rows already finished (and empty rows in between).
+        while rp[r + 1].to_usize() <= idx {
+            r += 1;
+        }
+        let row_end = rp[r + 1].to_usize().min(seg.nnz_end);
+        row(r, idx, row_end);
+        idx = row_end;
     }
 }
 
@@ -272,6 +271,12 @@ impl<V: Value, I: Index> Csr<V, I> {
             row_ptrs[r + 1] = I::from_usize(acc);
         }
         Csr::from_raw(exec, size, row_ptrs, col_idxs, values)
+    }
+
+    /// Takes the matrix apart into `(size, row_ptrs, col_idxs, values)` so a
+    /// converter can reuse the arrays instead of copying them.
+    pub(crate) fn into_parts(self) -> (Dim2, Array<I>, Array<I>, Array<V>) {
+        (self.size, self.row_ptrs, self.col_idxs, self.values)
     }
 
     /// Converts a dense matrix, dropping exact zeros.
@@ -541,17 +546,16 @@ impl<V: Value, I: Index> Csr<V, I> {
         });
     }
 
-    /// Merge-path kernel: each segment owns a contiguous nonzero range.
-    /// Rows interior to a segment are written directly (exclusive
-    /// ownership); the segment's first and last rows — which a boundary may
-    /// split — accumulate into per-segment scratch that a serial pass merges
-    /// in segment order, keeping results deterministic for a given plan.
+    /// Merge-path kernel: each segment owns a contiguous nonzero range and
+    /// runs on [`plan::run_segments`], the scaffold shared with the COO
+    /// kernel (interior rows written directly, split boundary rows merged
+    /// serially in segment order), keeping results deterministic for a
+    /// given plan.
     fn spmv_merge(&self, plan: &SpmvPlan, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) {
         let k = b.size().cols;
-        let segments = &plan.segments;
         let rp = self.row_ptrs.as_slice();
         if self.executor().sanitizer().is_enabled() {
-            if let Err(v) = verify_merge_segments(rp, segments) {
+            if let Err(v) = verify_merge_segments(rp, &plan.segments) {
                 report_merge_violation(&v);
             }
         }
@@ -565,78 +569,28 @@ impl<V: Value, I: Index> Csr<V, I> {
         let ci = self.col_idxs.as_slice();
         let vals = self.values.as_slice();
         let bv = b.as_slice();
-        let exec = self.executor().clone();
-
-        // Scratch layout: per segment, k slots for its first row followed by
-        // k slots for its last row (unused when the segment has one row).
-        let segs = segments.len();
-        let mut scratch = vec![0.0f64; segs * 2 * k];
-        let scratch_bounds: Vec<usize> = (0..=segs).map(|s| s * 2 * k).collect();
-        let xs_out = SharedOut(x.as_mut_slice().as_mut_ptr());
-        parallel_chunks(&exec, scratch.as_mut_slice(), &scratch_bounds, |s, sc| {
-            let seg = segments[s];
-            let mut idx = seg.nnz_start;
-            let mut r = seg.row_first;
-            while idx < seg.nnz_end {
-                // Skip rows already finished (and empty rows in between).
-                while rp[r + 1].to_usize() <= idx {
-                    r += 1;
-                }
-                let row_end = rp[r + 1].to_usize().min(seg.nnz_end);
-                if k == 1 {
-                    let acc = dot_span(&vals[idx..row_end], &ci[idx..row_end], bv);
-                    if r == seg.row_first {
-                        sc[0] = acc;
-                    } else if r == seg.row_last {
-                        sc[1] = acc;
-                    } else {
-                        // SAFETY: `r` is interior to this segment, so every
-                        // nonzero of row `r` lies in this segment's range
-                        // and no other lane touches this output.
-                        unsafe {
-                            *xs_out.slot(r) += alpha * V::from_f64(acc);
-                        }
-                    }
-                } else {
-                    let mut acc = vec![0.0f64; k];
-                    for e in idx..row_end {
+        let xs = x.as_mut_slice();
+        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |seg, acc, mut sink| {
+            if k == 1 {
+                segment_rows(rp, seg, |r, lo, hi| {
+                    sink.put(r, 0, dot_span(&vals[lo..hi], &ci[lo..hi], bv));
+                });
+            } else {
+                segment_rows(rp, seg, |r, lo, hi| {
+                    acc.fill(0.0);
+                    for e in lo..hi {
                         let col = ci[e].to_usize();
                         let v = vals[e].to_f64();
                         for (c, a) in acc.iter_mut().enumerate() {
                             *a += v * bv[col * k + c].to_f64();
                         }
                     }
-                    if r == seg.row_first {
-                        sc[..k].copy_from_slice(&acc);
-                    } else if r == seg.row_last {
-                        sc[k..].copy_from_slice(&acc);
-                    } else {
-                        for (c, a) in acc.into_iter().enumerate() {
-                            // SAFETY: disjoint interior-row ownership argued
-                            // in the k == 1 branch above.
-                            unsafe {
-                                *xs_out.slot(r * k + c) += alpha * V::from_f64(a);
-                            }
-                        }
+                    for (c, &a) in acc.iter().enumerate() {
+                        sink.put(r, c, a);
                     }
-                }
-                idx = row_end;
+                });
             }
         });
-        // Merge boundary rows serially in segment order: a row split across
-        // segments receives its pieces in a fixed sequence.
-        let xs = x.as_mut_slice();
-        for (s, seg) in segments.iter().enumerate() {
-            let sc = &scratch[s * 2 * k..(s + 1) * 2 * k];
-            for c in 0..k {
-                xs[seg.row_first * k + c] += alpha * V::from_f64(sc[c]);
-            }
-            if seg.row_last != seg.row_first {
-                for c in 0..k {
-                    xs[seg.row_last * k + c] += alpha * V::from_f64(sc[k + c]);
-                }
-            }
-        }
     }
 
     fn spmv_into(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {

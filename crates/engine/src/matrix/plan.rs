@@ -26,8 +26,8 @@
 //! skew statistics; the resolution is purely structural (row pointers only),
 //! so it is deterministic and identical on every executor.
 
-use crate::base::types::Index;
-use crate::executor::pool::uniform_bounds;
+use crate::base::types::{Index, Value};
+use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
 use crate::log::{Event, OpTimer};
 use crate::matrix::csr::SpmvStrategy;
@@ -191,10 +191,11 @@ pub fn load_balance_bounds<I: Index>(rows: usize, row_ptrs: &[I], max_chunks: us
     bounds
 }
 
-/// One merge-path segment: a contiguous nonzero range plus the rows it
-/// spans. `row_first`/`row_last` are the rows of the first and last owned
+/// One nonzero-range segment (CSR merge-path, and the COO kernel's nnz
+/// partition): a contiguous nonzero range plus the rows it spans.
+/// `row_first`/`row_last` are the rows of the first and last owned
 /// nonzero; either may extend into neighbouring segments (a split row),
-/// which is why the executing kernel routes their partial sums through
+/// which is why [`run_segments`] routes their partial sums through
 /// per-segment scratch instead of writing them directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeSegment {
@@ -263,6 +264,123 @@ pub fn merge_segments<I: Index>(rows: usize, row_ptrs: &[I], max_chunks: usize) 
             row_last: row_of(row_ptrs, w[1] - 1),
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// The segment scaffold (shared by CSR merge-path and COO)
+// ---------------------------------------------------------------------------
+
+/// Raw output pointer shared across segment lanes for interior-row writes.
+struct SharedOut<V>(*mut V);
+
+// SAFETY: lanes only dereference offsets of rows strictly between their own
+// segment's `row_first` and `row_last`; `run_segments` checks that those
+// open row intervals are disjoint between segments before any lane starts.
+unsafe impl<V: Send> Send for SharedOut<V> {}
+unsafe impl<V: Send> Sync for SharedOut<V> {}
+
+/// Where one segment lane delivers its finished row sums.
+pub(crate) struct SegmentSink<'a, V> {
+    row_first: usize,
+    row_last: usize,
+    k: usize,
+    alpha: V,
+    /// `k` slots for the segment's first row, then `k` for its last.
+    boundary: &'a mut [f64],
+    out: &'a SharedOut<V>,
+}
+
+impl<V: Value> SegmentSink<'_, V> {
+    /// Delivers `sum`, the segment's whole contribution to output
+    /// `(r, c)`: each `(r, c)` at most once per segment. The first and last
+    /// row of the segment — which a boundary may split — are parked in
+    /// scratch for the serial merge; a row strictly between them has every
+    /// nonzero inside this segment and is updated in place.
+    #[inline]
+    pub(crate) fn put(&mut self, r: usize, c: usize, sum: f64) {
+        assert!(c < self.k, "right-hand-side column out of range");
+        if r <= self.row_first {
+            self.boundary[c] = sum;
+        } else if r >= self.row_last {
+            self.boundary[self.k + c] = sum;
+        } else {
+            // SAFETY: `row_first < r < row_last` and `c < k`, so the offset
+            // is below `row_last * k < x.len()` and belongs to a row no
+            // other segment delivers in place (both checked by
+            // `run_segments` before dispatch).
+            unsafe {
+                *self.out.0.add(r * self.k + c) += self.alpha * V::from_f64(sum);
+            }
+        }
+    }
+}
+
+/// Runs `lane` once per segment on `exec`'s pool and folds the results into
+/// `x += alpha * (per-row sums)`, for `x` row-major with `k` columns.
+///
+/// Each lane receives its segment, a `k`-slot accumulator block (reused
+/// across the segment's rows: the caller clears it per row) and a
+/// [`SegmentSink`]. Rows interior to a segment are written through the sink
+/// directly; the first and last row land in a per-segment scratch block
+/// that a serial pass merges in segment order, so a row split across
+/// segments receives its pieces in a fixed sequence. No atomics, and no heap
+/// allocation that scales with rows or nonzeros: one scratch vector of
+/// `3 * k` slots per segment.
+///
+/// # Panics
+///
+/// Panics if the segments' row spans are not ordered, or reach past `x`.
+pub(crate) fn run_segments<V, F>(
+    exec: &Executor,
+    x: &mut [V],
+    k: usize,
+    alpha: V,
+    segments: &[MergeSegment],
+    lane: F,
+) where
+    V: Value,
+    F: Fn(MergeSegment, &mut [f64], SegmentSink<'_, V>) + Sync,
+{
+    if k == 0 || segments.is_empty() {
+        return;
+    }
+    // The conditions `SegmentSink::put`'s in-place write rests on.
+    let mut row_end = 0usize;
+    for seg in segments {
+        assert!(
+            row_end <= seg.row_first && seg.row_first <= seg.row_last,
+            "segment row spans must be ordered: {seg:?}"
+        );
+        row_end = seg.row_last;
+    }
+    assert!(row_end < x.len() / k, "segment rows exceed the output");
+
+    let mut scratch = vec![0.0f64; segments.len() * 3 * k];
+    let scratch_bounds: Vec<usize> = (0..=segments.len()).map(|s| s * 3 * k).collect();
+    let out = SharedOut(x.as_mut_ptr());
+    parallel_chunks(exec, scratch.as_mut_slice(), &scratch_bounds, |s, sc| {
+        let seg = segments[s];
+        let (acc, boundary) = sc.split_at_mut(k);
+        let sink = SegmentSink {
+            row_first: seg.row_first,
+            row_last: seg.row_last,
+            k,
+            alpha,
+            boundary,
+            out: &out,
+        };
+        lane(seg, acc, sink);
+    });
+    for (seg, sc) in segments.iter().zip(scratch.chunks_exact(3 * k)) {
+        for c in 0..k {
+            x[seg.row_first * k + c] += alpha * V::from_f64(sc[k + c]);
+        }
+        if seg.row_last != seg.row_first {
+            for c in 0..k {
+                x[seg.row_last * k + c] += alpha * V::from_f64(sc[2 * k + c]);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +709,39 @@ mod tests {
         let tiny = rp(&[1]);
         let segs = merge_segments(1, &tiny, 100);
         assert_eq!(segs.len(), 1);
+    }
+
+    /// The in-place write of interior rows is only sound for ordered,
+    /// in-range row spans; `run_segments` must refuse anything else before
+    /// a lane runs.
+    fn run_on(segments: &[MergeSegment], x: &mut [f64]) {
+        run_segments(&Executor::reference(), x, 1, 1.0, segments, |_, _, _| {
+            panic!("lane must not run");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "segment row spans must be ordered")]
+    fn run_segments_rejects_overlapping_row_spans() {
+        let seg = |row_first, row_last| MergeSegment {
+            nnz_start: 0,
+            nnz_end: 1,
+            row_first,
+            row_last,
+        };
+        run_on(&[seg(0, 3), seg(2, 4)], &mut [0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment rows exceed the output")]
+    fn run_segments_rejects_rows_past_the_output() {
+        let seg = MergeSegment {
+            nnz_start: 0,
+            nnz_end: 1,
+            row_first: 0,
+            row_last: 5,
+        };
+        run_on(&[seg], &mut [0.0; 5]);
     }
 
     #[test]

@@ -108,29 +108,44 @@ fn shapes() -> Vec<Shape> {
 
 /// b-vector with varied, exactly representable entries.
 fn rhs(exec: &Executor, n: usize) -> Dense<f64> {
-    let v: Vec<f64> = (0..n).map(|i| 0.25 + (i % 13) as f64 * 0.125).collect();
-    Dense::from_vec(exec, Dim2::new(n, 1), v).unwrap()
+    rhs_block(exec, n, 1)
 }
 
-/// Runs SpMV (plain and advanced) for a format built by `make` on the
-/// given executor; returns (apply result, apply_advanced result).
-fn spmv_outputs<F, O>(exec: &Executor, dim: Dim2, t: &[(usize, usize, f64)], make: F)
-    -> (Vec<f64>, Vec<f64>)
+/// `n x k` right-hand-side block with varied, exactly representable entries.
+fn rhs_block(exec: &Executor, n: usize, k: usize) -> Dense<f64> {
+    let v: Vec<f64> = (0..n * k).map(|i| 0.25 + (i % 13) as f64 * 0.125).collect();
+    Dense::from_vec(exec, Dim2::new(n, k), v).unwrap()
+}
+
+/// Runs SpMV (plain and advanced) against `k` right-hand sides for a format
+/// built by `make` on the given executor; returns (apply result,
+/// apply_advanced result).
+fn spmv_outputs<F, O>(
+    exec: &Executor,
+    dim: Dim2,
+    t: &[(usize, usize, f64)],
+    k: usize,
+    make: F,
+) -> (Vec<f64>, Vec<f64>)
 where
     F: Fn(&Csr<f64, i32>) -> O,
     O: LinOp<f64>,
 {
     let csr = Csr::<f64, i32>::from_triplets(exec, dim, t).unwrap();
     let op = make(&csr);
-    let b = rhs(exec, dim.cols);
-    let mut x = Dense::zeros(exec, Dim2::new(dim.rows, 1));
+    let b = rhs_block(exec, dim.cols, k);
+    let mut x = Dense::zeros(exec, Dim2::new(dim.rows, k));
     op.apply(&b, &mut x).unwrap();
     let plain = x.to_host_vec();
     // Advanced apply with nontrivial alpha/beta on a nonzero x.
-    let mut x = Dense::<f64>::vector(exec, dim.rows, 1.5);
+    let mut x = Dense::<f64>::filled(exec, Dim2::new(dim.rows, k), 1.5);
     op.apply_advanced(2.0, &b, -0.5, &mut x).unwrap();
     (plain, x.to_host_vec())
 }
+
+/// Right-hand-side counts: the single-vector kernels, and the multi-vector
+/// branches (per-row accumulator blocks) most formats keep separately.
+const RHS_COLS: [usize; 2] = [1, 3];
 
 fn check_format_parity<F, O>(name: &str, make: F)
 where
@@ -139,16 +154,15 @@ where
 {
     let reference = Executor::reference();
     for (shape, dim, t) in shapes() {
-        let (want_plain, want_adv) = spmv_outputs(&reference, dim, &t, &make);
-        for threads in THREADS {
-            let omp = Executor::omp(threads);
-            let (got_plain, got_adv) = spmv_outputs(&omp, dim, &t, &make);
-            assert_close(&got_plain, &want_plain, &format!("{name}/{shape}/omp{threads}"));
-            assert_close(
-                &got_adv,
-                &want_adv,
-                &format!("{name}/{shape}/omp{threads}/advanced"),
-            );
+        for k in RHS_COLS {
+            let (want_plain, want_adv) = spmv_outputs(&reference, dim, &t, k, &make);
+            for threads in THREADS {
+                let omp = Executor::omp(threads);
+                let (got_plain, got_adv) = spmv_outputs(&omp, dim, &t, k, &make);
+                let ctx = format!("{name}/{shape}/k{k}/omp{threads}");
+                assert_close(&got_plain, &want_plain, &ctx);
+                assert_close(&got_adv, &want_adv, &format!("{ctx}/advanced"));
+            }
         }
     }
 }
@@ -182,6 +196,34 @@ fn csr_auto_matches_reference() {
 #[test]
 fn coo_matches_reference() {
     check_format_parity("coo", Coo::from_csr);
+}
+
+/// COO's `k == 1` row sum is one `f64` accumulated in entry order: bit-equal
+/// to a sequential per-row loop. 64 rows of 5 entries keep every nnz-uniform
+/// cut into 4, 8 or 64 segments on a row boundary (a split row is summed
+/// piecewise, which is a different rounding), and the values are not dyadic,
+/// so a reassociated sum shows.
+#[test]
+fn coo_single_rhs_sums_in_entry_order() {
+    let n = 64;
+    let t: Vec<(usize, usize, f64)> = (0..n * 5)
+        .map(|e| (e / 5, (e / 5 + 11 * (e % 5)) % n, 1.0 / (3.0 + e as f64)))
+        .collect();
+    let execs = [Executor::reference(), Executor::omp(1), Executor::omp(2), Executor::omp(16)];
+    for exec in execs {
+        let coo = Coo::<f64, i32>::from_triplets(&exec, Dim2::square(n), &t).unwrap();
+        let b = rhs(&exec, n);
+        let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
+        coo.apply(&b, &mut x).unwrap();
+
+        let bv = b.to_host_vec();
+        let mut want = vec![0.0f64; n];
+        let entries = coo.row_idxs().iter().zip(coo.col_idxs()).zip(coo.values());
+        for ((&r, &c), &v) in entries {
+            want[r as usize] += v * bv[c as usize];
+        }
+        assert_eq!(x.to_host_vec(), want, "coo on {}: row sums reordered", exec.name());
+    }
 }
 
 #[test]
