@@ -328,6 +328,27 @@ mod tests {
             ..SolveOptions::default()
         };
         assert!(matches!(solve(&mtx, &b, &mut x, &opts), Err(PyGinkgoError::Value(_))));
+
+        // A present-but-mistyped parameter (a hand-edited config file) is a
+        // ValueError naming the key, not a silent fall-back to the default.
+        let gmres = SolveOptions::default().to_config().unwrap();
+        let jacobi = |block: Config| {
+            Config::map()
+                .with("type", "preconditioner::Jacobi")
+                .with("max_block_size", block)
+        };
+        let ir = Config::map().with("type", "solver::Ir");
+        for (key, cfg) in [
+            ("krylov_dim", gmres.clone().with("krylov_dim", "50")),
+            ("krylov_dim", gmres.clone().with("krylov_dim", 30.5)),
+            ("relaxation_factor", ir.with("relaxation_factor", "0.5")),
+            ("max_block_size", gmres.with("preconditioner", jacobi("4".into()))),
+        ] {
+            match solve_with_config(&mtx, &b, &mut x, &cfg) {
+                Err(PyGinkgoError::Value(msg)) => assert!(msg.contains(key), "{msg}"),
+                other => panic!("{key}: expected a ValueError, got {other:?}"),
+            }
+        }
     }
 
     #[test]

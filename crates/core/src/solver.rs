@@ -16,7 +16,7 @@ use crate::tensor::{Tensor, TensorData};
 use gko::log::{ConvergenceLogger, Record, SharedBuf, Stream};
 use gko::matrix::{BatchCsr, BatchDense};
 use gko::solver::{
-    BatchBiCgStab, BatchCg, BatchSolveRecord, BiCgStab, Cg, Cgs, Direct, Gmres, LowerTrs, UpperTrs,
+    iterative_by_name, BatchBiCgStab, BatchCg, BatchSolveRecord, Direct, LowerTrs, UpperTrs,
 };
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::{FlightRecorder, FlightReport};
@@ -573,85 +573,29 @@ impl Solver {
     }
 }
 
-/// Which Krylov algorithm to build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Algo {
-    Cg,
-    Cgs,
-    Bicgstab,
-    Gmres { krylov_dim: usize },
-}
+/// The Krylov methods with a direct binding: facade name, engine name.
+const KRYLOV_METHODS: [(&str, &str); 4] = [
+    ("cg", "solver::Cg"),
+    ("cgs", "solver::Cgs"),
+    ("bicgstab", "solver::Bicgstab"),
+    ("gmres", "solver::Gmres"),
+];
 
-impl Algo {
-    fn name(self) -> &'static str {
-        match self {
-            Algo::Cg => "cg",
-            Algo::Cgs => "cgs",
-            Algo::Bicgstab => "bicgstab",
-            Algo::Gmres { .. } => "gmres",
-        }
-    }
-}
-
-fn build_krylov<V: Value>(
-    system: Arc<dyn LinOp<V>>,
-    precond: Option<Arc<dyn LinOp<V>>>,
-    algo: Algo,
-    criteria: Criteria,
-) -> PyResult<(Arc<dyn LinOp<V>>, ConvergenceLogger)> {
-    macro_rules! finish {
-        ($solver:expr) => {{
-            let mut s = $solver.with_criteria(criteria);
-            if let Some(p) = precond {
-                s = s.with_preconditioner(p).map_err(PyGinkgoError::from)?;
-            }
-            let logger = s.logger().clone();
-            Ok((Arc::new(s) as Arc<dyn LinOp<V>>, logger))
-        }};
-    }
-    match algo {
-        Algo::Cg => finish!(Cg::new(system).map_err(PyGinkgoError::from)?),
-        Algo::Cgs => finish!(Cgs::new(system).map_err(PyGinkgoError::from)?),
-        Algo::Bicgstab => finish!(BiCgStab::new(system).map_err(PyGinkgoError::from)?),
-        Algo::Gmres { krylov_dim } => finish!(Gmres::new(system)
-            .map_err(PyGinkgoError::from)?
-            .with_krylov_dim(krylov_dim)),
-    }
-}
-
-fn precond_of_half(p: &Option<Preconditioner>) -> PyResult<Option<Arc<dyn LinOp<Half>>>> {
-    match p {
-        None => Ok(None),
-        Some(p) => match &p.inner {
-            PrecondImpl::Half(op) => Ok(Some(op.clone())),
-            _ => Err(PyGinkgoError::Type(
-                "preconditioner dtype does not match matrix dtype (half)".into(),
-            )),
-        },
-    }
-}
-
-fn precond_of_float(p: &Option<Preconditioner>) -> PyResult<Option<Arc<dyn LinOp<f32>>>> {
-    match p {
-        None => Ok(None),
-        Some(p) => match &p.inner {
-            PrecondImpl::Float(op) => Ok(Some(op.clone())),
-            _ => Err(PyGinkgoError::Type(
-                "preconditioner dtype does not match matrix dtype (float)".into(),
-            )),
-        },
-    }
-}
-
-fn precond_of_double(p: &Option<Preconditioner>) -> PyResult<Option<Arc<dyn LinOp<f64>>>> {
-    match p {
-        None => Ok(None),
-        Some(p) => match &p.inner {
-            PrecondImpl::Double(op) => Ok(Some(op.clone())),
-            _ => Err(PyGinkgoError::Type(
-                "preconditioner dtype does not match matrix dtype (double)".into(),
-            )),
-        },
+/// The preconditioner's operator when `pick` finds it in the matrix's dtype.
+fn precond_of<V: Value>(
+    precond: &Option<Preconditioner>,
+    dtype: &str,
+    pick: fn(&PrecondImpl) -> Option<&Arc<dyn LinOp<V>>>,
+) -> PyResult<Option<Arc<dyn LinOp<V>>>> {
+    let Some(p) = precond else {
+        return Ok(None);
+    };
+    match pick(&p.inner) {
+        Some(op) => Ok(Some(op.clone())),
+        None => Err(PyGinkgoError::Type(format!(
+            "preconditioner dtype does not match matrix dtype ({})",
+            dtype.to_ascii_lowercase()
+        ))),
     }
 }
 
@@ -659,50 +603,48 @@ fn make_krylov(
     device: &Device,
     matrix: &SparseMatrix,
     precond: Option<Preconditioner>,
-    algo: Algo,
+    method: &str,
+    krylov_dim: Option<usize>,
     criteria: Criteria,
 ) -> PyResult<Solver> {
+    let Some(&(name, engine_name)) = KRYLOV_METHODS.iter().find(|(name, _)| *name == method)
+    else {
+        return Err(PyGinkgoError::Value(format!(
+            "unknown solver method '{method}'"
+        )));
+    };
     binding_call(device, || {
         macro_rules! arm {
-            ($m:expr, Half) => {{
+            ($m:expr, $tag:ident) => {{
+                let precond = precond_of(&precond, stringify!($tag), |p| match p {
+                    PrecondImpl::$tag(op) => Some(op),
+                    _ => None,
+                })?;
                 let (op, logger) =
-                    build_krylov::<Half>($m.clone(), precond_of_half(&precond)?, algo, criteria)?;
-                (SolverImpl::Half(op), logger)
-            }};
-            ($m:expr, Float) => {{
-                let (op, logger) =
-                    build_krylov::<f32>($m.clone(), precond_of_float(&precond)?, algo, criteria)?;
-                (SolverImpl::Float(op), logger)
-            }};
-            ($m:expr, Double) => {{
-                let (op, logger) = build_krylov::<f64>(
-                    $m.clone(),
-                    precond_of_double(&precond)?,
-                    algo,
-                    criteria,
-                )?;
-                (SolverImpl::Double(op), logger)
+                    iterative_by_name(engine_name, $m.clone(), criteria, precond, krylov_dim, None)
+                        .map_err(PyGinkgoError::from)?;
+                (SolverImpl::$tag(op), logger)
             }};
         }
         let (inner, logger) = match &matrix.inner {
-            MatrixImpl::CsrHalfI32(m) => arm!({ m.clone() as Arc<dyn LinOp<Half>> }, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!({ m.clone() as Arc<dyn LinOp<Half>> }, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!({ m.clone() as Arc<dyn LinOp<f32>> }, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!({ m.clone() as Arc<dyn LinOp<f32>> }, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!({ m.clone() as Arc<dyn LinOp<f64>> }, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!({ m.clone() as Arc<dyn LinOp<f64>> }, Double),
-            MatrixImpl::CooHalfI32(m) => arm!({ m.clone() as Arc<dyn LinOp<Half>> }, Half),
-            MatrixImpl::CooHalfI64(m) => arm!({ m.clone() as Arc<dyn LinOp<Half>> }, Half),
-            MatrixImpl::CooFloatI32(m) => arm!({ m.clone() as Arc<dyn LinOp<f32>> }, Float),
-            MatrixImpl::CooFloatI64(m) => arm!({ m.clone() as Arc<dyn LinOp<f32>> }, Float),
-            MatrixImpl::CooDoubleI32(m) => arm!({ m.clone() as Arc<dyn LinOp<f64>> }, Double),
-            MatrixImpl::CooDoubleI64(m) => arm!({ m.clone() as Arc<dyn LinOp<f64>> }, Double),
+            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
+            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
+            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
+            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
+            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
+            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
+            MatrixImpl::CooHalfI32(m) => arm!(m, Half),
+            MatrixImpl::CooHalfI64(m) => arm!(m, Half),
+            MatrixImpl::CooFloatI32(m) => arm!(m, Float),
+            MatrixImpl::CooFloatI64(m) => arm!(m, Float),
+            MatrixImpl::CooDoubleI32(m) => arm!(m, Double),
+            MatrixImpl::CooDoubleI64(m) => arm!(m, Double),
         };
         let (rows, cols) = matrix.shape();
         Ok(Solver {
             inner,
             logger,
-            name: algo.name(),
+            name,
             device: device.clone(),
             attached: AttachedLoggers::default(),
             sanitize_values: false,
@@ -731,7 +673,8 @@ pub fn gmres(
         device,
         matrix,
         preconditioner,
-        Algo::Gmres { krylov_dim },
+        "gmres",
+        Some(krylov_dim),
         Criteria::iterations_and_reduction(max_iters, reduction_factor),
     )
 }
@@ -748,7 +691,8 @@ pub fn cg(
         device,
         matrix,
         preconditioner,
-        Algo::Cg,
+        "cg",
+        None,
         Criteria::iterations_and_reduction(max_iters, reduction_factor),
     )
 }
@@ -765,7 +709,8 @@ pub fn cgs(
         device,
         matrix,
         preconditioner,
-        Algo::Cgs,
+        "cgs",
+        None,
         Criteria::iterations_and_reduction(max_iters, reduction_factor),
     )
 }
@@ -782,7 +727,8 @@ pub fn bicgstab(
         device,
         matrix,
         preconditioner,
-        Algo::Bicgstab,
+        "bicgstab",
+        None,
         Criteria::iterations_and_reduction(max_iters, reduction_factor),
     )
 }
@@ -796,18 +742,8 @@ pub fn krylov_fixed_iters(
     iters: usize,
     krylov_dim: usize,
 ) -> PyResult<Solver> {
-    let algo = match method.to_ascii_lowercase().as_str() {
-        "cg" => Algo::Cg,
-        "cgs" => Algo::Cgs,
-        "bicgstab" => Algo::Bicgstab,
-        "gmres" => Algo::Gmres { krylov_dim },
-        other => {
-            return Err(PyGinkgoError::Value(format!(
-                "unknown solver method '{other}'"
-            )))
-        }
-    };
-    make_krylov(device, matrix, None, algo, Criteria::iterations(iters))
+    let method = method.to_ascii_lowercase();
+    make_krylov(device, matrix, None, &method, Some(krylov_dim), Criteria::iterations(iters))
 }
 
 fn make_from_csr<F>(device: &Device, matrix: &SparseMatrix, name: &'static str, build: F) -> PyResult<Solver>

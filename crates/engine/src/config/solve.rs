@@ -13,7 +13,7 @@ use crate::linop::LinOp;
 use crate::log::ConvergenceLogger;
 use crate::matrix::csr::Csr;
 use crate::preconditioner::{Ic, Ilu, Jacobi};
-use crate::solver::{BiCgStab, Cg, Cgs, Direct, Fcg, Gmres, Ir, Minres};
+use crate::solver::{iterative_by_name, Direct};
 use crate::stop::Criteria;
 use std::sync::Arc;
 
@@ -23,6 +23,31 @@ pub struct ConfiguredSolver<V: Value> {
     pub op: Arc<dyn LinOp<V>>,
     /// Logger attached to the solver (empty for direct solvers).
     pub logger: ConvergenceLogger,
+}
+
+/// Reads optional key `key`; when present it must hold what `read` accepts
+/// (`what`, for the error), not silently fall back to the default.
+fn optional<T>(
+    config: &Config,
+    key: &str,
+    read: fn(&Config) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>> {
+    let value = config.get(key).map(|v| {
+        read(v).ok_or_else(|| GkoError::InvalidConfig(format!("'{key}' must be {what}")))
+    });
+    value.transpose()
+}
+
+/// Reads optional key `key` as a positive integer.
+fn optional_positive(config: &Config, key: &str) -> Result<Option<usize>> {
+    let Some(n) = optional(config, key, Config::as_int, "an integer")? else {
+        return Ok(None);
+    };
+    match usize::try_from(n) {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(GkoError::InvalidConfig(format!("'{key}' must be positive"))),
+    }
 }
 
 /// Parses the `criteria` array of a config tree.
@@ -98,16 +123,8 @@ pub fn build_preconditioner<V: Value, I: Index>(
     })?;
     let op: Arc<dyn LinOp<V>> = match ty {
         "preconditioner::Jacobi" => {
-            let block = sub
-                .get("max_block_size")
-                .and_then(Config::as_int)
-                .unwrap_or(1);
-            if block <= 0 {
-                return Err(GkoError::InvalidConfig(
-                    "'max_block_size' must be positive".into(),
-                ));
-            }
-            Arc::new(Jacobi::with_block_size(matrix, block as usize)?)
+            let block = optional_positive(sub, "max_block_size")?.unwrap_or(1);
+            Arc::new(Jacobi::with_block_size(matrix, block)?)
         }
         "preconditioner::Ilu" => Arc::new(Ilu::new(matrix)?),
         "preconditioner::Ic" => Arc::new(Ic::new(matrix)?),
@@ -130,84 +147,16 @@ pub fn config_solve<V: Value, I: Index>(
     })?;
     let criteria = parse_criteria(config)?;
     let precond = build_preconditioner(&matrix, config)?;
-    let system: Arc<dyn LinOp<V>> = matrix.clone();
-
-    macro_rules! krylov {
-        ($ctor:ident) => {{
-            let mut s = $ctor::new(system)?.with_criteria(criteria);
-            if let Some(p) = precond {
-                s = s.with_preconditioner(p)?;
-            }
-            let logger = s.logger().clone();
-            ConfiguredSolver {
-                op: Arc::new(s),
-                logger,
-            }
-        }};
-    }
-
-    let solver = match ty {
-        "solver::Cg" => krylov!(Cg),
-        "solver::Fcg" => krylov!(Fcg),
-        "solver::Cgs" => krylov!(Cgs),
-        "solver::Bicgstab" => krylov!(BiCgStab),
-        "solver::Minres" => {
-            let s = Minres::new(system)?.with_criteria(criteria);
-            if precond.is_some() {
-                return Err(GkoError::InvalidConfig(
-                    "solver::Minres does not support preconditioning".into(),
-                ));
-            }
-            let logger = s.logger().clone();
-            ConfiguredSolver {
-                op: Arc::new(s),
-                logger,
-            }
-        }
-        "solver::Gmres" => {
-            let mut s = Gmres::new(system)?.with_criteria(criteria);
-            if let Some(dim) = config.get("krylov_dim").and_then(Config::as_int) {
-                if dim <= 0 {
-                    return Err(GkoError::InvalidConfig(
-                        "'krylov_dim' must be positive".into(),
-                    ));
-                }
-                s = s.with_krylov_dim(dim as usize);
-            }
-            if let Some(p) = precond {
-                s = s.with_preconditioner(p)?;
-            }
-            let logger = s.logger().clone();
-            ConfiguredSolver {
-                op: Arc::new(s),
-                logger,
-            }
-        }
-        "solver::Ir" => {
-            let mut s = Ir::new(system)?.with_criteria(criteria);
-            if let Some(omega) = config.get("relaxation_factor").and_then(Config::as_float) {
-                s = s.with_relaxation(omega);
-            }
-            if let Some(p) = precond {
-                s = s.with_solver(p)?;
-            }
-            let logger = s.logger().clone();
-            ConfiguredSolver {
-                op: Arc::new(s),
-                logger,
-            }
-        }
-        "solver::Direct" => ConfiguredSolver {
-            op: Arc::new(Direct::new(&matrix)?),
-            logger: ConvergenceLogger::new(),
-        },
-        other => {
-            return Err(GkoError::InvalidConfig(format!(
-                "unknown solver type '{other}'"
-            )))
-        }
+    let krylov_dim = optional_positive(config, "krylov_dim")?;
+    let relaxation = optional(config, "relaxation_factor", Config::as_float, "a number")?;
+    let (op, logger) = match ty {
+        "solver::Direct" => (
+            Arc::new(Direct::new(&matrix)?) as Arc<dyn LinOp<V>>,
+            ConvergenceLogger::new(),
+        ),
+        _ => iterative_by_name(ty, matrix, criteria, precond, krylov_dim, relaxation)?,
     };
-    Ok(solver)
+    Ok(ConfiguredSolver { op, logger })
 }
 
 #[cfg(test)]
@@ -362,6 +311,63 @@ mod tests {
             .with("type", "solver::Cg")
             .with("criteria", Config::Str("nope".into()));
         assert!(config_solve(a, &cfg).is_err());
+    }
+
+    #[test]
+    fn mistyped_parameters_are_rejected_naming_the_key() {
+        let exec = Executor::reference();
+        let a = system(&exec, 5);
+        let jacobi = |block: Config| {
+            Config::map()
+                .with("type", "preconditioner::Jacobi")
+                .with("max_block_size", block)
+        };
+        let cases = [
+            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", "50")),
+            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", 30.5)),
+            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", 0usize)),
+            (
+                "relaxation_factor",
+                Config::map().with("type", "solver::Ir").with("relaxation_factor", "0.5"),
+            ),
+            (
+                "max_block_size",
+                Config::map()
+                    .with("type", "solver::Cg")
+                    .with("preconditioner", jacobi(Config::Str("2".into()))),
+            ),
+            (
+                "max_block_size",
+                Config::map()
+                    .with("type", "solver::Cg")
+                    .with("preconditioner", jacobi(Config::Float(1.5))),
+            ),
+        ];
+        for (key, cfg) in cases {
+            match config_solve(a.clone(), &cfg) {
+                Err(GkoError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(key), "{msg} should name {key}")
+                }
+                Err(other) => panic!("{key}: expected InvalidConfig, got {other}"),
+                Ok(_) => panic!("{key}: a mistyped value must not fall back to the default"),
+            }
+        }
+        // Well-typed values still pass, integers widening to floats.
+        let cfg = Config::map().with("type", "solver::Ir").with("relaxation_factor", 1usize);
+        assert!(config_solve(a, &cfg).is_ok());
+    }
+
+    #[test]
+    fn minres_rejects_a_preconditioner_itself() {
+        let exec = Executor::reference();
+        let a = system(&exec, 5);
+        let cfg = Config::map().with("type", "solver::Minres").with(
+            "preconditioner",
+            Config::map().with("type", "preconditioner::Jacobi"),
+        );
+        let err = config_solve(a, &cfg).err().expect("MINRES takes no preconditioner");
+        assert!(matches!(err, GkoError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("solver::Minres"), "{err}");
     }
 
     #[test]

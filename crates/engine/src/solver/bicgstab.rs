@@ -1,171 +1,115 @@
 //! BiConjugate Gradient Stabilized method (van der Vorst 1992).
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
-use std::sync::Arc;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 
 /// The BiCGStab solver for general (unsymmetric) systems.
-pub struct BiCgStab<V: Value> {
-    core: SolverCore<V>,
+pub type BiCgStab<V> = Iterative<V, BiCgStabMethod>;
+
+/// BiCGStab's recurrence (the method slot of [`BiCgStab`]).
+#[derive(Default)]
+pub struct BiCgStabMethod;
+
+/// BiCGStab's workspace.
+pub struct BiCgStabWork<V: Value> {
+    r_tilde: Dense<V>,
+    p: Dense<V>,
+    v: Dense<V>,
+    s: Dense<V>,
+    t: Dense<V>,
+    p_hat: Dense<V>,
+    s_hat: Dense<V>,
+    rho_old: f64,
+    alpha: f64,
+    omega: f64,
 }
 
-impl<V: Value> BiCgStab<V> {
-    /// Creates a BiCGStab solver for the given system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(BiCgStab {
-            core: SolverCore::new("solver::Bicgstab", system)?,
+impl<V: Value> Recurrence<V> for BiCgStabMethod {
+    const NAME: &'static str = "solver::Bicgstab";
+    type Work = BiCgStabWork<V>;
+
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<BiCgStabWork<V>> {
+        let zeros = || Dense::zeros(r.executor(), r.size());
+        Ok(BiCgStabWork {
+            r_tilde: r.clone(),
+            p: zeros(),
+            v: zeros(),
+            s: zeros(),
+            t: zeros(),
+            p_hat: zeros(),
+            s_hat: zeros(),
+            rho_old: 1.0,
+            alpha: 1.0,
+            omega: 1.0,
         })
     }
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
+    fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut BiCgStabWork<V>) -> Result<Step> {
+        let core = it.core;
+        let rho = w.r_tilde.compute_dot(it.r)?;
+        if rho == 0.0 || w.omega == 0.0 || !rho.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        if it.index == 1 {
+            w.p.copy_from(it.r)?;
+        } else {
+            let beta = (rho / w.rho_old) * (w.alpha / w.omega);
+            // p = r + beta * (p - omega * v)
+            w.p.add_scaled(V::from_f64(-w.omega), &w.v)?;
+            w.p.scale_add(V::one(), it.r, V::from_f64(beta))?;
+        }
+        core.precond.apply(&w.p, &mut w.p_hat)?;
+        core.system.apply(&w.p_hat, &mut w.v)?;
+        let denom = w.r_tilde.compute_dot(&w.v)?;
+        if denom == 0.0 || !denom.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        w.alpha = rho / denom;
+        // s = r - alpha * v
+        w.s.copy_from(it.r)?;
+        w.s.add_scaled(V::from_f64(-w.alpha), &w.v)?;
 
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
-    /// Sets the preconditioner.
-    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(precond)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
-}
-
-impl<V: Value> LinOp<V> for BiCgStab<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
-
-        let mut r = Dense::zeros(&exec, dim);
-        core.residual(b, x, &mut r)?;
-        let r_tilde = r.clone();
-        let mut p = Dense::zeros(&exec, dim);
-        let mut v = Dense::zeros(&exec, dim);
-        let mut s = Dense::zeros(&exec, dim);
-        let mut t = Dense::zeros(&exec, dim);
-        let mut p_hat = Dense::zeros(&exec, dim);
-        let mut s_hat = Dense::zeros(&exec, dim);
-
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
+        let s_norm = w.s.compute_norm2();
+        if let Some(reason) = core.check(it.index, s_norm, it.baseline) {
+            if reason != StopReason::MaxIterations {
+                // Early half-step convergence (or a non-finite s_norm,
+                // which `check` reports as Breakdown): the half-step
+                // update completes this iteration, so it is counted.
+                it.x.add_scaled(V::from_f64(w.alpha), &w.p_hat)?;
+                return Ok(Step::Stop(s_norm, reason));
+            }
         }
 
-        let mut rho_old = 1.0f64;
-        let mut alpha = 1.0f64;
-        let mut omega = 1.0f64;
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            let rho = r_tilde.compute_dot(&r)?;
-            if rho == 0.0 || omega == 0.0 || !rho.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            if iter == 1 {
-                p.copy_from(&r)?;
-            } else {
-                let beta = (rho / rho_old) * (alpha / omega);
-                // p = r + beta * (p - omega * v)
-                p.add_scaled(V::from_f64(-omega), &v)?;
-                p.scale_add(V::one(), &r, V::from_f64(beta))?;
-            }
-            core.precond.apply(&p, &mut p_hat)?;
-            core.system.apply(&p_hat, &mut v)?;
-            let denom = r_tilde.compute_dot(&v)?;
-            if denom == 0.0 || !denom.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            alpha = rho / denom;
-            // s = r - alpha * v
-            s.copy_from(&r)?;
-            s.add_scaled(V::from_f64(-alpha), &v)?;
-
-            let s_norm = s.compute_norm2();
-            let half_step = core.check(iter, s_norm, baseline);
-            if let Some(reason) = half_step {
-                if reason != StopReason::MaxIterations {
-                    // Early half-step convergence (or a non-finite s_norm,
-                    // which `check` reports as Breakdown): the half-step
-                    // update completes this iteration, so it is counted.
-                    x.add_scaled(V::from_f64(alpha), &p_hat)?;
-                    core.logger.record_residual(iter, s_norm);
-                    core.logger.finish(iter, reason);
-                    return Ok(());
-                }
-            }
-
-            core.precond.apply(&s, &mut s_hat)?;
-            core.system.apply(&s_hat, &mut t)?;
-            let tt = t.compute_dot(&t)?;
-            if tt == 0.0 || !tt.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            omega = t.compute_dot(&s)? / tt;
-            // x += alpha * p_hat + omega * s_hat
-            x.add_scaled(V::from_f64(alpha), &p_hat)?;
-            x.add_scaled(V::from_f64(omega), &s_hat)?;
-            // r = s - omega * t
-            r.copy_from(&s)?;
-            r.add_scaled(V::from_f64(-omega), &t)?;
-
-            let res_norm = r.compute_norm2();
-            core.logger.record_residual(iter, res_norm);
-            if let Some(reason) = core.check(iter, res_norm, baseline) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-            rho_old = rho;
+        core.precond.apply(&w.s, &mut w.s_hat)?;
+        core.system.apply(&w.s_hat, &mut w.t)?;
+        let tt = w.t.compute_dot(&w.t)?;
+        if tt == 0.0 || !tt.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
         }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Bicgstab"
+        w.omega = w.t.compute_dot(&w.s)? / tt;
+        // x += alpha * p_hat + omega * s_hat
+        it.x.add_scaled(V::from_f64(w.alpha), &w.p_hat)?;
+        it.x.add_scaled(V::from_f64(w.omega), &w.s_hat)?;
+        // r = s - omega * t
+        it.r.copy_from(&w.s)?;
+        it.r.add_scaled(V::from_f64(-w.omega), &w.t)?;
+        w.rho_old = rho;
+        Ok(Step::Continue(it.r.compute_norm2()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
+    use crate::stop::Criteria;
+    use std::sync::Arc;
 
     fn unsymmetric(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
         let mut t = vec![];

@@ -1,135 +1,70 @@
 //! Preconditioned Conjugate Gradient method.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
-use std::sync::Arc;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 
 /// The Conjugate Gradient method for symmetric positive definite systems.
-pub struct Cg<V: Value> {
-    core: SolverCore<V>,
+pub type Cg<V> = Iterative<V, CgMethod>;
+
+/// CG's recurrence (the method slot of [`Cg`]).
+#[derive(Default)]
+pub struct CgMethod;
+
+/// CG's workspace: `z = M^{-1} r`, search direction `p`, `q = A p`, `r·z`.
+pub struct CgWork<V: Value> {
+    z: Dense<V>,
+    p: Dense<V>,
+    q: Dense<V>,
+    rho: f64,
 }
 
-impl<V: Value> Cg<V> {
-    /// Creates a CG solver for the given system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Cg {
-            core: SolverCore::new("solver::Cg", system)?,
-        })
+impl<V: Value> Recurrence<V> for CgMethod {
+    const NAME: &'static str = "solver::Cg";
+    type Work = CgWork<V>;
+
+    fn seed(&self, core: &SolverCore<V>, r: &Dense<V>) -> Result<CgWork<V>> {
+        let mut z = Dense::zeros(r.executor(), r.size());
+        core.precond.apply(r, &mut z)?;
+        let p = z.clone();
+        let q = Dense::zeros(r.executor(), r.size());
+        Ok(CgWork { z, p, q, rho: 0.0 })
     }
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
-    /// The registry of loggers attached to this solver.
-    pub fn loggers(&self) -> &LoggerRegistry {
-        self.core.loggers()
-    }
-
-    /// Sets the preconditioner (applied as `z = M^{-1} r`).
-    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(precond)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
-}
-
-impl<V: Value> LinOp<V> for Cg<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    /// Solves `A x = b`; `x` holds the initial guess on entry and the
-    /// solution on exit.
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-
-        let mut r = Dense::zeros(&exec, Dim2::new(n, 1));
-        core.residual(b, x, &mut r)?;
-        let mut z = Dense::zeros(&exec, Dim2::new(n, 1));
-        core.precond.apply(&r, &mut z)?;
-        let mut p = z.clone();
-        let mut q = Dense::zeros(&exec, Dim2::new(n, 1));
-
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
-        }
-
-        let mut rho = r.compute_dot(&z)?;
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            core.system.apply(&p, &mut q)?;
-            let pq = p.compute_dot(&q)?;
-            if pq == 0.0 || !pq.is_finite() || rho == 0.0 || !rho.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            let alpha = rho / pq;
-            x.add_scaled(V::from_f64(alpha), &p)?;
-            r.add_scaled(V::from_f64(-alpha), &q)?;
-
-            let res_norm = r.compute_norm2();
-            core.logger.record_residual(iter, res_norm);
-            if let Some(reason) = core.check(iter, res_norm, baseline) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-
-            core.precond.apply(&r, &mut z)?;
-            let rho_new = r.compute_dot(&z)?;
-            let beta = rho_new / rho;
+    fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut CgWork<V>) -> Result<Step> {
+        if it.index == 1 {
+            w.rho = it.r.compute_dot(&w.z)?;
+        } else {
+            it.core.precond.apply(it.r, &mut w.z)?;
+            let rho_new = it.r.compute_dot(&w.z)?;
+            let beta = rho_new / w.rho;
             // p = z + beta * p
-            p.scale_add(V::one(), &z, V::from_f64(beta))?;
-            rho = rho_new;
+            w.p.scale_add(V::one(), &w.z, V::from_f64(beta))?;
+            w.rho = rho_new;
         }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Cg"
+        it.core.system.apply(&w.p, &mut w.q)?;
+        let pq = w.p.compute_dot(&w.q)?;
+        if pq == 0.0 || !pq.is_finite() || w.rho == 0.0 || !w.rho.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        let alpha = w.rho / pq;
+        it.x.add_scaled(V::from_f64(alpha), &w.p)?;
+        it.r.add_scaled(V::from_f64(-alpha), &w.q)?;
+        Ok(Step::Continue(it.r.compute_norm2()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
     use crate::stop::Criteria;
+    use std::sync::Arc;
 
     /// 1-D Poisson matrix (tridiagonal [-1, 2, -1]) — SPD.
     fn poisson(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
@@ -219,42 +154,6 @@ mod tests {
             it_pre < it_plain,
             "jacobi {it_pre} should beat plain {it_plain}"
         );
-    }
-
-    #[test]
-    fn iteration_limit_is_respected() {
-        let exec = Executor::reference();
-        let a = poisson(&exec, 128);
-        let solver = Cg::new(a)
-            .unwrap()
-            .with_criteria(Criteria::iterations_and_reduction(3, 1e-14));
-        let b = Dense::<f64>::vector(&exec, 128, 1.0);
-        let mut x = Dense::<f64>::vector(&exec, 128, 0.0);
-        solver.apply(&b, &mut x).unwrap();
-        let rec = solver.logger().snapshot();
-        assert_eq!(rec.iterations, 3);
-        assert_eq!(rec.stop_reason, Some(StopReason::MaxIterations));
-    }
-
-    #[test]
-    fn zero_rhs_converges_immediately() {
-        let exec = Executor::reference();
-        let a = poisson(&exec, 16);
-        let solver = Cg::new(a).unwrap();
-        let b = Dense::<f64>::vector(&exec, 16, 0.0);
-        let mut x = Dense::<f64>::vector(&exec, 16, 0.0);
-        solver.apply(&b, &mut x).unwrap();
-        assert_eq!(solver.logger().snapshot().iterations, 0);
-    }
-
-    #[test]
-    fn shape_mismatch_is_an_error() {
-        let exec = Executor::reference();
-        let a = poisson(&exec, 16);
-        let solver = Cg::new(a).unwrap();
-        let b = Dense::<f64>::vector(&exec, 8, 1.0);
-        let mut x = Dense::<f64>::vector(&exec, 16, 0.0);
-        assert!(solver.apply(&b, &mut x).is_err());
     }
 
     #[test]

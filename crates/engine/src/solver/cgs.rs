@@ -4,156 +4,101 @@
 //! squaring the BiCG polynomial. It is one of the three solvers the paper
 //! benchmarks against CuPy (§6.2.1), where it shows the largest speedups.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
-use std::sync::Arc;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 
 /// The CGS solver.
-pub struct Cgs<V: Value> {
-    core: SolverCore<V>,
+pub type Cgs<V> = Iterative<V, CgsMethod>;
+
+/// CGS's recurrence (the method slot of [`Cgs`]).
+#[derive(Default)]
+pub struct CgsMethod;
+
+/// CGS's workspace.
+pub struct CgsWork<V: Value> {
+    r_tilde: Dense<V>,
+    u: Dense<V>,
+    p: Dense<V>,
+    q: Dense<V>,
+    v: Dense<V>,
+    hat: Dense<V>,
+    t: Dense<V>,
+    rho_old: f64,
 }
 
-impl<V: Value> Cgs<V> {
-    /// Creates a CGS solver for the given system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Cgs {
-            core: SolverCore::new("solver::Cgs", system)?,
+impl<V: Value> Recurrence<V> for CgsMethod {
+    const NAME: &'static str = "solver::Cgs";
+    type Work = CgsWork<V>;
+
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<CgsWork<V>> {
+        let zeros = || Dense::zeros(r.executor(), r.size());
+        Ok(CgsWork {
+            r_tilde: r.clone(),
+            u: zeros(),
+            p: zeros(),
+            q: zeros(),
+            v: zeros(),
+            hat: zeros(),
+            t: zeros(),
+            rho_old: 1.0,
         })
     }
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
-    /// Sets the preconditioner.
-    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(precond)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
-}
-
-impl<V: Value> LinOp<V> for Cgs<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
-
-        let mut r = Dense::zeros(&exec, dim);
-        core.residual(b, x, &mut r)?;
-        let r_tilde = r.clone();
-        let mut u = Dense::zeros(&exec, dim);
-        let mut p = Dense::zeros(&exec, dim);
-        let mut q = Dense::zeros(&exec, dim);
-        let mut v = Dense::zeros(&exec, dim);
-        let mut hat = Dense::zeros(&exec, dim);
-        let mut t = Dense::zeros(&exec, dim);
-
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
+    fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut CgsWork<V>) -> Result<Step> {
+        let rho = w.r_tilde.compute_dot(it.r)?;
+        if rho == 0.0 || !rho.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
         }
-
-        let mut rho_old = 1.0f64;
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            let rho = r_tilde.compute_dot(&r)?;
-            if rho == 0.0 || !rho.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            if iter == 1 {
-                u.copy_from(&r)?;
-                p.copy_from(&u)?;
-            } else {
-                let beta = rho / rho_old;
-                // u = r + beta * q
-                u.copy_from(&r)?;
-                u.add_scaled(V::from_f64(beta), &q)?;
-                // p = u + beta * (q + beta * p)
-                t.copy_from(&q)?;
-                t.add_scaled(V::from_f64(beta), &p)?;
-                p.copy_from(&u)?;
-                p.add_scaled(V::from_f64(beta), &t)?;
-            }
-            // v = A M^{-1} p
-            core.precond.apply(&p, &mut hat)?;
-            core.system.apply(&hat, &mut v)?;
-            let sigma = r_tilde.compute_dot(&v)?;
-            if sigma == 0.0 || !sigma.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            let alpha = rho / sigma;
-            // q = u - alpha * v
-            q.copy_from(&u)?;
-            q.add_scaled(V::from_f64(-alpha), &v)?;
-            // hat = M^{-1} (u + q)
-            t.copy_from(&u)?;
-            t.add_scaled(V::one(), &q)?;
-            core.precond.apply(&t, &mut hat)?;
-            // x += alpha * hat;  r -= alpha * A hat
-            x.add_scaled(V::from_f64(alpha), &hat)?;
-            core.system.apply(&hat, &mut t)?;
-            r.add_scaled(V::from_f64(-alpha), &t)?;
-
-            let res_norm = r.compute_norm2();
-            core.logger.record_residual(iter, res_norm);
-            if let Some(reason) = core.check(iter, res_norm, baseline) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-            rho_old = rho;
+        if it.index == 1 {
+            w.u.copy_from(it.r)?;
+            w.p.copy_from(&w.u)?;
+        } else {
+            let beta = rho / w.rho_old;
+            // u = r + beta * q
+            w.u.copy_from(it.r)?;
+            w.u.add_scaled(V::from_f64(beta), &w.q)?;
+            // p = u + beta * (q + beta * p)
+            w.t.copy_from(&w.q)?;
+            w.t.add_scaled(V::from_f64(beta), &w.p)?;
+            w.p.copy_from(&w.u)?;
+            w.p.add_scaled(V::from_f64(beta), &w.t)?;
         }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Cgs"
+        // v = A M^{-1} p
+        it.core.precond.apply(&w.p, &mut w.hat)?;
+        it.core.system.apply(&w.hat, &mut w.v)?;
+        let sigma = w.r_tilde.compute_dot(&w.v)?;
+        if sigma == 0.0 || !sigma.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        let alpha = rho / sigma;
+        // q = u - alpha * v
+        w.q.copy_from(&w.u)?;
+        w.q.add_scaled(V::from_f64(-alpha), &w.v)?;
+        // hat = M^{-1} (u + q)
+        w.t.copy_from(&w.u)?;
+        w.t.add_scaled(V::one(), &w.q)?;
+        it.core.precond.apply(&w.t, &mut w.hat)?;
+        // x += alpha * hat;  r -= alpha * A hat
+        it.x.add_scaled(V::from_f64(alpha), &w.hat)?;
+        it.core.system.apply(&w.hat, &mut w.t)?;
+        it.r.add_scaled(V::from_f64(-alpha), &w.t)?;
+        w.rho_old = rho;
+        Ok(Step::Continue(it.r.compute_norm2()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
+    use crate::stop::Criteria;
+    use std::sync::Arc;
 
     /// Unsymmetric convection-diffusion-like matrix.
     fn convdiff(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {

@@ -5,132 +5,80 @@
 //! preconditioners that change between iterations (e.g. inner iterative
 //! solves) at the cost of one extra stored vector.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
-use std::sync::Arc;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 
 /// The flexible CG solver.
-pub struct Fcg<V: Value> {
-    core: SolverCore<V>,
+pub type Fcg<V> = Iterative<V, FcgMethod>;
+
+/// FCG's recurrence (the method slot of [`Fcg`]).
+#[derive(Default)]
+pub struct FcgMethod;
+
+/// FCG's workspace: CG's, plus the previous residual.
+pub struct FcgWork<V: Value> {
+    z: Dense<V>,
+    p: Dense<V>,
+    q: Dense<V>,
+    r_old: Dense<V>,
+    rho: f64,
 }
 
-impl<V: Value> Fcg<V> {
-    /// Creates an FCG solver for the given system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Fcg {
-            core: SolverCore::new("solver::Fcg", system)?,
+impl<V: Value> Recurrence<V> for FcgMethod {
+    const NAME: &'static str = "solver::Fcg";
+    type Work = FcgWork<V>;
+
+    fn seed(&self, core: &SolverCore<V>, r: &Dense<V>) -> Result<FcgWork<V>> {
+        let mut z = Dense::zeros(r.executor(), r.size());
+        core.precond.apply(r, &mut z)?;
+        let p = z.clone();
+        let q = Dense::zeros(r.executor(), r.size());
+        Ok(FcgWork {
+            z,
+            p,
+            q,
+            r_old: r.clone(),
+            rho: 0.0,
         })
     }
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
-    /// Sets the (possibly nonlinear/varying) preconditioner.
-    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(precond)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
-}
-
-impl<V: Value> LinOp<V> for Fcg<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
-
-        let mut r = Dense::zeros(&exec, dim);
-        core.residual(b, x, &mut r)?;
-        let mut z = Dense::zeros(&exec, dim);
-        core.precond.apply(&r, &mut z)?;
-        let mut p = z.clone();
-        let mut q = Dense::zeros(&exec, dim);
-        let mut r_old = r.clone();
-
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
-        }
-
-        let mut rho = r.compute_dot(&z)?;
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            core.system.apply(&p, &mut q)?;
-            let pq = p.compute_dot(&q)?;
-            if pq == 0.0 || !pq.is_finite() || rho == 0.0 || !rho.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            let alpha = rho / pq;
-            x.add_scaled(V::from_f64(alpha), &p)?;
-            r_old.copy_from(&r)?;
-            r.add_scaled(V::from_f64(-alpha), &q)?;
-
-            let res_norm = r.compute_norm2();
-            core.logger.record_residual(iter, res_norm);
-            if let Some(reason) = core.check(iter, res_norm, baseline) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-
-            core.precond.apply(&r, &mut z)?;
+    fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut FcgWork<V>) -> Result<Step> {
+        if it.index == 1 {
+            w.rho = it.r.compute_dot(&w.z)?;
+        } else {
+            it.core.precond.apply(it.r, &mut w.z)?;
             // Polak-Ribière: beta = <r - r_old, z> / rho_old.
-            let rz = r.compute_dot(&z)?;
-            let r_old_z = r_old.compute_dot(&z)?;
-            let beta = (rz - r_old_z) / rho;
-            p.scale_add(V::one(), &z, V::from_f64(beta))?;
-            rho = rz;
+            let rz = it.r.compute_dot(&w.z)?;
+            let r_old_z = w.r_old.compute_dot(&w.z)?;
+            let beta = (rz - r_old_z) / w.rho;
+            w.p.scale_add(V::one(), &w.z, V::from_f64(beta))?;
+            w.rho = rz;
         }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Fcg"
+        it.core.system.apply(&w.p, &mut w.q)?;
+        let pq = w.p.compute_dot(&w.q)?;
+        if pq == 0.0 || !pq.is_finite() || w.rho == 0.0 || !w.rho.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        let alpha = w.rho / pq;
+        it.x.add_scaled(V::from_f64(alpha), &w.p)?;
+        w.r_old.copy_from(it.r)?;
+        it.r.add_scaled(V::from_f64(-alpha), &w.q)?;
+        Ok(Step::Continue(it.r.compute_norm2()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
+    use crate::stop::Criteria;
+    use std::sync::Arc;
 
     fn spd(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
         let mut t = vec![];

@@ -15,132 +15,93 @@
 //! Preconditioning is applied from the right (`A M^{-1} y = b`, `x = M^{-1}
 //! y`), so the monitored residual is the true residual.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
 use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 use pygko_sim::ChunkWork;
-use std::sync::Arc;
 
 /// Default Krylov subspace dimension (the paper's GMRES restart of 30).
 pub const DEFAULT_KRYLOV_DIM: usize = 30;
 
 /// The restarted GMRES solver.
-pub struct Gmres<V: Value> {
-    core: SolverCore<V>,
+pub type Gmres<V> = Iterative<V, GmresMethod>;
+
+/// GMRES's recurrence (the method slot of [`Gmres`]): the restart length.
+pub struct GmresMethod {
     krylov_dim: usize,
 }
 
-impl<V: Value> Gmres<V> {
-    /// Creates a GMRES solver for the given system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Gmres {
-            core: SolverCore::new("solver::Gmres", system)?,
+impl Default for GmresMethod {
+    fn default() -> Self {
+        GmresMethod {
             krylov_dim: DEFAULT_KRYLOV_DIM,
-        })
+        }
     }
+}
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
+impl<V: Value> Gmres<V> {
     /// Sets the Krylov subspace dimension (restart length).
     pub fn with_krylov_dim(mut self, dim: usize) -> Self {
         assert!(dim > 0, "krylov dimension must be positive");
-        self.krylov_dim = dim;
-        self
-    }
-
-    /// Sets the preconditioner (applied from the right).
-    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(precond)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
+        self.method.krylov_dim = dim;
         self
     }
 
     /// The configured restart length.
     pub fn krylov_dim(&self) -> usize {
-        self.krylov_dim
+        self.method.krylov_dim
     }
+}
 
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
+/// The current restart cycle. `h.len()` is the number of finished columns;
+/// the cycle is *pending* (not yet folded into `x`) while that is nonzero.
+pub struct GmresWork<V: Value> {
+    basis: Vec<Dense<V>>,
+    /// Column-major rotated Hessenberg: `h[j]` holds column j (len j+2).
+    h: Vec<Vec<f64>>,
+    /// Givens rotation coefficients and the rotated residual vector.
+    cs: Vec<f64>,
+    sn: Vec<f64>,
+    g: Vec<f64>,
+    z: Dense<V>,
+    w: Dense<V>,
+    /// Norm of the last orthogonalized `w`, the next basis vector's scale.
+    h_next: f64,
+}
 
-    /// Charges the device-side Hessenberg/Givens update (tiny kernels whose
-    /// cost is launch-overhead dominated — the structural reason CuPy's
-    /// CPU-side update can win on small problems), plus the per-iteration
-    /// residual check's device-to-host flag transfer (the `restart - 1`
-    /// extra checks §6.2.1 attributes to Ginkgo).
-    fn charge_hessenberg_update(&self, exec: &Executor, cols: usize) {
-        let tiny = ChunkWork::new((cols * 16) as f64, 0.0, (cols * 6) as f64);
-        // rotation apply + new rotation + residual update
-        exec.launch(&[tiny]);
-        exec.launch(&[ChunkWork::new(32.0, 0.0, 10.0)]);
-        exec.launch(&[ChunkWork::new(16.0, 0.0, 4.0)]);
-        // Stopping-criterion flag readback.
-        let t = exec.spec().copy_time_ns(8);
-        exec.timeline().charge_copy(t, 8);
-    }
+/// Charges the device-side Hessenberg/Givens update (tiny kernels whose
+/// cost is launch-overhead dominated — the structural reason CuPy's
+/// CPU-side update can win on small problems), plus the per-iteration
+/// residual check's device-to-host flag transfer (the `restart - 1`
+/// extra checks §6.2.1 attributes to Ginkgo).
+fn charge_hessenberg_update(exec: &Executor, cols: usize) {
+    let tiny = ChunkWork::new((cols * 16) as f64, 0.0, (cols * 6) as f64);
+    // rotation apply + new rotation + residual update
+    exec.launch(&[tiny]);
+    exec.launch(&[ChunkWork::new(32.0, 0.0, 10.0)]);
+    exec.launch(&[ChunkWork::new(16.0, 0.0, 4.0)]);
+    // Stopping-criterion flag readback.
+    let t = exec.spec().copy_time_ns(8);
+    exec.timeline().charge_copy(t, 8);
+}
 
-    /// Charges the two fused multidot/update kernels of one MGS sweep over
-    /// a basis of `cols` vectors of length `n`.
-    fn charge_fused_mgs(&self, exec: &Executor, n: usize, cols: usize) {
-        let spec = exec.spec();
-        let per_chunk = |total_bytes: f64, flops: f64, chunks: usize| -> Vec<ChunkWork> {
-            (0..chunks)
-                .map(|_| {
-                    ChunkWork::new(
-                        total_bytes / chunks as f64,
-                        0.0,
-                        flops / chunks as f64,
-                    )
-                })
-                .collect()
-        };
-        let chunks = spec.workers.min(n.max(1));
-        let bytes = (cols * n * V::BYTES) as f64 + (n * V::BYTES) as f64;
-        let flops = (2 * cols * n) as f64;
-        exec.launch(&per_chunk(bytes, flops, chunks)); // multidot sweep
-        exec.launch(&per_chunk(bytes, flops, chunks)); // fused update sweep
-    }
-
-    /// Forms `x += M^{-1} (V[..cols] * y)` from the Krylov basis.
-    fn update_solution(
-        &self,
-        basis: &[Dense<V>],
-        y: &[f64],
-        cols: usize,
-        x: &mut Dense<V>,
-    ) -> Result<()> {
-        let exec = x.executor().clone();
-        let mut u = Dense::zeros(&exec, x.size());
-        for (i, yi) in y.iter().take(cols).enumerate() {
-            u.add_scaled(V::from_f64(*yi), &basis[i])?;
-        }
-        let mut z = Dense::zeros(&exec, x.size());
-        self.core.precond.apply(&u, &mut z)?;
-        x.add_scaled(V::one(), &z)?;
-        Ok(())
-    }
+/// Charges the two fused multidot/update kernels of one MGS sweep over
+/// a basis of `cols` vectors of length `n`.
+fn charge_fused_mgs<V: Value>(exec: &Executor, n: usize, cols: usize) {
+    let spec = exec.spec();
+    let per_chunk = |total_bytes: f64, flops: f64, chunks: usize| -> Vec<ChunkWork> {
+        (0..chunks)
+            .map(|_| ChunkWork::new(total_bytes / chunks as f64, 0.0, flops / chunks as f64))
+            .collect()
+    };
+    let chunks = spec.workers.min(n.max(1));
+    let bytes = (cols * n * V::BYTES) as f64 + (n * V::BYTES) as f64;
+    let flops = (2 * cols * n) as f64;
+    exec.launch(&per_chunk(bytes, flops, chunks)); // multidot sweep
+    exec.launch(&per_chunk(bytes, flops, chunks)); // fused update sweep
 }
 
 /// Solves the upper-triangular system `R y = g` in place (R is the rotated
@@ -157,170 +118,145 @@ fn back_substitute(h: &[Vec<f64>], g: &[f64], cols: usize) -> Vec<f64> {
     y
 }
 
-impl<V: Value> LinOp<V> for Gmres<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
+impl<V: Value> Recurrence<V> for GmresMethod {
+    const NAME: &'static str = "solver::Gmres";
+    type Work = GmresWork<V>;
 
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<GmresWork<V>> {
         let m = self.krylov_dim;
+        Ok(GmresWork {
+            basis: Vec::with_capacity(m + 1),
+            h: Vec::with_capacity(m),
+            cs: vec![0.0; m],
+            sn: vec![0.0; m],
+            g: vec![0.0; m + 1],
+            z: Dense::zeros(r.executor(), r.size()),
+            w: Dense::zeros(r.executor(), r.size()),
+            h_next: 0.0,
+        })
+    }
 
-        let mut r = Dense::zeros(&exec, dim);
-        core.residual(b, x, &mut r)?;
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
+    fn iterate(&self, it: &mut Iteration<'_, V>, k: &mut GmresWork<V>) -> Result<Step> {
+        let core = it.core;
+        if !k.h.is_empty() {
+            // The last iteration completed and the criteria let it pass.
+            if k.h_next == 0.0 {
+                // Lucky breakdown: exact solution in the current space.
+                return Ok(Step::Abort(StopReason::ResidualReduction));
+            }
+            let mut v_next = k.w.clone();
+            v_next.scale(V::from_f64(1.0 / k.h_next));
+            k.basis.push(v_next);
+            if k.h.len() == self.krylov_dim {
+                // Restart: fold the cycle into x and continue.
+                self.form_solution(it, k)?;
+            }
         }
-
-        let mut total_iters = 0usize;
-        'outer: loop {
-            core.residual(b, x, &mut r)?;
-            let beta = r.compute_norm2();
-            if let Some(reason) = core.check(total_iters, beta, baseline) {
-                core.logger.finish(total_iters, reason);
-                return Ok(());
+        if k.h.is_empty() {
+            core.residual(it.b, it.x, it.r)?;
+            let beta = it.r.compute_norm2();
+            if let Some(reason) = core.check(it.index - 1, beta, it.baseline) {
+                return Ok(Step::Abort(reason));
             }
             // A non-finite beta already stopped above (check reports
             // Breakdown); an exactly-zero one cannot seed the basis.
             if beta == 0.0 {
-                core.logger.finish(total_iters, StopReason::Breakdown);
-                return Ok(());
+                return Ok(Step::Abort(StopReason::Breakdown));
             }
-
             // v0 = r / beta
-            let mut basis: Vec<Dense<V>> = Vec::with_capacity(m + 1);
-            let mut v0 = r.clone();
+            let mut v0 = it.r.clone();
             v0.scale(V::from_f64(1.0 / beta));
-            basis.push(v0);
-
-            // Column-major Hessenberg `h[j]` holds column j (len j+2), plus
-            // Givens rotation coefficients and the residual vector g.
-            let mut h: Vec<Vec<f64>> = Vec::with_capacity(m);
-            let mut cs = vec![0.0f64; m];
-            let mut sn = vec![0.0f64; m];
-            let mut g = vec![0.0f64; m + 1];
-            g[0] = beta;
-
-            let mut z = Dense::zeros(&exec, dim);
-            let mut w = Dense::zeros(&exec, dim);
-
-            for j in 0..m {
-                total_iters += 1;
-                // w = A M^{-1} v_j
-                core.precond.apply(&basis[j], &mut z)?;
-                core.system.apply(&z, &mut w)?;
-
-                // Modified Gram–Schmidt orthogonalization. Ginkgo fuses
-                // this into two "multidot"-style kernels (one sweep reading
-                // the whole basis for coefficients, one for the update), so
-                // the cost model charges two basis-sized launches rather
-                // than 2(j+1) vector ops.
-                let mut col = vec![0.0f64; j + 2];
-                {
-                    let ws = w.as_mut_slice();
-                    for (i, vi) in basis.iter().enumerate().take(j + 1) {
-                        let vs = vi.as_slice();
-                        let mut hij = 0.0f64;
-                        for (wk, vk) in ws.iter().zip(vs) {
-                            hij += wk.to_f64() * vk.to_f64();
-                        }
-                        col[i] = hij;
-                        let coeff = V::from_f64(-hij);
-                        for (wk, &vk) in ws.iter_mut().zip(vs) {
-                            *wk += coeff * vk;
-                        }
-                    }
-                    self.charge_fused_mgs(&exec, n, j + 1);
-                }
-                let h_next = w.compute_norm2();
-                col[j + 1] = h_next;
-
-                // Apply the accumulated Givens rotations to the new column,
-                // then generate the rotation that annihilates col[j+1].
-                for i in 0..j {
-                    let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                    col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                    col[i] = t;
-                }
-                let denom = (col[j] * col[j] + col[j + 1] * col[j + 1]).sqrt();
-                if denom == 0.0 || !denom.is_finite() {
-                    // The iteration aborted before its residual check, so it
-                    // does not count as completed (engine-wide convention,
-                    // see `SolveRecord::iterations`).
-                    core.logger.finish(total_iters - 1, StopReason::Breakdown);
-                    return Ok(());
-                }
-                cs[j] = col[j] / denom;
-                sn[j] = col[j + 1] / denom;
-                col[j] = denom;
-                col[j + 1] = 0.0;
-                g[j + 1] = -sn[j] * g[j];
-                g[j] *= cs[j];
-                h.push(col);
-                self.charge_hessenberg_update(&exec, j + 1);
-
-                // Per-iteration residual estimate and check (Ginkgo's extra
-                // `restart - 1` checks relative to CuPy).
-                let res_est = g[j + 1].abs();
-                core.logger.record_residual(total_iters, res_est);
-                if let Some(reason) = core.check(total_iters, res_est, baseline) {
-                    let y = back_substitute(&h, &g, j + 1);
-                    self.update_solution(&basis, &y, j + 1, x)?;
-                    core.logger.finish(total_iters, reason);
-                    return Ok(());
-                }
-
-                if h_next == 0.0 {
-                    // Lucky breakdown: exact solution in the current space.
-                    let y = back_substitute(&h, &g, j + 1);
-                    self.update_solution(&basis, &y, j + 1, x)?;
-                    core.logger.finish(total_iters, StopReason::ResidualReduction);
-                    return Ok(());
-                }
-                let mut v_next = w.clone();
-                v_next.scale(V::from_f64(1.0 / h_next));
-                basis.push(v_next);
-
-                if total_iters >= core.criteria.max_iters {
-                    let y = back_substitute(&h, &g, j + 1);
-                    self.update_solution(&basis, &y, j + 1, x)?;
-                    core.logger.finish(total_iters, StopReason::MaxIterations);
-                    return Ok(());
-                }
-            }
-
-            // Restart: fold the cycle into x and continue.
-            let y = back_substitute(&h, &g, m);
-            self.update_solution(&basis, &y, m, x)?;
-            if total_iters >= core.criteria.max_iters {
-                core.logger.finish(total_iters, StopReason::MaxIterations);
-                return Ok(());
-            }
-            continue 'outer;
+            k.basis.push(v0);
+            k.g.fill(0.0);
+            k.g[0] = beta;
         }
+
+        let j = k.h.len();
+        // w = A M^{-1} v_j
+        core.precond.apply(&k.basis[j], &mut k.z)?;
+        core.system.apply(&k.z, &mut k.w)?;
+
+        // Modified Gram–Schmidt orthogonalization. Ginkgo fuses
+        // this into two "multidot"-style kernels (one sweep reading
+        // the whole basis for coefficients, one for the update), so
+        // the cost model charges two basis-sized launches rather
+        // than 2(j+1) vector ops.
+        let mut col = vec![0.0f64; j + 2];
+        {
+            let ws = k.w.as_mut_slice();
+            for (i, vi) in k.basis.iter().enumerate().take(j + 1) {
+                let vs = vi.as_slice();
+                let mut hij = 0.0f64;
+                for (wk, vk) in ws.iter().zip(vs) {
+                    hij += wk.to_f64() * vk.to_f64();
+                }
+                col[i] = hij;
+                let coeff = V::from_f64(-hij);
+                for (wk, &vk) in ws.iter_mut().zip(vs) {
+                    *wk += coeff * vk;
+                }
+            }
+            charge_fused_mgs::<V>(it.x.executor(), ws.len(), j + 1);
+        }
+        k.h_next = k.w.compute_norm2();
+        col[j + 1] = k.h_next;
+
+        // Apply the accumulated Givens rotations to the new column,
+        // then generate the rotation that annihilates col[j+1].
+        for i in 0..j {
+            let t = k.cs[i] * col[i] + k.sn[i] * col[i + 1];
+            col[i + 1] = -k.sn[i] * col[i] + k.cs[i] * col[i + 1];
+            col[i] = t;
+        }
+        let denom = (col[j] * col[j] + col[j + 1] * col[j + 1]).sqrt();
+        if denom == 0.0 || !denom.is_finite() {
+            // The aborted cycle is dropped, not folded: x stays at its
+            // last finite state.
+            k.h.clear();
+            return Ok(Step::Abort(StopReason::Breakdown));
+        }
+        k.cs[j] = col[j] / denom;
+        k.sn[j] = col[j + 1] / denom;
+        col[j] = denom;
+        col[j + 1] = 0.0;
+        k.g[j + 1] = -k.sn[j] * k.g[j];
+        k.g[j] *= k.cs[j];
+        k.h.push(col);
+        charge_hessenberg_update(it.x.executor(), j + 1);
+
+        // Per-iteration residual estimate (Ginkgo's extra `restart - 1`
+        // checks relative to CuPy).
+        Ok(Step::Continue(k.g[j + 1].abs()))
     }
 
-    fn op_name(&self) -> &'static str {
-        "solver::Gmres"
+    /// Folds the pending cycle into x: `x += M^{-1} (V[..cols] * y)` with
+    /// `R y = g`, then empties the cycle.
+    fn form_solution(&self, it: &mut Iteration<'_, V>, k: &mut GmresWork<V>) -> Result<()> {
+        let cols = k.h.len();
+        if cols == 0 {
+            return Ok(());
+        }
+        let y = back_substitute(&k.h, &k.g, cols);
+        let mut u = Dense::zeros(it.x.executor(), it.x.size());
+        for (yi, vi) in y.iter().zip(&k.basis) {
+            u.add_scaled(V::from_f64(*yi), vi)?;
+        }
+        it.core.precond.apply(&u, &mut k.z)?;
+        it.x.add_scaled(V::one(), &k.z)?;
+        k.basis.clear();
+        k.h.clear();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
+    use crate::stop::Criteria;
+    use std::sync::Arc;
 
     fn unsymmetric(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
         let mut t = vec![];

@@ -4,118 +4,66 @@
 //! inner solver as `M` this performs classical iterative refinement; with a
 //! cheap preconditioner it is the Richardson method.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
 use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::Criteria;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
 use std::sync::Arc;
 
 /// Richardson / iterative-refinement solver.
-pub struct Ir<V: Value> {
-    core: SolverCore<V>,
+pub type Ir<V> = Iterative<V, IrMethod>;
+
+/// IR's recurrence (the method slot of [`Ir`]): the relaxation factor.
+pub struct IrMethod {
     omega: f64,
 }
 
+impl Default for IrMethod {
+    /// Relaxation factor 1.
+    fn default() -> Self {
+        IrMethod { omega: 1.0 }
+    }
+}
+
 impl<V: Value> Ir<V> {
-    /// Creates an IR solver with relaxation factor 1.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Ir {
-            core: SolverCore::new("solver::Ir", system)?,
-            omega: 1.0,
-        })
-    }
-
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
     /// Sets the relaxation factor omega.
     pub fn with_relaxation(mut self, omega: f64) -> Self {
-        self.omega = omega;
+        self.method.omega = omega;
         self
     }
 
     /// Sets the inner solver / preconditioner.
-    pub fn with_solver(mut self, inner: Arc<dyn LinOp<V>>) -> Result<Self> {
-        self.core.set_preconditioner(inner)?;
-        Ok(self)
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
+    pub fn with_solver(self, inner: Arc<dyn LinOp<V>>) -> Result<Self> {
+        self.with_preconditioner(inner)
     }
 }
 
-impl<V: Value> LinOp<V> for Ir<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
+impl<V: Value> Recurrence<V> for IrMethod {
+    const NAME: &'static str = "solver::Ir";
+    /// The correction `d = M^{-1} r`.
+    type Work = Dense<V>;
+
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<Dense<V>> {
+        Ok(Dense::zeros(r.executor(), r.size()))
     }
 
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let dim = Dim2::new(self.size().rows, 1);
-        let mut r = Dense::zeros(&exec, dim);
-        let mut d = Dense::zeros(&exec, dim);
-
-        core.residual(b, x, &mut r)?;
-        let baseline = r.compute_norm2();
-        core.logger.begin(baseline);
-        if let Some(reason) = core.check(0, baseline, baseline) {
-            core.logger.finish(0, reason);
-            return Ok(());
-        }
-
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            core.precond.apply(&r, &mut d)?;
-            x.add_scaled(V::from_f64(self.omega), &d)?;
-            core.residual(b, x, &mut r)?;
-            let res = r.compute_norm2();
-            core.logger.record_residual(iter, res);
-            if let Some(reason) = core.check(iter, res, baseline) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Ir"
+    fn iterate(&self, it: &mut Iteration<'_, V>, d: &mut Dense<V>) -> Result<Step> {
+        it.core.precond.apply(it.r, d)?;
+        it.x.add_scaled(V::from_f64(self.omega), d)?;
+        it.core.residual(it.b, it.x, it.r)?;
+        Ok(Step::Continue(it.r.compute_norm2()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
     use crate::matrix::csr::Csr;
     use crate::preconditioner::jacobi::Jacobi;
+    use crate::stop::Criteria;
 
     #[test]
     fn richardson_with_jacobi_converges_on_diagonally_dominant() {

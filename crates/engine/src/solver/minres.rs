@@ -2,164 +2,122 @@
 //! systems — one of the CuPy solvers the paper's §6.2.1 enumerates, provided
 //! here for solver-set parity.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::Value;
-use crate::executor::Executor;
-use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Logger, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::solver::SolverCore;
-use crate::stop::{Criteria, StopReason};
-use std::sync::Arc;
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::StopReason;
 
 /// The MINRES solver (unpreconditioned Lanczos with on-the-fly Givens QR).
-pub struct Minres<V: Value> {
-    core: SolverCore<V>,
+/// `with_preconditioner` returns [`GkoError::Unsupported`](crate::GkoError).
+pub type Minres<V> = Iterative<V, MinresMethod>;
+
+/// MINRES's recurrence (the method slot of [`Minres`]).
+#[derive(Default)]
+pub struct MinresMethod;
+
+/// MINRES's workspace. The Lanczos vector `v` lives in the shell's residual
+/// slot: it starts as `r0` and is normalized in the first iteration.
+pub struct MinresWork<V: Value> {
+    v_old: Dense<V>,
+    av: Dense<V>,
+    w: Dense<V>,
+    w_old: Dense<V>,
+    w_new: Dense<V>,
+    beta: f64,
+    eta: f64,
+    gamma: (f64, f64),
+    sigma: (f64, f64),
 }
 
-impl<V: Value> Minres<V> {
-    /// Creates a MINRES solver for the given symmetric system operator.
-    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        Ok(Minres {
-            core: SolverCore::new("solver::Minres", system)?,
+impl<V: Value> Recurrence<V> for MinresMethod {
+    const NAME: &'static str = "solver::Minres";
+    const PRECONDITIONED: bool = false;
+    type Work = MinresWork<V>;
+
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<MinresWork<V>> {
+        let zeros = || Dense::zeros(r.executor(), r.size());
+        Ok(MinresWork {
+            v_old: zeros(),
+            av: zeros(),
+            w: zeros(),
+            w_old: zeros(),
+            w_new: zeros(),
+            beta: 0.0,
+            eta: 0.0,
+            gamma: (1.0, 1.0),
+            sigma: (0.0, 0.0),
         })
     }
 
-    /// Attaches a logger observing this solver's iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.core.add_logger(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.add_logger(logger);
-    }
-
-    /// Sets the stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
-
-    /// The logger recording residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.core.logger
-    }
-}
-
-impl<V: Value> LinOp<V> for Minres<V> {
-    fn size(&self) -> Dim2 {
-        self.core.system.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.core.system.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        let core = &self.core;
-        core.check_vectors(b, x)?;
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
-
-        // r0 = b - A x; v1 = r0 / beta1.
-        let mut v = Dense::zeros(&exec, dim);
-        core.residual(b, x, &mut v)?;
-        let beta1 = v.compute_norm2();
-        core.logger.begin(beta1);
-        if let Some(reason) = core.check(0, beta1, beta1) {
-            core.logger.finish(0, reason);
-            return Ok(());
+    fn iterate(&self, it: &mut Iteration<'_, V>, k: &mut MinresWork<V>) -> Result<Step> {
+        if it.index == 1 {
+            // v1 = r0 / beta1. A non-finite beta1 already stopped the solve
+            // (the criteria report Breakdown); an exactly-zero residual
+            // cannot seed the Lanczos process.
+            if it.baseline == 0.0 {
+                return Ok(Step::Abort(StopReason::Breakdown));
+            }
+            it.r.scale(V::from_f64(1.0 / it.baseline));
+            k.beta = it.baseline;
+            k.eta = it.baseline;
+        } else if k.beta == 0.0 {
+            // Lucky breakdown: the Krylov space closed in the last iteration.
+            return Ok(Step::Abort(StopReason::ResidualReduction));
         }
-        // Non-finite beta1 already stopped above (check reports Breakdown);
-        // an exactly-zero residual cannot seed the Lanczos process.
-        if beta1 == 0.0 {
-            core.logger.finish(0, StopReason::Breakdown);
-            return Ok(());
+        let v = &mut *it.r;
+        // Lanczos step: alpha, next v.
+        it.core.system.apply(v, &mut k.av)?;
+        let alpha = v.compute_dot(&k.av)?;
+        k.av.add_scaled(V::from_f64(-alpha), v)?;
+        k.av.add_scaled(V::from_f64(-k.beta), &k.v_old)?;
+        let beta_new = k.av.compute_norm2();
+
+        // Givens QR of the tridiagonal's new column.
+        let (gamma0, gamma1) = k.gamma;
+        let (sigma0, sigma1) = k.sigma;
+        let delta = gamma1 * alpha - gamma0 * sigma1 * k.beta;
+        let rho1 = (delta * delta + beta_new * beta_new).sqrt();
+        let rho2 = sigma1 * alpha + gamma0 * gamma1 * k.beta;
+        let rho3 = sigma0 * k.beta;
+        if rho1 == 0.0 || !rho1.is_finite() {
+            return Ok(Step::Abort(StopReason::Breakdown));
         }
-        v.scale(V::from_f64(1.0 / beta1));
+        let gamma_new = delta / rho1;
+        let sigma_new = beta_new / rho1;
 
-        let mut v_old = Dense::zeros(&exec, dim);
-        let mut av = Dense::zeros(&exec, dim);
-        let mut w = Dense::zeros(&exec, dim);
-        let mut w_old = Dense::zeros(&exec, dim);
-        let mut w_new = Dense::zeros(&exec, dim);
+        // Solution direction: w_new = (v - rho3 w_old - rho2 w) / rho1.
+        k.w_new.copy_from(v)?;
+        k.w_new.add_scaled(V::from_f64(-rho3), &k.w_old)?;
+        k.w_new.add_scaled(V::from_f64(-rho2), &k.w)?;
+        k.w_new.scale(V::from_f64(1.0 / rho1));
+        it.x.add_scaled(V::from_f64(gamma_new * k.eta), &k.w_new)?;
+        k.eta *= -sigma_new;
 
-        let mut beta = beta1;
-        let mut eta = beta1;
-        let (mut gamma0, mut gamma1) = (1.0f64, 1.0f64);
-        let (mut sigma0, mut sigma1) = (0.0f64, 0.0f64);
-
-        let mut iter = 0usize;
-        loop {
-            iter += 1;
-            // Lanczos step: alpha, next v.
-            core.system.apply(&v, &mut av)?;
-            let alpha = v.compute_dot(&av)?;
-            av.add_scaled(V::from_f64(-alpha), &v)?;
-            av.add_scaled(V::from_f64(-beta), &v_old)?;
-            let beta_new = av.compute_norm2();
-
-            // Givens QR of the tridiagonal's new column.
-            let delta = gamma1 * alpha - gamma0 * sigma1 * beta;
-            let rho1 = (delta * delta + beta_new * beta_new).sqrt();
-            let rho2 = sigma1 * alpha + gamma0 * gamma1 * beta;
-            let rho3 = sigma0 * beta;
-            if rho1 == 0.0 || !rho1.is_finite() {
-                core.logger.finish(iter - 1, StopReason::Breakdown);
-                return Ok(());
-            }
-            let gamma_new = delta / rho1;
-            let sigma_new = beta_new / rho1;
-
-            // Solution direction: w_new = (v - rho3 w_old - rho2 w) / rho1.
-            w_new.copy_from(&v)?;
-            w_new.add_scaled(V::from_f64(-rho3), &w_old)?;
-            w_new.add_scaled(V::from_f64(-rho2), &w)?;
-            w_new.scale(V::from_f64(1.0 / rho1));
-            x.add_scaled(V::from_f64(gamma_new * eta), &w_new)?;
-            eta *= -sigma_new;
-
-            // Shift registers.
-            std::mem::swap(&mut w_old, &mut w);
-            std::mem::swap(&mut w, &mut w_new);
-            std::mem::swap(&mut v_old, &mut v);
-            std::mem::swap(&mut v, &mut av);
-            if beta_new > 0.0 {
-                v.scale(V::from_f64(1.0 / beta_new));
-            }
-            gamma0 = gamma1;
-            gamma1 = gamma_new;
-            sigma0 = sigma1;
-            sigma1 = sigma_new;
-            beta = beta_new;
-
-            let res_est = eta.abs();
-            core.logger.record_residual(iter, res_est);
-            if let Some(reason) = core.check(iter, res_est, beta1) {
-                core.logger.finish(iter, reason);
-                return Ok(());
-            }
-            if beta_new == 0.0 {
-                core.logger.finish(iter, StopReason::ResidualReduction);
-                return Ok(());
-            }
+        // Shift registers.
+        std::mem::swap(&mut k.w_old, &mut k.w);
+        std::mem::swap(&mut k.w, &mut k.w_new);
+        std::mem::swap(&mut k.v_old, v);
+        std::mem::swap(v, &mut k.av);
+        if beta_new > 0.0 {
+            v.scale(V::from_f64(1.0 / beta_new));
         }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::Minres"
+        k.gamma = (gamma1, gamma_new);
+        k.sigma = (sigma1, sigma_new);
+        k.beta = beta_new;
+        Ok(Step::Continue(k.eta.abs()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
     use crate::matrix::csr::Csr;
+    use crate::stop::Criteria;
+    use std::sync::Arc;
 
     fn residual(a: &Csr<f64, i32>, b: &Dense<f64>, x: &Dense<f64>) -> f64 {
         let exec = b.executor();

@@ -6,185 +6,114 @@
 //! classic result is fp64 accuracy at close to fp32 kernel cost for
 //! well-conditioned systems.
 
-use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::{Index, Value};
-use crate::executor::Executor;
 use crate::linop::LinOp;
-use crate::log::{ConvergenceLogger, Event, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
 use crate::solver::cg::Cg;
-use crate::stop::{Criteria, StopReason};
+use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
+use crate::stop::Criteria;
 use std::sync::Arc;
 
 /// Iterative refinement with a high-precision (`VO`) outer loop and a
-/// low-precision (`VI`) inner CG correction solver.
-pub struct MixedIr<VO: Value, VI: Value, Idx: Index = i32> {
-    outer: Arc<Csr<VO, Idx>>,
+/// low-precision (`VI`) inner CG correction solver. It has no
+/// preconditioner slot.
+pub type MixedIr<VO, VI, Idx = i32> = Iterative<VO, MixedIrMethod<VI, Idx>>;
+
+/// Mixed-precision IR's recurrence (the method slot of [`MixedIr`]): the
+/// low-precision copy of the matrix and the inner iteration budget.
+pub struct MixedIrMethod<VI: Value, Idx: Index> {
     inner: Arc<Csr<VI, Idx>>,
     inner_iters: usize,
-    criteria: Criteria,
-    logger: ConvergenceLogger,
-    events: LoggerRegistry,
-    exec_events: LoggerRegistry,
 }
 
 impl<VO: Value, VI: Value, Idx: Index> MixedIr<VO, VI, Idx> {
     /// Builds the refinement solver; the matrix is converted to `VI` once
     /// for the inner solves.
     pub fn new(matrix: Arc<Csr<VO, Idx>>) -> Result<Self> {
-        let exec = matrix.executor();
-        let low_triplets: Vec<(usize, usize, VI)> = {
-            let rp = matrix.row_ptrs();
-            let ci = matrix.col_idxs();
-            let vals = matrix.values();
-            let mut t = Vec::with_capacity(matrix.nnz());
-            for r in 0..matrix.size().rows {
-                for k in rp[r].to_usize()..rp[r + 1].to_usize() {
-                    t.push((r, ci[k].to_usize(), VI::from_f64(vals[k].to_f64())));
-                }
-            }
-            t
-        };
-        let inner = Arc::new(Csr::<VI, Idx>::from_triplets(
-            exec,
+        let low = matrix.values().iter().map(|v| VI::from_f64(v.to_f64()));
+        let inner = Arc::new(Csr::from_raw(
+            matrix.executor(),
             matrix.size(),
-            &low_triplets,
+            matrix.row_ptrs().to_vec(),
+            matrix.col_idxs().to_vec(),
+            low.collect(),
         )?);
-        let events = LoggerRegistry::new();
-        let exec_events = exec.loggers().clone();
-        let logger = ConvergenceLogger::new();
-        logger.bind_events("solver::MixedIr", events.clone());
-        logger.bind_events("solver::MixedIr", exec_events.clone());
-        Ok(MixedIr {
-            outer: matrix,
-            inner,
-            inner_iters: 10,
-            criteria: Criteria::default(),
-            logger,
-            events,
-            exec_events,
-        })
-    }
-
-    /// Attaches a logger observing this solver's outer iteration events.
-    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
-        self.events.add(logger);
-        self
-    }
-
-    /// Attaches a logger without consuming the solver.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.events.add(logger);
-    }
-
-    /// Criteria check that also emits [`Event::CriterionChecked`].
-    fn check(&self, iters_done: usize, res_norm: f64, baseline: f64) -> Option<StopReason> {
-        let stop = self.criteria.check(iters_done, res_norm, baseline);
-        if self.events.is_active() || self.exec_events.is_active() {
-            let event = Event::CriterionChecked {
-                solver: "solver::MixedIr",
-                iteration: iters_done,
-                residual: res_norm,
-                stop,
-            };
-            self.events.log(&event);
-            self.exec_events.log(&event);
-        }
-        stop
+        Self::from_method(
+            matrix,
+            MixedIrMethod {
+                inner,
+                inner_iters: 10,
+            },
+        )
     }
 
     /// Sets the inner CG iteration budget per refinement step.
     pub fn with_inner_iterations(mut self, iters: usize) -> Self {
-        self.inner_iters = iters.max(1);
+        self.method.inner_iters = iters.max(1);
         self
-    }
-
-    /// Sets the outer stopping criteria.
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.criteria = criteria;
-        self
-    }
-
-    /// The logger recording outer residual history.
-    pub fn logger(&self) -> &ConvergenceLogger {
-        &self.logger
     }
 }
 
-impl<VO: Value, VI: Value, Idx: Index> LinOp<VO> for MixedIr<VO, VI, Idx> {
-    fn size(&self) -> Dim2 {
-        self.outer.size()
+/// One solve's inner CG (built once, reused by every refinement step) and
+/// the current outer residual norm.
+pub struct MixedIrWork<VI: Value> {
+    inner: Cg<VI>,
+    res_norm: f64,
+}
+
+impl<VO: Value, VI: Value, Idx: Index> Recurrence<VO> for MixedIrMethod<VI, Idx> {
+    const NAME: &'static str = "solver::MixedIr";
+    const PRECONDITIONED: bool = false;
+    type Work = MixedIrWork<VI>;
+
+    fn seed(&self, _core: &SolverCore<VO>, _r: &Dense<VO>) -> Result<MixedIrWork<VI>> {
+        let inner = Cg::new(self.inner.clone() as Arc<dyn LinOp<VI>>)?.with_criteria(
+            Criteria::iterations_and_reduction(self.inner_iters, VI::eps()),
+        );
+        Ok(MixedIrWork {
+            inner,
+            res_norm: 0.0,
+        })
     }
 
-    fn executor(&self) -> &Executor {
-        self.outer.executor()
-    }
-
-    fn apply(&self, b: &Dense<VO>, x: &mut Dense<VO>) -> Result<()> {
-        let exec = x.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, self.op_name());
-        let n = self.size().rows;
-        let dim = Dim2::new(n, 1);
-        let mut r = Dense::<VO>::zeros(&exec, dim);
-
-        // Outer residual in high precision.
-        r.copy_from(b)?;
-        self.outer
-            .apply_advanced(VO::from_f64(-1.0), x, VO::one(), &mut r)?;
-        let baseline = r.compute_norm2();
-        self.logger.begin(baseline);
-        if let Some(reason) = self.check(0, baseline, baseline) {
-            self.logger.finish(0, reason);
-            return Ok(());
+    fn iterate(&self, it: &mut Iteration<'_, VO>, w: &mut MixedIrWork<VI>) -> Result<Step> {
+        if it.index == 1 {
+            w.res_norm = it.baseline;
         }
+        // Normalize the residual before downcasting so a tiny late-stage
+        // residual does not underflow the low precision's range (the
+        // standard IR scaling trick; essential for half).
+        let scale = if w.res_norm > 0.0 {
+            1.0 / w.res_norm
+        } else {
+            1.0
+        };
+        let mut r_scaled = it.r.clone();
+        r_scaled.scale(VO::from_f64(scale));
+        let r_lo: Dense<VI> = r_scaled.cast();
+        let mut d_lo = Dense::<VI>::zeros(it.x.executor(), it.x.size());
+        w.inner.apply(&r_lo, &mut d_lo)?;
 
-        let mut iter = 0usize;
-        let mut res_norm = baseline;
-        loop {
-            iter += 1;
-            // Normalize the residual before downcasting so a tiny late-stage
-            // residual does not underflow the low precision's range (the
-            // standard IR scaling trick; essential for half).
-            let scale = if res_norm > 0.0 { 1.0 / res_norm } else { 1.0 };
-            let mut r_scaled = r.clone();
-            r_scaled.scale(VO::from_f64(scale));
-            let r_lo: Dense<VI> = r_scaled.cast();
-            let mut d_lo = Dense::<VI>::zeros(&exec, dim);
-            let inner = Cg::new(self.inner.clone() as Arc<dyn LinOp<VI>>)?
-                .with_criteria(Criteria::iterations_and_reduction(
-                    self.inner_iters,
-                    VI::eps(),
-                ));
-            inner.apply(&r_lo, &mut d_lo)?;
+        // Upcast, undo the scaling, and accumulate in high precision.
+        let d: Dense<VO> = d_lo.cast();
+        it.x.add_scaled(VO::from_f64(1.0 / scale), &d)?;
 
-            // Upcast, undo the scaling, and accumulate in high precision.
-            let d: Dense<VO> = d_lo.cast();
-            x.add_scaled(VO::from_f64(1.0 / scale), &d)?;
-
-            r.copy_from(b)?;
-            self.outer
-                .apply_advanced(VO::from_f64(-1.0), x, VO::one(), &mut r)?;
-            res_norm = r.compute_norm2();
-            self.logger.record_residual(iter, res_norm);
-            // A non-finite residual stops here too: `check` reports it as
-            // Breakdown (the update already happened, so iter is counted).
-            if let Some(reason) = self.check(iter, res_norm, baseline) {
-                self.logger.finish(iter, reason);
-                return Ok(());
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "solver::MixedIr"
+        // Outer residual in high precision. A non-finite one stops at the
+        // shell's check (the update already happened, so this iteration is
+        // counted).
+        it.core.residual(it.b, it.x, it.r)?;
+        w.res_norm = it.r.compute_norm2();
+        Ok(Step::Continue(w.res_norm))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
     use pygko_half::Half;
 
     fn spd(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {

@@ -2,18 +2,48 @@
 //!
 //! All solvers are [`LinOp`](crate::linop::LinOp)s: `apply(b, x)` solves
 //! `A x = b` starting from the initial guess in `x` and overwrites `x` with
-//! the solution (Listing 1's usage). Each solver owns a
-//! [`ConvergenceLogger`](crate::log::ConvergenceLogger) that records residual
-//! history and the stop reason; failures to converge are reported through
-//! the logger, not as errors, matching Ginkgo.
+//! the solution (Listing 1's usage). Failures to converge are reported
+//! through the solver's [`ConvergenceLogger`], not as errors, matching
+//! Ginkgo.
 //!
-//! # Breakdown and non-finite residuals
+//! # One shell, eight recurrences
+//!
+//! [`Cg`], [`Fcg`], [`Cgs`], [`BiCgStab`], [`Minres`], [`Gmres`] (restarted,
+//! Givens rotations, per-iteration residual checks — §6.2.1's description of
+//! Ginkgo's GMRES), [`Ir`] (Richardson iteration) and [`MixedIr`]
+//! (mixed-precision refinement) are aliases of one type, [`Iterative`],
+//! which differ only in the [`Recurrence`] they plug in.
+//!
+//! The **shell** owns everything the methods share: the builder surface
+//! (`new`, `with_criteria`, `with_preconditioner`, `with_logger`,
+//! `add_logger`, `loggers`, `logger`), the `LinOp` impl, shape validation,
+//! the one `solver::*` kernel frame that roots the [`Tracer`](crate::Tracer)'s
+//! span tree, the initial residual `r = b - A x` and its norm (the
+//! baseline), and every `begin` / `record_residual` / `check` / `finish`
+//! call on the logger and criteria.
+//!
+//! A **recurrence** supplies its workspace (`seed`, from the initial
+//! residual), one iteration (`iterate`) with its own breakdown tests, and —
+//! GMRES only — `form_solution`, which folds a pending Krylov cycle into `x`
+//! when the solve ends. An iteration answers with a [`Step`]: `Continue`
+//! (done, here is the residual norm: the shell records it and asks the
+//! criteria), `Stop` (done, and the method itself ends the solve —
+//! BiCGStab's converged half step) or `Abort` (this iteration cannot run or
+//! finish; it is not counted — breakdowns, and the lucky breakdowns of
+//! MINRES and GMRES seen at the top of the next iteration).
+//!
+//! The batched solvers ([`BatchCg`], [`BatchBiCgStab`]) are not on the
+//! shell: they advance many systems in one `BatchDense` with per-system
+//! masking and per-system stop reasons, so sharing would make the shell
+//! branch on its caller. The non-iterative [`Direct`], [`LowerTrs`] and
+//! [`UpperTrs`] have no loop to share.
+//!
+//! # Iteration counting, breakdown and non-finite residuals
 //!
 //! Krylov recurrences divide by inner products (`p·Ap`, `ρ`, `ω`, …); when
 //! such a denominator is exactly zero the method cannot continue and the
-//! solver stops with [`StopReason::Breakdown`](crate::stop::StopReason),
-//! leaving `x` at its last finite state. Independently,
-//! [`Criteria::check`](crate::stop::Criteria::check) reports **any**
+//! solve stops with [`StopReason::Breakdown`], leaving `x` at its last
+//! finite state. Independently, [`Criteria::check`] reports **any**
 //! non-finite residual norm (NaN or ±Inf, e.g. from overflow on a diverging
 //! or singular system) as `Breakdown` on the very next check, so a poisoned
 //! solve halts within one iteration instead of spinning to the iteration
@@ -21,29 +51,18 @@
 //!
 //! [`SolveRecord::iterations`](crate::log::SolveRecord::iterations) counts
 //! **fully completed** iterations under either exit, and
-//! `residual_history.len() == iterations` holds on every path — a solver
-//! that breaks down mid-iteration does not record that iteration.
+//! `residual_history.len() == iterations` holds on every path — an aborted
+//! iteration is not recorded. The shell enforces both; no recurrence
+//! touches the logger.
 //!
 //! # Events
 //!
-//! Every solver emits typed [`Event`](crate::log::Event)s — one
-//! `IterationComplete` per iteration, one `CriterionChecked` per stopping
-//! test, and a final `SolveCompleted` — to loggers attached either to the
-//! solver itself (`with_logger`) or to its executor
-//! ([`Executor::add_logger`](crate::Executor::add_logger)). The whole solve
-//! is additionally wrapped in a `solver::*` kernel frame so the
-//! [`Tracer`](crate::Tracer) can root a span tree at it and attribute
-//! SpMV/BLAS time to the enclosing solve. A logger attached to *both* the solver and its executor
-//! receives the iteration-level events twice.
-//!
-//! Implemented Krylov methods: [`Cg`](cg::Cg), [`Fcg`](fcg::Fcg),
-//! [`Cgs`](cgs::Cgs), [`BiCgStab`](bicgstab::BiCgStab),
-//! [`Minres`](minres::Minres), and [`Gmres`](gmres::Gmres) (restarted,
-//! Givens rotations, per-iteration residual checks — §6.2.1's description of
-//! Ginkgo's GMRES). Also: [`Ir`](ir::Ir) (Richardson iteration),
-//! [`MixedIr`](mixed::MixedIr) (mixed-precision iterative refinement),
-//! [`LowerTrs`]/[`UpperTrs`](triangular) sparse triangular solves, and a
-//! dense-LU [`Direct`](direct::Direct) solver.
+//! Every solve emits typed [`Event`]s — one `IterationComplete` per counted
+//! iteration, one `CriterionChecked` per stopping test, and a final
+//! `SolveCompleted` — to loggers attached either to the solver itself
+//! (`with_logger`) or to its executor
+//! ([`Executor::add_logger`](crate::Executor::add_logger)). A logger attached
+//! to *both* receives the iteration-level events twice.
 
 pub mod batch;
 pub mod bicgstab;
@@ -72,118 +91,334 @@ pub use triangular::{LowerTrs, UpperTrs};
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
+use crate::executor::Executor;
 use crate::linop::{Identity, LinOp};
-use crate::log::{Event, Logger, LoggerRegistry};
+use crate::log::{ConvergenceLogger, Event, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::dense::Dense;
-use crate::stop::StopReason;
+use crate::stop::{Criteria, StopReason};
 use std::sync::Arc;
 
-/// Shared state of every iterative solver: the system operator, an optional
-/// preconditioner (identity when absent), stopping criteria, and a logger.
-///
-/// Every iterative solver also carries a [`LoggerRegistry`] of its own:
-/// iteration, criterion-check, and solve-completion events are delivered
-/// both to loggers attached to the solver and to loggers attached to the
-/// system operator's executor (so an executor-wide observer such as the
-/// [`MetricsRegistry`](crate::MetricsRegistry) sees solver events alongside
-/// the kernels). Attaching the same logger object to both therefore delivers
-/// solver events twice — attach to one or the other.
-pub(crate) struct SolverCore<V: Value> {
-    pub system: Arc<dyn LinOp<V>>,
-    pub precond: Arc<dyn LinOp<V>>,
-    pub criteria: crate::stop::Criteria,
-    pub logger: crate::log::ConvergenceLogger,
-    /// Solver display name used in emitted events (e.g. `"solver::Cg"`).
-    pub name: &'static str,
-    /// Loggers attached directly to this solver.
-    events: LoggerRegistry,
-    /// The system executor's registry (kernel-level observers).
-    exec_events: LoggerRegistry,
+/// What the shell and the recurrences say to each other. Crate-private: the
+/// items are `pub` only because the public aliases' impls mention them, and
+/// the module is private so nothing outside the crate can name them.
+mod sealed {
+    use super::*;
+
+    /// What a recurrence may use of its solver: the system operator, the
+    /// preconditioner (identity when absent) and the event-emitting criteria
+    /// check. The logger and both event registries stay with the shell.
+    pub struct SolverCore<V: Value> {
+        pub(crate) system: Arc<dyn LinOp<V>>,
+        pub(crate) precond: Arc<dyn LinOp<V>>,
+        pub(crate) criteria: Criteria,
+        pub(crate) logger: ConvergenceLogger,
+        /// Solver display name used in emitted events (e.g. `"solver::Cg"`).
+        name: &'static str,
+        /// Loggers attached directly to this solver.
+        pub(crate) events: LoggerRegistry,
+        /// The system executor's registry (kernel-level observers), so an
+        /// executor-wide observer such as the
+        /// [`MetricsRegistry`](crate::MetricsRegistry) sees solver events
+        /// alongside the kernels.
+        exec_events: LoggerRegistry,
+    }
+
+    impl<V: Value> SolverCore<V> {
+        pub(crate) fn new(name: &'static str, system: Arc<dyn LinOp<V>>) -> Result<Self> {
+            if !system.size().is_square() {
+                return Err(GkoError::BadInput(format!(
+                    "iterative solvers need a square system, got {}",
+                    system.size()
+                )));
+            }
+            let identity = Identity::new(system.executor(), system.size().rows);
+            let events = LoggerRegistry::new();
+            let exec_events = system.executor().loggers().clone();
+            let logger = ConvergenceLogger::new();
+            logger.bind_events(name, events.clone());
+            logger.bind_events(name, exec_events.clone());
+            Ok(SolverCore {
+                system,
+                precond: identity,
+                criteria: Criteria::default(),
+                logger,
+                name,
+                events,
+                exec_events,
+            })
+        }
+
+        /// Evaluates the stopping criteria and emits
+        /// [`Event::CriterionChecked`] to all attached observers.
+        pub(crate) fn check(
+            &self,
+            iters_done: usize,
+            res_norm: f64,
+            baseline: f64,
+        ) -> Option<StopReason> {
+            let stop = self.criteria.check(iters_done, res_norm, baseline);
+            if self.events.is_active() || self.exec_events.is_active() {
+                let event = Event::CriterionChecked {
+                    solver: self.name,
+                    iteration: iters_done,
+                    residual: res_norm,
+                    stop,
+                };
+                self.events.log(&event);
+                self.exec_events.log(&event);
+            }
+            stop
+        }
+
+        /// Validates `b`/`x` shapes for a solve (single right-hand side).
+        pub(crate) fn check_vectors(&self, b: &Dense<V>, x: &Dense<V>) -> Result<()> {
+            let want = Dim2::new(self.system.size().rows, 1);
+            if b.size() != want || x.size() != want {
+                return Err(GkoError::DimensionMismatch {
+                    op: "solve",
+                    expected: want,
+                    actual: if b.size() != want { b.size() } else { x.size() },
+                });
+            }
+            Ok(())
+        }
+
+        /// Computes `r = b - A x` into `r`.
+        pub(crate) fn residual(&self, b: &Dense<V>, x: &Dense<V>, r: &mut Dense<V>) -> Result<()> {
+            r.copy_from(b)?;
+            self.system
+                .apply_advanced(V::from_f64(-1.0), x, V::one(), r)
+        }
+    }
+
+    /// What the shell lends a recurrence for one iteration.
+    pub struct Iteration<'a, V: Value> {
+        pub(crate) core: &'a SolverCore<V>,
+        pub(crate) b: &'a Dense<V>,
+        pub(crate) x: &'a mut Dense<V>,
+        /// `b - A x` on entry to the first iteration; from then on whatever
+        /// the recurrence keeps in it (a residual, in every method but MINRES,
+        /// which keeps its Lanczos vector here).
+        pub(crate) r: &'a mut Dense<V>,
+        /// Norm of the initial residual.
+        pub(crate) baseline: f64,
+        /// 1-based number of the iteration being attempted.
+        pub(crate) index: usize,
+    }
+
+    /// A recurrence's answer to one [`Recurrence::iterate`] call.
+    pub enum Step {
+        /// The iteration completed with this residual norm: the shell records
+        /// it and asks the criteria.
+        Continue(f64),
+        /// The iteration completed with this residual norm and the method ends
+        /// the solve itself, having asked the criteria mid-iteration.
+        Stop(f64, StopReason),
+        /// The iteration could not start or finish and is not counted.
+        Abort(StopReason),
+    }
+
+    /// The part of an iterative method that is its own: workspace, one
+    /// iteration, breakdown tests.
+    pub trait Recurrence<V: Value>: Send + Sync + 'static {
+        /// Name in events, spans and config trees (e.g. `"solver::Cg"`).
+        const NAME: &'static str;
+        /// False for methods that have no preconditioner slot.
+        const PRECONDITIONED: bool = true;
+        /// Per-solve workspace.
+        type Work;
+
+        /// Allocates the workspace, given the initial residual `r`. Runs
+        /// before the baseline norm is taken and the criteria are first asked.
+        fn seed(&self, core: &SolverCore<V>, r: &Dense<V>) -> Result<Self::Work>;
+
+        /// Runs iteration `it.index`.
+        fn iterate(&self, it: &mut Iteration<'_, V>, work: &mut Self::Work) -> Result<Step>;
+
+        /// Called once when the solve ends, whatever the reason, for methods
+        /// that build `x` lazily.
+        fn form_solution(&self, _it: &mut Iteration<'_, V>, _work: &mut Self::Work) -> Result<()> {
+            Ok(())
+        }
+    }
+}
+pub(crate) use sealed::{Iteration, Recurrence, SolverCore, Step};
+
+/// The iterative-solver shell: everything the eight methods share, around
+/// the [`Recurrence`] `M` that tells them apart. Use it through its aliases
+/// ([`Cg`], [`Gmres`], …).
+pub struct Iterative<V: Value, M> {
+    core: SolverCore<V>,
+    pub(crate) method: M,
 }
 
-impl<V: Value> SolverCore<V> {
-    pub fn new(name: &'static str, system: Arc<dyn LinOp<V>>) -> Result<Self> {
-        if !system.size().is_square() {
-            return Err(GkoError::BadInput(format!(
-                "iterative solvers need a square system, got {}",
-                system.size()
-            )));
-        }
-        let n = system.size().rows;
-        let identity = Identity::new(system.executor(), n);
-        let events = LoggerRegistry::new();
-        let exec_events = system.executor().loggers().clone();
-        let logger = crate::log::ConvergenceLogger::new();
-        logger.bind_events(name, events.clone());
-        logger.bind_events(name, exec_events.clone());
-        Ok(SolverCore {
-            system,
-            precond: identity,
-            criteria: crate::stop::Criteria::default(),
-            logger,
-            name,
-            events,
-            exec_events,
+impl<V: Value, M: Recurrence<V> + Default> Iterative<V, M> {
+    /// Creates the solver for the given (square) system operator.
+    pub fn new(system: Arc<dyn LinOp<V>>) -> Result<Self> {
+        Self::from_method(system, M::default())
+    }
+}
+
+impl<V: Value, M: Recurrence<V>> Iterative<V, M> {
+    pub(crate) fn from_method(system: Arc<dyn LinOp<V>>, method: M) -> Result<Self> {
+        Ok(Iterative {
+            core: SolverCore::new(M::NAME, system)?,
+            method,
         })
     }
 
-    /// Attaches a logger to this solver.
+    /// Attaches a logger observing this solver's iteration events.
+    pub fn with_logger(self, logger: Arc<dyn Logger>) -> Self {
+        self.add_logger(logger);
+        self
+    }
+
+    /// Attaches a logger without consuming the solver.
     pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.events.add(logger);
+        self.core.events.add(logger);
     }
 
     /// The registry of loggers attached to this solver.
     pub fn loggers(&self) -> &LoggerRegistry {
-        &self.events
+        &self.core.events
     }
 
-    /// Evaluates the stopping criteria and emits
-    /// [`Event::CriterionChecked`] to all attached observers.
-    pub fn check(&self, iters_done: usize, res_norm: f64, baseline: f64) -> Option<StopReason> {
-        let stop = self.criteria.check(iters_done, res_norm, baseline);
-        if self.events.is_active() || self.exec_events.is_active() {
-            let event = Event::CriterionChecked {
-                solver: self.name,
-                iteration: iters_done,
-                residual: res_norm,
-                stop,
-            };
-            self.events.log(&event);
-            self.exec_events.log(&event);
+    /// Sets the preconditioner (applied as `z = M^{-1} r`; from the right in
+    /// GMRES). Methods without a preconditioner slot return
+    /// [`GkoError::Unsupported`].
+    pub fn with_preconditioner(mut self, precond: Arc<dyn LinOp<V>>) -> Result<Self> {
+        if !M::PRECONDITIONED {
+            return Err(GkoError::Unsupported(format!(
+                "{} does not support preconditioning",
+                M::NAME
+            )));
         }
-        stop
-    }
-
-    pub fn set_preconditioner(&mut self, precond: Arc<dyn LinOp<V>>) -> Result<()> {
-        if precond.size() != self.system.size() {
+        if precond.size() != self.core.system.size() {
             return Err(GkoError::DimensionMismatch {
                 op: "preconditioner",
-                expected: self.system.size(),
+                expected: self.core.system.size(),
                 actual: precond.size(),
             });
         }
-        self.precond = precond;
+        self.core.precond = precond;
+        Ok(self)
+    }
+
+    /// Sets the stopping criteria.
+    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
+        self.core.criteria = criteria;
+        self
+    }
+
+    /// The logger recording residual history.
+    pub fn logger(&self) -> &ConvergenceLogger {
+        &self.core.logger
+    }
+}
+
+impl<V: Value, M: Recurrence<V>> LinOp<V> for Iterative<V, M> {
+    fn size(&self) -> Dim2 {
+        self.core.system.size()
+    }
+
+    fn executor(&self) -> &Executor {
+        self.core.system.executor()
+    }
+
+    /// Solves `A x = b`; `x` holds the initial guess on entry and the
+    /// solution on exit.
+    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
+        let core = &self.core;
+        core.check_vectors(b, x)?;
+        let exec = x.executor().clone();
+        let _solve_timer = OpTimer::new(&exec, M::NAME);
+
+        let mut r = Dense::zeros(&exec, b.size());
+        core.residual(b, x, &mut r)?;
+        let mut work = self.method.seed(core, &r)?;
+        let baseline = r.compute_norm2();
+        core.logger.begin(baseline);
+        let mut stop = core.check(0, baseline, baseline);
+
+        let mut it = Iteration {
+            core,
+            b,
+            x,
+            r: &mut r,
+            baseline,
+            index: 0,
+        };
+        let mut done = 0usize;
+        let reason = loop {
+            if let Some(reason) = stop {
+                break reason;
+            }
+            it.index = done + 1;
+            let (norm, verdict) = match self.method.iterate(&mut it, &mut work)? {
+                Step::Continue(norm) => (norm, None),
+                Step::Stop(norm, reason) => (norm, Some(reason)),
+                Step::Abort(reason) => break reason,
+            };
+            done += 1;
+            core.logger.record_residual(done, norm);
+            stop = verdict.or_else(|| core.check(done, norm, baseline));
+        };
+        self.method.form_solution(&mut it, &mut work)?;
+        core.logger.finish(done, reason);
         Ok(())
     }
 
-    /// Validates `b`/`x` shapes for a solve (single right-hand side).
-    pub fn check_vectors(&self, b: &Dense<V>, x: &Dense<V>) -> Result<()> {
-        let n = self.system.size().rows;
-        let want = Dim2::new(n, 1);
-        if b.size() != want || x.size() != want {
-            return Err(GkoError::DimensionMismatch {
-                op: "solve",
-                expected: want,
-                actual: if b.size() != want { b.size() } else { x.size() },
-            });
+    fn op_name(&self) -> &'static str {
+        M::NAME
+    }
+}
+
+/// Builds the iterative solver a config tree or the facade names by its
+/// event name (`"solver::Cg"`, `"solver::Bicgstab"`, …) and returns it with
+/// its logger. `krylov_dim` applies to GMRES and `relaxation` to IR; other
+/// methods ignore them. An unknown name is [`GkoError::InvalidConfig`].
+pub fn iterative_by_name<V: Value>(
+    name: &str,
+    system: Arc<dyn LinOp<V>>,
+    criteria: Criteria,
+    precond: Option<Arc<dyn LinOp<V>>>,
+    krylov_dim: Option<usize>,
+    relaxation: Option<f64>,
+) -> Result<(Arc<dyn LinOp<V>>, ConvergenceLogger)> {
+    fn finish<V: Value, M: Recurrence<V>>(
+        solver: Iterative<V, M>,
+        criteria: Criteria,
+        precond: Option<Arc<dyn LinOp<V>>>,
+    ) -> Result<(Arc<dyn LinOp<V>>, ConvergenceLogger)> {
+        let mut solver = solver.with_criteria(criteria);
+        if let Some(p) = precond {
+            solver = solver.with_preconditioner(p)?;
         }
-        Ok(())
+        let logger = solver.logger().clone();
+        Ok((Arc::new(solver), logger))
     }
-
-    /// Computes `r = b - A x` into `r`.
-    pub fn residual(&self, b: &Dense<V>, x: &Dense<V>, r: &mut Dense<V>) -> Result<()> {
-        r.copy_from(b)?;
-        self.system
-            .apply_advanced(V::from_f64(-1.0), x, V::one(), r)
+    match name {
+        "solver::Cg" => finish(Cg::new(system)?, criteria, precond),
+        "solver::Fcg" => finish(Fcg::new(system)?, criteria, precond),
+        "solver::Cgs" => finish(Cgs::new(system)?, criteria, precond),
+        "solver::Bicgstab" => finish(BiCgStab::new(system)?, criteria, precond),
+        "solver::Minres" => finish(Minres::new(system)?, criteria, precond),
+        "solver::Gmres" => {
+            let mut solver = Gmres::new(system)?;
+            if let Some(dim) = krylov_dim {
+                solver = solver.with_krylov_dim(dim);
+            }
+            finish(solver, criteria, precond)
+        }
+        "solver::Ir" => {
+            let mut solver = Ir::new(system)?;
+            if let Some(omega) = relaxation {
+                solver = solver.with_relaxation(omega);
+            }
+            finish(solver, criteria, precond)
+        }
+        other => Err(GkoError::InvalidConfig(format!(
+            "unknown solver type '{other}'"
+        ))),
     }
 }
