@@ -2,6 +2,11 @@
 //! execution of the real numerics). Plain-binary successor of the former
 //! criterion bench.
 //!
+//! Also a gate: a dot product reads two vectors and writes none, so it may
+//! not cost much more than an AXPY of the same length. Both are timed in
+//! this process, back to back, so the ratio holds still when the host's
+//! speed drifts.
+//!
 //! `cargo run --release -p pygko-bench --bin micro_solvers`
 
 use gko::linop::LinOp;
@@ -10,9 +15,47 @@ use gko::preconditioner::{Ilu, Jacobi};
 use gko::solver::{BiCgStab, Cg, Cgs, Gmres};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
-use pygko_bench::{fmt, micro_iters, wall_secs, Report};
+use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
 use pygko_matgen::generators::poisson2d;
 use std::sync::Arc;
+
+/// `compute_dot` may cost at most this multiple of `add_scaled` per element
+/// on the reference executor (a serial `f64` add chain read 2.2; the 8-lane
+/// kernel reads about 1.0).
+const DOT_OVER_AXPY_LIMIT: f64 = 1.5;
+
+/// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
+const BLAS1_N: usize = 160_000;
+
+/// Times the BLAS-1 kernels of a CG iteration and returns `compute_dot`'s
+/// best repetition over `add_scaled`'s.
+fn bench_blas1(report: &mut Report) -> f64 {
+    let exec = Executor::reference();
+    let fill = |phase: f64| {
+        let values = (0..BLAS1_N).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
+        Dense::<f64>::from_vec(&exec, Dim2::new(BLAS1_N, 1), values).unwrap()
+    };
+    let (p, q, mut x, mut r) = (fill(0.0), fill(1.0), fill(2.0), fill(3.0));
+    let iters = micro_iters(200);
+    let mut row = |case: &str, secs: f64| {
+        report.row(vec![format!("blas1_n{BLAS1_N}"), case.into(), fmt(secs * 1e3)]);
+        secs
+    };
+    let dot = row(
+        "dot",
+        wall_secs_best(iters, || {
+            std::hint::black_box(p.compute_dot(&q).unwrap());
+        }),
+    );
+    let axpy = row("axpy", wall_secs_best(iters, || x.add_scaled(1e-9, &p).unwrap()));
+    row(
+        "axpy2_dot",
+        wall_secs_best(iters, || {
+            std::hint::black_box(x.add_scaled_with_residual(1e-9, &p, &mut r, -1e-9, &q).unwrap());
+        }),
+    );
+    dot / axpy
+}
 
 fn setup() -> (Executor, Arc<Csr<f64, i32>>, Dense<f64>) {
     let exec = Executor::reference();
@@ -33,9 +76,19 @@ fn bench_krylov_iterations(report: &mut Report) {
 
     let solvers: Vec<(&str, Box<dyn LinOp<f64>>)> = vec![
         (
-            "cg",
+            "cg_unpreconditioned",
             Box::new(
                 Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+                    .unwrap()
+                    .with_criteria(criteria),
+            ),
+        ),
+        (
+            "cg_jacobi",
+            Box::new(
+                Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+                    .unwrap()
+                    .with_preconditioner(Arc::new(Jacobi::new(&*a).unwrap()))
                     .unwrap()
                     .with_criteria(criteria),
             ),
@@ -107,7 +160,15 @@ fn main() {
     );
     bench_krylov_iterations(&mut report);
     bench_preconditioner_generation(&mut report);
+    let dot_over_axpy = bench_blas1(&mut report);
     report.print();
     let path = report.write_csv("micro_solvers").expect("write csv");
     println!("\nwrote {}", path.display());
+    println!("dot_over_axpy = {dot_over_axpy:.2} (n = {BLAS1_N}, limit {DOT_OVER_AXPY_LIMIT})");
+    if dot_over_axpy > DOT_OVER_AXPY_LIMIT {
+        eprintln!(
+            "micro_solvers: FAIL — compute_dot costs {dot_over_axpy:.2}x add_scaled, above {DOT_OVER_AXPY_LIMIT}"
+        );
+        std::process::exit(1);
+    }
 }

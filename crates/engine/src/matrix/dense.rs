@@ -2,15 +2,46 @@
 //!
 //! `Dense` plays two roles, exactly as in Ginkgo: it is the vector type all
 //! `LinOp::apply` calls operate on (an `n x k` block of `k` vectors), and it
-//! is itself a `LinOp` whose apply is a GEMV. Reductions (dot products,
-//! norms) accumulate in `f64` per chunk and combine partials in chunk order,
-//! so results are deterministic under any thread schedule.
+//! is itself a `LinOp` whose apply is a GEMV.
+//!
+//! # One sweep, one reduction kernel
+//!
+//! Every BLAS-1 operation that reads a second vector is one *sweep*: one
+//! `parallel_chunks` dispatch over `uniform_bounds(n, 2 * workers)`, one
+//! `launch` on the virtual clock for the arrays it streams, and per chunk one
+//! call of `lane_sweep`, the only place a reduction is accumulated.
+//!
+//! **Determinism contract.** Within a chunk, element `i` of each whole block
+//! of `LANES` = 8 elements adds its `f64` term to lane `i mod 8`; the eight
+//! lanes are then combined as `((0+1)+(2+3))+((4+5)+(6+7))`; the up to seven
+//! tail elements are added to that sum one by one, in order; and the chunk
+//! partials are combined in chunk order by `tree_reduce`. Nothing depends on
+//! which thread ran which chunk, so a result is a function of the values,
+//! the length and the executor's worker count alone. The eight independent
+//! add chains are what lets the compiler keep the sum in vector registers: a
+//! single `f64` chain may not be reassociated and runs at the latency of
+//! one add per element.
+//!
+//! **Fused operations.** The solver loops are written in a small vocabulary
+//! of sweeps that update and reduce in one pass:
+//!
+//! | operation | does | used by |
+//! |---|---|---|
+//! | [`add_scaled_with_residual`](Dense::add_scaled_with_residual) | `x += αp; r += βq; r·r` | CG, FCG |
+//! | [`assign_add_scaled`](Dense::assign_add_scaled) | `s = r + βv; s·s` | BiCGStab (`s`, `r`) |
+//! | [`add_scaled2`](Dense::add_scaled2) | `x += αp; x += βq` | BiCGStab |
+//! | [`compute_dot2`](Dense::compute_dot2) | `(t·t, t·s)` | BiCGStab |
+//! | [`assign_scaled`](Dense::assign_scaled) | `v = αw` | GMRES basis vectors |
+//!
+//! Each is bit-identical to the sequence of `copy_from` / `add_scaled` /
+//! `compute_dot` calls it replaces: the same element arithmetic in the same
+//! order, the same chunks, the same lanes.
 
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
-use crate::executor::pool::{parallel_chunks, parallel_partials, tree_reduce, uniform_bounds};
+use crate::executor::pool::{parallel_chunks, tree_reduce, uniform_bounds};
 use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
@@ -199,64 +230,121 @@ impl<V: Value> Dense<V> {
         self.executor().launch(&work);
     }
 
+    /// Runs one sweep (see the module docs): checks every operand against
+    /// `refs[0]`, splits the `muts` at the chunk bounds, applies `f` to every
+    /// element through [`lane_sweep`] and returns the `K` reductions. The
+    /// virtual clock is charged one launch streaming `arrays` arrays (a
+    /// vector both read and written counts twice) at `flops` per element.
+    /// `name` is the kernel family events, metrics and profiles file the
+    /// sweep under; a fused sweep keeps the family of the call it extends,
+    /// so those series stay comparable across the fusion.
+    fn sweep<const M: usize, const C: usize, const K: usize>(
+        name: &'static str,
+        arrays: usize,
+        flops: f64,
+        mut muts: [&mut Dense<V>; M],
+        refs: [&Dense<V>; C],
+        f: impl Fn([V; M], [V; C]) -> ([V; M], [f64; K]) + Copy + Sync,
+    ) -> Result<[f64; K]> {
+        let lead = refs[0];
+        for other in muts.iter().map(|m| &**m).chain(refs) {
+            lead.check_same_shape(other, name)?;
+        }
+        let exec = lead.executor().clone();
+        let _timer = OpTimer::new(&exec, name);
+        let work = lead.stream_kernel(arrays, flops);
+        let bounds = uniform_bounds(lead.size.count(), work.len());
+
+        // One piece per chunk: its share of every mutable vector and the
+        // slot its partial reductions go to.
+        let mut rest = muts.each_mut().map(|m| m.values.as_mut_slice());
+        let mut pieces: Vec<([&mut [V]; M], [f64; K])> = bounds
+            .windows(2)
+            .map(|w| {
+                let heads = rest.each_mut().map(|s| {
+                    let (head, tail) = std::mem::take(s).split_at_mut(w[1] - w[0]);
+                    *s = tail;
+                    head
+                });
+                (heads, [0.0; K])
+            })
+            .collect();
+        let one_each: Vec<usize> = (0..=pieces.len()).collect();
+        parallel_chunks(&exec, &mut pieces, &one_each, |i, piece| {
+            let (heads, partial) = &mut piece[0];
+            let inputs = refs.map(|r| &r.values.as_slice()[bounds[i]..bounds[i + 1]]);
+            *partial = lane_sweep(heads.each_mut().map(|h| &mut **h), inputs, f);
+        });
+        exec.launch(&work);
+        Ok(std::array::from_fn(|k| {
+            let series: Vec<f64> = pieces.iter().map(|(_, partial)| partial[k]).collect();
+            tree_reduce(&series)
+        }))
+    }
+
     /// AXPY: `self += alpha * other`.
     pub fn add_scaled(&mut self, alpha: V, other: &Dense<V>) -> Result<()> {
-        self.check_same_shape(other, "add_scaled")?;
-        let _timer = OpTimer::new(self.executor(), "dense::axpy");
-        let work = self.stream_kernel(3, 2.0);
-        let exec = self.executor().clone();
-        let bounds = uniform_bounds(self.size.count(), work.len());
-        let src = other.values.as_slice();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &bounds, |i, s| {
-            let off = bounds_offset(&bounds, i);
-            let len = s.len();
-            for (d, &x) in s.iter_mut().zip(&src[off..off + len]) {
-                *d += alpha * x;
-            }
-        });
-        self.executor().launch(&work);
-        Ok(())
+        let f = move |[d]: [V; 1], [x]: [V; 1]| ([d + alpha * x], []);
+        Self::sweep("dense::axpy", 3, 2.0, [self], [other], f).map(|[]| ())
     }
 
     /// Scaled assignment: `self = alpha * other + beta * self`.
     pub fn scale_add(&mut self, alpha: V, other: &Dense<V>, beta: V) -> Result<()> {
-        self.check_same_shape(other, "scale_add")?;
-        let _timer = OpTimer::new(self.executor(), "dense::scale_add");
-        let work = self.stream_kernel(3, 3.0);
-        let exec = self.executor().clone();
-        let bounds = uniform_bounds(self.size.count(), work.len());
-        let src = other.values.as_slice();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &bounds, |i, s| {
-            let off = bounds_offset(&bounds, i);
-            let len = s.len();
-            for (d, &x) in s.iter_mut().zip(&src[off..off + len]) {
-                *d = alpha * x + beta * *d;
-            }
-        });
-        self.executor().launch(&work);
-        Ok(())
+        let f = move |[d]: [V; 1], [x]: [V; 1]| ([alpha * x + beta * d], []);
+        Self::sweep("dense::scale_add", 3, 3.0, [self], [other], f).map(|[]| ())
+    }
+
+    /// Scaled copy: `self = alpha * other` (`copy_from` then `scale`).
+    pub fn assign_scaled(&mut self, alpha: V, other: &Dense<V>) -> Result<()> {
+        let f = move |_: [V; 1], [x]: [V; 1]| ([x * alpha], []);
+        Self::sweep("dense::scale", 2, 1.0, [self], [other], f).map(|[]| ())
+    }
+
+    /// Two AXPYs in one sweep: `self += alpha * p`, then `self += beta * q`.
+    pub fn add_scaled2(&mut self, alpha: V, p: &Dense<V>, beta: V, q: &Dense<V>) -> Result<()> {
+        let f = move |[d]: [V; 1], [p, q]: [V; 2]| ([d + alpha * p + beta * q], []);
+        Self::sweep("dense::axpy", 4, 4.0, [self], [p, q], f).map(|[]| ())
+    }
+
+    /// `self = x + beta * y` (`copy_from` then `add_scaled`), returning the
+    /// dot product of the new `self` with itself.
+    pub fn assign_add_scaled(&mut self, x: &Dense<V>, beta: V, y: &Dense<V>) -> Result<f64> {
+        let f = move |_: [V; 1], [x, y]: [V; 2]| {
+            let d = x + beta * y;
+            ([d], [d.to_f64() * d.to_f64()])
+        };
+        Self::sweep("dense::axpy", 3, 4.0, [self], [x, y], f).map(|[dot]| dot)
+    }
+
+    /// The update half of a CG iteration in one sweep: `self += alpha * p`,
+    /// `r += beta * q`, returning the dot product of the new `r` with itself.
+    pub fn add_scaled_with_residual(
+        &mut self,
+        alpha: V,
+        p: &Dense<V>,
+        r: &mut Dense<V>,
+        beta: V,
+        q: &Dense<V>,
+    ) -> Result<f64> {
+        let f = move |[x, r]: [V; 2], [p, q]: [V; 2]| {
+            let r = r + beta * q;
+            ([x + alpha * p, r], [r.to_f64() * r.to_f64()])
+        };
+        Self::sweep("dense::axpy", 6, 6.0, [self, r], [p, q], f).map(|[dot]| dot)
     }
 
     /// Dot product over all entries, accumulated in `f64`.
     pub fn compute_dot(&self, other: &Dense<V>) -> Result<f64> {
-        self.check_same_shape(other, "dot")?;
-        let _timer = OpTimer::new(self.executor(), "dense::dot");
-        let work = self.stream_kernel(2, 2.0);
-        let exec = self.executor().clone();
-        let n = self.size.count();
-        let bounds = uniform_bounds(n, work.len());
-        let a = self.values.as_slice();
-        let b = other.values.as_slice();
-        let partials = parallel_partials(&exec, bounds.len() - 1, |i| {
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            a[lo..hi]
-                .iter()
-                .zip(&b[lo..hi])
-                .map(|(&x, &y)| x.to_f64() * y.to_f64())
-                .sum()
-        });
-        self.executor().launch(&work);
-        Ok(tree_reduce(&partials))
+        Self::sweep("dense::dot", 2, 2.0, [], [self, other], dot_term).map(|[dot]| dot)
+    }
+
+    /// Two dot products in one sweep: `(self . self, self . other)`.
+    pub fn compute_dot2(&self, other: &Dense<V>) -> Result<(f64, f64)> {
+        let f = |[]: [V; 0], [x, y]: [V; 2]| {
+            let x = x.to_f64();
+            ([], [x * x, x * y.to_f64()])
+        };
+        Self::sweep("dense::dot", 2, 4.0, [], [self, other], f).map(|[own, cross]| (own, cross))
     }
 
     /// Euclidean norm over all entries.
@@ -298,9 +386,83 @@ impl<V: Value> Dense<V> {
     }
 }
 
-#[inline]
-fn bounds_offset(bounds: &[usize], chunk: usize) -> usize {
-    bounds[chunk]
+/// Accumulator lanes of [`lane_sweep`].
+const LANES: usize = 8;
+
+/// The one reduction kernel: maps `f` over the elements of equally long
+/// slices, in order. `f` gets the current element of each `muts` slice and of
+/// each `refs` slice and returns the new elements of the `muts` slices and
+/// `K` terms, which are summed under the module's determinism contract
+/// (eight lanes, fixed combine tree, then the tail). Elements go in and out
+/// of `f` by value, so no store can alias a load inside it and the lane loop
+/// vectorises whatever the compiler knows about the slices.
+#[inline(always)]
+fn lane_sweep<V: Value, const M: usize, const C: usize, const K: usize>(
+    mut muts: [&mut [V]; M],
+    refs: [&[V]; C],
+    f: impl Fn([V; M], [V; C]) -> ([V; M], [f64; K]),
+) -> [f64; K] {
+    let lens = refs.iter().map(|s| s.len());
+    let len = lens.chain(muts.iter().map(|s| s.len())).min().unwrap_or(0);
+    if K == 0 {
+        // Nothing to reduce, so no lanes: a plain element loop over slices
+        // of one known length, which the compiler vectorises by itself.
+        let mut muts = muts.map(|s| &mut s[..len]);
+        let refs = refs.map(|s| &s[..len]);
+        for i in 0..len {
+            let (new, _) = f(muts.each_ref().map(|s| s[i]), refs.map(|s| s[i]));
+            for (s, v) in muts.iter_mut().zip(new) {
+                s[i] = v;
+            }
+        }
+        return [0.0; K];
+    }
+    let mut muts = muts.each_mut().map(|s| s.as_chunks_mut::<LANES>());
+    let refs = refs.map(|s| s.as_chunks::<LANES>());
+    let mut lanes = [[0.0f64; LANES]; K];
+    for b in 0..len / LANES {
+        let inputs = refs.map(|(blocks, _)| blocks[b]);
+        let mut outputs = muts.each_ref().map(|(blocks, _)| blocks[b]);
+        for l in 0..LANES {
+            let (new, terms) = f(outputs.map(|block| block[l]), inputs.map(|block| block[l]));
+            for (block, v) in outputs.iter_mut().zip(new) {
+                block[l] = v;
+            }
+            for (lane, term) in lanes.iter_mut().zip(terms) {
+                lane[l] += term;
+            }
+        }
+        for ((blocks, _), block) in muts.iter_mut().zip(outputs) {
+            blocks[b] = block;
+        }
+    }
+    let mut sums = lanes.map(|a| ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])));
+    for i in 0..len % LANES {
+        let (new, terms) = f(
+            muts.each_ref().map(|(_, tail)| tail[i]),
+            refs.map(|(_, tail)| tail[i]),
+        );
+        for ((_, tail), v) in muts.iter_mut().zip(new) {
+            tail[i] = v;
+        }
+        for (sum, term) in sums.iter_mut().zip(terms) {
+            *sum += term;
+        }
+    }
+    sums
+}
+
+/// What a dot product feeds [`lane_sweep`]: nothing to update, one term.
+fn dot_term<V: Value>([]: [V; 0], [x, y]: [V; 2]) -> ([V; 0], [f64; 1]) {
+    ([], [x.to_f64() * y.to_f64()])
+}
+
+/// Dot product of two equally long slices as one chunk of the reduction
+/// kernel (GMRES's Gram-Schmidt sweep, which stays on the calling thread).
+pub(crate) fn lane_dot<V: Value>(a: &[V], b: &[V]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    let [dot] = lane_sweep([], [a, b], dot_term);
+    dot
 }
 
 impl<V: Value> LinOp<V> for Dense<V> {
@@ -421,6 +583,73 @@ mod tests {
         let b = Dense::from_rows(&e, &[[1.0f64], [2.0]]);
         assert_eq!(a.compute_dot(&b).unwrap(), 11.0);
         assert_eq!(a.compute_norm2(), 5.0);
+    }
+
+    /// Dot product to (almost) the last bit: every product and every sum is
+    /// split into its rounded value and its exact error (TwoProduct by FMA,
+    /// TwoSum), and the errors are summed alongside (Ogita, Rump & Oishi's
+    /// Dot2). Also returns `sum |x_i y_i|`.
+    fn exact_dot(a: &[f64], b: &[f64]) -> (f64, f64) {
+        let (mut sum, mut err, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+        for (&x, &y) in a.iter().zip(b) {
+            let prod = x * y;
+            let prod_err = x.mul_add(y, -prod);
+            let next = sum + prod;
+            let shift = next - sum;
+            let sum_err = (sum - (next - shift)) + (prod - shift);
+            sum = next;
+            err += prod_err + sum_err;
+            abs += prod.abs();
+        }
+        (sum + err, abs)
+    }
+
+    /// `compute_dot` of the first `n` test values, in `V`, against the
+    /// exact dot of the same (rounded) values.
+    fn check_lane_kernel<V: Value>(e: &Executor, n: usize) {
+        // Full mantissas, mixed signs, four decades of magnitude.
+        let value = |i: usize, salt: usize| {
+            let x = (i as f64 * 0.37 + salt as f64).sin() * 10f64.powi((i % 4) as i32 - 2);
+            V::from_f64(x)
+        };
+        let a: Vec<V> = (0..n).map(|i| value(i, 0)).collect();
+        let b: Vec<V> = (0..n).map(|i| value(i, 5)).collect();
+        let widen = |v: &[V]| v.iter().map(|x| x.to_f64()).collect::<Vec<_>>();
+        let (want, abs) = exact_dot(&widen(&a), &widen(&b));
+        let a = Dense::from_vec(e, Dim2::new(n, 1), a).unwrap();
+        let b = Dense::from_vec(e, Dim2::new(n, 1), b).unwrap();
+        let got = a.compute_dot(&b).unwrap();
+        assert!(
+            (got - want).abs() <= n as f64 * f64::EPSILON * abs,
+            "{} n = {n}: {got} vs {want}",
+            V::NAME
+        );
+    }
+
+    #[test]
+    fn lane_kernel_matches_an_exact_dot() {
+        // Every tail length twice over, a long vector, and sizes that put
+        // the reference executor's one chunk boundary (n / 2) inside a block
+        // of eight and on one.
+        let sizes = (0..=17).chain([2 * LANES * 5 + 6, 2 * LANES * 5, 1_000_003]);
+        let e = exec();
+        for n in sizes {
+            check_lane_kernel::<f64>(&e, n);
+            check_lane_kernel::<f32>(&e, n);
+            check_lane_kernel::<Half>(&e, n);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_follows_its_summation_order() {
+        // 19 elements in one chunk: lanes 0..8 take elements l, l + 8; the
+        // tree combines them; elements 16..19 follow one by one.
+        let x: Vec<f64> = (0..19).map(|i| 1.0 + (i as f64) * 1e-3 + (i as f64).powi(3) * 1e-9).collect();
+        let lanes: Vec<f64> = (0..8).map(|l| x[l] * x[l] + x[l + 8] * x[l + 8]).collect();
+        let tree = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+            + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+        let want = ((tree + x[16] * x[16]) + x[17] * x[17]) + x[18] * x[18];
+        assert_eq!(lane_dot(&x, &x).to_bits(), want.to_bits());
     }
 
     #[test]

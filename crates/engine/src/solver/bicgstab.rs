@@ -20,8 +20,10 @@ pub struct BiCgStabWork<V: Value> {
     v: Dense<V>,
     s: Dense<V>,
     t: Dense<V>,
-    p_hat: Dense<V>,
-    s_hat: Dense<V>,
+    /// `M^{-1} p` and `M^{-1} s`; unused (`p` and `s` themselves stand in)
+    /// without a preconditioner.
+    p_hat: Option<Dense<V>>,
+    s_hat: Option<Dense<V>>,
     rho_old: f64,
     alpha: f64,
     omega: f64,
@@ -39,8 +41,8 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
             v: zeros(),
             s: zeros(),
             t: zeros(),
-            p_hat: zeros(),
-            s_hat: zeros(),
+            p_hat: None,
+            s_hat: None,
             rho_old: 1.0,
             alpha: 1.0,
             omega: 1.0,
@@ -61,43 +63,46 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
             w.p.add_scaled(V::from_f64(-w.omega), &w.v)?;
             w.p.scale_add(V::one(), it.r, V::from_f64(beta))?;
         }
-        core.precond.apply(&w.p, &mut w.p_hat)?;
-        core.system.apply(&w.p_hat, &mut w.v)?;
+        let p_hat = core.preconditioned(&w.p, &mut w.p_hat)?;
+        core.system.apply(p_hat, &mut w.v)?;
         let denom = w.r_tilde.compute_dot(&w.v)?;
         if denom == 0.0 || !denom.is_finite() {
             return Ok(Step::Abort(StopReason::Breakdown));
         }
         w.alpha = rho / denom;
-        // s = r - alpha * v
-        w.s.copy_from(it.r)?;
-        w.s.add_scaled(V::from_f64(-w.alpha), &w.v)?;
-
-        let s_norm = w.s.compute_norm2();
-        if let Some(reason) = core.check(it.index, s_norm, it.baseline) {
-            if reason != StopReason::MaxIterations {
-                // Early half-step convergence (or a non-finite s_norm,
-                // which `check` reports as Breakdown): the half-step
-                // update completes this iteration, so it is counted.
-                it.x.add_scaled(V::from_f64(w.alpha), &w.p_hat)?;
+        // s = r - alpha * v, and ||s||
+        let s_norm = w
+            .s
+            .assign_add_scaled(it.r, V::from_f64(-w.alpha), &w.v)?
+            .sqrt();
+        match core.check(it.index, s_norm, it.baseline) {
+            None | Some(StopReason::MaxIterations) => {}
+            // A non-finite s_norm: x stays at its last finite state.
+            Some(StopReason::Breakdown) => return Ok(Step::Abort(StopReason::Breakdown)),
+            Some(reason) => {
+                // Early half-step convergence: the half-step update
+                // completes this iteration, so it is counted.
+                it.x.add_scaled(V::from_f64(w.alpha), p_hat)?;
                 return Ok(Step::Stop(s_norm, reason));
             }
         }
 
-        core.precond.apply(&w.s, &mut w.s_hat)?;
-        core.system.apply(&w.s_hat, &mut w.t)?;
-        let tt = w.t.compute_dot(&w.t)?;
+        let s_hat = core.preconditioned(&w.s, &mut w.s_hat)?;
+        core.system.apply(s_hat, &mut w.t)?;
+        let (tt, ts) = w.t.compute_dot2(&w.s)?;
         if tt == 0.0 || !tt.is_finite() {
             return Ok(Step::Abort(StopReason::Breakdown));
         }
-        w.omega = w.t.compute_dot(&w.s)? / tt;
+        w.omega = ts / tt;
         // x += alpha * p_hat + omega * s_hat
-        it.x.add_scaled(V::from_f64(w.alpha), &w.p_hat)?;
-        it.x.add_scaled(V::from_f64(w.omega), &w.s_hat)?;
-        // r = s - omega * t
-        it.r.copy_from(&w.s)?;
-        it.r.add_scaled(V::from_f64(-w.omega), &w.t)?;
+        it.x
+            .add_scaled2(V::from_f64(w.alpha), p_hat, V::from_f64(w.omega), s_hat)?;
+        // r = s - omega * t, and ||r||
+        let rr = it
+            .r
+            .assign_add_scaled(&w.s, V::from_f64(-w.omega), &w.t)?;
         w.rho_old = rho;
-        Ok(Step::Continue(it.r.compute_norm2()))
+        Ok(Step::Continue(rr.sqrt()))
     }
 }
 

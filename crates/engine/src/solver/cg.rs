@@ -13,46 +13,58 @@ pub type Cg<V> = Iterative<V, CgMethod>;
 #[derive(Default)]
 pub struct CgMethod;
 
-/// CG's workspace: `z = M^{-1} r`, search direction `p`, `q = A p`, `r·z`.
+/// CG's workspace: `z = M^{-1} r` (only with a preconditioner), search
+/// direction `p`, `q = A p`, `rho = r·z` and `rr = r·r`.
 pub struct CgWork<V: Value> {
-    z: Dense<V>,
+    z: Option<Dense<V>>,
     p: Dense<V>,
     q: Dense<V>,
     rho: f64,
+    rr: f64,
 }
 
 impl<V: Value> Recurrence<V> for CgMethod {
     const NAME: &'static str = "solver::Cg";
     type Work = CgWork<V>;
 
-    fn seed(&self, core: &SolverCore<V>, r: &Dense<V>) -> Result<CgWork<V>> {
-        let mut z = Dense::zeros(r.executor(), r.size());
-        core.precond.apply(r, &mut z)?;
-        let p = z.clone();
-        let q = Dense::zeros(r.executor(), r.size());
-        Ok(CgWork { z, p, q, rho: 0.0 })
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<CgWork<V>> {
+        let zeros = || Dense::zeros(r.executor(), r.size());
+        Ok(CgWork {
+            z: None,
+            p: zeros(),
+            q: zeros(),
+            rho: 0.0,
+            rr: 0.0,
+        })
     }
 
     fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut CgWork<V>) -> Result<Step> {
-        if it.index == 1 {
-            w.rho = it.r.compute_dot(&w.z)?;
+        let z = it.core.preconditioned(it.r, &mut w.z)?;
+        // Without a preconditioner z is r, and r·r is what the last update
+        // returned.
+        let rho_new = if it.index > 1 && it.core.precond.is_none() {
+            w.rr
         } else {
-            it.core.precond.apply(it.r, &mut w.z)?;
-            let rho_new = it.r.compute_dot(&w.z)?;
-            let beta = rho_new / w.rho;
+            it.r.compute_dot(z)?
+        };
+        if it.index == 1 {
+            w.p.copy_from(z)?;
+        } else {
             // p = z + beta * p
-            w.p.scale_add(V::one(), &w.z, V::from_f64(beta))?;
-            w.rho = rho_new;
+            w.p.scale_add(V::one(), z, V::from_f64(rho_new / w.rho))?;
         }
+        w.rho = rho_new;
         it.core.system.apply(&w.p, &mut w.q)?;
         let pq = w.p.compute_dot(&w.q)?;
         if pq == 0.0 || !pq.is_finite() || w.rho == 0.0 || !w.rho.is_finite() {
             return Ok(Step::Abort(StopReason::Breakdown));
         }
         let alpha = w.rho / pq;
-        it.x.add_scaled(V::from_f64(alpha), &w.p)?;
-        it.r.add_scaled(V::from_f64(-alpha), &w.q)?;
-        Ok(Step::Continue(it.r.compute_norm2()))
+        // x += alpha * p;  r -= alpha * q;  ||r||^2
+        w.rr = it
+            .x
+            .add_scaled_with_residual(V::from_f64(alpha), &w.p, it.r, V::from_f64(-alpha), &w.q)?;
+        Ok(Step::Continue(w.rr.sqrt()))
     }
 }
 

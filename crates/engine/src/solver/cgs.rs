@@ -24,7 +24,8 @@ pub struct CgsWork<V: Value> {
     p: Dense<V>,
     q: Dense<V>,
     v: Dense<V>,
-    hat: Dense<V>,
+    /// `M^{-1}` of `p`, then of `u + q`; unused without a preconditioner.
+    hat: Option<Dense<V>>,
     t: Dense<V>,
     rho_old: f64,
 }
@@ -41,7 +42,7 @@ impl<V: Value> Recurrence<V> for CgsMethod {
             p: zeros(),
             q: zeros(),
             v: zeros(),
-            hat: zeros(),
+            hat: None,
             t: zeros(),
             rho_old: 1.0,
         })
@@ -67,8 +68,8 @@ impl<V: Value> Recurrence<V> for CgsMethod {
             w.p.add_scaled(V::from_f64(beta), &w.t)?;
         }
         // v = A M^{-1} p
-        it.core.precond.apply(&w.p, &mut w.hat)?;
-        it.core.system.apply(&w.hat, &mut w.v)?;
+        let hat = it.core.preconditioned(&w.p, &mut w.hat)?;
+        it.core.system.apply(hat, &mut w.v)?;
         let sigma = w.r_tilde.compute_dot(&w.v)?;
         if sigma == 0.0 || !sigma.is_finite() {
             return Ok(Step::Abort(StopReason::Breakdown));
@@ -80,11 +81,11 @@ impl<V: Value> Recurrence<V> for CgsMethod {
         // hat = M^{-1} (u + q)
         w.t.copy_from(&w.u)?;
         w.t.add_scaled(V::one(), &w.q)?;
-        it.core.precond.apply(&w.t, &mut w.hat)?;
-        // x += alpha * hat;  r -= alpha * A hat
-        it.x.add_scaled(V::from_f64(alpha), &w.hat)?;
-        it.core.system.apply(&w.hat, &mut w.t)?;
-        it.r.add_scaled(V::from_f64(-alpha), &w.t)?;
+        let hat = it.core.preconditioned(&w.t, &mut w.hat)?;
+        // x += alpha * hat;  r -= alpha * A hat (v is free again)
+        it.x.add_scaled(V::from_f64(alpha), hat)?;
+        it.core.system.apply(hat, &mut w.v)?;
+        it.r.add_scaled(V::from_f64(-alpha), &w.v)?;
         w.rho_old = rho;
         Ok(Step::Continue(it.r.compute_norm2()))
     }

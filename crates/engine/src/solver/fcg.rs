@@ -20,53 +20,59 @@ pub struct FcgMethod;
 
 /// FCG's workspace: CG's, plus the previous residual.
 pub struct FcgWork<V: Value> {
-    z: Dense<V>,
+    z: Option<Dense<V>>,
     p: Dense<V>,
     q: Dense<V>,
     r_old: Dense<V>,
     rho: f64,
+    rr: f64,
 }
 
 impl<V: Value> Recurrence<V> for FcgMethod {
     const NAME: &'static str = "solver::Fcg";
     type Work = FcgWork<V>;
 
-    fn seed(&self, core: &SolverCore<V>, r: &Dense<V>) -> Result<FcgWork<V>> {
-        let mut z = Dense::zeros(r.executor(), r.size());
-        core.precond.apply(r, &mut z)?;
-        let p = z.clone();
-        let q = Dense::zeros(r.executor(), r.size());
+    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<FcgWork<V>> {
+        let zeros = || Dense::zeros(r.executor(), r.size());
         Ok(FcgWork {
-            z,
-            p,
-            q,
-            r_old: r.clone(),
+            z: None,
+            p: zeros(),
+            q: zeros(),
+            r_old: zeros(),
             rho: 0.0,
+            rr: 0.0,
         })
     }
 
     fn iterate(&self, it: &mut Iteration<'_, V>, w: &mut FcgWork<V>) -> Result<Step> {
-        if it.index == 1 {
-            w.rho = it.r.compute_dot(&w.z)?;
+        let z = it.core.preconditioned(it.r, &mut w.z)?;
+        // Without a preconditioner z is r, and r·r is what the last update
+        // returned.
+        let rz = if it.index > 1 && it.core.precond.is_none() {
+            w.rr
         } else {
-            it.core.precond.apply(it.r, &mut w.z)?;
+            it.r.compute_dot(z)?
+        };
+        if it.index == 1 {
+            w.p.copy_from(z)?;
+        } else {
             // Polak-Ribière: beta = <r - r_old, z> / rho_old.
-            let rz = it.r.compute_dot(&w.z)?;
-            let r_old_z = w.r_old.compute_dot(&w.z)?;
-            let beta = (rz - r_old_z) / w.rho;
-            w.p.scale_add(V::one(), &w.z, V::from_f64(beta))?;
-            w.rho = rz;
+            let beta = (rz - w.r_old.compute_dot(z)?) / w.rho;
+            w.p.scale_add(V::one(), z, V::from_f64(beta))?;
         }
+        w.rho = rz;
         it.core.system.apply(&w.p, &mut w.q)?;
         let pq = w.p.compute_dot(&w.q)?;
         if pq == 0.0 || !pq.is_finite() || w.rho == 0.0 || !w.rho.is_finite() {
             return Ok(Step::Abort(StopReason::Breakdown));
         }
         let alpha = w.rho / pq;
-        it.x.add_scaled(V::from_f64(alpha), &w.p)?;
         w.r_old.copy_from(it.r)?;
-        it.r.add_scaled(V::from_f64(-alpha), &w.q)?;
-        Ok(Step::Continue(it.r.compute_norm2()))
+        // x += alpha * p;  r -= alpha * q;  ||r||^2
+        w.rr = it
+            .x
+            .add_scaled_with_residual(V::from_f64(alpha), &w.p, it.r, V::from_f64(-alpha), &w.q)?;
+        Ok(Step::Continue(w.rr.sqrt()))
     }
 }
 

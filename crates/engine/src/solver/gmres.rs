@@ -18,7 +18,7 @@
 use crate::base::error::Result;
 use crate::base::types::Value;
 use crate::executor::Executor;
-use crate::matrix::dense::Dense;
+use crate::matrix::dense::{lane_dot, Dense};
 use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
 use crate::stop::StopReason;
 use pygko_sim::ChunkWork;
@@ -59,6 +59,8 @@ impl<V: Value> Gmres<V> {
 /// The current restart cycle. `h.len()` is the number of finished columns;
 /// the cycle is *pending* (not yet folded into `x`) while that is nonzero.
 pub struct GmresWork<V: Value> {
+    /// Basis slots, created on first use and kept across restarts: the
+    /// cycle's basis is `basis[..=h.len()]`, anything beyond is stale.
     basis: Vec<Dense<V>>,
     /// Column-major rotated Hessenberg: `h[j]` holds column j (len j+2).
     h: Vec<Vec<f64>>,
@@ -66,10 +68,22 @@ pub struct GmresWork<V: Value> {
     cs: Vec<f64>,
     sn: Vec<f64>,
     g: Vec<f64>,
-    z: Dense<V>,
+    /// `M^{-1}` of a basis vector, then of `u`; unused without a
+    /// preconditioner.
+    z: Option<Dense<V>>,
     w: Dense<V>,
+    /// The cycle's correction `V y` before preconditioning.
+    u: Dense<V>,
     /// Norm of the last orthogonalized `w`, the next basis vector's scale.
     h_next: f64,
+}
+
+/// `basis[j] = v / norm`.
+fn set_basis<V: Value>(basis: &mut Vec<Dense<V>>, j: usize, v: &Dense<V>, norm: f64) -> Result<()> {
+    if j == basis.len() {
+        basis.push(Dense::zeros(v.executor(), v.size()));
+    }
+    basis[j].assign_scaled(V::from_f64(1.0 / norm), v)
 }
 
 /// Charges the device-side Hessenberg/Givens update (tiny kernels whose
@@ -125,13 +139,14 @@ impl<V: Value> Recurrence<V> for GmresMethod {
     fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<GmresWork<V>> {
         let m = self.krylov_dim;
         Ok(GmresWork {
-            basis: Vec::with_capacity(m + 1),
+            basis: Vec::new(),
             h: Vec::with_capacity(m),
             cs: vec![0.0; m],
             sn: vec![0.0; m],
             g: vec![0.0; m + 1],
-            z: Dense::zeros(r.executor(), r.size()),
+            z: None,
             w: Dense::zeros(r.executor(), r.size()),
+            u: Dense::zeros(r.executor(), r.size()),
             h_next: 0.0,
         })
     }
@@ -144,12 +159,11 @@ impl<V: Value> Recurrence<V> for GmresMethod {
                 // Lucky breakdown: exact solution in the current space.
                 return Ok(Step::Abort(StopReason::ResidualReduction));
             }
-            let mut v_next = k.w.clone();
-            v_next.scale(V::from_f64(1.0 / k.h_next));
-            k.basis.push(v_next);
             if k.h.len() == self.krylov_dim {
                 // Restart: fold the cycle into x and continue.
                 self.form_solution(it, k)?;
+            } else {
+                set_basis(&mut k.basis, k.h.len(), &k.w, k.h_next)?;
             }
         }
         if k.h.is_empty() {
@@ -163,18 +177,15 @@ impl<V: Value> Recurrence<V> for GmresMethod {
             if beta == 0.0 {
                 return Ok(Step::Abort(StopReason::Breakdown));
             }
-            // v0 = r / beta
-            let mut v0 = it.r.clone();
-            v0.scale(V::from_f64(1.0 / beta));
-            k.basis.push(v0);
+            set_basis(&mut k.basis, 0, it.r, beta)?;
             k.g.fill(0.0);
             k.g[0] = beta;
         }
 
         let j = k.h.len();
         // w = A M^{-1} v_j
-        core.precond.apply(&k.basis[j], &mut k.z)?;
-        core.system.apply(&k.z, &mut k.w)?;
+        let z = core.preconditioned(&k.basis[j], &mut k.z)?;
+        core.system.apply(z, &mut k.w)?;
 
         // Modified Gram–Schmidt orthogonalization. Ginkgo fuses
         // this into two "multidot"-style kernels (one sweep reading
@@ -186,10 +197,7 @@ impl<V: Value> Recurrence<V> for GmresMethod {
             let ws = k.w.as_mut_slice();
             for (i, vi) in k.basis.iter().enumerate().take(j + 1) {
                 let vs = vi.as_slice();
-                let mut hij = 0.0f64;
-                for (wk, vk) in ws.iter().zip(vs) {
-                    hij += wk.to_f64() * vk.to_f64();
-                }
+                let hij = lane_dot(ws, vs);
                 col[i] = hij;
                 let coeff = V::from_f64(-hij);
                 for (wk, &vk) in ws.iter_mut().zip(vs) {
@@ -237,13 +245,12 @@ impl<V: Value> Recurrence<V> for GmresMethod {
             return Ok(());
         }
         let y = back_substitute(&k.h, &k.g, cols);
-        let mut u = Dense::zeros(it.x.executor(), it.x.size());
-        for (yi, vi) in y.iter().zip(&k.basis) {
-            u.add_scaled(V::from_f64(*yi), vi)?;
+        k.u.assign_scaled(V::from_f64(y[0]), &k.basis[0])?;
+        for (yi, vi) in y.iter().zip(&k.basis).skip(1) {
+            k.u.add_scaled(V::from_f64(*yi), vi)?;
         }
-        it.core.precond.apply(&u, &mut k.z)?;
-        it.x.add_scaled(V::one(), &k.z)?;
-        k.basis.clear();
+        let z = it.core.preconditioned(&k.u, &mut k.z)?;
+        it.x.add_scaled(V::one(), z)?;
         k.h.clear();
         Ok(())
     }

@@ -41,15 +41,16 @@ impl<V: Value> Ir<V> {
 
 impl<V: Value> Recurrence<V> for IrMethod {
     const NAME: &'static str = "solver::Ir";
-    /// The correction `d = M^{-1} r`.
-    type Work = Dense<V>;
+    /// The correction `d = M^{-1} r`; unused (`r` itself) without an inner
+    /// solver.
+    type Work = Option<Dense<V>>;
 
-    fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<Dense<V>> {
-        Ok(Dense::zeros(r.executor(), r.size()))
+    fn seed(&self, _core: &SolverCore<V>, _r: &Dense<V>) -> Result<Option<Dense<V>>> {
+        Ok(None)
     }
 
-    fn iterate(&self, it: &mut Iteration<'_, V>, d: &mut Dense<V>) -> Result<Step> {
-        it.core.precond.apply(it.r, d)?;
+    fn iterate(&self, it: &mut Iteration<'_, V>, d: &mut Option<Dense<V>>) -> Result<Step> {
+        let d = it.core.preconditioned(it.r, d)?;
         it.x.add_scaled(V::from_f64(self.omega), d)?;
         it.core.residual(it.b, it.x, it.r)?;
         Ok(Step::Continue(it.r.compute_norm2()))

@@ -43,17 +43,29 @@
 //! Krylov recurrences divide by inner products (`p·Ap`, `ρ`, `ω`, …); when
 //! such a denominator is exactly zero the method cannot continue and the
 //! solve stops with [`StopReason::Breakdown`], leaving `x` at its last
-//! finite state. Independently, [`Criteria::check`] reports **any**
-//! non-finite residual norm (NaN or ±Inf, e.g. from overflow on a diverging
-//! or singular system) as `Breakdown` on the very next check, so a poisoned
-//! solve halts within one iteration instead of spinning to the iteration
-//! limit on `NaN < tol == false` comparisons.
+//! finite state. Independently, a residual norm that is not finite (NaN or
+//! ±Inf, e.g. from overflow on a diverging or singular system) ends the
+//! solve as `Breakdown` in the iteration that produced it: the shell turns a
+//! `Continue` or `Stop` carrying one into an uncounted abort, so it never
+//! reaches `residual_history`, whichever of a method's inner products
+//! happens to overflow first. ([`Criteria::check`] reports a non-finite norm
+//! as `Breakdown` too, which covers the baseline and the mid-iteration
+//! checks of BiCGStab and GMRES.)
 //!
 //! [`SolveRecord::iterations`](crate::log::SolveRecord::iterations) counts
 //! **fully completed** iterations under either exit, and
 //! `residual_history.len() == iterations` holds on every path — an aborted
 //! iteration is not recorded. The shell enforces both; no recurrence
 //! touches the logger.
+//!
+//! # No preconditioner is no operator
+//!
+//! The shell holds the preconditioner as an `Option`. Recurrences reach it
+//! through [`SolverCore::preconditioned`], which returns its argument when
+//! there is none, so `M^{-1} v` aliases `v` instead of copying it: CG and
+//! FCG then take `ρ = r·r` from the norm their fused update just returned,
+//! BiCGStab's `p̂`/`ŝ` are `p`/`s`, and GMRES applies `A` to the basis vector
+//! itself.
 //!
 //! # Events
 //!
@@ -92,7 +104,7 @@ use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
 use crate::executor::Executor;
-use crate::linop::{Identity, LinOp};
+use crate::linop::LinOp;
 use crate::log::{ConvergenceLogger, Event, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::dense::Dense;
 use crate::stop::{Criteria, StopReason};
@@ -105,11 +117,14 @@ mod sealed {
     use super::*;
 
     /// What a recurrence may use of its solver: the system operator, the
-    /// preconditioner (identity when absent) and the event-emitting criteria
-    /// check. The logger and both event registries stay with the shell.
+    /// preconditioner (through [`SolverCore::preconditioned`]) and the
+    /// event-emitting criteria check. The logger and both event registries
+    /// stay with the shell.
     pub struct SolverCore<V: Value> {
         pub(crate) system: Arc<dyn LinOp<V>>,
-        pub(crate) precond: Arc<dyn LinOp<V>>,
+        /// `None` until `with_preconditioner`: an unpreconditioned solve
+        /// applies nothing, not an identity that copies.
+        pub(crate) precond: Option<Arc<dyn LinOp<V>>>,
         pub(crate) criteria: Criteria,
         pub(crate) logger: ConvergenceLogger,
         /// Solver display name used in emitted events (e.g. `"solver::Cg"`).
@@ -131,7 +146,6 @@ mod sealed {
                     system.size()
                 )));
             }
-            let identity = Identity::new(system.executor(), system.size().rows);
             let events = LoggerRegistry::new();
             let exec_events = system.executor().loggers().clone();
             let logger = ConvergenceLogger::new();
@@ -139,7 +153,7 @@ mod sealed {
             logger.bind_events(name, exec_events.clone());
             Ok(SolverCore {
                 system,
-                precond: identity,
+                precond: None,
                 criteria: Criteria::default(),
                 logger,
                 name,
@@ -183,6 +197,21 @@ mod sealed {
             Ok(())
         }
 
+        /// `M^{-1} v`: applied into `slot` (allocated on first use) when the
+        /// solver has a preconditioner, `v` itself when it has none.
+        pub(crate) fn preconditioned<'a>(
+            &self,
+            v: &'a Dense<V>,
+            slot: &'a mut Option<Dense<V>>,
+        ) -> Result<&'a Dense<V>> {
+            let Some(precond) = &self.precond else {
+                return Ok(v);
+            };
+            let out = slot.get_or_insert_with(|| Dense::zeros(v.executor(), v.size()));
+            precond.apply(v, out)?;
+            Ok(out)
+        }
+
         /// Computes `r = b - A x` into `r`.
         pub(crate) fn residual(&self, b: &Dense<V>, x: &Dense<V>, r: &mut Dense<V>) -> Result<()> {
             r.copy_from(b)?;
@@ -209,10 +238,11 @@ mod sealed {
     /// A recurrence's answer to one [`Recurrence::iterate`] call.
     pub enum Step {
         /// The iteration completed with this residual norm: the shell records
-        /// it and asks the criteria.
+        /// it and asks the criteria. (A norm that is not finite aborts.)
         Continue(f64),
         /// The iteration completed with this residual norm and the method ends
-        /// the solve itself, having asked the criteria mid-iteration.
+        /// the solve itself, having asked the criteria mid-iteration. (A norm
+        /// that is not finite aborts.)
         Stop(f64, StopReason),
         /// The iteration could not start or finish and is not counted.
         Abort(StopReason),
@@ -300,7 +330,7 @@ impl<V: Value, M: Recurrence<V>> Iterative<V, M> {
                 actual: precond.size(),
             });
         }
-        self.core.precond = precond;
+        self.core.precond = Some(precond);
         Ok(self)
     }
 
@@ -355,8 +385,11 @@ impl<V: Value, M: Recurrence<V>> LinOp<V> for Iterative<V, M> {
             }
             it.index = done + 1;
             let (norm, verdict) = match self.method.iterate(&mut it, &mut work)? {
-                Step::Continue(norm) => (norm, None),
-                Step::Stop(norm, reason) => (norm, Some(reason)),
+                Step::Continue(norm) if norm.is_finite() => (norm, None),
+                Step::Stop(norm, reason) if norm.is_finite() => (norm, Some(reason)),
+                // A non-finite norm is a breakdown whatever the recurrence
+                // made of it, and an aborted iteration is never recorded.
+                Step::Continue(_) | Step::Stop(..) => break StopReason::Breakdown,
                 Step::Abort(reason) => break reason,
             };
             done += 1;

@@ -1,5 +1,5 @@
 //! Allocation regression: a steady SpMV must not allocate per row or per
-//! nonzero.
+//! nonzero, and a solver loop must not allocate per iteration.
 //!
 //! The virtual clock charges a kernel the same nanoseconds whether or not it
 //! allocates, so a `vec!` inside a per-row loop (the COO segment kernel and
@@ -9,12 +9,24 @@
 //! as often as on a 20 000-row matrix of the same generator. Per-apply
 //! allocations that depend only on the executor spec (chunk bounds, segment
 //! scratch, cost-model work lists) are fine and cancel out.
+//!
+//! The solver loops get the same treatment one level up: a `k`-iteration
+//! solve allocates equally often at both sizes, and once a recurrence has
+//! its workspace (after the first iteration; for GMRES after the first
+//! restart cycle has filled its basis slots) the executor hands out no
+//! further `Array`, which the event stream shows as no `AllocationComplete`
+//! behind that iteration's `IterationComplete`.
 
 use gko::linop::LinOp;
+use gko::log::{Event, Record};
 use gko::matrix::{Coo, Csr, Dense, Ell, Hybrid, Sellp, SpmvStrategy};
+use gko::preconditioner::Jacobi;
+use gko::solver::{BiCgStab, Cg, Fcg, Gmres};
+use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations made by this thread. `Executor::reference()` runs every
@@ -127,4 +139,95 @@ fn hybrid_apply_allocates_independently_of_size() {
         assert!(hybrid.coo_nnz() > 0, "generator must leave a COO overflow part");
         hybrid
     });
+}
+
+/// Iterations every solver below is capped at, and GMRES's restart length:
+/// three full cycles.
+const SOLVE_ITERS: usize = 12;
+const RESTART: usize = 4;
+
+/// The four loops under test on `a`, with Jacobi when asked, each stopping
+/// after exactly [`SOLVE_ITERS`] iterations.
+fn solvers(a: &Arc<Csr<f64, i32>>, jacobi: bool) -> Vec<(&'static str, Arc<dyn LinOp<f64>>)> {
+    let criteria = Criteria::iterations(SOLVE_ITERS);
+    let system = || a.clone() as Arc<dyn LinOp<f64>>;
+    macro_rules! built {
+        ($solver:expr) => {{
+            let solver = $solver.with_criteria(criteria);
+            if jacobi {
+                let m = Arc::new(Jacobi::new(&**a).unwrap());
+                Arc::new(solver.with_preconditioner(m).unwrap()) as Arc<dyn LinOp<f64>>
+            } else {
+                Arc::new(solver)
+            }
+        }};
+    }
+    vec![
+        ("cg", built!(Cg::new(system()).unwrap())),
+        ("fcg", built!(Fcg::new(system()).unwrap())),
+        ("bicgstab", built!(BiCgStab::new(system()).unwrap())),
+        ("gmres", built!(Gmres::new(system()).unwrap().with_krylov_dim(RESTART))),
+    ]
+}
+
+#[test]
+fn solver_loops_allocate_independently_of_size() {
+    let exec = Executor::reference();
+    for jacobi in [false, true] {
+        let per_size = [2_000usize, 20_000].map(|n| {
+            let a = Arc::new(matrix(&exec, n));
+            let b = Dense::filled(&exec, Dim2::new(n, 1), 0.5);
+            let counts = solvers(&a, jacobi).into_iter().map(|(name, solver)| {
+                let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
+                solver.apply(&b, &mut x).unwrap(); // builds the cached plan
+                x.fill(0.0);
+                let before = ALLOCATIONS.with(Cell::get);
+                solver.apply(&b, &mut x).unwrap();
+                (name, ALLOCATIONS.with(Cell::get) - before)
+            });
+            counts.collect::<Vec<_>>()
+        });
+        assert_eq!(
+            per_size[0], per_size[1],
+            "jacobi = {jacobi}: allocations of a {SOLVE_ITERS}-iteration solve at 2 000 rows \
+             vs 20 000 — some loop allocates per element"
+        );
+    }
+}
+
+#[test]
+fn solver_loops_stop_allocating_once_their_workspace_exists() {
+    for jacobi in [false, true] {
+        let exec = Executor::reference();
+        let n = 2_000;
+        let a = Arc::new(matrix(&exec, n));
+        let b = Dense::filled(&exec, Dim2::new(n, 1), 0.5);
+        for (name, solver) in solvers(&a, jacobi) {
+            let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
+            let record = Arc::new(Record::new());
+            exec.add_logger(record.clone());
+            solver.apply(&b, &mut x).unwrap();
+            exec.clear_loggers();
+
+            // GMRES creates one basis slot per iteration of its first cycle.
+            let settled = if name == "gmres" { RESTART } else { 1 };
+            let events = record.events();
+            let completed = |e: &Event, k: usize| {
+                matches!(e, Event::IterationComplete { iteration, .. } if *iteration == k)
+            };
+            let from = events.iter().position(|e| completed(e, settled)).unwrap();
+            assert!(
+                events.iter().any(|e| completed(e, SOLVE_ITERS)),
+                "{name}: ran all {SOLVE_ITERS} iterations"
+            );
+            let late = events[from..]
+                .iter()
+                .filter(|e| matches!(e, Event::AllocationComplete { .. }))
+                .count();
+            assert_eq!(
+                late, 0,
+                "{name}, jacobi = {jacobi}: {late} arrays allocated after iteration {settled}"
+            );
+        }
+    }
 }

@@ -126,7 +126,7 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
         .filter(|e| matches!(e, Event::LinOpApplyCompleted { .. }))
         .count();
     assert_eq!(started, completed);
-    assert!(started > 3 * iters, "spmv + dots + axpys each iteration");
+    assert!(started > 3 * iters, "p update, spmv, p.q and the fused x/r update each iteration");
     assert!(
         events
             .iter()
@@ -145,11 +145,19 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     assert!(snap.pool_dispatch_ns.count > 0);
     assert_eq!(snap.pool_dispatch_ns.count, exec.pool_stats().dispatches);
     assert!(snap.alloc_bytes.count > 0);
-    for expected in ["solver::Cg", "csr", "dense::dot", "dense::axpy"] {
-        assert!(snap.kernel(expected).is_some(), "missing {expected} in {snap:?}");
+    // An unpreconditioned CG iteration is four kernels: `p = r + beta p`,
+    // the SpMV, `p.q`, and the fused `x += alpha p; r -= alpha q; r.r`.
+    for (kernel, calls) in [
+        ("solver::Cg", 1),
+        ("csr", iters + 1), // one SpMV per iteration + r0
+        ("dense::dot", iters + 2), // p.q per iteration + the baseline norm + the first r.r
+        ("dense::scale_add", iters - 1),
+        ("dense::axpy", iters), // the fused update keeps the AXPY family name
+    ] {
+        let seen = snap.kernel(kernel).unwrap_or_else(|| panic!("missing {kernel} in {snap:?}"));
+        assert_eq!(seen.calls as usize, calls, "{kernel}");
     }
     let spmv = snap.kernel("csr").unwrap();
-    assert_eq!(spmv.calls as usize, iters + 1, "one SpMV per iteration + r0");
     let solve = snap.kernel("solver::Cg").unwrap();
     assert_eq!(solve.calls, 1);
     assert!(solve.virtual_ns.sum >= spmv.virtual_ns.sum, "the solve frame is inclusive");

@@ -17,13 +17,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Static lint gate (plus its injected-violation self-test).
 ./scripts/check_lint.sh
 
-# Smoke-run a real benchmark binary end to end (quick suite). Quick-mode
-# output goes to a scratch directory so it never overwrites the committed
-# full-size results/ files.
+# Smoke-run the wall-clock microbenchmarks end to end (quick suite); each is
+# also a ratio gate (COO over CSR, dot over AXPY). Quick-mode output goes to
+# a scratch directory so it never overwrites the committed full-size
+# results/ files.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
     cargo run --release --offline -p pygko-bench --bin micro_spmv
+PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
+    cargo run --release --offline -p pygko-bench --bin micro_solvers
 
 # Benchmark regression gate (plus its injected-slowdown self-test).
 ./scripts/check_bench.sh
