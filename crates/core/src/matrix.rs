@@ -91,13 +91,6 @@ pub struct SparseMatrix {
     pub(crate) device: Device,
 }
 
-fn cast_triplets<V: Value>(triplets: &[(usize, usize, f64)]) -> Vec<(usize, usize, V)> {
-    triplets
-        .iter()
-        .map(|&(r, c, v)| (r, c, V::from_f64(v)))
-        .collect()
-}
-
 impl SparseMatrix {
     /// Builds a matrix from (row, col, value) triplets with runtime type
     /// selection — the facade's central constructor, used by [`crate::read`]
@@ -120,7 +113,7 @@ impl SparseMatrix {
             macro_rules! build {
                 ($variant:ident, $fmt:ident, $v:ty, $i:ty) => {
                     MatrixImpl::$variant(Arc::new(
-                        $fmt::<$v, $i>::from_triplets(exec, dim, &cast_triplets::<$v>(triplets))
+                        $fmt::<$v, $i>::from_triplets(exec, dim, triplets)
                             .map_err(PyGinkgoError::from)?,
                     ))
                 };

@@ -150,6 +150,33 @@ impl Value for Half {
     }
 }
 
+/// A value a triplet list may carry when it is assembled into a matrix that
+/// stores `V`: `V` itself, or the `f64` that Matrix Market files and the
+/// facade hold, which [`Value::from_f64`] rounds once on the way into the
+/// matrix's own array (no converted copy of the list is made first).
+pub trait TripletValue<V: Value>: Copy {
+    /// The value as the matrix stores it.
+    fn stored(self) -> V;
+}
+
+impl<V: Value> TripletValue<V> for V {
+    fn stored(self) -> V {
+        self
+    }
+}
+
+impl TripletValue<f32> for f64 {
+    fn stored(self) -> f32 {
+        f32::from_f64(self)
+    }
+}
+
+impl TripletValue<Half> for f64 {
+    fn stored(self) -> Half {
+        Half::from_f64(self)
+    }
+}
+
 /// An integer index type for sparse structure arrays.
 pub trait Index:
     Copy + PartialEq + Eq + PartialOrd + Ord + Debug + Display + Default + Send + Sync + 'static

@@ -1,10 +1,10 @@
 //! IC(0): incomplete Cholesky factorization with zero fill-in.
 
-use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::matrix::csr::Csr;
 use pygko_sim::ChunkWork;
+use std::cmp::Ordering;
 
 /// Computes the IC(0) factorization `A ≈ L L^T` of a symmetric positive
 /// definite CSR matrix.
@@ -22,67 +22,60 @@ pub fn ic0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<Csr<V, I>> {
     let ci = a.col_idxs();
     let av = a.values();
 
-    // Build L row by row on the lower-triangular pattern of A.
-    // l_rows[i] holds (col, value) sorted by col, col <= i.
-    let mut l_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+    // Build L row by row on the lower-triangular pattern of A, straight into
+    // CSR arrays: row `i` is `l_ptrs[i]..l_ptrs[i + 1]`, columns ascending,
+    // the diagonal last.
+    let mut l_ptrs: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut l_cols: Vec<I> = Vec::new();
+    let mut l_vals: Vec<f64> = Vec::new();
+    l_ptrs.push(0);
     for i in 0..n {
         let (lo, hi) = (rp[i].to_usize(), rp[i + 1].to_usize());
-        let mut row: Vec<(usize, f64)> = Vec::new();
-        let mut diag_a = None;
-        for idx in lo..hi {
-            let j = ci[idx].to_usize();
-            if j < i {
-                row.push((j, av[idx].to_f64()));
-            } else if j == i {
-                diag_a = Some(av[idx].to_f64());
-            }
+        let below = lo + ci[lo..hi].partition_point(|c| c.to_usize() < i);
+        if ci[below..hi].first().map(|c| c.to_usize()) != Some(i) {
+            return Err(GkoError::Singular { at: i });
         }
-        let diag_a = diag_a.ok_or(GkoError::Singular { at: i })?;
+        let diag_a = av[below].to_f64();
 
         // l_ij = (a_ij - sum_{k<j} l_ik * l_jk) / l_jj  for pattern entries.
-        let mut finished: Vec<(usize, f64)> = Vec::with_capacity(row.len() + 1);
-        for (j, aij) in row {
-            let mut acc = aij;
-            // Sparse dot of finished((row i) cols < j) with l_rows[j].
-            let lj = &l_rows[j];
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < finished.len() && q < lj.len() {
-                let (ci_, vi_) = finished[p];
-                let (cj_, vj_) = lj[q];
-                if ci_ == cj_ {
-                    if ci_ < j {
-                        acc -= vi_ * vj_;
+        let row_start = l_cols.len();
+        for idx in lo..below {
+            let col = ci[idx];
+            let j = col.to_usize();
+            let mut acc = av[idx].to_f64();
+            // Sparse dot of the finished part of row i (all columns < j)
+            // with row j of L; row j's diagonal has no partner there.
+            let (mut p, mut q) = (row_start, l_ptrs[j]);
+            let (p_end, q_end) = (l_cols.len(), l_ptrs[j + 1]);
+            while p < p_end && q < q_end {
+                match l_cols[p].cmp(&l_cols[q]) {
+                    Ordering::Equal => {
+                        acc -= l_vals[p] * l_vals[q];
+                        p += 1;
+                        q += 1;
                     }
-                    p += 1;
-                    q += 1;
-                } else if ci_ < cj_ {
-                    p += 1;
-                } else {
-                    q += 1;
+                    Ordering::Less => p += 1,
+                    Ordering::Greater => q += 1,
                 }
             }
-            let ljj = lj.last().map(|&(_, v)| v).unwrap_or(0.0);
+            let ljj = l_vals[q_end - 1];
             if ljj == 0.0 {
                 return Err(GkoError::Breakdown("ic0 zero pivot"));
             }
-            finished.push((j, acc / ljj));
+            l_cols.push(col);
+            l_vals.push(acc / ljj);
         }
         // Diagonal: l_ii = sqrt(a_ii - sum l_ik^2).
-        let sq: f64 = finished.iter().map(|&(_, v)| v * v).sum();
+        let sq: f64 = l_vals[row_start..].iter().map(|&v| v * v).sum();
         let d = diag_a - sq;
         if d <= 0.0 {
             return Err(GkoError::Breakdown("ic0 non-positive pivot"));
         }
-        finished.push((i, d.sqrt()));
-        l_rows.push(finished);
+        l_cols.push(ci[below]);
+        l_vals.push(d.sqrt());
+        l_ptrs.push(l_cols.len());
     }
 
-    let mut triplets: Vec<(usize, usize, V)> = Vec::new();
-    for (i, row) in l_rows.iter().enumerate() {
-        for &(j, v) in row {
-            triplets.push((i, j, V::from_f64(v)));
-        }
-    }
     let exec = a.executor();
     let nnz = a.nnz() as f64;
     exec.launch(&[ChunkWork::new(
@@ -90,12 +83,19 @@ pub fn ic0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<Csr<V, I>> {
         nnz * V::BYTES as f64,
         2.0 * nnz,
     )]);
-    Csr::from_triplets(exec, Dim2::square(n), &triplets)
+    Csr::from_raw(
+        exec,
+        a.size(),
+        l_ptrs.into_iter().map(I::from_usize).collect(),
+        l_cols,
+        l_vals.into_iter().map(V::from_f64).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
     use crate::executor::Executor;
 
     fn spd_tridiag(exec: &Executor, n: usize) -> Csr<f64, i32> {

@@ -1,6 +1,5 @@
 //! ILU(0): incomplete LU factorization with zero fill-in.
 
-use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::matrix::csr::Csr;
@@ -72,19 +71,23 @@ pub fn ilu0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<(Csr<V, I>, Csr<V, I>)>
         }
     }
 
-    // Split into L (strict lower) and U (upper incl. diagonal).
-    let mut l_trip: Vec<(usize, usize, V)> = Vec::new();
-    let mut u_trip: Vec<(usize, usize, V)> = Vec::new();
+    // Split each row at its diagonal into L (strict lower) and U (upper
+    // incl. diagonal); columns are sorted, so both halves already are CSR rows.
+    let lower: usize = (0..n).map(|r| diag_pos[r] - rp[r].to_usize()).sum();
+    let upper = ci.len() - lower;
+    let (mut l_ptrs, mut u_ptrs) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+    let (mut l_cols, mut u_cols) = (Vec::with_capacity(lower), Vec::with_capacity(upper));
+    let (mut l_vals, mut u_vals) = (Vec::with_capacity(lower), Vec::with_capacity(upper));
+    l_ptrs.push(I::zero());
+    u_ptrs.push(I::zero());
     for r in 0..n {
-        for idx in rp[r].to_usize()..rp[r + 1].to_usize() {
-            let c = ci[idx].to_usize();
-            let v = V::from_f64(vals[idx]);
-            if c < r {
-                l_trip.push((r, c, v));
-            } else {
-                u_trip.push((r, c, v));
-            }
-        }
+        let (lo, diag, hi) = (rp[r].to_usize(), diag_pos[r], rp[r + 1].to_usize());
+        l_cols.extend_from_slice(&ci[lo..diag]);
+        l_vals.extend(vals[lo..diag].iter().map(|&v| V::from_f64(v)));
+        l_ptrs.push(I::from_usize(l_cols.len()));
+        u_cols.extend_from_slice(&ci[diag..hi]);
+        u_vals.extend(vals[diag..hi].iter().map(|&v| V::from_f64(v)));
+        u_ptrs.push(I::from_usize(u_cols.len()));
     }
     let exec = a.executor();
     // Charge the factorization as one sequential kernel (row dependencies).
@@ -94,14 +97,15 @@ pub fn ilu0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<(Csr<V, I>, Csr<V, I>)>
         nnz * V::BYTES as f64,
         2.0 * nnz,
     )]);
-    let l = Csr::from_triplets(exec, Dim2::square(n), &l_trip)?;
-    let u = Csr::from_triplets(exec, Dim2::square(n), &u_trip)?;
+    let l = Csr::from_raw(exec, a.size(), l_ptrs, l_cols, l_vals)?;
+    let u = Csr::from_raw(exec, a.size(), u_ptrs, u_cols, u_vals)?;
     Ok((l, u))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
     use crate::executor::Executor;
     use crate::matrix::dense::Dense;
 

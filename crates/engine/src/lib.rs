@@ -63,7 +63,7 @@ pub mod trace;
 pub use base::array::Array;
 pub use base::dim::Dim2;
 pub use base::error::{GkoError, Result};
-pub use base::types::{Index, Value};
+pub use base::types::{Index, TripletValue, Value};
 pub use executor::pool::{LaneStats, PoolStats};
 pub use executor::{Executor, ObserveConfig};
 pub use linop::LinOp;

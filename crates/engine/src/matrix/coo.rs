@@ -10,7 +10,7 @@
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
-use crate::base::types::{Index, Value};
+use crate::base::types::{Index, TripletValue, Value};
 use crate::executor::pool::uniform_bounds;
 use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
@@ -77,10 +77,10 @@ impl<V: Value, I: Index> Coo<V, I> {
     }
 
     /// Builds from unsorted triplets, summing duplicates.
-    pub fn from_triplets(
+    pub fn from_triplets<S: TripletValue<V>>(
         exec: &Executor,
         size: Dim2,
-        triplets: &[(usize, usize, V)],
+        triplets: &[(usize, usize, S)],
     ) -> Result<Self> {
         let (size, row_ptrs, col_idxs, values) =
             Csr::<V, I>::from_triplets(exec, size, triplets)?.into_parts();

@@ -23,7 +23,7 @@
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
-use crate::base::types::{Index, Value};
+use crate::base::types::{Index, TripletValue, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
 use crate::linop::{check_apply_dims, LinOp};
@@ -231,45 +231,95 @@ impl<V: Value, I: Index> Csr<V, I> {
     }
 
     /// Builds from unsorted (row, col, value) triplets; duplicates are
-    /// summed (Matrix Market semantics for symmetric expansions).
-    pub fn from_triplets(
+    /// summed in input order (Matrix Market semantics for symmetric
+    /// expansions). The one assembler every format's triplet constructor
+    /// goes through: a counting sort by row straight into the typed arrays,
+    /// then a column sort of only those rows that need one.
+    pub fn from_triplets<S: TripletValue<V>>(
         exec: &Executor,
         size: Dim2,
-        triplets: &[(usize, usize, V)],
+        triplets: &[(usize, usize, S)],
     ) -> Result<Self> {
+        if size.cols.saturating_sub(1) > I::MAX_USIZE || triplets.len() > I::MAX_USIZE {
+            return Err(GkoError::BadInput(format!(
+                "matrix {size} with {} entries exceeds the {} index range",
+                triplets.len(),
+                I::NAME
+            )));
+        }
+        // Entries per row, counted one slot up: after the prefix sum
+        // `cursor[r]` is where row `r` starts. `ordered` stays true while the
+        // list is strictly increasing in (row, col).
+        let mut cursor = vec![0usize; size.rows + 1];
+        let mut ordered = true;
+        let mut prev = None;
         for &(r, c, _) in triplets {
             if r >= size.rows || c >= size.cols {
                 return Err(GkoError::BadInput(format!(
                     "entry ({r}, {c}) outside matrix {size}"
                 )));
             }
+            ordered &= prev < Some((r, c));
+            prev = Some((r, c));
+            cursor[r + 1] += 1;
         }
-        let mut sorted: Vec<(usize, usize, V)> = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        let mut total = 0usize;
+        for slot in &mut cursor {
+            total += *slot;
+            *slot = total;
+        }
 
-        let mut row_ptrs = vec![I::zero(); size.rows + 1];
-        let mut col_idxs: Vec<I> = Vec::with_capacity(sorted.len());
-        let mut values: Vec<V> = Vec::with_capacity(sorted.len());
-        let mut counts = vec![0usize; size.rows];
-        let mut it = sorted.into_iter().peekable();
-        while let Some((r, c, mut v)) = it.next() {
-            while let Some(&(r2, c2, v2)) = it.peek() {
-                if r2 == r && c2 == c {
-                    v += v2;
-                    it.next();
-                } else {
-                    break;
+        // Stable scatter: a row's entries land in input order, and
+        // `cursor[r]` ends up where row `r` ends.
+        let mut col_idxs = vec![I::zero(); triplets.len()];
+        let mut values = vec![V::zero(); triplets.len()];
+        for &(r, c, v) in triplets {
+            let at = cursor[r];
+            cursor[r] = at + 1;
+            col_idxs[at] = I::from_usize(c);
+            values[at] = v.stored();
+        }
+
+        // A row that is not strictly increasing is stably sorted by column,
+        // so equal columns meet in input order, and summed left to right.
+        // `end` is where the finished rows end; it falls behind `lo` once a
+        // row has lost duplicates.
+        let mut row: Vec<(I, V)> = Vec::new();
+        let (mut lo, mut end) = (0usize, 0usize);
+        for slot in &mut cursor[..size.rows] {
+            let hi = *slot;
+            if ordered || col_idxs[lo..hi].windows(2).all(|pair| pair[0] < pair[1]) {
+                if end < lo {
+                    col_idxs.copy_within(lo..hi, end);
+                    values.copy_within(lo..hi, end);
+                }
+                end += hi - lo;
+            } else {
+                row.clear();
+                row.extend(
+                    std::iter::zip(&col_idxs[lo..hi], &values[lo..hi]).map(|(&c, &v)| (c, v)),
+                );
+                row.sort_by_key(|&(c, _)| c);
+                let row_start = end;
+                for &(c, v) in &row {
+                    if end > row_start && col_idxs[end - 1] == c {
+                        values[end - 1] += v;
+                    } else {
+                        col_idxs[end] = c;
+                        values[end] = v;
+                        end += 1;
+                    }
                 }
             }
-            counts[r] += 1;
-            col_idxs.push(I::from_usize(c));
-            values.push(v);
+            *slot = end;
+            lo = hi;
         }
-        let mut acc = 0usize;
-        for (r, &cnt) in counts.iter().enumerate() {
-            acc += cnt;
-            row_ptrs[r + 1] = I::from_usize(acc);
-        }
+        let row_ptrs = std::iter::once(0)
+            .chain(cursor[..size.rows].iter().copied())
+            .map(I::from_usize)
+            .collect();
+        col_idxs.truncate(end);
+        values.truncate(end);
         Csr::from_raw(exec, size, row_ptrs, col_idxs, values)
     }
 

@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn empty_matrix_works() {
         let e = exec();
-        let csr = Csr::<f64, i32>::from_triplets(&e, Dim2::square(2), &[]).unwrap();
+        let csr = Csr::<f64, i32>::from_triplets::<f64>(&e, Dim2::square(2), &[]).unwrap();
         let ell = Ell::from_csr(&csr);
         assert_eq!(ell.stored_per_row(), 0);
         let b = Dense::from_rows(&e, &[[1.0f64], [1.0]]);

@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn empty_matrix_works() {
         let exec = Executor::reference();
-        let csr = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(3), &[]).unwrap();
+        let csr = Csr::<f64, i32>::from_triplets::<f64>(&exec, Dim2::square(3), &[]).unwrap();
         let hyb = Hybrid::from_csr(&csr);
         let b = Dense::<f64>::vector(&exec, 3, 1.0);
         let mut x = Dense::<f64>::vector(&exec, 3, 5.0);

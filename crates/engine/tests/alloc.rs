@@ -141,6 +141,54 @@ fn hybrid_apply_allocates_independently_of_size() {
     });
 }
 
+/// Assembly from triplets already in (row, col) order makes four
+/// allocations: the per-row cursor and the three CSR arrays. No sorted copy
+/// of the list, no converted copy when the list holds `f64` for an `f32`
+/// matrix, nothing per row; COO adds its row index array.
+#[test]
+fn assembling_sorted_triplets_allocates_only_the_arrays_it_returns() {
+    let exec = Executor::reference();
+    let triplets = |n: usize| -> Vec<(usize, usize, f64)> {
+        let a = matrix(&exec, n);
+        let (rp, ci, v) = (a.row_ptrs(), a.col_idxs(), a.values());
+        (0..n)
+            .flat_map(|r| (rp[r] as usize..rp[r + 1] as usize).map(move |k| (r, k)))
+            .map(|(r, k)| (r, ci[k] as usize, v[k]))
+            .collect()
+    };
+    let (small, large) = (triplets(2_000), triplets(20_000));
+    type Build<'a> = &'a dyn Fn(Dim2, &[(usize, usize, f64)]);
+    let count = |t: &[(usize, usize, f64)], build: Build| {
+        let dim = Dim2::square(t.iter().map(|e| e.0).max().unwrap() + 1);
+        let before = ALLOCATIONS.with(Cell::get);
+        build(dim, t);
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    let csr = |dim: Dim2, t: &[(usize, usize, f64)]| {
+        assert_eq!(
+            Csr::<f64, i32>::from_triplets(&exec, dim, t).unwrap().nnz(),
+            t.len()
+        );
+    };
+    let csr_f32 = |dim: Dim2, t: &[(usize, usize, f64)]| {
+        assert_eq!(
+            Csr::<f32, i64>::from_triplets(&exec, dim, t).unwrap().nnz(),
+            t.len()
+        );
+    };
+    let coo = |dim: Dim2, t: &[(usize, usize, f64)]| {
+        assert_eq!(
+            Coo::<f64, i32>::from_triplets(&exec, dim, t).unwrap().nnz(),
+            t.len()
+        );
+    };
+    assert_eq!(count(&small, &csr), 4);
+    assert_eq!(count(&large, &csr), 4);
+    assert_eq!(count(&large, &csr_f32), 4);
+    assert_eq!(count(&small, &coo), 5);
+    assert_eq!(count(&large, &coo), 5);
+}
+
 /// Iterations every solver below is capped at, and GMRES's restart length:
 /// three full cycles.
 const SOLVE_ITERS: usize = 12;

@@ -6,11 +6,15 @@
 //! `pattern` fields; `general`, `symmetric`, and `skew-symmetric`
 //! symmetries. (`complex`/`hermitian` are rejected with a clear error — the
 //! reproduction's value types are real, per Table 1 of the paper.)
+//!
+//! The reader is a single pass over the document's bytes and the writer
+//! formats into one reused block buffer: neither allocates per line or per
+//! token (DESIGN.md, "Cold path: MTX I/O and triplet assembly").
 
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 /// Storage layout declared in the header.
@@ -101,140 +105,385 @@ fn parse_err(line: usize, message: impl Into<String>) -> MtxError {
 /// cap.
 const RESERVE_CAP: usize = 1 << 24;
 
-/// Reads Matrix Market data from any reader.
-pub fn read_mtx<R: Read>(reader: R) -> Result<MtxData, MtxError> {
-    let mut lines = BufReader::new(reader).lines();
-    let mut line_no = 0usize;
+/// A token that is present but is not a number of the kind asked for.
+struct Malformed;
 
-    // Header line.
-    let header = loop {
-        match lines.next() {
-            None => return Err(parse_err(line_no, "empty file")),
-            Some(l) => {
-                line_no += 1;
-                let l = l?;
-                if !l.trim().is_empty() {
-                    break l;
-                }
+/// Whitespace inside a line: every ASCII byte `char::is_whitespace` accepts
+/// except the line terminator `\n`.
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | 0x0B | 0x0C | b'\r')
+}
+
+/// Cursor over the document's bytes. Lines end at `\n`, tokens are maximal
+/// runs of non-whitespace bytes and never span lines.
+struct Scanner<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// 1-based number of the line `pos` is on; 0 before the first line.
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Scanner {
+            buf,
+            pos: 0,
+            line: 0,
+        }
+    }
+
+    fn skip_blanks(&mut self) {
+        while self.buf.get(self.pos).is_some_and(|&b| is_blank(b)) {
+            self.pos += 1;
+        }
+    }
+
+    /// From a line start, moves to the first non-blank byte of the next line
+    /// that has one and returns that byte.
+    fn next_line(&mut self) -> Option<u8> {
+        while self.pos < self.buf.len() {
+            self.line += 1;
+            self.skip_blanks();
+            match self.buf.get(self.pos) {
+                Some(b'\n') => self.pos += 1,
+                Some(&b) => return Some(b),
+                None => {}
             }
         }
+        None
+    }
+
+    /// Like [`Scanner::next_line`], also passing over `%` comment lines.
+    fn next_record(&mut self) -> bool {
+        while let Some(b) = self.next_line() {
+            if b != b'%' {
+                return true;
+            }
+            self.end_line();
+        }
+        false
+    }
+
+    /// Drops the rest of the current line, terminator included, so that
+    /// trailing tokens are ignored.
+    fn end_line(&mut self) {
+        while let Some(&b) = self.buf.get(self.pos) {
+            self.pos += 1;
+            if b == b'\n' {
+                break;
+            }
+        }
+    }
+
+    /// Moves to the end of the token `pos` is in, or stays put between tokens.
+    fn end_token(&mut self) {
+        while self
+            .buf
+            .get(self.pos)
+            .is_some_and(|&b| !is_blank(b) && b != b'\n')
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// The next token on the current line, `None` at its end.
+    fn token(&mut self) -> Option<&'a [u8]> {
+        self.skip_blanks();
+        let start = self.pos;
+        self.end_token();
+        self.buf.get(start..self.pos).filter(|tok| !tok.is_empty())
+    }
+
+    /// The next token on the current line as an index, parsed while it is
+    /// scanned. Accepts what `usize::from_str` accepts: an optional `+` and
+    /// at least one decimal digit, the value fitting in `usize`.
+    fn index(&mut self) -> Option<Result<usize, Malformed>> {
+        self.skip_blanks();
+        let start = self.pos;
+        if self.buf.get(self.pos) == Some(&b'+') {
+            self.pos += 1;
+        }
+        let digits = self.pos;
+        let mut value = 0usize;
+        let mut overflowed = false;
+        while let Some(d) = self.buf.get(self.pos).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            let (scaled, past_mul) = value.overflowing_mul(10);
+            let (next, past_add) = scaled.overflowing_add(usize::from(d));
+            overflowed |= past_mul | past_add;
+            value = next;
+            self.pos += 1;
+        }
+        let digits_end = self.pos;
+        self.end_token();
+        if self.pos == start {
+            return None;
+        }
+        // Digits are required, and nothing may follow them inside the token.
+        let well_formed = digits_end > digits && digits_end == self.pos && !overflowed;
+        Some(if well_formed {
+            Ok(value)
+        } else {
+            Err(Malformed)
+        })
+    }
+
+    /// The next token on the current line as a value: exactly the `f64`
+    /// that `str::parse` returns for it.
+    ///
+    /// A token of the shape `[+-] digits [. digits] [e|E [+-] digits]` whose
+    /// digits, read as one integer, are at most 2^53, and whose decimal
+    /// exponent (written exponent minus fraction digits) is within ±22, is
+    /// converted while it is scanned, by Clinger's fast path: mantissa and
+    /// power of ten are both exact `f64`s, so the one IEEE multiply or divide
+    /// rounds the exact decimal value once, which is the definition of the
+    /// correctly rounded result. Every other token (longer mantissas, larger
+    /// exponents, `inf`, `nan`, malformed text) goes to `str::parse::<f64>`.
+    fn value(&mut self) -> Option<Result<f64, Malformed>> {
+        self.skip_blanks();
+        let start = self.pos;
+        let fast = self.decimal();
+        let decimal_end = self.pos;
+        self.end_token();
+        if self.pos == start {
+            return None;
+        }
+        let parsed = fast.filter(|_| decimal_end == self.pos).or_else(|| {
+            let tok = self.buf.get(start..self.pos)?;
+            std::str::from_utf8(tok).ok()?.parse().ok()
+        });
+        Some(parsed.ok_or(Malformed))
+    }
+
+    /// Consumes a `+` or `-` at `pos`, if there is one; true for `-`.
+    fn sign(&mut self) -> bool {
+        let sign = self.buf.get(self.pos).copied();
+        if let Some(b'+' | b'-') = sign {
+            self.pos += 1;
+        }
+        sign == Some(b'-')
+    }
+
+    /// Consumes the longest decimal-literal prefix at `pos` and returns its
+    /// value when the fast path of [`Scanner::value`] applies to it.
+    fn decimal(&mut self) -> Option<f64> {
+        let negative = self.sign();
+        // Digits past the 19th would overflow the u64 (and 2^53 long before).
+        let mut mantissa = 0u64;
+        let mut digits = 0usize;
+        let mut point = None;
+        while let Some(&b) = self.buf.get(self.pos) {
+            let d = b.wrapping_sub(b'0');
+            if d <= 9 {
+                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d));
+                digits += 1;
+            } else if b == b'.' && point.is_none() {
+                point = Some(digits);
+            } else {
+                break;
+            }
+            self.pos += 1;
+        }
+        let mut exponent = 0i32;
+        if let Some(b'e' | b'E') = self.buf.get(self.pos) {
+            self.pos += 1;
+            let exp_negative = self.sign();
+            let exp_start = self.pos;
+            while let Some(d) = self.buf.get(self.pos).map(|b| b.wrapping_sub(b'0')) {
+                if d > 9 {
+                    break;
+                }
+                exponent = exponent.saturating_mul(10).saturating_add(i32::from(d));
+                self.pos += 1;
+            }
+            if self.pos == exp_start {
+                return None;
+            }
+            if exp_negative {
+                exponent = -exponent;
+            }
+        }
+        let fraction_digits = point.map_or(0, |at| digits - at);
+        let exponent = exponent.saturating_sub(i32::try_from(fraction_digits).ok()?);
+        if digits == 0 || digits > 19 || mantissa > 1 << 53 {
+            return None;
+        }
+        let power = *POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?)?;
+        // Exact: `mantissa <= 2^53`.
+        let magnitude = mantissa as f64;
+        let magnitude = if exponent < 0 {
+            magnitude / power
+        } else {
+            magnitude * power
+        };
+        Some(if negative { -magnitude } else { magnitude })
+    }
+}
+
+/// `10^k` for `k <= 22`: every one is exactly representable in an `f64`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Number of values an `array` document of this shape stores, `None` when it
+/// does not fit in `usize`.
+fn array_len(symmetry: MtxSymmetry, rows: usize, cols: usize) -> Option<usize> {
+    // Widening: a product of two `usize` always fits in a `u128`.
+    let (rows, cols) = (rows as u128, cols as u128);
+    let len = match symmetry {
+        MtxSymmetry::General => rows * cols,
+        MtxSymmetry::Symmetric => cols * (cols + 1) / 2,
+        MtxSymmetry::SkewSymmetric => cols * cols.saturating_sub(1) / 2,
     };
-    let lower = header.to_ascii_lowercase();
-    let tokens: Vec<&str> = lower.split_whitespace().collect();
-    if tokens.len() < 4 || tokens[0] != "%%matrixmarket" || tokens[1] != "matrix" {
+    usize::try_from(len).ok()
+}
+
+/// Parses a whole Matrix Market document held in memory.
+fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
+    let mut sc = Scanner::new(buf);
+
+    // Header line: the first line that is not blank.
+    if sc.next_line().is_none() {
+        return Err(parse_err(sc.line, "empty file"));
+    }
+    let mut header: [&[u8]; 5] = [b""; 5];
+    for slot in &mut header {
+        *slot = sc.token().unwrap_or_default();
+    }
+    sc.end_line();
+    let is = |tok: &[u8], word: &str| tok.eq_ignore_ascii_case(word.as_bytes());
+    let shown = |tok: &[u8]| String::from_utf8_lossy(tok).to_ascii_lowercase();
+    let [banner, object, format, field, symmetry] = header;
+    if field.is_empty() || !is(banner, "%%matrixmarket") || !is(object, "matrix") {
         return Err(parse_err(
-            line_no,
+            sc.line,
             "header must start with '%%MatrixMarket matrix'",
         ));
     }
-    let format = match tokens[2] {
-        "coordinate" => MtxFormat::Coordinate,
-        "array" => MtxFormat::Array,
-        other => return Err(parse_err(line_no, format!("unknown format '{other}'"))),
+    let format = if is(format, "coordinate") {
+        MtxFormat::Coordinate
+    } else if is(format, "array") {
+        MtxFormat::Array
+    } else {
+        return Err(parse_err(
+            sc.line,
+            format!("unknown format '{}'", shown(format)),
+        ));
     };
-    let field = tokens[3];
-    match field {
-        "real" | "integer" | "pattern" | "double" => {}
-        "complex" | "hermitian" => {
-            return Err(MtxError::Unsupported(format!("field '{field}'")))
-        }
-        other => return Err(parse_err(line_no, format!("unknown field '{other}'"))),
+    let pattern = is(field, "pattern");
+    if is(field, "complex") || is(field, "hermitian") {
+        return Err(MtxError::Unsupported(format!("field '{}'", shown(field))));
     }
-    if field == "pattern" && format == MtxFormat::Array {
-        return Err(parse_err(line_no, "array format cannot be pattern"));
+    if !(pattern || is(field, "real") || is(field, "integer") || is(field, "double")) {
+        return Err(parse_err(
+            sc.line,
+            format!("unknown field '{}'", shown(field)),
+        ));
     }
-    let symmetry = match tokens.get(4).copied().unwrap_or("general") {
-        "general" => MtxSymmetry::General,
-        "symmetric" => MtxSymmetry::Symmetric,
-        "skew-symmetric" => MtxSymmetry::SkewSymmetric,
-        "hermitian" => return Err(MtxError::Unsupported("hermitian symmetry".into())),
-        other => return Err(parse_err(line_no, format!("unknown symmetry '{other}'"))),
+    if pattern && format == MtxFormat::Array {
+        return Err(parse_err(sc.line, "array format cannot be pattern"));
+    }
+    let symmetry = if symmetry.is_empty() || is(symmetry, "general") {
+        MtxSymmetry::General
+    } else if is(symmetry, "symmetric") {
+        MtxSymmetry::Symmetric
+    } else if is(symmetry, "skew-symmetric") {
+        MtxSymmetry::SkewSymmetric
+    } else if is(symmetry, "hermitian") {
+        return Err(MtxError::Unsupported("hermitian symmetry".into()));
+    } else {
+        return Err(parse_err(
+            sc.line,
+            format!("unknown symmetry '{}'", shown(symmetry)),
+        ));
     };
 
-    // Size line (after comments).
-    let size_line = loop {
-        match lines.next() {
-            None => return Err(parse_err(line_no, "missing size line")),
-            Some(l) => {
-                line_no += 1;
-                let l = l?;
-                let trimmed = l.trim().to_owned();
-                if trimmed.is_empty() || trimmed.starts_with('%') {
-                    continue;
-                }
-                break trimmed;
-            }
-        }
+    // Size line (after comments): exactly `wanted` tokens.
+    if !sc.next_record() {
+        return Err(parse_err(sc.line, "missing size line"));
+    }
+    let wanted = match format {
+        MtxFormat::Coordinate => 3,
+        MtxFormat::Array => 2,
     };
-    let nums: Vec<&str> = size_line.split_whitespace().collect();
-
-    let (rows, cols, declared_nnz) = match format {
-        MtxFormat::Coordinate => {
-            if nums.len() != 3 {
-                return Err(parse_err(line_no, "coordinate size line needs 'rows cols nnz'"));
-            }
-            let r: usize = nums[0].parse().map_err(|_| parse_err(line_no, "bad rows"))?;
-            let c: usize = nums[1].parse().map_err(|_| parse_err(line_no, "bad cols"))?;
-            let n: usize = nums[2].parse().map_err(|_| parse_err(line_no, "bad nnz"))?;
-            (r, c, Some(n))
+    let mut sizes = [Ok(0usize), Ok(0), Ok(0)];
+    let mut found = 0;
+    while let Some(size) = sc.index() {
+        if let Some(slot) = sizes.get_mut(found) {
+            *slot = size;
         }
-        MtxFormat::Array => {
-            if nums.len() != 2 {
-                return Err(parse_err(line_no, "array size line needs 'rows cols'"));
-            }
-            let r: usize = nums[0].parse().map_err(|_| parse_err(line_no, "bad rows"))?;
-            let c: usize = nums[1].parse().map_err(|_| parse_err(line_no, "bad cols"))?;
-            (r, c, None)
-        }
-    };
+        found += 1;
+    }
+    sc.end_line();
+    if found != wanted {
+        return Err(parse_err(
+            sc.line,
+            match format {
+                MtxFormat::Coordinate => "coordinate size line needs 'rows cols nnz'",
+                MtxFormat::Array => "array size line needs 'rows cols'",
+            },
+        ));
+    }
+    let [rows, cols, declared_nnz] = sizes;
+    let rows = rows.map_err(|_| parse_err(sc.line, "bad rows"))?;
+    let cols = cols.map_err(|_| parse_err(sc.line, "bad cols"))?;
+    let declared_nnz = declared_nnz.map_err(|_| parse_err(sc.line, "bad nnz"))?;
+    // A mirrored entry of a non-square matrix can fall outside it.
+    if symmetry != MtxSymmetry::General && rows != cols {
+        return Err(parse_err(
+            sc.line,
+            format!("a symmetric or skew-symmetric matrix must be square, not {rows}x{cols}"),
+        ));
+    }
 
     let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+    // Whether `entries` is still in (row, col) order, so that files written
+    // in that order skip the final sort.
+    let mut sorted = true;
     match format {
         MtxFormat::Coordinate => {
-            let expected = declared_nnz.unwrap();
-            entries.reserve(expected.saturating_mul(2).min(RESERVE_CAP));
+            let mirrored = if symmetry == MtxSymmetry::General {
+                1
+            } else {
+                2
+            };
+            entries.reserve(declared_nnz.saturating_mul(mirrored).min(RESERVE_CAP));
+            let mut last = (0usize, 0usize);
             let mut seen = 0usize;
-            for l in lines {
-                line_no += 1;
-                let l = l?;
-                let t = l.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                let parts: Vec<&str> = t.split_whitespace().collect();
-                let want = if field == "pattern" { 2 } else { 3 };
-                if parts.len() < want {
-                    return Err(parse_err(line_no, "too few values on entry line"));
-                }
-                let i: usize = parts[0]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, "bad row index"))?;
-                let j: usize = parts[1]
-                    .parse()
-                    .map_err(|_| parse_err(line_no, "bad col index"))?;
+            while sc.next_record() {
+                let (i, j) = (sc.index(), sc.index());
+                let v = if pattern { Some(Ok(1.0)) } else { sc.value() };
+                sc.end_line();
+                let (Some(i), Some(j), Some(v)) = (i, j, v) else {
+                    return Err(parse_err(sc.line, "too few values on entry line"));
+                };
+                let i = i.map_err(|_| parse_err(sc.line, "bad row index"))?;
+                let j = j.map_err(|_| parse_err(sc.line, "bad col index"))?;
                 if i == 0 || j == 0 || i > rows || j > cols {
                     return Err(parse_err(
-                        line_no,
+                        sc.line,
                         format!("entry ({i}, {j}) outside {rows}x{cols} (indices are 1-based)"),
                     ));
                 }
-                let v: f64 = if field == "pattern" {
-                    1.0
-                } else {
-                    parts[2]
-                        .parse()
-                        .map_err(|_| parse_err(line_no, "bad value"))?
-                };
+                let v = v.map_err(|_| parse_err(sc.line, "bad value"))?;
                 let (i0, j0) = (i - 1, j - 1);
                 match symmetry {
-                    MtxSymmetry::General => entries.push((i0, j0, v)),
+                    MtxSymmetry::General => {
+                        sorted &= last <= (i0, j0);
+                        last = (i0, j0);
+                        entries.push((i0, j0, v));
+                    }
                     MtxSymmetry::Symmetric => {
                         if j0 > i0 {
                             return Err(parse_err(
-                                line_no,
+                                sc.line,
                                 "symmetric file stores only the lower triangle",
                             ));
                         }
+                        sorted = false;
                         entries.push((i0, j0, v));
                         if i0 != j0 {
                             entries.push((j0, i0, v));
@@ -243,90 +492,76 @@ pub fn read_mtx<R: Read>(reader: R) -> Result<MtxData, MtxError> {
                     MtxSymmetry::SkewSymmetric => {
                         if j0 >= i0 {
                             return Err(parse_err(
-                                line_no,
+                                sc.line,
                                 "skew-symmetric file stores only the strict lower triangle",
                             ));
                         }
+                        sorted = false;
                         entries.push((i0, j0, v));
                         entries.push((j0, i0, -v));
                     }
                 }
                 seen += 1;
             }
-            if seen != expected {
+            if seen != declared_nnz {
                 return Err(parse_err(
-                    line_no,
-                    format!("declared {expected} entries but found {seen}"),
+                    sc.line,
+                    format!("declared {declared_nnz} entries but found {seen}"),
                 ));
             }
         }
         MtxFormat::Array => {
-            // Column-major dense values.
-            let expected = match symmetry {
-                MtxSymmetry::General => rows * cols,
-                MtxSymmetry::Symmetric => cols * (cols + 1) / 2,
-                MtxSymmetry::SkewSymmetric => cols * cols.saturating_sub(1) / 2,
-            };
+            // Column-major dense values, any number per line.
+            let expected = array_len(symmetry, rows, cols).ok_or_else(|| {
+                parse_err(
+                    sc.line,
+                    format!("array of {rows}x{cols} values does not fit in memory"),
+                )
+            })?;
             let mut values = Vec::with_capacity(expected.min(RESERVE_CAP));
-            for l in lines {
-                line_no += 1;
-                let l = l?;
-                let t = l.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
+            let mut found = 0usize;
+            while sc.next_record() {
+                while let Some(v) = sc.value() {
+                    let v = v.map_err(|_| parse_err(sc.line, "bad value"))?;
+                    if found < expected {
+                        values.push(v);
+                    }
+                    found = found.saturating_add(1);
                 }
-                for tok in t.split_whitespace() {
-                    let v: f64 = tok.parse().map_err(|_| parse_err(line_no, "bad value"))?;
-                    values.push(v);
-                }
+                sc.end_line();
             }
-            if values.len() != expected {
+            if found != expected {
                 return Err(parse_err(
-                    line_no,
-                    format!("expected {expected} array values, found {}", values.len()),
+                    sc.line,
+                    format!("expected {expected} array values, found {found}"),
                 ));
             }
-            let mut it = values.into_iter();
-            match symmetry {
-                MtxSymmetry::General => {
-                    for j in 0..cols {
-                        for i in 0..rows {
-                            let v = it.next().unwrap();
-                            if v != 0.0 {
-                                entries.push((i, j, v));
-                            }
-                        }
-                    }
+            sorted = false;
+            // Rows stored of column `j`: all, from the diagonal, or below it.
+            let first_row = |j: usize| match symmetry {
+                MtxSymmetry::General => 0,
+                MtxSymmetry::Symmetric => j,
+                MtxSymmetry::SkewSymmetric => j + 1,
+            };
+            let stored = (0..cols).flat_map(|j| (first_row(j)..rows).map(move |i| (i, j)));
+            for ((i, j), &v) in stored.zip(&values) {
+                if v == 0.0 {
+                    continue;
                 }
-                MtxSymmetry::Symmetric => {
-                    for j in 0..cols {
-                        for i in j..rows {
-                            let v = it.next().unwrap();
-                            if v != 0.0 {
-                                entries.push((i, j, v));
-                                if i != j {
-                                    entries.push((j, i, v));
-                                }
-                            }
-                        }
-                    }
-                }
-                MtxSymmetry::SkewSymmetric => {
-                    for j in 0..cols {
-                        for i in (j + 1)..rows {
-                            let v = it.next().unwrap();
-                            if v != 0.0 {
-                                entries.push((i, j, v));
-                                entries.push((j, i, -v));
-                            }
-                        }
-                    }
+                entries.push((i, j, v));
+                match symmetry {
+                    MtxSymmetry::General => {}
+                    MtxSymmetry::Symmetric if i == j => {}
+                    MtxSymmetry::Symmetric => entries.push((j, i, v)),
+                    MtxSymmetry::SkewSymmetric => entries.push((j, i, -v)),
                 }
             }
         }
     }
 
-    entries.sort_by_key(|&(r, c, _)| (r, c));
+    if !sorted {
+        entries.sort_by_key(|&(r, c, _)| (r, c));
+    }
     Ok(MtxData {
         rows,
         cols,
@@ -336,25 +571,90 @@ pub fn read_mtx<R: Read>(reader: R) -> Result<MtxData, MtxError> {
     })
 }
 
-/// Reads a Matrix Market file from disk.
-pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<MtxData, MtxError> {
-    let file = std::fs::File::open(path)?;
-    read_mtx(file)
+/// Reads Matrix Market data from any reader: the whole document is read into
+/// one buffer and parsed in a single pass over its bytes.
+///
+/// Accepted grammar: lines end at `\n`; tokens are separated by ASCII
+/// whitespace (space, tab, `\r`, vertical tab, form feed); a line whose
+/// first token starts with `%` is a comment and blank lines are skipped;
+/// sizes and indices are decimal digits with an optional leading `+`; values
+/// are whatever `str::parse::<f64>` accepts and parse to the same bits;
+/// tokens after the ones an entry line needs are ignored. Non-UTF-8 bytes in
+/// the header, size line or an entry yield a line-numbered
+/// [`MtxError::Parse`] (inside a comment they are skipped like any other
+/// byte); [`MtxError::Io`] is only ever the reader's own failure.
+pub fn read_mtx<R: Read>(mut reader: R) -> Result<MtxData, MtxError> {
+    let mut buf = Vec::new();
+    reader.read_to_end(&mut buf)?;
+    parse(&buf)
 }
 
-/// Writes triplets as a `coordinate real general` Matrix Market document.
+/// Reads a Matrix Market file from disk.
+pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<MtxData, MtxError> {
+    parse(&std::fs::read(path)?)
+}
+
+/// Bytes collected before the writer is handed a block.
+const WRITE_BLOCK: usize = 64 << 10;
+
+/// Appends `v` in decimal.
+fn push_integer(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `v` as `{v:?}` prints it. Integer-valued magnitudes below 1e15
+/// (every one an exact `u64`) are `<int>.0` there and are printed by hand;
+/// the shortest-digits search for everything else stays on std.
+fn push_value(out: &mut Vec<u8>, v: f64) -> std::io::Result<()> {
+    let magnitude = v.abs();
+    if magnitude < 1e15 && magnitude.trunc() == magnitude {
+        if v.is_sign_negative() {
+            out.push(b'-');
+        }
+        push_integer(out, magnitude as u64);
+        out.extend_from_slice(b".0");
+        Ok(())
+    } else {
+        write!(out, "{v:?}")
+    }
+}
+
+/// Writes triplets as a `coordinate real general` Matrix Market document,
+/// handing `writer` blocks of about 64 KiB.
 pub fn write_mtx<W: Write>(
     writer: &mut W,
     rows: usize,
     cols: usize,
     entries: &[(usize, usize, f64)],
 ) -> Result<(), MtxError> {
-    writeln!(writer, "%%MatrixMarket matrix coordinate real general")?;
-    writeln!(writer, "% written by pygko-mtx")?;
-    writeln!(writer, "{rows} {cols} {}", entries.len())?;
+    let mut block = Vec::with_capacity(WRITE_BLOCK + 128);
+    writeln!(block, "%%MatrixMarket matrix coordinate real general")?;
+    writeln!(block, "% written by pygko-mtx")?;
+    writeln!(block, "{rows} {cols} {}", entries.len())?;
     for &(r, c, v) in entries {
-        writeln!(writer, "{} {} {v:?}", r + 1, c + 1)?;
+        // `usize` is at most 64 bits wide.
+        push_integer(&mut block, r as u64 + 1);
+        block.push(b' ');
+        push_integer(&mut block, c as u64 + 1);
+        block.push(b' ');
+        push_value(&mut block, v)?;
+        block.push(b'\n');
+        if block.len() >= WRITE_BLOCK {
+            writer.write_all(&block)?;
+            block.clear();
+        }
     }
+    writer.write_all(&block)?;
     Ok(())
 }
 
@@ -365,8 +665,7 @@ pub fn write_mtx_file(
     cols: usize,
     entries: &[(usize, usize, f64)],
 ) -> Result<(), MtxError> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_mtx(&mut file, rows, cols, entries)
+    write_mtx(&mut std::fs::File::create(path)?, rows, cols, entries)
 }
 
 #[cfg(test)]
@@ -641,6 +940,375 @@ mod tests {
         assert_eq!(
             read_mtx(doc.as_bytes()).unwrap().entries,
             vec![(0, 0, -1.5e-10)]
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // Differential tests: the byte-level tokenizer against `std`
+    // -----------------------------------------------------------------
+
+    use pygko_sim::rng::Xoshiro256pp;
+
+    fn assert_value_matches_std(tok: &str) {
+        let ours = Scanner::new(tok.as_bytes()).value().and_then(Result::ok);
+        let std: Option<f64> = tok.parse().ok();
+        assert_eq!(
+            ours.map(f64::to_bits),
+            std.map(f64::to_bits),
+            "value token {tok:?}: ours {ours:?}, std {std:?}"
+        );
+    }
+
+    fn assert_index_matches_std(tok: &str) {
+        let ours = Scanner::new(tok.as_bytes()).index().and_then(Result::ok);
+        let std: Option<usize> = tok.parse().ok();
+        assert_eq!(ours, std, "index token {tok:?}");
+    }
+
+    #[test]
+    fn value_tokens_parse_to_the_bits_std_parses() {
+        for tok in [
+            ".5",
+            "5.",
+            "+3.5",
+            "1E5",
+            "-0.0",
+            "0",
+            "-0",
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740992e22",
+            "9007199254740992e23",
+            "1e22",
+            "1e23",
+            "1e-22",
+            "1e-23",
+            "123456789012345678",
+            "0.000000000000000000001",
+            "2.2250738585072014e-308",
+            "4.9e-324",
+            "1e400",
+            "-1e400",
+            "1e-400",
+            "inf",
+            "-inf",
+            "+infinity",
+            "nan",
+            "NaN",
+            "1e",
+            "1e+",
+            "e5",
+            "-",
+            "+",
+            ".",
+            "-.",
+            "1.2.3",
+            "1e5.0",
+            "0x10",
+            "1_0",
+            "1e0005",
+            "1e-0022",
+            "00000000000000000000001",
+            "1.0e١",
+            "",
+        ] {
+            assert_value_matches_std(tok);
+        }
+    }
+
+    #[test]
+    fn a_million_printed_bit_patterns_parse_to_the_bits_std_parses() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x9E37_79B9_7F4A_7C15);
+        let mut tok = String::new();
+        for k in 0..1_000_000u32 {
+            // Half the patterns are raw bits (any exponent, NaNs, infinities);
+            // the other half get an exponent near zero, where `{:.N}` prints
+            // short decimals, the fast path's home ground.
+            let mut bits = rng.next_u64();
+            if k % 2 == 1 {
+                let exponent = 1023 - 70 + rng.below(140);
+                bits = (bits & !(0x7FF << 52)) | (exponent << 52);
+            }
+            let v = f64::from_bits(bits);
+            tok.clear();
+            use std::fmt::Write as _;
+            match k % 23 {
+                0 => write!(tok, "{v:?}"),
+                1 => write!(tok, "{v:e}"),
+                n => write!(tok, "{v:.*}", n as usize - 2),
+            }
+            .unwrap();
+            assert_value_matches_std(&tok);
+        }
+    }
+
+    #[test]
+    fn decimal_tokens_around_the_fast_path_limits_parse_to_the_bits_std_parses() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0123_4567_89AB_CDEF);
+        let mut tok = String::new();
+        for k in 0..300_000u32 {
+            use std::fmt::Write as _;
+            tok.clear();
+            // A mantissa of 1..=20 digits, or one within 2 of 2^53.
+            let mantissa = if k % 5 == 0 {
+                ((1u64 << 53) - 2 + rng.below(5)).to_string()
+            } else {
+                let digits = 1 + rng.below(20) as usize;
+                (0..digits)
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect()
+            };
+            if rng.below(2) == 0 {
+                tok.push(if rng.below(2) == 0 { '-' } else { '+' });
+            }
+            match rng.below(3) {
+                0 => tok.push_str(&mantissa),
+                _ => {
+                    let point = rng.below(mantissa.len() as u64 + 1) as usize;
+                    write!(tok, "{}.{}", &mantissa[..point], &mantissa[point..]).unwrap();
+                }
+            }
+            if rng.below(3) != 0 {
+                let exponent = rng.below(61) as i64 - 30;
+                let e = if rng.below(2) == 0 { 'e' } else { 'E' };
+                match rng.below(3) {
+                    0 => write!(tok, "{e}{exponent}"),
+                    1 => write!(tok, "{e}{exponent:+}"),
+                    _ => write!(tok, "{e}{exponent:03}"),
+                }
+                .unwrap();
+            }
+            assert_value_matches_std(&tok);
+        }
+    }
+
+    #[test]
+    fn index_tokens_parse_to_what_usize_from_str_parses() {
+        for tok in [
+            "0",
+            "7",
+            "+7",
+            "-7",
+            "+",
+            "-",
+            "",
+            "007",
+            "+007",
+            "++7",
+            "7+",
+            "7.0",
+            "1e3",
+            "0x1F",
+            "18446744073709551615",
+            "18446744073709551616",
+            "+18446744073709551615",
+            "99999999999999999999",
+            "000000000000000000000000000018446744073709551615",
+            "184467440737095516150",
+            "٧",
+            "7\u{a0}",
+        ] {
+            assert_index_matches_std(tok);
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(0xFEED_FACE_CAFE_BEEF);
+        for k in 0..200_000u32 {
+            let v = rng.next_u64() >> rng.below(64);
+            let tok = match k % 4 {
+                0 => format!("{v}"),
+                1 => format!("+{v}"),
+                2 => format!("{v}{}", rng.below(10)),
+                _ => format!("{v:025}"),
+            };
+            assert_index_matches_std(&tok);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Writer: bytes against the `format!` reference, and round trips
+    // -----------------------------------------------------------------
+
+    fn reference_document(rows: usize, cols: usize, entries: &[(usize, usize, f64)]) -> String {
+        let mut doc = format!(
+            "%%MatrixMarket matrix coordinate real general\n% written by pygko-mtx\n{rows} {cols} {}\n",
+            entries.len()
+        );
+        for &(r, c, v) in entries {
+            doc.push_str(&format!("{} {} {v:?}\n", r + 1, c + 1));
+        }
+        doc
+    }
+
+    #[test]
+    fn writer_bytes_equal_the_format_reference() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            1e15,
+            -1e15,
+            999_999_999_999_999.0,
+            1e16,
+            1e17,
+            1e21,
+            1e-7,
+            1e-5,
+            1e-4,
+            0.1,
+            123456.789,
+            4503599627370496.5,
+            9007199254740992.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(0xDEAD_BEEF_0BAD_F00D);
+        for k in 0..20_000 {
+            let bits = rng.next_u64();
+            values.push(match k % 3 {
+                0 => f64::from_bits(bits),
+                1 => (bits % 2_000_000_000_000_000) as f64 - 1e15,
+                _ => (bits % 1_000_000) as f64 / 1024.0,
+            });
+        }
+        // Enough entries to cross several block boundaries.
+        let entries: Vec<(usize, usize, f64)> = values
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (k * 7919 % 100_003, k * 104_729 % 99_991, v))
+            .collect();
+        let mut bytes = Vec::new();
+        write_mtx(&mut bytes, 100_003, 99_991, &entries).unwrap();
+        assert!(bytes.len() > 4 * WRITE_BLOCK);
+        assert!(bytes == reference_document(100_003, 99_991, &entries).into_bytes());
+
+        let mut empty = Vec::new();
+        write_mtx(&mut empty, 0, 3, &[]).unwrap();
+        assert_eq!(
+            String::from_utf8(empty).unwrap(),
+            reference_document(0, 3, &[])
+        );
+    }
+
+    #[test]
+    fn every_document_kind_survives_write_then_read() {
+        let docs = [
+            "%%MatrixMarket matrix coordinate real general\n3 4 3\n1 4 2.5\n3 1 -1e-9\n2 2 7\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 4\n3 1 -0.125\n3 3 6.02e23\n",
+            "%%MatrixMarket matrix coordinate integer skew-symmetric\n3 3 2\n2 1 3\n3 2 -4\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n1 1\n2 1\n3 3\n",
+            "%%MatrixMarket matrix array real general\n2 3\n1.5 0\n-3\n0.1\n5e-300 6\n",
+            "%%MatrixMarket matrix array real symmetric\n3 3\n1 2 3\n4 5\n6\n",
+            "%%MatrixMarket matrix array real skew-symmetric\n3 3\n1 2 3\n",
+        ];
+        for doc in docs {
+            let first = read_mtx(doc.as_bytes()).unwrap();
+            assert!(!first.entries.is_empty(), "{doc}");
+            let mut written = Vec::new();
+            write_mtx(&mut written, first.rows, first.cols, &first.entries).unwrap();
+            let second = read_mtx(written.as_slice()).unwrap();
+            assert_eq!(
+                (second.rows, second.cols),
+                (first.rows, first.cols),
+                "{doc}"
+            );
+            assert_eq!(second.entries, first.entries, "{doc}");
+            assert_eq!(second.declared_symmetry, MtxSymmetry::General);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Hostile sizes and bytes
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn array_sizes_whose_product_overflows_are_a_parse_error() {
+        // 2^32 * 2^32 wraps to 0 expected values in release arithmetic;
+        // 5e9 * 5e9 overflows a checked multiply.
+        for size_line in ["4294967296 4294967296", "5000000000 5000000000"] {
+            let doc = format!("%%MatrixMarket matrix array real general\n{size_line}\n");
+            match read_mtx(doc.as_bytes()).unwrap_err() {
+                MtxError::Parse { line, message } => {
+                    assert_eq!(line, 2, "{message}");
+                    assert!(message.contains("does not fit"), "{message}");
+                }
+                other => panic!("expected Parse error, got {other:?}"),
+            }
+        }
+        let doc = "%%MatrixMarket matrix array real symmetric\n18446744073709551615 18446744073709551615\n1.0\n";
+        assert!(matches!(
+            read_mtx(doc.as_bytes()),
+            Err(MtxError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn non_square_symmetric_documents_are_rejected() {
+        // The mirror image of entry (3, 1) of a 3x2 matrix is (1, 3): outside.
+        for doc in [
+            "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",
+            "%%MatrixMarket matrix array real symmetric\n3 2\n1 2 3\n",
+            "%%MatrixMarket matrix array real skew-symmetric\n2 3\n1 2 3\n",
+        ] {
+            match read_mtx(doc.as_bytes()).unwrap_err() {
+                MtxError::Parse { line, message } => {
+                    assert_eq!(line, 2, "{message}");
+                    assert!(message.contains("must be square"), "{message}");
+                }
+                other => panic!("expected Parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_utf8_bytes_are_a_line_numbered_parse_error() {
+        let mut doc = b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 ".to_vec();
+        doc.extend_from_slice(b"\xff\xfe\n");
+        match read_mtx(doc.as_slice()).unwrap_err() {
+            MtxError::Parse { line, message } => {
+                assert_eq!(line, 3);
+                assert!(message.contains("bad value"), "{message}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+        // Inside a comment they are skipped like any other byte.
+        let mut doc =
+            b"%%MatrixMarket matrix coordinate real general\n% \xff\n1 1 1\n1 1 2\n".to_vec();
+        assert_eq!(read_mtx(doc.as_slice()).unwrap().entries, vec![(0, 0, 2.0)]);
+        doc.truncate(46);
+        doc.extend_from_slice(b"\xc3\x28 1 1\n");
+        assert!(matches!(
+            read_mtx(doc.as_slice()),
+            Err(MtxError::Parse { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn whitespace_and_line_ends_follow_the_documented_grammar() {
+        // CRLF, tabs, vertical tab, form feed, indented comments, blank
+        // lines, `+` on integers, trailing tokens, no final newline.
+        let doc =
+            "\n  \r\n%%MatrixMarket\tmatrix coordinate real general\r\n \t% indented comment\r\n\
+                   \x0b+2 \x0c+2\t2\r\n\r\n+1 1 1.5 ignored tokens\r\n  % another\n2\t+2\t-2.5e0";
+        let m = read_mtx(doc.as_bytes()).unwrap();
+        assert_eq!((m.rows, m.cols), (2, 2));
+        assert_eq!(m.entries, vec![(0, 0, 1.5), (1, 1, -2.5)]);
+    }
+
+    #[test]
+    fn unsorted_general_entries_come_back_sorted_with_duplicates_kept_in_file_order() {
+        let doc =
+            "%%MatrixMarket matrix coordinate real general\n2 2 4\n2 2 1\n1 1 2\n2 2 3\n1 2 4\n";
+        assert_eq!(
+            read_mtx(doc.as_bytes()).unwrap().entries,
+            vec![(0, 0, 2.0), (0, 1, 4.0), (1, 1, 1.0), (1, 1, 3.0)]
         );
     }
 }

@@ -21,6 +21,78 @@ fn triplets(n: usize) -> Vec<(usize, usize, f64)> {
     t
 }
 
+/// The facade hands its `f64` triplets straight to the assembler, which
+/// rounds each value on the way into the typed array. For every cell of the
+/// dispatch table that must store exactly what assembling a pre-rounded copy
+/// of the list stores: same entries, same duplicate sums, bit for bit.
+#[test]
+fn from_triplets_stores_what_assembling_rounded_triplets_stores() {
+    use gko::matrix::Coo;
+    use gko::{Index, Value};
+    use pygko_half::Half;
+
+    fn engine<V: Value, I: Index>(
+        n: usize,
+        t: &[(usize, usize, f64)],
+        coo: bool,
+    ) -> Vec<(usize, usize, u64)> {
+        let exec = Executor::reference();
+        let rounded: Vec<(usize, usize, V)> =
+            t.iter().map(|&(r, c, v)| (r, c, V::from_f64(v))).collect();
+        let csr = if coo {
+            Coo::<V, I>::from_triplets(&exec, Dim2::square(n), &rounded)
+                .unwrap()
+                .to_csr()
+        } else {
+            Csr::<V, I>::from_triplets(&exec, Dim2::square(n), &rounded).unwrap()
+        };
+        let (rp, ci, v) = (csr.row_ptrs(), csr.col_idxs(), csr.values());
+        (0..n)
+            .flat_map(|r| (rp[r].to_usize()..rp[r + 1].to_usize()).map(move |k| (r, k)))
+            .map(|(r, k)| (r, ci[k].to_usize(), v[k].to_f64().to_bits()))
+            .collect()
+    }
+
+    // Out of order, every entry three times with values whose sum depends on
+    // the order in f32 and half (none sums to zero, which `to_triplets` drops).
+    let n = 60;
+    let mut t = Vec::new();
+    for pass in 0..3 {
+        for (k, &(r, c, v)) in triplets(n).iter().enumerate().rev() {
+            t.push((
+                r,
+                c,
+                v * (1.0 + 0.001 * (k % 7 + pass) as f64) + 0.37 * pass as f64,
+            ));
+        }
+    }
+    let dev = pg::device("reference").unwrap();
+    for format in ["Csr", "Coo"] {
+        for dtype in ["half", "float", "double"] {
+            for itype in ["int32", "int64"] {
+                let m = pg::SparseMatrix::from_triplets(&dev, (n, n), &t, dtype, itype, format)
+                    .unwrap();
+                let got: Vec<_> = m
+                    .to_triplets()
+                    .iter()
+                    .map(|&(r, c, v)| (r, c, v.to_bits()))
+                    .collect();
+                let coo = format == "Coo";
+                let want = match (dtype, itype) {
+                    ("half", "int32") => engine::<Half, i32>(n, &t, coo),
+                    ("half", _) => engine::<Half, i64>(n, &t, coo),
+                    ("float", "int32") => engine::<f32, i32>(n, &t, coo),
+                    ("float", _) => engine::<f32, i64>(n, &t, coo),
+                    (_, "int32") => engine::<f64, i32>(n, &t, coo),
+                    _ => engine::<f64, i64>(n, &t, coo),
+                };
+                assert_eq!(got.len(), triplets(n).len());
+                assert_eq!(got, want, "{format}/{dtype}/{itype}");
+            }
+        }
+    }
+}
+
 #[test]
 fn spmv_results_are_bit_identical() {
     let n = 500;

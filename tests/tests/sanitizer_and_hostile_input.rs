@@ -59,6 +59,22 @@ fn hostile_mtx_inputs_fail_cleanly() {
             "binary junk",
             "%%MatrixMarket matrix coordinate real general\n\u{0}\u{1}\u{2}\u{fffd}\n",
         ),
+        (
+            "array size wrapping to zero values",
+            "%%MatrixMarket matrix array real general\n4294967296 4294967296\n",
+        ),
+        (
+            "array size overflowing a multiply",
+            "%%MatrixMarket matrix array real general\n5000000000 5000000000\n",
+        ),
+        (
+            "symmetric array taller than wide",
+            "%%MatrixMarket matrix array real symmetric\n3 2\n1 2 3\n",
+        ),
+        (
+            "symmetric entry whose mirror image is outside",
+            "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",
+        ),
     ];
     for (what, text) in hostile {
         let got = read_mtx(text.as_bytes());
@@ -74,6 +90,46 @@ fn hostile_mtx_errors_carry_line_numbers() {
     let err = read_mtx(text.as_bytes()).expect_err("row 9 of 2");
     let msg = err.to_string();
     assert!(msg.contains('4'), "error should name line 4: {msg}");
+}
+
+/// Bytes that are not UTF-8 are a parse error on their line, not an
+/// `Io(InvalidData)` without one.
+#[test]
+fn non_utf8_mtx_bytes_are_a_line_numbered_parse_error() {
+    let doc = b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 \xff 1.0\n";
+    match read_mtx(doc.as_slice()).expect_err("0xff is not an index") {
+        pygko_mtx::MtxError::Parse { line, message } => {
+            assert_eq!(line, 3);
+            assert!(message.contains("bad col index"), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+/// A file whose shape the requested index type cannot address is a value
+/// error at the facade, not a panic in the assembler.
+#[test]
+fn mtx_shape_beyond_int32_is_a_value_error() {
+    let dir = std::env::temp_dir().join("pyginkgo_hostile_mtx");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wide.mtx");
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate real general\n1 3000000000 1\n1 3000000000 1.0\n",
+    )
+    .unwrap();
+    let dev = pg::device("reference").unwrap();
+    for format in ["Csr", "Coo"] {
+        let err =
+            pg::read(&dev, &path, "double", format).expect_err("int32 cannot hold column 3e9");
+        assert!(
+            matches!(err, pg::PyGinkgoError::Value(_)),
+            "{format}: {err}"
+        );
+    }
+    let wide = pg::read::read_with_index_type(&dev, &path, "double", "int64", "Csr").unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(wide.to_triplets(), vec![(0, 2_999_999_999, 1.0)]);
 }
 
 /// Sanity: the corpus above is hostile, not the parser — a well-formed file
