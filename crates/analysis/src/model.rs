@@ -475,7 +475,7 @@ fn parse_impl_header(full: &str, at: usize) -> Option<(usize, usize, String)> {
 }
 
 /// The base identifier of a type expression: last path segment before any
-/// generics (`telemetry::FlightRecorder<T>` -> `FlightRecorder`).
+/// generics (`telemetry::FlightReport<T>` -> `FlightReport`).
 fn base_type_name(ty: &str) -> Option<String> {
     let t = ty
         .trim()

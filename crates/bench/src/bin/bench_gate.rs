@@ -51,7 +51,7 @@
 //!   time by 100 for every span path containing the given substring,
 //!   simulating one kernel going 100x slow. `PROFILE_INJECT=csr` must
 //!   surface a csr path as the top attributed regression —
-//!   `scripts/check_profile.sh` uses this as a self-test of attribution.
+//!   `scripts/check_observe.sh` uses this as a self-test of attribution.
 //!
 //! Usage: `bench_gate [baseline.json [candidate.json [baseline_profile.json]]]`
 //! (all default to the `results/` directory).

@@ -11,7 +11,7 @@
 //! worker-pool counters (dispatches, chunks, steals, and
 //! `pool_ns_per_dispatch` — mean wall-clock nanoseconds a dispatch spends
 //! inside the pool, chunk execution included), and — via the metrics
-//! registry observing each executor — the per-kernel call/time aggregates
+//! plane observing each executor — the per-kernel call/time aggregates
 //! and virtual-latency quantiles of the whole sweep.
 //!
 //! The JSON is built as a [`gko::config::Config`] tree and serialized with
@@ -95,10 +95,10 @@ fn main() {
     .collect();
 
     let mut records: Vec<Record> = Vec::new();
-    // Each executor's metrics registry observes every kernel of that
+    // Each executor's metrics plane observes every kernel of that
     // executor's sweep (including warm-up applies and format conversions),
     // folding the stream into call counts, time sums and latency
-    // histograms; the flight recorder's anomaly counters ride along so
+    // histograms; the flight plane's anomaly counters ride along so
     // `bench_gate` can refuse a run that tripped a detector. The pool's own
     // counters complete the per-executor profile.
     let mut metrics: Vec<(String, usize, MetricsSnapshot, PoolStats)> = Vec::new();
@@ -164,7 +164,7 @@ fn main() {
         metrics.push((
             name.clone(),
             *threads,
-            exec.metrics().expect("metrics observed").snapshot(),
+            exec.observer().metrics().expect("metrics observed"),
             exec.pool_stats(),
         ));
         exec.clear_loggers();
@@ -331,10 +331,7 @@ fn main() {
     bt_exec.synchronize();
     let loop_secs = bt_exec.timeline().snapshot().since(&t0).seconds();
 
-    let batch_anomalies = bt_exec
-        .flight_recorder()
-        .map(|r| r.anomalies_total())
-        .unwrap_or(0);
+    let batch_anomalies = bt_exec.observer().status().anomalies_total();
     let per_system_batched_ns = batched_secs / batch_systems as f64 * 1e9;
     let per_system_loop_ns = loop_secs / batch_systems as f64 * 1e9;
     println!(
@@ -400,7 +397,7 @@ fn main() {
     };
     tr_exec.observe(tracing.clone());
     let armed_ns = min_of(&tr_exec, 3);
-    let trace = tr_exec.tracer().latest().expect("armed solve retained");
+    let trace = tr_exec.observer().latest_trace().expect("armed solve retained");
     assert_eq!(trace.iterations as usize, tr_iters);
     assert_eq!(trace.truncated_spans, 0);
     let count = |pred: &dyn Fn(&gko::SpanRecord) -> bool| {
@@ -434,7 +431,7 @@ fn main() {
         ..tracing
     });
     let profiled_ns = min_of(&tr_exec, 3);
-    let prof = tr_exec.profile().snapshot();
+    let prof = tr_exec.observer().profile();
     assert!(prof.solves >= 4, "warm-up + 3 timed solves folded: {}", prof.solves);
     assert!(!prof.nodes.is_empty(), "profiled solve built a flame tree");
     let root = &prof.nodes[0];

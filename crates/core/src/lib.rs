@@ -70,4 +70,5 @@ pub use gko::{HistogramSnapshot, MetricsSnapshot};
 pub use logger::{Logger, LoggerData, ProfileEntry};
 pub use matrix::{MatrixFormat, SparseMatrix};
 pub use read::{read, write};
+pub use solver::{Observations, Observe};
 pub use tensor::{as_tensor, as_tensor_fill, Tensor};

@@ -1,6 +1,6 @@
 //! The logger object returned by `solver.apply` (Listing 1's
 //! `logger, result = solver.apply(b, x)`), plus the event-logging data
-//! types surfaced by `Solver::with_logger` / `Solver::logger_data`.
+//! types surfaced by `Solver::observe` / `Solver::observations`.
 
 use gko::log::{ConvergenceLogger, SolveRecord};
 
@@ -50,20 +50,13 @@ impl Logger {
     /// Human-readable stop reason (`"converged (residual reduction)"`,
     /// `"max iterations"`, `"breakdown"`, or `"not run"`).
     pub fn stop_reason(&self) -> &'static str {
-        use gko::stop::StopReason;
-        match self.record.stop_reason {
-            Some(StopReason::ResidualReduction) => "converged (residual reduction)",
-            Some(StopReason::AbsoluteResidual) => "converged (absolute residual)",
-            Some(StopReason::MaxIterations) => "max iterations",
-            Some(StopReason::Breakdown) => "breakdown",
-            None => "not run",
-        }
+        self.record.stop_reason.map_or("not run", |reason| reason.describe())
     }
 }
 
-/// One kernel's aggregated timings from a `"profile"` logger: calls and
-/// inclusive times from the device executor's [`gko::MetricsRegistry`], self
-/// time from its continuous profiler ([`gko::ProfileStore`]).
+/// One kernel's aggregated timings when both `metrics` and `profile` are
+/// observed: calls and inclusive times from the device executor's metrics
+/// plane, self time from its flame profile.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileEntry {
     /// Kernel / operator name (`"csr"`, `"dense::dot"`, `"solver::Cg"`, ...).
@@ -80,20 +73,20 @@ pub struct ProfileEntry {
     pub self_wall_ns: u64,
 }
 
-/// Snapshot of everything the loggers attached via `Solver::with_logger`
+/// Snapshot of everything the loggers attached via `Solver::observe`
 /// observed so far.
 ///
-/// Fields whose logger kind was never attached stay at their defaults
-/// (empty vectors / zero counters).
+/// Fields whose plane is not observed stay at their defaults (empty vectors
+/// / zero counters).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LoggerData {
-    /// Rendered event history from a `"record"` logger, oldest first.
+    /// Rendered event history of `Observe::record`, oldest first.
     pub events: Vec<String>,
-    /// Events discarded by the `"record"` logger after its capacity filled.
+    /// Events discarded by the record after its capacity filled.
     pub dropped_events: u64,
-    /// Accumulated text from a `"stream"` logger.
+    /// Accumulated text of `Observe::stream`.
     pub stream: String,
-    /// Per-kernel aggregates from a `"profile"` logger, hottest first.
+    /// Per-kernel aggregates (`metrics` with `profile`), hottest first.
     pub profile: Vec<ProfileEntry>,
     /// Solver iterations observed by the profiler.
     pub iterations: u64,

@@ -13,14 +13,16 @@ use crate::logger::{Logger, LoggerData, ProfileEntry};
 use crate::matrix::{MatrixFormat, MatrixImpl, SparseMatrix};
 use crate::preconditioner::{PrecondImpl, Preconditioner};
 use crate::tensor::{Tensor, TensorData};
-use gko::log::{ConvergenceLogger, Record, SharedBuf, Stream};
+use gko::log::{ConvergenceLogger, Logger as EventLogger, Record, SharedBuf, Stream};
 use gko::matrix::{BatchCsr, BatchDense};
 use gko::solver::{
     iterative_by_name, BatchBiCgStab, BatchCg, BatchSolveRecord, Direct, LowerTrs, UpperTrs,
 };
-use gko::stop::{Criteria, StopReason};
-use gko::telemetry::{FlightRecorder, FlightReport};
-use gko::{LinOp, MetricsRegistry, MetricsSnapshot, ObserveConfig, PoolStats, Value};
+use gko::stop::Criteria;
+use gko::{
+    FlightReport, LinOp, MetricsSnapshot, ObserveConfig, PoolStats, ProfileSnapshot,
+    SanitizerReport, TraceConfig, TraceReport, Value,
+};
 use pygko_half::Half;
 use std::sync::Arc;
 
@@ -32,23 +34,87 @@ pub(crate) enum SolverImpl {
     Double(Arc<dyn LinOp<f64>>),
 }
 
-/// Event loggers attached through [`Solver::with_logger`], kept so
-/// [`Solver::logger_data`] can read them back.
+/// What a solver observes — the one argument of [`Solver::observe`], the
+/// facade over Ginkgo's `add_logger` and the engine's
+/// [`gko::Executor::observe`]. The default observes nothing.
+///
+/// Everything here is a property of the solver's *device executor*: the
+/// loggers and planes see kernel launches, allocations, and pool dispatches
+/// of every operation on the device alongside this solver's iteration
+/// events.
+#[derive(Clone, Debug, Default)]
+pub struct Observe {
+    /// Keep a bounded in-memory history of this many events
+    /// ([`Observe::RECORD`] is Ginkgo's default capacity); overflow is
+    /// counted in [`LoggerData::dropped_events`], never silently lost.
+    pub record: Option<usize>,
+    /// Render events to an internal text buffer.
+    pub stream: bool,
+    /// The metrics plane: latency histograms with p50/p95/p99 and the
+    /// Prometheus exporter ([`gko::ObserveConfig::metrics`]).
+    pub metrics: bool,
+    /// The flight plane: every solve summarized into a bounded ring of
+    /// [`FlightReport`]s (residual trajectory, per-kernel latency quantiles,
+    /// per-lane pool utilization), annotated with this solver's system
+    /// matrix and screened by the stagnation/divergence, lane-imbalance, and
+    /// latency-drift detectors ([`gko::ObserveConfig::flight`]).
+    pub flight: bool,
+    /// The trace plane: every solve assembles a span tree (`solve →
+    /// iteration → kernel apply → plan build → pool dispatch → per-lane
+    /// chunk spans`) offered to a bounded, tail-sampled ring — anomalous or
+    /// slow solves are always retained, healthy ones head-sampled 1 in this
+    /// many (at least 1; `1` retains every solve). Implies `flight`
+    /// ([`gko::ObserveConfig::trace`]).
+    pub trace: Option<u64>,
+    /// The profile plane: every solve's span tree (sampled out or not)
+    /// folded into a bounded, windowed flame aggregate keyed by span path.
+    /// Implies `trace` ([`gko::ObserveConfig::profile`]).
+    pub profile: bool,
+    /// Runtime sanitizer mode: `"pool"` arms the chunk-overlap detector on
+    /// the device executor (every pool job records which lane claimed which
+    /// piece and the claim log is checked for exact disjoint coverage after
+    /// the drain), `"values"` checks the right-hand side for NaN/Inf before
+    /// each apply and the solution after it, and `"full"` (or `"on"`)
+    /// enables both.
+    pub sanitize: Option<String>,
+}
+
+impl Observe {
+    /// The default event-history capacity of [`Observe::record`].
+    pub const RECORD: Option<usize> = Some(Record::DEFAULT_CAPACITY);
+}
+
+/// Everything a solver's device executor has observed — the one reader,
+/// [`Solver::observations`]. Planes that are off read `None`.
+#[derive(Clone, Debug)]
+pub struct Observations {
+    /// What the `record` and `stream` loggers saw, plus (with `metrics`) the
+    /// per-kernel table and counters.
+    pub logger: LoggerData,
+    /// Per-kernel call counts and latency quantiles, solver iteration
+    /// counters, and pool-dispatch and allocation histograms.
+    pub metrics: Option<MetricsSnapshot>,
+    /// The most recent flight report (`None` until a solve completed).
+    pub flight: Option<FlightReport>,
+    /// The most recently retained span tree (`None` while every completed
+    /// solve was sampled out).
+    pub trace: Option<TraceReport>,
+    /// The live flame window, flattened.
+    pub profile: Option<ProfileSnapshot>,
+    /// How many pool jobs and chunk claims the chunk-overlap detector has
+    /// verified disjoint (all zero until `sanitize` arms it).
+    pub sanitizer: SanitizerReport,
+}
+
+/// What the last [`Solver::observe`] attached, kept so the next one can
+/// detach it and [`Solver::observations`] can read it back.
 #[derive(Clone, Default)]
-struct AttachedLoggers {
+struct Observing {
     record: Option<Arc<Record>>,
-    stream: Option<SharedBuf>,
-    /// `"profile"` logger attached: the device pool's counters at that
-    /// moment, so [`Solver::logger_data`] reports only what ran since.
-    profile_mark: Option<PoolStats>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    flight: Option<Arc<FlightRecorder>>,
-    /// Span tracing armed via [`Solver::with_tracing`]; the tracer itself
-    /// lives on the device executor.
-    traced: bool,
-    /// Continuous profiling armed via [`Solver::with_profiling`]; the flame
-    /// store lives on the device executor.
-    profiled: bool,
+    stream: Option<(Arc<Stream>, SharedBuf)>,
+    /// The device pool's counters at that moment, so the reader reports
+    /// only what ran since.
+    pool_mark: PoolStats,
 }
 
 /// A ready-to-apply solver bound to a device.
@@ -58,12 +124,12 @@ pub struct Solver {
     logger: ConvergenceLogger,
     name: &'static str,
     device: Device,
-    attached: AttachedLoggers,
+    observing: Observing,
     /// Check operand tensors for NaN/Inf around every apply — set by
-    /// [`Solver::with_sanitizer`].
+    /// [`Observe::sanitize`].
     sanitize_values: bool,
-    /// System matrix descriptor (rows, cols, nnz, format name), kept so the
-    /// flight recorder can annotate its reports.
+    /// System matrix descriptor (rows, cols, nnz, format name), kept so
+    /// flight reports can be annotated with it.
     system: Option<(usize, usize, usize, &'static str)>,
     /// Stopping criteria the solver was built with, reused verbatim for
     /// batched solves so `apply` and `solve_batch` agree on convergence.
@@ -99,12 +165,7 @@ impl BatchSolveResult {
             out.initial_residuals.push(o.initial_residual);
             out.final_residuals.push(o.final_residual);
             out.converged.push(o.converged());
-            out.stop_reasons.push(match o.stop_reason {
-                StopReason::ResidualReduction => "converged (residual reduction)",
-                StopReason::AbsoluteResidual => "converged (absolute residual)",
-                StopReason::MaxIterations => "max iterations",
-                StopReason::Breakdown => "breakdown",
-            });
+            out.stop_reasons.push(o.stop_reason.describe());
         }
         out
     }
@@ -136,240 +197,103 @@ impl Solver {
         &self.device
     }
 
-    /// Attaches an event logger of the given kind — pyGinkgo's
-    /// `solver.with_logger("record")` surface over Ginkgo's `add_logger`.
-    ///
-    /// Kinds: `"record"` keeps a bounded in-memory event history
-    /// (`"record:N"` bounds it at `N` events; overflow is counted in
-    /// [`LoggerData::dropped_events`], never silently lost), `"stream"`
-    /// renders events to an internal text buffer, `"profile"` aggregates
-    /// per-kernel timings and pool counters (it switches the device
-    /// executor's metrics registry and continuous profiler on and reads
-    /// both back), and `"metrics"` attaches the device executor's
-    /// [`MetricsRegistry`] (latency histograms with p50/p95/p99 and the
-    /// Prometheus exporter — read it back with [`Solver::metrics`]). The
-    /// logger is attached to the *device
-    /// executor*, so it observes kernel launches, allocations, and pool
-    /// dispatches of every operation on this device alongside this solver's
-    /// iteration events. Kinds may be combined by chaining calls; read
-    /// results via [`Solver::logger_data`].
-    pub fn with_logger(mut self, kind: &str) -> PyResult<Self> {
-        let exec = self.device.executor().clone();
-        let kind = kind.to_ascii_lowercase();
-        if let Some(spec) = kind.strip_prefix("record:") {
-            let capacity: usize = spec.parse().ok().filter(|&c| c > 0).ok_or_else(|| {
-                PyGinkgoError::Value(format!(
-                    "bad record capacity '{spec}' (expected record:<positive integer>)"
-                ))
-            })?;
-            let record = Arc::new(Record::with_capacity(capacity));
-            exec.add_logger(record.clone());
-            self.attached.record = Some(record);
-            return Ok(self);
+    /// Sets what this solver observes on its device executor — pyGinkgo's
+    /// `solver.with_logger(..)` surface over Ginkgo's `add_logger`, and the
+    /// facade over [`gko::Executor::observe`]. `what` is the complete
+    /// desired state: observing again *replaces* what the previous call
+    /// attached, and `Observe::default()` detaches it all and returns the
+    /// executor to its inert path. Read results via
+    /// [`Solver::observations`], or serve them live via
+    /// [`gko::Executor::serve_telemetry`].
+    pub fn observe(mut self, what: Observe) -> PyResult<Self> {
+        if what.record == Some(0) {
+            return Err(PyGinkgoError::Value(
+                "bad record capacity '0' (expected a positive integer)".to_string(),
+            ));
         }
-        match kind.as_str() {
-            "record" => {
-                let record = Arc::new(Record::new());
-                exec.add_logger(record.clone());
-                self.attached.record = Some(record);
-            }
-            "stream" => {
-                let buf = SharedBuf::new();
-                exec.add_logger(Arc::new(Stream::new(buf.clone())));
-                self.attached.stream = Some(buf);
-            }
-            "profile" | "profiler" => {
-                self.observe(|c| {
-                    c.metrics = true;
-                    c.profile.get_or_insert_with(Default::default);
-                });
-                self.attached.metrics = exec.metrics();
-                self.attached.profile_mark = Some(exec.pool_stats());
-            }
-            "metrics" => {
-                self.observe(|c| c.metrics = true);
-                self.attached.metrics = exec.metrics();
-            }
-            other => {
-                return Err(PyGinkgoError::Value(format!(
-                    "unknown logger kind '{other}' \
-                     (expected record, record:N, stream, profile, or metrics)"
-                )))
-            }
+        if what.trace == Some(0) {
+            return Err(PyGinkgoError::Value(
+                "tracing sample_n must be >= 1 (1 retains every solve)".to_string(),
+            ));
         }
-        Ok(self)
-    }
-
-    /// Turns on runtime sanitizer checks for this solver's device — the
-    /// `solver.with_sanitizer("full")` facade over the engine's
-    /// [`gko::Sanitizer`].
-    ///
-    /// Modes: `"pool"` arms the chunk-overlap detector on the device
-    /// executor (every pool job records which lane claimed which piece and
-    /// the claim log is checked for exact disjoint coverage after the
-    /// drain), `"values"` checks the right-hand side for NaN/Inf before
-    /// each apply and the solution after it, and `"full"` (or `"on"`)
-    /// enables both. Pool-level results are read back with
-    /// [`Solver::sanitizer_report`]. Like `with_logger("metrics")`, the
-    /// pool detector is a device-executor property: it observes every
-    /// parallel kernel on the device, not only this solver's.
-    pub fn with_sanitizer(mut self, mode: &str) -> PyResult<Self> {
-        let mode = mode.to_ascii_lowercase();
-        match mode.as_str() {
-            "pool" => self.device.executor().enable_sanitizer(),
-            "values" => self.sanitize_values = true,
-            "full" | "on" => {
-                self.device.executor().enable_sanitizer();
-                self.sanitize_values = true;
-            }
-            other => {
+        let mode = what.sanitize.as_deref().map(str::to_ascii_lowercase);
+        let (check_pool, check_values) = match mode.as_deref() {
+            None => (false, false),
+            Some("pool") => (true, false),
+            Some("values") => (false, true),
+            Some("full" | "on") => (true, true),
+            Some(other) => {
                 return Err(PyGinkgoError::Value(format!(
                     "unknown sanitizer mode '{other}' \
                      (expected pool, values, or full)"
                 )))
             }
-        }
-        Ok(self)
-    }
+        };
 
-    /// Arms the flight recorder on this solver's device executor — the
-    /// facade over [`gko::ObserveConfig::flight`].
-    ///
-    /// Every subsequent solve on the device is summarized into a bounded
-    /// ring of structured [`FlightReport`]s (residual trajectory, per-kernel
-    /// latency quantiles, per-lane pool utilization) and screened by the
-    /// stagnation/divergence, lane-imbalance, and latency-drift detectors.
-    /// Reports are annotated with this solver's system matrix shape and
-    /// format. Read the newest report back with [`Solver::flight_report`],
-    /// or serve them live via [`gko::Executor::serve_telemetry`].
-    pub fn with_flight_recorder(mut self) -> Self {
-        self.observe(|c| {
-            c.flight.get_or_insert_with(Default::default);
-        });
-        self
-    }
-
-    /// Applies `change` to the device executor's [`ObserveConfig`], then
-    /// keeps the handle of the flight recorder that leaves armed (if any)
-    /// and annotates it with this solver's system matrix.
-    fn observe(&mut self, change: impl FnOnce(&mut ObserveConfig)) {
         let exec = self.device.executor();
-        let mut config = exec.observing();
-        change(&mut config);
-        exec.observe(config);
-        self.attached.flight = exec.flight_recorder();
-        if let (Some(recorder), Some((rows, cols, nnz, format))) =
-            (&self.attached.flight, self.system)
-        {
-            recorder.annotate(rows, cols, nnz, format);
+        let previous = std::mem::take(&mut self.observing);
+        if let Some(record) = previous.record {
+            exec.loggers().remove(&(record as Arc<dyn EventLogger>));
         }
-    }
-
-    /// The most recent flight-recorder report, or `None` when the recorder
-    /// was never armed or no solve has completed yet.
-    pub fn flight_report(&self) -> Option<FlightReport> {
-        self.attached.flight.as_ref().and_then(|r| r.latest())
-    }
-
-    /// Arms causal span tracing on this solver's device executor — the
-    /// facade over [`gko::ObserveConfig::trace`].
-    ///
-    /// Every subsequent solve on the device assembles a hierarchical span
-    /// tree (`solve → iteration → kernel apply → plan build → pool dispatch
-    /// → per-lane chunk spans`) and offers it to a bounded, tail-sampled
-    /// trace store: solves flagged anomalous by the flight recorder (which
-    /// this call arms implicitly) or slower than the latency threshold are
-    /// always retained, healthy solves are head-sampled 1-in-`sample_n`.
-    /// `sample_n` must be at least 1 (`1` retains every solve). Read the
-    /// newest retained tree back with [`Solver::trace_report`], or drill
-    /// down live via `GET /traces` on [`gko::Executor::serve_telemetry`].
-    pub fn with_tracing(mut self, sample_n: u64) -> PyResult<Self> {
-        if sample_n == 0 {
-            return Err(PyGinkgoError::Value(
-                "tracing sample_n must be >= 1 (1 retains every solve)".to_string(),
-            ));
+        if let Some((stream, _)) = previous.stream {
+            exec.loggers().remove(&(stream as Arc<dyn EventLogger>));
         }
-        self.observe(|c| {
-            c.trace = Some(gko::TraceConfig {
+        if let Some(capacity) = what.record {
+            let record = Arc::new(Record::with_capacity(capacity));
+            exec.add_logger(record.clone());
+            self.observing.record = Some(record);
+        }
+        if what.stream {
+            let buf = SharedBuf::new();
+            let stream = Arc::new(Stream::new(buf.clone()));
+            exec.add_logger(stream.clone());
+            self.observing.stream = Some((stream, buf));
+        }
+        exec.observe(ObserveConfig {
+            metrics: what.metrics,
+            flight: what.flight.then(Default::default),
+            trace: what.trace.map(|sample_n| TraceConfig {
                 sample_n,
                 ..Default::default()
-            })
+            }),
+            profile: what.profile.then(Default::default),
         });
-        self.attached.traced = true;
+        if let Some((rows, cols, nnz, format)) = self.system {
+            exec.observer().annotate(rows, cols, nnz, format);
+        }
+        if check_pool {
+            exec.enable_sanitizer();
+        } else {
+            exec.disable_sanitizer();
+        }
+        self.sanitize_values = check_values;
+        self.observing.pool_mark = exec.pool_stats();
         Ok(self)
     }
 
-    /// The most recent retained trace report (full span tree), or `None`
-    /// when tracing was never armed via [`Solver::with_tracing`] or every
-    /// completed solve so far was sampled out.
-    pub fn trace_report(&self) -> Option<gko::TraceReport> {
-        self.attached
-            .traced
-            .then(|| self.device.executor().tracer().latest())
-            .flatten()
-    }
+    /// Snapshot of everything the device executor has observed so far: what
+    /// this solver's `record` and `stream` loggers saw, and every plane the
+    /// executor currently runs.
+    pub fn observations(&self) -> Observations {
+        let exec = self.device.executor();
+        let observer = exec.observer();
+        let config = exec.observing();
+        let metrics = observer.metrics();
+        let profile = config.profile.map(|_| observer.profile());
 
-    /// Arms continuous profiling on this solver's device executor — the
-    /// facade over [`gko::ObserveConfig::profile`].
-    ///
-    /// Every subsequent solve's span tree (sampled out by the trace store
-    /// or not) is folded into a bounded, windowed flame aggregate keyed by
-    /// span path: call counts, wall/virtual self- and total-time, per-lane
-    /// attribution, and p50/p99 per path. Arms span tracing implicitly when
-    /// it is not already live (the profiler consumes the span stream).
-    /// `with_logger("profile")` reads the same aggregate back flattened
-    /// per kernel name; this surface keeps the span paths. Read it with
-    /// [`Solver::profile`], or serve it live via `GET /profile` (and
-    /// `GET /profile?format=folded` / `GET /profile/diff?base=<name>`) on
-    /// [`gko::Executor::serve_telemetry`].
-    pub fn with_profiling(mut self) -> Self {
-        self.observe(|c| c.profile = Some(Default::default()));
-        self.attached.profiled = true;
-        self
-    }
-
-    /// Flattened snapshot of the continuous profiler's live flame window,
-    /// or `None` when profiling was never armed via
-    /// [`Solver::with_profiling`].
-    pub fn profile(&self) -> Option<gko::ProfileSnapshot> {
-        self.attached
-            .profiled
-            .then(|| self.device.executor().profile().snapshot())
-    }
-
-    /// Counters from the device executor's chunk-overlap detector: how many
-    /// pool jobs and chunk claims have been verified disjoint so far. All
-    /// zero until `with_sanitizer("pool")` (or `"full"`) arms it.
-    pub fn sanitizer_report(&self) -> gko::SanitizerReport {
-        self.device.executor().sanitizer_report()
-    }
-
-    /// Snapshot of the metrics registry attached via
-    /// `with_logger("metrics")`: per-kernel call counts and latency
-    /// quantiles, solver iteration counters, and pool-dispatch and
-    /// allocation histograms. `None` until the metrics logger is attached.
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.attached.metrics.as_ref().map(|m| m.snapshot())
-    }
-
-    /// Snapshot of everything the attached loggers have observed so far.
-    ///
-    /// Kinds never attached via [`Solver::with_logger`] leave their
-    /// [`LoggerData`] fields at the defaults.
-    pub fn logger_data(&self) -> LoggerData {
         let mut data = LoggerData::default();
-        if let Some(record) = &self.attached.record {
+        if let Some(record) = &self.observing.record {
             data.events = record.events().iter().map(|e| e.to_string()).collect();
             data.dropped_events = record.dropped();
         }
-        if let Some(buf) = &self.attached.stream {
+        if let Some((_, buf)) = &self.observing.stream {
             data.stream = buf.contents();
         }
-        if let (Some(mark), Some(metrics)) = (&self.attached.profile_mark, &self.attached.metrics)
-        {
-            let exec = self.device.executor();
-            let snap = metrics.snapshot();
-            let flame = exec.profile().snapshot();
+        if let Some(snap) = &metrics {
+            let self_wall_ns = |op: &str| {
+                let nodes = profile.iter().flat_map(|flame| &flame.nodes);
+                nodes.filter(|n| n.name == op).map(|n| n.self_wall_ns).sum()
+            };
             data.profile = snap
                 .kernels
                 .iter()
@@ -378,12 +302,7 @@ impl Solver {
                     calls: k.calls,
                     wall_ns: k.wall_ns.sum,
                     virtual_ns: k.virtual_ns.sum,
-                    self_wall_ns: flame
-                        .nodes
-                        .iter()
-                        .filter(|n| n.name == k.op)
-                        .map(|n| n.self_wall_ns)
-                        .sum(),
+                    self_wall_ns: self_wall_ns(&k.op),
                 })
                 .collect();
             data.profile
@@ -391,14 +310,21 @@ impl Solver {
             data.iterations = snap.solver_iterations.iter().map(|(_, n)| n).sum();
             data.criterion_checks = snap.criterion_checks;
             data.solves = snap.solves;
-            let pool = exec.pool_stats().since(mark);
+            let pool = exec.pool_stats().since(&self.observing.pool_mark);
             data.pool_dispatches = pool.dispatches;
             data.pool_chunks = pool.chunks;
             data.pool_steals = pool.steals;
             data.allocations = snap.alloc_bytes.count;
             data.allocated_bytes = snap.alloc_bytes.sum;
         }
-        data
+        Observations {
+            logger: data,
+            metrics,
+            flight: observer.latest_run(),
+            trace: config.trace.and_then(|_| observer.latest_trace()),
+            profile,
+            sanitizer: exec.sanitizer_report(),
+        }
     }
 
     /// Solves `A x = b`: `x` is the initial guess on entry, the solution on
@@ -646,7 +572,7 @@ fn make_krylov(
             logger,
             name,
             device: device.clone(),
-            attached: AttachedLoggers::default(),
+            observing: Observing::default(),
             sanitize_values: false,
             system: Some((rows, cols, matrix.nnz(), matrix.format().name())),
             criteria,
@@ -764,7 +690,7 @@ where
             logger: ConvergenceLogger::new(),
             name,
             device: device.clone(),
-            attached: AttachedLoggers::default(),
+            observing: Observing::default(),
             sanitize_values: false,
             system: Some((rows, cols, matrix.nnz(), matrix.format().name())),
             criteria: Criteria::default(),
@@ -984,18 +910,20 @@ mod tests {
         let mtx = spd(&dev, 32, "double");
         let solver = cg(&dev, &mtx, None, 200, 1e-9)
             .unwrap()
-            .with_logger("record")
-            .unwrap()
-            .with_logger("stream")
-            .unwrap()
-            .with_logger("profile")
+            .observe(Observe {
+                record: Observe::RECORD,
+                stream: true,
+                metrics: true,
+                profile: true,
+                ..Observe::default()
+            })
             .unwrap();
         let b = as_tensor_fill(&dev, (32, 1), "double", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (32, 1), "double", 0.0).unwrap();
         let log = solver.apply(&b, &mut x).unwrap();
         assert!(log.converged());
 
-        let data = solver.logger_data();
+        let data = solver.observations().logger;
         assert!(
             data.events.iter().any(|e| e.contains("iteration")),
             "record logger should capture iteration events"
@@ -1014,12 +942,57 @@ mod tests {
         assert_eq!(data.solves, 1);
         assert!(data.allocations > 0);
 
-        // Unknown kinds are rejected.
+        // A zero sampling period is rejected.
         let plain = cg(&dev, &mtx, None, 10, 1e-9).unwrap();
-        assert!(matches!(
-            plain.with_logger("tracing"),
-            Err(PyGinkgoError::Value(_))
-        ));
+        let bad = Observe {
+            trace: Some(0),
+            ..Observe::default()
+        };
+        assert!(matches!(plain.observe(bad), Err(PyGinkgoError::Value(_))));
+    }
+
+    /// `observe` states the complete desired state: observing again replaces
+    /// what the previous call attached, and the default detaches it all.
+    #[test]
+    fn observing_again_replaces_instead_of_accumulating() {
+        let dev = device("reference").unwrap();
+        let mtx = spd(&dev, 16, "double");
+        let exec = dev.executor();
+        assert!(!exec.loggers().is_active());
+        let recording = Observe {
+            record: Observe::RECORD,
+            ..Observe::default()
+        };
+        let solver = cg(&dev, &mtx, None, 100, 1e-9)
+            .unwrap()
+            .observe(recording.clone())
+            .unwrap()
+            .observe(recording)
+            .unwrap();
+        assert_eq!(exec.loggers().len(), 1, "the first record was detached");
+
+        let b = as_tensor_fill(&dev, (16, 1), "double", 1.0).unwrap();
+        let mut x = as_tensor_fill(&dev, (16, 1), "double", 0.0).unwrap();
+        solver.apply(&b, &mut x).unwrap();
+        assert!(!solver.observations().logger.events.is_empty(), "the second one records");
+
+        let everything = Observe {
+            record: Some(64),
+            stream: true,
+            metrics: true,
+            trace: Some(1),
+            profile: true,
+            sanitize: Some("full".to_string()),
+            ..Observe::default()
+        };
+        let solver = solver.observe(everything).unwrap();
+        assert_eq!(exec.loggers().len(), 3, "record, stream and the observer");
+        let solver = solver.observe(Observe::default()).unwrap();
+        assert!(!exec.loggers().is_active(), "the executor is inert again");
+        assert!(!exec.sanitizer().is_enabled());
+        let seen = solver.observations();
+        assert!(seen.logger.events.is_empty() && seen.metrics.is_none() && seen.flight.is_none());
+        assert!(seen.trace.is_none() && seen.profile.is_none());
     }
 
     #[test]
@@ -1029,27 +1002,29 @@ mod tests {
         // A CG solve on a 32x32 system emits far more than 8 events.
         let solver = cg(&dev, &mtx, None, 200, 1e-9)
             .unwrap()
-            .with_logger("record:8")
+            .observe(Observe {
+                record: Some(8),
+                ..Observe::default()
+            })
             .unwrap();
         let b = as_tensor_fill(&dev, (32, 1), "double", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (32, 1), "double", 0.0).unwrap();
         solver.apply(&b, &mut x).unwrap();
 
-        let data = solver.logger_data();
+        let data = solver.observations().logger;
         assert_eq!(data.events.len(), 8, "capacity bounds the history");
         assert!(
             data.dropped_events > 0,
             "overflow must surface in dropped_events"
         );
 
-        // Malformed capacities are rejected up front.
-        for bad in ["record:", "record:0", "record:many"] {
-            let plain = cg(&dev, &mtx, None, 10, 1e-9).unwrap();
-            assert!(
-                matches!(plain.with_logger(bad), Err(PyGinkgoError::Value(_))),
-                "{bad} should be rejected"
-            );
-        }
+        // A capacity of zero is rejected up front.
+        let plain = cg(&dev, &mtx, None, 10, 1e-9).unwrap();
+        let bad = Observe {
+            record: Some(0),
+            ..Observe::default()
+        };
+        assert!(matches!(plain.observe(bad), Err(PyGinkgoError::Value(_))));
     }
 
     #[test]
@@ -1058,16 +1033,19 @@ mod tests {
         let mtx = spd(&dev, 64, "double");
         let solver = cg(&dev, &mtx, None, 500, 1e-10)
             .unwrap()
-            .with_logger("metrics")
+            .observe(Observe {
+                metrics: true,
+                ..Observe::default()
+            })
             .unwrap();
-        assert!(solver.metrics().is_some(), "snapshot available pre-solve");
+        assert!(solver.observations().metrics.is_some(), "snapshot available pre-solve");
 
         let b = as_tensor_fill(&dev, (64, 1), "double", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (64, 1), "double", 0.0).unwrap();
         let log = solver.apply(&b, &mut x).unwrap();
         assert!(log.converged());
 
-        let snap = solver.metrics().unwrap();
+        let snap = solver.observations().metrics.unwrap();
         // Per-kernel counts and latency quantiles for a CG solve.
         for op in ["csr", "dense::dot", "solver::Cg"] {
             let k = snap.kernel(op).unwrap_or_else(|| panic!("missing {op}"));
@@ -1090,9 +1068,9 @@ mod tests {
 
         assert!(snap.to_prometheus().contains("gko_kernel_calls_total{op=\"csr\"}"));
 
-        // The same registry is also visible executor-wide.
-        let exec_snap = dev.executor().metrics().unwrap().snapshot();
-        assert_eq!(exec_snap.events, snap.events);
+        // The same aggregates are also visible executor-wide.
+        let exec_snap = dev.executor().observer().metrics().unwrap();
+        assert_eq!(exec_snap, snap);
     }
 
     #[test]

@@ -18,15 +18,13 @@ pub mod pool;
 
 use crate::base::error::Result;
 use crate::log::{Event, Logger, LoggerRegistry};
-use crate::metrics::MetricsRegistry;
-use crate::profile::{ProfileConfig, ProfileStore};
+use crate::observe::{ObserveConfig, Observer};
 use crate::sanitize::{Sanitizer, SanitizerReport};
-use crate::telemetry::{DetectorConfig, FlightRecorder, TelemetryServer};
-use crate::trace::{TraceConfig, TraceHook, Tracer};
+use crate::telemetry::{DetectorConfig, TelemetryServer};
 use pool::{LaneStats, PoolStats, WorkerPool};
 use pygko_sim::{ChunkWork, DeviceKind, DeviceSpec, Timeline};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Upper bound on OS threads an executor will drive, regardless of how many
 /// workers the device model has. GPU specs model hundreds of schedulable
@@ -60,105 +58,6 @@ impl Backend {
     }
 }
 
-/// Which observability planes an executor runs — the one argument of
-/// [`Executor::observe`]. The default is everything off: the inert path,
-/// where every instrumented site costs one relaxed atomic load.
-///
-/// Planes build on each other, and `observe` fills in what a requested
-/// plane needs: `profile` folds finished span trees, so it implies `trace`
-/// ([`TraceConfig::default`] unless given); `trace` asks the flight
-/// recorder's detectors which solves to retain, so it implies `flight`
-/// ([`DetectorConfig::default`] unless given).
-#[derive(Clone, Debug, Default)]
-pub struct ObserveConfig {
-    /// Aggregate every event into a [`MetricsRegistry`] (latency
-    /// histograms, counters, the `/metrics` exposition).
-    pub metrics: bool,
-    /// Summarize every solve into the [`FlightRecorder`]'s bounded ring,
-    /// screened by the anomaly detectors with these thresholds.
-    pub flight: Option<DetectorConfig>,
-    /// Assemble a span tree per solve (single or batched), down to the
-    /// individual pool-lane chunks, tail-sampled into the [`Tracer`]'s
-    /// bounded store under this policy (see [`crate::trace`]).
-    pub trace: Option<TraceConfig>,
-    /// Fold every finished span tree (sampled out or not) into the
-    /// [`ProfileStore`]'s windowed flame aggregate under this policy.
-    pub profile: Option<ProfileConfig>,
-}
-
-impl ObserveConfig {
-    /// Applies the `profile` ⇒ `trace` ⇒ `flight` implication.
-    fn normalized(mut self) -> Self {
-        if self.profile.is_some() && self.trace.is_none() {
-            self.trace = Some(TraceConfig::default());
-        }
-        if self.trace.is_some() && self.flight.is_none() {
-            self.flight = Some(DetectorConfig::default());
-        }
-        self
-    }
-}
-
-/// The state behind `exec.observe`: the normalized config in force plus
-/// the loggers attached for it. Event delivery holds `log.loggers` and
-/// reads these slots back (the recorder looks up the registry, the tracer
-/// the recorder), so the lock order is `log.loggers -> exec.observe` and
-/// [`Executor::observe`] must never hold this lock across
-/// `LoggerRegistry::add`/`remove`.
-#[derive(Debug, Default)]
-struct Observers {
-    config: ObserveConfig,
-    metrics: Option<Arc<MetricsRegistry>>,
-    flight: Option<Arc<FlightRecorder>>,
-    trace_hook: Option<Arc<TraceHook>>,
-}
-
-impl Observers {
-    /// Whether `logger` is one of the currently wanted observers.
-    fn holds(&self, logger: &Arc<dyn Logger>) -> bool {
-        fn addr<L: ?Sized>(logger: &Arc<L>) -> *const () {
-            Arc::as_ptr(logger).cast()
-        }
-        [
-            self.metrics.as_ref().map(addr),
-            self.flight.as_ref().map(addr),
-            self.trace_hook.as_ref().map(addr),
-        ]
-        .contains(&Some(addr(logger)))
-    }
-}
-
-/// Loggers one [`Executor::observe`] call must attach and detach once it
-/// has released `exec.observe`.
-#[derive(Default)]
-struct RegistryChanges {
-    attach: Vec<Arc<dyn Logger>>,
-    detach: Vec<Arc<dyn Logger>>,
-}
-
-impl RegistryChanges {
-    /// Brings one observer slot in line with the new config: retires the
-    /// current logger unless `keep`, then fills an empty slot from `make`
-    /// (`None` when the plane is off).
-    fn retarget<L: Logger + 'static>(
-        &mut self,
-        slot: &mut Option<Arc<L>>,
-        keep: bool,
-        make: Option<impl FnOnce() -> L>,
-    ) {
-        if !keep || make.is_none() {
-            if let Some(old) = slot.take() {
-                self.detach.push(old);
-            }
-        }
-        if let (None, Some(make)) = (slot.as_ref(), make) {
-            let new = Arc::new(make());
-            self.attach.push(new.clone());
-            *slot = Some(new);
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     backend: Backend,
@@ -172,25 +71,19 @@ struct Inner {
     pool: OnceLock<Option<WorkerPool>>,
     /// Loggers attached to this executor (shared by all handle clones).
     loggers: LoggerRegistry,
-    /// Which observability planes are armed, and the loggers `observe`
-    /// attached for them (kept so they can be read back and detached).
-    observers: Mutex<Observers>, // lock: exec.observe
+    /// The one consumer behind every observability plane; attached to
+    /// `loggers` while its config is not inert. The pool's per-dispatch
+    /// probe of it is a single relaxed load while no traced solve is live.
+    observer: Arc<Observer>,
     /// Runtime sanitizer switch + counters, embedded (not boxed) so the
     /// disabled check in `parallel_chunks` is a single relaxed load.
     sanitizer: Sanitizer,
-    /// Causal span tracer, embedded like the sanitizer so the pool's
-    /// per-dispatch probe is a single relaxed load while no trace is live.
-    tracer: Tracer,
-    /// Continuous profiler folding finished span trees into flame
-    /// aggregates, embedded like the sanitizer so the per-trace probe is a
-    /// single relaxed load while profiling is disarmed.
-    profile: ProfileStore,
     /// Construction instant, the epoch for the `gko_uptime_seconds` gauge.
     start: std::time::Instant,
 }
 
-/// Non-owning executor handle held by the flight recorder, so the
-/// `executor -> recorder -> executor` reference pair cannot leak.
+/// Non-owning executor handle held by the observer, so the
+/// `executor -> observer -> executor` reference pair cannot leak.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WeakExecutor(Weak<Inner>);
 
@@ -212,7 +105,7 @@ pub struct Executor(Arc<Inner>);
 
 impl Executor {
     fn make(backend: Backend, device_id: usize, spec: DeviceSpec) -> Self {
-        Executor(Arc::new(Inner {
+        Executor(Arc::new_cyclic(|inner| Inner {
             backend,
             device_id,
             spec,
@@ -221,19 +114,12 @@ impl Executor {
             peak_bytes: AtomicU64::new(0),
             pool: OnceLock::new(),
             loggers: LoggerRegistry::new(),
-            observers: Mutex::new(Observers::default()),
+            observer: Arc::new(Observer::new(WeakExecutor(inner.clone()))),
             sanitizer: Sanitizer::new(),
-            tracer: Tracer::new(),
-            profile: ProfileStore::new(),
             // lint: allow(forbidden-api): uptime gauge epoch — wall-clock
             // construction instant, not simulated kernel time.
             start: std::time::Instant::now(),
         }))
-    }
-
-    /// Non-owning handle to this executor (see [`WeakExecutor`]).
-    pub(crate) fn downgrade(&self) -> WeakExecutor {
-        WeakExecutor(Arc::downgrade(&self.0))
     }
 
     /// Sequential host executor (the correctness reference).
@@ -421,105 +307,34 @@ impl Executor {
         self.0.loggers.clear();
     }
 
-    fn observers(&self) -> MutexGuard<'_, Observers> {
-        self.0
-            .observers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Sets which observability planes this executor runs — the single
-    /// arming path for the metrics registry, flight recorder, span tracer
-    /// and continuous profiler. `config` is the complete desired state
-    /// (after the implications documented on [`ObserveConfig`]); planes it
-    /// leaves out are switched off, and `ObserveConfig::default()` returns
-    /// the executor to the inert path. To change one plane, start from
+    /// arming path for the metrics, flight, trace and profile planes of its
+    /// [`Observer`]. `config` is the complete desired state (after the
+    /// implications documented on [`ObserveConfig`]); planes it leaves out
+    /// are switched off, and `ObserveConfig::default()` returns the executor
+    /// to the inert path. To change one plane, start from
     /// [`Executor::observing`].
     ///
-    /// A plane whose setting is unchanged keeps its state: the registry
-    /// keeps its counters, and the recorder its reports as long as the
-    /// detector thresholds compare equal (different thresholds start a
-    /// fresh recorder). Re-arming the tracer or profiler updates the policy
-    /// and keeps retained traces and flame windows, which also stay
-    /// readable through [`Executor::tracer`] / [`Executor::profile`] after
-    /// the plane is switched off (an in-flight trace is abandoned then).
+    /// A plane whose setting is unchanged keeps its state: the metrics plane
+    /// keeps its counters while it stays on, and the flight plane its
+    /// reports as long as the detector thresholds compare equal (different
+    /// thresholds start afresh). Re-arming the trace or profile plane
+    /// updates the policy and keeps retained traces and flame windows, which
+    /// also stay readable through [`Executor::observer`] after the plane is
+    /// switched off (an in-flight trace is abandoned then).
     pub fn observe(&self, config: ObserveConfig) {
-        let config = config.normalized();
-        let mut changes = RegistryChanges::default();
-        {
-            let mut guard = self.observers();
-            let o = &mut *guard;
-            changes.retarget(
-                &mut o.metrics,
-                true,
-                config.metrics.then_some(MetricsRegistry::new),
-            );
-            let same_detectors =
-                o.flight.as_ref().map(|r| r.detector_config()) == config.flight.as_ref();
-            let exec = self.downgrade();
-            changes.retarget(
-                &mut o.flight,
-                same_detectors,
-                config
-                    .flight
-                    .clone()
-                    .map(|detectors| move || FlightRecorder::new(exec, detectors)),
-            );
-            let exec = self.downgrade();
-            changes.retarget(
-                &mut o.trace_hook,
-                true,
-                config.trace.map(|_| move || TraceHook::new(exec)),
-            );
-            match config.trace {
-                Some(policy) => self.0.tracer.arm(policy),
-                None => self.0.tracer.disarm(),
-            }
-            match config.profile {
-                Some(policy) => self.0.profile.arm(policy),
-                None => self.0.profile.disarm(),
-            }
-            o.config = config;
-        }
-        // Attach and detach outside `exec.observe` (see [`Observers`]).
-        for logger in &changes.detach {
-            self.0.loggers.remove(logger);
-        }
-        for logger in changes.attach {
-            self.0.loggers.add(logger.clone());
-            // A concurrent `observe` may have retired this logger between
-            // our slot update and the attach; its detach then found nothing
-            // to remove, so undo the attach here.
-            let retired = !self.observers().holds(&logger);
-            if retired {
-                self.0.loggers.remove(&logger);
-            }
-        }
+        self.0.observer.observe(config, &self.0.loggers);
     }
 
     /// The [`ObserveConfig`] in force (implications applied).
     pub fn observing(&self) -> ObserveConfig {
-        self.observers().config.clone()
+        self.0.observer.config()
     }
 
-    /// The metrics registry, while [`ObserveConfig::metrics`] is on.
-    pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.observers().metrics.clone()
-    }
-
-    /// The flight recorder, while [`ObserveConfig::flight`] is set.
-    pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.observers().flight.clone()
-    }
-
-    /// The executor's span tracer (switch, store, and counters).
-    pub fn tracer(&self) -> &Tracer {
-        &self.0.tracer
-    }
-
-    /// The executor's continuous profiler (switch, flame store, counters).
-    pub fn profile(&self) -> &ProfileStore {
-        &self.0.profile
+    /// The executor's observer: every plane's read side (metrics snapshot,
+    /// flight reports, traces, flame profile), handed out as value types.
+    pub fn observer(&self) -> &Observer {
+        &self.0.observer
     }
 
     /// Real seconds since this executor was constructed (the

@@ -574,7 +574,7 @@ where
     // chunk closure record begin/end/steal against the propagated
     // SpanContext into cache-padded per-lane buffers. Off path (no trace,
     // or a trace owned by another thread): one relaxed load.
-    let dispatch = exec.tracer().begin_dispatch(pool.threads(), chunks);
+    let dispatch = exec.observer().begin_dispatch(pool.threads(), chunks);
     let lanes_total = pool.threads();
     match (&claims, &dispatch) {
         (Some(log), Some(d)) => {
@@ -611,7 +611,7 @@ where
         }
     }
     if let Some(d) = dispatch {
-        exec.tracer().end_dispatch(d);
+        exec.observer().end_dispatch(d);
     }
     if let Some(before) = stats_before {
         let delta = pool.stats().since(&before);

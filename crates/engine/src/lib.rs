@@ -19,25 +19,20 @@
 //!   direct solver.
 //! * **Preconditioners** ([`preconditioner`]): scalar and block Jacobi, ILU,
 //!   and IC, backed by the [`factorization`] module's ILU(0)/IC(0).
-//! * **Stopping criteria** ([`stop`]), **loggers** ([`log`]), and the
-//!   always-on **metrics registry** ([`metrics`]: latency histograms,
-//!   Prometheus exporter). The registry, flight recorder, tracer and
-//!   profiler below are switched by one call, [`Executor::observe`].
-//! * **The live telemetry plane** ([`telemetry`]): a std-only HTTP scrape
-//!   endpoint (`/metrics`, `/healthz`, `/runs`), per-lane pool utilization
-//!   series, and an anomaly-detecting flight recorder.
+//! * **Stopping criteria** ([`stop`]) and **loggers** ([`log`]): components
+//!   emit events, loggers observe.
+//! * **Observability** ([`observe`]): every executor embeds one
+//!   [`Observer`], the single consumer behind four planes switched by one
+//!   call, [`Executor::observe`] — aggregated [`metrics`] (latency
+//!   histograms, Prometheus exposition), per-solve flight reports screened
+//!   by anomaly detectors ([`telemetry::recorder`]), span trees from the
+//!   solve root down to individual pool-lane chunks ([`trace`]), and flame
+//!   aggregates over them ([`profile`]). [`telemetry`] serves it all over a
+//!   std-only HTTP endpoint (`/metrics`, `/healthz`, `/runs`, `/traces`,
+//!   `/profile`).
 //! * **The runtime sanitizer** ([`sanitize`]): chunk-overlap detection for
 //!   the worker pool, structural `validate()` for every matrix format, and
 //!   a seeded schedule-perturbation stress harness.
-//! * **Causal span tracing** ([`trace`]): per-solve trace trees from the
-//!   solve root down to individual pool-lane chunks, tail-sampled into a
-//!   bounded store and served by the telemetry plane (`/traces`, with a
-//!   Chrome-trace export).
-//! * **Continuous profiling** ([`profile`]): always-on flame aggregation
-//!   over the span stream — windowed [`FlameNode`](profile) trees keyed by
-//!   span path with wall/virtual self-time, per-lane attribution, and
-//!   p50/p99 per path, served as JSON or folded stacks (`/profile`) and
-//!   diffed against named baselines (`/profile/diff`).
 //! * **The config solver** ([`config`], paper §5): a generic entry point that
 //!   builds arbitrary solver/preconditioner pipelines from a JSON-style
 //!   configuration tree, with a from-scratch JSON parser/serializer.
@@ -52,6 +47,7 @@ pub mod linop;
 pub mod log;
 pub mod matrix;
 pub mod metrics;
+pub mod observe;
 pub mod preconditioner;
 pub mod profile;
 pub mod sanitize;
@@ -65,16 +61,13 @@ pub use base::dim::Dim2;
 pub use base::error::{GkoError, Result};
 pub use base::types::{Index, TripletValue, Value};
 pub use executor::pool::{LaneStats, PoolStats};
-pub use executor::{Executor, ObserveConfig};
+pub use executor::Executor;
 pub use linop::LinOp;
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::{
-    DiffRow, FlameStat, ProfileConfig, ProfileDiff, ProfileSnapshot, ProfileStore,
-};
+pub use metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
+pub use observe::{ObserveConfig, Observer, ObserverStatus};
+pub use profile::{DiffRow, FlameStat, ProfileConfig, ProfileDiff, ProfileSnapshot};
 pub use sanitize::{ClaimLog, ClaimViolation, Sanitizer, SanitizerReport};
-pub use telemetry::{
-    Anomaly, DetectorConfig, FlightRecorder, FlightReport, TelemetryServer,
-};
+pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
 pub use trace::{
-    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport, Tracer,
+    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport,
 };

@@ -1,28 +1,23 @@
-//! Continuous profiling plane: flame aggregation over the span stream
-//! (DESIGN.md §18).
+//! Continuous profiling plane: flame aggregation over the span stream.
 //!
-//! [`crate::trace`] assembles one span tree per solve; this module folds
-//! *every* completed tree — including the ones tail sampling drops — into a
-//! [`ProfileStore`] of aggregated [`FlameNode`] trees keyed by span path
+//! The observer assembles one span tree per solve ([`crate::trace`]); while
+//! [`crate::ObserveConfig::profile`] is set its end-of-solve fold adds
+//! *every* completed tree — including the ones tail sampling drops — to a
+//! `FlameWindow` of aggregated `FlameNode` trees keyed by span path
 //! (`solve → iteration → kernel_apply → plan_build → pool_dispatch →
-//! chunk`). Each node accumulates call counts, wall self- and total-time,
-//! per-lane busy-time attribution, and a log2 latency histogram of self
-//! time per call (the same bucket layout as [`crate::metrics`]), so `p50`
-//! and `p99` per path come for free.
+//! chunk`). Each node accumulates wall total time, per-lane busy-time
+//! attribution, and a [`Log2Histogram`] of self time per call, so call
+//! counts, self-time sums, `p50` and `p99` per path come for free.
 //!
 //! The aggregation is *windowed*: after
 //! [`ProfileConfig::window_solves`] folded solves the tree rotates (the
-//! finished window stays readable as [`ProfileStore::last_window`]) so a
-//! long-lived process converges on recent behaviour instead of its whole
-//! history. Memory is bounded twice over — a hard node cap
+//! finished window stays readable as the last window) so a long-lived
+//! process converges on recent behaviour instead of its whole history.
+//! Memory is bounded twice over — a hard node cap
 //! ([`ProfileConfig::max_nodes`]) drops *new* paths once the tree is full
 //! (arrival order decides survival, deterministically; drops are counted in
 //! the evicted counter, never silent) and the per-window rotation bounds
 //! bucket growth.
-//!
-//! While profiling is disarmed, [`ProfileStore::fold`] costs exactly one
-//! relaxed atomic load — the same inert discipline as the sanitizer, the
-//! metrics registry, and the tracer.
 //!
 //! Snapshots render three ways, matching the `/profile` endpoints:
 //!
@@ -35,11 +30,9 @@
 //!   ratio.
 
 use crate::config::Config;
-use crate::metrics::{bucket_index, bucket_upper_bound, HISTOGRAM_BUCKETS};
-use crate::trace::{SpanKind, TraceReport, OWNER_LANE};
+use crate::metrics::Log2Histogram;
+use crate::trace::{SpanRecord, TraceReport, OWNER_LANE};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Profiling policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -49,8 +42,8 @@ pub struct ProfileConfig {
     /// nodes keep accumulating).
     pub max_nodes: usize,
     /// Solves per aggregation window; the tree resets (and the finished
-    /// window becomes [`ProfileStore::last_window`]) every `window_solves`
-    /// folds. `0` means a single unbounded window.
+    /// window becomes the last window) every `window_solves` folds. `0`
+    /// means a single unbounded window.
     pub window_solves: u64,
 }
 
@@ -64,7 +57,7 @@ impl Default for ProfileConfig {
 }
 
 impl ProfileConfig {
-    fn normalized(mut self) -> Self {
+    pub(crate) fn normalized(mut self) -> Self {
         self.max_nodes = self.max_nodes.max(8);
         self
     }
@@ -80,16 +73,11 @@ struct FlameNode {
     /// Span kind name of the first span folded here (`"solve"`,
     /// `"kernel_apply"`, ...), kept for the JSON tree.
     kind: &'static str,
-    /// Spans folded into this node.
-    calls: u64,
     /// Total wall time (span durations), nanoseconds.
     wall_ns: u64,
-    /// Wall time minus the folded children's wall time, nanoseconds.
-    self_wall_ns: u64,
-    /// Largest single-span self time seen, nanoseconds (caps quantiles).
-    max_self_ns: u64,
-    /// Log2 histogram of self wall time per call (metrics bucket layout).
-    buckets: Box<[u64; HISTOGRAM_BUCKETS]>,
+    /// Self wall time per call (duration minus the folded children's):
+    /// `count` is the spans folded here, `sum` the node's self time.
+    self_ns: Log2Histogram,
     /// Per-lane busy time for chunk spans (`lane -> ns`); empty elsewhere.
     lane_ns: BTreeMap<u32, u64>,
     /// Children keyed by span name (deterministic order).
@@ -101,43 +89,19 @@ impl FlameNode {
         FlameNode {
             name,
             kind,
-            calls: 0,
             wall_ns: 0,
-            self_wall_ns: 0,
-            max_self_ns: 0,
-            buckets: Box::new([0; HISTOGRAM_BUCKETS]),
+            self_ns: Log2Histogram::new(),
             lane_ns: BTreeMap::new(),
             children: BTreeMap::new(),
         }
     }
 
     fn record(&mut self, wall_ns: u64, self_ns: u64, lane: Option<u32>) {
-        self.calls += 1;
         self.wall_ns += wall_ns;
-        self.self_wall_ns += self_ns;
-        self.max_self_ns = self.max_self_ns.max(self_ns);
-        self.buckets[bucket_index(self_ns)] += 1;
+        self.self_ns.record(self_ns);
         if let Some(lane) = lane {
             *self.lane_ns.entry(lane).or_insert(0) += wall_ns;
         }
-    }
-
-    /// Quantile of self time per call from the log2 buckets, capped by the
-    /// exact max (mirrors `metrics::HistogramSnapshot::quantile`).
-    fn quantile(&self, q: f64) -> u64 {
-        if self.calls == 0 {
-            return 0;
-        }
-        let rank = ((self.calls as f64) * q).ceil() as u64;
-        let rank = rank.clamp(1, self.calls);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_bound(i).min(self.max_self_ns);
-            }
-        }
-        self.max_self_ns
     }
 
     /// Appends this subtree to `out` in pre-order and returns the subtree's
@@ -155,13 +119,13 @@ impl FlameNode {
             name: self.name.to_string(),
             kind: self.kind.to_string(),
             depth,
-            calls: self.calls,
+            calls: self.self_ns.count,
             wall_ns: self.wall_ns,
-            self_wall_ns: self.self_wall_ns,
+            self_wall_ns: self.self_ns.sum,
             virtual_ns: 0, // filled below once the subtree is summed
             self_virtual_ns: self_virtual,
-            p50_ns: self.quantile(0.50),
-            p99_ns: self.quantile(0.99),
+            p50_ns: self.self_ns.p50(),
+            p99_ns: self.self_ns.p99(),
             lanes: self.lane_ns.iter().map(|(&l, &ns)| (l, ns)).collect(),
         });
         let mut subtree_virtual = self_virtual;
@@ -384,258 +348,149 @@ pub fn diff(base: &ProfileSnapshot, current: &ProfileSnapshot) -> ProfileDiff {
     ProfileDiff { rows }
 }
 
-#[derive(Default)]
-struct ProfileState {
-    config: ProfileConfig,
+/// The child of `level` that `seg` folds into, created unless the node cap
+/// is reached (`None` then: the span is evicted).
+fn admit<'a>(
+    level: &'a mut BTreeMap<&'static str, FlameNode>,
+    seg: &SpanRecord,
+    node_count: &mut usize,
+    max_nodes: usize,
+) -> Option<&'a mut FlameNode> {
+    if !level.contains_key(seg.name) {
+        if *node_count >= max_nodes {
+            return None;
+        }
+        *node_count += 1;
+    }
+    Some(
+        level
+            .entry(seg.name)
+            .or_insert_with(|| FlameNode::new(seg.name, seg.kind.name())),
+    )
+}
+
+/// The profile plane's state: the live flame window, its rotation counters
+/// and the committed baselines. Plain data inside the observer's state, so
+/// the observer's one lock guards it.
+#[derive(Debug, Default)]
+pub(crate) struct FlameWindow {
     /// Root flame nodes keyed by solve annotation (`"solver::Cg"`, ...).
     roots: BTreeMap<&'static str, FlameNode>,
     /// Nodes currently allocated across all roots.
-    node_count: usize,
+    pub(crate) node_count: usize,
     solves: u64,
-    solves_total: u64,
+    /// Solves folded since the executor was built (across all windows).
+    pub(crate) solves_total: u64,
     windows_completed: u64,
-    last_window: Option<ProfileSnapshot>,
-    baselines: BTreeMap<String, ProfileSnapshot>,
-}
-
-/// Per-executor continuous profiler, embedded in the executor like the
-/// sanitizer and tracer. Disarmed, [`ProfileStore::fold`] is one relaxed
-/// atomic load.
-pub struct ProfileStore {
-    /// Profiling enabled at all.
-    armed: AtomicBool, // atomic: flag
     /// Spans dropped because the node cap was reached.
-    evicted: AtomicU64, // atomic: counter
-    state: Mutex<ProfileState>, // lock: profile.state
-}
-
-impl std::fmt::Debug for ProfileStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfileStore")
-            .field("armed", &self.is_armed())
-            .field("evicted", &self.evicted())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ProfileStore {
-    pub(crate) fn new() -> Self {
-        ProfileStore {
-            armed: AtomicBool::new(false),
-            evicted: AtomicU64::new(0),
-            state: Mutex::new(ProfileState::default()),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, ProfileState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Arms profiling with `config`. Idempotent; re-arming updates the
-    /// policy but keeps the accumulated window and counters.
-    pub(crate) fn arm(&self, config: ProfileConfig) {
-        self.state().config = config.normalized();
-        self.armed.store(true, Ordering::Release);
-    }
-
-    /// Disarms profiling. Accumulated windows and baselines stay readable.
-    pub(crate) fn disarm(&self) {
-        self.armed.store(false, Ordering::Release);
-    }
-
-    /// Whether profiling is armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
-    /// Spans dropped because the node cap was reached.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Flame nodes currently allocated in the live window.
-    pub fn node_count(&self) -> usize {
-        self.state().node_count
-    }
-
-    /// Solves folded since arming.
-    pub fn solves_total(&self) -> u64 {
-        self.state().solves_total
-    }
-
-    /// Clears the live window (counters and baselines are kept).
-    pub fn reset(&self) {
-        let mut s = self.state();
-        s.roots.clear();
-        s.node_count = 0;
-        s.solves = 0;
-    }
-
+    pub(crate) evicted: u64,
     /// The most recently completed (rotated-out) window, if any.
-    pub fn last_window(&self) -> Option<ProfileSnapshot> {
-        self.state().last_window.clone()
+    pub(crate) last_window: Option<ProfileSnapshot>,
+    /// Committed baselines by name.
+    pub(crate) baselines: BTreeMap<String, ProfileSnapshot>,
+}
+
+impl FlameWindow {
+    /// Clears the live window (counters and baselines are kept).
+    pub(crate) fn reset(&mut self) {
+        self.roots.clear();
+        self.node_count = 0;
+        self.solves = 0;
     }
 
     /// Snapshots the live window and commits it as baseline `name`,
     /// replacing any previous baseline of that name.
-    pub fn commit_baseline(&self, name: &str) -> ProfileSnapshot {
-        let snap = self.snapshot();
-        self.state().baselines.insert(name.to_string(), snap.clone());
+    pub(crate) fn commit_baseline(&mut self, name: &str, max_nodes: usize) -> ProfileSnapshot {
+        let snap = self.snapshot(max_nodes);
+        self.baselines.insert(name.to_string(), snap.clone());
         snap
     }
 
-    /// A committed baseline by name.
-    pub fn baseline(&self, name: &str) -> Option<ProfileSnapshot> {
-        self.state().baselines.get(name).cloned()
-    }
-
-    /// Names of all committed baselines, ascending.
-    pub fn baseline_names(&self) -> Vec<String> {
-        self.state().baselines.keys().cloned().collect()
-    }
-
-    /// Snapshot of the live window (empty while nothing has been folded).
-    pub fn snapshot(&self) -> ProfileSnapshot {
-        let s = self.state();
-        let mut nodes = Vec::with_capacity(s.node_count);
-        for root in s.roots.values() {
+    /// Snapshot of the live window (empty while nothing has been folded),
+    /// stamped with the node cap in force.
+    pub(crate) fn snapshot(&self, max_nodes: usize) -> ProfileSnapshot {
+        let mut nodes = Vec::with_capacity(self.node_count);
+        for root in self.roots.values() {
             root.flatten("", 0, &mut nodes);
         }
         ProfileSnapshot {
-            solves: s.solves,
-            solves_total: s.solves_total,
-            windows_completed: s.windows_completed,
-            evicted_nodes: self.evicted(),
-            max_nodes: s.config.max_nodes,
+            solves: self.solves,
+            solves_total: self.solves_total,
+            windows_completed: self.windows_completed,
+            evicted_nodes: self.evicted,
+            max_nodes,
             nodes,
         }
     }
 
-    /// Folds one completed span tree into the live window. Called by the
-    /// tracer for every finished trace — *before* the tail-sampling verdict,
-    /// so profiles aggregate all solves, not just the retained ones. One
-    /// relaxed load and out while disarmed.
-    pub(crate) fn fold(&self, report: &TraceReport) {
-        // One span flattened for folding: root-to-self (name, kind) path,
-        // wall time, self time, and the executing lane for chunk spans.
-        type SpanFold = (Vec<(&'static str, &'static str)>, u64, u64, Option<u32>);
-        if !self.armed.load(Ordering::Relaxed) {
-            return;
-        }
+    /// Folds one completed span tree into the live window under `config`.
+    /// Called for every finished trace whatever its tail-sampling verdict,
+    /// so profiles aggregate all solves, not just the retained ones.
+    pub(crate) fn fold(&mut self, report: &TraceReport, config: &ProfileConfig) {
         if report.spans.is_empty() {
             return;
         }
-        // Per-trace shape, computed before taking the store lock: children
-        // wall time per parent id (for self time) and each span's name path.
-        let mut by_id: BTreeMap<u64, &crate::trace::SpanRecord> = BTreeMap::new();
+        // Per-trace shape: children wall time per parent id (for self time)
+        // and the spans by id (for each span's root-to-self name path).
+        let mut by_id: BTreeMap<u64, &SpanRecord> = BTreeMap::new();
         let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
         for s in &report.spans {
             by_id.insert(s.id, s);
-        }
-        for s in &report.spans {
             if s.parent != 0 {
                 *child_ns.entry(s.parent).or_insert(0) += s.dur_ns;
             }
         }
-        // Root-to-self name paths (spans with unresolvable parents — possible
-        // under span-cap truncation — are skipped; the tracer already counts
-        // them).
-        let mut folds: Vec<SpanFold> = Vec::with_capacity(report.spans.len());
+        let mut path: Vec<&SpanRecord> = Vec::new();
         'spans: for s in &report.spans {
-            let mut path: Vec<(&'static str, &'static str)> = vec![(s.name, kind_name(s.kind))];
+            // Spans with unresolvable parents (possible under span-cap
+            // truncation) are skipped; the trace already counts them.
+            path.clear();
+            path.push(s);
             let mut cursor = s.parent;
             while cursor != 0 {
                 match by_id.get(&cursor) {
                     Some(p) => {
-                        path.push((p.name, kind_name(p.kind)));
+                        path.push(p);
                         cursor = p.parent;
                     }
                     None => continue 'spans,
                 }
             }
-            path.reverse();
-            let self_ns = s
-                .dur_ns
-                .saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
-            let lane = (s.lane != OWNER_LANE).then_some(s.lane);
-            folds.push((path, s.dur_ns, self_ns, lane));
-        }
-
-        let mut s = self.state();
-        let st = &mut *s;
-        let max_nodes = st.config.max_nodes;
-        let mut evicted = 0u64;
-        for (path, wall_ns, self_ns, lane) in folds {
-            let Some((first, rest)) = path.split_first() else {
-                continue;
-            };
-            if !st.roots.contains_key(first.0) {
-                if st.node_count >= max_nodes {
-                    evicted += 1;
-                    continue;
+            let cap = config.max_nodes;
+            let mut segments = path.iter().rev();
+            let mut node = segments
+                .next()
+                .and_then(|seg| admit(&mut self.roots, seg, &mut self.node_count, cap));
+            for seg in segments {
+                node = node.and_then(|n| admit(&mut n.children, seg, &mut self.node_count, cap));
+            }
+            match node {
+                Some(node) => {
+                    let children = child_ns.get(&s.id).copied().unwrap_or(0);
+                    let lane = (s.lane != OWNER_LANE).then_some(s.lane);
+                    node.record(s.dur_ns, s.dur_ns.saturating_sub(children), lane);
                 }
-                st.node_count += 1;
+                None => self.evicted += 1,
             }
-            let mut node = st
-                .roots
-                .entry(first.0)
-                .or_insert_with(|| FlameNode::new(first.0, first.1));
-            let mut dropped = false;
-            for seg in rest {
-                if !node.children.contains_key(seg.0) {
-                    if st.node_count >= max_nodes {
-                        dropped = true;
-                        break;
-                    }
-                    st.node_count += 1;
-                }
-                node = node
-                    .children
-                    .entry(seg.0)
-                    .or_insert_with(|| FlameNode::new(seg.0, seg.1));
-            }
-            if dropped {
-                evicted += 1;
-                continue;
-            }
-            node.record(wall_ns, self_ns, lane);
         }
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
-        st.solves += 1;
-        st.solves_total += 1;
-        if st.config.window_solves > 0 && st.solves >= st.config.window_solves {
+        self.solves += 1;
+        self.solves_total += 1;
+        if config.window_solves > 0 && self.solves >= config.window_solves {
             // Rotate: the finished window stays readable, the live tree
             // restarts empty (baselines and eviction counters persist).
-            let mut nodes = Vec::with_capacity(st.node_count);
-            for root in st.roots.values() {
-                root.flatten("", 0, &mut nodes);
-            }
-            st.last_window = Some(ProfileSnapshot {
-                solves: st.solves,
-                solves_total: st.solves_total,
-                windows_completed: st.windows_completed,
-                evicted_nodes: self.evicted(),
-                max_nodes,
-                nodes,
-            });
-            st.windows_completed += 1;
-            st.roots.clear();
-            st.node_count = 0;
-            st.solves = 0;
+            self.last_window = Some(self.snapshot(config.max_nodes));
+            self.windows_completed += 1;
+            self.reset();
         }
     }
-}
-
-fn kind_name(kind: SpanKind) -> &'static str {
-    kind.name()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{SpanRecord, TraceReport};
+    use crate::log::{Event, Logger};
+    use crate::observe::{ObserveConfig, Observer};
+    use crate::trace::{SpanKind, TraceConfig};
 
     fn span(
         id: u64,
@@ -685,23 +540,58 @@ mod tests {
         }
     }
 
-    fn armed_store(config: ProfileConfig) -> ProfileStore {
-        let store = ProfileStore::new();
-        store.arm(config);
-        store
+    /// A flame window folding under one fixed policy.
+    struct Store {
+        window: FlameWindow,
+        config: ProfileConfig,
     }
 
+    impl Store {
+        fn fold(&mut self, report: &TraceReport) {
+            self.window.fold(report, &self.config);
+        }
+
+        fn snapshot(&self) -> ProfileSnapshot {
+            self.window.snapshot(self.config.max_nodes)
+        }
+
+        fn commit_baseline(&mut self, name: &str) -> ProfileSnapshot {
+            self.window.commit_baseline(name, self.config.max_nodes)
+        }
+    }
+
+    fn armed_store(config: ProfileConfig) -> Store {
+        Store {
+            window: FlameWindow::default(),
+            config: config.normalized(),
+        }
+    }
+
+    /// With the trace plane on and the profile plane off, a finished solve
+    /// is traced but never folded.
     #[test]
     fn disarmed_fold_is_inert() {
-        let store = ProfileStore::new();
-        store.fold(&cg_trace(1, 1));
-        assert_eq!(store.snapshot().nodes.len(), 0);
-        assert_eq!(store.solves_total(), 0);
+        let obs = Observer::detached(ObserveConfig {
+            trace: Some(TraceConfig {
+                sample_n: 1,
+                ..TraceConfig::default()
+            }),
+            ..ObserveConfig::default()
+        });
+        obs.on_event(&Event::LinOpApplyStarted { op: "solver::Cg" });
+        obs.on_event(&Event::LinOpApplyCompleted {
+            op: "solver::Cg",
+            wall_ns: 100,
+            virtual_ns: 0,
+        });
+        assert_eq!(obs.traces().len(), 1, "the solve was traced");
+        assert_eq!(obs.profile().nodes.len(), 0);
+        assert_eq!(obs.status().profile_solves, 0);
     }
 
     #[test]
     fn fold_builds_rooted_flame_tree_with_self_times() {
-        let store = armed_store(ProfileConfig::default());
+        let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 1));
         let snap = store.snapshot();
         assert_eq!(snap.solves, 1);
@@ -736,8 +626,8 @@ mod tests {
 
     #[test]
     fn merge_is_deterministic_and_accumulative() {
-        let a = armed_store(ProfileConfig::default());
-        let b = armed_store(ProfileConfig::default());
+        let mut a = armed_store(ProfileConfig::default());
+        let mut b = armed_store(ProfileConfig::default());
         for t in 1..=5u64 {
             a.fold(&cg_trace(t, t));
             b.fold(&cg_trace(t, t));
@@ -757,13 +647,13 @@ mod tests {
         // Cap of 8 (the normalized floor): the first trace's 5-node path
         // fits; a second trace with a different solver root needs 5 more
         // nodes and only 3 fit, so its deeper spans are evicted.
-        let store = armed_store(ProfileConfig {
+        let mut store = armed_store(ProfileConfig {
             max_nodes: 8,
             window_solves: 0,
         });
         store.fold(&cg_trace(1, 1));
-        assert_eq!(store.node_count(), 5);
-        assert_eq!(store.evicted(), 0);
+        assert_eq!(store.window.node_count, 5);
+        assert_eq!(store.window.evicted, 0);
 
         let mut other = cg_trace(2, 1);
         other.annotation = "solver::BiCgStab".to_string();
@@ -773,11 +663,11 @@ mod tests {
             }
         }
         store.fold(&other);
-        assert_eq!(store.node_count(), 8, "cap respected");
-        assert_eq!(store.evicted(), 3, "three spans had no room");
+        assert_eq!(store.window.node_count, 8, "cap respected");
+        assert_eq!(store.window.evicted, 3, "three spans had no room");
 
         // Re-running the same sequence reproduces the same retained set.
-        let replay = armed_store(ProfileConfig {
+        let mut replay = armed_store(ProfileConfig {
             max_nodes: 8,
             window_solves: 0,
         });
@@ -788,12 +678,12 @@ mod tests {
         // Existing paths keep accumulating even while the cap holds.
         store.fold(&cg_trace(3, 1));
         assert_eq!(store.snapshot().find("solver::Cg").unwrap().calls, 2);
-        assert_eq!(store.evicted(), 3, "no new evictions for known paths");
+        assert_eq!(store.window.evicted, 3, "no new evictions for known paths");
     }
 
     #[test]
     fn window_rotation_bounds_history() {
-        let store = armed_store(ProfileConfig {
+        let mut store = armed_store(ProfileConfig {
             max_nodes: 64,
             window_solves: 2,
         });
@@ -802,7 +692,7 @@ mod tests {
         // Window of 2 complete: live tree restarts.
         assert_eq!(store.snapshot().solves, 0);
         assert_eq!(store.snapshot().windows_completed, 1);
-        let last = store.last_window().expect("rotated window");
+        let last = store.window.last_window.clone().expect("rotated window");
         assert_eq!(last.solves, 2);
         assert_eq!(last.find("solver::Cg").unwrap().calls, 2);
 
@@ -815,7 +705,7 @@ mod tests {
 
     #[test]
     fn folded_output_matches_grammar() {
-        let store = armed_store(ProfileConfig::default());
+        let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 3));
         let folded = store.snapshot().folded();
         assert!(!folded.is_empty());
@@ -830,10 +720,10 @@ mod tests {
 
     #[test]
     fn diff_ranks_regressions_and_handles_new_paths() {
-        let store = armed_store(ProfileConfig::default());
+        let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 1));
         let base = store.commit_baseline("t0");
-        assert_eq!(store.baseline_names(), vec!["t0".to_string()]);
+        assert_eq!(store.window.baselines.keys().collect::<Vec<_>>(), vec!["t0"]);
 
         // Second fold doubles every accumulated figure except the csr node,
         // which gets 10x the work.
@@ -863,7 +753,7 @@ mod tests {
 
     #[test]
     fn json_tree_nests_children_under_parents() {
-        let store = armed_store(ProfileConfig::default());
+        let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 1));
         let doc = store.snapshot().to_config();
         let roots = doc.get("roots").and_then(Config::as_array).expect("roots");
@@ -883,11 +773,11 @@ mod tests {
 
     #[test]
     fn reset_clears_live_window_but_keeps_baselines() {
-        let store = armed_store(ProfileConfig::default());
+        let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 1));
         store.commit_baseline("keep");
-        store.reset();
+        store.window.reset();
         assert_eq!(store.snapshot().nodes.len(), 0);
-        assert!(store.baseline("keep").is_some());
+        assert!(store.window.baselines.contains_key("keep"));
     }
 }

@@ -17,7 +17,7 @@
 //! The **shell** owns everything the methods share: the builder surface
 //! (`new`, `with_criteria`, `with_preconditioner`, `with_logger`,
 //! `add_logger`, `loggers`, `logger`), the `LinOp` impl, shape validation,
-//! the one `solver::*` kernel frame that roots the [`Tracer`](crate::Tracer)'s
+//! the one `solver::*` kernel frame that roots the [`Observer`](crate::Observer)'s
 //! span tree, the initial residual `r = b - A x` and its norm (the
 //! baseline), and every `begin` / `record_residual` / `check` / `finish`
 //! call on the logger and criteria.
@@ -133,7 +133,7 @@ mod sealed {
         pub(crate) events: LoggerRegistry,
         /// The system executor's registry (kernel-level observers), so an
         /// executor-wide observer such as the
-        /// [`MetricsRegistry`](crate::MetricsRegistry) sees solver events
+        /// [`Observer`](crate::Observer) sees solver events
         /// alongside the kernels.
         exec_events: LoggerRegistry,
     }

@@ -25,6 +25,26 @@ impl StopReason {
             StopReason::ResidualReduction | StopReason::AbsoluteResidual
         )
     }
+
+    /// Stable identifier used in JSON documents (`/runs`, `/traces`).
+    pub fn name(self) -> &'static str {
+        match self {
+            StopReason::MaxIterations => "max_iterations",
+            StopReason::ResidualReduction => "residual_reduction",
+            StopReason::AbsoluteResidual => "absolute_residual",
+            StopReason::Breakdown => "breakdown",
+        }
+    }
+
+    /// Wording shown to a user (the facade's `Logger::stop_reason`).
+    pub fn describe(self) -> &'static str {
+        match self {
+            StopReason::MaxIterations => "max iterations",
+            StopReason::ResidualReduction => "converged (residual reduction)",
+            StopReason::AbsoluteResidual => "converged (absolute residual)",
+            StopReason::Breakdown => "breakdown",
+        }
+    }
 }
 
 /// OR-combination of stopping criteria.

@@ -5,13 +5,11 @@
 //! endpoints, all `GET` (with `HEAD` honored on every route: identical
 //! status and headers, no body), all `Connection: close`:
 //!
-//! * `/metrics` — Prometheus text exposition (registry snapshot + per-lane
-//!   pool utilization + flight-recorder, tracer, profiler, and build/uptime
-//!   gauges);
+//! * `/metrics` — Prometheus text exposition (metrics snapshot + per-lane
+//!   pool utilization + flight, trace, profile, and build/uptime gauges);
 //! * `/healthz` — executor/pool liveness and sanitizer/tracer/profiler arm
 //!   state, as JSON;
-//! * `/runs` — the flight recorder's retained reports, newest first, as
-//!   JSON. `?limit=N` caps the count (default
+//! * `/runs` — the retained flight reports, newest first, as JSON. `?limit=N` caps the count (default
 //!   [`DEFAULT_RUNS_LIMIT`](super::DEFAULT_RUNS_LIMIT)); reports carry a
 //!   `trace_id` linking to their span tree when tracing was armed;
 //! * `/traces` — index of the tail-sampled trace store (trace_id,
@@ -23,7 +21,7 @@
 //!   `?format=folded` (one `path;path;... <self_wall_ns>` line per node);
 //! * `/profile/diff?base=<name>` — differential profile of the live window
 //!   against a baseline committed via
-//!   [`ProfileStore::commit_baseline`](crate::ProfileStore::commit_baseline),
+//!   [`Observer::commit_profile_baseline`](crate::Observer::commit_profile_baseline),
 //!   rows ranked by self-time regression.
 //!
 //! Requests are served sequentially — every response is a cheap immutable
@@ -33,6 +31,7 @@
 //! accept loop with a loopback connection, then joins the thread.
 
 use crate::base::error::{GkoError, Result};
+use crate::config::json;
 use crate::executor::Executor;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -125,19 +124,36 @@ fn accept_loop(listener: TcpListener, exec: Executor, shutdown: Arc<AtomicBool>)
     }
 }
 
+/// One response before it is written.
+struct Reply {
+    status: &'static str,
+    content_type: &'static str,
+    body: String,
+}
+
+impl Reply {
+    fn json(status: &'static str, body: String) -> Reply {
+        Reply {
+            status,
+            content_type: "application/json",
+            body,
+        }
+    }
+
+    /// A JSON error document: `{"error": "<message>"<extra>}`.
+    fn error(status: &'static str, message: &str, extra: &str) -> Reply {
+        Reply::json(status, format!("{{\"error\": \"{message}\"{extra}}}\n"))
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, exec: &Executor) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let head = match read_request_head(&mut stream) {
         Some(head) => head,
         None => {
-            let res = respond(
-                &mut stream,
-                "400 Bad Request",
-                "application/json",
-                "{\"error\": \"malformed request\"}\n",
-                false,
-            );
+            let reply = Reply::error("400 Bad Request", "malformed request", "");
+            let res = respond(&mut stream, &reply, false);
             // An oversized request may still be streaming in: drain it
             // (bounded) before closing, otherwise the kernel turns the
             // close into an RST that can discard the 400 response before
@@ -157,154 +173,89 @@ fn handle_connection(mut stream: TcpStream, exec: &Executor) -> std::io::Result<
     let mut parts = head.split_whitespace();
     let method = parts.next().unwrap_or("");
     let target = parts.next().unwrap_or("");
-    // Ignore any query string: `/metrics?x=y` scrapes `/metrics`.
-    let path = target.split('?').next().unwrap_or(target);
     // HEAD is GET minus the body: same routing, same status and headers
     // (including the true Content-Length), body suppressed at write time.
     let head_only = method == "HEAD";
     if method != "GET" && !head_only {
-        return respond(
-            &mut stream,
+        let reply = Reply::error(
             "405 Method Not Allowed",
-            "application/json",
-            "{\"error\": \"only GET and HEAD are supported\"}\n",
-            false,
+            "only GET and HEAD are supported",
+            "",
         );
+        return respond(&mut stream, &reply, false);
     }
-    let query = target.split_once('?').map(|(_, q)| q).unwrap_or("");
+    // The query string selects a representation, never a route:
+    // `/metrics?x=y` scrapes `/metrics`.
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    respond(&mut stream, &route(exec, path, query), head_only)
+}
+
+/// The response to `GET path?query`.
+fn route(exec: &Executor, path: &str, query: &str) -> Reply {
+    let observer = exec.observer();
     match path {
-        "/metrics" => respond(
-            &mut stream,
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            &super::render_prometheus(exec),
-            head_only,
-        ),
-        "/healthz" => respond(
-            &mut stream,
-            "200 OK",
-            "application/json",
-            &super::health_json(exec),
-            head_only,
-        ),
+        "/metrics" => Reply {
+            status: "200 OK",
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            body: super::render_prometheus(exec),
+        },
+        "/healthz" => Reply::json("200 OK", super::health_json(exec)),
         "/runs" => {
             let limit = query_param(query, "limit")
                 .and_then(|v| v.parse::<usize>().ok())
                 .unwrap_or(super::DEFAULT_RUNS_LIMIT);
-            let body = exec
-                .flight_recorder()
-                .map(|r| r.runs_json(limit))
-                .unwrap_or_else(|| {
-                    "{\"reports\": [], \"total\": 0, \"returned\": 0}\n".to_string()
-                });
-            respond(&mut stream, "200 OK", "application/json", &body, head_only)
+            Reply::json("200 OK", observer.runs_json(limit))
         }
-        "/traces" => respond(
-            &mut stream,
-            "200 OK",
-            "application/json",
-            &exec.tracer().index_json(),
-            head_only,
-        ),
-        "/profile" => {
-            let snap = exec.profile().snapshot();
-            if query_param(query, "format") == Some("folded") {
-                respond(
-                    &mut stream,
-                    "200 OK",
-                    "text/plain; charset=utf-8",
-                    &snap.folded(),
-                    head_only,
-                )
-            } else {
-                let body = crate::config::json::to_string_pretty(&snap.to_config());
-                respond(&mut stream, "200 OK", "application/json", &body, head_only)
+        "/traces" => Reply::json("200 OK", observer.traces_json()),
+        "/profile" if query_param(query, "format") == Some("folded") => Reply {
+            status: "200 OK",
+            content_type: "text/plain; charset=utf-8",
+            body: observer.profile().folded(),
+        },
+        "/profile" => Reply::json("200 OK", json::to_string_pretty(&observer.profile().to_config())),
+        // Per-path self-time and call-count deltas of the live profiling
+        // window against a committed baseline, ranked by regression.
+        "/profile/diff" => {
+            let Some(base_name) = query_param(query, "base") else {
+                return Reply::error(
+                    "400 Bad Request",
+                    "missing base parameter; use /profile/diff?base=<name>",
+                    "",
+                );
+            };
+            match observer.profile_baseline(base_name) {
+                Ok(base) => {
+                    let diff = crate::profile::diff(&base, &observer.profile());
+                    Reply::json("200 OK", json::to_string_pretty(&diff.to_config(base_name)))
+                }
+                Err(known) => {
+                    let names: Vec<String> = known.iter().map(|n| format!("\"{n}\"")).collect();
+                    let known = format!(", \"known\": [{}]", names.join(", "));
+                    Reply::error("404 Not Found", "unknown baseline", &known)
+                }
             }
         }
-        "/profile/diff" => serve_profile_diff(&mut stream, exec, query, head_only),
         _ => match path.strip_prefix("/traces/") {
-            Some(id) => serve_trace(&mut stream, exec, id, query, head_only),
-            None => respond(
-                &mut stream,
+            // The full span tree of one retained trace, as JSON or (with
+            // `?format=chrome`) as a Chrome-trace document.
+            Some(id) => match id.parse::<u64>().ok().and_then(|id| observer.trace(id)) {
+                Some(report) if query_param(query, "format") == Some("chrome") => {
+                    Reply::json("200 OK", report.to_chrome_trace())
+                }
+                Some(report) => Reply::json("200 OK", json::to_string_pretty(&report.to_config())),
+                None => Reply::error(
+                    "404 Not Found",
+                    "unknown trace id (dropped by sampling, evicted, or never assigned)",
+                    "",
+                ),
+            },
+            None => Reply::error(
                 "404 Not Found",
-                "application/json",
-                "{\"error\": \"unknown path; try /metrics, /healthz, /runs, /traces, /profile\"}\n",
-                head_only,
+                "unknown path; try /metrics, /healthz, /runs, /traces, /profile",
+                "",
             ),
         },
     }
-}
-
-/// `GET /profile/diff?base=<name>`: per-path self-time and call-count
-/// deltas of the live profiling window against a committed baseline,
-/// ranked by regression.
-fn serve_profile_diff(
-    stream: &mut TcpStream,
-    exec: &Executor,
-    query: &str,
-    head_only: bool,
-) -> std::io::Result<()> {
-    let Some(base_name) = query_param(query, "base") else {
-        return respond(
-            stream,
-            "400 Bad Request",
-            "application/json",
-            "{\"error\": \"missing base parameter; use /profile/diff?base=<name>\"}\n",
-            head_only,
-        );
-    };
-    let Some(base) = exec.profile().baseline(base_name) else {
-        let names = exec
-            .profile()
-            .baseline_names()
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        return respond(
-            stream,
-            "404 Not Found",
-            "application/json",
-            &format!("{{\"error\": \"unknown baseline\", \"known\": [{names}]}}\n"),
-            head_only,
-        );
-    };
-    let current = exec.profile().snapshot();
-    let diff = crate::profile::diff(&base, &current);
-    let body = crate::config::json::to_string_pretty(&diff.to_config(base_name));
-    respond(stream, "200 OK", "application/json", &body, head_only)
-}
-
-/// `GET /traces/<id>`: the full span tree of one retained trace, as JSON or
-/// (with `?format=chrome`) as a Chrome-trace document.
-fn serve_trace(
-    stream: &mut TcpStream,
-    exec: &Executor,
-    id: &str,
-    query: &str,
-    head_only: bool,
-) -> std::io::Result<()> {
-    let report = id.parse::<u64>().ok().and_then(|id| exec.tracer().report(id));
-    let Some(report) = report else {
-        return respond(
-            stream,
-            "404 Not Found",
-            "application/json",
-            "{\"error\": \"unknown trace id (dropped by sampling, evicted, or never assigned)\"}\n",
-            head_only,
-        );
-    };
-    if query_param(query, "format") == Some("chrome") {
-        return respond(
-            stream,
-            "200 OK",
-            "application/json",
-            &report.to_chrome_trace(),
-            head_only,
-        );
-    }
-    let body = crate::config::json::to_string_pretty(&report.to_config());
-    respond(stream, "200 OK", "application/json", &body, head_only)
 }
 
 /// Extracts `name`'s value from a raw query string (`a=1&b=2`).
@@ -345,21 +296,17 @@ fn read_request_head(stream: &mut TcpStream) -> Option<String> {
 /// Writes one response. `head_only` (a `HEAD` request) sends the exact
 /// headers a `GET` would — including the true `Content-Length` — and
 /// suppresses the body; every response carries `Connection: close`.
-fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-    head_only: bool,
-) -> std::io::Result<()> {
+fn respond(stream: &mut TcpStream, reply: &Reply, head_only: bool) -> std::io::Result<()> {
     let header = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
+        reply.status,
+        reply.content_type,
+        reply.body.len()
     );
     stream.write_all(header.as_bytes())?;
     if !head_only {
-        stream.write_all(body.as_bytes())?;
+        stream.write_all(reply.body.as_bytes())?;
     }
     stream.flush()
 }

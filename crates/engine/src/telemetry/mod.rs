@@ -1,25 +1,23 @@
-//! Live telemetry plane: scrape endpoint, per-lane pool utilization, and an
-//! anomaly-detecting flight recorder.
+//! Live telemetry plane: the scrape endpoint over everything the executor's
+//! [`Observer`](crate::Observer) holds, plus per-lane pool utilization.
 //!
-//! [`crate::log`] streams raw events and [`crate::metrics`] aggregates them;
-//! this module makes that state *continuously observable* without a human
+//! [`crate::log`] streams raw events and the observer folds them; this
+//! module makes that state *continuously observable* without a human
 //! attaching a profiler, using nothing beyond `std`:
 //!
 //! * [`TelemetryServer`] (see [`crate::Executor::serve_telemetry`]) — a
 //!   blocking-accept HTTP exporter serving `GET /metrics` (Prometheus text),
 //!   `GET /healthz` (liveness + sanitizer arm state, JSON), `GET /runs`
-//!   (recent flight-recorder reports, JSON), `GET /traces` +
-//!   `GET /traces/<id>` (the tracer's tail-sampled span trees, JSON or
-//!   Chrome-trace), and `GET /profile` + `GET /profile/diff` (the
-//!   continuous profiler's flame aggregates, JSON or folded stacks);
-//! * [`FlightRecorder`] (see [`crate::ObserveConfig::flight`]) —
-//!   a bounded ring of per-solve [`FlightReport`]s screened by stagnation /
-//!   divergence, lane-imbalance, and latency-drift detectors
+//!   (recent flight reports, JSON), `GET /traces` + `GET /traces/<id>` (the
+//!   tail-sampled span trees, JSON or Chrome-trace), and `GET /profile` +
+//!   `GET /profile/diff` (the flame aggregates, JSON or folded stacks);
+//! * [`recorder`] — the per-solve [`FlightReport`] and the stagnation /
+//!   divergence, lane-imbalance, and latency-drift detectors that screen it
 //!   ([`DetectorConfig`] holds the thresholds);
 //! * [`prom::validate`] — a strict in-tree validator for the Prometheus
 //!   text format, used by tests and CI to prove scrapes are never torn.
 //!
-//! The inert path is unchanged: with no exporter or recorder attached,
+//! The inert path is unchanged: with no exporter or plane armed,
 //! instrumented sites still cost one relaxed atomic load.
 
 pub mod http;
@@ -28,127 +26,135 @@ pub mod recorder;
 
 pub use http::TelemetryServer;
 pub use recorder::{
-    Anomaly, BatchOutcome, DetectorConfig, FlightRecorder, FlightReport, KernelLatency,
-    ResidualSummary, SystemContext, DEFAULT_RUNS_LIMIT,
+    Anomaly, BatchOutcome, DetectorConfig, FlightReport, KernelLatency, ResidualSummary,
+    SystemContext, DEFAULT_RUNS_LIMIT,
 };
 
 use crate::config::{json, Config};
+use crate::executor::pool::LaneStats;
 use crate::executor::Executor;
-use std::fmt::Write as _;
+use crate::metrics::Exposition;
+use crate::observe::ObserverStatus;
 
-/// Renders the full `/metrics` document for `exec`: the metrics registry's
-/// exposition (when enabled), one labelled series triple per pool lane, and
-/// the flight recorder's report gauge.
+/// Renders the full `/metrics` document for `exec`: see [`render_exposition`].
 pub fn render_prometheus(exec: &Executor) -> String {
-    let mut out = exec
-        .metrics()
-        .map(|m| m.snapshot().to_prometheus())
-        .unwrap_or_default();
-    let lanes = exec.pool_lane_stats();
-    if !lanes.is_empty() {
-        for (metric, help, field) in [
-            (
-                "gko_pool_lane_chunks_total",
-                "Chunk closures executed per pool lane.",
-                0usize,
-            ),
-            (
-                "gko_pool_lane_steals_total",
-                "Chunks stolen from another lane's queue, per executing lane.",
-                1,
-            ),
-            (
-                "gko_pool_lane_busy_ns_total",
-                "Wall nanoseconds spent draining chunks, per pool lane.",
-                2,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {metric} {help}");
-            let _ = writeln!(out, "# TYPE {metric} counter");
-            for (lane, stats) in lanes.iter().enumerate() {
-                let value = match field {
-                    0 => stats.chunks,
-                    1 => stats.steals,
-                    _ => stats.busy_ns,
-                };
-                let _ = writeln!(out, "{metric}{{lane=\"{lane}\"}} {value}");
-            }
+    render_exposition(
+        &exec.observer().status(),
+        &exec.pool_lane_stats(),
+        exec.uptime_seconds(),
+    )
+}
+
+/// Renders a `/metrics` document: the metrics plane's families (while on),
+/// one labelled series triple per pool lane, the flight, trace and profile
+/// gauges of the planes that are on, and the build/uptime identity gauges.
+pub fn render_exposition(status: &ObserverStatus, lanes: &[LaneStats], uptime_seconds: f64) -> String {
+    let mut doc = Exposition::new();
+    if let Some(metrics) = &status.metrics {
+        metrics.write_families(&mut doc);
+    }
+    type LaneField = fn(&LaneStats) -> u64;
+    let lane_families: [(&str, &str, LaneField); 3] = [
+        (
+            "gko_pool_lane_chunks_total",
+            "Chunk closures executed per pool lane.",
+            |l| l.chunks,
+        ),
+        (
+            "gko_pool_lane_steals_total",
+            "Chunks stolen from another lane's queue, per executing lane.",
+            |l| l.steals,
+        ),
+        (
+            "gko_pool_lane_busy_ns_total",
+            "Wall nanoseconds spent draining chunks, per pool lane.",
+            |l| l.busy_ns,
+        ),
+    ];
+    // An executor without a pool declares no lane families at all.
+    for (name, help, field) in lane_families {
+        if lanes.is_empty() {
+            break;
+        }
+        doc.family(name, help, "counter");
+        for (lane, stats) in lanes.iter().enumerate() {
+            doc.sample(&[("lane", lane.to_string().as_str())], field(stats));
         }
     }
-    if let Some(recorder) = exec.flight_recorder() {
-        let _ = writeln!(
-            out,
-            "# HELP gko_flight_reports Flight-recorder reports currently retained."
-        );
-        let _ = writeln!(out, "# TYPE gko_flight_reports gauge");
-        let _ = writeln!(out, "gko_flight_reports {}", recorder.reports_len());
-    }
-    let tracer = exec.tracer();
-    if tracer.is_armed() {
-        let _ = writeln!(
-            out,
-            "# HELP gko_trace_retained Span trees currently retained in the trace store."
-        );
-        let _ = writeln!(out, "# TYPE gko_trace_retained gauge");
-        let _ = writeln!(out, "gko_trace_retained {}", tracer.retained());
-        let _ = writeln!(
-            out,
-            "# HELP gko_trace_drops_total Traces discarded by tail-based sampling."
-        );
-        let _ = writeln!(out, "# TYPE gko_trace_drops_total counter");
-        let _ = writeln!(out, "gko_trace_drops_total {}", tracer.drops());
-        let _ = writeln!(
-            out,
-            "# HELP gko_trace_truncated_spans_total Spans dropped because a trace hit its span cap."
-        );
-        let _ = writeln!(out, "# TYPE gko_trace_truncated_spans_total counter");
-        let _ = writeln!(
-            out,
-            "gko_trace_truncated_spans_total {}",
-            tracer.truncated_spans()
-        );
-    }
-    let profile = exec.profile();
-    if profile.is_armed() {
-        let _ = writeln!(
-            out,
-            "# HELP gko_profile_nodes Flame nodes allocated in the profiler's live window."
-        );
-        let _ = writeln!(out, "# TYPE gko_profile_nodes gauge");
-        let _ = writeln!(out, "gko_profile_nodes {}", profile.node_count());
-        let _ = writeln!(
-            out,
-            "# HELP gko_profile_evicted_total Spans dropped because the profiler's node cap was reached."
-        );
-        let _ = writeln!(out, "# TYPE gko_profile_evicted_total counter");
-        let _ = writeln!(out, "gko_profile_evicted_total {}", profile.evicted());
-        let _ = writeln!(
-            out,
-            "# HELP gko_profile_solves_total Solves folded into the flame aggregate since arming."
-        );
-        let _ = writeln!(out, "# TYPE gko_profile_solves_total counter");
-        let _ = writeln!(out, "gko_profile_solves_total {}", profile.solves_total());
+    let config = &status.config;
+    let gauges: [(bool, &str, &str, &str, u64); 7] = [
+        (
+            config.flight.is_some(),
+            "gko_flight_reports",
+            "Flight-recorder reports currently retained.",
+            "gauge",
+            status.runs as u64,
+        ),
+        (
+            config.trace.is_some(),
+            "gko_trace_retained",
+            "Span trees currently retained in the trace store.",
+            "gauge",
+            status.traces as u64,
+        ),
+        (
+            config.trace.is_some(),
+            "gko_trace_drops_total",
+            "Traces discarded by tail-based sampling.",
+            "counter",
+            status.trace_drops,
+        ),
+        (
+            config.trace.is_some(),
+            "gko_trace_truncated_spans_total",
+            "Spans dropped because a trace hit its span cap.",
+            "counter",
+            status.truncated_spans,
+        ),
+        (
+            config.profile.is_some(),
+            "gko_profile_nodes",
+            "Flame nodes allocated in the profiler's live window.",
+            "gauge",
+            status.profile_nodes as u64,
+        ),
+        (
+            config.profile.is_some(),
+            "gko_profile_evicted_total",
+            "Spans dropped because the profiler's node cap was reached.",
+            "counter",
+            status.profile_evicted,
+        ),
+        (
+            config.profile.is_some(),
+            "gko_profile_solves_total",
+            "Solves folded into the flame aggregate since arming.",
+            "counter",
+            status.profile_solves,
+        ),
+    ];
+    for (_, name, help, kind, value) in gauges.into_iter().filter(|g| g.0) {
+        doc.family(name, help, kind).sample(&[], value);
     }
     // Build/uptime identity gauges, unconditional so every scrape carries
     // them (the standard `build_info` idiom: constant 1, facts as labels).
     let build_profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let _ = writeln!(
-        out,
-        "# HELP gko_build_info Build identity; constant 1 with version/profile labels."
+    doc.family(
+        "gko_build_info",
+        "Build identity; constant 1 with version/profile labels.",
+        "gauge",
+    )
+    .sample(
+        &[("version", env!("CARGO_PKG_VERSION")), ("profile", build_profile)],
+        1,
     );
-    let _ = writeln!(out, "# TYPE gko_build_info gauge");
-    let _ = writeln!(
-        out,
-        "gko_build_info{{version=\"{}\",profile=\"{build_profile}\"}} 1",
-        env!("CARGO_PKG_VERSION")
-    );
-    let _ = writeln!(
-        out,
-        "# HELP gko_uptime_seconds Real seconds since this executor was constructed."
-    );
-    let _ = writeln!(out, "# TYPE gko_uptime_seconds gauge");
-    let _ = writeln!(out, "gko_uptime_seconds {}", exec.uptime_seconds());
-    out
+    doc.family(
+        "gko_uptime_seconds",
+        "Real seconds since this executor was constructed.",
+        "gauge",
+    )
+    .sample(&[], uptime_seconds);
+    doc.finish()
 }
 
 /// Renders the `/healthz` JSON document for `exec`.
@@ -156,7 +162,7 @@ pub fn health_json(exec: &Executor) -> String {
     let stats = exec.pool_stats();
     let lanes = exec.pool_lane_stats();
     let sanitizer = exec.sanitizer_report();
-    let recorder = exec.flight_recorder();
+    let status = exec.observer().status();
     let cfg = Config::map()
         .with("status", "ok")
         .with("backend", exec.backend().name())
@@ -181,39 +187,30 @@ pub fn health_json(exec: &Executor) -> String {
         .with(
             "metrics",
             Config::map()
-                .with("enabled", exec.metrics().is_some())
-                .with(
-                    "events",
-                    exec.metrics().map(|m| m.events_observed()).unwrap_or(0) as i64,
-                ),
+                .with("enabled", status.metrics.is_some())
+                .with("events", status.metrics.as_ref().map_or(0, |m| m.events) as i64),
         )
         .with(
             "flight_recorder",
             Config::map()
-                .with("enabled", recorder.is_some())
-                .with(
-                    "reports",
-                    recorder.as_ref().map(|r| r.reports_len()).unwrap_or(0),
-                )
-                .with(
-                    "anomalies",
-                    recorder.as_ref().map(|r| r.anomalies_total()).unwrap_or(0) as i64,
-                ),
+                .with("enabled", status.config.flight.is_some())
+                .with("reports", status.runs)
+                .with("anomalies", status.anomalies_total() as i64),
         )
         .with(
             "tracing",
             Config::map()
-                .with("armed", exec.tracer().is_armed())
-                .with("retained", exec.tracer().retained())
-                .with("drops", exec.tracer().drops() as i64),
+                .with("armed", status.config.trace.is_some())
+                .with("retained", status.traces)
+                .with("drops", status.trace_drops as i64),
         )
         .with(
             "profiling",
             Config::map()
-                .with("armed", exec.profile().is_armed())
-                .with("nodes", exec.profile().node_count())
-                .with("solves", exec.profile().solves_total() as i64)
-                .with("evicted", exec.profile().evicted() as i64),
+                .with("armed", status.config.profile.is_some())
+                .with("nodes", status.profile_nodes)
+                .with("solves", status.profile_solves as i64)
+                .with("evicted", status.profile_evicted as i64),
         )
         .with("uptime_seconds", exec.uptime_seconds());
     json::to_string_pretty(&cfg)

@@ -1,9 +1,10 @@
-//! Flight recorder: bounded ring of per-solve reports + anomaly detectors.
+//! Flight reports: the per-solve record the flight plane keeps, and the
+//! anomaly detectors that screen it.
 //!
-//! A [`FlightRecorder`] is an ordinary [`Logger`]. While attached (see
-//! [`crate::ObserveConfig::flight`]) it folds the event stream of
-//! each solve into one [`FlightReport`] — matrix context, iteration count,
-//! a residual-trajectory summary, per-kernel latency quantiles, and the
+//! While [`crate::ObserveConfig::flight`] is set, the executor's
+//! [`Observer`](crate::Observer) folds the event stream of each solve into
+//! one [`FlightReport`] — matrix context, iteration count, a
+//! residual-trajectory summary, per-kernel latency quantiles, and the
 //! per-lane pool utilization delta — then screens the report with three
 //! detectors before pushing it into a bounded ring:
 //!
@@ -17,29 +18,23 @@
 //!   this solve exceeds `drift_ratio` times its rolling (EWMA) baseline
 //!   built from previous solves.
 //!
-//! Each flagged anomaly also increments the executor's
-//! [`crate::metrics::MetricsRegistry`] (`gko_anomalies_total{kind=...}`),
-//! so scrape-based alerting needs no extra wiring.
+//! Each flagged anomaly is also counted by the metrics plane
+//! (`gko_anomalies_total{kind=...}`), so scrape-based alerting needs no
+//! extra wiring.
 
-use crate::config::{json, Config};
-use crate::executor::pool::{lane_stats_since, LaneStats};
-use crate::executor::WeakExecutor;
-use crate::log::{Event, Logger};
-use crate::metrics::{bucket_index, HistogramSnapshot, HISTOGRAM_BUCKETS};
+use crate::config::Config;
+use crate::executor::pool::LaneStats;
 use crate::stop::StopReason;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Default cap on reports returned by a `/runs` scrape when the request
 /// carries no explicit `?limit=N`.
 pub const DEFAULT_RUNS_LIMIT: usize = 32;
 
-/// Thresholds for the flight recorder's anomaly detectors.
+/// Thresholds for the flight plane's anomaly detectors.
 ///
 /// The defaults are deliberately conservative — they are tuned to stay
 /// silent on the healthy reference solves in this repository's test suite
-/// and benchmark harness (see `DESIGN.md` §13 for the rationale behind each
+/// and benchmark harness (see `DESIGN.md` §10 for the rationale behind each
 /// value), so a flagged report means something is genuinely off.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectorConfig {
@@ -183,7 +178,7 @@ impl Anomaly {
 }
 
 /// The system matrix a recorded solve ran against (set by the facade via
-/// [`FlightRecorder::annotate`]).
+/// [`Observer::annotate`](crate::Observer::annotate)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SystemContext {
     /// Matrix rows.
@@ -240,7 +235,8 @@ pub struct BatchOutcome {
 /// Structured record of one completed solve.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightReport {
-    /// Monotonic sequence number (1-based, over the recorder's lifetime).
+    /// Monotonic sequence number (1-based, since the flight plane was armed
+    /// with these detectors).
     pub seq: u64,
     /// Solver name, e.g. `"solver::Cg"`.
     pub solver: String,
@@ -276,7 +272,7 @@ impl FlightReport {
             .with("iterations", self.iterations)
             .with(
                 "stop_reason",
-                self.stop_reason.map(reason_name).unwrap_or("unknown"),
+                self.stop_reason.map(StopReason::name).unwrap_or("unknown"),
             )
             .with("converged", self.converged)
             .with(
@@ -338,15 +334,6 @@ impl FlightReport {
         cfg.with("kernels", kernels)
             .with("lanes", lanes)
             .with("anomalies", anomalies)
-    }
-}
-
-fn reason_name(reason: StopReason) -> &'static str {
-    match reason {
-        StopReason::MaxIterations => "max_iterations",
-        StopReason::ResidualReduction => "residual_reduction",
-        StopReason::AbsoluteResidual => "absolute_residual",
-        StopReason::Breakdown => "breakdown",
     }
 }
 
@@ -444,385 +431,53 @@ pub fn detect_latency_drift(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Recorder
-// ---------------------------------------------------------------------------
-
-/// Residuals and kernel latencies accumulated for the solve in flight.
-#[derive(Default)]
-struct CurrentSolve {
-    initial: Option<f64>,
-    minimum: f64,
-    last: f64,
-    count: usize,
-    /// Trailing residuals, oldest first, at most `stagnation_window + 1`.
-    window: VecDeque<f64>,
-    kernels: BTreeMap<&'static str, HistogramSnapshot>,
-}
-
-impl CurrentSolve {
-    fn observe_residual(&mut self, r: f64, window: usize) {
-        if self.initial.is_none() {
-            self.initial = Some(r);
-            self.minimum = r;
-        }
-        self.minimum = self.minimum.min(r);
-        self.last = r;
-        self.count += 1;
-        self.window.push_back(r);
-        while self.window.len() > window + 1 {
-            self.window.pop_front();
-        }
-    }
-
-    fn observe_kernel(&mut self, op: &'static str, wall_ns: u64) {
-        let h = self.kernels.entry(op).or_default();
-        if h.buckets.is_empty() {
-            h.buckets = vec![0; HISTOGRAM_BUCKETS];
-        }
-        if let Some(b) = h.buckets.get_mut(bucket_index(wall_ns)) {
-            *b += 1;
-        }
-        h.count += 1;
-        h.sum = h.sum.saturating_add(wall_ns);
-        h.max = h.max.max(wall_ns);
-    }
-}
-
-/// Rolling per-kernel latency baseline: EWMA p99 and p50, solves folded in,
-/// and the current run of consecutive drifting solves.
-struct Baseline {
+/// Rolling latency baseline of one kernel across solves: EWMA p99 and p50,
+/// solves folded in, and the current run of consecutive drifting solves.
+#[derive(Debug, Default)]
+pub(crate) struct DriftBaseline {
     ewma_p99: f64,
     ewma_p50: f64,
     solves: u64,
     streak: u64,
 }
 
-#[derive(Default)]
-struct RecorderState {
-    current: CurrentSolve,
-    /// Per-lane counters at the end of the previous report, so each report
-    /// carries only its own delta.
-    lane_mark: Vec<LaneStats>,
-    baselines: BTreeMap<String, Baseline>,
-    reports: VecDeque<FlightReport>,
-    seq: u64,
-    context: Option<SystemContext>,
-    anomaly_counts: BTreeMap<&'static str, u64>,
-}
-
-impl Default for Baseline {
-    fn default() -> Self {
-        Baseline {
-            ewma_p99: 0.0,
-            ewma_p50: 0.0,
-            solves: 0,
-            streak: 0,
+impl DriftBaseline {
+    /// Judges one solve's `p99_ns`/`p50_ns` of kernel `op` against the
+    /// baseline, then updates it. A drifting sample is kept out of the
+    /// baseline so a persistent regression keeps firing instead of
+    /// normalizing itself away — but it is only *reported* once the drift
+    /// has held for `drift_min_streak` consecutive solves (one slow solve on
+    /// a noisy host is not a regression).
+    pub(crate) fn judge(
+        &mut self,
+        op: &str,
+        p99_ns: u64,
+        p50_ns: u64,
+        cfg: &DetectorConfig,
+    ) -> Option<Anomaly> {
+        let drift = detect_latency_drift(
+            op,
+            p99_ns,
+            p50_ns,
+            self.ewma_p99,
+            self.ewma_p50,
+            self.solves,
+            cfg,
+        );
+        if drift.is_some() {
+            self.streak += 1;
+            return drift.filter(|_| self.streak >= cfg.drift_min_streak.max(1));
         }
-    }
-}
-
-/// The flight recorder (see the module docs).
-///
-/// Create one through [`crate::Executor::observe`] (which also attaches
-/// it), or [`FlightRecorder::detached`] for feeding events manually in
-/// tests.
-pub struct FlightRecorder {
-    exec: WeakExecutor,
-    config: DetectorConfig,
-    /// Events observed, for inert-path regression tests.
-    events: AtomicU64, // atomic: counter
-    state: Mutex<RecorderState>, // lock: recorder.state
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("events", &self.events_observed())
-            .field("reports", &self.reports_len())
-            .finish()
-    }
-}
-
-impl FlightRecorder {
-    /// Recorder bound to an executor (lane utilization and anomaly counters
-    /// flow into that executor's pool stats / metrics registry).
-    pub(crate) fn new(exec: WeakExecutor, config: DetectorConfig) -> Self {
-        FlightRecorder {
-            exec,
-            config,
-            events: AtomicU64::new(0),
-            state: Mutex::new(RecorderState::default()),
+        self.streak = 0;
+        if self.solves == 0 {
+            self.ewma_p99 = p99_ns as f64;
+            self.ewma_p50 = p50_ns as f64;
+        } else {
+            self.ewma_p99 = 0.7 * self.ewma_p99 + 0.3 * p99_ns as f64;
+            self.ewma_p50 = 0.7 * self.ewma_p50 + 0.3 * p50_ns as f64;
         }
-    }
-
-    /// Standalone recorder with no executor: lane utilization stays empty
-    /// and anomalies are counted locally only. Intended for detector tests
-    /// that synthesize the event stream.
-    pub fn detached(config: DetectorConfig) -> Self {
-        FlightRecorder::new(WeakExecutor::default(), config)
-    }
-
-    /// The detector thresholds this recorder screens with.
-    pub fn detector_config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// Total events this recorder has observed.
-    pub fn events_observed(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Records the system matrix subsequent reports describe (typically
-    /// called by the facade when a solver is built).
-    pub fn annotate(&self, rows: usize, cols: usize, nnz: usize, format: &str) {
-        self.state().context = Some(SystemContext {
-            rows,
-            cols,
-            nnz,
-            format: format.to_string(),
-        });
-    }
-
-    /// Reports retained in the ring, oldest first.
-    pub fn reports(&self) -> Vec<FlightReport> {
-        self.state().reports.iter().cloned().collect()
-    }
-
-    /// The most recent report, if any solve completed.
-    pub fn latest(&self) -> Option<FlightReport> {
-        self.state().reports.back().cloned()
-    }
-
-    /// Number of reports currently retained.
-    pub fn reports_len(&self) -> usize {
-        self.state().reports.len()
-    }
-
-    /// Anomalies flagged so far, per kind (sorted by kind).
-    pub fn anomaly_counts(&self) -> Vec<(String, u64)> {
-        self.state()
-            .anomaly_counts
-            .iter()
-            .map(|(k, n)| (k.to_string(), *n))
-            .collect()
-    }
-
-    /// Total anomalies flagged so far.
-    pub fn anomalies_total(&self) -> u64 {
-        self.state().anomaly_counts.values().sum()
-    }
-
-    /// Renders the `limit` most recent retained reports, newest first, as
-    /// the `/runs` JSON document. `total` carries the retained count so a
-    /// truncated response is recognizable; `returned` the length of
-    /// `reports`. HTTP callers default `limit` to
-    /// [`DEFAULT_RUNS_LIMIT`](crate::telemetry::DEFAULT_RUNS_LIMIT).
-    pub fn runs_json(&self, limit: usize) -> String {
-        let state = self.state();
-        let total = state.reports.len();
-        let reports: Vec<Config> = state
-            .reports
-            .iter()
-            .rev()
-            .take(limit.max(1))
-            .map(FlightReport::to_config)
-            .collect();
-        let returned = reports.len();
-        json::to_string_pretty(
-            &Config::map()
-                .with("reports", reports)
-                .with("total", total)
-                .with("returned", returned),
-        )
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, RecorderState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn finalize(
-        &self,
-        solver: &'static str,
-        iterations: usize,
-        reason: StopReason,
-        batch: Option<BatchOutcome>,
-    ) {
-        let exec = self.exec.upgrade();
-        let lanes_now = exec
-            .as_ref()
-            .map(|e| e.pool_lane_stats())
-            .unwrap_or_default();
-        // Read before taking our own lock: the tracer queries this recorder
-        // (lock-free of ours) when it judges the finished trace, so neither
-        // side may hold both locks at once.
-        let trace_id = exec.as_ref().and_then(|e| e.tracer().active_trace_id());
-        // Same rule for the metrics registry: `Executor::metrics` takes
-        // `exec.observe`, and `Executor::observe` arms the tracer under that
-        // lock — so fetch the handle before taking `recorder.state`.
-        let registry = exec.as_ref().and_then(|e| e.metrics());
-        let mut state = self.state();
-        let current = std::mem::take(&mut state.current);
-        let lanes = lane_stats_since(&lanes_now, &state.lane_mark);
-        state.lane_mark = lanes_now;
-
-        let converged = reason.is_converged();
-        let mut anomalies = Vec::new();
-        let window: Vec<f64> = current.window.iter().copied().collect();
-        if let Some(a) = detect_convergence(
-            current.initial.unwrap_or(0.0),
-            &window,
-            converged,
-            &self.config,
-        ) {
-            anomalies.push(a);
-        }
-        if let Some(a) = detect_lane_imbalance(&lanes, &self.config) {
-            anomalies.push(a);
-        }
-
-        let mut kernels = Vec::with_capacity(current.kernels.len());
-        for (op, hist) in &current.kernels {
-            let p99 = hist.p99();
-            let p50 = hist.p50();
-            let drifted = {
-                let baseline = state.baselines.entry(op.to_string()).or_default();
-                let raw = detect_latency_drift(
-                    op,
-                    p99,
-                    p50,
-                    baseline.ewma_p99,
-                    baseline.ewma_p50,
-                    baseline.solves,
-                    &self.config,
-                );
-                // A drifting sample is kept out of the baseline so a
-                // persistent regression keeps firing instead of normalizing
-                // itself away — but it is only *reported* once the drift has
-                // held for `drift_min_streak` consecutive solves (one slow
-                // solve on a noisy host is not a regression).
-                if raw.is_none() {
-                    baseline.streak = 0;
-                    if baseline.solves == 0 {
-                        baseline.ewma_p99 = p99 as f64;
-                        baseline.ewma_p50 = p50 as f64;
-                    } else {
-                        baseline.ewma_p99 = 0.7 * baseline.ewma_p99 + 0.3 * p99 as f64;
-                        baseline.ewma_p50 = 0.7 * baseline.ewma_p50 + 0.3 * p50 as f64;
-                    }
-                    baseline.solves += 1;
-                }
-                let streak = if raw.is_some() {
-                    baseline.streak += 1;
-                    baseline.streak
-                } else {
-                    0
-                };
-                raw.filter(|_| streak >= self.config.drift_min_streak.max(1))
-            };
-            if let Some(a) = drifted {
-                anomalies.push(a);
-            }
-            kernels.push(KernelLatency {
-                op: op.to_string(),
-                calls: hist.count,
-                p50_ns: hist.p50(),
-                p95_ns: hist.p95(),
-                p99_ns: p99,
-                max_ns: hist.max,
-            });
-        }
-
-        for a in &anomalies {
-            *state.anomaly_counts.entry(a.kind()).or_insert(0) += 1;
-        }
-        state.seq += 1;
-        let report = FlightReport {
-            seq: state.seq,
-            solver: solver.to_string(),
-            context: state.context.clone(),
-            iterations,
-            stop_reason: Some(reason),
-            converged,
-            residuals: ResidualSummary {
-                initial: current.initial.unwrap_or(0.0),
-                minimum: current.minimum,
-                last: current.last,
-                count: current.count,
-            },
-            kernels,
-            lanes,
-            anomalies,
-            batch,
-            trace_id,
-        };
-        let capacity = self.config.capacity.max(1);
-        while state.reports.len() >= capacity {
-            state.reports.pop_front();
-        }
-        // Forward anomaly counts into the executor's metrics registry.
-        // The registry's counters are lock-free, so recording under our own
-        // lock is fine — only the slot-lock *lookup* had to happen earlier.
-        if let Some(registry) = registry {
-            for a in &report.anomalies {
-                registry.record_anomaly(a.kind());
-            }
-        }
-        state.reports.push_back(report);
-    }
-}
-
-impl Logger for FlightRecorder {
-    fn on_event(&self, event: &Event) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        match *event {
-            Event::IterationComplete { residual, .. } => {
-                let window = self.config.stagnation_window;
-                self.state().current.observe_residual(residual, window);
-            }
-            Event::LinOpApplyCompleted { op, wall_ns, .. } => {
-                self.state().current.observe_kernel(op, wall_ns);
-            }
-            Event::SolveCompleted {
-                solver,
-                iterations,
-                reason,
-                ..
-            } => self.finalize(solver, iterations, reason, None),
-            Event::BatchSolveCompleted {
-                solver,
-                systems,
-                converged,
-                breakdowns,
-                iterations,
-            } => {
-                // Synthesize a batch-level stop reason for the report: any
-                // breakdown taints the batch, full convergence is a
-                // converged batch, anything else stalled at the limit.
-                let reason = if breakdowns > 0 {
-                    StopReason::Breakdown
-                } else if converged == systems {
-                    StopReason::ResidualReduction
-                } else {
-                    StopReason::MaxIterations
-                };
-                self.finalize(
-                    solver,
-                    iterations,
-                    reason,
-                    Some(BatchOutcome {
-                        systems,
-                        converged,
-                        breakdowns,
-                    }),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "flight"
+        self.solves += 1;
+        None
     }
 }
 

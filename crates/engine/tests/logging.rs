@@ -52,17 +52,17 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
         profile: Some(ProfileConfig::default()),
         ..ObserveConfig::default()
     });
-    let metrics = exec.metrics().unwrap();
     assert_eq!(
         exec.loggers().len(),
-        4,
-        "record + registry + the recorder and trace hook profiling implies"
+        2,
+        "record + the one observer behind metrics and everything profiling implies"
     );
 
     let solver = Cg::new(a as Arc<dyn LinOp<f64>>)
         .unwrap()
         .with_criteria(Criteria::iterations_and_reduction(500, 1e-9));
     solver.apply(&b, &mut x).unwrap();
+    let snap = exec.observer().metrics().expect("metrics plane on");
     exec.clear_loggers();
 
     let rec = solver.logger().snapshot();
@@ -137,8 +137,7 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
         .iter()
         .any(|e| matches!(e, Event::AllocationComplete { .. })));
 
-    // The registry folded the same stream into per-kernel aggregates.
-    let snap = metrics.snapshot();
+    // The metrics plane folded the same stream into per-kernel aggregates.
     assert_eq!(snap.solves, 1);
     assert_eq!(snap.solver_iterations, vec![("solver::Cg".to_string(), iters as u64)]);
     assert_eq!(snap.criterion_checks as usize, iters + 1);
@@ -166,9 +165,9 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     // spans nest sequentially, so self times summed over the flame tree —
     // each pool dispatch counted whole, its chunks run concurrently — give
     // back the root's wall time.
-    let flame = exec.profile().snapshot();
+    let flame = exec.observer().profile();
     assert_eq!(flame.solves, 1);
-    assert_eq!(exec.profile().evicted(), 0);
+    assert_eq!(flame.evicted_nodes, 0);
     let root = flame.find("solver::Cg").expect("flame tree rooted at the solve");
     assert!(root.wall_ns > 0);
     let covered: u64 = flame

@@ -1,12 +1,11 @@
-//! Acceptance tests for the engine-wide metrics registry: inert fast path,
-//! histogram bucketing, end-to-end aggregation over real kernels, and
-//! exporter correctness (Prometheus text; the Chrome-trace JSON of a traced
-//! solve, which the tracer renders).
+//! Acceptance tests for the metrics plane: inert fast path, histogram
+//! bucketing, end-to-end aggregation over real kernels, and exporter
+//! correctness (Prometheus text; the Chrome-trace JSON of a traced solve).
 
 use gko::config::Config;
 use gko::linop::LinOp;
 use gko::matrix::{Csr, Dense};
-use gko::metrics::{bucket_index, bucket_upper_bound, LatencyHistogram, HISTOGRAM_BUCKETS};
+use gko::metrics::{bucket_index, bucket_upper_bound, Log2Histogram, HISTOGRAM_BUCKETS};
 use gko::solver::Cg;
 use gko::stop::Criteria;
 use gko::{Dim2, Executor, ObserveConfig, ProfileConfig, TraceConfig};
@@ -39,10 +38,10 @@ fn run_spmv(exec: &Executor, a: &Csr<f64, i32>) {
     a.apply(&b, &mut x).unwrap();
 }
 
-/// The acceptance criterion for the inert path: an executor with no metrics
-/// registry (and no other logger) must not record anything anywhere — the
-/// instrumented sites branch away after one relaxed load, so a registry
-/// enabled *afterwards* starts from zero observed events. And
+/// The acceptance criterion for the inert path: an executor observing
+/// nothing (and with no other logger) must not record anything anywhere —
+/// the instrumented sites branch away after one relaxed load, so a metrics
+/// plane enabled *afterwards* starts from zero observed events. And
 /// `observe(ObserveConfig::default())` must lead back to that path from a
 /// fully armed executor, with what was retained still readable.
 #[test]
@@ -53,19 +52,20 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         !exec.loggers().is_active(),
         "precondition: nothing attached, the OpTimer fast path is one relaxed load"
     );
-    assert!(exec.metrics().is_none(), "no registry installed");
+    assert!(exec.observer().metrics().is_none(), "metrics plane off");
     for _ in 0..4 {
         run_spmv(&exec, &a);
     }
     // Enable metrics only now: everything that ran before must be invisible.
     exec.observe(metrics_only());
-    let registry = exec.metrics().unwrap();
+    let observer = exec.observer();
     assert_eq!(
-        registry.events_observed(),
+        observer.events_observed(),
         0,
         "pre-attachment kernels must not have recorded any event"
     );
-    let snap = registry.snapshot();
+    let snap = observer.metrics().unwrap();
+    assert_eq!(snap.events, 0);
     assert!(snap.kernels.is_empty());
     assert_eq!(snap.pool_dispatch_ns.count, 0);
     assert_eq!(snap.alloc_bytes.count, 0);
@@ -80,26 +80,25 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         profile: Some(ProfileConfig::default()),
         ..ObserveConfig::default()
     });
-    assert_eq!(exec.loggers().len(), 3, "registry, recorder, trace hook");
+    assert_eq!(exec.loggers().len(), 1, "one observer behind all four planes");
     let solver = Cg::new(Arc::new(poisson_csr(&exec, 256)))
         .unwrap()
         .with_criteria(Criteria::iterations(5));
     let b = Dense::<f64>::filled(&exec, Dim2::new(256, 1), 1.0);
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
-    let observed = registry.events_observed();
+    let observed = observer.events_observed();
     assert!(observed > 0);
 
     exec.observe(ObserveConfig::default());
     assert!(!exec.loggers().is_active(), "back on the one-relaxed-load path");
     let off = exec.observing();
     assert!(!off.metrics && off.flight.is_none() && off.trace.is_none() && off.profile.is_none());
-    assert!(exec.metrics().is_none() && exec.flight_recorder().is_none());
-    assert!(!exec.tracer().is_armed() && !exec.profile().is_armed());
+    assert!(observer.metrics().is_none() && observer.runs().is_empty());
     solver.apply(&b, &mut x).unwrap();
-    assert_eq!(registry.events_observed(), observed, "detached registry sees nothing");
-    assert_eq!(exec.tracer().retained(), 1, "retained trace stays readable");
-    assert_eq!(exec.profile().snapshot().solves, 1, "flame window stays readable");
+    assert_eq!(observer.events_observed(), observed, "detached observer sees nothing");
+    assert_eq!(observer.traces().len(), 1, "retained trace stays readable");
+    assert_eq!(observer.profile().solves, 1, "flame window stays readable");
 }
 
 #[test]
@@ -110,7 +109,7 @@ fn executor_metrics_aggregate_spmv_and_pool_dispatches() {
     for _ in 0..5 {
         run_spmv(&exec, &a);
     }
-    let snap = exec.metrics().unwrap().snapshot();
+    let snap = exec.observer().metrics().unwrap();
     let csr = snap.kernel("csr").expect("csr kernel aggregated");
     assert_eq!(csr.calls, 5);
     assert!(csr.virtual_ns.max > 0, "virtual time recorded");
@@ -124,9 +123,9 @@ fn executor_metrics_aggregate_spmv_and_pool_dispatches() {
     assert!(snap.alloc_bytes.count > 0, "vector allocations observed");
     assert!(snap.events > 0);
 
-    // Observing the same config again keeps the same registry (idempotent).
+    // Observing the same config again keeps the counters (idempotent).
     exec.observe(metrics_only());
-    assert_eq!(exec.metrics().unwrap().events_observed(), snap.events);
+    assert_eq!(exec.observer().metrics().unwrap(), snap);
 }
 
 #[test]
@@ -140,7 +139,7 @@ fn cg_solve_reports_per_kernel_quantiles_and_iterations() {
     let b = Dense::<f64>::filled(&exec, Dim2::new(256, 1), 1.0);
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
-    let snap = exec.metrics().unwrap().snapshot();
+    let snap = exec.observer().metrics().unwrap();
 
     let iters = solver.logger().snapshot().iterations as u64;
     assert!(iters > 0);
@@ -183,7 +182,7 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(128, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let report = exec.tracer().latest().expect("sample_n=1 retains the solve");
+    let report = exec.observer().latest_trace().expect("sample_n=1 retains the solve");
     assert!(!report.spans.is_empty());
     let trace = report.to_chrome_trace();
 
@@ -226,7 +225,7 @@ fn prometheus_export_covers_kernels_and_pool() {
     let a = poisson_csr(&exec, 4096);
     exec.observe(metrics_only());
     run_spmv(&exec, &a);
-    let text = exec.metrics().unwrap().snapshot().to_prometheus();
+    let text = exec.observer().metrics().unwrap().to_prometheus();
     for needle in [
         "# TYPE gko_kernel_wall_ns histogram",
         "gko_kernel_calls_total{op=\"csr\"} 1",
@@ -266,12 +265,11 @@ fn histogram_bucket_boundaries_partition_the_range() {
     assert_eq!(bucket_upper_bound(HISTOGRAM_BUCKETS - 1), u64::MAX);
 
     // Recording exactly the boundary values lands them in distinct buckets.
-    let h = LatencyHistogram::new();
+    let mut h = Log2Histogram::new();
     for v in [1u64, 2, 4, 8, 16] {
         h.record(v);
     }
-    let s = h.snapshot();
     for i in 1..=5usize {
-        assert_eq!(s.buckets[i], 1, "bucket {i}");
+        assert_eq!(h.buckets[i], 1, "bucket {i}");
     }
 }

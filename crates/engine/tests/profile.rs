@@ -106,14 +106,14 @@ fn assert_flame_node(node: &Config, context: &str) {
 fn concurrent_profile_scrapes_during_armed_batched_solve() {
     let exec = Executor::omp(16);
     exec.observe(profiled(ProfileConfig::default()));
-    assert!(exec.profile().is_armed());
+    assert!(exec.observing().profile.is_some());
     assert!(
-        exec.tracer().is_armed(),
+        exec.observing().trace.is_some(),
         "profiling must arm tracing (it consumes the span stream)"
     );
     // An empty-window baseline: every later path shows up as "new" in the
     // diff, which is exactly the torn-snapshot-or-not shape being tested.
-    exec.profile().commit_baseline("start");
+    exec.observer().commit_profile_baseline("start");
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -167,7 +167,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
 
     // Every batched solve was folded (the profiler sees solves the trace
     // store samples out, so the count is exact, not 1-in-sample_n).
-    let snap = exec.profile().snapshot();
+    let snap = exec.observer().profile();
     assert_eq!(snap.solves, 8, "all armed solves folded: {}", snap.solves);
     assert!(!snap.nodes.is_empty());
     assert!(snap.nodes.len() <= snap.max_nodes);
@@ -209,7 +209,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
 
     server.shutdown();
     exec.observe(ObserveConfig::default());
-    assert!(!exec.profile().is_armed());
+    assert!(exec.observing().profile.is_none());
 }
 
 /// A `/profile/diff` request without a base is a 400; an unknown baseline
@@ -233,7 +233,7 @@ fn profile_diff_error_paths_and_empty_window() {
     let (status, body) = http_get(addr, "/profile/diff");
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert!(body.contains("missing base"), "{body}");
-    exec.profile().commit_baseline("known");
+    exec.observer().commit_profile_baseline("known");
     let (status, body) = http_get(addr, "/profile/diff?base=unknown");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
     assert!(body.contains("\"known\""), "404 lists known baselines: {body}");
@@ -259,10 +259,11 @@ fn tiny_node_cap_bounds_real_solves() {
     let mut x = gko::matrix::Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let snap = exec.profile().snapshot();
+    let snap = exec.observer().profile();
     assert!(snap.nodes.len() <= 8, "cap respected: {} nodes", snap.nodes.len());
+    assert_eq!(snap.max_nodes, 8);
     assert!(
-        exec.profile().evicted() > 0,
+        snap.evicted_nodes > 0,
         "a real solve tree has more than 8 distinct paths"
     );
     // Disarm the profiler alone (tracing stays): folds stop, aggregates
@@ -271,7 +272,7 @@ fn tiny_node_cap_bounds_real_solves() {
         profile: None,
         ..exec.observing()
     });
-    assert!(exec.tracer().is_armed());
+    assert!(exec.observing().trace.is_some());
     solver.apply(&b, &mut x).unwrap();
-    assert_eq!(exec.profile().snapshot().solves, snap.solves, "disarmed solves not folded");
+    assert_eq!(exec.observer().profile().solves, snap.solves, "disarmed solves not folded");
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests for the live telemetry plane: concurrent scrapes under a
 //! running solve, the three anomaly detectors on injected faults, a healthy
 //! reference solve that must stay anomaly-free, and the inert-path
-//! regression (an unattached recorder observes nothing).
+//! regression (an unarmed flight plane observes nothing).
 
 use gko::config::Config;
 use gko::linop::LinOp;
@@ -11,7 +11,7 @@ use gko::preconditioner::Jacobi;
 use gko::solver::{Cg, Ir};
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::prom;
-use gko::{Anomaly, DetectorConfig, Dim2, Executor, FlightRecorder, ObserveConfig};
+use gko::{Anomaly, DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,13 +40,18 @@ fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) -> StopReason {
     solver.logger().snapshot().stop_reason.unwrap()
 }
 
-/// Arms the flight recorder alone with `detectors` and hands it back.
-fn record_flights(exec: &Executor, detectors: DetectorConfig) -> Arc<FlightRecorder> {
-    exec.observe(ObserveConfig {
+/// The flight plane alone, screened by `detectors`.
+fn flights(detectors: DetectorConfig) -> ObserveConfig {
+    ObserveConfig {
         flight: Some(detectors),
         ..ObserveConfig::default()
-    });
-    exec.flight_recorder().expect("flight plane armed")
+    }
+}
+
+/// Arms the flight plane alone with `detectors` and hands its reader back.
+fn record_flights(exec: &Executor, detectors: DetectorConfig) -> &Observer {
+    exec.observe(flights(detectors));
+    exec.observer()
 }
 
 /// Detector thresholds with the two timing-based detectors switched off.
@@ -186,14 +191,14 @@ fn stagnating_richardson_on_indefinite_matrix_is_flagged() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(2, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let report = recorder.latest().expect("solve recorded");
+    let report = recorder.latest_run().expect("solve recorded");
     assert_eq!(report.solver, "solver::Ir");
     assert_eq!(report.stop_reason, Some(StopReason::MaxIterations));
     assert!(!report.converged);
     assert_eq!(report.anomalies.len(), 1, "exactly one anomaly: {report:?}");
     match &report.anomalies[0] {
         Anomaly::Stagnation { window, from, to } => {
-            assert_eq!(*window, recorder.detector_config().stagnation_window);
+            assert_eq!(*window, DetectorConfig::default().stagnation_window);
             assert!(
                 to >= from,
                 "residual plateaued or grew over the window: {from} -> {to}"
@@ -202,7 +207,7 @@ fn stagnating_richardson_on_indefinite_matrix_is_flagged() {
         other => panic!("expected Stagnation, got {other:?}"),
     }
     assert_eq!(
-        recorder.anomaly_counts(),
+        recorder.status().anomalies,
         vec![("stagnation".to_string(), 1)]
     );
 }
@@ -243,7 +248,7 @@ fn skewed_chunks_trigger_lane_imbalance() {
     let a = Arc::new(poisson_csr(&exec, 64));
     assert!(solve_cg(&exec, &a).is_converged());
 
-    let report = recorder.latest().expect("solve recorded");
+    let report = recorder.latest_run().expect("solve recorded");
     let flagged: Vec<_> = report
         .anomalies
         .iter()
@@ -259,7 +264,7 @@ fn skewed_chunks_trigger_lane_imbalance() {
         } => {
             assert!(busy_ns > mean_busy_ns);
             assert!(
-                *ratio >= recorder.detector_config().imbalance_ratio,
+                *ratio >= DetectorConfig::default().imbalance_ratio,
                 "ratio {ratio}"
             );
         }
@@ -272,7 +277,7 @@ fn skewed_chunks_trigger_lane_imbalance() {
 /// solves that built the baseline must not be.
 #[test]
 fn injected_slow_kernel_triggers_latency_drift() {
-    let recorder = FlightRecorder::detached(DetectorConfig::default());
+    let recorder = Observer::detached(flights(DetectorConfig::default()));
     let healthy_solve = |wall_ns: u64| {
         for _ in 0..8 {
             recorder.on_event(&Event::LinOpApplyCompleted {
@@ -292,7 +297,7 @@ fn injected_slow_kernel_triggers_latency_drift() {
     for _ in 0..3 {
         healthy_solve(1_000);
     }
-    for report in recorder.reports() {
+    for report in recorder.runs() {
         assert!(report.anomalies.is_empty(), "baseline solve flagged");
     }
     // The injected fault: the same kernel now takes ~1ms. The first slow
@@ -300,12 +305,12 @@ fn injected_slow_kernel_triggers_latency_drift() {
     // regression); the drift is reported once it persists.
     healthy_solve(1_000_000);
     assert!(
-        recorder.latest().unwrap().anomalies.is_empty(),
+        recorder.latest_run().unwrap().anomalies.is_empty(),
         "a single slow solve must not be flagged yet"
     );
     healthy_solve(1_000_000);
 
-    let report = recorder.latest().unwrap();
+    let report = recorder.latest_run().unwrap();
     assert_eq!(report.anomalies.len(), 1, "anomalies: {:?}", report.anomalies);
     match &report.anomalies[0] {
         Anomaly::LatencyDrift {
@@ -316,18 +321,18 @@ fn injected_slow_kernel_triggers_latency_drift() {
         } => {
             assert_eq!(op, "csr");
             assert!(p99_ns > baseline_ns);
-            assert!(*ratio >= recorder.detector_config().drift_ratio);
+            assert!(*ratio >= DetectorConfig::default().drift_ratio);
         }
         other => panic!("expected LatencyDrift, got {other:?}"),
     }
     assert_eq!(
-        recorder.anomaly_counts(),
+        recorder.status().anomalies,
         vec![("latency_drift".to_string(), 1)]
     );
     // The flagged sample must not poison the baseline: an immediate return
     // to normal latency is healthy again.
     healthy_solve(1_000);
-    assert!(recorder.latest().unwrap().anomalies.is_empty());
+    assert!(recorder.latest_run().unwrap().anomalies.is_empty());
 
     // A tail-only spike (a few preempted samples among healthy ones)
     // inflates p99 but not the median — it must NOT be flagged as drift.
@@ -344,7 +349,7 @@ fn injected_slow_kernel_triggers_latency_drift() {
         residual: 1e-12,
         reason: StopReason::ResidualReduction,
     });
-    let report = recorder.latest().unwrap();
+    let report = recorder.latest_run().unwrap();
     assert!(
         report.anomalies.is_empty(),
         "tail-only spike misflagged: {:?}",
@@ -362,9 +367,10 @@ fn healthy_reference_solves_produce_no_anomalies() {
     for _ in 0..6 {
         assert!(solve_cg(&exec, &a).is_converged());
     }
-    assert_eq!(recorder.reports_len(), 6);
-    assert_eq!(recorder.anomalies_total(), 0, "{:?}", recorder.anomaly_counts());
-    for report in recorder.reports() {
+    let status = recorder.status();
+    assert_eq!(status.runs, 6);
+    assert_eq!(status.anomalies_total(), 0, "{:?}", status.anomalies);
+    for report in recorder.runs() {
         assert!(report.converged);
         assert!(report.anomalies.is_empty());
         assert!(report.residuals.last <= report.residuals.initial);
@@ -372,9 +378,9 @@ fn healthy_reference_solves_produce_no_anomalies() {
     }
 }
 
-/// Inert-path regression: with no recorder (or any logger) attached, the
-/// instrumented sites branch away after one relaxed load — a recorder
-/// enabled afterwards has observed nothing.
+/// Inert-path regression: with no plane armed (and no logger attached), the
+/// instrumented sites branch away after one relaxed load — a flight plane
+/// armed afterwards has observed nothing.
 #[test]
 fn detached_recorder_observes_nothing() {
     let exec = Executor::omp(2);
@@ -394,9 +400,9 @@ fn detached_recorder_observes_nothing() {
         0,
         "pre-attachment kernels must be invisible to the recorder"
     );
-    assert_eq!(recorder.reports_len(), 0);
+    assert_eq!(recorder.status().runs, 0);
     exec.observe(ObserveConfig::default());
-    assert!(!exec.loggers().is_active(), "switching off detaches the recorder");
+    assert!(!exec.loggers().is_active(), "switching off detaches the observer");
 }
 
 /// Satellite: `/runs?limit=N` returns the N newest reports, newest first,
@@ -632,4 +638,166 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
         assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
     }
     server.shutdown();
+}
+
+/// Only the thread that opened a solve feeds its per-solve planes: another
+/// thread's kernel on the same executor is counted by the metrics plane
+/// (executor-wide by definition) but stays out of the solve's kernel table
+/// and out of the latency-drift baselines.
+#[test]
+fn other_threads_events_stay_out_of_the_solve_in_flight() {
+    let observer = Observer::detached(ObserveConfig {
+        metrics: true,
+        ..flights(DetectorConfig::default())
+    });
+    let csr = |wall_ns| Event::LinOpApplyCompleted {
+        op: "csr",
+        wall_ns,
+        virtual_ns: 0,
+    };
+    let solve = |own_csr_ns: Option<u64>| {
+        observer.on_event(&Event::LinOpApplyStarted { op: "solver::Cg" });
+        match own_csr_ns {
+            Some(wall_ns) => (0..8).for_each(|_| observer.on_event(&csr(wall_ns))),
+            // A full second of SpMV, emitted by a thread that owns no solve.
+            None => std::thread::scope(|scope| {
+                scope.spawn(|| observer.on_event(&csr(1_000_000_000)));
+            }),
+        }
+        observer.on_event(&Event::SolveCompleted {
+            solver: "solver::Cg",
+            iterations: 8,
+            residual: 1e-12,
+            reason: StopReason::ResidualReduction,
+        });
+        observer.on_event(&Event::LinOpApplyCompleted {
+            op: "solver::Cg",
+            wall_ns: 50_000,
+            virtual_ns: 0,
+        });
+        observer.latest_run().expect("the solve closed into a report")
+    };
+
+    let report = solve(None);
+    let ops: Vec<&str> = report.kernels.iter().map(|k| k.op.as_str()).collect();
+    assert_eq!(ops, ["solver::Cg"], "the foreign csr must not appear");
+    let counted = observer.metrics().unwrap();
+    assert_eq!(counted.kernel("csr").map(|k| k.calls), Some(1), "metrics still count it");
+
+    // No baseline was seeded from the foreign second either: the solve's own
+    // csr settles at 1 µs, so a persistent 1 ms is flagged as drift. Seeded
+    // with 1 s the baseline would still sit near 0.3 s and stay silent.
+    for _ in 0..3 {
+        assert!(solve(Some(1_000)).anomalies.is_empty());
+    }
+    assert!(solve(Some(1_000_000)).anomalies.is_empty(), "withheld once");
+    let anomalies = solve(Some(1_000_000)).anomalies;
+    assert!(
+        matches!(anomalies.as_slice(), [Anomaly::LatencyDrift { op, .. }] if op == "csr"),
+        "{anomalies:?}"
+    );
+}
+
+/// The one exposition writer, on a fixed status with every plane on: the
+/// document passes the strict validator and carries every family `/metrics`
+/// serves, each behind its own `# HELP` / `# TYPE` pair.
+#[test]
+fn exposition_of_a_fixed_status_is_strict_and_complete() {
+    let observer = Observer::detached(ObserveConfig {
+        metrics: true,
+        profile: Some(Default::default()),
+        ..ObserveConfig::default()
+    });
+    observer.on_event(&Event::LinOpApplyStarted { op: "solver::Cg" });
+    observer.on_event(&Event::LinOpApplyStarted { op: "csr" });
+    observer.on_event(&Event::LinOpApplyCompleted {
+        op: "csr",
+        wall_ns: 1_500,
+        virtual_ns: 1_000,
+    });
+    observer.on_event(&Event::IterationComplete {
+        solver: "solver::Cg",
+        iteration: 1,
+        residual: 0.5,
+    });
+    observer.on_event(&Event::AllocationComplete { bytes: 4096 });
+    observer.on_event(&Event::SolveCompleted {
+        solver: "solver::Cg",
+        iterations: 1,
+        residual: 0.5,
+        reason: StopReason::MaxIterations,
+    });
+    observer.on_event(&Event::LinOpApplyCompleted {
+        op: "solver::Cg",
+        wall_ns: 9_000,
+        virtual_ns: 8_000,
+    });
+    let lanes = [
+        gko::LaneStats {
+            chunks: 3,
+            steals: 1,
+            busy_ns: 700,
+        },
+        gko::LaneStats::default(),
+    ];
+    let text = gko::telemetry::render_exposition(&observer.status(), &lanes, 12.5);
+    prom::validate(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+
+    let families = [
+        ("gko_events_total", "counter"),
+        ("gko_solves_total", "counter"),
+        ("gko_criterion_checks_total", "counter"),
+        ("gko_plan_builds_total", "counter"),
+        ("gko_solver_iterations_total", "counter"),
+        ("gko_anomalies_total", "counter"),
+        ("gko_kernel_calls_total", "counter"),
+        ("gko_kernel_wall_ns", "histogram"),
+        ("gko_kernel_virtual_ns", "histogram"),
+        ("gko_pool_dispatch_ns", "histogram"),
+        ("gko_alloc_bytes", "histogram"),
+        ("gko_pool_lane_chunks_total", "counter"),
+        ("gko_pool_lane_steals_total", "counter"),
+        ("gko_pool_lane_busy_ns_total", "counter"),
+        ("gko_flight_reports", "gauge"),
+        ("gko_trace_retained", "gauge"),
+        ("gko_trace_drops_total", "counter"),
+        ("gko_trace_truncated_spans_total", "counter"),
+        ("gko_profile_nodes", "gauge"),
+        ("gko_profile_evicted_total", "counter"),
+        ("gko_profile_solves_total", "counter"),
+        ("gko_build_info", "gauge"),
+        ("gko_uptime_seconds", "gauge"),
+    ];
+    for (family, kind) in families {
+        assert!(text.contains(&format!("# HELP {family} ")), "no HELP for {family}:\n{text}");
+        assert!(text.contains(&format!("# TYPE {family} {kind}\n")), "no TYPE for {family}");
+    }
+    assert_eq!(text.matches("# TYPE ").count(), families.len(), "no family beyond the list");
+    for sample in [
+        "gko_events_total 7\n",
+        "gko_solves_total 1\n",
+        "gko_solver_iterations_total{solver=\"solver::Cg\"} 1\n",
+        "gko_kernel_calls_total{op=\"csr\"} 1\n",
+        "gko_kernel_wall_ns_bucket{op=\"csr\",le=\"2047\"} 1\n",
+        "gko_kernel_wall_ns_bucket{op=\"csr\",le=\"+Inf\"} 1\n",
+        "gko_kernel_wall_ns_sum{op=\"csr\"} 1500\n",
+        "gko_kernel_virtual_ns_count{op=\"solver::Cg\"} 1\n",
+        "gko_pool_dispatch_ns_bucket{le=\"+Inf\"} 0\n",
+        "gko_alloc_bytes_sum 4096\n",
+        "gko_pool_lane_chunks_total{lane=\"0\"} 3\n",
+        "gko_pool_lane_busy_ns_total{lane=\"1\"} 0\n",
+        "gko_flight_reports 1\n",
+        "gko_trace_retained 1\n",
+        "gko_profile_solves_total 1\n",
+        "gko_uptime_seconds 12.5\n",
+    ] {
+        assert!(text.contains(sample), "missing {sample:?} in:\n{text}");
+    }
+    assert!(text.contains("gko_build_info{version=\""), "{text}");
+
+    // With every plane off only the identity gauges remain.
+    let inert = Observer::detached(ObserveConfig::default());
+    let text = gko::telemetry::render_exposition(&inert.status(), &[], 0.0);
+    prom::validate(&text).expect("strict");
+    assert_eq!(text.matches("# TYPE ").count(), 2, "{text}");
 }

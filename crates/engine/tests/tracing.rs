@@ -136,7 +136,7 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
     let a = Arc::new(poisson_csr(&exec, 2048));
     solve_cg(&exec, &a);
 
-    let report = exec.tracer().latest().expect("sample_n=1 retains the solve");
+    let report = exec.observer().latest_trace().expect("sample_n=1 retains the solve");
     assert_eq!(report.annotation, "solver::Cg");
     assert!(report.converged, "{report:?}");
     assert_eq!(report.stop_reason, "residual_reduction");
@@ -169,8 +169,8 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
         assert_eq!(it.parent, report.root);
         assert!(it.index >= 1 && it.index <= report.iterations);
     }
-    // The flight recorder's report links back to this trace.
-    let flight = exec.flight_recorder().unwrap().latest().unwrap();
+    // The flight report links back to this trace.
+    let flight = exec.observer().latest_run().unwrap();
     assert_eq!(flight.trace_id, Some(report.trace_id));
 
     // The JSON and Chrome-trace exports are well-formed.
@@ -200,10 +200,9 @@ fn healthy_solves_sample_one_in_n() {
     for _ in 0..8 {
         solve_cg(&exec, &a);
     }
-    let tracer = exec.tracer();
-    let reports = tracer.reports();
+    let reports = exec.observer().traces();
     assert_eq!(reports.len(), 2, "1-in-4 of 8 solves: {reports:?}");
-    assert_eq!(tracer.drops(), 6);
+    assert_eq!(exec.observer().status().trace_drops, 6);
     assert_eq!(
         reports.iter().map(|r| r.seq).collect::<Vec<_>>(),
         vec![1, 5]
@@ -220,7 +219,7 @@ fn healthy_solves_sample_one_in_n() {
 #[test]
 fn anomalous_solves_are_always_retained() {
     let exec = Executor::reference();
-    // No `flight` given: tracing arms the recorder with default detectors.
+    // No `flight` given: tracing arms the flight plane with default detectors.
     exec.observe(ObserveConfig {
         trace: Some(sampled(1_000_000)),
         ..ObserveConfig::default()
@@ -246,18 +245,20 @@ fn anomalous_solves_are_always_retained() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(2, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let report = exec.tracer().latest().expect("anomalous solve retained");
+    let report = exec.observer().latest_trace().expect("anomalous solve retained");
     assert_eq!(report.seq, 2, "the stagnating solve is ordinal 2");
     assert_eq!(report.retained, "anomaly");
     assert_eq!(report.annotation, "solver::Ir");
     assert!(!report.converged);
     assert_eq!(report.anomalies, vec!["stagnation".to_string()]);
     assert_eq!(report.stop_reason, "max_iterations");
-    // Two-way linkage: the flight recorder's run carries this trace id.
-    let flight = exec.flight_recorder().unwrap().latest().unwrap();
+    // One end-of-solve fold: the run carries this trace id and the trace
+    // the run's anomaly labels.
+    let flight = exec.observer().latest_run().unwrap();
     assert_eq!(flight.trace_id, Some(report.trace_id));
-    assert!(!flight.anomalies.is_empty());
-    assert_eq!(exec.tracer().drops(), 0, "anomalies never count as drops");
+    let labels: Vec<&str> = flight.anomalies.iter().map(|a| a.kind()).collect();
+    assert_eq!(labels, report.anomalies);
+    assert_eq!(exec.observer().status().trace_drops, 0, "anomalies never count as drops");
 }
 
 /// Solves slower than the latency threshold are always retained, even when
@@ -273,13 +274,12 @@ fn slow_solves_are_retained_by_latency_threshold() {
     let a = Arc::new(poisson_csr(&exec, 256));
     solve_cg(&exec, &a);
     solve_cg(&exec, &a);
-    let tracer = exec.tracer();
-    let reports = tracer.reports();
+    let reports = exec.observer().traces();
     assert_eq!(reports.len(), 2);
     // Solve 1 is head-kept anyway, but the anomaly/latency verdict takes
     // precedence over the head sample; solve 2 survives only via latency.
     assert!(reports.iter().all(|r| r.retained == "latency"), "{reports:?}");
-    assert_eq!(tracer.drops(), 0);
+    assert_eq!(exec.observer().status().trace_drops, 0);
 }
 
 /// Inert-path regression: an untraced executor assembles nothing, and
@@ -288,30 +288,32 @@ fn slow_solves_are_retained_by_latency_threshold() {
 fn disarmed_tracer_observes_nothing() {
     let exec = Executor::omp(2);
     let a = Arc::new(poisson_csr(&exec, 256));
-    assert!(!exec.tracer().is_armed());
+    let observer = exec.observer();
+    assert!(exec.observing().trace.is_none());
     solve_cg(&exec, &a);
-    assert_eq!(exec.tracer().retained(), 0);
-    assert_eq!(exec.tracer().drops(), 0);
-    assert!(exec.tracer().active_trace_id().is_none());
+    assert_eq!(observer.traces().len(), 0);
+    assert_eq!(observer.status().trace_drops, 0);
+    assert!(observer.active_trace_id().is_none());
 
     exec.observe(traced(sampled(1)));
     solve_cg(&exec, &a);
-    assert_eq!(exec.tracer().retained(), 1);
+    assert_eq!(observer.traces().len(), 1);
 
-    // Dropping `trace` from the config disarms it; the recorder stays.
+    // Dropping `trace` from the config disarms it; the flight plane stays.
     exec.observe(ObserveConfig {
         trace: None,
         ..exec.observing()
     });
-    assert!(!exec.tracer().is_armed());
-    assert!(exec.flight_recorder().is_some());
+    assert!(exec.observing().trace.is_none());
+    assert!(exec.observing().flight.is_some());
     solve_cg(&exec, &a);
+    assert_eq!(observer.runs().len(), 2, "the flight plane kept recording");
     assert_eq!(
-        exec.tracer().retained(),
+        observer.traces().len(),
         1,
         "disarmed solves must not be traced"
     );
-    assert!(exec.tracer().latest().is_some(), "store stays readable");
+    assert!(observer.latest_trace().is_some(), "ring stays readable");
 }
 
 /// Batched solves trace too: one root per `apply_batch`, no synthesized
@@ -333,7 +335,7 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
         .unwrap();
     assert!(record.all_converged(), "{record:?}");
 
-    let report = exec.tracer().latest().expect("batched solve retained");
+    let report = exec.observer().latest_trace().expect("batched solve retained");
     assert_eq!(report.annotation, "solver::BatchCg");
     assert!(report.converged);
     assert!(
@@ -348,8 +350,8 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
     assert_rooted_tree(&report, 4);
 }
 
-/// `profile` alone arms the whole chain it feeds on: the tracer (default
-/// policy) and, through it, the flight recorder (default detectors).
+/// `profile` alone arms the whole chain it feeds on: the trace plane
+/// (default policy) and, through it, the flight plane (default detectors).
 #[test]
 fn profile_only_config_arms_tracer_and_flight_recorder() {
     let exec = Executor::reference();
@@ -357,12 +359,12 @@ fn profile_only_config_arms_tracer_and_flight_recorder() {
         profile: Some(ProfileConfig::default()),
         ..ObserveConfig::default()
     });
-    assert!(exec.profile().is_armed());
-    assert!(exec.tracer().is_armed());
-    let recorder = exec.flight_recorder().expect("trace implies flight");
-    assert_eq!(recorder.detector_config(), &DetectorConfig::default());
     let now = exec.observing();
-    assert!(!now.metrics && exec.metrics().is_none(), "metrics was not asked for");
+    assert!(now.profile.is_some());
+    assert!(
+        !now.metrics && exec.observer().metrics().is_none(),
+        "metrics was not asked for"
+    );
     assert_eq!(
         now.trace.map(|t| t.sample_n),
         Some(TraceConfig::default().sample_n)
@@ -371,15 +373,15 @@ fn profile_only_config_arms_tracer_and_flight_recorder() {
 
     let a = Arc::new(poisson_csr(&exec, 64));
     solve_cg(&exec, &a);
-    assert_eq!(exec.profile().snapshot().solves, 1, "the solve was folded");
-    assert_eq!(recorder.reports_len(), 1, "and recorded");
+    assert_eq!(exec.observer().profile().solves, 1, "the solve was folded");
+    assert_eq!(exec.observer().runs().len(), 1, "and recorded");
 }
 
 /// Two threads keep re-targeting `observe` (metrics on/off against
-/// trace+profile on/off, the recorder wanted throughout) while CG solves run
-/// on a 16-lane pool. Nothing may deadlock, the recorder must survive every
-/// flip with one report per solve in its `/runs` document, and switching
-/// everything off afterwards must leave no logger behind.
+/// trace+profile on/off, the flight plane wanted throughout) while CG solves
+/// run on a 16-lane pool. Nothing may deadlock, the flight ring must survive
+/// every flip with one report per solve in its `/runs` document, and
+/// switching everything off afterwards must leave no logger behind.
 #[test]
 fn concurrent_observe_flips_keep_every_solve_in_runs() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -427,8 +429,8 @@ fn concurrent_observe_flips_keep_every_solve_in_runs() {
     });
     assert!(flips > 0);
 
-    let recorder = exec.flight_recorder().expect("recorder wanted throughout");
-    let runs = gko::config::Config::from_json(&recorder.runs_json(64)).unwrap();
+    assert!(exec.observing().flight.is_some(), "flight plane wanted throughout");
+    let runs = gko::config::Config::from_json(&exec.observer().runs_json(64)).unwrap();
     assert_eq!(
         runs.get("total").and_then(|t| t.as_int()),
         Some(SOLVES as i64),
@@ -439,4 +441,74 @@ fn concurrent_observe_flips_keep_every_solve_in_runs() {
         !exec.loggers().is_active(),
         "a flip that lost a race must not leave its logger attached"
     );
+}
+
+/// Arming the four planes one by one in every order, then disarming them in
+/// every order, keeps exactly one logger attached while any plane is on and
+/// none once the last one is off: the registry ends where it started. A
+/// plane another still needs (`flight` under `trace`, `trace` under
+/// `profile`) stays on until its dependant goes.
+#[test]
+fn every_arm_and_disarm_order_returns_to_inert() {
+    const PLANES: [&str; 4] = ["metrics", "flight", "trace", "profile"];
+    fn set(config: &mut ObserveConfig, plane: &str, on: bool) {
+        match plane {
+            "metrics" => config.metrics = on,
+            "flight" => config.flight = on.then(quiet_detectors),
+            "trace" => config.trace = on.then(|| sampled(1)),
+            _ => config.profile = on.then(ProfileConfig::default),
+        }
+    }
+    /// All 24 orders of the four planes: the base-4 codes whose digits are
+    /// a permutation.
+    fn orders() -> Vec<[&'static str; 4]> {
+        (0..256usize)
+            .map(|code| [code & 3, (code >> 2) & 3, (code >> 4) & 3, code >> 6])
+            .filter(|digits| (0..4).all(|plane| digits.contains(&plane)))
+            .map(|digits| digits.map(|plane| PLANES[plane]))
+            .collect()
+    }
+    assert_eq!(orders().len(), 24);
+
+    let exec = Executor::omp(2);
+    let a = Arc::new(poisson_csr(&exec, 64));
+    let start = exec.loggers().len();
+    assert_eq!(start, 0);
+    for arm in orders() {
+        for disarm in orders() {
+            let mut wanted = ObserveConfig::default();
+            for (step, plane) in arm.iter().enumerate() {
+                set(&mut wanted, plane, true);
+                exec.observe(wanted.clone());
+                assert_eq!(exec.loggers().len(), start + 1, "arming {arm:?}, step {step}");
+            }
+            let armed = exec.observing();
+            assert!(armed.metrics && armed.flight.is_some());
+            assert!(armed.trace.is_some() && armed.profile.is_some());
+            for (step, plane) in disarm.iter().enumerate() {
+                // `wanted` carries only what was asked for; the config in
+                // force adds what the remaining planes imply.
+                set(&mut wanted, plane, false);
+                exec.observe(wanted.clone());
+                let now = exec.observing();
+                assert_eq!(now.profile.is_some(), wanted.profile.is_some());
+                assert_eq!(now.trace.is_some(), wanted.trace.is_some() || now.profile.is_some());
+                assert_eq!(now.flight.is_some(), wanted.flight.is_some() || now.trace.is_some());
+                let attached = usize::from(now.metrics || now.flight.is_some());
+                assert_eq!(
+                    exec.loggers().len(),
+                    start + attached,
+                    "arming {arm:?}, disarming {disarm:?}, step {step}"
+                );
+            }
+            assert!(!exec.loggers().is_active(), "{arm:?} / {disarm:?} left a logger behind");
+        }
+        // The planes still work after all that flipping.
+        exec.observe(traced(sampled(1)));
+        solve_cg(&exec, &a);
+        assert!(exec.observer().latest_trace().is_some());
+        exec.observe(ObserveConfig::default());
+    }
+    assert_eq!(exec.loggers().len(), start);
+    assert!(!exec.loggers().is_active());
 }

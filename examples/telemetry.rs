@@ -1,6 +1,6 @@
 //! Live telemetry: serve `/metrics`, `/healthz`, and `/runs` while solving.
 //!
-//! Arms the flight recorder on a CG solver, starts the std-only HTTP
+//! Observes a CG solver's flight reports, starts the std-only HTTP
 //! exporter, runs a batch of Poisson solves, and keeps serving until you
 //! press Enter — scrape it from another terminal while it runs:
 //!
@@ -30,7 +30,10 @@ fn main() -> Result<(), pg::PyGinkgoError> {
         "int32",
         "Csr",
     )?;
-    let solver = pg::solver::cg(&dev, &mtx, None, 10 * grid, 1e-10)?.with_flight_recorder();
+    let solver = pg::solver::cg(&dev, &mtx, None, 10 * grid, 1e-10)?.observe(pg::Observe {
+        flight: true,
+        ..pg::Observe::default()
+    })?;
 
     let addr = std::env::var("PYGKO_TELEMETRY_ADDR")
         .unwrap_or_else(|_| "127.0.0.1:9185".to_string());
@@ -53,7 +56,7 @@ fn main() -> Result<(), pg::PyGinkgoError> {
             logger.final_residual()
         );
     }
-    if let Some(report) = solver.flight_report() {
+    if let Some(report) = solver.observations().flight {
         println!(
             "latest flight report: seq {}, converged: {}, anomalies: {}",
             report.seq,

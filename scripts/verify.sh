@@ -31,13 +31,8 @@ PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
 # Benchmark regression gate (plus its injected-slowdown self-test).
 ./scripts/check_bench.sh
 
-# Telemetry plane gate: live scrape endpoints + anomaly-detector self-tests.
-./scripts/check_telemetry.sh
-
-# Span-tracing gate: rooted trace trees + per-dispatch chunk tiling.
-./scripts/check_trace.sh
-
-# Continuous-profiling gate: flame endpoints + differential attribution.
-./scripts/check_profile.sh
+# Observability gate: every scrape route live, detector self-tests, rooted
+# span trees with tiled chunks, flame endpoints + differential attribution.
+./scripts/check_observe.sh
 
 echo "verify: OK"

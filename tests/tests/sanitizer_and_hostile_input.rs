@@ -1,8 +1,8 @@
 //! Sanitizer surface at the facade, plus hostile Matrix Market inputs: the
 //! parser must reject malformed/adversarial files with line-numbered errors
 //! (never panic or over-allocate), `SparseMatrix::validate` must pass on
-//! facade-built matrices, and `Solver::with_sanitizer` must arm the pool
-//! overlap detector and the NaN/Inf operand checks.
+//! facade-built matrices, and `Solver::observe` with a `sanitize` mode must
+//! arm the pool overlap detector and the NaN/Inf operand checks.
 
 use pyginkgo as pg;
 use pyginkgo_integration_tests::{residual, spd_system};
@@ -159,8 +159,16 @@ fn facade_matrices_validate_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Solver::with_sanitizer
+// Solver::observe(Observe { sanitize, .. })
 // ---------------------------------------------------------------------------
+
+/// Observing nothing but the given sanitizer mode.
+fn sanitize(mode: &str) -> pg::Observe {
+    pg::Observe {
+        sanitize: Some(mode.to_string()),
+        ..pg::Observe::default()
+    }
+}
 
 #[test]
 fn with_sanitizer_pool_verifies_solver_kernels() {
@@ -170,12 +178,12 @@ fn with_sanitizer_pool_verifies_solver_kernels() {
     let mut x = pg::as_tensor_fill(&dev, (300, 1), "double", 0.0).unwrap();
     let solver = pg::solver::cg(&dev, &mtx, None, 200, 1e-10)
         .unwrap()
-        .with_sanitizer("pool")
+        .observe(sanitize("pool"))
         .unwrap();
     let log = solver.apply(&b, &mut x).unwrap();
     assert!(log.converged(), "{}", log.stop_reason());
     assert!(residual(&mtx, &b, &x) < 1e-6);
-    let report = solver.sanitizer_report();
+    let report = solver.observations().sanitizer;
     assert!(
         report.jobs_checked > 0,
         "CG's SpMV/axpy pool jobs must be claim-verified: {report:?}"
@@ -192,7 +200,7 @@ fn with_sanitizer_values_rejects_poisoned_rhs() {
     let mut x = pg::as_tensor_fill(&dev, (10, 1), "double", 0.0).unwrap();
     let solver = pg::solver::cg(&dev, &mtx, None, 50, 1e-10)
         .unwrap()
-        .with_sanitizer("values")
+        .observe(sanitize("values"))
         .unwrap();
     let err = solver.apply(&b, &mut x).expect_err("NaN rhs must be rejected");
     let msg = err.to_string();
@@ -212,15 +220,15 @@ fn with_sanitizer_full_combines_both_and_rejects_bad_modes() {
     let mut x = pg::as_tensor_fill(&dev, (100, 1), "double", 0.0).unwrap();
     let solver = pg::solver::cg(&dev, &mtx, None, 200, 1e-10)
         .unwrap()
-        .with_sanitizer("full")
+        .observe(sanitize("full"))
         .unwrap();
     let log = solver.apply(&b, &mut x).unwrap();
     assert!(log.converged());
-    assert!(solver.sanitizer_report().jobs_checked > 0);
+    assert!(solver.observations().sanitizer.jobs_checked > 0);
 
     let plain = pg::solver::cg(&dev, &mtx, None, 10, 1e-6).unwrap();
     assert!(
-        matches!(plain.with_sanitizer("bogus"), Err(pg::PyGinkgoError::Value(_))),
+        matches!(plain.observe(sanitize("bogus")), Err(pg::PyGinkgoError::Value(_))),
         "unknown sanitizer modes are value errors"
     );
 }
