@@ -3,8 +3,10 @@
 //! 1. CSR SpMV strategy — nnz-balanced vs classical row-balanced chunks;
 //! 2. GMRES variant — Ginkgo's Givens/per-iteration-check vs CuPy's
 //!    projection/end-of-cycle-check (cost per iteration);
-//! 3. Facade dispatch — pre-instantiated enum table vs boxed `dyn LinOp`
-//!    virtual calls (real wall-clock microbenchmark, not virtual time);
+//! 3. Facade dispatch — the dynamic layer (dtype dispatch + GIL +
+//!    validation, then the handle's virtual call) vs the bare `dyn LinOp`
+//!    virtual call under it (real wall-clock microbenchmark, not virtual
+//!    time);
 //! 4. Preconditioner choice — iterations to convergence for none / Jacobi /
 //!    block-Jacobi / ILU / IC on an SPD system.
 //!
@@ -123,15 +125,15 @@ fn dispatch_cost() {
     let b = pyginkgo::as_tensor_fill(&dev, (n, 1), "double", 1.0).unwrap();
     let mut x = pyginkgo::as_tensor_fill(&dev, (n, 1), "double", 0.0).unwrap();
 
-    // Pre-instantiated enum dispatch (the facade).
+    // The facade: dtype dispatch on three handles, then the virtual call.
     let reps = 20_000;
     let start = Instant::now();
     for _ in 0..reps {
         m.spmv_into(&b, &mut x).unwrap();
     }
-    let enum_ns = start.elapsed().as_nanos() as f64 / reps as f64;
+    let facade_ns = start.elapsed().as_nanos() as f64 / reps as f64;
 
-    // Boxed dyn-trait virtual call (the alternative design).
+    // The virtual call alone (what the facade's handle makes underneath).
     let exec = Executor::reference();
     let t64 = cast_triplets::<f64>(&pygko_matgen::generators::diagonal_mass("d", n, 1.0, 3));
     let a: Arc<dyn LinOp<f64>> =
@@ -148,13 +150,13 @@ fn dispatch_cost() {
         "Ablation 3: dispatch mechanism (REAL wall clock, tiny matrix)",
         &["mechanism", "ns/call"],
     );
-    report.row(vec!["facade enum dispatch + GIL + validation".into(), fmt(enum_ns)]);
+    report.row(vec!["facade dtype dispatch + GIL + validation".into(), fmt(facade_ns)]);
     report.row(vec!["bare dyn LinOp virtual call".into(), fmt(dyn_ns)]);
     report.print();
     report.write_csv("ablation_dispatch").expect("csv");
     println!(
         "(the facade's extra {:.0} ns/call is the §5.1 dynamic layer; it is amortized over kernel work)",
-        (enum_ns - dyn_ns).max(0.0)
+        (facade_ns - dyn_ns).max(0.0)
     );
 }
 

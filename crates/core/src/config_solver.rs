@@ -7,17 +7,19 @@
 //! deliberate: it exercises exactly the boundary the real pyGinkgo crosses.
 
 use crate::device::Device;
+use crate::dispatch::with_dtype;
 use crate::error::{PyGinkgoError, PyResult};
 use crate::gil::binding_call;
 use crate::logger::Logger;
-use crate::matrix::{MatrixFormat, MatrixImpl, SparseMatrix};
-use crate::tensor::{Tensor, TensorData};
-use gko::config::{config_solve, Config};
+use crate::matrix::{csr_half, SparseMatrix};
+use crate::tensor::Tensor;
+use gko::config::Config;
 
 /// Keyword arguments for [`solve`], mirroring Listing 2's dictionary.
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
-    /// Solver: `"gmres"`, `"cg"`, `"cgs"`, `"bicgstab"`, `"direct"`, `"ir"`.
+    /// Solver: `"gmres"`, `"cg"`, `"fcg"`, `"cgs"`, `"bicgstab"`, `"minres"`,
+    /// `"ir"`, `"direct"`.
     pub method: String,
     /// Preconditioner: `"jacobi"`, `"ilu"`, `"ic"`, or `None`.
     pub preconditioner: Option<String>,
@@ -49,21 +51,7 @@ impl Default for SolveOptions {
 impl SolveOptions {
     /// Builds the configuration dictionary (the tree Listing 2 prints).
     pub fn to_config(&self) -> PyResult<Config> {
-        let solver_type = match self.method.to_ascii_lowercase().as_str() {
-            "cg" => "solver::Cg",
-            "fcg" => "solver::Fcg",
-            "cgs" => "solver::Cgs",
-            "bicgstab" => "solver::Bicgstab",
-            "minres" => "solver::Minres",
-            "gmres" => "solver::Gmres",
-            "ir" | "richardson" => "solver::Ir",
-            "direct" => "solver::Direct",
-            other => {
-                return Err(PyGinkgoError::Value(format!(
-                    "unknown solver method '{other}'"
-                )))
-            }
-        };
+        let (_, solver_type) = crate::solver::method(&self.method)?;
         let mut cfg = Config::map().with("type", solver_type).with(
             "criteria",
             vec![
@@ -107,6 +95,21 @@ impl SolveOptions {
     }
 }
 
+/// Runs the pipeline `cfg` describes on `A x = b`: under both [`solve`] and
+/// [`solve_with_config`], inside their binding crossing.
+fn run_configured(
+    matrix: &SparseMatrix,
+    b: &Tensor,
+    x: &mut Tensor,
+    cfg: &Config,
+) -> PyResult<Logger> {
+    with_dtype!(("matrix", &matrix.inner), ("b", &b.data), ("x", &mut x.data); |m, bd, xd| {
+        let solver = csr_half(matrix.device(), m).config_solve(cfg)?;
+        solver.op.apply(bd, xd)?;
+        Ok(Logger::from_engine(&solver.logger))
+    })
+}
+
 /// Solves `A x = b` through the generic config-solver entry point.
 ///
 /// Builds the config dictionary from `options`, round-trips it through JSON,
@@ -118,46 +121,10 @@ pub fn solve(
     x: &mut Tensor,
     options: &SolveOptions,
 ) -> PyResult<Logger> {
-    let dev = matrix.device().clone();
-    binding_call(&dev, || {
+    binding_call(matrix.device(), || {
         // dict -> JSON string -> tree, as the facade's Python layer does.
         let json = options.to_json()?;
-        let cfg = Config::from_json(&json).map_err(PyGinkgoError::from)?;
-
-        let csr;
-        let source = if matrix.format() == MatrixFormat::Csr {
-            matrix
-        } else {
-            csr = matrix.convert("Csr")?;
-            &csr
-        };
-
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {{
-                let solver = config_solve($m.clone(), &cfg).map_err(PyGinkgoError::from)?;
-                match (b.data(), x.data_mut()) {
-                    (TensorData::$tag(bd), TensorData::$tag(xd)) => {
-                        solver.op.apply(bd, xd).map_err(PyGinkgoError::from)?;
-                        Ok(Logger::from_engine(&solver.logger))
-                    }
-                    _ => Err(PyGinkgoError::Type(format!(
-                        "dtype mismatch: matrix is {}, operands are {}/{}",
-                        source.dtype(),
-                        b.dtype(),
-                        x.dtype()
-                    ))),
-                }
-            }};
-        }
-        match &source.inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            _ => unreachable!("converted to CSR above"),
-        }
+        run_configured(matrix, b, x, &Config::from_json(&json)?)
     })
 }
 
@@ -172,7 +139,7 @@ pub fn solve_from_config_file(
 ) -> PyResult<Logger> {
     let text = std::fs::read_to_string(path.as_ref())
         .map_err(|e| PyGinkgoError::Os(e.to_string()))?;
-    solve_with_config(matrix, b, x, &Config::from_json(&text).map_err(PyGinkgoError::from)?)
+    solve_with_config(matrix, b, x, &Config::from_json(&text)?)
 }
 
 /// Solves with an already-built configuration tree (the non-file variant of
@@ -183,37 +150,7 @@ pub fn solve_with_config(
     x: &mut Tensor,
     cfg: &Config,
 ) -> PyResult<Logger> {
-    let dev = matrix.device().clone();
-    binding_call(&dev, || {
-        let csr;
-        let source = if matrix.format() == MatrixFormat::Csr {
-            matrix
-        } else {
-            csr = matrix.convert("Csr")?;
-            &csr
-        };
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {{
-                let solver = config_solve($m.clone(), cfg).map_err(PyGinkgoError::from)?;
-                match (b.data(), x.data_mut()) {
-                    (TensorData::$tag(bd), TensorData::$tag(xd)) => {
-                        solver.op.apply(bd, xd).map_err(PyGinkgoError::from)?;
-                        Ok(Logger::from_engine(&solver.logger))
-                    }
-                    _ => Err(PyGinkgoError::Type("dtype mismatch".into())),
-                }
-            }};
-        }
-        match &source.inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            _ => unreachable!("converted to CSR above"),
-        }
-    })
+    binding_call(matrix.device(), || run_configured(matrix, b, x, cfg))
 }
 
 /// Convenience: solve with the default (Listing 2) configuration on a given

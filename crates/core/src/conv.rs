@@ -3,28 +3,22 @@
 //! and convolutional neural networks") exposed through the facade.
 
 use crate::device::Device;
+use crate::dispatch::{with_dtype, OpImpl};
 use crate::dtype::DType;
-use crate::error::{PyGinkgoError, PyResult};
+use crate::error::PyResult;
 use crate::gil::binding_call;
-use crate::tensor::{Tensor, TensorData};
+use crate::tensor::Tensor;
 use gko::matrix::Conv2d;
-use gko::LinOp;
-use pygko_half::Half;
+use gko::Value;
 use std::sync::Arc;
 
 /// A 2-D convolution operator with runtime dtype, applicable to flattened
 /// image tensors like any other pyGinkgo operator.
 pub struct Conv2dOp {
-    inner: ConvImpl,
+    inner: OpImpl,
     device: Device,
     image: (usize, usize),
     kernel: (usize, usize),
-}
-
-enum ConvImpl {
-    Half(Arc<Conv2d<Half>>),
-    Float(Arc<Conv2d<f32>>),
-    Double(Arc<Conv2d<f64>>),
 }
 
 /// Creates a convolution operator: `pg::conv2d(&dev, (h, w), (kh, kw),
@@ -39,30 +33,10 @@ pub fn conv2d(
     binding_call(device, || {
         let dtype: DType = dtype.parse()?;
         let exec = device.executor();
-        let inner = match dtype {
-            DType::Half => ConvImpl::Half(Arc::new(
-                Conv2d::new(
-                    exec,
-                    image,
-                    kernel_size,
-                    kernel.iter().map(|&v| Half::from_f64(v)).collect(),
-                )
-                .map_err(PyGinkgoError::from)?,
-            )),
-            DType::Float => ConvImpl::Float(Arc::new(
-                Conv2d::new(
-                    exec,
-                    image,
-                    kernel_size,
-                    kernel.iter().map(|&v| v as f32).collect(),
-                )
-                .map_err(PyGinkgoError::from)?,
-            )),
-            DType::Double => ConvImpl::Double(Arc::new(
-                Conv2d::new(exec, image, kernel_size, kernel.to_vec())
-                    .map_err(PyGinkgoError::from)?,
-            )),
-        };
+        let inner: OpImpl = with_dtype!(dtype.tag(), |_tag as wrap| {
+            let taps = kernel.iter().map(|&v| Value::from_f64(v)).collect();
+            wrap(Arc::new(Conv2d::new(exec, image, kernel_size, taps)?))
+        });
         Ok(Conv2dOp {
             inner,
             device: device.clone(),
@@ -85,39 +59,19 @@ impl Conv2dOp {
 
     /// Runtime dtype.
     pub fn dtype(&self) -> DType {
-        match &self.inner {
-            ConvImpl::Half(_) => DType::Half,
-            ConvImpl::Float(_) => DType::Float,
-            ConvImpl::Double(_) => DType::Double,
-        }
+        self.inner.dtype()
     }
 
     /// Applies the convolution to a flattened image tensor, returning the
     /// filtered image.
     pub fn apply(&self, image: &Tensor) -> PyResult<Tensor> {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
+        binding_call(&self.device, || {
             let n = self.image.0 * self.image.1;
             let mut out =
                 crate::tensor::as_tensor_fill(&self.device, (n, 1), self.dtype().name(), 0.0)?;
-            match (&self.inner, image.data(), out.data_mut()) {
-                (ConvImpl::Half(op), TensorData::Half(b), TensorData::Half(x)) => {
-                    op.apply(b, x).map_err(PyGinkgoError::from)?
-                }
-                (ConvImpl::Float(op), TensorData::Float(b), TensorData::Float(x)) => {
-                    op.apply(b, x).map_err(PyGinkgoError::from)?
-                }
-                (ConvImpl::Double(op), TensorData::Double(b), TensorData::Double(x)) => {
-                    op.apply(b, x).map_err(PyGinkgoError::from)?
-                }
-                _ => {
-                    return Err(PyGinkgoError::Type(format!(
-                        "dtype mismatch: conv is {}, image is {}",
-                        self.dtype(),
-                        image.dtype()
-                    )))
-                }
-            }
+            with_dtype!(("conv", &self.inner), ("image", &image.data), ("out", &mut out.data); |op, b, x| {
+                Ok(op.apply(b, x)?)
+            })?;
             Ok(out)
         })
     }
@@ -127,6 +81,7 @@ impl Conv2dOp {
 mod tests {
     use super::*;
     use crate::device::device;
+    use crate::error::PyGinkgoError;
     use crate::tensor::as_tensor;
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * **Dynamic typing at the boundary.** Users pass dtype *strings*
 //!   (`"double"`, `"float32"`, ...) and get type-erased [`Tensor`]s and
-//!   [`SparseMatrix`]es; dispatch to the pre-instantiated monomorphic
-//!   kernels happens at runtime ([`dispatch`], §5.1's
-//!   `funcxx_int`/`funcxx_float` scheme).
+//!   [`SparseMatrix`]es; one table of pre-instantiated engine types is
+//!   looked up at construction and one dtype dispatch opens the handles
+//!   after it ([`dispatch`], §5.1's `funcxx_int`/`funcxx_float` scheme).
 //! * **A GIL analog.** Every facade call acquires a global lock and charges
 //!   a calibrated per-call binding cost to the device timeline ([`gil`]),
 //!   reproducing the overhead the paper measures in §6.3.

@@ -3,18 +3,20 @@
 //! Ginkgo's templates would generate one class per (format, value type,
 //! index type) combination; pybind11 bindings pre-instantiate all of them
 //! and the Python layer dispatches at runtime (§5.1). [`SparseMatrix`] is
-//! that mechanism in Rust: an enum with one variant per pre-instantiated
-//! combination (2 formats x 3 value types x 2 index types = 12), and
-//! macro-generated dispatch.
+//! that object in Rust: [`SparseMatrix::from_triplets`] looks its
+//! constructor up in the instantiation table of [`crate::dispatch`], and
+//! what comes back is a handle that knows its value type as a tag and its
+//! format and index type only behind a pointer. Every method here is written
+//! against that handle, once.
 
 use crate::device::Device;
+use crate::dispatch::{self, with_dtype, CsrInstance, Generate, Instance, MatrixImpl, OpImpl};
 use crate::dtype::{DType, IndexType};
 use crate::error::{PyGinkgoError, PyResult};
 use crate::gil::binding_call;
-use crate::tensor::{Tensor, TensorData};
-use gko::matrix::{Coo, Csr, SpmvStrategy};
-use gko::{Dim2, Index, LinOp, Value};
-use pygko_half::Half;
+use crate::tensor::Tensor;
+use gko::matrix::SpmvStrategy;
+use gko::{Dim2, Value};
 use std::sync::Arc;
 
 /// Sparse storage format exposed by the facade.
@@ -47,48 +49,22 @@ impl MatrixFormat {
     }
 }
 
-/// One variant per pre-instantiated (format, value, index) combination.
-#[derive(Clone, Debug)]
-pub(crate) enum MatrixImpl {
-    CsrHalfI32(Arc<Csr<Half, i32>>),
-    CsrHalfI64(Arc<Csr<Half, i64>>),
-    CsrFloatI32(Arc<Csr<f32, i32>>),
-    CsrFloatI64(Arc<Csr<f32, i64>>),
-    CsrDoubleI32(Arc<Csr<f64, i32>>),
-    CsrDoubleI64(Arc<Csr<f64, i64>>),
-    CooHalfI32(Arc<Coo<Half, i32>>),
-    CooHalfI64(Arc<Coo<Half, i64>>),
-    CooFloatI32(Arc<Coo<f32, i32>>),
-    CooFloatI64(Arc<Coo<f32, i64>>),
-    CooDoubleI32(Arc<Coo<f64, i32>>),
-    CooDoubleI64(Arc<Coo<f64, i64>>),
-}
-
-/// Dispatches over every variant, binding the inner `Arc` to `$m`.
-macro_rules! with_impl {
-    ($data:expr, $m:ident => $body:expr) => {
-        match $data {
-            MatrixImpl::CsrHalfI32($m) => $body,
-            MatrixImpl::CsrHalfI64($m) => $body,
-            MatrixImpl::CsrFloatI32($m) => $body,
-            MatrixImpl::CsrFloatI64($m) => $body,
-            MatrixImpl::CsrDoubleI32($m) => $body,
-            MatrixImpl::CsrDoubleI64($m) => $body,
-            MatrixImpl::CooHalfI32($m) => $body,
-            MatrixImpl::CooHalfI64($m) => $body,
-            MatrixImpl::CooFloatI32($m) => $body,
-            MatrixImpl::CooFloatI64($m) => $body,
-            MatrixImpl::CooDoubleI32($m) => $body,
-            MatrixImpl::CooDoubleI64($m) => $body,
-        }
-    };
-}
-
 /// A sparse matrix with runtime-selected format, dtype, and index type.
 #[derive(Clone, Debug)]
 pub struct SparseMatrix {
     pub(crate) inner: MatrixImpl,
     pub(crate) device: Device,
+}
+
+/// The CSR-only half of a matrix. A COO matrix is converted first, through
+/// the binding crossing that `convert("Csr")` is (Ginkgo's factories convert
+/// the same way inside `generate()`).
+pub(crate) fn csr_half<V: Value>(
+    device: &Device,
+    matrix: &Arc<dyn Instance<V>>,
+) -> Arc<dyn CsrInstance<V>> {
+    let csr = matrix.clone().csr();
+    csr.unwrap_or_else(|| binding_call(device, || matrix.clone().to_csr()))
 }
 
 impl SparseMatrix {
@@ -107,33 +83,10 @@ impl SparseMatrix {
             let dtype: DType = dtype.parse()?;
             let itype: IndexType = index_type.parse()?;
             let format = MatrixFormat::parse(format)?;
+            let build = dispatch::lookup("from_triplets", format, dtype, itype)?.constructor()?;
             let dim = Dim2::new(shape.0, shape.1);
-            let exec = device.executor();
-
-            macro_rules! build {
-                ($variant:ident, $fmt:ident, $v:ty, $i:ty) => {
-                    MatrixImpl::$variant(Arc::new(
-                        $fmt::<$v, $i>::from_triplets(exec, dim, triplets)
-                            .map_err(PyGinkgoError::from)?,
-                    ))
-                };
-            }
-            let inner = match (format, dtype, itype) {
-                (MatrixFormat::Csr, DType::Half, IndexType::Int32) => build!(CsrHalfI32, Csr, Half, i32),
-                (MatrixFormat::Csr, DType::Half, IndexType::Int64) => build!(CsrHalfI64, Csr, Half, i64),
-                (MatrixFormat::Csr, DType::Float, IndexType::Int32) => build!(CsrFloatI32, Csr, f32, i32),
-                (MatrixFormat::Csr, DType::Float, IndexType::Int64) => build!(CsrFloatI64, Csr, f32, i64),
-                (MatrixFormat::Csr, DType::Double, IndexType::Int32) => build!(CsrDoubleI32, Csr, f64, i32),
-                (MatrixFormat::Csr, DType::Double, IndexType::Int64) => build!(CsrDoubleI64, Csr, f64, i64),
-                (MatrixFormat::Coo, DType::Half, IndexType::Int32) => build!(CooHalfI32, Coo, Half, i32),
-                (MatrixFormat::Coo, DType::Half, IndexType::Int64) => build!(CooHalfI64, Coo, Half, i64),
-                (MatrixFormat::Coo, DType::Float, IndexType::Int32) => build!(CooFloatI32, Coo, f32, i32),
-                (MatrixFormat::Coo, DType::Float, IndexType::Int64) => build!(CooFloatI64, Coo, f32, i64),
-                (MatrixFormat::Coo, DType::Double, IndexType::Int32) => build!(CooDoubleI32, Coo, f64, i32),
-                (MatrixFormat::Coo, DType::Double, IndexType::Int64) => build!(CooDoubleI64, Coo, f64, i64),
-            };
             Ok(SparseMatrix {
-                inner,
+                inner: build(device.executor(), dim, triplets)?,
                 device: device.clone(),
             })
         })
@@ -141,13 +94,13 @@ impl SparseMatrix {
 
     /// Matrix shape (rows, cols) — exposed as `.size` in the paper's API.
     pub fn shape(&self) -> (usize, usize) {
-        let d = with_impl!(&self.inner, m => m.size());
+        let d = with_dtype!(&self.inner, |m| m.size());
         (d.rows, d.cols)
     }
 
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
-        with_impl!(&self.inner, m => m.nnz())
+        with_dtype!(&self.inner, |m| m.nnz())
     }
 
     /// Runs the engine sanitizer's structural validation on the stored
@@ -155,51 +108,22 @@ impl SparseMatrix {
     /// in-bounds indices, sorted coordinates) from scratch and reports the
     /// first violation as a value error.
     pub fn validate(&self) -> PyResult<()> {
-        with_impl!(&self.inner, m => m.validate().map_err(PyGinkgoError::from))
+        Ok(with_dtype!(&self.inner, |m| m.validate())?)
     }
 
     /// Runtime value type.
     pub fn dtype(&self) -> DType {
-        match &self.inner {
-            MatrixImpl::CsrHalfI32(_)
-            | MatrixImpl::CsrHalfI64(_)
-            | MatrixImpl::CooHalfI32(_)
-            | MatrixImpl::CooHalfI64(_) => DType::Half,
-            MatrixImpl::CsrFloatI32(_)
-            | MatrixImpl::CsrFloatI64(_)
-            | MatrixImpl::CooFloatI32(_)
-            | MatrixImpl::CooFloatI64(_) => DType::Float,
-            MatrixImpl::CsrDoubleI32(_)
-            | MatrixImpl::CsrDoubleI64(_)
-            | MatrixImpl::CooDoubleI32(_)
-            | MatrixImpl::CooDoubleI64(_) => DType::Double,
-        }
+        self.inner.dtype()
     }
 
     /// Runtime index type.
     pub fn index_type(&self) -> IndexType {
-        match &self.inner {
-            MatrixImpl::CsrHalfI32(_)
-            | MatrixImpl::CsrFloatI32(_)
-            | MatrixImpl::CsrDoubleI32(_)
-            | MatrixImpl::CooHalfI32(_)
-            | MatrixImpl::CooFloatI32(_)
-            | MatrixImpl::CooDoubleI32(_) => IndexType::Int32,
-            _ => IndexType::Int64,
-        }
+        with_dtype!(&self.inner, |m| m.index_type())
     }
 
     /// Storage format.
     pub fn format(&self) -> MatrixFormat {
-        match &self.inner {
-            MatrixImpl::CsrHalfI32(_)
-            | MatrixImpl::CsrHalfI64(_)
-            | MatrixImpl::CsrFloatI32(_)
-            | MatrixImpl::CsrFloatI64(_)
-            | MatrixImpl::CsrDoubleI32(_)
-            | MatrixImpl::CsrDoubleI64(_) => MatrixFormat::Csr,
-            _ => MatrixFormat::Coo,
-        }
+        with_dtype!(&self.inner, |m| m.format())
     }
 
     /// The device the matrix lives on.
@@ -210,12 +134,7 @@ impl SparseMatrix {
     /// The §5.1 mangled binding name this matrix dispatches to, e.g.
     /// `"spmv_csr_double_int32"`.
     pub fn binding_name(&self, op: &str) -> String {
-        format!(
-            "{op}_{}_{}_{}",
-            self.format().name().to_ascii_lowercase(),
-            self.dtype().name(),
-            self.index_type().name()
-        )
+        dispatch::mangled(op, (self.format(), self.dtype(), self.index_type()))
     }
 
     /// SpMV: returns `x = A b` as a new tensor (`x = mtx @ b` in Python).
@@ -234,67 +153,22 @@ impl SparseMatrix {
 
     /// SpMV into an existing output tensor.
     pub fn spmv_into(&self, b: &Tensor, x: &mut Tensor) -> PyResult<()> {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            macro_rules! go {
-                ($m:expr, $bvar:ident, $xvar:ident) => {
-                    match (b.data(), x.data_mut()) {
-                        (TensorData::$bvar(bd), TensorData::$xvar(xd)) => {
-                            $m.apply(bd, xd).map_err(PyGinkgoError::from)
-                        }
-                        _ => Err(PyGinkgoError::Type(format!(
-                            "dtype mismatch: matrix is {}, operands are {}/{}",
-                            self.dtype(),
-                            b.dtype(),
-                            self.dtype()
-                        ))),
-                    }
-                };
-            }
-            match &self.inner {
-                MatrixImpl::CsrHalfI32(m) => go!(m, Half, Half),
-                MatrixImpl::CsrHalfI64(m) => go!(m, Half, Half),
-                MatrixImpl::CsrFloatI32(m) => go!(m, Float, Float),
-                MatrixImpl::CsrFloatI64(m) => go!(m, Float, Float),
-                MatrixImpl::CsrDoubleI32(m) => go!(m, Double, Double),
-                MatrixImpl::CsrDoubleI64(m) => go!(m, Double, Double),
-                MatrixImpl::CooHalfI32(m) => go!(m, Half, Half),
-                MatrixImpl::CooHalfI64(m) => go!(m, Half, Half),
-                MatrixImpl::CooFloatI32(m) => go!(m, Float, Float),
-                MatrixImpl::CooFloatI64(m) => go!(m, Float, Float),
-                MatrixImpl::CooDoubleI32(m) => go!(m, Double, Double),
-                MatrixImpl::CooDoubleI64(m) => go!(m, Double, Double),
-            }
+        binding_call(&self.device, || {
+            with_dtype!(("matrix", &self.inner), ("b", &b.data), ("x", &mut x.data); |m, bd, xd| {
+                Ok(m.apply(bd, xd)?)
+            })
         })
     }
 
     /// Converts to another storage format (same dtype/index type).
     pub fn convert(&self, format: &str) -> PyResult<SparseMatrix> {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
+        binding_call(&self.device, || {
             let target = MatrixFormat::parse(format)?;
-            if target == self.format() {
-                return Ok(self.clone());
-            }
-            let inner = match (&self.inner, target) {
-                (MatrixImpl::CsrHalfI32(m), MatrixFormat::Coo) => MatrixImpl::CooHalfI32(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CsrHalfI64(m), MatrixFormat::Coo) => MatrixImpl::CooHalfI64(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CsrFloatI32(m), MatrixFormat::Coo) => MatrixImpl::CooFloatI32(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CsrFloatI64(m), MatrixFormat::Coo) => MatrixImpl::CooFloatI64(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CsrDoubleI32(m), MatrixFormat::Coo) => MatrixImpl::CooDoubleI32(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CsrDoubleI64(m), MatrixFormat::Coo) => MatrixImpl::CooDoubleI64(Arc::new(Coo::from_csr(m))),
-                (MatrixImpl::CooHalfI32(m), MatrixFormat::Csr) => MatrixImpl::CsrHalfI32(Arc::new(m.to_csr())),
-                (MatrixImpl::CooHalfI64(m), MatrixFormat::Csr) => MatrixImpl::CsrHalfI64(Arc::new(m.to_csr())),
-                (MatrixImpl::CooFloatI32(m), MatrixFormat::Csr) => MatrixImpl::CsrFloatI32(Arc::new(m.to_csr())),
-                (MatrixImpl::CooFloatI64(m), MatrixFormat::Csr) => MatrixImpl::CsrFloatI64(Arc::new(m.to_csr())),
-                (MatrixImpl::CooDoubleI32(m), MatrixFormat::Csr) => MatrixImpl::CsrDoubleI32(Arc::new(m.to_csr())),
-                (MatrixImpl::CooDoubleI64(m), MatrixFormat::Csr) => MatrixImpl::CsrDoubleI64(Arc::new(m.to_csr())),
-                _ => unreachable!("same-format handled above"),
-            };
-            Ok(SparseMatrix {
-                inner,
-                device: self.device.clone(),
-            })
+            let inner = with_dtype!(&self.inner, |m as wrap| wrap(match target {
+                MatrixFormat::Coo => m.clone().to_coo(),
+                MatrixFormat::Csr => m.clone().to_csr(),
+            }));
+            Ok(self.with_inner(inner))
         })
     }
 
@@ -314,50 +188,18 @@ impl SparseMatrix {
                 )))
             }
         };
-        macro_rules! restrategize {
-            ($variant:ident, $m:expr) => {
-                MatrixImpl::$variant(Arc::new($m.as_ref().clone().with_strategy(s)))
-            };
-        }
-        let inner = match &self.inner {
-            MatrixImpl::CsrHalfI32(m) => restrategize!(CsrHalfI32, m),
-            MatrixImpl::CsrHalfI64(m) => restrategize!(CsrHalfI64, m),
-            MatrixImpl::CsrFloatI32(m) => restrategize!(CsrFloatI32, m),
-            MatrixImpl::CsrFloatI64(m) => restrategize!(CsrFloatI64, m),
-            MatrixImpl::CsrDoubleI32(m) => restrategize!(CsrDoubleI32, m),
-            MatrixImpl::CsrDoubleI64(m) => restrategize!(CsrDoubleI64, m),
-            other => other.clone(),
-        };
-        Ok(SparseMatrix {
-            inner,
-            device: self.device.clone(),
-        })
+        // Only CSR has strategies: COO is inherently nnz-partitioned.
+        Ok(self.with_inner(with_dtype!(&self.inner, |m as wrap| match m.clone().csr() {
+            Some(csr) => wrap(csr.with_strategy(s)),
+            None => wrap(m.clone()),
+        })))
     }
 
     /// Densifies into a tensor (small matrices; used by tests and examples).
     pub fn to_dense(&self) -> Tensor {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            macro_rules! dense_of {
-                ($m:expr, $variant:ident) => {
-                    TensorData::$variant($m.to_dense())
-                };
-            }
-            let data = match &self.inner {
-                MatrixImpl::CsrHalfI32(m) => dense_of!(m, Half),
-                MatrixImpl::CsrHalfI64(m) => dense_of!(m, Half),
-                MatrixImpl::CsrFloatI32(m) => dense_of!(m, Float),
-                MatrixImpl::CsrFloatI64(m) => dense_of!(m, Float),
-                MatrixImpl::CsrDoubleI32(m) => dense_of!(m, Double),
-                MatrixImpl::CsrDoubleI64(m) => dense_of!(m, Double),
-                MatrixImpl::CooHalfI32(m) => dense_of!(m, Half),
-                MatrixImpl::CooHalfI64(m) => dense_of!(m, Half),
-                MatrixImpl::CooFloatI32(m) => dense_of!(m, Float),
-                MatrixImpl::CooFloatI64(m) => dense_of!(m, Float),
-                MatrixImpl::CooDoubleI32(m) => dense_of!(m, Double),
-                MatrixImpl::CooDoubleI64(m) => dense_of!(m, Double),
-            };
-            Tensor::new(self.device.clone(), data)
+        binding_call(&self.device, || {
+            let data = with_dtype!(&self.inner, |m as wrap| wrap(m.to_dense()));
+            Tensor { data, device: self.device.clone() }
         })
     }
 
@@ -365,38 +207,24 @@ impl SparseMatrix {
     /// values widened to f64 (for writing back to Matrix Market). Walks the
     /// CSR/COO arrays, so the cost is O(nnz) whatever the shape.
     pub fn to_triplets(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = binding_call(&self.device.clone(), || {
-            with_impl!(&self.inner, m => m.stored_entries())
-        });
+        let mut out = binding_call(&self.device, || with_dtype!(&self.inner, |m| m.stored_entries()));
         out.retain(|&(_, _, v)| v != 0.0);
         out
     }
-}
 
-/// A format's stored entries, widened to f64. Both formats keep them sorted
-/// by `(row, col)` without duplicates, so storage order is row-major order.
-trait StoredEntries {
-    fn stored_entries(&self) -> Vec<(usize, usize, f64)>;
-}
-
-impl<V: Value, I: Index> StoredEntries for Csr<V, I> {
-    fn stored_entries(&self) -> Vec<(usize, usize, f64)> {
-        let (row_ptrs, cols, vals) = (self.row_ptrs(), self.col_idxs(), self.values());
-        let mut out = Vec::with_capacity(vals.len());
-        for (r, span) in row_ptrs.windows(2).enumerate() {
-            for k in span[0].to_usize()..span[1].to_usize() {
-                out.push((r, cols[k].to_usize(), vals[k].to_f64()));
-            }
-        }
-        out
+    /// Generates `what` from the matrix's CSR half in one binding crossing on
+    /// `device` (one more for a COO matrix: see [`csr_half`]).
+    pub(crate) fn generate(&self, device: &Device, what: Generate) -> PyResult<OpImpl> {
+        binding_call(device, || {
+            Ok(with_dtype!(&self.inner, |m as wrap| wrap(csr_half(&self.device, m).generate(what)?)))
+        })
     }
-}
 
-impl<V: Value, I: Index> StoredEntries for Coo<V, I> {
-    fn stored_entries(&self) -> Vec<(usize, usize, f64)> {
-        (self.row_idxs().iter().zip(self.col_idxs()).zip(self.values()))
-            .map(|((r, c), v)| (r.to_usize(), c.to_usize(), v.to_f64()))
-            .collect()
+    fn with_inner(&self, inner: MatrixImpl) -> SparseMatrix {
+        SparseMatrix {
+            inner,
+            device: self.device.clone(),
+        }
     }
 }
 
@@ -468,6 +296,26 @@ mod tests {
         let m = sample(&dev, "double", "int32", "Csr");
         let b = as_tensor(vec![1.0, 2.0, 3.0], &dev, (3, 1), "float").unwrap();
         assert!(matches!(m.spmv(&b), Err(PyGinkgoError::Type(_))));
+    }
+
+    /// The one mismatch error names the operator's dtype and each operand's:
+    /// a float `x` under a double matrix and `b` used to read "operands are
+    /// double/double".
+    #[test]
+    fn dtype_mismatch_names_every_participant() {
+        let dev = device("reference").unwrap();
+        let m = sample(&dev, "double", "int32", "Csr");
+        let b = as_tensor(vec![1.0, 2.0, 3.0], &dev, (3, 1), "double").unwrap();
+        let mut x = as_tensor(vec![0.0; 3], &dev, (3, 1), "float").unwrap();
+        let spmv = m.spmv_into(&b, &mut x).unwrap_err();
+        let cfg = crate::config_solver::SolveOptions::default().to_config().unwrap();
+        let solve = crate::config_solver::solve_with_config(&m, &b, &mut x, &cfg).unwrap_err();
+        for err in [spmv, solve] {
+            assert!(matches!(err, PyGinkgoError::Type(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("matrix is double"), "{msg}");
+            assert!(msg.contains("b is double") && msg.contains("x is float"), "{msg}");
+        }
     }
 
     #[test]

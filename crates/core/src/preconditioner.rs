@@ -2,26 +2,14 @@
 //! (Listing 1 line 17, Fig. 2).
 
 use crate::device::Device;
+use crate::dispatch::{Generate, OpImpl};
 use crate::error::{PyGinkgoError, PyResult};
-use crate::gil::binding_call;
-use crate::matrix::{MatrixFormat, MatrixImpl, SparseMatrix};
-use gko::preconditioner::{Ic, Ilu, Jacobi};
-use gko::LinOp;
-use pygko_half::Half;
-use std::sync::Arc;
-
-/// Type-erased preconditioner operator, one variant per value type.
-#[derive(Clone)]
-pub(crate) enum PrecondImpl {
-    Half(Arc<dyn LinOp<Half>>),
-    Float(Arc<dyn LinOp<f32>>),
-    Double(Arc<dyn LinOp<f64>>),
-}
+use crate::matrix::SparseMatrix;
 
 /// A generated preconditioner, ready to attach to a solver.
 #[derive(Clone)]
 pub struct Preconditioner {
-    pub(crate) inner: PrecondImpl,
+    pub(crate) inner: OpImpl,
     kind: &'static str,
     device: Device,
 }
@@ -38,72 +26,24 @@ impl Preconditioner {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Kind {
-    Jacobi { block_size: usize },
-    Ilu,
-    Ic,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::Jacobi { .. } => "jacobi",
-            Kind::Ilu => "ilu",
-            Kind::Ic => "ic",
-        }
-    }
-}
-
-fn generate(device: &Device, matrix: &SparseMatrix, kind: Kind) -> PyResult<Preconditioner> {
-    binding_call(device, || {
-        // Factorizations work on CSR; convert COO inputs transparently,
-        // exactly like Ginkgo's factory generate() would.
-        let csr;
-        let source = if matrix.format() == MatrixFormat::Csr {
-            matrix
-        } else {
-            csr = matrix.convert("Csr")?;
-            &csr
-        };
-
-        macro_rules! build {
-            ($m:expr, $tag:ident) => {{
-                let op: PrecondImpl = match kind {
-                    Kind::Jacobi { block_size } => PrecondImpl::$tag(Arc::new(
-                        Jacobi::with_block_size($m.as_ref(), block_size)
-                            .map_err(PyGinkgoError::from)?,
-                    )),
-                    Kind::Ilu => PrecondImpl::$tag(Arc::new(
-                        Ilu::new($m.as_ref()).map_err(PyGinkgoError::from)?,
-                    )),
-                    Kind::Ic => PrecondImpl::$tag(Arc::new(
-                        Ic::new($m.as_ref()).map_err(PyGinkgoError::from)?,
-                    )),
-                };
-                op
-            }};
-        }
-        let inner = match &source.inner {
-            MatrixImpl::CsrHalfI32(m) => build!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => build!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => build!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => build!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => build!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => build!(m, Double),
-            _ => unreachable!("converted to CSR above"),
-        };
-        Ok(Preconditioner {
-            inner,
-            kind: kind.name(),
-            device: device.clone(),
-        })
+/// Factorizations work on CSR; COO inputs convert transparently, exactly
+/// like Ginkgo's factory `generate()` would.
+fn generate(
+    device: &Device,
+    matrix: &SparseMatrix,
+    kind: &'static str,
+    what: Generate,
+) -> PyResult<Preconditioner> {
+    Ok(Preconditioner {
+        inner: matrix.generate(device, what)?,
+        kind,
+        device: device.clone(),
     })
 }
 
 /// Scalar Jacobi preconditioner.
 pub fn jacobi(device: &Device, matrix: &SparseMatrix) -> PyResult<Preconditioner> {
-    generate(device, matrix, Kind::Jacobi { block_size: 1 })
+    jacobi_with_block_size(device, matrix, 1)
 }
 
 /// Block Jacobi with the given block size (Listing 2's `max_block_size`).
@@ -115,17 +55,17 @@ pub fn jacobi_with_block_size(
     if block_size == 0 {
         return Err(PyGinkgoError::Value("block size must be positive".into()));
     }
-    generate(device, matrix, Kind::Jacobi { block_size })
+    generate(device, matrix, "jacobi", Generate::Jacobi { block_size })
 }
 
 /// ILU(0) preconditioner (Listing 1's `pg.preconditioner.Ilu(dev, mtx)`).
 pub fn ilu(device: &Device, matrix: &SparseMatrix) -> PyResult<Preconditioner> {
-    generate(device, matrix, Kind::Ilu)
+    generate(device, matrix, "ilu", Generate::Ilu)
 }
 
 /// IC(0) preconditioner for SPD systems.
 pub fn ic(device: &Device, matrix: &SparseMatrix) -> PyResult<Preconditioner> {
-    generate(device, matrix, Kind::Ic)
+    generate(device, matrix, "ic", Generate::Ic)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Process-unique numeric thread ids (`std::thread::ThreadId` does not expose
 /// a stable integer, so we mint our own).
@@ -63,9 +63,11 @@ impl ReentrantMutex {
             unsafe { *self.depth.get() += 1 };
             return ReentrantGuard { mutex: self };
         }
-        let mut held = self.inner.lock().expect("reentrant mutex poisoned");
+        // `inner` guards no data (ownership lives in `owner`), so a poisoned
+        // lock has nothing inconsistent behind it and is recovered.
+        let mut held = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while self.owner.load(Ordering::Relaxed) != 0 {
-            held = self.unlocked.wait(held).expect("reentrant mutex poisoned");
+            held = self.unlocked.wait(held).unwrap_or_else(PoisonError::into_inner);
         }
         self.owner.store(me, Ordering::Release);
         // SAFETY: we just became the owner under `inner`, so no other
@@ -92,7 +94,7 @@ impl Drop for ReentrantGuard<'_> {
         let depth = unsafe { &mut *self.mutex.depth.get() };
         *depth -= 1;
         if *depth == 0 {
-            let _held = self.mutex.inner.lock().expect("reentrant mutex poisoned");
+            let _held = self.mutex.inner.lock().unwrap_or_else(PoisonError::into_inner);
             self.mutex.owner.store(0, Ordering::Release);
             self.mutex.unlocked.notify_one();
         }

@@ -7,32 +7,22 @@
 //! describes).
 
 use crate::device::Device;
+use crate::dispatch::{with_dtype, Generate, MatrixImpl, OpImpl};
 use crate::error::{PyGinkgoError, PyResult};
 use crate::gil::binding_call;
 use crate::logger::{Logger, LoggerData, ProfileEntry};
-use crate::matrix::{MatrixFormat, MatrixImpl, SparseMatrix};
-use crate::preconditioner::{PrecondImpl, Preconditioner};
-use crate::tensor::{Tensor, TensorData};
+use crate::matrix::SparseMatrix;
+use crate::preconditioner::Preconditioner;
+use crate::tensor::Tensor;
 use gko::log::{ConvergenceLogger, Logger as EventLogger, Record, SharedBuf, Stream};
-use gko::matrix::{BatchCsr, BatchDense};
-use gko::solver::{
-    iterative_by_name, BatchBiCgStab, BatchCg, BatchSolveRecord, Direct, LowerTrs, UpperTrs,
-};
+use gko::matrix::Dense;
+use gko::solver::{iterative_by_name, BatchSolveRecord};
 use gko::stop::Criteria;
 use gko::{
     FlightReport, LinOp, MetricsSnapshot, ObserveConfig, PoolStats, ProfileSnapshot,
     SanitizerReport, TraceConfig, TraceReport, Value,
 };
-use pygko_half::Half;
 use std::sync::Arc;
-
-/// Type-erased solver operator, one variant per value type.
-#[derive(Clone)]
-pub(crate) enum SolverImpl {
-    Half(Arc<dyn LinOp<Half>>),
-    Float(Arc<dyn LinOp<f32>>),
-    Double(Arc<dyn LinOp<f64>>),
-}
 
 /// What a solver observes — the one argument of [`Solver::observe`], the
 /// facade over Ginkgo's `add_logger` and the engine's
@@ -120,7 +110,7 @@ struct Observing {
 /// A ready-to-apply solver bound to a device.
 #[derive(Clone)]
 pub struct Solver {
-    pub(crate) inner: SolverImpl,
+    pub(crate) inner: OpImpl,
     logger: ConvergenceLogger,
     name: &'static str,
     device: Device,
@@ -130,7 +120,7 @@ pub struct Solver {
     sanitize_values: bool,
     /// System matrix descriptor (rows, cols, nnz, format name), kept so
     /// flight reports can be annotated with it.
-    system: Option<(usize, usize, usize, &'static str)>,
+    system: (usize, usize, usize, &'static str),
     /// Stopping criteria the solver was built with, reused verbatim for
     /// batched solves so `apply` and `solve_batch` agree on convergence.
     criteria: Criteria,
@@ -258,9 +248,8 @@ impl Solver {
             }),
             profile: what.profile.then(Default::default),
         });
-        if let Some((rows, cols, nnz, format)) = self.system {
-            exec.observer().annotate(rows, cols, nnz, format);
-        }
+        let (rows, cols, nnz, format) = self.system;
+        exec.observer().annotate(rows, cols, nnz, format);
         if check_pool {
             exec.enable_sanitizer();
         } else {
@@ -330,68 +319,43 @@ impl Solver {
     /// Solves `A x = b`: `x` is the initial guess on entry, the solution on
     /// exit. Returns the convergence logger.
     pub fn apply(&self, b: &Tensor, x: &mut Tensor) -> PyResult<Logger> {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            macro_rules! solve {
-                ($s:expr, $bd:expr, $xd:expr) => {{
-                    if self.sanitize_values {
-                        gko::sanitize::check_finite("rhs", $bd.as_slice())
-                            .map_err(PyGinkgoError::from)?;
-                    }
-                    $s.apply($bd, $xd).map_err(PyGinkgoError::from)?;
-                    if self.sanitize_values {
-                        gko::sanitize::check_finite("solution", $xd.as_slice())
-                            .map_err(PyGinkgoError::from)?;
-                    }
-                }};
-            }
-            match (&self.inner, b.data(), x.data_mut()) {
-                (SolverImpl::Half(s), TensorData::Half(bd), TensorData::Half(xd)) => {
-                    solve!(s, bd, xd)
-                }
-                (SolverImpl::Float(s), TensorData::Float(bd), TensorData::Float(xd)) => {
-                    solve!(s, bd, xd)
-                }
-                (SolverImpl::Double(s), TensorData::Double(bd), TensorData::Double(xd)) => {
-                    solve!(s, bd, xd)
-                }
-                _ => {
-                    return Err(PyGinkgoError::Type(format!(
-                        "dtype mismatch: solver vs operands ({}/{})",
-                        b.dtype(),
-                        x.dtype()
-                    )))
-                }
-            }
+        binding_call(&self.device, || {
+            with_dtype!(("solver", &self.inner), ("b", &b.data), ("x", &mut x.data); |s, bd, xd| {
+                self.sanitize("rhs", bd)?;
+                s.apply(bd, xd)?;
+                self.sanitize("solution", xd)
+            })?;
             Ok(Logger::from_engine(&self.logger))
         })
+    }
+
+    /// The NaN/Inf operand check [`Observe::sanitize`] arms.
+    fn sanitize<V: Value>(&self, what: &str, operand: &Dense<V>) -> PyResult<()> {
+        if self.sanitize_values {
+            gko::sanitize::check_finite(what, operand.as_slice())?;
+        }
+        Ok(())
     }
 
     /// Solves `A x_s = b_s` for every column `s` of `b` in one batched solve:
     /// `b` and `x` are `(n, S)` tensors holding one system per column, `x`
     /// carries the initial guesses on entry and the solutions on exit.
     ///
-    /// The system matrix is replicated into a shared-sparsity [`BatchCsr`],
-    /// so one SpMV plan and one pool drain per kernel serve all `S` systems.
-    /// Each system stops independently against the criteria this solver was
-    /// built with; per-system iteration counts and stop reasons come back in
-    /// the [`BatchSolveResult`]. Only `cg` and `bicgstab` batch, and the
-    /// system matrix must be CSR.
+    /// The system matrix is replicated into a shared-sparsity
+    /// [`gko::matrix::BatchCsr`], so one SpMV plan and one pool drain per
+    /// kernel serve all `S` systems. Each system stops independently against
+    /// the criteria this solver was built with; per-system iteration counts
+    /// and stop reasons come back in the [`BatchSolveResult`]. Only `cg` and
+    /// `bicgstab` batch, and the system matrix must be CSR.
     pub fn solve_batch(&self, b: &Tensor, x: &mut Tensor) -> PyResult<BatchSolveResult> {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            if !matches!(self.name, "cg" | "bicgstab") {
+        binding_call(&self.device, || {
+            // Every Krylov solver keeps its system matrix; two of them batch.
+            let (Some(source), "cg" | "bicgstab") = (&self.batch_source, self.name) else {
                 return Err(PyGinkgoError::Value(format!(
                     "batched solves support cg and bicgstab, not '{}'",
                     self.name
                 )));
-            }
-            let source = self.batch_source.as_ref().ok_or_else(|| {
-                PyGinkgoError::Value(format!(
-                    "solver '{}' keeps no system matrix to batch over",
-                    self.name
-                ))
-            })?;
+            };
             let (bn, bs) = b.shape();
             let (xn, xs) = x.shape();
             if bn != xn || bs != xs {
@@ -404,179 +368,103 @@ impl Solver {
                     "batched solve needs at least one right-hand-side column".into(),
                 ));
             }
-            macro_rules! run {
-                ($m:expr, $bd:expr, $xd:expr) => {{
-                    let (m, bd, xd) = ($m, $bd, $xd);
-                    if self.sanitize_values {
-                        gko::sanitize::check_finite("rhs", bd.as_slice())
-                            .map_err(PyGinkgoError::from)?;
-                    }
-                    let batch =
-                        Arc::new(BatchCsr::replicated(m.as_ref(), bs).map_err(PyGinkgoError::from)?);
-                    let exec = batch.executor().clone();
-                    let dim = gko::Dim2::new(bn, 1);
-                    let mut bb = BatchDense::zeros(&exec, bs, dim);
-                    let mut xb = BatchDense::zeros(&exec, bs, dim);
-                    // Row-major (n, S) columns -> contiguous per-system vectors.
-                    let bsrc = bd.as_slice();
-                    let xsrc = xd.as_slice();
-                    for s in 0..bs {
-                        let bsys = bb.system_mut(s);
-                        for i in 0..bn {
-                            bsys[i] = bsrc[i * bs + s];
-                        }
-                        let xsys = xb.system_mut(s);
-                        for i in 0..bn {
-                            xsys[i] = xsrc[i * bs + s];
-                        }
-                    }
-                    let record = if self.name == "cg" {
-                        BatchCg::new(batch)
-                            .map_err(PyGinkgoError::from)?
-                            .with_criteria(self.criteria)
-                            .apply_batch(&bb, &mut xb)
-                            .map_err(PyGinkgoError::from)?
-                    } else {
-                        BatchBiCgStab::new(batch)
-                            .map_err(PyGinkgoError::from)?
-                            .with_criteria(self.criteria)
-                            .apply_batch(&bb, &mut xb)
-                            .map_err(PyGinkgoError::from)?
-                    };
-                    let xdst = xd.as_mut_slice();
-                    for s in 0..bs {
-                        let xsys = xb.system(s);
-                        for i in 0..bn {
-                            xdst[i * bs + s] = xsys[i];
-                        }
-                    }
-                    if self.sanitize_values {
-                        gko::sanitize::check_finite("solution", xd.as_slice())
-                            .map_err(PyGinkgoError::from)?;
-                    }
-                    Ok(BatchSolveResult::from_record(&record))
-                }};
-            }
-            match (source, b.data(), x.data_mut()) {
-                (MatrixImpl::CsrHalfI32(m), TensorData::Half(bd), TensorData::Half(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (MatrixImpl::CsrHalfI64(m), TensorData::Half(bd), TensorData::Half(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (MatrixImpl::CsrFloatI32(m), TensorData::Float(bd), TensorData::Float(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (MatrixImpl::CsrFloatI64(m), TensorData::Float(bd), TensorData::Float(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (MatrixImpl::CsrDoubleI32(m), TensorData::Double(bd), TensorData::Double(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (MatrixImpl::CsrDoubleI64(m), TensorData::Double(bd), TensorData::Double(xd)) => {
-                    run!(m, bd, xd)
-                }
-                (
-                    MatrixImpl::CooHalfI32(_)
-                    | MatrixImpl::CooHalfI64(_)
-                    | MatrixImpl::CooFloatI32(_)
-                    | MatrixImpl::CooFloatI64(_)
-                    | MatrixImpl::CooDoubleI32(_)
-                    | MatrixImpl::CooDoubleI64(_),
-                    _,
-                    _,
-                ) => Err(PyGinkgoError::Type(
-                    "batched solves need a CSR system matrix (convert COO with convert(\"Csr\"))"
-                        .into(),
-                )),
-                _ => Err(PyGinkgoError::Type(format!(
-                    "dtype mismatch: solver vs operands ({}/{})",
-                    b.dtype(),
-                    x.dtype()
-                ))),
-            }
+            with_dtype!(("solver", source), ("b", &b.data), ("x", &mut x.data); |m, bd, xd| {
+                let csr = m.clone().csr().ok_or_else(|| {
+                    PyGinkgoError::Type(
+                        "batched solves need a CSR system matrix (convert COO with convert(\"Csr\"))"
+                            .into(),
+                    )
+                })?;
+                self.sanitize("rhs", bd)?;
+                let record = csr.solve_batch(self.name == "cg", self.criteria, bd, xd)?;
+                self.sanitize("solution", xd)?;
+                Ok(BatchSolveResult::from_record(&record))
+            })
         })
     }
 }
 
-/// The Krylov methods with a direct binding: facade name, engine name.
-const KRYLOV_METHODS: [(&str, &str); 4] = [
+/// Every solver method the facade knows by name: facade name, engine name.
+/// [`crate::config_solver::SolveOptions`] takes all of them; the ones the
+/// engine's iterative factory builds also have a direct binding here.
+const METHODS: [(&str, &str); 9] = [
     ("cg", "solver::Cg"),
+    ("fcg", "solver::Fcg"),
     ("cgs", "solver::Cgs"),
     ("bicgstab", "solver::Bicgstab"),
+    ("minres", "solver::Minres"),
     ("gmres", "solver::Gmres"),
+    ("ir", "solver::Ir"),
+    ("richardson", "solver::Ir"),
+    ("direct", "solver::Direct"),
 ];
 
-/// The preconditioner's operator when `pick` finds it in the matrix's dtype.
-fn precond_of<V: Value>(
-    precond: &Option<Preconditioner>,
-    dtype: &str,
-    pick: fn(&PrecondImpl) -> Option<&Arc<dyn LinOp<V>>>,
-) -> PyResult<Option<Arc<dyn LinOp<V>>>> {
-    let Some(p) = precond else {
-        return Ok(None);
-    };
-    match pick(&p.inner) {
-        Some(op) => Ok(Some(op.clone())),
-        None => Err(PyGinkgoError::Type(format!(
-            "preconditioner dtype does not match matrix dtype ({})",
-            dtype.to_ascii_lowercase()
-        ))),
+/// Looks a method up (case-insensitively): its facade and engine names.
+pub(crate) fn method(name: &str) -> PyResult<(&'static str, &'static str)> {
+    let name = name.to_ascii_lowercase();
+    let known = METHODS.iter().find(|(facade, _)| *facade == name);
+    known.copied().ok_or_else(|| PyGinkgoError::Value(format!("unknown solver method '{name}'")))
+}
+
+impl Solver {
+    /// A solver fresh from its factory, nothing observed yet: one with no
+    /// iteration to log, no criteria and no matrix to batch over, until
+    /// [`make_krylov`] says otherwise.
+    fn new(device: &Device, matrix: &SparseMatrix, name: &'static str, inner: OpImpl) -> Solver {
+        let (rows, cols) = matrix.shape();
+        Solver {
+            inner,
+            logger: ConvergenceLogger::new(),
+            name,
+            device: device.clone(),
+            observing: Observing::default(),
+            sanitize_values: false,
+            system: (rows, cols, matrix.nnz(), matrix.format().name()),
+            criteria: Criteria::default(),
+            batch_source: None,
+        }
     }
+}
+
+/// Builds the engine's iterative solver `engine` over `system` and wraps it
+/// into the handle variant `wrap` constructs.
+fn iterative<V: Value>(
+    engine: &str,
+    system: Arc<dyn LinOp<V>>,
+    precond: Option<&Arc<dyn LinOp<V>>>,
+    criteria: Criteria,
+    krylov_dim: Option<usize>,
+    wrap: fn(Arc<dyn LinOp<V>>) -> OpImpl,
+) -> PyResult<(OpImpl, ConvergenceLogger)> {
+    let (op, logger) =
+        iterative_by_name(engine, system, criteria, precond.cloned(), krylov_dim, None)?;
+    Ok((wrap(op), logger))
 }
 
 fn make_krylov(
     device: &Device,
     matrix: &SparseMatrix,
     precond: Option<Preconditioner>,
-    method: &str,
+    method_name: &str,
     krylov_dim: Option<usize>,
     criteria: Criteria,
 ) -> PyResult<Solver> {
-    let Some(&(name, engine_name)) = KRYLOV_METHODS.iter().find(|(name, _)| *name == method)
-    else {
-        return Err(PyGinkgoError::Value(format!(
-            "unknown solver method '{method}'"
-        )));
-    };
+    let (name, engine) = method(method_name)?;
     binding_call(device, || {
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {{
-                let precond = precond_of(&precond, stringify!($tag), |p| match p {
-                    PrecondImpl::$tag(op) => Some(op),
-                    _ => None,
-                })?;
-                let (op, logger) =
-                    iterative_by_name(engine_name, $m.clone(), criteria, precond, krylov_dim, None)
-                        .map_err(PyGinkgoError::from)?;
-                (SolverImpl::$tag(op), logger)
-            }};
-        }
-        let (inner, logger) = match &matrix.inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            MatrixImpl::CooHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CooHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CooFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CooFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CooDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CooDoubleI64(m) => arm!(m, Double),
-        };
-        let (rows, cols) = matrix.shape();
+        // The Krylov path needs no index type: the matrix is its operator.
+        let (inner, logger) = match &precond {
+            None => with_dtype!(&matrix.inner, |m as wrap| {
+                iterative(engine, m.clone(), None, criteria, krylov_dim, wrap)
+            }),
+            Some(p) => with_dtype!(("matrix", &matrix.inner), ("preconditioner", &p.inner); |m, p as wrap| {
+                iterative(engine, m.clone(), Some(p), criteria, krylov_dim, wrap)
+            }),
+        }?;
         Ok(Solver {
-            inner,
             logger,
-            name,
-            device: device.clone(),
-            observing: Observing::default(),
-            sanitize_values: false,
-            system: Some((rows, cols, matrix.nnz(), matrix.format().name())),
             criteria,
             batch_source: Some(matrix.inner.clone()),
+            ..Solver::new(device, matrix, name, inner)
         })
     })
 }
@@ -668,99 +556,22 @@ pub fn krylov_fixed_iters(
     iters: usize,
     krylov_dim: usize,
 ) -> PyResult<Solver> {
-    let method = method.to_ascii_lowercase();
-    make_krylov(device, matrix, None, &method, Some(krylov_dim), Criteria::iterations(iters))
-}
-
-fn make_from_csr<F>(device: &Device, matrix: &SparseMatrix, name: &'static str, build: F) -> PyResult<Solver>
-where
-    F: FnOnce(&MatrixImpl) -> PyResult<SolverImpl>,
-{
-    binding_call(device, || {
-        let csr;
-        let source = if matrix.format() == MatrixFormat::Csr {
-            matrix
-        } else {
-            csr = matrix.convert("Csr")?;
-            &csr
-        };
-        let (rows, cols) = matrix.shape();
-        Ok(Solver {
-            inner: build(&source.inner)?,
-            logger: ConvergenceLogger::new(),
-            name,
-            device: device.clone(),
-            observing: Observing::default(),
-            sanitize_values: false,
-            system: Some((rows, cols, matrix.nnz(), matrix.format().name())),
-            criteria: Criteria::default(),
-            batch_source: None,
-        })
-    })
+    make_krylov(device, matrix, None, method, Some(krylov_dim), Criteria::iterations(iters))
 }
 
 /// Dense-LU direct solver binding.
 pub fn direct(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    make_from_csr(device, matrix, "direct", |inner| {
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {
-                SolverImpl::$tag(Arc::new(Direct::new($m.as_ref()).map_err(PyGinkgoError::from)?))
-            };
-        }
-        Ok(match inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            _ => unreachable!("converted to CSR"),
-        })
-    })
+    Ok(Solver::new(device, matrix, "direct", matrix.generate(device, Generate::Direct)?))
 }
 
 /// Lower triangular solver binding.
 pub fn lower_trs(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    make_from_csr(device, matrix, "lower_trs", |inner| {
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {
-                SolverImpl::$tag(Arc::new(
-                    LowerTrs::new($m.clone()).map_err(PyGinkgoError::from)?,
-                ))
-            };
-        }
-        Ok(match inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            _ => unreachable!("converted to CSR"),
-        })
-    })
+    Ok(Solver::new(device, matrix, "lower_trs", matrix.generate(device, Generate::LowerTrs)?))
 }
 
 /// Upper triangular solver binding.
 pub fn upper_trs(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    make_from_csr(device, matrix, "upper_trs", |inner| {
-        macro_rules! arm {
-            ($m:expr, $tag:ident) => {
-                SolverImpl::$tag(Arc::new(
-                    UpperTrs::new($m.clone()).map_err(PyGinkgoError::from)?,
-                ))
-            };
-        }
-        Ok(match inner {
-            MatrixImpl::CsrHalfI32(m) => arm!(m, Half),
-            MatrixImpl::CsrHalfI64(m) => arm!(m, Half),
-            MatrixImpl::CsrFloatI32(m) => arm!(m, Float),
-            MatrixImpl::CsrFloatI64(m) => arm!(m, Float),
-            MatrixImpl::CsrDoubleI32(m) => arm!(m, Double),
-            MatrixImpl::CsrDoubleI64(m) => arm!(m, Double),
-            _ => unreachable!("converted to CSR"),
-        })
-    })
+    Ok(Solver::new(device, matrix, "upper_trs", matrix.generate(device, Generate::UpperTrs)?))
 }
 
 #[cfg(test)]
@@ -825,6 +636,26 @@ mod tests {
             assert!(!log.converged());
         }
         assert!(krylov_fixed_iters(&dev, &mtx, "sor", 10, 30).is_err());
+    }
+
+    /// One method table: what `pg::solve` takes by name, the fixed-iteration
+    /// factory takes too (it used to know four of the seven iterative ones).
+    #[test]
+    fn fixed_iteration_mode_knows_every_iterative_method() {
+        let dev = device("reference").unwrap();
+        let mtx = spd(&dev, 64, "double");
+        let b = as_tensor_fill(&dev, (64, 1), "double", 1.0).unwrap();
+        for method in ["cg", "fcg", "cgs", "bicgstab", "minres", "gmres", "ir", "FCG"] {
+            let solver = krylov_fixed_iters(&dev, &mtx, method, 3, 30).unwrap();
+            assert_eq!(solver.name(), method.to_ascii_lowercase());
+            let mut x = as_tensor_fill(&dev, (64, 1), "double", 0.0).unwrap();
+            assert_eq!(solver.apply(&b, &mut x).unwrap().iterations(), 3, "{method}");
+        }
+        // Known by name, but not an iteration to fix the count of.
+        assert!(matches!(
+            krylov_fixed_iters(&dev, &mtx, "direct", 3, 30),
+            Err(PyGinkgoError::Value(_))
+        ));
     }
 
     #[test]

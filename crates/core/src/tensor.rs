@@ -8,6 +8,7 @@
 //! zero-copy path — while other dtypes convert.
 
 use crate::device::Device;
+use crate::dispatch::{with_dtype, PerDType};
 use crate::dtype::DType;
 use crate::error::{PyGinkgoError, PyResult};
 use crate::gil::binding_call;
@@ -16,15 +17,7 @@ use gko::{Dim2, Value};
 use pygko_half::Half;
 
 /// The monomorphic storage behind a tensor (pre-instantiated per Table 1).
-#[derive(Clone, Debug)]
-pub(crate) enum TensorData {
-    /// binary16 storage.
-    Half(Dense<Half>),
-    /// binary32 storage.
-    Float(Dense<f32>),
-    /// binary64 storage.
-    Double(Dense<f64>),
-}
+pub(crate) type TensorData = PerDType<Dense<Half>, Dense<f32>, Dense<f64>>;
 
 /// A dense matrix/vector with runtime dtype, bound to a device.
 #[derive(Clone, Debug)]
@@ -33,36 +26,16 @@ pub struct Tensor {
     pub(crate) device: Device,
 }
 
-/// Dispatches a closure over the concrete storage — the facade-side
-/// `funcxx(a) -> funcxx_float(a)` mechanism of §5.1.
-macro_rules! with_dense {
-    ($data:expr, $d:ident => $body:expr) => {
-        match $data {
-            TensorData::Half($d) => $body,
-            TensorData::Float($d) => $body,
-            TensorData::Double($d) => $body,
-        }
-    };
-}
-
 impl Tensor {
-    pub(crate) fn new(device: Device, data: TensorData) -> Self {
-        Tensor { data, device }
-    }
-
     /// Tensor shape as (rows, cols).
     pub fn shape(&self) -> (usize, usize) {
-        let d = with_dense!(&self.data, d => d.size());
+        let d = with_dtype!(&self.data, |d| d.size());
         (d.rows, d.cols)
     }
 
     /// Runtime dtype tag.
     pub fn dtype(&self) -> DType {
-        match &self.data {
-            TensorData::Half(_) => DType::Half,
-            TensorData::Float(_) => DType::Float,
-            TensorData::Double(_) => DType::Double,
-        }
+        self.data.dtype()
     }
 
     /// The device this tensor lives on.
@@ -78,7 +51,7 @@ impl Tensor {
                 "index ({row}, {col}) out of bounds for shape ({r}, {c})"
             )));
         }
-        Ok(with_dense!(&self.data, d => d.at(row, col).to_f64()))
+        Ok(with_dtype!(&self.data, |d| d.at(row, col).to_f64()))
     }
 
     /// Writes one element (rounded to the tensor's dtype).
@@ -89,108 +62,66 @@ impl Tensor {
                 "index ({row}, {col}) out of bounds for shape ({r}, {c})"
             )));
         }
-        with_dense!(&mut self.data, d => d.set(row, col, Value::from_f64(value)));
+        with_dtype!(&mut self.data, |d| d.set(row, col, Value::from_f64(value)));
         Ok(())
     }
 
     /// Copies the values out as a row-major `f64` vector.
     pub fn to_vec(&self) -> Vec<f64> {
-        binding_call(&self.device.clone(), || {
-            with_dense!(&self.data, d => d.as_slice().iter().map(|v| v.to_f64()).collect())
+        binding_call(&self.device, || {
+            with_dtype!(&self.data, |d| d.as_slice().iter().map(|v| v.to_f64()).collect())
         })
     }
 
     /// Overwrites every element.
     pub fn fill(&mut self, value: f64) {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            with_dense!(&mut self.data, d => d.fill(Value::from_f64(value)));
+        binding_call(&self.device, || {
+            with_dtype!(&mut self.data, |d| d.fill(Value::from_f64(value)));
         })
     }
 
     /// Scales all elements in place.
     pub fn scale(&mut self, alpha: f64) {
-        let dev = self.device.clone();
-        binding_call(&dev, || {
-            with_dense!(&mut self.data, d => d.scale(Value::from_f64(alpha)));
+        binding_call(&self.device, || {
+            with_dtype!(&mut self.data, |d| d.scale(Value::from_f64(alpha)));
         })
     }
 
     /// AXPY: `self += alpha * other`. Dtypes must match (like NumPy's
     /// in-place ops, mixed dtypes raise).
     pub fn add_scaled(&mut self, alpha: f64, other: &Tensor) -> PyResult<()> {
-        let dev = self.device.clone();
-        binding_call(&dev, || match (&mut self.data, &other.data) {
-            (TensorData::Half(a), TensorData::Half(b)) => {
-                a.add_scaled(Half::from_f64(alpha), b).map_err(Into::into)
-            }
-            (TensorData::Float(a), TensorData::Float(b)) => {
-                a.add_scaled(alpha as f32, b).map_err(Into::into)
-            }
-            (TensorData::Double(a), TensorData::Double(b)) => {
-                a.add_scaled(alpha, b).map_err(Into::into)
-            }
-            _ => Err(PyGinkgoError::Type(format!(
-                "dtype mismatch in add_scaled: {} vs {}",
-                self.dtype(),
-                other.dtype()
-            ))),
+        binding_call(&self.device, || {
+            with_dtype!(("self", &mut self.data), ("other", &other.data); |a, b| {
+                Ok(a.add_scaled(Value::from_f64(alpha), b)?)
+            })
         })
     }
 
     /// Dot product (accumulated in `f64`). Dtypes must match.
     pub fn dot(&self, other: &Tensor) -> PyResult<f64> {
-        binding_call(&self.device.clone(), || match (&self.data, &other.data) {
-            (TensorData::Half(a), TensorData::Half(b)) => a.compute_dot(b).map_err(Into::into),
-            (TensorData::Float(a), TensorData::Float(b)) => a.compute_dot(b).map_err(Into::into),
-            (TensorData::Double(a), TensorData::Double(b)) => {
-                a.compute_dot(b).map_err(Into::into)
-            }
-            _ => Err(PyGinkgoError::Type(format!(
-                "dtype mismatch in dot: {} vs {}",
-                self.dtype(),
-                other.dtype()
-            ))),
+        binding_call(&self.device, || {
+            with_dtype!(("self", &self.data), ("other", &other.data); |a, b| Ok(a.compute_dot(b)?))
         })
     }
 
     /// Euclidean norm over all elements.
     pub fn norm(&self) -> f64 {
-        binding_call(&self.device.clone(), || {
-            with_dense!(&self.data, d => d.compute_norm2())
-        })
+        binding_call(&self.device, || with_dtype!(&self.data, |d| d.compute_norm2()))
     }
 
     /// Converts to another dtype (always copies, like `ndarray.astype`).
     pub fn astype(&self, dtype: &str) -> PyResult<Tensor> {
         let target: DType = dtype.parse()?;
         let host = self.to_vec();
-        let (rows, cols) = self.shape();
-        from_f64_buffer(&self.device, (rows, cols), target, host)
+        from_f64_buffer(&self.device, self.shape(), target, host)
     }
 
     /// Clones onto another device, charging simulated transfers.
     pub fn to_device(&self, device: &Device) -> Tensor {
         binding_call(device, || {
-            let data = with_dense_clone(&self.data, device);
-            Tensor::new(device.clone(), data)
+            let data = with_dtype!(&self.data, |d as wrap| wrap(d.clone_to(device.executor())));
+            Tensor { data, device: device.clone() }
         })
-    }
-
-    pub(crate) fn data(&self) -> &TensorData {
-        &self.data
-    }
-
-    pub(crate) fn data_mut(&mut self) -> &mut TensorData {
-        &mut self.data
-    }
-}
-
-fn with_dense_clone(data: &TensorData, device: &Device) -> TensorData {
-    match data {
-        TensorData::Half(d) => TensorData::Half(d.clone_to(device.executor())),
-        TensorData::Float(d) => TensorData::Float(d.clone_to(device.executor())),
-        TensorData::Double(d) => TensorData::Double(d.clone_to(device.executor())),
     }
 }
 
@@ -203,21 +134,14 @@ fn from_f64_buffer(
     let dim = Dim2::new(rows, cols);
     let exec = device.executor();
     let data = match dtype {
-        DType::Half => TensorData::Half(Dense::from_vec(
-            exec,
-            dim,
-            host.iter().map(|&v| Half::from_f64(v)).collect(),
-        )?),
-        DType::Float => TensorData::Float(Dense::from_vec(
-            exec,
-            dim,
-            host.iter().map(|&v| v as f32).collect(),
-        )?),
         // Zero-copy path (§5.2): the owned buffer moves without an
         // element-wise copy, like a NumPy array passed via buffer protocol.
-        DType::Double => TensorData::Double(Dense::from_vec(exec, dim, host)?),
+        DType::Double => PerDType::Double(Dense::from_vec(exec, dim, host)?),
+        narrower => with_dtype!(narrower.tag(), |_tag as wrap| {
+            wrap(Dense::from_vec(exec, dim, host.iter().map(|&v| Value::from_f64(v)).collect())?)
+        }),
     };
-    Ok(Tensor::new(device.clone(), data))
+    Ok(Tensor { data, device: device.clone() })
 }
 
 /// Builds a tensor from a host buffer — `pg.as_tensor(x, device=...)`.
@@ -231,7 +155,8 @@ pub fn as_tensor(
 ) -> PyResult<Tensor> {
     binding_call(device, || {
         let target: DType = dtype.parse()?;
-        if data.len() != dim.0 * dim.1 {
+        // A shape whose element count overflows is no buffer's length either.
+        if Dim2::new(dim.0, dim.1).checked_count() != Some(data.len()) {
             return Err(PyGinkgoError::Value(format!(
                 "buffer of {} elements cannot fill shape ({}, {})",
                 data.len(),
@@ -254,13 +179,17 @@ pub fn as_tensor_fill(
     binding_call(device, || {
         let target: DType = dtype.parse()?;
         let dim2 = Dim2::new(dim.0, dim.1);
+        if dim2.checked_count().is_none() {
+            return Err(PyGinkgoError::Value(format!(
+                "shape ({}, {}) has more elements than can be addressed",
+                dim.0, dim.1
+            )));
+        }
         let exec = device.executor();
-        let data = match target {
-            DType::Half => TensorData::Half(Dense::filled(exec, dim2, Half::from_f64(fill))),
-            DType::Float => TensorData::Float(Dense::filled(exec, dim2, fill as f32)),
-            DType::Double => TensorData::Double(Dense::filled(exec, dim2, fill)),
-        };
-        Ok(Tensor::new(device.clone(), data))
+        let data = with_dtype!(target.tag(), |_tag as wrap| {
+            wrap(Dense::filled(exec, dim2, Value::from_f64(fill)))
+        });
+        Ok(Tensor { data, device: device.clone() })
     })
 }
 

@@ -27,6 +27,12 @@ impl Dim2 {
         self.rows * self.cols
     }
 
+    /// [`Dim2::count`] for a size that came from outside the program: `None`
+    /// when `rows * cols` does not fit a `usize`.
+    pub const fn checked_count(&self) -> Option<usize> {
+        self.rows.checked_mul(self.cols)
+    }
+
     /// True for square operators.
     pub const fn is_square(&self) -> bool {
         self.rows == self.cols
@@ -63,6 +69,8 @@ mod tests {
         assert_eq!(d.rows, 3);
         assert_eq!(d.cols, 4);
         assert_eq!(d.count(), 12);
+        assert_eq!(d.checked_count(), Some(12));
+        assert_eq!(Dim2::new(1 << 63, 2).checked_count(), None);
         assert!(!d.is_square());
         assert!(Dim2::square(5).is_square());
     }

@@ -127,11 +127,17 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per level,
+/// so without a bound a few kilobytes of `[` overflow the stack; Listing 2
+/// nests three deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a config tree.
 pub fn parse(text: &str) -> Result<Config> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -145,6 +151,8 @@ pub fn parse(text: &str) -> Result<Config> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -170,7 +178,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<()> {
+    fn eat(&mut self, byte: u8) -> Result<()> {
         if self.bump() == Some(byte) {
             Ok(())
         } else {
@@ -181,8 +189,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Config> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Config::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal(b"true", Config::Bool(true)),
             Some(b'f') => self.parse_literal(b"false", Config::Bool(false)),
@@ -191,6 +199,17 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.error(&format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, a level below the current one.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Config>) -> Result<Config> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn parse_literal(&mut self, lit: &[u8], value: Config) -> Result<Config> {
@@ -203,7 +222,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Config> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -214,7 +233,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let value = self.parse_value()?;
             map.insert(key, value);
             self.skip_ws();
@@ -227,7 +246,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_array(&mut self) -> Result<Config> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -246,7 +265,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.bump() {
@@ -461,6 +480,34 @@ mod tests {
         assert_eq!(parse("{}").unwrap(), Config::map());
         let deep = parse("[[[[[1]]]]]").unwrap();
         assert_eq!(to_string(&deep), "[[[[[1]]]]]");
+    }
+
+    /// `open` repeated `levels` times around `1`, closed again.
+    fn nest(levels: usize, open: &str, close: &str) -> String {
+        format!("{}1{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into_the_stack() {
+        let shapes = [("[", "]"), ("{\"a\":", "}"), ("[{\"a\":", "}]")];
+        for (open, close) in shapes {
+            // `[{"a":` opens two levels at once.
+            let per = open.matches(['[', '{']).count();
+            assert!(parse(&nest(MAX_DEPTH / per, open, close)).is_ok(), "{open} at the limit");
+            for levels in [MAX_DEPTH / per + 1, 1_000_000] {
+                // Unclosed, as a hostile file would be: the bound must trip
+                // before the parser gets to find that out.
+                for doc in [nest(levels, open, close), open.repeat(levels)] {
+                    match parse(&doc) {
+                        Err(GkoError::InvalidConfig(msg)) => {
+                            assert!(msg.contains("JSON error at byte"), "{msg}");
+                            assert!(msg.contains("nesting deeper than 128"), "{msg}");
+                        }
+                        other => panic!("{open} x {levels}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

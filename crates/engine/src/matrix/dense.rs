@@ -74,7 +74,7 @@ impl<V: Value> Dense<V> {
     ///
     /// Returns an error if the length does not match `size`.
     pub fn from_vec(exec: &Executor, size: Dim2, values: Vec<V>) -> Result<Self> {
-        if values.len() != size.count() {
+        if size.checked_count() != Some(values.len()) {
             return Err(GkoError::BadInput(format!(
                 "dense values length {} does not match size {size}",
                 values.len()
@@ -551,6 +551,8 @@ mod tests {
     fn from_vec_validates_length() {
         let e = exec();
         assert!(Dense::<f64>::from_vec(&e, Dim2::new(2, 2), vec![1.0; 3]).is_err());
+        // A size whose product wraps to the (empty) buffer's length.
+        assert!(Dense::<f64>::from_vec(&e, Dim2::new(1 << 63, 2), vec![]).is_err());
         let m = Dense::<f64>::from_vec(&e, Dim2::new(2, 2), vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(m.at(1, 0), 3.0);
     }

@@ -614,9 +614,6 @@ fn every_registry_entry_matches_the_engine_bit_for_bit() {
             "spmv" => with_engine_types!(dtype, itype, spmv_cells(e)),
             "convert" => with_engine_types!(dtype, itype, convert_cells(e)),
             "solve" => with_engine_types!(dtype, itype, solve_cells(e)),
-            // Advertised by the registry, absent from the facade: nothing to
-            // drive until the registry stops claiming it.
-            "spmv_advanced" => {}
             other => panic!("registry operation '{other}' has no driver"),
         }
     }

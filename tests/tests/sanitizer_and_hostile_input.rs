@@ -143,6 +143,56 @@ fn well_formed_mtx_still_parses() {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile shapes and config files at the facade
+// ---------------------------------------------------------------------------
+
+/// A shape whose element count wraps (to 0, the empty buffer's length, in a
+/// release build; a multiply-overflow panic in a debug one) is a value error
+/// naming the shape, before anything is allocated for it.
+#[test]
+fn tensor_shapes_beyond_the_address_space_are_value_errors() {
+    let dev = pg::device("reference").unwrap();
+    for shape in [(1usize << 63, 2usize), (2, 1 << 63), (usize::MAX, usize::MAX)] {
+        for got in [
+            pg::as_tensor(vec![], &dev, shape, "double"),
+            pg::as_tensor_fill(&dev, shape, "double", 1.0),
+            pg::as_tensor_fill(&dev, shape, "half", 1.0),
+        ] {
+            match got {
+                Err(pg::PyGinkgoError::Value(msg)) => {
+                    assert!(msg.contains(&shape.0.to_string()), "{msg}")
+                }
+                other => panic!("{shape:?}: expected a ValueError, got {other:?}"),
+            }
+        }
+    }
+    let empty = pg::as_tensor(vec![], &dev, (0, 1 << 63), "double").unwrap();
+    assert_eq!(empty.shape(), (0, 1 << 63));
+}
+
+/// The config parser recurses per nesting level: a 10 kB file of `[` used to
+/// overflow the stack (an abort, not a catchable panic). Nesting is bounded
+/// now, and the file is a value error like any other malformed one.
+#[test]
+fn deeply_nested_config_file_is_a_value_error() {
+    let dev = pg::device("reference").unwrap();
+    let mtx = spd_system(&dev, 8, "double", "Csr");
+    let b = pg::as_tensor_fill(&dev, (8, 1), "double", 1.0).unwrap();
+    let mut x = pg::as_tensor_fill(&dev, (8, 1), "double", 0.0).unwrap();
+    let dir = std::env::temp_dir().join("pyginkgo_hostile_cfg");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    for doc in ["[".repeat(10_000), "{\"a\":".repeat(1_000_000)] {
+        std::fs::write(&path, doc).unwrap();
+        match pg::solve_from_config_file(&mtx, &b, &mut x, &path) {
+            Err(pg::PyGinkgoError::Value(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("expected a ValueError, got {other:?}"),
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+// ---------------------------------------------------------------------------
 // SparseMatrix::validate on the facade
 // ---------------------------------------------------------------------------
 
