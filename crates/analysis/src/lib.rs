@@ -115,6 +115,10 @@ impl fmt::Display for Diagnostic {
 pub(crate) const PANIC_FREE_DIRS: &[&str] = &[
     "crates/engine/src/matrix/",
     "crates/engine/src/solver/",
+    // Every hostile matrix passes through a factorization and a
+    // preconditioner on its way from `pg::read` to a solve.
+    "crates/engine/src/preconditioner/",
+    "crates/engine/src/factorization/",
     "crates/engine/src/executor/",
     "crates/engine/src/telemetry/",
     "crates/engine/src/observe.rs",

@@ -2,17 +2,20 @@
 //! execution of the real numerics). Plain-binary successor of the former
 //! criterion bench.
 //!
-//! Also a gate: a dot product reads two vectors and writes none, so it may
-//! not cost much more than an AXPY of the same length. Both are timed in
-//! this process, back to back, so the ratio holds still when the host's
-//! speed drifts.
+//! Also two gates. A dot product reads two vectors and writes none, so it
+//! may not cost much more than an AXPY of the same length; and the two
+//! triangular sweeps of an ILU application read the same entries a CSR SpMV
+//! over the factors reads, so they may cost only the dependent chain more.
+//! Both sides of each ratio are timed in this process, back to back, so the
+//! ratio holds still when the host's speed drifts.
 //!
 //! `cargo run --release -p pygko-bench --bin micro_solvers`
 
 use gko::linop::LinOp;
 use gko::matrix::{Csr, Dense};
-use gko::preconditioner::{Ilu, Jacobi};
-use gko::solver::{BiCgStab, Cg, Cgs, Gmres};
+use gko::factorization::ilu0;
+use gko::preconditioner::{Ic, Ilu, Jacobi};
+use gko::solver::{BiCgStab, Cg, Cgs, Gmres, LowerTrs, UpperTrs};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
@@ -23,6 +26,12 @@ use std::sync::Arc;
 /// on the reference executor (a serial `f64` add chain read 2.2; the 8-lane
 /// kernel reads about 1.0).
 const DOT_OVER_AXPY_LIMIT: f64 = 1.5;
+
+/// The lower plus the upper sweep of ILU(0)'s factors may cost at most this
+/// multiple of the reference CSR SpMV over the same entries (a divide per
+/// row on the dependent chain read 3.0; the generated sweeps read about 1.6,
+/// which is the chain itself).
+const TRS_OVER_CSR_LIMIT: f64 = 2.5;
 
 /// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
 const BLAS1_N: usize = 160_000;
@@ -38,7 +47,12 @@ fn bench_blas1(report: &mut Report) -> f64 {
     let (p, q, mut x, mut r) = (fill(0.0), fill(1.0), fill(2.0), fill(3.0));
     let iters = micro_iters(200);
     let mut row = |case: &str, secs: f64| {
-        report.row(vec![format!("blas1_n{BLAS1_N}"), case.into(), fmt(secs * 1e3)]);
+        report.row(vec![
+            format!("blas1_n{BLAS1_N}"),
+            case.into(),
+            fmt(secs * 1e3),
+            "-".into(),
+        ]);
         secs
     };
     let dot = row(
@@ -74,6 +88,15 @@ fn bench_krylov_iterations(report: &mut Report) {
     let criteria = Criteria::iterations(20);
     let iters = micro_iters(10);
 
+    let cg_with = |m: Arc<dyn LinOp<f64>>| -> Box<dyn LinOp<f64>> {
+        Box::new(
+            Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_preconditioner(m)
+                .unwrap()
+                .with_criteria(criteria),
+        )
+    };
     let solvers: Vec<(&str, Box<dyn LinOp<f64>>)> = vec![
         (
             "cg_unpreconditioned",
@@ -83,16 +106,9 @@ fn bench_krylov_iterations(report: &mut Report) {
                     .with_criteria(criteria),
             ),
         ),
-        (
-            "cg_jacobi",
-            Box::new(
-                Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
-                    .unwrap()
-                    .with_preconditioner(Arc::new(Jacobi::new(&*a).unwrap()))
-                    .unwrap()
-                    .with_criteria(criteria),
-            ),
-        ),
+        ("cg_jacobi", cg_with(Arc::new(Jacobi::new(&*a).unwrap()))),
+        ("cg_ilu", cg_with(Arc::new(Ilu::new(&*a).unwrap()))),
+        ("cg_ic", cg_with(Arc::new(Ic::new(&*a).unwrap()))),
         (
             "cgs",
             Box::new(
@@ -128,8 +144,40 @@ fn bench_krylov_iterations(report: &mut Report) {
             "krylov_20_iterations_poisson2d_60".into(),
             (*name).into(),
             fmt(secs * 1e3),
+            "-".into(),
         ]);
     }
+}
+
+/// Times the two sweeps of ILU(0)'s factors, the whole ILU application and
+/// the reference CSR SpMV with `A`, which holds the same entries, and returns
+/// the sweeps' best repetitions over the SpMV's.
+fn bench_triangular(report: &mut Report) -> f64 {
+    let (exec, a, b) = setup();
+    let n = a.size().rows;
+    let (l, u) = ilu0(&a).unwrap();
+    let (l, u) = (Arc::new(l), Arc::new(u));
+    let lower = LowerTrs::new(l.clone()).unwrap().with_unit_diagonal();
+    let upper = UpperTrs::new(u.clone()).unwrap();
+    let ilu = Ilu::new(&*a).unwrap();
+    let mut x = Dense::<f64>::zeros(&exec, Dim2::new(n, 1));
+    let iters = micro_iters(2000);
+    let mut time = |case: &str, op: &dyn LinOp<f64>, entries: usize| {
+        let secs = wall_secs_best(iters, || op.apply(&b, &mut x).unwrap());
+        report.row(vec![
+            "triangular_poisson2d_60".into(),
+            case.into(),
+            fmt(secs * 1e3),
+            fmt(secs * 1e9 / entries as f64),
+        ]);
+        secs
+    };
+    // ILU(0) keeps the pattern of `A`: strict `L` plus `U` hold its entries.
+    assert_eq!(l.nnz() + u.nnz(), a.nnz());
+    let sweeps = time("lower", &lower, l.nnz()) + time("upper", &upper, u.nnz());
+    time("ilu_apply", &ilu, a.nnz());
+    let spmv = time("csr_spmv", &*a, a.nnz());
+    sweeps / spmv
 }
 
 fn bench_preconditioner_generation(report: &mut Report) {
@@ -142,6 +190,7 @@ fn bench_preconditioner_generation(report: &mut Report) {
         "preconditioner_generation_poisson2d_60".into(),
         "jacobi".into(),
         fmt(secs * 1e3),
+        "-".into(),
     ]);
     let secs = wall_secs(iters, || {
         Ilu::new(&*a).unwrap();
@@ -150,25 +199,38 @@ fn bench_preconditioner_generation(report: &mut Report) {
         "preconditioner_generation_poisson2d_60".into(),
         "ilu0".into(),
         fmt(secs * 1e3),
+        "-".into(),
     ]);
 }
 
 fn main() {
     let mut report = Report::new(
         "Solver wall-clock microbenchmarks",
-        &["group", "case", "ms/op"],
+        &["group", "case", "ms/op", "ns/entry"],
     );
     bench_krylov_iterations(&mut report);
     bench_preconditioner_generation(&mut report);
+    let trs_over_csr = bench_triangular(&mut report);
     let dot_over_axpy = bench_blas1(&mut report);
     report.print();
     let path = report.write_csv("micro_solvers").expect("write csv");
     println!("\nwrote {}", path.display());
     println!("dot_over_axpy = {dot_over_axpy:.2} (n = {BLAS1_N}, limit {DOT_OVER_AXPY_LIMIT})");
+    println!("trs_over_csr = {trs_over_csr:.2} (ILU(0) factors of poisson2d_60, limit {TRS_OVER_CSR_LIMIT})");
+    let mut failed = false;
     if dot_over_axpy > DOT_OVER_AXPY_LIMIT {
         eprintln!(
             "micro_solvers: FAIL — compute_dot costs {dot_over_axpy:.2}x add_scaled, above {DOT_OVER_AXPY_LIMIT}"
         );
+        failed = true;
+    }
+    if trs_over_csr > TRS_OVER_CSR_LIMIT {
+        eprintln!(
+            "micro_solvers: FAIL — the triangular sweeps cost {trs_over_csr:.2}x a CSR SpMV over the same entries, above {TRS_OVER_CSR_LIMIT}"
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

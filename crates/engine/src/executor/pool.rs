@@ -812,7 +812,21 @@ mod tests {
     #[test]
     fn lane_stats_account_for_every_chunk() {
         let pool = WorkerPool::new(4);
-        pool.run(64, &|_| {});
+        // `run` wakes the workers before the submitting thread (the last
+        // lane) drains its own queue, so three workers could finish 64 empty
+        // chunks before it takes one. A chunk on a worker lane therefore
+        // waits for the submitting lane's first chunk: every worker is held
+        // in the first chunk it takes, and the submitter's queue is still
+        // untouched when it gets there.
+        let submitter_ran = AtomicBool::new(false);
+        pool.run(64, &|_| {
+            if current_lane() == 3 {
+                submitter_ran.store(true, Ordering::Release);
+            }
+            while !submitter_ran.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        });
         let lanes = pool.lane_stats();
         assert_eq!(lanes.len(), 4, "one entry per lane");
         let total: u64 = lanes.iter().map(|l| l.chunks).sum();

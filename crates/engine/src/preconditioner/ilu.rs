@@ -44,9 +44,8 @@ impl<V: Value, I: Index> LinOp<V> for Ilu<V, I> {
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
         check_apply_dims::<V>(self.size, b, x)?;
-        let mut y = Dense::zeros(&self.exec, b.size());
-        self.lower.apply(b, &mut y)?;
-        self.upper.apply(&y, x)
+        self.lower.apply(b, x)?;
+        self.upper.apply_in_place(x)
     }
 
     fn op_name(&self) -> &'static str {

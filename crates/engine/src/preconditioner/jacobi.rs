@@ -18,10 +18,15 @@ pub struct Jacobi<V> {
     exec: Executor,
     size: Dim2,
     block_size: usize,
+    inverse: Inverse<V>,
+}
+
+/// What `M^{-1}` is stored as.
+enum Inverse<V> {
     /// Scalar fast path: inverted diagonal.
-    inv_diag: Option<Vec<V>>,
+    Diagonal(Vec<V>),
     /// Block path: one LU per diagonal block (last may be smaller).
-    blocks: Option<Vec<DenseLu>>,
+    Blocks(Vec<DenseLu>),
 }
 
 impl<V: Value> Jacobi<V> {
@@ -54,8 +59,7 @@ impl<V: Value> Jacobi<V> {
                 exec,
                 size: matrix.size(),
                 block_size,
-                inv_diag: Some(inv),
-                blocks: None,
+                inverse: Inverse::Diagonal(inv),
             });
         }
 
@@ -86,8 +90,7 @@ impl<V: Value> Jacobi<V> {
             exec,
             size: matrix.size(),
             block_size,
-            inv_diag: None,
-            blocks: Some(blocks),
+            inverse: Inverse::Blocks(blocks),
         })
     }
 
@@ -112,22 +115,22 @@ impl<V: Value> LinOp<V> for Jacobi<V> {
         let k = b.size().cols;
         let bv = b.as_slice();
         let xs = x.as_mut_slice();
-        if let Some(inv) = &self.inv_diag {
-            for i in 0..n {
-                for c in 0..k {
-                    xs[i * k + c] = inv[i] * bv[i * k + c];
+        let blocks = match &self.inverse {
+            Inverse::Diagonal(inv) => {
+                for i in 0..n {
+                    for c in 0..k {
+                        xs[i * k + c] = inv[i] * bv[i * k + c];
+                    }
                 }
+                self.exec.launch(&[ChunkWork::new(
+                    (n * k * V::BYTES * 3) as f64,
+                    0.0,
+                    (n * k) as f64,
+                )]);
+                return Ok(());
             }
-            self.exec.launch(&[ChunkWork::new(
-                (n * k * V::BYTES * 3) as f64,
-                0.0,
-                (n * k) as f64,
-            )]);
-            return Ok(());
-        }
-        // lint: allow(panic): construction guarantees exactly one of
-        // `inv_diag` / `blocks` is set, and the `inv_diag` arm returned.
-        let blocks = self.blocks.as_ref().expect("either scalar or block");
+            Inverse::Blocks(blocks) => blocks,
+        };
         let mut start = 0usize;
         for lu in blocks {
             let bs = lu.n();

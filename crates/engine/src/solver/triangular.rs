@@ -1,10 +1,50 @@
 //! Sparse triangular solvers (Ginkgo's `LowerTrs`/`UpperTrs`).
 //!
-//! Forward/backward substitution on a sparse triangular CSR factor. The
-//! recurrence is inherently sequential across dependent rows, which the cost
-//! model captures by scheduling the whole solve as a single chunk — the
-//! structural reason triangular solves parallelize poorly on GPUs (a point
-//! §6.2.1 makes about small Hessenberg systems).
+//! Forward/backward substitution on a sparse triangular CSR factor, split the
+//! way Ginkgo splits it: a solver is *generated* once per factor and applied
+//! many times (an ILU-preconditioned Krylov loop applies two of them per
+//! iteration).
+//!
+//! **What is generated.** The constructor validates the factor's structure
+//! and walks its rows once. Per row it stores the *strict span* `[lo, hi)` of
+//! the entries left (lower) or right (upper) of the diagonal, as positions
+//! into the factor's own `col_idxs`/`values` in the matrix's index type; the
+//! reciprocal of the diagonal entry in an `f64` array of its own; and the
+//! first row in sweep order whose diagonal is zero or not stored, which every
+//! apply reports as [`GkoError::Singular`]. A full square matrix may be
+//! handed to either solver: the spans cover only the solver's half, so no
+//! apply reads the other one. The factor sits behind an `Arc` and cannot
+//! change afterwards, so nothing generated is ever invalidated. The diagonal
+//! is where it is looked for only on sorted rows, and the sweeps index `x`
+//! with the stored columns, so a matrix whose structure is corrupt (unsorted,
+//! repeated or out-of-range columns, only constructible through
+//! `Csr::from_raw_unchecked`) is refused at construction with the typed
+//! `BadInput` of [`Csr::validate`], never solved wrongly.
+//!
+//! **Why the diagonal is inverted.** Row `r` of a sweep cannot start before
+//! `x[r - 1]` is final, so what bounds a sweep is the latency of the chain
+//! "load `x[r - 1]` -> multiply-subtract -> scale by the diagonal -> store
+//! `x[r]`", not memory traffic. A divide on that chain costs three times a
+//! multiply; with the reciprocal stored, the apply is one slice walk per row
+//! (`acc -= v * x[c]`) and one multiply. Under a unit diagonal there is no
+//! scale at all.
+//!
+//! **Rounding contract.** Products accumulate in `f64` in stored column
+//! order, starting from the right-hand side, exactly as the division form
+//! `x[r] = (b[r] - sum) / d` does. A unit-diagonal sweep is therefore
+//! bit-identical to that form. A scaled sweep computes
+//! `(b[r] - sum) * (1 / d)`: two roundings where the division has one, so row
+//! `r` alone is within 1.5 ulp (`f64`) of the correctly rounded quotient, and
+//! the sweeps differ by what that per-row perturbation grows to through the
+//! recurrence. Narrower value types round the `f64` result once more on
+//! store.
+//!
+//! **Cost model.** The recurrence is inherently sequential across dependent
+//! rows, which the cost model captures by scheduling the whole solve as a
+//! single chunk: the structural reason triangular solves parallelize poorly
+//! on GPUs (a point §6.2.1 makes about small Hessenberg systems). That holds
+//! for the generated solve as much as for a naive one (generation shortens
+//! the chain, it does not cut it), so the charge is unchanged.
 
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
@@ -24,14 +64,73 @@ enum Half {
     Upper,
 }
 
-/// Shared implementation of the two triangular solvers.
+/// Shared implementation of the two triangular solvers: the factor and what
+/// was generated from it (module docs).
 struct Trs<V: Value, I: Index> {
     matrix: Arc<Csr<V, I>>,
     half: Half,
+    /// Per row, the strict span `[lo, hi)` inside the factor's arrays.
+    spans: Vec<(I, I)>,
+    /// Per row, `1 / diagonal`; all ones under a unit diagonal.
+    inv_diag: Vec<f64>,
     unit_diagonal: bool,
+    /// First row in sweep order whose diagonal is zero or missing.
+    singular: Option<usize>,
 }
 
 impl<V: Value, I: Index> Trs<V, I> {
+    fn new(matrix: Arc<Csr<V, I>>, half: Half) -> Result<Self> {
+        if !matrix.size().is_square() {
+            return Err(GkoError::BadInput(
+                "triangular solve requires a square matrix".into(),
+            ));
+        }
+        matrix.validate()?;
+        let n = matrix.size().rows;
+        let (rp, ci, vals) = (matrix.row_ptrs(), matrix.col_idxs(), matrix.values());
+        let mut spans = Vec::with_capacity(n);
+        let mut inv_diag = Vec::with_capacity(n);
+        let mut singular = None;
+        for r in 0..n {
+            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
+            // First entry at or right of the diagonal, found walking in over
+            // the other half. On an exact factor there is no other half and
+            // the walk ends where it starts, where a binary search leaves
+            // every short row through a mispredicted exit.
+            let row = &ci[lo..hi];
+            let split = match half {
+                Half::Lower => hi - row.iter().rev().take_while(|c| c.to_usize() >= r).count(),
+                Half::Upper => lo + row.iter().take_while(|c| c.to_usize() < r).count(),
+            };
+            let stored = split < hi && ci[split].to_usize() == r;
+            let diag = if stored { vals[split].to_f64() } else { 0.0 };
+            if diag == 0.0 && (singular.is_none() || half == Half::Upper) {
+                singular = Some(r);
+            }
+            inv_diag.push(1.0 / diag);
+            spans.push(match half {
+                Half::Lower => (rp[r], I::from_usize(split)),
+                Half::Upper => (I::from_usize(split + usize::from(stored)), rp[r + 1]),
+            });
+        }
+        Ok(Trs {
+            matrix,
+            half,
+            spans,
+            inv_diag,
+            unit_diagonal: false,
+            singular,
+        })
+    }
+
+    /// Treats the diagonal as implicit ones, stored or not.
+    fn with_unit_diagonal(mut self) -> Self {
+        self.inv_diag.fill(1.0);
+        self.unit_diagonal = true;
+        self.singular = None;
+        self
+    }
+
     fn work(&self) -> Vec<ChunkWork> {
         // One sequential chunk: dependencies serialize the rows.
         let nnz = self.matrix.nnz() as f64;
@@ -43,8 +142,11 @@ impl<V: Value, I: Index> Trs<V, I> {
         )]
     }
 
-    fn solve(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
+    /// Solves `T x = b`; with no `b`, the right-hand side is what `x` holds.
+    /// Substitution is safe in place: row `r` reads `x[r]` before overwriting
+    /// it, and besides that only entries of rows the sweep has finished.
+    fn solve(&self, b: Option<&Dense<V>>, x: &mut Dense<V>) -> Result<()> {
+        check_apply_dims::<V>(self.matrix.size(), b.unwrap_or(x), x)?;
         let _timer = OpTimer::new(
             self.matrix.executor(),
             match self.half {
@@ -52,43 +154,56 @@ impl<V: Value, I: Index> Trs<V, I> {
                 Half::Upper => "solver::UpperTrs",
             },
         );
-        let n = self.matrix.size().rows;
-        let k = b.size().cols;
-        let rp = self.matrix.row_ptrs();
-        let ci = self.matrix.col_idxs();
-        let vals = self.matrix.values();
-        let bv = b.as_slice();
-        let xs = x.as_mut_slice();
-
-        let rows: Box<dyn Iterator<Item = usize>> = match self.half {
-            Half::Lower => Box::new(0..n),
-            Half::Upper => Box::new((0..n).rev()),
-        };
-        for r in rows {
-            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-            for c in 0..k {
-                let mut acc = bv[r * k + c].to_f64();
-                let mut diag = if self.unit_diagonal { 1.0 } else { 0.0 };
-                for idx in lo..hi {
-                    let col = ci[idx].to_usize();
-                    let keep = match self.half {
-                        Half::Lower => col < r,
-                        Half::Upper => col > r,
-                    };
-                    if keep {
-                        acc -= vals[idx].to_f64() * xs[col * k + c].to_f64();
-                    } else if col == r && !self.unit_diagonal {
-                        diag = vals[idx].to_f64();
-                    }
-                }
-                if diag == 0.0 {
-                    return Err(GkoError::Singular { at: r });
-                }
-                xs[r * k + c] = V::from_f64(acc / diag);
-            }
+        if let Some(at) = self.singular {
+            return Err(GkoError::Singular { at });
+        }
+        match b.map(Dense::as_slice) {
+            Some(bv) => self.substitute(x, |_, i| bv[i]),
+            None => self.substitute(x, |xs, i| xs[i]),
         }
         self.matrix.executor().launch(&self.work());
         Ok(())
+    }
+
+    /// One sweep into `x`; `rhs_at(xs, i)` is element `i` of the right-hand
+    /// side, given the current `x`.
+    fn substitute(&self, x: &mut Dense<V>, rhs_at: impl Fn(&[V], usize) -> V) {
+        let n = self.spans.len();
+        let k = x.size().cols;
+        let inv = self.inv_diag.as_slice();
+        let xs = x.as_mut_slice();
+        // Sweep order: a select per row, off the dependent chain.
+        let upwards = self.half == Half::Upper;
+        let rows = (0..n).map(|step| if upwards { n - 1 - step } else { step });
+        if k != 1 {
+            for r in rows {
+                for c in 0..k {
+                    let acc = self.eliminate(xs, rhs_at(xs, r * k + c), r, k, c);
+                    xs[r * k + c] = V::from_f64(acc * inv[r]);
+                }
+            }
+        } else if self.unit_diagonal {
+            for r in rows {
+                xs[r] = V::from_f64(self.eliminate(xs, rhs_at(xs, r), r, 1, 0));
+            }
+        } else {
+            for r in rows {
+                xs[r] = V::from_f64(self.eliminate(xs, rhs_at(xs, r), r, 1, 0) * inv[r]);
+            }
+        }
+    }
+
+    /// `rhs - sum` over row `r`'s strict span, for column `c` of `k`.
+    #[inline(always)]
+    fn eliminate(&self, xs: &[V], rhs: V, r: usize, k: usize, c: usize) -> f64 {
+        let (lo, hi) = self.spans[r];
+        let span = lo.to_usize()..hi.to_usize();
+        let (cols, vals) = (&self.matrix.col_idxs()[span.clone()], &self.matrix.values()[span]);
+        let mut acc = rhs.to_f64();
+        for (v, col) in vals.iter().zip(cols) {
+            acc -= v.to_f64() * xs[col.to_usize() * k + c].to_f64();
+        }
+        acc
     }
 }
 
@@ -98,27 +213,19 @@ pub struct LowerTrs<V: Value, I: Index = i32> {
 }
 
 impl<V: Value, I: Index> LowerTrs<V, I> {
-    /// Creates a solver reading the lower triangle (including diagonal) of
+    /// Generates a solver reading the lower triangle (including diagonal) of
     /// `matrix`.
     pub fn new(matrix: Arc<Csr<V, I>>) -> Result<Self> {
-        if !matrix.size().is_square() {
-            return Err(GkoError::BadInput(
-                "triangular solve requires a square matrix".into(),
-            ));
-        }
         Ok(LowerTrs {
-            inner: Trs {
-                matrix,
-                half: Half::Lower,
-                unit_diagonal: false,
-            },
+            inner: Trs::new(matrix, Half::Lower)?,
         })
     }
 
     /// Treats the diagonal as implicit ones (for ILU's L factor).
-    pub fn with_unit_diagonal(mut self) -> Self {
-        self.inner.unit_diagonal = true;
-        self
+    pub fn with_unit_diagonal(self) -> Self {
+        LowerTrs {
+            inner: self.inner.with_unit_diagonal(),
+        }
     }
 }
 
@@ -130,7 +237,7 @@ impl<V: Value, I: Index> LinOp<V> for LowerTrs<V, I> {
         self.inner.matrix.executor()
     }
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        self.inner.solve(b, x)
+        self.inner.solve(Some(b), x)
     }
     fn op_name(&self) -> &'static str {
         "solver::LowerTrs"
@@ -143,27 +250,25 @@ pub struct UpperTrs<V: Value, I: Index = i32> {
 }
 
 impl<V: Value, I: Index> UpperTrs<V, I> {
-    /// Creates a solver reading the upper triangle (including diagonal) of
+    /// Generates a solver reading the upper triangle (including diagonal) of
     /// `matrix`.
     pub fn new(matrix: Arc<Csr<V, I>>) -> Result<Self> {
-        if !matrix.size().is_square() {
-            return Err(GkoError::BadInput(
-                "triangular solve requires a square matrix".into(),
-            ));
-        }
         Ok(UpperTrs {
-            inner: Trs {
-                matrix,
-                half: Half::Upper,
-                unit_diagonal: false,
-            },
+            inner: Trs::new(matrix, Half::Upper)?,
         })
     }
 
     /// Treats the diagonal as implicit ones.
-    pub fn with_unit_diagonal(mut self) -> Self {
-        self.inner.unit_diagonal = true;
-        self
+    pub fn with_unit_diagonal(self) -> Self {
+        UpperTrs {
+            inner: self.inner.with_unit_diagonal(),
+        }
+    }
+
+    /// Solves `U x = x` in place: the second sweep of `Ilu` and `Ic`, whose
+    /// first sweep left its result in `x`.
+    pub(crate) fn apply_in_place(&self, x: &mut Dense<V>) -> Result<()> {
+        self.inner.solve(None, x)
     }
 }
 
@@ -175,7 +280,7 @@ impl<V: Value, I: Index> LinOp<V> for UpperTrs<V, I> {
         self.inner.matrix.executor()
     }
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        self.inner.solve(b, x)
+        self.inner.solve(Some(b), x)
     }
     fn op_name(&self) -> &'static str {
         "solver::UpperTrs"

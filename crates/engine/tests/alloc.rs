@@ -20,7 +20,7 @@
 use gko::linop::LinOp;
 use gko::log::{Event, Record};
 use gko::matrix::{Coo, Csr, Dense, Ell, Hybrid, Sellp, SpmvStrategy};
-use gko::preconditioner::Jacobi;
+use gko::preconditioner::{Ic, Ilu, Jacobi};
 use gko::solver::{BiCgStab, Cg, Fcg, Gmres};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
@@ -194,38 +194,60 @@ fn assembling_sorted_triplets_allocates_only_the_arrays_it_returns() {
 const SOLVE_ITERS: usize = 12;
 const RESTART: usize = 4;
 
-/// The four loops under test on `a`, with Jacobi when asked, each stopping
-/// after exactly [`SOLVE_ITERS`] iterations.
-fn solvers(a: &Arc<Csr<f64, i32>>, jacobi: bool) -> Vec<(&'static str, Arc<dyn LinOp<f64>>)> {
+/// What the loops under test are preconditioned with.
+#[derive(Clone, Copy, Debug)]
+enum Precond {
+    None,
+    Jacobi,
+    Ilu,
+    Ic,
+}
+
+const PRECONDS: [Precond; 4] = [Precond::None, Precond::Jacobi, Precond::Ilu, Precond::Ic];
+
+/// The loops under test on `a` (all four; CG alone with `Ic`, which is for
+/// symmetric solvers), each stopping after exactly [`SOLVE_ITERS`]
+/// iterations.
+fn solvers(
+    a: &Arc<Csr<f64, i32>>,
+    precond: Precond,
+) -> Vec<(&'static str, Arc<dyn LinOp<f64>>)> {
     let criteria = Criteria::iterations(SOLVE_ITERS);
     let system = || a.clone() as Arc<dyn LinOp<f64>>;
+    let m: Option<Arc<dyn LinOp<f64>>> = match precond {
+        Precond::None => None,
+        Precond::Jacobi => Some(Arc::new(Jacobi::new(&**a).unwrap())),
+        Precond::Ilu => Some(Arc::new(Ilu::new(&**a).unwrap())),
+        Precond::Ic => Some(Arc::new(Ic::new(&**a).unwrap())),
+    };
     macro_rules! built {
         ($solver:expr) => {{
             let solver = $solver.with_criteria(criteria);
-            if jacobi {
-                let m = Arc::new(Jacobi::new(&**a).unwrap());
-                Arc::new(solver.with_preconditioner(m).unwrap()) as Arc<dyn LinOp<f64>>
-            } else {
-                Arc::new(solver)
+            match &m {
+                Some(m) => Arc::new(solver.with_preconditioner(m.clone()).unwrap()),
+                None => Arc::new(solver) as Arc<dyn LinOp<f64>>,
             }
         }};
     }
-    vec![
-        ("cg", built!(Cg::new(system()).unwrap())),
-        ("fcg", built!(Fcg::new(system()).unwrap())),
-        ("bicgstab", built!(BiCgStab::new(system()).unwrap())),
-        ("gmres", built!(Gmres::new(system()).unwrap().with_krylov_dim(RESTART))),
-    ]
+    let mut loops = vec![("cg", built!(Cg::new(system()).unwrap()))];
+    if !matches!(precond, Precond::Ic) {
+        loops.extend([
+            ("fcg", built!(Fcg::new(system()).unwrap())),
+            ("bicgstab", built!(BiCgStab::new(system()).unwrap())),
+            ("gmres", built!(Gmres::new(system()).unwrap().with_krylov_dim(RESTART))),
+        ]);
+    }
+    loops
 }
 
 #[test]
 fn solver_loops_allocate_independently_of_size() {
     let exec = Executor::reference();
-    for jacobi in [false, true] {
+    for precond in PRECONDS {
         let per_size = [2_000usize, 20_000].map(|n| {
             let a = Arc::new(matrix(&exec, n));
             let b = Dense::filled(&exec, Dim2::new(n, 1), 0.5);
-            let counts = solvers(&a, jacobi).into_iter().map(|(name, solver)| {
+            let counts = solvers(&a, precond).into_iter().map(|(name, solver)| {
                 let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
                 solver.apply(&b, &mut x).unwrap(); // builds the cached plan
                 x.fill(0.0);
@@ -237,20 +259,22 @@ fn solver_loops_allocate_independently_of_size() {
         });
         assert_eq!(
             per_size[0], per_size[1],
-            "jacobi = {jacobi}: allocations of a {SOLVE_ITERS}-iteration solve at 2 000 rows \
+            "{precond:?}: allocations of a {SOLVE_ITERS}-iteration solve at 2 000 rows \
              vs 20 000 — some loop allocates per element"
         );
     }
 }
 
+/// The preconditioned loops included: one ILU or IC application is two
+/// sweeps into the caller's vector, with no intermediate of its own.
 #[test]
 fn solver_loops_stop_allocating_once_their_workspace_exists() {
-    for jacobi in [false, true] {
+    for precond in PRECONDS {
         let exec = Executor::reference();
         let n = 2_000;
         let a = Arc::new(matrix(&exec, n));
         let b = Dense::filled(&exec, Dim2::new(n, 1), 0.5);
-        for (name, solver) in solvers(&a, jacobi) {
+        for (name, solver) in solvers(&a, precond) {
             let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
             let record = Arc::new(Record::new());
             exec.add_logger(record.clone());
@@ -274,7 +298,7 @@ fn solver_loops_stop_allocating_once_their_workspace_exists() {
                 .count();
             assert_eq!(
                 late, 0,
-                "{name}, jacobi = {jacobi}: {late} arrays allocated after iteration {settled}"
+                "{name}, {precond:?}: {late} arrays allocated after iteration {settled}"
             );
         }
     }
