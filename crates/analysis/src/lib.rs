@@ -135,6 +135,9 @@ pub(crate) const PANIC_FREE_DIRS: &[&str] = &[
 const INSTRUMENTED_DIRS: &[&str] = &[
     "crates/engine/src/matrix/",
     "crates/engine/src/solver/",
+    // A preconditioner application is a step of every iteration: without a
+    // span of its own it hides in the solver's self time.
+    "crates/engine/src/preconditioner/",
     "crates/engine/src/telemetry/",
     "crates/engine/src/observe.rs",
     "crates/engine/src/trace.rs",
@@ -743,6 +746,21 @@ pub fn self_test_cases() -> Vec<SelfTestCase> {
             name: "generic shell apply with OpTimer passes",
             path: "crates/engine/src/solver/mod.rs",
             src: "use crate::log::OpTimer;\nimpl<V: Value, M: Recurrence<V>> LinOp<V> for Iterative<V, M> {\n    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {\n        let _solve_timer = OpTimer::new(x.executor(), M::NAME);\n        let mut work = self.method.seed(&self.core, b)?;\n        self.method.iterate(x, &mut work)\n    }\n}\n",
+            expect: None,
+        },
+        // A preconditioner whose `apply` is a private element loop is
+        // invisible to a profile; one that hands the work to an instrumented
+        // operator's `apply` is not.
+        SelfTestCase {
+            name: "preconditioner apply as a private loop",
+            path: "crates/engine/src/preconditioner/injected.rs",
+            src: "impl<V: Value> LinOp<V> for Scaling<V> {\n    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {\n        for (out, (d, v)) in x.as_mut_slice().iter_mut().zip(self.inverse.iter().zip(b.as_slice())) {\n            *out = *d * *v;\n        }\n        Ok(())\n    }\n}\n",
+            expect: Some(RULE_INSTRUMENTATION),
+        },
+        SelfTestCase {
+            name: "preconditioner apply delegating to an operator passes",
+            path: "crates/engine/src/preconditioner/injected.rs",
+            src: "impl<V: Value> LinOp<V> for Scaling<V> {\n    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {\n        self.inverse.apply(b, x)\n    }\n}\n",
             expect: None,
         },
         SelfTestCase {

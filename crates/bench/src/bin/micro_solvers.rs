@@ -2,12 +2,14 @@
 //! execution of the real numerics). Plain-binary successor of the former
 //! criterion bench.
 //!
-//! Also two gates. A dot product reads two vectors and writes none, so it
-//! may not cost much more than an AXPY of the same length; and the two
-//! triangular sweeps of an ILU application read the same entries a CSR SpMV
-//! over the factors reads, so they may cost only the dependent chain more.
-//! Both sides of each ratio are timed in this process, back to back, so the
-//! ratio holds still when the host's speed drifts.
+//! Also three gates. A dot product reads two vectors and writes none, so it
+//! may not cost much more than an AXPY of the same length; a scalar Jacobi
+//! application is one multiply per element over three vectors, so it may
+//! cost an AXPY and the third vector's traffic; and the two triangular
+//! sweeps of an ILU application read the same entries a CSR SpMV over the
+//! factors reads, so they may cost only the dependent chain more. Both sides
+//! of each ratio are timed in this process, back to back, so the ratio holds
+//! still when the host's speed drifts.
 //!
 //! `cargo run --release -p pygko-bench --bin micro_solvers`
 
@@ -27,6 +29,13 @@ use std::sync::Arc;
 /// kernel reads about 1.0).
 const DOT_OVER_AXPY_LIMIT: f64 = 1.5;
 
+/// Scalar `Jacobi::apply` may cost at most this multiple of `add_scaled` per
+/// element on the reference executor. An indexed loop over a run-time column
+/// count read 7; the product sweep reads 1.45-2.0 at this length, where it
+/// streams three arrays and a write-allocate to an AXPY's two (in cache the
+/// two cost the same).
+const JACOBI_OVER_AXPY_LIMIT: f64 = 3.0;
+
 /// The lower plus the upper sweep of ILU(0)'s factors may cost at most this
 /// multiple of the reference CSR SpMV over the same entries (a divide per
 /// row on the dependent chain read 3.0; the generated sweeps read about 1.6,
@@ -36,9 +45,10 @@ const TRS_OVER_CSR_LIMIT: f64 = 2.5;
 /// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
 const BLAS1_N: usize = 160_000;
 
-/// Times the BLAS-1 kernels of a CG iteration and returns `compute_dot`'s
-/// best repetition over `add_scaled`'s.
-fn bench_blas1(report: &mut Report) -> f64 {
+/// Times the BLAS-1 kernels of a CG iteration and the Jacobi applications
+/// on vectors of the same length, and returns the best repetitions of
+/// `compute_dot` and of scalar `Jacobi::apply` over `add_scaled`'s.
+fn bench_blas1(report: &mut Report) -> (f64, f64) {
     let exec = Executor::reference();
     let fill = |phase: f64| {
         let values = (0..BLAS1_N).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
@@ -51,7 +61,7 @@ fn bench_blas1(report: &mut Report) -> f64 {
             format!("blas1_n{BLAS1_N}"),
             case.into(),
             fmt(secs * 1e3),
-            "-".into(),
+            fmt(secs * 1e9 / BLAS1_N as f64),
         ]);
         secs
     };
@@ -68,7 +78,16 @@ fn bench_blas1(report: &mut Report) -> f64 {
             std::hint::black_box(x.add_scaled_with_residual(1e-9, &p, &mut r, -1e-9, &q).unwrap());
         }),
     );
-    dot / axpy
+    let grid = poisson2d("p", 400, 400);
+    assert_eq!(grid.rows, BLAS1_N);
+    let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(BLAS1_N), &grid.triplets).unwrap();
+    let (scalar, block) = (Jacobi::new(&a).unwrap(), Jacobi::with_block_size(&a, 4).unwrap());
+    let jacobi = row("jacobi_apply", wall_secs_best(iters, || scalar.apply(&p, &mut x).unwrap()));
+    row(
+        "block_jacobi4_apply",
+        wall_secs_best(micro_iters(20), || block.apply(&p, &mut x).unwrap()),
+    );
+    (dot / axpy, jacobi / axpy)
 }
 
 fn setup() -> (Executor, Arc<Csr<f64, i32>>, Dense<f64>) {
@@ -211,16 +230,23 @@ fn main() {
     bench_krylov_iterations(&mut report);
     bench_preconditioner_generation(&mut report);
     let trs_over_csr = bench_triangular(&mut report);
-    let dot_over_axpy = bench_blas1(&mut report);
+    let (dot_over_axpy, jacobi_over_axpy) = bench_blas1(&mut report);
     report.print();
     let path = report.write_csv("micro_solvers").expect("write csv");
     println!("\nwrote {}", path.display());
     println!("dot_over_axpy = {dot_over_axpy:.2} (n = {BLAS1_N}, limit {DOT_OVER_AXPY_LIMIT})");
+    println!("jacobi_over_axpy = {jacobi_over_axpy:.2} (n = {BLAS1_N}, limit {JACOBI_OVER_AXPY_LIMIT})");
     println!("trs_over_csr = {trs_over_csr:.2} (ILU(0) factors of poisson2d_60, limit {TRS_OVER_CSR_LIMIT})");
     let mut failed = false;
     if dot_over_axpy > DOT_OVER_AXPY_LIMIT {
         eprintln!(
             "micro_solvers: FAIL — compute_dot costs {dot_over_axpy:.2}x add_scaled, above {DOT_OVER_AXPY_LIMIT}"
+        );
+        failed = true;
+    }
+    if jacobi_over_axpy > JACOBI_OVER_AXPY_LIMIT {
+        eprintln!(
+            "micro_solvers: FAIL — Jacobi::apply costs {jacobi_over_axpy:.2}x add_scaled, above {JACOBI_OVER_AXPY_LIMIT}"
         );
         failed = true;
     }

@@ -8,14 +8,14 @@
 use crate::base::error::{GkoError, Result};
 
 /// A dense LU factorization `P A = L U` (row-major storage, pivoting
-/// recorded as a row permutation).
+/// recorded as the row swaps that make up `P`).
 #[derive(Debug, Clone)]
 pub struct DenseLu {
     n: usize,
     /// Combined L (unit lower, below diagonal) and U (on/above diagonal).
     lu: Vec<f64>,
-    /// `perm[i]` is the original row index now in position `i`.
-    perm: Vec<usize>,
+    /// Step `k` of the elimination swapped rows `k` and `pivots[k]`.
+    pivots: Vec<usize>,
 }
 
 impl DenseLu {
@@ -29,7 +29,7 @@ impl DenseLu {
             )));
         }
         let mut lu = a.to_vec();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut pivots = Vec::with_capacity(n);
         for k in 0..n {
             // Partial pivoting: find the largest |entry| in column k.
             let mut p = k;
@@ -48,8 +48,8 @@ impl DenseLu {
                 for j in 0..n {
                     lu.swap(k * n + j, p * n + j);
                 }
-                perm.swap(k, p);
             }
+            pivots.push(p);
             let pivot = lu[k * n + k];
             for i in (k + 1)..n {
                 let factor = lu[i * n + k] / pivot;
@@ -59,7 +59,7 @@ impl DenseLu {
                 }
             }
         }
-        Ok(DenseLu { n, lu, perm })
+        Ok(DenseLu { n, lu, pivots })
     }
 
     /// Matrix dimension.
@@ -69,16 +69,25 @@ impl DenseLu {
 
     /// Solves `A x = b` using the factorization (one right-hand side).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
+        let mut y = b.to_vec();
+        self.solve_in_place(&mut y)?;
+        Ok(y)
+    }
+
+    /// Solves `A x = b` in `y`, which holds `b` on entry and `x` on return.
+    pub fn solve_in_place(&self, y: &mut [f64]) -> Result<()> {
+        if y.len() != self.n {
             return Err(GkoError::BadInput(format!(
                 "rhs length {} != n = {}",
-                b.len(),
+                y.len(),
                 self.n
             )));
         }
         let n = self.n;
         // Apply permutation, then forward substitution with unit L.
-        let mut y: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
+        for (k, &p) in self.pivots.iter().enumerate() {
+            y.swap(k, p);
+        }
         for i in 0..n {
             for j in 0..i {
                 y[i] -= self.lu[i * n + j] * y[j];
@@ -91,7 +100,7 @@ impl DenseLu {
             }
             y[i] /= self.lu[i * n + i];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// The determinant of `A` (product of pivots with permutation sign).
@@ -100,24 +109,9 @@ impl DenseLu {
         for i in 0..self.n {
             det *= self.lu[i * self.n + i];
         }
-        // Count permutation inversions for the sign.
-        let mut visited = vec![false; self.n];
-        let mut sign = 1.0;
-        for start in 0..self.n {
-            if visited[start] {
-                continue;
-            }
-            let mut len = 0usize;
-            let mut i = start;
-            while !visited[i] {
-                visited[i] = true;
-                i = self.perm[i];
-                len += 1;
-            }
-            if len.is_multiple_of(2) {
-                sign = -sign;
-            }
-        }
+        // Every row swap flips the sign.
+        let swaps = self.pivots.iter().enumerate().filter(|(k, p)| k != *p).count();
+        let sign = if swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
         det * sign
     }
 }

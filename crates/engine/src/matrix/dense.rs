@@ -30,12 +30,15 @@
 //! | [`add_scaled_with_residual`](Dense::add_scaled_with_residual) | `x += αp; r += βq; r·r` | CG, FCG |
 //! | [`assign_add_scaled`](Dense::assign_add_scaled) | `s = r + βv; s·s` | BiCGStab (`s`, `r`) |
 //! | [`add_scaled2`](Dense::add_scaled2) | `x += αp; x += βq` | BiCGStab |
+//! | [`add_scaled_scale_add`](Dense::add_scaled_scale_add) | `p += αv; p = r + βp` | BiCGStab (`p`) |
 //! | [`compute_dot2`](Dense::compute_dot2) | `(t·t, t·s)` | BiCGStab |
 //! | [`assign_scaled`](Dense::assign_scaled) | `v = αw` | GMRES basis vectors |
+//! | [`assign_product`](Dense::assign_product) | `x = d ∘ b` | `Diagonal`, scalar Jacobi |
 //!
 //! Each is bit-identical to the sequence of `copy_from` / `add_scaled` /
 //! `compute_dot` calls it replaces: the same element arithmetic in the same
-//! order, the same chunks, the same lanes.
+//! order, the same chunks, the same lanes. (`assign_product` replaces no
+//! sequence: it is the engine's one elementwise product.)
 
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
@@ -84,6 +87,14 @@ impl<V: Value> Dense<V> {
             size,
             values: Array::from_vec(exec, values),
         })
+    }
+
+    /// Wraps a value vector as one `n x 1` column.
+    pub fn column(exec: &Executor, values: Vec<V>) -> Self {
+        Dense {
+            size: Dim2::new(values.len(), 1),
+            values: Array::from_vec(exec, values),
+        }
     }
 
     /// Builds from an array of rows (test/demo convenience).
@@ -300,10 +311,30 @@ impl<V: Value> Dense<V> {
         Self::sweep("dense::scale", 2, 1.0, [self], [other], f).map(|[]| ())
     }
 
+    /// Elementwise product: `self = d ∘ b`, a diagonal matrix applied to a
+    /// vector.
+    pub fn assign_product(&mut self, d: &Dense<V>, b: &Dense<V>) -> Result<()> {
+        let f = |_: [V; 1], [d, b]: [V; 2]| ([d * b], []);
+        Self::sweep("dense::scale", 3, 1.0, [self], [d, b], f).map(|[]| ())
+    }
+
     /// Two AXPYs in one sweep: `self += alpha * p`, then `self += beta * q`.
     pub fn add_scaled2(&mut self, alpha: V, p: &Dense<V>, beta: V, q: &Dense<V>) -> Result<()> {
         let f = move |[d]: [V; 1], [p, q]: [V; 2]| ([d + alpha * p + beta * q], []);
         Self::sweep("dense::axpy", 4, 4.0, [self], [p, q], f).map(|[]| ())
+    }
+
+    /// `self += alpha * v`, then `self = r + beta * self` (`add_scaled` then
+    /// `scale_add`) in one sweep.
+    pub fn add_scaled_scale_add(
+        &mut self,
+        alpha: V,
+        v: &Dense<V>,
+        r: &Dense<V>,
+        beta: V,
+    ) -> Result<()> {
+        let f = move |[p]: [V; 1], [v, r]: [V; 2]| ([r + beta * (p + alpha * v)], []);
+        Self::sweep("dense::axpy", 4, 4.0, [self], [v, r], f).map(|[]| ())
     }
 
     /// `self = x + beta * y` (`copy_from` then `add_scaled`), returning the

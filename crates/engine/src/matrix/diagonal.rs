@@ -1,7 +1,6 @@
 //! Diagonal matrices (Ginkgo's `matrix::Diagonal`) — used for row/column
 //! scaling and as the cheapest preconditioner building block.
 
-use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
@@ -13,17 +12,19 @@ use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
 use pygko_sim::ChunkWork;
 
-/// A diagonal matrix stored as its diagonal values.
+/// A diagonal matrix stored as its diagonal values, an `n x 1` column: its
+/// product with a vector is then [`Dense::assign_product`], one sweep like
+/// every other BLAS-1 operation.
 #[derive(Debug, Clone)]
 pub struct Diagonal<V: Value> {
-    values: Array<V>,
+    values: Dense<V>,
 }
 
 impl<V: Value> Diagonal<V> {
     /// Creates a diagonal matrix from its entries.
     pub fn new(exec: &Executor, values: Vec<V>) -> Self {
         Diagonal {
-            values: Array::from_vec(exec, values),
+            values: Dense::column(exec, values),
         }
     }
 
@@ -34,14 +35,18 @@ impl<V: Value> Diagonal<V> {
 
     /// Inverted copy; fails on zero entries.
     pub fn inverse(&self) -> Result<Diagonal<V>> {
-        let mut inv = Vec::with_capacity(self.values.len());
-        for (i, &v) in self.values.as_slice().iter().enumerate() {
+        let mut inv = Vec::with_capacity(self.len());
+        for (i, &v) in self.values().iter().enumerate() {
             if v == V::zero() {
                 return Err(GkoError::Singular { at: i });
             }
             inv.push(V::one() / v);
         }
-        Ok(Diagonal::new(self.values.executor(), inv))
+        Ok(Diagonal::new(self.executor(), inv))
+    }
+
+    fn len(&self) -> usize {
+        self.values.size().rows
     }
 
     /// The diagonal entries.
@@ -51,10 +56,10 @@ impl<V: Value> Diagonal<V> {
 
     /// Scales the rows of a CSR matrix in place: `A <- D A`.
     pub fn scale_rows<I: Index>(&self, matrix: &mut Csr<V, I>) -> Result<()> {
-        if matrix.size().rows != self.values.len() {
+        if matrix.size().rows != self.len() {
             return Err(GkoError::DimensionMismatch {
                 op: "scale_rows",
-                expected: Dim2::square(self.values.len()),
+                expected: Dim2::square(self.len()),
                 actual: matrix.size(),
             });
         }
@@ -71,10 +76,10 @@ impl<V: Value> Diagonal<V> {
 
     /// Scales the columns of a CSR matrix in place: `A <- A D`.
     pub fn scale_cols<I: Index>(&self, matrix: &mut Csr<V, I>) -> Result<()> {
-        if matrix.size().cols != self.values.len() {
+        if matrix.size().cols != self.len() {
             return Err(GkoError::DimensionMismatch {
                 op: "scale_cols",
-                expected: Dim2::square(self.values.len()),
+                expected: Dim2::square(self.len()),
                 actual: matrix.size(),
             });
         }
@@ -89,7 +94,7 @@ impl<V: Value> Diagonal<V> {
 
 impl<V: Value> LinOp<V> for Diagonal<V> {
     fn size(&self) -> Dim2 {
-        Dim2::square(self.values.len())
+        Dim2::square(self.len())
     }
 
     fn executor(&self) -> &Executor {
@@ -98,13 +103,18 @@ impl<V: Value> LinOp<V> for Diagonal<V> {
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
         check_apply_dims::<V>(self.size(), b, x)?;
-        let _timer = OpTimer::new(self.executor(), "diagonal");
         let k = b.size().cols;
-        let d = self.values.as_slice();
+        if k == 1 {
+            return x.assign_product(&self.values, b);
+        }
+        // A block of `k` vectors: every row of `b` scaled by its entry,
+        // row-chunked on the executor's pool (`k` = 0 leaves nothing to
+        // write, and a chunk length may not be 0).
+        let _timer = OpTimer::new(self.executor(), "diagonal");
+        let d = self.values();
         let bv = b.as_slice();
         let exec = self.executor().clone();
         let spec = exec.spec();
-        // Row-chunked elementwise scaling on the executor's pool.
         let row_bounds = uniform_bounds(d.len(), spec.workers * 2);
         let elem_bounds: Vec<usize> = row_bounds.iter().map(|&r| r * k).collect();
         let work: Vec<ChunkWork> = row_bounds
@@ -115,10 +125,12 @@ impl<V: Value> LinOp<V> for Diagonal<V> {
             })
             .collect();
         parallel_chunks(&exec, x.as_mut_slice(), &elem_bounds, |chunk, xs| {
-            let row0 = row_bounds[chunk];
-            for (local, out) in xs.iter_mut().enumerate() {
-                let elem = row0 * k + local;
-                *out = d[elem / k] * bv[elem];
+            let rows = row_bounds[chunk]..row_bounds[chunk + 1];
+            let b_rows = bv[rows.start * k..rows.end * k].chunks_exact(k.max(1));
+            for ((x_row, b_row), &d) in xs.chunks_exact_mut(k.max(1)).zip(b_rows).zip(&d[rows]) {
+                for (out, &b) in x_row.iter_mut().zip(b_row) {
+                    *out = d * b;
+                }
             }
         });
         self.executor().launch(&work);

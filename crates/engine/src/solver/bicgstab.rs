@@ -60,8 +60,8 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
         } else {
             let beta = (rho / w.rho_old) * (w.alpha / w.omega);
             // p = r + beta * (p - omega * v)
-            w.p.add_scaled(V::from_f64(-w.omega), &w.v)?;
-            w.p.scale_add(V::one(), it.r, V::from_f64(beta))?;
+            w.p
+                .add_scaled_scale_add(V::from_f64(-w.omega), &w.v, it.r, V::from_f64(beta))?;
         }
         let p_hat = core.preconditioned(&w.p, &mut w.p_hat)?;
         core.system.apply(p_hat, &mut w.v)?;

@@ -141,6 +141,14 @@ fn hybrid_apply_allocates_independently_of_size() {
     });
 }
 
+/// Block Jacobi gathers every block through one buffer per application; it
+/// used to build two vectors per block.
+#[test]
+fn jacobi_applies_allocate_independently_of_size() {
+    check("jacobi", |csr| Jacobi::new(csr).unwrap());
+    check("block-jacobi(4)", |csr| Jacobi::with_block_size(csr, 4).unwrap());
+}
+
 /// Assembly from triplets already in (row, col) order makes four
 /// allocations: the per-row cursor and the three CSR arrays. No sorted copy
 /// of the list, no converted copy when the list holds `f64` for an `f32`
@@ -199,11 +207,18 @@ const RESTART: usize = 4;
 enum Precond {
     None,
     Jacobi,
+    BlockJacobi,
     Ilu,
     Ic,
 }
 
-const PRECONDS: [Precond; 4] = [Precond::None, Precond::Jacobi, Precond::Ilu, Precond::Ic];
+const PRECONDS: [Precond; 5] = [
+    Precond::None,
+    Precond::Jacobi,
+    Precond::BlockJacobi,
+    Precond::Ilu,
+    Precond::Ic,
+];
 
 /// The loops under test on `a` (all four; CG alone with `Ic`, which is for
 /// symmetric solvers), each stopping after exactly [`SOLVE_ITERS`]
@@ -217,6 +232,7 @@ fn solvers(
     let m: Option<Arc<dyn LinOp<f64>>> = match precond {
         Precond::None => None,
         Precond::Jacobi => Some(Arc::new(Jacobi::new(&**a).unwrap())),
+        Precond::BlockJacobi => Some(Arc::new(Jacobi::with_block_size(&**a, 4).unwrap())),
         Precond::Ilu => Some(Arc::new(Ilu::new(&**a).unwrap())),
         Precond::Ic => Some(Arc::new(Ic::new(&**a).unwrap())),
     };

@@ -9,9 +9,15 @@
 //! without its trajectory moving. Across executors a reduction may differ by
 //! the few ulps `parity.rs` allows any reassociated sum, and on one executor
 //! it may not differ at all from call to call.
+//!
+//! The elementwise product is pinned the same way against the element loop
+//! `Jacobi::apply` ran before scalar Jacobi became an inverted `Diagonal`.
 
-use gko::matrix::Dense;
-use gko::{Dim2, Executor};
+use gko::linop::LinOp;
+use gko::matrix::{Csr, Dense, Diagonal};
+use gko::preconditioner::Jacobi;
+use gko::{Dim2, Executor, Value};
+use pygko_half::Half;
 
 /// Thread counts and ulp bound of `parity.rs`.
 const THREADS: [usize; 4] = [1, 2, 7, 16];
@@ -61,7 +67,7 @@ struct Case {
 const ALPHA: f64 = 0.731_058_578_630_004_9;
 const BETA: f64 = -1.324_717_957_244_746;
 
-const CASES: [Case; 5] = [
+const CASES: [Case; 6] = [
     Case {
         name: "add_scaled_with_residual",
         fused: |[mut x, mut r, p, q]| {
@@ -101,6 +107,18 @@ const CASES: [Case; 5] = [
         },
     },
     Case {
+        name: "add_scaled_scale_add",
+        fused: |[mut p, v, r, _]| {
+            p.add_scaled_scale_add(ALPHA, &v, &r, BETA).unwrap();
+            (vec![bits(&p)], vec![])
+        },
+        unfused: |[mut p, v, r, _]| {
+            p.add_scaled(ALPHA, &v).unwrap();
+            p.scale_add(1.0, &r, BETA).unwrap();
+            (vec![bits(&p)], vec![])
+        },
+    },
+    Case {
         name: "compute_dot2",
         fused: |[t, s, _, _]| {
             let (tt, ts) = t.compute_dot2(&s).unwrap();
@@ -124,6 +142,68 @@ const CASES: [Case; 5] = [
         },
     },
 ];
+
+/// The loop scalar `Jacobi::apply` was: row `i` of a block of `k` vectors
+/// times entry `i` of the inverted diagonal.
+fn element_loop<V: Value>(inv: &[V], b: &[V], k: usize) -> Vec<V> {
+    let n = inv.len();
+    let mut x = vec![V::zero(); n * k];
+    for i in 0..n {
+        for c in 0..k {
+            x[i * k + c] = inv[i] * b[i * k + c];
+        }
+    }
+    x
+}
+
+/// `Diagonal::apply` and scalar `Jacobi::apply` against [`element_loop`] on
+/// one executor, for lengths around a block of eight and `k` = 1 (the
+/// sweep) and 3 (the row loop).
+fn check_products<V: Value>(exec_name: &str, exec: &Executor) {
+    let wide = |v: &[V]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+    for n in [0usize, 1, 7, 8, 9, 1_000, 13_824] {
+        for k in [1usize, 3] {
+            let ctx = format!("{}/{exec_name}/n{n}/k{k}", V::NAME);
+            let d: Vec<V> = (0..n).map(|i| V::from_f64(1.3 + (i % 7) as f64 * 0.37)).collect();
+            let b: Vec<V> = (0..n * k)
+                .map(|i| V::from_f64((i as f64 * 0.37 + 0.3).sin() * (1.0 + (i % 5) as f64)))
+                .collect();
+            let b = Dense::from_vec(exec, Dim2::new(n, k), b).unwrap();
+            let stale = || Dense::filled(exec, Dim2::new(n, k), V::from_f64(-7.0));
+
+            let diagonal = Diagonal::new(exec, d.clone());
+            let mut x = stale();
+            diagonal.apply(&b, &mut x).unwrap();
+            let want = element_loop(diagonal.values(), b.as_slice(), k);
+            assert_eq!(wide(x.as_slice()), wide(&want), "diagonal/{ctx}");
+
+            // The same diagonal inside a matrix with off-diagonal entries.
+            let mut t: Vec<(usize, usize, V)> = Vec::new();
+            for (i, &v) in d.iter().enumerate() {
+                t.extend([(i, i, v), (i, (i + 3) % n, V::from_f64(-0.5))]);
+            }
+            let a = Csr::<V, i32>::from_triplets(exec, Dim2::square(n), &t).unwrap();
+            let inverse = Diagonal::from_matrix(&a).inverse().unwrap();
+            let (mut by_jacobi, mut by_inverse) = (stale(), stale());
+            Jacobi::new(&a).unwrap().apply(&b, &mut by_jacobi).unwrap();
+            inverse.apply(&b, &mut by_inverse).unwrap();
+            let want = element_loop(inverse.values(), b.as_slice(), k);
+            assert_eq!(wide(by_jacobi.as_slice()), wide(&want), "jacobi/{ctx}");
+            assert_eq!(wide(by_inverse.as_slice()), wide(&want), "inverse/{ctx}");
+        }
+    }
+}
+
+#[test]
+fn diagonal_and_jacobi_products_equal_the_element_loop_bit_for_bit() {
+    let omps = THREADS.map(|threads| (format!("omp{threads}"), Executor::omp(threads)));
+    let reference = ("reference".to_string(), Executor::reference());
+    for (name, exec) in std::iter::once(&reference).chain(&omps) {
+        check_products::<Half>(name, exec);
+        check_products::<f32>(name, exec);
+        check_products::<f64>(name, exec);
+    }
+}
 
 #[test]
 fn fused_operations_equal_their_unfused_sequences_bit_for_bit() {

@@ -153,6 +153,23 @@ fn config_solver_rejects_nonsense_cleanly() {
     }
 }
 
+/// Listing 2's `max_block_size` on a matrix of ordinary size: densifying
+/// 60 000 rows to cut the blocks out took 28.8 GB and aborted the process.
+#[test]
+fn block_jacobi_on_a_large_matrix_solves_instead_of_aborting() {
+    let dev = pg::device("reference").unwrap();
+    let n = 60_000;
+    let mtx = spd_system(&dev, n, "double", "Csr");
+    let b = pg::as_tensor_fill(&dev, (n, 1), "double", 1.0).unwrap();
+    let mut x = pg::as_tensor_fill(&dev, (n, 1), "double", 0.0).unwrap();
+    let opts = pg::config_solver::SolveOptions {
+        block_size: 4,
+        ..Default::default()
+    };
+    let log = pg::solve(&mtx, &b, &mut x, &opts).unwrap();
+    assert!(log.converged(), "stopped on {}", log.stop_reason());
+}
+
 #[test]
 fn reading_garbage_files_fails_with_context() {
     let dev = pg::device("reference").unwrap();
