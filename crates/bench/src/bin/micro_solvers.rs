@@ -37,10 +37,11 @@ const DOT_OVER_AXPY_LIMIT: f64 = 1.5;
 const JACOBI_OVER_AXPY_LIMIT: f64 = 3.0;
 
 /// The lower plus the upper sweep of ILU(0)'s factors may cost at most this
-/// multiple of the reference CSR SpMV over the same entries (a divide per
-/// row on the dependent chain read 3.0; the generated sweeps read about 1.6,
-/// which is the chain itself).
-const TRS_OVER_CSR_LIMIT: f64 = 2.5;
+/// multiple of the reference CSR SpMV over the same entries. The generated
+/// sweeps read 1.9 ns per entry each, which is the dependent chain itself,
+/// and the SpMV (a leaf kernel, DESIGN.md §25) 0.79: 2.4, where a divide per
+/// row on the chain would read 4.6.
+const TRS_OVER_CSR_LIMIT: f64 = 3.5;
 
 /// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
 const BLAS1_N: usize = 160_000;

@@ -17,7 +17,7 @@ use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
-use crate::matrix::plan::{self, MergeSegment};
+use crate::matrix::plan::{self, MergeSegment, SegmentSink};
 use pygko_sim::ChunkWork;
 
 /// Sparse matrix in coordinate format.
@@ -265,6 +265,54 @@ impl<V: Value, I: Index> Coo<V, I> {
     }
 }
 
+/// Leaf kernel (DESIGN.md §25) of one nonzero segment, `k == 1`: the three
+/// arrays are the segment's entries. One zipped walk; a row's sum, taken in
+/// entry order, goes to the sink when the row index changes.
+fn coo_lane<V: Value, I: Index>(
+    ri: &[I],
+    ci: &[I],
+    vals: &[V],
+    bv: &[V],
+    mut sink: SegmentSink<'_, V>,
+) {
+    let Some(&first) = ri.first() else { return };
+    let (mut row, mut sum) = (first, 0.0f64);
+    for ((&r, col), v) in ri.iter().zip(ci).zip(vals) {
+        if r != row {
+            sink.put(row.to_usize(), 0, sum);
+            (row, sum) = (r, 0.0);
+        }
+        sum += v.to_f64() * bv[col.to_usize()].to_f64();
+    }
+    sink.put(row.to_usize(), 0, sum);
+}
+
+/// [`coo_lane`] for `k > 1`: `acc` holds the row's sum per right-hand side.
+fn coo_block_lane<V: Value, I: Index>(
+    ri: &[I],
+    ci: &[I],
+    vals: &[V],
+    bv: &[V],
+    acc: &mut [f64],
+    mut sink: SegmentSink<'_, V>,
+) {
+    let Some(&first) = ri.first() else { return };
+    let k = acc.len();
+    let mut row = first;
+    acc.fill(0.0);
+    for ((&r, col), v) in ri.iter().zip(ci).zip(vals) {
+        if r != row {
+            sink.put_block(row.to_usize(), acc);
+            row = r;
+        }
+        let brow = &bv[col.to_usize() * k..][..k];
+        for (a, bc) in acc.iter_mut().zip(brow) {
+            *a += v.to_f64() * bc.to_f64();
+        }
+    }
+    sink.put_block(row.to_usize(), acc);
+}
+
 impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
     fn size(&self) -> Dim2 {
         self.size
@@ -318,33 +366,13 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
                 row_last: ri[w[1] - 1].to_usize(),
             })
             .collect();
-        plan::run_segments(self.executor(), x.as_mut_slice(), k, alpha, &segments, |seg, acc, mut sink| {
-            let hi = seg.nnz_end;
-            let mut idx = seg.nnz_start;
-            while idx < hi {
-                let r = ri[idx];
-                if k == 1 {
-                    // Scalar row sum in entry order.
-                    let mut sum = 0.0f64;
-                    while idx < hi && ri[idx] == r {
-                        sum += vals[idx].to_f64() * bv[ci[idx].to_usize()].to_f64();
-                        idx += 1;
-                    }
-                    sink.put(r.to_usize(), 0, sum);
-                } else {
-                    acc.fill(0.0);
-                    while idx < hi && ri[idx] == r {
-                        let col = ci[idx].to_usize();
-                        let v = vals[idx].to_f64();
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            *a += v * bv[col * k + c].to_f64();
-                        }
-                        idx += 1;
-                    }
-                    for (c, &a) in acc.iter().enumerate() {
-                        sink.put(r.to_usize(), c, a);
-                    }
-                }
+        plan::run_segments(self.executor(), x.as_mut_slice(), k, alpha, &segments, |seg, acc, sink| {
+            let span = seg.nnz_start..seg.nnz_end;
+            let (ri, ci, vals) = (&ri[span.clone()], &ci[span.clone()], &vals[span]);
+            if k == 1 {
+                coo_lane(ri, ci, vals, bv, sink);
+            } else {
+                coo_block_lane(ri, ci, vals, bv, acc, sink);
             }
         });
         self.executor().launch(&work);

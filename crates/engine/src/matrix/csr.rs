@@ -30,7 +30,7 @@ use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::dense::Dense;
 use crate::matrix::plan::{
-    self, MergeSegment, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan,
+    self, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SegmentSink, SpmvPlan,
 };
 use crate::sanitize::{report_merge_violation, verify_merge_segments};
 use pygko_sim::ChunkWork;
@@ -68,7 +68,10 @@ pub struct Csr<V: Value, I: Index = i32> {
 /// multiple FMA lanes busy; the scalar tail preserves exact semantics for
 /// spans shorter than the unroll width. The final pairwise reduction is a
 /// fixed reassociation, so results stay deterministic for a given span.
-#[inline]
+///
+/// `inline(always)`: a stencil row is five entries, so a call per row costs
+/// as much as the row (DESIGN.md §25).
+#[inline(always)]
 pub(crate) fn dot_span<V: Value, I: Index>(vals: &[V], cols: &[I], bv: &[V]) -> f64 {
     let mut vv = vals.chunks_exact(4);
     let mut cc = cols.chunks_exact(4);
@@ -86,26 +89,134 @@ pub(crate) fn dot_span<V: Value, I: Index>(vals: &[V], cols: &[I], bv: &[V]) -> 
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// Calls `row(r, lo, hi)` for every row `r` with nonzeros in `seg`, where
-/// `lo..hi` is the part of the row's span that lies inside the segment.
-#[inline]
-fn segment_rows<I: Index>(rp: &[I], seg: MergeSegment, mut row: impl FnMut(usize, usize, usize)) {
-    let mut idx = seg.nnz_start;
-    let mut r = seg.row_first;
-    while idx < seg.nnz_end {
-        // Skip rows already finished (and empty rows in between).
-        while rp[r + 1].to_usize() <= idx {
-            r += 1;
+// ---------------------------------------------------------------------------
+// Leaf kernels (DESIGN.md §25): free functions over slices already narrowed
+// to the chunk, scalars by value, nothing captured; the closures handed to
+// the pool narrow, pick the `k == 1` or the `k > 1` leaf, and call it. (One
+// function holding both loops read 2-12 % slower on the `k == 1` side.)
+// ---------------------------------------------------------------------------
+
+/// `x = alpha * A b + beta * x` for the rows whose pointers are `rp`
+/// (`rows + 1` of them), `k == 1`. `ci` / `vals` are those rows' entries and
+/// are walked by splitting each row off their front: no offset to keep, one
+/// length check per row.
+fn csr_rows_leaf<V: Value, I: Index>(
+    rp: &[I],
+    mut ci: &[I],
+    mut vals: &[V],
+    bv: &[V],
+    alpha: V,
+    beta: V,
+    xs: &mut [V],
+) {
+    let overwrite = beta == V::zero();
+    for (out, w) in xs.iter_mut().zip(rp.windows(2)) {
+        let len = w[1].to_usize() - w[0].to_usize();
+        let (row_vals, rest_vals) = vals.split_at(len);
+        let (row_ci, rest_ci) = ci.split_at(len);
+        let prod = V::from_f64(dot_span(row_vals, row_ci, bv));
+        *out = if overwrite {
+            alpha * prod
+        } else {
+            alpha * prod + beta * *out
+        };
+        (ci, vals) = (rest_ci, rest_vals);
+    }
+}
+
+/// [`csr_rows_leaf`] for `k > 1` right-hand sides: one sequential sum per
+/// output column.
+#[allow(clippy::too_many_arguments)]
+fn csr_rows_block_leaf<V: Value, I: Index>(
+    rp: &[I],
+    mut ci: &[I],
+    mut vals: &[V],
+    bv: &[V],
+    k: usize,
+    alpha: V,
+    beta: V,
+    xs: &mut [V],
+) {
+    let overwrite = beta == V::zero();
+    for (xrow, w) in xs.chunks_exact_mut(k).zip(rp.windows(2)) {
+        let len = w[1].to_usize() - w[0].to_usize();
+        let (row_vals, rest_vals) = vals.split_at(len);
+        let (row_ci, rest_ci) = ci.split_at(len);
+        for (c, out) in xrow.iter_mut().enumerate() {
+            let mut acc = 0.0f64;
+            for (v, col) in row_vals.iter().zip(row_ci) {
+                acc += v.to_f64() * bv[col.to_usize() * k + c].to_f64();
+            }
+            let prod = V::from_f64(acc);
+            *out = if overwrite {
+                alpha * prod
+            } else {
+                alpha * prod + beta * *out
+            };
         }
-        let row_end = rp[r + 1].to_usize().min(seg.nnz_end);
-        row(r, idx, row_end);
-        idx = row_end;
+        (ci, vals) = (rest_ci, rest_vals);
+    }
+}
+
+/// One merge-path segment, `k == 1`: `rp` holds the pointers of the
+/// segment's rows `row0..` and `ci` / `vals` its nonzeros, which start at
+/// nonzero `start`. A row's piece inside the segment goes to the sink; rows
+/// with no nonzero in it are skipped.
+fn csr_merge_lane<V: Value, I: Index>(
+    rp: &[I],
+    start: usize,
+    ci: &[I],
+    vals: &[V],
+    bv: &[V],
+    row0: usize,
+    mut sink: SegmentSink<'_, V>,
+) {
+    for (local, w) in rp.windows(2).enumerate() {
+        let lo = w[0].to_usize().saturating_sub(start);
+        let hi = w[1].to_usize().saturating_sub(start).min(vals.len());
+        if lo < hi {
+            sink.put(row0 + local, 0, dot_span(&vals[lo..hi], &ci[lo..hi], bv));
+        }
+    }
+}
+
+/// [`csr_merge_lane`] for `k > 1`: the piece's sums are gathered in `acc`
+/// (one slot per right-hand side), entry by entry.
+#[allow(clippy::too_many_arguments)]
+fn csr_merge_block_lane<V: Value, I: Index>(
+    rp: &[I],
+    start: usize,
+    ci: &[I],
+    vals: &[V],
+    bv: &[V],
+    row0: usize,
+    acc: &mut [f64],
+    mut sink: SegmentSink<'_, V>,
+) {
+    let k = acc.len();
+    acc.fill(0.0);
+    for (local, w) in rp.windows(2).enumerate() {
+        let lo = w[0].to_usize().saturating_sub(start);
+        let hi = w[1].to_usize().saturating_sub(start).min(vals.len());
+        if lo < hi {
+            for (v, col) in vals[lo..hi].iter().zip(&ci[lo..hi]) {
+                let brow = &bv[col.to_usize() * k..][..k];
+                for (a, bc) in acc.iter_mut().zip(brow) {
+                    *a += v.to_f64() * bc.to_f64();
+                }
+            }
+            sink.put_block(row0 + local, acc);
+        }
     }
 }
 
 /// The CSR structural invariants, checked from scratch. Shared between
 /// construction-time validation ([`Csr::from_raw`]) and the runtime
 /// sanitizer ([`Csr::validate`]).
+///
+/// Sound arrays — all a caller ever passes twice — are accepted by
+/// [`structure_is_sound`]'s whole-array passes; anything else goes to
+/// [`first_structure_defect`], whose row walk names the defect and its row.
 fn check_csr_structure<I: Index>(
     size: Dim2,
     row_ptrs: &[I],
@@ -136,6 +247,46 @@ fn check_csr_structure<I: Index>(
             n_values
         )));
     }
+    if structure_is_sound(size.cols, row_ptrs, col_idxs) {
+        return Ok(());
+    }
+    first_structure_defect(size, row_ptrs, col_idxs)
+}
+
+/// Whether row pointers that start at 0 and end at `col_idxs.len()` are
+/// non-decreasing, and the columns in range and strictly increasing inside
+/// every row: the verdict of [`first_structure_defect`] from passes with no
+/// loop per row (a short irregular row costs that walk a mispredicted exit).
+/// A row is strictly increasing exactly when the column array descends
+/// nowhere inside it, so the descents of the whole array are counted and
+/// compared with those that fall on a row's first entry.
+fn structure_is_sound<I: Index>(cols: usize, row_ptrs: &[I], col_idxs: &[I]) -> bool {
+    if !row_ptrs.windows(2).all(|w| w[0] <= w[1]) {
+        return false;
+    }
+    let Some(&first) = col_idxs.first() else {
+        return true;
+    };
+    let (min, max) = col_idxs
+        .iter()
+        .fold((first, first), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+    if min < I::zero() || max.to_usize() >= cols {
+        return false;
+    }
+    let descents = col_idxs.iter().zip(&col_idxs[1..]).filter(|(a, b)| a >= b).count();
+    let on_row_starts = row_ptrs[..row_ptrs.len() - 1]
+        .windows(2)
+        .filter(|w| {
+            let start = w[1].to_usize();
+            w[0] != w[1] && start < col_idxs.len() && col_idxs[start - 1] >= col_idxs[start]
+        })
+        .count();
+    descents == on_row_starts
+}
+
+/// The row walk: the first violated invariant, with its row.
+fn first_structure_defect<I: Index>(size: Dim2, row_ptrs: &[I], col_idxs: &[I]) -> Result<()> {
+    let n_values = col_idxs.len();
     for r in 0..size.rows {
         let (lo, hi) = (row_ptrs[r].to_usize(), row_ptrs[r + 1].to_usize());
         if lo > hi {
@@ -561,37 +712,22 @@ impl<V: Value, I: Index> Csr<V, I> {
         let vals = self.values.as_slice();
         let bv = b.as_slice();
         let exec = self.executor().clone();
-        let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * k).collect();
-        parallel_chunks(&exec, x.as_mut_slice(), &elem_bounds, |chunk, xs| {
-            let row0 = bounds[chunk];
+        // For one right-hand side the element bounds are the plan's row
+        // bounds themselves: no vector per apply.
+        let scaled: Vec<usize>;
+        let elem_bounds = if k == 1 {
+            bounds
+        } else {
+            scaled = bounds.iter().map(|&r| r * k).collect();
+            &scaled
+        };
+        parallel_chunks(&exec, x.as_mut_slice(), elem_bounds, |chunk, xs| {
+            let rp = &rp[bounds[chunk]..=bounds[chunk + 1]];
+            let (lo, hi) = (rp[0].to_usize(), rp[rp.len() - 1].to_usize());
             if k == 1 {
-                for (local, out) in xs.iter_mut().enumerate() {
-                    let r = row0 + local;
-                    let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-                    let prod = V::from_f64(dot_span(&vals[lo..hi], &ci[lo..hi], bv));
-                    *out = if beta == V::zero() {
-                        alpha * prod
-                    } else {
-                        alpha * prod + beta * *out
-                    };
-                }
+                csr_rows_leaf(rp, &ci[lo..hi], &vals[lo..hi], bv, alpha, beta, xs);
             } else {
-                for (local, xrow) in xs.chunks_mut(k).enumerate() {
-                    let r = row0 + local;
-                    let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-                    for (c, out) in xrow.iter_mut().enumerate() {
-                        let mut acc = 0.0f64;
-                        for idx in lo..hi {
-                            acc += vals[idx].to_f64() * bv[ci[idx].to_usize() * k + c].to_f64();
-                        }
-                        let prod = V::from_f64(acc);
-                        *out = if beta == V::zero() {
-                            alpha * prod
-                        } else {
-                            alpha * prod + beta * *out
-                        };
-                    }
-                }
+                csr_rows_block_leaf(rp, &ci[lo..hi], &vals[lo..hi], bv, k, alpha, beta, xs);
             }
         });
     }
@@ -620,25 +756,13 @@ impl<V: Value, I: Index> Csr<V, I> {
         let vals = self.values.as_slice();
         let bv = b.as_slice();
         let xs = x.as_mut_slice();
-        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |seg, acc, mut sink| {
+        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |seg, acc, sink| {
+            let rp = &rp[seg.row_first..=seg.row_last + 1];
+            let (ci, vals) = (&ci[seg.nnz_start..seg.nnz_end], &vals[seg.nnz_start..seg.nnz_end]);
             if k == 1 {
-                segment_rows(rp, seg, |r, lo, hi| {
-                    sink.put(r, 0, dot_span(&vals[lo..hi], &ci[lo..hi], bv));
-                });
+                csr_merge_lane(rp, seg.nnz_start, ci, vals, bv, seg.row_first, sink);
             } else {
-                segment_rows(rp, seg, |r, lo, hi| {
-                    acc.fill(0.0);
-                    for e in lo..hi {
-                        let col = ci[e].to_usize();
-                        let v = vals[e].to_f64();
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            *a += v * bv[col * k + c].to_f64();
-                        }
-                    }
-                    for (c, &a) in acc.iter().enumerate() {
-                        sink.put(r, c, a);
-                    }
-                });
+                csr_merge_block_lane(rp, seg.nnz_start, ci, vals, bv, seg.row_first, acc, sink);
             }
         });
     }
@@ -742,6 +866,52 @@ mod tests {
             vec![1.0, 2.0]
         )
         .is_err());
+    }
+
+    /// The whole-array passes and the row walk must agree on every input
+    /// with sound lengths and end points: sound structures, and each with one
+    /// defect planted (a swap, a repeat, a column out of range, a row pointer
+    /// moved), in leading, interior, trailing and empty-row positions.
+    #[test]
+    fn whole_array_passes_agree_with_the_row_walk() {
+        let lens = [3usize, 0, 1, 4, 0, 0, 2, 5, 0];
+        let cols = 6;
+        let mut rp = vec![0i32];
+        let mut ci = Vec::new();
+        for &len in &lens {
+            ci.extend((0..len).map(|s| (s * cols / len) as i32));
+            rp.push(ci.len() as i32);
+        }
+        let size = Dim2::new(lens.len(), cols);
+        let agree = |rp: &[i32], ci: &[i32], what: &str| {
+            let walk = first_structure_defect(size, rp, ci);
+            assert_eq!(structure_is_sound(cols, rp, ci), walk.is_ok(), "{what}: {walk:?}");
+            walk.is_ok()
+        };
+        assert!(agree(&rp, &ci, "sound"));
+        for e in 0..ci.len() {
+            for planted in [ci[e] + 1, ci[e] - 1, 0, cols as i32 - 1, cols as i32, -1] {
+                if planted < 0 && cfg!(debug_assertions) {
+                    continue; // `to_usize` asserts on a negative index
+                }
+                let mut bad = ci.clone();
+                bad[e] = planted;
+                agree(&rp, &bad, &format!("col_idxs[{e}] = {planted}"));
+            }
+        }
+        let mut planted_defects = 0;
+        for r in 1..lens.len() {
+            for moved in [rp[r] - 1, rp[r] + 1, rp[r] + 2] {
+                if moved < 0 || moved as usize > ci.len() {
+                    continue;
+                }
+                let mut bad = rp.clone();
+                bad[r] = moved;
+                let sound = agree(&bad, &ci, &format!("row_ptrs[{r}] = {moved}"));
+                planted_defects += usize::from(!sound);
+            }
+        }
+        assert!(planted_defects > 0);
     }
 
     #[test]

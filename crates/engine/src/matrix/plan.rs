@@ -296,7 +296,8 @@ impl<V: Value> SegmentSink<'_, V> {
     /// row of the segment — which a boundary may split — are parked in
     /// scratch for the serial merge; a row strictly between them has every
     /// nonzero inside this segment and is updated in place.
-    #[inline]
+    /// `inline(always)`: called once per row from the lanes' leaf kernels.
+    #[inline(always)]
     pub(crate) fn put(&mut self, r: usize, c: usize, sum: f64) {
         assert!(c < self.k, "right-hand-side column out of range");
         if r <= self.row_first {
@@ -313,13 +314,22 @@ impl<V: Value> SegmentSink<'_, V> {
             }
         }
     }
+
+    /// [`SegmentSink::put`] for every right-hand side of row `r`, from a lane's
+    /// accumulator block, which is left cleared for the lane's next row.
+    #[inline(always)]
+    pub(crate) fn put_block(&mut self, r: usize, acc: &mut [f64]) {
+        for (c, a) in acc.iter_mut().enumerate() {
+            self.put(r, c, std::mem::take(a));
+        }
+    }
 }
 
 /// Runs `lane` once per segment on `exec`'s pool and folds the results into
 /// `x += alpha * (per-row sums)`, for `x` row-major with `k` columns.
 ///
 /// Each lane receives its segment, a `k`-slot accumulator block (reused
-/// across the segment's rows: the caller clears it per row) and a
+/// across the segment's rows: [`SegmentSink::put_block`] clears it) and a
 /// [`SegmentSink`]. Rows interior to a segment are written through the sink
 /// directly; the first and last row land in a per-segment scratch block
 /// that a serial pass merges in segment order, so a row split across

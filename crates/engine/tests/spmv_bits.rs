@@ -253,16 +253,17 @@ struct Reference<V> {
 impl<V: Value> Reference<V> {
     fn of<I: Index>(csr: &Csr<V, I>) -> Self {
         let (rp, ci, vals) = (csr.row_ptrs(), csr.col_idxs(), csr.values());
-        let entries: Vec<Entry<V>> =
-            vals.iter().zip(ci).map(|(&v, c)| (v, c.to_usize())).collect();
-        let mut rows = Vec::new();
-        let mut row_of = Vec::new();
-        for r in 0..csr.size().rows {
-            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-            rows.push(entries[lo..hi].to_vec());
-            row_of.resize(hi, r);
-        }
-        Reference { rows, entries, row_of }
+        let rows = rp.windows(2).map(|w| {
+            let span = w[0].to_usize()..w[1].to_usize();
+            vals[span.clone()].iter().zip(&ci[span]).map(|(&v, c)| (v, c.to_usize())).collect()
+        });
+        Reference::from_rows(rows.collect())
+    }
+
+    fn from_rows(rows: Vec<Vec<Entry<V>>>) -> Self {
+        let entries = rows.concat();
+        let row_of = rows.iter().enumerate().flat_map(|(r, row)| row.iter().map(move |_| r));
+        Reference { row_of: row_of.collect(), entries, rows }
     }
 
     /// Rows padded to `width(r)` slots with value zero at the row's last
@@ -282,20 +283,11 @@ impl<V: Value> Reference<V> {
 
     /// The first `width` entries of every row, and the rest.
     fn split_at(&self, width: usize) -> (Reference<V>, Reference<V>) {
-        let part = |keep: &dyn Fn(usize) -> bool| {
-            let rows: Vec<Vec<Entry<V>>> = self
-                .rows
-                .iter()
-                .map(|row| {
-                    row.iter().enumerate().filter(|(s, _)| keep(*s)).map(|(_, &e)| e).collect()
-                })
-                .collect();
-            let entries = rows.concat();
-            let row_of =
-                rows.iter().enumerate().flat_map(|(r, row)| row.iter().map(move |_| r)).collect();
-            Reference { rows, entries, row_of }
-        };
-        (part(&|slot| slot < width), part(&|slot| slot >= width))
+        let cut = self.rows.iter().map(|row| row.split_at(width.min(row.len())));
+        (
+            Reference::from_rows(cut.clone().map(|(head, _)| head.to_vec()).collect()),
+            Reference::from_rows(cut.map(|(_, rest)| rest.to_vec()).collect()),
+        )
     }
 
     /// COO's nonzero partition for an executor with `workers` lanes.
@@ -331,14 +323,12 @@ fn assert_bits<V: Value>(got: &[V], want: &[V], ctx: &str) {
     }
 }
 
+/// A reference SpMV: `(k, alpha, b, beta, x)`.
+type ReferenceApply<'a, V> = &'a dyn Fn(usize, V, &[V], V, &mut [V]);
+
 /// Drives `op` through `apply` and every `apply_advanced` scalar pair for
-/// `k` in {1, 3} against `reference(k, alpha, b, beta, x)`.
-fn check_op<V: Value>(
-    exec: &Executor,
-    op: &dyn LinOp<V>,
-    reference: &dyn Fn(usize, V, &[V], V, &mut [V]),
-    ctx: &str,
-) {
+/// `k` in {1, 3} against `reference`.
+fn check_op<V: Value>(exec: &Executor, op: &dyn LinOp<V>, reference: ReferenceApply<V>, ctx: &str) {
     let dim = op.size();
     for k in [1usize, 3] {
         let b = dense::<V>(exec, dim.cols, k, rhs_value);
@@ -530,11 +520,9 @@ fn batch_csr_rows_sum_in_the_unrolled_order() {
                         let m = Reference::of(&scaled[s]);
                         let mut want = vec![0.0f64; dim.rows];
                         reference_rows(&m.rows, 1, 1.0, &rhs[s], 0.0, &mut want);
-                        assert_bits(
-                            x.system(s),
-                            &want,
-                            &format!("batch {variant} {name} system {s}/{systems} on {}", exec.name()),
-                        );
+                        let on = exec.name();
+                        let ctx = format!("batch {variant} {name} system {s}/{systems} on {on}");
+                        assert_bits(x.system(s), &want, &ctx);
                     }
                 }
             }
