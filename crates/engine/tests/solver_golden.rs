@@ -24,12 +24,17 @@
 //! `SolveCompleted`. The three edge cases every solver shares — iteration
 //! limit, zero right-hand side, shape mismatch — are tabled here over all
 //! eight solvers instead of living in some solvers' unit tests.
+//!
+//! The two batched solvers, which are not on the shared shell, are pinned
+//! per system in [`BATCH_GOLDEN`] (iterations, stop reason, first and last
+//! residual, solution fingerprint), for batches below and above every
+//! executor's chunk count; its generator is `print_batch_golden_table`.
 
 use gko::linop::LinOp;
 use gko::log::{ConvergenceLogger, Event, Record};
-use gko::matrix::{Csr, Dense};
+use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::preconditioner::Jacobi;
-use gko::solver::{BiCgStab, Cg, Cgs, Fcg, Gmres, Ir, Minres, MixedIr};
+use gko::solver::{BatchBiCgStab, BatchCg, BiCgStab, Cg, Cgs, Fcg, Gmres, Ir, Minres, MixedIr};
 use gko::stop::{Criteria, StopReason};
 use gko::{Dim2, Executor, GkoError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -236,10 +241,7 @@ fn trajectories() -> Vec<Trajectory> {
                         iterations: rec.iterations,
                         stop: rec.stop_reason.expect("solve finished"),
                         checks: count(|e| matches!(e, Event::CriterionChecked { .. })),
-                        solution: x
-                            .to_host_vec()
-                            .iter()
-                            .fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits()),
+                        solution: fingerprint(x.to_host_vec().iter()),
                         history: rec.residual_history.iter().map(|r| r.to_bits()).collect(),
                     });
                 }
@@ -447,6 +449,266 @@ fn shape_mismatch_is_an_error() {
         assert!(op.apply(&full, &mut short_x).is_err(), "{label}: short x");
     });
 }
+
+// ---------------------------------------------------------------------------
+// Batched solvers
+// ---------------------------------------------------------------------------
+
+/// Batched cases: name, `BatchCg` on the SPD stencil (`true`) or
+/// `BatchBiCgStab` on the unsymmetric one, systems, iteration limit. One
+/// system lies below every executor's chunk count, 3 below omp's and above
+/// the reference executor's, 40 above all of them.
+const BATCH_CASES: [(&str, bool, usize, usize); 7] = [
+    ("cg/1", true, 1, MAX_ITERS),
+    ("cg/3", true, 3, MAX_ITERS),
+    ("cg/40", true, 40, MAX_ITERS),
+    ("cg/2/limit", true, 2, 3),
+    ("bicgstab/1", false, 1, MAX_ITERS),
+    ("bicgstab/3", false, 3, MAX_ITERS),
+    ("bicgstab/40", false, 40, MAX_ITERS),
+];
+
+/// One batched solve: the stencil's sparsity shared by `systems` systems
+/// whose diagonals are scaled per system, right-hand sides and initial
+/// guesses that differ per system. From three systems on, system 1 has a
+/// zero right-hand side and a zero guess (converged at iteration 0, `x`
+/// untouched), system 2 a NaN in its right-hand side (breaks down alone at
+/// iteration 0, its guess untouched), and BiCGStab's system 0 is `2 I`
+/// stored on the shared pattern, for which `s = r - alpha v` is exactly zero:
+/// it leaves through the half-step exit of iteration 1 (the full step would
+/// break down on `t·t = 0`).
+/// Entry `i` of system `s`'s initial guess.
+fn batch_guess(s: usize, i: usize) -> f64 {
+    0.015625 * ((i + s) % 5) as f64
+}
+
+/// Order-sensitive fold of a vector's bits.
+fn fingerprint<'a>(v: impl Iterator<Item = &'a f64>) -> u64 {
+    v.fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits())
+}
+
+fn batch_outcomes(exec: &Executor, cg: bool, systems: usize, limit: usize) -> Vec<BatchGolden> {
+    let proto = stencil(exec, if cg { 0.0 } else { 0.35 });
+    let n = proto.size().rows;
+    let (row_ptrs, col_idxs) = (proto.row_ptrs(), proto.col_idxs());
+    let diagonal: Vec<bool> = (0..n)
+        .flat_map(|r| (row_ptrs[r]..row_ptrs[r + 1]).map(move |k| col_idxs[k as usize] as usize == r))
+        .collect();
+    let specials = systems >= 3;
+    let values: Vec<Vec<f64>> = (0..systems)
+        .map(|s| {
+            let scale = 1.0 + 0.125 * (s % 9) as f64;
+            let twice_identity = specials && !cg && s == 0;
+            let entry = |(&v, &on_diagonal): (&f64, &bool)| match (twice_identity, on_diagonal) {
+                (true, true) => 2.0,
+                (true, false) => 0.0,
+                (false, true) => v * scale,
+                (false, false) => v,
+            };
+            proto.values().iter().zip(&diagonal).map(entry).collect()
+        })
+        .collect();
+    let batch = Arc::new(BatchCsr::from_shared(&proto, &values).unwrap());
+    let mut b = BatchDense::<f64>::zeros(exec, systems, Dim2::new(n, 1));
+    let mut x = BatchDense::<f64>::zeros(exec, systems, Dim2::new(n, 1));
+    let single = rhs(exec, n).to_host_vec();
+    for s in 0..systems {
+        for (i, (b_i, x_i)) in b.system_mut(s).iter_mut().zip(x.system_mut(s)).enumerate() {
+            *b_i = single[i] + 0.0625 * s as f64;
+            *x_i = batch_guess(s, i);
+        }
+    }
+    if specials {
+        b.system_mut(1).fill(0.0);
+        x.system_mut(1).fill(0.0);
+        b.system_mut(2)[4] = f64::NAN;
+    }
+    let criteria = Criteria::iterations_and_reduction(limit, REDUCTION);
+    let record = if cg {
+        BatchCg::new(batch).unwrap().with_criteria(criteria).apply_batch(&b, &mut x)
+    } else {
+        BatchBiCgStab::new(batch).unwrap().with_criteria(criteria).apply_batch(&b, &mut x)
+    }
+    .unwrap();
+    record
+        .outcomes
+        .iter()
+        .enumerate()
+        .map(|(s, o)| {
+            let (initial, last) = (o.initial_residual.to_bits(), o.final_residual.to_bits());
+            (o.iterations, o.stop_reason, initial, last, fingerprint(x.system(s).iter()))
+        })
+        .collect()
+}
+
+/// Every system of every batched case equals its golden row in every bit, on
+/// the reference executor and on `omp(7)` / `omp(16)`: a system's arithmetic
+/// does not depend on how the batch was cut into chunks.
+#[test]
+fn batched_outcomes_match_the_golden_table() {
+    assert_eq!(BATCH_CASES.len(), BATCH_GOLDEN.len(), "case count");
+    let executors = [Executor::reference(), Executor::omp(7), Executor::omp(16)];
+    for ((case, cg, systems, limit), (name, want)) in BATCH_CASES.into_iter().zip(BATCH_GOLDEN) {
+        assert_eq!(case, *name);
+        for exec in &executors {
+            let got = batch_outcomes(exec, cg, systems, limit);
+            assert_eq!(got.len(), want.len(), "{case} on {}", exec.name());
+            for (s, (g, w)) in got.iter().zip(*want).enumerate() {
+                assert_eq!(g, w, "{case} system {s} on {} drifted", exec.name());
+            }
+        }
+    }
+    // The special systems are what their names say.
+    let row = |case: &str, s: usize| {
+        let (_, rows) = BATCH_GOLDEN.iter().find(|(name, _)| *name == case).unwrap();
+        rows[s]
+    };
+    let guess: Vec<f64> = (0..GRID * GRID).map(|i| batch_guess(2, i)).collect();
+    for case in ["cg/3", "cg/40", "bicgstab/3", "bicgstab/40"] {
+        let (zero_rhs, poisoned) = (row(case, 1), row(case, 2));
+        let converged_at_once = (0, StopReason::ResidualReduction, 0);
+        assert_eq!((zero_rhs.0, zero_rhs.1, zero_rhs.4), converged_at_once, "{case}");
+        let broke_down_at_once = (0, StopReason::Breakdown, fingerprint(guess.iter()));
+        assert_eq!((poisoned.0, poisoned.1, poisoned.4), broke_down_at_once, "{case}");
+    }
+    for case in ["bicgstab/3", "bicgstab/40"] {
+        let half_step = row(case, 0);
+        let exact_after_half_a_step = (1, StopReason::ResidualReduction, 0);
+        assert_eq!((half_step.0, half_step.1, half_step.3), exact_after_half_a_step, "{case}");
+    }
+    for s in 0..2 {
+        let limited = row("cg/2/limit", s);
+        assert_eq!((limited.0, limited.1), (3, StopReason::MaxIterations));
+    }
+}
+
+/// Prints [`BATCH_GOLDEN`] as Rust source.
+#[test]
+#[ignore = "generator for the BATCH_GOLDEN table"]
+fn print_batch_golden_table() {
+    println!("#[rustfmt::skip]\nconst BATCH_GOLDEN: &[(&str, &[BatchGolden])] = &[");
+    for (case, cg, systems, limit) in BATCH_CASES {
+        println!("    ({case:?}, &[");
+        let outcomes = batch_outcomes(&Executor::reference(), cg, systems, limit);
+        for (iters, stop, initial, last, x) in outcomes {
+            println!("        ({iters}, StopReason::{stop:?}, {initial:#018x}, {last:#018x}, {x:#018x}),");
+        }
+        println!("    ]),");
+    }
+    println!("];");
+}
+
+/// One system of a batched solve: `(iterations, stop, initial residual bits,
+/// final residual bits, solution fingerprint)`.
+type BatchGolden = (usize, StopReason, u64, u64, u64);
+
+#[rustfmt::skip]
+const BATCH_GOLDEN: &[(&str, &[BatchGolden])] = &[
+    ("cg/1", &[
+        (23, StopReason::ResidualReduction, 0x402a5c41db8ffc72, 0x3e3da498ef9041d5, 0xb7016151387cd6cb),
+    ]),
+    ("cg/3", &[
+        (23, StopReason::ResidualReduction, 0x402a5c41db8ffc72, 0x3e3da498ef9041d5, 0xb7016151387cd6cb),
+        (0, StopReason::ResidualReduction, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000),
+        (0, StopReason::Breakdown, 0x7ff8000000000000, 0x7ff8000000000000, 0xb3e2cf8d3967c69c),
+    ]),
+    ("cg/40", &[
+        (23, StopReason::ResidualReduction, 0x402a5c41db8ffc72, 0x3e3da498ef9041d5, 0xb7016151387cd6cb),
+        (0, StopReason::ResidualReduction, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000),
+        (0, StopReason::Breakdown, 0x7ff8000000000000, 0x7ff8000000000000, 0xb3e2cf8d3967c69c),
+        (17, StopReason::ResidualReduction, 0x402ca4f9c15e1a10, 0x3e38f24247c5132d, 0x4ae5365fa9f4aa10),
+        (16, StopReason::ResidualReduction, 0x402d35b6886feb99, 0x3e3a2bbf372e8705, 0x121f34df9c205b86),
+        (15, StopReason::ResidualReduction, 0x402da81376f02bb8, 0x3e44575ab0c99824, 0x136ca93732689744),
+        (15, StopReason::ResidualReduction, 0x402e8a8cbb9b2ec6, 0x3e2fd72c8a5961dc, 0x02148f1e46e2055b),
+        (14, StopReason::ResidualReduction, 0x402f6b2fbf2e91cf, 0x3e3c7fa8b9b8a9aa, 0xacf2bc6f5aba847a),
+        (13, StopReason::ResidualReduction, 0x40300d87c76dd737, 0x3e4e55e74295016e, 0xdb15e86ba71c7b0d),
+        (23, StopReason::ResidualReduction, 0x40319402bb0cc232, 0x3e42101884c7bb2a, 0x6b3a96f33688a529),
+        (20, StopReason::ResidualReduction, 0x4031d2b6a1c60548, 0x3e416d30b636e9fa, 0xd5b07e206c1c0ee9),
+        (18, StopReason::ResidualReduction, 0x40323dc11f42f165, 0x3e489229a2a11b3b, 0x700fee42f62c8b79),
+        (17, StopReason::ResidualReduction, 0x4032a9fda33364b5, 0x3e3d2acd7cc9a020, 0xdb6469eb70fb64ad),
+        (16, StopReason::ResidualReduction, 0x403303c93a6164fc, 0x3e3ef5dd4b644ec9, 0xf0970347394ffa54),
+        (15, StopReason::ResidualReduction, 0x40334aef594771ad, 0x3e4985c730d26844, 0xf2783944df3302b7),
+        (14, StopReason::ResidualReduction, 0x40337e60b6ee6922, 0x3e51f312d2693208, 0x183d2ff2cf655e65),
+        (14, StopReason::ResidualReduction, 0x4033f50713e34935, 0x3e3fcc0fc11900c1, 0x479d3bb4882c8527),
+        (13, StopReason::ResidualReduction, 0x40346a6438a5777b, 0x3e50f2be9ad44a12, 0x835975a031d0dcce),
+        (23, StopReason::ResidualReduction, 0x403604ea16645ca1, 0x3e438b6a41e9ad52, 0x6e59bfd752fb14ba),
+        (20, StopReason::ResidualReduction, 0x403650fca0c70f7d, 0x3e45d19803089c1e, 0xac10bf39dede21c8),
+        (18, StopReason::ResidualReduction, 0x40368bcc405837ca, 0x3e4ab00b616833c5, 0xde842d21c6315bca),
+        (17, StopReason::ResidualReduction, 0x4036fad68a51bed1, 0x3e40b3f4eacd9d8b, 0x729b9358974a5df9),
+        (16, StopReason::ResidualReduction, 0x40376a864b339e47, 0x3e4264c8fdaae240, 0xa8af0725aeb079b0),
+        (15, StopReason::ResidualReduction, 0x4037c59d0f18898d, 0x3e4dc2a8c6e8ec1a, 0x0b2889165e6ea10f),
+        (14, StopReason::ResidualReduction, 0x40380b2dc5847dc1, 0x3e5438d402c47977, 0x412c989a8e0bb31b),
+        (14, StopReason::ResidualReduction, 0x40383993046891fa, 0x3e4018aef2aec0d9, 0xcb49568700cee89d),
+        (13, StopReason::ResidualReduction, 0x4038b43be90c09b9, 0x3e5204e25db5bf73, 0x5590befd5fc44288),
+        (23, StopReason::ResidualReduction, 0x403a72222ef444a4, 0x3e45d2e2d87d9b90, 0xc6f66a9abc187a44),
+        (20, StopReason::ResidualReduction, 0x403acd2382174476, 0x3e49213fa7c43de6, 0xbaae07eeaa30af0d),
+        (18, StopReason::ResidualReduction, 0x403b17cf510757e7, 0x3e4fefa6286e2b50, 0x19b611b653488e82),
+        (17, StopReason::ResidualReduction, 0x403b4ec0e5f8ef98, 0x3e41724f8c47d0a6, 0x7ad2528d09f29efb),
+        (16, StopReason::ResidualReduction, 0x403bc1239489e430, 0x3e42b8cf5f704693, 0x45b45f308708ed22),
+        (15, StopReason::ResidualReduction, 0x403c33c38f22a853, 0x3e50680b0bc506de, 0x56372db5122b68f4),
+        (14, StopReason::ResidualReduction, 0x403c8fb7329d0e59, 0x3e5573c56d1490b6, 0xf032b2d7e18e5066),
+        (14, StopReason::ResidualReduction, 0x403cd3998077b62e, 0x3e4187c1c773d4b4, 0x7f773f0c9469bf13),
+        (13, StopReason::ResidualReduction, 0x403cfd60fc28768d, 0x3e53ee312fdad733, 0x7f3b3f146cbc9a59),
+        (23, StopReason::ResidualReduction, 0x403ed457f83e5e05, 0x3e45cab623ba430b, 0x23763d3faeada591),
+        (20, StopReason::ResidualReduction, 0x403f3f48bfb174bb, 0x3e4bbf641429a24f, 0x9c4da71e2eff9fbc),
+        (18, StopReason::ResidualReduction, 0x403f9ae85e6128e7, 0x3e52c3dd01ca2393, 0xacf6d1340126cad8),
+        (17, StopReason::ResidualReduction, 0x403fe40e6696862f, 0x3e448bce017249ee, 0x3ab58868c8f2a56f),
+    ]),
+    ("cg/2/limit", &[
+        (3, StopReason::MaxIterations, 0x402a5c41db8ffc72, 0x4001f448286d6ee9, 0x88f6a313ded06592),
+        (3, StopReason::MaxIterations, 0x402b271b0d0590da, 0x3ff4d964f79bed0c, 0xf72658937c800781),
+    ]),
+    ("bicgstab/1", &[
+        (14, StopReason::ResidualReduction, 0x402a5eaddbded013, 0x3e3f766258578bde, 0xadf940c30a6f52ea),
+    ]),
+    ("bicgstab/3", &[
+        (1, StopReason::ResidualReduction, 0x402a31513a1d70c0, 0x0000000000000000, 0xc40c8093d9750300),
+        (0, StopReason::ResidualReduction, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000),
+        (0, StopReason::Breakdown, 0x7ff8000000000000, 0x7ff8000000000000, 0xb3e2cf8d3967c69c),
+    ]),
+    ("bicgstab/40", &[
+        (1, StopReason::ResidualReduction, 0x402a31513a1d70c0, 0x0000000000000000, 0xc40c8093d9750300),
+        (0, StopReason::ResidualReduction, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000),
+        (0, StopReason::Breakdown, 0x7ff8000000000000, 0x7ff8000000000000, 0xb3e2cf8d3967c69c),
+        (10, StopReason::ResidualReduction, 0x402ca38346a7164e, 0x3e450e322d9a59c6, 0xbe779c62fe861932),
+        (10, StopReason::ResidualReduction, 0x402d338d1a1c8780, 0x3e42599ec64e0b4d, 0xc297f922072b0b68),
+        (10, StopReason::ResidualReduction, 0x402daa916948483c, 0x3e40897e745a1c7e, 0xff623fcb963c66cc),
+        (9, StopReason::ResidualReduction, 0x402e8d4fbfe3690c, 0x3e4dbc889648a8be, 0x31eb28ba9c3ed744),
+        (8, StopReason::ResidualReduction, 0x402f6af74a0924ab, 0x3e49297ced5863b8, 0xf9c65dc425311806),
+        (8, StopReason::ResidualReduction, 0x40300cc9d4eefa55, 0x3e3a5980b282f9ba, 0x47fbfff3aa306ef3),
+        (14, StopReason::ResidualReduction, 0x4031932ed5645402, 0x3e51dfd2ab7969c7, 0xa4295291fc62d7f4),
+        (12, StopReason::ResidualReduction, 0x4031d3d05b1cd21d, 0x3e39ab4854b0fc03, 0x333ec9b8cc1ccb5f),
+        (11, StopReason::ResidualReduction, 0x40323ef7cf0259c6, 0x3e371799743e8675, 0xa3b5c93b0ba9857a),
+        (10, StopReason::ResidualReduction, 0x4032a9e31a2a90f5, 0x3e4331b1aad48020, 0x602e24e440433d0c),
+        (10, StopReason::ResidualReduction, 0x403302f8b6c52e28, 0x3e3bbc2eab42f05d, 0x13bb8d6b4cb563b8),
+        (10, StopReason::ResidualReduction, 0x40334a0cb7f26aca, 0x3e33efce904529da, 0x05ffb46e0b26fc3c),
+        (9, StopReason::ResidualReduction, 0x40337f83546ed841, 0x3e4024cddedb2ee6, 0xf03317a83701ee06),
+        (9, StopReason::ResidualReduction, 0x4033f644b8cfcf71, 0x3e375ccc1f230772, 0x6b9952339f3d1cbb),
+        (9, StopReason::ResidualReduction, 0x40346a42ca5fe3f2, 0x3e135e7ddfb0a02b, 0x320fabe5d93d040f),
+        (13, StopReason::ResidualReduction, 0x4036040c70b111d9, 0x3e5090ce6db047a2, 0x06822cea327ead7c),
+        (12, StopReason::ResidualReduction, 0x40365046e35d40dd, 0x3e4c798c555b132b, 0x0f3d1a9d9f91c282),
+        (11, StopReason::ResidualReduction, 0x40368cd4712e0b92, 0x3e430bf32faf9113, 0xd7fe456d198265a8),
+        (10, StopReason::ResidualReduction, 0x4036fbf61b194a71, 0x3e4e137158165460, 0xc926137baa0b0088),
+        (10, StopReason::ResidualReduction, 0x40376a66ef478e6f, 0x3e50c6a9c74a0e80, 0x2d7edded46f9bc3d),
+        (10, StopReason::ResidualReduction, 0x4037c4c04b729453, 0x3e2398b2ce9845dd, 0xb0ec15daf9575a6c),
+        (10, StopReason::ResidualReduction, 0x40380a6a27f8a00f, 0x3e1902b98e763c4a, 0x34450ae342fad06e),
+        (8, StopReason::ResidualReduction, 0x40383aa37b68f59d, 0x3e50933321abd81f, 0x037169de4df66f62),
+        (8, StopReason::ResidualReduction, 0x4038b5629b2e3521, 0x3e505a333f5bffb6, 0x91c322f60f96e083),
+        (14, StopReason::ResidualReduction, 0x403a7204754ff4be, 0x3e31f8fae9d169ce, 0x7cd4398ef27a85ce),
+        (12, StopReason::ResidualReduction, 0x403acc3d8897fdc3, 0x3e4b1bb69b204920, 0x96433c575600ed4c),
+        (12, StopReason::ResidualReduction, 0x403b172d664300fe, 0x3e2093821ba7e47d, 0x83a7ea62db469e29),
+        (10, StopReason::ResidualReduction, 0x403b4fbd4582aae0, 0x3e49465102d79f2c, 0x73c0913616be4cb8),
+        (10, StopReason::ResidualReduction, 0x403bc233934c0d40, 0x3e2d566b162297ed, 0xa70cb44dc6eae418),
+        (9, StopReason::ResidualReduction, 0x403c33a10ba86dd6, 0x3e5388da62a598a3, 0xc8f739fda9d1dc2b),
+        (9, StopReason::ResidualReduction, 0x403c8ed28737dbc2, 0x3e54f6bcb81632ae, 0xdb190035c76c4b28),
+        (8, StopReason::ResidualReduction, 0x403cd2eadbe60e8d, 0x3e5ba3c46ab932ca, 0x9625d3aa509c5894),
+        (8, StopReason::ResidualReduction, 0x403cfe64ed8ea882, 0x3e42717f7131d4de, 0x68f93adf22503d6f),
+        (13, StopReason::ResidualReduction, 0x403ed5558e7e29d4, 0x3e586a58896dd51c, 0x217e570225885ccb),
+        (12, StopReason::ResidualReduction, 0x403f3f27f0d87958, 0x3e48d119e3c3df09, 0xae81885b62c77340),
+        (11, StopReason::ResidualReduction, 0x403f99fcc014bbb0, 0x3e570dd903bd43de, 0x54d4f6af5c822017),
+        (10, StopReason::ResidualReduction, 0x403fe37a764e53ba, 0x3e536ebc5ea6ec16, 0xe8a42af5ee3af6a7),
+    ]),
+];
 
 /// `(case, iterations, stop, criterion checks, solution fingerprint,
 /// residual history bits)`.
