@@ -2,26 +2,31 @@
 //! execution of the real numerics). Plain-binary successor of the former
 //! criterion bench.
 //!
-//! Also three gates. A dot product reads two vectors and writes none, so it
+//! Also four gates. A dot product reads two vectors and writes none, so it
 //! may not cost much more than an AXPY of the same length; a scalar Jacobi
 //! application is one multiply per element over three vectors, so it may
-//! cost an AXPY and the third vector's traffic; and the two triangular
+//! cost an AXPY and the third vector's traffic; the two triangular
 //! sweeps of an ILU application read the same entries a CSR SpMV over the
-//! factors reads, so they may cost only the dependent chain more. Both sides
-//! of each ratio are timed in this process, back to back, so the ratio holds
-//! still when the host's speed drifts.
+//! factors reads, so they may cost only the dependent chain more; and a
+//! batched solve of many small systems exists to beat the loop of single
+//! solves over them, so it has to. Both sides of each ratio are timed in this
+//! process, back to back, so the ratio holds still when the host's speed
+//! drifts.
 //!
 //! `cargo run --release -p pygko-bench --bin micro_solvers`
 
 use gko::linop::LinOp;
-use gko::matrix::{Csr, Dense};
+use gko::log::ConvergenceLogger;
+use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::factorization::ilu0;
 use gko::preconditioner::{Ic, Ilu, Jacobi};
-use gko::solver::{BiCgStab, Cg, Cgs, Gmres, LowerTrs, UpperTrs};
+use gko::solver::{
+    BatchBiCgStab, BatchCg, BatchSolveRecord, BiCgStab, Cg, Cgs, Gmres, LowerTrs, UpperTrs,
+};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
-use pygko_matgen::generators::poisson2d;
+use pygko_matgen::generators::{poisson2d, spd_tridiag_batch};
 use std::sync::Arc;
 
 /// `compute_dot` may cost at most this multiple of `add_scaled` per element
@@ -42,6 +47,12 @@ const JACOBI_OVER_AXPY_LIMIT: f64 = 3.0;
 /// and the SpMV (a leaf kernel, DESIGN.md §25) 0.79: 2.4, where a divide per
 /// row on the chain would read 4.6.
 const TRS_OVER_CSR_LIMIT: f64 = 3.5;
+
+/// The loop of single solves over 32-row systems must cost at least this
+/// multiple of the batched solve of the same systems on the reference
+/// executor (measured 2.3-3.4 for CG, 3.0-4.0 for BiCGStab: a 32-row system
+/// is little more than its kernels' fixed costs, which the batch pays once).
+const BATCH_OVER_LOOP_FLOOR: f64 = 1.5;
 
 /// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
 const BLAS1_N: usize = 160_000;
@@ -200,6 +211,76 @@ fn bench_triangular(report: &mut Report) -> f64 {
     sweeps / spmv
 }
 
+/// Times one batched solve of `systems` SPD tridiagonal systems of `rows`
+/// rows (`spd_tridiag_batch`, one sparsity, per-system diagonals and
+/// right-hand sides) against the loop of single solves over the same systems,
+/// and returns the loop's best repetition over the batch's. Matrices, solvers
+/// and vectors are built before the timed calls, which start from a zero
+/// guess; every system must converge, in the same number of iterations on
+/// both sides. The rows' last column is per system.
+fn bench_batch(report: &mut Report, on: &str, exec: &Executor, cg: bool, systems: usize, rows: usize) -> f64 {
+    let gen = spd_tridiag_batch("tridiag", rows, systems, 7);
+    let criteria = Criteria::iterations_and_reduction(200, 1e-10);
+    let (dim, vec_dim) = (Dim2::square(rows), Dim2::new(rows, 1));
+    let proto = Csr::<f64, i32>::from_triplets(exec, dim, &gen.prototype.triplets).unwrap();
+    let batch = Arc::new(BatchCsr::from_shared(&proto, &gen.system_values).unwrap());
+    let b = BatchDense::from_systems(exec, vec_dim, &gen.rhs).unwrap();
+    let mut x = BatchDense::<f64>::zeros(exec, systems, vec_dim);
+    let batch_cg = BatchCg::new(batch.clone()).unwrap().with_criteria(criteria);
+    let batch_bicgstab = BatchBiCgStab::new(batch).unwrap().with_criteria(criteria);
+    type Single = (Box<dyn LinOp<f64>>, ConvergenceLogger, Dense<f64>, Dense<f64>);
+    let mut singles: Vec<Single> = (0..systems)
+        .map(|s| {
+            let triplets = gen.system_triplets(s);
+            let a = Arc::new(Csr::<f64, i32>::from_triplets(exec, dim, &triplets).unwrap());
+            let (solver, logger): (Box<dyn LinOp<f64>>, _) = if cg {
+                let solver = Cg::new(a).unwrap().with_criteria(criteria);
+                let logger = solver.logger().clone();
+                (Box::new(solver), logger)
+            } else {
+                let solver = BiCgStab::new(a).unwrap().with_criteria(criteria);
+                let logger = solver.logger().clone();
+                (Box::new(solver), logger)
+            };
+            let b = Dense::from_vec(exec, vec_dim, gen.rhs[s].clone()).unwrap();
+            (solver, logger, b, Dense::zeros(exec, vec_dim))
+        })
+        .collect();
+
+    // On a pool every dispatch of a single solve parks: the loop takes
+    // seconds a repetition there.
+    let iters = micro_iters(if exec.spec().workers > 1 { 3 } else { 50 });
+    let mut record = BatchSolveRecord::default();
+    let batch_secs = wall_secs_best(iters, || {
+        x.as_mut_slice().fill(0.0);
+        let solved =
+            if cg { batch_cg.apply_batch(&b, &mut x) } else { batch_bicgstab.apply_batch(&b, &mut x) };
+        record = solved.unwrap();
+    });
+    let loop_secs = wall_secs_best(iters, || {
+        for (solver, _, b, x) in &mut singles {
+            x.as_mut_slice().fill(0.0);
+            solver.apply(b, x).unwrap();
+        }
+    });
+    let method = if cg { "cg" } else { "bicgstab" };
+    let group = format!("batch_{method}_{systems}x{rows}");
+    for (s, (_, logger, ..)) in singles.iter().enumerate() {
+        let (single, batched) = (logger.snapshot(), record.outcomes[s]);
+        assert!(single.converged() && batched.converged(), "{group} on {on}: system {s}");
+        assert_eq!(batched.iterations, single.iterations, "{group} on {on}: system {s}");
+    }
+    for (case, secs) in [("batch", batch_secs), ("loop", loop_secs)] {
+        report.row(vec![
+            group.clone(),
+            format!("{case}_{on}"),
+            fmt(secs * 1e3),
+            fmt(secs * 1e9 / systems as f64),
+        ]);
+    }
+    loop_secs / batch_secs
+}
+
 fn bench_preconditioner_generation(report: &mut Report) {
     let (_, a, _) = setup();
     let iters = micro_iters(10);
@@ -231,6 +312,16 @@ fn main() {
     bench_krylov_iterations(&mut report);
     bench_preconditioner_generation(&mut report);
     let trs_over_csr = bench_triangular(&mut report);
+    // (executor, gated): the pool's wake-up cost per dispatch of a single
+    // solve, not batching, sets the `omp(2)` ratios, so they are only printed.
+    let mut batch_over_loop = Vec::new();
+    for (on, exec, gated) in [("reference", Executor::reference(), true), ("omp2", Executor::omp(2), false)] {
+        for (cg, systems, rows) in [(true, 1200, 32), (false, 1200, 32), (true, 200, 256)] {
+            let ratio = bench_batch(&mut report, on, &exec, cg, systems, rows);
+            let method = if cg { "cg" } else { "bicgstab" };
+            batch_over_loop.push((format!("batch_{method}_{systems}x{rows} on {on}"), ratio, gated && rows == 32));
+        }
+    }
     let (dot_over_axpy, jacobi_over_axpy) = bench_blas1(&mut report);
     report.print();
     let path = report.write_csv("micro_solvers").expect("write csv");
@@ -239,6 +330,16 @@ fn main() {
     println!("jacobi_over_axpy = {jacobi_over_axpy:.2} (n = {BLAS1_N}, limit {JACOBI_OVER_AXPY_LIMIT})");
     println!("trs_over_csr = {trs_over_csr:.2} (ILU(0) factors of poisson2d_60, limit {TRS_OVER_CSR_LIMIT})");
     let mut failed = false;
+    for (case, ratio, gated) in &batch_over_loop {
+        let floor = if *gated { format!("floor {BATCH_OVER_LOOP_FLOOR}") } else { "not gated".to_owned() };
+        println!("batch_over_loop = {ratio:.2} ({case}, {floor})");
+        if *gated && *ratio < BATCH_OVER_LOOP_FLOOR {
+            eprintln!(
+                "micro_solvers: FAIL — the loop of single solves costs {ratio:.2}x {case}, below {BATCH_OVER_LOOP_FLOOR}"
+            );
+            failed = true;
+        }
+    }
     if dot_over_axpy > DOT_OVER_AXPY_LIMIT {
         eprintln!(
             "micro_solvers: FAIL — compute_dot costs {dot_over_axpy:.2}x add_scaled, above {DOT_OVER_AXPY_LIMIT}"

@@ -198,25 +198,22 @@ fn bench_strategies(report: &mut Report) {
     });
 }
 
-/// `BatchCsr::apply_batch` in both sparsity variants (32 systems of one
-/// 40 x 40 stencil: the whole-systems-per-chunk regime).
+/// `BatchCsr::apply_batch` over 32 systems of one 40 x 40 stencil (two chunks
+/// of 16 whole systems on this executor).
 fn bench_batch(report: &mut Report) {
     let exec = Executor::reference();
     let gen = poisson2d("p", 40, 40);
     let systems = 32;
     let dim = Dim2::new(gen.rows, gen.cols);
     let proto = Csr::<f64, i32>::from_triplets(&exec, dim, &gen.triplets).unwrap();
-    let shared = BatchCsr::replicated(&proto, systems).unwrap();
-    let per_system = BatchCsr::from_systems(vec![proto.clone(); systems]).unwrap();
+    let batch = BatchCsr::replicated(&proto, systems).unwrap();
     let rhs = vec![vec![1.0f64; gen.cols]; systems];
     let b = BatchDense::from_systems(&exec, Dim2::new(gen.cols, 1), &rhs).unwrap();
     let mut x = BatchDense::zeros(&exec, systems, Dim2::new(gen.rows, 1));
     let iters = micro_iters(50);
-    for (name, batch) in [("shared", &shared), ("per_system", &per_system)] {
-        time_row(report, "batch_csr_poisson2d_40x32", name, systems * gen.nnz(), iters, || {
-            batch.apply_batch(&b, &mut x, None).unwrap()
-        });
-    }
+    time_row(report, "batch_csr_poisson2d_40x32", "shared", systems * gen.nnz(), iters, || {
+        batch.apply_batch(&b, &mut x, None).unwrap()
+    });
 }
 
 fn bench_value_types(report: &mut Report) {

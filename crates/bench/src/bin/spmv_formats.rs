@@ -288,7 +288,7 @@ fn main() {
     for s in 0..batch_systems {
         batch_b.system_mut(s).copy_from_slice(&bgen.rhs[s]);
     }
-    let batch_solver = BatchCg::new(batch.clone()).unwrap().with_criteria(batch_criteria);
+    let batch_solver = BatchCg::new(batch).unwrap().with_criteria(batch_criteria);
     let t0 = bt_exec.timeline().snapshot();
     let batch_record = batch_solver.apply_batch(&batch_b, &mut batch_x).unwrap();
     bt_exec.synchronize();
@@ -299,23 +299,12 @@ fn main() {
          ({}/{batch_systems} converged)",
         batch_record.converged_count()
     );
-    let batch_plan = batch.plan_stats().expect("shared sparsity has a plan cache");
-    assert_eq!(
-        batch_plan.builds, 1,
-        "one shared plan should serve the whole solve: {batch_plan:?}"
-    );
 
     // The same systems as independent single solves (matrices, vectors, and
     // solvers built outside the timed region — only solve time is compared).
     let singles: Vec<(Cg<f64>, Dense<f64>, Dense<f64>)> = (0..batch_systems)
         .map(|s| {
-            let triplets: Vec<(usize, usize, f64)> = bgen
-                .prototype
-                .triplets
-                .iter()
-                .zip(&bgen.system_values[s])
-                .map(|(&(r, c, _), &v)| (r, c, v))
-                .collect();
+            let triplets = bgen.system_triplets(s);
             let csr = Arc::new(Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &triplets).unwrap());
             let solver = Cg::new(csr).unwrap().with_criteria(batch_criteria);
             let b = Dense::from_vec(&bt_exec, vec_dim, bgen.rhs[s].clone()).unwrap();
@@ -337,12 +326,10 @@ fn main() {
     println!(
         "\nbatched CG ({batch_systems} systems of {batch_n} rows, omp16):\n  \
          batched {:.2} us/system | loop-of-singles {:.2} us/system | speedup {:.2}x | \
-         plan builds {} hits {} | anomalies {batch_anomalies}",
+         anomalies {batch_anomalies}",
         per_system_batched_ns / 1e3,
         per_system_loop_ns / 1e3,
-        loop_secs / batched_secs,
-        batch_plan.builds,
-        batch_plan.hits
+        loop_secs / batched_secs
     );
     assert!(
         batched_secs < loop_secs,
@@ -592,9 +579,6 @@ fn main() {
         .with("speedup_vs_loop", loop_secs / batched_secs)
         .with("converged", batch_record.converged_count())
         .with("max_iterations", batch_record.max_iterations())
-        .with("plan_builds", batch_plan.builds as i64)
-        .with("plan_hits", batch_plan.hits as i64)
-        .with("reuse_ratio", batch_plan.reuse_ratio())
         .with("anomalies_total", batch_anomalies as i64);
     // Wall-clock fields (unlike the virtual-time records) vary run to run;
     // `bench_gate` compares them under its dedicated, generous trace

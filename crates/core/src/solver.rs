@@ -341,12 +341,12 @@ impl Solver {
     /// `b` and `x` are `(n, S)` tensors holding one system per column, `x`
     /// carries the initial guesses on entry and the solutions on exit.
     ///
-    /// The system matrix is replicated into a shared-sparsity
-    /// [`gko::matrix::BatchCsr`], so one SpMV plan and one pool drain per
-    /// kernel serve all `S` systems. Each system stops independently against
-    /// the criteria this solver was built with; per-system iteration counts
-    /// and stop reasons come back in the [`BatchSolveResult`]. Only `cg` and
-    /// `bicgstab` batch, and the system matrix must be CSR.
+    /// The `S` systems are one [`gko::matrix::BatchCsr`] that stores the
+    /// matrix once, so one pool drain per kernel serves all of them. Each
+    /// system stops independently against the criteria this solver was built
+    /// with; per-system iteration counts and stop reasons come back in the
+    /// [`BatchSolveResult`]. Only `cg` and `bicgstab` batch, and the system
+    /// matrix must be CSR.
     pub fn solve_batch(&self, b: &Tensor, x: &mut Tensor) -> PyResult<BatchSolveResult> {
         binding_call(&self.device, || {
             // Every Krylov solver keeps its system matrix; two of them batch.
@@ -1041,6 +1041,33 @@ mod tests {
             coo_solver.solve_batch(&b, &mut x2),
             Err(PyGinkgoError::Type(_))
         ));
+    }
+
+    /// The columns of one `solve_batch` share the matrix, so the batch
+    /// stores it once: what grows with the column count is the vectors (the
+    /// two tensors, their per-system copies and CG's `r`, `q`, `p`), not
+    /// `S` copies of the values. The solutions are pinned against the build
+    /// that did store `S` copies.
+    #[test]
+    fn solve_batch_stores_the_matrix_once() {
+        let n = 5_000;
+        let run = |systems: usize| {
+            let dev = device("reference").unwrap();
+            let mtx = spd(&dev, n, "double");
+            let solver = cg(&dev, &mtx, None, 200, 1e-10).unwrap();
+            let b = multi_rhs(&dev, n, systems, 1.0);
+            let mut x = as_tensor_fill(&dev, (n, systems), "double", 0.0).unwrap();
+            let result = solver.solve_batch(&b, &mut x).unwrap();
+            assert!(result.all_converged(), "reasons: {:?}", result.stop_reasons);
+            let fnv = |h: u64, v: &f64| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+            let bits = x.to_vec().iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+            (dev.executor().peak_bytes(), bits)
+        };
+        let (one, _) = run(1);
+        let (many, solution) = run(64);
+        let vectors = (7 * 64 * n * std::mem::size_of::<f64>()) as u64;
+        assert!(many < 2 * one + vectors, "peak {many} bytes for 64 columns, {one} for one");
+        assert_eq!(solution, 0x43d4_f635_89fc_b0bd, "64-column solution drifted");
     }
 
     #[test]

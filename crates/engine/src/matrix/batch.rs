@@ -1,27 +1,27 @@
 //! Batched formats: many independent small systems, one pool drain per op.
 //!
-//! The north-star workload is not one giant system but huge numbers of
-//! independent small ones solved per call (Ginkgo's batched direction). A
-//! loop of single applies pays the executor's kernel-launch overhead once
-//! *per system per kernel*; the batched formats here amortize it to once
-//! per kernel by draining the [`WorkerPool`](crate::executor::pool) exactly
-//! once per batch apply.
+//! The workload is not one giant system but huge numbers of independent
+//! small ones solved per call (Ginkgo's batched direction). A loop of single
+//! applies pays the executor's kernel-launch overhead once *per system per
+//! kernel*; the batched formats here pay it once per kernel by draining the
+//! [`WorkerPool`](crate::executor::pool) exactly once per batch operation.
 //!
-//! Two formats:
+//! One layout: system `s` of a batch of `S` is the `s`-th run of
+//! `size.count()` values of one slab, nothing between systems.
 //!
-//! * [`BatchDense`] — `num_systems` dense blocks of identical shape in one
-//!   stride-aware slab, with per-system BLAS kernels (axpy, dots, norms)
-//!   that accept a per-system coefficient slice and an activity mask so
-//!   batched solvers can stop charging flops for converged systems.
-//! * [`BatchCsr`] — `num_systems` CSR systems, either **shared sparsity**
-//!   (one structure, per-system value slabs, ONE cached [`SpmvPlan`] reused
-//!   across all systems and all applies) or **per-system sparsity**
-//!   (independent `Csr` objects batched only for dispatch).
+//! * [`BatchDense`] — `S` dense blocks of identical shape, with per-system
+//!   BLAS kernels (axpy, dots, norms) that take a per-system coefficient
+//!   slice and an activity mask, so batched solvers stop charging flops for
+//!   converged systems. Every kernel is an element loop handed to one masked
+//!   per-system driver, which cuts the batch at whole systems.
+//! * [`BatchCsr`] — `S` CSR systems on one sparsity structure, each reading
+//!   one of the batch's value sets. (Systems with different sparsity are a
+//!   loop of [`Csr`] solves, which is what batching them measured as.)
 //!
-//! Chunking policy for the batched SpMV: when the batch has at least
-//! `2 * workers` systems, a chunk is a run of whole systems (small-system
-//! regime); otherwise each system is split by its SpMV plan's row partition
-//! (large-system regime). Either way the pool is drained once.
+//! The batched SpMV cuts the `S * rows` concatenated rows of the batch
+//! uniformly, so a chunk is a run of whole systems when systems are small and
+//! a row range of one system when they are large, with no switch between the
+//! two.
 
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
@@ -30,10 +30,9 @@ use crate::base::types::{Index, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
 use crate::log::OpTimer;
-use crate::matrix::csr::{dot_span, Csr, SpmvStrategy};
-use crate::matrix::plan::{self, PlanCache, PlanCacheStats, SpmvPlan};
+use crate::matrix::csr::{dot_span, Csr};
+use crate::matrix::plan::spmv_chunk_work;
 use pygko_sim::ChunkWork;
-use std::sync::Arc;
 
 /// True when system `s` participates in the current kernel.
 #[inline]
@@ -54,15 +53,46 @@ fn check_mask(active: Option<&[bool]>, num_systems: usize, op: &'static str) -> 
     Ok(())
 }
 
+/// System `s` of a slab of systems of `count` elements each. The kernels
+/// capture slabs, not batches: a closure that reaches through `&BatchDense`
+/// reloads its pointer and length for every system (dots read 1.5x slower).
+#[inline]
+fn system_of<V>(slab: &[V], count: usize, s: usize) -> &[V] {
+    &slab[s * count..][..count]
+}
+
+/// Error for a batch built from no systems.
+fn empty_batch() -> GkoError {
+    GkoError::BadInput("a batch needs at least one system".to_owned())
+}
+
+/// Concatenates one value vector per system into a slab, each of length `len`
+/// (`what` names `len` in the error).
+fn slab<V: Value>(systems: &[Vec<V>], len: usize, what: &str) -> Result<Vec<V>> {
+    if systems.is_empty() {
+        return Err(empty_batch());
+    }
+    let mut slab = Vec::with_capacity(systems.len() * len);
+    for (s, vals) in systems.iter().enumerate() {
+        if vals.len() != len {
+            return Err(GkoError::BadInput(format!(
+                "system {s} holds {} values but {what} {len}",
+                vals.len()
+            )));
+        }
+        slab.extend_from_slice(vals);
+    }
+    Ok(slab)
+}
+
 // ---------------------------------------------------------------------------
 // BatchDense
 // ---------------------------------------------------------------------------
 
-/// `num_systems` equally-shaped dense blocks in one stride-aware slab.
+/// `num_systems` equally-shaped dense blocks in one slab.
 ///
-/// System `s` occupies `values[s * stride .. s * stride + size.count()]` in
-/// row-major order; `stride >= size.count()` leaves optional padding between
-/// systems. All kernels chunk at whole-system granularity so one
+/// System `s` occupies `values[s * size.count()..(s + 1) * size.count()]` in
+/// row-major order. All kernels chunk at whole-system granularity so one
 /// [`parallel_chunks`] drain covers every system, and masked kernels skip
 /// inactive systems inside the chunk closure while charging the cost model
 /// only for active ones.
@@ -70,66 +100,26 @@ fn check_mask(active: Option<&[bool]>, num_systems: usize, op: &'static str) -> 
 pub struct BatchDense<V: Value> {
     num_systems: usize,
     size: Dim2,
-    stride: usize,
     values: Array<V>,
 }
 
 impl<V: Value> BatchDense<V> {
-    /// Allocates a zero-initialized batch with dense packing (no padding).
+    /// Allocates a zero-initialized batch.
     pub fn zeros(exec: &Executor, num_systems: usize, size: Dim2) -> Self {
         BatchDense {
             num_systems,
             size,
-            stride: size.count(),
             values: Array::new(exec, num_systems * size.count()),
         }
     }
 
-    /// Allocates with an explicit per-system stride (`>= size.count()`).
-    pub fn with_stride(
-        exec: &Executor,
-        num_systems: usize,
-        size: Dim2,
-        stride: usize,
-    ) -> Result<Self> {
-        if stride < size.count() {
-            return Err(GkoError::BadInput(format!(
-                "batch stride {stride} is smaller than the system size {} ({} entries)",
-                size,
-                size.count()
-            )));
-        }
-        Ok(BatchDense {
-            num_systems,
-            size,
-            stride,
-            values: Array::new(exec, num_systems * stride),
-        })
-    }
-
-    /// Builds a densely packed batch from one value vector per system.
+    /// Builds a batch from one value vector per system.
     pub fn from_systems(exec: &Executor, size: Dim2, systems: &[Vec<V>]) -> Result<Self> {
-        if systems.is_empty() {
-            return Err(GkoError::BadInput(
-                "a batch needs at least one system".to_owned(),
-            ));
-        }
-        let count = size.count();
-        let mut slab = Vec::with_capacity(systems.len() * count);
-        for (s, vals) in systems.iter().enumerate() {
-            if vals.len() != count {
-                return Err(GkoError::BadInput(format!(
-                    "system {s} holds {} values but the shape {size} needs {count}",
-                    vals.len()
-                )));
-            }
-            slab.extend_from_slice(vals);
-        }
+        let values = slab(systems, size.count(), &format!("the shape {size} needs"))?;
         Ok(BatchDense {
             num_systems: systems.len(),
             size,
-            stride: count,
-            values: Array::from_vec(exec, slab),
+            values: Array::from_vec(exec, values),
         })
     }
 
@@ -143,133 +133,147 @@ impl<V: Value> BatchDense<V> {
         self.size
     }
 
-    /// Slab distance between consecutive systems, in elements.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Executor the slab lives on.
     pub fn executor(&self) -> &Executor {
         self.values.executor()
     }
 
-    /// Read access to system `s` (row-major, padding excluded).
+    /// Read access to system `s` (row-major).
     pub fn system(&self, s: usize) -> &[V] {
-        let lo = s * self.stride;
-        &self.values.as_slice()[lo..lo + self.size.count()]
+        system_of(self.as_slice(), self.size.count(), s)
     }
 
     /// Write access to system `s`.
     pub fn system_mut(&mut self, s: usize) -> &mut [V] {
-        let lo = s * self.stride;
         let count = self.size.count();
-        &mut self.values.as_mut_slice()[lo..lo + count]
+        &mut self.values.as_mut_slice()[s * count..(s + 1) * count]
     }
 
-    /// The whole slab, padding included.
+    /// The whole slab: the systems one after the other.
     pub fn as_slice(&self) -> &[V] {
         self.values.as_slice()
     }
 
-    /// Mutable access to the whole slab, padding included.
+    /// Mutable access to the whole slab.
     pub fn as_mut_slice(&mut self) -> &mut [V] {
         self.values.as_mut_slice()
     }
 
-    /// System-aligned chunk partition: `(system bounds, element bounds)`.
-    fn system_bounds(&self) -> (Vec<usize>, Vec<usize>) {
-        let spec = self.executor().spec();
-        let sys_bounds = uniform_bounds(self.num_systems, spec.workers * 2);
-        let elem_bounds = sys_bounds.iter().map(|&s| s * self.stride).collect();
-        (sys_bounds, elem_bounds)
-    }
-
-    /// Cost-model work for a masked streaming kernel: only active systems
-    /// move bytes or spend flops.
-    fn masked_work(
+    /// The operand checks of every kernel below, in one place: `other` must
+    /// match this batch in size, shape and memory space, a per-system
+    /// coefficient (or result) slice of `coeffs` entries and an activity mask
+    /// must cover its systems. `name` is the kernel's.
+    fn check(
         &self,
-        sys_bounds: &[usize],
+        name: &'static str,
+        other: Option<&BatchDense<V>>,
+        coeffs: Option<usize>,
         active: Option<&[bool]>,
-        arrays: usize,
-        flops_per_item: f64,
-    ) -> Vec<ChunkWork> {
-        let count = self.size.count() as f64;
-        sys_bounds
-            .windows(2)
-            .map(|w| {
-                let act = (w[0]..w[1]).filter(|&s| is_active(active, s)).count() as f64;
-                ChunkWork::new(
-                    act * count * (arrays * V::BYTES) as f64,
-                    0.0,
-                    act * count * flops_per_item,
-                )
-            })
-            .collect()
-    }
-
-    fn check_compatible(&self, other: &BatchDense<V>, op: &'static str) -> Result<()> {
-        if self.num_systems != other.num_systems {
-            return Err(GkoError::BadInput(format!(
-                "{op}: batches hold {} vs {} systems",
-                self.num_systems, other.num_systems
-            )));
+    ) -> Result<()> {
+        if let Some(other) = other {
+            if self.num_systems != other.num_systems {
+                return Err(GkoError::BadInput(format!(
+                    "{name}: batches hold {} vs {} systems",
+                    self.num_systems, other.num_systems
+                )));
+            }
+            if self.size != other.size {
+                return Err(GkoError::DimensionMismatch {
+                    op: name,
+                    expected: self.size,
+                    actual: other.size,
+                });
+            }
+            self.values.check_same_executor(&other.values)?;
         }
-        if self.size != other.size {
-            return Err(GkoError::DimensionMismatch {
-                op,
-                expected: self.size,
-                actual: other.size,
-            });
-        }
-        self.values.check_same_executor(&other.values)
-    }
-
-    fn check_coeffs(&self, coeffs: &[f64], op: &'static str) -> Result<()> {
-        if coeffs.len() != self.num_systems {
+        if let Some(len) = coeffs.filter(|&len| len != self.num_systems) {
             return Err(GkoError::BadInput(format!(
-                "{op}: {} coefficients for {} systems",
-                coeffs.len(),
+                "{name}: {len} coefficients for {} systems",
                 self.num_systems
             )));
         }
-        Ok(())
+        check_mask(active, self.num_systems, name)
     }
 
-    /// Fills every system (and padding) with a constant.
-    pub fn fill(&mut self, value: V) {
-        let _timer = OpTimer::new(self.executor(), "batch_dense::fill");
-        let exec = self.executor().clone();
-        let n = self.values.len();
-        let bounds = uniform_bounds(n, exec.spec().workers * 2);
-        let work: Vec<ChunkWork> = bounds
+    /// The one masked per-system driver under every kernel below (the
+    /// batched counterpart of `Dense::sweep`), for operands already
+    /// [`check`](Self::check)ed: cuts the `num_systems` systems of `count`
+    /// elements into runs of whole systems and calls `f(s, piece)` for every
+    /// active system `s` with that system's piece of `out`, which is a batch's
+    /// slab or one slot per system (an inactive system's piece is not
+    /// touched). One timer under `name`, one pool drain, one launch that
+    /// charges `arrays` arrays streamed and `flops` per element for the
+    /// active systems only.
+    fn masked<T: Send>(
+        exec: &Executor,
+        (num_systems, count): (usize, usize),
+        name: &'static str,
+        (arrays, flops): (usize, f64),
+        active: Option<&[bool]>,
+        out: &mut [T],
+        f: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        let _timer = OpTimer::new(exec, name);
+        let sys_bounds = uniform_bounds(num_systems, exec.spec().workers * 2);
+        // `count` elements of a slab or one slot; nothing when either is empty.
+        let per_system = out.len().checked_div(num_systems).unwrap_or(0);
+        let out_bounds: Vec<usize> = sys_bounds.iter().map(|&s| s * per_system).collect();
+        parallel_chunks(exec, out, &out_bounds, |c, piece| {
+            let systems = sys_bounds[c]..sys_bounds[c + 1];
+            for (s, out) in systems.zip(piece.chunks_exact_mut(per_system.max(1))) {
+                if is_active(active, s) {
+                    f(s, out);
+                }
+            }
+        });
+        let work: Vec<ChunkWork> = sys_bounds
             .windows(2)
-            .map(|w| ChunkWork::new(((w[1] - w[0]) * V::BYTES) as f64, 0.0, 0.0))
+            .map(|w| {
+                let act = (w[0]..w[1]).filter(|&s| is_active(active, s)).count();
+                let elems = (act * count) as f64;
+                ChunkWork::new(elems * (arrays * V::BYTES) as f64, 0.0, elems * flops)
+            })
             .collect();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &bounds, |_i, s| {
-            for v in s {
-                *v = value;
-            }
-        });
         exec.launch(&work);
     }
 
-    /// Copies every system from `other` (strides may differ).
-    pub fn copy_from(&mut self, other: &BatchDense<V>) -> Result<()> {
-        self.check_compatible(other, "batch copy")?;
-        let _timer = OpTimer::new(self.executor(), "batch_dense::copy");
+    /// [`masked`](Self::masked) over this batch's own slab.
+    fn update(
+        &mut self,
+        name: &'static str,
+        cost: (usize, f64),
+        active: Option<&[bool]>,
+        f: impl Fn(usize, &mut [V]) + Sync,
+    ) {
         let exec = self.executor().clone();
-        let (sys_bounds, elem_bounds) = self.system_bounds();
-        let work = self.masked_work(&sys_bounds, None, 2, 0.0);
-        let (stride, o_stride, count) = (self.stride, other.stride, self.size.count());
-        let src = other.values.as_slice();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &elem_bounds, |ci, out| {
-            let sys_lo = sys_bounds[ci];
-            for s in sys_lo..sys_bounds[ci + 1] {
-                let dst = &mut out[(s - sys_lo) * stride..(s - sys_lo) * stride + count];
-                dst.copy_from_slice(&src[s * o_stride..s * o_stride + count]);
-            }
-        });
-        exec.launch(&work);
+        let layout = (self.num_systems, self.size.count());
+        Self::masked(&exec, layout, name, cost, active, self.values.as_mut_slice(), f);
+    }
+
+    /// [`masked`](Self::masked) over one result slot per system.
+    fn reduce(
+        &self,
+        name: &'static str,
+        cost: (usize, f64),
+        active: Option<&[bool]>,
+        out: &mut [f64],
+        f: impl Fn(usize) -> f64 + Sync,
+    ) {
+        let layout = (self.num_systems, self.size.count());
+        Self::masked(self.executor(), layout, name, cost, active, out, |s, slot| slot[0] = f(s));
+    }
+
+    /// Fills every system with a constant.
+    pub fn fill(&mut self, value: V) {
+        self.update("batch_dense::fill", (1, 0.0), None, |_, dst| dst.fill(value));
+    }
+
+    /// Copies every system from `other`.
+    pub fn copy_from(&mut self, other: &BatchDense<V>) -> Result<()> {
+        const NAME: &str = "batch_dense::copy";
+        self.check(NAME, Some(other), None, None)?;
+        let (src, count) = (other.as_slice(), self.size.count());
+        self.update(NAME, (2, 0.0), None, |s, dst| dst.copy_from_slice(system_of(src, count, s)));
         Ok(())
     }
 
@@ -280,30 +284,15 @@ impl<V: Value> BatchDense<V> {
         other: &BatchDense<V>,
         active: Option<&[bool]>,
     ) -> Result<()> {
-        self.check_compatible(other, "batch axpy")?;
-        self.check_coeffs(alpha, "batch axpy")?;
-        check_mask(active, self.num_systems, "batch axpy")?;
-        let _timer = OpTimer::new(self.executor(), "batch_dense::axpy");
-        let exec = self.executor().clone();
-        let (sys_bounds, elem_bounds) = self.system_bounds();
-        let work = self.masked_work(&sys_bounds, active, 3, 2.0);
-        let (stride, o_stride, count) = (self.stride, other.stride, self.size.count());
-        let src = other.values.as_slice();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &elem_bounds, |ci, out| {
-            let sys_lo = sys_bounds[ci];
-            for s in sys_lo..sys_bounds[ci + 1] {
-                if !is_active(active, s) {
-                    continue;
-                }
-                let a = V::from_f64(alpha[s]);
-                let dst = &mut out[(s - sys_lo) * stride..(s - sys_lo) * stride + count];
-                let sv = &src[s * o_stride..s * o_stride + count];
-                for (d, &v) in dst.iter_mut().zip(sv) {
-                    *d += a * v;
-                }
+        const NAME: &str = "batch_dense::axpy";
+        self.check(NAME, Some(other), Some(alpha.len()), active)?;
+        let (src, count) = (other.as_slice(), self.size.count());
+        self.update(NAME, (3, 2.0), active, |s, dst| {
+            let a = V::from_f64(alpha[s]);
+            for (d, &v) in dst.iter_mut().zip(system_of(src, count, s)) {
+                *d += a * v;
             }
         });
-        exec.launch(&work);
         Ok(())
     }
 
@@ -315,30 +304,15 @@ impl<V: Value> BatchDense<V> {
         beta: &[f64],
         active: Option<&[bool]>,
     ) -> Result<()> {
-        self.check_compatible(other, "batch scale_add")?;
-        self.check_coeffs(beta, "batch scale_add")?;
-        check_mask(active, self.num_systems, "batch scale_add")?;
-        let _timer = OpTimer::new(self.executor(), "batch_dense::scale_add");
-        let exec = self.executor().clone();
-        let (sys_bounds, elem_bounds) = self.system_bounds();
-        let work = self.masked_work(&sys_bounds, active, 3, 2.0);
-        let (stride, o_stride, count) = (self.stride, other.stride, self.size.count());
-        let src = other.values.as_slice();
-        parallel_chunks(&exec, self.values.as_mut_slice(), &elem_bounds, |ci, out| {
-            let sys_lo = sys_bounds[ci];
-            for s in sys_lo..sys_bounds[ci + 1] {
-                if !is_active(active, s) {
-                    continue;
-                }
-                let b = V::from_f64(beta[s]);
-                let dst = &mut out[(s - sys_lo) * stride..(s - sys_lo) * stride + count];
-                let sv = &src[s * o_stride..s * o_stride + count];
-                for (d, &v) in dst.iter_mut().zip(sv) {
-                    *d = v + b * *d;
-                }
+        const NAME: &str = "batch_dense::scale_add";
+        self.check(NAME, Some(other), Some(beta.len()), active)?;
+        let (src, count) = (other.as_slice(), self.size.count());
+        self.update(NAME, (3, 2.0), active, |s, dst| {
+            let b = V::from_f64(beta[s]);
+            for (d, &v) in dst.iter_mut().zip(system_of(src, count, s)) {
+                *d = v + b * *d;
             }
         });
-        exec.launch(&work);
         Ok(())
     }
 
@@ -346,30 +320,17 @@ impl<V: Value> BatchDense<V> {
     /// (inactive slots are left untouched). Accumulates in `f64` per system
     /// in element order, so results are deterministic.
     pub fn norms2(&self, active: Option<&[bool]>, out: &mut [f64]) -> Result<()> {
-        self.check_coeffs(out, "batch norms2")?;
-        check_mask(active, self.num_systems, "batch norms2")?;
-        let _timer = OpTimer::new(self.executor(), "batch_dense::norms2");
-        let exec = self.executor().clone();
-        let (sys_bounds, _) = self.system_bounds();
-        let work = self.masked_work(&sys_bounds, active, 1, 2.0);
-        let (stride, count) = (self.stride, self.size.count());
-        let vals = self.values.as_slice();
-        parallel_chunks(&exec, out, &sys_bounds, |ci, slots| {
-            let sys_lo = sys_bounds[ci];
-            for (j, slot) in slots.iter_mut().enumerate() {
-                let s = sys_lo + j;
-                if !is_active(active, s) {
-                    continue;
-                }
-                let mut acc = 0.0f64;
-                for &v in &vals[s * stride..s * stride + count] {
-                    let f = v.to_f64();
-                    acc += f * f;
-                }
-                *slot = acc.sqrt();
+        const NAME: &str = "batch_dense::norms2";
+        self.check(NAME, None, Some(out.len()), active)?;
+        let (vals, count) = (self.as_slice(), self.size.count());
+        self.reduce(NAME, (1, 2.0), active, out, |s| {
+            let mut acc = 0.0f64;
+            for &v in system_of(vals, count, s) {
+                let f = v.to_f64();
+                acc += f * f;
             }
+            acc.sqrt()
         });
-        exec.launch(&work);
         Ok(())
     }
 
@@ -381,33 +342,16 @@ impl<V: Value> BatchDense<V> {
         active: Option<&[bool]>,
         out: &mut [f64],
     ) -> Result<()> {
-        self.check_compatible(other, "batch dots")?;
-        self.check_coeffs(out, "batch dots")?;
-        check_mask(active, self.num_systems, "batch dots")?;
-        let _timer = OpTimer::new(self.executor(), "batch_dense::dots");
-        let exec = self.executor().clone();
-        let (sys_bounds, _) = self.system_bounds();
-        let work = self.masked_work(&sys_bounds, active, 2, 2.0);
-        let (stride, o_stride, count) = (self.stride, other.stride, self.size.count());
-        let a = self.values.as_slice();
-        let b = other.values.as_slice();
-        parallel_chunks(&exec, out, &sys_bounds, |ci, slots| {
-            let sys_lo = sys_bounds[ci];
-            for (j, slot) in slots.iter_mut().enumerate() {
-                let s = sys_lo + j;
-                if !is_active(active, s) {
-                    continue;
-                }
-                let av = &a[s * stride..s * stride + count];
-                let bv = &b[s * o_stride..s * o_stride + count];
-                let mut acc = 0.0f64;
-                for (&x, &y) in av.iter().zip(bv) {
-                    acc += x.to_f64() * y.to_f64();
-                }
-                *slot = acc;
+        const NAME: &str = "batch_dense::dots";
+        self.check(NAME, Some(other), Some(out.len()), active)?;
+        let (a, b, count) = (self.as_slice(), other.as_slice(), self.size.count());
+        self.reduce(NAME, (2, 2.0), active, out, |s| {
+            let mut acc = 0.0f64;
+            for (&x, &y) in system_of(a, count, s).iter().zip(system_of(b, count, s)) {
+                acc += x.to_f64() * y.to_f64();
             }
+            acc
         });
-        exec.launch(&work);
         Ok(())
     }
 }
@@ -416,29 +360,14 @@ impl<V: Value> BatchDense<V> {
 // BatchCsr
 // ---------------------------------------------------------------------------
 
-/// Sparsity storage of a [`BatchCsr`].
-#[derive(Debug)]
-enum Sparsity<V: Value, I: Index> {
-    /// One structure shared by every system; values live in the batch's
-    /// slab. One plan serves all systems and survives value mutation.
-    Shared {
-        row_ptrs: Array<I>,
-        col_idxs: Array<I>,
-        nnz: usize,
-        strategy: SpmvStrategy,
-        plan: PlanCache,
-    },
-    /// Independent systems batched only for dispatch.
-    PerSystem { systems: Vec<Csr<V, I>> },
-}
-
-/// A batch of `num_systems` equally-shaped CSR systems.
+/// A batch of `num_systems` CSR systems on one sparsity structure.
 ///
-/// The **shared-sparsity** variant keeps one `row_ptrs`/`col_idxs` structure
-/// and an `num_systems × nnz` value slab; since SpMV plans depend only on
-/// structure, ONE cached [`SpmvPlan`] serves every system and every apply,
-/// and [`BatchCsr::system_values_mut`] deliberately does *not* invalidate
-/// it. The **per-system** variant wraps arbitrary same-shaped [`Csr`]s.
+/// The batch keeps one `row_ptrs` / `col_idxs` pair and `sets` value sets of
+/// `nnz` entries each; system `s` reads set `s % sets`. A batch of distinct
+/// systems ([`from_shared`](Self::from_shared)) has one set per system, a
+/// batch of equal ones ([`replicated`](Self::replicated)) a single set, so it
+/// costs the memory of one matrix whatever its size. The values cannot be
+/// written once the batch is built.
 ///
 /// [`BatchCsr::apply_batch`] computes `x[s] = A[s] b[s]` for every active
 /// system with a single pool drain.
@@ -447,105 +376,55 @@ pub struct BatchCsr<V: Value, I: Index = i32> {
     num_systems: usize,
     size: Dim2,
     exec: Executor,
-    /// Shared variant: the `num_systems × nnz` value slab. Empty for
-    /// per-system sparsity (values live inside each `Csr`).
+    row_ptrs: Array<I>,
+    col_idxs: Array<I>,
+    /// `sets * nnz` values, set after set.
     values: Array<V>,
-    sparsity: Sparsity<V, I>,
+    sets: usize,
 }
 
-/// One contiguous piece of a batched SpMV: a run of whole systems
-/// (`row_lo == 0`, `row_hi == rows`) or a row range of a single system.
-struct ChunkDesc {
-    sys_lo: usize,
-    sys_hi: usize,
-    row_lo: usize,
-    row_hi: usize,
+/// The pieces of systems of `rows` rows each that the concatenated rows
+/// `[lo, hi)` of a batch overlap, in order: `(system, first row, end row)`.
+fn spans(rows: usize, lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut at = lo;
+    std::iter::from_fn(move || {
+        (at < hi).then(|| {
+            let (s, first) = (at / rows, at % rows);
+            let end = rows.min(first + hi - at);
+            at += end - first;
+            (s, first, end)
+        })
+    })
 }
 
 impl<V: Value, I: Index> BatchCsr<V, I> {
-    /// Builds a shared-sparsity batch from a prototype structure and one
-    /// value vector per system (each of length `proto.nnz()`).
+    /// Builds a batch from a prototype structure and one value vector per
+    /// system (each of length `proto.nnz()`).
     pub fn from_shared(proto: &Csr<V, I>, system_values: &[Vec<V>]) -> Result<Self> {
-        if system_values.is_empty() {
-            return Err(GkoError::BadInput(
-                "a batch needs at least one system".to_owned(),
-            ));
-        }
-        let nnz = proto.nnz();
-        let mut slab = Vec::with_capacity(system_values.len() * nnz);
-        for (s, vals) in system_values.iter().enumerate() {
-            if vals.len() != nnz {
-                return Err(GkoError::BadInput(format!(
-                    "system {s} holds {} values but the shared sparsity has {nnz}",
-                    vals.len()
-                )));
-            }
-            slab.extend_from_slice(vals);
-        }
-        Ok(Self::shared_from_slab(proto, system_values.len(), slab))
+        let values = slab(system_values, proto.nnz(), "the shared sparsity has")?;
+        Ok(Self::on_structure(proto, system_values.len(), values, system_values.len()))
     }
 
-    /// Builds a shared-sparsity batch replicating one matrix `num_systems`
-    /// times (the facade's batched-solve path).
+    /// Builds a batch of `num_systems` systems that all are `proto` (the
+    /// facade's batched-solve path); the matrix is stored once.
     pub fn replicated(proto: &Csr<V, I>, num_systems: usize) -> Result<Self> {
         if num_systems == 0 {
-            return Err(GkoError::BadInput(
-                "a batch needs at least one system".to_owned(),
-            ));
+            return Err(empty_batch());
         }
-        let mut slab = Vec::with_capacity(num_systems * proto.nnz());
-        for _ in 0..num_systems {
-            slab.extend_from_slice(proto.values());
-        }
-        Ok(Self::shared_from_slab(proto, num_systems, slab))
+        Ok(Self::on_structure(proto, num_systems, proto.values().to_vec(), 1))
     }
 
-    fn shared_from_slab(proto: &Csr<V, I>, num_systems: usize, slab: Vec<V>) -> Self {
+    fn on_structure(proto: &Csr<V, I>, num_systems: usize, values: Vec<V>, sets: usize) -> Self {
         let exec = proto.executor().clone();
         BatchCsr {
             num_systems,
             size: proto.size(),
-            values: Array::from_vec(&exec, slab),
-            sparsity: Sparsity::Shared {
-                row_ptrs: Array::from_vec(&exec, proto.row_ptrs().to_vec()),
-                col_idxs: Array::from_vec(&exec, proto.col_idxs().to_vec()),
-                nnz: proto.nnz(),
-                strategy: proto.strategy(),
-                plan: PlanCache::new(),
-            },
+            row_ptrs: Array::from_vec(&exec, proto.row_ptrs().to_vec()),
+            col_idxs: Array::from_vec(&exec, proto.col_idxs().to_vec()),
+            values: Array::from_vec(&exec, values),
+            sets,
             exec,
         }
-    }
-
-    /// Builds a per-system-sparsity batch from same-shaped matrices.
-    pub fn from_systems(systems: Vec<Csr<V, I>>) -> Result<Self> {
-        let first = systems.first().ok_or_else(|| {
-            GkoError::BadInput("a batch needs at least one system".to_owned())
-        })?;
-        let size = first.size();
-        let exec = first.executor().clone();
-        for sys in &systems {
-            if sys.size() != size {
-                return Err(GkoError::DimensionMismatch {
-                    op: "batch",
-                    expected: size,
-                    actual: sys.size(),
-                });
-            }
-            if !exec.same_memory_space(sys.executor()) {
-                return Err(GkoError::ExecutorMismatch {
-                    left: exec.name().to_owned(),
-                    right: sys.executor().name().to_owned(),
-                });
-            }
-        }
-        Ok(BatchCsr {
-            num_systems: systems.len(),
-            size,
-            values: Array::new(&exec, 0),
-            sparsity: Sparsity::PerSystem { systems },
-            exec,
-        })
     }
 
     /// Number of systems in the batch.
@@ -563,116 +442,17 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
         &self.exec
     }
 
-    /// True for the shared-sparsity variant.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.sparsity, Sparsity::Shared { .. })
-    }
-
-    /// Nonzeros of the shared structure (`None` for per-system sparsity).
-    pub fn shared_nnz(&self) -> Option<usize> {
-        match &self.sparsity {
-            Sparsity::Shared { nnz, .. } => Some(*nnz),
-            Sparsity::PerSystem { .. } => None,
-        }
-    }
-
     /// Read access to system `s`'s values.
     pub fn system_values(&self, s: usize) -> &[V] {
-        match &self.sparsity {
-            Sparsity::Shared { nnz, .. } => &self.values.as_slice()[s * nnz..(s + 1) * nnz],
-            Sparsity::PerSystem { systems } => systems[s].values(),
-        }
-    }
-
-    /// Write access to system `s`'s values.
-    ///
-    /// On the shared-sparsity variant this does **not** invalidate the
-    /// cached SpMV plan: plans depend only on the structure (`row_ptrs`),
-    /// which value mutation cannot change, so refreshing one system's
-    /// coefficients must not force a re-inspection that every other system
-    /// would pay for. Per-system sparsity delegates to that system's
-    /// [`Csr::values_mut`], which invalidates only its own plan.
-    pub fn system_values_mut(&mut self, s: usize) -> &mut [V] {
-        match &mut self.sparsity {
-            Sparsity::Shared { nnz, .. } => {
-                let (lo, hi) = (s * *nnz, (s + 1) * *nnz);
-                &mut self.values.as_mut_slice()[lo..hi]
-            }
-            Sparsity::PerSystem { systems } => systems[s].values_mut(),
-        }
-    }
-
-    /// Plan-cache counters of the shared plan (`None` for per-system
-    /// sparsity, whose plans live inside each `Csr`).
-    pub fn plan_stats(&self) -> Option<PlanCacheStats> {
-        match &self.sparsity {
-            Sparsity::Shared { plan, .. } => Some(plan.stats()),
-            Sparsity::PerSystem { .. } => None,
-        }
-    }
-
-    /// The shared plan, building it on first use (shared sparsity only).
-    fn shared_plan(&self) -> Option<Arc<SpmvPlan>> {
-        match &self.sparsity {
-            Sparsity::Shared {
-                row_ptrs,
-                strategy,
-                plan,
-                ..
-            } => {
-                let workers = self.exec.spec().workers;
-                Some(plan.get_or_build(*strategy, workers, || {
-                    plan::build_plan(
-                        &self.exec,
-                        *strategy,
-                        self.size.rows,
-                        row_ptrs.as_slice(),
-                        V::BYTES,
-                    )
-                }))
-            }
-            Sparsity::PerSystem { .. } => None,
-        }
-    }
-
-    /// Row partition for splitting a single large system.
-    fn split_bounds(&self, s: usize, plan: Option<&SpmvPlan>, max_chunks: usize) -> Vec<usize> {
-        match &self.sparsity {
-            Sparsity::Shared { .. } => match plan {
-                // The cached plan's partition (merge-path plans have no
-                // row-aligned bounds; fall back to a uniform split).
-                Some(p) if p.row_bounds.len() >= 2 => p.row_bounds.clone(),
-                _ => uniform_bounds(self.size.rows, max_chunks),
-            },
-            Sparsity::PerSystem { systems } => systems[s].chunk_bounds(max_chunks),
-        }
-    }
-
-    /// Cost-model work for an SpMV over `rows` rows and `nnz` nonzeros.
-    fn span_work(rows: usize, nnz: usize) -> ChunkWork {
-        plan::spmv_chunk_work(rows as f64, nnz as f64, V::BYTES, I::BYTES)
-    }
-
-    /// Nonzeros in system `s` rows `[lo, hi)`.
-    fn span_nnz(&self, s: usize, lo: usize, hi: usize) -> usize {
-        match &self.sparsity {
-            Sparsity::Shared { row_ptrs, .. } => {
-                let rp = row_ptrs.as_slice();
-                rp[hi].to_usize() - rp[lo].to_usize()
-            }
-            Sparsity::PerSystem { systems } => {
-                let rp = systems[s].row_ptrs();
-                rp[hi].to_usize() - rp[lo].to_usize()
-            }
-        }
+        system_of(self.values.as_slice(), self.col_idxs.len(), s % self.sets)
     }
 
     /// Batched SpMV: `x[s] = A[s] b[s]` for every system where
     /// `active` is unset or true; inactive systems' outputs are untouched.
     ///
-    /// Drains the worker pool exactly once. A chunk is a run of whole
-    /// systems when the batch is large relative to the pool, or a plan-split
-    /// row range of one system otherwise; the cost model is charged only
+    /// Drains the worker pool exactly once, over a uniform partition of the
+    /// `num_systems * rows` concatenated rows: a chunk walks the systems it
+    /// overlaps, each over its row sub-range. The cost model is charged only
     /// for active systems.
     pub fn apply_batch(
         &self,
@@ -689,19 +469,14 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
                 x.num_systems()
             )));
         }
-        if b.size() != Dim2::new(cols, 1) {
-            return Err(GkoError::DimensionMismatch {
-                op: "apply_batch",
-                expected: Dim2::new(cols, 1),
-                actual: b.size(),
-            });
-        }
-        if x.size() != Dim2::new(rows, 1) {
-            return Err(GkoError::DimensionMismatch {
-                op: "apply_batch",
-                expected: Dim2::new(rows, 1),
-                actual: x.size(),
-            });
+        for (operand, expected) in [(b.size(), Dim2::new(cols, 1)), (x.size(), Dim2::new(rows, 1))] {
+            if operand != expected {
+                return Err(GkoError::DimensionMismatch {
+                    op: "apply_batch",
+                    expected,
+                    actual: operand,
+                });
+            }
         }
         if !self.exec.same_memory_space(b.executor()) {
             return Err(GkoError::ExecutorMismatch {
@@ -712,127 +487,39 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
         check_mask(active, self.num_systems, "apply_batch")?;
         let _timer = OpTimer::new(&self.exec, "batch_csr");
 
-        // Resolve (and count a hit on) the shared plan before chunking.
-        let plan = self.shared_plan();
-        let workers = self.exec.spec().workers.max(1);
-        let max_chunks = workers * 2;
-        let x_stride = x.stride();
-
-        // Partition the x slab into system-aligned chunks. `work` carries
-        // only active systems' cost; bounds must still tile the whole slab
-        // (padding rides with the last chunk of each system).
-        let mut descs: Vec<ChunkDesc> = Vec::new();
-        let mut elem_bounds = vec![0usize];
-        let mut work: Vec<ChunkWork> = Vec::new();
-        if self.num_systems >= max_chunks {
-            // Small-system regime: a chunk is a run of whole systems.
-            let sys_bounds = uniform_bounds(self.num_systems, max_chunks);
-            for w in sys_bounds.windows(2) {
-                let act: usize = (w[0]..w[1]).filter(|&s| is_active(active, s)).count();
-                descs.push(ChunkDesc {
-                    sys_lo: w[0],
-                    sys_hi: w[1],
-                    row_lo: 0,
-                    row_hi: rows,
-                });
-                elem_bounds.push(w[1] * x_stride);
-                if act > 0 {
-                    let nnz: usize = (w[0]..w[1])
-                        .filter(|&s| is_active(active, s))
-                        .map(|s| self.span_nnz(s, 0, rows))
-                        .sum();
-                    work.push(Self::span_work(act * rows, nnz));
-                }
-            }
-        } else {
-            // Large-system regime: split each active system by its plan.
-            for s in 0..self.num_systems {
-                let sys_end = (s + 1) * x_stride;
+        let bounds = uniform_bounds(self.num_systems * rows, self.exec.spec().workers.max(1) * 2);
+        let rp = self.row_ptrs.as_slice();
+        let ci = self.col_idxs.as_slice();
+        let (vals, sets, rhs) = (self.values.as_slice(), self.sets, b.as_slice());
+        parallel_chunks(&self.exec, x.as_mut_slice(), &bounds, |c, mut xs| {
+            for (s, first, end) in spans(rows, bounds[c], bounds[c + 1]) {
+                let (out, rest) = xs.split_at_mut(end - first);
+                xs = rest;
                 if !is_active(active, s) {
-                    descs.push(ChunkDesc {
-                        sys_lo: s,
-                        sys_hi: s,
-                        row_lo: 0,
-                        row_hi: 0,
-                    });
-                    elem_bounds.push(sys_end);
                     continue;
                 }
-                let bounds = self.split_bounds(s, plan.as_deref(), max_chunks);
-                if bounds.len() < 2 {
-                    descs.push(ChunkDesc {
-                        sys_lo: s,
-                        sys_hi: s,
-                        row_lo: 0,
-                        row_hi: 0,
-                    });
-                    elem_bounds.push(sys_end);
-                    continue;
-                }
-                for (j, w) in bounds.windows(2).enumerate() {
-                    descs.push(ChunkDesc {
-                        sys_lo: s,
-                        sys_hi: s + 1,
-                        row_lo: w[0],
-                        row_hi: w[1],
-                    });
-                    let last = j + 2 == bounds.len();
-                    elem_bounds.push(if last { sys_end } else { s * x_stride + w[1] });
-                    work.push(Self::span_work(w[1] - w[0], self.span_nnz(s, w[0], w[1])));
+                let (sv, bv) = (system_of(vals, ci.len(), s % sets), system_of(rhs, cols, s));
+                for (out, w) in out.iter_mut().zip(rp[first..=end].windows(2)) {
+                    let (lo, hi) = (w[0].to_usize(), w[1].to_usize());
+                    *out = V::from_f64(dot_span(&sv[lo..hi], &ci[lo..hi], bv));
                 }
             }
-        }
-
-        let b_stride = b.stride();
-        let bsl = b.as_slice();
-        match &self.sparsity {
-            Sparsity::Shared {
-                row_ptrs,
-                col_idxs,
-                nnz,
-                ..
-            } => {
-                let rp = row_ptrs.as_slice();
-                let ci = col_idxs.as_slice();
-                let vals = self.values.as_slice();
-                let nnz = *nnz;
-                parallel_chunks(&self.exec, x.as_mut_slice(), &elem_bounds, |d, xs| {
-                    let desc = &descs[d];
-                    for s in desc.sys_lo..desc.sys_hi {
-                        if !is_active(active, s) {
-                            continue;
-                        }
-                        let base = (s - desc.sys_lo) * x_stride;
-                        let sv = &vals[s * nnz..(s + 1) * nnz];
-                        let bv = &bsl[s * b_stride..s * b_stride + cols];
-                        for r in desc.row_lo..desc.row_hi {
-                            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-                            xs[base + (r - desc.row_lo)] =
-                                V::from_f64(dot_span(&sv[lo..hi], &ci[lo..hi], bv));
-                        }
+        });
+        // One charge per chunk that holds active rows.
+        let work: Vec<ChunkWork> = bounds
+            .windows(2)
+            .filter_map(|w| {
+                let (mut act_rows, mut act_nnz) = (0usize, 0usize);
+                for (s, first, end) in spans(rows, w[0], w[1]) {
+                    if is_active(active, s) {
+                        act_rows += end - first;
+                        act_nnz += rp[end].to_usize() - rp[first].to_usize();
                     }
-                });
-            }
-            Sparsity::PerSystem { systems } => {
-                parallel_chunks(&self.exec, x.as_mut_slice(), &elem_bounds, |d, xs| {
-                    let desc = &descs[d];
-                    for s in desc.sys_lo..desc.sys_hi {
-                        if !is_active(active, s) {
-                            continue;
-                        }
-                        let base = (s - desc.sys_lo) * x_stride;
-                        let sys = &systems[s];
-                        let (rp, ci, sv) = (sys.row_ptrs(), sys.col_idxs(), sys.values());
-                        let bv = &bsl[s * b_stride..s * b_stride + cols];
-                        for r in desc.row_lo..desc.row_hi {
-                            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-                            xs[base + (r - desc.row_lo)] =
-                                V::from_f64(dot_span(&sv[lo..hi], &ci[lo..hi], bv));
-                        }
-                    }
-                });
-            }
-        }
+                }
+                (act_rows > 0)
+                    .then(|| spmv_chunk_work(act_rows as f64, act_nnz as f64, V::BYTES, I::BYTES))
+            })
+            .collect();
         self.exec.launch(&work);
         Ok(())
     }
@@ -929,9 +616,9 @@ mod tests {
     }
 
     #[test]
-    fn grouped_and_split_regimes_agree() {
-        // Force both chunking regimes by varying the batch size around the
-        // 2*workers threshold (reference executor: 1 worker, threshold 2).
+    fn batches_below_and_above_the_chunk_count_agree_with_the_per_system_reference() {
+        // Two chunks on the reference executor: one system is cut inside,
+        // two fall on the cut, seven straddle it (63 rows, cut after 31).
         let exec = Executor::reference();
         let n = 9;
         for s in [1usize, 2, 7] {
@@ -949,35 +636,6 @@ mod tests {
                 for (&got, &w) in x.system(k).iter().zip(want_k) {
                     assert!((got - w).abs() < 1e-12, "batch of {s}, system {k}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn per_system_sparsity_apply() {
-        let exec = Executor::reference();
-        let n = 8;
-        let systems = vec![
-            tridiag(&exec, n, 3.0),
-            tridiag(&exec, n, 5.0),
-            tridiag(&exec, n, 7.0),
-        ];
-        let batch = BatchCsr::from_systems(systems.clone()).unwrap();
-        assert!(!batch.is_shared());
-        let mut b = BatchDense::zeros(&exec, 3, Dim2::new(n, 1));
-        for k in 0..3 {
-            for v in b.system_mut(k) {
-                *v = (k + 1) as f64;
-            }
-        }
-        let mut x = BatchDense::zeros(&exec, 3, Dim2::new(n, 1));
-        batch.apply_batch(&b, &mut x, None).unwrap();
-        for (k, sys) in systems.iter().enumerate() {
-            let bv = Dense::from_vec(&exec, Dim2::new(n, 1), b.system(k).to_vec()).unwrap();
-            let mut xv = Dense::zeros(&exec, Dim2::new(n, 1));
-            sys.apply(&bv, &mut xv).unwrap();
-            for (&got, &w) in x.system(k).iter().zip(xv.to_host_vec().iter()) {
-                assert!((got - w).abs() < 1e-12, "system {k}");
             }
         }
     }
@@ -1003,41 +661,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shared_plan_is_built_once_and_reused() {
-        let exec = Executor::reference();
-        let (n, s) = (10, 6);
-        let batch = shared_batch(&exec, n, s);
-        let b = BatchDense::zeros(&exec, s, Dim2::new(n, 1));
-        let mut x = BatchDense::zeros(&exec, s, Dim2::new(n, 1));
-        for _ in 0..50 {
-            batch.apply_batch(&b, &mut x, None).unwrap();
-        }
-        let stats = batch.plan_stats().unwrap();
-        assert_eq!(stats.builds, 1, "one inspection serves the whole batch");
-        assert_eq!(stats.hits, 49);
-        assert!(stats.reuse_ratio() > 0.97, "ratio {}", stats.reuse_ratio());
-    }
-
-    #[test]
-    fn value_mutation_does_not_invalidate_shared_plan() {
-        let exec = Executor::reference();
-        let (n, s) = (10, 4);
-        let mut batch = shared_batch(&exec, n, s);
-        let b = BatchDense::zeros(&exec, s, Dim2::new(n, 1));
-        let mut x = BatchDense::zeros(&exec, s, Dim2::new(n, 1));
-        batch.apply_batch(&b, &mut x, None).unwrap();
-        // Refresh one system's coefficients: structure-only plans for the
-        // other systems must survive.
-        for v in batch.system_values_mut(0) {
-            *v *= 2.0;
-        }
-        batch.apply_batch(&b, &mut x, None).unwrap();
-        let stats = batch.plan_stats().unwrap();
-        assert_eq!(stats.builds, 1, "value mutation must not re-inspect");
-        assert_eq!(stats.hits, 1);
     }
 
     #[test]
@@ -1097,21 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_batch_round_trips() {
-        let exec = Executor::reference();
-        let dim = Dim2::new(3, 1);
-        let mut padded = BatchDense::<f64>::with_stride(&exec, 2, dim, 8).unwrap();
-        assert_eq!(padded.stride(), 8);
-        for (i, v) in padded.system_mut(1).iter_mut().enumerate() {
-            *v = i as f64;
-        }
-        let mut dense = BatchDense::zeros(&exec, 2, dim);
-        dense.copy_from(&padded).unwrap();
-        assert_eq!(dense.system(1), &[0.0, 1.0, 2.0]);
-        assert!(BatchDense::<f64>::with_stride(&exec, 2, dim, 2).is_err());
-    }
-
-    #[test]
     fn dimension_and_mask_errors() {
         let exec = Executor::reference();
         let batch = shared_batch(&exec, 6, 3);
@@ -1123,8 +731,8 @@ mod tests {
         let mut x = BatchDense::zeros(&exec, 3, Dim2::new(6, 1));
         let short_mask = vec![true; 2];
         assert!(batch.apply_batch(&b, &mut x, Some(&short_mask)).is_err());
-        assert!(BatchCsr::<f64, i32>::from_systems(vec![]).is_err());
         let proto = tridiag(&exec, 4, 2.0);
+        assert!(BatchCsr::from_shared(&proto, &[]).is_err());
         assert!(BatchCsr::from_shared(&proto, &[vec![1.0; 3]]).is_err());
     }
 }

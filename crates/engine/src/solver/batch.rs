@@ -121,6 +121,42 @@ impl SystemStates {
         self.active[s] = false;
     }
 
+    /// Retires every active system for which `broken(s)` holds as a
+    /// breakdown inside iteration `iter`. Same convention as the single
+    /// solvers: the broken iteration is not counted and `x` keeps its last
+    /// finite state.
+    fn break_down(&mut self, iter: usize, broken: impl Fn(usize) -> bool) {
+        for s in 0..self.active.len() {
+            if self.active[s] && broken(s) {
+                self.finish(s, iter - 1, self.final_res[s], StopReason::Breakdown);
+            }
+        }
+    }
+
+    /// Records `res` as the active systems' residual norms after iteration
+    /// `iter` and retires those the criteria stop.
+    fn check(&mut self, criteria: &Criteria, iter: usize, res: &[f64]) {
+        for (s, &res_s) in res.iter().enumerate() {
+            if !self.active[s] {
+                continue;
+            }
+            self.final_res[s] = res_s;
+            if let Some(reason) = criteria.check(iter, res_s, self.baseline[s]) {
+                self.finish(s, iter, res_s, reason);
+            }
+        }
+    }
+
+    /// `out[s] = value(s)` for the active systems; the others keep theirs,
+    /// which no masked kernel reads.
+    fn set(&self, out: &mut [f64], value: impl Fn(usize) -> f64) {
+        for (s, slot) in out.iter_mut().enumerate() {
+            if self.active[s] {
+                *slot = value(s);
+            }
+        }
+    }
+
     fn into_record(self) -> BatchSolveRecord {
         let outcomes = self
             .reason
@@ -139,8 +175,9 @@ impl SystemStates {
     }
 }
 
-/// Shared plumbing of the batched solvers: the batch operator, criteria,
-/// and the two logger registries (solver-attached and executor-attached).
+/// What the batched solvers share: the batch operator, the criteria, the two
+/// logger registries (solver-attached and executor-attached) and, in
+/// [`solve`](Self::solve), everything around their iterations.
 struct BatchSolverCore<V: Value, I: Index> {
     op: Arc<BatchCsr<V, I>>,
     criteria: Criteria,
@@ -148,6 +185,17 @@ struct BatchSolverCore<V: Value, I: Index> {
     events: LoggerRegistry,
     exec_events: LoggerRegistry,
 }
+
+/// The iterations of one method: `(core, x, r, scratch, states)`, entered
+/// with `r = b - A x`, `scratch` a batch of the same shape to overwrite, and
+/// the systems that the initial check stopped already retired.
+type Iterations<V, I> = fn(
+    &BatchSolverCore<V, I>,
+    &mut BatchDense<V>,
+    BatchDense<V>,
+    BatchDense<V>,
+    &mut SystemStates,
+) -> Result<()>;
 
 impl<V: Value, I: Index> BatchSolverCore<V, I> {
     fn new(name: &'static str, op: Arc<BatchCsr<V, I>>) -> Result<Self> {
@@ -167,32 +215,50 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
         })
     }
 
-    /// Validates `b`/`x` batch sizes (shapes are checked by the kernels).
-    fn check_batches(&self, b: &BatchDense<V>, x: &BatchDense<V>) -> Result<()> {
-        let s = self.op.num_systems();
-        if b.num_systems() != s || x.num_systems() != s {
+    /// A zeroed batch of one vector per system.
+    fn vectors(&self) -> BatchDense<V> {
+        let dim = Dim2::new(self.op.size().rows, 1);
+        BatchDense::zeros(self.op.executor(), self.op.num_systems(), dim)
+    }
+
+    /// One batched solve around a method's `iterate`: batch sizes (shapes
+    /// are checked by the kernels), the `solver::*` frame, `r = b - A x`, its
+    /// norms as the baselines, the initial `check(0, baseline, baseline)`
+    /// that retires systems already converged (zero right-hand side) or
+    /// poisoned (non-finite baseline), then the record and its event.
+    fn solve(
+        &self,
+        b: &BatchDense<V>,
+        x: &mut BatchDense<V>,
+        iterate: Iterations<V, I>,
+    ) -> Result<BatchSolveRecord> {
+        let s_count = self.op.num_systems();
+        if b.num_systems() != s_count || x.num_systems() != s_count {
             return Err(GkoError::BadInput(format!(
-                "batched solve: operator has {s} systems, b {} and x {}",
+                "batched solve: operator has {s_count} systems, b {} and x {}",
                 b.num_systems(),
                 x.num_systems()
             )));
         }
-        Ok(())
-    }
+        let _solve_timer = OpTimer::new(self.op.executor(), self.name);
 
-    /// Runs the initial `check(0, baseline, baseline)` for every system,
-    /// retiring those that are already converged (zero RHS) or poisoned
-    /// (non-finite baseline).
-    fn check_initial(&self, st: &mut SystemStates) {
-        for s in 0..st.baseline.len() {
+        let mut r = self.vectors();
+        r.copy_from(b)?;
+        let mut ax = self.vectors();
+        self.op.apply_batch(x, &mut ax, None)?;
+        r.axpy(&vec![-1.0; s_count], &ax, None)?;
+
+        let mut baseline = vec![0.0; s_count];
+        r.norms2(None, &mut baseline)?;
+        let mut st = SystemStates::new(baseline);
+        for s in 0..s_count {
             if let Some(reason) = self.criteria.check(0, st.baseline[s], st.baseline[s]) {
                 st.finish(s, 0, st.baseline[s], reason);
             }
         }
-    }
+        iterate(self, x, r, ax, &mut st)?;
 
-    /// Emits [`Event::BatchSolveCompleted`] to both registries.
-    fn emit_completed(&self, record: &BatchSolveRecord) {
+        let record = st.into_record();
         if self.events.is_active() || self.exec_events.is_active() {
             let event = Event::BatchSolveCompleted {
                 solver: self.name,
@@ -204,6 +270,7 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
             self.events.log(&event);
             self.exec_events.log(&event);
         }
+        Ok(record)
     }
 }
 
@@ -239,27 +306,19 @@ impl<V: Value, I: Index> BatchCg<V, I> {
         b: &BatchDense<V>,
         x: &mut BatchDense<V>,
     ) -> Result<BatchSolveRecord> {
-        let core = &self.core;
-        core.check_batches(b, x)?;
+        self.core.solve(b, x, Self::iterate)
+    }
+
+    fn iterate(
+        core: &BatchSolverCore<V, I>,
+        x: &mut BatchDense<V>,
+        mut r: BatchDense<V>,
+        mut q: BatchDense<V>,
+        st: &mut SystemStates,
+    ) -> Result<()> {
         let op = &core.op;
-        let exec = op.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, core.name);
         let s_count = op.num_systems();
-        let dim = Dim2::new(op.size().rows, 1);
-
-        // r = b - A x
-        let mut r = BatchDense::zeros(&exec, s_count, dim);
-        r.copy_from(b)?;
-        let mut q = BatchDense::zeros(&exec, s_count, dim);
-        op.apply_batch(x, &mut q, None)?;
-        r.axpy(&vec![-1.0; s_count], &q, None)?;
-
-        let mut baseline = vec![0.0; s_count];
-        r.norms2(None, &mut baseline)?;
-        let mut st = SystemStates::new(baseline);
-        core.check_initial(&mut st);
-
-        let mut p = BatchDense::zeros(&exec, s_count, dim);
+        let mut p = core.vectors();
         p.copy_from(&r)?;
         let mut rho = vec![0.0; s_count];
         r.dots(&r, Some(&st.active), &mut rho)?;
@@ -273,49 +332,27 @@ impl<V: Value, I: Index> BatchCg<V, I> {
             iter += 1;
             op.apply_batch(&p, &mut q, Some(&st.active))?;
             p.dots(&q, Some(&st.active), &mut pq)?;
-            for s in 0..s_count {
-                if st.active[s]
-                    && (pq[s] == 0.0 || !pq[s].is_finite() || rho[s] == 0.0 || !rho[s].is_finite())
-                {
-                    // Same convention as single CG: the broken iteration is
-                    // not counted and x keeps its last finite state.
-                    st.finish(s, iter - 1, st.final_res[s], StopReason::Breakdown);
-                }
-            }
-            for s in 0..s_count {
-                coeff[s] = if st.active[s] { rho[s] / pq[s] } else { 0.0 };
-            }
+            st.break_down(iter, |s| {
+                pq[s] == 0.0 || !pq[s].is_finite() || rho[s] == 0.0 || !rho[s].is_finite()
+            });
+            st.set(&mut coeff, |s| rho[s] / pq[s]);
             x.axpy(&coeff, &p, Some(&st.active))?;
             for c in coeff.iter_mut() {
                 *c = -*c;
             }
             r.axpy(&coeff, &q, Some(&st.active))?;
             r.norms2(Some(&st.active), &mut res)?;
-            for (s, &res_s) in res.iter().enumerate() {
-                if !st.active[s] {
-                    continue;
-                }
-                st.final_res[s] = res_s;
-                if let Some(reason) = core.criteria.check(iter, res_s, st.baseline[s]) {
-                    st.finish(s, iter, res_s, reason);
-                }
-            }
+            st.check(&core.criteria, iter, &res);
             if !st.any_active() {
                 break;
             }
             r.dots(&r, Some(&st.active), &mut rho_new)?;
-            for s in 0..s_count {
-                if st.active[s] {
-                    coeff[s] = rho_new[s] / rho[s];
-                    rho[s] = rho_new[s];
-                }
-            }
+            st.set(&mut coeff, |s| rho_new[s] / rho[s]);
+            st.set(&mut rho, |s| rho_new[s]);
             // p = r + beta * p
             p.scale_add(&r, &coeff, Some(&st.active))?;
         }
-        let record = st.into_record();
-        core.emit_completed(&record);
-        Ok(record)
+        Ok(())
     }
 }
 
@@ -350,30 +387,22 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
         b: &BatchDense<V>,
         x: &mut BatchDense<V>,
     ) -> Result<BatchSolveRecord> {
-        let core = &self.core;
-        core.check_batches(b, x)?;
+        self.core.solve(b, x, Self::iterate)
+    }
+
+    fn iterate(
+        core: &BatchSolverCore<V, I>,
+        x: &mut BatchDense<V>,
+        mut r: BatchDense<V>,
+        mut v: BatchDense<V>,
+        st: &mut SystemStates,
+    ) -> Result<()> {
         let op = &core.op;
-        let exec = op.executor().clone();
-        let _solve_timer = OpTimer::new(&exec, core.name);
         let s_count = op.num_systems();
-        let dim = Dim2::new(op.size().rows, 1);
-
-        // r = b - A x
-        let mut r = BatchDense::zeros(&exec, s_count, dim);
-        r.copy_from(b)?;
-        let mut v = BatchDense::zeros(&exec, s_count, dim);
-        op.apply_batch(x, &mut v, None)?;
-        r.axpy(&vec![-1.0; s_count], &v, None)?;
         let r_tilde = r.clone();
-
-        let mut baseline = vec![0.0; s_count];
-        r.norms2(None, &mut baseline)?;
-        let mut st = SystemStates::new(baseline);
-        core.check_initial(&mut st);
-
-        let mut p = BatchDense::zeros(&exec, s_count, dim);
-        let mut s_vec = BatchDense::zeros(&exec, s_count, dim);
-        let mut t = BatchDense::zeros(&exec, s_count, dim);
+        let mut p = core.vectors();
+        let mut s_vec = core.vectors();
+        let mut t = core.vectors();
 
         let mut rho_old = vec![1.0f64; s_count];
         let mut alpha = vec![1.0f64; s_count];
@@ -390,11 +419,7 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
         while st.any_active() {
             iter += 1;
             r_tilde.dots(&r, Some(&st.active), &mut rho)?;
-            for s in 0..s_count {
-                if st.active[s] && (rho[s] == 0.0 || omega[s] == 0.0 || !rho[s].is_finite()) {
-                    st.finish(s, iter - 1, st.final_res[s], StopReason::Breakdown);
-                }
-            }
+            st.break_down(iter, |s| rho[s] == 0.0 || omega[s] == 0.0 || !rho[s].is_finite());
             if !st.any_active() {
                 break;
             }
@@ -402,58 +427,32 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
                 p.copy_from(&r)?;
             } else {
                 // p = r + beta * (p - omega * v)
-                for s in 0..s_count {
-                    coeff[s] = if st.active[s] { -omega[s] } else { 0.0 };
-                }
+                st.set(&mut coeff, |s| -omega[s]);
                 p.axpy(&coeff, &v, Some(&st.active))?;
-                for s in 0..s_count {
-                    coeff[s] = if st.active[s] {
-                        (rho[s] / rho_old[s]) * (alpha[s] / omega[s])
-                    } else {
-                        0.0
-                    };
-                }
+                st.set(&mut coeff, |s| (rho[s] / rho_old[s]) * (alpha[s] / omega[s]));
                 p.scale_add(&r, &coeff, Some(&st.active))?;
             }
             op.apply_batch(&p, &mut v, Some(&st.active))?;
             r_tilde.dots(&v, Some(&st.active), &mut denom)?;
-            for (s, &denom_s) in denom.iter().enumerate() {
-                if st.active[s] && (denom_s == 0.0 || !denom_s.is_finite()) {
-                    st.finish(s, iter - 1, st.final_res[s], StopReason::Breakdown);
-                }
-            }
-            for s in 0..s_count {
-                if st.active[s] {
-                    alpha[s] = rho[s] / denom[s];
-                }
-            }
+            st.break_down(iter, |s| denom[s] == 0.0 || !denom[s].is_finite());
+            st.set(&mut alpha, |s| rho[s] / denom[s]);
             // s = r - alpha * v
             s_vec.copy_from(&r)?;
-            for s in 0..s_count {
-                coeff[s] = if st.active[s] { -alpha[s] } else { 0.0 };
-            }
+            st.set(&mut coeff, |s| -alpha[s]);
             s_vec.axpy(&coeff, &v, Some(&st.active))?;
             s_vec.norms2(Some(&st.active), &mut norms)?;
 
             // Half-step check: early convergence (or Breakdown on a
             // non-finite norm) accepts the half-step update x += alpha p,
             // exactly as in the single-system solver.
-            let mut any_half = false;
             for s in 0..s_count {
-                half[s] = false;
-                half_reason[s] = None;
-                if !st.active[s] {
-                    continue;
-                }
-                if let Some(reason) = core.criteria.check(iter, norms[s], st.baseline[s]) {
-                    if reason != StopReason::MaxIterations {
-                        half[s] = true;
-                        half_reason[s] = Some(reason);
-                        any_half = true;
-                    }
-                }
+                half_reason[s] = st.active[s]
+                    .then(|| core.criteria.check(iter, norms[s], st.baseline[s]))
+                    .flatten()
+                    .filter(|&reason| reason != StopReason::MaxIterations);
+                half[s] = half_reason[s].is_some();
             }
-            if any_half {
+            if half.contains(&true) {
                 x.axpy(&alpha, &p, Some(&half))?;
                 for s in 0..s_count {
                     if let Some(reason) = half_reason[s] {
@@ -467,46 +466,22 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
 
             op.apply_batch(&s_vec, &mut t, Some(&st.active))?;
             t.dots(&t, Some(&st.active), &mut tt)?;
-            for (s, &tt_s) in tt.iter().enumerate() {
-                if st.active[s] && (tt_s == 0.0 || !tt_s.is_finite()) {
-                    st.finish(s, iter - 1, st.final_res[s], StopReason::Breakdown);
-                }
-            }
+            st.break_down(iter, |s| tt[s] == 0.0 || !tt[s].is_finite());
             t.dots(&s_vec, Some(&st.active), &mut ts)?;
-            for s in 0..s_count {
-                if st.active[s] {
-                    omega[s] = ts[s] / tt[s];
-                }
-            }
+            st.set(&mut omega, |s| ts[s] / tt[s]);
             // x += alpha * p + omega * s
             x.axpy(&alpha, &p, Some(&st.active))?;
             x.axpy(&omega, &s_vec, Some(&st.active))?;
             // r = s - omega * t (inactive systems' r is never read again,
             // so the unmasked copy is harmless)
             r.copy_from(&s_vec)?;
-            for s in 0..s_count {
-                coeff[s] = if st.active[s] { -omega[s] } else { 0.0 };
-            }
+            st.set(&mut coeff, |s| -omega[s]);
             r.axpy(&coeff, &t, Some(&st.active))?;
             r.norms2(Some(&st.active), &mut norms)?;
-            for (s, &norm_s) in norms.iter().enumerate() {
-                if !st.active[s] {
-                    continue;
-                }
-                st.final_res[s] = norm_s;
-                if let Some(reason) = core.criteria.check(iter, norm_s, st.baseline[s]) {
-                    st.finish(s, iter, norm_s, reason);
-                }
-            }
-            for s in 0..s_count {
-                if st.active[s] {
-                    rho_old[s] = rho[s];
-                }
-            }
+            st.check(&core.criteria, iter, &norms);
+            st.set(&mut rho_old, |s| rho[s]);
         }
-        let record = st.into_record();
-        core.emit_completed(&record);
-        Ok(record)
+        Ok(())
     }
 }
 
@@ -693,22 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn per_system_sparsity_batch_solves() {
-        let exec = Executor::reference();
-        let n = 12;
-        let systems = vec![spd(&exec, n, 0.0), spd(&exec, n, 1.0), spd(&exec, n, 2.0)];
-        let batch = Arc::new(BatchCsr::from_systems(systems).unwrap());
-        let b = rhs(&exec, n, 3);
-        let mut x = BatchDense::zeros(&exec, 3, Dim2::new(n, 1));
-        let record = BatchCg::new(batch)
-            .unwrap()
-            .with_criteria(Criteria::iterations_and_reduction(200, 1e-10))
-            .apply_batch(&b, &mut x)
-            .unwrap();
-        assert!(record.all_converged(), "{record:?}");
-    }
-
-    #[test]
     fn iteration_limit_is_respected_per_system() {
         let exec = Executor::reference();
         let (n, s) = (32, 3);
@@ -757,30 +716,6 @@ mod tests {
             "{}",
             events[0]
         );
-    }
-
-    #[test]
-    fn shared_plan_reused_across_whole_solve() {
-        let exec = Executor::reference();
-        let (n, s) = (24, 6);
-        let (batch, _) = shared_batch(&exec, n, s, spd);
-        let b = rhs(&exec, n, s);
-        let mut x = BatchDense::zeros(&exec, s, Dim2::new(n, 1));
-        let record = BatchCg::new(batch.clone())
-            .unwrap()
-            .with_criteria(Criteria::iterations_and_reduction(200, 1e-10))
-            .apply_batch(&b, &mut x)
-            .unwrap();
-        let stats = batch.plan_stats().unwrap();
-        assert_eq!(stats.builds, 1, "one inspection for the whole solve");
-        // One apply_batch per iteration plus the initial residual.
-        assert!(
-            stats.hits >= record.max_iterations() as u64,
-            "hits {} vs iterations {}",
-            stats.hits,
-            record.max_iterations()
-        );
-        assert!(stats.reuse_ratio() > 0.9);
     }
 
     #[test]

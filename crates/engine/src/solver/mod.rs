@@ -35,8 +35,11 @@
 //! The batched solvers ([`BatchCg`], [`BatchBiCgStab`]) are not on the
 //! shell: they advance many systems in one `BatchDense` with per-system
 //! masking and per-system stop reasons, so sharing would make the shell
-//! branch on its caller. The non-iterative [`Direct`], [`LowerTrs`] and
-//! [`UpperTrs`] have no loop to share.
+//! branch on its caller. What the two of them share (constructor, initial
+//! residual and baselines, initial check, record and completion event,
+//! per-system bookkeeping) is `BatchSolverCore` in [`batch`]; each keeps its
+//! iterations. The non-iterative [`Direct`], [`LowerTrs`] and [`UpperTrs`]
+//! have no loop to share.
 //!
 //! # Iteration counting, breakdown and non-finite residuals
 //!

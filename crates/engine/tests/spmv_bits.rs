@@ -487,8 +487,8 @@ fn double_int64() {
     check_all_formats::<f64, i64>();
 }
 
-/// `BatchCsr::apply_batch` is the CSR `k == 1` row sum per system, in both
-/// sparsity variants and both chunking regimes (few / many systems).
+/// `BatchCsr::apply_batch` is the CSR `k == 1` row sum per system, for
+/// batches below and above every executor's chunk count.
 #[test]
 fn batch_csr_rows_sum_in_the_unrolled_order() {
     for exec in executors() {
@@ -511,34 +511,30 @@ fn batch_csr_rows_sum_in_the_unrolled_order() {
                     .map(|s| (0..dim.cols).map(|i| rhs_value(i + s)).collect())
                     .collect();
                 let b = BatchDense::from_systems(&exec, Dim2::new(dim.cols, 1), &rhs).unwrap();
-                let shared = BatchCsr::from_shared(&proto, &values).unwrap();
-                let per_system = BatchCsr::from_systems(scaled.clone()).unwrap();
+                let batch = BatchCsr::from_shared(&proto, &values).unwrap();
                 // Unmasked, then with every third system masked out: an
                 // inactive system's `x` keeps the bits it came with.
                 let sentinel = |s: usize, r: usize| -(1.5 + (s * dim.rows + r) as f64);
                 let masked: Vec<bool> = (0..systems).map(|s| s % 3 != 1).collect();
-                for (variant, batch) in [("shared", &shared), ("per_system", &per_system)] {
-                    for mask in [None, Some(&masked[..])] {
-                        let mut x = BatchDense::zeros(&exec, systems, Dim2::new(dim.rows, 1));
-                        for s in 0..systems {
-                            for (r, v) in x.system_mut(s).iter_mut().enumerate() {
-                                *v = sentinel(s, r);
-                            }
+                for mask in [None, Some(&masked[..])] {
+                    let mut x = BatchDense::zeros(&exec, systems, Dim2::new(dim.rows, 1));
+                    for s in 0..systems {
+                        for (r, v) in x.system_mut(s).iter_mut().enumerate() {
+                            *v = sentinel(s, r);
                         }
-                        batch.apply_batch(&b, &mut x, mask).unwrap();
-                        for s in 0..systems {
-                            let mut want: Vec<f64> = (0..dim.rows).map(|r| sentinel(s, r)).collect();
-                            if mask.is_none_or(|m| m[s]) {
-                                let m = Reference::of(&scaled[s]);
-                                reference_rows(&m.rows, 1, 1.0, &rhs[s], 0.0, &mut want);
-                            }
-                            let on = exec.name();
-                            let masking = if mask.is_some() { "masked" } else { "unmasked" };
-                            let ctx = format!(
-                                "batch {variant} {masking} {name} system {s}/{systems} on {on}"
-                            );
-                            assert_bits(x.system(s), &want, &ctx);
+                    }
+                    batch.apply_batch(&b, &mut x, mask).unwrap();
+                    for s in 0..systems {
+                        let mut want: Vec<f64> = (0..dim.rows).map(|r| sentinel(s, r)).collect();
+                        if mask.is_none_or(|m| m[s]) {
+                            let m = Reference::of(&scaled[s]);
+                            reference_rows(&m.rows, 1, 1.0, &rhs[s], 0.0, &mut want);
                         }
+                        let on = exec.name();
+                        let masking = if mask.is_some() { "masked" } else { "unmasked" };
+                        let ctx =
+                            format!("batch {masking} {name} system {s}/{systems} on {on}");
+                        assert_bits(x.system(s), &want, &ctx);
                     }
                 }
             }

@@ -481,6 +481,13 @@ impl GeneratedBatch {
     pub fn num_systems(&self) -> usize {
         self.system_values.len()
     }
+
+    /// System `s` on its own: the prototype's structure with that system's
+    /// values.
+    pub fn system_triplets(&self, s: usize) -> Vec<(usize, usize, f64)> {
+        let entries = self.prototype.triplets.iter().zip(&self.system_values[s]);
+        entries.map(|(&(r, c, _), &v)| (r, c, v)).collect()
+    }
 }
 
 /// SPD tridiagonal batch (the batched-solver benchmark class): `num_systems`
