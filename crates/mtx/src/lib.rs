@@ -1138,6 +1138,41 @@ mod tests {
         doc
     }
 
+    /// Values on which a shortest-digits printer goes wrong: exact ties
+    /// between two shortest candidates, both ends of every binade, each power
+    /// of ten and its neighbours (among them both switches between decimal
+    /// and exponent notation, at `1e-4` and `1e16`), subnormals, and the
+    /// values of a generated circuit matrix.
+    pub(super) fn printer_edge_values() -> Vec<f64> {
+        // The exact values are halfway between the two nearest 17-digit
+        // decimals: `2^50 + 0.25` and `2^-25 = 2.98023223876953125e-8`.
+        let two_50 = (1u64 << 50) as f64;
+        let mut values = vec![two_50 + 0.25, 1.0 / (1u64 << 25) as f64];
+        for j in 0..64u32 {
+            let base = two_50 + f64::from(j * 977);
+            values.extend([base + 0.25, base + 0.75, -(base + 0.25)]);
+        }
+        for exponent in 1..2047u64 {
+            values.push(f64::from_bits(exponent << 52));
+            values.push(f64::from_bits((exponent << 52) | ((1 << 52) - 1)));
+        }
+        for k in 0..52 {
+            values.push(f64::from_bits(1 << k));
+            values.push(f64::from_bits((2 << k) - 1));
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5AB0_A75E_ED00_0001);
+        for _ in 0..1_000 {
+            values.push(f64::from_bits(rng.next_u64() & ((1 << 52) - 1)));
+        }
+        for k in -324..=308 {
+            let power: f64 = format!("1e{k}").parse().unwrap();
+            values.extend([power.next_down(), power, power.next_up()]);
+        }
+        let circuit = pygko_matgen::generators::circuit("c", 2_000, 6, 4, 7);
+        values.extend(circuit.triplets.iter().map(|&(_, _, v)| v));
+        values
+    }
+
     #[test]
     fn writer_bytes_equal_the_format_reference() {
         let mut values = vec![
@@ -1178,6 +1213,7 @@ mod tests {
                 _ => (bits % 1_000_000) as f64 / 1024.0,
             });
         }
+        values.extend(printer_edge_values());
         // Enough entries to cross several block boundaries.
         let entries: Vec<(usize, usize, f64)> = values
             .iter()

@@ -43,6 +43,35 @@ fn facade_write_then_read_identity() {
 }
 
 #[test]
+fn circuit_values_survive_write_then_read_bit_for_bit() {
+    let gen = pygko_matgen::generators::circuit("bits", 3_000, 6, 4, 11);
+    let dev = pg::device("reference").unwrap();
+    let bits = |m: &pg::SparseMatrix| -> Vec<(usize, usize, u64)> {
+        m.to_triplets()
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect()
+    };
+    for dtype in ["double", "float"] {
+        let m = pg::SparseMatrix::from_triplets(
+            &dev,
+            (gen.rows, gen.cols),
+            &gen.triplets,
+            dtype,
+            "int32",
+            "Csr",
+        )
+        .unwrap();
+        let path = temp(&format!("circuit_bits_{dtype}.mtx"));
+        pg::write(&m, &path).unwrap();
+        let back = pg::read(&dev, &path, dtype, "Csr").unwrap();
+        let _ = std::fs::remove_file(path);
+        assert!(m.nnz() > 5 * gen.rows, "{dtype}: {} entries", m.nnz());
+        assert!(bits(&back) == bits(&m), "{dtype}: a value changed on the way");
+    }
+}
+
+#[test]
 fn symmetric_mtx_file_expands_through_facade() {
     let path = temp("sym.mtx");
     std::fs::write(
