@@ -11,7 +11,7 @@
 use gko::linop::LinOp;
 use gko::matrix::{BatchCsr, BatchDense, Coo, Csr, Dense, Ell, Sellp, SpmvStrategy};
 use gko::{Dim2, Executor, Value};
-use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
+use pygko_bench::{best_in_turn, fmt, micro_iters, wall_secs, wall_secs_best, Report};
 use pygko_matgen::generators::{circuit, poisson2d};
 
 /// COO may cost at most this multiple of CSR on `formats_poisson2d_200`
@@ -89,20 +89,6 @@ struct Ratios {
 /// Blocks of [`GATE_ROUNDS`] rounds a gated ratio is read over.
 const GATE_BLOCKS: usize = 5;
 const GATE_ROUNDS: usize = 20;
-
-/// Fastest call of each of `fs` over `rounds` rounds that run them in turn, so
-/// a noisy spell falls on all of them and not on one side of a ratio.
-fn best_in_turn<const N: usize>(rounds: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for _ in 0..rounds {
-        for (f, b) in fs.iter_mut().zip(&mut best) {
-            let t0 = std::time::Instant::now();
-            f();
-            *b = b.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    best
-}
 
 /// Times every format, the two plain loops and the `k = 3` kernels on one
 /// stencil.

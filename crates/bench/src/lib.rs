@@ -106,6 +106,21 @@ pub fn wall_secs_best(iters: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Fastest call of each of `fs` over `rounds` rounds that run them in turn, so
+/// a noisy spell falls on all of them and not on one side of a ratio a gate
+/// reads.
+pub fn best_in_turn<const N: usize>(rounds: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (f, b) in fs.iter_mut().zip(&mut best) {
+            let t0 = std::time::Instant::now();
+            f();
+            *b = b.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
 /// Iteration count for the wall-clock micro benches (reduced in quick mode).
 pub fn micro_iters(full: usize) -> usize {
     if quick_mode() {

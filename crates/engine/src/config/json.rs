@@ -8,6 +8,7 @@
 use crate::base::error::{GkoError, Result};
 use crate::config::Config;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Serializes a config tree to compact JSON.
 pub fn to_string(config: &Config) -> String {
@@ -70,11 +71,14 @@ fn write_value(config: &Config, out: &mut String) {
         Config::Null => out.push_str("null"),
         Config::Bool(true) => out.push_str("true"),
         Config::Bool(false) => out.push_str("false"),
-        Config::Int(v) => out.push_str(&v.to_string()),
+        // Straight into `out`: writing to a `String` cannot fail.
+        Config::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
         Config::Float(v) => {
             if v.is_finite() {
-                let s = format!("{v:?}"); // Debug always keeps a decimal point
-                out.push_str(&s);
+                // Debug always keeps a decimal point.
+                let _ = write!(out, "{v:?}");
             } else {
                 // JSON has no Inf/NaN; serialize as null like Python's
                 // json.dumps(allow_nan=False) alternative behaviour.

@@ -13,6 +13,9 @@
 
 #![warn(missing_docs)]
 
+mod shortest;
+
+use shortest::{push_integer, push_shortest};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -597,25 +600,11 @@ pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<MtxData, MtxError> {
 /// Bytes collected before the writer is handed a block.
 const WRITE_BLOCK: usize = 64 << 10;
 
-/// Appends `v` in decimal.
-fn push_integer(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[at..]);
-}
-
 /// Appends `v` as `{v:?}` prints it. Integer-valued magnitudes below 1e15
-/// (every one an exact `u64`) are `<int>.0` there and are printed by hand;
-/// the shortest-digits search for everything else stays on std.
-fn push_value(out: &mut Vec<u8>, v: f64) -> std::io::Result<()> {
+/// (every one an exact `u64`) are `<int>.0` there and take the index
+/// printer, Ryu's small-integer shortcut; every other value takes the
+/// shortest-digits printer.
+fn push_value(out: &mut Vec<u8>, v: f64) {
     let magnitude = v.abs();
     if magnitude < 1e15 && magnitude.trunc() == magnitude {
         if v.is_sign_negative() {
@@ -623,9 +612,8 @@ fn push_value(out: &mut Vec<u8>, v: f64) -> std::io::Result<()> {
         }
         push_integer(out, magnitude as u64);
         out.extend_from_slice(b".0");
-        Ok(())
     } else {
-        write!(out, "{v:?}")
+        push_shortest(out, v);
     }
 }
 
@@ -647,7 +635,7 @@ pub fn write_mtx<W: Write>(
         block.push(b' ');
         push_integer(&mut block, c as u64 + 1);
         block.push(b' ');
-        push_value(&mut block, v)?;
+        push_value(&mut block, v);
         block.push(b'\n');
         if block.len() >= WRITE_BLOCK {
             writer.write_all(&block)?;

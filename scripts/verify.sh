@@ -18,7 +18,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 ./scripts/check_lint.sh
 
 # Smoke-run the wall-clock microbenchmarks end to end (quick suite); each is
-# also a ratio gate (COO over CSR, dot over AXPY). Quick-mode output goes to
+# also a ratio gate (COO over CSR, dot over AXPY, the MTX writer over one
+# `{:?}` line per entry). Quick-mode output goes to
 # a scratch directory so it never overwrites the committed full-size
 # results/ files.
 SMOKE_DIR="$(mktemp -d)"
@@ -27,6 +28,8 @@ PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
     cargo run --release --offline -p pygko-bench --bin micro_spmv
 PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
     cargo run --release --offline -p pygko-bench --bin micro_solvers
+PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
+    cargo run --release --offline -p pygko-bench --bin micro_facade
 
 # Benchmark regression gate (plus its injected-slowdown self-test).
 ./scripts/check_bench.sh
