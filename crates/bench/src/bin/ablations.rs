@@ -3,12 +3,12 @@
 //! 1. CSR SpMV strategy — nnz-balanced vs classical row-balanced chunks;
 //! 2. GMRES variant — Ginkgo's Givens/per-iteration-check vs CuPy's
 //!    projection/end-of-cycle-check (cost per iteration);
-//! 3. Facade dispatch — the dynamic layer (dtype dispatch + GIL +
-//!    validation, then the handle's virtual call) vs the bare `dyn LinOp`
-//!    virtual call under it (real wall-clock microbenchmark, not virtual
-//!    time);
-//! 4. Preconditioner choice — iterations to convergence for none / Jacobi /
+//! 3. Preconditioner choice — iterations to convergence for none / Jacobi /
 //!    block-Jacobi / ILU / IC on an SPD system.
+//!
+//! Every figure is virtual time, so reruns write the same bytes. The facade's
+//! host cost per call, measured on the wall clock, is `micro_facade`'s
+//! `binding_overhead_*` group.
 //!
 //! `cargo run -p pygko-bench --bin ablations --release`
 
@@ -22,12 +22,10 @@ use pygko_baselines::gpu_executor;
 use pygko_bench::{cast_triplets, fmt, solver_iters, time_spmv, Report};
 use pygko_matgen::generators::{poisson2d, rmat};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() {
     spmv_strategy();
     gmres_variant();
-    dispatch_cost();
     preconditioner_effect();
 }
 
@@ -114,53 +112,7 @@ fn gmres_variant() {
     println!("(ratios slightly above 1 reproduce §6.2.1: CuPy's CPU Hessenberg wins at small sizes)");
 }
 
-/// Ablation 3: dispatch mechanism — measured in *real wall-clock* because
-/// this is host-side binding machinery, not simulated device work.
-fn dispatch_cost() {
-    let dev = pyginkgo::device("reference").unwrap();
-    let n = 64usize;
-    let t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 2.0)).collect();
-    let m = pyginkgo::SparseMatrix::from_triplets(&dev, (n, n), &t, "double", "int32", "Csr")
-        .unwrap();
-    let b = pyginkgo::as_tensor_fill(&dev, (n, 1), "double", 1.0).unwrap();
-    let mut x = pyginkgo::as_tensor_fill(&dev, (n, 1), "double", 0.0).unwrap();
-
-    // The facade: dtype dispatch on three handles, then the virtual call.
-    let reps = 20_000;
-    let start = Instant::now();
-    for _ in 0..reps {
-        m.spmv_into(&b, &mut x).unwrap();
-    }
-    let facade_ns = start.elapsed().as_nanos() as f64 / reps as f64;
-
-    // The virtual call alone (what the facade's handle makes underneath).
-    let exec = Executor::reference();
-    let t64 = cast_triplets::<f64>(&pygko_matgen::generators::diagonal_mass("d", n, 1.0, 3));
-    let a: Arc<dyn LinOp<f64>> =
-        Arc::new(Csr::<f64, i32>::from_triplets(&exec, Dim2::square(n), &t64).unwrap());
-    let bd = Dense::<f64>::vector(&exec, n, 1.0);
-    let mut xd = Dense::zeros(&exec, Dim2::new(n, 1));
-    let start = Instant::now();
-    for _ in 0..reps {
-        a.apply(&bd, &mut xd).unwrap();
-    }
-    let dyn_ns = start.elapsed().as_nanos() as f64 / reps as f64;
-
-    let mut report = Report::new(
-        "Ablation 3: dispatch mechanism (REAL wall clock, tiny matrix)",
-        &["mechanism", "ns/call"],
-    );
-    report.row(vec!["facade dtype dispatch + GIL + validation".into(), fmt(facade_ns)]);
-    report.row(vec!["bare dyn LinOp virtual call".into(), fmt(dyn_ns)]);
-    report.print();
-    report.write_csv("ablation_dispatch").expect("csv");
-    println!(
-        "(the facade's extra {:.0} ns/call is the §5.1 dynamic layer; it is amortized over kernel work)",
-        (facade_ns - dyn_ns).max(0.0)
-    );
-}
-
-/// Ablation 4: preconditioners trade setup cost for iteration count.
+/// Ablation 3: preconditioners trade setup cost for iteration count.
 fn preconditioner_effect() {
     let gen = poisson2d("poisson2d 120", 120, 120);
     let exec = Executor::cuda(0);
@@ -169,7 +121,7 @@ fn preconditioner_effect() {
         Csr::<f64, i32>::from_triplets(&exec, Dim2::new(gen.rows, gen.cols), &t64).unwrap(),
     );
     let mut report = Report::new(
-        "Ablation 4: preconditioner effect on CG (poisson2d 120x120, tol 1e-8)",
+        "Ablation 3: preconditioner effect on CG (poisson2d 120x120, tol 1e-8)",
         &["preconditioner", "iterations", "converged", "solve virtual s"],
     );
     for name in ["none", "jacobi", "block-jacobi(4)", "ilu", "ic"] {

@@ -22,8 +22,10 @@ use std::io::Write as _;
 /// through `{:?}`).
 const WRITE_OVER_DEBUG_LOOP_LIMIT: f64 = 0.7;
 
-fn bench_binding_overhead(report: &mut Report) {
-    let n = 1000usize;
+/// One diagonal SpMV of order `n` through the engine, then through the facade
+/// (dtype dispatch on three handles, GIL analog, validation, then the same
+/// engine call): the difference is the facade's host cost per call.
+fn bench_binding_overhead(report: &mut Report, n: usize, iters: usize) {
     let t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 2.0)).collect();
 
     // Engine direct.
@@ -38,17 +40,18 @@ fn bench_binding_overhead(report: &mut Report) {
     let bt = pg::as_tensor_fill(&dev, (n, 1), "double", 1.0).unwrap();
     let mut xt = pg::as_tensor_fill(&dev, (n, 1), "double", 0.0).unwrap();
 
-    let iters = micro_iters(2000);
+    let group = format!("binding_overhead_diag{n}");
+    let iters = micro_iters(iters);
     let secs = wall_secs(iters, || a.apply(&b, &mut x).unwrap());
     report.row(vec![
-        "binding_overhead_diag1000".into(),
+        group.clone(),
         "engine_spmv".into(),
         fmt(secs * 1e6),
         "-".into(),
     ]);
     let secs = wall_secs(iters, || m.spmv_into(&bt, &mut xt).unwrap());
     report.row(vec![
-        "binding_overhead_diag1000".into(),
+        group,
         "facade_spmv".into(),
         fmt(secs * 1e6),
         "-".into(),
@@ -161,7 +164,8 @@ fn main() {
         "Facade wall-clock microbenchmarks",
         &["group", "case", "us/op", "best ns/entry"],
     );
-    bench_binding_overhead(&mut report);
+    bench_binding_overhead(&mut report, 64, 20_000);
+    bench_binding_overhead(&mut report, 1000, 2000);
     bench_dispatch_layers(&mut report);
     bench_mtx_io(&mut report, &poisson2d("poisson2d_120", 120, 120));
     let write_over_debug_loop =

@@ -1,5 +1,4 @@
-//! End-to-end probe of the observability planes, run by
-//! `scripts/check_observe.sh`.
+//! End-to-end probe of the observability planes, run by `scripts/verify.sh`.
 //!
 //! Drives full CG solves on a 2D Poisson matrix (~1.8M nnz on the 600x600
 //! grid, a small grid under `PYGKO_BENCH_QUICK=1`) through the pyGinkgo
@@ -29,7 +28,7 @@
 //! series.
 //!
 //! Both stages end with a clean shutdown (the port stops accepting). Any
-//! violated expectation panics, which exits nonzero for the CI script.
+//! violated expectation panics, which exits nonzero for `scripts/verify.sh`.
 //!
 //! `cargo run --release -p pygko-bench --bin observe_probe`
 

@@ -13,7 +13,8 @@
 //!   benchmarks (default 200; the paper used 1000 — the metric is time per
 //!   iteration, so the count only affects noise, which we do not have).
 //! * `PYGKO_RESULTS_DIR` — redirect all benchmark output files away from the
-//!   committed `results/` directory (used by `scripts/verify.sh` smoke runs).
+//!   committed `results/` directory (`scripts/verify.sh` points it at a
+//!   scratch directory and compares what the bins write with `results/`).
 
 #![warn(missing_docs)]
 

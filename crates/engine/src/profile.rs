@@ -25,7 +25,7 @@
 //! * [`ProfileSnapshot::folded`] — inferno / `flamegraph.pl` folded-stacks
 //!   text (`path;path;... <self_wall_ns>` per line);
 //! * [`diff`] — a differential profile against a named committed baseline
-//!   (per-path delta of self-time and calls), which `bench_gate` uses to
+//!   (per-path delta of self-time and calls), served by `/profile/diff` to
 //!   *attribute* a regression to span paths instead of reporting a bare
 //!   ratio.
 

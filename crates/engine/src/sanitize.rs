@@ -28,11 +28,10 @@
 //!
 //! The sanitizer is designed so that the *disabled* path costs exactly one
 //! relaxed atomic load per pool dispatch (the [`Sanitizer::is_enabled`]
-//! check in `parallel_chunks`) — the same budget as the logging fast path —
-//! which is why `scripts/check_bench.sh` passes unchanged. When enabled,
-//! each dispatch pays one mutex push per executed chunk plus an `O(chunks)`
-//! verification sweep; validation sweeps are `O(nnz)` per call and only run
-//! where explicitly requested.
+//! check in `parallel_chunks`) — the same budget as the logging fast path.
+//! When enabled, each dispatch pays one mutex push per executed chunk plus an
+//! `O(chunks)` verification sweep; validation sweeps are `O(nnz)` per call
+//! and only run where explicitly requested.
 //!
 //! [`Executor::enable_sanitizer`]: crate::executor::Executor::enable_sanitizer
 

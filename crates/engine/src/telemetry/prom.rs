@@ -1,6 +1,6 @@
 //! Strict validator for the Prometheus text exposition format (0.0.4).
 //!
-//! Used by the concurrent-scrape tests and `scripts/check_observe.sh` to
+//! Used by the concurrent-scrape tests and the `observe_probe` bench bin to
 //! prove every `/metrics` response is well-formed — in particular that a
 //! scrape racing live kernels never observes a torn snapshot. "Strict"
 //! means structural rules beyond what most scrapers enforce:

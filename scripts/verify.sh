@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Offline verification gate: warning-free release build, full test suite
-# (workspace and the standalone benchmark package), lint-clean clippy, and
-# one wall-clock benchmark smoke run. Run from anywhere; operates on the
-# workspace containing this script.
+# (workspace and the standalone benchmark package), lint-clean clippy, the
+# wall-clock microbenchmark and observability smoke runs, and the results
+# gate. Run from anywhere; operates on the workspace containing this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,25 +17,53 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Static lint gate (plus its injected-violation self-test).
 ./scripts/check_lint.sh
 
+cargo build --release --offline -p pygko-bench
+bin=./target/release
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 # Smoke-run the wall-clock microbenchmarks end to end (quick suite); each is
 # also a ratio gate (COO over CSR, dot over AXPY, the MTX writer over one
-# `{:?}` line per entry). Quick-mode output goes to
-# a scratch directory so it never overwrites the committed full-size
-# results/ files.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
-    cargo run --release --offline -p pygko-bench --bin micro_spmv
-PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
-    cargo run --release --offline -p pygko-bench --bin micro_solvers
-PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$SMOKE_DIR" \
-    cargo run --release --offline -p pygko-bench --bin micro_facade
+# `{:?}` line per entry). Their output goes to the scratch directory: the
+# committed micro_*.csv files are full-size wall-clock runs.
+for b in micro_spmv micro_solvers micro_facade; do
+    PYGKO_BENCH_QUICK=1 PYGKO_RESULTS_DIR="$scratch/smoke" "$bin/$b"
+done
 
-# Benchmark regression gate (plus its injected-slowdown self-test).
-./scripts/check_bench.sh
+# Observability gate: detector self-tests, every scrape route live over raw
+# TCP, an anomaly-free /runs report beside a strict /metrics exposition on
+# omp-2; one rooted span tree whose chunk spans tile every pool dispatch, the
+# Chrome export, the flame endpoints and HEAD parity on omp-16.
+PYGKO_BENCH_QUICK=1 "$bin/observe_probe"
 
-# Observability gate: every scrape route live, detector self-tests, rooted
-# span trees with tiled chunks, flame endpoints + differential attribution.
-./scripts/check_observe.sh
+# Results gate: every figure and table bin plus spmv_formats, at full size,
+# and each file they write must be byte-identical to the committed one in
+# results/. Everything they write is virtual time or a count, so a rerun of
+# the same code writes the same bytes; a change that moves a figure must
+# commit the regenerated file with it.
+unset PYGKO_BENCH_QUICK PYGKO_SOLVER_ITERS
+mkdir -p "$scratch/results" "$scratch/logs"
+for b in fig3a_spmv_gpu fig3b_spmv_cpu fig3c_solver_gpu fig4_representative \
+    fig5a_devices fig5bc_overhead solver_cpu tab1_types tab2_matrices \
+    ablations spmv_formats; do
+    echo "results: $b"
+    PYGKO_RESULTS_DIR="$scratch/results" "$bin/$b" >"$scratch/logs/$b.log" 2>&1 || {
+        cat "$scratch/logs/$b.log" >&2
+        echo "verify: FAIL — $b exited nonzero" >&2
+        exit 1
+    }
+done
+moved="" checked=0
+for f in "$scratch"/results/*; do
+    name="$(basename "$f")"
+    checked=$((checked + 1))
+    cmp -s "$f" "results/$name" || moved="$moved $name"
+done
+if [ -n "$moved" ]; then
+    echo "verify: FAIL — the code writes other bytes than results/ holds for:$moved" >&2
+    echo "  (regenerate: cargo run --release --offline -p pygko-bench --bin <bin>)" >&2
+    exit 1
+fi
+echo "results: $checked files byte-identical to results/"
 
 echo "verify: OK"
