@@ -22,7 +22,9 @@
 //!
 //! Matrices are chosen for the edges of those loops: every row length
 //! 0..=9, empty leading and trailing rows, no entries at all, 1 x 1, one row
-//! holding every entry (so segments cut it many times), stored `-0.0`.
+//! holding every entry (so segments cut it many times), stored `-0.0`; and,
+//! for the CSR strategies, 9 001 short rows of random length beside one long
+//! row, the irregular class a row kernel may visit out of row order.
 
 use gko::executor::pool::uniform_bounds;
 use gko::linop::LinOp;
@@ -107,6 +109,28 @@ fn matrices() -> Vec<(&'static str, Dim2, Triplets)> {
         ),
     );
     all
+}
+
+/// Rows of the irregular family: neither the row count nor most piece
+/// boundaries are multiples of 128.
+const IRREGULAR_ROWS: usize = 9_001;
+
+/// The circuit class at a size the CSR plan treats as a whole matrix: short
+/// rows of seeded random length 1..=12 (a new length on most rows, so the row
+/// loop's exits are unpredictable) and one rail row long enough that `Auto`
+/// resolves to merge-path and segments cut it.
+fn irregular_rows() -> (Dim2, Triplets) {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut lens: Vec<usize> = (0..IRREGULAR_ROWS)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            1 + (state >> 33) as usize % 12
+        })
+        .collect();
+    lens[1_234] = 400;
+    with_row_lengths(IRREGULAR_ROWS, &lens)
 }
 
 fn dense<V: Value>(exec: &Executor, rows: usize, k: usize, f: impl Fn(usize) -> f64) -> Dense<V> {
@@ -455,6 +479,70 @@ where
             );
         }
     }
+}
+
+/// Every CSR strategy on [`irregular_rows`], against the same references as
+/// the small matrices: a row kernel that visits a piece's rows in another
+/// order must still write each row once, from the same sum.
+fn check_irregular_csr<V: Value, I: Index>()
+where
+    f64: TripletValue<V>,
+{
+    let (dim, triplets) = irregular_rows();
+    assert_ne!(dim.rows % 128, 0);
+    for exec in executors() {
+        let workers = exec.spec().workers;
+        let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
+        assert_eq!(csr.plan().resolved, ResolvedStrategy::MergePath, "Auto on the rail");
+        let m = Reference::of(&csr);
+        let strategies =
+            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        for strategy in strategies {
+            let a = csr.clone().with_strategy(strategy);
+            let plan = a.plan();
+            let (v, i, on) = (V::NAME, I::NAME, exec.name());
+            let ctx = format!("csr {strategy:?} {v}/{i} irregular on {on} x{workers}");
+            if strategy == SpmvStrategy::MergePath {
+                check_op(
+                    &exec,
+                    &a,
+                    &|k, alpha, b, beta, x| {
+                        let sum = row_sum::<V>(k);
+                        reference_segments(
+                            &m.entries, &m.row_of, &plan.segments, sum, k, alpha, b, beta, x,
+                        )
+                    },
+                    &ctx,
+                );
+            } else {
+                if workers == 7 {
+                    let off_grid = plan.row_bounds.iter().any(|b| b % 128 != 0);
+                    assert!(off_grid, "{ctx}: a piece boundary inside a window of 128 rows");
+                }
+                check_op(
+                    &exec,
+                    &a,
+                    &|k, alpha, b, beta, x| reference_rows(&m.rows, k, alpha, b, beta, x),
+                    &ctx,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn irregular_rows_double_int32() {
+    check_irregular_csr::<f64, i32>();
+}
+
+#[test]
+fn irregular_rows_float_int64() {
+    check_irregular_csr::<f32, i64>();
+}
+
+#[test]
+fn irregular_rows_half_int32() {
+    check_irregular_csr::<Half, i32>();
 }
 
 #[test]
