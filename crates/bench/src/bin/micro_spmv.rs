@@ -24,6 +24,11 @@ const COO_OVER_CSR_LIMIT: f64 = 1.4;
 /// when every row paid a call and a reload of the closure's captures).
 const CSR_OVER_PLAIN_LIMIT: f64 = 1.25;
 
+/// `Csr::apply` on `circuit_50k` may cost at most this multiple of
+/// [`plain_csr`] in row order: with the plan's rows grouped by length it
+/// reads 0.67-0.74, visiting them in row order ~1.1-1.3.
+const CIRCUIT_CSR_OVER_PLAIN_LIMIT: f64 = 0.8;
+
 /// What this host does with the CSR kernel's arithmetic and nothing else: the
 /// 4-accumulator row sum over bare slices. The ruler `Csr::apply` is read
 /// against, and bit for bit its result.
@@ -90,6 +95,11 @@ struct Ratios {
 const GATE_BLOCKS: usize = 5;
 const GATE_ROUNDS: usize = 20;
 
+/// Bit patterns, for asserting that two outputs are the same numbers.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|e| e.to_bits()).collect()
+}
+
 /// Times every format, the two plain loops and the `k = 3` kernels on one
 /// stencil.
 fn bench_formats(report: &mut Report) -> Ratios {
@@ -117,7 +127,6 @@ fn bench_formats(report: &mut Report) -> Ratios {
     }
 
     let group = "plain_loop_poisson2d_200";
-    let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
     let mut plain = vec![0.0f64; gen.rows];
     time_row(report, group, "csr", nnz, iters, || {
         plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, &mut plain)
@@ -155,11 +164,15 @@ fn bench_formats(report: &mut Report) -> Ratios {
     ratios
 }
 
-fn bench_strategies(report: &mut Report) {
+/// Times the CSR strategies, COO, the plain loop, the plan build and the
+/// structure check on one circuit matrix, whose short rows of random length
+/// the plan groups by length; returns `circuit_csr_over_plain`.
+fn bench_strategies(report: &mut Report) -> f64 {
     let exec = Executor::reference();
     let gen = circuit("c", 50_000, 4, 3, 9);
     let dim = Dim2::new(gen.rows, gen.cols);
-    let b = Dense::<f64>::vector(&exec, gen.cols, 1.0);
+    let bv = vec![1.0f64; gen.cols];
+    let b = Dense::from_vec(&exec, Dim2::new(gen.cols, 1), bv.clone()).unwrap();
     let mut x = Dense::zeros(&exec, Dim2::new(gen.rows, 1));
 
     let iters = micro_iters(30);
@@ -178,10 +191,32 @@ fn bench_strategies(report: &mut Report) {
     time_row(report, "strategy_circuit_50k", "coo", gen.nnz(), iters, || {
         coo.apply(&b, &mut x).unwrap()
     });
-    // Not an SpMV: what every checked constructor and `Trs::new` pay per entry.
+    // Not an SpMV: the inspector `Csr::apply` runs once per matrix, and what
+    // every checked constructor and `Trs::new` pay per entry.
+    time_row(report, "strategy_circuit_50k", "plan_build", gen.nnz(), iters, || {
+        csr.invalidate_plan();
+        std::hint::black_box(csr.plan());
+    });
     time_row(report, "structure_circuit_50k", "validate", gen.nnz(), iters, || {
         csr.validate().unwrap()
     });
+
+    let mut plain = vec![0.0f64; gen.rows];
+    let plain_loop = |plain: &mut [f64]| {
+        plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, plain)
+    };
+    time_row(report, "plain_loop_circuit_50k", "csr", gen.nnz(), iters, || plain_loop(&mut plain));
+    csr.apply(&b, &mut x).unwrap();
+    assert_eq!(bits(&plain), bits(x.as_slice()), "plain_csr is Csr::apply's arithmetic");
+    let mut ratio = f64::INFINITY;
+    for _ in 0..GATE_BLOCKS {
+        let [csr_secs, plain_secs] = best_in_turn(
+            GATE_ROUNDS,
+            [&mut || csr.apply(&b, &mut x).unwrap(), &mut || plain_loop(&mut plain)],
+        );
+        ratio = ratio.min(csr_secs / plain_secs);
+    }
+    ratio
 }
 
 /// `BatchCsr::apply_batch` over 32 systems of one 40 x 40 stencil (two chunks
@@ -229,7 +264,7 @@ fn main() {
         &["group", "case", "nnz", "us/op", "Mnnz/s", "best ns/nnz"],
     );
     let Ratios { coo_over_csr, csr_over_plain } = bench_formats(&mut report);
-    bench_strategies(&mut report);
+    let circuit_csr_over_plain = bench_strategies(&mut report);
     bench_batch(&mut report);
     bench_value_types(&mut report);
     report.print();
@@ -240,6 +275,10 @@ fn main() {
         "csr_over_plain = {csr_over_plain:.2} (Csr::apply over its own loop as a free function, \
          limit {CSR_OVER_PLAIN_LIMIT})"
     );
+    println!(
+        "circuit_csr_over_plain = {circuit_csr_over_plain:.2} (Csr::apply over the same loop in \
+         row order on circuit_50k, limit {CIRCUIT_CSR_OVER_PLAIN_LIMIT})"
+    );
     if coo_over_csr > COO_OVER_CSR_LIMIT {
         eprintln!("micro_spmv: FAIL — COO SpMV costs {coo_over_csr:.2}x CSR, above {COO_OVER_CSR_LIMIT}");
         std::process::exit(1);
@@ -248,6 +287,13 @@ fn main() {
         eprintln!(
             "micro_spmv: FAIL — Csr::apply costs {csr_over_plain:.2}x its plain loop, above \
              {CSR_OVER_PLAIN_LIMIT}"
+        );
+        std::process::exit(1);
+    }
+    if circuit_csr_over_plain > CIRCUIT_CSR_OVER_PLAIN_LIMIT {
+        eprintln!(
+            "micro_spmv: FAIL — Csr::apply on circuit_50k costs {circuit_csr_over_plain:.2}x \
+             its loop in row order, above {CIRCUIT_CSR_OVER_PLAIN_LIMIT}"
         );
         std::process::exit(1);
     }

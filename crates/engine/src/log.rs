@@ -132,6 +132,8 @@ pub enum Event {
         rows: u64,
         /// Matrix nonzeros inspected.
         nnz: u64,
+        /// Rows the plan visits grouped by length (0: row order).
+        ordered_rows: u64,
     },
     /// The worker pool executed one parallel kernel dispatch.
     PoolDispatch {
@@ -200,10 +202,17 @@ impl fmt::Display for Event {
                 chunks,
                 rows,
                 nnz,
-            } => write!(
-                f,
-                "plan {op} built: {strategy}, {chunks} chunks over {rows} rows / {nnz} nnz"
-            ),
+                ordered_rows,
+            } => {
+                write!(
+                    f,
+                    "plan {op} built: {strategy}, {chunks} chunks over {rows} rows / {nnz} nnz"
+                )?;
+                if *ordered_rows > 0 {
+                    write!(f, ", rows grouped by length")?;
+                }
+                Ok(())
+            }
             Event::PoolDispatch {
                 chunks,
                 steals,

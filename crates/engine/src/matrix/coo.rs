@@ -366,7 +366,8 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
                 row_last: ri[w[1] - 1].to_usize(),
             })
             .collect();
-        plan::run_segments(self.executor(), x.as_mut_slice(), k, alpha, &segments, |seg, acc, sink| {
+        let xs = x.as_mut_slice();
+        plan::run_segments(self.executor(), xs, k, alpha, &segments, |_, seg, acc, sink| {
             let span = seg.nnz_start..seg.nnz_end;
             let (ri, ci, vals) = (&ri[span.clone()], &ci[span.clone()], &vals[span]);
             if k == 1 {

@@ -32,7 +32,9 @@ use crate::matrix::dense::Dense;
 use crate::matrix::plan::{
     self, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SegmentSink, SpmvPlan,
 };
-use crate::sanitize::{report_merge_violation, verify_merge_segments};
+use crate::sanitize::{
+    report_merge_violation, report_row_order_violation, verify_merge_segments, verify_row_order,
+};
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
@@ -93,13 +95,17 @@ pub(crate) fn dot_span<V: Value, I: Index>(vals: &[V], cols: &[I], bv: &[V]) -> 
 // Leaf kernels (DESIGN.md §25): free functions over slices already narrowed
 // to the chunk, scalars by value, nothing captured; the closures handed to
 // the pool narrow, pick the `k == 1` or the `k > 1` leaf, and call it. (One
-// function holding both loops read 2-12 % slower on the `k == 1` side.)
+// function holding both loops read 2-12 % slower on the `k == 1` side.) The
+// `k == 1` leaves are `inline(never)`, so a closure picking between the
+// row-order and the length-grouped leaf stays a dispatcher (one build that
+// inlined both into it read 12 % slower on a stencil).
 // ---------------------------------------------------------------------------
 
 /// `x = alpha * A b + beta * x` for the rows whose pointers are `rp`
 /// (`rows + 1` of them), `k == 1`. `ci` / `vals` are those rows' entries and
 /// are walked by splitting each row off their front: no offset to keep, one
 /// length check per row.
+#[inline(never)]
 fn csr_rows_leaf<V: Value, I: Index>(
     rp: &[I],
     mut ci: &[I],
@@ -121,6 +127,41 @@ fn csr_rows_leaf<V: Value, I: Index>(
             alpha * prod + beta * *out
         };
         (ci, vals) = (rest_ci, rest_vals);
+    }
+}
+
+/// [`csr_rows_leaf`] visiting the rows in `order` (rows local to the
+/// piece), the plan's length-grouped order: each row found from its
+/// pointers, summed alone and written once, so the order moves no bit.
+///
+/// A second leaf rather than one generic over the row sequence: every
+/// generic form tried (the row handed to a closure, the update inside or
+/// outside it) compiled the row-order instantiation 5-12 % slower than
+/// [`csr_rows_leaf`] on a stencil.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn csr_rows_ordered_leaf<V: Value, I: Index>(
+    order: &[u32],
+    rp: &[I],
+    ci: &[I],
+    vals: &[V],
+    bv: &[V],
+    alpha: V,
+    beta: V,
+    xs: &mut [V],
+) {
+    let overwrite = beta == V::zero();
+    let base = rp[0].to_usize();
+    for &local in order {
+        let local = local as usize;
+        let (lo, hi) = (rp[local].to_usize() - base, rp[local + 1].to_usize() - base);
+        let prod = V::from_f64(dot_span(&vals[lo..hi], &ci[lo..hi], bv));
+        let out = &mut xs[local];
+        *out = if overwrite {
+            alpha * prod
+        } else {
+            alpha * prod + beta * *out
+        };
     }
 }
 
@@ -159,11 +200,14 @@ fn csr_rows_block_leaf<V: Value, I: Index>(
 }
 
 /// One merge-path segment, `k == 1`: `rp` holds the pointers of the
-/// segment's rows `row0..` and `ci` / `vals` its nonzeros, which start at
-/// nonzero `start`. A row's piece inside the segment goes to the sink; rows
-/// with no nonzero in it are skipped.
-fn csr_merge_lane<V: Value, I: Index>(
-    rp: &[I],
+/// segment's rows `row0..`, `rows` yields `(local, rp[local..=local + 1])`
+/// for each of them in the order they are visited (row order, or the plan's
+/// length-grouped order), and `ci` / `vals` are the segment's nonzeros,
+/// which start at nonzero `start`. A row's piece inside the segment goes to
+/// the sink; rows with no nonzero in it are skipped.
+#[inline(never)]
+fn csr_merge_lane<'a, V: Value, I: Index + 'a>(
+    rows: impl Iterator<Item = (usize, &'a [I])>,
     start: usize,
     ci: &[I],
     vals: &[V],
@@ -171,7 +215,7 @@ fn csr_merge_lane<V: Value, I: Index>(
     row0: usize,
     mut sink: SegmentSink<'_, V>,
 ) {
-    for (local, w) in rp.windows(2).enumerate() {
+    for (local, w) in rows {
         let lo = w[0].to_usize().saturating_sub(start);
         let hi = w[1].to_usize().saturating_sub(start).min(vals.len());
         if lo < hi {
@@ -724,10 +768,14 @@ impl<V: Value, I: Index> Csr<V, I> {
         parallel_chunks(&exec, x.as_mut_slice(), elem_bounds, |chunk, xs| {
             let rp = &rp[bounds[chunk]..=bounds[chunk + 1]];
             let (lo, hi) = (rp[0].to_usize(), rp[rp.len() - 1].to_usize());
+            let (ci, vals) = (&ci[lo..hi], &vals[lo..hi]);
             if k == 1 {
-                csr_rows_leaf(rp, &ci[lo..hi], &vals[lo..hi], bv, alpha, beta, xs);
+                match plan.row_order(chunk) {
+                    None => csr_rows_leaf(rp, ci, vals, bv, alpha, beta, xs),
+                    Some(order) => csr_rows_ordered_leaf(order, rp, ci, vals, bv, alpha, beta, xs),
+                }
             } else {
-                csr_rows_block_leaf(rp, &ci[lo..hi], &vals[lo..hi], bv, k, alpha, beta, xs);
+                csr_rows_block_leaf(rp, ci, vals, bv, k, alpha, beta, xs);
             }
         });
     }
@@ -756,13 +804,23 @@ impl<V: Value, I: Index> Csr<V, I> {
         let vals = self.values.as_slice();
         let bv = b.as_slice();
         let xs = x.as_mut_slice();
-        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |seg, acc, sink| {
+        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |s, seg, acc, sink| {
             let rp = &rp[seg.row_first..=seg.row_last + 1];
             let (ci, vals) = (&ci[seg.nnz_start..seg.nnz_end], &vals[seg.nnz_start..seg.nnz_end]);
+            let (start, row0) = (seg.nnz_start, seg.row_first);
             if k == 1 {
-                csr_merge_lane(rp, seg.nnz_start, ci, vals, bv, seg.row_first, sink);
+                match plan.row_order(s) {
+                    None => {
+                        let rows = rp.windows(2).enumerate();
+                        csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
+                    }
+                    Some(order) => {
+                        let rows = order.iter().map(|&l| (l as usize, &rp[l as usize..][..2]));
+                        csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
+                    }
+                }
             } else {
-                csr_merge_block_lane(rp, seg.nnz_start, ci, vals, bv, seg.row_first, acc, sink);
+                csr_merge_block_lane(rp, start, ci, vals, bv, row0, acc, sink);
             }
         });
     }
@@ -777,6 +835,11 @@ impl<V: Value, I: Index> Csr<V, I> {
         }
         let _timer = OpTimer::new(self.executor(), "csr");
         let plan = self.plan();
+        if self.executor().sanitizer().is_enabled() {
+            if let Err(v) = verify_row_order(&plan) {
+                report_row_order_violation(&v);
+            }
+        }
         match plan.resolved {
             ResolvedStrategy::Classical | ResolvedStrategy::LoadBalance => {
                 self.spmv_rows(&plan, alpha, b, beta, x)
@@ -1231,5 +1294,33 @@ mod tests {
         assert_eq!(xs[3], n as f64, "dense row sums all columns");
         assert_eq!(xs[0], 2.0);
         assert_eq!(xs[n - 1], 2.0);
+    }
+
+    /// An armed apply checks the row order of every strategy's plan, and the
+    /// ordered result is the unordered executor's.
+    #[test]
+    fn ordered_plans_verify_under_sanitizer() {
+        let n = plan::ORDER_MIN_ROWS + 5;
+        let triplets: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| (0..1 + i * 7 % 5).map(move |s| (i, (i + s * 97) % n, 1.0 + s as f64)))
+            .collect();
+        let b_of = |e: &Executor| Dense::from_vec(e, Dim2::new(n, 1), vec![0.5f64; n]).unwrap();
+        let reference = Executor::reference();
+        let mut want = Dense::zeros(&reference, Dim2::new(n, 1));
+        let a = Csr::<f64, i32>::from_triplets(&reference, Dim2::square(n), &triplets).unwrap();
+        a.apply(&b_of(&reference), &mut want).unwrap();
+        let e = Executor::omp(4);
+        e.enable_sanitizer();
+        let strategies =
+            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        for strategy in strategies {
+            let a = Csr::<f64, i32>::from_triplets(&e, Dim2::square(n), &triplets)
+                .unwrap()
+                .with_strategy(strategy);
+            assert!(a.plan().ordered_rows() > 0, "{strategy:?}");
+            let mut x = Dense::zeros(&e, Dim2::new(n, 1));
+            a.apply(&b_of(&e), &mut x).unwrap();
+            assert_eq!(x.to_host_vec(), want.to_host_vec(), "{strategy:?}");
+        }
     }
 }

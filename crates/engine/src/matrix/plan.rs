@@ -25,6 +25,13 @@
 //! [`SpmvStrategy::Auto`] resolves to one of the three from the inspected
 //! skew statistics; the resolution is purely structural (row pointers only),
 //! so it is deterministic and identical on every executor.
+//!
+//! When row lengths change unpredictably from row to row, the plan also
+//! holds a **row order**: each piece's rows grouped by length inside windows
+//! of [`ORDER_WINDOW`] rows (the σ-window sort of SELL-C-σ, applied to the
+//! visiting order only). The `k == 1` CSR kernels walk it instead of
+//! `0..rows`, so the row loop's exits become predictable; every row is
+//! still written once, from the same sum (DESIGN.md §14, "Row order").
 
 use crate::base::types::{Index, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
@@ -32,6 +39,7 @@ use crate::executor::Executor;
 use crate::log::{Event, OpTimer};
 use crate::matrix::csr::SpmvStrategy;
 use pygko_sim::ChunkWork;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -48,6 +56,26 @@ pub const BALANCE_SKEW: f64 = 4.0;
 /// whole worker's fair share and must itself be split.
 pub const MERGE_SKEW: f64 = 32.0;
 
+/// A plan visits rows grouped by length once the row length changes more
+/// than once per this many stored entries: then a row exit the branch
+/// predictor misses costs a visible share of the entries' own work. Circuit
+/// matrices change length ~0.14 times per entry, a power-law matrix's longer
+/// rows ~0.06, a stencil's ~0.002 (DESIGN.md §14, "Row order").
+pub const ORDER_NNZ_PER_CHANGE: usize = 10;
+
+/// Fewer rows than this are never reordered: across repeated applies the
+/// branch predictor learns a small matrix's whole row-length sequence (a
+/// loop of applies to a 4 000-row circuit reads ~0.7 ns/nnz in row order,
+/// ~30 % faster than grouped), and the order would only add its bookkeeping.
+/// Grouping wins from 6 000-8 000 rows on (DESIGN.md §14, "Row order").
+pub const ORDER_MIN_ROWS: usize = 8_192;
+
+/// Consecutive rows inside which an ordered plan groups rows by length:
+/// wide enough to make runs of one length, narrow enough that the gathers
+/// stay near each other (one sort of the whole matrix reads slower than no
+/// order at all).
+const ORDER_WINDOW: usize = 128;
+
 // ---------------------------------------------------------------------------
 // Row statistics (the inspector's measurements)
 // ---------------------------------------------------------------------------
@@ -63,6 +91,8 @@ pub struct RowStats {
     pub max_row_nnz: usize,
     /// Rows with no stored entries.
     pub empty_rows: usize,
+    /// Adjacent rows whose lengths differ.
+    pub length_changes: usize,
 }
 
 impl RowStats {
@@ -70,12 +100,14 @@ impl RowStats {
     pub fn inspect<I: Index>(rows: usize, row_ptrs: &[I]) -> Self {
         let mut max_row_nnz = 0usize;
         let mut empty_rows = 0usize;
+        let mut length_changes = 0usize;
+        let mut prev_len = row_ptrs.get(1).map_or(0, |p| p.to_usize() - row_ptrs[0].to_usize());
         for r in 0..rows {
             let len = row_ptrs[r + 1].to_usize() - row_ptrs[r].to_usize();
             max_row_nnz = max_row_nnz.max(len);
-            if len == 0 {
-                empty_rows += 1;
-            }
+            empty_rows += usize::from(len == 0);
+            length_changes += usize::from(len != prev_len);
+            prev_len = len;
         }
         let nnz = if rows == 0 {
             0
@@ -87,7 +119,16 @@ impl RowStats {
             nnz,
             max_row_nnz,
             empty_rows,
+            length_changes,
         }
+    }
+
+    /// Whether a plan visits these rows grouped by length: structural, so
+    /// the same on every executor.
+    pub(crate) fn orders_rows(&self) -> bool {
+        self.length_changes * ORDER_NNZ_PER_CHANGE > self.nnz
+            && self.rows >= ORDER_MIN_ROWS
+            && u32::try_from(self.rows).is_ok()
     }
 
     /// Mean nonzeros per row (0 for an empty matrix).
@@ -328,14 +369,15 @@ impl<V: Value> SegmentSink<'_, V> {
 /// Runs `lane` once per segment on `exec`'s pool and folds the results into
 /// `x += alpha * (per-row sums)`, for `x` row-major with `k` columns.
 ///
-/// Each lane receives its segment, a `k`-slot accumulator block (reused
-/// across the segment's rows: [`SegmentSink::put_block`] clears it) and a
-/// [`SegmentSink`]. Rows interior to a segment are written through the sink
-/// directly; the first and last row land in a per-segment scratch block
-/// that a serial pass merges in segment order, so a row split across
-/// segments receives its pieces in a fixed sequence. No atomics, and no heap
-/// allocation that scales with rows or nonzeros: one scratch vector of
-/// `3 * k` slots per segment.
+/// Each lane receives its segment's index and the segment, a `k`-slot
+/// accumulator block (reused across the segment's rows:
+/// [`SegmentSink::put_block`] clears it) and a [`SegmentSink`]. Rows
+/// interior to a segment are written through the sink directly; the first
+/// and last row land in a per-segment scratch block that a serial pass
+/// merges in segment order, so a row split across segments receives its
+/// pieces in a fixed sequence. No atomics, and no heap allocation that
+/// scales with rows or nonzeros: one scratch vector of `3 * k` slots per
+/// segment.
 ///
 /// # Panics
 ///
@@ -349,7 +391,7 @@ pub(crate) fn run_segments<V, F>(
     lane: F,
 ) where
     V: Value,
-    F: Fn(MergeSegment, &mut [f64], SegmentSink<'_, V>) + Sync,
+    F: Fn(usize, MergeSegment, &mut [f64], SegmentSink<'_, V>) + Sync,
 {
     if k == 0 || segments.is_empty() {
         return;
@@ -379,7 +421,7 @@ pub(crate) fn run_segments<V, F>(
             boundary,
             out: &out,
         };
-        lane(seg, acc, sink);
+        lane(s, seg, acc, sink);
     });
     for (seg, sc) in segments.iter().zip(scratch.chunks_exact(3 * k)) {
         for c in 0..k {
@@ -414,6 +456,11 @@ pub struct SpmvPlan {
     pub work: Vec<ChunkWork>,
     /// Row-skew statistics gathered by the inspector.
     pub stats: RowStats,
+    /// Every piece's rows, local to the piece, in the order the `k == 1`
+    /// kernels visit them; empty when every piece runs in row order.
+    pub(crate) row_order: Vec<u32>,
+    /// Piece `p`'s order is `row_order[order_bounds[p]..order_bounds[p + 1]]`.
+    pub(crate) order_bounds: Vec<usize>,
 }
 
 impl SpmvPlan {
@@ -425,6 +472,70 @@ impl SpmvPlan {
             self.segments.len()
         }
     }
+
+    /// Rows the plan visits grouped by length (0: row order throughout).
+    pub fn ordered_rows(&self) -> usize {
+        self.row_order.len()
+    }
+
+    /// Each piece's rows, in dispatch order. A merge segment shares its first
+    /// and last row with the segments that split them.
+    pub(crate) fn piece_rows(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let chunks = self.row_bounds.windows(2).map(|w| w[0]..w[1]);
+        chunks.chain(self.segments.iter().map(|s| s.row_first..s.row_last + 1))
+    }
+
+    /// Piece `p`'s rows in visiting order, or `None` for row order.
+    #[inline]
+    pub(crate) fn row_order(&self, p: usize) -> Option<&[u32]> {
+        if self.row_order.is_empty() {
+            None
+        } else {
+            Some(&self.row_order[self.order_bounds[p]..self.order_bounds[p + 1]])
+        }
+    }
+}
+
+/// Each piece's rows, local to the piece, grouped by length inside windows
+/// of [`ORDER_WINDOW`] rows, and where each piece's order starts. A stable
+/// counting pass per window, so rows of one length keep ascending order; its
+/// buckets reach the window's longest row, which the window's entries pay
+/// for.
+fn group_rows_by_length<I: Index>(
+    row_ptrs: &[I],
+    pieces: impl Iterator<Item = Range<usize>>,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut order: Vec<u32> = Vec::with_capacity(row_ptrs.len());
+    let mut bounds = vec![0usize];
+    let mut lens = [0usize; ORDER_WINDOW];
+    let mut starts: Vec<usize> = Vec::new();
+    for piece in pieces {
+        for w0 in piece.clone().step_by(ORDER_WINDOW) {
+            let window = w0..(w0 + ORDER_WINDOW).min(piece.end);
+            let lens = &mut lens[..window.len()];
+            for (len, w) in lens.iter_mut().zip(row_ptrs[window.start..=window.end].windows(2)) {
+                *len = w[1].to_usize() - w[0].to_usize();
+            }
+            // `starts[l + 1]` counts rows of length `l`; after the prefix sum
+            // `starts[l]` is where the first of them goes.
+            starts.clear();
+            starts.resize(lens.iter().max().map_or(0, |&l| l + 2), 0);
+            for &len in lens.iter() {
+                starts[len + 1] += 1;
+            }
+            for l in 1..starts.len() {
+                starts[l] += starts[l - 1];
+            }
+            let base = order.len();
+            order.resize(base + window.len(), 0);
+            for (local, &len) in (window.start - piece.start..).zip(lens.iter()) {
+                order[base + starts[len]] = local as u32;
+                starts[len] += 1;
+            }
+        }
+        bounds.push(order.len());
+    }
+    (order, bounds)
 }
 
 /// Counters describing one matrix's plan-cache behaviour.
@@ -586,7 +697,7 @@ pub fn build_plan<I: Index>(
         0.0,
         rows as f64,
     )]);
-    let plan = SpmvPlan {
+    let mut plan = SpmvPlan {
         requested,
         resolved,
         workers,
@@ -594,13 +705,21 @@ pub fn build_plan<I: Index>(
         segments,
         work,
         stats,
+        row_order: Vec::new(),
+        order_bounds: Vec::new(),
     };
+    // Not charged: the order is a schedule for the host's branch predictor,
+    // which the modelled devices do not have.
+    if stats.orders_rows() {
+        (plan.row_order, plan.order_bounds) = group_rows_by_length(row_ptrs, plan.piece_rows());
+    }
     exec.loggers().log(&Event::PlanBuilt {
         op: "csr",
         strategy: resolved.name(),
         chunks: plan.chunks() as u64,
         rows: rows as u64,
         nnz: stats.nnz as u64,
+        ordered_rows: plan.ordered_rows() as u64,
     });
     plan
 }
@@ -670,6 +789,82 @@ mod tests {
         }
     }
 
+    /// Row pointers of a generated matrix, as `Csr::from_triplets` builds them.
+    fn rp_of(gen: pygko_matgen::generators::GeneratedMatrix) -> Vec<i32> {
+        let mut lens = vec![0usize; gen.rows];
+        for &(r, ..) in &gen.triplets {
+            lens[r] += 1;
+        }
+        rp(&lens)
+    }
+
+    #[test]
+    fn length_changes_are_counted_between_neighbours() {
+        let s = RowStats::inspect(6, &rp(&[2, 2, 5, 0, 0, 2]));
+        assert_eq!(s.length_changes, 3);
+        assert_eq!(RowStats::inspect(0, &[0i32]).length_changes, 0);
+        assert_eq!(RowStats::inspect(1, &rp(&[7])).length_changes, 0);
+    }
+
+    /// Which bench-class matrices are ordered, and that the answer depends on
+    /// the structure alone.
+    #[test]
+    fn row_order_decision_is_structural() {
+        use pygko_matgen::generators::{circuit, poisson2d, poisson3d, power_law};
+        let cases = [
+            ("stencil 2d", rp_of(poisson2d("p", 100, 100)), false),
+            ("stencil 3d", rp_of(poisson3d("p", 24, 24, 24)), false),
+            ("circuit", rp_of(circuit("c", 12_000, 6, 4, 7)), true),
+            ("circuit below the rows floor", rp_of(circuit("c", 4_000, 6, 4, 7)), false),
+            ("power law", rp_of(power_law("pl", 12_000, 12, 0.5, 7)), false),
+        ];
+        for (name, rp, ordered) in cases {
+            let rows = rp.len() - 1;
+            assert_eq!(RowStats::inspect(rows, &rp).orders_rows(), ordered, "{name}");
+            for workers in [1, 2, 16] {
+                for strategy in [
+                    SpmvStrategy::Classical,
+                    SpmvStrategy::LoadBalance,
+                    SpmvStrategy::MergePath,
+                    SpmvStrategy::Auto,
+                ] {
+                    let exec = Executor::omp(workers);
+                    let plan = build_plan(&exec, strategy, rows, &rp, 8);
+                    let ctx = format!("{name} {strategy:?} on {workers} workers");
+                    assert_eq!(plan.ordered_rows() > 0, ordered, "{ctx}");
+                    if ordered {
+                        let covered: usize = plan.piece_rows().map(|p| p.len()).sum();
+                        assert_eq!(plan.ordered_rows(), covered, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inside each window of 128 rows of a piece, lengths ascend and rows of
+    /// one length keep their order; windows never cross pieces.
+    #[test]
+    fn rows_are_grouped_by_length_inside_windows() {
+        let lens: Vec<usize> = (0..700).map(|r| (r * 7 + r / 3) % 11).collect();
+        let rp = rp(&lens);
+        let pieces = [0..300, 300..301, 301..700];
+        let (order, bounds) = group_rows_by_length(&rp, pieces.iter().cloned());
+        assert_eq!(bounds, [0, 300, 301, 700]);
+        for (piece, span) in pieces.iter().zip(bounds.windows(2)) {
+            let order = &order[span[0]..span[1]];
+            for (w, window) in order.chunks(ORDER_WINDOW).enumerate() {
+                let base = piece.start + w * ORDER_WINDOW;
+                let mut rows: Vec<usize> =
+                    window.iter().map(|&l| piece.start + l as usize).collect();
+                let key = |r: &usize| (lens[*r], *r);
+                assert!(rows.windows(2).all(|p| key(&p[0]) < key(&p[1])), "{piece:?} window {w}");
+                rows.sort_unstable();
+                let want: Vec<usize> = (base..(base + ORDER_WINDOW).min(piece.end)).collect();
+                assert_eq!(rows, want, "{piece:?} window {w} is a permutation of its rows");
+            }
+        }
+    }
+
     #[test]
     fn merge_segments_partition_all_nnz() {
         // One dense row inside light rows.
@@ -725,7 +920,7 @@ mod tests {
     /// in-range row spans; `run_segments` must refuse anything else before
     /// a lane runs.
     fn run_on(segments: &[MergeSegment], x: &mut [f64]) {
-        run_segments(&Executor::reference(), x, 1, 1.0, segments, |_, _, _| {
+        run_segments(&Executor::reference(), x, 1, 1.0, segments, |_, _, _, _| {
             panic!("lane must not run");
         });
     }
@@ -776,6 +971,8 @@ mod tests {
             segments: Vec::new(),
             work: Vec::new(),
             stats: RowStats::default(),
+            row_order: Vec::new(),
+            order_bounds: Vec::new(),
         };
         let p1 = cache.get_or_build(SpmvStrategy::Auto, 2, build);
         let p2 = cache.get_or_build(SpmvStrategy::Auto, 2, build);

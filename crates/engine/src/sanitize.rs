@@ -39,6 +39,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
 use crate::executor::pool::parallel_chunks;
 use crate::executor::Executor;
+use crate::matrix::plan::SpmvPlan;
 use pygko_sim::rng::Xoshiro256pp;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -327,6 +328,121 @@ pub(crate) fn report_merge_violation(v: &MergeViolation) -> ! {
     // lint: allow(panic): a broken segment partition would alias interior
     // writes; aborting the apply is the sanitizer's contract.
     panic!("sanitizer: merge-path segment validator tripped: {v}");
+}
+
+// ---------------------------------------------------------------------------
+// Row-order validation
+// ---------------------------------------------------------------------------
+
+/// The ways a plan's row order can fail to visit each piece's rows once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RowOrderViolation {
+    /// The order's spans do not tile it with one span per plan piece.
+    Spans {
+        /// Plan pieces.
+        pieces: usize,
+        /// Span boundaries the order holds (`pieces + 1` expected).
+        bounds: usize,
+    },
+    /// A row is visited twice: its output would be written twice.
+    Duplicate {
+        /// The piece whose order repeats the row.
+        piece: usize,
+        /// The row, local to the piece.
+        row: usize,
+    },
+    /// A row of the piece is never visited: its output would keep stale bits.
+    Missing {
+        /// The piece whose order lacks the row.
+        piece: usize,
+        /// The row, local to the piece.
+        row: usize,
+    },
+    /// An entry names a row outside its piece.
+    OutOfRange {
+        /// The piece whose order holds the entry.
+        piece: usize,
+        /// The entry.
+        row: usize,
+        /// Rows of the piece.
+        rows: usize,
+    },
+}
+
+impl fmt::Display for RowOrderViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowOrderViolation::Spans { pieces, bounds } => write!(
+                f,
+                "row order has {bounds} span bounds for {pieces} pieces, or they do not tile it"
+            ),
+            RowOrderViolation::Duplicate { piece, row } => {
+                write!(f, "piece {piece} visits its row {row} twice")
+            }
+            RowOrderViolation::Missing { piece, row } => {
+                write!(f, "piece {piece} never visits its row {row}")
+            }
+            RowOrderViolation::OutOfRange { piece, row, rows } => write!(
+                f,
+                "piece {piece} visits row {row}, outside its rows 0..{rows}"
+            ),
+        }
+    }
+}
+
+/// Checks that each piece's row order is a permutation of that piece's
+/// local rows (a plan in row order passes trivially).
+///
+/// The row kernels write each row's output once, and the merge-path lane
+/// updates interior rows in place through the segment sink: both rely on the
+/// order delivering every row of the piece exactly once.
+pub fn verify_row_order(plan: &SpmvPlan) -> std::result::Result<(), RowOrderViolation> {
+    let order = &plan.row_order;
+    if order.is_empty() {
+        return Ok(());
+    }
+    let bounds = &plan.order_bounds;
+    let pieces = plan.chunks();
+    let tiles = bounds.len() == pieces + 1
+        && bounds.first() == Some(&0)
+        && bounds.last() == Some(&order.len())
+        && bounds.windows(2).all(|w| w[0] <= w[1]);
+    if !tiles {
+        return Err(RowOrderViolation::Spans {
+            pieces,
+            bounds: bounds.len(),
+        });
+    }
+    for (piece, (rows, span)) in plan.piece_rows().zip(bounds.windows(2)).enumerate() {
+        let mut seen = vec![false; rows.len()];
+        for &row in &order[span[0]..span[1]] {
+            let row = row as usize;
+            match seen.get_mut(row) {
+                None => {
+                    return Err(RowOrderViolation::OutOfRange {
+                        piece,
+                        row,
+                        rows: rows.len(),
+                    })
+                }
+                Some(true) => return Err(RowOrderViolation::Duplicate { piece, row }),
+                Some(slot) => *slot = true,
+            }
+        }
+        if let Some(row) = seen.iter().position(|&s| !s) {
+            return Err(RowOrderViolation::Missing { piece, row });
+        }
+    }
+    Ok(())
+}
+
+/// Aborts the apply on a row-order violation, for the reason
+/// [`report_merge_violation`] does.
+pub(crate) fn report_row_order_violation(v: &RowOrderViolation) -> ! {
+    // lint: allow(panic): an order that repeats or skips a row would write
+    // an output twice or leave it stale; aborting the apply is the
+    // sanitizer's contract.
+    panic!("sanitizer: row-order validator tripped: {v}");
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +851,62 @@ mod tests {
             sc[0] = vals[seg.nnz_start..seg.nnz_end].iter().sum();
         });
         assert_eq!(result, Ok(()));
+    }
+
+    /// An ordered plan for rows of lengths 1, 3, 2, 1, 3, 2, ...: a new
+    /// length on every row.
+    fn ordered_plan(strategy: crate::matrix::SpmvStrategy) -> SpmvPlan {
+        let rows = crate::matrix::plan::ORDER_MIN_ROWS;
+        let mut rp = vec![0i32];
+        for r in 0..rows {
+            rp.push(rp[r] + [1, 3, 2][r % 3]);
+        }
+        let plan = crate::matrix::plan::build_plan(&Executor::omp(4), strategy, rows, &rp, 8);
+        assert!(plan.ordered_rows() > 0);
+        plan
+    }
+
+    #[test]
+    fn planned_row_orders_verify() {
+        use crate::matrix::SpmvStrategy;
+        let strategies =
+            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        for strategy in strategies {
+            assert_eq!(verify_row_order(&ordered_plan(strategy)), Ok(()), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn row_order_violations_are_detected_and_render() {
+        let clean = ordered_plan(crate::matrix::SpmvStrategy::Classical);
+        let piece = 2;
+        let span = clean.order_bounds[piece]..clean.order_bounds[piece + 1];
+        let first = clean.row_order[span.start];
+        let corrupt = |entry: u32| {
+            let mut plan = clean.clone();
+            plan.row_order[span.start + 1] = entry;
+            verify_row_order(&plan).unwrap_err()
+        };
+        // The piece's first row visited twice.
+        let v = corrupt(first);
+        assert_eq!(v, RowOrderViolation::Duplicate { piece, row: first as usize });
+        assert!(v.to_string().contains("twice"), "{v}");
+        // A row past the piece's end.
+        let rows = span.len();
+        let v = corrupt(rows as u32);
+        assert_eq!(v, RowOrderViolation::OutOfRange { piece, row: rows, rows });
+        assert!(v.to_string().contains("outside"), "{v}");
+        // A row left out: the span loses its last entry to its neighbour.
+        let mut plan = clean.clone();
+        plan.order_bounds[piece + 1] -= 1;
+        let last = clean.row_order[span.end - 1] as usize;
+        let v = verify_row_order(&plan).unwrap_err();
+        assert_eq!(v, RowOrderViolation::Missing { piece, row: last });
+        assert!(v.to_string().contains("never visits"), "{v}");
+        // Spans that do not match the pieces.
+        let mut plan = clean.clone();
+        plan.order_bounds.pop();
+        assert!(matches!(verify_row_order(&plan), Err(RowOrderViolation::Spans { .. })));
     }
 
     #[test]

@@ -502,6 +502,7 @@ where
             let plan = a.plan();
             let (v, i, on) = (V::NAME, I::NAME, exec.name());
             let ctx = format!("csr {strategy:?} {v}/{i} irregular on {on} x{workers}");
+            assert!(plan.ordered_rows() > 0, "{ctx}: rows grouped by length");
             if strategy == SpmvStrategy::MergePath {
                 check_op(
                     &exec,
