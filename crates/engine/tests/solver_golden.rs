@@ -25,6 +25,11 @@
 //! limit, zero right-hand side, shape mismatch — are tabled here over all
 //! eight solvers instead of living in some solvers' unit tests.
 //!
+//! GMRES(9) is also pinned on a system of 101 unknowns, in `f64`, `f32` and
+//! `Half`, plain and with Jacobi, on both executors ([`RAGGED_GMRES_GOLDEN`],
+//! generator `print_ragged_gmres_golden_table`): its Gram–Schmidt sweep
+//! reduces whole vectors, and 64 is a multiple of the lane kernel's 8.
+//!
 //! The two batched solvers, which are not on the shared shell, are pinned
 //! per system in [`BATCH_GOLDEN`] (iterations, stop reason, first and last
 //! residual, solution fingerprint), for batches below and above every
@@ -36,7 +41,8 @@ use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::preconditioner::Jacobi;
 use gko::solver::{BatchBiCgStab, BatchCg, BiCgStab, Cg, Cgs, Fcg, Gmres, Ir, Minres, MixedIr};
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor, GkoError};
+use gko::{Dim2, Executor, GkoError, TripletValue, Value};
+use pygko_half::Half;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -194,15 +200,53 @@ fn executors() -> [(&'static str, Executor); 2] {
     ]
 }
 
-/// Runs every (solver, system, preconditioner, executor) case, asserting the
-/// per-solve event contract on the way.
+/// Solves `b` from a zero guess with a solver whose events `record` observes,
+/// asserting the per-solve event contract on the way.
+fn trajectory<V: Value>(
+    case: String,
+    (op, logger): (Arc<dyn LinOp<V>>, ConvergenceLogger),
+    record: &Record,
+    b: &Dense<V>,
+) -> Trajectory {
+    let mut x = Dense::zeros(b.executor(), b.size());
+    op.apply(b, &mut x).unwrap();
+    let rec = logger.snapshot();
+
+    let events = record.events();
+    let count = |pred: fn(&Event) -> bool| events.iter().filter(|e| pred(e)).count();
+    assert_eq!(
+        count(|e| matches!(e, Event::IterationComplete { .. })),
+        rec.iterations,
+        "{case}: one IterationComplete per counted iteration"
+    );
+    assert_eq!(
+        count(|e| matches!(e, Event::SolveCompleted { .. })),
+        1,
+        "{case}: exactly one SolveCompleted"
+    );
+    assert_eq!(
+        rec.residual_history.len(),
+        rec.iterations,
+        "{case}: history/iterations invariant"
+    );
+    let solution: Vec<f64> = x.as_slice().iter().map(|v| v.to_f64()).collect();
+    Trajectory {
+        case,
+        iterations: rec.iterations,
+        stop: rec.stop_reason.expect("solve finished"),
+        checks: count(|e| matches!(e, Event::CriterionChecked { .. })),
+        solution: fingerprint(solution.iter()),
+        history: rec.residual_history.iter().map(|r| r.to_bits()).collect(),
+    }
+}
+
+/// Runs every (solver, system, preconditioner, executor) case.
 fn trajectories() -> Vec<Trajectory> {
     let mut out = Vec::new();
     for (exec_name, exec) in executors() {
         for (sys_name, skew) in [("spd", 0.0), ("unsym", 0.35)] {
             let a = stencil(&exec, skew);
-            let n = a.size().rows;
-            let b = rhs(&exec, n);
+            let b = rhs(&exec, a.size().rows);
             for (kind, takes_precond) in KINDS {
                 for jacobi in [false, true] {
                     if jacobi && !takes_precond {
@@ -212,38 +256,8 @@ fn trajectories() -> Vec<Trajectory> {
                     let case = format!("{kind}/{sys_name}/{pname}/{exec_name}");
                     let record = Arc::new(Record::new());
                     let criteria = Criteria::iterations_and_reduction(MAX_ITERS, REDUCTION);
-                    let (op, logger) =
-                        solver_under_test(kind, &a, criteria, jacobi, Some(record.clone()));
-                    let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
-                    op.apply(&b, &mut x).unwrap();
-                    let rec = logger.snapshot();
-
-                    let events = record.events();
-                    let count =
-                        |pred: fn(&Event) -> bool| events.iter().filter(|e| pred(e)).count();
-                    assert_eq!(
-                        count(|e| matches!(e, Event::IterationComplete { .. })),
-                        rec.iterations,
-                        "{case}: one IterationComplete per counted iteration"
-                    );
-                    assert_eq!(
-                        count(|e| matches!(e, Event::SolveCompleted { .. })),
-                        1,
-                        "{case}: exactly one SolveCompleted"
-                    );
-                    assert_eq!(
-                        rec.residual_history.len(),
-                        rec.iterations,
-                        "{case}: history/iterations invariant"
-                    );
-                    out.push(Trajectory {
-                        case,
-                        iterations: rec.iterations,
-                        stop: rec.stop_reason.expect("solve finished"),
-                        checks: count(|e| matches!(e, Event::CriterionChecked { .. })),
-                        solution: fingerprint(x.to_host_vec().iter()),
-                        history: rec.residual_history.iter().map(|r| r.to_bits()).collect(),
-                    });
+                    let built = solver_under_test(kind, &a, criteria, jacobi, Some(record.clone()));
+                    out.push(trajectory(case, built, &record, &b));
                 }
             }
         }
@@ -251,11 +265,10 @@ fn trajectories() -> Vec<Trajectory> {
     out
 }
 
-#[test]
-fn trajectories_match_the_golden_table() {
-    let got = trajectories();
-    assert_eq!(got.len(), GOLDEN.len(), "case count");
-    for (g, want) in got.iter().zip(GOLDEN) {
+/// Asserts that `got` is `table`, row by row.
+fn assert_matches_table(got: &[Trajectory], table: &[Golden]) {
+    assert_eq!(got.len(), table.len(), "case count");
+    for (g, want) in got.iter().zip(table) {
         let want = Trajectory {
             case: want.0.to_string(),
             iterations: want.1,
@@ -268,12 +281,10 @@ fn trajectories_match_the_golden_table() {
     }
 }
 
-/// Prints [`GOLDEN`] as Rust source (see the module docs).
-#[test]
-#[ignore = "generator for the GOLDEN table"]
-fn print_golden_table() {
-    println!("#[rustfmt::skip]\nconst GOLDEN: &[Golden] = &[");
-    for t in trajectories() {
+/// Prints `trajectories` as the Rust source of the table `name`.
+fn print_table(name: &str, trajectories: &[Trajectory]) {
+    println!("#[rustfmt::skip]\nconst {name}: &[Golden] = &[");
+    for t in trajectories {
         println!(
             "    ({:?}, {}, StopReason::{:?}, {}, {:#018x}, &[",
             t.case, t.iterations, t.stop, t.checks, t.solution
@@ -285,6 +296,103 @@ fn print_golden_table() {
         println!("    ]),");
     }
     println!("];");
+}
+
+#[test]
+fn trajectories_match_the_golden_table() {
+    assert_matches_table(&trajectories(), GOLDEN);
+}
+
+/// Prints [`GOLDEN`] as Rust source (see the module docs).
+#[test]
+#[ignore = "generator for the GOLDEN table"]
+fn print_golden_table() {
+    print_table("GOLDEN", &trajectories());
+}
+
+// ---------------------------------------------------------------------------
+// GMRES on a ragged length, in three precisions
+// ---------------------------------------------------------------------------
+
+/// Unknowns of the ragged GMRES system: 12 blocks of 8 and 5 more, so every
+/// whole-vector reduction of the Gram–Schmidt sweep ends in a tail, and on
+/// `omp(7)` the chunks of the dense operations (7 or 8 elements) do too.
+const RAGGED_N: usize = 101;
+
+/// A banded unsymmetric matrix on [`RAGGED_N`] unknowns in `V`: the
+/// unsymmetric stencil's couplings at distance 1 and 10 (a 10-wide grid
+/// whose last row is short) and its row-dependent diagonal plus 3, so that
+/// GMRES(9) converges within [`MAX_ITERS`] in `f64` and `f32`.
+fn ragged_system<V: Value>(exec: &Executor) -> Arc<Csr<V, i32>>
+where
+    f64: TripletValue<V>,
+{
+    let (n, skew) = (RAGGED_N, 0.35);
+    let mut t = Vec::new();
+    for r in 0..n {
+        t.push((r, r, 7.0 + 0.5 * (r % 5) as f64));
+        for d in [1, 10] {
+            if r >= d {
+                t.push((r, r - d, -1.0 + skew));
+            }
+            if r + d < n {
+                t.push((r, r + d, -1.0 - skew));
+            }
+        }
+    }
+    Arc::new(Csr::from_triplets(exec, Dim2::square(n), &t).unwrap())
+}
+
+/// GMRES(9) on [`ragged_system`] in `V`, plain and with Jacobi, on both
+/// executors.
+fn ragged_gmres_trajectories<V: Value>() -> Vec<Trajectory>
+where
+    f64: TripletValue<V>,
+{
+    let mut out = Vec::new();
+    for (exec_name, exec) in executors() {
+        let a = ragged_system::<V>(&exec);
+        let values = rhs(&exec, RAGGED_N).to_host_vec().into_iter().map(V::from_f64).collect();
+        let b = Dense::from_vec(&exec, Dim2::new(RAGGED_N, 1), values).unwrap();
+        for jacobi in [false, true] {
+            let pname = if jacobi { "jacobi" } else { "plain" };
+            let case = format!("gmres/ragged/{}/{pname}/{exec_name}", V::NAME);
+            let record = Arc::new(Record::new());
+            let s = Gmres::new(a.clone() as Arc<dyn LinOp<V>>).unwrap().with_krylov_dim(9);
+            let s = if jacobi {
+                s.with_preconditioner(Arc::new(Jacobi::new(&*a).unwrap())).unwrap()
+            } else {
+                s
+            };
+            let s = s.with_criteria(Criteria::iterations_and_reduction(MAX_ITERS, REDUCTION));
+            s.add_logger(record.clone());
+            let logger = s.logger().clone();
+            out.push(trajectory(case, (Arc::new(s), logger), &record, &b));
+        }
+    }
+    out
+}
+
+fn ragged_gmres_all() -> Vec<Trajectory> {
+    let mut out = ragged_gmres_trajectories::<f64>();
+    out.extend(ragged_gmres_trajectories::<f32>());
+    out.extend(ragged_gmres_trajectories::<Half>());
+    out
+}
+
+/// GMRES's Gram–Schmidt sweep reduces whole vectors on the calling thread,
+/// so on [`GOLDEN`]'s 64 unknowns it never reaches the lane kernel's tail;
+/// these rows do, in every value type the solver is instantiated for.
+#[test]
+fn ragged_gmres_matches_the_golden_table() {
+    assert_matches_table(&ragged_gmres_all(), RAGGED_GMRES_GOLDEN);
+}
+
+/// Prints [`RAGGED_GMRES_GOLDEN`] as Rust source.
+#[test]
+#[ignore = "generator for the RAGGED_GMRES_GOLDEN table"]
+fn print_ragged_gmres_golden_table() {
+    print_table("RAGGED_GMRES_GOLDEN", &ragged_gmres_all());
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,5 +1287,111 @@ const GOLDEN: &[Golden] = &[
     ("mixed_ir/unsym/plain/omp7", 8, StopReason::ResidualReduction, 9, 0x02b37a7fd7426b3b, &[
         0x3fff4de6762b3fb9, 0x3fd9b73d92233fdd, 0x3fae810bc5c9a5c6, 0x3f786d0ed05e0d4c,
         0x3f24fd0b3cebdb60, 0x3ee611684228f6ea, 0x3e862acb2c3d812b, 0x3e336a3dc808d4c2,
+    ]),
+];
+
+#[rustfmt::skip]
+const RAGGED_GMRES_GOLDEN: &[Golden] = &[
+    ("gmres/ragged/double/plain/reference", 19, StopReason::ResidualReduction, 23, 0xe2f4d9126e4e7019, &[
+        0x401503a22fe742b5, 0x3ff82bb74233e168, 0x3fdfaef10111a348, 0x3fc3d0c9a1651ceb,
+        0x3faa10a2731c43ad, 0x3f917fd23d055aa5, 0x3f77770fa9ef33fe, 0x3f5fb77b7c796683,
+        0x3f43c0543122b9f9, 0x3f2eb14e6aa12dad, 0x3f12d981a7e6376a, 0x3ef6f858a07ab5e6,
+        0x3edddb987936fe30, 0x3ec4e574b8de7951, 0x3eadd704664071fc, 0x3e941b14460df29d,
+        0x3e78f6709489f271, 0x3e5cce0aabfcd050, 0x3e433a0cae3164bc,
+    ]),
+    ("gmres/ragged/double/jacobi/reference", 18, StopReason::ResidualReduction, 21, 0xf7bde2599b6a4190, &[
+        0x40134562d6793e0f, 0x3ff0f73ca3038842, 0x3fd4600337dcaaf8, 0x3fba2494c8ae581b,
+        0x3fa0c5336f5892f0, 0x3f85dbe6bc468d15, 0x3f6bd91717e1c799, 0x3f527dd4c165c1c7,
+        0x3f3797c1b7affb80, 0x3f20fb958363d1ab, 0x3f0415505631066c, 0x3ee8c86e5d9b3356,
+        0x3ece8d60e40fa4ac, 0x3eb56b21c5a71b2f, 0x3e9f33f045203fd5, 0x3e84c778fd144298,
+        0x3e68d6315e79d47b, 0x3e4c9f0a57275b30,
+    ]),
+    ("gmres/ragged/double/plain/omp7", 19, StopReason::ResidualReduction, 23, 0x32f59b1de3917c18, &[
+        0x401503a22fe742b5, 0x3ff82bb74233e168, 0x3fdfaef10111a348, 0x3fc3d0c9a1651cec,
+        0x3faa10a2731c43af, 0x3f917fd23d055aa5, 0x3f77770fa9ef33fe, 0x3f5fb77b7c796684,
+        0x3f43c0543122b9fb, 0x3f2eb14e6aa127ef, 0x3f12d981a7e62d3a, 0x3ef6f858a07aa175,
+        0x3edddb987936fd57, 0x3ec4e574b8de8058, 0x3eadd704664077ba, 0x3e941b14460dea6e,
+        0x3e78f6709489e72f, 0x3e5cce0aabfcc42b, 0x3e433a0ca9b72d58,
+    ]),
+    ("gmres/ragged/double/jacobi/omp7", 18, StopReason::ResidualReduction, 21, 0x055a82dea2b050dd, &[
+        0x40134562d6793e0f, 0x3ff0f73ca3038842, 0x3fd4600337dcaaf9, 0x3fba2494c8ae581d,
+        0x3fa0c5336f5892f1, 0x3f85dbe6bc468d14, 0x3f6bd91717e1c794, 0x3f527dd4c165c1c2,
+        0x3f3797c1b7affb76, 0x3f20fb958363f51d, 0x3f041550563134c2, 0x3ee8c86e5d9b84b1,
+        0x3ece8d60e4102ea8, 0x3eb56b21c5a795bd, 0x3e9f33f04520e888, 0x3e84c778fd14a738,
+        0x3e68d6315e7a483e, 0x3e4c9f0a5727fff4,
+    ]),
+    ("gmres/ragged/float/plain/reference", 22, StopReason::ResidualReduction, 26, 0x29b2ec3a531f949f, &[
+        0x401503a23bad78b0, 0x3ff82bb761ed4639, 0x3fdfaef1278276f0, 0x3fc3d0c9ce3d3108,
+        0x3faa10a2cd2feeef, 0x3f917fd26f79744d, 0x3f77770fef3f1dd6, 0x3f5fb77c48669f4c,
+        0x3f43c0571799891b, 0x3f2ead817d636d7a, 0x3f12d80f3dfc61f5, 0x3ef6f8203ca0abb0,
+        0x3edddf5857d117d8, 0x3ec4eb2dfa36f886, 0x3eaddf2fd600927a, 0x3e941fcf51617298,
+        0x3e78f98aaa4a065d, 0x3e5ccacb6e420972, 0x3e8e37c060410e9e, 0x3e74a038c3014cc2,
+        0x3e5e60ecfe33c5aa, 0x3e449d1babeef4f2,
+    ]),
+    ("gmres/ragged/float/jacobi/reference", 18, StopReason::ResidualReduction, 21, 0x8dfc0c3ad32d8a71, &[
+        0x40134562e427981a, 0x3ff0f73c97bfd77d, 0x3fd46003107d92aa, 0x3fba2494b168dc8f,
+        0x3fa0c5336ace935a, 0x3f85dbe6af8fa679, 0x3f6bd917408e3ed6, 0x3f527dd603f00657,
+        0x3f3797d1df9e1e3d, 0x3f20fd5ffec6b1b1, 0x3f041780cd9d2090, 0x3ee8cf8900a54d6f,
+        0x3ecea4586e872d4e, 0x3eb583f9de850e09, 0x3e9f5959f9cb602e, 0x3e84d956a6d6ccf1,
+        0x3e68e4814d2b020e, 0x3e4cac909315d094,
+    ]),
+    ("gmres/ragged/float/plain/omp7", 22, StopReason::ResidualReduction, 26, 0x29b2ec3a531f949f, &[
+        0x401503a23bad78b0, 0x3ff82bb761ed4639, 0x3fdfaef1278276f0, 0x3fc3d0c9ce3d3108,
+        0x3faa10a2cd2feef0, 0x3f917fd26f79744e, 0x3f77770fef3f1dd8, 0x3f5fb77c48669f4f,
+        0x3f43c0571799891c, 0x3f2ead817d636d7a, 0x3f12d80f3dfc61f5, 0x3ef6f8203ca0abb0,
+        0x3edddf5857d117d8, 0x3ec4eb2dfa36f886, 0x3eaddf2fd600927a, 0x3e941fcf51617298,
+        0x3e78f98aaa4a065d, 0x3e5ccacb6e420972, 0x3e8e37c060410e9e, 0x3e74a038c3014cc2,
+        0x3e5e60ecfe33c5ab, 0x3e449d1babeef4f3,
+    ]),
+    ("gmres/ragged/float/jacobi/omp7", 18, StopReason::ResidualReduction, 21, 0x8dfc0c3ad32d8a71, &[
+        0x40134562e427981a, 0x3ff0f73c97bfd77d, 0x3fd46003107d92aa, 0x3fba2494b168dc8f,
+        0x3fa0c5336ace935a, 0x3f85dbe6af8fa679, 0x3f6bd917408e3ed6, 0x3f527dd603f00657,
+        0x3f3797d1df9e1e3d, 0x3f20fd5ffec6b1b1, 0x3f041780cd9d2090, 0x3ee8cf8900a54d6f,
+        0x3ecea4586e872d4e, 0x3eb583f9de850e0a, 0x3e9f5959f9cb602f, 0x3e84d956a6d6ccf1,
+        0x3e68e4814d2b020e, 0x3e4cac909315d094,
+    ]),
+    ("gmres/ragged/half/plain/reference", 36, StopReason::MaxIterations, 41, 0xced07725d30f036c, &[
+        0x4015032d94da7bfe, 0x3ff82aeaa6f4ca15, 0x3fdfb09e2029f616, 0x3fc3e06300bfee6c,
+        0x3faaea05056b70e7, 0x3f962cc60434f443, 0x3f8db93023028470, 0x3f8b9c579f6866b7,
+        0x3f8b5cc139e7624c, 0x3f736ef2d14ef0f5, 0x3f57d4b58ee76d29, 0x3f3eefb62663a53e,
+        0x3f2563074e6c8d90, 0x3f0fb8df3fe7b18a, 0x3efb578fdb1bc7b4, 0x3ef2ce3f6c8768a2,
+        0x3ef1e3fb58af48f7, 0x3ef1c3d3b1bdfb71, 0x3f611ae04c108c10, 0x3f4645385fc3a9ef,
+        0x3f2eb532e3782663, 0x3f13ebd41d66b2a6, 0x3efa55a7c278408c, 0x3ee3eed78c474281,
+        0x3ed50e2bafb4f20b, 0x3ed1cc57c1e6c702, 0x3ed17e25ea980dda, 0x3f5fc6c3f061fbed,
+        0x3f4410d8e4576360, 0x3f2924f610160b7d, 0x3f0fdd119cc921b3, 0x3ef5b66e0af47cfb,
+        0x3ee2a7745933956b, 0x3ed8bcba78018758, 0x3ed6dcf55caf1e90, 0x3ed69da7cd8b5570,
+    ]),
+    ("gmres/ragged/half/jacobi/reference", 36, StopReason::MaxIterations, 41, 0x3f3174a83c3b076c, &[
+        0x4013450dcef2484b, 0x3ff0f6c63b591ed9, 0x3fd461debed5ee93, 0x3fba4093e479f3a8,
+        0x3fa1819610f44cfc, 0x3f8dce088eafd47c, 0x3f85712826510dfd, 0x3f846aba0e60c308,
+        0x3f844d886571cd23, 0x3f73cd9ff65f3f7f, 0x3f59364a5810a34f, 0x3f41d0e9e9ee2d6a,
+        0x3f27f22069118981, 0x3f0f7783c192174f, 0x3ef593a218f943a4, 0x3ee1bb1321c17ea0,
+        0x3ed731b2ba53b920, 0x3ed5618fa99d45af, 0x3f5d6c277cf1f4f7, 0x3f41e24f3cc00425,
+        0x3f27263e219693b9, 0x3f0f33ef4be33630, 0x3ef52e08327b2331, 0x3ee14916b3acbb3b,
+        0x3ed75d3d1c8c544c, 0x3ed5d473773584a0, 0x3ed5ab18325d10b6, 0x3f5d6e9c4ba925c6,
+        0x3f42ed39ca9d8eee, 0x3f27c4fc9763881e, 0x3f0e636485b12c8f, 0x3ef2ed829b08715c,
+        0x3edd876b2dfd53fc, 0x3ed3f2717ad7c8c9, 0x3ed2a772e5bdcd99, 0x3ed283292ad9fe08,
+    ]),
+    ("gmres/ragged/half/plain/omp7", 36, StopReason::MaxIterations, 41, 0xced07725d30f036c, &[
+        0x4015032d94da7bfe, 0x3ff82aeaa6f4ca15, 0x3fdfb09e2029f616, 0x3fc3e06300bfee6c,
+        0x3faaea05056b70e7, 0x3f962cc60434f443, 0x3f8db93023028470, 0x3f8b9c579f6866b7,
+        0x3f8b5cc139e7624c, 0x3f736ef2d14ef0f5, 0x3f57d4b58ee76d29, 0x3f3eefb62663a53e,
+        0x3f2563074e6c8d90, 0x3f0fb8df3fe7b18a, 0x3efb578fdb1bc7b4, 0x3ef2ce3f6c8768a2,
+        0x3ef1e3fb58af48f7, 0x3ef1c3d3b1bdfb71, 0x3f611ae04c108c10, 0x3f4645385fc3a9ef,
+        0x3f2eb532e3782663, 0x3f13ebd41d66b2a6, 0x3efa55a7c278408c, 0x3ee3eed78c474281,
+        0x3ed50e2bafb4f20b, 0x3ed1cc57c1e6c702, 0x3ed17e25ea980dda, 0x3f5fc6c3f061fbed,
+        0x3f4410d8e4576360, 0x3f2924f610160b7d, 0x3f0fdd119cc921b3, 0x3ef5b66e0af47cfb,
+        0x3ee2a7745933956b, 0x3ed8bcba78018758, 0x3ed6dcf55caf1e90, 0x3ed69da7cd8b5570,
+    ]),
+    ("gmres/ragged/half/jacobi/omp7", 36, StopReason::MaxIterations, 41, 0x3f3174a83c3b076c, &[
+        0x4013450dcef2484b, 0x3ff0f6c63b591ed9, 0x3fd461debed5ee93, 0x3fba4093e479f3a8,
+        0x3fa1819610f44cfc, 0x3f8dce088eafd47c, 0x3f85712826510dfd, 0x3f846aba0e60c308,
+        0x3f844d886571cd23, 0x3f73cd9ff65f3f7f, 0x3f59364a5810a34f, 0x3f41d0e9e9ee2d6a,
+        0x3f27f22069118981, 0x3f0f7783c192174f, 0x3ef593a218f943a4, 0x3ee1bb1321c17ea0,
+        0x3ed731b2ba53b920, 0x3ed5618fa99d45af, 0x3f5d6c277cf1f4f7, 0x3f41e24f3cc00425,
+        0x3f27263e219693b9, 0x3f0f33ef4be33630, 0x3ef52e08327b2331, 0x3ee14916b3acbb3b,
+        0x3ed75d3d1c8c544c, 0x3ed5d473773584a0, 0x3ed5ab18325d10b6, 0x3f5d6e9c4ba925c6,
+        0x3f42ed39ca9d8eee, 0x3f27c4fc9763881e, 0x3f0e636485b12c8f, 0x3ef2ed829b08715c,
+        0x3edd876b2dfd53fc, 0x3ed3f2717ad7c8c9, 0x3ed2a772e5bdcd99, 0x3ed283292ad9fe08,
     ]),
 ];
