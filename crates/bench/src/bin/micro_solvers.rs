@@ -3,7 +3,9 @@
 //! criterion bench.
 //!
 //! Also four gates. A dot product reads two vectors and writes none, so it
-//! may not cost much more than an AXPY of the same length; a scalar Jacobi
+//! may not cost much more than an AXPY of the same length when both stream
+//! from memory, nor may two dot products in one sweep when both run in
+//! cache; a scalar Jacobi
 //! application is one multiply per element over three vectors, so it may
 //! cost an AXPY and the third vector's traffic; the two triangular
 //! sweeps of an ILU application read the same entries a CSR SpMV over the
@@ -25,7 +27,7 @@ use gko::solver::{
 };
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
-use pygko_bench::{fmt, micro_iters, wall_secs, wall_secs_best, Report};
+use pygko_bench::{best_in_turn, fmt, micro_iters, wall_secs, wall_secs_best, Report};
 use pygko_matgen::generators::{poisson2d, spd_tridiag_batch};
 use std::sync::Arc;
 
@@ -33,6 +35,15 @@ use std::sync::Arc;
 /// on the reference executor (a serial `f64` add chain read 2.2; the 8-lane
 /// kernel reads about 1.0).
 const DOT_OVER_AXPY_LIMIT: f64 = 1.5;
+
+/// In cache, where neither kernel waits on memory, `compute_dot2` (two dot
+/// products over two vectors, BiCGStab's `(t·t, t·s)`) may cost at most this
+/// multiple of `add_scaled` per element: it reads what an AXPY reads and
+/// writes nothing. With the lane kernel's combine tree evaluated inline, LLVM
+/// shuffled the accumulators in every block and this read 2.4-2.8; without,
+/// 1.0-1.3. (`compute_dot` in cache reads 0.85-1.05 either way and is
+/// printed only.)
+const IN_CACHE_DOT2_OVER_AXPY_LIMIT: f64 = 1.5;
 
 /// Scalar `Jacobi::apply` may cost at most this multiple of `add_scaled` per
 /// element on the reference executor. An indexed loop over a run-time column
@@ -57,15 +68,46 @@ const BATCH_OVER_LOOP_FLOOR: f64 = 1.5;
 /// Vector length of the BLAS-1 rows: a 400 x 400 grid, beyond L2 in pairs.
 const BLAS1_N: usize = 160_000;
 
+/// Vector lengths of the in-cache dot and AXPY rows: the GMRES basis vectors
+/// of a `storm` system and of `krylov`'s `poisson3d_24`.
+const IN_CACHE_N: [usize; 2] = [2_000, 13_824];
+
+/// `n` values of `sin(0.37 i + phase)` as one column.
+fn wave(exec: &Executor, n: usize, phase: f64) -> Dense<f64> {
+    let values = (0..n).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
+    Dense::from_vec(exec, Dim2::new(n, 1), values).unwrap()
+}
+
+/// Times `compute_dot`, `compute_dot2` and `add_scaled` in turn on vectors
+/// of length `n`, which stay in cache, and returns the best dot and the best
+/// `dot2` over the best AXPY.
+fn bench_blas1_in_cache(report: &mut Report, n: usize) -> (f64, f64) {
+    let exec = Executor::reference();
+    let (p, q, mut x) = (wave(&exec, n, 0.0), wave(&exec, n, 1.0), wave(&exec, n, 2.0));
+    let [dot, dot2, axpy] = best_in_turn(
+        micro_iters(100_000_000 / n),
+        [
+            &mut || {
+                std::hint::black_box(p.compute_dot(&q).unwrap());
+            },
+            &mut || {
+                std::hint::black_box(p.compute_dot2(&q).unwrap());
+            },
+            &mut || x.add_scaled(1e-9, &p).unwrap(),
+        ],
+    );
+    for (case, secs) in [("dot", dot), ("dot2", dot2), ("axpy", axpy)] {
+        report.row(vec![format!("blas1_n{n}"), case.into(), fmt(secs * 1e3), fmt(secs * 1e9 / n as f64)]);
+    }
+    (dot / axpy, dot2 / axpy)
+}
+
 /// Times the BLAS-1 kernels of a CG iteration and the Jacobi applications
 /// on vectors of the same length, and returns the best repetitions of
 /// `compute_dot` and of scalar `Jacobi::apply` over `add_scaled`'s.
 fn bench_blas1(report: &mut Report) -> (f64, f64) {
     let exec = Executor::reference();
-    let fill = |phase: f64| {
-        let values = (0..BLAS1_N).map(|i| (i as f64 * 0.37 + phase).sin()).collect();
-        Dense::<f64>::from_vec(&exec, Dim2::new(BLAS1_N, 1), values).unwrap()
-    };
+    let fill = |phase: f64| wave(&exec, BLAS1_N, phase);
     let (p, q, mut x, mut r) = (fill(0.0), fill(1.0), fill(2.0), fill(3.0));
     let iters = micro_iters(200);
     let mut row = |case: &str, secs: f64| {
@@ -323,10 +365,15 @@ fn main() {
         }
     }
     let (dot_over_axpy, jacobi_over_axpy) = bench_blas1(&mut report);
+    let in_cache = IN_CACHE_N.map(|n| (n, bench_blas1_in_cache(&mut report, n)));
     report.print();
     let path = report.write_csv("micro_solvers").expect("write csv");
     println!("\nwrote {}", path.display());
     println!("dot_over_axpy = {dot_over_axpy:.2} (n = {BLAS1_N}, limit {DOT_OVER_AXPY_LIMIT})");
+    for (n, (dot, dot2)) in &in_cache {
+        println!("dot_over_axpy = {dot:.2} (n = {n}, in cache, not gated)");
+        println!("dot2_over_axpy = {dot2:.2} (n = {n}, in cache, limit {IN_CACHE_DOT2_OVER_AXPY_LIMIT})");
+    }
     println!("jacobi_over_axpy = {jacobi_over_axpy:.2} (n = {BLAS1_N}, limit {JACOBI_OVER_AXPY_LIMIT})");
     println!("trs_over_csr = {trs_over_csr:.2} (ILU(0) factors of poisson2d_60, limit {TRS_OVER_CSR_LIMIT})");
     let mut failed = false;
@@ -345,6 +392,14 @@ fn main() {
             "micro_solvers: FAIL — compute_dot costs {dot_over_axpy:.2}x add_scaled, above {DOT_OVER_AXPY_LIMIT}"
         );
         failed = true;
+    }
+    for (n, (_, dot2)) in &in_cache {
+        if *dot2 > IN_CACHE_DOT2_OVER_AXPY_LIMIT {
+            eprintln!(
+                "micro_solvers: FAIL — compute_dot2 costs {dot2:.2}x add_scaled at n = {n}, above {IN_CACHE_DOT2_OVER_AXPY_LIMIT}"
+            );
+            failed = true;
+        }
     }
     if jacobi_over_axpy > JACOBI_OVER_AXPY_LIMIT {
         eprintln!(

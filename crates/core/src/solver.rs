@@ -610,6 +610,22 @@ mod tests {
         assert!(r.norm() < 1e-5 * b.norm() * 10.0, "residual {}", r.norm());
     }
 
+    /// A restart too large to allocate is a restart the solve never reaches.
+    #[test]
+    fn gmres_with_a_huge_krylov_dim_solves() {
+        let dev = device("reference").unwrap();
+        let mtx = spd(&dev, 40, "double");
+        let b = as_tensor_fill(&dev, (40, 1), "double", 1.0).unwrap();
+        let solve = |krylov_dim: usize| {
+            let mut x = as_tensor_fill(&dev, (40, 1), "double", 0.0).unwrap();
+            let solver = gmres(&dev, &mtx, None, 1000, krylov_dim, 1e-10).unwrap();
+            let logger = solver.apply(&b, &mut x).unwrap();
+            assert!(logger.converged(), "{}", logger.stop_reason());
+            (logger.iterations(), x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(solve(usize::MAX >> 1), solve(100));
+    }
+
     #[test]
     fn all_krylov_methods_solve() {
         let dev = device("reference").unwrap();

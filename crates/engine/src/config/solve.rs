@@ -206,6 +206,32 @@ mod tests {
         assert!(rec.final_residual <= 1e-6 * rec.initial_residual);
     }
 
+    /// The largest restart the config accepts solves, as any restart the
+    /// solve never reaches does: GMRES sizes its cycle by the columns it has,
+    /// not by the configured dimension.
+    #[test]
+    fn a_huge_krylov_dim_solves_like_a_restart_never_reached() {
+        let exec = Executor::reference();
+        let a = system(&exec, 50);
+        let b = Dense::<f64>::vector(&exec, 50, 1.0);
+        let solve = |dim: &str| {
+            let cfg = Config::from_json(&format!(
+                r#"{{"type": "solver::Gmres", "krylov_dim": {dim},
+                    "criteria": [{{"type": "ResidualNorm", "reduction_factor": 1e-10}}]}}"#
+            ))
+            .unwrap();
+            let solver = config_solve(a.clone(), &cfg).unwrap();
+            let mut x = Dense::<f64>::vector(&exec, 50, 0.0);
+            solver.op.apply(&b, &mut x).unwrap();
+            let rec = solver.logger.snapshot();
+            assert!(rec.converged(), "krylov_dim {dim}: {:?}", rec.stop_reason);
+            (rec.iterations, x.to_host_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let huge = solve(&i64::MAX.to_string());
+        assert!(huge.0 < 100);
+        assert_eq!(huge, solve("100"));
+    }
+
     #[test]
     fn every_krylov_solver_is_constructible() {
         let exec = Executor::reference();

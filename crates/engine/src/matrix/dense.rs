@@ -467,7 +467,7 @@ fn lane_sweep<V: Value, const M: usize, const C: usize, const K: usize>(
             blocks[b] = block;
         }
     }
-    let mut sums = lanes.map(|a| ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])));
+    let mut sums = lanes.map(combine_lanes);
     for i in 0..len % LANES {
         let (new, terms) = f(
             muts.each_ref().map(|(_, tail)| tail[i]),
@@ -483,6 +483,17 @@ fn lane_sweep<V: Value, const M: usize, const C: usize, const K: usize>(
     sums
 }
 
+/// The combine tree of the determinism contract,
+/// `((0+1)+(2+3))+((4+5)+(6+7))`. Out of line on purpose: evaluated inside
+/// [`lane_sweep`], the tree leads LLVM to hold lanes `l` and `l + 4` in one
+/// register, so every block of eight paid a shuffle per pair of elements to
+/// put them there; behind a call the lanes sit in order, two to a register,
+/// as the elements arrive (DESIGN.md §20 has the `objdump` check).
+#[inline(never)]
+fn combine_lanes(a: [f64; LANES]) -> f64 {
+    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+}
+
 /// What a dot product feeds [`lane_sweep`]: nothing to update, one term.
 fn dot_term<V: Value>([]: [V; 0], [x, y]: [V; 2]) -> ([V; 0], [f64; 1]) {
     ([], [x.to_f64() * y.to_f64()])
@@ -493,6 +504,19 @@ fn dot_term<V: Value>([]: [V; 0], [x, y]: [V; 2]) -> ([V; 0], [f64; 1]) {
 pub(crate) fn lane_dot<V: Value>(a: &[V], b: &[V]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let [dot] = lane_sweep([], [a, b], dot_term);
+    dot
+}
+
+/// One Gram-Schmidt step that carries the next step's coefficient: `w +=
+/// coeff * v`, then the dot product of the new `w` with `next`, in one pass
+/// over `w`. Bit for bit that AXPY followed by [`lane_dot`]`(w, next)`.
+pub(crate) fn lane_axpy_dot<V: Value>(w: &mut [V], v: &[V], next: &[V], coeff: V) -> f64 {
+    debug_assert!(w.len() == v.len() && w.len() == next.len());
+    let f = move |[w]: [V; 1], [v, next]: [V; 2]| {
+        let w = w + coeff * v;
+        ([w], [w.to_f64() * next.to_f64()])
+    };
+    let [dot] = lane_sweep([w], [v, next], f);
     dot
 }
 
@@ -683,6 +707,34 @@ mod tests {
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
         let want = ((tree + x[16] * x[16]) + x[17] * x[17]) + x[18] * x[18];
         assert_eq!(lane_dot(&x, &x).to_bits(), want.to_bits());
+    }
+
+    /// `lane_axpy_dot` against the two passes it fuses, GMRES's AXPY loop and
+    /// `lane_dot`, in the bits of the updated vector and of the dot.
+    fn check_axpy_dot<V: Value>(n: usize) {
+        let value = |i: usize, salt: usize| V::from_f64((i as f64 * 0.61 + salt as f64).sin());
+        let v: Vec<V> = (0..n).map(|i| value(i, 1)).collect();
+        let next: Vec<V> = (0..n).map(|i| value(i, 2)).collect();
+        let mut fused: Vec<V> = (0..n).map(|i| value(i, 0)).collect();
+        let mut unfused = fused.clone();
+        let coeff = V::from_f64(-0.37);
+        for (wk, &vk) in unfused.iter_mut().zip(&v) {
+            *wk += coeff * vk;
+        }
+        let want = lane_dot(&unfused, &next);
+        let got = lane_axpy_dot(&mut fused, &v, &next, coeff);
+        assert_eq!(got.to_bits(), want.to_bits(), "{} n = {n}", V::NAME);
+        let bits = |w: &[V]| w.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused), bits(&unfused), "{} n = {n}", V::NAME);
+    }
+
+    #[test]
+    fn axpy_dot_is_the_axpy_then_the_dot() {
+        for n in (0..=17).chain([1_000, 13_824]) {
+            check_axpy_dot::<f64>(n);
+            check_axpy_dot::<f32>(n);
+            check_axpy_dot::<Half>(n);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::base::error::Result;
 use crate::base::types::Value;
 use crate::executor::Executor;
-use crate::matrix::dense::{lane_dot, Dense};
+use crate::matrix::dense::{lane_axpy_dot, lane_dot, Dense};
 use crate::solver::{Iteration, Iterative, Recurrence, SolverCore, Step};
 use crate::stop::StopReason;
 use pygko_sim::ChunkWork;
@@ -64,7 +64,10 @@ pub struct GmresWork<V: Value> {
     basis: Vec<Dense<V>>,
     /// Column-major rotated Hessenberg: `h[j]` holds column j (len j+2).
     h: Vec<Vec<f64>>,
-    /// Givens rotation coefficients and the rotated residual vector.
+    /// Givens rotation coefficients (one per column) and the rotated
+    /// residual vector (one more). Like `h` and `basis` they grow by a
+    /// column at a time, never to the configured restart: a restart of
+    /// 2^63 - 1 is a valid setting and costs only the columns a cycle makes.
     cs: Vec<f64>,
     sn: Vec<f64>,
     g: Vec<f64>,
@@ -103,7 +106,8 @@ fn charge_hessenberg_update(exec: &Executor, cols: usize) {
 }
 
 /// Charges the two fused multidot/update kernels of one MGS sweep over
-/// a basis of `cols` vectors of length `n`.
+/// a basis of `cols` vectors of length `n`: what Ginkgo launches on a
+/// device, not the `cols + 1` passes the host makes.
 fn charge_fused_mgs<V: Value>(exec: &Executor, n: usize, cols: usize) {
     let spec = exec.spec();
     let per_chunk = |total_bytes: f64, flops: f64, chunks: usize| -> Vec<ChunkWork> {
@@ -137,13 +141,12 @@ impl<V: Value> Recurrence<V> for GmresMethod {
     type Work = GmresWork<V>;
 
     fn seed(&self, _core: &SolverCore<V>, r: &Dense<V>) -> Result<GmresWork<V>> {
-        let m = self.krylov_dim;
         Ok(GmresWork {
             basis: Vec::new(),
-            h: Vec::with_capacity(m),
-            cs: vec![0.0; m],
-            sn: vec![0.0; m],
-            g: vec![0.0; m + 1],
+            h: Vec::new(),
+            cs: Vec::new(),
+            sn: Vec::new(),
+            g: Vec::new(),
             z: None,
             w: Dense::zeros(r.executor(), r.size()),
             u: Dense::zeros(r.executor(), r.size()),
@@ -178,8 +181,10 @@ impl<V: Value> Recurrence<V> for GmresMethod {
                 return Ok(Step::Abort(StopReason::Breakdown));
             }
             set_basis(&mut k.basis, 0, it.r, beta)?;
-            k.g.fill(0.0);
-            k.g[0] = beta;
+            k.cs.clear();
+            k.sn.clear();
+            k.g.clear();
+            k.g.push(beta);
         }
 
         let j = k.h.len();
@@ -187,22 +192,27 @@ impl<V: Value> Recurrence<V> for GmresMethod {
         let z = core.preconditioned(&k.basis[j], &mut k.z)?;
         core.system.apply(z, &mut k.w)?;
 
-        // Modified Gram–Schmidt orthogonalization. Ginkgo fuses
-        // this into two "multidot"-style kernels (one sweep reading
-        // the whole basis for coefficients, one for the update), so
-        // the cost model charges two basis-sized launches rather
-        // than 2(j+1) vector ops.
+        // Modified Gram–Schmidt orthogonalization, on the calling thread:
+        // one dot with v_0, then j passes that each subtract h_ij v_i and
+        // return the next coefficient (the dot with v_{i+1}), then the last
+        // AXPY. That is j + 2 passes over w where the unfused steps take
+        // 2(j + 1), bit for bit the same. The cost model charges what
+        // Ginkgo runs on a device: two basis-sized "multidot"-style kernels
+        // (one reading the whole basis for coefficients, one for the update).
         let mut col = vec![0.0f64; j + 2];
         {
             let ws = k.w.as_mut_slice();
-            for (i, vi) in k.basis.iter().enumerate().take(j + 1) {
-                let vs = vi.as_slice();
-                let hij = lane_dot(ws, vs);
+            let basis = &k.basis[..=j];
+            let mut hij = lane_dot(ws, basis[0].as_slice());
+            for (i, pair) in basis.windows(2).enumerate() {
                 col[i] = hij;
                 let coeff = V::from_f64(-hij);
-                for (wk, &vk) in ws.iter_mut().zip(vs) {
-                    *wk += coeff * vk;
-                }
+                hij = lane_axpy_dot(ws, pair[0].as_slice(), pair[1].as_slice(), coeff);
+            }
+            col[j] = hij;
+            let coeff = V::from_f64(-hij);
+            for (wk, &vk) in ws.iter_mut().zip(basis[j].as_slice()) {
+                *wk += coeff * vk;
             }
             charge_fused_mgs::<V>(it.x.executor(), ws.len(), j + 1);
         }
@@ -223,12 +233,13 @@ impl<V: Value> Recurrence<V> for GmresMethod {
             k.h.clear();
             return Ok(Step::Abort(StopReason::Breakdown));
         }
-        k.cs[j] = col[j] / denom;
-        k.sn[j] = col[j + 1] / denom;
+        let (cs, sn) = (col[j] / denom, col[j + 1] / denom);
+        k.cs.push(cs);
+        k.sn.push(sn);
         col[j] = denom;
         col[j + 1] = 0.0;
-        k.g[j + 1] = -k.sn[j] * k.g[j];
-        k.g[j] *= k.cs[j];
+        k.g.push(-sn * k.g[j]);
+        k.g[j] *= cs;
         k.h.push(col);
         charge_hessenberg_update(it.x.executor(), j + 1);
 
