@@ -17,6 +17,15 @@
 //! The check is per row, each row against the division form *of the solver's
 //! own earlier unknowns*, so it needs no assumption on conditioning.
 //!
+//! Every sweep is also pinned bit for bit against a row-order reference in
+//! the generated form, `(rhs - sum) * (1 / d)`: each half of a full matrix
+//! and the ILU(0) / IC(0) factors of a stencil on a non-square grid, a
+//! circuit with rails, a banded matrix and a tridiagonal chain, plus the
+//! random shapes above; unit and scaled, one and three columns, out of place
+//! and in place through `Ilu` / `Ic`, in every type, on the reference
+//! executor and on `omp(7)`. However a sweep orders its rows, each row has to
+//! compute exactly this.
+//!
 //! Also pinned here: `Ilu::apply` / `Ic::apply` (second sweep in place) equal
 //! "lower, then upper through a temporary" bit for bit; which row a singular
 //! diagonal is reported at; and that a row with unsorted columns is refused
@@ -187,6 +196,17 @@ fn solver<V: Value, I: Index>(
     }
 }
 
+/// The random shapes: (name, n, other half filled, stored diagonal, every how
+/// many rows hollow).
+const SHAPES: [(&str, usize, bool, bool, usize); 6] = [
+    ("exact factor", 37, false, true, usize::MAX),
+    ("strict factor, no diagonal stored", 29, false, false, usize::MAX),
+    ("full square matrix", 33, true, true, usize::MAX),
+    ("rows with an empty strict span", 31, true, true, 3),
+    ("1 x 1", 1, false, true, usize::MAX),
+    ("0 x 0", 0, false, true, usize::MAX),
+];
+
 /// Every input shape x side x diagonal kind x right-hand-side count, for one
 /// value and index type.
 fn differential<V: Value, I: Index>()
@@ -195,16 +215,7 @@ where
 {
     let exec = Executor::reference();
     let mut rng = Xoshiro256pp::seed_from_u64(SEED);
-    // (name, n, other half filled, stored diagonal, every how many rows hollow)
-    let shapes = [
-        ("exact factor", 37, false, true, usize::MAX),
-        ("strict factor, no diagonal stored", 29, false, false, usize::MAX),
-        ("full square matrix", 33, true, true, usize::MAX),
-        ("rows with an empty strict span", 31, true, true, 3),
-        ("1 x 1", 1, false, true, usize::MAX),
-        ("0 x 0", 0, false, true, usize::MAX),
-    ];
-    for (name, n, full, diagonal, hollow) in shapes {
+    for (name, n, full, diagonal, hollow) in SHAPES {
         for side in [Side::Lower, Side::Upper] {
             let t = system(&mut rng, n, side, diagonal, full, hollow);
             let a = Arc::new(Csr::<V, I>::from_triplets(&exec, Dim2::square(n), &t).unwrap());
@@ -353,6 +364,144 @@ fn ilu_and_ic_apply_equal_lower_then_upper_through_a_temporary() {
     preconditioners_match_two_sweeps::<f32, i64>();
     preconditioners_match_two_sweeps::<f64, i32>();
     preconditioners_match_two_sweeps::<f64, i64>();
+}
+
+/// One sweep in the generated form, in row order: `x[r] = (rhs[r] - sum) *
+/// (1 / d)`, the sum over the row's entries inside `side`'s strict half,
+/// accumulated in `f64` in stored column order from the right-hand side;
+/// under `unit`, no scale at all.
+fn generated_sweep<V: Value, I: Index>(
+    a: &Csr<V, I>,
+    side: Side,
+    unit: bool,
+    rhs: &[V],
+    k: usize,
+) -> Vec<V> {
+    let n = a.size().rows;
+    let (rp, ci, vals) = (a.row_ptrs(), a.col_idxs(), a.values());
+    let mut x = vec![V::zero(); n * k];
+    for step in 0..n {
+        let r = if side == Side::Lower { step } else { n - 1 - step };
+        let row = rp[r].to_usize()..rp[r + 1].to_usize();
+        let d = row.clone().find(|&e| ci[e].to_usize() == r).map_or(0.0, |e| vals[e].to_f64());
+        let inv = 1.0 / d;
+        for c in 0..k {
+            let mut acc = rhs[r * k + c].to_f64();
+            for e in row.clone() {
+                let j = ci[e].to_usize();
+                if side.holds(r, j) {
+                    acc -= vals[e].to_f64() * x[j * k + c].to_f64();
+                }
+            }
+            x[r * k + c] = V::from_f64(if unit { acc } else { acc * inv });
+        }
+    }
+    x
+}
+
+/// `side`'s solver of `factor`, one and three right-hand sides into a stale
+/// `x`, against [`generated_sweep`] bit for bit.
+fn pin_sweep<V: Value, I: Index>(
+    what: &str,
+    factor: &Arc<Csr<V, I>>,
+    side: Side,
+    unit: bool,
+    rng: &mut Xoshiro256pp,
+) {
+    let exec = factor.executor();
+    let n = factor.size().rows;
+    let op = solver(factor.clone(), side, unit);
+    for k in [1usize, 3] {
+        let b = random_dense::<V>(exec, rng, n, k);
+        let mut x = Dense::filled(exec, Dim2::new(n, k), V::from_f64(1.0e3));
+        op.apply(&b, &mut x).unwrap();
+        let want = generated_sweep(factor, side, unit, b.as_slice(), k);
+        assert_eq!(bits(x.as_slice()), bits(&want), "{what}, {side:?}, unit = {unit}, k = {k}");
+    }
+}
+
+/// Every sweep of `a` itself (each half of the full matrix), of its ILU(0)
+/// and of its IC(0) factors, and `Ilu::apply` / `Ic::apply` (the second
+/// sweep in place), against the generated form in row order.
+fn pin_matrix<V: Value, I: Index>(what: &str, a: &Arc<Csr<V, I>>, rng: &mut Xoshiro256pp) {
+    let exec = a.executor();
+    let n = a.size().rows;
+    let (l, u) = ilu0(&**a).unwrap();
+    let (l, u) = (Arc::new(l), Arc::new(u));
+    let c = Arc::new(ic0(&**a).unwrap());
+    let ct = Arc::new(c.transpose());
+    for unit in [false, true] {
+        for side in [Side::Lower, Side::Upper] {
+            pin_sweep(&format!("{what}, the matrix"), a, side, unit, rng);
+        }
+        pin_sweep(&format!("{what}, IC(0) L"), &c, Side::Lower, unit, rng);
+        pin_sweep(&format!("{what}, IC(0) L^T"), &ct, Side::Upper, unit, rng);
+        pin_sweep(&format!("{what}, ILU(0) U"), &u, Side::Upper, unit, rng);
+    }
+    // ILU(0)'s `L` stores no diagonal: it is only ever unit.
+    pin_sweep(&format!("{what}, ILU(0) L"), &l, Side::Lower, true, rng);
+    let ilu: Box<dyn LinOp<V>> = Box::new(Ilu::new(&**a).unwrap());
+    let ic: Box<dyn LinOp<V>> = Box::new(Ic::new(&**a).unwrap());
+    let cases = [("Ilu", ilu, (&l, true), &u), ("Ic", ic, (&c, false), &ct)];
+    for (name, preconditioner, (lower, unit_lower), upper) in cases {
+        for k in [1usize, 3] {
+            let b = random_dense::<V>(exec, rng, n, k);
+            let y = generated_sweep(lower, Side::Lower, unit_lower, b.as_slice(), k);
+            let want = generated_sweep(upper, Side::Upper, false, &y, k);
+            let mut x = Dense::filled(exec, Dim2::new(n, k), V::from_f64(1.0e3));
+            preconditioner.apply(&b, &mut x).unwrap();
+            assert_eq!(bits(x.as_slice()), bits(&want), "{what}, {name}::apply, k = {k}");
+        }
+    }
+}
+
+/// The pinned matrices: a stencil on a non-square grid (ragged levels), a
+/// circuit with rails, a banded matrix, and a tridiagonal chain.
+fn pinned_matrices() -> [pygko_matgen::GeneratedMatrix; 4] {
+    use pygko_matgen::generators::{banded, circuit, convection_diffusion, poisson2d};
+    [
+        poisson2d("poisson2d_37x23", 37, 23),
+        circuit("circuit_3000", 3000, 6, 4, SEED),
+        banded("banded_1200", 1200, 8, 0.6, SEED),
+        convection_diffusion("convdiff_600", 600, 0.3),
+    ]
+}
+
+/// Every sweep, for one value and index type, on both executors.
+fn sweeps_match_the_generated_form<V: Value, I: Index>()
+where
+    f64: TripletValue<V>,
+{
+    for (on, exec) in [("reference", Executor::reference()), ("omp(7)", Executor::omp(7))] {
+        let mut rng = Xoshiro256pp::seed_from_u64(SEED + 3);
+        let types = format!("{}/{} on {on}", V::NAME, I::NAME);
+        for gen in pinned_matrices() {
+            let dim = Dim2::new(gen.rows, gen.cols);
+            let a = Arc::new(Csr::<V, I>::from_triplets(&exec, dim, &gen.triplets).unwrap());
+            pin_matrix(&format!("{}, {types}", gen.name), &a, &mut rng);
+        }
+        for (name, n, full, diagonal, hollow) in SHAPES {
+            for side in [Side::Lower, Side::Upper] {
+                let t = system(&mut rng, n, side, diagonal, full, hollow);
+                let a = Arc::new(Csr::<V, I>::from_triplets(&exec, Dim2::square(n), &t).unwrap());
+                for unit in [false, true] {
+                    if unit || diagonal {
+                        pin_sweep(&format!("{name}, {types}"), &a, side, unit, &mut rng);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_sweep_equals_the_generated_form_in_row_order_bit_for_bit() {
+    sweeps_match_the_generated_form::<Half, i32>();
+    sweeps_match_the_generated_form::<Half, i64>();
+    sweeps_match_the_generated_form::<f32, i32>();
+    sweeps_match_the_generated_form::<f32, i64>();
+    sweeps_match_the_generated_form::<f64, i32>();
+    sweeps_match_the_generated_form::<f64, i64>();
 }
 
 /// Rows 2 and 5 of an 8 x 8 bidiagonal-plus-diagonal matrix have a stored
