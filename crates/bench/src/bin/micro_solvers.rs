@@ -9,7 +9,8 @@
 //! application is one multiply per element over three vectors, so it may
 //! cost an AXPY and the third vector's traffic; the two triangular
 //! sweeps of an ILU application read the same entries a CSR SpMV over the
-//! factors reads, so they may cost only the dependent chain more; and a
+//! factors reads, and in level order their rows overlap as the SpMV's do, so
+//! they may cost only a little more; and a
 //! batched solve of many small systems exists to beat the loop of single
 //! solves over them, so it has to. Both sides of each ratio are timed in this
 //! process, back to back, so the ratio holds still when the host's speed
@@ -28,7 +29,8 @@ use gko::solver::{
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_bench::{best_in_turn, fmt, micro_iters, wall_secs, wall_secs_best, Report};
-use pygko_matgen::generators::{poisson2d, spd_tridiag_batch};
+use pygko_matgen::generators::{circuit, poisson2d, spd_tridiag_batch};
+use pygko_matgen::GeneratedMatrix;
 use std::sync::Arc;
 
 /// `compute_dot` may cost at most this multiple of `add_scaled` per element
@@ -53,11 +55,12 @@ const IN_CACHE_DOT2_OVER_AXPY_LIMIT: f64 = 1.5;
 const JACOBI_OVER_AXPY_LIMIT: f64 = 3.0;
 
 /// The lower plus the upper sweep of ILU(0)'s factors may cost at most this
-/// multiple of the reference CSR SpMV over the same entries. The generated
-/// sweeps read 1.9 ns per entry each, which is the dependent chain itself,
-/// and the SpMV (a leaf kernel, DESIGN.md §25) 0.79: 2.4, where a divide per
-/// row on the chain would read 4.6.
-const TRS_OVER_CSR_LIMIT: f64 = 3.5;
+/// multiple of the reference CSR SpMV over the same entries. In row order
+/// each sweep read 1.9 ns per entry, the dependent chain itself, against the
+/// SpMV's 0.8 (a leaf kernel, DESIGN.md §25): 2.4, and a divide per row on
+/// the chain read 4.6. In level order the core overlaps the independent rows
+/// of a level and the two sweeps read 1.2.
+const TRS_OVER_CSR_LIMIT: f64 = 1.8;
 
 /// The loop of single solves over 32-row systems must cost at least this
 /// multiple of the batched solve of the same systems on the reference
@@ -222,35 +225,55 @@ fn bench_krylov_iterations(report: &mut Report) {
     }
 }
 
-/// Times the two sweeps of ILU(0)'s factors, the whole ILU application and
-/// the reference CSR SpMV with `A`, which holds the same entries, and returns
-/// the sweeps' best repetitions over the SpMV's.
-fn bench_triangular(report: &mut Report) -> f64 {
-    let (exec, a, b) = setup();
+/// Times the two sweeps of ILU(0)'s factors of `gen`, the whole ILU
+/// application and the reference CSR SpMV with `A`, which holds the same
+/// entries, in turn, then the generation of both sweeps; returns the sweeps'
+/// best repetitions over the SpMV's.
+fn bench_triangular(report: &mut Report, gen: &GeneratedMatrix, rounds: usize) -> f64 {
+    let exec = Executor::reference();
+    let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::new(gen.rows, gen.cols), &gen.triplets)
+        .unwrap();
     let n = a.size().rows;
     let (l, u) = ilu0(&a).unwrap();
     let (l, u) = (Arc::new(l), Arc::new(u));
     let lower = LowerTrs::new(l.clone()).unwrap().with_unit_diagonal();
     let upper = UpperTrs::new(u.clone()).unwrap();
-    let ilu = Ilu::new(&*a).unwrap();
+    let ilu = Ilu::new(&a).unwrap();
+    let b = Dense::<f64>::vector(&exec, n, 1.0);
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(n, 1));
-    let iters = micro_iters(2000);
-    let mut time = |case: &str, op: &dyn LinOp<f64>, entries: usize| {
-        let secs = wall_secs_best(iters, || op.apply(&b, &mut x).unwrap());
+    let mut y = Dense::<f64>::zeros(&exec, Dim2::new(n, 1));
+    let (mut z, mut w) = (x.clone(), x.clone());
+    let [lower_secs, upper_secs, ilu_secs, spmv_secs] = best_in_turn(
+        micro_iters(rounds),
+        [
+            &mut || lower.apply(&b, &mut x).unwrap(),
+            &mut || upper.apply(&b, &mut y).unwrap(),
+            &mut || ilu.apply(&b, &mut z).unwrap(),
+            &mut || a.apply(&b, &mut w).unwrap(),
+        ],
+    );
+    let generate_secs = wall_secs_best(micro_iters(rounds / 10).max(3), || {
+        std::hint::black_box(LowerTrs::new(l.clone()).unwrap().with_unit_diagonal());
+        std::hint::black_box(UpperTrs::new(u.clone()).unwrap());
+    });
+    // ILU(0) keeps the pattern of `A`: strict `L` plus `U` hold its entries.
+    assert_eq!(l.nnz() + u.nnz(), a.nnz());
+    let cases = [
+        ("lower", lower_secs, l.nnz()),
+        ("upper", upper_secs, u.nnz()),
+        ("ilu_apply", ilu_secs, a.nnz()),
+        ("csr_spmv", spmv_secs, a.nnz()),
+        ("generate", generate_secs, a.nnz()),
+    ];
+    for (case, secs, entries) in cases {
         report.row(vec![
-            "triangular_poisson2d_60".into(),
+            format!("triangular_{}", gen.name),
             case.into(),
             fmt(secs * 1e3),
             fmt(secs * 1e9 / entries as f64),
         ]);
-        secs
-    };
-    // ILU(0) keeps the pattern of `A`: strict `L` plus `U` hold its entries.
-    assert_eq!(l.nnz() + u.nnz(), a.nnz());
-    let sweeps = time("lower", &lower, l.nnz()) + time("upper", &upper, u.nnz());
-    time("ilu_apply", &ilu, a.nnz());
-    let spmv = time("csr_spmv", &*a, a.nnz());
-    sweeps / spmv
+    }
+    (lower_secs + upper_secs) / spmv_secs
 }
 
 /// Times one batched solve of `systems` SPD tridiagonal systems of `rows`
@@ -353,7 +376,10 @@ fn main() {
     );
     bench_krylov_iterations(&mut report);
     bench_preconditioner_generation(&mut report);
-    let trs_over_csr = bench_triangular(&mut report);
+    let trs_over_csr = bench_triangular(&mut report, &poisson2d("poisson2d_60", 60, 60), 2000);
+    // The two `cold_pipeline` matrices: ILU-CG's stencil and ILU-GMRES's circuit.
+    bench_triangular(&mut report, &poisson2d("poisson2d_120", 120, 120), 500);
+    bench_triangular(&mut report, &circuit("circuit_25000", 25_000, 6, 4, 7), 100);
     // (executor, gated): the pool's wake-up cost per dispatch of a single
     // solve, not batching, sets the `omp(2)` ratios, so they are only printed.
     let mut batch_over_loop = Vec::new();

@@ -31,7 +31,10 @@ pub enum GkoError {
     Breakdown(&'static str),
     /// A matrix required by a factorization or direct solve is singular.
     Singular {
-        /// Row/column at which singularity was detected.
+        /// Row/column at which singularity was detected. A triangular solve
+        /// names the first row with a zero or missing diagonal in its sweep's
+        /// direction (top down for `LowerTrs`, bottom up for `UpperTrs`),
+        /// whatever order it visits the rows in.
         at: usize,
     },
     /// Feature not supported by this build (e.g. unknown config key).

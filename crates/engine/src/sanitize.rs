@@ -446,6 +446,127 @@ pub(crate) fn report_row_order_violation(v: &RowOrderViolation) -> ! {
 }
 
 // ---------------------------------------------------------------------------
+// Level-order validation
+// ---------------------------------------------------------------------------
+
+/// The ways a triangular solver's visit order can fail to solve each row
+/// once, from final unknowns.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LevelOrderViolation {
+    /// A row is never visited: its unknown would keep stale bits.
+    Missing {
+        /// The row.
+        row: usize,
+    },
+    /// A row is visited twice: the second visit would start from a
+    /// right-hand side that a sweep in place has overwritten.
+    Duplicate {
+        /// The row.
+        row: usize,
+    },
+    /// A visit names a row outside the factor.
+    OutOfRange {
+        /// Position of the visit in the order.
+        position: usize,
+        /// The row it names.
+        row: usize,
+        /// Rows of the factor.
+        rows: usize,
+    },
+    /// A row's span lies outside the factor's entries.
+    Span {
+        /// The row.
+        row: usize,
+        /// The span.
+        span: (usize, usize),
+        /// Entries of the factor.
+        nnz: usize,
+    },
+    /// A row is visited before a row its span reads: it would read an
+    /// unknown that is not final.
+    EarlyRead {
+        /// The row.
+        row: usize,
+        /// The row it reads too early.
+        reads: usize,
+    },
+}
+
+impl fmt::Display for LevelOrderViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LevelOrderViolation::Missing { row } => write!(f, "row {row} is never visited"),
+            LevelOrderViolation::Duplicate { row } => write!(f, "row {row} is visited twice"),
+            LevelOrderViolation::OutOfRange {
+                position,
+                row,
+                rows,
+            } => write!(
+                f,
+                "visit {position} names row {row}, outside the factor's rows 0..{rows}"
+            ),
+            LevelOrderViolation::Span { row, span, nnz } => write!(
+                f,
+                "row {row}'s span {}..{} lies outside the factor's {nnz} entries",
+                span.0, span.1
+            ),
+            LevelOrderViolation::EarlyRead { row, reads } => {
+                write!(f, "row {row} is visited before row {reads}, which its span reads")
+            }
+        }
+    }
+}
+
+/// Checks that a triangular solver's visit order, `(row, lo, hi)` per visit
+/// with `[lo, hi)` the row's strict span in `col_idxs`, visits each of the
+/// factor's `rows` exactly once and every row after all rows its span reads.
+///
+/// The sweep computes each row from the unknowns its span reads and, in
+/// place, from the right-hand side in the row's own slot: both are right only
+/// under such an order.
+pub fn verify_level_order<I: crate::base::types::Index>(
+    rows: usize,
+    col_idxs: &[I],
+    visits: &[(I, I, I)],
+) -> std::result::Result<(), LevelOrderViolation> {
+    let mut visited = vec![false; rows];
+    for (position, &(row, lo, hi)) in visits.iter().enumerate() {
+        let row = row.to_usize();
+        match visited.get(row) {
+            None => return Err(LevelOrderViolation::OutOfRange { position, row, rows }),
+            Some(true) => return Err(LevelOrderViolation::Duplicate { row }),
+            Some(false) => {}
+        }
+        let span = (lo.to_usize(), hi.to_usize());
+        let Some(cols) = col_idxs.get(span.0..span.1) else {
+            return Err(LevelOrderViolation::Span {
+                row,
+                span,
+                nnz: col_idxs.len(),
+            });
+        };
+        let early = cols.iter().map(|c| c.to_usize()).find(|&c| visited.get(c) != Some(&true));
+        if let Some(reads) = early {
+            return Err(LevelOrderViolation::EarlyRead { row, reads });
+        }
+        visited[row] = true;
+    }
+    match visited.iter().position(|&v| !v) {
+        Some(row) => Err(LevelOrderViolation::Missing { row }),
+        None => Ok(()),
+    }
+}
+
+/// Aborts the solve on a level-order violation, for the reason
+/// [`report_merge_violation`] does.
+pub(crate) fn report_level_order_violation(v: &LevelOrderViolation) -> ! {
+    // lint: allow(panic): an order that skips or repeats a row, or reads an
+    // unknown before it is final, would return a wrong solution without a
+    // sign; aborting the solve is the sanitizer's contract.
+    panic!("sanitizer: level-order validator tripped: {v}");
+}
+
+// ---------------------------------------------------------------------------
 // Per-executor sanitizer state
 // ---------------------------------------------------------------------------
 
@@ -907,6 +1028,51 @@ mod tests {
         let mut plan = clean.clone();
         plan.order_bounds.pop();
         assert!(matches!(verify_row_order(&plan), Err(RowOrderViolation::Spans { .. })));
+    }
+
+    /// Four rows, lower factor: rows 1 and 3 read rows 0 and 2, so the level
+    /// order is 0, 2 (level 0), 1, 3 (level 1). Returns the column indices and
+    /// the visits `(row, lo, hi)` of the strict spans.
+    fn level_ordered() -> (Vec<i32>, Vec<(i32, i32, i32)>) {
+        // Rows: [0], [0, 1], [2], [2, 3].
+        let col_idxs = vec![0, 0, 1, 2, 2, 3];
+        (col_idxs, vec![(0, 0, 0), (2, 3, 3), (1, 1, 2), (3, 4, 5)])
+    }
+
+    #[test]
+    fn level_orders_verify() {
+        let (ci, visits) = level_ordered();
+        assert_eq!(verify_level_order(4, &ci, &visits), Ok(()));
+        // Row order is a level order too, only a slower one.
+        let by_row = [visits[0], visits[2], visits[1], visits[3]];
+        assert_eq!(verify_level_order(4, &ci, &by_row), Ok(()));
+        assert_eq!(verify_level_order::<i32>(0, &[], &[]), Ok(()));
+    }
+
+    #[test]
+    fn level_order_violations_are_detected_and_render() {
+        let (ci, clean) = level_ordered();
+        let check = |visits: &[(i32, i32, i32)]| verify_level_order(4, &ci, visits).unwrap_err();
+        // The last row left out.
+        let v = check(&clean[..3]);
+        assert_eq!(v, LevelOrderViolation::Missing { row: 3 });
+        assert!(v.to_string().contains("never visited"), "{v}");
+        // The first row visited again in place of the last.
+        let v = check(&[clean[0], clean[1], clean[2], clean[0]]);
+        assert_eq!(v, LevelOrderViolation::Duplicate { row: 0 });
+        assert!(v.to_string().contains("twice"), "{v}");
+        // A row past the factor's end.
+        let v = check(&[clean[0], clean[1], (7, 0, 0), clean[3]]);
+        assert_eq!(v, LevelOrderViolation::OutOfRange { position: 2, row: 7, rows: 4 });
+        assert!(v.to_string().contains("outside"), "{v}");
+        // A span past the factor's entries.
+        let v = check(&[clean[0], clean[1], clean[2], (3, 4, 9)]);
+        assert_eq!(v, LevelOrderViolation::Span { row: 3, span: (4, 9), nnz: 6 });
+        assert!(v.to_string().contains("entries"), "{v}");
+        // Row 1 before row 0, which it reads.
+        let v = check(&[clean[2], clean[0], clean[1], clean[3]]);
+        assert_eq!(v, LevelOrderViolation::EarlyRead { row: 1, reads: 0 });
+        assert!(v.to_string().contains("before row 0"), "{v}");
     }
 
     #[test]

@@ -6,28 +6,42 @@
 //! iteration).
 //!
 //! **What is generated.** The constructor validates the factor's structure
-//! and walks its rows once. Per row it stores the *strict span* `[lo, hi)` of
-//! the entries left (lower) or right (upper) of the diagonal, as positions
-//! into the factor's own `col_idxs`/`values` in the matrix's index type; the
-//! reciprocal of the diagonal entry in an `f64` array of its own; and the
-//! first row in sweep order whose diagonal is zero or not stored, which every
-//! apply reports as [`GkoError::Singular`]. A full square matrix may be
-//! handed to either solver: the spans cover only the solver's half, so no
-//! apply reads the other one. The factor sits behind an `Arc` and cannot
-//! change afterwards, so nothing generated is ever invalidated. The diagonal
-//! is where it is looked for only on sorted rows, and the sweeps index `x`
-//! with the stored columns, so a matrix whose structure is corrupt (unsorted,
-//! repeated or out-of-range columns, only constructible through
-//! `Csr::from_raw_unchecked`) is refused at construction with the typed
-//! `BadInput` of [`Csr::validate`], never solved wrongly.
+//! and walks its rows once, in sweep order. Per row it finds the *strict
+//! span* of the entries left (lower) or right (upper) of the diagonal, the
+//! reciprocal of the diagonal entry, and the row's *level*: 0 for a row whose
+//! span is empty, else one more than the deepest level among the rows its
+//! span reads. It records the first row in sweep order whose diagonal is zero
+//! or not stored, which every apply reports as [`GkoError::Singular`]. One
+//! counting pass then orders the rows by level, in sweep order within a
+//! level, and stores per row in that *visit order* the row, its span (as
+//! positions, in the matrix's index type, into a copy of the spans' column
+//! indices and values laid out in the same order) and its reciprocal. A full
+//! square matrix may be handed to either solver: the spans cover only the
+//! solver's half, so no apply reads the other one. The factor sits behind an
+//! `Arc` and cannot change afterwards, so nothing generated is ever
+//! invalidated. The diagonal is where it is looked for only on sorted rows,
+//! and the sweeps index `x` with the stored columns, so a matrix whose
+//! structure is corrupt (unsorted, repeated or out-of-range columns, only
+//! constructible through `Csr::from_raw_unchecked`) is refused at
+//! construction with the typed `BadInput` of [`Csr::validate`], never solved
+//! wrongly.
 //!
 //! **Why the diagonal is inverted.** Row `r` of a sweep cannot start before
-//! `x[r - 1]` is final, so what bounds a sweep is the latency of the chain
-//! "load `x[r - 1]` -> multiply-subtract -> scale by the diagonal -> store
-//! `x[r]`", not memory traffic. A divide on that chain costs three times a
-//! multiply; with the reciprocal stored, the apply is one slice walk per row
-//! (`acc -= v * x[c]`) and one multiply. Under a unit diagonal there is no
-//! scale at all.
+//! the unknowns its span reads are final (on a stencil, `x[r - 1]`), so what
+//! bounds a sweep is the latency of the chain "load `x[r - 1]` ->
+//! multiply-subtract -> scale by the diagonal -> store `x[r]`", not memory
+//! traffic. A divide on that chain costs three times a multiply; with the
+//! reciprocal stored, the apply is one slice walk per row (`acc -= v * x[c]`)
+//! and one multiply. Under a unit diagonal there is no scale at all.
+//!
+//! **Why rows are visited in level order.** No row reads another row of its
+//! own level, so consecutive rows of the visit order are independent chains
+//! and the core overlaps them; in row order each row of a stencil waits for
+//! the one before. The copied entries let the sweep stream its data in the
+//! order it visits it; spans into the factor itself would be read a level's
+//! width apart. Every row still computes the same expression from the same
+//! final unknowns, so the order changes no bit: not of a result, not of an
+//! iteration count, not of the row a `Singular` names.
 //!
 //! **Rounding contract.** Products accumulate in `f64` in stored column
 //! order, starting from the right-hand side, exactly as the division form
@@ -44,7 +58,8 @@
 //! single chunk: the structural reason triangular solves parallelize poorly
 //! on GPUs (a point §6.2.1 makes about small Hessenberg systems). That holds
 //! for the generated solve as much as for a naive one (generation shortens
-//! the chain, it does not cut it), so the charge is unchanged.
+//! the chain and the level order overlaps it on one core; neither cuts it),
+//! so the charge is unchanged.
 
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
@@ -54,6 +69,7 @@ use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
+use crate::sanitize::{report_level_order_violation, verify_level_order};
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
@@ -69,10 +85,16 @@ enum Half {
 struct Trs<V: Value, I: Index> {
     matrix: Arc<Csr<V, I>>,
     half: Half,
-    /// Per row, the strict span `[lo, hi)` inside the factor's arrays.
-    spans: Vec<(I, I)>,
-    /// Per row, `1 / diagonal`; all ones under a unit diagonal.
+    /// Per row in visit order: the row and its strict span `[lo, hi)` in
+    /// `cols` / `vals`.
+    visits: Vec<(I, I, I)>,
+    /// Per row in visit order, `1 / diagonal`; all ones under a unit diagonal.
     inv_diag: Vec<f64>,
+    /// The strict spans' column indices and values, in visit order.
+    cols: Vec<I>,
+    vals: Vec<V>,
+    /// Levels the visit order runs through.
+    levels: usize,
     unit_diagonal: bool,
     /// First row in sweep order whose diagonal is zero or missing.
     singular: Option<usize>,
@@ -88,10 +110,18 @@ impl<V: Value, I: Index> Trs<V, I> {
         matrix.validate()?;
         let n = matrix.size().rows;
         let (rp, ci, vals) = (matrix.row_ptrs(), matrix.col_idxs(), matrix.values());
-        let mut spans = Vec::with_capacity(n);
-        let mut inv_diag = Vec::with_capacity(n);
+        // In sweep order: each row with its span and inverse diagonal; by
+        // row, its level.
+        let mut swept = Vec::with_capacity(n);
+        let mut inv_swept = Vec::with_capacity(n);
+        let mut level = vec![0usize; n];
+        let mut levels = 0;
         let mut singular = None;
-        for r in 0..n {
+        for step in 0..n {
+            let r = match half {
+                Half::Lower => step,
+                Half::Upper => n - 1 - step,
+            };
             let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
             // First entry at or right of the diagonal, found walking in over
             // the other half. On an exact factor there is no other half and
@@ -104,20 +134,61 @@ impl<V: Value, I: Index> Trs<V, I> {
             };
             let stored = split < hi && ci[split].to_usize() == r;
             let diag = if stored { vals[split].to_f64() } else { 0.0 };
-            if diag == 0.0 && (singular.is_none() || half == Half::Upper) {
+            if diag == 0.0 && singular.is_none() {
                 singular = Some(r);
             }
-            inv_diag.push(1.0 / diag);
-            spans.push(match half {
-                Half::Lower => (rp[r], I::from_usize(split)),
-                Half::Upper => (I::from_usize(split + usize::from(stored)), rp[r + 1]),
-            });
+            let (lo, hi) = match half {
+                Half::Lower => (lo, split),
+                Half::Upper => (split + usize::from(stored), hi),
+            };
+            // One level below the deepest row the span reads, all of which
+            // the sweep has passed.
+            level[r] = ci[lo..hi]
+                .iter()
+                .fold(0, |deepest, c| deepest.max(level[c.to_usize()] + 1));
+            levels = levels.max(level[r] + 1);
+            swept.push((I::from_usize(r), I::from_usize(lo), I::from_usize(hi)));
+            inv_swept.push(1.0 / diag);
+        }
+        // Counting sort by level, stable (sweep order within a level), of the
+        // rows and of their spans' entries.
+        let mut start = vec![(0usize, 0usize); levels + 1];
+        for &(r, lo, hi) in &swept {
+            let next = &mut start[level[r.to_usize()] + 1];
+            next.0 += 1;
+            next.1 += hi.to_usize() - lo.to_usize();
+        }
+        for l in 0..levels {
+            start[l + 1].0 += start[l].0;
+            start[l + 1].1 += start[l].1;
+        }
+        let entries = start[levels].1;
+        let mut visits = vec![(I::zero(), I::zero(), I::zero()); n];
+        let mut inv_diag = vec![0.0; n];
+        let mut cols = vec![I::zero(); entries];
+        let mut values = vec![V::zero(); entries];
+        for (&(r, lo, hi), &inv) in swept.iter().zip(&inv_swept) {
+            let (at, first) = &mut start[level[r.to_usize()]];
+            let span = lo.to_usize()..hi.to_usize();
+            let to = *first..*first + span.len();
+            visits[*at] = (r, I::from_usize(to.start), I::from_usize(to.end));
+            inv_diag[*at] = inv;
+            let dst = cols[to.clone()].iter_mut().zip(&mut values[to.clone()]);
+            for ((c, v), e) in dst.zip(span) {
+                *c = ci[e];
+                *v = vals[e];
+            }
+            *at += 1;
+            *first = to.end;
         }
         Ok(Trs {
             matrix,
             half,
-            spans,
+            visits,
             inv_diag,
+            cols,
+            vals: values,
+            levels,
             unit_diagonal: false,
             singular,
         })
@@ -144,16 +215,24 @@ impl<V: Value, I: Index> Trs<V, I> {
 
     /// Solves `T x = b`; with no `b`, the right-hand side is what `x` holds.
     /// Substitution is safe in place: row `r` reads `x[r]` before overwriting
-    /// it, and besides that only entries of rows the sweep has finished.
+    /// it, and besides that only entries of rows of earlier levels, which
+    /// hold final values.
     fn solve(&self, b: Option<&Dense<V>>, x: &mut Dense<V>) -> Result<()> {
         check_apply_dims::<V>(self.matrix.size(), b.unwrap_or(x), x)?;
+        let exec = self.matrix.executor();
         let _timer = OpTimer::new(
-            self.matrix.executor(),
+            exec,
             match self.half {
                 Half::Lower => "solver::LowerTrs",
                 Half::Upper => "solver::UpperTrs",
             },
         );
+        if exec.sanitizer().is_enabled() {
+            let rows = self.matrix.size().rows;
+            if let Err(v) = verify_level_order(rows, &self.cols, &self.visits) {
+                report_level_order_violation(&v);
+            }
+        }
         if let Some(at) = self.singular {
             return Err(GkoError::Singular { at });
         }
@@ -161,50 +240,58 @@ impl<V: Value, I: Index> Trs<V, I> {
             Some(bv) => self.substitute(x, |_, i| bv[i]),
             None => self.substitute(x, |xs, i| xs[i]),
         }
-        self.matrix.executor().launch(&self.work());
+        exec.launch(&self.work());
         Ok(())
     }
 
-    /// One sweep into `x`; `rhs_at(xs, i)` is element `i` of the right-hand
-    /// side, given the current `x`.
+    /// One sweep into `x` in visit order; `rhs_at(xs, i)` is element `i` of
+    /// the right-hand side, given the current `x`.
     fn substitute(&self, x: &mut Dense<V>, rhs_at: impl Fn(&[V], usize) -> V) {
-        let n = self.spans.len();
         let k = x.size().cols;
-        let inv = self.inv_diag.as_slice();
+        let (cols, vals) = (self.cols.as_slice(), self.vals.as_slice());
+        let rows = self.visits.iter().zip(&self.inv_diag);
         let xs = x.as_mut_slice();
-        // Sweep order: a select per row, off the dependent chain.
-        let upwards = self.half == Half::Upper;
-        let rows = (0..n).map(|step| if upwards { n - 1 - step } else { step });
         if k != 1 {
-            for r in rows {
+            for (&(r, lo, hi), &inv) in rows {
+                let (r, span) = (r.to_usize(), lo.to_usize()..hi.to_usize());
+                let (cols, vals) = (&cols[span.clone()], &vals[span]);
                 for c in 0..k {
-                    let acc = self.eliminate(xs, rhs_at(xs, r * k + c), r, k, c);
-                    xs[r * k + c] = V::from_f64(acc * inv[r]);
+                    let acc = eliminate(xs, rhs_at(xs, r * k + c), cols, vals, k, c);
+                    xs[r * k + c] = V::from_f64(acc * inv);
                 }
             }
         } else if self.unit_diagonal {
-            for r in rows {
-                xs[r] = V::from_f64(self.eliminate(xs, rhs_at(xs, r), r, 1, 0));
+            for &(r, lo, hi) in &self.visits {
+                let (r, span) = (r.to_usize(), lo.to_usize()..hi.to_usize());
+                let acc = eliminate(xs, rhs_at(xs, r), &cols[span.clone()], &vals[span], 1, 0);
+                xs[r] = V::from_f64(acc);
             }
         } else {
-            for r in rows {
-                xs[r] = V::from_f64(self.eliminate(xs, rhs_at(xs, r), r, 1, 0) * inv[r]);
+            for (&(r, lo, hi), &inv) in rows {
+                let (r, span) = (r.to_usize(), lo.to_usize()..hi.to_usize());
+                let acc = eliminate(xs, rhs_at(xs, r), &cols[span.clone()], &vals[span], 1, 0);
+                xs[r] = V::from_f64(acc * inv);
             }
         }
     }
+}
 
-    /// `rhs - sum` over row `r`'s strict span, for column `c` of `k`.
-    #[inline(always)]
-    fn eliminate(&self, xs: &[V], rhs: V, r: usize, k: usize, c: usize) -> f64 {
-        let (lo, hi) = self.spans[r];
-        let span = lo.to_usize()..hi.to_usize();
-        let (cols, vals) = (&self.matrix.col_idxs()[span.clone()], &self.matrix.values()[span]);
-        let mut acc = rhs.to_f64();
-        for (v, col) in vals.iter().zip(cols) {
-            acc -= v.to_f64() * xs[col.to_usize() * k + c].to_f64();
-        }
-        acc
+/// `rhs - sum` over one row's strict span (`cols`, `vals`), for column `c`
+/// of `k`.
+#[inline(always)]
+fn eliminate<V: Value, I: Index>(
+    xs: &[V],
+    rhs: V,
+    cols: &[I],
+    vals: &[V],
+    k: usize,
+    c: usize,
+) -> f64 {
+    let mut acc = rhs.to_f64();
+    for (v, col) in vals.iter().zip(cols) {
+        acc -= v.to_f64() * xs[col.to_usize() * k + c].to_f64();
     }
+    acc
 }
 
 /// Solves `L x = b` for lower-triangular `L`.
@@ -226,6 +313,12 @@ impl<V: Value, I: Index> LowerTrs<V, I> {
         LowerTrs {
             inner: self.inner.with_unit_diagonal(),
         }
+    }
+
+    /// Levels of the generated visit order (module docs): as many as rows on
+    /// a chain, the longest path of dependencies plus one in general.
+    pub fn levels(&self) -> usize {
+        self.inner.levels
     }
 }
 
@@ -263,6 +356,11 @@ impl<V: Value, I: Index> UpperTrs<V, I> {
         UpperTrs {
             inner: self.inner.with_unit_diagonal(),
         }
+    }
+
+    /// Levels of the generated visit order (module docs).
+    pub fn levels(&self) -> usize {
+        self.inner.levels
     }
 
     /// Solves `U x = x` in place: the second sweep of `Ilu` and `Ic`, whose
@@ -380,6 +478,50 @@ mod tests {
         for (a, b) in x.to_host_vec().iter().zip(x_true.to_host_vec()) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// `x[i]` reads `x[i - 1]` and `x[i - 7]` below the diagonal and the
+    /// mirror entries above it.
+    fn two_chains(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
+        let mut t = vec![];
+        for i in 0..n {
+            t.push((i, i, 4.0));
+            for j in [i.wrapping_sub(1), i.wrapping_sub(7), i + 1, i + 7] {
+                if j < n {
+                    t.push((i, j, -0.5));
+                }
+            }
+        }
+        Arc::new(Csr::from_triplets(exec, Dim2::square(n), &t).unwrap())
+    }
+
+    #[test]
+    fn generated_orders_are_level_orders_and_armed_solves_check_them() {
+        let exec = Executor::reference();
+        exec.enable_sanitizer();
+        let n = 40;
+        let a = two_chains(&exec, n);
+        let b = Dense::<f64>::vector(&exec, n, 1.0);
+        let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
+        for half in [Half::Lower, Half::Upper] {
+            let trs = Trs::new(a.clone(), half).unwrap();
+            // The chain through `i - 1` is the longest path.
+            assert_eq!(trs.levels, n, "{half:?}");
+            assert_eq!(verify_level_order(n, &trs.cols, &trs.visits), Ok(()));
+            trs.solve(Some(&b), &mut x).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "level-order validator tripped")]
+    fn an_armed_solve_refuses_a_corrupt_order() {
+        let exec = Executor::reference();
+        exec.enable_sanitizer();
+        let a = two_chains(&exec, 12);
+        let mut trs = Trs::new(a, Half::Lower).unwrap();
+        trs.visits.swap(3, 4);
+        let b = Dense::<f64>::vector(&exec, 12, 1.0);
+        let _ = trs.solve(Some(&b), &mut Dense::zeros(&exec, Dim2::new(12, 1)));
     }
 
     #[test]

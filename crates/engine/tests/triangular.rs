@@ -494,6 +494,27 @@ where
     }
 }
 
+/// The pins above hold whatever order the sweeps visit rows in; this checks
+/// that it is the level order. On a stencil rows of one level are
+/// independent, so there are fewer levels than rows (an `nx x ny` grid's
+/// ILU(0) factors have `nx + ny - 1`); on a chain every row waits for the
+/// one before, so there are as many.
+#[test]
+fn sweeps_run_in_level_order() {
+    let exec = Executor::reference();
+    let [stencil, .., chain] = pinned_matrices();
+    let (nx, ny) = (37, 23);
+    let chain_rows = chain.rows;
+    for (gen, levels) in [(stencil, nx + ny - 1), (chain, chain_rows)] {
+        let dim = Dim2::new(gen.rows, gen.cols);
+        let a = Csr::<f64, i32>::from_triplets(&exec, dim, &gen.triplets).unwrap();
+        let (l, u) = ilu0(&a).unwrap();
+        let lower = LowerTrs::new(Arc::new(l)).unwrap().with_unit_diagonal();
+        let upper = UpperTrs::new(Arc::new(u)).unwrap();
+        assert_eq!((lower.levels(), upper.levels()), (levels, levels), "{}", gen.name);
+    }
+}
+
 #[test]
 fn every_sweep_equals_the_generated_form_in_row_order_bit_for_bit() {
     sweeps_match_the_generated_form::<Half, i32>();
@@ -548,8 +569,9 @@ fn singular_diagonals_are_reported_at_the_first_row_in_sweep_order() {
     }
 }
 
-/// Generation finds a row's strict span with a binary search, which is only
-/// right on a sorted row. Such a row cannot come out of a checked constructor;
+/// Generation finds a row's strict span by walking in over the other half
+/// from the row's end (lower) or start (upper), which is only right on a
+/// sorted row. Such a row cannot come out of a checked constructor;
 /// one built through `from_raw_unchecked` is refused with a typed error at
 /// construction instead of being solved wrongly (or, with a column out of
 /// range, panicking in the sweep).
