@@ -12,10 +12,11 @@
 //! span is empty, else one more than the deepest level among the rows its
 //! span reads. It records the first row in sweep order whose diagonal is zero
 //! or not stored, which every apply reports as [`GkoError::Singular`]. One
-//! counting pass then orders the rows by level, in sweep order within a
-//! level, and stores per row in that *visit order* the row, its span (as
-//! positions, in the matrix's index type, into a copy of the spans' column
-//! indices and values laid out in the same order) and its reciprocal. A full
+//! counting pass then orders the rows by level, inside a level by span length
+//! (`LENGTH_GROUPS`), in sweep order within that, and stores per row in that
+//! *visit order* the row, its span (as positions, in the matrix's index type,
+//! into a copy of the spans' column indices and values laid out in the same
+//! order) and its reciprocal. A full
 //! square matrix may be handed to either solver: the spans cover only the
 //! solver's half, so no apply reads the other one. The factor sits behind an
 //! `Arc` and cannot change afterwards, so nothing generated is ever
@@ -37,9 +38,12 @@
 //! **Why rows are visited in level order.** No row reads another row of its
 //! own level, so consecutive rows of the visit order are independent chains
 //! and the core overlaps them; in row order each row of a stencil waits for
-//! the one before. The copied entries let the sweep stream its data in the
-//! order it visits it; spans into the factor itself would be read a level's
-//! width apart. Every row still computes the same expression from the same
+//! the one before. Rows of one span length in a row run the entry loop
+//! equally often, so its exit is predicted: on short rows of random length a
+//! mispredicted exit per row cost more than the row's arithmetic. The copied
+//! entries let the sweep stream its data in the order it visits it; spans
+//! into the factor itself would be read a level's width apart. Every row
+//! still computes the same expression from the same
 //! final unknowns, so the order changes no bit: not of a result, not of an
 //! iteration count, not of the row a `Singular` names.
 //!
@@ -79,6 +83,12 @@ enum Half {
     Lower,
     Upper,
 }
+
+/// Span lengths the rows of a level are grouped by. Rows of one length run
+/// the entry loop equally often, so its exit is predicted; spans of
+/// `LENGTH_GROUPS - 1` entries or more share the last group, where a
+/// mispredicted exit is spread over that many entries.
+const LENGTH_GROUPS: usize = 16;
 
 /// Shared implementation of the two triangular solvers: the factor and what
 /// was generated from it (module docs).
@@ -150,25 +160,31 @@ impl<V: Value, I: Index> Trs<V, I> {
             swept.push((I::from_usize(r), I::from_usize(lo), I::from_usize(hi)));
             inv_swept.push(1.0 / diag);
         }
-        // Counting sort by level, stable (sweep order within a level), of the
-        // rows and of their spans' entries.
-        let mut start = vec![(0usize, 0usize); levels + 1];
-        for &(r, lo, hi) in &swept {
-            let next = &mut start[level[r.to_usize()] + 1];
+        // Counting sort of the rows and of their spans' entries by level, and
+        // inside a level by span length; stable, so sweep order within a
+        // group.
+        let group = |&(r, lo, hi): &(I, I, I)| {
+            let len = hi.to_usize() - lo.to_usize();
+            level[r.to_usize()] * LENGTH_GROUPS + len.min(LENGTH_GROUPS - 1)
+        };
+        let groups = levels * LENGTH_GROUPS;
+        let mut start = vec![(0usize, 0usize); groups + 1];
+        for visit @ &(_, lo, hi) in &swept {
+            let next = &mut start[group(visit) + 1];
             next.0 += 1;
             next.1 += hi.to_usize() - lo.to_usize();
         }
-        for l in 0..levels {
-            start[l + 1].0 += start[l].0;
-            start[l + 1].1 += start[l].1;
+        for g in 0..groups {
+            start[g + 1].0 += start[g].0;
+            start[g + 1].1 += start[g].1;
         }
-        let entries = start[levels].1;
+        let entries = start[groups].1;
         let mut visits = vec![(I::zero(), I::zero(), I::zero()); n];
         let mut inv_diag = vec![0.0; n];
         let mut cols = vec![I::zero(); entries];
         let mut values = vec![V::zero(); entries];
-        for (&(r, lo, hi), &inv) in swept.iter().zip(&inv_swept) {
-            let (at, first) = &mut start[level[r.to_usize()]];
+        for (visit @ &(r, lo, hi), &inv) in swept.iter().zip(&inv_swept) {
+            let (at, first) = &mut start[group(visit)];
             let span = lo.to_usize()..hi.to_usize();
             let to = *first..*first + span.len();
             visits[*at] = (r, I::from_usize(to.start), I::from_usize(to.end));
