@@ -473,13 +473,13 @@ pub enum LevelOrderViolation {
         /// Rows of the factor.
         rows: usize,
     },
-    /// A row's span lies outside the factor's entries.
+    /// A row's span lies outside the column indices.
     Span {
         /// The row.
         row: usize,
         /// The span.
         span: (usize, usize),
-        /// Entries of the factor.
+        /// Column indices there are.
         nnz: usize,
     },
     /// A row is visited before a row its span reads: it would read an
@@ -507,7 +507,7 @@ impl fmt::Display for LevelOrderViolation {
             ),
             LevelOrderViolation::Span { row, span, nnz } => write!(
                 f,
-                "row {row}'s span {}..{} lies outside the factor's {nnz} entries",
+                "row {row}'s span {}..{} lies outside the {nnz} column indices",
                 span.0, span.1
             ),
             LevelOrderViolation::EarlyRead { row, reads } => {
@@ -1043,7 +1043,7 @@ mod tests {
     fn level_orders_verify() {
         let (ci, visits) = level_ordered();
         assert_eq!(verify_level_order(4, &ci, &visits), Ok(()));
-        // Row order is a level order too, only a slower one.
+        // Row order passes too: each row comes after every row it reads.
         let by_row = [visits[0], visits[2], visits[1], visits[3]];
         assert_eq!(verify_level_order(4, &ci, &by_row), Ok(()));
         assert_eq!(verify_level_order::<i32>(0, &[], &[]), Ok(()));
@@ -1068,7 +1068,7 @@ mod tests {
         // A span past the factor's entries.
         let v = check(&[clean[0], clean[1], clean[2], (3, 4, 9)]);
         assert_eq!(v, LevelOrderViolation::Span { row: 3, span: (4, 9), nnz: 6 });
-        assert!(v.to_string().contains("entries"), "{v}");
+        assert!(v.to_string().contains("column indices"), "{v}");
         // Row 1 before row 0, which it reads.
         let v = check(&[clean[2], clean[0], clean[1], clean[3]]);
         assert_eq!(v, LevelOrderViolation::EarlyRead { row: 1, reads: 0 });

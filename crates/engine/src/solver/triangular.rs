@@ -43,9 +43,9 @@
 //! mispredicted exit per row cost more than the row's arithmetic. The copied
 //! entries let the sweep stream its data in the order it visits it; spans
 //! into the factor itself would be read a level's width apart. Every row
-//! still computes the same expression from the same
-//! final unknowns, so the order changes no bit: not of a result, not of an
-//! iteration count, not of the row a `Singular` names.
+//! still computes the same expression from the same final unknowns, so the
+//! order changes no bit: not of a result, not of an iteration count, not of
+//! the row a `Singular` names.
 //!
 //! **Rounding contract.** Products accumulate in `f64` in stored column
 //! order, starting from the right-hand side, exactly as the division form
