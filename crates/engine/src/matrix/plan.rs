@@ -865,6 +865,51 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let byte = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        words
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| w.to_le_bytes().iter().fold(h, byte))
+    }
+
+    /// The exact row orders the plans of `tests/spmv_bits.rs`'s irregular
+    /// family visit (9 001 rows of seeded length 1..=12, one rail of 400).
+    /// Bits alone cannot pin an order, and the order is the performance.
+    #[test]
+    fn irregular_row_orders_are_pinned() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut lens: Vec<usize> = (0..9_001)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                1 + (state >> 33) as usize % 12
+            })
+            .collect();
+        lens[1_234] = 400;
+        let rp = rp(&lens);
+        let pinned = [
+            (SpmvStrategy::Classical, 1, 0x1d1d_2a66_bbf1_30a2),
+            (SpmvStrategy::Classical, 2, 0xa2d5_89c6_01bc_453f),
+            (SpmvStrategy::Classical, 7, 0xfc7a_5bde_b1f1_1461),
+            (SpmvStrategy::LoadBalance, 1, 0x9590_cbfe_4709_9f34),
+            (SpmvStrategy::LoadBalance, 2, 0x3113_cd56_e186_6091),
+            (SpmvStrategy::LoadBalance, 7, 0x50d2_af78_2ca6_ca71),
+            (SpmvStrategy::MergePath, 1, 0x9590_cbfe_4709_9f34),
+            (SpmvStrategy::MergePath, 2, 0x15e1_810d_5899_2a54),
+            (SpmvStrategy::MergePath, 7, 0xeade_531b_64e5_5ada),
+        ];
+        for (strategy, workers, want) in pinned {
+            let plan = build_plan(&Executor::omp(workers), strategy, lens.len(), &rp, 8);
+            let order = plan.row_order.iter().map(|&r| u64::from(r));
+            let bounds = plan.order_bounds.iter().map(|&b| b as u64);
+            let got = fnv1a(order.chain(bounds));
+            assert!(plan.ordered_rows() > 0, "{strategy:?} on {workers} workers");
+            assert_eq!(got, want, "{strategy:?} on {workers} workers");
+        }
+    }
+
     #[test]
     fn merge_segments_partition_all_nnz() {
         // One dense row inside light rows.

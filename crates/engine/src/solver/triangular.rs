@@ -540,6 +540,51 @@ mod tests {
         let _ = trs.solve(Some(&b), &mut Dense::zeros(&exec, Dim2::new(12, 1)));
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let byte = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        words
+            .into_iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| w.to_le_bytes().iter().fold(h, byte))
+    }
+
+    /// The exact visit orders (rows, spans, copied columns and level count)
+    /// generated for ILU(0) and IC(0) of `tests/triangular.rs`'s stencil and
+    /// circuit. Bits alone cannot pin an order, and the order is the
+    /// performance.
+    #[test]
+    fn factor_visit_orders_are_pinned() {
+        use crate::factorization::{ic0, ilu0};
+        use pygko_matgen::generators::{circuit, poisson2d};
+        let exec = Executor::reference();
+        let matrices = [
+            (
+                poisson2d("poisson2d_37x23", 37, 23),
+                [0x3b39_caf1_7a00_8809, 0xcd36_1709_9cd8_53df, 0x3b39_caf1_7a00_8809, 0xcd36_1709_9cd8_53df],
+            ),
+            (
+                circuit("circuit_3000", 3000, 6, 4, 0x7215_0150_1DE5_0001),
+                [0x0053_850b_c147_514e, 0xfc02_d593_9202_9dab, 0x0053_850b_c147_514e, 0x0655_4c58_83c9_4616],
+            ),
+        ];
+        for (gen, want) in matrices {
+            let dim = Dim2::new(gen.rows, gen.cols);
+            let a = Csr::<f64, i32>::from_triplets(&exec, dim, &gen.triplets).unwrap();
+            let (l, u) = ilu0(&a).unwrap();
+            let c = ic0(&a).unwrap();
+            let ct = c.transpose();
+            let factors = [(l, Half::Lower), (u, Half::Upper), (c, Half::Lower), (ct, Half::Upper)];
+            for ((factor, half), want) in factors.into_iter().zip(want) {
+                let trs = Trs::new(Arc::new(factor), half).unwrap();
+                let word = |i: i32| i as u64;
+                let visits = trs.visits.iter().flat_map(|&(r, lo, hi)| [r, lo, hi].map(word));
+                let cols = trs.cols.iter().map(|&c| word(c));
+                let got = fnv1a(visits.chain(cols).chain([trs.levels as u64]));
+                assert_eq!(got, want, "{} {half:?}", gen.name);
+            }
+        }
+    }
+
     #[test]
     fn triangular_solve_is_one_sequential_chunk() {
         let exec = Executor::cuda(0);
