@@ -47,7 +47,8 @@ fn is_atomic_type(ty: &str) -> bool {
     while let Some(pos) = ty[i..].find("Atomic") {
         let at = i + pos;
         i = at + 6;
-        let before_ok = at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
+        let before_ok =
+            at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
         if before_ok {
             return true;
         }
@@ -145,7 +146,14 @@ pub fn collect_atomics(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<Atomi
     }
     for st in &ws.statics {
         push_decl(
-            st.file, st.line, None, &st.name, &st.ty, &st.atomic_role, st.in_test, diags,
+            st.file,
+            st.line,
+            None,
+            &st.name,
+            &st.ty,
+            &st.atomic_role,
+            st.in_test,
+            diags,
         );
     }
     decls
@@ -260,9 +268,7 @@ pub fn check_atomic_ordering(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                         });
                     }
                     "flag"
-                        if *is_store
-                            && orderings.iter().any(|o| o == "Relaxed")
-                            && !allowed() =>
+                        if *is_store && orderings.iter().any(|o| o == "Relaxed") && !allowed() =>
                     {
                         diags.push(Diagnostic {
                             path: ws.files[f.file].path.clone(),

@@ -62,24 +62,157 @@ pub struct CallGraph {
 /// every same-named impl in the workspace would drown the analysis in false
 /// edges. Calls through them are treated as opaque.
 const METHOD_DENY_LIST: &[&str] = &[
-    "new", "default", "len", "is_empty", "get", "get_mut", "push", "pop", "insert", "remove",
-    "clone", "iter", "iter_mut", "into_iter", "next", "map", "and_then", "unwrap_or",
-    "unwrap_or_else", "unwrap_or_default", "ok_or", "ok_or_else", "fmt", "to_string", "as_ref",
-    "as_mut", "as_str", "as_slice", "as_bytes", "lock", "read", "write", "load", "store", "swap",
-    "fetch_add", "fetch_sub", "fetch_or", "fetch_and", "fetch_max", "fetch_min", "fetch_update",
-    "compare_exchange", "compare_exchange_weak", "drain", "extend", "contains", "contains_key",
-    "clear", "with", "min", "max", "abs", "sqrt", "collect", "filter", "fold", "sum", "rev",
-    "zip", "enumerate", "take", "skip", "chain", "flat_map", "flatten", "any", "all", "find",
-    "position", "count", "sort", "sort_by", "sort_by_key", "split_at", "chunks", "windows",
-    "join", "split", "trim", "starts_with", "ends_with", "parse", "from", "into", "try_into",
-    "eq", "cmp", "partial_cmp", "hash", "send", "recv", "wait", "notify_one", "notify_all",
-    "is_some", "is_none", "is_ok", "is_err", "ok", "err", "expect", "unwrap", "take_while",
-    "copied", "cloned", "entry", "or_insert_with", "keys", "values", "last", "first", "resize",
-    "reserve", "truncate", "to_vec", "to_owned", "into_inner", "get_or_insert_with", "replace",
-    "finish", "write_str", "write_fmt", "push_str", "floor", "ceil", "round", "powi", "powf",
-    "exp", "ln", "log2", "saturating_sub", "saturating_add", "wrapping_add", "wrapping_sub",
-    "checked_add", "checked_sub", "checked_mul", "min_by_key", "max_by_key", "retain",
-    "snapshot", "state", "stats", "name", "reset", "init", "run", "get_ref", "handle",
+    "new",
+    "default",
+    "len",
+    "is_empty",
+    "get",
+    "get_mut",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "clone",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "map",
+    "and_then",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "ok_or",
+    "ok_or_else",
+    "fmt",
+    "to_string",
+    "as_ref",
+    "as_mut",
+    "as_str",
+    "as_slice",
+    "as_bytes",
+    "lock",
+    "read",
+    "write",
+    "load",
+    "store",
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "fetch_max",
+    "fetch_min",
+    "fetch_update",
+    "compare_exchange",
+    "compare_exchange_weak",
+    "drain",
+    "extend",
+    "contains",
+    "contains_key",
+    "clear",
+    "with",
+    "min",
+    "max",
+    "abs",
+    "sqrt",
+    "collect",
+    "filter",
+    "fold",
+    "sum",
+    "rev",
+    "zip",
+    "enumerate",
+    "take",
+    "skip",
+    "chain",
+    "flat_map",
+    "flatten",
+    "any",
+    "all",
+    "find",
+    "position",
+    "count",
+    "sort",
+    "sort_by",
+    "sort_by_key",
+    "split_at",
+    "chunks",
+    "windows",
+    "join",
+    "split",
+    "trim",
+    "starts_with",
+    "ends_with",
+    "parse",
+    "from",
+    "into",
+    "try_into",
+    "eq",
+    "cmp",
+    "partial_cmp",
+    "hash",
+    "send",
+    "recv",
+    "wait",
+    "notify_one",
+    "notify_all",
+    "is_some",
+    "is_none",
+    "is_ok",
+    "is_err",
+    "ok",
+    "err",
+    "expect",
+    "unwrap",
+    "take_while",
+    "copied",
+    "cloned",
+    "entry",
+    "or_insert_with",
+    "keys",
+    "values",
+    "last",
+    "first",
+    "resize",
+    "reserve",
+    "truncate",
+    "to_vec",
+    "to_owned",
+    "into_inner",
+    "get_or_insert_with",
+    "replace",
+    "finish",
+    "write_str",
+    "write_fmt",
+    "push_str",
+    "floor",
+    "ceil",
+    "round",
+    "powi",
+    "powf",
+    "exp",
+    "ln",
+    "log2",
+    "saturating_sub",
+    "saturating_add",
+    "wrapping_add",
+    "wrapping_sub",
+    "checked_add",
+    "checked_sub",
+    "checked_mul",
+    "min_by_key",
+    "max_by_key",
+    "retain",
+    "snapshot",
+    "state",
+    "stats",
+    "name",
+    "reset",
+    "init",
+    "run",
+    "get_ref",
+    "handle",
 ];
 
 impl CallGraph {
@@ -162,7 +295,8 @@ fn classify_site(full: &str, start: usize) -> Option<CallKind> {
     }
     if let Some(prev) = before.strip_suffix('.') {
         let recv = prev.trim_end();
-        if recv.ends_with("self") && !recv[..recv.len() - 4].ends_with(|c: char| is_ident_byte(c as u8) || c == '.')
+        if recv.ends_with("self")
+            && !recv[..recv.len() - 4].ends_with(|c: char| is_ident_byte(c as u8) || c == '.')
         {
             return Some(CallKind::SelfMethod);
         }
@@ -500,7 +634,10 @@ mod tests {
     fn cross_module_free_call_resolves() {
         let w = ws(&[
             ("crates/engine/src/a.rs", "pub fn caller() { helper(1); }\n"),
-            ("crates/engine/src/b.rs", "pub fn helper(x: u32) -> u32 { x }\n"),
+            (
+                "crates/engine/src/b.rs",
+                "pub fn helper(x: u32) -> u32 { x }\n",
+            ),
         ]);
         let g = CallGraph::build(&w);
         let caller = fn_id(&w, "caller");
@@ -566,7 +703,10 @@ mod tests {
         ]);
         let g = CallGraph::build(&w);
         let drive = fn_id(&w, "drive");
-        let apply = g.calls[drive].iter().find(|c| c.name == "apply_stage").unwrap();
+        let apply = g.calls[drive]
+            .iter()
+            .find(|c| c.name == "apply_stage")
+            .unwrap();
         assert_eq!(apply.targets.len(), 1);
         let len = g.calls[drive].iter().find(|c| c.name == "len").unwrap();
         assert!(len.targets.is_empty(), "deny-listed name stays opaque");

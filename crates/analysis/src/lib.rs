@@ -269,7 +269,12 @@ fn has_safety_argument(parsed: &LintSource, unsafe_line: usize) -> bool {
         if comment_is_safety(parsed, line) {
             return true;
         }
-        if masked.doc && masked.comment.as_deref().is_some_and(|c| c.contains("# Safety")) {
+        if masked.doc
+            && masked
+                .comment
+                .as_deref()
+                .is_some_and(|c| c.contains("# Safety"))
+        {
             return true;
         }
         let is_comment_only = code.is_empty() && masked.comment.is_some();
@@ -356,9 +361,14 @@ fn check_instrumentation(rel_path: &str, parsed: &LintSource, diags: &mut Vec<Di
             .any(|name| name != &f.name.as_str() && calls(&f.body, name));
         // Delegation to another object's `apply` family: that callee is
         // itself an entry point checked wherever it is defined.
-        let delegates_apply = [".apply(", ".apply_advanced(", ".apply_batch(", ".spmv_into("]
-            .iter()
-            .any(|p| f.body.contains(p));
+        let delegates_apply = [
+            ".apply(",
+            ".apply_advanced(",
+            ".apply_batch(",
+            ".spmv_into(",
+        ]
+        .iter()
+        .any(|p| f.body.contains(p));
         if !(directly || delegates_sibling || delegates_apply) {
             push_unless_allowed(
                 diags,
@@ -381,7 +391,10 @@ fn check_instrumentation(rel_path: &str, parsed: &LintSource, diags: &mut Vec<Di
 /// observation layers.
 fn check_forbidden_api(rel_path: &str, parsed: &LintSource, diags: &mut Vec<Diagnostic>) {
     const FORBIDDEN: &[(&str, &str)] = &[
-        ("std::process", "process control belongs in bench/analysis binaries"),
+        (
+            "std::process",
+            "process control belongs in bench/analysis binaries",
+        ),
         ("Instant::now", "wall-clock read outside log/metrics/bench"),
         ("SystemTime", "wall-clock read outside log/metrics/bench"),
     ];
@@ -512,8 +525,12 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
 /// Deterministic global order: path, then line, then rule, then message.
 pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule, a.message.as_str())
-            .cmp(&(b.path.as_str(), b.line, b.rule, b.message.as_str()))
+        (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
+            b.path.as_str(),
+            b.line,
+            b.rule,
+            b.message.as_str(),
+        ))
     });
 }
 

@@ -164,7 +164,14 @@ pub fn collect_locks(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<LockDec
     }
     for st in &ws.statics {
         push_decl(
-            st.file, st.line, None, &st.name, &st.ty, &st.lock_name, st.in_test, diags,
+            st.file,
+            st.line,
+            None,
+            &st.name,
+            &st.ty,
+            &st.lock_name,
+            st.in_test,
+            diags,
         );
     }
     // Duplicate names would merge unrelated locks into one graph node.
@@ -454,10 +461,7 @@ fn hold_region_end(full: &str, body_start: usize, body_end: usize, site: usize) 
             .unwrap_or(rest.len());
         let ident = &rest[..end];
         let after = rest[end..].trim_start();
-        if !ident.is_empty()
-            && ident != "_"
-            && (after.starts_with('=') || after.starts_with(':'))
-        {
+        if !ident.is_empty() && ident != "_" && (after.starts_with('=') || after.starts_with(':')) {
             Some(ident.to_string())
         } else {
             None
@@ -490,9 +494,9 @@ fn hold_region_end(full: &str, body_start: usize, body_end: usize, site: usize) 
     // Temporary: held to the end of the statement — the next `;` at this
     // nesting level, or (for `if let`/`while let`/`match` heads) the close
     // of the first block the construct opens.
-    let head_is_block_expr = ["if", "while", "match", "for"]
-        .iter()
-        .any(|kw| head == *kw || head.starts_with(&format!("{kw} ")) || head.starts_with(&format!("{kw}(")));
+    let head_is_block_expr = ["if", "while", "match", "for"].iter().any(|kw| {
+        head == *kw || head.starts_with(&format!("{kw} ")) || head.starts_with(&format!("{kw}("))
+    });
     let mut depth = 0isize;
     let mut entered_block = false;
     let mut k = site;
@@ -899,7 +903,11 @@ mod tests {
         assert_eq!(cycle.len(), 1, "{diags:?}");
         assert!(cycle[0].message.contains("s.a"));
         assert!(cycle[0].message.contains("s.b"));
-        assert!(cycle[0].message.contains("acquisition chain"), "{}", cycle[0].message);
+        assert!(
+            cycle[0].message.contains("acquisition chain"),
+            "{}",
+            cycle[0].message
+        );
         assert!(cycle[0].message.contains(":"), "witness has file:line");
     }
 

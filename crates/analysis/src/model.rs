@@ -312,11 +312,7 @@ fn annotation(src: &LintSource, line: usize, key: &str) -> Option<String> {
         };
         let trimmed = comment.trim_start();
         if let Some(rest) = trimmed.strip_prefix(key) {
-            let token = rest
-                .split_whitespace()
-                .next()
-                .unwrap_or("")
-                .to_string();
+            let token = rest.split_whitespace().next().unwrap_or("").to_string();
             return Some(token);
         }
     }
@@ -484,7 +480,10 @@ fn base_type_name(ty: &str) -> Option<String> {
         .trim_start_matches("dyn ")
         .trim();
     let before_generics = t.split('<').next().unwrap_or(t).trim();
-    let seg = before_generics.rsplit("::").next().unwrap_or(before_generics);
+    let seg = before_generics
+        .rsplit("::")
+        .next()
+        .unwrap_or(before_generics);
     let seg: String = seg
         .chars()
         .take_while(|c| c.is_alphanumeric() || *c == '_')
@@ -496,12 +495,7 @@ fn base_type_name(ty: &str) -> Option<String> {
     }
 }
 
-fn parse_struct(
-    file_idx: usize,
-    src: &LintSource,
-    full: &str,
-    at: usize,
-) -> Option<StructInfo> {
+fn parse_struct(file_idx: usize, src: &LintSource, full: &str, at: usize) -> Option<StructInfo> {
     let bytes = full.as_bytes();
     let mut j = skip_ws(bytes, at + 6);
     let (name, after) = read_ident(full, j);
@@ -532,7 +526,10 @@ fn parse_struct(
         }
     } else if j < bytes.len() && bytes[j] == b'(' {
         let end = match_delim(bytes, j, b')', b'(');
-        for (idx, (fstart, field_text)) in split_top_level(full, j + 1, end, b',').into_iter().enumerate() {
+        for (idx, (fstart, field_text)) in split_top_level(full, j + 1, end, b',')
+            .into_iter()
+            .enumerate()
+        {
             let ty = strip_visibility(field_text.trim()).to_string();
             if ty.is_empty() {
                 continue;
@@ -586,7 +583,10 @@ fn split_top_level(full: &str, start: usize, end: usize, sep: u8) -> Vec<(usize,
         k += 1;
     }
     if piece_start < end.min(bytes.len()) {
-        out.push((piece_start, full[piece_start..end.min(bytes.len())].to_string()));
+        out.push((
+            piece_start,
+            full[piece_start..end.min(bytes.len())].to_string(),
+        ));
     }
     out
 }
@@ -731,6 +731,9 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         let full = w.files[0].source.full_code();
         let deep_at = full.find("deep").unwrap();
-        assert_eq!(w.function_at(0, deep_at), Some(w.functions.iter().position(|f| f.name == "inner").unwrap()));
+        assert_eq!(
+            w.function_at(0, deep_at),
+            Some(w.functions.iter().position(|f| f.name == "inner").unwrap())
+        );
     }
 }

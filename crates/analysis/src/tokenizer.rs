@@ -212,7 +212,10 @@ impl LintSource {
 
     /// Byte offset of a 0-based line's start within [`full_code`](Self::full_code).
     pub fn line_start(&self, line: usize) -> usize {
-        self.line_starts.get(line).copied().unwrap_or(self.full.len())
+        self.line_starts
+            .get(line)
+            .copied()
+            .unwrap_or(self.full.len())
     }
 }
 

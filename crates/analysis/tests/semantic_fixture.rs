@@ -141,10 +141,7 @@ pub fn drain(store: &crate::store::Store) {
 "#,
     ));
     let diags = lint_sources(&files);
-    let cycle: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == RULE_LOCK_ORDER)
-        .collect();
+    let cycle: Vec<_> = diags.iter().filter(|d| d.rule == RULE_LOCK_ORDER).collect();
     assert!(
         cycle.iter().any(|d| d.message.contains("lock-order cycle")
             && d.message.contains("store.slot")
@@ -167,7 +164,10 @@ fn clean_fixture_has_no_semantic_diagnostics() {
                 || d.rule == RULE_PANIC_REACH
         })
         .collect();
-    assert!(semantic.is_empty(), "expected clean fixture, got: {semantic:?}");
+    assert!(
+        semantic.is_empty(),
+        "expected clean fixture, got: {semantic:?}"
+    );
 }
 
 #[test]

@@ -67,8 +67,7 @@ impl<V: Value, I: Index> CupyCsr<V, I> {
                 // paper measures CuPy 3-4x behind on typical sparse rows).
                 let padded = nnz.div_ceil(warp).max(1) * warp;
                 w.absorb(&ChunkWork::new(
-                    (padded as f64 * (V::BYTES + I::BYTES) as f64
-                        + (I::BYTES + V::BYTES) as f64)
+                    (padded as f64 * (V::BYTES + I::BYTES) as f64 + (I::BYTES + V::BYTES) as f64)
                         * CUSPARSE_INEFFICIENCY,
                     padded as f64 * V::BYTES as f64 * CUSPARSE_INEFFICIENCY,
                     2.0 * nnz as f64,
@@ -233,9 +232,8 @@ impl<V: Value> LinOp<V> for CupyKrylov<V> {
         self.inner.apply(b, x)?;
         let iters = self.logger.snapshot().iterations;
         let exec = self.inner.executor();
-        exec.timeline().advance_ns(
-            iteration_tax_ns(exec, self.python_calls, self.host_syncs) * iters as f64,
-        );
+        exec.timeline()
+            .advance_ns(iteration_tax_ns(exec, self.python_calls, self.host_syncs) * iters as f64);
         Ok(())
     }
     fn op_name(&self) -> &'static str {
@@ -260,7 +258,8 @@ impl<V: Value, I: Index> LinOp<V> for CupyGmres<V, I> {
 
         let mut r = Dense::zeros(&exec, dim);
         r.copy_from(b)?;
-        self.system.apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
+        self.system
+            .apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
         let baseline = r.compute_norm2();
         self.logger.begin(baseline);
         if let Some(reason) = self.criteria.check(0, baseline, baseline) {
@@ -271,7 +270,8 @@ impl<V: Value, I: Index> LinOp<V> for CupyGmres<V, I> {
         let mut total_iters = 0usize;
         loop {
             r.copy_from(b)?;
-            self.system.apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
+            self.system
+                .apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
             let beta = r.compute_norm2();
             if let Some(reason) = self.criteria.check(total_iters, beta, baseline) {
                 self.logger.finish(total_iters, reason);
@@ -343,7 +343,8 @@ impl<V: Value, I: Index> LinOp<V> for CupyGmres<V, I> {
 
             // Residual checked only now, after the full cycle (difference 3).
             r.copy_from(b)?;
-            self.system.apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
+            self.system
+                .apply_advanced(V::from_f64(-1.0), x, V::one(), &mut r)?;
             let res = r.compute_norm2();
             self.logger.record_residual(total_iters, res);
             if let Some(reason) = self.criteria.check(total_iters, res, baseline) {

@@ -191,8 +191,7 @@ impl<V: Value, I: Index> LinOp<V> for TorchCoo<V, I> {
             let v = vals[idx].to_f64();
             for c in 0..k {
                 let cur = xs[r * k + c].to_f64();
-                xs[r * k + c] =
-                    V::from_f64(cur + v * bv[ci[idx].to_usize() * k + c].to_f64());
+                xs[r * k + c] = V::from_f64(cur + v * bv[ci[idx].to_usize() * k + c].to_f64());
             }
         }
         let exec = self.executor();

@@ -109,7 +109,9 @@ fn gmres_variant() {
     }
     report.print();
     report.write_csv("ablation_gmres").expect("csv");
-    println!("(ratios slightly above 1 reproduce §6.2.1: CuPy's CPU Hessenberg wins at small sizes)");
+    println!(
+        "(ratios slightly above 1 reproduce §6.2.1: CuPy's CPU Hessenberg wins at small sizes)"
+    );
 }
 
 /// Ablation 3: preconditioners trade setup cost for iteration count.
@@ -122,7 +124,12 @@ fn preconditioner_effect() {
     );
     let mut report = Report::new(
         "Ablation 3: preconditioner effect on CG (poisson2d 120x120, tol 1e-8)",
-        &["preconditioner", "iterations", "converged", "solve virtual s"],
+        &[
+            "preconditioner",
+            "iterations",
+            "converged",
+            "solve virtual s",
+        ],
     );
     for name in ["none", "jacobi", "block-jacobi(4)", "ilu", "ic"] {
         let pre: Option<Arc<dyn LinOp<f64>>> = match name {

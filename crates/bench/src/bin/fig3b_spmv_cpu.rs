@@ -8,9 +8,9 @@ use gko::matrix::{Coo, Csr};
 use gko::Dim2;
 use pygko_baselines::cpu_executor;
 use pygko_baselines::scipy::ScipyCsr;
+use pygko_baselines::scipy_executor;
 use pygko_baselines::tf::TfCoo;
 use pygko_baselines::torch::TorchCsr;
-use pygko_baselines::scipy_executor;
 use pygko_bench::{cast_triplets, fmt, maybe_shrink, time_spmv, Report};
 use pygko_matgen::spmv_suite;
 use std::sync::Arc;

@@ -62,13 +62,17 @@ fn main() {
         let a_cu = Arc::new(Csr::<f64, i32>::from_triplets(&cu, dim, &t64).unwrap());
 
         // CG.
-        let s = Cg::new(a_gk.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
+        let s = Cg::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(criteria);
         let gko_cg = time_per_iter(&gk, &s, n, iters);
         let s = CupyKrylov::cg(a_cu.clone(), criteria).unwrap();
         let cupy_cg = time_per_iter(&cu, &s, n, iters);
 
         // CGS.
-        let s = Cgs::new(a_gk.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
+        let s = Cgs::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(criteria);
         let gko_cgs = time_per_iter(&gk, &s, n, iters);
         let s = CupyKrylov::cgs(a_cu.clone(), criteria).unwrap();
         let cupy_cgs = time_per_iter(&cu, &s, n, iters);

@@ -18,7 +18,14 @@ use std::sync::Arc;
 fn main() {
     let mut gpu_report = Report::new(
         "Figure 4a: speedup vs SciPy on A100 (representative matrices, fp32)",
-        &["matrix", "nnz", "pyGinkgo x", "PyTorch x", "TensorFlow x", "CuPy x"],
+        &[
+            "matrix",
+            "nnz",
+            "pyGinkgo x",
+            "PyTorch x",
+            "TensorFlow x",
+            "CuPy x",
+        ],
     );
     let mut cpu_report = Report::new(
         "Figure 4b: speedup vs SciPy on Xeon 8368, 32 threads (fp32)",
@@ -107,9 +114,13 @@ fn main() {
     }
 
     gpu_report.print();
-    gpu_report.write_csv("fig4a_representative_gpu").expect("csv");
+    gpu_report
+        .write_csv("fig4a_representative_gpu")
+        .expect("csv");
     cpu_report.print();
-    cpu_report.write_csv("fig4b_representative_cpu").expect("csv");
+    cpu_report
+        .write_csv("fig4b_representative_cpu")
+        .expect("csv");
 
     let gpu_avg: f64 = gpu_small.iter().sum::<f64>() / gpu_small.len() as f64;
     let cpu_avg: f64 = cpu_small.iter().sum::<f64>() / cpu_small.len() as f64;

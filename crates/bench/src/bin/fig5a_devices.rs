@@ -4,9 +4,9 @@
 //!
 //! `cargo run -p pygko-bench --bin fig5a_devices --release`
 
+use pyginkgo as pg;
 use pygko_bench::{fmt, gflops, maybe_shrink, Report};
 use pygko_matgen::overhead_suite;
-use pyginkgo as pg;
 
 fn measure(dev: &pg::Device, m: &pg::SparseMatrix) -> f64 {
     let n = m.shape().1;

@@ -21,10 +21,10 @@
 use gko::linop::LinOp;
 use gko::matrix::{Coo, Csr, Dense};
 use gko::{Dim2, Executor};
+use pyginkgo as pg;
 use pygko_bench::{cast_triplets, fmt, maybe_shrink, Report};
 use pygko_matgen::overhead_suite;
 use pygko_sim::Noise;
-use pyginkgo as pg;
 
 const NOISE_SEED: u64 = 54_598; // the paper's DOI suffix, for memorability
 /// Relative jitter of one timing measurement (~2%, typical of back-to-back
@@ -52,16 +52,32 @@ fn facade_spmv_ns(dev: &pg::Device, m: &pg::SparseMatrix) -> f64 {
 }
 
 fn main() {
-    println!("measurement noise: seed {NOISE_SEED}, rel sigma {REL_SIGMA}, abs sigma {ABS_SIGMA_NS} ns");
+    println!(
+        "measurement noise: seed {NOISE_SEED}, rel sigma {REL_SIGMA}, abs sigma {ABS_SIGMA_NS} ns"
+    );
     let mut noise = Noise::new(NOISE_SEED);
 
     let mut fig5b = Report::new(
         "Figure 5b: relative performance difference (pyGinkgo vs Ginkgo), %",
-        &["matrix", "nnz", "A100 CSR %", "A100 COO %", "MI100 CSR %", "MI100 COO %"],
+        &[
+            "matrix",
+            "nnz",
+            "A100 CSR %",
+            "A100 COO %",
+            "MI100 CSR %",
+            "MI100 COO %",
+        ],
     );
     let mut fig5c = Report::new(
         "Figure 5c: time difference T_pyGinkgo - T_Ginkgo, seconds",
-        &["matrix", "nnz", "A100 CSR s", "A100 COO s", "MI100 CSR s", "MI100 COO s"],
+        &[
+            "matrix",
+            "nnz",
+            "A100 CSR s",
+            "A100 COO s",
+            "MI100 CSR s",
+            "MI100 COO s",
+        ],
     );
 
     let mut rows_b: Vec<(usize, Vec<String>)> = Vec::new();

@@ -18,10 +18,10 @@
 //!
 //! `cargo run --release -p pygko-bench --bin micro_solvers`
 
+use gko::factorization::ilu0;
 use gko::linop::LinOp;
 use gko::log::ConvergenceLogger;
 use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
-use gko::factorization::ilu0;
 use gko::preconditioner::{Ic, Ilu, Jacobi};
 use gko::solver::{
     BatchBiCgStab, BatchCg, BatchSolveRecord, BiCgStab, Cg, Cgs, Gmres, LowerTrs, UpperTrs,
@@ -86,7 +86,11 @@ fn wave(exec: &Executor, n: usize, phase: f64) -> Dense<f64> {
 /// `dot2` over the best AXPY.
 fn bench_blas1_in_cache(report: &mut Report, n: usize) -> (f64, f64) {
     let exec = Executor::reference();
-    let (p, q, mut x) = (wave(&exec, n, 0.0), wave(&exec, n, 1.0), wave(&exec, n, 2.0));
+    let (p, q, mut x) = (
+        wave(&exec, n, 0.0),
+        wave(&exec, n, 1.0),
+        wave(&exec, n, 2.0),
+    );
     let [dot, dot2, axpy] = best_in_turn(
         micro_iters(100_000_000 / n),
         [
@@ -100,7 +104,12 @@ fn bench_blas1_in_cache(report: &mut Report, n: usize) -> (f64, f64) {
         ],
     );
     for (case, secs) in [("dot", dot), ("dot2", dot2), ("axpy", axpy)] {
-        report.row(vec![format!("blas1_n{n}"), case.into(), fmt(secs * 1e3), fmt(secs * 1e9 / n as f64)]);
+        report.row(vec![
+            format!("blas1_n{n}"),
+            case.into(),
+            fmt(secs * 1e3),
+            fmt(secs * 1e9 / n as f64),
+        ]);
     }
     (dot / axpy, dot2 / axpy)
 }
@@ -128,18 +137,30 @@ fn bench_blas1(report: &mut Report) -> (f64, f64) {
             std::hint::black_box(p.compute_dot(&q).unwrap());
         }),
     );
-    let axpy = row("axpy", wall_secs_best(iters, || x.add_scaled(1e-9, &p).unwrap()));
+    let axpy = row(
+        "axpy",
+        wall_secs_best(iters, || x.add_scaled(1e-9, &p).unwrap()),
+    );
     row(
         "axpy2_dot",
         wall_secs_best(iters, || {
-            std::hint::black_box(x.add_scaled_with_residual(1e-9, &p, &mut r, -1e-9, &q).unwrap());
+            std::hint::black_box(
+                x.add_scaled_with_residual(1e-9, &p, &mut r, -1e-9, &q)
+                    .unwrap(),
+            );
         }),
     );
     let grid = poisson2d("p", 400, 400);
     assert_eq!(grid.rows, BLAS1_N);
     let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(BLAS1_N), &grid.triplets).unwrap();
-    let (scalar, block) = (Jacobi::new(&a).unwrap(), Jacobi::with_block_size(&a, 4).unwrap());
-    let jacobi = row("jacobi_apply", wall_secs_best(iters, || scalar.apply(&p, &mut x).unwrap()));
+    let (scalar, block) = (
+        Jacobi::new(&a).unwrap(),
+        Jacobi::with_block_size(&a, 4).unwrap(),
+    );
+    let jacobi = row(
+        "jacobi_apply",
+        wall_secs_best(iters, || scalar.apply(&p, &mut x).unwrap()),
+    );
     row(
         "block_jacobi4_apply",
         wall_secs_best(micro_iters(20), || block.apply(&p, &mut x).unwrap()),
@@ -283,7 +304,14 @@ fn bench_triangular(report: &mut Report, gen: &GeneratedMatrix, rounds: usize) -
 /// and vectors are built before the timed calls, which start from a zero
 /// guess; every system must converge, in the same number of iterations on
 /// both sides. The rows' last column is per system.
-fn bench_batch(report: &mut Report, on: &str, exec: &Executor, cg: bool, systems: usize, rows: usize) -> f64 {
+fn bench_batch(
+    report: &mut Report,
+    on: &str,
+    exec: &Executor,
+    cg: bool,
+    systems: usize,
+    rows: usize,
+) -> f64 {
     let gen = spd_tridiag_batch("tridiag", rows, systems, 7);
     let criteria = Criteria::iterations_and_reduction(200, 1e-10);
     let (dim, vec_dim) = (Dim2::square(rows), Dim2::new(rows, 1));
@@ -293,7 +321,12 @@ fn bench_batch(report: &mut Report, on: &str, exec: &Executor, cg: bool, systems
     let mut x = BatchDense::<f64>::zeros(exec, systems, vec_dim);
     let batch_cg = BatchCg::new(batch.clone()).unwrap().with_criteria(criteria);
     let batch_bicgstab = BatchBiCgStab::new(batch).unwrap().with_criteria(criteria);
-    type Single = (Box<dyn LinOp<f64>>, ConvergenceLogger, Dense<f64>, Dense<f64>);
+    type Single = (
+        Box<dyn LinOp<f64>>,
+        ConvergenceLogger,
+        Dense<f64>,
+        Dense<f64>,
+    );
     let mut singles: Vec<Single> = (0..systems)
         .map(|s| {
             let triplets = gen.system_triplets(s);
@@ -318,8 +351,11 @@ fn bench_batch(report: &mut Report, on: &str, exec: &Executor, cg: bool, systems
     let mut record = BatchSolveRecord::default();
     let batch_secs = wall_secs_best(iters, || {
         x.as_mut_slice().fill(0.0);
-        let solved =
-            if cg { batch_cg.apply_batch(&b, &mut x) } else { batch_bicgstab.apply_batch(&b, &mut x) };
+        let solved = if cg {
+            batch_cg.apply_batch(&b, &mut x)
+        } else {
+            batch_bicgstab.apply_batch(&b, &mut x)
+        };
         record = solved.unwrap();
     });
     let loop_secs = wall_secs_best(iters, || {
@@ -332,8 +368,14 @@ fn bench_batch(report: &mut Report, on: &str, exec: &Executor, cg: bool, systems
     let group = format!("batch_{method}_{systems}x{rows}");
     for (s, (_, logger, ..)) in singles.iter().enumerate() {
         let (single, batched) = (logger.snapshot(), record.outcomes[s]);
-        assert!(single.converged() && batched.converged(), "{group} on {on}: system {s}");
-        assert_eq!(batched.iterations, single.iterations, "{group} on {on}: system {s}");
+        assert!(
+            single.converged() && batched.converged(),
+            "{group} on {on}: system {s}"
+        );
+        assert_eq!(
+            batched.iterations, single.iterations,
+            "{group} on {on}: system {s}"
+        );
     }
     for (case, secs) in [("batch", batch_secs), ("loop", loop_secs)] {
         report.row(vec![
@@ -383,11 +425,18 @@ fn main() {
     // (executor, gated): the pool's wake-up cost per dispatch of a single
     // solve, not batching, sets the `omp(2)` ratios, so they are only printed.
     let mut batch_over_loop = Vec::new();
-    for (on, exec, gated) in [("reference", Executor::reference(), true), ("omp2", Executor::omp(2), false)] {
+    for (on, exec, gated) in [
+        ("reference", Executor::reference(), true),
+        ("omp2", Executor::omp(2), false),
+    ] {
         for (cg, systems, rows) in [(true, 1200, 32), (false, 1200, 32), (true, 200, 256)] {
             let ratio = bench_batch(&mut report, on, &exec, cg, systems, rows);
             let method = if cg { "cg" } else { "bicgstab" };
-            batch_over_loop.push((format!("batch_{method}_{systems}x{rows} on {on}"), ratio, gated && rows == 32));
+            batch_over_loop.push((
+                format!("batch_{method}_{systems}x{rows} on {on}"),
+                ratio,
+                gated && rows == 32,
+            ));
         }
     }
     let (dot_over_axpy, jacobi_over_axpy) = bench_blas1(&mut report);
@@ -398,13 +447,21 @@ fn main() {
     println!("dot_over_axpy = {dot_over_axpy:.2} (n = {BLAS1_N}, limit {DOT_OVER_AXPY_LIMIT})");
     for (n, (dot, dot2)) in &in_cache {
         println!("dot_over_axpy = {dot:.2} (n = {n}, in cache, not gated)");
-        println!("dot2_over_axpy = {dot2:.2} (n = {n}, in cache, limit {IN_CACHE_DOT2_OVER_AXPY_LIMIT})");
+        println!(
+            "dot2_over_axpy = {dot2:.2} (n = {n}, in cache, limit {IN_CACHE_DOT2_OVER_AXPY_LIMIT})"
+        );
     }
-    println!("jacobi_over_axpy = {jacobi_over_axpy:.2} (n = {BLAS1_N}, limit {JACOBI_OVER_AXPY_LIMIT})");
+    println!(
+        "jacobi_over_axpy = {jacobi_over_axpy:.2} (n = {BLAS1_N}, limit {JACOBI_OVER_AXPY_LIMIT})"
+    );
     println!("trs_over_csr = {trs_over_csr:.2} (ILU(0) factors of poisson2d_60, limit {TRS_OVER_CSR_LIMIT})");
     let mut failed = false;
     for (case, ratio, gated) in &batch_over_loop {
-        let floor = if *gated { format!("floor {BATCH_OVER_LOOP_FLOOR}") } else { "not gated".to_owned() };
+        let floor = if *gated {
+            format!("floor {BATCH_OVER_LOOP_FLOOR}")
+        } else {
+            "not gated".to_owned()
+        };
         println!("batch_over_loop = {ratio:.2} ({case}, {floor})");
         if *gated && *ratio < BATCH_OVER_LOOP_FLOOR {
             eprintln!(

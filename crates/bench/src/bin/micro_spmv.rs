@@ -113,13 +113,19 @@ fn bench_formats(report: &mut Report) -> Ratios {
     let sellp = Sellp::from_csr(&csr);
     // Varied, and exact in every partial sum: the plain loops' outputs can be
     // compared bit for bit wherever COO's segments cut a row.
-    let bv: Vec<f64> = (0..gen.cols).map(|i| 0.25 + (i % 13) as f64 * 0.125).collect();
+    let bv: Vec<f64> = (0..gen.cols)
+        .map(|i| 0.25 + (i % 13) as f64 * 0.125)
+        .collect();
     let b = Dense::from_vec(&exec, Dim2::new(gen.cols, 1), bv.clone()).unwrap();
     let mut x = Dense::zeros(&exec, Dim2::new(gen.rows, 1));
 
     let iters = micro_iters(50);
-    let ops: [(&str, &dyn LinOp<f64>); 4] =
-        [("csr", &csr), ("coo", &coo), ("ell", &ell), ("sellp", &sellp)];
+    let ops: [(&str, &dyn LinOp<f64>); 4] = [
+        ("csr", &csr),
+        ("coo", &coo),
+        ("ell", &ell),
+        ("sellp", &sellp),
+    ];
     for (name, op) in ops {
         time_row(report, "formats_poisson2d_200", name, nnz, iters, || {
             op.apply(&b, &mut x).unwrap()
@@ -129,15 +135,35 @@ fn bench_formats(report: &mut Report) -> Ratios {
     let group = "plain_loop_poisson2d_200";
     let mut plain = vec![0.0f64; gen.rows];
     time_row(report, group, "csr", nnz, iters, || {
-        plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, &mut plain)
+        plain_csr(
+            csr.row_ptrs(),
+            csr.col_idxs(),
+            csr.values(),
+            &bv,
+            &mut plain,
+        )
     });
     csr.apply(&b, &mut x).unwrap();
-    assert_eq!(bits(&plain), bits(x.as_slice()), "plain_csr is Csr::apply's arithmetic");
+    assert_eq!(
+        bits(&plain),
+        bits(x.as_slice()),
+        "plain_csr is Csr::apply's arithmetic"
+    );
     time_row(report, group, "coo", nnz, iters, || {
-        plain_coo(coo.row_idxs(), coo.col_idxs(), coo.values(), &bv, &mut plain)
+        plain_coo(
+            coo.row_idxs(),
+            coo.col_idxs(),
+            coo.values(),
+            &bv,
+            &mut plain,
+        )
     });
     coo.apply(&b, &mut x).unwrap();
-    assert_eq!(bits(&plain), bits(x.as_slice()), "plain_coo is Coo::apply's arithmetic");
+    assert_eq!(
+        bits(&plain),
+        bits(x.as_slice()),
+        "plain_coo is Coo::apply's arithmetic"
+    );
 
     let b3 = Dense::<f64>::filled(&exec, Dim2::new(gen.cols, 3), 1.0);
     let mut x3 = Dense::zeros(&exec, Dim2::new(gen.rows, 3));
@@ -148,14 +174,25 @@ fn bench_formats(report: &mut Report) -> Ratios {
     }
 
     let mut x_coo = x.clone();
-    let mut ratios = Ratios { coo_over_csr: f64::INFINITY, csr_over_plain: f64::INFINITY };
+    let mut ratios = Ratios {
+        coo_over_csr: f64::INFINITY,
+        csr_over_plain: f64::INFINITY,
+    };
     for _ in 0..GATE_BLOCKS {
         let [csr_secs, coo_secs, plain_secs] = best_in_turn(
             GATE_ROUNDS,
             [
                 &mut || csr.apply(&b, &mut x).unwrap(),
                 &mut || coo.apply(&b, &mut x_coo).unwrap(),
-                &mut || plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, &mut plain),
+                &mut || {
+                    plain_csr(
+                        csr.row_ptrs(),
+                        csr.col_idxs(),
+                        csr.values(),
+                        &bv,
+                        &mut plain,
+                    )
+                },
             ],
         );
         ratios.coo_over_csr = ratios.coo_over_csr.min(coo_secs / csr_secs);
@@ -183,36 +220,70 @@ fn bench_strategies(report: &mut Report) -> f64 {
         ("merge_path", SpmvStrategy::MergePath),
     ] {
         let a = csr.clone().with_strategy(strategy);
-        time_row(report, "strategy_circuit_50k", name, gen.nnz(), iters, || {
-            a.apply(&b, &mut x).unwrap()
-        });
+        time_row(
+            report,
+            "strategy_circuit_50k",
+            name,
+            gen.nnz(),
+            iters,
+            || a.apply(&b, &mut x).unwrap(),
+        );
     }
     let coo = Coo::from_csr(&csr);
-    time_row(report, "strategy_circuit_50k", "coo", gen.nnz(), iters, || {
-        coo.apply(&b, &mut x).unwrap()
-    });
+    time_row(
+        report,
+        "strategy_circuit_50k",
+        "coo",
+        gen.nnz(),
+        iters,
+        || coo.apply(&b, &mut x).unwrap(),
+    );
     // Not an SpMV: the inspector `Csr::apply` runs once per matrix, and what
     // every checked constructor and `Trs::new` pay per entry.
-    time_row(report, "strategy_circuit_50k", "plan_build", gen.nnz(), iters, || {
-        csr.invalidate_plan();
-        std::hint::black_box(csr.plan());
-    });
-    time_row(report, "structure_circuit_50k", "validate", gen.nnz(), iters, || {
-        csr.validate().unwrap()
-    });
+    time_row(
+        report,
+        "strategy_circuit_50k",
+        "plan_build",
+        gen.nnz(),
+        iters,
+        || {
+            csr.invalidate_plan();
+            std::hint::black_box(csr.plan());
+        },
+    );
+    time_row(
+        report,
+        "structure_circuit_50k",
+        "validate",
+        gen.nnz(),
+        iters,
+        || csr.validate().unwrap(),
+    );
 
     let mut plain = vec![0.0f64; gen.rows];
-    let plain_loop = |plain: &mut [f64]| {
-        plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, plain)
-    };
-    time_row(report, "plain_loop_circuit_50k", "csr", gen.nnz(), iters, || plain_loop(&mut plain));
+    let plain_loop =
+        |plain: &mut [f64]| plain_csr(csr.row_ptrs(), csr.col_idxs(), csr.values(), &bv, plain);
+    time_row(
+        report,
+        "plain_loop_circuit_50k",
+        "csr",
+        gen.nnz(),
+        iters,
+        || plain_loop(&mut plain),
+    );
     csr.apply(&b, &mut x).unwrap();
-    assert_eq!(bits(&plain), bits(x.as_slice()), "plain_csr is Csr::apply's arithmetic");
+    assert_eq!(
+        bits(&plain),
+        bits(x.as_slice()),
+        "plain_csr is Csr::apply's arithmetic"
+    );
     let mut ratio = f64::INFINITY;
     for _ in 0..GATE_BLOCKS {
         let [csr_secs, plain_secs] = best_in_turn(
             GATE_ROUNDS,
-            [&mut || csr.apply(&b, &mut x).unwrap(), &mut || plain_loop(&mut plain)],
+            [&mut || csr.apply(&b, &mut x).unwrap(), &mut || {
+                plain_loop(&mut plain)
+            }],
         );
         ratio = ratio.min(csr_secs / plain_secs);
     }
@@ -232,9 +303,14 @@ fn bench_batch(report: &mut Report) {
     let b = BatchDense::from_systems(&exec, Dim2::new(gen.cols, 1), &rhs).unwrap();
     let mut x = BatchDense::zeros(&exec, systems, Dim2::new(gen.rows, 1));
     let iters = micro_iters(50);
-    time_row(report, "batch_csr_poisson2d_40x32", "shared", systems * gen.nnz(), iters, || {
-        batch.apply_batch(&b, &mut x, None).unwrap()
-    });
+    time_row(
+        report,
+        "batch_csr_poisson2d_40x32",
+        "shared",
+        systems * gen.nnz(),
+        iters,
+        || batch.apply_batch(&b, &mut x, None).unwrap(),
+    );
 }
 
 fn bench_value_types(report: &mut Report) {
@@ -248,9 +324,14 @@ fn bench_value_types(report: &mut Report) {
             let a = Csr::<$v, i32>::from_triplets(&exec, dim, &gen.triplets).unwrap();
             let b = Dense::<$v>::filled(&exec, Dim2::new(gen.cols, 1), <$v as Value>::one());
             let mut x = Dense::<$v>::zeros(&exec, Dim2::new(gen.rows, 1));
-            time_row(report, "value_types_poisson2d_150", $name, gen.nnz(), iters, || {
-                a.apply(&b, &mut x).unwrap()
-            });
+            time_row(
+                report,
+                "value_types_poisson2d_150",
+                $name,
+                gen.nnz(),
+                iters,
+                || a.apply(&b, &mut x).unwrap(),
+            );
         }};
     }
     run!(pygko_half::Half, "half");
@@ -263,14 +344,19 @@ fn main() {
         "SpMV wall-clock microbenchmarks",
         &["group", "case", "nnz", "us/op", "Mnnz/s", "best ns/nnz"],
     );
-    let Ratios { coo_over_csr, csr_over_plain } = bench_formats(&mut report);
+    let Ratios {
+        coo_over_csr,
+        csr_over_plain,
+    } = bench_formats(&mut report);
     let circuit_csr_over_plain = bench_strategies(&mut report);
     bench_batch(&mut report);
     bench_value_types(&mut report);
     report.print();
     let path = report.write_csv("micro_spmv").expect("write csv");
     println!("\nwrote {}", path.display());
-    println!("coo_over_csr = {coo_over_csr:.2} (formats_poisson2d_200, limit {COO_OVER_CSR_LIMIT})");
+    println!(
+        "coo_over_csr = {coo_over_csr:.2} (formats_poisson2d_200, limit {COO_OVER_CSR_LIMIT})"
+    );
     println!(
         "csr_over_plain = {csr_over_plain:.2} (Csr::apply over its own loop as a free function, \
          limit {CSR_OVER_PLAIN_LIMIT})"
@@ -280,7 +366,9 @@ fn main() {
          row order on circuit_50k, limit {CIRCUIT_CSR_OVER_PLAIN_LIMIT})"
     );
     if coo_over_csr > COO_OVER_CSR_LIMIT {
-        eprintln!("micro_spmv: FAIL — COO SpMV costs {coo_over_csr:.2}x CSR, above {COO_OVER_CSR_LIMIT}");
+        eprintln!(
+            "micro_spmv: FAIL — COO SpMV costs {coo_over_csr:.2}x CSR, above {COO_OVER_CSR_LIMIT}"
+        );
         std::process::exit(1);
     }
     if csr_over_plain > CSR_OVER_PLAIN_LIMIT {

@@ -38,9 +38,9 @@ use gko::stop::StopReason;
 use gko::telemetry::recorder::{detect_convergence, detect_lane_imbalance};
 use gko::telemetry::{prom, Anomaly, DetectorConfig};
 use gko::{LaneStats, ObserveConfig, Observer, TelemetryServer};
+use pyginkgo as pg;
 use pygko_bench::quick_mode;
 use pygko_matgen::generators::poisson2d;
-use pyginkgo as pg;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -58,7 +58,11 @@ fn http(addr: SocketAddr, method: &str, path: &str) -> (String, Vec<String>, Str
     let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
     let mut lines = head.lines();
     let status = lines.next().unwrap_or("").to_string();
-    (status, lines.map(str::to_ascii_lowercase).collect(), body.to_string())
+    (
+        status,
+        lines.map(str::to_ascii_lowercase).collect(),
+        body.to_string(),
+    )
 }
 
 /// `GET path`, which must answer `200 OK`; returns the body.
@@ -93,7 +97,9 @@ fn detector_self_tests() {
     // Convergence: plateau -> Stagnation, runaway growth -> Divergence,
     // steady improvement -> clean.
     let window = |ratio: f64| -> Vec<f64> {
-        (0..=cfg.stagnation_window).map(|i| ratio.powi(i as i32)).collect()
+        (0..=cfg.stagnation_window)
+            .map(|i| ratio.powi(i as i32))
+            .collect()
     };
     assert!(matches!(
         detect_convergence(1.0, &window(1.0), false, &cfg),
@@ -144,7 +150,10 @@ fn detector_self_tests() {
         assert!(solve(1_000).is_empty());
     }
     assert!(solve(1_000_000).is_empty(), "withheld once");
-    assert!(matches!(solve(1_000_000)[..], [Anomaly::LatencyDrift { .. }]));
+    assert!(matches!(
+        solve(1_000_000)[..],
+        [Anomaly::LatencyDrift { .. }]
+    ));
     println!("observe_probe: detector self-tests OK");
 }
 
@@ -160,7 +169,11 @@ struct Stage {
 }
 
 impl Stage {
-    fn start(lanes: usize, what: pg::Observe, engine: impl FnOnce(ObserveConfig) -> ObserveConfig) -> Stage {
+    fn start(
+        lanes: usize,
+        what: pg::Observe,
+        engine: impl FnOnce(ObserveConfig) -> ObserveConfig,
+    ) -> Stage {
         let grid = if quick_mode() { 120 } else { 600 };
         let gen = poisson2d("poisson2d", grid, grid);
         let (rows, nnz) = (gen.rows, gen.nnz());
@@ -271,7 +284,11 @@ fn health_stage() {
     assert!(!array(report, "kernels").is_empty());
     let seen = stage.solver.observations().flight.expect("facade report");
     assert!(seen.converged && seen.anomalies.is_empty());
-    assert_eq!(seen.seq as i64, int(report, "seq"), "the facade sees the same report");
+    assert_eq!(
+        seen.seq as i64,
+        int(report, "seq"),
+        "the facade sees the same report"
+    );
     println!("observe_probe: /runs OK (zero-anomaly report)");
 
     stage.finish();
@@ -282,24 +299,43 @@ fn health_stage() {
 /// a scraped `/traces/<id>` document.
 fn validate_tree(doc: &Config, lanes: i64) {
     let spans = array(doc, "spans");
-    let kind = |s: &Config| s.get("kind").and_then(Config::as_str).expect("kind").to_string();
+    let kind = |s: &Config| {
+        s.get("kind")
+            .and_then(Config::as_str)
+            .expect("kind")
+            .to_string()
+    };
     let mut ids = std::collections::BTreeSet::new();
     for s in spans {
-        assert!(ids.insert(int(s, "id")), "duplicate span id {}", int(s, "id"));
+        assert!(
+            ids.insert(int(s, "id")),
+            "duplicate span id {}",
+            int(s, "id")
+        );
     }
     let roots: Vec<_> = spans.iter().filter(|s| int(s, "parent") == 0).collect();
     assert_eq!(roots.len(), 1, "exactly one root span");
-    assert_eq!(int(roots[0], "id"), int(doc, "root"), "root matches the report's root field");
+    assert_eq!(
+        int(roots[0], "id"),
+        int(doc, "root"),
+        "root matches the report's root field"
+    );
     assert_eq!(kind(roots[0]), "solve");
     for s in spans {
         let parent = int(s, "parent");
-        assert!(parent == 0 || ids.contains(&parent), "dangling parent {parent}");
+        assert!(
+            parent == 0 || ids.contains(&parent),
+            "dangling parent {parent}"
+        );
         if let Some(lane) = s.get("lane").and_then(Config::as_int) {
             assert_eq!(kind(s), "chunk", "only chunk spans carry a lane");
             assert!((0..lanes).contains(&lane), "lane {lane} out of range");
         }
     }
-    let dispatches: Vec<_> = spans.iter().filter(|s| kind(s) == "pool_dispatch").collect();
+    let dispatches: Vec<_> = spans
+        .iter()
+        .filter(|s| kind(s) == "pool_dispatch")
+        .collect();
     assert!(!dispatches.is_empty(), "pooled solve emitted no dispatches");
     let mut chunk_total = 0usize;
     for d in &dispatches {
@@ -310,7 +346,12 @@ fn validate_tree(doc: &Config, lanes: i64) {
             .collect();
         indices.sort_unstable();
         let expected: Vec<i64> = (0..int(d, "index")).collect();
-        assert_eq!(indices, expected, "chunk spans must tile dispatch {}", int(d, "id"));
+        assert_eq!(
+            indices,
+            expected,
+            "chunk spans must tile dispatch {}",
+            int(d, "id")
+        );
         chunk_total += indices.len();
     }
     println!(
@@ -331,8 +372,14 @@ fn check_folded_grammar(text: &str) -> usize {
         count
             .parse::<u64>()
             .unwrap_or_else(|_| panic!("folded count is not an integer: {line:?}"));
-        assert!(!stack.is_empty(), "folded line has an empty stack: {line:?}");
-        assert!(stack.split(';').all(|seg| !seg.is_empty()), "empty segment in {line:?}");
+        assert!(
+            !stack.is_empty(),
+            "folded line has an empty stack: {line:?}"
+        );
+        assert!(
+            stack.split(';').all(|seg| !seg.is_empty()),
+            "empty segment in {line:?}"
+        );
     }
     text.lines().count()
 }
@@ -375,21 +422,34 @@ fn spans_stage() {
     assert!(matches!(index.get("armed"), Some(Config::Bool(true))));
     assert_eq!(int(&index, "drops_total"), 0);
     assert!(
-        array(&index, "traces").iter().any(|e| int(e, "trace_id") == trace_id),
+        array(&index, "traces")
+            .iter()
+            .any(|e| int(e, "trace_id") == trace_id),
         "index lists the solve's trace"
     );
     let doc = get_json(addr, &format!("/traces/{trace_id}"));
     assert_eq!(int(&doc, "trace_id"), trace_id);
-    assert_eq!(array(&doc, "spans").len(), report.spans.len(), "scrape matches the facade");
+    assert_eq!(
+        array(&doc, "spans").len(),
+        report.spans.len(),
+        "scrape matches the facade"
+    );
     validate_tree(&doc, 16);
     let chrome = get_json(addr, &format!("/traces/{trace_id}?format=chrome"));
-    assert!(!array(&chrome, "traceEvents").is_empty(), "chrome export has events");
+    assert!(
+        !array(&chrome, "traceEvents").is_empty(),
+        "chrome export has events"
+    );
     let runs = get_json(addr, "/runs");
     let run = array(&runs, "reports")
         .iter()
         .find(|r| r.get("trace_id").and_then(Config::as_int) == Some(trace_id))
         .expect("/runs links the trace id");
-    assert_eq!(array(run, "anomalies").len(), report.anomalies.len(), "same verdict");
+    assert_eq!(
+        array(run, "anomalies").len(),
+        report.anomalies.len(),
+        "same verdict"
+    );
     println!("observe_probe: /traces, chrome export and /runs linkage OK");
 
     // --- the flame profile: facade snapshot, JSON tree, folded stacks ---
@@ -397,9 +457,18 @@ fn spans_stage() {
     assert!(snap.solves >= 1, "solve folded into the live window");
     assert!(!snap.nodes.is_empty(), "flame tree is non-empty");
     let root = &snap.nodes[0];
-    assert_eq!((root.depth, root.kind.as_str(), root.name.as_str()), (0, "solve", "solver::Cg"));
-    assert!(root.self_wall_ns <= root.wall_ns, "self time cannot exceed total time");
-    assert!(snap.nodes.len() <= snap.max_nodes, "window is bounded by the node cap");
+    assert_eq!(
+        (root.depth, root.kind.as_str(), root.name.as_str()),
+        (0, "solve", "solver::Cg")
+    );
+    assert!(
+        root.self_wall_ns <= root.wall_ns,
+        "self time cannot exceed total time"
+    );
+    assert!(
+        snap.nodes.len() <= snap.max_nodes,
+        "window is bounded by the node cap"
+    );
     assert!(
         snap.nodes.iter().any(|n| n.path.contains("csr")),
         "csr kernel spans surface as flame paths"
@@ -409,13 +478,24 @@ fn spans_stage() {
     assert_eq!(roots[0].get("kind").and_then(Config::as_str), Some("solve"));
     assert!(int(&flame, "solves") >= 1, "/profile reports folded solves");
     let folded = get(addr, "/profile?format=folded");
-    assert_eq!(check_folded_grammar(&folded), snap.nodes.len(), "one folded line per node");
-    println!("observe_probe: /profile OK ({} nodes, folded grammar holds)", snap.nodes.len());
+    assert_eq!(
+        check_folded_grammar(&folded),
+        snap.nodes.len(),
+        "one folded line per node"
+    );
+    println!(
+        "observe_probe: /profile OK ({} nodes, folded grammar holds)",
+        snap.nodes.len()
+    );
 
     // --- HEAD parity on every route ---
     let content_length = |headers: &[String]| -> usize {
-        let value = headers.iter().find_map(|h| h.strip_prefix("content-length:"));
-        value.and_then(|v| v.trim().parse().ok()).expect("Content-Length header")
+        let value = headers
+            .iter()
+            .find_map(|h| h.strip_prefix("content-length:"));
+        value
+            .and_then(|v| v.trim().parse().ok())
+            .expect("Content-Length header")
     };
     let trace_path = format!("/traces/{trace_id}");
     for path in [
@@ -434,26 +514,50 @@ fn spans_stage() {
         assert!(head_body.is_empty(), "HEAD {path} must not carry a body");
         // The GET length must match its own body; the HEAD length is a
         // fresh snapshot so it may differ slightly, but must be nonzero.
-        assert_eq!(content_length(&get_headers), get_body.len(), "GET length on {path}");
-        assert!(content_length(&head_headers) > 0, "HEAD {path} advertises a length");
+        assert_eq!(
+            content_length(&get_headers),
+            get_body.len(),
+            "GET length on {path}"
+        );
+        assert!(
+            content_length(&head_headers) > 0,
+            "HEAD {path} advertises a length"
+        );
     }
     println!("observe_probe: HEAD parity OK");
 
     // --- /profile/diff: 400 without base, 404 on unknown, 200 on known ---
-    assert_eq!(http(addr, "GET", "/profile/diff").0, "HTTP/1.1 400 Bad Request");
-    assert_eq!(http(addr, "GET", "/profile/diff?base=nope").0, "HTTP/1.1 404 Not Found");
-    stage.dev.executor().observer().commit_profile_baseline("main");
+    assert_eq!(
+        http(addr, "GET", "/profile/diff").0,
+        "HTTP/1.1 400 Bad Request"
+    );
+    assert_eq!(
+        http(addr, "GET", "/profile/diff?base=nope").0,
+        "HTTP/1.1 404 Not Found"
+    );
+    stage
+        .dev
+        .executor()
+        .observer()
+        .commit_profile_baseline("main");
     // More solves after the baseline so the diff has growth to report.
     stage.solve();
     stage.solve();
     let diff = get_json(addr, "/profile/diff?base=main");
     assert_eq!(diff.get("base").and_then(Config::as_str), Some("main"));
-    let grew = |r: &Config| r.get("delta_pct").and_then(Config::as_float).is_some_and(|d| d > 0.0);
+    let grew = |r: &Config| {
+        r.get("delta_pct")
+            .and_then(Config::as_float)
+            .is_some_and(|d| d > 0.0)
+    };
     assert!(
         array(&diff, "rows").iter().any(grew),
         "post-baseline solves must show self-time growth"
     );
-    println!("observe_probe: /profile/diff OK ({} rows)", array(&diff, "rows").len());
+    println!(
+        "observe_probe: /profile/diff OK ({} rows)",
+        array(&diff, "rows").len()
+    );
 
     // --- /metrics: strict exposition + the span planes' series ---
     let metrics = get(addr, "/metrics");
@@ -467,7 +571,10 @@ fn spans_stage() {
         "gko_build_info{",
         "gko_uptime_seconds",
     ] {
-        assert!(metrics.contains(series), "/metrics is missing the {series} series");
+        assert!(
+            metrics.contains(series),
+            "/metrics is missing the {series} series"
+        );
     }
     println!("observe_probe: /metrics OK (strict validator + span-plane series)");
 

@@ -46,9 +46,13 @@ fn main() {
         let omp = Executor::omp(32);
         let a = Arc::new(Csr::<f64, i32>::from_triplets(&omp, dim, &t64).unwrap());
 
-        let s = Cg::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
+        let s = Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(criteria);
         let gko_cg = run(&omp, &s, n, iters);
-        let s = Cgs::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(criteria);
+        let s = Cgs::new(a.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(criteria);
         let gko_cgs = run(&omp, &s, n, iters);
         let s = Gmres::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
@@ -87,9 +91,7 @@ fn main() {
     report.write_csv("solver_cpu").expect("csv");
 
     cg_speedups.sort_by(f64::total_cmp);
-    println!(
-        "\npaper: pyGinkgo 3-8x faster than SciPy for CG (similar for CGS/GMRES)"
-    );
+    println!("\npaper: pyGinkgo 3-8x faster than SciPy for CG (similar for CGS/GMRES)");
     println!(
         "measured CG speedup range: {:.1}x .. {:.1}x (median {:.1}x)",
         cg_speedups.first().unwrap(),

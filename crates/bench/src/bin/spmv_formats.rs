@@ -94,19 +94,19 @@ fn main() {
     let skew_nnz = skew_gen.nnz();
     let skew_dim = Dim2::new(skew_gen.rows, skew_gen.cols);
     let skew_name = format!("powerlaw_{skew_n}");
-    println!("matrix: {skew_name} ({} rows, {skew_nnz} nnz)", skew_gen.rows);
+    println!(
+        "matrix: {skew_name} ({} rows, {skew_nnz} nnz)",
+        skew_gen.rows
+    );
 
-    let executors: Vec<(String, usize, Executor)> = std::iter::once((
-        "reference".to_string(),
-        1usize,
-        Executor::reference(),
-    ))
-    .chain(
-        [1usize, 2, 4, 8, 16]
-            .into_iter()
-            .map(|t| (format!("omp{t}"), t, Executor::omp(t))),
-    )
-    .collect();
+    let executors: Vec<(String, usize, Executor)> =
+        std::iter::once(("reference".to_string(), 1usize, Executor::reference()))
+            .chain(
+                [1usize, 2, 4, 8, 16]
+                    .into_iter()
+                    .map(|t| (format!("omp{t}"), t, Executor::omp(t))),
+            )
+            .collect();
 
     let mut records: Vec<Record> = Vec::new();
     // Each executor's metrics plane observes every kernel of that
@@ -126,8 +126,12 @@ fn main() {
         let b = Dense::<f64>::vector(exec, gen.cols, 1.0);
         let mut x = Dense::zeros(exec, Dim2::new(gen.rows, 1));
 
-        let mut push = |matrix: &str, mat_nnz: usize, format: &'static str,
-                        strategy: &'static str, op: &dyn LinOp<f64>, b: &Dense<f64>,
+        let mut push = |matrix: &str,
+                        mat_nnz: usize,
+                        format: &'static str,
+                        strategy: &'static str,
+                        op: &dyn LinOp<f64>,
+                        b: &Dense<f64>,
                         x: &mut Dense<f64>| {
             let (secs, stats) = run_once(exec, op, b, x);
             records.push(Record {
@@ -150,30 +154,103 @@ fn main() {
             });
         };
 
-        push(&poisson_name, nnz, "csr", "classical",
-             &csr.clone().with_strategy(SpmvStrategy::Classical), &b, &mut x);
-        push(&poisson_name, nnz, "csr", "load_balance",
-             &csr.clone().with_strategy(SpmvStrategy::LoadBalance), &b, &mut x);
-        push(&poisson_name, nnz, "csr", "merge_path",
-             &csr.clone().with_strategy(SpmvStrategy::MergePath), &b, &mut x);
+        push(
+            &poisson_name,
+            nnz,
+            "csr",
+            "classical",
+            &csr.clone().with_strategy(SpmvStrategy::Classical),
+            &b,
+            &mut x,
+        );
+        push(
+            &poisson_name,
+            nnz,
+            "csr",
+            "load_balance",
+            &csr.clone().with_strategy(SpmvStrategy::LoadBalance),
+            &b,
+            &mut x,
+        );
+        push(
+            &poisson_name,
+            nnz,
+            "csr",
+            "merge_path",
+            &csr.clone().with_strategy(SpmvStrategy::MergePath),
+            &b,
+            &mut x,
+        );
         push(&poisson_name, nnz, "csr", "auto", &csr, &b, &mut x);
-        push(&poisson_name, nnz, "coo", "segmented", &Coo::from_csr(&csr), &b, &mut x);
-        push(&poisson_name, nnz, "ell", "row_parallel", &Ell::from_csr(&csr), &b, &mut x);
-        push(&poisson_name, nnz, "sellp", "slice_parallel", &Sellp::from_csr(&csr), &b, &mut x);
-        push(&poisson_name, nnz, "hybrid", "ell+coo", &Hybrid::from_csr(&csr), &b, &mut x);
+        push(
+            &poisson_name,
+            nnz,
+            "coo",
+            "segmented",
+            &Coo::from_csr(&csr),
+            &b,
+            &mut x,
+        );
+        push(
+            &poisson_name,
+            nnz,
+            "ell",
+            "row_parallel",
+            &Ell::from_csr(&csr),
+            &b,
+            &mut x,
+        );
+        push(
+            &poisson_name,
+            nnz,
+            "sellp",
+            "slice_parallel",
+            &Sellp::from_csr(&csr),
+            &b,
+            &mut x,
+        );
+        push(
+            &poisson_name,
+            nnz,
+            "hybrid",
+            "ell+coo",
+            &Hybrid::from_csr(&csr),
+            &b,
+            &mut x,
+        );
 
         // CSR strategy sweep on the skewed matrix: the row the merge-path
         // kernel exists for.
-        let skew_csr =
-            Csr::<f64, i32>::from_triplets(exec, skew_dim, &skew_gen.triplets).unwrap();
+        let skew_csr = Csr::<f64, i32>::from_triplets(exec, skew_dim, &skew_gen.triplets).unwrap();
         let sb = Dense::<f64>::vector(exec, skew_gen.cols, 1.0);
         let mut sx = Dense::zeros(exec, Dim2::new(skew_gen.rows, 1));
-        push(&skew_name, skew_nnz, "csr", "classical",
-             &skew_csr.clone().with_strategy(SpmvStrategy::Classical), &sb, &mut sx);
-        push(&skew_name, skew_nnz, "csr", "load_balance",
-             &skew_csr.clone().with_strategy(SpmvStrategy::LoadBalance), &sb, &mut sx);
-        push(&skew_name, skew_nnz, "csr", "merge_path",
-             &skew_csr.clone().with_strategy(SpmvStrategy::MergePath), &sb, &mut sx);
+        push(
+            &skew_name,
+            skew_nnz,
+            "csr",
+            "classical",
+            &skew_csr.clone().with_strategy(SpmvStrategy::Classical),
+            &sb,
+            &mut sx,
+        );
+        push(
+            &skew_name,
+            skew_nnz,
+            "csr",
+            "load_balance",
+            &skew_csr.clone().with_strategy(SpmvStrategy::LoadBalance),
+            &sb,
+            &mut sx,
+        );
+        push(
+            &skew_name,
+            skew_nnz,
+            "csr",
+            "merge_path",
+            &skew_csr.clone().with_strategy(SpmvStrategy::MergePath),
+            &sb,
+            &mut sx,
+        );
         push(&skew_name, skew_nnz, "csr", "auto", &skew_csr, &sb, &mut sx);
         metrics.push((
             name.clone(),
@@ -184,14 +261,23 @@ fn main() {
         exec.clear_loggers();
     }
     for (name, _, snap, _) in &metrics {
-        assert_eq!(anomalies_total(snap), 0, "the {name} sweep tripped a flight-recorder detector");
+        assert_eq!(
+            anomalies_total(snap),
+            0,
+            "the {name} sweep tripped a flight-recorder detector"
+        );
     }
 
     // Speedup of each row over the same matrix/format/strategy on reference.
     let reference: Vec<(String, f64)> = records
         .iter()
         .filter(|r| r.executor == "reference")
-        .map(|r| (format!("{}/{}/{}", r.matrix, r.format, r.strategy), r.seconds))
+        .map(|r| {
+            (
+                format!("{}/{}/{}", r.matrix, r.format, r.strategy),
+                r.seconds,
+            )
+        })
         .collect();
     for r in records.iter_mut() {
         let key = format!("{}/{}/{}", r.matrix, r.format, r.strategy);
@@ -203,8 +289,17 @@ fn main() {
     let mut report = Report::new(
         "SpMV formats x strategies (virtual time)",
         &[
-            "matrix", "format", "strategy", "executor", "threads", "GFLOP/s", "speedup",
-            "dispatches", "chunks", "steals", "ns/dispatch",
+            "matrix",
+            "format",
+            "strategy",
+            "executor",
+            "threads",
+            "GFLOP/s",
+            "speedup",
+            "dispatches",
+            "chunks",
+            "steals",
+            "ns/dispatch",
         ],
     );
     for r in &records {
@@ -295,8 +390,7 @@ fn main() {
         ..ObserveConfig::default()
     });
     let bt_dim = Dim2::new(batch_n, batch_n);
-    let proto =
-        Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &bgen.prototype.triplets).unwrap();
+    let proto = Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &bgen.prototype.triplets).unwrap();
     let batch = Arc::new(BatchCsr::from_shared(&proto, &bgen.system_values).unwrap());
     let batch_criteria = Criteria::iterations_and_reduction(200, 1e-10);
     let vec_dim = Dim2::new(batch_n, 1);
@@ -322,7 +416,8 @@ fn main() {
     let singles: Vec<(Cg<f64>, Dense<f64>, Dense<f64>)> = (0..batch_systems)
         .map(|s| {
             let triplets = bgen.system_triplets(s);
-            let csr = Arc::new(Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &triplets).unwrap());
+            let csr =
+                Arc::new(Csr::<f64, i32>::from_triplets(&bt_exec, bt_dim, &triplets).unwrap());
             let solver = Cg::new(csr).unwrap().with_criteria(batch_criteria);
             let b = Dense::from_vec(&bt_exec, vec_dim, bgen.rhs[s].clone()).unwrap();
             let x = Dense::zeros(&bt_exec, vec_dim);
@@ -353,7 +448,10 @@ fn main() {
         "batched CG must beat the loop of single solves per system: \
          batched {batched_secs}s vs loop {loop_secs}s"
     );
-    assert_eq!(batch_anomalies, 0, "batched sweep tripped a flight-recorder detector");
+    assert_eq!(
+        batch_anomalies, 0,
+        "batched sweep tripped a flight-recorder detector"
+    );
 
     // Trace overhead: the same fixed-work CG solve (fixed iteration count,
     // so the inert and armed runs do identical numerical work) on a fresh
@@ -401,18 +499,23 @@ fn main() {
     };
     tr_exec.observe(tracing.clone());
     let armed_ns = min_of(&tr_exec, 3);
-    let trace = tr_exec.observer().latest_trace().expect("armed solve retained");
+    let trace = tr_exec
+        .observer()
+        .latest_trace()
+        .expect("armed solve retained");
     assert_eq!(trace.iterations as usize, tr_iters);
     assert_eq!(trace.truncated_spans, 0);
-    let count = |pred: &dyn Fn(&gko::SpanRecord) -> bool| {
-        trace.spans.iter().filter(|s| pred(s)).count()
-    };
+    let count =
+        |pred: &dyn Fn(&gko::SpanRecord) -> bool| trace.spans.iter().filter(|s| pred(s)).count();
     let span_counts = [
         ("solve", count(&|s| s.kind == gko::SpanKind::Solve)),
         ("iteration", count(&|s| s.kind == gko::SpanKind::Iteration)),
         ("kernel_apply", count(&|s| s.kind == gko::SpanKind::Kernel)),
         ("plan_build", count(&|s| s.kind == gko::SpanKind::PlanBuild)),
-        ("pool_dispatch", count(&|s| s.kind == gko::SpanKind::Dispatch)),
+        (
+            "pool_dispatch",
+            count(&|s| s.kind == gko::SpanKind::Dispatch),
+        ),
         ("chunk", count(&|s| s.kind == gko::SpanKind::Chunk)),
     ];
     assert_eq!(span_counts[0].1, 1, "exactly one solve root");
@@ -436,7 +539,11 @@ fn main() {
     });
     let profiled_ns = min_of(&tr_exec, 3);
     let prof = tr_exec.observer().profile();
-    assert!(prof.solves >= 4, "warm-up + 3 timed solves folded: {}", prof.solves);
+    assert!(
+        prof.solves >= 4,
+        "warm-up + 3 timed solves folded: {}",
+        prof.solves
+    );
     assert!(!prof.nodes.is_empty(), "profiled solve built a flame tree");
     let root = &prof.nodes[0];
     assert_eq!(root.depth, 0, "first flattened node is a root");
@@ -513,7 +620,14 @@ fn main() {
         .map(|r| {
             Config::map()
                 .with("matrix", r.matrix.as_str())
-                .with("nnz", if r.matrix == poisson_name { nnz } else { skew_nnz })
+                .with(
+                    "nnz",
+                    if r.matrix == poisson_name {
+                        nnz
+                    } else {
+                        skew_nnz
+                    },
+                )
                 .with("format", r.format)
                 .with("strategy", r.strategy)
                 .with("executor", r.executor.as_str())

@@ -3,8 +3,8 @@
 //!
 //! `cargo run -p pygko-bench --bin tab1_types --release`
 
-use pygko_bench::Report;
 use pyginkgo as pg;
+use pygko_bench::Report;
 
 fn main() {
     // Paper Table 1.
@@ -28,10 +28,9 @@ fn main() {
     for format in ["Csr", "Coo"] {
         for dtype in ["half", "float", "double"] {
             for itype in ["int32", "int64"] {
-                let m = pg::SparseMatrix::from_triplets(
-                    &dev, (2, 2), &triplets, dtype, itype, format,
-                )
-                .expect("construct");
+                let m =
+                    pg::SparseMatrix::from_triplets(&dev, (2, 2), &triplets, dtype, itype, format)
+                        .expect("construct");
                 let b = pg::as_tensor_fill(&dev, (2, 1), dtype, 1.0).expect("tensor");
                 let x = m.spmv(&b).expect("spmv");
                 let ok = (x.get(0, 0).unwrap() - 2.0).abs() < 1e-2

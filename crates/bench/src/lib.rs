@@ -28,7 +28,9 @@ use std::path::PathBuf;
 
 /// True when a quick (reduced-size) run was requested.
 pub fn quick_mode() -> bool {
-    std::env::var("PYGKO_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
+    std::env::var("PYGKO_BENCH_QUICK")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 /// Iteration count for fixed-iteration solver benches.

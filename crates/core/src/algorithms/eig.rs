@@ -109,7 +109,8 @@ mod tests {
 
     #[test]
     fn diagonal_matrix_eigenvalues_are_the_diagonal() {
-        let (vals, vecs) = symmetric_eig(3, &[3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0]).unwrap();
+        let (vals, vecs) =
+            symmetric_eig(3, &[3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0]).unwrap();
         assert_eq!(vals, vec![1.0, 2.0, 3.0]);
         // Eigenvector for eigenvalue 1 is e_1 (up to sign).
         assert!((vecs[0][1].abs() - 1.0).abs() < 1e-12);

@@ -105,7 +105,8 @@ mod tests {
         assert_eq!(r.steps, n);
         // Exact eigenvalues: 2 - 2 cos(k pi / (n+1)).
         for (k, got) in r.values.iter().enumerate() {
-            let exact = 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
+            let exact =
+                2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((got - exact).abs() < 1e-8, "lambda_{k}: {got} vs {exact}");
         }
     }
@@ -140,7 +141,9 @@ mod tests {
         let dev = device("reference").unwrap();
         let m = laplacian(&dev, 4);
         assert!(lanczos(&m, 0, 0).is_err());
-        let rect = SparseMatrix::from_triplets(&dev, (2, 3), &[(0, 0, 1.0)], "double", "int32", "Csr").unwrap();
+        let rect =
+            SparseMatrix::from_triplets(&dev, (2, 3), &[(0, 0, 1.0)], "double", "int32", "Csr")
+                .unwrap();
         assert!(lanczos(&rect, 2, 0).is_err());
     }
 }

@@ -137,8 +137,8 @@ pub fn solve_from_config_file(
     x: &mut Tensor,
     path: impl AsRef<std::path::Path>,
 ) -> PyResult<Logger> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| PyGinkgoError::Os(e.to_string()))?;
+    let text =
+        std::fs::read_to_string(path.as_ref()).map_err(|e| PyGinkgoError::Os(e.to_string()))?;
     solve_with_config(matrix, b, x, &Config::from_json(&text)?)
 }
 
@@ -190,7 +190,12 @@ mod tests {
         assert!(json.contains("\"type\":\"preconditioner::Jacobi\""));
         assert!(json.contains("\"max_block_size\":1"));
         assert!(json.contains("\"max_iters\":1000"));
-        assert!(json.contains("\"reduction_factor\":1e-6") || json.contains("1e-06") || json.contains("0.000001"), "{json}");
+        assert!(
+            json.contains("\"reduction_factor\":1e-6")
+                || json.contains("1e-06")
+                || json.contains("0.000001"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -232,7 +237,9 @@ mod tests {
         let dev = device("reference").unwrap();
         let mtx = spd(&dev, 16);
         let b = as_tensor_fill(&dev, (16, 1), "double", 1.0).unwrap();
-        for method in ["cg", "fcg", "cgs", "bicgstab", "minres", "gmres", "ir", "direct"] {
+        for method in [
+            "cg", "fcg", "cgs", "bicgstab", "minres", "gmres", "ir", "direct",
+        ] {
             let mut x = as_tensor_fill(&dev, (16, 1), "double", 0.0).unwrap();
             let opts = SolveOptions {
                 method: method.into(),
@@ -259,12 +266,18 @@ mod tests {
             method: "quantum".into(),
             ..SolveOptions::default()
         };
-        assert!(matches!(solve(&mtx, &b, &mut x, &opts), Err(PyGinkgoError::Value(_))));
+        assert!(matches!(
+            solve(&mtx, &b, &mut x, &opts),
+            Err(PyGinkgoError::Value(_))
+        ));
         let opts = SolveOptions {
             preconditioner: Some("magic".into()),
             ..SolveOptions::default()
         };
-        assert!(matches!(solve(&mtx, &b, &mut x, &opts), Err(PyGinkgoError::Value(_))));
+        assert!(matches!(
+            solve(&mtx, &b, &mut x, &opts),
+            Err(PyGinkgoError::Value(_))
+        ));
 
         // A present-but-mistyped parameter (a hand-edited config file) is a
         // ValueError naming the key, not a silent fall-back to the default.
@@ -279,7 +292,10 @@ mod tests {
             ("krylov_dim", gmres.clone().with("krylov_dim", "50")),
             ("krylov_dim", gmres.clone().with("krylov_dim", 30.5)),
             ("relaxation_factor", ir.with("relaxation_factor", "0.5")),
-            ("max_block_size", gmres.with("preconditioner", jacobi("4".into()))),
+            (
+                "max_block_size",
+                gmres.with("preconditioner", jacobi("4".into())),
+            ),
         ] {
             match solve_with_config(&mtx, &b, &mut x, &cfg) {
                 Err(PyGinkgoError::Value(msg)) => assert!(msg.contains(key), "{msg}"),

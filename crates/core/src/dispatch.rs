@@ -163,7 +163,13 @@ pub(crate) trait CsrInstance<V: Value>: Instance<V> {
     fn config_solve(self: Arc<Self>, config: &Config) -> gko::Result<ConfiguredSolver<V>>;
     /// One batched CG (`cg`) or BiCGStab solve over the matrix replicated
     /// once per column of the row-major `(n, S)` blocks `b` and `x`.
-    fn solve_batch(&self, cg: bool, criteria: Criteria, b: &Dense<V>, x: &mut Dense<V>) -> gko::Result<BatchSolveRecord>;
+    fn solve_batch(
+        &self,
+        cg: bool,
+        criteria: Criteria,
+        b: &Dense<V>,
+        x: &mut Dense<V>,
+    ) -> gko::Result<BatchSolveRecord>;
 }
 
 impl<V: Value, I: Ordinal> Instance<V> for Csr<V, I> {
@@ -258,8 +264,17 @@ impl<V: Value, I: Ordinal> CsrInstance<V> for Csr<V, I> {
     fn config_solve(self: Arc<Self>, config: &Config) -> gko::Result<ConfiguredSolver<V>> {
         gko::config::config_solve(self, config)
     }
-    fn solve_batch(&self, cg: bool, criteria: Criteria, b: &Dense<V>, x: &mut Dense<V>) -> gko::Result<BatchSolveRecord> {
-        let Dim2 { rows: n, cols: systems } = b.size();
+    fn solve_batch(
+        &self,
+        cg: bool,
+        criteria: Criteria,
+        b: &Dense<V>,
+        x: &mut Dense<V>,
+    ) -> gko::Result<BatchSolveRecord> {
+        let Dim2 {
+            rows: n,
+            cols: systems,
+        } = b.size();
         let batch = Arc::new(BatchCsr::replicated(self, systems)?);
         // Row-major (n, S) columns -> contiguous per-system vectors.
         let mut bb = BatchDense::zeros(self.executor(), systems, Dim2::new(n, 1));
@@ -272,9 +287,13 @@ impl<V: Value, I: Ordinal> CsrInstance<V> for Csr<V, I> {
             }
         }
         let record = if cg {
-            BatchCg::new(batch)?.with_criteria(criteria).apply_batch(&bb, &mut xb)?
+            BatchCg::new(batch)?
+                .with_criteria(criteria)
+                .apply_batch(&bb, &mut xb)?
         } else {
-            BatchBiCgStab::new(batch)?.with_criteria(criteria).apply_batch(&bb, &mut xb)?
+            BatchBiCgStab::new(batch)?
+                .with_criteria(criteria)
+                .apply_batch(&bb, &mut xb)?
         };
         for s in 0..systems {
             for i in 0..n {

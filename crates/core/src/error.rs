@@ -61,10 +61,18 @@ mod tests {
 
     #[test]
     fn display_uses_python_exception_names() {
-        assert!(PyGinkgoError::Type("x".into()).to_string().starts_with("TypeError"));
-        assert!(PyGinkgoError::Value("x".into()).to_string().starts_with("ValueError"));
-        assert!(PyGinkgoError::Runtime("x".into()).to_string().starts_with("RuntimeError"));
-        assert!(PyGinkgoError::Os("x".into()).to_string().starts_with("OSError"));
+        assert!(PyGinkgoError::Type("x".into())
+            .to_string()
+            .starts_with("TypeError"));
+        assert!(PyGinkgoError::Value("x".into())
+            .to_string()
+            .starts_with("ValueError"));
+        assert!(PyGinkgoError::Runtime("x".into())
+            .to_string()
+            .starts_with("RuntimeError"));
+        assert!(PyGinkgoError::Os("x".into())
+            .to_string()
+            .starts_with("OSError"));
     }
 
     #[test]

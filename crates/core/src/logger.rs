@@ -50,7 +50,9 @@ impl Logger {
     /// Human-readable stop reason (`"converged (residual reduction)"`,
     /// `"max iterations"`, `"breakdown"`, or `"not run"`).
     pub fn stop_reason(&self) -> &'static str {
-        self.record.stop_reason.map_or("not run", |reason| reason.describe())
+        self.record
+            .stop_reason
+            .map_or("not run", |reason| reason.describe())
     }
 }
 

@@ -141,12 +141,8 @@ impl SparseMatrix {
     pub fn spmv(&self, b: &Tensor) -> PyResult<Tensor> {
         let (rows, _) = self.shape();
         let (_, bcols) = b.shape();
-        let mut x = crate::tensor::as_tensor_fill(
-            &self.device,
-            (rows, bcols),
-            self.dtype().name(),
-            0.0,
-        )?;
+        let mut x =
+            crate::tensor::as_tensor_fill(&self.device, (rows, bcols), self.dtype().name(), 0.0)?;
         self.spmv_into(b, &mut x)?;
         Ok(x)
     }
@@ -189,17 +185,22 @@ impl SparseMatrix {
             }
         };
         // Only CSR has strategies: COO is inherently nnz-partitioned.
-        Ok(self.with_inner(with_dtype!(&self.inner, |m as wrap| match m.clone().csr() {
-            Some(csr) => wrap(csr.with_strategy(s)),
-            None => wrap(m.clone()),
-        })))
+        Ok(
+            self.with_inner(with_dtype!(&self.inner, |m as wrap| match m.clone().csr() {
+                Some(csr) => wrap(csr.with_strategy(s)),
+                None => wrap(m.clone()),
+            })),
+        )
     }
 
     /// Densifies into a tensor (small matrices; used by tests and examples).
     pub fn to_dense(&self) -> Tensor {
         binding_call(&self.device, || {
             let data = with_dtype!(&self.inner, |m as wrap| wrap(m.to_dense()));
-            Tensor { data, device: self.device.clone() }
+            Tensor {
+                data,
+                device: self.device.clone(),
+            }
         })
     }
 
@@ -207,7 +208,9 @@ impl SparseMatrix {
     /// values widened to f64 (for writing back to Matrix Market). Walks the
     /// CSR/COO arrays, so the cost is O(nnz) whatever the shape.
     pub fn to_triplets(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = binding_call(&self.device, || with_dtype!(&self.inner, |m| m.stored_entries()));
+        let mut out = binding_call(&self.device, || {
+            with_dtype!(&self.inner, |m| m.stored_entries())
+        });
         out.retain(|&(_, _, v)| v != 0.0);
         out
     }
@@ -216,7 +219,9 @@ impl SparseMatrix {
     /// `device` (one more for a COO matrix: see [`csr_half`]).
     pub(crate) fn generate(&self, device: &Device, what: Generate) -> PyResult<OpImpl> {
         binding_call(device, || {
-            Ok(with_dtype!(&self.inner, |m as wrap| wrap(csr_half(&self.device, m).generate(what)?)))
+            Ok(
+                with_dtype!(&self.inner, |m as wrap| wrap(csr_half(&self.device, m).generate(what)?)),
+            )
         })
     }
 
@@ -308,13 +313,18 @@ mod tests {
         let b = as_tensor(vec![1.0, 2.0, 3.0], &dev, (3, 1), "double").unwrap();
         let mut x = as_tensor(vec![0.0; 3], &dev, (3, 1), "float").unwrap();
         let spmv = m.spmv_into(&b, &mut x).unwrap_err();
-        let cfg = crate::config_solver::SolveOptions::default().to_config().unwrap();
+        let cfg = crate::config_solver::SolveOptions::default()
+            .to_config()
+            .unwrap();
         let solve = crate::config_solver::solve_with_config(&m, &b, &mut x, &cfg).unwrap_err();
         for err in [spmv, solve] {
             assert!(matches!(err, PyGinkgoError::Type(_)), "{err}");
             let msg = err.to_string();
             assert!(msg.contains("matrix is double"), "{msg}");
-            assert!(msg.contains("b is double") && msg.contains("x is float"), "{msg}");
+            assert!(
+                msg.contains("b is double") && msg.contains("x is float"),
+                "{msg}"
+            );
         }
     }
 
@@ -333,7 +343,15 @@ mod tests {
     #[test]
     fn invalid_construction_raises_value_or_type_error() {
         let dev = device("reference").unwrap();
-        assert!(SparseMatrix::from_triplets(&dev, (2, 2), &[(5, 0, 1.0)], "double", "int32", "Csr").is_err());
+        assert!(SparseMatrix::from_triplets(
+            &dev,
+            (2, 2),
+            &[(5, 0, 1.0)],
+            "double",
+            "int32",
+            "Csr"
+        )
+        .is_err());
         assert!(SparseMatrix::from_triplets(&dev, (2, 2), &[], "quad", "int32", "Csr").is_err());
         assert!(SparseMatrix::from_triplets(&dev, (2, 2), &[], "double", "int8", "Csr").is_err());
         assert!(SparseMatrix::from_triplets(&dev, (2, 2), &[], "double", "int32", "Hyb").is_err());
@@ -395,8 +413,9 @@ mod tests {
         for dtype in ["half", "float", "double"] {
             for itype in ["int32", "int64"] {
                 for format in ["Csr", "Coo"] {
-                    let m = SparseMatrix::from_triplets(&dev, (4, 4), &entries, dtype, itype, format)
-                        .unwrap();
+                    let m =
+                        SparseMatrix::from_triplets(&dev, (4, 4), &entries, dtype, itype, format)
+                            .unwrap();
                     assert_eq!(m.nnz(), 7, "zeros are stored");
                     let t = m.to_triplets();
                     assert_eq!(t, dense_scan(&m), "{dtype}/{itype}/{format}");

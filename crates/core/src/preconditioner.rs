@@ -93,7 +93,10 @@ mod tests {
         assert_eq!(jacobi(&dev, &m).unwrap().kind(), "jacobi");
         assert_eq!(ilu(&dev, &m).unwrap().kind(), "ilu");
         assert_eq!(ic(&dev, &m).unwrap().kind(), "ic");
-        assert_eq!(jacobi_with_block_size(&dev, &m, 2).unwrap().kind(), "jacobi");
+        assert_eq!(
+            jacobi_with_block_size(&dev, &m, 2).unwrap().kind(),
+            "jacobi"
+        );
     }
 
     #[test]

@@ -106,15 +106,19 @@ mod tests {
             entries.push((i, (i * 31 + 17) % n, 0.25));
         }
         let dev = device("reference").unwrap();
-        let m = SparseMatrix::from_triplets(&dev, (n, n), &entries, "double", "int32", "Csr")
-            .unwrap();
+        let m =
+            SparseMatrix::from_triplets(&dev, (n, n), &entries, "double", "int32", "Csr").unwrap();
         let path = temp_path("large.mtx");
         write(&m, &path).unwrap();
         let back = read(&dev, &path, "double", "Csr").unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(back.shape(), (n, n));
         assert_eq!(back.nnz(), m.nnz());
-        assert!(m.nnz() > 2 * n && m.nnz() < 3 * n, "{} stored entries", m.nnz());
+        assert!(
+            m.nnz() > 2 * n && m.nnz() < 3 * n,
+            "{} stored entries",
+            m.nnz()
+        );
         assert_eq!(back.to_triplets(), m.to_triplets());
     }
 

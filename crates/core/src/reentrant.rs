@@ -67,7 +67,10 @@ impl ReentrantMutex {
         // lock has nothing inconsistent behind it and is recovered.
         let mut held = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         while self.owner.load(Ordering::Relaxed) != 0 {
-            held = self.unlocked.wait(held).unwrap_or_else(PoisonError::into_inner);
+            held = self
+                .unlocked
+                .wait(held)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.owner.store(me, Ordering::Release);
         // SAFETY: we just became the owner under `inner`, so no other
@@ -94,7 +97,11 @@ impl Drop for ReentrantGuard<'_> {
         let depth = unsafe { &mut *self.mutex.depth.get() };
         *depth -= 1;
         if *depth == 0 {
-            let _held = self.mutex.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let _held = self
+                .mutex
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             self.mutex.owner.store(0, Ordering::Release);
             self.mutex.unlocked.notify_one();
         }

@@ -403,7 +403,9 @@ const METHODS: [(&str, &str); 9] = [
 pub(crate) fn method(name: &str) -> PyResult<(&'static str, &'static str)> {
     let name = name.to_ascii_lowercase();
     let known = METHODS.iter().find(|(facade, _)| *facade == name);
-    known.copied().ok_or_else(|| PyGinkgoError::Value(format!("unknown solver method '{name}'")))
+    known
+        .copied()
+        .ok_or_else(|| PyGinkgoError::Value(format!("unknown solver method '{name}'")))
 }
 
 impl Solver {
@@ -456,9 +458,11 @@ fn make_krylov(
             None => with_dtype!(&matrix.inner, |m as wrap| {
                 iterative(engine, m.clone(), None, criteria, krylov_dim, wrap)
             }),
-            Some(p) => with_dtype!(("matrix", &matrix.inner), ("preconditioner", &p.inner); |m, p as wrap| {
-                iterative(engine, m.clone(), Some(p), criteria, krylov_dim, wrap)
-            }),
+            Some(p) => {
+                with_dtype!(("matrix", &matrix.inner), ("preconditioner", &p.inner); |m, p as wrap| {
+                    iterative(engine, m.clone(), Some(p), criteria, krylov_dim, wrap)
+                })
+            }
         }?;
         Ok(Solver {
             logger,
@@ -556,22 +560,44 @@ pub fn krylov_fixed_iters(
     iters: usize,
     krylov_dim: usize,
 ) -> PyResult<Solver> {
-    make_krylov(device, matrix, None, method, Some(krylov_dim), Criteria::iterations(iters))
+    make_krylov(
+        device,
+        matrix,
+        None,
+        method,
+        Some(krylov_dim),
+        Criteria::iterations(iters),
+    )
 }
 
 /// Dense-LU direct solver binding.
 pub fn direct(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    Ok(Solver::new(device, matrix, "direct", matrix.generate(device, Generate::Direct)?))
+    Ok(Solver::new(
+        device,
+        matrix,
+        "direct",
+        matrix.generate(device, Generate::Direct)?,
+    ))
 }
 
 /// Lower triangular solver binding.
 pub fn lower_trs(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    Ok(Solver::new(device, matrix, "lower_trs", matrix.generate(device, Generate::LowerTrs)?))
+    Ok(Solver::new(
+        device,
+        matrix,
+        "lower_trs",
+        matrix.generate(device, Generate::LowerTrs)?,
+    ))
 }
 
 /// Upper triangular solver binding.
 pub fn upper_trs(device: &Device, matrix: &SparseMatrix) -> PyResult<Solver> {
-    Ok(Solver::new(device, matrix, "upper_trs", matrix.generate(device, Generate::UpperTrs)?))
+    Ok(Solver::new(
+        device,
+        matrix,
+        "upper_trs",
+        matrix.generate(device, Generate::UpperTrs)?,
+    ))
 }
 
 #[cfg(test)]
@@ -621,7 +647,10 @@ mod tests {
             let solver = gmres(&dev, &mtx, None, 1000, krylov_dim, 1e-10).unwrap();
             let logger = solver.apply(&b, &mut x).unwrap();
             assert!(logger.converged(), "{}", logger.stop_reason());
-            (logger.iterations(), x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            (
+                logger.iterations(),
+                x.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
         };
         assert_eq!(solve(usize::MAX >> 1), solve(100));
     }
@@ -635,7 +664,12 @@ mod tests {
             let solver = build(&dev, &mtx, None, 500, 1e-9).unwrap();
             let mut x = as_tensor_fill(&dev, (32, 1), "double", 0.0).unwrap();
             let log = solver.apply(&b, &mut x).unwrap();
-            assert!(log.converged(), "{} failed: {}", solver.name(), log.stop_reason());
+            assert!(
+                log.converged(),
+                "{} failed: {}",
+                solver.name(),
+                log.stop_reason()
+            );
         }
     }
 
@@ -661,11 +695,17 @@ mod tests {
         let dev = device("reference").unwrap();
         let mtx = spd(&dev, 64, "double");
         let b = as_tensor_fill(&dev, (64, 1), "double", 1.0).unwrap();
-        for method in ["cg", "fcg", "cgs", "bicgstab", "minres", "gmres", "ir", "FCG"] {
+        for method in [
+            "cg", "fcg", "cgs", "bicgstab", "minres", "gmres", "ir", "FCG",
+        ] {
             let solver = krylov_fixed_iters(&dev, &mtx, method, 3, 30).unwrap();
             assert_eq!(solver.name(), method.to_ascii_lowercase());
             let mut x = as_tensor_fill(&dev, (64, 1), "double", 0.0).unwrap();
-            assert_eq!(solver.apply(&b, &mut x).unwrap().iterations(), 3, "{method}");
+            assert_eq!(
+                solver.apply(&b, &mut x).unwrap().iterations(),
+                3,
+                "{method}"
+            );
         }
         // Known by name, but not an iteration to fix the count of.
         assert!(matches!(
@@ -729,7 +769,10 @@ mod tests {
         let solver = cg(&dev, &mtx, None, 100, 1e-8).unwrap();
         let b = as_tensor_fill(&dev, (8, 1), "float", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (8, 1), "float", 0.0).unwrap();
-        assert!(matches!(solver.apply(&b, &mut x), Err(PyGinkgoError::Type(_))));
+        assert!(matches!(
+            solver.apply(&b, &mut x),
+            Err(PyGinkgoError::Type(_))
+        ));
 
         // Preconditioner dtype mismatch.
         let mtx_f = spd(&dev, 8, "float");
@@ -775,13 +818,19 @@ mod tests {
             data.events.iter().any(|e| e.contains("iteration")),
             "record logger should capture iteration events"
         );
-        assert!(data.stream.contains("[gko]"), "stream text: {}", data.stream);
+        assert!(
+            data.stream.contains("[gko]"),
+            "stream text: {}",
+            data.stream
+        );
         let ops: Vec<&str> = data.profile.iter().map(|p| p.op.as_str()).collect();
         assert!(ops.contains(&"csr"), "profile ops: {ops:?}");
         assert!(ops.contains(&"dense::dot"), "profile ops: {ops:?}");
         assert!(ops.contains(&"solver::Cg"), "profile ops: {ops:?}");
         assert!(
-            data.profile.iter().any(|p| p.op == "csr" && p.self_wall_ns > 0),
+            data.profile
+                .iter()
+                .any(|p| p.op == "csr" && p.self_wall_ns > 0),
             "self time comes from the flame profile: {:?}",
             data.profile
         );
@@ -821,7 +870,10 @@ mod tests {
         let b = as_tensor_fill(&dev, (16, 1), "double", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (16, 1), "double", 0.0).unwrap();
         solver.apply(&b, &mut x).unwrap();
-        assert!(!solver.observations().logger.events.is_empty(), "the second one records");
+        assert!(
+            !solver.observations().logger.events.is_empty(),
+            "the second one records"
+        );
 
         let everything = Observe {
             record: Some(64),
@@ -885,7 +937,10 @@ mod tests {
                 ..Observe::default()
             })
             .unwrap();
-        assert!(solver.observations().metrics.is_some(), "snapshot available pre-solve");
+        assert!(
+            solver.observations().metrics.is_some(),
+            "snapshot available pre-solve"
+        );
 
         let b = as_tensor_fill(&dev, (64, 1), "double", 1.0).unwrap();
         let mut x = as_tensor_fill(&dev, (64, 1), "double", 0.0).unwrap();
@@ -913,7 +968,9 @@ mod tests {
         assert_eq!(snap.solves, 1);
         assert!(snap.alloc_bytes.count > 0);
 
-        assert!(snap.to_prometheus().contains("gko_kernel_calls_total{op=\"csr\"}"));
+        assert!(snap
+            .to_prometheus()
+            .contains("gko_kernel_calls_total{op=\"csr\"}"));
 
         // The same aggregates are also visible executor-wide.
         let exec_snap = dev.executor().observer().metrics().unwrap();
@@ -1082,8 +1139,14 @@ mod tests {
         let (one, _) = run(1);
         let (many, solution) = run(64);
         let vectors = (7 * 64 * n * std::mem::size_of::<f64>()) as u64;
-        assert!(many < 2 * one + vectors, "peak {many} bytes for 64 columns, {one} for one");
-        assert_eq!(solution, 0x43d4_f635_89fc_b0bd, "64-column solution drifted");
+        assert!(
+            many < 2 * one + vectors,
+            "peak {many} bytes for 64 columns, {one} for one"
+        );
+        assert_eq!(
+            solution, 0x43d4_f635_89fc_b0bd,
+            "64-column solution drifted"
+        );
     }
 
     #[test]

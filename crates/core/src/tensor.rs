@@ -69,7 +69,11 @@ impl Tensor {
     /// Copies the values out as a row-major `f64` vector.
     pub fn to_vec(&self) -> Vec<f64> {
         binding_call(&self.device, || {
-            with_dtype!(&self.data, |d| d.as_slice().iter().map(|v| v.to_f64()).collect())
+            with_dtype!(&self.data, |d| d
+                .as_slice()
+                .iter()
+                .map(|v| v.to_f64())
+                .collect())
         })
     }
 
@@ -99,14 +103,17 @@ impl Tensor {
 
     /// Dot product (accumulated in `f64`). Dtypes must match.
     pub fn dot(&self, other: &Tensor) -> PyResult<f64> {
-        binding_call(&self.device, || {
-            with_dtype!(("self", &self.data), ("other", &other.data); |a, b| Ok(a.compute_dot(b)?))
-        })
+        binding_call(
+            &self.device,
+            || with_dtype!(("self", &self.data), ("other", &other.data); |a, b| Ok(a.compute_dot(b)?)),
+        )
     }
 
     /// Euclidean norm over all elements.
     pub fn norm(&self) -> f64 {
-        binding_call(&self.device, || with_dtype!(&self.data, |d| d.compute_norm2()))
+        binding_call(&self.device, || {
+            with_dtype!(&self.data, |d| d.compute_norm2())
+        })
     }
 
     /// Converts to another dtype (always copies, like `ndarray.astype`).
@@ -120,7 +127,10 @@ impl Tensor {
     pub fn to_device(&self, device: &Device) -> Tensor {
         binding_call(device, || {
             let data = with_dtype!(&self.data, |d as wrap| wrap(d.clone_to(device.executor())));
-            Tensor { data, device: device.clone() }
+            Tensor {
+                data,
+                device: device.clone(),
+            }
         })
     }
 }
@@ -141,7 +151,10 @@ fn from_f64_buffer(
             wrap(Dense::from_vec(exec, dim, host.iter().map(|&v| Value::from_f64(v)).collect())?)
         }),
     };
-    Ok(Tensor { data, device: device.clone() })
+    Ok(Tensor {
+        data,
+        device: device.clone(),
+    })
 }
 
 /// Builds a tensor from a host buffer — `pg.as_tensor(x, device=...)`.
@@ -189,7 +202,10 @@ pub fn as_tensor_fill(
         let data = with_dtype!(target.tag(), |_tag as wrap| {
             wrap(Dense::filled(exec, dim2, Value::from_f64(fill)))
         });
-        Ok(Tensor { data, device: device.clone() })
+        Ok(Tensor {
+            data,
+            device: device.clone(),
+        })
     })
 }
 
@@ -266,7 +282,10 @@ mod tests {
         let b = as_tensor(vec![1.0], &dev, (1, 1), "float").unwrap();
         assert!(matches!(a.dot(&b), Err(PyGinkgoError::Type(_))));
         let mut a2 = a.clone();
-        assert!(matches!(a2.add_scaled(1.0, &b), Err(PyGinkgoError::Type(_))));
+        assert!(matches!(
+            a2.add_scaled(1.0, &b),
+            Err(PyGinkgoError::Type(_))
+        ));
     }
 
     #[test]

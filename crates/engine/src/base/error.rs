@@ -46,7 +46,11 @@ pub enum GkoError {
 impl fmt::Display for GkoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GkoError::DimensionMismatch { op, expected, actual } => write!(
+            GkoError::DimensionMismatch {
+                op,
+                expected,
+                actual,
+            } => write!(
                 f,
                 "dimension mismatch in {op}: expected {expected}, got {actual}"
             ),

@@ -295,8 +295,7 @@ impl<'a> Parser<'a> {
                             if !(0xDC00..0xE000).contains(&low) {
                                 return Err(self.error("invalid low surrogate"));
                             }
-                            let combined =
-                                0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                             out.push(
                                 char::from_u32(combined)
                                     .ok_or_else(|| self.error("invalid code point"))?,
@@ -342,7 +341,9 @@ impl<'a> Parser<'a> {
     fn parse_hex4(&mut self) -> Result<u32> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let c = self.bump().ok_or_else(|| self.error("truncated \\u escape"))?;
+            let c = self
+                .bump()
+                .ok_or_else(|| self.error("truncated \\u escape"))?;
             let digit = (c as char)
                 .to_digit(16)
                 .ok_or_else(|| self.error("invalid hex digit"))?;
@@ -441,10 +442,7 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            parse(r#""é😀""#).unwrap(),
-            Config::Str("é😀".into())
-        );
+        assert_eq!(parse(r#""é😀""#).unwrap(), Config::Str("é😀".into()));
     }
 
     #[test]
@@ -497,7 +495,10 @@ mod tests {
         for (open, close) in shapes {
             // `[{"a":` opens two levels at once.
             let per = open.matches(['[', '{']).count();
-            assert!(parse(&nest(MAX_DEPTH / per, open, close)).is_ok(), "{open} at the limit");
+            assert!(
+                parse(&nest(MAX_DEPTH / per, open, close)).is_ok(),
+                "{open} at the limit"
+            );
             for levels in [MAX_DEPTH / per + 1, 1_000_000] {
                 // Unclosed, as a hostile file would be: the bound must trip
                 // before the parser gets to find that out.

@@ -175,7 +175,9 @@ mod tests {
             .with(
                 "criteria",
                 vec![
-                    Config::map().with("type", "Iteration").with("max_iters", 1000usize),
+                    Config::map()
+                        .with("type", "Iteration")
+                        .with("max_iters", 1000usize),
                     Config::map()
                         .with("type", "ResidualNorm")
                         .with("reduction_factor", 1e-6),

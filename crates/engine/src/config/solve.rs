@@ -33,9 +33,9 @@ fn optional<T>(
     read: fn(&Config) -> Option<T>,
     what: &str,
 ) -> Result<Option<T>> {
-    let value = config.get(key).map(|v| {
-        read(v).ok_or_else(|| GkoError::InvalidConfig(format!("'{key}' must be {what}")))
-    });
+    let value = config
+        .get(key)
+        .map(|v| read(v).ok_or_else(|| GkoError::InvalidConfig(format!("'{key}' must be {what}"))));
     value.transpose()
 }
 
@@ -64,9 +64,10 @@ pub fn parse_criteria(config: &Config) -> Result<Criteria> {
         .as_array()
         .ok_or_else(|| GkoError::InvalidConfig("'criteria' must be an array".into()))?;
     for item in items {
-        let ty = item.require("type")?.as_str().ok_or_else(|| {
-            GkoError::InvalidConfig("criterion 'type' must be a string".into())
-        })?;
+        let ty = item
+            .require("type")?
+            .as_str()
+            .ok_or_else(|| GkoError::InvalidConfig("criterion 'type' must be a string".into()))?;
         match ty {
             "Iteration" => {
                 let n = item.require("max_iters")?.as_int().ok_or_else(|| {
@@ -118,9 +119,10 @@ pub fn build_preconditioner<V: Value, I: Index>(
     if matches!(sub, Config::Null) {
         return Ok(None);
     }
-    let ty = sub.require("type")?.as_str().ok_or_else(|| {
-        GkoError::InvalidConfig("preconditioner 'type' must be a string".into())
-    })?;
+    let ty = sub
+        .require("type")?
+        .as_str()
+        .ok_or_else(|| GkoError::InvalidConfig("preconditioner 'type' must be a string".into()))?;
     let op: Arc<dyn LinOp<V>> = match ty {
         "preconditioner::Jacobi" => {
             let block = optional_positive(sub, "max_block_size")?.unwrap_or(1);
@@ -142,9 +144,10 @@ pub fn config_solve<V: Value, I: Index>(
     matrix: Arc<Csr<V, I>>,
     config: &Config,
 ) -> Result<ConfiguredSolver<V>> {
-    let ty = config.require("type")?.as_str().ok_or_else(|| {
-        GkoError::InvalidConfig("solver 'type' must be a string".into())
-    })?;
+    let ty = config
+        .require("type")?
+        .as_str()
+        .ok_or_else(|| GkoError::InvalidConfig("solver 'type' must be a string".into()))?;
     let criteria = parse_criteria(config)?;
     let precond = build_preconditioner(&matrix, config)?;
     let krylov_dim = optional_positive(config, "krylov_dim")?;
@@ -225,7 +228,13 @@ mod tests {
             solver.op.apply(&b, &mut x).unwrap();
             let rec = solver.logger.snapshot();
             assert!(rec.converged(), "krylov_dim {dim}: {:?}", rec.stop_reason);
-            (rec.iterations, x.to_host_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            (
+                rec.iterations,
+                x.to_host_vec()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+            )
         };
         let huge = solve(&i64::MAX.to_string());
         assert!(huge.0 < 100);
@@ -310,9 +319,10 @@ mod tests {
         };
         assert!(err.to_string().contains("solver::Quantum"));
 
-        let cfg = Config::map()
-            .with("type", "solver::Cg")
-            .with("preconditioner", Config::map().with("type", "preconditioner::Magic"));
+        let cfg = Config::map().with("type", "solver::Cg").with(
+            "preconditioner",
+            Config::map().with("type", "preconditioner::Magic"),
+        );
         assert!(config_solve(a, &cfg).is_err());
     }
 
@@ -327,10 +337,9 @@ mod tests {
     fn bad_criteria_are_rejected() {
         let exec = Executor::reference();
         let a = system(&exec, 5);
-        let cfg = Config::map().with("type", "solver::Cg").with(
-            "criteria",
-            vec![Config::map().with("type", "Wormhole")],
-        );
+        let cfg = Config::map()
+            .with("type", "solver::Cg")
+            .with("criteria", vec![Config::map().with("type", "Wormhole")]);
         assert!(config_solve(a.clone(), &cfg).is_err());
 
         let cfg = Config::map()
@@ -349,12 +358,29 @@ mod tests {
                 .with("max_block_size", block)
         };
         let cases = [
-            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", "50")),
-            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", 30.5)),
-            ("krylov_dim", Config::map().with("type", "solver::Gmres").with("krylov_dim", 0usize)),
+            (
+                "krylov_dim",
+                Config::map()
+                    .with("type", "solver::Gmres")
+                    .with("krylov_dim", "50"),
+            ),
+            (
+                "krylov_dim",
+                Config::map()
+                    .with("type", "solver::Gmres")
+                    .with("krylov_dim", 30.5),
+            ),
+            (
+                "krylov_dim",
+                Config::map()
+                    .with("type", "solver::Gmres")
+                    .with("krylov_dim", 0usize),
+            ),
             (
                 "relaxation_factor",
-                Config::map().with("type", "solver::Ir").with("relaxation_factor", "0.5"),
+                Config::map()
+                    .with("type", "solver::Ir")
+                    .with("relaxation_factor", "0.5"),
             ),
             (
                 "max_block_size",
@@ -379,7 +405,9 @@ mod tests {
             }
         }
         // Well-typed values still pass, integers widening to floats.
-        let cfg = Config::map().with("type", "solver::Ir").with("relaxation_factor", 1usize);
+        let cfg = Config::map()
+            .with("type", "solver::Ir")
+            .with("relaxation_factor", 1usize);
         assert!(config_solve(a, &cfg).is_ok());
     }
 
@@ -391,7 +419,9 @@ mod tests {
             "preconditioner",
             Config::map().with("type", "preconditioner::Jacobi"),
         );
-        let err = config_solve(a, &cfg).err().expect("MINRES takes no preconditioner");
+        let err = config_solve(a, &cfg)
+            .err()
+            .expect("MINRES takes no preconditioner");
         assert!(matches!(err, GkoError::Unsupported(_)), "{err}");
         assert!(err.to_string().contains("solver::Minres"), "{err}");
     }

@@ -65,7 +65,7 @@ struct Inner {
     spec: DeviceSpec,
     timeline: Timeline,
     bytes_allocated: AtomicI64, // atomic: counter
-    peak_bytes: AtomicU64, // atomic: counter
+    peak_bytes: AtomicU64,      // atomic: counter
     /// Lazily-spawned persistent worker pool; `None` once initialized means
     /// the executor is functionally single-threaded.
     pool: OnceLock<Option<WorkerPool>>,
@@ -353,7 +353,10 @@ impl Executor {
         let current = self.observing();
         self.observe(ObserveConfig {
             metrics: true,
-            flight: current.flight.clone().or_else(|| Some(DetectorConfig::default())),
+            flight: current
+                .flight
+                .clone()
+                .or_else(|| Some(DetectorConfig::default())),
             ..current
         });
         TelemetryServer::bind(self.clone(), addr)
@@ -389,15 +392,22 @@ impl Executor {
 
     /// Records an allocation in the memory accountant.
     pub fn track_alloc(&self, bytes: usize) {
-        let now = self.0.bytes_allocated.fetch_add(bytes as i64, Ordering::Relaxed)
+        let now = self
+            .0
+            .bytes_allocated
+            .fetch_add(bytes as i64, Ordering::Relaxed)
             + bytes as i64;
-        self.0.peak_bytes.fetch_max(now.max(0) as u64, Ordering::Relaxed);
+        self.0
+            .peak_bytes
+            .fetch_max(now.max(0) as u64, Ordering::Relaxed);
         self.0.loggers.log(&Event::AllocationComplete { bytes });
     }
 
     /// Records a deallocation.
     pub fn track_dealloc(&self, bytes: usize) {
-        self.0.bytes_allocated.fetch_sub(bytes as i64, Ordering::Relaxed);
+        self.0
+            .bytes_allocated
+            .fetch_sub(bytes as i64, Ordering::Relaxed);
     }
 
     /// Bytes currently allocated on this executor.

@@ -116,9 +116,9 @@ pub fn lane_stats_since(now: &[LaneStats], earlier: &[LaneStats]) -> Vec<LaneSta
 #[repr(align(64))]
 #[derive(Default)]
 struct LaneCounters {
-    chunks: AtomicU64,   // atomic: counter
-    steals: AtomicU64,   // atomic: counter
-    busy_ns: AtomicU64,  // atomic: counter
+    chunks: AtomicU64,  // atomic: counter
+    steals: AtomicU64,  // atomic: counter
+    busy_ns: AtomicU64, // atomic: counter
 }
 
 /// Lifetime-erased pointer to the job closure. Validity is guaranteed by
@@ -154,11 +154,11 @@ struct Shared {
     /// First panic payload raised inside a chunk closure, re-raised on the
     /// submitting thread.
     panic_slot: Mutex<Option<Box<dyn Any + Send>>>, // lock: pool.panic_slot
-    dispatches: AtomicU64,  // atomic: counter
-    chunks: AtomicU64,      // atomic: counter
-    steals: AtomicU64,      // atomic: counter
-    parks: AtomicU64,       // atomic: counter
-    unparks: AtomicU64,     // atomic: counter
+    dispatches: AtomicU64, // atomic: counter
+    chunks: AtomicU64,    // atomic: counter
+    steals: AtomicU64,    // atomic: counter
+    parks: AtomicU64,     // atomic: counter
+    unparks: AtomicU64,   // atomic: counter
     dispatch_ns: AtomicU64, // atomic: counter
     /// One padded counter block per lane, indexed by lane id.
     lanes: Vec<LaneCounters>,
@@ -335,7 +335,11 @@ impl WorkerPool {
         }
         self.shared.active.store(workers, Ordering::Release);
         if workers > 0 {
-            let mut epoch = self.shared.control.lock().unwrap_or_else(|e| e.into_inner());
+            let mut epoch = self
+                .shared
+                .control
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             epoch.0 += 1;
             self.shared.work_ready.notify_all();
         }
@@ -357,7 +361,11 @@ impl WorkerPool {
             }
         }
         if workers > 0 {
-            let mut epoch = self.shared.control.lock().unwrap_or_else(|e| e.into_inner());
+            let mut epoch = self
+                .shared
+                .control
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             while self.shared.active.load(Ordering::Acquire) != 0 {
                 epoch = self
                     .shared
@@ -376,7 +384,12 @@ impl WorkerPool {
         self.shared
             .dispatch_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let payload = self.shared.panic_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let payload = self
+            .shared
+            .panic_slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
@@ -449,7 +462,10 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             if epoch.0 == seen && !shared.shutdown.load(Ordering::Relaxed) {
                 shared.parks.fetch_add(1, Ordering::Relaxed);
                 while epoch.0 == seen && !shared.shutdown.load(Ordering::Relaxed) {
-                    epoch = shared.work_ready.wait(epoch).unwrap_or_else(|e| e.into_inner());
+                    epoch = shared
+                        .work_ready
+                        .wait(epoch)
+                        .unwrap_or_else(|e| e.into_inner());
                 }
                 shared.unparks.fetch_add(1, Ordering::Relaxed);
             }
@@ -552,10 +568,7 @@ where
     // lint: allow(panic): the `pool.is_none()` case returned above.
     let pool = pool.unwrap();
     // Only pay for counter snapshots when someone is listening.
-    let stats_before = exec
-        .loggers()
-        .is_active()
-        .then(|| pool.stats());
+    let stats_before = exec.loggers().is_active().then(|| pool.stats());
     let body = |i: usize| {
         // SAFETY: index `i` is delivered exactly once, so this `&mut` is the
         // only live reference to piece `i`.
@@ -891,7 +904,14 @@ mod tests {
         ];
         let d = lane_stats_since(&now, &earlier);
         assert_eq!(d.len(), now.len(), "aligned with the newer snapshot");
-        assert_eq!(d[0], LaneStats { chunks: 0, steals: 5, busy_ns: 0 });
+        assert_eq!(
+            d[0],
+            LaneStats {
+                chunks: 0,
+                steals: 5,
+                busy_ns: 0
+            }
+        );
         // Lanes added after the baseline: full current values, no underflow.
         assert_eq!(d[1], now[1]);
         assert_eq!(d[2], now[2]);

@@ -165,12 +165,8 @@ mod tests {
     #[test]
     fn missing_diagonal_is_singular() {
         let exec = Executor::reference();
-        let a = Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(2),
-            &[(0, 0, 1.0), (1, 0, 0.5)],
-        )
-        .unwrap();
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0), (1, 0, 0.5)])
+            .unwrap();
         assert!(matches!(ic0(&a), Err(GkoError::Singular { at: 1 })));
     }
 }

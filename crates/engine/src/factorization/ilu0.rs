@@ -180,9 +180,8 @@ mod tests {
     #[test]
     fn missing_diagonal_is_singular() {
         let exec = Executor::reference();
-        let a =
-            Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 1, 1.0), (1, 0, 1.0)])
-                .unwrap();
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 1, 1.0), (1, 0, 1.0)])
+            .unwrap();
         assert!(matches!(ilu0(&a), Err(GkoError::Singular { .. })));
     }
 

@@ -110,7 +110,12 @@ impl DenseLu {
             det *= self.lu[i * self.n + i];
         }
         // Every row swap flips the sign.
-        let swaps = self.pivots.iter().enumerate().filter(|(k, p)| k != *p).count();
+        let swaps = self
+            .pivots
+            .iter()
+            .enumerate()
+            .filter(|(k, p)| k != *p)
+            .count();
         let sign = if swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
         det * sign
     }
@@ -152,7 +157,9 @@ mod tests {
         let mut a = vec![0.0f64; n * n];
         let mut state = 0x12345u64;
         for v in a.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             *v = ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5;
         }
         for i in 0..n {

@@ -68,6 +68,4 @@ pub use observe::{ObserveConfig, Observer, ObserverStatus};
 pub use profile::{DiffRow, FlameStat, ProfileConfig, ProfileDiff, ProfileSnapshot};
 pub use sanitize::{ClaimLog, ClaimViolation, Sanitizer, SanitizerReport};
 pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
-pub use trace::{
-    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport,
-};
+pub use trace::{SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport};

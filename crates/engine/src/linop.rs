@@ -46,12 +46,9 @@ pub trait LinOp<V: Value>: Send + Sync {
 }
 
 /// Validates the operand shapes of `x = Op(b)`.
-pub fn check_apply_dims<V: Value>(
-    op_size: Dim2,
-    b: &Dense<V>,
-    x: &Dense<V>,
-) -> Result<()> {
-    if b.size().rows != op_size.cols || x.size().rows != op_size.rows
+pub fn check_apply_dims<V: Value>(op_size: Dim2, b: &Dense<V>, x: &Dense<V>) -> Result<()> {
+    if b.size().rows != op_size.cols
+        || x.size().rows != op_size.rows
         || b.size().cols != x.size().cols
     {
         return Err(GkoError::DimensionMismatch {

@@ -595,7 +595,9 @@ pub struct SolveRecord {
 impl SolveRecord {
     /// True if the solve converged by a residual criterion.
     pub fn converged(&self) -> bool {
-        self.stop_reason.map(StopReason::is_converged).unwrap_or(false)
+        self.stop_reason
+            .map(StopReason::is_converged)
+            .unwrap_or(false)
     }
 
     /// The achieved reduction factor `final / initial` (1.0 if no progress
@@ -910,11 +912,7 @@ mod tests {
         let events = record.events();
         assert_eq!(events[0], Event::LinOpApplyStarted { op: "csr" });
         match events[1] {
-            Event::LinOpApplyCompleted {
-                op,
-                virtual_ns,
-                ..
-            } => {
+            Event::LinOpApplyCompleted { op, virtual_ns, .. } => {
                 assert_eq!(op, "csr");
                 assert_eq!(virtual_ns, 500);
             }

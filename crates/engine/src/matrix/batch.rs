@@ -247,7 +247,15 @@ impl<V: Value> BatchDense<V> {
     ) {
         let exec = self.executor().clone();
         let layout = (self.num_systems, self.size.count());
-        Self::masked(&exec, layout, name, cost, active, self.values.as_mut_slice(), f);
+        Self::masked(
+            &exec,
+            layout,
+            name,
+            cost,
+            active,
+            self.values.as_mut_slice(),
+            f,
+        );
     }
 
     /// [`masked`](Self::masked) over one result slot per system.
@@ -260,12 +268,22 @@ impl<V: Value> BatchDense<V> {
         f: impl Fn(usize) -> f64 + Sync,
     ) {
         let layout = (self.num_systems, self.size.count());
-        Self::masked(self.executor(), layout, name, cost, active, out, |s, slot| slot[0] = f(s));
+        Self::masked(
+            self.executor(),
+            layout,
+            name,
+            cost,
+            active,
+            out,
+            |s, slot| slot[0] = f(s),
+        );
     }
 
     /// Fills every system with a constant.
     pub fn fill(&mut self, value: V) {
-        self.update("batch_dense::fill", (1, 0.0), None, |_, dst| dst.fill(value));
+        self.update("batch_dense::fill", (1, 0.0), None, |_, dst| {
+            dst.fill(value)
+        });
     }
 
     /// Copies every system from `other`.
@@ -273,7 +291,9 @@ impl<V: Value> BatchDense<V> {
         const NAME: &str = "batch_dense::copy";
         self.check(NAME, Some(other), None, None)?;
         let (src, count) = (other.as_slice(), self.size.count());
-        self.update(NAME, (2, 0.0), None, |s, dst| dst.copy_from_slice(system_of(src, count, s)));
+        self.update(NAME, (2, 0.0), None, |s, dst| {
+            dst.copy_from_slice(system_of(src, count, s))
+        });
         Ok(())
     }
 
@@ -402,7 +422,12 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
     /// system (each of length `proto.nnz()`).
     pub fn from_shared(proto: &Csr<V, I>, system_values: &[Vec<V>]) -> Result<Self> {
         let values = slab(system_values, proto.nnz(), "the shared sparsity has")?;
-        Ok(Self::on_structure(proto, system_values.len(), values, system_values.len()))
+        Ok(Self::on_structure(
+            proto,
+            system_values.len(),
+            values,
+            system_values.len(),
+        ))
     }
 
     /// Builds a batch of `num_systems` systems that all are `proto` (the
@@ -411,7 +436,12 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
         if num_systems == 0 {
             return Err(empty_batch());
         }
-        Ok(Self::on_structure(proto, num_systems, proto.values().to_vec(), 1))
+        Ok(Self::on_structure(
+            proto,
+            num_systems,
+            proto.values().to_vec(),
+            1,
+        ))
     }
 
     fn on_structure(proto: &Csr<V, I>, num_systems: usize, values: Vec<V>, sets: usize) -> Self {
@@ -469,7 +499,10 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
                 x.num_systems()
             )));
         }
-        for (operand, expected) in [(b.size(), Dim2::new(cols, 1)), (x.size(), Dim2::new(rows, 1))] {
+        for (operand, expected) in [
+            (b.size(), Dim2::new(cols, 1)),
+            (x.size(), Dim2::new(rows, 1)),
+        ] {
             if operand != expected {
                 return Err(GkoError::DimensionMismatch {
                     op: "apply_batch",
@@ -578,12 +611,7 @@ mod tests {
                     batch.system_values(s).to_vec(),
                 )
                 .unwrap();
-                let bv = Dense::from_vec(
-                    exec,
-                    Dim2::new(n, 1),
-                    b.system(s).to_vec(),
-                )
-                .unwrap();
+                let bv = Dense::from_vec(exec, Dim2::new(n, 1), b.system(s).to_vec()).unwrap();
                 let mut xv = Dense::zeros(exec, Dim2::new(n, 1));
                 csr.apply(&bv, &mut xv).unwrap();
                 xv.to_host_vec()
@@ -607,10 +635,7 @@ mod tests {
         let want = reference_apply(&exec, &batch, &b);
         for (k, want_k) in want.iter().enumerate() {
             for (i, (&got, &w)) in x.system(k).iter().zip(want_k).enumerate() {
-                assert!(
-                    (got - w).abs() < 1e-12,
-                    "system {k} row {i}: {got} vs {w}"
-                );
+                assert!((got - w).abs() < 1e-12, "system {k} row {i}: {got} vs {w}");
             }
         }
     }
@@ -692,7 +717,12 @@ mod tests {
         let mut norms = vec![0.0; s];
         a.norms2(None, &mut norms).unwrap();
         for k in 0..s {
-            let want_dot: f64 = a.system(k).iter().zip(b.system(k)).map(|(x, y)| x * y).sum();
+            let want_dot: f64 = a
+                .system(k)
+                .iter()
+                .zip(b.system(k))
+                .map(|(x, y)| x * y)
+                .sum();
             let want_norm: f64 = a.system(k).iter().map(|x| x * x).sum::<f64>().sqrt();
             assert!((dots[k] - want_dot).abs() < 1e-9, "dot {k}");
             assert!((norms[k] - want_norm).abs() < 1e-9, "norm {k}");

@@ -84,7 +84,12 @@ impl<V: Value, I: Index> Coo<V, I> {
     ) -> Result<Self> {
         let (size, row_ptrs, col_idxs, values) =
             Csr::<V, I>::from_triplets(exec, size, triplets)?.into_parts();
-        Ok(Coo::from_csr_parts(size, row_ptrs.as_slice(), col_idxs, values))
+        Ok(Coo::from_csr_parts(
+            size,
+            row_ptrs.as_slice(),
+            col_idxs,
+            values,
+        ))
     }
 
     /// A CSR matrix's column and value arrays are already the COO ones; only
@@ -367,15 +372,22 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
             })
             .collect();
         let xs = x.as_mut_slice();
-        plan::run_segments(self.executor(), xs, k, alpha, &segments, |_, seg, acc, sink| {
-            let span = seg.nnz_start..seg.nnz_end;
-            let (ri, ci, vals) = (&ri[span.clone()], &ci[span.clone()], &vals[span]);
-            if k == 1 {
-                coo_lane(ri, ci, vals, bv, sink);
-            } else {
-                coo_block_lane(ri, ci, vals, bv, acc, sink);
-            }
-        });
+        plan::run_segments(
+            self.executor(),
+            xs,
+            k,
+            alpha,
+            &segments,
+            |_, seg, acc, sink| {
+                let span = seg.nnz_start..seg.nnz_end;
+                let (ri, ci, vals) = (&ri[span.clone()], &ci[span.clone()], &vals[span]);
+                if k == 1 {
+                    coo_lane(ri, ci, vals, bv, sink);
+                } else {
+                    coo_block_lane(ri, ci, vals, bv, acc, sink);
+                }
+            },
+        );
         self.executor().launch(&work);
         Ok(())
     }
@@ -418,10 +430,12 @@ mod tests {
             vec![1.0, 2.0]
         )
         .is_err());
-        assert!(Coo::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0], vec![3], vec![1.0])
-            .is_err());
-        assert!(Coo::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0], vec![], vec![1.0])
-            .is_err());
+        assert!(
+            Coo::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0], vec![3], vec![1.0]).is_err()
+        );
+        assert!(
+            Coo::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0], vec![], vec![1.0]).is_err()
+        );
         // duplicate entry
         assert!(Coo::<f64, i32>::from_raw(
             &e,

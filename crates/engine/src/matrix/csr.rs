@@ -287,8 +287,7 @@ fn check_csr_structure<I: Index>(
     if row_ptrs[size.rows].to_usize() != n_values {
         return Err(GkoError::BadInput(format!(
             "row_ptrs[rows] = {} does not match nnz = {}",
-            row_ptrs[size.rows],
-            n_values
+            row_ptrs[size.rows], n_values
         )));
     }
     if structure_is_sound(size.cols, row_ptrs, col_idxs) {
@@ -317,7 +316,11 @@ fn structure_is_sound<I: Index>(cols: usize, row_ptrs: &[I], col_idxs: &[I]) -> 
     if min < I::zero() || max.to_usize() >= cols {
         return false;
     }
-    let descents = col_idxs.iter().zip(&col_idxs[1..]).filter(|(a, b)| a >= b).count();
+    let descents = col_idxs
+        .iter()
+        .zip(&col_idxs[1..])
+        .filter(|(a, b)| a >= b)
+        .count();
     let on_row_starts = row_ptrs[..row_ptrs.len() - 1]
         .windows(2)
         .filter(|w| {
@@ -692,10 +695,16 @@ impl<V: Value, I: Index> Csr<V, I> {
                 t_vals[dst] = vals[k];
             }
         }
-        Csr::from_raw(self.executor(), self.size.transposed(), t_rows, t_cols, t_vals)
-            // lint: allow(panic): counting sort of a valid CSR yields
-            // monotone row pointers and in-bounds, sorted columns.
-            .expect("transpose of valid CSR is valid")
+        Csr::from_raw(
+            self.executor(),
+            self.size.transposed(),
+            t_rows,
+            t_cols,
+            t_vals,
+        )
+        // lint: allow(panic): counting sort of a valid CSR yields
+        // monotone row pointers and in-bounds, sorted columns.
+        .expect("transpose of valid CSR is valid")
     }
 
     /// Row chunk boundaries according to the active strategy (with `Auto`
@@ -804,25 +813,35 @@ impl<V: Value, I: Index> Csr<V, I> {
         let vals = self.values.as_slice();
         let bv = b.as_slice();
         let xs = x.as_mut_slice();
-        plan::run_segments(self.executor(), xs, k, alpha, &plan.segments, |s, seg, acc, sink| {
-            let rp = &rp[seg.row_first..=seg.row_last + 1];
-            let (ci, vals) = (&ci[seg.nnz_start..seg.nnz_end], &vals[seg.nnz_start..seg.nnz_end]);
-            let (start, row0) = (seg.nnz_start, seg.row_first);
-            if k == 1 {
-                match plan.row_order(s) {
-                    None => {
-                        let rows = rp.windows(2).enumerate();
-                        csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
+        plan::run_segments(
+            self.executor(),
+            xs,
+            k,
+            alpha,
+            &plan.segments,
+            |s, seg, acc, sink| {
+                let rp = &rp[seg.row_first..=seg.row_last + 1];
+                let (ci, vals) = (
+                    &ci[seg.nnz_start..seg.nnz_end],
+                    &vals[seg.nnz_start..seg.nnz_end],
+                );
+                let (start, row0) = (seg.nnz_start, seg.row_first);
+                if k == 1 {
+                    match plan.row_order(s) {
+                        None => {
+                            let rows = rp.windows(2).enumerate();
+                            csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
+                        }
+                        Some(order) => {
+                            let rows = order.iter().map(|&l| (l as usize, &rp[l as usize..][..2]));
+                            csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
+                        }
                     }
-                    Some(order) => {
-                        let rows = order.iter().map(|&l| (l as usize, &rp[l as usize..][..2]));
-                        csr_merge_lane(rows, start, ci, vals, bv, row0, sink)
-                    }
+                } else {
+                    csr_merge_block_lane(rp, start, ci, vals, bv, row0, acc, sink);
                 }
-            } else {
-                csr_merge_block_lane(rp, start, ci, vals, bv, row0, acc, sink);
-            }
-        });
+            },
+        );
     }
 
     fn spmv_into(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
@@ -900,17 +919,14 @@ mod tests {
     fn validation_catches_malformed_input() {
         let e = exec();
         // wrong row_ptrs length
-        assert!(Csr::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0, 1], vec![0], vec![1.0])
-            .is_err());
+        assert!(
+            Csr::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0, 1], vec![0], vec![1.0]).is_err()
+        );
         // col out of range
-        assert!(Csr::<f64, i32>::from_raw(
-            &e,
-            Dim2::square(2),
-            vec![0, 1, 1],
-            vec![5],
-            vec![1.0]
-        )
-        .is_err());
+        assert!(
+            Csr::<f64, i32>::from_raw(&e, Dim2::square(2), vec![0, 1, 1], vec![5], vec![1.0])
+                .is_err()
+        );
         // unsorted columns in a row
         assert!(Csr::<f64, i32>::from_raw(
             &e,
@@ -948,7 +964,11 @@ mod tests {
         let size = Dim2::new(lens.len(), cols);
         let agree = |rp: &[i32], ci: &[i32], what: &str| {
             let walk = first_structure_defect(size, rp, ci);
-            assert_eq!(structure_is_sound(cols, rp, ci), walk.is_ok(), "{what}: {walk:?}");
+            assert_eq!(
+                structure_is_sound(cols, rp, ci),
+                walk.is_ok(),
+                "{what}: {walk:?}"
+            );
             walk.is_ok()
         };
         assert!(agree(&rp, &ci, "sound"));
@@ -1034,7 +1054,10 @@ mod tests {
             .collect();
         // The heavy row is alone in its chunk (8 nnz), the rest spread out.
         assert_eq!(nnz_per_chunk.iter().sum::<usize>(), 16);
-        assert!(nnz_per_chunk[0] >= 8, "heavy row isolated: {nnz_per_chunk:?}");
+        assert!(
+            nnz_per_chunk[0] >= 8,
+            "heavy row isolated: {nnz_per_chunk:?}"
+        );
 
         let classical = a.with_strategy(SpmvStrategy::Classical).chunk_bounds(4);
         assert_ne!(bounds, classical);
@@ -1056,9 +1079,7 @@ mod tests {
     #[test]
     fn triplets_out_of_range_rejected() {
         let e = exec();
-        assert!(
-            Csr::<f64, i32>::from_triplets(&e, Dim2::square(2), &[(2, 0, 1.0)]).is_err()
-        );
+        assert!(Csr::<f64, i32>::from_triplets(&e, Dim2::square(2), &[(2, 0, 1.0)]).is_err());
     }
 
     #[test]
@@ -1094,12 +1115,8 @@ mod tests {
     #[test]
     fn int64_indices_work() {
         let e = exec();
-        let a = Csr::<f32, i64>::from_triplets(
-            &e,
-            Dim2::square(2),
-            &[(0, 0, 2.0), (1, 1, 3.0)],
-        )
-        .unwrap();
+        let a = Csr::<f32, i64>::from_triplets(&e, Dim2::square(2), &[(0, 0, 2.0), (1, 1, 3.0)])
+            .unwrap();
         let b = Dense::from_rows(&e, &[[1.0f32], [1.0]]);
         let mut x = Dense::zeros(&e, Dim2::new(2, 1));
         a.apply(&b, &mut x).unwrap();
@@ -1224,10 +1241,7 @@ mod tests {
         for e in [Executor::reference(), Executor::omp(7)] {
             let cases: Vec<Case> = vec![
                 // Empty rows around sparse ones.
-                (
-                    Dim2::new(6, 4),
-                    vec![(1, 0, 2.0), (1, 3, 1.0), (4, 2, 3.0)],
-                ),
+                (Dim2::new(6, 4), vec![(1, 0, 2.0), (1, 3, 1.0), (4, 2, 3.0)]),
                 // Single dense row (1 x N).
                 (
                     Dim2::new(1, 40),
@@ -1282,7 +1296,11 @@ mod tests {
         let plan = a.plan();
         assert_eq!(plan.resolved, ResolvedStrategy::MergePath);
         assert!(
-            plan.segments.iter().filter(|s| s.row_first <= 3 && 3 <= s.row_last).count() > 1,
+            plan.segments
+                .iter()
+                .filter(|s| s.row_first <= 3 && 3 <= s.row_last)
+                .count()
+                > 1,
             "dense row split across segments"
         );
         let b = Dense::vector(&e, n, 1.0f64);
@@ -1311,8 +1329,11 @@ mod tests {
         a.apply(&b_of(&reference), &mut want).unwrap();
         let e = Executor::omp(4);
         e.enable_sanitizer();
-        let strategies =
-            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        let strategies = [
+            SpmvStrategy::Classical,
+            SpmvStrategy::LoadBalance,
+            SpmvStrategy::MergePath,
+        ];
         for strategy in strategies {
             let a = Csr::<f64, i32>::from_triplets(&e, Dim2::square(n), &triplets)
                 .unwrap()

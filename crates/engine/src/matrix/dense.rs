@@ -701,7 +701,9 @@ mod tests {
     fn lane_kernel_follows_its_summation_order() {
         // 19 elements in one chunk: lanes 0..8 take elements l, l + 8; the
         // tree combines them; elements 16..19 follow one by one.
-        let x: Vec<f64> = (0..19).map(|i| 1.0 + (i as f64) * 1e-3 + (i as f64).powi(3) * 1e-9).collect();
+        let x: Vec<f64> = (0..19)
+            .map(|i| 1.0 + (i as f64) * 1e-3 + (i as f64).powi(3) * 1e-9)
+            .collect();
         let lanes: Vec<f64> = (0..8).map(|l| x[l] * x[l] + x[l + 8] * x[l + 8]).collect();
         let tree = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));

@@ -202,8 +202,7 @@ mod tests {
     fn dimension_mismatches_are_rejected() {
         let exec = Executor::reference();
         let d = Diagonal::new(&exec, vec![1.0f64; 3]);
-        let mut a =
-            Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0)]).unwrap();
+        let mut a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0)]).unwrap();
         assert!(d.scale_rows(&mut a).is_err());
         assert!(d.scale_cols(&mut a).is_err());
         let b = Dense::<f64>::vector(&exec, 2, 1.0);

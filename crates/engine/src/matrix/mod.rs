@@ -22,9 +22,9 @@ pub use batch::{BatchCsr, BatchDense};
 pub use conv::Conv2d;
 pub use coo::Coo;
 pub use csr::{Csr, SpmvStrategy};
-pub use plan::{MergeSegment, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan};
 pub use dense::Dense;
 pub use diagonal::Diagonal;
 pub use ell::Ell;
 pub use hybrid::Hybrid;
+pub use plan::{MergeSegment, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan};
 pub use sellp::Sellp;

@@ -101,7 +101,9 @@ impl RowStats {
         let mut max_row_nnz = 0usize;
         let mut empty_rows = 0usize;
         let mut length_changes = 0usize;
-        let mut prev_len = row_ptrs.get(1).map_or(0, |p| p.to_usize() - row_ptrs[0].to_usize());
+        let mut prev_len = row_ptrs
+            .get(1)
+            .map_or(0, |p| p.to_usize() - row_ptrs[0].to_usize());
         for r in 0..rows {
             let len = row_ptrs[r + 1].to_usize() - row_ptrs[r].to_usize();
             max_row_nnz = max_row_nnz.max(len);
@@ -264,7 +266,11 @@ fn row_of<I: Index>(row_ptrs: &[I], e: usize) -> usize {
 /// `row_ptrs[r] ..= row_ptrs[r + 1]`. Segments with no nonzeros (diagonals
 /// advancing only through empty rows) are dropped — empty rows cost the
 /// executing kernel nothing.
-pub fn merge_segments<I: Index>(rows: usize, row_ptrs: &[I], max_chunks: usize) -> Vec<MergeSegment> {
+pub fn merge_segments<I: Index>(
+    rows: usize,
+    row_ptrs: &[I],
+    max_chunks: usize,
+) -> Vec<MergeSegment> {
     let nnz = if rows == 0 {
         0
     } else {
@@ -513,7 +519,10 @@ fn group_rows_by_length<I: Index>(
         for w0 in piece.clone().step_by(ORDER_WINDOW) {
             let window = w0..(w0 + ORDER_WINDOW).min(piece.end);
             let lens = &mut lens[..window.len()];
-            for (len, w) in lens.iter_mut().zip(row_ptrs[window.start..=window.end].windows(2)) {
+            for (len, w) in lens
+                .iter_mut()
+                .zip(row_ptrs[window.start..=window.end].windows(2))
+            {
                 *len = w[1].to_usize() - w[0].to_usize();
             }
             // `starts[l + 1]` counts rows of length `l`; after the prefix sum
@@ -603,7 +612,12 @@ impl PlanCache {
     ///
     /// The slot lock is held across `build`, so concurrent first applies of
     /// one matrix run the inspector exactly once.
-    pub fn get_or_build<F>(&self, requested: SpmvStrategy, workers: usize, build: F) -> Arc<SpmvPlan>
+    pub fn get_or_build<F>(
+        &self,
+        requested: SpmvStrategy,
+        workers: usize,
+        build: F,
+    ) -> Arc<SpmvPlan>
     where
         F: FnOnce() -> SpmvPlan,
     {
@@ -662,9 +676,7 @@ pub fn build_plan<I: Index>(
         ),
         // Balanced by construction: one chunk per worker, no
         // oversubscription overhead.
-        ResolvedStrategy::LoadBalance => {
-            (load_balance_bounds(rows, row_ptrs, workers), Vec::new())
-        }
+        ResolvedStrategy::LoadBalance => (load_balance_bounds(rows, row_ptrs, workers), Vec::new()),
         ResolvedStrategy::MergePath => (Vec::new(), merge_segments(rows, row_ptrs, workers)),
     };
     let work: Vec<ChunkWork> = if segments.is_empty() {
@@ -672,8 +684,7 @@ pub fn build_plan<I: Index>(
             .windows(2)
             .map(|w| {
                 let rows = (w[1] - w[0]) as f64;
-                let nnz =
-                    (row_ptrs[w[1]].to_usize() - row_ptrs[w[0]].to_usize()) as f64;
+                let nnz = (row_ptrs[w[1]].to_usize() - row_ptrs[w[0]].to_usize()) as f64;
                 spmv_chunk_work(rows, nnz, value_bytes, I::BYTES)
             })
             .collect()
@@ -815,12 +826,24 @@ mod tests {
             ("stencil 2d", rp_of(poisson2d("p", 100, 100)), false),
             ("stencil 3d", rp_of(poisson3d("p", 24, 24, 24)), false),
             ("circuit", rp_of(circuit("c", 12_000, 6, 4, 7)), true),
-            ("circuit below the rows floor", rp_of(circuit("c", 4_000, 6, 4, 7)), false),
-            ("power law", rp_of(power_law("pl", 12_000, 12, 0.5, 7)), false),
+            (
+                "circuit below the rows floor",
+                rp_of(circuit("c", 4_000, 6, 4, 7)),
+                false,
+            ),
+            (
+                "power law",
+                rp_of(power_law("pl", 12_000, 12, 0.5, 7)),
+                false,
+            ),
         ];
         for (name, rp, ordered) in cases {
             let rows = rp.len() - 1;
-            assert_eq!(RowStats::inspect(rows, &rp).orders_rows(), ordered, "{name}");
+            assert_eq!(
+                RowStats::inspect(rows, &rp).orders_rows(),
+                ordered,
+                "{name}"
+            );
             for workers in [1, 2, 16] {
                 for strategy in [
                     SpmvStrategy::Classical,
@@ -857,10 +880,16 @@ mod tests {
                 let mut rows: Vec<usize> =
                     window.iter().map(|&l| piece.start + l as usize).collect();
                 let key = |r: &usize| (lens[*r], *r);
-                assert!(rows.windows(2).all(|p| key(&p[0]) < key(&p[1])), "{piece:?} window {w}");
+                assert!(
+                    rows.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+                    "{piece:?} window {w}"
+                );
                 rows.sort_unstable();
                 let want: Vec<usize> = (base..(base + ORDER_WINDOW).min(piece.end)).collect();
-                assert_eq!(rows, want, "{piece:?} window {w} is a permutation of its rows");
+                assert_eq!(
+                    rows, want,
+                    "{piece:?} window {w} is a permutation of its rows"
+                );
             }
         }
     }
@@ -868,9 +897,9 @@ mod tests {
     /// FNV-1a over the little-endian bytes of `words`.
     fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
         let byte = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        words
-            .into_iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h, w| w.to_le_bytes().iter().fold(h, byte))
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, byte)
+        })
     }
 
     /// The exact row orders the plans of `tests/spmv_bits.rs`'s irregular
@@ -954,7 +983,10 @@ mod tests {
         // Column vector (N x 1, one nnz per row).
         let col = rp(&[1, 1, 1, 1, 1]);
         let segs = merge_segments(5, &col, 2);
-        assert_eq!(segs.iter().map(|s| s.nnz_end - s.nnz_start).sum::<usize>(), 5);
+        assert_eq!(
+            segs.iter().map(|s| s.nnz_end - s.nnz_start).sum::<usize>(),
+            5
+        );
         // More chunks than merge items.
         let tiny = rp(&[1]);
         let segs = merge_segments(1, &tiny, 100);

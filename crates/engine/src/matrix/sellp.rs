@@ -145,7 +145,9 @@ impl<V: Value, I: Index> Sellp<V, I> {
     /// every column index (padding included) in range.
     pub fn validate(&self) -> Result<()> {
         if self.slice_size == 0 {
-            return Err(GkoError::BadInput("SELL-P slice_size must be positive".into()));
+            return Err(GkoError::BadInput(
+                "SELL-P slice_size must be positive".into(),
+            ));
         }
         let n_slices = self.size.rows.div_ceil(self.slice_size);
         if self.slice_lengths.len() != n_slices || self.slice_offsets.len() != n_slices + 1 {
@@ -157,7 +159,9 @@ impl<V: Value, I: Index> Sellp<V, I> {
             )));
         }
         if self.slice_offsets.first() != Some(&0) {
-            return Err(GkoError::BadInput("SELL-P slice_offsets[0] must be 0".into()));
+            return Err(GkoError::BadInput(
+                "SELL-P slice_offsets[0] must be 0".into(),
+            ));
         }
         for s in 0..n_slices {
             let volume = self.slice_lengths[s] * self.slice_size;

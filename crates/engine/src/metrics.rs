@@ -193,7 +193,11 @@ impl MetricsSnapshot {
     /// Appends this snapshot's metric families to `doc`.
     pub fn write_families(&self, doc: &mut Exposition) {
         for (name, help, value) in [
-            ("gko_events_total", "Events observed by the metrics plane.", self.events),
+            (
+                "gko_events_total",
+                "Events observed by the metrics plane.",
+                self.events,
+            ),
             ("gko_solves_total", "Completed solves.", self.solves),
             (
                 "gko_criterion_checks_total",
@@ -317,12 +321,25 @@ impl Exposition {
         self.out
     }
 
-    fn line(&mut self, suffix: &str, labels: &[(&str, &str)], le: Option<&str>, value: impl Display) {
+    fn line(
+        &mut self,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        le: Option<&str>,
+        value: impl Display,
+    ) {
         let _ = write!(self.out, "{}{suffix}", self.family);
         let pairs = labels.iter().copied().chain(le.map(|le| ("le", le)));
         for (i, (key, raw)) in pairs.enumerate() {
-            let escaped = raw.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
-            let _ = write!(self.out, "{}{key}=\"{escaped}\"", if i == 0 { '{' } else { ',' });
+            let escaped = raw
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            let _ = write!(
+                self.out,
+                "{}{key}=\"{escaped}\"",
+                if i == 0 { '{' } else { ',' }
+            );
         }
         if !labels.is_empty() || le.is_some() {
             self.out.push('}');
@@ -427,12 +444,22 @@ mod tests {
                     bucket_upper_bound(bucket_index(exact)).min(h.max),
                     "{what} q={q}: exact value {exact}"
                 );
-                assert!(got >= previous && got <= h.max, "{what} q={q}: not monotone");
+                assert!(
+                    got >= previous && got <= h.max,
+                    "{what} q={q}: not monotone"
+                );
                 previous = got;
             }
-            assert_eq!(h.quantile(1.0), *sorted.last().unwrap(), "{what}: q=1 is the max");
+            assert_eq!(
+                h.quantile(1.0),
+                *sorted.last().unwrap(),
+                "{what}: q=1 is the max"
+            );
             let mean = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
-            assert!((h.mean() - mean).abs() <= 1e-9 * mean.max(1.0), "{what}: mean");
+            assert!(
+                (h.mean() - mean).abs() <= 1e-9 * mean.max(1.0),
+                "{what}: mean"
+            );
         }
         assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
     }
@@ -498,11 +525,23 @@ mod tests {
             virtual_ns: 90,
         });
         let text = obs.metrics().unwrap().to_prometheus();
-        assert!(text.contains("gko_kernel_calls_total{op=\"csr\"} 1"), "{text}");
-        assert!(text.contains("gko_kernel_wall_ns_bucket{op=\"csr\",le=\"127\"} 1"), "{text}");
+        assert!(
+            text.contains("gko_kernel_calls_total{op=\"csr\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("gko_kernel_wall_ns_bucket{op=\"csr\",le=\"127\"} 1"),
+            "{text}"
+        );
         assert!(text.contains("le=\"+Inf\"} 1"), "{text}");
-        assert!(text.contains("gko_kernel_wall_ns_sum{op=\"csr\"} 100"), "{text}");
-        assert!(text.contains("gko_pool_dispatch_ns_bucket{le=\"+Inf\"} 0"), "{text}");
+        assert!(
+            text.contains("gko_kernel_wall_ns_sum{op=\"csr\"} 100"),
+            "{text}"
+        );
+        assert!(
+            text.contains("gko_pool_dispatch_ns_bucket{le=\"+Inf\"} 0"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -515,14 +554,20 @@ mod tests {
                 "missing HELP for {family}"
             );
         }
-        assert!(text.contains("# TYPE gko_anomalies_total counter"), "{text}");
+        assert!(
+            text.contains("# TYPE gko_anomalies_total counter"),
+            "{text}"
+        );
     }
 
     #[test]
     fn label_values_escape_backslash_quote_and_newline() {
         let mut doc = Exposition::new();
         doc.family("m", "help with \\ and\nnewline", "gauge")
-            .sample(&[("a", r"a\b"), ("b", "say \"hi\""), ("c", "two\nlines")], 1);
+            .sample(
+                &[("a", r"a\b"), ("b", "say \"hi\""), ("c", "two\nlines")],
+                1,
+            );
         assert_eq!(
             doc.finish(),
             "# HELP m help with \\\\ and\\nnewline\n# TYPE m gauge\n\
@@ -579,6 +624,9 @@ mod tests {
             vec![("divergence".to_string(), 1), ("stagnation".to_string(), 2)]
         );
         let text = snap.to_prometheus();
-        assert!(text.contains("gko_anomalies_total{kind=\"stagnation\"} 2"), "{text}");
+        assert!(
+            text.contains("gko_anomalies_total{kind=\"stagnation\"} 2"),
+            "{text}"
+        );
     }
 }

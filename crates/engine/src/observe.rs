@@ -195,7 +195,14 @@ impl SpanAssembly {
     }
 
     /// Opens a span under the innermost open one.
-    fn open(&mut self, next_id: &mut u64, kind: SpanKind, name: &'static str, index: u64, now: u64) {
+    fn open(
+        &mut self,
+        next_id: &mut u64,
+        kind: SpanKind,
+        name: &'static str,
+        index: u64,
+        now: u64,
+    ) {
         *next_id += 1;
         self.open.push(OpenSpan {
             id: *next_id,
@@ -559,7 +566,12 @@ impl Observer {
     /// `GET /traces` index: newest first, plus ring/drop counters.
     pub fn traces_json(&self) -> String {
         let st = self.state();
-        let traces: Vec<Config> = st.traces.iter().rev().map(TraceReport::summary_config).collect();
+        let traces: Vec<Config> = st
+            .traces
+            .iter()
+            .rev()
+            .map(TraceReport::summary_config)
+            .collect();
         let doc = Config::map()
             .with("traces", traces)
             .with("drops_total", st.trace_drops as i64)
@@ -623,7 +635,13 @@ impl Observer {
                 // closes on `IterationComplete`, which stamps the number).
                 // The prologue (initial residual) thus lands in iteration 1.
                 if !t.batch && t.open.len() == 1 {
-                    t.open(&mut st.next_id, SpanKind::Iteration, "iteration", t.iterations + 1, now);
+                    t.open(
+                        &mut st.next_id,
+                        SpanKind::Iteration,
+                        "iteration",
+                        t.iterations + 1,
+                        now,
+                    );
                 }
                 t.open(&mut st.next_id, kind, op, 0, now);
             }
@@ -666,11 +684,16 @@ impl Observer {
     fn on_completed(&self, st: &mut ObserverState, op: &'static str, wall_ns: u64, tid: ThreadId) {
         let now = st.now_ns();
         let max_spans = st.config.trace.map_or(0, |policy| policy.max_spans);
-        let Some(solve) = st.solve_of(tid) else { return };
+        let Some(solve) = st.solve_of(tid) else {
+            return;
+        };
         solve.kernels.entry(op).or_default().record(wall_ns);
         if let Some(t) = &mut solve.trace {
             if t.open.iter().any(|o| o.name == op) {
-                while t.close_top(max_spans, now).is_some_and(|closed| closed != op) {}
+                while t
+                    .close_top(max_spans, now)
+                    .is_some_and(|closed| closed != op)
+                {}
             }
         }
         if solve.root.is_some() && op.starts_with("solver::") {
@@ -687,7 +710,9 @@ impl Observer {
         let now = st.now_ns();
         let window = st.config.flight.as_ref().map_or(0, |d| d.stagnation_window);
         let max_spans = st.config.trace.map_or(0, |policy| policy.max_spans);
-        let Some(solve) = st.solve_of(tid).filter(|s| s.depth <= 1) else { return };
+        let Some(solve) = st.solve_of(tid).filter(|s| s.depth <= 1) else {
+            return;
+        };
         let seen = &mut solve.residuals;
         if seen.count == 0 {
             seen.initial = residual;
@@ -712,7 +737,9 @@ impl Observer {
     /// `SolveCompleted` / `BatchSolveCompleted` of the root solver. A rooted
     /// solve waits for its root apply to return; a rootless one ends here.
     fn on_outcome(&self, st: &mut ObserverState, outcome: Outcome, tid: ThreadId) {
-        let Some(solve) = st.solve_of(tid).filter(|s| s.depth <= 1) else { return };
+        let Some(solve) = st.solve_of(tid).filter(|s| s.depth <= 1) else {
+            return;
+        };
         solve.outcome = Some(outcome);
         if solve.root.is_none() {
             self.close_solve(st, 0);
@@ -721,7 +748,9 @@ impl Observer {
 
     /// The one end-of-solve fold (see the module docs for the order).
     fn close_solve(&self, st: &mut ObserverState, now: u64) {
-        let Some(mut solve) = st.solve.take() else { return };
+        let Some(mut solve) = st.solve.take() else {
+            return;
+        };
         self.tracing.store(false, Ordering::Release);
         let ObserverState {
             config,
@@ -731,7 +760,11 @@ impl Observer {
         } = st;
         let mut labels = Vec::new();
         if let (Some(detectors), Some(outcome)) = (&config.flight, solve.outcome) {
-            let lanes_now = self.exec.upgrade().map(|e| e.pool_lane_stats()).unwrap_or_default();
+            let lanes_now = self
+                .exec
+                .upgrade()
+                .map(|e| e.pool_lane_stats())
+                .unwrap_or_default();
             let lanes = lane_stats_since(&lanes_now, &flight.lane_mark);
             flight.lane_mark = lanes_now;
             let converged = outcome.reason.is_converged();
@@ -784,7 +817,9 @@ impl Observer {
             });
         }
 
-        let (Some(t), Some(policy)) = (solve.trace, config.trace) else { return };
+        let (Some(t), Some(policy)) = (solve.trace, config.trace) else {
+            return;
+        };
         let stop_reason = match solve.outcome {
             Some(Outcome { batch: Some(b), .. }) => format!(
                 "batch: {}/{} converged, {} breakdowns",
@@ -811,7 +846,9 @@ impl Observer {
             duration_ns,
             retained,
             anomalies: labels,
-            iterations: t.iterations.max(solve.outcome.map_or(0, |o| o.iterations as u64)),
+            iterations: t
+                .iterations
+                .max(solve.outcome.map_or(0, |o| o.iterations as u64)),
             converged: solve.outcome.is_some_and(|o| o.reason.is_converged()),
             stop_reason,
             truncated_spans: t.truncated,
@@ -849,7 +886,13 @@ impl Observer {
         let now = st.now_ns();
         let solve = st.solve.as_mut().filter(|s| s.owner == tid)?;
         let t = solve.trace.as_mut()?;
-        t.open(&mut st.next_id, SpanKind::Dispatch, "pool_dispatch", chunks as u64, now);
+        t.open(
+            &mut st.next_id,
+            SpanKind::Dispatch,
+            "pool_dispatch",
+            chunks as u64,
+            now,
+        );
         Some(DispatchTrace {
             ctx: SpanContext {
                 trace_id: TraceId(t.trace_id),
@@ -868,7 +911,9 @@ impl Observer {
         let st = &mut *guard;
         let now = st.now_ns();
         let max_spans = st.config.trace.map_or(0, |policy| policy.max_spans);
-        let Some(t) = st.solve.as_mut().and_then(|s| s.trace.as_mut()) else { return };
+        let Some(t) = st.solve.as_mut().and_then(|s| s.trace.as_mut()) else {
+            return;
+        };
         if t.trace_id != d.ctx.trace_id.0 {
             return;
         }
@@ -1007,7 +1052,9 @@ impl Logger for Observer {
                 }
                 // The chunk count the plan resolved to rides on its span.
                 let open = st.solve.as_mut().filter(|s| s.owner == tid);
-                let top = open.and_then(|s| s.trace.as_mut()).and_then(|t| t.open.last_mut());
+                let top = open
+                    .and_then(|s| s.trace.as_mut())
+                    .and_then(|t| t.open.last_mut());
                 if let Some(top) = top.filter(|o| o.kind == SpanKind::PlanBuild) {
                     top.index = chunks;
                 }

@@ -135,9 +135,8 @@ mod tests {
     #[test]
     fn structurally_singular_matrix_fails() {
         let exec = Executor::reference();
-        let a =
-            Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 1, 1.0), (1, 0, 1.0)])
-                .unwrap();
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 1, 1.0), (1, 0, 1.0)])
+            .unwrap();
         assert!(Ilu::new(&a).is_err());
     }
 }

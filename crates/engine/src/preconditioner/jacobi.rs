@@ -216,20 +216,14 @@ mod tests {
         let exec = Executor::reference();
         // Structurally missing, then stored as an explicit zero.
         let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0)]).unwrap();
-        assert!(matches!(
-            Jacobi::new(&a),
-            Err(GkoError::Singular { at: 1 })
-        ));
+        assert!(matches!(Jacobi::new(&a), Err(GkoError::Singular { at: 1 })));
         let a = Csr::<f64, i32>::from_triplets(
             &exec,
             Dim2::square(3),
             &[(0, 0, 1.0), (1, 1, 0.0), (1, 2, 5.0), (2, 2, 3.0)],
         )
         .unwrap();
-        assert!(matches!(
-            Jacobi::new(&a),
-            Err(GkoError::Singular { at: 1 })
-        ));
+        assert!(matches!(Jacobi::new(&a), Err(GkoError::Singular { at: 1 })));
     }
 
     #[test]

@@ -225,7 +225,11 @@ fn nest(nodes: &[FlameStat], mut from: usize, depth: usize) -> (Vec<Config>, usi
         let lanes: Vec<Config> = n
             .lanes
             .iter()
-            .map(|&(lane, ns)| Config::map().with("lane", lane as i64).with("busy_ns", ns as i64))
+            .map(|&(lane, ns)| {
+                Config::map()
+                    .with("lane", lane as i64)
+                    .with("busy_ns", ns as i64)
+            })
             .collect();
         let mut c = Config::map()
             .with("name", n.name.as_str())
@@ -309,7 +313,11 @@ pub fn diff(base: &ProfileSnapshot, current: &ProfileSnapshot) -> ProfileDiff {
         let b = base.find(&n.path);
         let base_self = b.map(|b| b.self_wall_ns).unwrap_or(0);
         let delta_pct = if base_self == 0 {
-            if n.self_wall_ns == 0 { 0.0 } else { f64::INFINITY }
+            if n.self_wall_ns == 0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
         } else {
             (n.self_wall_ns as f64 - base_self as f64) / base_self as f64 * 100.0
         };
@@ -532,10 +540,34 @@ mod tests {
             spans: vec![
                 span(5, 4, SpanKind::Chunk, "chunk", 0, 10, 20 * scale),
                 span(6, 4, SpanKind::Chunk, "chunk", 1, 10, 25 * scale),
-                span(4, 3, SpanKind::Dispatch, "pool_dispatch", OWNER_LANE, 8, 30 * scale),
+                span(
+                    4,
+                    3,
+                    SpanKind::Dispatch,
+                    "pool_dispatch",
+                    OWNER_LANE,
+                    8,
+                    30 * scale,
+                ),
                 span(3, 2, SpanKind::Kernel, "csr", OWNER_LANE, 5, 40 * scale),
-                span(2, 1, SpanKind::Iteration, "iteration", OWNER_LANE, 2, 60 * scale),
-                span(1, 0, SpanKind::Solve, "solver::Cg", OWNER_LANE, 0, 100 * scale),
+                span(
+                    2,
+                    1,
+                    SpanKind::Iteration,
+                    "iteration",
+                    OWNER_LANE,
+                    2,
+                    60 * scale,
+                ),
+                span(
+                    1,
+                    0,
+                    SpanKind::Solve,
+                    "solver::Cg",
+                    OWNER_LANE,
+                    0,
+                    100 * scale,
+                ),
             ],
         }
     }
@@ -723,7 +755,10 @@ mod tests {
         let mut store = armed_store(ProfileConfig::default());
         store.fold(&cg_trace(1, 1));
         let base = store.commit_baseline("t0");
-        assert_eq!(store.window.baselines.keys().collect::<Vec<_>>(), vec!["t0"]);
+        assert_eq!(
+            store.window.baselines.keys().collect::<Vec<_>>(),
+            vec!["t0"]
+        );
 
         // Second fold doubles every accumulated figure except the csr node,
         // which gets 10x the work.
@@ -735,10 +770,15 @@ mod tests {
         }
         store.fold(&slow);
         let d = diff(&base, &store.snapshot());
-        assert_eq!(d.rows.first().map(|r| r.path.as_str()),
-                   Some("solver::Cg;iteration;csr"),
-                   "10x kernel must rank first: {:?}",
-                   d.rows.iter().map(|r| (&r.path, r.delta_pct)).collect::<Vec<_>>());
+        assert_eq!(
+            d.rows.first().map(|r| r.path.as_str()),
+            Some("solver::Cg;iteration;csr"),
+            "10x kernel must rank first: {:?}",
+            d.rows
+                .iter()
+                .map(|r| (&r.path, r.delta_pct))
+                .collect::<Vec<_>>()
+        );
         let top = &d.rows[0];
         assert!(top.delta_pct > 100.0, "{}", top.delta_pct);
 
@@ -748,7 +788,10 @@ mod tests {
         let d2 = diff(&store.snapshot(), &disjoint);
         assert!(d2.rows.iter().all(|r| r.delta_pct == -100.0));
         let d3 = diff(&disjoint, &store.snapshot());
-        assert!(d3.rows.iter().all(|r| r.delta_pct.is_infinite() || r.self_ns == 0));
+        assert!(d3
+            .rows
+            .iter()
+            .all(|r| r.delta_pct.is_infinite() || r.self_ns == 0));
     }
 
     #[test]
@@ -759,8 +802,14 @@ mod tests {
         let roots = doc.get("roots").and_then(Config::as_array).expect("roots");
         assert_eq!(roots.len(), 1);
         let root = &roots[0];
-        assert_eq!(root.get("name").and_then(Config::as_str), Some("solver::Cg"));
-        let children = root.get("children").and_then(Config::as_array).expect("children");
+        assert_eq!(
+            root.get("name").and_then(Config::as_str),
+            Some("solver::Cg")
+        );
+        let children = root
+            .get("children")
+            .and_then(Config::as_array)
+            .expect("children");
         assert_eq!(
             children[0].get("name").and_then(Config::as_str),
             Some("iteration")

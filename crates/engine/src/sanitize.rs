@@ -511,7 +511,10 @@ impl fmt::Display for LevelOrderViolation {
                 span.0, span.1
             ),
             LevelOrderViolation::EarlyRead { row, reads } => {
-                write!(f, "row {row} is visited before row {reads}, which its span reads")
+                write!(
+                    f,
+                    "row {row} is visited before row {reads}, which its span reads"
+                )
             }
         }
     }
@@ -533,7 +536,13 @@ pub fn verify_level_order<I: crate::base::types::Index>(
     for (position, &(row, lo, hi)) in visits.iter().enumerate() {
         let row = row.to_usize();
         match visited.get(row) {
-            None => return Err(LevelOrderViolation::OutOfRange { position, row, rows }),
+            None => {
+                return Err(LevelOrderViolation::OutOfRange {
+                    position,
+                    row,
+                    rows,
+                })
+            }
             Some(true) => return Err(LevelOrderViolation::Duplicate { row }),
             Some(false) => {}
         }
@@ -545,7 +554,10 @@ pub fn verify_level_order<I: crate::base::types::Index>(
                 nnz: col_idxs.len(),
             });
         };
-        let early = cols.iter().map(|c| c.to_usize()).find(|&c| visited.get(c) != Some(&true));
+        let early = cols
+            .iter()
+            .map(|c| c.to_usize())
+            .find(|&c| visited.get(c) != Some(&true));
         if let Some(reads) = early {
             return Err(LevelOrderViolation::EarlyRead { row, reads });
         }
@@ -990,10 +1002,17 @@ mod tests {
     #[test]
     fn planned_row_orders_verify() {
         use crate::matrix::SpmvStrategy;
-        let strategies =
-            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        let strategies = [
+            SpmvStrategy::Classical,
+            SpmvStrategy::LoadBalance,
+            SpmvStrategy::MergePath,
+        ];
         for strategy in strategies {
-            assert_eq!(verify_row_order(&ordered_plan(strategy)), Ok(()), "{strategy:?}");
+            assert_eq!(
+                verify_row_order(&ordered_plan(strategy)),
+                Ok(()),
+                "{strategy:?}"
+            );
         }
     }
 
@@ -1010,12 +1029,25 @@ mod tests {
         };
         // The piece's first row visited twice.
         let v = corrupt(first);
-        assert_eq!(v, RowOrderViolation::Duplicate { piece, row: first as usize });
+        assert_eq!(
+            v,
+            RowOrderViolation::Duplicate {
+                piece,
+                row: first as usize
+            }
+        );
         assert!(v.to_string().contains("twice"), "{v}");
         // A row past the piece's end.
         let rows = span.len();
         let v = corrupt(rows as u32);
-        assert_eq!(v, RowOrderViolation::OutOfRange { piece, row: rows, rows });
+        assert_eq!(
+            v,
+            RowOrderViolation::OutOfRange {
+                piece,
+                row: rows,
+                rows
+            }
+        );
         assert!(v.to_string().contains("outside"), "{v}");
         // A row left out: the span loses its last entry to its neighbour.
         let mut plan = clean.clone();
@@ -1027,7 +1059,10 @@ mod tests {
         // Spans that do not match the pieces.
         let mut plan = clean.clone();
         plan.order_bounds.pop();
-        assert!(matches!(verify_row_order(&plan), Err(RowOrderViolation::Spans { .. })));
+        assert!(matches!(
+            verify_row_order(&plan),
+            Err(RowOrderViolation::Spans { .. })
+        ));
     }
 
     /// Four rows, lower factor: rows 1 and 3 read rows 0 and 2, so the level
@@ -1063,11 +1098,25 @@ mod tests {
         assert!(v.to_string().contains("twice"), "{v}");
         // A row past the factor's end.
         let v = check(&[clean[0], clean[1], (7, 0, 0), clean[3]]);
-        assert_eq!(v, LevelOrderViolation::OutOfRange { position: 2, row: 7, rows: 4 });
+        assert_eq!(
+            v,
+            LevelOrderViolation::OutOfRange {
+                position: 2,
+                row: 7,
+                rows: 4
+            }
+        );
         assert!(v.to_string().contains("outside"), "{v}");
         // A span past the factor's entries.
         let v = check(&[clean[0], clean[1], clean[2], (3, 4, 9)]);
-        assert_eq!(v, LevelOrderViolation::Span { row: 3, span: (4, 9), nnz: 6 });
+        assert_eq!(
+            v,
+            LevelOrderViolation::Span {
+                row: 3,
+                span: (4, 9),
+                nnz: 6
+            }
+        );
         assert!(v.to_string().contains("column indices"), "{v}");
         // Row 1 before row 0, which it reads.
         let v = check(&[clean[2], clean[0], clean[1], clean[3]]);

@@ -78,7 +78,11 @@ impl BatchSolveRecord {
 
     /// Iterations of the slowest system (what the batch actually ran).
     pub fn max_iterations(&self) -> usize {
-        self.outcomes.iter().map(|o| o.iterations).max().unwrap_or(0)
+        self.outcomes
+            .iter()
+            .map(|o| o.iterations)
+            .max()
+            .unwrap_or(0)
     }
 
     /// True when every system converged.
@@ -419,7 +423,9 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
         while st.any_active() {
             iter += 1;
             r_tilde.dots(&r, Some(&st.active), &mut rho)?;
-            st.break_down(iter, |s| rho[s] == 0.0 || omega[s] == 0.0 || !rho[s].is_finite());
+            st.break_down(iter, |s| {
+                rho[s] == 0.0 || omega[s] == 0.0 || !rho[s].is_finite()
+            });
             if !st.any_active() {
                 break;
             }
@@ -429,7 +435,9 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
                 // p = r + beta * (p - omega * v)
                 st.set(&mut coeff, |s| -omega[s]);
                 p.axpy(&coeff, &v, Some(&st.active))?;
-                st.set(&mut coeff, |s| (rho[s] / rho_old[s]) * (alpha[s] / omega[s]));
+                st.set(&mut coeff, |s| {
+                    (rho[s] / rho_old[s]) * (alpha[s] / omega[s])
+                });
                 p.scale_add(&r, &coeff, Some(&st.active))?;
             }
             op.apply_batch(&p, &mut v, Some(&st.active))?;
@@ -532,8 +540,7 @@ mod tests {
         s: usize,
         make: impl Fn(&Executor, usize, f64) -> Csr<f64, i32>,
     ) -> SharedBatch {
-        let singles: Vec<Csr<f64, i32>> =
-            (0..s).map(|k| make(exec, n, k as f64 * 0.5)).collect();
+        let singles: Vec<Csr<f64, i32>> = (0..s).map(|k| make(exec, n, k as f64 * 0.5)).collect();
         let vals: Vec<Vec<f64>> = singles.iter().map(|m| m.values().to_vec()).collect();
         let batch = Arc::new(BatchCsr::from_shared(&singles[0], &vals).unwrap());
         (batch, singles)
@@ -576,9 +583,7 @@ mod tests {
                 record.outcomes[k].iterations, rec.iterations,
                 "system {k} must take the same iterations as single CG"
             );
-            for (i, (&got, &want)) in
-                x.system(k).iter().zip(xd.to_host_vec().iter()).enumerate()
-            {
+            for (i, (&got, &want)) in x.system(k).iter().zip(xd.to_host_vec().iter()).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-9,
                     "system {k} row {i}: {got} vs {want}"

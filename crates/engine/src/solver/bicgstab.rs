@@ -60,8 +60,7 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
         } else {
             let beta = (rho / w.rho_old) * (w.alpha / w.omega);
             // p = r + beta * (p - omega * v)
-            w.p
-                .add_scaled_scale_add(V::from_f64(-w.omega), &w.v, it.r, V::from_f64(beta))?;
+            w.p.add_scaled_scale_add(V::from_f64(-w.omega), &w.v, it.r, V::from_f64(beta))?;
         }
         let p_hat = core.preconditioned(&w.p, &mut w.p_hat)?;
         core.system.apply(p_hat, &mut w.v)?;
@@ -71,10 +70,9 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
         }
         w.alpha = rho / denom;
         // s = r - alpha * v, and ||s||
-        let s_norm = w
-            .s
-            .assign_add_scaled(it.r, V::from_f64(-w.alpha), &w.v)?
-            .sqrt();
+        let s_norm =
+            w.s.assign_add_scaled(it.r, V::from_f64(-w.alpha), &w.v)?
+                .sqrt();
         match core.check(it.index, s_norm, it.baseline) {
             None | Some(StopReason::MaxIterations) => {}
             // A non-finite s_norm: x stays at its last finite state.
@@ -95,12 +93,9 @@ impl<V: Value> Recurrence<V> for BiCgStabMethod {
         }
         w.omega = ts / tt;
         // x += alpha * p_hat + omega * s_hat
-        it.x
-            .add_scaled2(V::from_f64(w.alpha), p_hat, V::from_f64(w.omega), s_hat)?;
+        it.x.add_scaled2(V::from_f64(w.alpha), p_hat, V::from_f64(w.omega), s_hat)?;
         // r = s - omega * t, and ||r||
-        let rr = it
-            .r
-            .assign_add_scaled(&w.s, V::from_f64(-w.omega), &w.t)?;
+        let rr = it.r.assign_add_scaled(&w.s, V::from_f64(-w.omega), &w.t)?;
         w.rho_old = rho;
         Ok(Step::Continue(rr.sqrt()))
     }
@@ -155,7 +150,9 @@ mod tests {
     fn honors_iteration_limit() {
         let exec = Executor::reference();
         let a = unsymmetric(&exec, 100);
-        let solver = BiCgStab::new(a).unwrap().with_criteria(Criteria::iterations(4));
+        let solver = BiCgStab::new(a)
+            .unwrap()
+            .with_criteria(Criteria::iterations(4));
         let b = Dense::<f64>::vector(&exec, 100, 1.0);
         let mut x = Dense::<f64>::vector(&exec, 100, 0.0);
         solver.apply(&b, &mut x).unwrap();
@@ -180,6 +177,10 @@ mod tests {
         solver.apply(&b, &mut x).unwrap();
         let rec = solver.logger().snapshot();
         assert!(rec.converged());
-        assert!(rec.iterations < 30, "ILU-preconditioned should be fast, took {}", rec.iterations);
+        assert!(
+            rec.iterations < 30,
+            "ILU-preconditioned should be fast, took {}",
+            rec.iterations
+        );
     }
 }

@@ -138,9 +138,7 @@ mod tests {
     fn respects_iteration_limit() {
         let exec = Executor::reference();
         let a = convdiff(&exec, 128);
-        let solver = Cgs::new(a)
-            .unwrap()
-            .with_criteria(Criteria::iterations(5));
+        let solver = Cgs::new(a).unwrap().with_criteria(Criteria::iterations(5));
         let b = Dense::<f64>::vector(&exec, 128, 1.0);
         let mut x = Dense::<f64>::vector(&exec, 128, 0.0);
         solver.apply(&b, &mut x).unwrap();

@@ -34,11 +34,9 @@ impl<V: Value> Direct<V> {
         let lu = DenseLu::factor(n, &host)?;
         // Charge the O(n^3) factorization as one large kernel.
         let n3 = (n * n * n) as f64;
-        matrix.executor().launch(&[ChunkWork::new(
-            (n * n * 8) as f64,
-            0.0,
-            2.0 / 3.0 * n3,
-        )]);
+        matrix
+            .executor()
+            .launch(&[ChunkWork::new((n * n * 8) as f64, 0.0, 2.0 / 3.0 * n3)]);
         Ok(Direct {
             exec: matrix.executor().clone(),
             size,
@@ -122,24 +120,16 @@ mod tests {
     #[test]
     fn singular_matrix_fails_at_construction() {
         let exec = Executor::reference();
-        let a = Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(2),
-            &[(0, 0, 1.0), (1, 0, 2.0)],
-        )
-        .unwrap();
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0), (1, 0, 2.0)])
+            .unwrap();
         assert!(Direct::new(&a).is_err());
     }
 
     #[test]
     fn multiple_right_hand_sides() {
         let exec = Executor::reference();
-        let a = Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(2),
-            &[(0, 0, 2.0), (1, 1, 4.0)],
-        )
-        .unwrap();
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 2.0), (1, 1, 4.0)])
+            .unwrap();
         let direct = Direct::new(&a).unwrap();
         let b = Dense::from_rows(&exec, &[[2.0f64, 4.0], [4.0, 8.0]]);
         let mut x = Dense::zeros(&exec, Dim2::new(2, 2));

@@ -69,9 +69,13 @@ impl<V: Value> Recurrence<V> for FcgMethod {
         let alpha = w.rho / pq;
         w.r_old.copy_from(it.r)?;
         // x += alpha * p;  r -= alpha * q;  ||r||^2
-        w.rr = it
-            .x
-            .add_scaled_with_residual(V::from_f64(alpha), &w.p, it.r, V::from_f64(-alpha), &w.q)?;
+        w.rr = it.x.add_scaled_with_residual(
+            V::from_f64(alpha),
+            &w.p,
+            it.r,
+            V::from_f64(-alpha),
+            &w.q,
+        )?;
         Ok(Step::Continue(w.rr.sqrt()))
     }
 }

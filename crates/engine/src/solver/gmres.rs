@@ -409,7 +409,10 @@ mod tests {
         let rec = solver.logger().snapshot();
         assert!(rec.converged());
         let tr = true_residual(&a, &b, &x);
-        assert!(tr <= 1e-6 * rec.initial_residual * 10.0, "true residual {tr}");
+        assert!(
+            tr <= 1e-6 * rec.initial_residual * 10.0,
+            "true residual {tr}"
+        );
     }
 
     #[test]
@@ -420,13 +423,17 @@ mod tests {
         let a = unsymmetric(&exec, 64);
         let b = Dense::<f64>::vector(&exec, 64, 1.0);
 
-        let gmres = Gmres::new(a.clone()).unwrap().with_criteria(Criteria::iterations(10));
+        let gmres = Gmres::new(a.clone())
+            .unwrap()
+            .with_criteria(Criteria::iterations(10));
         let mut x = Dense::<f64>::vector(&exec, 64, 0.0);
         let before = exec.timeline().snapshot();
         gmres.apply(&b, &mut x).unwrap();
         let gmres_kernels = exec.timeline().snapshot().since(&before).kernels;
 
-        let cg = crate::solver::cg::Cg::new(a).unwrap().with_criteria(Criteria::iterations(10));
+        let cg = crate::solver::cg::Cg::new(a)
+            .unwrap()
+            .with_criteria(Criteria::iterations(10));
         let mut x2 = Dense::<f64>::vector(&exec, 64, 0.0);
         let before = exec.timeline().snapshot();
         cg.apply(&b, &mut x2).unwrap();

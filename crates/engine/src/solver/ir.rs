@@ -97,12 +97,8 @@ mod tests {
         let exec = Executor::reference();
         // Spectral radius of (I - A) > 1 for this A without damping.
         let a = Arc::new(
-            Csr::<f64, i32>::from_triplets(
-                &exec,
-                Dim2::square(2),
-                &[(0, 0, 5.0), (1, 1, 5.0)],
-            )
-            .unwrap(),
+            Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 5.0), (1, 1, 5.0)])
+                .unwrap(),
         );
         let solver = Ir::new(a).unwrap().with_criteria(Criteria::iterations(10));
         let b = Dense::<f64>::vector(&exec, 2, 1.0);
@@ -117,12 +113,8 @@ mod tests {
     fn relaxation_factor_controls_convergence() {
         let exec = Executor::reference();
         let a = Arc::new(
-            Csr::<f64, i32>::from_triplets(
-                &exec,
-                Dim2::square(2),
-                &[(0, 0, 1.5), (1, 1, 1.5)],
-            )
-            .unwrap(),
+            Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.5), (1, 1, 1.5)])
+                .unwrap(),
         );
         // omega = 2/3 makes (I - omega*A) = 0: converges in one step.
         let solver = Ir::new(a)

@@ -174,7 +174,11 @@ mod tests {
         solver.apply(&b, &mut x).unwrap();
         let rec = solver.logger().snapshot();
         assert!(rec.converged(), "{:?}", rec.stop_reason);
-        assert!(residual(&a, &b, &x) < 1e-6, "residual {}", residual(&a, &b, &x));
+        assert!(
+            residual(&a, &b, &x) < 1e-6,
+            "residual {}",
+            residual(&a, &b, &x)
+        );
     }
 
     #[test]
@@ -209,7 +213,9 @@ mod tests {
         let exec = Executor::reference();
         let t: Vec<(usize, usize, f64)> = (0..20).map(|i| (i, i, (i + 1) as f64)).collect();
         let a = Arc::new(Csr::<f64, i32>::from_triplets(&exec, Dim2::square(20), &t).unwrap());
-        let solver = Minres::new(a).unwrap().with_criteria(Criteria::iterations(5));
+        let solver = Minres::new(a)
+            .unwrap()
+            .with_criteria(Criteria::iterations(5));
         let b = Dense::<f64>::vector(&exec, 20, 1.0);
         let mut x = Dense::<f64>::vector(&exec, 20, 0.0);
         solver.apply(&b, &mut x).unwrap();

@@ -466,10 +466,7 @@ mod tests {
         let solver = LowerTrs::new(l).unwrap();
         let b = Dense::<f64>::vector(&exec, 2, 1.0);
         let mut x = Dense::zeros(&exec, Dim2::new(2, 1));
-        assert_eq!(
-            solver.apply(&b, &mut x),
-            Err(GkoError::Singular { at: 1 })
-        );
+        assert_eq!(solver.apply(&b, &mut x), Err(GkoError::Singular { at: 1 }));
     }
 
     #[test]
@@ -543,9 +540,9 @@ mod tests {
     /// FNV-1a over the little-endian bytes of `words`.
     fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
         let byte = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        words
-            .into_iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h, w| w.to_le_bytes().iter().fold(h, byte))
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, byte)
+        })
     }
 
     /// The exact visit orders (rows, spans, copied columns and level count)
@@ -560,11 +557,21 @@ mod tests {
         let matrices = [
             (
                 poisson2d("poisson2d_37x23", 37, 23),
-                [0x3b39_caf1_7a00_8809, 0xcd36_1709_9cd8_53df, 0x3b39_caf1_7a00_8809, 0xcd36_1709_9cd8_53df],
+                [
+                    0x3b39_caf1_7a00_8809,
+                    0xcd36_1709_9cd8_53df,
+                    0x3b39_caf1_7a00_8809,
+                    0xcd36_1709_9cd8_53df,
+                ],
             ),
             (
                 circuit("circuit_3000", 3000, 6, 4, 0x7215_0150_1DE5_0001),
-                [0x0053_850b_c147_514e, 0xfc02_d593_9202_9dab, 0x0053_850b_c147_514e, 0x0655_4c58_83c9_4616],
+                [
+                    0x0053_850b_c147_514e,
+                    0xfc02_d593_9202_9dab,
+                    0x0053_850b_c147_514e,
+                    0x0655_4c58_83c9_4616,
+                ],
             ),
         ];
         for (gen, want) in matrices {
@@ -573,11 +580,19 @@ mod tests {
             let (l, u) = ilu0(&a).unwrap();
             let c = ic0(&a).unwrap();
             let ct = c.transpose();
-            let factors = [(l, Half::Lower), (u, Half::Upper), (c, Half::Lower), (ct, Half::Upper)];
+            let factors = [
+                (l, Half::Lower),
+                (u, Half::Upper),
+                (c, Half::Lower),
+                (ct, Half::Upper),
+            ];
             for ((factor, half), want) in factors.into_iter().zip(want) {
                 let trs = Trs::new(Arc::new(factor), half).unwrap();
                 let word = |i: i32| i as u64;
-                let visits = trs.visits.iter().flat_map(|&(r, lo, hi)| [r, lo, hi].map(word));
+                let visits = trs
+                    .visits
+                    .iter()
+                    .flat_map(|&(r, lo, hi)| [r, lo, hi].map(word));
                 let cols = trs.cols.iter().map(|&c| word(c));
                 let got = fnv1a(visits.chain(cols).chain([trs.levels as u64]));
                 assert_eq!(got, want, "{} {half:?}", gen.name);

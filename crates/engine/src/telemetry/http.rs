@@ -212,7 +212,10 @@ fn route(exec: &Executor, path: &str, query: &str) -> Reply {
             content_type: "text/plain; charset=utf-8",
             body: observer.profile().folded(),
         },
-        "/profile" => Reply::json("200 OK", json::to_string_pretty(&observer.profile().to_config())),
+        "/profile" => Reply::json(
+            "200 OK",
+            json::to_string_pretty(&observer.profile().to_config()),
+        ),
         // Per-path self-time and call-count deltas of the live profiling
         // window against a committed baseline, ranked by regression.
         "/profile/diff" => {

@@ -48,7 +48,11 @@ pub fn render_prometheus(exec: &Executor) -> String {
 /// Renders a `/metrics` document: the metrics plane's families (while on),
 /// one labelled series triple per pool lane, the flight, trace and profile
 /// gauges of the planes that are on, and the build/uptime identity gauges.
-pub fn render_exposition(status: &ObserverStatus, lanes: &[LaneStats], uptime_seconds: f64) -> String {
+pub fn render_exposition(
+    status: &ObserverStatus,
+    lanes: &[LaneStats],
+    uptime_seconds: f64,
+) -> String {
     let mut doc = Exposition::new();
     if let Some(metrics) = &status.metrics {
         metrics.write_families(&mut doc);
@@ -138,14 +142,21 @@ pub fn render_exposition(status: &ObserverStatus, lanes: &[LaneStats], uptime_se
     }
     // Build/uptime identity gauges, unconditional so every scrape carries
     // them (the standard `build_info` idiom: constant 1, facts as labels).
-    let build_profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let build_profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     doc.family(
         "gko_build_info",
         "Build identity; constant 1 with version/profile labels.",
         "gauge",
     )
     .sample(
-        &[("version", env!("CARGO_PKG_VERSION")), ("profile", build_profile)],
+        &[
+            ("version", env!("CARGO_PKG_VERSION")),
+            ("profile", build_profile),
+        ],
         1,
     );
     doc.family(
@@ -188,7 +199,10 @@ pub fn health_json(exec: &Executor) -> String {
             "metrics",
             Config::map()
                 .with("enabled", status.metrics.is_some())
-                .with("events", status.metrics.as_ref().map_or(0, |m| m.events) as i64),
+                .with(
+                    "events",
+                    status.metrics.as_ref().map_or(0, |m| m.events) as i64,
+                ),
         )
         .with(
             "flight_recorder",

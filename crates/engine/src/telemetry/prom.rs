@@ -150,8 +150,8 @@ fn parse_sample(line: &str, n: usize) -> Result<Sample, String> {
     };
     check_metric_name(name, n)?;
     let (labels, value_part) = if let Some(body) = rest.strip_prefix('{') {
-        let close = find_label_end(body)
-            .ok_or_else(|| format!("line {n}: unterminated label block"))?;
+        let close =
+            find_label_end(body).ok_or_else(|| format!("line {n}: unterminated label block"))?;
         let labels = parse_labels(&body[..close], n)?;
         (labels, body[close + 1..].trim_start())
     } else {
@@ -227,7 +227,9 @@ fn take_quoted(body: &str, n: usize) -> Result<(String, &str), String> {
                 Some((_, '"')) => value.push('"'),
                 Some((_, 'n')) => value.push('\n'),
                 Some((_, other)) => {
-                    return Err(format!("line {n}: illegal escape `\\{other}` in label value"))
+                    return Err(format!(
+                        "line {n}: illegal escape `\\{other}` in label value"
+                    ))
                 }
                 None => return Err(format!("line {n}: dangling backslash in label value")),
             },
@@ -354,7 +356,9 @@ gko_kernel_wall_ns_count{op=\"csr\"} 2\n";
 # TYPE h histogram\n\
 h_bucket{le=\"1\"} 5\n\
 h_bucket{le=\"+Inf\"} 3\n";
-        assert!(validate(non_cumulative).unwrap_err().contains("not cumulative"));
+        assert!(validate(non_cumulative)
+            .unwrap_err()
+            .contains("not cumulative"));
         let inf_mismatch = "\
 # TYPE h histogram\n\
 h_bucket{le=\"+Inf\"} 3\n\

@@ -495,7 +495,9 @@ mod tests {
     #[test]
     fn divergence_beats_stagnation_on_large_growth() {
         let cfg = DetectorConfig::default();
-        let window: Vec<f64> = (0..=cfg.stagnation_window).map(|i| 2.0f64.powi(i as i32)).collect();
+        let window: Vec<f64> = (0..=cfg.stagnation_window)
+            .map(|i| 2.0f64.powi(i as i32))
+            .collect();
         // Growth 2^8 = 256x over the window but only vs initial 1e-3 -> 2e5x.
         let got = detect_convergence(1.0e-3, &window, false, &cfg);
         assert!(matches!(got, Some(Anomaly::Divergence { .. })), "{got:?}");
@@ -507,7 +509,11 @@ mod tests {
         let window = vec![1.0; cfg.stagnation_window + 1];
         let got = detect_convergence(1.0, &window, false, &cfg);
         match got {
-            Some(Anomaly::Stagnation { window: w, from, to }) => {
+            Some(Anomaly::Stagnation {
+                window: w,
+                from,
+                to,
+            }) => {
                 assert_eq!(w, cfg.stagnation_window);
                 assert_eq!(from, 1.0);
                 assert_eq!(to, 1.0);
@@ -539,10 +545,7 @@ mod tests {
             None
         );
         // Skewed at scale: flagged, on the right lane.
-        let got = detect_lane_imbalance(
-            &[lane(0), lane(40_000_000), lane(0), lane(0)],
-            &cfg,
-        );
+        let got = detect_lane_imbalance(&[lane(0), lane(40_000_000), lane(0), lane(0)], &cfg);
         match got {
             Some(Anomaly::LaneImbalance { lane, ratio, .. }) => {
                 assert_eq!(lane, 1);
@@ -563,8 +566,7 @@ mod tests {
             None
         );
         // Whole distribution moved: flagged.
-        let got =
-            detect_latency_drift("csr", 10_000_000, 10_000_000, 1_000.0, 1_000.0, 3, &cfg);
+        let got = detect_latency_drift("csr", 10_000_000, 10_000_000, 1_000.0, 1_000.0, 3, &cfg);
         assert!(matches!(got, Some(Anomaly::LatencyDrift { .. })), "{got:?}");
         // Tail-only spike (median unchanged): scheduler noise, silent.
         assert_eq!(

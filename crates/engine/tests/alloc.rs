@@ -136,7 +136,10 @@ fn sellp_apply_allocates_independently_of_size() {
 fn hybrid_apply_allocates_independently_of_size() {
     check("hybrid", |csr| {
         let hybrid = Hybrid::from_csr(csr);
-        assert!(hybrid.coo_nnz() > 0, "generator must leave a COO overflow part");
+        assert!(
+            hybrid.coo_nnz() > 0,
+            "generator must leave a COO overflow part"
+        );
         hybrid
     });
 }
@@ -146,7 +149,9 @@ fn hybrid_apply_allocates_independently_of_size() {
 #[test]
 fn jacobi_applies_allocate_independently_of_size() {
     check("jacobi", |csr| Jacobi::new(csr).unwrap());
-    check("block-jacobi(4)", |csr| Jacobi::with_block_size(csr, 4).unwrap());
+    check("block-jacobi(4)", |csr| {
+        Jacobi::with_block_size(csr, 4).unwrap()
+    });
 }
 
 /// Assembly from triplets already in (row, col) order makes four
@@ -223,10 +228,7 @@ const PRECONDS: [Precond; 5] = [
 /// The loops under test on `a` (all four; CG alone with `Ic`, which is for
 /// symmetric solvers), each stopping after exactly [`SOLVE_ITERS`]
 /// iterations.
-fn solvers(
-    a: &Arc<Csr<f64, i32>>,
-    precond: Precond,
-) -> Vec<(&'static str, Arc<dyn LinOp<f64>>)> {
+fn solvers(a: &Arc<Csr<f64, i32>>, precond: Precond) -> Vec<(&'static str, Arc<dyn LinOp<f64>>)> {
     let criteria = Criteria::iterations(SOLVE_ITERS);
     let system = || a.clone() as Arc<dyn LinOp<f64>>;
     let m: Option<Arc<dyn LinOp<f64>>> = match precond {
@@ -250,7 +252,10 @@ fn solvers(
         loops.extend([
             ("fcg", built!(Fcg::new(system()).unwrap())),
             ("bicgstab", built!(BiCgStab::new(system()).unwrap())),
-            ("gmres", built!(Gmres::new(system()).unwrap().with_krylov_dim(RESTART))),
+            (
+                "gmres",
+                built!(Gmres::new(system()).unwrap().with_krylov_dim(RESTART)),
+            ),
         ]);
     }
     loops
@@ -300,9 +305,7 @@ fn solver_loops_stop_allocating_once_their_workspace_exists() {
             // GMRES creates one basis slot per iteration of its first cycle.
             let settled = if name == "gmres" { RESTART } else { 1 };
             let events = record.events();
-            let completed = |e: &Event, k: usize| {
-                matches!(e, Event::IterationComplete { iteration, .. } if *iteration == k)
-            };
+            let completed = |e: &Event, k: usize| matches!(e, Event::IterationComplete { iteration, .. } if *iteration == k);
             let from = events.iter().position(|e| completed(e, settled)).unwrap();
             assert!(
                 events.iter().any(|e| completed(e, SOLVE_ITERS)),

@@ -71,7 +71,9 @@ const CASES: [Case; 6] = [
     Case {
         name: "add_scaled_with_residual",
         fused: |[mut x, mut r, p, q]| {
-            let rr = x.add_scaled_with_residual(ALPHA, &p, &mut r, BETA, &q).unwrap();
+            let rr = x
+                .add_scaled_with_residual(ALPHA, &p, &mut r, BETA, &q)
+                .unwrap();
             (vec![bits(&x), bits(&r)], vec![rr.to_bits()])
         },
         unfused: |[mut x, mut r, p, q]| {
@@ -91,7 +93,10 @@ const CASES: [Case; 6] = [
             s.copy_from(&r).unwrap();
             s.add_scaled(BETA, &v).unwrap();
             let ss = s.compute_dot(&s).unwrap();
-            (vec![bits(&s)], vec![ss.to_bits(), s.compute_norm2().to_bits()])
+            (
+                vec![bits(&s)],
+                vec![ss.to_bits(), s.compute_norm2().to_bits()],
+            )
         },
     },
     Case {
@@ -164,7 +169,9 @@ fn check_products<V: Value>(exec_name: &str, exec: &Executor) {
     for n in [0usize, 1, 7, 8, 9, 1_000, 13_824] {
         for k in [1usize, 3] {
             let ctx = format!("{}/{exec_name}/n{n}/k{k}", V::NAME);
-            let d: Vec<V> = (0..n).map(|i| V::from_f64(1.3 + (i % 7) as f64 * 0.37)).collect();
+            let d: Vec<V> = (0..n)
+                .map(|i| V::from_f64(1.3 + (i % 7) as f64 * 0.37))
+                .collect();
             let b: Vec<V> = (0..n * k)
                 .map(|i| V::from_f64((i as f64 * 0.37 + 0.3).sin() * (1.0 + (i % 5) as f64)))
                 .collect();
@@ -207,7 +214,10 @@ fn diagonal_and_jacobi_products_equal_the_element_loop_bit_for_bit() {
 
 #[test]
 fn fused_operations_equal_their_unfused_sequences_bit_for_bit() {
-    for (exec_name, exec) in [("reference", Executor::reference()), ("omp7", Executor::omp(7))] {
+    for (exec_name, exec) in [
+        ("reference", Executor::reference()),
+        ("omp7", Executor::omp(7)),
+    ] {
         for n in SIZES {
             for case in &CASES {
                 assert_eq!(
@@ -253,9 +263,18 @@ fn reductions_repeat_bit_for_bit_under_any_schedule() {
     let norm = a.compute_norm2().to_bits();
     for round in 0..50 {
         for (case, want) in CASES.iter().zip(&first) {
-            assert_eq!((case.fused)(vectors(&exec, n)), *want, "{} round {round}", case.name);
+            assert_eq!(
+                (case.fused)(vectors(&exec, n)),
+                *want,
+                "{} round {round}",
+                case.name
+            );
         }
-        assert_eq!(a.compute_dot(&b).unwrap().to_bits(), dot, "dot round {round}");
+        assert_eq!(
+            a.compute_dot(&b).unwrap().to_bits(),
+            dot,
+            "dot round {round}"
+        );
         assert_eq!(a.compute_norm2().to_bits(), norm, "norm round {round}");
     }
 }

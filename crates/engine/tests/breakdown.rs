@@ -131,7 +131,9 @@ fn poisoned_spmv_stops_solvers_within_a_few_iterations() {
     };
 
     let op = PoisonAfter::new(a.clone(), 3);
-    let s = Cg::new(op as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit());
+    let s = Cg::new(op as Arc<dyn LinOp<f64>>)
+        .unwrap()
+        .with_criteria(crit());
     let b = Dense::<f64>::vector(&exec, n, 1.0);
     let mut x = Dense::<f64>::vector(&exec, n, 0.0);
     s.apply(&b, &mut x).unwrap();
@@ -161,12 +163,8 @@ fn poisoned_spmv_stops_solvers_within_a_few_iterations() {
 fn indefinite_two_cycle_breaks_cg_and_bicgstab_immediately() {
     let exec = Executor::reference();
     let a = Arc::new(
-        Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(2),
-            &[(0, 1, 1.0), (1, 0, 1.0)],
-        )
-        .unwrap(),
+        Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 1, 1.0), (1, 0, 1.0)])
+            .unwrap(),
     );
     let crit = || Criteria::iterations_and_reduction(50, 1e-12);
     let b = Dense::<f64>::from_rows(&exec, &[[1.0], [0.0]]);
@@ -262,9 +260,8 @@ fn singular_system_stops_honestly() {
 fn zero_matrix_breaks_down_at_iteration_zero() {
     let exec = Executor::reference();
     let n = 8;
-    let a = Arc::new(
-        Csr::<f64, i32>::from_triplets(&exec, Dim2::square(n), &[(0, 0, 0.0)]).unwrap(),
-    );
+    let a =
+        Arc::new(Csr::<f64, i32>::from_triplets(&exec, Dim2::square(n), &[(0, 0, 0.0)]).unwrap());
     let crit = || Criteria::iterations_and_reduction(50, 1e-10);
     let b = Dense::<f64>::vector(&exec, n, 1.0);
 
@@ -279,12 +276,24 @@ fn zero_matrix_breaks_down_at_iteration_zero() {
             assert!(rec.residual_history.is_empty(), $name);
         }};
     }
-    case!("cg", Cg::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit()));
+    case!(
+        "cg",
+        Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(crit())
+    );
     case!(
         "bicgstab",
-        BiCgStab::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit())
+        BiCgStab::new(a.clone() as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(crit())
     );
-    case!("gmres", Gmres::new(a as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit()));
+    case!(
+        "gmres",
+        Gmres::new(a as Arc<dyn LinOp<f64>>)
+            .unwrap()
+            .with_criteria(crit())
+    );
 }
 
 /// The `Criteria` entry point itself: any non-finite residual is a
@@ -329,20 +338,41 @@ fn history_length_matches_iterations_for_every_solver() {
                 assert_invariant($name, &s.logger().snapshot());
             }};
         }
-        case!("cg", Cg::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit));
-        case!("fcg", Fcg::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit));
-        case!("cgs", Cgs::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit));
+        case!(
+            "cg",
+            Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
+        );
+        case!(
+            "fcg",
+            Fcg::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
+        );
+        case!(
+            "cgs",
+            Cgs::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
+        );
         case!(
             "bicgstab",
-            BiCgStab::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit)
+            BiCgStab::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
         );
         case!(
             "gmres",
-            Gmres::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit)
+            Gmres::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
         );
         case!(
             "minres",
-            Minres::new(a.clone() as Arc<dyn LinOp<f64>>).unwrap().with_criteria(crit)
+            Minres::new(a.clone() as Arc<dyn LinOp<f64>>)
+                .unwrap()
+                .with_criteria(crit)
         );
         case!(
             "ir",

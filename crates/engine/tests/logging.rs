@@ -126,7 +126,10 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
         .filter(|e| matches!(e, Event::LinOpApplyCompleted { .. }))
         .count();
     assert_eq!(started, completed);
-    assert!(started > 3 * iters, "p update, spmv, p.q and the fused x/r update each iteration");
+    assert!(
+        started > 3 * iters,
+        "p update, spmv, p.q and the fused x/r update each iteration"
+    );
     assert!(
         events
             .iter()
@@ -139,7 +142,10 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
 
     // The metrics plane folded the same stream into per-kernel aggregates.
     assert_eq!(snap.solves, 1);
-    assert_eq!(snap.solver_iterations, vec![("solver::Cg".to_string(), iters as u64)]);
+    assert_eq!(
+        snap.solver_iterations,
+        vec![("solver::Cg".to_string(), iters as u64)]
+    );
     assert_eq!(snap.criterion_checks as usize, iters + 1);
     assert!(snap.pool_dispatch_ns.count > 0);
     assert_eq!(snap.pool_dispatch_ns.count, exec.pool_stats().dispatches);
@@ -148,18 +154,23 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     // the SpMV, `p.q`, and the fused `x += alpha p; r -= alpha q; r.r`.
     for (kernel, calls) in [
         ("solver::Cg", 1),
-        ("csr", iters + 1), // one SpMV per iteration + r0
+        ("csr", iters + 1),        // one SpMV per iteration + r0
         ("dense::dot", iters + 2), // p.q per iteration + the baseline norm + the first r.r
         ("dense::scale_add", iters - 1),
         ("dense::axpy", iters), // the fused update keeps the AXPY family name
     ] {
-        let seen = snap.kernel(kernel).unwrap_or_else(|| panic!("missing {kernel} in {snap:?}"));
+        let seen = snap
+            .kernel(kernel)
+            .unwrap_or_else(|| panic!("missing {kernel} in {snap:?}"));
         assert_eq!(seen.calls as usize, calls, "{kernel}");
     }
     let spmv = snap.kernel("csr").unwrap();
     let solve = snap.kernel("solver::Cg").unwrap();
     assert_eq!(solve.calls, 1);
-    assert!(solve.virtual_ns.sum >= spmv.virtual_ns.sum, "the solve frame is inclusive");
+    assert!(
+        solve.virtual_ns.sum >= spmv.virtual_ns.sum,
+        "the solve frame is inclusive"
+    );
 
     // The profiler's self times decompose the solve exactly: owner-thread
     // spans nest sequentially, so self times summed over the flame tree —
@@ -168,7 +179,9 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     let flame = exec.observer().profile();
     assert_eq!(flame.solves, 1);
     assert_eq!(flame.evicted_nodes, 0);
-    let root = flame.find("solver::Cg").expect("flame tree rooted at the solve");
+    let root = flame
+        .find("solver::Cg")
+        .expect("flame tree rooted at the solve");
     assert!(root.wall_ns > 0);
     let covered: u64 = flame
         .nodes
@@ -179,7 +192,10 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
             _ => n.self_wall_ns,
         })
         .sum();
-    assert_eq!(covered, root.wall_ns, "self times must account for the solve");
+    assert_eq!(
+        covered, root.wall_ns,
+        "self times must account for the solve"
+    );
 }
 
 /// Loggers attached to the *solver* see iteration-level events only; kernel

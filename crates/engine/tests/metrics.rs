@@ -80,7 +80,11 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         profile: Some(ProfileConfig::default()),
         ..ObserveConfig::default()
     });
-    assert_eq!(exec.loggers().len(), 1, "one observer behind all four planes");
+    assert_eq!(
+        exec.loggers().len(),
+        1,
+        "one observer behind all four planes"
+    );
     let solver = Cg::new(Arc::new(poisson_csr(&exec, 256)))
         .unwrap()
         .with_criteria(Criteria::iterations(5));
@@ -91,12 +95,19 @@ fn unlogged_spmv_performs_no_histogram_writes() {
     assert!(observed > 0);
 
     exec.observe(ObserveConfig::default());
-    assert!(!exec.loggers().is_active(), "back on the one-relaxed-load path");
+    assert!(
+        !exec.loggers().is_active(),
+        "back on the one-relaxed-load path"
+    );
     let off = exec.observing();
     assert!(!off.metrics && off.flight.is_none() && off.trace.is_none() && off.profile.is_none());
     assert!(observer.metrics().is_none() && observer.runs().is_empty());
     solver.apply(&b, &mut x).unwrap();
-    assert_eq!(observer.events_observed(), observed, "detached observer sees nothing");
+    assert_eq!(
+        observer.events_observed(),
+        observed,
+        "detached observer sees nothing"
+    );
     assert_eq!(observer.traces().len(), 1, "retained trace stays readable");
     assert_eq!(observer.profile().solves, 1, "flame window stays readable");
 }
@@ -182,7 +193,10 @@ fn chrome_trace_is_valid_json_with_balanced_spans() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(128, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let report = exec.observer().latest_trace().expect("sample_n=1 retains the solve");
+    let report = exec
+        .observer()
+        .latest_trace()
+        .expect("sample_n=1 retains the solve");
     assert!(!report.spans.is_empty());
     let trace = report.to_chrome_trace();
 
@@ -252,7 +266,11 @@ fn histogram_bucket_boundaries_partition_the_range() {
         let lo = 1u64 << (bit - 1);
         let hi = 1u64 << bit;
         assert_eq!(bucket_index(lo), bit as usize, "lower edge of bucket {bit}");
-        assert_eq!(bucket_index(hi - 1), bit as usize, "upper edge of bucket {bit}");
+        assert_eq!(
+            bucket_index(hi - 1),
+            bit as usize,
+            "upper edge of bucket {bit}"
+        );
         assert_eq!(
             bucket_index(hi),
             (bit as usize + 1).min(HISTOGRAM_BUCKETS - 1),

@@ -82,8 +82,9 @@ fn shapes() -> Vec<Shape> {
 
     // A single 1 x n dense row.
     let n = 33;
-    let row: Vec<(usize, usize, f64)> =
-        (0..n).map(|j| (0usize, j, 1.0 + (j as f64) * 0.125)).collect();
+    let row: Vec<(usize, usize, f64)> = (0..n)
+        .map(|j| (0usize, j, 1.0 + (j as f64) * 0.125))
+        .collect();
     shapes.push(("one_by_n", Dim2::new(1, n), row));
 
     // Arrow head: dense first row and column plus diagonal.
@@ -190,7 +191,9 @@ fn csr_merge_path_matches_reference() {
 
 #[test]
 fn csr_auto_matches_reference() {
-    check_format_parity("csr_auto", |csr| csr.clone().with_strategy(SpmvStrategy::Auto));
+    check_format_parity("csr_auto", |csr| {
+        csr.clone().with_strategy(SpmvStrategy::Auto)
+    });
 }
 
 #[test]
@@ -209,7 +212,12 @@ fn coo_single_rhs_sums_in_entry_order() {
     let t: Vec<(usize, usize, f64)> = (0..n * 5)
         .map(|e| (e / 5, (e / 5 + 11 * (e % 5)) % n, 1.0 / (3.0 + e as f64)))
         .collect();
-    let execs = [Executor::reference(), Executor::omp(1), Executor::omp(2), Executor::omp(16)];
+    let execs = [
+        Executor::reference(),
+        Executor::omp(1),
+        Executor::omp(2),
+        Executor::omp(16),
+    ];
     for exec in execs {
         let coo = Coo::<f64, i32>::from_triplets(&exec, Dim2::square(n), &t).unwrap();
         let b = rhs(&exec, n);
@@ -222,7 +230,12 @@ fn coo_single_rhs_sums_in_entry_order() {
         for ((&r, &c), &v) in entries {
             want[r as usize] += v * bv[c as usize];
         }
-        assert_eq!(x.to_host_vec(), want, "coo on {}: row sums reordered", exec.name());
+        assert_eq!(
+            x.to_host_vec(),
+            want,
+            "coo on {}: row sums reordered",
+            exec.name()
+        );
     }
 }
 
@@ -259,7 +272,11 @@ fn diagonal_matches_reference() {
             let b = rhs(&omp, n);
             let mut x = Dense::zeros(&omp, Dim2::new(n, 1));
             diag.apply(&b, &mut x).unwrap();
-            assert_close(&x.to_host_vec(), &want, &format!("diagonal/n{n}/omp{threads}"));
+            assert_close(
+                &x.to_host_vec(),
+                &want,
+                &format!("diagonal/n{n}/omp{threads}"),
+            );
         }
     }
 }

@@ -92,7 +92,11 @@ fn assert_flame_node(node: &Config, context: &str) {
     let total = node.get("wall_ns").and_then(Config::as_int).unwrap();
     let own = node.get("self_wall_ns").and_then(Config::as_int).unwrap();
     assert!(own <= total, "{context}: self {own} exceeds total {total}");
-    for child in node.get("children").and_then(Config::as_array).unwrap_or(&[]) {
+    for child in node
+        .get("children")
+        .and_then(Config::as_array)
+        .unwrap_or(&[])
+    {
         assert_flame_node(child, context);
     }
 }
@@ -172,7 +176,9 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
     assert!(!snap.nodes.is_empty());
     assert!(snap.nodes.len() <= snap.max_nodes);
     assert!(
-        snap.nodes.iter().any(|n| n.kind == "chunk" && !n.lanes.is_empty()),
+        snap.nodes
+            .iter()
+            .any(|n| n.kind == "chunk" && !n.lanes.is_empty()),
         "chunk nodes carry per-lane attribution"
     );
 
@@ -197,7 +203,10 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
         "gko_build_info{",
         "# TYPE gko_uptime_seconds gauge",
     ] {
-        assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
+        assert!(
+            metrics.contains(needle),
+            "missing {needle:?} in:\n{metrics}"
+        );
     }
 
     // /healthz carries the profiling block.
@@ -236,7 +245,10 @@ fn profile_diff_error_paths_and_empty_window() {
     exec.observer().commit_profile_baseline("known");
     let (status, body) = http_get(addr, "/profile/diff?base=unknown");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
-    assert!(body.contains("\"known\""), "404 lists known baselines: {body}");
+    assert!(
+        body.contains("\"known\""),
+        "404 lists known baselines: {body}"
+    );
     let (status, _) = http_get(addr, "/profile/diff?base=known");
     assert_eq!(status, "HTTP/1.1 200 OK");
     server.shutdown();
@@ -260,7 +272,11 @@ fn tiny_node_cap_bounds_real_solves() {
     solver.apply(&b, &mut x).unwrap();
 
     let snap = exec.observer().profile();
-    assert!(snap.nodes.len() <= 8, "cap respected: {} nodes", snap.nodes.len());
+    assert!(
+        snap.nodes.len() <= 8,
+        "cap respected: {} nodes",
+        snap.nodes.len()
+    );
     assert_eq!(snap.max_nodes, 8);
     assert!(
         snap.evicted_nodes > 0,
@@ -274,5 +290,9 @@ fn tiny_node_cap_bounds_real_solves() {
     });
     assert!(exec.observing().trace.is_some());
     solver.apply(&b, &mut x).unwrap();
-    assert_eq!(exec.observer().profile().solves, snap.solves, "disarmed solves not folded");
+    assert_eq!(
+        exec.observer().profile().solves,
+        snap.solves,
+        "disarmed solves not folded"
+    );
 }

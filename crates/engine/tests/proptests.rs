@@ -117,7 +117,10 @@ fn adjoint_identity() {
         at.apply(&c, &mut atc).unwrap();
         let lhs = ab.compute_dot(&c).unwrap();
         let rhs = b.compute_dot(&atc).unwrap();
-        assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
+        assert!(
+            (lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()),
+            "{lhs} vs {rhs}"
+        );
     });
 }
 

@@ -33,8 +33,12 @@ fn well_formed_formats_validate_clean() {
     csr.validate().expect("well-formed CSR");
     Coo::from_csr(&csr).validate().expect("well-formed COO");
     Ell::from_csr(&csr).validate().expect("well-formed ELL");
-    Sellp::from_csr(&csr).validate().expect("well-formed SELL-P");
-    Hybrid::from_csr(&csr).validate().expect("well-formed Hybrid");
+    Sellp::from_csr(&csr)
+        .validate()
+        .expect("well-formed SELL-P");
+    Hybrid::from_csr(&csr)
+        .validate()
+        .expect("well-formed Hybrid");
     csr.to_dense().validate().expect("finite dense");
 }
 
@@ -195,7 +199,10 @@ fn pool_runs_verify_clean_and_are_counted() {
     a.apply(&b, &mut want).unwrap();
     a.apply(&b, &mut x).unwrap();
     let report = exec.sanitizer_report();
-    assert!(report.jobs_checked >= 2, "both applies verified: {report:?}");
+    assert!(
+        report.jobs_checked >= 2,
+        "both applies verified: {report:?}"
+    );
     assert!(report.pieces_checked > report.jobs_checked);
     assert_eq!(x.to_host_vec(), want.to_host_vec());
 

@@ -352,15 +352,22 @@ where
     let mut out = Vec::new();
     for (exec_name, exec) in executors() {
         let a = ragged_system::<V>(&exec);
-        let values = rhs(&exec, RAGGED_N).to_host_vec().into_iter().map(V::from_f64).collect();
+        let values = rhs(&exec, RAGGED_N)
+            .to_host_vec()
+            .into_iter()
+            .map(V::from_f64)
+            .collect();
         let b = Dense::from_vec(&exec, Dim2::new(RAGGED_N, 1), values).unwrap();
         for jacobi in [false, true] {
             let pname = if jacobi { "jacobi" } else { "plain" };
             let case = format!("gmres/ragged/{}/{pname}/{exec_name}", V::NAME);
             let record = Arc::new(Record::new());
-            let s = Gmres::new(a.clone() as Arc<dyn LinOp<V>>).unwrap().with_krylov_dim(9);
+            let s = Gmres::new(a.clone() as Arc<dyn LinOp<V>>)
+                .unwrap()
+                .with_krylov_dim(9);
             let s = if jacobi {
-                s.with_preconditioner(Arc::new(Jacobi::new(&*a).unwrap())).unwrap()
+                s.with_preconditioner(Arc::new(Jacobi::new(&*a).unwrap()))
+                    .unwrap()
             } else {
                 s
             };
@@ -479,8 +486,18 @@ fn a_non_finite_residual_is_an_unrecorded_breakdown() {
         let cases = [
             // Mixed-precision IR applies the matrix it was built from, not
             // an operator, so it cannot be poisoned this way.
-            (kind != "mixed_ir").then(|| ("poisoned", solver_on(kind, &a, poisoned, criteria, false, None), StopReason::Breakdown)),
-            Some(("singular", solver_on(kind, &singular, singular.clone(), criteria, false, None), on_singular)),
+            (kind != "mixed_ir").then(|| {
+                (
+                    "poisoned",
+                    solver_on(kind, &a, poisoned, criteria, false, None),
+                    StopReason::Breakdown,
+                )
+            }),
+            Some((
+                "singular",
+                solver_on(kind, &singular, singular.clone(), criteria, false, None),
+                on_singular,
+            )),
         ];
         for (case, (op, logger), want) in cases.into_iter().flatten() {
             let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
@@ -600,7 +617,9 @@ fn batch_outcomes(exec: &Executor, cg: bool, systems: usize, limit: usize) -> Ve
     let n = proto.size().rows;
     let (row_ptrs, col_idxs) = (proto.row_ptrs(), proto.col_idxs());
     let diagonal: Vec<bool> = (0..n)
-        .flat_map(|r| (row_ptrs[r]..row_ptrs[r + 1]).map(move |k| col_idxs[k as usize] as usize == r))
+        .flat_map(|r| {
+            (row_ptrs[r]..row_ptrs[r + 1]).map(move |k| col_idxs[k as usize] as usize == r)
+        })
         .collect();
     let specials = systems >= 3;
     let values: Vec<Vec<f64>> = (0..systems)
@@ -633,9 +652,15 @@ fn batch_outcomes(exec: &Executor, cg: bool, systems: usize, limit: usize) -> Ve
     }
     let criteria = Criteria::iterations_and_reduction(limit, REDUCTION);
     let record = if cg {
-        BatchCg::new(batch).unwrap().with_criteria(criteria).apply_batch(&b, &mut x)
+        BatchCg::new(batch)
+            .unwrap()
+            .with_criteria(criteria)
+            .apply_batch(&b, &mut x)
     } else {
-        BatchBiCgStab::new(batch).unwrap().with_criteria(criteria).apply_batch(&b, &mut x)
+        BatchBiCgStab::new(batch)
+            .unwrap()
+            .with_criteria(criteria)
+            .apply_batch(&b, &mut x)
     }
     .unwrap();
     record
@@ -644,7 +669,13 @@ fn batch_outcomes(exec: &Executor, cg: bool, systems: usize, limit: usize) -> Ve
         .enumerate()
         .map(|(s, o)| {
             let (initial, last) = (o.initial_residual.to_bits(), o.final_residual.to_bits());
-            (o.iterations, o.stop_reason, initial, last, fingerprint(x.system(s).iter()))
+            (
+                o.iterations,
+                o.stop_reason,
+                initial,
+                last,
+                fingerprint(x.system(s).iter()),
+            )
         })
         .collect()
 }
@@ -675,14 +706,26 @@ fn batched_outcomes_match_the_golden_table() {
     for case in ["cg/3", "cg/40", "bicgstab/3", "bicgstab/40"] {
         let (zero_rhs, poisoned) = (row(case, 1), row(case, 2));
         let converged_at_once = (0, StopReason::ResidualReduction, 0);
-        assert_eq!((zero_rhs.0, zero_rhs.1, zero_rhs.4), converged_at_once, "{case}");
+        assert_eq!(
+            (zero_rhs.0, zero_rhs.1, zero_rhs.4),
+            converged_at_once,
+            "{case}"
+        );
         let broke_down_at_once = (0, StopReason::Breakdown, fingerprint(guess.iter()));
-        assert_eq!((poisoned.0, poisoned.1, poisoned.4), broke_down_at_once, "{case}");
+        assert_eq!(
+            (poisoned.0, poisoned.1, poisoned.4),
+            broke_down_at_once,
+            "{case}"
+        );
     }
     for case in ["bicgstab/3", "bicgstab/40"] {
         let half_step = row(case, 0);
         let exact_after_half_a_step = (1, StopReason::ResidualReduction, 0);
-        assert_eq!((half_step.0, half_step.1, half_step.3), exact_after_half_a_step, "{case}");
+        assert_eq!(
+            (half_step.0, half_step.1, half_step.3),
+            exact_after_half_a_step,
+            "{case}"
+        );
     }
     for s in 0..2 {
         let limited = row("cg/2/limit", s);

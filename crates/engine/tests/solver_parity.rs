@@ -73,16 +73,17 @@ fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
 fn rhs(exec: &Executor, n: usize) -> Dense<f64> {
     let mut b = Dense::zeros(exec, Dim2::new(n, 1));
     for i in 0..n {
-        b.set(i, 0, 1.0 + 0.25 * ((i % 7) as f64) - 0.125 * ((i % 3) as f64));
+        b.set(
+            i,
+            0,
+            1.0 + 0.25 * ((i % 7) as f64) - 0.125 * ((i % 3) as f64),
+        );
     }
     b
 }
 
 /// Compares reference vs omp histories and solutions for one solver kind.
-fn assert_solver_parity(
-    name: &str,
-    histories: &[(usize, Vec<f64>, Vec<f64>)],
-) {
+fn assert_solver_parity(name: &str, histories: &[(usize, Vec<f64>, Vec<f64>)]) {
     let (_, ref_hist, ref_x) = &histories[0];
     assert_eq!(ref_hist.len(), ITERS, "{name}: reference ran {ITERS} iters");
     let budget = TOL_ULPS << ITERS;

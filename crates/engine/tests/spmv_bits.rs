@@ -279,15 +279,26 @@ impl<V: Value> Reference<V> {
         let (rp, ci, vals) = (csr.row_ptrs(), csr.col_idxs(), csr.values());
         let rows = rp.windows(2).map(|w| {
             let span = w[0].to_usize()..w[1].to_usize();
-            vals[span.clone()].iter().zip(&ci[span]).map(|(&v, c)| (v, c.to_usize())).collect()
+            vals[span.clone()]
+                .iter()
+                .zip(&ci[span])
+                .map(|(&v, c)| (v, c.to_usize()))
+                .collect()
         });
         Reference::from_rows(rows.collect())
     }
 
     fn from_rows(rows: Vec<Vec<Entry<V>>>) -> Self {
         let entries = rows.concat();
-        let row_of = rows.iter().enumerate().flat_map(|(r, row)| row.iter().map(move |_| r));
-        Reference { row_of: row_of.collect(), entries, rows }
+        let row_of = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(r, row)| row.iter().map(move |_| r));
+        Reference {
+            row_of: row_of.collect(),
+            entries,
+            rows,
+        }
     }
 
     /// Rows padded to `width(r)` slots with value zero at the row's last
@@ -307,7 +318,10 @@ impl<V: Value> Reference<V> {
 
     /// The first `width` entries of every row, and the rest.
     fn split_at(&self, width: usize) -> (Reference<V>, Reference<V>) {
-        let cut = self.rows.iter().map(|row| row.split_at(width.min(row.len())));
+        let cut = self
+            .rows
+            .iter()
+            .map(|row| row.split_at(width.min(row.len())));
         (
             Reference::from_rows(cut.clone().map(|(head, _)| head.to_vec()).collect()),
             Reference::from_rows(cut.map(|(_, rest)| rest.to_vec()).collect()),
@@ -390,7 +404,12 @@ where
             let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
             let m = Reference::of(&csr);
             let ctx = |format: &str| {
-                format!("{format} {}/{} {name} on {} x{workers}", V::NAME, I::NAME, exec.name())
+                format!(
+                    "{format} {}/{} {name} on {} x{workers}",
+                    V::NAME,
+                    I::NAME,
+                    exec.name()
+                )
             };
 
             for strategy in [SpmvStrategy::Classical, SpmvStrategy::LoadBalance] {
@@ -412,7 +431,15 @@ where
                 &|k, alpha, b, beta, x| {
                     let sum = row_sum::<V>(k);
                     reference_segments(
-                        &m.entries, &m.row_of, &plan.segments, sum, k, alpha, b, beta, x,
+                        &m.entries,
+                        &m.row_of,
+                        &plan.segments,
+                        sum,
+                        k,
+                        alpha,
+                        b,
+                        beta,
+                        x,
                     )
                 },
                 &ctx("csr MergePath"),
@@ -424,7 +451,15 @@ where
                 let segments = segments.to_vec();
                 move |k: usize, alpha: V, b: &[V], beta: V, x: &mut [V]| {
                     reference_segments(
-                        &entries, &row_of, &segments, sum_in_order, k, alpha, b, beta, x,
+                        &entries,
+                        &row_of,
+                        &segments,
+                        sum_in_order,
+                        k,
+                        alpha,
+                        b,
+                        beta,
+                        x,
                     )
                 }
             };
@@ -493,10 +528,17 @@ where
     for exec in executors() {
         let workers = exec.spec().workers;
         let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
-        assert_eq!(csr.plan().resolved, ResolvedStrategy::MergePath, "Auto on the rail");
+        assert_eq!(
+            csr.plan().resolved,
+            ResolvedStrategy::MergePath,
+            "Auto on the rail"
+        );
         let m = Reference::of(&csr);
-        let strategies =
-            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance, SpmvStrategy::MergePath];
+        let strategies = [
+            SpmvStrategy::Classical,
+            SpmvStrategy::LoadBalance,
+            SpmvStrategy::MergePath,
+        ];
         for strategy in strategies {
             let a = csr.clone().with_strategy(strategy);
             let plan = a.plan();
@@ -510,7 +552,15 @@ where
                     &|k, alpha, b, beta, x| {
                         let sum = row_sum::<V>(k);
                         reference_segments(
-                            &m.entries, &m.row_of, &plan.segments, sum, k, alpha, b, beta, x,
+                            &m.entries,
+                            &m.row_of,
+                            &plan.segments,
+                            sum,
+                            k,
+                            alpha,
+                            b,
+                            beta,
+                            x,
                         )
                     },
                     &ctx,
@@ -518,7 +568,10 @@ where
             } else {
                 if workers == 7 {
                     let off_grid = plan.row_bounds.iter().any(|b| b % 128 != 0);
-                    assert!(off_grid, "{ctx}: a piece boundary inside a window of 128 rows");
+                    assert!(
+                        off_grid,
+                        "{ctx}: a piece boundary inside a window of 128 rows"
+                    );
                 }
                 check_op(
                     &exec,
@@ -590,8 +643,10 @@ fn batch_csr_rows_sum_in_the_unrolled_order() {
                 let scale = |s: usize| 1.0 + s as f64 * 0.25;
                 let scaled: Vec<Csr<f64, i32>> = (0..systems)
                     .map(|s| {
-                        let t: Triplets =
-                            triplets.iter().map(|&(r, c, v)| (r, c, v * scale(s))).collect();
+                        let t: Triplets = triplets
+                            .iter()
+                            .map(|&(r, c, v)| (r, c, v * scale(s)))
+                            .collect();
                         Csr::from_triplets(&exec, dim, &t).unwrap()
                     })
                     .collect();
@@ -621,8 +676,7 @@ fn batch_csr_rows_sum_in_the_unrolled_order() {
                         }
                         let on = exec.name();
                         let masking = if mask.is_some() { "masked" } else { "unmasked" };
-                        let ctx =
-                            format!("batch {masking} {name} system {s}/{systems} on {on}");
+                        let ctx = format!("batch {masking} {name} system {s}/{systems} on {on}");
                         assert_bits(x.system(s), &want, &ctx);
                     }
                 }
@@ -637,23 +691,45 @@ fn batch_csr_rows_sum_in_the_unrolled_order() {
 fn partitions_reach_the_edges_they_are_named_for() {
     let exec = Executor::omp(16);
     let find = |wanted: &str| {
-        let (_, dim, t) = matrices().into_iter().find(|(name, ..)| *name == wanted).unwrap();
+        let (_, dim, t) = matrices()
+            .into_iter()
+            .find(|(name, ..)| *name == wanted)
+            .unwrap();
         Csr::<f64, i32>::from_triplets(&exec, dim, &t).unwrap()
     };
 
     let one_row = find("one_row_holds_everything");
     let coo = Reference::of(&one_row).coo_segments(16);
     assert!(coo.len() >= 3 && coo.iter().all(|s| s.row_first == 2 && s.row_last == 2));
-    assert!(coo.iter().any(|s| s.nnz_end - s.nnz_start == 1), "single-entry segment");
+    assert!(
+        coo.iter().any(|s| s.nnz_end - s.nnz_start == 1),
+        "single-entry segment"
+    );
     let merge = one_row.with_strategy(SpmvStrategy::MergePath).plan();
-    assert!(merge.segments.iter().filter(|s| s.row_first <= 2 && 2 <= s.row_last).count() >= 3);
+    assert!(
+        merge
+            .segments
+            .iter()
+            .filter(|s| s.row_first <= 2 && 2 <= s.row_last)
+            .count()
+            >= 3
+    );
 
     let uneven = find("uneven_rows");
     let rp = uneven.row_ptrs().to_vec();
     let inside_a_row = |cut: usize| !rp.contains(&(cut as i32));
     let merge = uneven.with_strategy(SpmvStrategy::MergePath).plan();
-    assert!(merge.segments.iter().any(|s| inside_a_row(s.nnz_start)), "merge cut inside a row");
+    assert!(
+        merge.segments.iter().any(|s| inside_a_row(s.nnz_start)),
+        "merge cut inside a row"
+    );
     let coo = Reference::of(&find("uneven_rows")).coo_segments(2);
-    assert!(coo.iter().any(|s| inside_a_row(s.nnz_start)), "coo cut inside a row");
-    assert!(coo.iter().any(|s| s.row_last > s.row_first + 1), "segment with interior rows");
+    assert!(
+        coo.iter().any(|s| inside_a_row(s.nnz_start)),
+        "coo cut inside a row"
+    );
+    assert!(
+        coo.iter().any(|s| s.row_last > s.row_first + 1),
+        "segment with interior rows"
+    );
 }

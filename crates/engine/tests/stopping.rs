@@ -55,7 +55,10 @@ fn for_each_solver(b: &Dense<f64>, check: impl Fn(&'static str, gko::log::SolveR
         "bicgstab",
         BiCgStab::new(a.clone()).unwrap().with_criteria(criteria)
     );
-    run!("gmres", Gmres::new(a.clone()).unwrap().with_criteria(criteria));
+    run!(
+        "gmres",
+        Gmres::new(a.clone()).unwrap().with_criteria(criteria)
+    );
     run!("ir", Ir::new(a.clone()).unwrap().with_criteria(criteria));
     run!(
         "minres",
@@ -72,7 +75,10 @@ fn zero_rhs_converges_immediately_in_all_solvers() {
     let exec = Executor::reference();
     let b = Dense::<f64>::zeros(&exec, Dim2::new(24, 1));
     for_each_solver(&b, |name, rec| {
-        assert_eq!(rec.iterations, 0, "{name}: zero RHS must cost no iterations");
+        assert_eq!(
+            rec.iterations, 0,
+            "{name}: zero RHS must cost no iterations"
+        );
         assert_eq!(
             rec.stop_reason,
             Some(StopReason::ResidualReduction),

@@ -124,7 +124,10 @@ fn concurrent_scrapes_during_solve_are_never_torn() {
 
     for _ in 0..12 {
         let reason = solve_cg(&exec, &a);
-        assert!(reason.is_converged(), "reference solve converged: {reason:?}");
+        assert!(
+            reason.is_converged(),
+            "reference solve converged: {reason:?}"
+        );
     }
     done.store(true, Ordering::Release);
     for handle in scrapers {
@@ -140,7 +143,10 @@ fn concurrent_scrapes_during_solve_are_never_torn() {
         "# TYPE gko_anomalies_total counter",
         "gko_flight_reports 12",
     ] {
-        assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
+        assert!(
+            metrics.contains(needle),
+            "missing {needle:?} in:\n{metrics}"
+        );
     }
     // Healthy solves: the anomaly family stays empty (declared, no samples).
     assert!(
@@ -311,7 +317,12 @@ fn injected_slow_kernel_triggers_latency_drift() {
     healthy_solve(1_000_000);
 
     let report = recorder.latest_run().unwrap();
-    assert_eq!(report.anomalies.len(), 1, "anomalies: {:?}", report.anomalies);
+    assert_eq!(
+        report.anomalies.len(),
+        1,
+        "anomalies: {:?}",
+        report.anomalies
+    );
     match &report.anomalies[0] {
         Anomaly::LatencyDrift {
             op,
@@ -402,7 +413,10 @@ fn detached_recorder_observes_nothing() {
     );
     assert_eq!(recorder.status().runs, 0);
     exec.observe(ObserveConfig::default());
-    assert!(!exec.loggers().is_active(), "switching off detaches the observer");
+    assert!(
+        !exec.loggers().is_active(),
+        "switching off detaches the observer"
+    );
 }
 
 /// Satellite: `/runs?limit=N` returns the N newest reports, newest first,
@@ -516,7 +530,10 @@ fn head_requests_mirror_get_headers_without_body() {
         stream.read_to_end(&mut raw).unwrap();
         let text = String::from_utf8(raw).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
-        assert!(body.is_empty(), "HEAD {path} must not carry a body: {body:?}");
+        assert!(
+            body.is_empty(),
+            "HEAD {path} must not carry a body: {body:?}"
+        );
         let head_status = head.lines().next().unwrap().to_string();
         let head_len: usize = head
             .lines()
@@ -588,8 +605,7 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
                             .collect();
                         let mut roots = 0;
                         for span in spans {
-                            let parent =
-                                span.get("parent").and_then(|v| v.as_int()).unwrap();
+                            let parent = span.get("parent").and_then(|v| v.as_int()).unwrap();
                             if parent == 0 {
                                 roots += 1;
                             } else {
@@ -635,7 +651,10 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
         "# TYPE gko_trace_retained gauge",
         "# TYPE gko_trace_drops_total counter",
     ] {
-        assert!(metrics.contains(needle), "missing {needle:?} in:\n{metrics}");
+        assert!(
+            metrics.contains(needle),
+            "missing {needle:?} in:\n{metrics}"
+        );
     }
     server.shutdown();
 }
@@ -675,14 +694,20 @@ fn other_threads_events_stay_out_of_the_solve_in_flight() {
             wall_ns: 50_000,
             virtual_ns: 0,
         });
-        observer.latest_run().expect("the solve closed into a report")
+        observer
+            .latest_run()
+            .expect("the solve closed into a report")
     };
 
     let report = solve(None);
     let ops: Vec<&str> = report.kernels.iter().map(|k| k.op.as_str()).collect();
     assert_eq!(ops, ["solver::Cg"], "the foreign csr must not appear");
     let counted = observer.metrics().unwrap();
-    assert_eq!(counted.kernel("csr").map(|k| k.calls), Some(1), "metrics still count it");
+    assert_eq!(
+        counted.kernel("csr").map(|k| k.calls),
+        Some(1),
+        "metrics still count it"
+    );
 
     // No baseline was seeded from the foreign second either: the solve's own
     // csr settles at 1 µs, so a persistent 1 ms is flagged as drift. Seeded
@@ -769,10 +794,20 @@ fn exposition_of_a_fixed_status_is_strict_and_complete() {
         ("gko_uptime_seconds", "gauge"),
     ];
     for (family, kind) in families {
-        assert!(text.contains(&format!("# HELP {family} ")), "no HELP for {family}:\n{text}");
-        assert!(text.contains(&format!("# TYPE {family} {kind}\n")), "no TYPE for {family}");
+        assert!(
+            text.contains(&format!("# HELP {family} ")),
+            "no HELP for {family}:\n{text}"
+        );
+        assert!(
+            text.contains(&format!("# TYPE {family} {kind}\n")),
+            "no TYPE for {family}"
+        );
     }
-    assert_eq!(text.matches("# TYPE ").count(), families.len(), "no family beyond the list");
+    assert_eq!(
+        text.matches("# TYPE ").count(),
+        families.len(),
+        "no family beyond the list"
+    );
     for sample in [
         "gko_events_total 7\n",
         "gko_solves_total 1\n",

@@ -35,7 +35,12 @@ fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) {
     let mut x = Dense::<f64>::zeros(exec, Dim2::new(n, 1));
     solver.apply(&b, &mut x).unwrap();
     assert!(
-        solver.logger().snapshot().stop_reason.unwrap().is_converged(),
+        solver
+            .logger()
+            .snapshot()
+            .stop_reason
+            .unwrap()
+            .is_converged(),
         "reference solve must converge"
     );
 }
@@ -108,7 +113,10 @@ fn assert_rooted_tree(report: &TraceReport, lanes: usize) {
         .iter()
         .filter(|s| s.kind == SpanKind::Dispatch)
         .collect();
-    assert!(!dispatches.is_empty(), "pooled solve produced no dispatch spans");
+    assert!(
+        !dispatches.is_empty(),
+        "pooled solve produced no dispatch spans"
+    );
     for d in &dispatches {
         let mut chunk_indices: Vec<u64> = report
             .spans
@@ -136,7 +144,10 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
     let a = Arc::new(poisson_csr(&exec, 2048));
     solve_cg(&exec, &a);
 
-    let report = exec.observer().latest_trace().expect("sample_n=1 retains the solve");
+    let report = exec
+        .observer()
+        .latest_trace()
+        .expect("sample_n=1 retains the solve");
     assert_eq!(report.annotation, "solver::Cg");
     assert!(report.converged, "{report:?}");
     assert_eq!(report.stop_reason, "residual_reduction");
@@ -174,10 +185,9 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
     assert_eq!(flight.trace_id, Some(report.trace_id));
 
     // The JSON and Chrome-trace exports are well-formed.
-    let doc = gko::config::Config::from_json(&gko::config::json::to_string_pretty(
-        &report.to_config(),
-    ))
-    .expect("trace JSON round-trips");
+    let doc =
+        gko::config::Config::from_json(&gko::config::json::to_string_pretty(&report.to_config()))
+            .expect("trace JSON round-trips");
     assert_eq!(
         doc.get("spans").and_then(|s| s.as_array()).unwrap().len(),
         report.spans.len()
@@ -245,7 +255,10 @@ fn anomalous_solves_are_always_retained() {
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(2, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let report = exec.observer().latest_trace().expect("anomalous solve retained");
+    let report = exec
+        .observer()
+        .latest_trace()
+        .expect("anomalous solve retained");
     assert_eq!(report.seq, 2, "the stagnating solve is ordinal 2");
     assert_eq!(report.retained, "anomaly");
     assert_eq!(report.annotation, "solver::Ir");
@@ -258,7 +271,11 @@ fn anomalous_solves_are_always_retained() {
     assert_eq!(flight.trace_id, Some(report.trace_id));
     let labels: Vec<&str> = flight.anomalies.iter().map(|a| a.kind()).collect();
     assert_eq!(labels, report.anomalies);
-    assert_eq!(exec.observer().status().trace_drops, 0, "anomalies never count as drops");
+    assert_eq!(
+        exec.observer().status().trace_drops,
+        0,
+        "anomalies never count as drops"
+    );
 }
 
 /// Solves slower than the latency threshold are always retained, even when
@@ -278,7 +295,10 @@ fn slow_solves_are_retained_by_latency_threshold() {
     assert_eq!(reports.len(), 2);
     // Solve 1 is head-kept anyway, but the anomaly/latency verdict takes
     // precedence over the head sample; solve 2 survives only via latency.
-    assert!(reports.iter().all(|r| r.retained == "latency"), "{reports:?}");
+    assert!(
+        reports.iter().all(|r| r.retained == "latency"),
+        "{reports:?}"
+    );
     assert_eq!(exec.observer().status().trace_drops, 0);
 }
 
@@ -335,7 +355,10 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
         .unwrap();
     assert!(record.all_converged(), "{record:?}");
 
-    let report = exec.observer().latest_trace().expect("batched solve retained");
+    let report = exec
+        .observer()
+        .latest_trace()
+        .expect("batched solve retained");
     assert_eq!(report.annotation, "solver::BatchCg");
     assert!(report.converged);
     assert!(
@@ -429,7 +452,10 @@ fn concurrent_observe_flips_keep_every_solve_in_runs() {
     });
     assert!(flips > 0);
 
-    assert!(exec.observing().flight.is_some(), "flight plane wanted throughout");
+    assert!(
+        exec.observing().flight.is_some(),
+        "flight plane wanted throughout"
+    );
     let runs = gko::config::Config::from_json(&exec.observer().runs_json(64)).unwrap();
     assert_eq!(
         runs.get("total").and_then(|t| t.as_int()),
@@ -480,7 +506,11 @@ fn every_arm_and_disarm_order_returns_to_inert() {
             for (step, plane) in arm.iter().enumerate() {
                 set(&mut wanted, plane, true);
                 exec.observe(wanted.clone());
-                assert_eq!(exec.loggers().len(), start + 1, "arming {arm:?}, step {step}");
+                assert_eq!(
+                    exec.loggers().len(),
+                    start + 1,
+                    "arming {arm:?}, step {step}"
+                );
             }
             let armed = exec.observing();
             assert!(armed.metrics && armed.flight.is_some());
@@ -492,8 +522,14 @@ fn every_arm_and_disarm_order_returns_to_inert() {
                 exec.observe(wanted.clone());
                 let now = exec.observing();
                 assert_eq!(now.profile.is_some(), wanted.profile.is_some());
-                assert_eq!(now.trace.is_some(), wanted.trace.is_some() || now.profile.is_some());
-                assert_eq!(now.flight.is_some(), wanted.flight.is_some() || now.trace.is_some());
+                assert_eq!(
+                    now.trace.is_some(),
+                    wanted.trace.is_some() || now.profile.is_some()
+                );
+                assert_eq!(
+                    now.flight.is_some(),
+                    wanted.flight.is_some() || now.trace.is_some()
+                );
                 let attached = usize::from(now.metrics || now.flight.is_some());
                 assert_eq!(
                     exec.loggers().len(),
@@ -501,7 +537,10 @@ fn every_arm_and_disarm_order_returns_to_inert() {
                     "arming {arm:?}, disarming {disarm:?}, step {step}"
                 );
             }
-            assert!(!exec.loggers().is_active(), "{arm:?} / {disarm:?} left a logger behind");
+            assert!(
+                !exec.loggers().is_active(),
+                "{arm:?} / {disarm:?} left a logger behind"
+            );
         }
         // The planes still work after all that flipping.
         exec.observe(traced(sampled(1)));

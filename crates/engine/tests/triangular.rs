@@ -159,7 +159,11 @@ fn naive_solve<V: Value>(
     let n = a.len();
     let mut x = vec![V::zero(); n * k];
     for step in 0..n {
-        let r = if side == Side::Lower { step } else { n - 1 - step };
+        let r = if side == Side::Lower {
+            step
+        } else {
+            n - 1 - step
+        };
         for c in 0..k {
             x[r * k + c] = naive_row(a, side, unit, b, &x, k, (r, c));
         }
@@ -183,11 +187,7 @@ fn random_dense<V: Value>(
     Dense::from_vec(exec, Dim2::new(rows, cols), values).unwrap()
 }
 
-fn solver<V: Value, I: Index>(
-    a: Arc<Csr<V, I>>,
-    side: Side,
-    unit: bool,
-) -> Box<dyn LinOp<V>> {
+fn solver<V: Value, I: Index>(a: Arc<Csr<V, I>>, side: Side, unit: bool) -> Box<dyn LinOp<V>> {
     match (side, unit) {
         (Side::Lower, false) => Box::new(LowerTrs::new(a).unwrap()),
         (Side::Lower, true) => Box::new(LowerTrs::new(a).unwrap().with_unit_diagonal()),
@@ -200,7 +200,13 @@ fn solver<V: Value, I: Index>(
 /// many rows hollow).
 const SHAPES: [(&str, usize, bool, bool, usize); 6] = [
     ("exact factor", 37, false, true, usize::MAX),
-    ("strict factor, no diagonal stored", 29, false, false, usize::MAX),
+    (
+        "strict factor, no diagonal stored",
+        29,
+        false,
+        false,
+        usize::MAX,
+    ),
     ("full square matrix", 33, true, true, usize::MAX),
     ("rows with an empty strict span", 31, true, true, 3),
     ("1 x 1", 1, false, true, usize::MAX),
@@ -285,7 +291,10 @@ fn scaled_sweeps_agree_with_the_whole_naive_solve() {
         solver(a.clone(), side, false).apply(&b, &mut x).unwrap();
         let want = naive_solve(&table(&*a), side, false, b.as_slice(), 1);
         for (got, want) in x.as_slice().iter().zip(&want) {
-            assert!((got - want).abs() <= 1e-13 * want.abs().max(1.0), "{got} vs {want}");
+            assert!(
+                (got - want).abs() <= 1e-13 * want.abs().max(1.0),
+                "{got} vs {want}"
+            );
         }
     }
 }
@@ -381,9 +390,16 @@ fn generated_sweep<V: Value, I: Index>(
     let (rp, ci, vals) = (a.row_ptrs(), a.col_idxs(), a.values());
     let mut x = vec![V::zero(); n * k];
     for step in 0..n {
-        let r = if side == Side::Lower { step } else { n - 1 - step };
+        let r = if side == Side::Lower {
+            step
+        } else {
+            n - 1 - step
+        };
         let row = rp[r].to_usize()..rp[r + 1].to_usize();
-        let d = row.clone().find(|&e| ci[e].to_usize() == r).map_or(0.0, |e| vals[e].to_f64());
+        let d = row
+            .clone()
+            .find(|&e| ci[e].to_usize() == r)
+            .map_or(0.0, |e| vals[e].to_f64());
         let inv = 1.0 / d;
         for c in 0..k {
             let mut acc = rhs[r * k + c].to_f64();
@@ -416,7 +432,11 @@ fn pin_sweep<V: Value, I: Index>(
         let mut x = Dense::filled(exec, Dim2::new(n, k), V::from_f64(1.0e3));
         op.apply(&b, &mut x).unwrap();
         let want = generated_sweep(factor, side, unit, b.as_slice(), k);
-        assert_eq!(bits(x.as_slice()), bits(&want), "{what}, {side:?}, unit = {unit}, k = {k}");
+        assert_eq!(
+            bits(x.as_slice()),
+            bits(&want),
+            "{what}, {side:?}, unit = {unit}, k = {k}"
+        );
     }
 }
 
@@ -450,7 +470,11 @@ fn pin_matrix<V: Value, I: Index>(what: &str, a: &Arc<Csr<V, I>>, rng: &mut Xosh
             let want = generated_sweep(upper, Side::Upper, false, &y, k);
             let mut x = Dense::filled(exec, Dim2::new(n, k), V::from_f64(1.0e3));
             preconditioner.apply(&b, &mut x).unwrap();
-            assert_eq!(bits(x.as_slice()), bits(&want), "{what}, {name}::apply, k = {k}");
+            assert_eq!(
+                bits(x.as_slice()),
+                bits(&want),
+                "{what}, {name}::apply, k = {k}"
+            );
         }
     }
 }
@@ -472,7 +496,10 @@ fn sweeps_match_the_generated_form<V: Value, I: Index>()
 where
     f64: TripletValue<V>,
 {
-    for (on, exec) in [("reference", Executor::reference()), ("omp(7)", Executor::omp(7))] {
+    for (on, exec) in [
+        ("reference", Executor::reference()),
+        ("omp(7)", Executor::omp(7)),
+    ] {
         let mut rng = Xoshiro256pp::seed_from_u64(SEED + 3);
         let types = format!("{}/{} on {on}", V::NAME, I::NAME);
         for gen in pinned_matrices() {
@@ -511,7 +538,12 @@ fn sweeps_run_in_level_order() {
         let (l, u) = ilu0(&a).unwrap();
         let lower = LowerTrs::new(Arc::new(l)).unwrap().with_unit_diagonal();
         let upper = UpperTrs::new(Arc::new(u)).unwrap();
-        assert_eq!((lower.levels(), upper.levels()), (levels, levels), "{}", gen.name);
+        assert_eq!(
+            (lower.levels(), upper.levels()),
+            (levels, levels),
+            "{}",
+            gen.name
+        );
     }
 }
 
@@ -581,7 +613,11 @@ fn corrupt_structure_is_refused_at_construction() {
     let corrupt = [
         ("unsorted row", vec![0, 1, 4, 6], vec![0, 2, 0, 1, 1, 2]),
         ("duplicate column", vec![0, 1, 3, 6], vec![0, 1, 1, 0, 1, 2]),
-        ("column out of range", vec![0, 1, 3, 6], vec![0, 0, 1, 0, 2, 7]),
+        (
+            "column out of range",
+            vec![0, 1, 3, 6],
+            vec![0, 0, 1, 0, 2, 7],
+        ),
     ];
     for (name, rp, ci) in corrupt {
         let values = vec![2.0f64; ci.len()];

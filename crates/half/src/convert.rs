@@ -126,10 +126,7 @@ mod tests {
             let err = (cand - v as f64).abs();
             // Prefer smaller error; on ties prefer even mantissa.
             if err < best_err
-                || (err == best_err
-                    && (bits & 1) == 0
-                    && (best & 1) == 1
-                    && cand.is_finite())
+                || (err == best_err && (bits & 1) == 0 && (best & 1) == 1 && cand.is_finite())
             {
                 best_err = err;
                 best = bits;
@@ -184,11 +181,7 @@ mod tests {
             2.98e-8, // just below half the min subnormal
         ];
         for v in samples {
-            assert_eq!(
-                f32_to_f16_bits(v),
-                reference_f32_to_f16(v),
-                "value {v:e}"
-            );
+            assert_eq!(f32_to_f16_bits(v), reference_f32_to_f16(v), "value {v:e}");
         }
     }
 

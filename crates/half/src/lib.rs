@@ -18,7 +18,7 @@
 
 mod convert;
 
-pub use convert::{f32_to_f16_bits, f16_bits_to_f32};
+pub use convert::{f16_bits_to_f32, f32_to_f16_bits};
 
 use core::cmp::Ordering;
 use core::fmt;

@@ -27,15 +27,48 @@ pub struct MatrixInfo {
 
 #[derive(Clone, Debug)]
 enum Spec {
-    DiagonalMass { n: usize, fill: f64, seed: u64 },
-    Poisson2d { nx: usize, ny: usize },
-    Poisson3d { nx: usize },
-    ConvDiff { n: usize, convection: f64 },
-    Circuit { n: usize, avg: usize, rails: usize, seed: u64 },
-    Delaunay { side: usize, seed: u64 },
-    DenseRows { n: usize, row_nnz: usize, seed: u64 },
-    Rmat { scale: u32, ef: usize, seed: u64 },
-    Banded { n: usize, bw: usize, fill: f64, seed: u64 },
+    DiagonalMass {
+        n: usize,
+        fill: f64,
+        seed: u64,
+    },
+    Poisson2d {
+        nx: usize,
+        ny: usize,
+    },
+    Poisson3d {
+        nx: usize,
+    },
+    ConvDiff {
+        n: usize,
+        convection: f64,
+    },
+    Circuit {
+        n: usize,
+        avg: usize,
+        rails: usize,
+        seed: u64,
+    },
+    Delaunay {
+        side: usize,
+        seed: u64,
+    },
+    DenseRows {
+        n: usize,
+        row_nnz: usize,
+        seed: u64,
+    },
+    Rmat {
+        scale: u32,
+        ef: usize,
+        seed: u64,
+    },
+    Banded {
+        n: usize,
+        bw: usize,
+        fill: f64,
+        seed: u64,
+    },
 }
 
 impl MatrixInfo {
@@ -50,7 +83,12 @@ impl MatrixInfo {
             Spec::Poisson2d { nx, ny } => poisson2d(self.name, nx, ny),
             Spec::Poisson3d { nx } => poisson3d(self.name, nx, nx, nx),
             Spec::ConvDiff { n, convection } => convection_diffusion(self.name, n, convection),
-            Spec::Circuit { n, avg, rails, seed } => circuit(self.name, n, avg, rails, seed),
+            Spec::Circuit {
+                n,
+                avg,
+                rails,
+                seed,
+            } => circuit(self.name, n, avg, rails, seed),
             Spec::Delaunay { side, seed } => delaunay(self.name, side, seed),
             Spec::DenseRows { n, row_nnz, seed } => dense_rows(self.name, n, row_nnz, seed),
             Spec::Rmat { scale, ef, seed } => rmat(self.name, scale, ef, seed),
@@ -76,32 +114,57 @@ pub fn representative() -> Vec<MatrixInfo> {
         MatrixInfo::new(
             "A: bcsstm37 (synthetic)",
             "diagonal mass",
-            Spec::DiagonalMass { n: 25_503, fill: 0.609, seed: 370 },
+            Spec::DiagonalMass {
+                n: 25_503,
+                fill: 0.609,
+                seed: 370,
+            },
         ),
         MatrixInfo::new(
             "B: bcsstm39 (synthetic)",
             "diagonal mass",
-            Spec::DiagonalMass { n: 46_772, fill: 1.0, seed: 390 },
+            Spec::DiagonalMass {
+                n: 46_772,
+                fill: 1.0,
+                seed: 390,
+            },
         ),
         MatrixInfo::new(
             "C: mult_dcop_01 (synthetic)",
             "circuit",
-            Spec::Circuit { n: 25_187, avg: 7, rails: 3, seed: 101 },
+            Spec::Circuit {
+                n: 25_187,
+                avg: 7,
+                rails: 3,
+                seed: 101,
+            },
         ),
         MatrixInfo::new(
             "D: delaunay_n17 (synthetic)",
             "delaunay",
-            Spec::Delaunay { side: 362, seed: 170 },
+            Spec::Delaunay {
+                side: 362,
+                seed: 170,
+            },
         ),
         MatrixInfo::new(
             "E: av41092 (synthetic)",
             "dense rows",
-            Spec::DenseRows { n: 41_092, row_nnz: 41, seed: 410 },
+            Spec::DenseRows {
+                n: 41_092,
+                row_nnz: 41,
+                seed: 410,
+            },
         ),
         MatrixInfo::new(
             "F: ASIC_320ks (synthetic)",
             "circuit",
-            Spec::Circuit { n: 321_671, avg: 5, rails: 6, seed: 320 },
+            Spec::Circuit {
+                n: 321_671,
+                avg: 5,
+                rails: 6,
+                seed: 320,
+            },
         ),
     ]
 }
@@ -110,36 +173,238 @@ pub fn representative() -> Vec<MatrixInfo> {
 /// Five (marked `dense rows`) exceed 1% density, matching the paper's set.
 pub fn spmv_suite() -> Vec<MatrixInfo> {
     vec![
-        MatrixInfo::new("mass_25k", "diagonal mass", Spec::DiagonalMass { n: 25_503, fill: 0.609, seed: 370 }),
-        MatrixInfo::new("poisson2d_50", "poisson 2d", Spec::Poisson2d { nx: 50, ny: 50 }),
-        MatrixInfo::new("convdiff_10k", "convection-diffusion", Spec::ConvDiff { n: 10_000, convection: 0.4 }),
-        MatrixInfo::new("mass_47k", "diagonal mass", Spec::DiagonalMass { n: 46_772, fill: 1.0, seed: 390 }),
-        MatrixInfo::new("banded_5k", "banded", Spec::Banded { n: 5_000, bw: 16, fill: 0.5, seed: 51 }),
-        MatrixInfo::new("dense_2k_60", "dense rows", Spec::DenseRows { n: 2_000, row_nnz: 60, seed: 52 }),
-        MatrixInfo::new("delaunay_150", "delaunay", Spec::Delaunay { side: 150, seed: 53 }),
-        MatrixInfo::new("circuit_25k", "circuit", Spec::Circuit { n: 25_187, avg: 7, rails: 3, seed: 101 }),
-        MatrixInfo::new("poisson2d_200", "poisson 2d", Spec::Poisson2d { nx: 200, ny: 200 }),
-        MatrixInfo::new("dense_4k_50", "dense rows", Spec::DenseRows { n: 4_000, row_nnz: 50, seed: 54 }),
-        MatrixInfo::new("rmat_14", "power-law graph", Spec::Rmat { scale: 14, ef: 8, seed: 55 }),
-        MatrixInfo::new("banded_20k", "banded", Spec::Banded { n: 20_000, bw: 24, fill: 0.4, seed: 56 }),
+        MatrixInfo::new(
+            "mass_25k",
+            "diagonal mass",
+            Spec::DiagonalMass {
+                n: 25_503,
+                fill: 0.609,
+                seed: 370,
+            },
+        ),
+        MatrixInfo::new(
+            "poisson2d_50",
+            "poisson 2d",
+            Spec::Poisson2d { nx: 50, ny: 50 },
+        ),
+        MatrixInfo::new(
+            "convdiff_10k",
+            "convection-diffusion",
+            Spec::ConvDiff {
+                n: 10_000,
+                convection: 0.4,
+            },
+        ),
+        MatrixInfo::new(
+            "mass_47k",
+            "diagonal mass",
+            Spec::DiagonalMass {
+                n: 46_772,
+                fill: 1.0,
+                seed: 390,
+            },
+        ),
+        MatrixInfo::new(
+            "banded_5k",
+            "banded",
+            Spec::Banded {
+                n: 5_000,
+                bw: 16,
+                fill: 0.5,
+                seed: 51,
+            },
+        ),
+        MatrixInfo::new(
+            "dense_2k_60",
+            "dense rows",
+            Spec::DenseRows {
+                n: 2_000,
+                row_nnz: 60,
+                seed: 52,
+            },
+        ),
+        MatrixInfo::new(
+            "delaunay_150",
+            "delaunay",
+            Spec::Delaunay {
+                side: 150,
+                seed: 53,
+            },
+        ),
+        MatrixInfo::new(
+            "circuit_25k",
+            "circuit",
+            Spec::Circuit {
+                n: 25_187,
+                avg: 7,
+                rails: 3,
+                seed: 101,
+            },
+        ),
+        MatrixInfo::new(
+            "poisson2d_200",
+            "poisson 2d",
+            Spec::Poisson2d { nx: 200, ny: 200 },
+        ),
+        MatrixInfo::new(
+            "dense_4k_50",
+            "dense rows",
+            Spec::DenseRows {
+                n: 4_000,
+                row_nnz: 50,
+                seed: 54,
+            },
+        ),
+        MatrixInfo::new(
+            "rmat_14",
+            "power-law graph",
+            Spec::Rmat {
+                scale: 14,
+                ef: 8,
+                seed: 55,
+            },
+        ),
+        MatrixInfo::new(
+            "banded_20k",
+            "banded",
+            Spec::Banded {
+                n: 20_000,
+                bw: 24,
+                fill: 0.4,
+                seed: 56,
+            },
+        ),
         MatrixInfo::new("poisson3d_40", "poisson 3d", Spec::Poisson3d { nx: 40 }),
-        MatrixInfo::new("circuit_80k", "circuit", Spec::Circuit { n: 80_000, avg: 4, rails: 4, seed: 57 }),
-        MatrixInfo::new("delaunay_300", "delaunay", Spec::Delaunay { side: 300, seed: 58 }),
-        MatrixInfo::new("delaunay_362", "delaunay", Spec::Delaunay { side: 362, seed: 170 }),
-        MatrixInfo::new("rmat_16", "power-law graph", Spec::Rmat { scale: 16, ef: 8, seed: 59 }),
-        MatrixInfo::new("dense_20k_60", "dense rows", Spec::DenseRows { n: 20_000, row_nnz: 60, seed: 60 }),
-        MatrixInfo::new("dense_41k_41", "dense rows", Spec::DenseRows { n: 41_092, row_nnz: 41, seed: 410 }),
-        MatrixInfo::new("poisson2d_600", "poisson 2d", Spec::Poisson2d { nx: 600, ny: 600 }),
-        MatrixInfo::new("circuit_321k", "circuit", Spec::Circuit { n: 321_671, avg: 5, rails: 6, seed: 320 }),
-        MatrixInfo::new("banded_200k", "banded", Spec::Banded { n: 200_000, bw: 12, fill: 0.5, seed: 61 }),
-        MatrixInfo::new("rmat_17", "power-law graph", Spec::Rmat { scale: 17, ef: 10, seed: 62 }),
+        MatrixInfo::new(
+            "circuit_80k",
+            "circuit",
+            Spec::Circuit {
+                n: 80_000,
+                avg: 4,
+                rails: 4,
+                seed: 57,
+            },
+        ),
+        MatrixInfo::new(
+            "delaunay_300",
+            "delaunay",
+            Spec::Delaunay {
+                side: 300,
+                seed: 58,
+            },
+        ),
+        MatrixInfo::new(
+            "delaunay_362",
+            "delaunay",
+            Spec::Delaunay {
+                side: 362,
+                seed: 170,
+            },
+        ),
+        MatrixInfo::new(
+            "rmat_16",
+            "power-law graph",
+            Spec::Rmat {
+                scale: 16,
+                ef: 8,
+                seed: 59,
+            },
+        ),
+        MatrixInfo::new(
+            "dense_20k_60",
+            "dense rows",
+            Spec::DenseRows {
+                n: 20_000,
+                row_nnz: 60,
+                seed: 60,
+            },
+        ),
+        MatrixInfo::new(
+            "dense_41k_41",
+            "dense rows",
+            Spec::DenseRows {
+                n: 41_092,
+                row_nnz: 41,
+                seed: 410,
+            },
+        ),
+        MatrixInfo::new(
+            "poisson2d_600",
+            "poisson 2d",
+            Spec::Poisson2d { nx: 600, ny: 600 },
+        ),
+        MatrixInfo::new(
+            "circuit_321k",
+            "circuit",
+            Spec::Circuit {
+                n: 321_671,
+                avg: 5,
+                rails: 6,
+                seed: 320,
+            },
+        ),
+        MatrixInfo::new(
+            "banded_200k",
+            "banded",
+            Spec::Banded {
+                n: 200_000,
+                bw: 12,
+                fill: 0.5,
+                seed: 61,
+            },
+        ),
+        MatrixInfo::new(
+            "rmat_17",
+            "power-law graph",
+            Spec::Rmat {
+                scale: 17,
+                ef: 10,
+                seed: 62,
+            },
+        ),
         MatrixInfo::new("poisson3d_80", "poisson 3d", Spec::Poisson3d { nx: 80 }),
-        MatrixInfo::new("delaunay_600", "delaunay", Spec::Delaunay { side: 600, seed: 63 }),
-        MatrixInfo::new("dense_10k_300", "dense rows", Spec::DenseRows { n: 10_000, row_nnz: 300, seed: 64 }),
-        MatrixInfo::new("circuit_1m", "circuit", Spec::Circuit { n: 1_000_000, avg: 3, rails: 8, seed: 65 }),
+        MatrixInfo::new(
+            "delaunay_600",
+            "delaunay",
+            Spec::Delaunay {
+                side: 600,
+                seed: 63,
+            },
+        ),
+        MatrixInfo::new(
+            "dense_10k_300",
+            "dense rows",
+            Spec::DenseRows {
+                n: 10_000,
+                row_nnz: 300,
+                seed: 64,
+            },
+        ),
+        MatrixInfo::new(
+            "circuit_1m",
+            "circuit",
+            Spec::Circuit {
+                n: 1_000_000,
+                avg: 3,
+                rails: 8,
+                seed: 65,
+            },
+        ),
         MatrixInfo::new("poisson3d_100", "poisson 3d", Spec::Poisson3d { nx: 100 }),
-        MatrixInfo::new("poisson2d_1200", "poisson 2d", Spec::Poisson2d { nx: 1200, ny: 1200 }),
-        MatrixInfo::new("rmat_18", "power-law graph", Spec::Rmat { scale: 18, ef: 12, seed: 66 }),
+        MatrixInfo::new(
+            "poisson2d_1200",
+            "poisson 2d",
+            Spec::Poisson2d { nx: 1200, ny: 1200 },
+        ),
+        MatrixInfo::new(
+            "rmat_18",
+            "power-law graph",
+            Spec::Rmat {
+                scale: 18,
+                ef: 12,
+                seed: 66,
+            },
+        ),
     ]
 }
 
@@ -154,13 +419,21 @@ pub fn solver_suite() -> Vec<MatrixInfo> {
         .enumerate()
     {
         let name: &'static str = Box::leak(format!("poisson2d_{side}").into_boxed_str());
-        v.push(MatrixInfo::new(name, "poisson 2d", Spec::Poisson2d { nx: side, ny: side }));
+        v.push(MatrixInfo::new(
+            name,
+            "poisson 2d",
+            Spec::Poisson2d { nx: side, ny: side },
+        ));
         let _ = i;
     }
     // 6 Poisson 3-D problems.
     for side in [10, 14, 18, 24, 30, 38] {
         let name: &'static str = Box::leak(format!("poisson3d_{side}").into_boxed_str());
-        v.push(MatrixInfo::new(name, "poisson 3d", Spec::Poisson3d { nx: side }));
+        v.push(MatrixInfo::new(
+            name,
+            "poisson 3d",
+            Spec::Poisson3d { nx: side },
+        ));
     }
     // 8 convection-diffusion problems (unsymmetric).
     for (n, conv) in [
@@ -174,21 +447,43 @@ pub fn solver_suite() -> Vec<MatrixInfo> {
         (90_000, 0.1),
     ] {
         let name: &'static str = Box::leak(format!("convdiff_{n}").into_boxed_str());
-        v.push(MatrixInfo::new(name, "convection-diffusion", Spec::ConvDiff { n, convection: conv }));
+        v.push(MatrixInfo::new(
+            name,
+            "convection-diffusion",
+            Spec::ConvDiff {
+                n,
+                convection: conv,
+            },
+        ));
     }
     // 6 circuit matrices (unsymmetric, diagonally dominant).
-    for (i, n) in [2_000, 5_000, 12_000, 25_000, 50_000, 80_000].into_iter().enumerate() {
+    for (i, n) in [2_000, 5_000, 12_000, 25_000, 50_000, 80_000]
+        .into_iter()
+        .enumerate()
+    {
         let name: &'static str = Box::leak(format!("circuit_{n}").into_boxed_str());
         v.push(MatrixInfo::new(
             name,
             "circuit",
-            Spec::Circuit { n, avg: 4, rails: 2, seed: 700 + i as u64 },
+            Spec::Circuit {
+                n,
+                avg: 4,
+                rails: 2,
+                seed: 700 + i as u64,
+            },
         ));
     }
     // 4 Delaunay Laplacians (SPD).
     for (i, side) in [60, 110, 170, 240].into_iter().enumerate() {
         let name: &'static str = Box::leak(format!("delaunay_{side}").into_boxed_str());
-        v.push(MatrixInfo::new(name, "delaunay", Spec::Delaunay { side, seed: 800 + i as u64 }));
+        v.push(MatrixInfo::new(
+            name,
+            "delaunay",
+            Spec::Delaunay {
+                side,
+                seed: 800 + i as u64,
+            },
+        ));
     }
     // 4 RMAT graph Laplacians (SPD, skewed degrees — the ill-conditioned end).
     for (i, scale) in [11, 12, 13, 14].into_iter().enumerate() {
@@ -196,7 +491,11 @@ pub fn solver_suite() -> Vec<MatrixInfo> {
         v.push(MatrixInfo::new(
             name,
             "power-law graph",
-            Spec::Rmat { scale, ef: 8, seed: 900 + i as u64 },
+            Spec::Rmat {
+                scale,
+                ef: 8,
+                seed: 900 + i as u64,
+            },
         ));
     }
     assert_eq!(v.len(), 40);
@@ -208,9 +507,11 @@ pub fn solver_suite() -> Vec<MatrixInfo> {
 /// visible at small sizes.
 pub fn overhead_suite() -> Vec<MatrixInfo> {
     let mut v = spmv_suite();
-    for (i, side) in [20, 28, 36, 44, 52, 60, 70, 85, 105, 130, 160, 190, 230, 280, 340]
-        .into_iter()
-        .enumerate()
+    for (i, side) in [
+        20, 28, 36, 44, 52, 60, 70, 85, 105, 130, 160, 190, 230, 280, 340,
+    ]
+    .into_iter()
+    .enumerate()
     {
         let name: &'static str = Box::leak(format!("poisson2d_ov_{side}").into_boxed_str());
         v.push(MatrixInfo::new(
@@ -292,7 +593,11 @@ mod tests {
                     has_diag[r] = true;
                 }
             }
-            assert!(has_diag.iter().all(|&d| d), "{}: missing diagonal", info.name);
+            assert!(
+                has_diag.iter().all(|&d| d),
+                "{}: missing diagonal",
+                info.name
+            );
         }
     }
 

@@ -569,7 +569,11 @@ mod tests {
 
     #[test]
     fn symmetric_generators_are_symmetric() {
-        for m in [poisson2d("p", 8, 8), delaunay("d", 10, 7), rmat("r", 7, 6, 9)] {
+        for m in [
+            poisson2d("p", 8, 8),
+            delaunay("d", 10, 7),
+            rmat("r", 7, 6, 9),
+        ] {
             let set: std::collections::BTreeMap<(usize, usize), f64> =
                 m.triplets.iter().map(|&(r, c, v)| ((r, c), v)).collect();
             for (&(r, c), &v) in &set {
@@ -645,7 +649,10 @@ mod tests {
             max_len as f64 >= 32.0 * avg,
             "ultra-dense row dominates: max {max_len}, avg {avg}"
         );
-        assert!(max_len >= (0.9 * 4000.0 * 0.9) as usize, "row touches ~90% of columns");
+        assert!(
+            max_len >= (0.9 * 4000.0 * 0.9) as usize,
+            "row touches ~90% of columns"
+        );
         // Every row has at least its diagonal.
         assert!(row_len.iter().all(|&l| l > 0));
     }

@@ -680,10 +680,7 @@ mod tests {
                    1 1 4.0\n\
                    2 1 -1.0\n";
         let m = read_mtx(doc.as_bytes()).unwrap();
-        assert_eq!(
-            m.entries,
-            vec![(0, 0, 4.0), (0, 1, -1.0), (1, 0, -1.0)]
-        );
+        assert_eq!(m.entries, vec![(0, 0, 4.0), (0, 1, -1.0), (1, 0, -1.0)]);
     }
 
     #[test]

@@ -78,8 +78,7 @@ mod tests {
         let mut n = Noise::new(7);
         let samples: Vec<f64> = (0..20_000).map(|_| n.standard_normal()).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
+        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
     }

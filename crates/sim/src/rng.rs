@@ -148,7 +148,11 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-        assert_ne!(v, (0..100).collect::<Vec<u32>>(), "astronomically unlikely to be identity");
+        assert_ne!(
+            v,
+            (0..100).collect::<Vec<u32>>(),
+            "astronomically unlikely to be identity"
+        );
     }
 
     #[test]

@@ -192,9 +192,7 @@ impl DeviceSpec {
         }
 
         let active = self.workers.min(chunks.len());
-        let mut heap: BinaryHeap<Reverse<Load>> = (0..active)
-            .map(|_| Reverse(Load(0.0)))
-            .collect();
+        let mut heap: BinaryHeap<Reverse<Load>> = (0..active).map(|_| Reverse(Load(0.0))).collect();
         for c in chunks {
             // lint: allow(panic): `active >= 1` seeds the heap, and every
             // pop is followed by a push — it can never be empty here.
@@ -248,7 +246,10 @@ mod tests {
         let t = spec.kernel_time_ns(&chunks);
         let min_t = bytes_total / spec.mem_bw_gbps;
         assert!(t >= min_t, "time {t} cannot beat bandwidth floor {min_t}");
-        assert!(t < 1.4 * min_t + spec.kernel_launch_ns, "should be near the floor, got {t}");
+        assert!(
+            t < 1.4 * min_t + spec.kernel_launch_ns,
+            "should be near the floor, got {t}"
+        );
     }
 
     #[test]
@@ -262,7 +263,10 @@ mod tests {
             ChunkWork::new(0.1e6, 0.0, 0.0),
             ChunkWork::new(0.1e6, 0.0, 0.0),
         ]);
-        assert!(skewed > 2.0 * balanced, "skewed {skewed} vs balanced {balanced}");
+        assert!(
+            skewed > 2.0 * balanced,
+            "skewed {skewed} vs balanced {balanced}"
+        );
     }
 
     #[test]

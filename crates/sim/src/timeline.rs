@@ -65,7 +65,8 @@ impl Timeline {
     pub fn charge_kernel(&self, ns: f64, flops: f64) {
         self.advance_ns(ns);
         self.kernels.fetch_add(1, Ordering::Relaxed);
-        self.flops.fetch_add(flops.max(0.0) as u64, Ordering::Relaxed);
+        self.flops
+            .fetch_add(flops.max(0.0) as u64, Ordering::Relaxed);
     }
 
     /// Advances the clock by a modeled copy duration and counts it.

@@ -29,7 +29,10 @@ fn main() -> Result<(), pg::PyGinkgoError> {
     // Listing 2's exact configuration: GMRES(30) + scalar Jacobi,
     // 1000 iterations or 1e-6 relative reduction.
     let options = SolveOptions::default();
-    println!("configuration dictionary handed to Ginkgo:\n{}\n", options.to_json()?);
+    println!(
+        "configuration dictionary handed to Ginkgo:\n{}\n",
+        options.to_json()?
+    );
 
     let mut x = pg::as_tensor_fill(&dev, (n, 1), "double", 0.0)?;
     let logger = pg::solve(&mtx, &b, &mut x, &options)?;

@@ -86,8 +86,7 @@ fn main() -> Result<(), pg::PyGinkgoError> {
         .iter()
         .zip(&pixels)
         .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max)
-        ;
+        .fold(0.0f64, f64::max);
     println!(
         "deconvolve:  {} in {} iterations, max pixel error {max_err:.2e}",
         log.stop_reason(),

@@ -52,9 +52,14 @@ fn main() -> Result<(), pg::PyGinkgoError> {
                 log.reduction(),
                 elapsed.seconds() * 1e3
             );
-            assert!(log.converged(), "{device_name}/{precond} failed to converge");
+            assert!(
+                log.converged(),
+                "{device_name}/{precond} failed to converge"
+            );
         }
     }
-    println!("\n(times are virtual: the deterministic machine-model simulation documented in DESIGN.md)");
+    println!(
+        "\n(times are virtual: the deterministic machine-model simulation documented in DESIGN.md)"
+    );
     Ok(())
 }

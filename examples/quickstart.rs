@@ -31,8 +31,14 @@ fn main() -> Result<(), pg::PyGinkgoError> {
     let dev = pg::device("cuda")?;
     let mtx = pg::read(&dev, &path, "double", "Csr")?;
     let n_rows = mtx.shape().0;
-    println!("loaded {} ({} x {}, {} nonzeros) on {}",
-        path.display(), n_rows, mtx.shape().1, mtx.nnz(), dev.hardware_name());
+    println!(
+        "loaded {} ({} x {}, {} nonzeros) on {}",
+        path.display(),
+        n_rows,
+        mtx.shape().1,
+        mtx.nnz(),
+        dev.hardware_name()
+    );
 
     let b = pg::as_tensor_fill(&dev, (n_rows, 1), "double", 1.0)?;
     let mut x = pg::as_tensor_fill(&dev, (n_rows, 1), "double", 0.0)?;

@@ -74,6 +74,8 @@ fn main() -> Result<(), pg::PyGinkgoError> {
             }
         }
     }
-    println!("\nthe load-balanced CSR kernel wins on this skewed matrix — the paper's Fig. 5a ordering");
+    println!(
+        "\nthe load-balanced CSR kernel wins on this skewed matrix — the paper's Fig. 5a ordering"
+    );
     Ok(())
 }

@@ -35,8 +35,8 @@ fn main() -> Result<(), pg::PyGinkgoError> {
         ..pg::Observe::default()
     })?;
 
-    let addr = std::env::var("PYGKO_TELEMETRY_ADDR")
-        .unwrap_or_else(|_| "127.0.0.1:9185".to_string());
+    let addr =
+        std::env::var("PYGKO_TELEMETRY_ADDR").unwrap_or_else(|_| "127.0.0.1:9185".to_string());
     let server = dev
         .executor()
         .serve_telemetry(&addr)

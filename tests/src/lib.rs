@@ -4,12 +4,7 @@
 use pyginkgo as pg;
 
 /// Builds an SPD tridiagonal facade matrix for solver tests.
-pub fn spd_system(
-    dev: &pg::Device,
-    n: usize,
-    dtype: &str,
-    format: &str,
-) -> pg::SparseMatrix {
+pub fn spd_system(dev: &pg::Device, n: usize, dtype: &str, format: &str) -> pg::SparseMatrix {
     let mut t = vec![];
     for i in 0..n {
         t.push((i, i, 4.0));
@@ -18,8 +13,7 @@ pub fn spd_system(
             t.push((i - 1, i, -1.0));
         }
     }
-    pg::SparseMatrix::from_triplets(dev, (n, n), &t, dtype, "int32", format)
-        .expect("valid system")
+    pg::SparseMatrix::from_triplets(dev, (n, n), &t, dtype, "int32", format).expect("valid system")
 }
 
 /// Residual norm ||b - A x|| computed through the facade.

@@ -215,19 +215,15 @@ fn overhead_fraction_shrinks_with_matrix_size() {
 fn gil_serializes_and_counts_calls() {
     let dev = pg::device("reference").unwrap();
     let before = pg::gil::total_calls();
-    let m = pg::SparseMatrix::from_triplets(
-        &dev,
-        (4, 4),
-        &triplets(4),
-        "double",
-        "int32",
-        "Csr",
-    )
-    .unwrap();
+    let m = pg::SparseMatrix::from_triplets(&dev, (4, 4), &triplets(4), "double", "int32", "Csr")
+        .unwrap();
     let b = pg::as_tensor_fill(&dev, (4, 1), "double", 1.0).unwrap();
     let _ = m.spmv(&b).unwrap();
     let calls = pg::gil::total_calls() - before;
-    assert!(calls >= 3, "construction + tensor + spmv crossings, got {calls}");
+    assert!(
+        calls >= 3,
+        "construction + tensor + spmv crossings, got {calls}"
+    );
 }
 
 #[test]
@@ -380,7 +376,10 @@ impl<V: Value, I: Index> Cell<V, I> {
 fn spmv_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let c = Cell::<V, I>::new(e.format, &spd(N));
     let (m, name) = (&c.facade, &c.name);
-    assert_eq!((m.format(), m.dtype(), m.index_type()), (e.format, e.dtype, e.index_type));
+    assert_eq!(
+        (m.format(), m.dtype(), m.index_type()),
+        (e.format, e.dtype, e.index_type)
+    );
     assert_eq!(m.binding_name(e.op), e.mangled());
     assert_eq!((m.shape(), m.nnz()), ((N, N), c.csr.nnz()));
     m.validate().unwrap();
@@ -388,8 +387,13 @@ fn spmv_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let vals = rhs(2);
     let b = c.tensor(2, &vals);
     let mut want = Dense::zeros(&c.exec, Dim2::new(N, 2));
-    c.op.apply(&dense::<V>(&c.exec, 2, &vals), &mut want).unwrap();
-    assert_eq!(tensor_bits(&m.spmv(&b).unwrap()), bits(&want), "{name} spmv");
+    c.op.apply(&dense::<V>(&c.exec, 2, &vals), &mut want)
+        .unwrap();
+    assert_eq!(
+        tensor_bits(&m.spmv(&b).unwrap()),
+        bits(&want),
+        "{name} spmv"
+    );
     let mut x = c.zeros(2);
     m.spmv_into(&b, &mut x).unwrap();
     assert_eq!(tensor_bits(&x), bits(&want), "{name} spmv_into");
@@ -411,10 +415,18 @@ fn spmv_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
             pg::MatrixFormat::Coo => c.op.apply(&bd, &mut want),
         }
         .unwrap();
-        assert_eq!(tensor_bits(&with.spmv(&b).unwrap()), bits(&want), "{name} {strategy}");
+        assert_eq!(
+            tensor_bits(&with.spmv(&b).unwrap()),
+            bits(&want),
+            "{name} {strategy}"
+        );
     }
 
-    assert_eq!(tensor_bits(&m.to_dense()), bits(&c.csr.to_dense()), "{name} to_dense");
+    assert_eq!(
+        tensor_bits(&m.to_dense()),
+        bits(&c.csr.to_dense()),
+        "{name} to_dense"
+    );
     assert_eq!(facade_entries(m), stored_bits(&c.csr), "{name} to_triplets");
 }
 
@@ -426,13 +438,20 @@ fn convert_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
         pg::MatrixFormat::Coo => ("Coo", "Csr"),
     };
     let same = m.convert(here).unwrap();
-    assert_eq!((same.format(), facade_entries(&same)), (e.format, facade_entries(m)));
+    assert_eq!(
+        (same.format(), facade_entries(&same)),
+        (e.format, facade_entries(m))
+    );
 
     let other = m.convert(there).unwrap();
     assert_ne!(other.format(), e.format);
     assert_eq!((other.dtype(), other.index_type()), (e.dtype, e.index_type));
     other.validate().unwrap();
-    assert_eq!(facade_entries(&other), stored_bits(&c.csr), "{name} -> {there}");
+    assert_eq!(
+        facade_entries(&other),
+        stored_bits(&c.csr),
+        "{name} -> {there}"
+    );
     // The converted operator multiplies like the engine's conversion does.
     let converted: Arc<dyn LinOp<V>> = match e.format {
         pg::MatrixFormat::Csr => Arc::new(Coo::from_csr(&c.csr)),
@@ -440,7 +459,9 @@ fn convert_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     };
     let vals = rhs(1);
     let mut want = Dense::zeros(&c.exec, Dim2::new(N, 1));
-    converted.apply(&dense::<V>(&c.exec, 1, &vals), &mut want).unwrap();
+    converted
+        .apply(&dense::<V>(&c.exec, 1, &vals), &mut want)
+        .unwrap();
     let got = other.spmv(&c.tensor(1, &vals)).unwrap();
     assert_eq!(tensor_bits(&got), bits(&want), "{name} -> {there} spmv");
 
@@ -474,11 +495,17 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
         ),
         (
             "ilu",
-            (pg::preconditioner::ilu(dev, m).unwrap(), Arc::new(Ilu::new(&c.csr).unwrap())),
+            (
+                pg::preconditioner::ilu(dev, m).unwrap(),
+                Arc::new(Ilu::new(&c.csr).unwrap()),
+            ),
         ),
         (
             "ic",
-            (pg::preconditioner::ic(dev, m).unwrap(), Arc::new(Ic::new(&c.csr).unwrap())),
+            (
+                pg::preconditioner::ic(dev, m).unwrap(),
+                Arc::new(Ic::new(&c.csr).unwrap()),
+            ),
         ),
     ];
     for (pname, (facade_pre, engine_pre)) in preconditioners {
@@ -491,7 +518,11 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
             pg::solver::cg(dev, m, Some(facade_pre.clone()), MAX_ITERS, REDUCTION).unwrap();
         let got = c.facade_solve(&solver);
         assert!(got.0 > 0, "{name} cg + {pname} iterates");
-        assert_eq!(got, c.engine_solve(&cg, Some(cg.logger())), "{name} cg + {pname}");
+        assert_eq!(
+            got,
+            c.engine_solve(&cg, Some(cg.logger())),
+            "{name} cg + {pname}"
+        );
 
         let gmres = Gmres::new(c.op.clone())
             .unwrap()
@@ -520,7 +551,8 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let solver = pg::solver::lower_trs(dev, &l.facade).unwrap();
     assert_eq!(
         l.facade_solve(&solver).1,
-        l.engine_solve(&LowerTrs::new(l.csr.clone()).unwrap(), None).1,
+        l.engine_solve(&LowerTrs::new(l.csr.clone()).unwrap(), None)
+            .1,
         "{name} lower_trs"
     );
     let upper: Vec<_> = spd(N).into_iter().filter(|&(r, col, _)| col >= r).collect();
@@ -528,7 +560,8 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let solver = pg::solver::upper_trs(dev, &u.facade).unwrap();
     assert_eq!(
         u.facade_solve(&solver).1,
-        u.engine_solve(&UpperTrs::new(u.csr.clone()).unwrap(), None).1,
+        u.engine_solve(&UpperTrs::new(u.csr.clone()).unwrap(), None)
+            .1,
         "{name} upper_trs"
     );
 
@@ -549,12 +582,19 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     );
     let tree = Config::map()
         .with("type", "solver::Cg")
-        .with("preconditioner", Config::map().with("type", "preconditioner::Ilu"))
+        .with(
+            "preconditioner",
+            Config::map().with("type", "preconditioner::Ilu"),
+        )
         .with(
             "criteria",
             vec![
-                Config::map().with("type", "Iteration").with("max_iters", MAX_ITERS),
-                Config::map().with("type", "ResidualNorm").with("reduction_factor", REDUCTION),
+                Config::map()
+                    .with("type", "Iteration")
+                    .with("max_iters", MAX_ITERS),
+                Config::map()
+                    .with("type", "ResidualNorm")
+                    .with("reduction_factor", REDUCTION),
             ],
         );
     let configured = config_solve(c.csr.clone(), &tree).unwrap();
@@ -573,7 +613,10 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let mut x = c.zeros(2);
     let got = solver.solve_batch(&c.tensor(2, &vals), &mut x);
     if e.format == pg::MatrixFormat::Coo {
-        assert!(matches!(got, Err(pg::PyGinkgoError::Type(_))), "{name} solve_batch: {got:?}");
+        assert!(
+            matches!(got, Err(pg::PyGinkgoError::Type(_))),
+            "{name} solve_batch: {got:?}"
+        );
         return;
     }
     let batch = Arc::new(BatchCsr::replicated(&*c.csr, 2).unwrap());
@@ -593,7 +636,11 @@ fn solve_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
     let want_x: Vec<u64> = (0..N * 2)
         .map(|k| xb.system(k % 2)[k / 2].to_f64().to_bits())
         .collect();
-    assert_eq!((got.unwrap().iterations, tensor_bits(&x)), (want_iters, want_x), "{name} batch");
+    assert_eq!(
+        (got.unwrap().iterations, tensor_bits(&x)),
+        (want_iters, want_x),
+        "{name} batch"
+    );
 }
 
 fn from_triplets_cells<V: Value, I: Index>(e: &pg::dispatch::BindingEntry) {
@@ -635,7 +682,8 @@ impl Crossings {
         let out = f();
         let got = pg::gil::total_calls() - before;
         if got != expected {
-            self.wrong.push(format!("{what}: {got} crossings, expected {expected}"));
+            self.wrong
+                .push(format!("{what}: {got} crossings, expected {expected}"));
         }
         out
     }
@@ -663,7 +711,9 @@ fn gil_crossings_per_public_call() {
             pg::SparseMatrix::from_triplets(&dev, (N, N), &t, "double", "int32", "Csr").unwrap()
         });
         let coo = c.call("convert", 1, || csr.convert("Coo").unwrap());
-        c.call("convert to the same format", 1, || csr.convert("Csr").unwrap());
+        c.call("convert to the same format", 1, || {
+            csr.convert("Csr").unwrap()
+        });
         let b = c.call("as_tensor", 1, || {
             pg::as_tensor(rhs(1), &dev, (N, 1), "double").unwrap()
         });
@@ -671,20 +721,32 @@ fn gil_crossings_per_public_call() {
             pg::as_tensor_fill(&dev, (N, 1), "double", 0.0).unwrap()
         });
         c.call("shape/nnz/dtype/format/binding_name", 0, || {
-            (csr.shape(), csr.nnz(), csr.dtype(), csr.format(), csr.binding_name("spmv"))
+            (
+                csr.shape(),
+                csr.nnz(),
+                csr.dtype(),
+                csr.format(),
+                csr.binding_name("spmv"),
+            )
         });
         c.call("validate", 0, || csr.validate().unwrap());
-        c.call("with_spmv_strategy", 0, || csr.with_spmv_strategy("merge").unwrap());
+        c.call("with_spmv_strategy", 0, || {
+            csr.with_spmv_strategy("merge").unwrap()
+        });
         c.call("spmv", 2, || csr.spmv(&b).unwrap());
         c.call("spmv_into", 1, || csr.spmv_into(&b, &mut x).unwrap());
         c.call("spmv_into on COO", 1, || coo.spmv_into(&b, &mut x).unwrap());
         c.call("to_dense", 1, || csr.to_dense());
         c.call("to_triplets", 1, || csr.to_triplets());
         c.call("write", 1, || pg::write(&csr, &mtx_path).unwrap());
-        c.call("read", 1, || pg::read(&dev, &mtx_path, "double", "Csr").unwrap());
+        c.call("read", 1, || {
+            pg::read(&dev, &mtx_path, "double", "Csr").unwrap()
+        });
 
         c.call("Tensor::to_vec", 1, || b.to_vec());
-        c.call("Tensor::get/shape/dtype", 0, || (b.get(0, 0).unwrap(), b.shape(), b.dtype()));
+        c.call("Tensor::get/shape/dtype", 0, || {
+            (b.get(0, 0).unwrap(), b.shape(), b.dtype())
+        });
         c.call("Tensor::dot", 1, || b.dot(&b).unwrap());
         c.call("Tensor::norm", 1, || b.norm());
         c.call("Tensor::add_scaled", 1, || x.add_scaled(1.0, &b).unwrap());
@@ -697,9 +759,11 @@ fn gil_crossings_per_public_call() {
             let pre = c.call(&format!("jacobi on {format}"), 1 + converts, || {
                 preconditioner::jacobi(&dev, m).unwrap()
             });
-            c.call(&format!("jacobi_with_block_size on {format}"), 1 + converts, || {
-                preconditioner::jacobi_with_block_size(&dev, m, 2).unwrap()
-            });
+            c.call(
+                &format!("jacobi_with_block_size on {format}"),
+                1 + converts,
+                || preconditioner::jacobi_with_block_size(&dev, m, 2).unwrap(),
+            );
             c.call(&format!("ilu on {format}"), 1 + converts, || {
                 preconditioner::ilu(&dev, m).unwrap()
             });
@@ -721,7 +785,9 @@ fn gil_crossings_per_public_call() {
             c.call(&format!("krylov_fixed_iters on {format}"), 1, || {
                 solver::krylov_fixed_iters(&dev, m, "cg", 5, KRYLOV_DIM).unwrap()
             });
-            c.call(&format!("Solver::apply on {format}"), 1, || cg.apply(&b, &mut x).unwrap());
+            c.call(&format!("Solver::apply on {format}"), 1, || {
+                cg.apply(&b, &mut x).unwrap()
+            });
             let direct = c.call(&format!("direct on {format}"), 1 + converts, || {
                 solver::direct(&dev, m).unwrap()
             });
@@ -741,13 +807,17 @@ fn gil_crossings_per_public_call() {
                 solve_default(&dev, m, &b, &mut x).unwrap()
             });
             let tree = SolveOptions::default().to_config().unwrap();
-            c.call(&format!("solve_with_config on {format}"), 1 + converts, || {
-                solve_with_config(m, &b, &mut x, &tree).unwrap()
-            });
+            c.call(
+                &format!("solve_with_config on {format}"),
+                1 + converts,
+                || solve_with_config(m, &b, &mut x, &tree).unwrap(),
+            );
             std::fs::write(&cfg_path, tree.to_json()).unwrap();
-            c.call(&format!("solve_from_config_file on {format}"), 1 + converts, || {
-                pg::solve_from_config_file(m, &b, &mut x, &cfg_path).unwrap()
-            });
+            c.call(
+                &format!("solve_from_config_file on {format}"),
+                1 + converts,
+                || pg::solve_from_config_file(m, &b, &mut x, &cfg_path).unwrap(),
+            );
             let plain = solver::cg(&dev, m, None, MAX_ITERS, REDUCTION).unwrap();
             let b2 = pg::as_tensor(rhs(2), &dev, (N, 2), "double").unwrap();
             let mut x2 = pg::as_tensor_fill(&dev, (N, 2), "double", 0.0).unwrap();

@@ -20,7 +20,9 @@ fn non_convergence_is_reported_through_the_logger_not_an_error() {
     let solver = pg::solver::cg(&dev, &mtx, None, 20, 1e-14).unwrap();
     let b = pg::as_tensor_fill(&dev, (n, 1), "double", 1.0).unwrap();
     let mut x = pg::as_tensor_fill(&dev, (n, 1), "double", 0.0).unwrap();
-    let log = solver.apply(&b, &mut x).expect("apply itself must not error");
+    let log = solver
+        .apply(&b, &mut x)
+        .expect("apply itself must not error");
     assert!(!log.converged());
     assert!(
         log.stop_reason() == "max iterations" || log.stop_reason() == "breakdown",
@@ -109,7 +111,9 @@ fn malformed_inputs_never_panic() {
     assert!(pg::device("quantum-annealer").is_err());
     assert!(pg::SparseMatrix::from_triplets(&dev, (1, 1), &[], "f128", "int32", "Csr").is_err());
     assert!(pg::SparseMatrix::from_triplets(&dev, (1, 1), &[], "double", "uint8", "Csr").is_err());
-    assert!(pg::SparseMatrix::from_triplets(&dev, (1, 1), &[], "double", "int32", "Sellp").is_err());
+    assert!(
+        pg::SparseMatrix::from_triplets(&dev, (1, 1), &[], "double", "int32", "Sellp").is_err()
+    );
     // Empty matrix with a solver: 0x0 system is degenerate but defined.
     let empty =
         pg::SparseMatrix::from_triplets(&dev, (0, 0), &[], "double", "int32", "Csr").unwrap();
@@ -177,7 +181,11 @@ fn reading_garbage_files_fails_with_context() {
     std::fs::create_dir_all(&dir).unwrap();
     // Truncated file.
     let p = dir.join("truncated.mtx");
-    std::fs::write(&p, "%%MatrixMarket matrix coordinate real general\n10 10 5\n1 1 1.0\n").unwrap();
+    std::fs::write(
+        &p,
+        "%%MatrixMarket matrix coordinate real general\n10 10 5\n1 1 1.0\n",
+    )
+    .unwrap();
     let err = pg::read(&dev, &p, "double", "Csr").unwrap_err();
     assert!(err.to_string().contains("declared"), "{err}");
     // Binary junk.

@@ -67,7 +67,10 @@ fn circuit_values_survive_write_then_read_bit_for_bit() {
         let back = pg::read(&dev, &path, dtype, "Csr").unwrap();
         let _ = std::fs::remove_file(path);
         assert!(m.nnz() > 5 * gen.rows, "{dtype}: {} entries", m.nnz());
-        assert!(bits(&back) == bits(&m), "{dtype}: a value changed on the way");
+        assert!(
+            bits(&back) == bits(&m),
+            "{dtype}: a value changed on the way"
+        );
     }
 }
 
@@ -127,12 +130,13 @@ fn listing_2_json_parses_back_through_engine_config() {
     let cfg = gko::config::Config::from_json(&json).unwrap();
     assert_eq!(cfg.get("type").unwrap().as_str(), Some("solver::Gmres"));
     assert_eq!(
-        cfg.get("preconditioner").unwrap().get("type").unwrap().as_str(),
+        cfg.get("preconditioner")
+            .unwrap()
+            .get("type")
+            .unwrap()
+            .as_str(),
         Some("preconditioner::Jacobi")
     );
     // And round-trips losslessly.
-    assert_eq!(
-        gko::config::Config::from_json(&cfg.to_json()).unwrap(),
-        cfg
-    );
+    assert_eq!(gko::config::Config::from_json(&cfg.to_json()).unwrap(), cfg);
 }

@@ -59,7 +59,11 @@ fn gpu_speedup_over_scipy_grows_with_nnz() {
         speedups[0] < speedups[1] && speedups[1] < speedups[2],
         "speedup should grow with nnz: {speedups:?}"
     );
-    assert!(speedups[2] > 20.0, "large-matrix speedup {:.1} too small", speedups[2]);
+    assert!(
+        speedups[2] > 20.0,
+        "large-matrix speedup {:.1} too small",
+        speedups[2]
+    );
 }
 
 /// Fig. 3b's premise: CPU thread scaling is near-linear at first, then

@@ -90,8 +90,14 @@ fn baselines_agree_with_engine() {
         }
         check_op!(pygko_baselines::scipy::ScipyCsr::new(csr.clone()), "scipy");
         check_op!(pygko_baselines::cupy::CupyCsr::new(csr.clone()), "cupy");
-        check_op!(pygko_baselines::torch::TorchCsr::new(csr.clone()), "torch-csr");
-        check_op!(pygko_baselines::torch::TorchCoo::new(coo.clone()), "torch-coo");
+        check_op!(
+            pygko_baselines::torch::TorchCsr::new(csr.clone()),
+            "torch-csr"
+        );
+        check_op!(
+            pygko_baselines::torch::TorchCoo::new(coo.clone()),
+            "torch-coo"
+        );
         check_op!(pygko_baselines::tf::TfCoo::new(coo.clone()), "tf");
     });
 }

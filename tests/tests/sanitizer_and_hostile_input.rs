@@ -21,8 +21,14 @@ fn hostile_mtx_inputs_fail_cleanly() {
         ("empty", ""),
         ("whitespace only", "   \n\t\n  \n"),
         ("garbage header", "hello world\n1 1 1\n1 1 1.0\n"),
-        ("wrong banner", "%%MatrixMarket tensor coordinate real general\n"),
-        ("header only", "%%MatrixMarket matrix coordinate real general\n"),
+        (
+            "wrong banner",
+            "%%MatrixMarket tensor coordinate real general\n",
+        ),
+        (
+            "header only",
+            "%%MatrixMarket matrix coordinate real general\n",
+        ),
         (
             "absurd declared nnz",
             "%%MatrixMarket matrix coordinate real general\n10 10 99999999999999\n1 1 1.0\n",
@@ -152,7 +158,11 @@ fn well_formed_mtx_still_parses() {
 #[test]
 fn tensor_shapes_beyond_the_address_space_are_value_errors() {
     let dev = pg::device("reference").unwrap();
-    for shape in [(1usize << 63, 2usize), (2, 1 << 63), (usize::MAX, usize::MAX)] {
+    for shape in [
+        (1usize << 63, 2usize),
+        (2, 1 << 63),
+        (usize::MAX, usize::MAX),
+    ] {
         for got in [
             pg::as_tensor(vec![], &dev, shape, "double"),
             pg::as_tensor_fill(&dev, shape, "double", 1.0),
@@ -252,7 +262,9 @@ fn with_sanitizer_values_rejects_poisoned_rhs() {
         .unwrap()
         .observe(sanitize("values"))
         .unwrap();
-    let err = solver.apply(&b, &mut x).expect_err("NaN rhs must be rejected");
+    let err = solver
+        .apply(&b, &mut x)
+        .expect_err("NaN rhs must be rejected");
     let msg = err.to_string();
     assert!(msg.contains("rhs"), "error names the operand: {msg}");
 
@@ -278,7 +290,10 @@ fn with_sanitizer_full_combines_both_and_rejects_bad_modes() {
 
     let plain = pg::solver::cg(&dev, &mtx, None, 10, 1e-6).unwrap();
     assert!(
-        matches!(plain.observe(sanitize("bogus")), Err(pg::PyGinkgoError::Value(_))),
+        matches!(
+            plain.observe(sanitize("bogus")),
+            Err(pg::PyGinkgoError::Value(_))
+        ),
         "unknown sanitizer modes are value errors"
     );
 }
