@@ -590,11 +590,13 @@ where
     let dispatch = exec.observer().begin_dispatch(pool.threads(), chunks);
     let lanes_total = pool.threads();
     match (&claims, &dispatch) {
-        (Some(log), Some(d)) => {
+        (log, Some(d)) => {
             let ctx = d.context();
             pool.run(chunks, &move |i| {
                 let lane = current_lane();
-                log.record(lane, i);
+                if let Some(log) = log {
+                    log.record(lane, i);
+                }
                 let t0 = d.now_ns();
                 body(i);
                 let steal = lane != home_lane(i, chunks, lanes_total);
@@ -605,22 +607,12 @@ where
             log.record(current_lane(), i);
             body(i);
         }),
-        (None, Some(d)) => {
-            let ctx = d.context();
-            pool.run(chunks, &move |i| {
-                let lane = current_lane();
-                let t0 = d.now_ns();
-                body(i);
-                let steal = lane != home_lane(i, chunks, lanes_total);
-                d.record(ctx, i, lane, steal, t0, d.now_ns());
-            })
-        }
         (None, None) => pool.run(chunks, &body),
     }
     if let Some(log) = &claims {
         match log.verify(chunks) {
             Ok(summary) => exec.sanitizer().note_job(summary.pieces),
-            Err(violation) => crate::sanitize::report_claim_violation(&violation),
+            Err(v) => crate::sanitize::report_violation("chunk-overlap detector", &v),
         }
     }
     if let Some(d) = dispatch {

@@ -66,6 +66,6 @@ pub use linop::LinOp;
 pub use metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
 pub use observe::{ObserveConfig, Observer, ObserverStatus};
 pub use profile::{DiffRow, FlameStat, ProfileConfig, ProfileDiff, ProfileSnapshot};
-pub use sanitize::{ClaimLog, ClaimViolation, Sanitizer, SanitizerReport};
+pub use sanitize::{ClaimLog, PartitionViolation, Sanitizer, SanitizerReport};
 pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
 pub use trace::{SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport};

@@ -32,9 +32,7 @@ use crate::matrix::dense::Dense;
 use crate::matrix::plan::{
     self, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SegmentSink, SpmvPlan,
 };
-use crate::sanitize::{
-    report_merge_violation, report_row_order_violation, verify_merge_segments, verify_row_order,
-};
+use crate::sanitize::{report_violation, verify_merge_segments};
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
@@ -799,7 +797,7 @@ impl<V: Value, I: Index> Csr<V, I> {
         let rp = self.row_ptrs.as_slice();
         if self.executor().sanitizer().is_enabled() {
             if let Err(v) = verify_merge_segments(rp, &plan.segments) {
-                report_merge_violation(&v);
+                report_violation("merge-path segment validator", &v);
             }
         }
         // Prescale so rows no segment touches (empty rows) need no writes,
@@ -855,8 +853,8 @@ impl<V: Value, I: Index> Csr<V, I> {
         let _timer = OpTimer::new(self.executor(), "csr");
         let plan = self.plan();
         if self.executor().sanitizer().is_enabled() {
-            if let Err(v) = verify_row_order(&plan) {
-                report_row_order_violation(&v);
+            if let Err(v) = plan.verify_order() {
+                report_violation("row-order validator", &v);
             }
         }
         match plan.resolved {

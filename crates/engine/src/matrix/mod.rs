@@ -15,6 +15,7 @@ pub mod dense;
 pub mod diagonal;
 pub mod ell;
 pub mod hybrid;
+pub(crate) mod order;
 pub mod plan;
 pub mod sellp;
 

@@ -38,6 +38,8 @@ use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
 use crate::log::{Event, OpTimer};
 use crate::matrix::csr::SpmvStrategy;
+use crate::matrix::order::VisitOrder;
+use crate::sanitize::{verify_order, Domain, PartitionViolation};
 use pygko_sim::ChunkWork;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,7 +255,7 @@ pub struct MergeSegment {
 }
 
 /// Row index of nonzero `e` (last row whose pointer is `<= e`).
-fn row_of<I: Index>(row_ptrs: &[I], e: usize) -> usize {
+pub(crate) fn row_of<I: Index>(row_ptrs: &[I], e: usize) -> usize {
     row_ptrs.partition_point(|&p| p.to_usize() <= e) - 1
 }
 
@@ -463,10 +465,8 @@ pub struct SpmvPlan {
     /// Row-skew statistics gathered by the inspector.
     pub stats: RowStats,
     /// Every piece's rows, local to the piece, in the order the `k == 1`
-    /// kernels visit them; empty when every piece runs in row order.
-    pub(crate) row_order: Vec<u32>,
-    /// Piece `p`'s order is `row_order[order_bounds[p]..order_bounds[p + 1]]`.
-    pub(crate) order_bounds: Vec<usize>,
+    /// kernels visit them; `None` when every piece runs in row order.
+    pub(crate) order: Option<VisitOrder<u32>>,
 }
 
 impl SpmvPlan {
@@ -481,7 +481,7 @@ impl SpmvPlan {
 
     /// Rows the plan visits grouped by length (0: row order throughout).
     pub fn ordered_rows(&self) -> usize {
-        self.row_order.len()
+        self.order.as_ref().map_or(0, |order| order.visits.len())
     }
 
     /// Each piece's rows, in dispatch order. A merge segment shares its first
@@ -494,27 +494,31 @@ impl SpmvPlan {
     /// Piece `p`'s rows in visiting order, or `None` for row order.
     #[inline]
     pub(crate) fn row_order(&self, p: usize) -> Option<&[u32]> {
-        if self.row_order.is_empty() {
-            None
-        } else {
-            Some(&self.row_order[self.order_bounds[p]..self.order_bounds[p + 1]])
-        }
+        self.order.as_ref().map(|order| order.piece(p))
+    }
+
+    /// The sanitizer's check of the row order: each piece visits its own
+    /// local rows once and reads no other (a plan in row order passes).
+    pub(crate) fn verify_order(&self) -> Result<(), PartitionViolation> {
+        let Some(order) = &self.order else {
+            return Ok(());
+        };
+        let rows: Vec<usize> = self.piece_rows().map(|p| p.len()).collect();
+        verify_order(order, Domain::Pieces(&rows), |r| Ok((r as usize, [])))
     }
 }
 
 /// Each piece's rows, local to the piece, grouped by length inside windows
-/// of [`ORDER_WINDOW`] rows, and where each piece's order starts. A stable
-/// counting pass per window, so rows of one length keep ascending order; its
-/// buckets reach the window's longest row, which the window's entries pay
-/// for.
-fn group_rows_by_length<I: Index>(
+/// of [`ORDER_WINDOW`] rows: one stable counting sort per window, so rows of
+/// one length keep ascending order. Its buckets reach the window's longest
+/// row, which the window's entries pay for.
+fn length_order<I: Index>(
     row_ptrs: &[I],
     pieces: impl Iterator<Item = Range<usize>>,
-) -> (Vec<u32>, Vec<usize>) {
-    let mut order: Vec<u32> = Vec::with_capacity(row_ptrs.len());
-    let mut bounds = vec![0usize];
+) -> VisitOrder<u32> {
+    let mut order = VisitOrder::with_capacity(row_ptrs.len());
     let mut lens = [0usize; ORDER_WINDOW];
-    let mut starts: Vec<usize> = Vec::new();
+    let mut starts = Vec::new();
     for piece in pieces {
         for w0 in piece.clone().step_by(ORDER_WINDOW) {
             let window = w0..(w0 + ORDER_WINDOW).min(piece.end);
@@ -525,26 +529,13 @@ fn group_rows_by_length<I: Index>(
             {
                 *len = w[1].to_usize() - w[0].to_usize();
             }
-            // `starts[l + 1]` counts rows of length `l`; after the prefix sum
-            // `starts[l]` is where the first of them goes.
-            starts.clear();
-            starts.resize(lens.iter().max().map_or(0, |&l| l + 2), 0);
-            for &len in lens.iter() {
-                starts[len + 1] += 1;
-            }
-            for l in 1..starts.len() {
-                starts[l] += starts[l - 1];
-            }
-            let base = order.len();
-            order.resize(base + window.len(), 0);
-            for (local, &len) in (window.start - piece.start..).zip(lens.iter()) {
-                order[base + starts[len]] = local as u32;
-                starts[len] += 1;
-            }
+            let first = window.start - piece.start;
+            let buckets = lens.iter().max().map_or(0, |&l| l + 1);
+            order.push_sorted(lens, buckets, |i| (first + i) as u32, &mut starts);
         }
-        bounds.push(order.len());
+        order.end_piece();
     }
-    (order, bounds)
+    order
 }
 
 /// Counters describing one matrix's plan-cache behaviour.
@@ -716,13 +707,12 @@ pub fn build_plan<I: Index>(
         segments,
         work,
         stats,
-        row_order: Vec::new(),
-        order_bounds: Vec::new(),
+        order: None,
     };
     // Not charged: the order is a schedule for the host's branch predictor,
     // which the modelled devices do not have.
     if stats.orders_rows() {
-        (plan.row_order, plan.order_bounds) = group_rows_by_length(row_ptrs, plan.piece_rows());
+        plan.order = Some(length_order(row_ptrs, plan.piece_rows()));
     }
     exec.loggers().log(&Event::PlanBuilt {
         op: "csr",
@@ -871,10 +861,10 @@ mod tests {
         let lens: Vec<usize> = (0..700).map(|r| (r * 7 + r / 3) % 11).collect();
         let rp = rp(&lens);
         let pieces = [0..300, 300..301, 301..700];
-        let (order, bounds) = group_rows_by_length(&rp, pieces.iter().cloned());
-        assert_eq!(bounds, [0, 300, 301, 700]);
-        for (piece, span) in pieces.iter().zip(bounds.windows(2)) {
-            let order = &order[span[0]..span[1]];
+        let order = length_order(&rp, pieces.iter().cloned());
+        assert_eq!(order.bounds, [0, 300, 301, 700]);
+        for (p, piece) in pieces.iter().enumerate() {
+            let order = order.piece(p);
             for (w, window) in order.chunks(ORDER_WINDOW).enumerate() {
                 let base = piece.start + w * ORDER_WINDOW;
                 let mut rows: Vec<usize> =
@@ -931,8 +921,9 @@ mod tests {
         ];
         for (strategy, workers, want) in pinned {
             let plan = build_plan(&Executor::omp(workers), strategy, lens.len(), &rp, 8);
-            let order = plan.row_order.iter().map(|&r| u64::from(r));
-            let bounds = plan.order_bounds.iter().map(|&b| b as u64);
+            let order = plan.order.as_ref().unwrap();
+            let bounds = order.bounds.iter().map(|&b| b as u64);
+            let order = order.visits.iter().map(|&r| u64::from(r));
             let got = fnv1a(order.chain(bounds));
             assert!(plan.ordered_rows() > 0, "{strategy:?} on {workers} workers");
             assert_eq!(got, want, "{strategy:?} on {workers} workers");
@@ -1048,8 +1039,7 @@ mod tests {
             segments: Vec::new(),
             work: Vec::new(),
             stats: RowStats::default(),
-            row_order: Vec::new(),
-            order_bounds: Vec::new(),
+            order: None,
         };
         let p1 = cache.get_or_build(SpmvStrategy::Auto, 2, build);
         let p2 = cache.get_or_build(SpmvStrategy::Auto, 2, build);

@@ -5,7 +5,7 @@ use crate::base::error::Result;
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
 use crate::factorization::ic0::ic0;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::LinOp;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
 use crate::solver::triangular::{LowerTrs, UpperTrs};
@@ -14,20 +14,17 @@ use std::sync::Arc;
 /// IC(0) preconditioner: `z = L^{-T} L^{-1} r` with the incomplete Cholesky
 /// factor of `A`.
 pub struct Ic<V: Value, I: Index = i32> {
-    exec: Executor,
-    size: Dim2,
     lower: LowerTrs<V, I>,
     upper: UpperTrs<V, I>,
 }
 
 impl<V: Value, I: Index> Ic<V, I> {
-    /// Factorizes `A` with IC(0).
+    /// Factorizes `A` with IC(0) and generates the triangular sweeps, which
+    /// keep what they sweep: the factor and its transpose are freed on return.
     pub fn new(matrix: &Csr<V, I>) -> Result<Self> {
         let l = ic0(matrix)?;
         let lt = l.transpose();
         Ok(Ic {
-            exec: matrix.executor().clone(),
-            size: matrix.size(),
             lower: LowerTrs::new(Arc::new(l))?,
             upper: UpperTrs::new(Arc::new(lt))?,
         })
@@ -36,15 +33,15 @@ impl<V: Value, I: Index> Ic<V, I> {
 
 impl<V: Value, I: Index> LinOp<V> for Ic<V, I> {
     fn size(&self) -> Dim2 {
-        self.size
+        self.lower.size()
     }
 
     fn executor(&self) -> &Executor {
-        &self.exec
+        self.lower.executor()
     }
 
+    /// The lower sweep checks the dimensions.
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
         self.lower.apply(b, x)?;
         self.upper.apply_in_place(x)
     }

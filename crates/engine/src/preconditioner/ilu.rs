@@ -5,7 +5,7 @@ use crate::base::error::Result;
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
 use crate::factorization::ilu0::ilu0;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::LinOp;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
 use crate::solver::triangular::{LowerTrs, UpperTrs};
@@ -14,19 +14,16 @@ use std::sync::Arc;
 /// ILU(0) preconditioner: `z = U^{-1} L^{-1} r` with the incomplete factors
 /// of `A`.
 pub struct Ilu<V: Value, I: Index = i32> {
-    exec: Executor,
-    size: Dim2,
     lower: LowerTrs<V, I>,
     upper: UpperTrs<V, I>,
 }
 
 impl<V: Value, I: Index> Ilu<V, I> {
-    /// Factorizes `A` with ILU(0) and prepares the triangular sweeps.
+    /// Factorizes `A` with ILU(0) and generates the triangular sweeps, which
+    /// keep what they sweep: the factors are freed on return.
     pub fn new(matrix: &Csr<V, I>) -> Result<Self> {
         let (l, u) = ilu0(matrix)?;
         Ok(Ilu {
-            exec: matrix.executor().clone(),
-            size: matrix.size(),
             lower: LowerTrs::new(Arc::new(l))?.with_unit_diagonal(),
             upper: UpperTrs::new(Arc::new(u))?,
         })
@@ -35,15 +32,15 @@ impl<V: Value, I: Index> Ilu<V, I> {
 
 impl<V: Value, I: Index> LinOp<V> for Ilu<V, I> {
     fn size(&self) -> Dim2 {
-        self.size
+        self.lower.size()
     }
 
     fn executor(&self) -> &Executor {
-        &self.exec
+        self.lower.executor()
     }
 
+    /// The lower sweep checks the dimensions.
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
         self.lower.apply(b, x)?;
         self.upper.apply_in_place(x)
     }
@@ -130,6 +127,28 @@ mod tests {
             i_pre < i_plain,
             "ILU {i_pre} iterations should beat plain {i_plain}"
         );
+    }
+
+    /// The sweeps keep copies of what they sweep, so the factors generation
+    /// allocates on the executor are freed when it ends: each is held once.
+    #[test]
+    fn generation_frees_the_factors() {
+        use crate::preconditioner::ic::Ic;
+        let exec = Executor::reference();
+        let mut t = vec![];
+        for i in 0..50 {
+            t.push((i, i, 4.0));
+            if i > 0 {
+                t.extend([(i, i - 1, -1.0), (i - 1, i, -1.0)]);
+            }
+        }
+        let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(50), &t).unwrap();
+        let before = exec.bytes_allocated();
+        let ilu = Ilu::new(&a).unwrap();
+        assert_eq!(exec.bytes_allocated(), before);
+        let ic = Ic::new(&a).unwrap();
+        assert_eq!(exec.bytes_allocated(), before);
+        assert_eq!((ilu.size(), ic.size()), (a.size(), a.size()));
     }
 
     #[test]

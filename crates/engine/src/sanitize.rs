@@ -1,18 +1,24 @@
 //! Runtime sanitizer: machine-checks for invariants the engine otherwise
 //! only asserts in prose.
 //!
-//! Three independent facilities, all zero-cost until switched on:
+//! Three facilities, all zero-cost until the executor's [`Sanitizer`] is
+//! switched on (or, for the last two, until called):
 //!
-//! * **Chunk-overlap detection** ([`ClaimLog`]). The worker pool's
-//!   `PieceTable` is `Send + Sync` on the strength of one SAFETY sentence —
-//!   "each piece index is delivered to exactly one lane". With
-//!   [`Executor::enable_sanitizer`] on, every pool dispatch records which
-//!   lane claimed which piece index and, after the drain, verifies that the
-//!   claims form an exact partition of `0..n_chunks`: no overlap, nothing
-//!   missing, nothing out of range. A violation means the chunk planner or
-//!   the queue protocol is broken — i.e. undefined behavior was about to be
-//!   possible — so it fails loudly (panic) rather than returning an error a
-//!   caller could ignore.
+//! * **Partition checks** ([`ClaimLog`], [`verify_merge_segments`] and the
+//!   crate's visit-order check). Four structures are pieces that tile a range
+//!   exactly once: a pool job's per-lane claims tile its chunk indices (the
+//!   one SAFETY sentence `PieceTable` is `Send + Sync` on: "each piece index
+//!   is delivered to exactly one lane"), the merge-path segments tile the
+//!   nonzeros, an ordered SpMV plan's pieces each visit their own rows, and a
+//!   triangular sweep's levels together visit every row. With
+//!   [`Executor::enable_sanitizer`] on, every pool dispatch, merge-path
+//!   apply, ordered CSR apply and triangular solve runs one check over its
+//!   pieces: bounds that start at 0, never decrease and end at the range's
+//!   end; every item visited exactly once; and the caller's predicate (a
+//!   segment's declared rows, a sweep row reading only rows of earlier
+//!   levels). Any failure is one [`PartitionViolation`]. It means aliasing
+//!   `&mut` slices or a wrong result without a sign, so it fails loudly
+//!   (panic) rather than returning an error a caller could ignore.
 //! * **Structural validation** (`validate()` on every matrix format, plus
 //!   [`check_finite`]). The formats trust their invariants (monotone
 //!   `row_ptrs`, in-bounds columns, consistent slice layouts) after
@@ -36,18 +42,311 @@
 //! [`Executor::enable_sanitizer`]: crate::executor::Executor::enable_sanitizer
 
 use crate::base::error::{GkoError, Result};
-use crate::base::types::Value;
+use crate::base::types::{Index, Value};
 use crate::executor::pool::parallel_chunks;
 use crate::executor::Executor;
-use crate::matrix::plan::SpmvPlan;
+use crate::matrix::order::VisitOrder;
+use crate::matrix::plan::{row_of, MergeSegment};
 use pygko_sim::rng::Xoshiro256pp;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
-// Chunk-overlap detection
+// Partition checks
 // ---------------------------------------------------------------------------
+
+/// The ways pieces can fail to tile a range of items exactly once. A piece
+/// is a pool lane, a merge-path segment, an SpMV plan's piece or a sweep's
+/// level; an item is a chunk index, a nonzero or a row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PartitionViolation {
+    /// There are `found` pieces where the plan has `expected`.
+    Pieces {
+        /// Pieces planned.
+        expected: usize,
+        /// Pieces the bounds hold.
+        found: usize,
+    },
+    /// A piece does not start where the one before it ends (the first at 0):
+    /// the items between are skipped, or claimed twice.
+    Gap {
+        /// The piece.
+        piece: usize,
+        /// Where it should start.
+        expected: usize,
+        /// Where it starts.
+        found: usize,
+    },
+    /// A piece ends before it starts, or owns no items where it must.
+    Empty {
+        /// The piece.
+        piece: usize,
+    },
+    /// The last piece does not end at the range's end: trailing items are
+    /// never visited.
+    Tail {
+        /// The range's end.
+        expected: usize,
+        /// Where the pieces end (0 if there are none).
+        found: usize,
+    },
+    /// A piece visits an item outside the range.
+    OutOfRange {
+        /// The piece.
+        piece: usize,
+        /// The item.
+        item: usize,
+        /// The range's end.
+        end: usize,
+    },
+    /// Two pieces, or one twice, visit an item: with claims, aliasing `&mut`
+    /// slices; with rows, an output written twice, in place from an
+    /// overwritten right-hand side.
+    Duplicate {
+        /// The item.
+        item: usize,
+        /// The piece that visited it first.
+        first: usize,
+        /// The piece that visited it again.
+        second: usize,
+    },
+    /// An item is never visited: its output keeps stale bits.
+    Missing {
+        /// The piece that owns it, where each piece has its own items.
+        piece: Option<usize>,
+        /// The item.
+        item: usize,
+    },
+    /// A sweep row's span lies outside the column indices.
+    Span {
+        /// The row.
+        item: usize,
+        /// The span.
+        span: Range<usize>,
+        /// Column indices there are.
+        len: usize,
+    },
+    /// An item reads an item no earlier piece visited: a sweep row would
+    /// read an unknown that is not final before its level starts.
+    EarlyRead {
+        /// The piece.
+        piece: usize,
+        /// The item.
+        item: usize,
+        /// The item it reads too early.
+        reads: usize,
+    },
+    /// A merge segment's declared rows disagree with the row pointers: the
+    /// kernel would route partial sums to the wrong rows.
+    RowSpan {
+        /// The segment.
+        piece: usize,
+        /// Rows the row pointers assign to its nonzeros.
+        expected: (usize, usize),
+        /// Rows it declares.
+        found: (usize, usize),
+    },
+}
+
+impl fmt::Display for PartitionViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use PartitionViolation::*;
+        match self {
+            Pieces { expected, found } => {
+                write!(f, "the bounds hold {found} pieces, the plan has {expected}")
+            }
+            Gap {
+                piece,
+                expected,
+                found,
+            } => write!(
+                f,
+                "piece {piece} starts at {found}, expected {expected} \
+                 — the range is not covered exactly once"
+            ),
+            Empty { piece } => write!(f, "piece {piece} owns no items, or ends before it starts"),
+            Tail { expected, found } => write!(
+                f,
+                "the pieces end at {found}, expected {expected} \
+                 — trailing items would never be visited"
+            ),
+            OutOfRange { piece, item, end } => {
+                write!(
+                    f,
+                    "piece {piece} visits item {item}, outside the range 0..{end}"
+                )
+            }
+            Duplicate {
+                item,
+                first,
+                second,
+            } => write!(
+                f,
+                "item {item} visited twice, by piece {first} and by piece {second} \
+                 — the pieces do not visit it exactly once"
+            ),
+            Missing {
+                piece: Some(piece),
+                item,
+            } => write!(f, "piece {piece} never visits its item {item}"),
+            Missing { piece: None, item } => write!(f, "item {item} is never visited"),
+            Span { item, span, len } => write!(
+                f,
+                "row {item}'s span {span:?} lies outside the {len} column indices"
+            ),
+            EarlyRead { piece, item, reads } => write!(
+                f,
+                "item {item} of piece {piece} reads item {reads}, which no earlier piece visits"
+            ),
+            RowSpan {
+                piece,
+                expected,
+                found,
+            } => write!(
+                f,
+                "segment {piece} declares rows {}..={} but its nonzeros lie in rows {}..={}",
+                found.0, found.1, expected.0, expected.1
+            ),
+        }
+    }
+}
+
+/// The items the pieces of a [`VisitOrder`] must visit.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Domain<'a> {
+    /// Piece `p` visits its own items `0..items[p]`: an SpMV plan's pieces.
+    Pieces(&'a [usize]),
+    /// The pieces together visit `0..items`: a pool job's lanes, a sweep's
+    /// levels.
+    Items(usize),
+}
+
+/// Checks that `pieces` tile `0..end` in turn: each starts where the one
+/// before ends (the first at 0), none ends before it starts (nor, when
+/// `nonempty`, where it starts), and the last ends at `end`.
+fn verify_tiling(
+    pieces: impl Iterator<Item = Range<usize>>,
+    end: usize,
+    nonempty: bool,
+) -> std::result::Result<(), PartitionViolation> {
+    use PartitionViolation::*;
+    let mut cursor = 0;
+    for (piece, span) in pieces.enumerate() {
+        if span.start != cursor {
+            let (expected, found) = (cursor, span.start);
+            return Err(Gap {
+                piece,
+                expected,
+                found,
+            });
+        }
+        if span.end < span.start + usize::from(nonempty) {
+            return Err(Empty { piece });
+        }
+        cursor = span.end;
+    }
+    if cursor != end {
+        let (expected, found) = (end, cursor);
+        return Err(Tail { expected, found });
+    }
+    Ok(())
+}
+
+/// The one partition check: `order`'s bounds tile its visits, each item of
+/// `domain` is visited exactly once, and every item a visit reads lies in an
+/// earlier piece; `visit(v)` gives `v`'s item and the items it reads. Pool
+/// lanes and SpMV row kernels read nothing; a sweep is right when every
+/// unknown a level reads is final before the level starts, in whatever order
+/// (or at once) its rows then run.
+pub(crate) fn verify_order<T: Copy, R: IntoIterator<Item = usize>>(
+    order: &VisitOrder<T>,
+    domain: Domain<'_>,
+    visit: impl Fn(T) -> std::result::Result<(usize, R), PartitionViolation>,
+) -> std::result::Result<(), PartitionViolation> {
+    use PartitionViolation::*;
+    const UNVISITED: usize = usize::MAX;
+    let VisitOrder { visits, bounds } = order;
+    let found = bounds.len().saturating_sub(1);
+    if let Domain::Pieces(items) = domain {
+        if items.len() != found {
+            let expected = items.len();
+            return Err(Pieces { expected, found });
+        }
+    }
+    verify_tiling(bounds.windows(2).map(|w| w[0]..w[1]), visits.len(), false)?;
+    // Per item of the domain, the piece that visits it.
+    let mut owner = match domain {
+        Domain::Pieces(_) => Vec::new(),
+        Domain::Items(items) => vec![UNVISITED; items],
+    };
+    let missing = |owner: &[usize], piece| match owner.iter().position(|&p| p == UNVISITED) {
+        Some(item) => Err(Missing { piece, item }),
+        None => Ok(()),
+    };
+    for (piece, span) in bounds.windows(2).enumerate() {
+        if let Domain::Pieces(items) = domain {
+            owner = vec![UNVISITED; items[piece]];
+        }
+        let end = owner.len();
+        for &v in &visits[span[0]..span[1]] {
+            let (item, reads) = visit(v)?;
+            match owner.get(item) {
+                None => return Err(OutOfRange { piece, item, end }),
+                Some(&first) if first != UNVISITED => {
+                    let second = piece;
+                    return Err(Duplicate {
+                        item,
+                        first,
+                        second,
+                    });
+                }
+                Some(_) => {}
+            }
+            let earlier = |r: &usize| owner.get(*r).is_some_and(|&p| p < piece);
+            if let Some(reads) = reads.into_iter().find(|r| !earlier(r)) {
+                return Err(EarlyRead { piece, item, reads });
+            }
+            owner[item] = piece;
+        }
+        if let Domain::Pieces(_) = domain {
+            missing(&owner, Some(piece))?;
+        }
+    }
+    missing(&owner, None)
+}
+
+/// A sweep's visit `(row, lo, hi)` for [`verify_order`]: the row, and the
+/// rows it reads, its span of `cols`.
+pub(crate) fn span_reads<I: Index>(
+    cols: &[I],
+    (row, lo, hi): (I, I, I),
+) -> std::result::Result<(usize, impl Iterator<Item = usize> + '_), PartitionViolation> {
+    let (item, span) = (row.to_usize(), lo.to_usize()..hi.to_usize());
+    match cols.get(span.clone()) {
+        Some(cols) => Ok((item, cols.iter().map(|c| c.to_usize()))),
+        None => Err(PartitionViolation::Span {
+            item,
+            span,
+            len: cols.len(),
+        }),
+    }
+}
+
+/// Aborts the apply on a partition violation found by `detector`.
+///
+/// Called after a pool drain, or before a kernel walks its pieces: a broken
+/// partition means aliasing `&mut` slices were (or would have been) handed
+/// out, or a row skipped, repeated or read before it is final, so
+/// continuing is not an option and the error cannot be deferred to a
+/// `Result` the kernel has no channel for.
+pub(crate) fn report_violation(detector: &str, v: &PartitionViolation) -> ! {
+    // lint: allow(panic): a tripped partition check means aliasing `&mut`
+    // slices or a wrong result without a sign; aborting the apply is the
+    // sanitizer's contract.
+    panic!("sanitizer: {detector} tripped: {v}");
+}
 
 /// Records which pool lane claimed which piece index during one job.
 ///
@@ -56,62 +355,6 @@ use std::sync::Mutex;
 /// after the drain, when all lanes are quiescent.
 pub struct ClaimLog {
     lanes: Vec<Mutex<Vec<usize>>>, // lock: sanitize.lanes
-}
-
-/// The ways a recorded claim set can fail to partition `0..n_pieces`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClaimViolation {
-    /// A piece index was claimed by two lanes (or twice by one) — the exact
-    /// condition under which `PieceTable` would hand out aliasing `&mut`s.
-    Overlap {
-        /// The doubly-claimed piece index.
-        piece: usize,
-        /// Lane that claimed it first.
-        first_lane: usize,
-        /// Lane that claimed it again.
-        second_lane: usize,
-    },
-    /// A claimed index lies outside `0..n_pieces`.
-    OutOfRange {
-        /// The offending piece index.
-        piece: usize,
-        /// Lane that claimed it.
-        lane: usize,
-        /// Number of pieces in the job.
-        n_pieces: usize,
-    },
-    /// A piece was never executed by any lane.
-    Missing {
-        /// The unclaimed piece index.
-        piece: usize,
-    },
-}
-
-impl fmt::Display for ClaimViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClaimViolation::Overlap {
-                piece,
-                first_lane,
-                second_lane,
-            } => write!(
-                f,
-                "piece {piece} claimed by lane {first_lane} and lane {second_lane} \
-                 — disjointness of parallel chunks is violated"
-            ),
-            ClaimViolation::OutOfRange {
-                piece,
-                lane,
-                n_pieces,
-            } => write!(
-                f,
-                "lane {lane} claimed piece {piece}, outside the job's range 0..{n_pieces}"
-            ),
-            ClaimViolation::Missing { piece } => {
-                write!(f, "piece {piece} was never claimed by any lane")
-            }
-        }
-    }
 }
 
 /// Counters describing one verified job.
@@ -143,37 +386,18 @@ impl ClaimLog {
     }
 
     /// Checks that the recorded claims are exactly a partition of
-    /// `0..n_pieces`: every index claimed once, by one lane, in range.
-    pub fn verify(&self, n_pieces: usize) -> std::result::Result<ClaimSummary, ClaimViolation> {
-        const UNCLAIMED: usize = usize::MAX;
-        let mut owner = vec![UNCLAIMED; n_pieces];
-        let mut lanes_used = 0usize;
-        for (lane, claims) in self.lanes.iter().enumerate() {
+    /// `0..n_pieces`, the lanes being the partition's pieces: every index
+    /// claimed once, by one lane, in range.
+    pub fn verify(&self, n_pieces: usize) -> std::result::Result<ClaimSummary, PartitionViolation> {
+        let mut order = VisitOrder::with_capacity(n_pieces);
+        let mut lanes_used = 0;
+        for claims in &self.lanes {
             let claims = claims.lock().unwrap_or_else(|e| e.into_inner());
-            if !claims.is_empty() {
-                lanes_used += 1;
-            }
-            for &piece in claims.iter() {
-                if piece >= n_pieces {
-                    return Err(ClaimViolation::OutOfRange {
-                        piece,
-                        lane,
-                        n_pieces,
-                    });
-                }
-                if owner[piece] != UNCLAIMED {
-                    return Err(ClaimViolation::Overlap {
-                        piece,
-                        first_lane: owner[piece],
-                        second_lane: lane,
-                    });
-                }
-                owner[piece] = lane;
-            }
+            lanes_used += usize::from(!claims.is_empty());
+            order.visits.extend_from_slice(&claims);
+            order.end_piece();
         }
-        if let Some(piece) = owner.iter().position(|&o| o == UNCLAIMED) {
-            return Err(ClaimViolation::Missing { piece });
-        }
+        verify_order(&order, Domain::Items(n_pieces), |piece| Ok((piece, [])))?;
         Ok(ClaimSummary {
             pieces: n_pieces,
             lanes_used,
@@ -181,401 +405,34 @@ impl ClaimLog {
     }
 }
 
-/// Aborts the dispatch on a claim violation.
-///
-/// Called from `parallel_chunks` after the drain; a violated partition means
-/// aliasing `&mut` slices were (or would have been) handed out, so
-/// continuing is not an option and the error cannot be deferred to a
-/// `Result` the kernel has no channel for.
-pub(crate) fn report_claim_violation(v: &ClaimViolation) -> ! {
-    // lint: allow(panic): a tripped overlap detector means aliasing `&mut`
-    // slices; aborting the apply is the sanitizer's contract.
-    panic!("sanitizer: chunk-overlap detector tripped: {v}");
-}
-
-// ---------------------------------------------------------------------------
-// Merge-path segment validation
-// ---------------------------------------------------------------------------
-
-/// The ways a merge-path segment list can fail to partition the nonzeros.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MergeViolation {
-    /// The segment list does not start at nonzero 0 or two neighbouring
-    /// segments are not contiguous — some nonzeros would be skipped or
-    /// accumulated twice.
-    Gap {
-        /// Segment whose `nnz_start` is wrong.
-        segment: usize,
-        /// Where the segment should have started.
-        expected: usize,
-        /// Where it actually starts.
-        found: usize,
-    },
-    /// A segment owns no nonzeros; the planner promises to drop these.
-    Empty {
-        /// The offending segment index.
-        segment: usize,
-    },
-    /// The last segment does not end exactly at the matrix's nonzero count.
-    Tail {
-        /// The matrix's total nonzero count.
-        expected: usize,
-        /// Where the last segment actually ends (0 if there are no
-        /// segments at all).
-        found: usize,
-    },
-    /// A segment's declared row span disagrees with the row pointers — the
-    /// executing kernel would route partial sums to the wrong rows.
-    RowSpan {
-        /// The offending segment index.
-        segment: usize,
-        /// Rows the row pointers assign to the segment's nonzero range.
-        expected: (usize, usize),
-        /// Rows the segment declares.
-        found: (usize, usize),
-    },
-}
-
-impl fmt::Display for MergeViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeViolation::Gap {
-                segment,
-                expected,
-                found,
-            } => write!(
-                f,
-                "segment {segment} starts at nonzero {found}, expected {expected} \
-                 — the nonzero range is not claimed exactly once"
-            ),
-            MergeViolation::Empty { segment } => {
-                write!(f, "segment {segment} owns no nonzeros")
-            }
-            MergeViolation::Tail { expected, found } => write!(
-                f,
-                "segments end at nonzero {found}, expected {expected} \
-                 — trailing nonzeros would never be accumulated"
-            ),
-            MergeViolation::RowSpan {
-                segment,
-                expected,
-                found,
-            } => write!(
-                f,
-                "segment {segment} declares rows {}..={} but its nonzeros lie in \
-                 rows {}..={}",
-                found.0, found.1, expected.0, expected.1
-            ),
-        }
-    }
-}
-
 /// Checks that a merge-path segment list is an exact, ordered partition of
-/// the matrix's nonzeros and that every declared row span matches the row
-/// pointers.
+/// the matrix's nonzeros (contiguous, non-empty, ending at `nnz`) and that
+/// every declared row span matches the row pointers.
 ///
 /// This is the structural guarantee the merge-path kernel's `unsafe`
 /// direct writes rest on: contiguous non-overlapping nonzero ranges imply
 /// every interior row belongs to exactly one segment.
-pub fn verify_merge_segments<I: crate::base::types::Index>(
+pub fn verify_merge_segments<I: Index>(
     row_ptrs: &[I],
-    segments: &[crate::matrix::plan::MergeSegment],
-) -> std::result::Result<(), MergeViolation> {
-    let rows = row_ptrs.len().saturating_sub(1);
-    let nnz = if rows == 0 {
-        0
-    } else {
-        row_ptrs[rows].to_usize()
-    };
-    let row_of = |e: usize| row_ptrs.partition_point(|&p| p.to_usize() <= e) - 1;
-    let mut cursor = 0usize;
-    for (i, seg) in segments.iter().enumerate() {
-        if seg.nnz_start != cursor {
-            return Err(MergeViolation::Gap {
-                segment: i,
-                expected: cursor,
-                found: seg.nnz_start,
-            });
-        }
-        if seg.nnz_end <= seg.nnz_start {
-            return Err(MergeViolation::Empty { segment: i });
-        }
-        let expected = (row_of(seg.nnz_start), row_of(seg.nnz_end - 1));
-        if expected != (seg.row_first, seg.row_last) {
-            return Err(MergeViolation::RowSpan {
-                segment: i,
+    segments: &[MergeSegment],
+) -> std::result::Result<(), PartitionViolation> {
+    let nnz = row_ptrs.last().map_or(0, |p| p.to_usize());
+    verify_tiling(segments.iter().map(|s| s.nnz_start..s.nnz_end), nnz, true)?;
+    for (piece, seg) in segments.iter().enumerate() {
+        let expected = (
+            row_of(row_ptrs, seg.nnz_start),
+            row_of(row_ptrs, seg.nnz_end - 1),
+        );
+        let found = (seg.row_first, seg.row_last);
+        if expected != found {
+            return Err(PartitionViolation::RowSpan {
+                piece,
                 expected,
-                found: (seg.row_first, seg.row_last),
+                found,
             });
-        }
-        cursor = seg.nnz_end;
-    }
-    if cursor != nnz {
-        return Err(MergeViolation::Tail {
-            expected: nnz,
-            found: cursor,
-        });
-    }
-    Ok(())
-}
-
-/// Aborts the apply on a merge-segment violation.
-///
-/// A broken segment partition means the merge-path kernel's direct interior
-/// writes could alias (or nonzeros could be dropped/double-counted), so the
-/// failure is a panic for the same reason [`report_claim_violation`] is.
-pub(crate) fn report_merge_violation(v: &MergeViolation) -> ! {
-    // lint: allow(panic): a broken segment partition would alias interior
-    // writes; aborting the apply is the sanitizer's contract.
-    panic!("sanitizer: merge-path segment validator tripped: {v}");
-}
-
-// ---------------------------------------------------------------------------
-// Row-order validation
-// ---------------------------------------------------------------------------
-
-/// The ways a plan's row order can fail to visit each piece's rows once.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RowOrderViolation {
-    /// The order's spans do not tile it with one span per plan piece.
-    Spans {
-        /// Plan pieces.
-        pieces: usize,
-        /// Span boundaries the order holds (`pieces + 1` expected).
-        bounds: usize,
-    },
-    /// A row is visited twice: its output would be written twice.
-    Duplicate {
-        /// The piece whose order repeats the row.
-        piece: usize,
-        /// The row, local to the piece.
-        row: usize,
-    },
-    /// A row of the piece is never visited: its output would keep stale bits.
-    Missing {
-        /// The piece whose order lacks the row.
-        piece: usize,
-        /// The row, local to the piece.
-        row: usize,
-    },
-    /// An entry names a row outside its piece.
-    OutOfRange {
-        /// The piece whose order holds the entry.
-        piece: usize,
-        /// The entry.
-        row: usize,
-        /// Rows of the piece.
-        rows: usize,
-    },
-}
-
-impl fmt::Display for RowOrderViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RowOrderViolation::Spans { pieces, bounds } => write!(
-                f,
-                "row order has {bounds} span bounds for {pieces} pieces, or they do not tile it"
-            ),
-            RowOrderViolation::Duplicate { piece, row } => {
-                write!(f, "piece {piece} visits its row {row} twice")
-            }
-            RowOrderViolation::Missing { piece, row } => {
-                write!(f, "piece {piece} never visits its row {row}")
-            }
-            RowOrderViolation::OutOfRange { piece, row, rows } => write!(
-                f,
-                "piece {piece} visits row {row}, outside its rows 0..{rows}"
-            ),
-        }
-    }
-}
-
-/// Checks that each piece's row order is a permutation of that piece's
-/// local rows (a plan in row order passes trivially).
-///
-/// The row kernels write each row's output once, and the merge-path lane
-/// updates interior rows in place through the segment sink: both rely on the
-/// order delivering every row of the piece exactly once.
-pub fn verify_row_order(plan: &SpmvPlan) -> std::result::Result<(), RowOrderViolation> {
-    let order = &plan.row_order;
-    if order.is_empty() {
-        return Ok(());
-    }
-    let bounds = &plan.order_bounds;
-    let pieces = plan.chunks();
-    let tiles = bounds.len() == pieces + 1
-        && bounds.first() == Some(&0)
-        && bounds.last() == Some(&order.len())
-        && bounds.windows(2).all(|w| w[0] <= w[1]);
-    if !tiles {
-        return Err(RowOrderViolation::Spans {
-            pieces,
-            bounds: bounds.len(),
-        });
-    }
-    for (piece, (rows, span)) in plan.piece_rows().zip(bounds.windows(2)).enumerate() {
-        let mut seen = vec![false; rows.len()];
-        for &row in &order[span[0]..span[1]] {
-            let row = row as usize;
-            match seen.get_mut(row) {
-                None => {
-                    return Err(RowOrderViolation::OutOfRange {
-                        piece,
-                        row,
-                        rows: rows.len(),
-                    })
-                }
-                Some(true) => return Err(RowOrderViolation::Duplicate { piece, row }),
-                Some(slot) => *slot = true,
-            }
-        }
-        if let Some(row) = seen.iter().position(|&s| !s) {
-            return Err(RowOrderViolation::Missing { piece, row });
         }
     }
     Ok(())
-}
-
-/// Aborts the apply on a row-order violation, for the reason
-/// [`report_merge_violation`] does.
-pub(crate) fn report_row_order_violation(v: &RowOrderViolation) -> ! {
-    // lint: allow(panic): an order that repeats or skips a row would write
-    // an output twice or leave it stale; aborting the apply is the
-    // sanitizer's contract.
-    panic!("sanitizer: row-order validator tripped: {v}");
-}
-
-// ---------------------------------------------------------------------------
-// Level-order validation
-// ---------------------------------------------------------------------------
-
-/// The ways a triangular solver's visit order can fail to solve each row
-/// once, from final unknowns.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LevelOrderViolation {
-    /// A row is never visited: its unknown would keep stale bits.
-    Missing {
-        /// The row.
-        row: usize,
-    },
-    /// A row is visited twice: the second visit would start from a
-    /// right-hand side that a sweep in place has overwritten.
-    Duplicate {
-        /// The row.
-        row: usize,
-    },
-    /// A visit names a row outside the factor.
-    OutOfRange {
-        /// Position of the visit in the order.
-        position: usize,
-        /// The row it names.
-        row: usize,
-        /// Rows of the factor.
-        rows: usize,
-    },
-    /// A row's span lies outside the column indices.
-    Span {
-        /// The row.
-        row: usize,
-        /// The span.
-        span: (usize, usize),
-        /// Column indices there are.
-        nnz: usize,
-    },
-    /// A row is visited before a row its span reads: it would read an
-    /// unknown that is not final.
-    EarlyRead {
-        /// The row.
-        row: usize,
-        /// The row it reads too early.
-        reads: usize,
-    },
-}
-
-impl fmt::Display for LevelOrderViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LevelOrderViolation::Missing { row } => write!(f, "row {row} is never visited"),
-            LevelOrderViolation::Duplicate { row } => write!(f, "row {row} is visited twice"),
-            LevelOrderViolation::OutOfRange {
-                position,
-                row,
-                rows,
-            } => write!(
-                f,
-                "visit {position} names row {row}, outside the factor's rows 0..{rows}"
-            ),
-            LevelOrderViolation::Span { row, span, nnz } => write!(
-                f,
-                "row {row}'s span {}..{} lies outside the {nnz} column indices",
-                span.0, span.1
-            ),
-            LevelOrderViolation::EarlyRead { row, reads } => {
-                write!(
-                    f,
-                    "row {row} is visited before row {reads}, which its span reads"
-                )
-            }
-        }
-    }
-}
-
-/// Checks that a triangular solver's visit order, `(row, lo, hi)` per visit
-/// with `[lo, hi)` the row's strict span in `col_idxs`, visits each of the
-/// factor's `rows` exactly once and every row after all rows its span reads.
-///
-/// The sweep computes each row from the unknowns its span reads and, in
-/// place, from the right-hand side in the row's own slot: both are right only
-/// under such an order.
-pub fn verify_level_order<I: crate::base::types::Index>(
-    rows: usize,
-    col_idxs: &[I],
-    visits: &[(I, I, I)],
-) -> std::result::Result<(), LevelOrderViolation> {
-    let mut visited = vec![false; rows];
-    for (position, &(row, lo, hi)) in visits.iter().enumerate() {
-        let row = row.to_usize();
-        match visited.get(row) {
-            None => {
-                return Err(LevelOrderViolation::OutOfRange {
-                    position,
-                    row,
-                    rows,
-                })
-            }
-            Some(true) => return Err(LevelOrderViolation::Duplicate { row }),
-            Some(false) => {}
-        }
-        let span = (lo.to_usize(), hi.to_usize());
-        let Some(cols) = col_idxs.get(span.0..span.1) else {
-            return Err(LevelOrderViolation::Span {
-                row,
-                span,
-                nnz: col_idxs.len(),
-            });
-        };
-        let early = cols
-            .iter()
-            .map(|c| c.to_usize())
-            .find(|&c| visited.get(c) != Some(&true));
-        if let Some(reads) = early {
-            return Err(LevelOrderViolation::EarlyRead { row, reads });
-        }
-        visited[row] = true;
-    }
-    match visited.iter().position(|&v| !v) {
-        Some(row) => Err(LevelOrderViolation::Missing { row }),
-        None => Ok(()),
-    }
-}
-
-/// Aborts the solve on a level-order violation, for the reason
-/// [`report_merge_violation`] does.
-pub(crate) fn report_level_order_violation(v: &LevelOrderViolation) -> ! {
-    // lint: allow(panic): an order that skips or repeats a row, or reads an
-    // unknown before it is final, would return a wrong solution without a
-    // sign; aborting the solve is the sanitizer's contract.
-    panic!("sanitizer: level-order validator tripped: {v}");
 }
 
 // ---------------------------------------------------------------------------
@@ -791,14 +648,14 @@ mod tests {
         log.record(1, 1); // lane 1 re-claims piece 1
         log.record(1, 2);
         match log.verify(3) {
-            Err(ClaimViolation::Overlap {
-                piece,
-                first_lane,
-                second_lane,
+            Err(PartitionViolation::Duplicate {
+                item,
+                first,
+                second,
             }) => {
-                assert_eq!(piece, 1);
-                assert_eq!(first_lane, 0);
-                assert_eq!(second_lane, 1);
+                assert_eq!(item, 1);
+                assert_eq!(first, 0);
+                assert_eq!(second, 1);
             }
             other => panic!("expected overlap, got {other:?}"),
         }
@@ -811,7 +668,7 @@ mod tests {
         log.record(0, 0);
         assert!(matches!(
             log.verify(1),
-            Err(ClaimViolation::Overlap { piece: 0, .. })
+            Err(PartitionViolation::Duplicate { item: 0, .. })
         ));
     }
 
@@ -820,7 +677,13 @@ mod tests {
         let log = ClaimLog::new(2);
         log.record(0, 0);
         log.record(1, 2);
-        assert_eq!(log.verify(3), Err(ClaimViolation::Missing { piece: 1 }));
+        assert_eq!(
+            log.verify(3),
+            Err(PartitionViolation::Missing {
+                piece: None,
+                item: 1
+            })
+        );
     }
 
     #[test]
@@ -830,25 +693,25 @@ mod tests {
         log.record(1, 7);
         assert_eq!(
             log.verify(2),
-            Err(ClaimViolation::OutOfRange {
-                piece: 7,
-                lane: 1,
-                n_pieces: 2
+            Err(PartitionViolation::OutOfRange {
+                piece: 1,
+                item: 7,
+                end: 2
             })
         );
     }
 
     #[test]
     fn violations_render_diagnostics() {
-        let v = ClaimViolation::Overlap {
-            piece: 3,
-            first_lane: 0,
-            second_lane: 2,
+        let v = PartitionViolation::Duplicate {
+            item: 3,
+            first: 0,
+            second: 2,
         };
         let msg = v.to_string();
-        assert!(msg.contains("piece 3"));
-        assert!(msg.contains("lane 0"));
-        assert!(msg.contains("lane 2"));
+        assert!(msg.contains("item 3"));
+        assert!(msg.contains("piece 0"));
+        assert!(msg.contains("piece 2"));
     }
 
     #[test]
@@ -920,28 +783,28 @@ mod tests {
         let v = verify_merge_segments(&rp, &[seg(0, 2, 0, 0), seg(3, 6, 1, 2)]).unwrap_err();
         assert_eq!(
             v,
-            MergeViolation::Gap {
-                segment: 1,
+            PartitionViolation::Gap {
+                piece: 1,
                 expected: 2,
                 found: 3
             }
         );
-        assert!(v.to_string().contains("segment 1"));
+        assert!(v.to_string().contains("piece 1"));
         // Overlap is also a Gap (cursor already past the claimed start).
         assert!(matches!(
             verify_merge_segments(&rp, &[seg(0, 3, 0, 1), seg(2, 6, 1, 2)]),
-            Err(MergeViolation::Gap { segment: 1, .. })
+            Err(PartitionViolation::Gap { piece: 1, .. })
         ));
         // Empty segment.
         assert!(matches!(
             verify_merge_segments(&rp, &[seg(0, 0, 0, 0)]),
-            Err(MergeViolation::Empty { segment: 0 })
+            Err(PartitionViolation::Empty { piece: 0 })
         ));
         // Missing tail.
         let v = verify_merge_segments(&rp, &[seg(0, 4, 0, 1)]).unwrap_err();
         assert_eq!(
             v,
-            MergeViolation::Tail {
+            PartitionViolation::Tail {
                 expected: 6,
                 found: 4
             }
@@ -951,8 +814,8 @@ mod tests {
         let v = verify_merge_segments(&rp, &[seg(0, 6, 0, 1)]).unwrap_err();
         assert_eq!(
             v,
-            MergeViolation::RowSpan {
-                segment: 0,
+            PartitionViolation::RowSpan {
+                piece: 0,
                 expected: (0, 2),
                 found: (0, 1)
             }
@@ -988,7 +851,7 @@ mod tests {
 
     /// An ordered plan for rows of lengths 1, 3, 2, 1, 3, 2, ...: a new
     /// length on every row.
-    fn ordered_plan(strategy: crate::matrix::SpmvStrategy) -> SpmvPlan {
+    fn ordered_plan(strategy: crate::matrix::SpmvStrategy) -> crate::matrix::plan::SpmvPlan {
         let rows = crate::matrix::plan::ORDER_MIN_ROWS;
         let mut rp = vec![0i32];
         for r in 0..rows {
@@ -1009,7 +872,7 @@ mod tests {
         ];
         for strategy in strategies {
             assert_eq!(
-                verify_row_order(&ordered_plan(strategy)),
+                ordered_plan(strategy).verify_order(),
                 Ok(()),
                 "{strategy:?}"
             );
@@ -1020,20 +883,22 @@ mod tests {
     fn row_order_violations_are_detected_and_render() {
         let clean = ordered_plan(crate::matrix::SpmvStrategy::Classical);
         let piece = 2;
-        let span = clean.order_bounds[piece]..clean.order_bounds[piece + 1];
-        let first = clean.row_order[span.start];
+        let order = clean.order.as_ref().unwrap();
+        let span = order.bounds[piece]..order.bounds[piece + 1];
+        let first = order.visits[span.start];
         let corrupt = |entry: u32| {
             let mut plan = clean.clone();
-            plan.row_order[span.start + 1] = entry;
-            verify_row_order(&plan).unwrap_err()
+            plan.order.as_mut().unwrap().visits[span.start + 1] = entry;
+            plan.verify_order().unwrap_err()
         };
         // The piece's first row visited twice.
         let v = corrupt(first);
         assert_eq!(
             v,
-            RowOrderViolation::Duplicate {
-                piece,
-                row: first as usize
+            PartitionViolation::Duplicate {
+                item: first as usize,
+                first: piece,
+                second: piece
             }
         );
         assert!(v.to_string().contains("twice"), "{v}");
@@ -1042,26 +907,32 @@ mod tests {
         let v = corrupt(rows as u32);
         assert_eq!(
             v,
-            RowOrderViolation::OutOfRange {
+            PartitionViolation::OutOfRange {
                 piece,
-                row: rows,
-                rows
+                item: rows,
+                end: rows
             }
         );
         assert!(v.to_string().contains("outside"), "{v}");
         // A row left out: the span loses its last entry to its neighbour.
         let mut plan = clean.clone();
-        plan.order_bounds[piece + 1] -= 1;
-        let last = clean.row_order[span.end - 1] as usize;
-        let v = verify_row_order(&plan).unwrap_err();
-        assert_eq!(v, RowOrderViolation::Missing { piece, row: last });
+        plan.order.as_mut().unwrap().bounds[piece + 1] -= 1;
+        let last = order.visits[span.end - 1] as usize;
+        let v = plan.verify_order().unwrap_err();
+        assert_eq!(
+            v,
+            PartitionViolation::Missing {
+                piece: Some(piece),
+                item: last
+            }
+        );
         assert!(v.to_string().contains("never visits"), "{v}");
         // Spans that do not match the pieces.
         let mut plan = clean.clone();
-        plan.order_bounds.pop();
+        plan.order.as_mut().unwrap().bounds.pop();
         assert!(matches!(
-            verify_row_order(&plan),
-            Err(RowOrderViolation::Spans { .. })
+            plan.verify_order(),
+            Err(PartitionViolation::Pieces { .. })
         ));
     }
 
@@ -1074,36 +945,67 @@ mod tests {
         (col_idxs, vec![(0, 0, 0), (2, 3, 3), (1, 1, 2), (3, 4, 5)])
     }
 
+    /// The sweeps' check of `visits` with levels starting at `bounds`, over
+    /// `rows` rows.
+    fn check_levels(
+        rows: usize,
+        col_idxs: &[i32],
+        visits: &[(i32, i32, i32)],
+        bounds: &[usize],
+    ) -> std::result::Result<(), PartitionViolation> {
+        let (visits, bounds) = (visits.to_vec(), bounds.to_vec());
+        let order = VisitOrder { visits, bounds };
+        verify_order(&order, Domain::Items(rows), |v| span_reads(col_idxs, v))
+    }
+
     #[test]
     fn level_orders_verify() {
         let (ci, visits) = level_ordered();
-        assert_eq!(verify_level_order(4, &ci, &visits), Ok(()));
-        // Row order passes too: each row comes after every row it reads.
+        assert_eq!(check_levels(4, &ci, &visits, &[0, 2, 4]), Ok(()));
+        // Row order, a row a level, passes too: each row comes after every
+        // row it reads.
         let by_row = [visits[0], visits[2], visits[1], visits[3]];
-        assert_eq!(verify_level_order(4, &ci, &by_row), Ok(()));
-        assert_eq!(verify_level_order::<i32>(0, &[], &[]), Ok(()));
+        let each = [0, 1, 2, 3, 4];
+        assert_eq!(check_levels(4, &ci, &by_row, &each), Ok(()));
+        assert_eq!(check_levels(0, &[], &[], &[0]), Ok(()));
     }
 
     #[test]
     fn level_order_violations_are_detected_and_render() {
         let (ci, clean) = level_ordered();
-        let check = |visits: &[(i32, i32, i32)]| verify_level_order(4, &ci, visits).unwrap_err();
+        let check = |visits: &[(i32, i32, i32)]| {
+            let bounds = [0, 2, visits.len()];
+            check_levels(4, &ci, visits, &bounds).unwrap_err()
+        };
         // The last row left out.
         let v = check(&clean[..3]);
-        assert_eq!(v, LevelOrderViolation::Missing { row: 3 });
+        assert_eq!(
+            v,
+            PartitionViolation::Missing {
+                piece: None,
+                item: 3
+            }
+        );
         assert!(v.to_string().contains("never visited"), "{v}");
         // The first row visited again in place of the last.
         let v = check(&[clean[0], clean[1], clean[2], clean[0]]);
-        assert_eq!(v, LevelOrderViolation::Duplicate { row: 0 });
+        assert_eq!(
+            v,
+            PartitionViolation::Duplicate {
+                item: 0,
+                first: 0,
+                second: 1
+            }
+        );
         assert!(v.to_string().contains("twice"), "{v}");
         // A row past the factor's end.
         let v = check(&[clean[0], clean[1], (7, 0, 0), clean[3]]);
         assert_eq!(
             v,
-            LevelOrderViolation::OutOfRange {
-                position: 2,
-                row: 7,
-                rows: 4
+            PartitionViolation::OutOfRange {
+                piece: 1,
+                item: 7,
+                end: 4
             }
         );
         assert!(v.to_string().contains("outside"), "{v}");
@@ -1111,17 +1013,24 @@ mod tests {
         let v = check(&[clean[0], clean[1], clean[2], (3, 4, 9)]);
         assert_eq!(
             v,
-            LevelOrderViolation::Span {
-                row: 3,
-                span: (4, 9),
-                nnz: 6
+            PartitionViolation::Span {
+                item: 3,
+                span: 4..9,
+                len: 6
             }
         );
         assert!(v.to_string().contains("column indices"), "{v}");
         // Row 1 before row 0, which it reads.
         let v = check(&[clean[2], clean[0], clean[1], clean[3]]);
-        assert_eq!(v, LevelOrderViolation::EarlyRead { row: 1, reads: 0 });
-        assert!(v.to_string().contains("before row 0"), "{v}");
+        assert_eq!(
+            v,
+            PartitionViolation::EarlyRead {
+                piece: 0,
+                item: 1,
+                reads: 0
+            }
+        );
+        assert!(v.to_string().contains("reads item 0"), "{v}");
     }
 
     #[test]

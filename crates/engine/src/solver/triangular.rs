@@ -12,15 +12,15 @@
 //! span is empty, else one more than the deepest level among the rows its
 //! span reads. It records the first row in sweep order whose diagonal is zero
 //! or not stored, which every apply reports as [`GkoError::Singular`]. One
-//! counting pass then orders the rows by level, inside a level by span length
-//! (`LENGTH_GROUPS`), in sweep order within that, and stores per row in that
-//! *visit order* the row, its span (as positions, in the matrix's index type,
-//! into a copy of the spans' column indices and values laid out in the same
-//! order) and its reciprocal. A full
-//! square matrix may be handed to either solver: the spans cover only the
-//! solver's half, so no apply reads the other one. The factor sits behind an
-//! `Arc` and cannot change afterwards, so nothing generated is ever
-//! invalidated. The diagonal is where it is looked for only on sorted rows,
+//! counting sort then orders the rows by level, inside a level by span length
+//! (`LENGTH_GROUPS`), in sweep order within that: a *visit order* with a
+//! piece per level, holding per row the row and its span, moved onto a copy
+//! of the spans' entries laid out in the same order. A full square matrix
+//! may be handed to either solver: the spans cover only the solver's half,
+//! so no apply reads the other one. Of the factor itself the solver keeps
+//! only its shape, executor and entry count, so nothing generated can be
+//! invalidated and a factor built for the solver alone (as `Ilu` and `Ic`
+//! build theirs) is freed when generation ends. The diagonal is where it is looked for only on sorted rows,
 //! and the sweeps index `x` with the stored columns, so a matrix whose
 //! structure is corrupt (unsorted, repeated or out-of-range columns, only
 //! constructible through `Csr::from_raw_unchecked`) is refused at
@@ -73,7 +73,8 @@ use crate::linop::{check_apply_dims, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
-use crate::sanitize::{report_level_order_violation, verify_level_order};
+use crate::matrix::order::VisitOrder;
+use crate::sanitize::{report_violation, span_reads, verify_order, Domain};
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
@@ -90,21 +91,22 @@ enum Half {
 /// mispredicted exit is spread over that many entries.
 const LENGTH_GROUPS: usize = 16;
 
-/// Shared implementation of the two triangular solvers: the factor and what
-/// was generated from it (module docs).
+/// Shared implementation of the two triangular solvers: what was generated
+/// from the factor (module docs), and of the factor itself only its shape,
+/// executor and entry count.
 struct Trs<V: Value, I: Index> {
-    matrix: Arc<Csr<V, I>>,
+    size: Dim2,
+    exec: Executor,
+    nnz: usize,
     half: Half,
     /// Per row in visit order: the row and its strict span `[lo, hi)` in
-    /// `cols` / `vals`.
-    visits: Vec<(I, I, I)>,
+    /// `cols` / `vals`; a piece per level.
+    order: VisitOrder<(I, I, I)>,
     /// Per row in visit order, `1 / diagonal`; all ones under a unit diagonal.
     inv_diag: Vec<f64>,
     /// The strict spans' column indices and values, in visit order.
     cols: Vec<I>,
     vals: Vec<V>,
-    /// Levels the visit order runs through.
-    levels: usize,
     unit_diagonal: bool,
     /// First row in sweep order whose diagonal is zero or missing.
     singular: Option<usize>,
@@ -120,12 +122,13 @@ impl<V: Value, I: Index> Trs<V, I> {
         matrix.validate()?;
         let n = matrix.size().rows;
         let (rp, ci, vals) = (matrix.row_ptrs(), matrix.col_idxs(), matrix.values());
-        // In sweep order: each row with its span and inverse diagonal; by
-        // row, its level.
+        // In sweep order: each row with its span and its group (below); by
+        // row, its level and inverse diagonal.
         let mut swept = Vec::with_capacity(n);
-        let mut inv_swept = Vec::with_capacity(n);
+        let mut groups = Vec::with_capacity(n);
         let mut level = vec![0usize; n];
-        let mut levels = 0;
+        let mut inv = vec![0.0; n];
+        let (mut levels, mut entries) = (0, 0);
         let mut singular = None;
         for step in 0..n {
             let r = match half {
@@ -157,54 +160,40 @@ impl<V: Value, I: Index> Trs<V, I> {
                 .iter()
                 .fold(0, |deepest, c| deepest.max(level[c.to_usize()] + 1));
             levels = levels.max(level[r] + 1);
+            groups.push(level[r] * LENGTH_GROUPS + (hi - lo).min(LENGTH_GROUPS - 1));
+            entries += hi - lo;
             swept.push((I::from_usize(r), I::from_usize(lo), I::from_usize(hi)));
-            inv_swept.push(1.0 / diag);
+            inv[r] = 1.0 / diag;
         }
-        // Counting sort of the rows and of their spans' entries by level, and
-        // inside a level by span length; stable, so sweep order within a
-        // group.
-        let group = |&(r, lo, hi): &(I, I, I)| {
-            let len = hi.to_usize() - lo.to_usize();
-            level[r.to_usize()] * LENGTH_GROUPS + len.min(LENGTH_GROUPS - 1)
-        };
-        let groups = levels * LENGTH_GROUPS;
-        let mut start = vec![(0usize, 0usize); groups + 1];
-        for visit @ &(_, lo, hi) in &swept {
-            let next = &mut start[group(visit) + 1];
-            next.0 += 1;
-            next.1 += hi.to_usize() - lo.to_usize();
+        // Rows by level, inside a level by span length; stable, so in sweep
+        // order within a group. A level ends where its last group does.
+        let (mut order, mut starts) = (VisitOrder::with_capacity(n), Vec::new());
+        let buckets = levels * LENGTH_GROUPS;
+        order.push_sorted(&groups, buckets, |step| swept[step], &mut starts);
+        for l in 1..=levels {
+            order.bounds.push(starts[l * LENGTH_GROUPS - 1]);
         }
-        for g in 0..groups {
-            start[g + 1].0 += start[g].0;
-            start[g + 1].1 += start[g].1;
-        }
-        let entries = start[groups].1;
-        let mut visits = vec![(I::zero(), I::zero(), I::zero()); n];
-        let mut inv_diag = vec![0.0; n];
-        let mut cols = vec![I::zero(); entries];
-        let mut values = vec![V::zero(); entries];
-        for (visit @ &(r, lo, hi), &inv) in swept.iter().zip(&inv_swept) {
-            let (at, first) = &mut start[group(visit)];
-            let span = lo.to_usize()..hi.to_usize();
-            let to = *first..*first + span.len();
-            visits[*at] = (r, I::from_usize(to.start), I::from_usize(to.end));
-            inv_diag[*at] = inv;
-            let dst = cols[to.clone()].iter_mut().zip(&mut values[to.clone()]);
-            for ((c, v), e) in dst.zip(span) {
-                *c = ci[e];
-                *v = vals[e];
-            }
-            *at += 1;
-            *first = to.end;
+        // The spans' entries, copied in visit order, each span moved onto its
+        // copy.
+        let (mut cols, mut values) = (Vec::with_capacity(entries), Vec::with_capacity(entries));
+        let mut inv_diag = Vec::with_capacity(n);
+        for visit in &mut order.visits {
+            let (r, lo, hi) = *visit;
+            let (span, at) = (lo.to_usize()..hi.to_usize(), I::from_usize(cols.len()));
+            cols.extend_from_slice(&ci[span.clone()]);
+            values.extend_from_slice(&vals[span]);
+            *visit = (r, at, I::from_usize(cols.len()));
+            inv_diag.push(inv[r.to_usize()]);
         }
         Ok(Trs {
-            matrix,
+            size: matrix.size(),
+            exec: matrix.executor().clone(),
+            nnz: matrix.nnz(),
             half,
-            visits,
+            order,
             inv_diag,
             cols,
             vals: values,
-            levels,
             unit_diagonal: false,
             singular,
         })
@@ -220,8 +209,8 @@ impl<V: Value, I: Index> Trs<V, I> {
 
     fn work(&self) -> Vec<ChunkWork> {
         // One sequential chunk: dependencies serialize the rows.
-        let nnz = self.matrix.nnz() as f64;
-        let rows = self.matrix.size().rows as f64;
+        let nnz = self.nnz as f64;
+        let rows = self.size.rows as f64;
         vec![ChunkWork::new(
             nnz * (V::BYTES + I::BYTES) as f64 + rows * 2.0 * V::BYTES as f64,
             nnz * V::BYTES as f64,
@@ -234,8 +223,8 @@ impl<V: Value, I: Index> Trs<V, I> {
     /// it, and besides that only entries of rows of earlier levels, which
     /// hold final values.
     fn solve(&self, b: Option<&Dense<V>>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b.unwrap_or(x), x)?;
-        let exec = self.matrix.executor();
+        check_apply_dims::<V>(self.size, b.unwrap_or(x), x)?;
+        let exec = &self.exec;
         let _timer = OpTimer::new(
             exec,
             match self.half {
@@ -244,9 +233,9 @@ impl<V: Value, I: Index> Trs<V, I> {
             },
         );
         if exec.sanitizer().is_enabled() {
-            let rows = self.matrix.size().rows;
-            if let Err(v) = verify_level_order(rows, &self.cols, &self.visits) {
-                report_level_order_violation(&v);
+            let rows = Domain::Items(self.size.rows);
+            if let Err(v) = verify_order(&self.order, rows, |v| span_reads(&self.cols, v)) {
+                report_violation("level-order validator", &v);
             }
         }
         if let Some(at) = self.singular {
@@ -265,7 +254,7 @@ impl<V: Value, I: Index> Trs<V, I> {
     fn substitute(&self, x: &mut Dense<V>, rhs_at: impl Fn(&[V], usize) -> V) {
         let k = x.size().cols;
         let (cols, vals) = (self.cols.as_slice(), self.vals.as_slice());
-        let rows = self.visits.iter().zip(&self.inv_diag);
+        let rows = self.order.visits.iter().zip(&self.inv_diag);
         let xs = x.as_mut_slice();
         if k != 1 {
             for (&(r, lo, hi), &inv) in rows {
@@ -277,7 +266,7 @@ impl<V: Value, I: Index> Trs<V, I> {
                 }
             }
         } else if self.unit_diagonal {
-            for &(r, lo, hi) in &self.visits {
+            for &(r, lo, hi) in &self.order.visits {
                 let (r, span) = (r.to_usize(), lo.to_usize()..hi.to_usize());
                 let acc = eliminate(xs, rhs_at(xs, r), &cols[span.clone()], &vals[span], 1, 0);
                 xs[r] = V::from_f64(acc);
@@ -334,16 +323,16 @@ impl<V: Value, I: Index> LowerTrs<V, I> {
     /// Levels of the generated visit order (module docs): as many as rows on
     /// a chain, the longest path of dependencies plus one in general.
     pub fn levels(&self) -> usize {
-        self.inner.levels
+        self.inner.order.pieces()
     }
 }
 
 impl<V: Value, I: Index> LinOp<V> for LowerTrs<V, I> {
     fn size(&self) -> Dim2 {
-        self.inner.matrix.size()
+        self.inner.size
     }
     fn executor(&self) -> &Executor {
-        self.inner.matrix.executor()
+        &self.inner.exec
     }
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
         self.inner.solve(Some(b), x)
@@ -376,7 +365,7 @@ impl<V: Value, I: Index> UpperTrs<V, I> {
 
     /// Levels of the generated visit order (module docs).
     pub fn levels(&self) -> usize {
-        self.inner.levels
+        self.inner.order.pieces()
     }
 
     /// Solves `U x = x` in place: the second sweep of `Ilu` and `Ic`, whose
@@ -388,10 +377,10 @@ impl<V: Value, I: Index> UpperTrs<V, I> {
 
 impl<V: Value, I: Index> LinOp<V> for UpperTrs<V, I> {
     fn size(&self) -> Dim2 {
-        self.inner.matrix.size()
+        self.inner.size
     }
     fn executor(&self) -> &Executor {
-        self.inner.matrix.executor()
+        &self.inner.exec
     }
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
         self.inner.solve(Some(b), x)
@@ -519,8 +508,9 @@ mod tests {
         for half in [Half::Lower, Half::Upper] {
             let trs = Trs::new(a.clone(), half).unwrap();
             // The chain through `i - 1` is the longest path.
-            assert_eq!(trs.levels, n, "{half:?}");
-            assert_eq!(verify_level_order(n, &trs.cols, &trs.visits), Ok(()));
+            assert_eq!(trs.order.pieces(), n, "{half:?}");
+            let reads = |v| span_reads(&trs.cols, v);
+            assert_eq!(verify_order(&trs.order, Domain::Items(n), reads), Ok(()));
             trs.solve(Some(&b), &mut x).unwrap();
         }
     }
@@ -532,7 +522,21 @@ mod tests {
         exec.enable_sanitizer();
         let a = two_chains(&exec, 12);
         let mut trs = Trs::new(a, Half::Lower).unwrap();
-        trs.visits.swap(3, 4);
+        trs.order.visits.swap(3, 4);
+        let b = Dense::<f64>::vector(&exec, 12, 1.0);
+        let _ = trs.solve(Some(&b), &mut Dense::zeros(&exec, Dim2::new(12, 1)));
+    }
+
+    /// Levels 0 and 1 of a chain merged into one: row 1 reads row 0 of its
+    /// own level. It still comes after row 0, so a sweep in this order gets
+    /// the bits right, but the rows of a level must not read one another.
+    #[test]
+    #[should_panic(expected = "item 1 of piece 0 reads item 0, which no earlier piece visits")]
+    fn an_armed_solve_refuses_a_row_reading_its_own_level() {
+        let exec = Executor::reference();
+        exec.enable_sanitizer();
+        let mut trs = Trs::new(two_chains(&exec, 12), Half::Lower).unwrap();
+        trs.order.bounds.remove(1);
         let b = Dense::<f64>::vector(&exec, 12, 1.0);
         let _ = trs.solve(Some(&b), &mut Dense::zeros(&exec, Dim2::new(12, 1)));
     }
@@ -590,11 +594,12 @@ mod tests {
                 let trs = Trs::new(Arc::new(factor), half).unwrap();
                 let word = |i: i32| i as u64;
                 let visits = trs
+                    .order
                     .visits
                     .iter()
                     .flat_map(|&(r, lo, hi)| [r, lo, hi].map(word));
                 let cols = trs.cols.iter().map(|&c| word(c));
-                let got = fnv1a(visits.chain(cols).chain([trs.levels as u64]));
+                let got = fnv1a(visits.chain(cols).chain([trs.order.pieces() as u64]));
                 assert_eq!(got, want, "{} {half:?}", gen.name);
             }
         }

@@ -7,7 +7,7 @@
 use gko::linop::LinOp;
 use gko::matrix::{Coo, Csr, Dense, Ell, Hybrid, Sellp};
 use gko::sanitize::{check_finite, stress_schedules, Schedule};
-use gko::{ClaimLog, ClaimViolation, Dim2, Executor};
+use gko::{ClaimLog, Dim2, Executor, PartitionViolation};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
@@ -148,13 +148,13 @@ fn injected_overlap_trips_detector() {
     log.record(2, 1); // lane 2 re-claims piece 1: the injected overlap
     log.record(2, 2);
     match log.verify(3) {
-        Err(ClaimViolation::Overlap {
-            piece,
-            first_lane,
-            second_lane,
+        Err(PartitionViolation::Duplicate {
+            item,
+            first,
+            second,
         }) => {
-            assert_eq!(piece, 1);
-            assert_eq!((first_lane, second_lane), (1, 2));
+            assert_eq!(item, 1);
+            assert_eq!((first, second), (1, 2));
         }
         other => panic!("expected Overlap, got {other:?}"),
     }
@@ -167,14 +167,17 @@ fn missing_and_out_of_range_claims_trip_detector() {
     log.record(1, 2);
     assert!(matches!(
         log.verify(4),
-        Err(ClaimViolation::Missing { piece: 1 })
+        Err(PartitionViolation::Missing {
+            piece: None,
+            item: 1
+        })
     ));
     let log = ClaimLog::new(2);
     log.record(0, 0);
     log.record(0, 9);
     assert!(matches!(
         log.verify(1),
-        Err(ClaimViolation::OutOfRange { piece: 9, .. })
+        Err(PartitionViolation::OutOfRange { item: 9, .. })
     ));
 }
 
