@@ -199,6 +199,13 @@ impl<V: Value, I: Index> Trs<V, I> {
         })
     }
 
+    fn op_name(&self) -> &'static str {
+        match self.half {
+            Half::Lower => "solver::LowerTrs",
+            Half::Upper => "solver::UpperTrs",
+        }
+    }
+
     /// Treats the diagonal as implicit ones, stored or not.
     fn with_unit_diagonal(mut self) -> Self {
         self.inv_diag.fill(1.0);
@@ -225,13 +232,7 @@ impl<V: Value, I: Index> Trs<V, I> {
     fn solve(&self, b: Option<&Dense<V>>, x: &mut Dense<V>) -> Result<()> {
         check_apply_dims::<V>(self.size, b.unwrap_or(x), x)?;
         let exec = &self.exec;
-        let _timer = OpTimer::new(
-            exec,
-            match self.half {
-                Half::Lower => "solver::LowerTrs",
-                Half::Upper => "solver::UpperTrs",
-            },
-        );
+        let _timer = OpTimer::new(exec, self.op_name());
         if exec.sanitizer().is_enabled() {
             let rows = Domain::Items(self.size.rows);
             if let Err(v) = verify_order(&self.order, rows, |v| span_reads(&self.cols, v)) {
@@ -300,24 +301,30 @@ fn eliminate<V: Value, I: Index>(
 }
 
 /// Solves `L x = b` for lower-triangular `L`.
-pub struct LowerTrs<V: Value, I: Index = i32> {
+pub type LowerTrs<V, I = i32> = TriangularSolver<V, I, false>;
+
+/// Solves `U x = b` for upper-triangular `U`.
+pub type UpperTrs<V, I = i32> = TriangularSolver<V, I, true>;
+
+/// A generated triangular solver (module docs), reading the lower triangle
+/// of its matrix ([`LowerTrs`]) or with `UPPER` the upper one
+/// ([`UpperTrs`]), including the diagonal.
+pub struct TriangularSolver<V: Value, I: Index, const UPPER: bool> {
     inner: Trs<V, I>,
 }
 
-impl<V: Value, I: Index> LowerTrs<V, I> {
-    /// Generates a solver reading the lower triangle (including diagonal) of
-    /// `matrix`.
+impl<V: Value, I: Index, const UPPER: bool> TriangularSolver<V, I, UPPER> {
+    /// Generates a solver reading its triangle of `matrix`.
     pub fn new(matrix: Arc<Csr<V, I>>) -> Result<Self> {
-        Ok(LowerTrs {
-            inner: Trs::new(matrix, Half::Lower)?,
-        })
+        let half = if UPPER { Half::Upper } else { Half::Lower };
+        let inner = Trs::new(matrix, half)?;
+        Ok(TriangularSolver { inner })
     }
 
     /// Treats the diagonal as implicit ones (for ILU's L factor).
     pub fn with_unit_diagonal(self) -> Self {
-        LowerTrs {
-            inner: self.inner.with_unit_diagonal(),
-        }
+        let inner = self.inner.with_unit_diagonal();
+        TriangularSolver { inner }
     }
 
     /// Levels of the generated visit order (module docs): as many as rows on
@@ -327,47 +334,7 @@ impl<V: Value, I: Index> LowerTrs<V, I> {
     }
 }
 
-impl<V: Value, I: Index> LinOp<V> for LowerTrs<V, I> {
-    fn size(&self) -> Dim2 {
-        self.inner.size
-    }
-    fn executor(&self) -> &Executor {
-        &self.inner.exec
-    }
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        self.inner.solve(Some(b), x)
-    }
-    fn op_name(&self) -> &'static str {
-        "solver::LowerTrs"
-    }
-}
-
-/// Solves `U x = b` for upper-triangular `U`.
-pub struct UpperTrs<V: Value, I: Index = i32> {
-    inner: Trs<V, I>,
-}
-
 impl<V: Value, I: Index> UpperTrs<V, I> {
-    /// Generates a solver reading the upper triangle (including diagonal) of
-    /// `matrix`.
-    pub fn new(matrix: Arc<Csr<V, I>>) -> Result<Self> {
-        Ok(UpperTrs {
-            inner: Trs::new(matrix, Half::Upper)?,
-        })
-    }
-
-    /// Treats the diagonal as implicit ones.
-    pub fn with_unit_diagonal(self) -> Self {
-        UpperTrs {
-            inner: self.inner.with_unit_diagonal(),
-        }
-    }
-
-    /// Levels of the generated visit order (module docs).
-    pub fn levels(&self) -> usize {
-        self.inner.order.pieces()
-    }
-
     /// Solves `U x = x` in place: the second sweep of `Ilu` and `Ic`, whose
     /// first sweep left its result in `x`.
     pub(crate) fn apply_in_place(&self, x: &mut Dense<V>) -> Result<()> {
@@ -375,7 +342,7 @@ impl<V: Value, I: Index> UpperTrs<V, I> {
     }
 }
 
-impl<V: Value, I: Index> LinOp<V> for UpperTrs<V, I> {
+impl<V: Value, I: Index, const UPPER: bool> LinOp<V> for TriangularSolver<V, I, UPPER> {
     fn size(&self) -> Dim2 {
         self.inner.size
     }
@@ -386,7 +353,7 @@ impl<V: Value, I: Index> LinOp<V> for UpperTrs<V, I> {
         self.inner.solve(Some(b), x)
     }
     fn op_name(&self) -> &'static str {
-        "solver::UpperTrs"
+        self.inner.op_name()
     }
 }
 
