@@ -20,12 +20,12 @@
 //! so no apply reads the other one. Of the factor itself the solver keeps
 //! only its shape, executor and entry count, so nothing generated can be
 //! invalidated and a factor built for the solver alone (as `Ilu` and `Ic`
-//! build theirs) is freed when generation ends. The diagonal is where it is looked for only on sorted rows,
-//! and the sweeps index `x` with the stored columns, so a matrix whose
-//! structure is corrupt (unsorted, repeated or out-of-range columns, only
-//! constructible through `Csr::from_raw_unchecked`) is refused at
-//! construction with the typed `BadInput` of [`Csr::validate`], never solved
-//! wrongly.
+//! build theirs) is freed when generation ends. The diagonal is where it is
+//! looked for only on sorted rows, and the sweeps index `x` with the stored
+//! columns, so a matrix whose structure is corrupt (unsorted, repeated or
+//! out-of-range columns, only constructible through
+//! `Csr::from_raw_unchecked`) is refused at construction with the typed
+//! `BadInput` of [`Csr::validate`], never solved wrongly.
 //!
 //! **Why the diagonal is inverted.** Row `r` of a sweep cannot start before
 //! the unknowns its span reads are final (on a stencil, `x[r - 1]`), so what
