@@ -180,8 +180,11 @@ impl<V: Value, I: Index> Trs<V, I> {
         for visit in &mut order.visits {
             let (r, lo, hi) = *visit;
             let (span, at) = (lo.to_usize()..hi.to_usize(), I::from_usize(cols.len()));
-            cols.extend_from_slice(&ci[span.clone()]);
-            values.extend_from_slice(&vals[span]);
+            // Entry by entry: on short spans a copy call per span cost more.
+            for e in span {
+                cols.push(ci[e]);
+                values.push(vals[e]);
+            }
             *visit = (r, at, I::from_usize(cols.len()));
             inv_diag.push(inv[r.to_usize()]);
         }
