@@ -13,10 +13,11 @@
 //! only after the full restart cycle, saving `restart - 1` checks.
 
 use crate::overhead::CUPY_NS;
+use crate::{Library, LibraryCsr};
 use gko::base::dim::Dim2;
 use gko::base::error::Result;
 use gko::base::types::{Index, Value};
-use gko::linop::{check_apply_dims, LinOp};
+use gko::linop::LinOp;
 use gko::log::ConvergenceLogger;
 use gko::matrix::{Csr, Dense};
 use gko::stop::{Criteria, StopReason};
@@ -30,29 +31,23 @@ use std::sync::Arc;
 const CUSPARSE_INEFFICIENCY: f64 = 1.3;
 
 /// cuSPARSE-style CSR SpMV: one warp per row.
-pub struct CupyCsr<V: Value, I: Index = i32> {
-    matrix: Arc<Csr<V, I>>,
-}
+pub type CupyCsr<V, I = i32> = LibraryCsr<V, I, Cupy>;
 
-impl<V: Value, I: Index> CupyCsr<V, I> {
-    /// Wraps a CSR matrix living on a GPU executor.
-    pub fn new(matrix: Arc<Csr<V, I>>) -> Self {
-        CupyCsr { matrix }
-    }
+/// CuPy's cost model (the library slot of [`CupyCsr`]).
+pub struct Cupy;
 
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &Arc<Csr<V, I>> {
-        &self.matrix
-    }
+impl Library for Cupy {
+    const NAME: &'static str = "cupy::csr";
+    const OVERHEAD_NS: f64 = CUPY_NS;
 
     /// Warp-per-row cost: each row occupies a whole warp, so its effective
     /// element count is padded up to the warp width; rows are batched into
     /// thread-block-sized chunks.
-    fn work(&self) -> Vec<ChunkWork> {
-        let spec = self.matrix.executor().spec();
+    fn work<V: Value, I: Index>(matrix: &Csr<V, I>) -> Vec<ChunkWork> {
+        let spec = matrix.executor().spec();
         let warp = spec.simd_width.max(1);
-        let rp = self.matrix.row_ptrs();
-        let rows = self.matrix.size().rows;
+        let rp = matrix.row_ptrs();
+        let rows = matrix.size().rows;
         let rows_per_block = 8; // 8 warps per thread block
         let mut chunks = Vec::with_capacity(rows.div_ceil(rows_per_block));
         let mut r = 0usize;
@@ -77,45 +72,6 @@ impl<V: Value, I: Index> CupyCsr<V, I> {
             r = hi;
         }
         chunks
-    }
-}
-
-impl<V: Value, I: Index> LinOp<V> for CupyCsr<V, I> {
-    fn size(&self) -> Dim2 {
-        self.matrix.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.matrix.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
-        // Numerics identical to the reference kernel; only the cost differs.
-        let k = b.size().cols;
-        let rp = self.matrix.row_ptrs();
-        let ci = self.matrix.col_idxs();
-        let vals = self.matrix.values();
-        let bv = b.as_slice();
-        let xs = x.as_mut_slice();
-        for r in 0..self.matrix.size().rows {
-            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-            for c in 0..k {
-                let mut acc = 0.0f64;
-                for idx in lo..hi {
-                    acc += vals[idx].to_f64() * bv[ci[idx].to_usize() * k + c].to_f64();
-                }
-                xs[r * k + c] = V::from_f64(acc);
-            }
-        }
-        let exec = self.executor();
-        exec.timeline().advance_ns(CUPY_NS);
-        exec.launch(&self.work());
-        Ok(())
-    }
-
-    fn op_name(&self) -> &'static str {
-        "cupy::csr"
     }
 }
 

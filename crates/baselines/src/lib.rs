@@ -7,7 +7,7 @@
 //!
 //! | Library | Reproduced structure |
 //! |---|---|
-//! | SciPy ([`scipy`]) | single-threaded textbook CSR kernels; everything on one core |
+//! | SciPy ([`scipy`]) | single-threaded textbook CSR kernel; everything on one core |
 //! | CuPy ([`cupy`]) | cuSPARSE-style warp-per-row CSR vector kernel (wasted lanes on short rows); GMRES with CPU-side Hessenberg least squares, orthonormal projection, and residual checks only at the end of each restart cycle (§6.2.1's three differences) |
 //! | PyTorch ([`torch`]) | classical (row-balanced, not nnz-balanced) CSR kernel plus COO scatter-add with atomic-update penalty; heavy per-op dispatcher overhead |
 //! | TensorFlow ([`tf`]) | COO only (as the paper notes), via a two-pass gather + sorted-segment-sum kernel with an intermediate buffer; the largest per-op overhead |
@@ -15,6 +15,12 @@
 //! All baselines execute real numerics (their results are bit-compatible
 //! with the engine's reference SpMV up to reduction order) and charge their
 //! modeled cost to their own executor's virtual timeline.
+//!
+//! The three CSR SpMVs are one operator, [`LibraryCsr`]: one row loop, then
+//! the library's overhead and cost model, a [`Library`] each module
+//! implements (`ScipyCsr` is `LibraryCsr<V, I, Scipy>`, and so on). The two
+//! COO SpMVs keep their own loops: PyTorch rounds after every entry and
+//! TensorFlow once per row, so their numerics differ.
 
 #![warn(missing_docs)]
 
@@ -23,9 +29,16 @@ pub mod scipy;
 pub mod tf;
 pub mod torch;
 
+use gko::base::dim::Dim2;
+use gko::base::error::Result;
+use gko::base::types::{Index, Value};
 use gko::executor::Backend;
+use gko::linop::{check_operands, LinOp};
+use gko::matrix::{Csr, Dense};
 use gko::Executor;
-use pygko_sim::DeviceSpec;
+use pygko_sim::{ChunkWork, DeviceKind, DeviceSpec};
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Per-operation dispatch overhead of each framework, in virtual ns.
 ///
@@ -42,6 +55,95 @@ pub mod overhead {
     pub const TORCH_NS: f64 = 8_000.0;
     /// TensorFlow: eager op executor.
     pub const TF_NS: f64 = 25_000.0;
+}
+
+/// Extra throughput penalty for fp64 on the unoptimized PyTorch and
+/// TensorFlow kernels (paper §2: "computations at double precision in
+/// PyTorch and TensorFlow are rather inefficient").
+fn fp64_penalty<V: Value>() -> f64 {
+    if V::BYTES == 8 {
+        1.6
+    } else {
+        1.0
+    }
+}
+
+/// Chunks of a PyTorch or TensorFlow sparse kernel: their CPU kernels are
+/// effectively unparallelized (one chunk, which is why the paper measures
+/// 10-60x gaps there); on a GPU, two per worker.
+fn framework_chunks(exec: &Executor) -> usize {
+    let spec = exec.spec();
+    if spec.kind == DeviceKind::Cpu {
+        1
+    } else {
+        spec.workers * 2
+    }
+}
+
+/// What tells one library's CSR SpMV from another's: its name, its per-call
+/// overhead and its cost model.
+pub trait Library {
+    /// The operator's `op_name`.
+    const NAME: &'static str;
+    /// Per-call overhead, in virtual ns (one of [`overhead`]'s constants).
+    const OVERHEAD_NS: f64;
+    /// The chunks one SpMV with `matrix` charges.
+    fn work<V: Value, I: Index>(matrix: &Csr<V, I>) -> Vec<ChunkWork>;
+}
+
+/// A library's CSR SpMV: the textbook row loop, which every library's
+/// numerics reproduce, charged as the library `L` models it.
+pub struct LibraryCsr<V: Value, I: Index, L> {
+    matrix: Arc<Csr<V, I>>,
+    library: PhantomData<fn() -> L>,
+}
+
+impl<V: Value, I: Index, L: Library> LibraryCsr<V, I, L> {
+    /// Wraps a CSR matrix living on the library's executor.
+    pub fn new(matrix: Arc<Csr<V, I>>) -> Self {
+        LibraryCsr {
+            matrix,
+            library: PhantomData,
+        }
+    }
+}
+
+impl<V: Value, I: Index, L: Library> LinOp<V> for LibraryCsr<V, I, L> {
+    fn size(&self) -> Dim2 {
+        self.matrix.size()
+    }
+
+    fn executor(&self) -> &Executor {
+        self.matrix.executor()
+    }
+
+    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
+        check_operands(self.matrix.size(), self.executor(), b, x)?;
+        let k = b.size().cols;
+        let rp = self.matrix.row_ptrs();
+        let ci = self.matrix.col_idxs();
+        let vals = self.matrix.values();
+        let bv = b.as_slice();
+        let xs = x.as_mut_slice();
+        for r in 0..self.matrix.size().rows {
+            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
+            for c in 0..k {
+                let mut acc = 0.0f64;
+                for idx in lo..hi {
+                    acc += vals[idx].to_f64() * bv[ci[idx].to_usize() * k + c].to_f64();
+                }
+                xs[r * k + c] = V::from_f64(acc);
+            }
+        }
+        let exec = self.executor();
+        exec.timeline().advance_ns(L::OVERHEAD_NS);
+        exec.launch(&L::work(&self.matrix));
+        Ok(())
+    }
+
+    fn op_name(&self) -> &'static str {
+        L::NAME
+    }
 }
 
 /// Executor modeling the paper's SciPy baseline platform: one Xeon core.

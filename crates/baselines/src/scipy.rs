@@ -6,35 +6,28 @@
 //! increasing number of threads" (§6.1.2).
 
 use crate::overhead::SCIPY_NS;
-use gko::base::dim::Dim2;
+use crate::{Library, LibraryCsr};
 use gko::base::error::Result;
 use gko::base::types::{Index, Value};
-use gko::linop::{check_apply_dims, LinOp};
-use gko::matrix::{Csr, Dense};
-use gko::Executor;
+use gko::linop::LinOp;
+use gko::matrix::Csr;
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
 /// SciPy's `csr_matrix @ vector`: one sequential pass over all rows.
-pub struct ScipyCsr<V: Value, I: Index = i32> {
-    matrix: Arc<Csr<V, I>>,
-}
+pub type ScipyCsr<V, I = i32> = LibraryCsr<V, I, Scipy>;
 
-impl<V: Value, I: Index> ScipyCsr<V, I> {
-    /// Wraps a CSR matrix that lives on a SciPy (single core) executor.
-    pub fn new(matrix: Arc<Csr<V, I>>) -> Self {
-        ScipyCsr { matrix }
-    }
+/// SciPy's cost model (the library slot of [`ScipyCsr`]).
+pub struct Scipy;
 
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &Arc<Csr<V, I>> {
-        &self.matrix
-    }
+impl Library for Scipy {
+    const NAME: &'static str = "scipy::csr";
+    const OVERHEAD_NS: f64 = SCIPY_NS;
 
-    fn work(&self) -> Vec<ChunkWork> {
+    fn work<V: Value, I: Index>(matrix: &Csr<V, I>) -> Vec<ChunkWork> {
         // One chunk: the whole matrix on one core, plus the Python-call cost.
-        let nnz = self.matrix.nnz() as f64;
-        let rows = self.matrix.size().rows as f64;
+        let nnz = matrix.nnz() as f64;
+        let rows = matrix.size().rows as f64;
         vec![ChunkWork::new(
             nnz * (V::BYTES + I::BYTES) as f64 + rows * (I::BYTES + V::BYTES) as f64,
             nnz * V::BYTES as f64,
@@ -43,92 +36,29 @@ impl<V: Value, I: Index> ScipyCsr<V, I> {
     }
 }
 
-impl<V: Value, I: Index> LinOp<V> for ScipyCsr<V, I> {
-    fn size(&self) -> Dim2 {
-        self.matrix.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.matrix.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
-        let k = b.size().cols;
-        let rp = self.matrix.row_ptrs();
-        let ci = self.matrix.col_idxs();
-        let vals = self.matrix.values();
-        let bv = b.as_slice();
-        let xs = x.as_mut_slice();
-        // The scipy C loop: sequential over rows.
-        for r in 0..self.matrix.size().rows {
-            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-            for c in 0..k {
-                let mut acc = 0.0f64;
-                for idx in lo..hi {
-                    acc += vals[idx].to_f64() * bv[ci[idx].to_usize() * k + c].to_f64();
-                }
-                xs[r * k + c] = V::from_f64(acc);
-            }
-        }
-        let exec = self.executor();
-        exec.timeline().advance_ns(SCIPY_NS);
-        exec.launch(&self.work());
-        Ok(())
-    }
-
-    fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        // scipy materializes A@b then combines — two passes.
-        let mut tmp = Dense::zeros(x.executor(), x.size());
-        self.apply(b, &mut tmp)?;
-        x.scale(beta);
-        x.add_scaled(alpha, &tmp)?;
-        Ok(())
-    }
-
-    fn op_name(&self) -> &'static str {
-        "scipy::csr"
-    }
-}
-
 /// Builds a SciPy-style solver: the engine's Krylov loop over the
 /// single-core SciPy SpMV operator, so every kernel (SpMV, dots, axpys)
-/// is charged at one-core rates. Method is `"cg"`, `"cgs"`, or `"gmres"`.
+/// is charged at one-core rates. Method is the engine method's name in
+/// lower case (`"cg"`, `"cgs"`, `"gmres"`, ...); GMRES restarts every 30.
 pub fn scipy_solver<V: Value, I: Index>(
     matrix: Arc<Csr<V, I>>,
     method: &str,
     iters: usize,
 ) -> Result<(Arc<dyn LinOp<V>>, gko::log::ConvergenceLogger)> {
-    use gko::solver::{Cg, Cgs, Gmres};
-    use gko::stop::Criteria;
     let op: Arc<dyn LinOp<V>> = Arc::new(ScipyCsr::new(matrix));
-    let criteria = Criteria::iterations(iters);
-    match method {
-        "cg" => {
-            let s = Cg::new(op)?.with_criteria(criteria);
-            let l = s.logger().clone();
-            Ok((Arc::new(s), l))
-        }
-        "cgs" => {
-            let s = Cgs::new(op)?.with_criteria(criteria);
-            let l = s.logger().clone();
-            Ok((Arc::new(s), l))
-        }
-        "gmres" => {
-            let s = Gmres::new(op)?.with_criteria(criteria).with_krylov_dim(30);
-            let l = s.logger().clone();
-            Ok((Arc::new(s), l))
-        }
-        other => Err(gko::GkoError::Unsupported(format!(
-            "scipy solver '{other}'"
-        ))),
-    }
+    let (head, tail) = (method.get(..1).unwrap_or(""), method.get(1..).unwrap_or(""));
+    let name = format!("solver::{}{tail}", head.to_uppercase());
+    let criteria = gko::stop::Criteria::iterations(iters);
+    gko::solver::iterative_by_name(&name, op, criteria, None, Some(30), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scipy_executor;
+    use gko::base::dim::Dim2;
+    use gko::matrix::Dense;
+    use gko::Executor;
 
     fn sample(exec: &Executor) -> Arc<Csr<f64, i32>> {
         Arc::new(

@@ -8,24 +8,16 @@
 //! TensorFlow 2–14x behind pyGinkgo.
 
 use crate::overhead::TF_NS;
+use crate::{fp64_penalty, framework_chunks};
 use gko::base::dim::Dim2;
 use gko::base::error::Result;
 use gko::base::types::{Index, Value};
 use gko::executor::pool::uniform_bounds;
-use gko::linop::{check_apply_dims, LinOp};
+use gko::linop::{check_operands, LinOp};
 use gko::matrix::{Coo, Dense};
 use gko::Executor;
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
-
-/// The fp64 throttle shared with the torch analog (paper §2).
-fn fp64_penalty<V: Value>() -> f64 {
-    if V::BYTES == 8 {
-        1.6
-    } else {
-        1.0
-    }
-}
 
 /// Untuned-kernel bandwidth inefficiency (see the torch analog); TF's
 /// generic gather/segment ops are further from peak than torch's.
@@ -43,15 +35,7 @@ impl<V: Value, I: Index> TfCoo<V, I> {
     }
 
     fn work(&self) -> Vec<ChunkWork> {
-        let spec = self.matrix.executor().spec();
-        let nnz = self.matrix.nnz();
-        // Like torch, TF's sparse CPU path does not parallelize.
-        let chunks = if spec.kind == pygko_sim::DeviceKind::Cpu {
-            1
-        } else {
-            spec.workers * 2
-        };
-        let bounds = uniform_bounds(nnz, chunks);
+        let bounds = uniform_bounds(self.matrix.nnz(), framework_chunks(self.matrix.executor()));
         let pen = fp64_penalty::<V>();
         let mut chunks: Vec<ChunkWork> = Vec::with_capacity(2 * bounds.len());
         // Pass 1: gather products into the intermediate buffer.
@@ -90,7 +74,7 @@ impl<V: Value, I: Index> LinOp<V> for TfCoo<V, I> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
+        check_operands(self.matrix.size(), self.executor(), b, x)?;
         let k = b.size().cols;
         let ri = self.matrix.row_idxs();
         let ci = self.matrix.col_idxs();

@@ -8,26 +8,16 @@
 //! fp64 in PyTorch "rather inefficient").
 
 use crate::overhead::TORCH_NS;
+use crate::{fp64_penalty, framework_chunks, Library, LibraryCsr};
 use gko::base::dim::Dim2;
 use gko::base::error::Result;
 use gko::base::types::{Index, Value};
 use gko::executor::pool::uniform_bounds;
-use gko::linop::{check_apply_dims, LinOp};
+use gko::linop::{check_operands, LinOp};
 use gko::matrix::{Coo, Csr, Dense};
 use gko::Executor;
 use pygko_sim::ChunkWork;
 use std::sync::Arc;
-
-/// Extra throughput penalty for fp64 on the unoptimized kernels (paper §2:
-/// "computations at double precision in PyTorch and TensorFlow are rather
-/// inefficient").
-fn fp64_penalty<V: Value>() -> f64 {
-    if V::BYTES == 8 {
-        1.6
-    } else {
-        1.0
-    }
-}
 
 /// Effective-bandwidth inefficiency of the untuned kernels relative to a
 /// hand-optimized SpMV (no vectorized loads, redundant row-pointer reads,
@@ -36,30 +26,21 @@ fn fp64_penalty<V: Value>() -> f64 {
 const KERNEL_INEFFICIENCY: f64 = 1.4;
 
 /// PyTorch CSR SpMV: classical equal-row-count chunks.
-pub struct TorchCsr<V: Value, I: Index = i32> {
-    matrix: Arc<Csr<V, I>>,
-}
+pub type TorchCsr<V, I = i32> = LibraryCsr<V, I, Torch>;
 
-impl<V: Value, I: Index> TorchCsr<V, I> {
-    /// Wraps a CSR matrix.
-    pub fn new(matrix: Arc<Csr<V, I>>) -> Self {
-        TorchCsr { matrix }
-    }
+/// PyTorch's CSR cost model (the library slot of [`TorchCsr`]).
+pub struct Torch;
 
-    fn work(&self) -> Vec<ChunkWork> {
-        let spec = self.matrix.executor().spec();
-        let rows = self.matrix.size().rows;
-        let rp = self.matrix.row_ptrs();
+impl Library for Torch {
+    const NAME: &'static str = "torch::csr";
+    const OVERHEAD_NS: f64 = TORCH_NS;
+
+    fn work<V: Value, I: Index>(matrix: &Csr<V, I>) -> Vec<ChunkWork> {
+        let rows = matrix.size().rows;
+        let rp = matrix.row_ptrs();
         // GPU: classical partition — equal rows per chunk, so skewed
         // matrices leave most workers idle while one grinds the heavy rows.
-        // CPU: torch's sparse CPU kernels are effectively unparallelized
-        // (one chunk), which is why the paper measures 10-60x gaps there.
-        let chunks = if spec.kind == pygko_sim::DeviceKind::Cpu {
-            1
-        } else {
-            spec.workers * 2
-        };
-        let bounds = uniform_bounds(rows, chunks);
+        let bounds = uniform_bounds(rows, framework_chunks(matrix.executor()));
         let pen = fp64_penalty::<V>();
         bounds
             .windows(2)
@@ -75,44 +56,6 @@ impl<V: Value, I: Index> TorchCsr<V, I> {
                 )
             })
             .collect()
-    }
-}
-
-impl<V: Value, I: Index> LinOp<V> for TorchCsr<V, I> {
-    fn size(&self) -> Dim2 {
-        self.matrix.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.matrix.executor()
-    }
-
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
-        let k = b.size().cols;
-        let rp = self.matrix.row_ptrs();
-        let ci = self.matrix.col_idxs();
-        let vals = self.matrix.values();
-        let bv = b.as_slice();
-        let xs = x.as_mut_slice();
-        for r in 0..self.matrix.size().rows {
-            let (lo, hi) = (rp[r].to_usize(), rp[r + 1].to_usize());
-            for c in 0..k {
-                let mut acc = 0.0f64;
-                for idx in lo..hi {
-                    acc += vals[idx].to_f64() * bv[ci[idx].to_usize() * k + c].to_f64();
-                }
-                xs[r * k + c] = V::from_f64(acc);
-            }
-        }
-        let exec = self.executor();
-        exec.timeline().advance_ns(TORCH_NS);
-        exec.launch(&self.work());
-        Ok(())
-    }
-
-    fn op_name(&self) -> &'static str {
-        "torch::csr"
     }
 }
 
@@ -139,14 +82,7 @@ impl<V: Value, I: Index> TorchCoo<V, I> {
     }
 
     fn work(&self) -> Vec<ChunkWork> {
-        let spec = self.matrix.executor().spec();
-        let nnz = self.matrix.nnz();
-        let chunks = if spec.kind == pygko_sim::DeviceKind::Cpu {
-            1 // see TorchCsr::work: no CPU parallelism in the sparse kernels
-        } else {
-            spec.workers * 2
-        };
-        let bounds = uniform_bounds(nnz, chunks);
+        let bounds = uniform_bounds(self.matrix.nnz(), framework_chunks(self.matrix.executor()));
         let pen = fp64_penalty::<V>();
         let conflict = self.conflict_factor();
         bounds
@@ -175,7 +111,7 @@ impl<V: Value, I: Index> LinOp<V> for TorchCoo<V, I> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.matrix.size(), b, x)?;
+        check_operands(self.matrix.size(), self.executor(), b, x)?;
         let k = b.size().cols;
         let ri = self.matrix.row_idxs();
         let ci = self.matrix.col_idxs();

@@ -72,6 +72,16 @@ impl PoolStats {
     }
 }
 
+/// What one [`WorkerPool::run`] did, counted by that dispatch alone.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Dispatched {
+    /// Chunks executed by a lane other than their home queue's.
+    pub steals: u64,
+    /// Wall-clock nanoseconds from taking the pool to handing it back
+    /// (publication, chunk execution and the completion handshake).
+    pub wall_ns: u64,
+}
+
 /// Activity counters for one pool lane (execution slot). Lane `threads - 1`
 /// is drained by the submitting thread; every other lane is a parked OS
 /// worker.
@@ -137,6 +147,8 @@ struct ChunkQueue {
 struct Job {
     task: TaskPtr,
     queues: Vec<ChunkQueue>,
+    /// Chunks this job's lanes took from other lanes' queues.
+    steals: AtomicU64, // atomic: counter
 }
 
 /// Worker-visible pool state.
@@ -296,10 +308,12 @@ impl WorkerPool {
 
     /// Executes `task(i)` for every `i in 0..n_chunks`, distributing indices
     /// over the pool's lanes with work stealing. Blocks until all chunks
-    /// completed; panics from chunk closures are forwarded.
-    pub fn run(&self, n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// completed; panics from chunk closures are forwarded. Returns what this
+    /// dispatch alone did, whatever other threads dispatch meanwhile; a
+    /// nested dispatch runs inline and reports nothing.
+    pub fn run(&self, n_chunks: usize, task: &(dyn Fn(usize) + Sync)) -> Dispatched {
         if n_chunks == 0 {
-            return;
+            return Dispatched::default();
         }
         // A chunk closure that itself dispatches (nested parallelism) would
         // deadlock waiting on its own pool; run such jobs inline instead.
@@ -307,13 +321,13 @@ impl WorkerPool {
             for i in 0..n_chunks {
                 task(i);
             }
-            return;
+            return Dispatched::default();
         }
+        let _submission = self.submit.lock().unwrap_or_else(|e| e.into_inner());
         // lint: allow(forbidden-api): measures real dispatch overhead for
         // `PoolStats` diagnostics only; the value never feeds the virtual
         // timeline or any kernel result.
         let start = Instant::now();
-        let _submission = self.submit.lock().unwrap_or_else(|e| e.into_inner());
         let lanes = self.threads;
         let queues: Vec<ChunkQueue> = (0..lanes)
             .map(|w| ChunkQueue {
@@ -331,7 +345,11 @@ impl WorkerPool {
         // SAFETY: no worker is active (previous run drained them and this
         // thread holds `submit`), so the slot is exclusively ours.
         unsafe {
-            *self.shared.job.get() = Some(Job { task, queues });
+            *self.shared.job.get() = Some(Job {
+                task,
+                queues,
+                steals: AtomicU64::new(0),
+            });
         }
         self.shared.active.store(workers, Ordering::Release);
         if workers > 0 {
@@ -376,14 +394,16 @@ impl WorkerPool {
             drop(epoch);
         }
         // SAFETY: all lanes are done; drop the job (and the erased pointer)
-        // before `task`'s borrow ends.
-        unsafe {
-            *self.shared.job.get() = None;
-        }
+        // before `task`'s borrow ends. The lanes' steal counts happen before:
+        // each worker added its own before the `active` decrement this thread
+        // acquired.
+        let job = unsafe { (*self.shared.job.get()).take() };
+        let steals = job.map_or(0, |job| job.steals.into_inner());
+        let wall_ns = start.elapsed().as_nanos() as u64;
         self.shared.dispatches.fetch_add(1, Ordering::Relaxed);
         self.shared
             .dispatch_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .fetch_add(wall_ns, Ordering::Relaxed);
         let payload = self
             .shared
             .panic_slot
@@ -393,6 +413,7 @@ impl WorkerPool {
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
+        Dispatched { steals, wall_ns }
     }
 }
 
@@ -444,6 +465,7 @@ fn drain(shared: &Shared, job: &Job, me: usize) {
     }
     shared.chunks.fetch_add(ran, Ordering::Relaxed);
     shared.steals.fetch_add(stolen, Ordering::Relaxed);
+    job.steals.fetch_add(stolen, Ordering::Relaxed);
     if let Some(lane) = shared.lanes.get(me) {
         lane.chunks.fetch_add(ran, Ordering::Relaxed);
         lane.steals.fetch_add(stolen, Ordering::Relaxed);
@@ -567,8 +589,6 @@ where
     let table = PieceTable(pieces.as_mut_ptr());
     // lint: allow(panic): the `pool.is_none()` case returned above.
     let pool = pool.unwrap();
-    // Only pay for counter snapshots when someone is listening.
-    let stats_before = exec.loggers().is_active().then(|| pool.stats());
     let body = |i: usize| {
         // SAFETY: index `i` is delivered exactly once, so this `&mut` is the
         // only live reference to piece `i`.
@@ -589,7 +609,7 @@ where
     // or a trace owned by another thread): one relaxed load.
     let dispatch = exec.observer().begin_dispatch(pool.threads(), chunks);
     let lanes_total = pool.threads();
-    match (&claims, &dispatch) {
+    let dispatched = match (&claims, &dispatch) {
         (log, Some(d)) => {
             let ctx = d.context();
             pool.run(chunks, &move |i| {
@@ -608,7 +628,7 @@ where
             body(i);
         }),
         (None, None) => pool.run(chunks, &body),
-    }
+    };
     if let Some(log) = &claims {
         match log.verify(chunks) {
             Ok(summary) => exec.sanitizer().note_job(summary.pieces),
@@ -618,13 +638,12 @@ where
     if let Some(d) = dispatch {
         exec.observer().end_dispatch(d);
     }
-    if let Some(before) = stats_before {
-        let delta = pool.stats().since(&before);
+    if exec.loggers().is_active() {
         exec.loggers().log(&crate::log::Event::PoolDispatch {
-            chunks: delta.chunks,
-            steals: delta.steals,
+            chunks: chunks as u64,
+            steals: dispatched.steals,
             threads: pool.threads(),
-            wall_ns: delta.dispatch_ns,
+            wall_ns: dispatched.wall_ns,
         });
     }
 }
@@ -794,6 +813,41 @@ mod tests {
             s[0] = inner.iter().sum();
         });
         assert_eq!(outer[0], 6);
+    }
+
+    /// Each `PoolDispatch` event counts its own dispatch, not what other
+    /// threads dispatched on the same pool meanwhile: two threads, each
+    /// dispatching a fixed chunk count, released together every round.
+    #[test]
+    fn concurrent_dispatches_each_report_their_own_counts() {
+        use crate::log::{Event, Record};
+        const ROUNDS: usize = 3_000;
+        let exec = omp(4);
+        let record = Arc::new(Record::with_capacity(4 * ROUNDS));
+        exec.add_logger(record.clone());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for chunks in [3usize, 5] {
+                let (exec, start) = (&exec, &start);
+                scope.spawn(move || {
+                    let mut data = vec![0u8; chunks];
+                    let bounds: Vec<usize> = (0..=chunks).collect();
+                    for _ in 0..ROUNDS {
+                        start.wait();
+                        parallel_chunks(exec, &mut data, &bounds, |i, s| s.fill(i as u8));
+                    }
+                });
+            }
+        });
+        let mut dispatches = [0usize; 2];
+        for event in record.events() {
+            if let Event::PoolDispatch { chunks, steals, .. } = event {
+                assert!(chunks == 3 || chunks == 5, "a dispatch of {chunks} chunks");
+                assert!(steals <= chunks, "{steals} steals of {chunks} chunks");
+                dispatches[usize::from(chunks == 5)] += 1;
+            }
+        }
+        assert_eq!(dispatches, [ROUNDS, ROUNDS]);
     }
 
     #[test]

@@ -17,6 +17,8 @@ pub fn ic0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<Csr<V, I>> {
     if !a.size().is_square() {
         return Err(GkoError::BadInput("IC(0) needs a square matrix".into()));
     }
+    // The factor is A's validated lower pattern, so it is well formed.
+    a.validate()?;
     let n = a.size().rows;
     let rp = a.row_ptrs();
     let ci = a.col_idxs();
@@ -83,13 +85,13 @@ pub fn ic0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<Csr<V, I>> {
         nnz * V::BYTES as f64,
         2.0 * nnz,
     )]);
-    Csr::from_raw(
+    Ok(Csr::from_raw_unchecked(
         exec,
         a.size(),
         l_ptrs.into_iter().map(I::from_usize).collect(),
         l_cols,
         l_vals.into_iter().map(V::from_f64).collect(),
-    )
+    ))
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@ pub fn ilu0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<(Csr<V, I>, Csr<V, I>)>
     if !a.size().is_square() {
         return Err(GkoError::BadInput("ILU(0) needs a square matrix".into()));
     }
+    // The factors split A's validated pattern, so they are well formed.
+    a.validate()?;
     let n = a.size().rows;
     let rp = a.row_ptrs();
     let ci = a.col_idxs();
@@ -97,8 +99,8 @@ pub fn ilu0<V: Value, I: Index>(a: &Csr<V, I>) -> Result<(Csr<V, I>, Csr<V, I>)>
         nnz * V::BYTES as f64,
         2.0 * nnz,
     )]);
-    let l = Csr::from_raw(exec, a.size(), l_ptrs, l_cols, l_vals)?;
-    let u = Csr::from_raw(exec, a.size(), u_ptrs, u_cols, u_vals)?;
+    let l = Csr::from_raw_unchecked(exec, a.size(), l_ptrs, l_cols, l_vals);
+    let u = Csr::from_raw_unchecked(exec, a.size(), u_ptrs, u_cols, u_vals);
     Ok((l, u))
 }
 

@@ -45,8 +45,15 @@ pub trait LinOp<V: Value>: Send + Sync {
     }
 }
 
-/// Validates the operand shapes of `x = Op(b)`.
-pub fn check_apply_dims<V: Value>(op_size: Dim2, b: &Dense<V>, x: &Dense<V>) -> Result<()> {
+/// Validates the operands of `x = Op(b)` for an operator of size `op_size`
+/// on `exec`: their shapes, and that `b` and `x` both live in `exec`'s
+/// memory space. Every operator checks its operands through this.
+pub fn check_operands<V: Value>(
+    op_size: Dim2,
+    exec: &Executor,
+    b: &Dense<V>,
+    x: &Dense<V>,
+) -> Result<()> {
     if b.size().rows != op_size.cols
         || x.size().rows != op_size.rows
         || b.size().cols != x.size().cols
@@ -57,7 +64,22 @@ pub fn check_apply_dims<V: Value>(op_size: Dim2, b: &Dense<V>, x: &Dense<V>) -> 
             actual: b.size(),
         });
     }
-    Ok(())
+    check_memory_space(exec, [b.executor(), x.executor()])
+}
+
+/// Fails with [`GkoError::ExecutorMismatch`] naming the first operand
+/// executor outside `exec`'s memory space.
+pub(crate) fn check_memory_space<'a>(
+    exec: &Executor,
+    operands: impl IntoIterator<Item = &'a Executor>,
+) -> Result<()> {
+    match operands.into_iter().find(|o| !exec.same_memory_space(o)) {
+        Some(other) => Err(GkoError::ExecutorMismatch {
+            left: exec.name().to_owned(),
+            right: other.name().to_owned(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The identity operator (useful as a "no preconditioner" placeholder).
@@ -86,7 +108,7 @@ impl<V: Value> LinOp<V> for Identity {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
+        check_operands(self.size, &self.exec, b, x)?;
         x.copy_from(b)
     }
 
@@ -128,7 +150,7 @@ impl<V: Value> LinOp<V> for Composition<V> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size(), b, x)?;
+        check_operands(self.size(), self.executor(), b, x)?;
         let _timer = OpTimer::new(self.executor(), "composition");
         let mut tmp = Dense::zeros(
             self.second.executor(),

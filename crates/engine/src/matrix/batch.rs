@@ -29,6 +29,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
+use crate::linop::check_memory_space;
 use crate::log::OpTimer;
 use crate::matrix::csr::{dot_span, Csr};
 use crate::matrix::plan::spmv_chunk_work;
@@ -511,12 +512,7 @@ impl<V: Value, I: Index> BatchCsr<V, I> {
                 });
             }
         }
-        if !self.exec.same_memory_space(b.executor()) {
-            return Err(GkoError::ExecutorMismatch {
-                left: self.exec.name().to_owned(),
-                right: b.executor().name().to_owned(),
-            });
-        }
+        check_memory_space(&self.exec, [b.executor(), x.executor()])?;
         check_mask(active, self.num_systems, "apply_batch")?;
         let _timer = OpTimer::new(&self.exec, "batch_csr");
 

@@ -14,7 +14,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -139,7 +139,7 @@ impl<V: Value> LinOp<V> for Conv2d<V> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size(), b, x)?;
+        check_operands(self.size(), &self.exec, b, x)?;
         let _timer = OpTimer::new(&self.exec, "conv2d");
         let (h, w) = (self.height, self.width);
         let k = b.size().cols;

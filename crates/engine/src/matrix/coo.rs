@@ -13,7 +13,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, TripletValue, Value};
 use crate::executor::pool::uniform_bounds;
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -43,37 +43,9 @@ impl<V: Value, I: Index> Coo<V, I> {
         col_idxs: Vec<I>,
         values: Vec<V>,
     ) -> Result<Self> {
-        if row_idxs.len() != values.len() || col_idxs.len() != values.len() {
-            return Err(GkoError::BadInput(format!(
-                "coo array lengths differ: rows {}, cols {}, values {}",
-                row_idxs.len(),
-                col_idxs.len(),
-                values.len()
-            )));
-        }
-        let mut prev: Option<(I, I)> = None;
-        for k in 0..values.len() {
-            let (r, c) = (row_idxs[k], col_idxs[k]);
-            if r.to_usize() >= size.rows || c.to_usize() >= size.cols {
-                return Err(GkoError::BadInput(format!(
-                    "entry ({r}, {c}) outside matrix {size}"
-                )));
-            }
-            if let Some((pr, pc)) = prev {
-                if (r, c) <= (pr, pc) {
-                    return Err(GkoError::BadInput(
-                        "coo entries must be strictly sorted by (row, col)".into(),
-                    ));
-                }
-            }
-            prev = Some((r, c));
-        }
-        Ok(Coo {
-            size,
-            row_idxs: Array::from_vec(exec, row_idxs),
-            col_idxs: Array::from_vec(exec, col_idxs),
-            values: Array::from_vec(exec, values),
-        })
+        let coo = Coo::from_raw_unchecked(exec, size, row_idxs, col_idxs, values);
+        coo.validate()?;
+        Ok(coo)
     }
 
     /// Builds from unsorted triplets, summing duplicates.
@@ -342,13 +314,7 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
     /// order. No atomics, and the segment count derives from the device
     /// spec, so results are reproducible on any host.
     fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
-        if !self.executor().same_memory_space(b.executor()) {
-            return Err(GkoError::ExecutorMismatch {
-                left: self.executor().name().to_owned(),
-                right: b.executor().name().to_owned(),
-            });
-        }
+        check_operands(self.size, self.executor(), b, x)?;
         let _timer = OpTimer::new(self.executor(), "coo");
         let k = b.size().cols;
         let spec = self.executor().spec();

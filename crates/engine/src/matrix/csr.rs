@@ -26,7 +26,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, TripletValue, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::dense::Dense;
 use crate::matrix::plan::{
@@ -843,13 +843,7 @@ impl<V: Value, I: Index> Csr<V, I> {
     }
 
     fn spmv_into(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
-        if !self.executor().same_memory_space(b.executor()) {
-            return Err(GkoError::ExecutorMismatch {
-                left: self.executor().name().to_owned(),
-                right: b.executor().name().to_owned(),
-            });
-        }
+        check_operands(self.size, self.executor(), b, x)?;
         let _timer = OpTimer::new(self.executor(), "csr");
         let plan = self.plan();
         if self.executor().sanitizer().is_enabled() {

@@ -46,7 +46,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
 use crate::executor::pool::{parallel_chunks, tree_reduce, uniform_bounds};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use pygko_sim::ChunkWork;
 
@@ -535,8 +535,7 @@ impl<V: Value> LinOp<V> for Dense<V> {
     }
 
     fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
-        self.values.check_same_executor(&b.values)?;
+        check_operands(self.size, self.executor(), b, x)?;
         let _timer = OpTimer::new(self.executor(), "dense::gemv");
         let (m, n) = (self.size.rows, self.size.cols);
         let k = b.size().cols;

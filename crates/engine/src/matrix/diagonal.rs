@@ -6,7 +6,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::executor::pool::{parallel_chunks, uniform_bounds};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -102,7 +102,7 @@ impl<V: Value> LinOp<V> for Diagonal<V> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size(), b, x)?;
+        check_operands(self.size(), self.executor(), b, x)?;
         let k = b.size().cols;
         if k == 1 {
             return x.assign_product(&self.values, b);

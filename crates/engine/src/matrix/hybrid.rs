@@ -14,7 +14,7 @@ use crate::base::dim::Dim2;
 use crate::base::error::Result;
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::coo::Coo;
 use crate::matrix::csr::Csr;
@@ -167,7 +167,7 @@ impl<V: Value, I: Index> LinOp<V> for Hybrid<V, I> {
     /// Composes the two parallel sub-kernels: the ELL part applies the full
     /// `alpha`/`beta` update, then the COO overflow accumulates on top.
     fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
+        check_operands(self.size, self.executor(), b, x)?;
         // The sub-kernels emit their own "ell"/"coo" events, which a
         // profiler attributes as children nested under this frame.
         let _timer = OpTimer::new(self.executor(), "hybrid");

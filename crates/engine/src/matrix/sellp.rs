@@ -12,7 +12,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::executor::pool::parallel_chunks;
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -224,13 +224,7 @@ impl<V: Value, I: Index> LinOp<V> for Sellp<V, I> {
     }
 
     fn apply_advanced(&self, alpha: V, b: &Dense<V>, beta: V, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
-        if !self.executor().same_memory_space(b.executor()) {
-            return Err(GkoError::ExecutorMismatch {
-                left: self.executor().name().to_owned(),
-                right: b.executor().name().to_owned(),
-            });
-        }
+        check_operands(self.size, self.executor(), b, x)?;
         let _timer = OpTimer::new(self.executor(), "sellp");
         let k = b.size().cols;
         let work = self.spmv_work();

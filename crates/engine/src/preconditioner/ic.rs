@@ -1,59 +1,19 @@
 //! IC(0) preconditioner for symmetric positive definite systems.
 
-use crate::base::dim::Dim2;
-use crate::base::error::Result;
-use crate::base::types::{Index, Value};
-use crate::executor::Executor;
-use crate::factorization::ic0::ic0;
-use crate::linop::LinOp;
-use crate::matrix::csr::Csr;
-use crate::matrix::dense::Dense;
-use crate::solver::triangular::{LowerTrs, UpperTrs};
-use std::sync::Arc;
+use crate::preconditioner::Incomplete;
 
 /// IC(0) preconditioner: `z = L^{-T} L^{-1} r` with the incomplete Cholesky
 /// factor of `A`.
-pub struct Ic<V: Value, I: Index = i32> {
-    lower: LowerTrs<V, I>,
-    upper: UpperTrs<V, I>,
-}
-
-impl<V: Value, I: Index> Ic<V, I> {
-    /// Factorizes `A` with IC(0) and generates the triangular sweeps, which
-    /// keep what they sweep: the factor and its transpose are freed on return.
-    pub fn new(matrix: &Csr<V, I>) -> Result<Self> {
-        let l = ic0(matrix)?;
-        let lt = l.transpose();
-        Ok(Ic {
-            lower: LowerTrs::new(Arc::new(l))?,
-            upper: UpperTrs::new(Arc::new(lt))?,
-        })
-    }
-}
-
-impl<V: Value, I: Index> LinOp<V> for Ic<V, I> {
-    fn size(&self) -> Dim2 {
-        self.lower.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.lower.executor()
-    }
-
-    /// The lower sweep checks the dimensions.
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        self.lower.apply(b, x)?;
-        self.upper.apply_in_place(x)
-    }
-
-    fn op_name(&self) -> &'static str {
-        "preconditioner::Ic"
-    }
-}
+pub type Ic<V, I = i32> = Incomplete<V, I, true>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
+    use crate::matrix::{Csr, Dense};
+    use std::sync::Arc;
 
     fn spd(exec: &Executor, n: usize) -> Csr<f64, i32> {
         let mut t = vec![];

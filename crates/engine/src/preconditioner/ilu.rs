@@ -1,58 +1,19 @@
 //! ILU(0) preconditioner (Listing 1's choice).
 
-use crate::base::dim::Dim2;
-use crate::base::error::Result;
-use crate::base::types::{Index, Value};
-use crate::executor::Executor;
-use crate::factorization::ilu0::ilu0;
-use crate::linop::LinOp;
-use crate::matrix::csr::Csr;
-use crate::matrix::dense::Dense;
-use crate::solver::triangular::{LowerTrs, UpperTrs};
-use std::sync::Arc;
+use crate::preconditioner::Incomplete;
 
 /// ILU(0) preconditioner: `z = U^{-1} L^{-1} r` with the incomplete factors
 /// of `A`.
-pub struct Ilu<V: Value, I: Index = i32> {
-    lower: LowerTrs<V, I>,
-    upper: UpperTrs<V, I>,
-}
-
-impl<V: Value, I: Index> Ilu<V, I> {
-    /// Factorizes `A` with ILU(0) and generates the triangular sweeps, which
-    /// keep what they sweep: the factors are freed on return.
-    pub fn new(matrix: &Csr<V, I>) -> Result<Self> {
-        let (l, u) = ilu0(matrix)?;
-        Ok(Ilu {
-            lower: LowerTrs::new(Arc::new(l))?.with_unit_diagonal(),
-            upper: UpperTrs::new(Arc::new(u))?,
-        })
-    }
-}
-
-impl<V: Value, I: Index> LinOp<V> for Ilu<V, I> {
-    fn size(&self) -> Dim2 {
-        self.lower.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.lower.executor()
-    }
-
-    /// The lower sweep checks the dimensions.
-    fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        self.lower.apply(b, x)?;
-        self.upper.apply_in_place(x)
-    }
-
-    fn op_name(&self) -> &'static str {
-        "preconditioner::Ilu"
-    }
-}
+pub type Ilu<V, I = i32> = Incomplete<V, I, false>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base::dim::Dim2;
+    use crate::executor::Executor;
+    use crate::linop::LinOp;
+    use crate::matrix::{Csr, Dense};
+    use std::sync::Arc;
 
     #[test]
     fn ilu_is_exact_inverse_on_tridiagonal() {

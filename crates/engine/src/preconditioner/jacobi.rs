@@ -5,7 +5,7 @@ use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
 use crate::factorization::lu::DenseLu;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -115,7 +115,7 @@ impl<V: Value> LinOp<V> for Jacobi<V> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
+        check_operands(self.size, &self.exec, b, x)?;
         let _timer = OpTimer::new(&self.exec, "preconditioner::Jacobi");
         let blocks = match &self.inverse {
             Inverse::Diagonal(inverse) => return inverse.apply(b, x),

@@ -27,6 +27,7 @@ use crate::base::types::{Index, Value};
 use crate::log::{Event, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::batch::{BatchCsr, BatchDense};
 use crate::stop::{Criteria, StopReason};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Final state of one system inside a batched solve.
@@ -91,118 +92,134 @@ impl BatchSolveRecord {
     }
 }
 
-/// Per-system solve state shared by the batched solvers.
-struct SystemStates {
-    baseline: Vec<f64>,
-    final_res: Vec<f64>,
-    reason: Vec<Option<StopReason>>,
-    iters: Vec<usize>,
-    active: Vec<bool>,
-}
-
-impl SystemStates {
-    fn new(baseline: Vec<f64>) -> Self {
-        let n = baseline.len();
-        SystemStates {
-            final_res: baseline.clone(),
-            baseline,
-            reason: vec![None; n],
-            iters: vec![0; n],
-            active: vec![true; n],
-        }
-    }
-
-    fn any_active(&self) -> bool {
-        self.active.iter().any(|&a| a)
-    }
-
-    /// Retires system `s` with its final state; it is masked out of every
-    /// subsequent kernel.
-    fn finish(&mut self, s: usize, iterations: usize, res: f64, reason: StopReason) {
-        self.reason[s] = Some(reason);
-        self.iters[s] = iterations;
-        self.final_res[s] = res;
-        self.active[s] = false;
-    }
-
-    /// Retires every active system for which `broken(s)` holds as a
-    /// breakdown inside iteration `iter`. Same convention as the single
-    /// solvers: the broken iteration is not counted and `x` keeps its last
-    /// finite state.
-    fn break_down(&mut self, iter: usize, broken: impl Fn(usize) -> bool) {
-        for s in 0..self.active.len() {
-            if self.active[s] && broken(s) {
-                self.finish(s, iter - 1, self.final_res[s], StopReason::Breakdown);
-            }
-        }
-    }
-
-    /// Records `res` as the active systems' residual norms after iteration
-    /// `iter` and retires those the criteria stop.
-    fn check(&mut self, criteria: &Criteria, iter: usize, res: &[f64]) {
-        for (s, &res_s) in res.iter().enumerate() {
-            if !self.active[s] {
-                continue;
-            }
-            self.final_res[s] = res_s;
-            if let Some(reason) = criteria.check(iter, res_s, self.baseline[s]) {
-                self.finish(s, iter, res_s, reason);
-            }
-        }
-    }
-
-    /// `out[s] = value(s)` for the active systems; the others keep theirs,
-    /// which no masked kernel reads.
-    fn set(&self, out: &mut [f64], value: impl Fn(usize) -> f64) {
-        for (s, slot) in out.iter_mut().enumerate() {
-            if self.active[s] {
-                *slot = value(s);
-            }
-        }
-    }
-
-    fn into_record(self) -> BatchSolveRecord {
-        let outcomes = self
-            .reason
-            .iter()
-            .enumerate()
-            .map(|(s, reason)| BatchSystemOutcome {
-                iterations: self.iters[s],
-                initial_residual: self.baseline[s],
-                final_residual: self.final_res[s],
-                // Every exit path finishes each system; MaxIterations is the
-                // defensive default should one slip through.
-                stop_reason: reason.unwrap_or(StopReason::MaxIterations),
-            })
-            .collect();
-        BatchSolveRecord { outcomes }
-    }
-}
-
-/// What the batched solvers share: the batch operator, the criteria, the two
-/// logger registries (solver-attached and executor-attached) and, in
-/// [`solve`](Self::solve), everything around their iterations.
-struct BatchSolverCore<V: Value, I: Index> {
+/// The batched-solver shell: everything the batched methods share (the batch
+/// operator, the criteria, the two logger registries — solver-attached and
+/// executor-attached — and everything around the iterations), around the
+/// [`BatchMethod`] `M` that tells them apart. Use it through its aliases
+/// ([`BatchCg`], [`BatchBiCgStab`]).
+pub struct Batched<V: Value, I: Index, M> {
     op: Arc<BatchCsr<V, I>>,
     criteria: Criteria,
-    name: &'static str,
     events: LoggerRegistry,
     exec_events: LoggerRegistry,
+    method: PhantomData<fn() -> M>,
 }
 
-/// The iterations of one method: `(core, x, r, scratch, states)`, entered
-/// with `r = b - A x`, `scratch` a batch of the same shape to overwrite, and
-/// the systems that the initial check stopped already retired.
-type Iterations<V, I> = fn(
-    &BatchSolverCore<V, I>,
-    &mut BatchDense<V>,
-    BatchDense<V>,
-    BatchDense<V>,
-    &mut SystemStates,
-) -> Result<()>;
+/// Crate-private: `pub` only because the public aliases' impls mention them.
+mod sealed {
+    use super::*;
 
-impl<V: Value, I: Index> BatchSolverCore<V, I> {
-    fn new(name: &'static str, op: Arc<BatchCsr<V, I>>) -> Result<Self> {
+    /// Per-system solve state shared by the batched solvers.
+    pub struct SystemStates {
+        pub(super) baseline: Vec<f64>,
+        pub(super) final_res: Vec<f64>,
+        pub(super) reason: Vec<Option<StopReason>>,
+        pub(super) iters: Vec<usize>,
+        pub(super) active: Vec<bool>,
+    }
+
+    impl SystemStates {
+        pub(super) fn new(baseline: Vec<f64>) -> Self {
+            let n = baseline.len();
+            SystemStates {
+                final_res: baseline.clone(),
+                baseline,
+                reason: vec![None; n],
+                iters: vec![0; n],
+                active: vec![true; n],
+            }
+        }
+
+        pub(super) fn any_active(&self) -> bool {
+            self.active.iter().any(|&a| a)
+        }
+
+        /// Retires system `s` with its final state; it is masked out of every
+        /// subsequent kernel.
+        pub(super) fn finish(&mut self, s: usize, iterations: usize, res: f64, reason: StopReason) {
+            self.reason[s] = Some(reason);
+            self.iters[s] = iterations;
+            self.final_res[s] = res;
+            self.active[s] = false;
+        }
+
+        /// Retires every active system for which `broken(s)` holds as a
+        /// breakdown inside iteration `iter`. Same convention as the single
+        /// solvers: the broken iteration is not counted and `x` keeps its last
+        /// finite state.
+        pub(super) fn break_down(&mut self, iter: usize, broken: impl Fn(usize) -> bool) {
+            for s in 0..self.active.len() {
+                if self.active[s] && broken(s) {
+                    self.finish(s, iter - 1, self.final_res[s], StopReason::Breakdown);
+                }
+            }
+        }
+
+        /// Records `res` as the active systems' residual norms after iteration
+        /// `iter` and retires those the criteria stop.
+        pub(super) fn check(&mut self, criteria: &Criteria, iter: usize, res: &[f64]) {
+            for (s, &res_s) in res.iter().enumerate() {
+                if !self.active[s] {
+                    continue;
+                }
+                self.final_res[s] = res_s;
+                if let Some(reason) = criteria.check(iter, res_s, self.baseline[s]) {
+                    self.finish(s, iter, res_s, reason);
+                }
+            }
+        }
+
+        /// `out[s] = value(s)` for the active systems; the others keep theirs,
+        /// which no masked kernel reads.
+        pub(super) fn set(&self, out: &mut [f64], value: impl Fn(usize) -> f64) {
+            for (s, slot) in out.iter_mut().enumerate() {
+                if self.active[s] {
+                    *slot = value(s);
+                }
+            }
+        }
+
+        pub(super) fn into_record(self) -> BatchSolveRecord {
+            let outcomes = self
+                .reason
+                .iter()
+                .enumerate()
+                .map(|(s, reason)| BatchSystemOutcome {
+                    iterations: self.iters[s],
+                    initial_residual: self.baseline[s],
+                    final_residual: self.final_res[s],
+                    // Every exit path finishes each system; MaxIterations is the
+                    // defensive default should one slip through.
+                    stop_reason: reason.unwrap_or(StopReason::MaxIterations),
+                })
+                .collect();
+            BatchSolveRecord { outcomes }
+        }
+    }
+
+    /// The part of a batched method that is its own: its name and its
+    /// iterations.
+    pub trait BatchMethod: Sized + 'static {
+        /// Name in events and spans (e.g. `"solver::BatchCg"`).
+        const NAME: &'static str;
+
+        /// The iterations, entered with `r = b - A x`, `scratch` a batch of
+        /// the same shape to overwrite, and the systems that the initial
+        /// check stopped already retired.
+        fn iterate<V: Value, I: Index>(
+            solver: &Batched<V, I, Self>,
+            x: &mut BatchDense<V>,
+            r: BatchDense<V>,
+            scratch: BatchDense<V>,
+            st: &mut SystemStates,
+        ) -> Result<()>;
+    }
+}
+use sealed::{BatchMethod, SystemStates};
+
+impl<V: Value, I: Index, M: BatchMethod> Batched<V, I, M> {
+    /// Creates the solver over the given batch operator.
+    pub fn new(op: Arc<BatchCsr<V, I>>) -> Result<Self> {
         if !op.size().is_square() {
             return Err(GkoError::BadInput(format!(
                 "batched iterative solvers need square systems, got {}",
@@ -210,13 +227,24 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
             )));
         }
         let exec_events = op.executor().loggers().clone();
-        Ok(BatchSolverCore {
+        Ok(Batched {
             op,
             criteria: Criteria::default(),
-            name,
             events: LoggerRegistry::new(),
             exec_events,
+            method: PhantomData,
         })
+    }
+
+    /// Sets the stopping criteria (applied per system).
+    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
+        self.criteria = criteria;
+        self
+    }
+
+    /// Attaches a logger observing this solver's events.
+    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
+        self.events.add(logger);
     }
 
     /// A zeroed batch of one vector per system.
@@ -225,16 +253,19 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
         BatchDense::zeros(self.op.executor(), self.op.num_systems(), dim)
     }
 
-    /// One batched solve around a method's `iterate`: batch sizes (shapes
-    /// are checked by the kernels), the `solver::*` frame, `r = b - A x`, its
-    /// norms as the baselines, the initial `check(0, baseline, baseline)`
-    /// that retires systems already converged (zero right-hand side) or
-    /// poisoned (non-finite baseline), then the record and its event.
-    fn solve(
+    /// Solves `A[s] x[s] = b[s]` for every system; `x` holds the initial
+    /// guesses on entry and the solutions on exit. Non-convergence is
+    /// reported per system in the returned record, not as an error.
+    ///
+    /// Around the method's iterations: batch sizes (shapes are checked by
+    /// the kernels), the `solver::*` frame, `r = b - A x`, its norms as the
+    /// baselines, the initial `check(0, baseline, baseline)` that retires
+    /// systems already converged (zero right-hand side) or poisoned
+    /// (non-finite baseline), then the record and its event.
+    pub fn apply_batch(
         &self,
         b: &BatchDense<V>,
         x: &mut BatchDense<V>,
-        iterate: Iterations<V, I>,
     ) -> Result<BatchSolveRecord> {
         let s_count = self.op.num_systems();
         if b.num_systems() != s_count || x.num_systems() != s_count {
@@ -244,7 +275,7 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
                 x.num_systems()
             )));
         }
-        let _solve_timer = OpTimer::new(self.op.executor(), self.name);
+        let _solve_timer = OpTimer::new(self.op.executor(), M::NAME);
 
         let mut r = self.vectors();
         r.copy_from(b)?;
@@ -260,12 +291,12 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
                 st.finish(s, 0, st.baseline[s], reason);
             }
         }
-        iterate(self, x, r, ax, &mut st)?;
+        M::iterate(self, x, r, ax, &mut st)?;
 
         let record = st.into_record();
         if self.events.is_active() || self.exec_events.is_active() {
             let event = Event::BatchSolveCompleted {
-                solver: self.name,
+                solver: M::NAME,
                 systems: record.num_systems(),
                 converged: record.converged_count(),
                 breakdowns: record.breakdown_count(),
@@ -279,50 +310,24 @@ impl<V: Value, I: Index> BatchSolverCore<V, I> {
 }
 
 /// Batched Conjugate Gradient for batches of SPD systems.
-pub struct BatchCg<V: Value, I: Index = i32> {
-    core: BatchSolverCore<V, I>,
-}
+pub type BatchCg<V, I = i32> = Batched<V, I, BatchCgMethod>;
 
-impl<V: Value, I: Index> BatchCg<V, I> {
-    /// Creates a batched CG solver over the given batch operator.
-    pub fn new(op: Arc<BatchCsr<V, I>>) -> Result<Self> {
-        Ok(BatchCg {
-            core: BatchSolverCore::new("solver::BatchCg", op)?,
-        })
-    }
+/// Batched CG's iterations (the method slot of [`BatchCg`]).
+pub struct BatchCgMethod;
 
-    /// Sets the stopping criteria (applied per system).
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
+impl BatchMethod for BatchCgMethod {
+    const NAME: &'static str = "solver::BatchCg";
 
-    /// Attaches a logger observing this solver's events.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.events.add(logger);
-    }
-
-    /// Solves `A[s] x[s] = b[s]` for every system; `x` holds the initial
-    /// guesses on entry and the solutions on exit. Non-convergence is
-    /// reported per system in the returned record, not as an error.
-    pub fn apply_batch(
-        &self,
-        b: &BatchDense<V>,
-        x: &mut BatchDense<V>,
-    ) -> Result<BatchSolveRecord> {
-        self.core.solve(b, x, Self::iterate)
-    }
-
-    fn iterate(
-        core: &BatchSolverCore<V, I>,
+    fn iterate<V: Value, I: Index>(
+        solver: &Batched<V, I, Self>,
         x: &mut BatchDense<V>,
         mut r: BatchDense<V>,
         mut q: BatchDense<V>,
         st: &mut SystemStates,
     ) -> Result<()> {
-        let op = &core.op;
+        let op = &solver.op;
         let s_count = op.num_systems();
-        let mut p = core.vectors();
+        let mut p = solver.vectors();
         p.copy_from(&r)?;
         let mut rho = vec![0.0; s_count];
         r.dots(&r, Some(&st.active), &mut rho)?;
@@ -346,7 +351,7 @@ impl<V: Value, I: Index> BatchCg<V, I> {
             }
             r.axpy(&coeff, &q, Some(&st.active))?;
             r.norms2(Some(&st.active), &mut res)?;
-            st.check(&core.criteria, iter, &res);
+            st.check(&solver.criteria, iter, &res);
             if !st.any_active() {
                 break;
             }
@@ -361,52 +366,27 @@ impl<V: Value, I: Index> BatchCg<V, I> {
 }
 
 /// Batched BiCGStab for batches of general (unsymmetric) systems.
-pub struct BatchBiCgStab<V: Value, I: Index = i32> {
-    core: BatchSolverCore<V, I>,
-}
+pub type BatchBiCgStab<V, I = i32> = Batched<V, I, BatchBiCgStabMethod>;
 
-impl<V: Value, I: Index> BatchBiCgStab<V, I> {
-    /// Creates a batched BiCGStab solver over the given batch operator.
-    pub fn new(op: Arc<BatchCsr<V, I>>) -> Result<Self> {
-        Ok(BatchBiCgStab {
-            core: BatchSolverCore::new("solver::BatchBicgstab", op)?,
-        })
-    }
+/// Batched BiCGStab's iterations (the method slot of [`BatchBiCgStab`]).
+pub struct BatchBiCgStabMethod;
 
-    /// Sets the stopping criteria (applied per system).
-    pub fn with_criteria(mut self, criteria: Criteria) -> Self {
-        self.core.criteria = criteria;
-        self
-    }
+impl BatchMethod for BatchBiCgStabMethod {
+    const NAME: &'static str = "solver::BatchBicgstab";
 
-    /// Attaches a logger observing this solver's events.
-    pub fn add_logger(&self, logger: Arc<dyn Logger>) {
-        self.core.events.add(logger);
-    }
-
-    /// Solves `A[s] x[s] = b[s]` for every system (see
-    /// [`BatchCg::apply_batch`] for conventions).
-    pub fn apply_batch(
-        &self,
-        b: &BatchDense<V>,
-        x: &mut BatchDense<V>,
-    ) -> Result<BatchSolveRecord> {
-        self.core.solve(b, x, Self::iterate)
-    }
-
-    fn iterate(
-        core: &BatchSolverCore<V, I>,
+    fn iterate<V: Value, I: Index>(
+        solver: &Batched<V, I, Self>,
         x: &mut BatchDense<V>,
         mut r: BatchDense<V>,
         mut v: BatchDense<V>,
         st: &mut SystemStates,
     ) -> Result<()> {
-        let op = &core.op;
+        let op = &solver.op;
         let s_count = op.num_systems();
         let r_tilde = r.clone();
-        let mut p = core.vectors();
-        let mut s_vec = core.vectors();
-        let mut t = core.vectors();
+        let mut p = solver.vectors();
+        let mut s_vec = solver.vectors();
+        let mut t = solver.vectors();
 
         let mut rho_old = vec![1.0f64; s_count];
         let mut alpha = vec![1.0f64; s_count];
@@ -455,7 +435,7 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
             // exactly as in the single-system solver.
             for s in 0..s_count {
                 half_reason[s] = st.active[s]
-                    .then(|| core.criteria.check(iter, norms[s], st.baseline[s]))
+                    .then(|| solver.criteria.check(iter, norms[s], st.baseline[s]))
                     .flatten()
                     .filter(|&reason| reason != StopReason::MaxIterations);
                 half[s] = half_reason[s].is_some();
@@ -486,7 +466,7 @@ impl<V: Value, I: Index> BatchBiCgStab<V, I> {
             st.set(&mut coeff, |s| -omega[s]);
             r.axpy(&coeff, &t, Some(&st.active))?;
             r.norms2(Some(&st.active), &mut norms)?;
-            st.check(&core.criteria, iter, &norms);
+            st.check(&solver.criteria, iter, &norms);
             st.set(&mut rho_old, |s| rho[s]);
         }
         Ok(())

@@ -10,7 +10,7 @@ use crate::base::error::Result;
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
 use crate::factorization::lu::DenseLu;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -27,6 +27,7 @@ pub struct Direct<V> {
 impl<V: Value> Direct<V> {
     /// Factorizes the matrix (in `f64`).
     pub fn new<I: Index>(matrix: &Csr<V, I>) -> Result<Self> {
+        matrix.validate()?;
         let size = matrix.size();
         let n = size.rows;
         let dense = matrix.to_dense();
@@ -56,7 +57,7 @@ impl<V: Value> LinOp<V> for Direct<V> {
     }
 
     fn apply(&self, b: &Dense<V>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b, x)?;
+        check_operands(self.size, &self.exec, b, x)?;
         let _timer = OpTimer::new(&self.exec, "solver::Direct");
         let n = self.size.rows;
         let k = b.size().cols;

@@ -32,12 +32,14 @@
 //! finish; it is not counted — breakdowns, and the lucky breakdowns of
 //! MINRES and GMRES seen at the top of the next iteration).
 //!
-//! The batched solvers ([`BatchCg`], [`BatchBiCgStab`]) are not on the
+//! The batched solvers ([`BatchCg`], [`BatchBiCgStab`]) are not on this
 //! shell: they advance many systems in one `BatchDense` with per-system
 //! masking and per-system stop reasons, so sharing would make the shell
-//! branch on its caller. What the two of them share (constructor, initial
-//! residual and baselines, initial check, record and completion event,
-//! per-system bookkeeping) is `BatchSolverCore` in [`batch`]; each keeps its
+//! branch on its caller. They are aliases of a shell of their own,
+//! [`Batched`](batch::Batched), the same way: it owns the builder surface
+//! (`new`, `with_criteria`, `add_logger`), the initial residual and
+//! baselines, the initial check, the record and completion event and the
+//! per-system bookkeeping, and a batched method supplies its name and its
 //! iterations. The non-iterative [`Direct`], [`LowerTrs`] and [`UpperTrs`]
 //! have no loop to share.
 //!
@@ -107,7 +109,7 @@ use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::Value;
 use crate::executor::Executor;
-use crate::linop::LinOp;
+use crate::linop::{check_memory_space, LinOp};
 use crate::log::{ConvergenceLogger, Event, Logger, LoggerRegistry, OpTimer};
 use crate::matrix::dense::Dense;
 use crate::stop::{Criteria, StopReason};
@@ -187,7 +189,8 @@ mod sealed {
             stop
         }
 
-        /// Validates `b`/`x` shapes for a solve (single right-hand side).
+        /// Validates `b`/`x` for a solve: single right-hand side, in the
+        /// system's memory space.
         pub(crate) fn check_vectors(&self, b: &Dense<V>, x: &Dense<V>) -> Result<()> {
             let want = Dim2::new(self.system.size().rows, 1);
             if b.size() != want || x.size() != want {
@@ -197,7 +200,7 @@ mod sealed {
                     actual: if b.size() != want { b.size() } else { x.size() },
                 });
             }
-            Ok(())
+            check_memory_space(self.system.executor(), [b.executor(), x.executor()])
         }
 
         /// `M^{-1} v`: applied into `slot` (allocated on first use) when the

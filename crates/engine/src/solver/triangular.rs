@@ -69,7 +69,7 @@ use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
 use crate::executor::Executor;
-use crate::linop::{check_apply_dims, LinOp};
+use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
@@ -233,7 +233,7 @@ impl<V: Value, I: Index> Trs<V, I> {
     /// it, and besides that only entries of rows of earlier levels, which
     /// hold final values.
     fn solve(&self, b: Option<&Dense<V>>, x: &mut Dense<V>) -> Result<()> {
-        check_apply_dims::<V>(self.size, b.unwrap_or(x), x)?;
+        check_operands(self.size, &self.exec, b.unwrap_or(x), x)?;
         let exec = &self.exec;
         let _timer = OpTimer::new(exec, self.op_name());
         if exec.sanitizer().is_enabled() {
