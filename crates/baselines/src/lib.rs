@@ -5,22 +5,24 @@
 //! *structural* choices that determine the competitor's performance, not its
 //! exact code:
 //!
-//! | Library | Reproduced structure |
-//! |---|---|
-//! | SciPy ([`scipy`]) | single-threaded textbook CSR kernel; everything on one core |
-//! | CuPy ([`cupy`]) | cuSPARSE-style warp-per-row CSR vector kernel (wasted lanes on short rows); GMRES with CPU-side Hessenberg least squares, orthonormal projection, and residual checks only at the end of each restart cycle (§6.2.1's three differences) |
-//! | PyTorch ([`torch`]) | classical (row-balanced, not nnz-balanced) CSR kernel plus COO scatter-add with atomic-update penalty; heavy per-op dispatcher overhead |
-//! | TensorFlow ([`tf`]) | COO only (as the paper notes), via a two-pass gather + sorted-segment-sum kernel with an intermediate buffer; the largest per-op overhead |
+//! | Library | CSR SpMV: its [`Library`] cost model | Its own operators |
+//! |---|---|---|
+//! | SciPy ([`scipy`]) | `Scipy`: the textbook loop as one chunk on one core | `scipy_solver`: the engine's Krylov loop over `ScipyCsr` |
+//! | CuPy ([`cupy`]) | `Cupy`: cuSPARSE-style warp per row (wasted lanes on short rows) | `CupyGmres`: CPU-side Hessenberg least squares, orthonormal projection, and residual checks only at the end of each restart cycle (§6.2.1's three differences); `CupyKrylov`: the Python loop's per-iteration tax |
+//! | PyTorch ([`torch`]) | `Torch`: classical row-balanced (not nnz-balanced) chunks | `TorchCoo`: scatter-add with atomic-update penalty |
+//! | TensorFlow ([`tf`]) | none: COO only, as the paper notes | `TfCoo`: two-pass gather + sorted segment sum through an intermediate buffer |
 //!
 //! All baselines execute real numerics (their results are bit-compatible
 //! with the engine's reference SpMV up to reduction order) and charge their
-//! modeled cost to their own executor's virtual timeline.
+//! modeled cost, plus their framework's per-call [`overhead`] (SciPy's the
+//! lightest, TensorFlow's the heaviest), to their own executor's virtual
+//! timeline.
 //!
 //! The three CSR SpMVs are one operator, [`LibraryCsr`]: one row loop, then
-//! the library's overhead and cost model, a [`Library`] each module
-//! implements (`ScipyCsr` is `LibraryCsr<V, I, Scipy>`, and so on). The two
-//! COO SpMVs keep their own loops: PyTorch rounds after every entry and
-//! TensorFlow once per row, so their numerics differ.
+//! the library's overhead and cost model (`ScipyCsr` is
+//! `LibraryCsr<V, I, Scipy>`, and so on). The two COO SpMVs keep their own
+//! loops: PyTorch rounds after every entry and TensorFlow once per row, so
+//! their numerics differ.
 
 #![warn(missing_docs)]
 

@@ -46,7 +46,7 @@ pub struct PoolStats {
     /// Times a sleeping worker was woken for a job.
     pub unparks: u64,
     /// Cumulative wall-clock nanoseconds spent inside [`WorkerPool::run`]
-    /// (dispatch overhead plus chunk execution).
+    /// once it holds the pool (dispatch overhead plus chunk execution).
     pub dispatch_ns: u64,
 }
 
