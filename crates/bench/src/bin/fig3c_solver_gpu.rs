@@ -6,31 +6,15 @@
 //! `cargo run -p pygko-bench --bin fig3c_solver_gpu --release`
 
 use gko::linop::LinOp;
-use gko::matrix::{Csr, Dense};
+use gko::matrix::Csr;
 use gko::solver::{Cg, Cgs, Gmres};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_baselines::cupy::{CupyGmres, CupyKrylov};
 use pygko_baselines::gpu_executor;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, Report};
+use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, time_per_iter, Report};
 use pygko_matgen::solver_suite;
 use std::sync::Arc;
-
-/// Runs a solver to the iteration cap and returns virtual seconds per
-/// iteration charged to `exec`.
-fn time_per_iter<V: gko::Value>(
-    exec: &Executor,
-    solver: &dyn LinOp<V>,
-    n: usize,
-    iters: usize,
-) -> f64 {
-    let b = Dense::<V>::filled(exec, Dim2::new(n, 1), V::one());
-    let mut x = Dense::<V>::zeros(exec, Dim2::new(n, 1));
-    let t0 = exec.timeline().snapshot();
-    solver.apply(&b, &mut x).expect("solve");
-    exec.synchronize();
-    exec.timeline().snapshot().since(&t0).seconds() / iters as f64
-}
 
 fn main() {
     let iters = solver_iters();
@@ -65,26 +49,26 @@ fn main() {
         let s = Cg::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cg = time_per_iter(&gk, &s, n, iters);
+        let gko_cg = time_per_iter(&gk, &s, iters);
         let s = CupyKrylov::cg(a_cu.clone(), criteria).unwrap();
-        let cupy_cg = time_per_iter(&cu, &s, n, iters);
+        let cupy_cg = time_per_iter(&cu, &s, iters);
 
         // CGS.
         let s = Cgs::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cgs = time_per_iter(&gk, &s, n, iters);
+        let gko_cgs = time_per_iter(&gk, &s, iters);
         let s = CupyKrylov::cgs(a_cu.clone(), criteria).unwrap();
-        let cupy_cgs = time_per_iter(&cu, &s, n, iters);
+        let cupy_cgs = time_per_iter(&cu, &s, iters);
 
         // GMRES(30): Ginkgo's Givens/device variant vs CuPy's CPU variant.
         let s = Gmres::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let gko_gmres = time_per_iter(&gk, &s, n, iters);
+        let gko_gmres = time_per_iter(&gk, &s, iters);
         let s = CupyGmres::new(a_cu.clone(), 30, criteria);
-        let cupy_gmres = time_per_iter(&cu, &s, n, iters);
+        let cupy_gmres = time_per_iter(&cu, &s, iters);
 
         let sp = [cupy_cg / gko_cg, cupy_cgs / gko_cgs, cupy_gmres / gko_gmres];
         for (acc, v) in sums.iter_mut().zip(sp) {

@@ -6,23 +6,15 @@
 //! `cargo run -p pygko-bench --bin solver_cpu --release`
 
 use gko::linop::LinOp;
-use gko::matrix::{Csr, Dense};
+use gko::matrix::Csr;
 use gko::solver::{Cg, Cgs, Gmres};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_baselines::scipy::scipy_solver;
 use pygko_baselines::scipy_executor;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, Report};
+use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, time_per_iter, Report};
 use pygko_matgen::solver_suite;
 use std::sync::Arc;
-
-fn run<V: gko::Value>(exec: &Executor, solver: &dyn LinOp<V>, n: usize, iters: usize) -> f64 {
-    let b = Dense::<V>::filled(exec, Dim2::new(n, 1), V::one());
-    let mut x = Dense::<V>::zeros(exec, Dim2::new(n, 1));
-    let t0 = exec.timeline().snapshot();
-    solver.apply(&b, &mut x).unwrap();
-    exec.timeline().snapshot().since(&t0).seconds() / iters as f64
-}
 
 fn main() {
     let iters = solver_iters();
@@ -49,26 +41,26 @@ fn main() {
         let s = Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cg = run(&omp, &s, n, iters);
+        let gko_cg = time_per_iter(&omp, &s, iters);
         let s = Cgs::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cgs = run(&omp, &s, n, iters);
+        let gko_cgs = time_per_iter(&omp, &s, iters);
         let s = Gmres::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let gko_gmres = run(&omp, &s, n, iters);
+        let gko_gmres = time_per_iter(&omp, &s, iters);
 
         // SciPy on one core.
         let sp = scipy_executor();
         let a_sp = Arc::new(Csr::<f64, i32>::from_triplets(&sp, dim, &t64).unwrap());
         let (s, _) = scipy_solver(a_sp.clone(), "cg", iters).unwrap();
-        let scipy_cg = run(&sp, &*s, n, iters);
+        let scipy_cg = time_per_iter(&sp, &*s, iters);
         let (s, _) = scipy_solver(a_sp.clone(), "cgs", iters).unwrap();
-        let scipy_cgs = run(&sp, &*s, n, iters);
+        let scipy_cgs = time_per_iter(&sp, &*s, iters);
         let (s, _) = scipy_solver(a_sp, "gmres", iters).unwrap();
-        let scipy_gmres = run(&sp, &*s, n, iters);
+        let scipy_gmres = time_per_iter(&sp, &*s, iters);
 
         cg_speedups.push(scipy_cg / gko_cg);
         rows.push((

@@ -27,10 +27,10 @@
 use gko::config::Config;
 use gko::linop::LinOp;
 use gko::matrix::{BatchCsr, BatchDense, Coo, Csr, Dense, Ell, Hybrid, Sellp, SpmvStrategy};
-use gko::solver::{BatchCg, Cg};
+use gko::solver::{BatchCg, BatchSolveRecord, Cg};
 use gko::stop::Criteria;
 use gko::{Dim2, Executor, MetricsSnapshot, ObserveConfig, PoolStats};
-use pygko_bench::{fmt, gflops, quick_mode, results_dir, Report};
+use pygko_bench::{fmt, gflops, quick_mode, results_dir, virtual_secs, Report};
 use pygko_matgen::generators::{poisson2d, power_law, spd_tridiag_batch};
 use std::sync::Arc;
 
@@ -66,10 +66,7 @@ fn run_once<V: gko::Value>(
     // Warm up so lazy pool spawning is not charged to the measured kernel.
     op.apply(b, x).expect("spmv");
     let s0 = exec.pool_stats();
-    let t0 = exec.timeline().snapshot();
-    op.apply(b, x).expect("spmv");
-    exec.synchronize();
-    let secs = exec.timeline().snapshot().since(&t0).seconds();
+    let secs = virtual_secs(exec, || op.apply(b, x).expect("spmv")).seconds();
     (secs, exec.pool_stats().since(&s0))
 }
 
@@ -332,20 +329,17 @@ fn main() {
     let ab_b = Dense::<f64>::vector(&ab_exec, gen.cols, 1.0);
     let mut ab_x = Dense::zeros(&ab_exec, Dim2::new(gen.rows, 1));
     // Measure the inspector alone: one plan build on the virtual timeline.
-    let t0 = ab_exec.timeline().snapshot();
-    let _ = ab_csr.plan();
-    ab_exec.synchronize();
-    let plan_build_secs = ab_exec.timeline().snapshot().since(&t0).seconds();
+    let plan_build_secs = virtual_secs(&ab_exec, || drop(ab_csr.plan())).seconds();
     let run_applies = |rebuild: bool, x: &mut Dense<f64>| -> f64 {
-        let t0 = ab_exec.timeline().snapshot();
-        for _ in 0..applies {
-            if rebuild {
-                ab_csr.invalidate_plan();
+        virtual_secs(&ab_exec, || {
+            for _ in 0..applies {
+                if rebuild {
+                    ab_csr.invalidate_plan();
+                }
+                ab_csr.apply(&ab_b, x).expect("spmv");
             }
-            ab_csr.apply(&ab_b, x).expect("spmv");
-        }
-        ab_exec.synchronize();
-        ab_exec.timeline().snapshot().since(&t0).seconds()
+        })
+        .seconds()
     };
     ab_csr.invalidate_plan();
     let before = ab_csr.plan_stats();
@@ -400,10 +394,11 @@ fn main() {
         batch_b.system_mut(s).copy_from_slice(&bgen.rhs[s]);
     }
     let batch_solver = BatchCg::new(batch).unwrap().with_criteria(batch_criteria);
-    let t0 = bt_exec.timeline().snapshot();
-    let batch_record = batch_solver.apply_batch(&batch_b, &mut batch_x).unwrap();
-    bt_exec.synchronize();
-    let batched_secs = bt_exec.timeline().snapshot().since(&t0).seconds();
+    let mut batch_record = BatchSolveRecord::default();
+    let batched_secs = virtual_secs(&bt_exec, || {
+        batch_record = batch_solver.apply_batch(&batch_b, &mut batch_x).unwrap();
+    })
+    .seconds();
     assert!(
         batch_record.all_converged(),
         "batched CG should converge on every diagonally dominant system \
@@ -424,13 +419,12 @@ fn main() {
             (solver, b, x)
         })
         .collect();
-    let t0 = bt_exec.timeline().snapshot();
-    for (solver, b, x) in &mut singles.into_iter() {
-        let mut x = x;
-        solver.apply(&b, &mut x).expect("single cg");
-    }
-    bt_exec.synchronize();
-    let loop_secs = bt_exec.timeline().snapshot().since(&t0).seconds();
+    let loop_secs = virtual_secs(&bt_exec, || {
+        for (solver, b, mut x) in singles {
+            solver.apply(&b, &mut x).expect("single cg");
+        }
+    })
+    .seconds();
 
     let batch_anomalies = bt_exec.observer().status().anomalies_total();
     let per_system_batched_ns = batched_secs / batch_systems as f64 * 1e9;

@@ -22,6 +22,7 @@ use gko::linop::LinOp;
 use gko::matrix::Dense;
 use gko::{Dim2, Executor, Value};
 use pygko_matgen::{GeneratedMatrix, MatrixInfo};
+use pygko_sim::TimelineSnapshot;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -63,15 +64,31 @@ pub fn cast_triplets<V: Value>(m: &GeneratedMatrix) -> Vec<(usize, usize, V)> {
         .collect()
 }
 
+/// What `f` charges to `exec`'s virtual timeline: the difference of two
+/// snapshots around it (time, kernels, flops, copies). Every figure's timed
+/// window is one call of this.
+pub fn virtual_secs(exec: &Executor, f: impl FnOnce()) -> TimelineSnapshot {
+    let t0 = exec.timeline().snapshot();
+    f();
+    exec.synchronize();
+    exec.timeline().snapshot().since(&t0)
+}
+
 /// Runs one SpMV through any engine-level operator and returns the virtual
 /// seconds it charged to `exec`.
 pub fn time_spmv<V: Value>(exec: &Executor, op: &dyn LinOp<V>, n_cols: usize) -> f64 {
     let b = Dense::<V>::filled(exec, Dim2::new(n_cols, 1), V::one());
     let mut x = Dense::<V>::zeros(exec, Dim2::new(op.size().rows, 1));
-    let t0 = exec.timeline().snapshot();
-    op.apply(&b, &mut x).expect("spmv");
-    exec.synchronize();
-    exec.timeline().snapshot().since(&t0).seconds()
+    virtual_secs(exec, || op.apply(&b, &mut x).expect("spmv")).seconds()
+}
+
+/// Virtual seconds per iteration of one solve with `solver` from a ones
+/// right-hand side and a zero guess, for a solver stopped after `iters`
+/// iterations.
+pub fn time_per_iter<V: Value>(exec: &Executor, solver: &dyn LinOp<V>, iters: usize) -> f64 {
+    let b = Dense::<V>::filled(exec, Dim2::new(solver.size().cols, 1), V::one());
+    let mut x = Dense::<V>::zeros(exec, Dim2::new(solver.size().rows, 1));
+    virtual_secs(exec, || solver.apply(&b, &mut x).expect("solve")).seconds() / iters as f64
 }
 
 /// GFLOP/s of an SpMV given its nonzero count and virtual seconds.
