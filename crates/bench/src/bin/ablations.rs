@@ -20,7 +20,8 @@ use gko::{Dim2, Executor};
 use pygko_baselines::cupy::CupyGmres;
 use pygko_baselines::gpu_executor;
 use pygko_bench::{
-    cast_triplets, fmt, solver_iters, time_per_iter, time_spmv, virtual_secs, Report,
+    cast_triplets, fmt, print_first_calls, solver_iters, time_per_iter, time_spmv, virtual_secs,
+    Report,
 };
 use pygko_matgen::generators::{poisson2d, rmat};
 use std::sync::Arc;
@@ -38,6 +39,7 @@ fn spmv_strategy() {
         "Ablation 1: CSR SpMV strategy (virtual time, A100)",
         &["matrix", "nnz", "classical s", "load-balanced s", "gain"],
     );
+    let mut firsts = Vec::new();
     for gen in [
         poisson2d("regular (poisson2d 500)", 500, 500),
         // Power-law degrees: a handful of hub rows hold a large share of
@@ -47,14 +49,13 @@ fn spmv_strategy() {
         let t32 = cast_triplets::<f32>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
         let exec = Executor::cuda(0);
-        let classical = Csr::<f32, i32>::from_triplets(&exec, dim, &t32)
-            .unwrap()
-            .with_strategy(SpmvStrategy::Classical);
-        let t_classical = time_spmv(&exec, &classical, gen.rows);
-        let balanced = Csr::<f32, i32>::from_triplets(&exec, dim, &t32)
-            .unwrap()
-            .with_strategy(SpmvStrategy::LoadBalance);
-        let t_balanced = time_spmv(&exec, &balanced, gen.rows);
+        let [t_classical, t_balanced] =
+            [SpmvStrategy::Classical, SpmvStrategy::LoadBalance].map(|strategy| {
+                let a = Csr::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap();
+                let t = time_spmv(&exec, &a.with_strategy(strategy));
+                firsts.push(t);
+                t.steady.seconds()
+            });
         report.row(vec![
             gen.name.clone(),
             gen.nnz().to_string(),
@@ -65,6 +66,7 @@ fn spmv_strategy() {
     }
     report.print();
     report.write_csv("ablation_spmv_strategy").expect("csv");
+    print_first_calls("classical and load-balanced", &firsts);
 }
 
 /// Ablation 2: the two GMRES formulations of §6.2.1, cost per iteration at

@@ -11,7 +11,10 @@ use pygko_baselines::scipy::ScipyCsr;
 use pygko_baselines::tf::TfCoo;
 use pygko_baselines::torch::TorchCsr;
 use pygko_baselines::{gpu_executor, scipy_executor};
-use pygko_bench::{cast_triplets, fmt, gflops, maybe_shrink, time_spmv, Report};
+use pygko_bench::{
+    cast_triplets, facade_matrix, fmt, gflops, maybe_shrink, print_first_calls, time_facade_spmv,
+    time_spmv, Report,
+};
 use pygko_matgen::spmv_suite;
 use std::sync::Arc;
 
@@ -35,10 +38,10 @@ fn main() {
 
     let mut rows: Vec<(usize, Vec<String>)> = Vec::new();
     let mut peaks = [0.0f64; 4]; // pyginkgo, torch, tf, cupy
+    let mut firsts = Vec::new();
 
     for info in maybe_shrink(spmv_suite()) {
         let gen = info.generate();
-        let n = gen.rows;
         let nnz = gen.nnz();
         let t32 = cast_triplets::<f32>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
@@ -48,44 +51,34 @@ fn main() {
         let scipy = ScipyCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&sp_exec, dim, &t32).unwrap(),
         ));
-        let t_scipy = time_spmv(&sp_exec, &scipy, n);
+        let t_scipy = time_spmv(&sp_exec, &scipy).steady.seconds();
 
         // pyGinkgo through the facade (includes binding overhead).
-        let dev = pyginkgo::device("cuda").unwrap();
-        let m = pyginkgo::SparseMatrix::from_triplets(
-            &dev,
-            (gen.rows, gen.cols),
-            &gen.triplets,
-            "float",
-            "int32",
-            "Csr",
-        )
-        .unwrap();
-        let b = pyginkgo::as_tensor_fill(&dev, (n, 1), "float", 1.0).unwrap();
-        let t0 = dev.executor().timeline().snapshot();
-        let _ = m.spmv(&b).unwrap();
-        let t_pygko = dev.executor().timeline().snapshot().since(&t0).seconds();
+        let m = facade_matrix("cuda", &gen, "Csr");
+        let pygko = time_facade_spmv(&m);
+        firsts.push(pygko);
+        let t_pygko = pygko.steady.seconds();
 
         // PyTorch (CSR is its best-performing format here).
         let to_exec = gpu_executor("PyTorch");
         let torch = TorchCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&to_exec, dim, &t32).unwrap(),
         ));
-        let t_torch = time_spmv(&to_exec, &torch, n);
+        let t_torch = time_spmv(&to_exec, &torch).steady.seconds();
 
         // TensorFlow (COO only).
         let tf_exec = gpu_executor("TensorFlow");
         let tf = TfCoo::new(Arc::new(
             Coo::<f32, i32>::from_triplets(&tf_exec, dim, &t32).unwrap(),
         ));
-        let t_tf = time_spmv(&tf_exec, &tf, n);
+        let t_tf = time_spmv(&tf_exec, &tf).steady.seconds();
 
         // CuPy (cuSPARSE CSR).
         let cu_exec = gpu_executor("CuPy");
         let cupy = CupyCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&cu_exec, dim, &t32).unwrap(),
         ));
-        let t_cupy = time_spmv(&cu_exec, &cupy, n);
+        let t_cupy = time_spmv(&cu_exec, &cupy).steady.seconds();
 
         let gf = [
             gflops(nnz, t_pygko),
@@ -127,4 +120,5 @@ fn main() {
         "           measured: pyGinkgo {:.0}, PyTorch {:.0}, CuPy {:.0}, TensorFlow {:.0}",
         peaks[0], peaks[1], peaks[3], peaks[2]
     );
+    print_first_calls("pyGinkgo", &firsts);
 }

@@ -11,7 +11,7 @@ use pygko_baselines::scipy::ScipyCsr;
 use pygko_baselines::scipy_executor;
 use pygko_baselines::tf::TfCoo;
 use pygko_baselines::torch::TorchCsr;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, time_spmv, Report};
+use pygko_bench::{cast_triplets, fmt, maybe_shrink, print_first_calls, time_spmv, Report};
 use pygko_matgen::spmv_suite;
 use std::sync::Arc;
 
@@ -36,10 +36,10 @@ fn main() {
 
     let mut rows: Vec<(usize, Vec<String>)> = Vec::new();
     let mut best_high_nnz: f64 = 0.0;
+    let mut firsts = Vec::new();
 
     for info in maybe_shrink(spmv_suite()) {
         let gen = info.generate();
-        let n = gen.rows;
         let nnz = gen.nnz();
         let t32 = cast_triplets::<f32>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
@@ -48,14 +48,15 @@ fn main() {
         let scipy = ScipyCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&sp_exec, dim, &t32).unwrap(),
         ));
-        let t_scipy = time_spmv(&sp_exec, &scipy, n);
+        let t_scipy = time_spmv(&sp_exec, &scipy).steady.seconds();
 
         let mut cells = vec![gen.name.clone(), nnz.to_string()];
         for threads in THREADS {
             let exec = gko::Executor::omp(threads);
             let a = Csr::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap();
-            let t = time_spmv(&exec, &a, n);
-            let speedup = t_scipy / t;
+            let t = time_spmv(&exec, &a);
+            firsts.push(t);
+            let speedup = t_scipy / t.steady.seconds();
             if threads == 32 && nnz > 1_000_000 {
                 best_high_nnz = best_high_nnz.max(speedup);
             }
@@ -67,13 +68,13 @@ fn main() {
         let torch = TorchCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&to_exec, dim, &t32).unwrap(),
         ));
-        cells.push(fmt(t_scipy / time_spmv(&to_exec, &torch, n)));
+        cells.push(fmt(t_scipy / time_spmv(&to_exec, &torch).steady.seconds()));
 
         let tf_exec = cpu_executor("TensorFlow", 32);
         let tf = TfCoo::new(Arc::new(
             Coo::<f32, i32>::from_triplets(&tf_exec, dim, &t32).unwrap(),
         ));
-        cells.push(fmt(t_scipy / time_spmv(&tf_exec, &tf, n)));
+        cells.push(fmt(t_scipy / time_spmv(&tf_exec, &tf).steady.seconds()));
 
         rows.push((nnz, cells));
     }
@@ -90,4 +91,5 @@ fn main() {
          10-60x vs PyTorch, 30-90x vs TensorFlow"
     );
     println!("measured best 32-thread speedup on matrices with NNZ > 1e6: {best_high_nnz:.1}x");
+    print_first_calls("pyGinkgo", &firsts);
 }

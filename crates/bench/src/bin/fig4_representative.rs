@@ -11,7 +11,7 @@ use pygko_baselines::scipy::ScipyCsr;
 use pygko_baselines::tf::TfCoo;
 use pygko_baselines::torch::TorchCsr;
 use pygko_baselines::{cpu_executor, gpu_executor, scipy_executor};
-use pygko_bench::{cast_triplets, fmt, time_spmv, Report};
+use pygko_bench::{cast_triplets, fmt, print_first_calls, time_spmv, Report};
 use pygko_matgen::representative;
 use std::sync::Arc;
 
@@ -34,10 +34,10 @@ fn main() {
 
     let mut gpu_small = Vec::new();
     let mut cpu_small = Vec::new();
+    let mut firsts = Vec::new();
 
     for info in representative() {
         let gen = info.generate();
-        let n = gen.rows;
         let nnz = gen.nnz();
         let t32 = cast_triplets::<f32>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
@@ -47,30 +47,32 @@ fn main() {
         let scipy = ScipyCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&sp_exec, dim, &t32).unwrap(),
         ));
-        let t_scipy = time_spmv(&sp_exec, &scipy, n);
+        let t_scipy = time_spmv(&sp_exec, &scipy).steady.seconds();
 
         // --- GPU ---
         let gk = Executor::cuda(0);
         let a = Csr::<f32, i32>::from_triplets(&gk, dim, &t32).unwrap();
-        let t_gko_gpu = time_spmv(&gk, &a, n);
+        let gko_gpu = time_spmv(&gk, &a);
+        firsts.push(gko_gpu);
+        let t_gko_gpu = gko_gpu.steady.seconds();
 
         let to_exec = gpu_executor("PyTorch");
         let torch = TorchCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&to_exec, dim, &t32).unwrap(),
         ));
-        let t_torch = time_spmv(&to_exec, &torch, n);
+        let t_torch = time_spmv(&to_exec, &torch).steady.seconds();
 
         let tf_exec = gpu_executor("TensorFlow");
         let tf = TfCoo::new(Arc::new(
             Coo::<f32, i32>::from_triplets(&tf_exec, dim, &t32).unwrap(),
         ));
-        let t_tf = time_spmv(&tf_exec, &tf, n);
+        let t_tf = time_spmv(&tf_exec, &tf).steady.seconds();
 
         let cu_exec = gpu_executor("CuPy");
         let cupy = CupyCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&cu_exec, dim, &t32).unwrap(),
         ));
-        let t_cupy = time_spmv(&cu_exec, &cupy, n);
+        let t_cupy = time_spmv(&cu_exec, &cupy).steady.seconds();
 
         gpu_report.row(vec![
             gen.name.clone(),
@@ -87,19 +89,21 @@ fn main() {
         // --- CPU (32 threads) ---
         let omp = Executor::omp(32);
         let a = Csr::<f32, i32>::from_triplets(&omp, dim, &t32).unwrap();
-        let t_gko_cpu = time_spmv(&omp, &a, n);
+        let gko_cpu = time_spmv(&omp, &a);
+        firsts.push(gko_cpu);
+        let t_gko_cpu = gko_cpu.steady.seconds();
 
         let to_exec = cpu_executor("PyTorch", 32);
         let torch = TorchCsr::new(Arc::new(
             Csr::<f32, i32>::from_triplets(&to_exec, dim, &t32).unwrap(),
         ));
-        let t_torch_cpu = time_spmv(&to_exec, &torch, n);
+        let t_torch_cpu = time_spmv(&to_exec, &torch).steady.seconds();
 
         let tf_exec = cpu_executor("TensorFlow", 32);
         let tf = TfCoo::new(Arc::new(
             Coo::<f32, i32>::from_triplets(&tf_exec, dim, &t32).unwrap(),
         ));
-        let t_tf_cpu = time_spmv(&tf_exec, &tf, n);
+        let t_tf_cpu = time_spmv(&tf_exec, &tf).steady.seconds();
 
         cpu_report.row(vec![
             gen.name.clone(),
@@ -132,4 +136,5 @@ fn main() {
         "measured on A and B: CPU speedup {cpu_avg:.2}x vs GPU speedup {gpu_avg:.2}x \
          (CPU should win)"
     );
+    print_first_calls("pyGinkgo, GPU and CPU", &firsts);
 }

@@ -4,17 +4,10 @@
 //!
 //! `cargo run -p pygko-bench --bin fig5a_devices --release`
 
-use pyginkgo as pg;
-use pygko_bench::{fmt, gflops, maybe_shrink, Report};
+use pygko_bench::{
+    facade_matrix, fmt, gflops, maybe_shrink, print_first_calls, time_facade_spmv, Report,
+};
 use pygko_matgen::overhead_suite;
-
-fn measure(dev: &pg::Device, m: &pg::SparseMatrix) -> f64 {
-    let n = m.shape().1;
-    let b = pg::as_tensor_fill(dev, (n, 1), "float", 1.0).unwrap();
-    let t0 = dev.executor().timeline().snapshot();
-    let _ = m.spmv(&b).unwrap();
-    dev.executor().timeline().snapshot().since(&t0).seconds()
-}
 
 fn main() {
     let mut report = Report::new(
@@ -32,6 +25,7 @@ fn main() {
     let mut rows: Vec<(usize, Vec<String>)> = Vec::new();
     let mut large_win = (0.0f64, 0.0f64); // (a100 csr, mi100 csr) at max nnz
     let mut max_nnz = 0usize;
+    let mut firsts = Vec::new();
 
     for info in maybe_shrink(overhead_suite()) {
         let gen = info.generate();
@@ -40,18 +34,11 @@ fn main() {
         let mut a100_csr = 0.0;
         let mut mi100_csr = 0.0;
         for device_name in ["cuda", "hip"] {
-            let dev = pg::device(device_name).unwrap();
             for format in ["Csr", "Coo"] {
-                let m = pg::SparseMatrix::from_triplets(
-                    &dev,
-                    (gen.rows, gen.cols),
-                    &gen.triplets,
-                    "float",
-                    "int32",
-                    format,
-                )
-                .unwrap();
-                let gf = gflops(nnz, measure(&dev, &m));
+                let m = facade_matrix(device_name, &gen, format);
+                let t = time_facade_spmv(&m);
+                firsts.push(t);
+                let gf = gflops(nnz, t.steady.seconds());
                 if format == "Csr" {
                     if device_name == "cuda" {
                         a100_csr = gf;
@@ -84,4 +71,5 @@ fn main() {
         "measured at the largest matrix (nnz = {max_nnz}): A100 CSR {:.0} GF/s vs MI100 CSR {:.0} GF/s",
         large_win.0, large_win.1
     );
+    print_first_calls("CSR and COO, A100 and MI100", &firsts);
 }

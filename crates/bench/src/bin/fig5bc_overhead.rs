@@ -18,11 +18,13 @@
 //!
 //! `cargo run -p pygko-bench --bin fig5bc_overhead --release`
 
-use gko::linop::LinOp;
-use gko::matrix::{Coo, Csr, Dense};
-use gko::{Dim2, Executor};
+use gko::matrix::{Coo, Csr};
+use gko::Dim2;
 use pyginkgo as pg;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, Report};
+use pygko_bench::{
+    cast_triplets, facade_matrix, fmt, maybe_shrink, print_first_calls, time_facade_spmv,
+    time_spmv, Report,
+};
 use pygko_matgen::overhead_suite;
 use pygko_sim::Noise;
 
@@ -31,25 +33,6 @@ const NOISE_SEED: u64 = 54_598; // the paper's DOI suffix, for memorability
 /// GPU kernel timings) plus a small absolute term from timer granularity.
 const REL_SIGMA: f64 = 0.02;
 const ABS_SIGMA_NS: f64 = 400.0;
-
-fn engine_spmv_ns(exec: &Executor, op: &dyn LinOp<f32>, n: usize) -> f64 {
-    let b = Dense::<f32>::vector(exec, n, 1.0);
-    let mut x = Dense::zeros(exec, Dim2::new(n, 1));
-    let t0 = exec.timeline().snapshot();
-    op.apply(&b, &mut x).unwrap();
-    exec.synchronize();
-    exec.timeline().snapshot().since(&t0).ns as f64
-}
-
-fn facade_spmv_ns(dev: &pg::Device, m: &pg::SparseMatrix) -> f64 {
-    let n = m.shape().1;
-    let b = pg::as_tensor_fill(dev, (n, 1), "float", 1.0).unwrap();
-    let mut x = pg::as_tensor_fill(dev, (n, 1), "float", 0.0).unwrap();
-    let t0 = dev.executor().timeline().snapshot();
-    m.spmv_into(&b, &mut x).unwrap();
-    dev.synchronize();
-    dev.executor().timeline().snapshot().since(&t0).ns as f64
-}
 
 fn main() {
     println!(
@@ -86,10 +69,10 @@ fn main() {
     let mut total = 0usize;
     let mut small_overheads = Vec::new();
     let mut large_overheads = Vec::new();
+    let mut firsts = Vec::new();
 
     for info in maybe_shrink(overhead_suite()) {
         let gen = info.generate();
-        let n = gen.rows;
         let nnz = gen.nnz();
         let t32 = cast_triplets::<f32>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
@@ -99,35 +82,25 @@ fn main() {
 
         for device_name in ["cuda", "hip"] {
             for format in ["Csr", "Coo"] {
-                // Engine path.
-                let exec = if device_name == "cuda" {
-                    Executor::cuda(0)
+                // Engine path, on a fresh executor of the same device.
+                let exec = pg::device(device_name).unwrap().executor().clone();
+                let engine = if format == "Csr" {
+                    time_spmv(
+                        &exec,
+                        &Csr::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap(),
+                    )
                 } else {
-                    Executor::hip(0)
-                };
-                let engine_ns = match format {
-                    "Csr" => {
-                        let a = Csr::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap();
-                        engine_spmv_ns(&exec, &a, n)
-                    }
-                    _ => {
-                        let a = Coo::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap();
-                        engine_spmv_ns(&exec, &a, n)
-                    }
+                    time_spmv(
+                        &exec,
+                        &Coo::<f32, i32>::from_triplets(&exec, dim, &t32).unwrap(),
+                    )
                 };
 
                 // Facade path.
-                let dev = pg::device(device_name).unwrap();
-                let m = pg::SparseMatrix::from_triplets(
-                    &dev,
-                    (gen.rows, gen.cols),
-                    &gen.triplets,
-                    "float",
-                    "int32",
-                    format,
-                )
-                .unwrap();
-                let facade_ns = facade_spmv_ns(&dev, &m);
+                let m = facade_matrix(device_name, &gen, format);
+                let facade = time_facade_spmv(&m);
+                firsts.extend([engine, facade]);
+                let (engine_ns, facade_ns) = (engine.steady.ns as f64, facade.steady.ns as f64);
 
                 // Apply the measurement-noise model to both sides.
                 let engine_meas = noise.perturb_ns(engine_ns, REL_SIGMA, ABS_SIGMA_NS);
@@ -180,4 +153,5 @@ fn main() {
         mean(&small_overheads),
         mean(&large_overheads)
     );
+    print_first_calls("engine and facade, every cell", &firsts);
 }

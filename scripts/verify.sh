@@ -41,9 +41,10 @@ PYGKO_BENCH_QUICK=1 "$bin/observe_probe"
 
 # Results gate: every figure and table bin plus spmv_formats, at full size,
 # and each file they write must be byte-identical to the committed one in
-# results/. Everything they write is virtual time or a count, so a rerun of
-# the same code writes the same bytes; a change that moves a figure must
-# commit the regenerated file with it.
+# results/, and every committed file but micro_*.csv must be one they
+# write. Everything they write is virtual time or a count, so a rerun of the
+# same code writes the same bytes; a change that moves a figure must commit
+# the regenerated file with it.
 unset PYGKO_BENCH_QUICK PYGKO_SOLVER_ITERS
 mkdir -p "$scratch/results" "$scratch/logs"
 for b in fig3a_spmv_gpu fig3b_spmv_cpu fig3c_solver_gpu fig4_representative \
@@ -65,6 +66,19 @@ done
 if [ -n "$moved" ]; then
     echo "verify: FAIL — the code writes other bytes than results/ holds for:$moved" >&2
     echo "  (regenerate: cargo run --release --offline -p pygko-bench --bin <bin>)" >&2
+    exit 1
+fi
+# And the other way: every committed file except the wall-clock micro_*.csv
+# must be one the run wrote, or a file a bin stops writing stays unchecked.
+stale=""
+for f in results/*; do
+    name="$(basename "$f")"
+    case "$name" in micro_*.csv) continue ;; esac
+    [ -e "$scratch/results/$name" ] || stale="$stale $name"
+done
+if [ -n "$stale" ]; then
+    echo "verify: FAIL — results/ holds files no gated bin writes:$stale" >&2
+    echo "  (delete them, or gate the bin that writes them)" >&2
     exit 1
 fi
 echo "results: $checked files byte-identical to results/"
