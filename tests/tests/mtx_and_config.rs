@@ -140,3 +140,103 @@ fn listing_2_json_parses_back_through_engine_config() {
     // And round-trips losslessly.
     assert_eq!(gko::config::Config::from_json(&cfg.to_json()).unwrap(), cfg);
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The message and line of a document `read_mtx` must reject.
+fn rejection(doc: &[u8]) -> (String, usize) {
+    match pygko_mtx::read_mtx(doc) {
+        Err(pygko_mtx::MtxError::Parse { line, message }) => (message, line),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+/// `doc` with `z` appended to the line holding byte `at`: that line's last
+/// token becomes malformed.
+fn with_bad_token(doc: &[u8], at: usize) -> Vec<u8> {
+    let end = doc[at..].iter().position(|&b| b == b'\n').unwrap() + at;
+    let mut bad = doc.to_vec();
+    bad.insert(end, b'z');
+    bad
+}
+
+/// The two documents of the cold pipeline, large enough to be read and
+/// written in several slices: the written bytes, the bits read back, and the
+/// message and line of a bad token near the start, at the byte midpoint and
+/// on the last line, and of a missing last entry.
+#[test]
+fn large_documents_keep_their_bytes_bits_and_errors() {
+    type Pinned = (u64, u64, [(&'static str, usize); 4]);
+    let cases: [(pygko_matgen::GeneratedMatrix, usize, Pinned); 2] = [
+        (
+            pygko_matgen::generators::circuit("circuit_25000", 25_000, 6, 4, 6),
+            5_000_000,
+            (
+                0x464d_1abc_4138_3ba1,
+                0x55ab_d380_06f2_b619,
+                [
+                    ("bad value", 8),
+                    ("bad value", 82_924),
+                    ("bad value", 161_418),
+                    ("declared 161415 entries but found 161414", 161_417),
+                ],
+            ),
+        ),
+        (
+            pygko_matgen::generators::poisson2d("poisson2d_120", 120, 120),
+            1_000_000,
+            (
+                0x1867_909a_1df6_41bf,
+                0x7a68_452a_6d69_0ced,
+                [
+                    ("bad value", 16),
+                    ("bad value", 37_592),
+                    ("bad value", 71_523),
+                    ("declared 71520 entries but found 71519", 71_522),
+                ],
+            ),
+        ),
+    ];
+    for (gen, at_least, (bytes_hash, bits_hash, errors)) in cases {
+        let mut doc = Vec::new();
+        pygko_mtx::write_mtx(&mut doc, gen.rows, gen.cols, &gen.triplets).unwrap();
+        assert!(doc.len() > at_least, "{}: {} bytes", gen.name, doc.len());
+        let read = pygko_mtx::read_mtx(doc.as_slice()).unwrap();
+        let bits = fnv1a(read.entries.iter().flat_map(|&(r, c, v)| {
+            [r as u64, c as u64, v.to_bits()]
+                .into_iter()
+                .flat_map(u64::to_le_bytes)
+        }));
+        let last_line = doc[..doc.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let found = [
+            rejection(&with_bad_token(&doc, 200)),
+            rejection(&with_bad_token(&doc, doc.len() / 2)),
+            rejection(&with_bad_token(&doc, last_line)),
+            rejection(&doc[..last_line]),
+        ];
+        assert_eq!(
+            fnv1a(doc.iter().copied()),
+            bytes_hash,
+            "{}: bytes",
+            gen.name
+        );
+        assert_eq!(bits, bits_hash, "{}: bits read back", gen.name);
+        for ((message, line), (want_message, want_line)) in found.iter().zip(errors) {
+            assert_eq!(
+                (message.as_str(), *line),
+                (want_message, want_line),
+                "{}",
+                gen.name
+            );
+        }
+    }
+}
