@@ -13,8 +13,10 @@
 
 #![warn(missing_docs)]
 
+mod lemire;
 mod shortest;
 
+use lemire::eisel_lemire;
 use shortest::{push_integer, push_shortest};
 use std::fmt;
 use std::io::{Read, Write};
@@ -310,16 +312,20 @@ impl<'a> Scanner<'a> {
         }
         let fraction_digits = point.map_or(0, |at| digits - at);
         let exponent = exponent.saturating_sub(i32::try_from(fraction_digits).ok()?);
-        if digits == 0 || digits > 19 || mantissa > 1 << 53 {
+        if digits == 0 || digits > 19 {
             return None;
         }
-        let power = *POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?)?;
-        // Exact: `mantissa <= 2^53`.
-        let magnitude = mantissa as f64;
-        let magnitude = if exponent < 0 {
-            magnitude / power
-        } else {
-            magnitude * power
+        let magnitude = match POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?) {
+            Some(&power) if mantissa <= 1 << 53 => {
+                // Exact: `mantissa <= 2^53`.
+                let magnitude = mantissa as f64;
+                if exponent < 0 {
+                    magnitude / power
+                } else {
+                    magnitude * power
+                }
+            }
+            _ => eisel_lemire(mantissa, exponent)?,
         };
         Some(if negative { -magnitude } else { magnitude })
     }

@@ -114,7 +114,7 @@ const POW5_BITS: i32 = 121;
 
 /// `ceil(log2(5^e))` for `0 < e <= 3528`, and 1 for `e = 0`: the bit length
 /// of `5^e`.
-const fn pow5_bits(e: i32) -> i32 {
+pub(crate) const fn pow5_bits(e: i32) -> i32 {
     ((e as u32 * 1_217_359) >> 19) as i32 + 1
 }
 
@@ -130,10 +130,10 @@ fn log10_pow5(e: i32) -> i32 {
 
 /// An unsigned 1024-bit integer, least significant limb first: room for
 /// `2^1000` and for `5^325` (755 bits).
-type Big = [u64; 16];
+pub(crate) type Big = [u64; 16];
 
 /// `x * 5`; the tables never let it overflow.
-const fn times5(x: Big) -> Big {
+pub(crate) const fn times5(x: Big) -> Big {
     let mut out = [0u64; 16];
     let mut carry = 0u128;
     let mut k = 0;
@@ -147,7 +147,7 @@ const fn times5(x: Big) -> Big {
 }
 
 /// `floor(x / 5)`.
-const fn over5(x: Big) -> Big {
+pub(crate) const fn over5(x: Big) -> Big {
     let mut out = [0u64; 16];
     let mut rem = 0u128;
     let mut k = 16;
@@ -161,7 +161,7 @@ const fn over5(x: Big) -> Big {
 }
 
 /// `floor(x / 2^shift) mod 2^128`.
-const fn bits_from(x: &Big, shift: i32) -> u128 {
+pub(crate) const fn bits_from(x: &Big, shift: i32) -> u128 {
     let mut out = 0u128;
     let mut k = shift / 64;
     while k < 16 {

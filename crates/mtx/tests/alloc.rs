@@ -43,8 +43,8 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 /// `n` entries in (row, col) order: short integer-valued values, long ones
-/// that take the reader's `str::parse` fallback, and tiny ones the writer
-/// prints in exponent form.
+/// of 16-17 digits (the reader's Eisel-Lemire path once their digits pass
+/// 2^53), and tiny ones the writer prints in exponent form.
 fn entries(n: usize) -> Vec<(usize, usize, f64)> {
     (0..n)
         .map(|k| {
