@@ -14,6 +14,9 @@
 #![warn(missing_docs)]
 
 mod lemire;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod mutations;
 mod shortest;
 
 use lemire::eisel_lemire;
@@ -21,6 +24,8 @@ use shortest::{push_integer, push_shortest};
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::OnceLock;
+use std::thread;
 
 /// Storage layout declared in the header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -350,8 +355,220 @@ fn array_len(symmetry: MtxSymmetry, rows: usize, cols: usize) -> Option<usize> {
     usize::try_from(len).ok()
 }
 
-/// Parses a whole Matrix Market document held in memory.
-fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
+/// What the header and size line of a `coordinate` document fix for its
+/// entry lines.
+#[derive(Clone, Copy)]
+struct Shape {
+    rows: usize,
+    cols: usize,
+    pattern: bool,
+    symmetry: MtxSymmetry,
+}
+
+/// What a run of entry lines held.
+struct Tally {
+    /// Entry lines.
+    seen: usize,
+    /// Lines of any kind: entries, comments and blank lines.
+    lines: usize,
+    /// Whether the entries pushed are in (row, col) order.
+    sorted: bool,
+}
+
+/// Parses `buf`, a run of whole entry lines (comment and blank lines among
+/// them), onto `entries`, checking each line as it comes. An error's line
+/// number counts from `buf`'s first line, as line 1.
+fn entry_lines(
+    buf: &[u8],
+    shape: Shape,
+    entries: &mut Vec<(usize, usize, f64)>,
+) -> Result<Tally, MtxError> {
+    let Shape {
+        rows,
+        cols,
+        pattern,
+        symmetry,
+    } = shape;
+    let mut sc = Scanner::new(buf);
+    let mut sorted = true;
+    let mut last = (0usize, 0usize);
+    let mut seen = 0usize;
+    while sc.next_record() {
+        let (i, j) = (sc.index(), sc.index());
+        let v = if pattern { Some(Ok(1.0)) } else { sc.value() };
+        sc.end_line();
+        let (Some(i), Some(j), Some(v)) = (i, j, v) else {
+            return Err(parse_err(sc.line, "too few values on entry line"));
+        };
+        let i = i.map_err(|_| parse_err(sc.line, "bad row index"))?;
+        let j = j.map_err(|_| parse_err(sc.line, "bad col index"))?;
+        if i == 0 || j == 0 || i > rows || j > cols {
+            return Err(parse_err(
+                sc.line,
+                format!("entry ({i}, {j}) outside {rows}x{cols} (indices are 1-based)"),
+            ));
+        }
+        let v = v.map_err(|_| parse_err(sc.line, "bad value"))?;
+        let (i0, j0) = (i - 1, j - 1);
+        match symmetry {
+            MtxSymmetry::General => {
+                sorted &= last <= (i0, j0);
+                last = (i0, j0);
+                entries.push((i0, j0, v));
+            }
+            MtxSymmetry::Symmetric => {
+                if j0 > i0 {
+                    return Err(parse_err(
+                        sc.line,
+                        "symmetric file stores only the lower triangle",
+                    ));
+                }
+                sorted = false;
+                entries.push((i0, j0, v));
+                if i0 != j0 {
+                    entries.push((j0, i0, v));
+                }
+            }
+            MtxSymmetry::SkewSymmetric => {
+                if j0 >= i0 {
+                    return Err(parse_err(
+                        sc.line,
+                        "skew-symmetric file stores only the strict lower triangle",
+                    ));
+                }
+                sorted = false;
+                entries.push((i0, j0, v));
+                entries.push((j0, i0, -v));
+            }
+        }
+        seen += 1;
+    }
+    Ok(Tally {
+        seen,
+        lines: sc.line,
+        sorted,
+    })
+}
+
+/// `error` with its line number moved down by `lines`.
+fn with_line_offset(error: MtxError, lines: usize) -> MtxError {
+    match error {
+        MtxError::Parse { line, message } => parse_err(line + lines, message),
+        other => other,
+    }
+}
+
+/// Document bytes of entry lines per read lane: a read runs on two lanes or
+/// more only from twice this size (DESIGN.md §21, "Lanes").
+const READ_FLOOR: usize = 512 << 10;
+/// Entries per write lane, likewise.
+const WRITE_FLOOR: usize = 16 << 10;
+
+/// Lanes for `work` units of work at `floor` units per lane: 1 below two
+/// floors, else as many floors as fit, at most the host's parallelism.
+fn lanes_for(work: usize, floor: usize) -> usize {
+    /// `available_parallelism` reads cgroup files on every call.
+    static HOST: OnceLock<usize> = OnceLock::new();
+    match work / floor {
+        0 | 1 => 1,
+        fit => fit.min(*HOST.get_or_init(|| {
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })),
+    }
+}
+
+/// `floor(len x k / lanes)`: where lane `k` of `lanes` starts in `0..len`.
+fn lane_start(len: usize, k: usize, lanes: usize) -> usize {
+    // Widening: the product of two `usize` always fits in a `u128`, and the
+    // quotient is at most `len`.
+    (len as u128 * k as u128 / lanes.max(1) as u128) as usize
+}
+
+/// The first line start at or after `at` in `buf`, or its end.
+fn line_start_from(buf: &[u8], at: usize) -> usize {
+    if at == 0 || buf.get(at - 1) == Some(&b'\n') {
+        return at.min(buf.len());
+    }
+    buf.get(at..)
+        .and_then(|rest| rest.iter().position(|&b| b == b'\n'))
+        .map_or(buf.len(), |newline| at + newline + 1)
+}
+
+/// A lane's panic, raised again on the caller's thread.
+fn rejoin<T>(joined: thread::Result<T>) -> T {
+    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
+/// Parses the entry section of a `coordinate` document onto `entries` on
+/// `lanes` lanes, with [`entry_lines`]'s result and error lines.
+///
+/// The section is cut into `lanes` slices of about equal length, each cut
+/// moved forward to the next line start, so every line lies whole in one
+/// slice. The caller's thread parses the first slice into `entries`, which
+/// it reserves `reserve` entries for; spawned lanes parse the others into
+/// lists of their own, which are then appended in slice order. The merged
+/// list is the one a single pass pushes, in the same order; the first slice
+/// that fails gives the error, its line moved down by the lines before it;
+/// and the list is in order when every slice is and so is each pair of
+/// entries that meet at a cut.
+fn read_entries(
+    section: &[u8],
+    shape: Shape,
+    reserve: usize,
+    lanes: usize,
+    entries: &mut Vec<(usize, usize, f64)>,
+) -> Result<Tally, MtxError> {
+    entries.reserve(reserve);
+    if lanes <= 1 {
+        return entry_lines(section, shape, entries);
+    }
+    let slice = |k: usize| {
+        let from = line_start_from(section, lane_start(section.len(), k, lanes));
+        let to = line_start_from(section, lane_start(section.len(), k + 1, lanes));
+        section.get(from..to).unwrap_or_default()
+    };
+    let lane = |k: usize| {
+        let slice = slice(k);
+        // Its share of the reservation by bytes, and an eighth more: later
+        // lines have longer indices, so a slice's share of bytes is close to
+        // its share of entries.
+        let share = lane_start(reserve, slice.len(), section.len().max(1));
+        let mut own = Vec::with_capacity(share + share / 8);
+        entry_lines(slice, shape, &mut own).map(|tally| (tally, own))
+    };
+    let lane = &lane;
+    thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes)
+            .map(|k| thread::Builder::new().spawn_scoped(scope, move || lane(k)))
+            .collect();
+        let first = entry_lines(slice(0), shape, entries);
+        let others = spawned
+            .into_iter()
+            .zip(1..)
+            .map(|(handle, k)| match handle {
+                Ok(handle) => rejoin(handle.join()),
+                // No thread to be had: the caller parses the slice itself.
+                Err(_) => lane(k),
+            });
+        let others: Vec<_> = others.collect();
+        let mut tally = first?;
+        for outcome in others {
+            let (part, mut own) = outcome.map_err(|e| with_line_offset(e, tally.lines))?;
+            if let (Some(&(r0, c0, _)), Some(&(r1, c1, _))) = (entries.last(), own.first()) {
+                tally.sorted &= (r0, c0) <= (r1, c1);
+            }
+            entries.append(&mut own);
+            tally.seen += part.seen;
+            tally.lines += part.lines;
+            tally.sorted &= part.sorted;
+        }
+        Ok(tally)
+    })
+}
+
+/// Parses a whole Matrix Market document held in memory; the entry lines of
+/// a `coordinate` document of `n` bytes of them run on `lanes(n)` lanes.
+fn parse(buf: &[u8], lanes: impl Fn(usize) -> usize) -> Result<MtxData, MtxError> {
     let mut sc = Scanner::new(buf);
 
     // Header line: the first line that is not blank.
@@ -449,9 +666,9 @@ fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
     }
 
     let mut entries: Vec<(usize, usize, f64)> = Vec::new();
-    // Whether `entries` is still in (row, col) order, so that files written
-    // in that order skip the final sort.
-    let mut sorted = true;
+    // Whether `entries` is in (row, col) order, so that files written in
+    // that order skip the final sort.
+    let sorted;
     match format {
         MtxFormat::Coordinate => {
             let mirrored = if symmetry == MtxSymmetry::General {
@@ -459,63 +676,22 @@ fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
             } else {
                 2
             };
-            entries.reserve(declared_nnz.saturating_mul(mirrored).min(RESERVE_CAP));
-            let mut last = (0usize, 0usize);
-            let mut seen = 0usize;
-            while sc.next_record() {
-                let (i, j) = (sc.index(), sc.index());
-                let v = if pattern { Some(Ok(1.0)) } else { sc.value() };
-                sc.end_line();
-                let (Some(i), Some(j), Some(v)) = (i, j, v) else {
-                    return Err(parse_err(sc.line, "too few values on entry line"));
-                };
-                let i = i.map_err(|_| parse_err(sc.line, "bad row index"))?;
-                let j = j.map_err(|_| parse_err(sc.line, "bad col index"))?;
-                if i == 0 || j == 0 || i > rows || j > cols {
-                    return Err(parse_err(
-                        sc.line,
-                        format!("entry ({i}, {j}) outside {rows}x{cols} (indices are 1-based)"),
-                    ));
-                }
-                let v = v.map_err(|_| parse_err(sc.line, "bad value"))?;
-                let (i0, j0) = (i - 1, j - 1);
-                match symmetry {
-                    MtxSymmetry::General => {
-                        sorted &= last <= (i0, j0);
-                        last = (i0, j0);
-                        entries.push((i0, j0, v));
-                    }
-                    MtxSymmetry::Symmetric => {
-                        if j0 > i0 {
-                            return Err(parse_err(
-                                sc.line,
-                                "symmetric file stores only the lower triangle",
-                            ));
-                        }
-                        sorted = false;
-                        entries.push((i0, j0, v));
-                        if i0 != j0 {
-                            entries.push((j0, i0, v));
-                        }
-                    }
-                    MtxSymmetry::SkewSymmetric => {
-                        if j0 >= i0 {
-                            return Err(parse_err(
-                                sc.line,
-                                "skew-symmetric file stores only the strict lower triangle",
-                            ));
-                        }
-                        sorted = false;
-                        entries.push((i0, j0, v));
-                        entries.push((j0, i0, -v));
-                    }
-                }
-                seen += 1;
-            }
-            if seen != declared_nnz {
+            let shape = Shape {
+                rows,
+                cols,
+                pattern,
+                symmetry,
+            };
+            let reserve = declared_nnz.saturating_mul(mirrored).min(RESERVE_CAP);
+            let section = buf.get(sc.pos..).unwrap_or_default();
+            let lanes = lanes(section.len());
+            let tally = read_entries(section, shape, reserve, lanes, &mut entries)
+                .map_err(|e| with_line_offset(e, sc.line))?;
+            sorted = tally.sorted;
+            if tally.seen != declared_nnz {
                 return Err(parse_err(
-                    sc.line,
-                    format!("declared {declared_nnz} entries but found {seen}"),
+                    sc.line + tally.lines,
+                    format!("declared {declared_nnz} entries but found {}", tally.seen),
                 ));
             }
         }
@@ -580,6 +756,11 @@ fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
     })
 }
 
+/// Lanes for an entry section of `bytes` bytes.
+fn read_lanes(bytes: usize) -> usize {
+    lanes_for(bytes, READ_FLOOR)
+}
+
 /// Reads Matrix Market data from any reader: the whole document is read into
 /// one buffer and parsed in a single pass over its bytes.
 ///
@@ -595,12 +776,12 @@ fn parse(buf: &[u8]) -> Result<MtxData, MtxError> {
 pub fn read_mtx<R: Read>(mut reader: R) -> Result<MtxData, MtxError> {
     let mut buf = Vec::new();
     reader.read_to_end(&mut buf)?;
-    parse(&buf)
+    parse(&buf, read_lanes)
 }
 
 /// Reads a Matrix Market file from disk.
 pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<MtxData, MtxError> {
-    parse(&std::fs::read(path)?)
+    parse(&std::fs::read(path)?, read_lanes)
 }
 
 /// Bytes collected before the writer is handed a block.
@@ -623,6 +804,33 @@ fn push_value(out: &mut Vec<u8>, v: f64) {
     }
 }
 
+/// Appends one line per entry to `block`, handing it to `flush` each time it
+/// passes [`WRITE_BLOCK`] bytes.
+fn format_entries(
+    block: &mut Vec<u8>,
+    entries: &[(usize, usize, f64)],
+    mut flush: impl FnMut(&mut Vec<u8>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    for &(r, c, v) in entries {
+        // `usize` is at most 64 bits wide.
+        push_integer(block, r as u64 + 1);
+        block.push(b' ');
+        push_integer(block, c as u64 + 1);
+        block.push(b' ');
+        push_value(block, v);
+        block.push(b'\n');
+        if block.len() >= WRITE_BLOCK {
+            flush(block)?;
+        }
+    }
+    Ok(())
+}
+
+/// Decimal digits of `v`.
+fn digits(v: usize) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
 /// Writes triplets as a `coordinate real general` Matrix Market document,
 /// handing `writer` blocks of about 64 KiB.
 pub fn write_mtx<W: Write>(
@@ -631,25 +839,65 @@ pub fn write_mtx<W: Write>(
     cols: usize,
     entries: &[(usize, usize, f64)],
 ) -> Result<(), MtxError> {
+    let lanes = lanes_for(entries.len(), WRITE_FLOOR);
+    write_lanes(writer, rows, cols, entries, lanes)
+}
+
+/// [`write_mtx`] on `lanes` lanes. The entries are cut into `lanes` ranges
+/// of about equal length. The caller's thread formats the first into the
+/// block buffer and hands `writer` each full block, as a single lane does;
+/// spawned lanes format the others into buffers of their own, which the
+/// caller then writes in range order.
+fn write_lanes<W: Write>(
+    writer: &mut W,
+    rows: usize,
+    cols: usize,
+    entries: &[(usize, usize, f64)],
+    lanes: usize,
+) -> Result<(), MtxError> {
     let mut block = Vec::with_capacity(WRITE_BLOCK + 128);
     writeln!(block, "%%MatrixMarket matrix coordinate real general")?;
     writeln!(block, "% written by pygko-mtx")?;
     writeln!(block, "{rows} {cols} {}", entries.len())?;
-    for &(r, c, v) in entries {
-        // `usize` is at most 64 bits wide.
-        push_integer(&mut block, r as u64 + 1);
-        block.push(b' ');
-        push_integer(&mut block, c as u64 + 1);
-        block.push(b' ');
-        push_value(&mut block, v);
-        block.push(b'\n');
-        if block.len() >= WRITE_BLOCK {
-            writer.write_all(&block)?;
-            block.clear();
-        }
+    let mut stream = |block: &mut Vec<u8>| {
+        writer.write_all(block)?;
+        block.clear();
+        Ok(())
+    };
+    if lanes <= 1 {
+        format_entries(&mut block, entries, &mut stream)?;
+        stream(&mut block)?;
+        return Ok(());
     }
-    writer.write_all(&block)?;
-    Ok(())
+    let range = |k: usize| {
+        let from = lane_start(entries.len(), k, lanes);
+        let to = lane_start(entries.len(), k + 1, lanes);
+        entries.get(from..to).unwrap_or_default()
+    };
+    let lane = |k: usize| {
+        let range = range(k);
+        // Room for the longest line: both indices, two blanks, the longest
+        // value `{:?}` prints (`-2.2250738585072014e-308`) and `\n`.
+        let mut own = Vec::with_capacity(range.len() * (digits(rows) + digits(cols) + 27));
+        format_entries(&mut own, range, |_| Ok(())).map(|()| own)
+    };
+    let lane = &lane;
+    thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes)
+            .map(|k| thread::Builder::new().spawn_scoped(scope, move || lane(k)))
+            .collect();
+        format_entries(&mut block, range(0), &mut stream)?;
+        stream(&mut block)?;
+        for (handle, k) in spawned.into_iter().zip(1..) {
+            let mut own = match handle {
+                Ok(handle) => rejoin(handle.join()),
+                // No thread to be had: the caller formats the range itself.
+                Err(_) => lane(k),
+            }?;
+            stream(&mut own)?;
+        }
+        Ok(())
+    })
 }
 
 /// Writes triplets to a file on disk.
@@ -1211,17 +1459,21 @@ mod tests {
             .enumerate()
             .map(|(k, &v)| (k * 7919 % 100_003, k * 104_729 % 99_991, v))
             .collect();
-        let mut bytes = Vec::new();
-        write_mtx(&mut bytes, 100_003, 99_991, &entries).unwrap();
-        assert!(bytes.len() > 4 * WRITE_BLOCK);
-        assert!(bytes == reference_document(100_003, 99_991, &entries).into_bytes());
+        let reference = reference_document(100_003, 99_991, &entries).into_bytes();
+        for lanes in [1, 2, 3, 7] {
+            let mut bytes = Vec::new();
+            write_lanes(&mut bytes, 100_003, 99_991, &entries, lanes).unwrap();
+            assert!(bytes.len() > 4 * WRITE_BLOCK);
+            assert!(bytes == reference, "{lanes} lanes");
 
-        let mut empty = Vec::new();
-        write_mtx(&mut empty, 0, 3, &[]).unwrap();
-        assert_eq!(
-            String::from_utf8(empty).unwrap(),
-            reference_document(0, 3, &[])
-        );
+            let mut empty = Vec::new();
+            write_lanes(&mut empty, 0, 3, &[], lanes).unwrap();
+            assert_eq!(
+                String::from_utf8(empty).unwrap(),
+                reference_document(0, 3, &[]),
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]
@@ -1337,5 +1589,111 @@ mod tests {
             read_mtx(doc.as_bytes()).unwrap().entries,
             vec![(0, 0, 2.0), (0, 1, 4.0), (1, 1, 1.0), (1, 1, 3.0)]
         );
+    }
+
+    // -----------------------------------------------------------------
+    // Lanes: every lane count reads and writes what one lane does
+    // -----------------------------------------------------------------
+
+    /// A parse's result with values as bits, or its error's line and message.
+    type Outcome = Result<(usize, usize, Vec<(usize, usize, u64)>, String), (usize, String)>;
+
+    fn outcome(doc: &[u8], lanes: usize) -> Outcome {
+        match parse(doc, |_| lanes) {
+            Ok(m) => Ok((
+                m.rows,
+                m.cols,
+                m.entries
+                    .iter()
+                    .map(|&(r, c, v)| (r, c, v.to_bits()))
+                    .collect(),
+                format!("{:?} {:?}", m.declared_symmetry, m.declared_format),
+            )),
+            Err(MtxError::Parse { line, message }) => Err((line, message)),
+            Err(other) => Err((0, other.to_string())),
+        }
+    }
+
+    fn assert_lanes_agree(doc: &[u8], lanes: impl IntoIterator<Item = usize>) {
+        let one = outcome(doc, 1);
+        for lanes in lanes {
+            assert_eq!(
+                outcome(doc, lanes),
+                one,
+                "{lanes} lanes on {:?}",
+                String::from_utf8_lossy(doc)
+            );
+        }
+    }
+
+    #[test]
+    fn mutated_documents_read_the_same_on_every_lane_count() {
+        for case in 0..6_000 {
+            assert_lanes_agree(&mutations::mutate(case), [2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn cuts_at_every_kind_of_line_read_the_same_on_every_lane_count() {
+        let docs: &[&str] = &[
+            // Comment and blank lines wherever a cut may fall.
+            "%%MatrixMarket matrix coordinate real general\n3 3 5\n% c\n1 1 1\n\n  \n% c\n\
+             1 2 2\n% c\n% c\n2 2 3\n\n3 1 4\n  % c\n3 3 5\n\n",
+            // CRLF line ends, and no final newline.
+            "%%MatrixMarket matrix coordinate real general\r\n3 3 4\r\n1 1 1.5\r\n\
+             2 1 -2\r\n2 3 7e-3\r\n3 3 0.1",
+            // Sorted on each side of the middle, not across it.
+            "%%MatrixMarket matrix coordinate real general\n3 3 6\n2 1 1\n2 2 2\n3 3 3\n\
+             1 1 4\n1 2 5\n2 2 6\n",
+            // Duplicates on both sides of a cut keep their file order.
+            "%%MatrixMarket matrix coordinate real general\n2 2 6\n1 1 1\n2 2 2\n1 1 3\n\
+             2 2 4\n1 1 5\n2 2 6\n",
+            // More lanes than lines: empty slices.
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 1\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 0\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 0",
+            "%%MatrixMarket matrix coordinate real symmetric\n4 4 5\n1 1 4\n2 1 -1\n\
+             3 2 -1\n4 3 -1\n4 4 4\n",
+            "%%MatrixMarket matrix coordinate integer skew-symmetric\n4 4 3\n2 1 3\n\
+             3 2 -4\n4 1 12\n",
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 4\n1 2\n2 1\n3 3\n3 1\n",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n1 1\n2 1\n3 3\n",
+            // Errors: the first in file order wins, wherever the cuts are.
+            "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n% c\n2 2 x\n\
+             \n3 3 1\n4 4 1\n",
+            "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n2 2 2\n3 3 3\n\
+             3 9 1\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 1\n2 1 2\n1 3 3\n",
+            // Counts that do not match, short and long.
+            "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1\n\n2 2 2\n3 3 3\n\n",
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1\n2 2 2\n3 3 3",
+        ];
+        for doc in docs {
+            // Up to a lane per byte of the entry section: a cut at every
+            // byte, hence at every line start.
+            assert_lanes_agree(doc.as_bytes(), (2..8).chain([doc.len() / 2, doc.len()]));
+        }
+    }
+
+    #[test]
+    fn cuts_fall_on_line_starts() {
+        let section = b"1 1 1\n% c\n\n22 2 2\r\n3 3 3";
+        for at in 0..=section.len() {
+            let cut = line_start_from(section, at);
+            assert!(cut >= at && cut <= section.len(), "{at} -> {cut}");
+            assert!(cut == 0 || cut == section.len() || section[cut - 1] == b'\n');
+            assert!(
+                section[at.min(cut)..cut]
+                    .iter()
+                    .filter(|&&b| b == b'\n')
+                    .count()
+                    <= 1
+            );
+        }
+        assert_eq!(lanes_for(0, READ_FLOOR), 1);
+        assert_eq!(lanes_for(2 * READ_FLOOR - 1, READ_FLOOR), 1);
+        let host = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(lanes_for(2 * READ_FLOOR, READ_FLOOR), host.min(2));
+        assert_eq!(lanes_for(64 * WRITE_FLOOR, WRITE_FLOOR), host.min(64));
     }
 }

@@ -127,3 +127,27 @@ fn writing_allocates_the_same_few_times_at_any_length() {
     // The block buffer.
     assert!(at_small <= 1, "{at_small} allocations for one write");
 }
+
+/// Above two floors (512 KiB of entry lines per read lane, 16 Ki entries
+/// per write lane) the work is cut into as many lanes as the host runs at
+/// once; documents at 4 and 16 floors get the same lanes, and the caller's
+/// thread allocates as often for both: the spawned lanes' own lists and
+/// buffers are theirs.
+#[test]
+fn reading_and_writing_on_several_lanes_allocate_the_same_on_the_callers_thread() {
+    let (small, large) = (entries(80_000), entries(320_000));
+    let (small_doc, large_doc) = (document(&small), document(&large));
+    assert!(small_doc.len() > 4 * (512 << 10) && small.len() > 4 * (16 << 10));
+    assert!(large_doc.len() > 16 * (512 << 10) && large.len() > 16 * (16 << 10));
+    // The host's parallelism is read once per process, by the first call.
+    drop(read_mtx(small_doc.as_slice()).unwrap());
+
+    let read = |text: &[u8]| allocations(|| drop(read_mtx(text).unwrap()));
+    assert_eq!(read(&small_doc), read(&large_doc), "reading");
+    let write = |entries: &[(usize, usize, f64)]| {
+        let mut sink = Vec::with_capacity(16 << 20);
+        let n = entries.len();
+        allocations(|| write_mtx(&mut sink, n, n + 4, entries).unwrap())
+    };
+    assert_eq!(write(&small), write(&large), "writing");
+}
