@@ -477,11 +477,12 @@ fn lanes_for(work: usize, floor: usize) -> usize {
     }
 }
 
-/// `floor(len x k / lanes)`: where lane `k` of `lanes` starts in `0..len`.
-fn lane_start(len: usize, k: usize, lanes: usize) -> usize {
+/// `floor(value x part / whole)` for `part <= whole`: where lane `part` of
+/// `whole` starts in `0..value`, or a slice's share of `value`.
+fn scaled(value: usize, part: usize, whole: usize) -> usize {
     // Widening: the product of two `usize` always fits in a `u128`, and the
-    // quotient is at most `len`.
-    (len as u128 * k as u128 / lanes.max(1) as u128) as usize
+    // quotient is at most `value`.
+    (value as u128 * part as u128 / whole.max(1) as u128) as usize
 }
 
 /// The first line start at or after `at` in `buf`, or its end.
@@ -494,9 +495,31 @@ fn line_start_from(buf: &[u8], at: usize) -> usize {
         .map_or(buf.len(), |newline| at + newline + 1)
 }
 
-/// A lane's panic, raised again on the caller's thread.
-fn rejoin<T>(joined: thread::Result<T>) -> T {
-    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+/// Runs `first` on the caller's thread while `lane(1)`, ..., `lane(lanes -
+/// 1)` run on threads of their own, and returns `first`'s result and the
+/// lanes' in lane order. A lane no thread can be spawned for runs on the
+/// caller's thread after `first`; a lane's panic is raised again there.
+fn on_lanes<F, T: Send>(
+    lanes: usize,
+    lane: &(impl Fn(usize) -> T + Sync),
+    first: impl FnOnce() -> F,
+) -> (F, Vec<T>) {
+    thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes)
+            .map(|k| thread::Builder::new().spawn_scoped(scope, move || lane(k)))
+            .collect();
+        let first = first();
+        let others = spawned
+            .into_iter()
+            .zip(1..)
+            .map(|(handle, k)| match handle {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                Err(_) => lane(k),
+            });
+        (first, others.collect())
+    })
 }
 
 /// Parses the entry section of a `coordinate` document onto `entries` on
@@ -523,8 +546,8 @@ fn read_entries(
         return entry_lines(section, shape, entries);
     }
     let slice = |k: usize| {
-        let from = line_start_from(section, lane_start(section.len(), k, lanes));
-        let to = line_start_from(section, lane_start(section.len(), k + 1, lanes));
+        let from = line_start_from(section, scaled(section.len(), k, lanes));
+        let to = line_start_from(section, scaled(section.len(), k + 1, lanes));
         section.get(from..to).unwrap_or_default()
     };
     let lane = |k: usize| {
@@ -532,38 +555,23 @@ fn read_entries(
         // Its share of the reservation by bytes, and an eighth more: later
         // lines have longer indices, so a slice's share of bytes is close to
         // its share of entries.
-        let share = lane_start(reserve, slice.len(), section.len().max(1));
+        let share = scaled(reserve, slice.len(), section.len());
         let mut own = Vec::with_capacity(share + share / 8);
         entry_lines(slice, shape, &mut own).map(|tally| (tally, own))
     };
-    let lane = &lane;
-    thread::scope(|scope| {
-        let spawned: Vec<_> = (1..lanes)
-            .map(|k| thread::Builder::new().spawn_scoped(scope, move || lane(k)))
-            .collect();
-        let first = entry_lines(slice(0), shape, entries);
-        let others = spawned
-            .into_iter()
-            .zip(1..)
-            .map(|(handle, k)| match handle {
-                Ok(handle) => rejoin(handle.join()),
-                // No thread to be had: the caller parses the slice itself.
-                Err(_) => lane(k),
-            });
-        let others: Vec<_> = others.collect();
-        let mut tally = first?;
-        for outcome in others {
-            let (part, mut own) = outcome.map_err(|e| with_line_offset(e, tally.lines))?;
-            if let (Some(&(r0, c0, _)), Some(&(r1, c1, _))) = (entries.last(), own.first()) {
-                tally.sorted &= (r0, c0) <= (r1, c1);
-            }
-            entries.append(&mut own);
-            tally.seen += part.seen;
-            tally.lines += part.lines;
-            tally.sorted &= part.sorted;
+    let (first, others) = on_lanes(lanes, &lane, || entry_lines(slice(0), shape, entries));
+    let mut tally = first?;
+    for outcome in others {
+        let (part, mut own) = outcome.map_err(|e| with_line_offset(e, tally.lines))?;
+        if let (Some(&(r0, c0, _)), Some(&(r1, c1, _))) = (entries.last(), own.first()) {
+            tally.sorted &= (r0, c0) <= (r1, c1);
         }
-        Ok(tally)
-    })
+        entries.append(&mut own);
+        tally.seen += part.seen;
+        tally.lines += part.lines;
+        tally.sorted &= part.sorted;
+    }
+    Ok(tally)
 }
 
 /// Parses a whole Matrix Market document held in memory; the entry lines of
@@ -870,8 +878,8 @@ fn write_lanes<W: Write>(
         return Ok(());
     }
     let range = |k: usize| {
-        let from = lane_start(entries.len(), k, lanes);
-        let to = lane_start(entries.len(), k + 1, lanes);
+        let from = scaled(entries.len(), k, lanes);
+        let to = scaled(entries.len(), k + 1, lanes);
         entries.get(from..to).unwrap_or_default()
     };
     let lane = |k: usize| {
@@ -881,23 +889,15 @@ fn write_lanes<W: Write>(
         let mut own = Vec::with_capacity(range.len() * (digits(rows) + digits(cols) + 27));
         format_entries(&mut own, range, |_| Ok(())).map(|()| own)
     };
-    let lane = &lane;
-    thread::scope(|scope| {
-        let spawned: Vec<_> = (1..lanes)
-            .map(|k| thread::Builder::new().spawn_scoped(scope, move || lane(k)))
-            .collect();
+    let (first, others) = on_lanes(lanes, &lane, || {
         format_entries(&mut block, range(0), &mut stream)?;
-        stream(&mut block)?;
-        for (handle, k) in spawned.into_iter().zip(1..) {
-            let mut own = match handle {
-                Ok(handle) => rejoin(handle.join()),
-                // No thread to be had: the caller formats the range itself.
-                Err(_) => lane(k),
-            }?;
-            stream(&mut own)?;
-        }
-        Ok(())
-    })
+        stream(&mut block)
+    });
+    first?;
+    for own in others {
+        stream(&mut own?)?;
+    }
+    Ok(())
 }
 
 /// Writes triplets to a file on disk.
