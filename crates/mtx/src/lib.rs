@@ -9,7 +9,10 @@
 //!
 //! The reader is a single pass over the document's bytes and the writer
 //! formats into one reused block buffer: neither allocates per line or per
-//! token (DESIGN.md, "Cold path: MTX I/O and triplet assembly").
+//! token (DESIGN.md, "Cold path: MTX I/O and triplet assembly"). Above a
+//! size floor both cut their entry loop into line-aligned slices or entry
+//! ranges that run on several threads, with the same bytes, entries and
+//! errors as one pass ("Lanes" there).
 
 #![warn(missing_docs)]
 
@@ -770,7 +773,8 @@ fn read_lanes(bytes: usize) -> usize {
 }
 
 /// Reads Matrix Market data from any reader: the whole document is read into
-/// one buffer and parsed in a single pass over its bytes.
+/// one buffer and parsed in a single pass over its bytes, split into slices
+/// of whole lines that several threads parse when the document is large.
 ///
 /// Accepted grammar: lines end at `\n`; tokens are separated by ASCII
 /// whitespace (space, tab, `\r`, vertical tab, form feed); a line whose
@@ -840,7 +844,8 @@ fn digits(v: usize) -> usize {
 }
 
 /// Writes triplets as a `coordinate real general` Matrix Market document,
-/// handing `writer` blocks of about 64 KiB.
+/// handing `writer` blocks of about 64 KiB; a long list is formatted on
+/// several threads, and each further thread's part is handed over whole.
 pub fn write_mtx<W: Write>(
     writer: &mut W,
     rows: usize,
@@ -1673,6 +1678,13 @@ mod tests {
             // byte, hence at every line start.
             assert_lanes_agree(doc.as_bytes(), (2..8).chain([doc.len() / 2, doc.len()]));
         }
+        // A generated document, whole and with a bad token in its last third.
+        let circuit = pygko_matgen::generators::circuit("c", 2_000, 6, 4, 7);
+        let mut doc = Vec::new();
+        write_mtx(&mut doc, circuit.rows, circuit.cols, &circuit.triplets).unwrap();
+        assert_lanes_agree(&doc, [2, 3, 4, 7]);
+        doc.insert(doc.len() * 2 / 3, b'x');
+        assert_lanes_agree(&doc, [2, 3, 4, 7]);
     }
 
     #[test]
