@@ -555,9 +555,8 @@ fn read_entries(
     };
     let lane = |k: usize| {
         let slice = slice(k);
-        // Its share of the reservation by bytes, and an eighth more: later
-        // lines have longer indices, so a slice's share of bytes is close to
-        // its share of entries.
+        // Its byte share of the reservation, and an eighth more for a slice
+        // whose lines run shorter than the document's average.
         let share = scaled(reserve, slice.len(), section.len());
         let mut own = Vec::with_capacity(share + share / 8);
         entry_lines(slice, shape, &mut own).map(|tally| (tally, own))
