@@ -129,48 +129,17 @@ pub(crate) fn eisel_lemire(w: u64, q: i32) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shortest::tests::{compare, subtract, times};
     use pygko_sim::rng::Xoshiro256pp;
     use std::cmp::Ordering;
-
-    /// An unsigned integer, least significant 32-bit limb first.
-    type Limbs = Vec<u32>;
-
-    fn times(value: &mut Limbs, factor: u32) {
-        let mut carry = 0u64;
-        for limb in value.iter_mut() {
-            let t = u64::from(*limb) * u64::from(factor) + carry;
-            *limb = t as u32;
-            carry = t >> 32;
-        }
-        if carry > 0 {
-            value.push(carry as u32);
-        }
-    }
 
     fn bit_length(value: &[u32]) -> u32 {
         let top = value.iter().rposition(|&limb| limb != 0).unwrap();
         32 * top as u32 + 32 - value[top].leading_zeros()
     }
 
-    fn compare(a: &[u32], b: &[u32]) -> Ordering {
-        (0..a.len().max(b.len()))
-            .rev()
-            .map(|k| a.get(k).unwrap_or(&0).cmp(b.get(k).unwrap_or(&0)))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    }
-
-    fn subtract(a: &mut [u32], b: &[u32]) {
-        let mut borrow = 0i64;
-        for (k, limb) in a.iter_mut().enumerate() {
-            let t = i64::from(*limb) - i64::from(*b.get(k).unwrap_or(&0)) - borrow;
-            *limb = t.rem_euclid(1 << 32) as u32;
-            borrow = i64::from(t < 0);
-        }
-    }
-
     /// `floor(2^b / d)` by schoolbook binary long division.
-    fn power_of_two_over(b: u32, d: &[u32]) -> Limbs {
+    fn power_of_two_over(b: u32, d: &[u32]) -> Vec<u32> {
         let mut quotient = vec![0u32];
         let mut rem = vec![0u32];
         for k in (0..=b).rev() {

@@ -320,7 +320,7 @@ fn shortest_decimal(bits: u64) -> (u64, i32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pygko_sim::rng::Xoshiro256pp;
 
@@ -394,22 +394,44 @@ mod tests {
         }
     }
 
+    /// `value x factor`, `value` least significant limb first, as a plain
+    /// vector of u32.
+    pub(crate) fn times(value: &mut Vec<u32>, factor: u32) {
+        let mut carry = 0u64;
+        for limb in value.iter_mut() {
+            let t = u64::from(*limb) * u64::from(factor) + carry;
+            *limb = t as u32;
+            carry = t >> 32;
+        }
+        if carry > 0 {
+            value.push(carry as u32);
+        }
+    }
+
+    /// Compares two such integers.
+    pub(crate) fn compare(a: &[u32], b: &[u32]) -> std::cmp::Ordering {
+        let len = a.len().max(b.len());
+        (0..len)
+            .rev()
+            .map(|k| a.get(k).unwrap_or(&0).cmp(b.get(k).unwrap_or(&0)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
+    /// `a - b`, for `a >= b`.
+    pub(crate) fn subtract(a: &mut [u32], b: &[u32]) {
+        let mut borrow = 0i64;
+        for (k, limb) in a.iter_mut().enumerate() {
+            let t = i64::from(*limb) - i64::from(*b.get(k).unwrap_or(&0)) - borrow;
+            *limb = t.rem_euclid(1 << 32) as u32;
+            borrow = i64::from(t < 0);
+        }
+    }
+
     /// The tables against the definitions, by long division on a bignum of
     /// its own.
     #[test]
     fn the_tables_hold_the_powers_of_five_they_are_defined_as() {
-        // `value`, least significant limb first, as a plain vector of u32.
-        fn times(value: &mut Vec<u32>, factor: u32) {
-            let mut carry = 0u64;
-            for limb in value.iter_mut() {
-                let t = u64::from(*limb) * u64::from(factor) + carry;
-                *limb = t as u32;
-                carry = t >> 32;
-            }
-            if carry > 0 {
-                value.push(carry as u32);
-            }
-        }
         fn bit_length(value: &[u32]) -> i32 {
             let top = value.len() - 1;
             32 * top as i32 + (32 - value[top].leading_zeros()) as i32
@@ -444,23 +466,6 @@ mod tests {
                 assert_eq!(entry, quotient + 1, "inverse of 5^{i}");
             }
             times(&mut power, 5);
-        }
-
-        fn compare(a: &[u32], b: &[u32]) -> std::cmp::Ordering {
-            let len = a.len().max(b.len());
-            (0..len)
-                .rev()
-                .map(|k| a.get(k).unwrap_or(&0).cmp(b.get(k).unwrap_or(&0)))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        }
-        fn subtract(a: &mut [u32], b: &[u32]) {
-            let mut borrow = 0i64;
-            for (k, limb) in a.iter_mut().enumerate() {
-                let t = i64::from(*limb) - i64::from(*b.get(k).unwrap_or(&0)) - borrow;
-                *limb = t.rem_euclid(1 << 32) as u32;
-                borrow = i64::from(t < 0);
-            }
         }
     }
 }
