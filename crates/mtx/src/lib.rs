@@ -578,7 +578,7 @@ fn read_entries(
 
 /// Parses a whole Matrix Market document held in memory; the entry lines of
 /// a `coordinate` document of `n` bytes of them run on `lanes(n)` lanes.
-fn parse(buf: &[u8], lanes: impl Fn(usize) -> usize) -> Result<MtxData, MtxError> {
+fn parse(buf: &[u8], lanes: &dyn Fn(usize) -> usize) -> Result<MtxData, MtxError> {
     let mut sc = Scanner::new(buf);
 
     // Header line: the first line that is not blank.
@@ -787,12 +787,12 @@ fn read_lanes(bytes: usize) -> usize {
 pub fn read_mtx<R: Read>(mut reader: R) -> Result<MtxData, MtxError> {
     let mut buf = Vec::new();
     reader.read_to_end(&mut buf)?;
-    parse(&buf, read_lanes)
+    parse(&buf, &read_lanes)
 }
 
 /// Reads a Matrix Market file from disk.
 pub fn read_mtx_file(path: impl AsRef<Path>) -> Result<MtxData, MtxError> {
-    parse(&std::fs::read(path)?, read_lanes)
+    parse(&std::fs::read(path)?, &read_lanes)
 }
 
 /// Bytes collected before the writer is handed a block.
@@ -860,8 +860,8 @@ pub fn write_mtx<W: Write>(
 /// block buffer and hands `writer` each full block, as a single lane does;
 /// spawned lanes format the others into buffers of their own, which the
 /// caller then writes in range order.
-fn write_lanes<W: Write>(
-    writer: &mut W,
+fn write_lanes(
+    writer: &mut dyn Write,
     rows: usize,
     cols: usize,
     entries: &[(usize, usize, f64)],
@@ -1603,7 +1603,7 @@ mod tests {
     type Outcome = Result<(usize, usize, Vec<(usize, usize, u64)>, String), (usize, String)>;
 
     fn outcome(doc: &[u8], lanes: usize) -> Outcome {
-        match parse(doc, |_| lanes) {
+        match parse(doc, &|_| lanes) {
             Ok(m) => Ok((
                 m.rows,
                 m.cols,
