@@ -18,8 +18,9 @@
 //! and the scraped `/traces/<id>` document agree; the span parent links form
 //! a single rooted tree whose chunk spans exactly tile `0..chunk_count` of
 //! every `pool_dispatch` — no chunk lost, none duplicated, across lanes and
-//! steals; `?format=chrome` parses; the `/runs` entry carries the trace's id
-//! and anomaly labels; the flame snapshot and `/profile` agree on a rooted,
+//! steals; `?format=chrome` parses; the newest `/runs` entry's number is
+//! the trace id it links, the linked document holds that run, and a run
+//! sampled out links nothing; the flame snapshot and `/profile` agree on a rooted,
 //! non-empty tree bounded by the node cap; `?format=folded` obeys the
 //! folded-stacks grammar; `HEAD` mirrors `GET` on every route;
 //! `/profile/diff` answers 400 without a base, 404 on an unknown one and
@@ -34,8 +35,9 @@
 
 use gko::config::Config;
 use gko::log::{Event, Logger as _};
+use gko::profile::MAX_FLAME_NODES;
 use gko::stop::StopReason;
-use gko::telemetry::recorder::{detect_convergence, detect_lane_imbalance};
+use gko::telemetry::recorder::{detect_convergence, detect_lane_imbalance, STAGNATION_WINDOW};
 use gko::telemetry::{prom, Anomaly, DetectorConfig};
 use gko::{LaneStats, ObserveConfig, Observer, TelemetryServer};
 use pyginkgo as pg;
@@ -97,19 +99,19 @@ fn detector_self_tests() {
     // Convergence: plateau -> Stagnation, runaway growth -> Divergence,
     // steady improvement -> clean.
     let window = |ratio: f64| -> Vec<f64> {
-        (0..=cfg.stagnation_window)
+        (0..=STAGNATION_WINDOW)
             .map(|i| ratio.powi(i as i32))
             .collect()
     };
     assert!(matches!(
-        detect_convergence(1.0, &window(1.0), false, &cfg),
+        detect_convergence(1.0, &window(1.0), false),
         Some(Anomaly::Stagnation { .. })
     ));
     assert!(matches!(
-        detect_convergence(1e-3, &window(10.0), false, &cfg),
+        detect_convergence(1e-3, &window(10.0), false),
         Some(Anomaly::Divergence { .. })
     ));
-    assert_eq!(detect_convergence(1.0, &window(0.5), false, &cfg), None);
+    assert_eq!(detect_convergence(1.0, &window(0.5), false), None);
 
     // Lane imbalance: one hot lane at scale fires; balanced lanes don't.
     let lane = |busy_ns| LaneStats {
@@ -399,12 +401,10 @@ fn spans_stage() {
         flight: Some(DetectorConfig {
             drift_min_solves: u64::MAX,
             imbalance_ratio: f64::INFINITY,
-            ..DetectorConfig::default()
         }),
         trace: Some(gko::TraceConfig {
             sample_n: 1,
             max_spans: 2_000_000,
-            ..gko::TraceConfig::default()
         }),
         ..config
     });
@@ -414,10 +414,10 @@ fn spans_stage() {
     // --- the trace: facade, index, drill-down, chrome export, /runs link ---
     let seen = stage.solver.observations();
     let report = seen.trace.expect("sample_n=1 retains the solve");
-    assert_eq!(report.annotation, "solver::Cg");
-    assert!(report.converged && report.iterations > 0);
+    assert_eq!(report.run.solver, "solver::Cg");
+    assert!(report.run.converged && report.run.iterations > 0);
     assert_eq!(report.truncated_spans, 0, "probe solve must not truncate");
-    let trace_id = report.trace_id as i64;
+    let trace_id = report.id() as i64;
     let index = get_json(addr, "/traces");
     assert!(matches!(index.get("armed"), Some(Config::Bool(true))));
     assert_eq!(int(&index, "drops_total"), 0);
@@ -429,6 +429,12 @@ fn spans_stage() {
     );
     let doc = get_json(addr, &format!("/traces/{trace_id}"));
     assert_eq!(int(&doc, "trace_id"), trace_id);
+    let held = doc.get("run").expect("the trace holds its run");
+    assert_eq!(
+        int(held, "seq"),
+        trace_id,
+        "the run's number is the trace id"
+    );
     assert_eq!(
         array(&doc, "spans").len(),
         report.spans.len(),
@@ -441,20 +447,24 @@ fn spans_stage() {
         "chrome export has events"
     );
     let runs = get_json(addr, "/runs");
-    let run = array(&runs, "reports")
-        .iter()
-        .find(|r| r.get("trace_id").and_then(Config::as_int) == Some(trace_id))
-        .expect("/runs links the trace id");
+    let run = &array(&runs, "reports")[0];
+    assert_eq!(int(run, "seq"), trace_id, "the newest run is the solve");
+    assert_eq!(int(run, "trace_id"), trace_id, "/runs links the trace id");
     assert_eq!(
         array(run, "anomalies").len(),
-        report.anomalies.len(),
+        report.run.anomalies.len(),
         "same verdict"
+    );
+    assert_eq!(
+        array(run, "anomalies").len(),
+        array(held, "anomalies").len(),
+        "one verdict over HTTP"
     );
     println!("observe_probe: /traces, chrome export and /runs linkage OK");
 
     // --- the flame profile: facade snapshot, JSON tree, folded stacks ---
     let snap = seen.profile.expect("profile observed");
-    assert!(snap.solves >= 1, "solve folded into the live window");
+    assert!(snap.solves >= 1, "solve folded into the flame tree");
     assert!(!snap.nodes.is_empty(), "flame tree is non-empty");
     let root = &snap.nodes[0];
     assert_eq!(
@@ -466,7 +476,7 @@ fn spans_stage() {
         "self time cannot exceed total time"
     );
     assert!(
-        snap.nodes.len() <= snap.max_nodes,
+        snap.nodes.len() <= MAX_FLAME_NODES,
         "window is bounded by the node cap"
     );
     assert!(
@@ -577,6 +587,41 @@ fn spans_stage() {
         );
     }
     println!("observe_probe: /metrics OK (strict validator + span-plane series)");
+
+    // --- a run sampled out links nothing ---
+    let exec = stage.dev.executor();
+    exec.observe(ObserveConfig {
+        trace: Some(gko::TraceConfig {
+            sample_n: 1_000_000,
+            max_spans: 2_000_000,
+        }),
+        ..exec.observing()
+    });
+    let small = poisson2d("poisson2d", 8, 8);
+    let m = pg::SparseMatrix::from_triplets(
+        &stage.dev,
+        (small.rows, small.cols),
+        &small.triplets,
+        "double",
+        "int32",
+        "Csr",
+    )
+    .expect("assemble small matrix");
+    let b = pg::as_tensor_fill(&stage.dev, (small.rows, 1), "double", 1.0).expect("rhs");
+    let mut x = pg::as_tensor_fill(&stage.dev, (small.rows, 1), "double", 0.0).expect("x0");
+    let small_cg = pg::solver::cg(&stage.dev, &m, None, 200, 1e-8).expect("build cg");
+    assert!(small_cg.apply(&b, &mut x).expect("solve").converged());
+    let runs = get_json(addr, "/runs");
+    let newest = &array(&runs, "reports")[0];
+    let seq = int(newest, "seq");
+    assert!(seq > trace_id, "the small solve is the newest run");
+    assert!(
+        newest.get("trace_id").is_none(),
+        "a sampled-out run carries no trace_id"
+    );
+    let (status, _, _) = http(addr, "GET", &format!("/traces/{seq}"));
+    assert_eq!(status, "HTTP/1.1 404 Not Found", "its tree was dropped");
+    println!("observe_probe: sampled-out run {seq} links no trace");
 
     stage.finish();
     println!("observe_probe: spans stage passed");

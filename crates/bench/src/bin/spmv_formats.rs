@@ -482,12 +482,10 @@ fn main() {
         flight: Some(gko::DetectorConfig {
             drift_min_solves: u64::MAX,
             imbalance_ratio: f64::INFINITY,
-            ..gko::DetectorConfig::default()
         }),
         trace: Some(gko::TraceConfig {
             sample_n: 1,
             max_spans: 2_000_000,
-            ..gko::TraceConfig::default()
         }),
         ..ObserveConfig::default()
     };
@@ -497,7 +495,7 @@ fn main() {
         .observer()
         .latest_trace()
         .expect("armed solve retained");
-    assert_eq!(trace.iterations as usize, tr_iters);
+    assert_eq!(trace.run.iterations, tr_iters);
     assert_eq!(trace.truncated_spans, 0);
     let count =
         |pred: &dyn Fn(&gko::SpanRecord) -> bool| trace.spans.iter().filter(|s| pred(s)).count();
@@ -528,7 +526,7 @@ fn main() {
     // is one pass per completed trace, so its cost is held to the same limit
     // as armed tracing.
     tr_exec.observe(ObserveConfig {
-        profile: Some(gko::ProfileConfig::default()),
+        profile: true,
         ..tracing
     });
     let profiled_ns = min_of(&tr_exec, 3);
@@ -547,7 +545,7 @@ fn main() {
         "csr kernel spans surface as flame paths"
     );
     assert!(
-        prof.nodes.len() <= prof.max_nodes,
+        prof.nodes.len() <= gko::profile::MAX_FLAME_NODES,
         "flame store respects its node cap"
     );
     tr_exec.observe(ObserveConfig::default());

@@ -89,23 +89,15 @@ pub struct LoggerData {
     /// Accumulated text of `Observe::stream`.
     pub stream: String,
     /// Per-kernel aggregates (`metrics` with `profile`), hottest first.
+    /// Iteration, solve and allocation counts are on
+    /// [`Observations::metrics`](crate::solver::Observations::metrics).
     pub profile: Vec<ProfileEntry>,
-    /// Solver iterations observed by the profiler.
-    pub iterations: u64,
-    /// Stopping-criterion evaluations observed by the profiler.
-    pub criterion_checks: u64,
-    /// Completed solves observed by the profiler.
-    pub solves: u64,
     /// Thread-pool dispatches observed by the profiler.
     pub pool_dispatches: u64,
     /// Work chunks executed across all observed pool dispatches.
     pub pool_chunks: u64,
     /// Chunks obtained by work stealing across all observed dispatches.
     pub pool_steals: u64,
-    /// Executor allocations observed by the profiler.
-    pub allocations: u64,
-    /// Total bytes across observed allocations.
-    pub allocated_bytes: u64,
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub struct Observe {
     /// ([`gko::ObserveConfig::trace`]).
     pub trace: Option<u64>,
     /// The profile plane: every solve's span tree (sampled out or not)
-    /// folded into a bounded, windowed flame aggregate keyed by span path.
+    /// folded into a bounded flame aggregate keyed by span path.
     /// Implies `trace` ([`gko::ObserveConfig::profile`]).
     pub profile: bool,
     /// Runtime sanitizer mode: `"pool"` arms the chunk-overlap detector on
@@ -89,7 +89,7 @@ pub struct Observations {
     /// The most recently retained span tree (`None` while every completed
     /// solve was sampled out).
     pub trace: Option<TraceReport>,
-    /// The live flame window, flattened.
+    /// The flame tree, flattened.
     pub profile: Option<ProfileSnapshot>,
     /// How many pool jobs and chunk claims the chunk-overlap detector has
     /// verified disjoint (all zero until `sanitize` arms it).
@@ -246,7 +246,7 @@ impl Solver {
                 sample_n,
                 ..Default::default()
             }),
-            profile: what.profile.then(Default::default),
+            profile: what.profile,
         });
         let (rows, cols, nnz, format) = self.system;
         exec.observer().annotate(rows, cols, nnz, format);
@@ -268,7 +268,7 @@ impl Solver {
         let observer = exec.observer();
         let config = exec.observing();
         let metrics = observer.metrics();
-        let profile = config.profile.map(|_| observer.profile());
+        let profile = config.profile.then(|| observer.profile());
 
         let mut data = LoggerData::default();
         if let Some(record) = &self.observing.record {
@@ -296,15 +296,10 @@ impl Solver {
                 .collect();
             data.profile
                 .sort_by(|a, b| b.virtual_ns.cmp(&a.virtual_ns).then(a.op.cmp(&b.op)));
-            data.iterations = snap.solver_iterations.iter().map(|(_, n)| n).sum();
-            data.criterion_checks = snap.criterion_checks;
-            data.solves = snap.solves;
             let pool = exec.pool_stats().since(&self.observing.pool_mark);
             data.pool_dispatches = pool.dispatches;
             data.pool_chunks = pool.chunks;
             data.pool_steals = pool.steals;
-            data.allocations = snap.alloc_bytes.count;
-            data.allocated_bytes = snap.alloc_bytes.sum;
         }
         Observations {
             logger: data,
@@ -813,7 +808,8 @@ mod tests {
         let log = solver.apply(&b, &mut x).unwrap();
         assert!(log.converged());
 
-        let data = solver.observations().logger;
+        let seen = solver.observations();
+        let data = seen.logger;
         assert!(
             data.events.iter().any(|e| e.contains("iteration")),
             "record logger should capture iteration events"
@@ -834,9 +830,11 @@ mod tests {
             "self time comes from the flame profile: {:?}",
             data.profile
         );
-        assert_eq!(data.iterations, log.iterations() as u64);
-        assert_eq!(data.solves, 1);
-        assert!(data.allocations > 0);
+        let snap = seen.metrics.expect("metrics observed");
+        let iterations: u64 = snap.solver_iterations.iter().map(|(_, n)| n).sum();
+        assert_eq!(iterations, log.iterations() as u64);
+        assert_eq!(snap.solves, 1);
+        assert!(snap.alloc_bytes.count > 0);
 
         // A zero sampling period is rejected.
         let plain = cg(&dev, &mtx, None, 10, 1e-9).unwrap();

@@ -300,7 +300,7 @@ impl Executor {
     }
 
     /// Detaches every logger from this executor and turns every
-    /// [`Executor::observe`] plane off (retained traces and flame windows
+    /// [`Executor::observe`] plane off (retained traces and the flame tree
     /// stay readable).
     pub fn clear_loggers(&self) {
         self.observe(ObserveConfig::default());
@@ -315,13 +315,14 @@ impl Executor {
     /// to the inert path. To change one plane, start from
     /// [`Executor::observing`].
     ///
-    /// A plane whose setting is unchanged keeps its state: the metrics plane
-    /// keeps its counters while it stays on, and the flight plane its
-    /// reports as long as the detector thresholds compare equal (different
-    /// thresholds start afresh). Re-arming the trace or profile plane
-    /// updates the policy and keeps retained traces and flame windows, which
-    /// also stay readable through [`Executor::observer`] after the plane is
-    /// switched off (an in-flight trace is abandoned then).
+    /// A plane keeps its state while it stays on: the metrics plane its
+    /// counters, the flight plane its reports (new detector thresholds apply
+    /// from the next solve). Switching either on or off starts it afresh.
+    /// Retained traces and the flame tree outlive every re-arm and stay
+    /// readable through [`Executor::observer`] after their plane is switched
+    /// off (an in-flight trace is abandoned then). The observer's solve
+    /// counter is never reset, so a solve's number is unique for the
+    /// executor's lifetime.
     pub fn observe(&self, config: ObserveConfig) {
         self.0.observer.observe(config, &self.0.loggers);
     }

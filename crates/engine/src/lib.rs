@@ -65,7 +65,7 @@ pub use executor::Executor;
 pub use linop::LinOp;
 pub use metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
 pub use observe::{ObserveConfig, Observer, ObserverStatus};
-pub use profile::{DiffRow, FlameStat, ProfileConfig, ProfileDiff, ProfileSnapshot};
+pub use profile::{DiffRow, FlameStat, ProfileDiff, ProfileSnapshot};
 pub use sanitize::{ClaimLog, PartitionViolation, Sanitizer, SanitizerReport};
 pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
-pub use trace::{SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport};
+pub use trace::{SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceReport};

@@ -14,11 +14,12 @@
 //!
 //! Everything the planes accumulate lives in one `ObserverState` behind
 //! `observe.state`: the config in force, the metrics aggregates, the solve
-//! in flight, the runs ring with its drift baselines, the trace ring and the
-//! flame window. Event delivery holds the registry's `log.loggers` and then
-//! takes `observe.state`; under `observe.state` only the per-lane chunk
-//! buffers of a dispatch that has already finished are drained (leaf locks),
-//! so `log.loggers -> observe.state` is the only order it takes part in.
+//! in flight, the solve counter, the runs ring with its drift baselines, the
+//! trace ring and the flame tree. Event delivery holds the registry's
+//! `log.loggers` and then takes `observe.state`; under `observe.state` only
+//! the per-lane chunk buffers of a dispatch that has already finished are
+//! drained (leaf locks), so `log.loggers -> observe.state` is the only order
+//! it takes part in.
 //! `Observer::observe` attaches and detaches outside the state lock, and
 //! `observe.arming` (never taken during delivery) serializes concurrent
 //! `observe` calls so the attachment always matches the config in force.
@@ -34,31 +35,37 @@
 //! triangular solve) do not count as the root's. When the root apply
 //! returns, `close_solve` runs once, under the lock, in this order:
 //!
-//! 1. build the [`FlightReport`] (residual summary, per-kernel quantiles,
-//!    per-lane utilization since the previous report);
-//! 2. run the three detectors;
-//! 3. stamp the same trace id and anomaly labels on the [`TraceReport`];
+//! 1. number the solve: one counter, never reset, so the number is unique
+//!    for the executor's lifetime;
+//! 2. build the [`FlightReport`] under that number (residual summary,
+//!    per-kernel quantiles, per-lane utilization since the previous report)
+//!    and run the three detectors on it;
+//! 3. fold the span tree into the flame tree;
 //! 4. take the retention verdict (anomaly, latency, head sample, or drop);
-//! 5. fold the span tree into the flame window.
+//!    a kept tree becomes a [`TraceReport`] holding the run, and only then
+//!    does the run carry `trace_id`, which equals its number.
 //!
 //! A stream with no root apply (a synthetic one fed to
 //! [`Observer::detached`], or the tail of a solve that was running when the
 //! observer was armed) still closes into a flight report at its
-//! `SolveCompleted`; it has no span tree.
+//! `SolveCompleted`; it has no span tree. A root solver that reports no
+//! outcome (a direct or triangular solve) closes into a report too, with no
+//! stop reason and no iterations.
 
 use crate::config::{json, Config};
 use crate::executor::pool::{lane_stats_since, LaneStats};
 use crate::executor::WeakExecutor;
 use crate::log::{Event, Logger, LoggerRegistry};
 use crate::metrics::{KernelSnapshot, Log2Histogram, MetricsSnapshot};
-use crate::profile::{FlameWindow, ProfileConfig, ProfileSnapshot};
+use crate::profile::{FlameTree, ProfileSnapshot};
 use crate::stop::StopReason;
 use crate::telemetry::recorder::{
     detect_convergence, detect_lane_imbalance, BatchOutcome, DetectorConfig, DriftBaseline,
-    FlightReport, KernelLatency, ResidualSummary, SystemContext,
+    FlightReport, KernelLatency, ResidualSummary, SystemContext, RUNS_CAPACITY, STAGNATION_WINDOW,
 };
 use crate::trace::{
-    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceId, TraceReport, OWNER_LANE,
+    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS,
+    OWNER_LANE, TRACE_CAPACITY,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,39 +84,36 @@ use std::time::Instant;
 /// Planes build on each other, and `observe` fills in what a requested
 /// plane needs: `profile` folds finished span trees, so it implies `trace`
 /// ([`TraceConfig::default`] unless given); `trace` asks the flight
-/// detectors which solves to retain, so it implies `flight`
-/// ([`DetectorConfig::default`] unless given).
+/// detectors which solves to retain and numbers each trace by its run, so
+/// it implies `flight` ([`DetectorConfig::default`] unless given).
 #[derive(Clone, Debug, Default)]
 pub struct ObserveConfig {
     /// Aggregate every event into latency histograms and counters (the
     /// [`MetricsSnapshot`] behind the `/metrics` exposition).
     pub metrics: bool,
     /// Summarize every solve into a bounded ring of [`FlightReport`]s,
-    /// screened by the anomaly detectors with these thresholds.
+    /// screened by the anomaly detectors with these thresholds (the others
+    /// are the constants of [`crate::telemetry::recorder`]).
     pub flight: Option<DetectorConfig>,
     /// Assemble a span tree per solve (single or batched), down to the
     /// individual pool-lane chunks, tail-sampled into a bounded ring of
     /// [`TraceReport`]s under this policy (see [`crate::trace`]).
     pub trace: Option<TraceConfig>,
-    /// Fold every finished span tree (sampled out or not) into the windowed
-    /// flame aggregate under this policy (see [`crate::profile`]).
-    pub profile: Option<ProfileConfig>,
+    /// Fold every finished span tree (sampled out or not) into the flame
+    /// aggregate (see [`crate::profile`]).
+    pub profile: bool,
 }
 
 impl ObserveConfig {
     /// Applies the `profile` ⇒ `trace` ⇒ `flight` implication and clamps
-    /// each policy to its working range.
+    /// the trace policy to its working range.
     fn normalized(mut self) -> Self {
-        self.profile = self.profile.map(ProfileConfig::normalized);
-        if self.profile.is_some() && self.trace.is_none() {
+        if self.profile && self.trace.is_none() {
             self.trace = Some(TraceConfig::default());
         }
         self.trace = self.trace.map(TraceConfig::normalized);
         if self.trace.is_some() && self.flight.is_none() {
             self.flight = Some(DetectorConfig::default());
-        }
-        if let Some(detectors) = &mut self.flight {
-            detectors.capacity = detectors.capacity.max(1);
         }
         self
     }
@@ -132,7 +136,8 @@ pub struct ObserverStatus {
     pub metrics: Option<MetricsSnapshot>,
     /// Flight reports currently retained.
     pub runs: usize,
-    /// Anomalies flagged since the flight plane was armed, per kind (sorted).
+    /// Anomalies flagged since the flight plane was switched on, per kind
+    /// (sorted).
     pub anomalies: Vec<(String, u64)>,
     /// Span trees currently retained.
     pub traces: usize,
@@ -140,7 +145,7 @@ pub struct ObserverStatus {
     pub trace_drops: u64,
     /// Spans discarded across all traces by the per-trace cap.
     pub truncated_spans: u64,
-    /// Flame nodes allocated in the live window.
+    /// Flame nodes allocated.
     pub profile_nodes: usize,
     /// Spans dropped because the flame node cap was reached.
     pub profile_evicted: u64,
@@ -170,13 +175,10 @@ struct OpenSpan {
 
 /// The span tree of the solve in flight, while the trace plane is on.
 struct SpanAssembly {
-    trace_id: u64,
-    seq: u64,
     root: u64,
     /// Batched solvers emit no `IterationComplete`, so no iteration layer
     /// is synthesized for them (kernels parent directly under the root).
     batch: bool,
-    head_keep: bool,
     start_ns: u64,
     spans: Vec<SpanRecord>,
     open: Vec<OpenSpan>,
@@ -255,7 +257,7 @@ struct SolveInFlight {
     /// only at depth <= 1 (deeper ones belong to a nested solver).
     depth: usize,
     residuals: ResidualSummary,
-    /// Trailing residuals, oldest first, at most `stagnation_window + 1`.
+    /// Trailing residuals, oldest first, at most `STAGNATION_WINDOW + 1`.
     window: VecDeque<f64>,
     /// Wall latency per kernel name.
     kernels: BTreeMap<&'static str, Log2Histogram>,
@@ -279,11 +281,9 @@ impl SolveInFlight {
 }
 
 /// The flight plane's ring and what its detectors remember across solves.
-/// Starts afresh whenever the detector thresholds change.
 #[derive(Default)]
 struct FlightLog {
     runs: VecDeque<FlightReport>,
-    seq: u64,
     /// Per-lane counters at the end of the previous report, so each report
     /// carries only its own delta.
     lane_mark: Vec<LaneStats>,
@@ -301,26 +301,25 @@ struct ObserverState {
     /// Metrics plane: the live aggregate *is* the snapshot handed out.
     metrics: MetricsSnapshot,
     solve: Option<SolveInFlight>,
+    /// Solves closed since construction: the number of the last one. Never
+    /// reset, so a solve's number is unique for the executor's lifetime.
+    solves: u64,
     flight: FlightLog,
-    /// Trace plane: timebase (the first arm), id and ordinal sequences, the
-    /// tail-sampled ring and its counters. Never reset, so ids stay unique.
+    /// Trace plane: timebase (the first arm), the span-id counter, the
+    /// tail-sampled ring and its counters. Never reset, so span ids stay
+    /// unique.
     epoch: Option<Instant>,
     next_id: u64,
-    trace_seq: u64,
     traces: VecDeque<TraceReport>,
     trace_drops: u64,
     truncated_spans: u64,
     /// Profile plane.
-    flame: FlameWindow,
+    flame: FlameTree,
 }
 
 impl ObserverState {
     fn now_ns(&self) -> u64 {
         self.epoch.map_or(0, |e| e.elapsed().as_nanos() as u64)
-    }
-
-    fn max_nodes(&self) -> usize {
-        self.config.profile.unwrap_or_default().max_nodes
     }
 
     /// The solve in flight if `tid` owns it. With none in flight one opens
@@ -422,30 +421,26 @@ impl Observer {
     }
 
     /// Swaps the config in force; returns whether the old and the new one
-    /// are inert. A plane whose setting is unchanged keeps its state.
+    /// are inert. The metrics and flight planes start afresh when switched
+    /// on or off; new detector thresholds keep the runs. Traces, the flame
+    /// tree and the solve counter outlive every re-arm.
     fn retarget(&self, config: ObserveConfig) -> (bool, bool) {
         let mut st = self.state();
         let was_inert = st.config.is_inert();
         if config.metrics && !st.config.metrics {
             st.metrics = MetricsSnapshot::default();
         }
-        if config.flight != st.config.flight {
+        if config.flight.is_some() != st.config.flight.is_some() {
             st.flight = FlightLog::default();
         }
-        match config.trace {
-            Some(policy) => {
-                st.epoch.get_or_insert_with(Instant::now);
-                while st.traces.len() > policy.capacity {
-                    st.traces.pop_front();
-                }
+        if config.trace.is_some() {
+            st.epoch.get_or_insert_with(Instant::now);
+        } else {
+            // An in-flight trace is abandoned (not a sampling drop).
+            if let Some(solve) = &mut st.solve {
+                solve.trace = None;
             }
-            None => {
-                // An in-flight trace is abandoned (not a sampling drop).
-                if let Some(solve) = &mut st.solve {
-                    solve.trace = None;
-                }
-                self.tracing.store(false, Ordering::Release);
-            }
+            self.tracing.store(false, Ordering::Release);
         }
         if config.is_inert() {
             st.solve = None;
@@ -485,7 +480,7 @@ impl Observer {
             truncated_spans: st.truncated_spans,
             profile_nodes: st.flame.node_count,
             profile_evicted: st.flame.evicted,
-            profile_solves: st.flame.solves_total,
+            profile_solves: st.flame.solves,
         }
     }
 
@@ -541,10 +536,11 @@ impl Observer {
         )
     }
 
-    /// Trace id of the solve currently being assembled, if any.
+    /// Trace id of the solve currently being assembled, if any: the number
+    /// it will be closed under.
     pub fn active_trace_id(&self) -> Option<u64> {
         let st = self.state();
-        st.solve.as_ref()?.trace.as_ref().map(|t| t.trace_id)
+        st.solve.as_ref()?.trace.as_ref().map(|_| st.solves + 1)
     }
 
     /// Retained traces, oldest first.
@@ -560,7 +556,7 @@ impl Observer {
     /// Looks up a retained trace by id.
     pub fn trace(&self, trace_id: u64) -> Option<TraceReport> {
         let st = self.state();
-        st.traces.iter().find(|r| r.trace_id == trace_id).cloned()
+        st.traces.iter().find(|r| r.id() == trace_id).cloned()
     }
 
     /// `GET /traces` index: newest first, plus ring/drop counters.
@@ -580,23 +576,15 @@ impl Observer {
         json::to_string_pretty(&doc)
     }
 
-    /// Snapshot of the live flame window (empty while nothing was folded).
+    /// Snapshot of the flame tree (empty while nothing was folded).
     pub fn profile(&self) -> ProfileSnapshot {
-        let st = self.state();
-        st.flame.snapshot(st.max_nodes())
+        self.state().flame.snapshot()
     }
 
-    /// The most recently completed (rotated-out) flame window, if any.
-    pub fn last_profile_window(&self) -> Option<ProfileSnapshot> {
-        self.state().flame.last_window.clone()
-    }
-
-    /// Snapshots the live flame window and commits it as baseline `name`,
+    /// Snapshots the flame tree and commits it as baseline `name`,
     /// replacing any previous baseline of that name.
     pub fn commit_profile_baseline(&self, name: &str) -> ProfileSnapshot {
-        let mut st = self.state();
-        let max_nodes = st.max_nodes();
-        st.flame.commit_baseline(name, max_nodes)
+        self.state().flame.commit_baseline(name)
     }
 
     /// A committed flame baseline by name; `Err` lists the known names
@@ -648,15 +636,11 @@ impl Observer {
             // Only a solver apply opens a solve (replacing what a stream
             // without one left behind); bare kernels outside stay unobserved.
             _ if is_solver && st.config.flight.is_some() => {
-                let trace = st.config.trace.map(|policy| {
-                    st.trace_seq += 1;
-                    st.next_id += 2;
+                let trace = st.config.trace.map(|_| {
+                    st.next_id += 1;
                     SpanAssembly {
-                        trace_id: st.next_id - 1,
-                        seq: st.trace_seq,
                         root: st.next_id,
                         batch: op.starts_with("solver::Batch"),
-                        head_keep: (st.trace_seq - 1).is_multiple_of(policy.sample_n),
                         start_ns: now,
                         spans: Vec::new(),
                         open: vec![OpenSpan {
@@ -708,7 +692,6 @@ impl Observer {
     /// the open iteration span.
     fn on_iteration(st: &mut ObserverState, iteration: usize, residual: f64, tid: ThreadId) {
         let now = st.now_ns();
-        let window = st.config.flight.as_ref().map_or(0, |d| d.stagnation_window);
         let max_spans = st.config.trace.map_or(0, |policy| policy.max_spans);
         let Some(solve) = st.solve_of(tid).filter(|s| s.depth <= 1) else {
             return;
@@ -722,7 +705,7 @@ impl Observer {
         seen.last = residual;
         seen.count += 1;
         solve.window.push_back(residual);
-        while solve.window.len() > window + 1 {
+        while solve.window.len() > STAGNATION_WINDOW + 1 {
             solve.window.pop_front();
         }
         if let Some(t) = &mut solve.trace {
@@ -755,118 +738,111 @@ impl Observer {
         let ObserverState {
             config,
             metrics,
+            solves,
             flight,
+            traces,
+            trace_drops,
+            truncated_spans,
+            flame,
             ..
         } = st;
-        let mut labels = Vec::new();
-        if let (Some(detectors), Some(outcome)) = (&config.flight, solve.outcome) {
-            let lanes_now = self
-                .exec
-                .upgrade()
-                .map(|e| e.pool_lane_stats())
-                .unwrap_or_default();
-            let lanes = lane_stats_since(&lanes_now, &flight.lane_mark);
-            flight.lane_mark = lanes_now;
-            let converged = outcome.reason.is_converged();
-            let mut anomalies = Vec::new();
-            anomalies.extend(detect_convergence(
-                solve.residuals.initial,
-                solve.window.make_contiguous(),
-                converged,
-                detectors,
-            ));
-            anomalies.extend(detect_lane_imbalance(&lanes, detectors));
-            let mut kernels = Vec::with_capacity(solve.kernels.len());
-            for (op, latency) in &solve.kernels {
-                let (p50_ns, p99_ns) = (latency.p50(), latency.p99());
-                let baseline = flight.baselines.entry(op).or_default();
-                anomalies.extend(baseline.judge(op, p99_ns, p50_ns, detectors));
-                kernels.push(KernelLatency {
-                    op: op.to_string(),
-                    calls: latency.count,
-                    p50_ns,
-                    p95_ns: latency.p95(),
-                    p99_ns,
-                    max_ns: latency.max,
-                });
-            }
-            for a in &anomalies {
-                *flight.anomaly_counts.entry(a.kind()).or_insert(0) += 1;
-                if config.metrics {
-                    bump(&mut metrics.anomalies, a.kind());
-                }
-                labels.push(a.kind().to_string());
-            }
-            flight.seq += 1;
-            while flight.runs.len() >= detectors.capacity {
-                flight.runs.pop_front();
-            }
-            flight.runs.push_back(FlightReport {
-                seq: flight.seq,
-                solver: outcome.solver.to_string(),
-                context: flight.context.clone(),
-                iterations: outcome.iterations,
-                stop_reason: Some(outcome.reason),
-                converged,
-                residuals: solve.residuals,
-                kernels,
-                lanes,
-                anomalies,
-                batch: outcome.batch,
-                trace_id: solve.trace.as_ref().map(|t| t.trace_id),
+        let Some(detectors) = &config.flight else {
+            return;
+        };
+        *solves += 1;
+        let lanes_now = self
+            .exec
+            .upgrade()
+            .map(|e| e.pool_lane_stats())
+            .unwrap_or_default();
+        let lanes = lane_stats_since(&lanes_now, &flight.lane_mark);
+        flight.lane_mark = lanes_now;
+        let outcome = solve.outcome;
+        let stop_reason = outcome.map(|o| o.reason);
+        let converged = stop_reason.is_some_and(StopReason::is_converged);
+        let mut anomalies = Vec::new();
+        anomalies.extend(detect_convergence(
+            solve.residuals.initial,
+            solve.window.make_contiguous(),
+            converged,
+        ));
+        anomalies.extend(detect_lane_imbalance(&lanes, detectors));
+        let mut kernels = Vec::with_capacity(solve.kernels.len());
+        for (op, latency) in &solve.kernels {
+            let (p50_ns, p99_ns) = (latency.p50(), latency.p99());
+            let baseline = flight.baselines.entry(op).or_default();
+            anomalies.extend(baseline.judge(op, p99_ns, p50_ns, detectors));
+            kernels.push(KernelLatency {
+                op: op.to_string(),
+                calls: latency.count,
+                p50_ns,
+                p95_ns: latency.p95(),
+                p99_ns,
+                max_ns: latency.max,
             });
         }
-
-        let (Some(t), Some(policy)) = (solve.trace, config.trace) else {
-            return;
-        };
-        let stop_reason = match solve.outcome {
-            Some(Outcome { batch: Some(b), .. }) => format!(
-                "batch: {}/{} converged, {} breakdowns",
-                b.converged, b.systems, b.breakdowns
-            ),
-            Some(o) => o.reason.name().to_string(),
-            None => String::new(),
-        };
-        let duration_ns = now.saturating_sub(t.start_ns);
-        let retained = if !labels.is_empty() {
-            "anomaly"
-        } else if duration_ns >= policy.latency_threshold_ns {
-            "latency"
-        } else if t.head_keep {
-            "sampled"
-        } else {
-            ""
-        };
-        let report = TraceReport {
-            trace_id: t.trace_id,
-            seq: t.seq,
-            annotation: solve.root.unwrap_or_default().to_string(),
-            root: t.root,
-            duration_ns,
-            retained,
-            anomalies: labels,
-            iterations: t
-                .iterations
-                .max(solve.outcome.map_or(0, |o| o.iterations as u64)),
-            converged: solve.outcome.is_some_and(|o| o.reason.is_converged()),
+        for a in &anomalies {
+            *flight.anomaly_counts.entry(a.kind()).or_insert(0) += 1;
+            if config.metrics {
+                bump(&mut metrics.anomalies, a.kind());
+            }
+        }
+        let mut run = FlightReport {
+            seq: *solves,
+            solver: outcome
+                .map(|o| o.solver)
+                .or(solve.root)
+                .unwrap_or_default()
+                .to_string(),
+            context: flight.context.clone(),
+            iterations: outcome.map_or(0, |o| o.iterations),
             stop_reason,
-            truncated_spans: t.truncated,
-            spans: t.spans,
+            converged,
+            residuals: solve.residuals,
+            kernels,
+            lanes,
+            anomalies,
+            batch: outcome.and_then(|o| o.batch),
+            trace_id: None,
         };
-        st.truncated_spans += t.truncated;
-        // The flame window aggregates every solve, retained or not.
-        if let Some(profile) = &st.config.profile {
-            st.flame.fold(&report, profile);
+
+        if let (Some(t), Some(policy)) = (solve.trace, config.trace) {
+            *truncated_spans += t.truncated;
+            // The flame tree aggregates every solve, retained or not.
+            if config.profile {
+                flame.fold(&t.spans);
+            }
+            let duration_ns = now.saturating_sub(t.start_ns);
+            let retained = if !run.anomalies.is_empty() {
+                "anomaly"
+            } else if duration_ns >= LATENCY_THRESHOLD_NS {
+                "latency"
+            } else if (run.seq - 1).is_multiple_of(policy.sample_n) {
+                "sampled"
+            } else {
+                ""
+            };
+            if retained.is_empty() {
+                *trace_drops += 1;
+            } else {
+                run.trace_id = Some(run.seq);
+                while traces.len() >= TRACE_CAPACITY {
+                    traces.pop_front();
+                }
+                traces.push_back(TraceReport {
+                    run: run.clone(),
+                    root: t.root,
+                    duration_ns,
+                    retained,
+                    truncated_spans: t.truncated,
+                    spans: t.spans,
+                });
+            }
         }
-        if retained.is_empty() {
-            st.trace_drops += 1;
-            return;
+        while flight.runs.len() >= RUNS_CAPACITY {
+            flight.runs.pop_front();
         }
-        while st.traces.len() >= policy.capacity {
-            st.traces.pop_front();
-        }
-        st.traces.push_back(report);
+        flight.runs.push_back(run);
     }
 
     // -- explicit pool propagation --------------------------------------------
@@ -895,7 +871,6 @@ impl Observer {
         );
         Some(DispatchTrace {
             ctx: SpanContext {
-                trace_id: TraceId(t.trace_id),
                 parent_span_id: SpanId(st.next_id),
             },
             epoch,
@@ -914,10 +889,12 @@ impl Observer {
         let Some(t) = st.solve.as_mut().and_then(|s| s.trace.as_mut()) else {
             return;
         };
-        if t.trace_id != d.ctx.trace_id.0 {
+        // Span ids are never reused, so an open dispatch span of this id is
+        // the one `d` was opened as.
+        let dispatch = d.ctx.parent_span_id.0;
+        if !t.open.iter().any(|o| o.id == dispatch) {
             return;
         }
-        let dispatch = d.ctx.parent_span_id.0;
         for buf in d.lanes.iter() {
             let mut recs = buf.recs.lock().unwrap_or_else(PoisonError::into_inner);
             for rec in recs.drain(..) {
@@ -1110,7 +1087,7 @@ impl DispatchTrace {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The context chunk closures carry: `{trace_id, parent_span_id}`.
+    /// The context chunk closures carry: the dispatch span's id.
     pub(crate) fn context(&self) -> SpanContext {
         self.ctx
     }
@@ -1128,7 +1105,7 @@ impl DispatchTrace {
         start_ns: u64,
         end_ns: u64,
     ) {
-        if ctx.trace_id != self.ctx.trace_id || ctx.parent_span_id != self.ctx.parent_span_id {
+        if ctx != self.ctx {
             return;
         }
         let Some(buf) = self.lanes.get(lane.min(self.lanes.len().saturating_sub(1))) else {

@@ -3,21 +3,16 @@
 //! The observer assembles one span tree per solve ([`crate::trace`]); while
 //! [`crate::ObserveConfig::profile`] is set its end-of-solve fold adds
 //! *every* completed tree — including the ones tail sampling drops — to a
-//! `FlameWindow` of aggregated `FlameNode` trees keyed by span path
+//! `FlameTree` of aggregated `FlameNode` trees keyed by span path
 //! (`solve → iteration → kernel_apply → plan_build → pool_dispatch →
 //! chunk`). Each node accumulates wall total time, per-lane busy-time
 //! attribution, and a [`Log2Histogram`] of self time per call, so call
 //! counts, self-time sums, `p50` and `p99` per path come for free.
 //!
-//! The aggregation is *windowed*: after
-//! [`ProfileConfig::window_solves`] folded solves the tree rotates (the
-//! finished window stays readable as the last window) so a long-lived
-//! process converges on recent behaviour instead of its whole history.
-//! Memory is bounded twice over — a hard node cap
-//! ([`ProfileConfig::max_nodes`]) drops *new* paths once the tree is full
+//! Memory is bounded by a hard node cap, [`MAX_FLAME_NODES`]: once the
+//! tree is full, spans whose path would create a new node are dropped
 //! (arrival order decides survival, deterministically; drops are counted in
-//! the evicted counter, never silent) and the per-window rotation bounds
-//! bucket growth.
+//! the evicted counter, never silent), while known paths keep accumulating.
 //!
 //! Snapshots render three ways, matching the `/profile` endpoints:
 //!
@@ -31,37 +26,13 @@
 
 use crate::config::Config;
 use crate::metrics::Log2Histogram;
-use crate::trace::{SpanRecord, TraceReport, OWNER_LANE};
+use crate::trace::{SpanRecord, OWNER_LANE};
 use std::collections::BTreeMap;
 
-/// Profiling policy knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct ProfileConfig {
-    /// Hard cap on flame nodes per window. Once reached, spans whose path
-    /// would create a new node are counted as evicted instead (existing
-    /// nodes keep accumulating).
-    pub max_nodes: usize,
-    /// Solves per aggregation window; the tree resets (and the finished
-    /// window becomes the last window) every `window_solves` folds. `0`
-    /// means a single unbounded window.
-    pub window_solves: u64,
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            max_nodes: 512,
-            window_solves: 1 << 20,
-        }
-    }
-}
-
-impl ProfileConfig {
-    pub(crate) fn normalized(mut self) -> Self {
-        self.max_nodes = self.max_nodes.max(8);
-        self
-    }
-}
+/// Hard cap on flame nodes. Once reached, spans whose path would create a
+/// new node are counted as evicted instead (existing nodes keep
+/// accumulating).
+pub const MAX_FLAME_NODES: usize = 512;
 
 /// One aggregated flame-tree node: every span whose root-to-self name path
 /// matches this node's path folds into it.
@@ -167,19 +138,13 @@ pub struct FlameStat {
     pub lanes: Vec<(u32, u64)>,
 }
 
-/// Immutable snapshot of one aggregation window.
+/// Immutable snapshot of the flame aggregate.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileSnapshot {
-    /// Solves folded into this window.
+    /// Solves folded so far.
     pub solves: u64,
-    /// Solves folded since arming (across all windows).
-    pub solves_total: u64,
-    /// Windows completed (rotated out) before this one.
-    pub windows_completed: u64,
-    /// Spans dropped because the node cap was reached (cumulative).
+    /// Spans dropped because [`MAX_FLAME_NODES`] was reached.
     pub evicted_nodes: u64,
-    /// The node cap in force.
-    pub max_nodes: usize,
     /// Flame nodes in pre-order (children follow their parent, depth +1).
     pub nodes: Vec<FlameStat>,
 }
@@ -207,10 +172,8 @@ impl ProfileSnapshot {
     pub fn to_config(&self) -> Config {
         Config::map()
             .with("solves", self.solves as i64)
-            .with("solves_total", self.solves_total as i64)
-            .with("windows_completed", self.windows_completed as i64)
             .with("evicted_nodes", self.evicted_nodes as i64)
-            .with("max_nodes", self.max_nodes)
+            .with("max_nodes", MAX_FLAME_NODES)
             .with("roots", nest(&self.nodes, 0, 0).0)
     }
 }
@@ -271,7 +234,7 @@ pub struct DiffRow {
     pub delta_pct: f64,
 }
 
-/// A differential profile: current window vs a committed baseline, sorted
+/// A differential profile: the current tree vs a committed baseline, sorted
 /// worst regression first.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileDiff {
@@ -362,10 +325,9 @@ fn admit<'a>(
     level: &'a mut BTreeMap<&'static str, FlameNode>,
     seg: &SpanRecord,
     node_count: &mut usize,
-    max_nodes: usize,
 ) -> Option<&'a mut FlameNode> {
     if !level.contains_key(seg.name) {
-        if *node_count >= max_nodes {
+        if *node_count >= MAX_FLAME_NODES {
             return None;
         }
         *node_count += 1;
@@ -377,79 +339,64 @@ fn admit<'a>(
     )
 }
 
-/// The profile plane's state: the live flame window, its rotation counters
-/// and the committed baselines. Plain data inside the observer's state, so
-/// the observer's one lock guards it.
+/// The profile plane's state: the flame tree and the committed baselines.
+/// Plain data inside the observer's state, so the observer's one lock guards
+/// it.
 #[derive(Debug, Default)]
-pub(crate) struct FlameWindow {
+pub(crate) struct FlameTree {
     /// Root flame nodes keyed by solve annotation (`"solver::Cg"`, ...).
     roots: BTreeMap<&'static str, FlameNode>,
     /// Nodes currently allocated across all roots.
     pub(crate) node_count: usize,
-    solves: u64,
-    /// Solves folded since the executor was built (across all windows).
-    pub(crate) solves_total: u64,
-    windows_completed: u64,
+    /// Solves folded since the executor was built.
+    pub(crate) solves: u64,
     /// Spans dropped because the node cap was reached.
     pub(crate) evicted: u64,
-    /// The most recently completed (rotated-out) window, if any.
-    pub(crate) last_window: Option<ProfileSnapshot>,
     /// Committed baselines by name.
     pub(crate) baselines: BTreeMap<String, ProfileSnapshot>,
 }
 
-impl FlameWindow {
-    /// Clears the live window (counters and baselines are kept).
-    pub(crate) fn reset(&mut self) {
-        self.roots.clear();
-        self.node_count = 0;
-        self.solves = 0;
-    }
-
-    /// Snapshots the live window and commits it as baseline `name`,
+impl FlameTree {
+    /// Snapshots the flame tree and commits it as baseline `name`,
     /// replacing any previous baseline of that name.
-    pub(crate) fn commit_baseline(&mut self, name: &str, max_nodes: usize) -> ProfileSnapshot {
-        let snap = self.snapshot(max_nodes);
+    pub(crate) fn commit_baseline(&mut self, name: &str) -> ProfileSnapshot {
+        let snap = self.snapshot();
         self.baselines.insert(name.to_string(), snap.clone());
         snap
     }
 
-    /// Snapshot of the live window (empty while nothing has been folded),
-    /// stamped with the node cap in force.
-    pub(crate) fn snapshot(&self, max_nodes: usize) -> ProfileSnapshot {
+    /// Snapshot of the flame tree (empty while nothing has been folded).
+    pub(crate) fn snapshot(&self) -> ProfileSnapshot {
         let mut nodes = Vec::with_capacity(self.node_count);
         for root in self.roots.values() {
             root.flatten("", 0, &mut nodes);
         }
         ProfileSnapshot {
             solves: self.solves,
-            solves_total: self.solves_total,
-            windows_completed: self.windows_completed,
             evicted_nodes: self.evicted,
-            max_nodes,
             nodes,
         }
     }
 
-    /// Folds one completed span tree into the live window under `config`.
-    /// Called for every finished trace whatever its tail-sampling verdict,
-    /// so profiles aggregate all solves, not just the retained ones.
-    pub(crate) fn fold(&mut self, report: &TraceReport, config: &ProfileConfig) {
-        if report.spans.is_empty() {
+    /// Folds one completed span tree. Called for every finished trace
+    /// whatever its tail-sampling verdict, so profiles aggregate all solves,
+    /// not just the retained ones.
+    pub(crate) fn fold(&mut self, spans: &[SpanRecord]) {
+        if spans.is_empty() {
             return;
         }
         // Per-trace shape: children wall time per parent id (for self time)
         // and the spans by id (for each span's root-to-self name path).
         let mut by_id: BTreeMap<u64, &SpanRecord> = BTreeMap::new();
         let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-        for s in &report.spans {
+        for s in spans {
             by_id.insert(s.id, s);
             if s.parent != 0 {
                 *child_ns.entry(s.parent).or_insert(0) += s.dur_ns;
             }
         }
         let mut path: Vec<&SpanRecord> = Vec::new();
-        'spans: for s in &report.spans {
+        'spans: for s in spans {
             // Spans with unresolvable parents (possible under span-cap
             // truncation) are skipped; the trace already counts them.
             path.clear();
@@ -464,13 +411,12 @@ impl FlameWindow {
                     None => continue 'spans,
                 }
             }
-            let cap = config.max_nodes;
             let mut segments = path.iter().rev();
             let mut node = segments
                 .next()
-                .and_then(|seg| admit(&mut self.roots, seg, &mut self.node_count, cap));
+                .and_then(|seg| admit(&mut self.roots, seg, &mut self.node_count));
             for seg in segments {
-                node = node.and_then(|n| admit(&mut n.children, seg, &mut self.node_count, cap));
+                node = node.and_then(|n| admit(&mut n.children, seg, &mut self.node_count));
             }
             match node {
                 Some(node) => {
@@ -482,14 +428,6 @@ impl FlameWindow {
             }
         }
         self.solves += 1;
-        self.solves_total += 1;
-        if config.window_solves > 0 && self.solves >= config.window_solves {
-            // Rotate: the finished window stays readable, the live tree
-            // restarts empty (baselines and eviction counters persist).
-            self.last_window = Some(self.snapshot(config.max_nodes));
-            self.windows_completed += 1;
-            self.reset();
-        }
     }
 }
 
@@ -522,81 +460,47 @@ mod tests {
         }
     }
 
-    /// A synthetic CG-shaped trace: solve -> iteration -> csr ->
-    /// pool_dispatch -> 2 chunks on lanes 0/1.
-    fn cg_trace(trace_id: u64, scale: u64) -> TraceReport {
-        TraceReport {
-            trace_id,
-            seq: trace_id,
-            annotation: "solver::Cg".to_string(),
-            root: 1,
-            duration_ns: 100 * scale,
-            retained: "sampled",
-            anomalies: Vec::new(),
-            iterations: 1,
-            converged: true,
-            stop_reason: "residual_reduction".to_string(),
-            truncated_spans: 0,
-            spans: vec![
-                span(5, 4, SpanKind::Chunk, "chunk", 0, 10, 20 * scale),
-                span(6, 4, SpanKind::Chunk, "chunk", 1, 10, 25 * scale),
-                span(
-                    4,
-                    3,
-                    SpanKind::Dispatch,
-                    "pool_dispatch",
-                    OWNER_LANE,
-                    8,
-                    30 * scale,
-                ),
-                span(3, 2, SpanKind::Kernel, "csr", OWNER_LANE, 5, 40 * scale),
-                span(
-                    2,
-                    1,
-                    SpanKind::Iteration,
-                    "iteration",
-                    OWNER_LANE,
-                    2,
-                    60 * scale,
-                ),
-                span(
-                    1,
-                    0,
-                    SpanKind::Solve,
-                    "solver::Cg",
-                    OWNER_LANE,
-                    0,
-                    100 * scale,
-                ),
-            ],
-        }
+    /// A synthetic CG-shaped span tree under root span `root`: solve ->
+    /// iteration -> csr -> pool_dispatch -> 2 chunks on lanes 0/1.
+    fn rooted_spans(root: &'static str, scale: u64) -> Vec<SpanRecord> {
+        vec![
+            span(5, 4, SpanKind::Chunk, "chunk", 0, 10, 20 * scale),
+            span(6, 4, SpanKind::Chunk, "chunk", 1, 10, 25 * scale),
+            span(
+                4,
+                3,
+                SpanKind::Dispatch,
+                "pool_dispatch",
+                OWNER_LANE,
+                8,
+                30 * scale,
+            ),
+            span(3, 2, SpanKind::Kernel, "csr", OWNER_LANE, 5, 40 * scale),
+            span(
+                2,
+                1,
+                SpanKind::Iteration,
+                "iteration",
+                OWNER_LANE,
+                2,
+                60 * scale,
+            ),
+            span(1, 0, SpanKind::Solve, root, OWNER_LANE, 0, 100 * scale),
+        ]
     }
 
-    /// A flame window folding under one fixed policy.
-    struct Store {
-        window: FlameWindow,
-        config: ProfileConfig,
+    /// The CG-shaped tree of [`rooted_spans`] under `solver::Cg`.
+    fn cg_spans(scale: u64) -> Vec<SpanRecord> {
+        rooted_spans("solver::Cg", scale)
     }
 
-    impl Store {
-        fn fold(&mut self, report: &TraceReport) {
-            self.window.fold(report, &self.config);
+    /// A flame tree with `spans` folded into it, one fold per entry.
+    fn folded(traces: &[Vec<SpanRecord>]) -> FlameTree {
+        let mut tree = FlameTree::default();
+        for spans in traces {
+            tree.fold(spans);
         }
-
-        fn snapshot(&self) -> ProfileSnapshot {
-            self.window.snapshot(self.config.max_nodes)
-        }
-
-        fn commit_baseline(&mut self, name: &str) -> ProfileSnapshot {
-            self.window.commit_baseline(name, self.config.max_nodes)
-        }
-    }
-
-    fn armed_store(config: ProfileConfig) -> Store {
-        Store {
-            window: FlameWindow::default(),
-            config: config.normalized(),
-        }
+        tree
     }
 
     /// With the trace plane on and the profile plane off, a finished solve
@@ -623,9 +527,7 @@ mod tests {
 
     #[test]
     fn fold_builds_rooted_flame_tree_with_self_times() {
-        let mut store = armed_store(ProfileConfig::default());
-        store.fold(&cg_trace(1, 1));
-        let snap = store.snapshot();
+        let snap = folded(&[cg_spans(1)]).snapshot();
         assert_eq!(snap.solves, 1);
 
         let root = snap.find("solver::Cg").expect("root node");
@@ -658,12 +560,8 @@ mod tests {
 
     #[test]
     fn merge_is_deterministic_and_accumulative() {
-        let mut a = armed_store(ProfileConfig::default());
-        let mut b = armed_store(ProfileConfig::default());
-        for t in 1..=5u64 {
-            a.fold(&cg_trace(t, t));
-            b.fold(&cg_trace(t, t));
-        }
+        let traces: Vec<_> = (1..=5u64).map(cg_spans).collect();
+        let (a, b) = (folded(&traces), folded(&traces));
         assert_eq!(a.snapshot(), b.snapshot(), "same folds, same snapshot");
 
         let snap = a.snapshot();
@@ -676,100 +574,58 @@ mod tests {
 
     #[test]
     fn node_cap_drops_new_paths_deterministically() {
-        // Cap of 8 (the normalized floor): the first trace's 5-node path
-        // fits; a second trace with a different solver root needs 5 more
-        // nodes and only 3 fit, so its deeper spans are evicted.
-        let mut store = armed_store(ProfileConfig {
-            max_nodes: 8,
-            window_solves: 0,
-        });
-        store.fold(&cg_trace(1, 1));
-        assert_eq!(store.window.node_count, 5);
-        assert_eq!(store.window.evicted, 0);
-
-        let mut other = cg_trace(2, 1);
-        other.annotation = "solver::BiCgStab".to_string();
-        for s in &mut other.spans {
-            if s.name == "solver::Cg" {
-                s.name = "solver::BiCgStab";
-            }
-        }
-        store.fold(&other);
-        assert_eq!(store.window.node_count, 8, "cap respected");
-        assert_eq!(store.window.evicted, 3, "three spans had no room");
+        // 102 five-node trees under distinct roots fill 510 of the 512
+        // nodes; one more new root needs 5 and only its root and iteration
+        // nodes fit, so its csr, dispatch and two chunk spans are evicted.
+        let roots: Vec<&'static str> = (0..103)
+            .map(|i| &*Box::leak(format!("solver::S{i}").into_boxed_str()))
+            .collect();
+        let traces: Vec<_> = roots.iter().map(|&r| rooted_spans(r, 1)).collect();
+        let mut tree = folded(&traces[..102]);
+        assert_eq!(tree.node_count, 510);
+        assert_eq!(tree.evicted, 0);
+        tree.fold(&traces[102]);
+        assert_eq!(tree.node_count, MAX_FLAME_NODES, "cap respected");
+        assert_eq!(tree.evicted, 4, "four spans had no room");
 
         // Re-running the same sequence reproduces the same retained set.
-        let mut replay = armed_store(ProfileConfig {
-            max_nodes: 8,
-            window_solves: 0,
-        });
-        replay.fold(&cg_trace(1, 1));
-        replay.fold(&other);
-        assert_eq!(store.snapshot(), replay.snapshot());
+        assert_eq!(tree.snapshot(), folded(&traces).snapshot());
 
         // Existing paths keep accumulating even while the cap holds.
-        store.fold(&cg_trace(3, 1));
-        assert_eq!(store.snapshot().find("solver::Cg").unwrap().calls, 2);
-        assert_eq!(store.window.evicted, 3, "no new evictions for known paths");
-    }
-
-    #[test]
-    fn window_rotation_bounds_history() {
-        let mut store = armed_store(ProfileConfig {
-            max_nodes: 64,
-            window_solves: 2,
-        });
-        store.fold(&cg_trace(1, 1));
-        store.fold(&cg_trace(2, 1));
-        // Window of 2 complete: live tree restarts.
-        assert_eq!(store.snapshot().solves, 0);
-        assert_eq!(store.snapshot().windows_completed, 1);
-        let last = store.window.last_window.clone().expect("rotated window");
-        assert_eq!(last.solves, 2);
-        assert_eq!(last.find("solver::Cg").unwrap().calls, 2);
-
-        store.fold(&cg_trace(3, 7));
-        let snap = store.snapshot();
-        assert_eq!(snap.solves, 1);
-        assert_eq!(snap.solves_total, 3);
-        assert_eq!(snap.find("solver::Cg").unwrap().calls, 1);
+        tree.fold(&traces[0]);
+        assert_eq!(tree.snapshot().find(roots[0]).unwrap().calls, 2);
+        assert_eq!(tree.evicted, 4, "no new evictions for known paths");
     }
 
     #[test]
     fn folded_output_matches_grammar() {
-        let mut store = armed_store(ProfileConfig::default());
-        store.fold(&cg_trace(1, 3));
-        let folded = store.snapshot().folded();
-        assert!(!folded.is_empty());
-        for line in folded.lines() {
+        let text = folded(&[cg_spans(3)]).snapshot().folded();
+        assert!(!text.is_empty());
+        for line in text.lines() {
             let (path, count) = line.rsplit_once(' ').expect("path <count>");
             assert!(!path.is_empty());
             assert!(path.split(';').all(|seg| !seg.is_empty()), "{line}");
             count.parse::<u64>().expect("integer count");
         }
-        assert!(folded.contains("solver::Cg;iteration;csr "));
+        assert!(text.contains("solver::Cg;iteration;csr "));
     }
 
     #[test]
     fn diff_ranks_regressions_and_handles_new_paths() {
-        let mut store = armed_store(ProfileConfig::default());
-        store.fold(&cg_trace(1, 1));
-        let base = store.commit_baseline("t0");
-        assert_eq!(
-            store.window.baselines.keys().collect::<Vec<_>>(),
-            vec!["t0"]
-        );
+        let mut tree = folded(&[cg_spans(1)]);
+        let base = tree.commit_baseline("t0");
+        assert_eq!(tree.baselines.keys().collect::<Vec<_>>(), vec!["t0"]);
 
         // Second fold doubles every accumulated figure except the csr node,
         // which gets 10x the work.
-        let mut slow = cg_trace(2, 1);
-        for s in &mut slow.spans {
+        let mut slow = cg_spans(1);
+        for s in &mut slow {
             if s.name == "csr" {
                 s.dur_ns *= 10;
             }
         }
-        store.fold(&slow);
-        let d = diff(&base, &store.snapshot());
+        tree.fold(&slow);
+        let d = diff(&base, &tree.snapshot());
         assert_eq!(
             d.rows.first().map(|r| r.path.as_str()),
             Some("solver::Cg;iteration;csr"),
@@ -782,12 +638,12 @@ mod tests {
         let top = &d.rows[0];
         assert!(top.delta_pct > 100.0, "{}", top.delta_pct);
 
-        // A path only in the current window reports as new (infinite pct);
+        // A path only in the current tree reports as new (infinite pct);
         // a path only in the baseline reports -100%.
         let disjoint = ProfileSnapshot::default();
-        let d2 = diff(&store.snapshot(), &disjoint);
+        let d2 = diff(&tree.snapshot(), &disjoint);
         assert!(d2.rows.iter().all(|r| r.delta_pct == -100.0));
-        let d3 = diff(&disjoint, &store.snapshot());
+        let d3 = diff(&disjoint, &tree.snapshot());
         assert!(d3
             .rows
             .iter()
@@ -796,9 +652,7 @@ mod tests {
 
     #[test]
     fn json_tree_nests_children_under_parents() {
-        let mut store = armed_store(ProfileConfig::default());
-        store.fold(&cg_trace(1, 1));
-        let doc = store.snapshot().to_config();
+        let doc = folded(&[cg_spans(1)]).snapshot().to_config();
         let roots = doc.get("roots").and_then(Config::as_array).expect("roots");
         assert_eq!(roots.len(), 1);
         let root = &roots[0];
@@ -818,15 +672,5 @@ mod tests {
         let text = crate::config::json::to_string_pretty(&doc);
         let back = Config::from_json(&text).expect("parse back");
         assert_eq!(back.get("solves").and_then(Config::as_int), Some(1));
-    }
-
-    #[test]
-    fn reset_clears_live_window_but_keeps_baselines() {
-        let mut store = armed_store(ProfileConfig::default());
-        store.fold(&cg_trace(1, 1));
-        store.commit_baseline("keep");
-        store.window.reset();
-        assert_eq!(store.snapshot().nodes.len(), 0);
-        assert!(store.window.baselines.contains_key("keep"));
     }
 }

@@ -19,7 +19,7 @@
 //! * `/profile` — the continuous profiler's live flame aggregate as a
 //!   nested JSON tree, or as `flamegraph.pl`-compatible folded stacks with
 //!   `?format=folded` (one `path;path;... <self_wall_ns>` line per node);
-//! * `/profile/diff?base=<name>` — differential profile of the live window
+//! * `/profile/diff?base=<name>` — differential profile of the flame tree
 //!   against a baseline committed via
 //!   [`Observer::commit_profile_baseline`](crate::Observer::commit_profile_baseline),
 //!   rows ranked by self-time regression.

@@ -116,21 +116,21 @@ pub fn render_exposition(
             status.truncated_spans,
         ),
         (
-            config.profile.is_some(),
+            config.profile,
             "gko_profile_nodes",
-            "Flame nodes allocated in the profiler's live window.",
+            "Flame nodes allocated in the profiler's tree.",
             "gauge",
             status.profile_nodes as u64,
         ),
         (
-            config.profile.is_some(),
+            config.profile,
             "gko_profile_evicted_total",
             "Spans dropped because the profiler's node cap was reached.",
             "counter",
             status.profile_evicted,
         ),
         (
-            config.profile.is_some(),
+            config.profile,
             "gko_profile_solves_total",
             "Solves folded into the flame aggregate since arming.",
             "counter",
@@ -221,7 +221,7 @@ pub fn health_json(exec: &Executor) -> String {
         .with(
             "profiling",
             Config::map()
-                .with("armed", status.config.profile.is_some())
+                .with("armed", status.config.profile)
                 .with("nodes", status.profile_nodes)
                 .with("solves", status.profile_solves as i64)
                 .with("evicted", status.profile_evicted as i64),

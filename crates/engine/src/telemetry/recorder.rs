@@ -9,13 +9,13 @@
 //! detectors before pushing it into a bounded ring:
 //!
 //! * **convergence** — a solve that gave up is flagged [`Anomaly::Divergence`]
-//!   when its final residual grew by `divergence_growth` over the initial
-//!   one, or [`Anomaly::Stagnation`] when the last `stagnation_window`
+//!   when its final residual grew by [`DIVERGENCE_GROWTH`] over the initial
+//!   one, or [`Anomaly::Stagnation`] when the last [`STAGNATION_WINDOW`]
 //!   iterations made no meaningful progress;
 //! * **lane imbalance** — [`Anomaly::LaneImbalance`] when one pool lane's
-//!   busy time exceeds `imbalance_ratio` times the mean;
+//!   busy time exceeds [`DetectorConfig::imbalance_ratio`] times the mean;
 //! * **latency drift** — [`Anomaly::LatencyDrift`] when a kernel's p99 in
-//!   this solve exceeds `drift_ratio` times its rolling (EWMA) baseline
+//!   this solve exceeds [`DRIFT_RATIO`] times its rolling (EWMA) baseline
 //!   built from previous solves.
 //!
 //! Each flagged anomaly is also counted by the metrics plane
@@ -30,59 +30,57 @@ use crate::stop::StopReason;
 /// carries no explicit `?limit=N`.
 pub const DEFAULT_RUNS_LIMIT: usize = 32;
 
-/// Thresholds for the flight plane's anomaly detectors.
+/// Reports retained in the flight ring (oldest evicted first).
+pub const RUNS_CAPACITY: usize = 64;
+
+/// Iterations the stagnation check looks back over.
+pub const STAGNATION_WINDOW: usize = 8;
+
+/// A non-converged solve is stagnating when the newest residual is at least
+/// this fraction of the residual [`STAGNATION_WINDOW`] iterations ago (1.0
+/// is exactly no progress; 0.99 tolerates 1 %).
+pub const STAGNATION_RATIO: f64 = 0.99;
+
+/// A non-converged solve is diverging when its final residual is at least
+/// this factor above the initial one.
+pub const DIVERGENCE_GROWTH: f64 = 1.0e3;
+
+/// Imbalance is only assessed when the mean per-lane busy time is at least
+/// this many nanoseconds: tiny jobs always look skewed.
+pub const IMBALANCE_MIN_BUSY_NS: u64 = 1_000_000;
+
+/// A kernel drifted when its p99 (and its median) this solve is at least
+/// this multiple of its rolling baseline.
+pub const DRIFT_RATIO: f64 = 3.0;
+
+/// Drift is only assessed when this solve's p99 is at least this many
+/// nanoseconds: micro-kernel tails are dominated by scheduler noise.
+pub const DRIFT_MIN_P99_NS: u64 = 100_000;
+
+/// Consecutive drifting solves required before [`Anomaly::LatencyDrift`] is
+/// reported: one slow solve on a noisy host is not a regression.
+pub const DRIFT_MIN_STREAK: u64 = 2;
+
+/// The two detector thresholds a caller sets; every other threshold is one
+/// of the constants above (`DESIGN.md` §10 gives the reason for each value).
 ///
-/// The defaults are deliberately conservative — they are tuned to stay
-/// silent on the healthy reference solves in this repository's test suite
-/// and benchmark harness (see `DESIGN.md` §10 for the rationale behind each
-/// value), so a flagged report means something is genuinely off.
+/// The defaults stay silent on the healthy reference solves of this
+/// repository's tests and benchmarks, so a flagged report means something is
+/// genuinely off.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectorConfig {
-    /// Iterations the stagnation check looks back over.
-    pub stagnation_window: usize,
-    /// A non-converged solve is stagnating when the newest residual is at
-    /// least `stagnation_ratio` times the residual `stagnation_window`
-    /// iterations ago (1.0 = exactly no progress; 0.99 tolerates 1%).
-    pub stagnation_ratio: f64,
-    /// A non-converged solve is diverging when its final residual is at
-    /// least this factor above the initial one.
-    pub divergence_growth: f64,
     /// A solve is imbalanced when the busiest lane's busy-ns is at least
     /// this multiple of the mean over all lanes.
     pub imbalance_ratio: f64,
-    /// Imbalance is only assessed when the mean per-lane busy time is at
-    /// least this many nanoseconds — tiny jobs always look skewed.
-    pub imbalance_min_busy_ns: u64,
-    /// A kernel drifted when its p99 this solve is at least this multiple
-    /// of its rolling baseline.
-    pub drift_ratio: f64,
-    /// Solves a kernel must appear in before its baseline is trusted.
+    /// Solves a kernel must appear in before its drift baseline is trusted.
     pub drift_min_solves: u64,
-    /// Drift is only assessed when this solve's p99 is at least this many
-    /// nanoseconds — micro-kernel tails are dominated by scheduler noise,
-    /// especially on oversubscribed hosts.
-    pub drift_min_p99_ns: u64,
-    /// Consecutive drifting solves required before [`Anomaly::LatencyDrift`]
-    /// is reported. A single slow solve on a noisy host (CPU steal, cold
-    /// caches) looks exactly like a regression; a real regression persists.
-    pub drift_min_streak: u64,
-    /// Reports retained in the ring (oldest evicted first).
-    pub capacity: usize,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            stagnation_window: 8,
-            stagnation_ratio: 0.99,
-            divergence_growth: 1.0e3,
             imbalance_ratio: 4.0,
-            imbalance_min_busy_ns: 1_000_000,
-            drift_ratio: 3.0,
             drift_min_solves: 3,
-            drift_min_p99_ns: 100_000,
-            drift_min_streak: 2,
-            capacity: 64,
         }
     }
 }
@@ -235,8 +233,9 @@ pub struct BatchOutcome {
 /// Structured record of one completed solve.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightReport {
-    /// Monotonic sequence number (1-based, since the flight plane was armed
-    /// with these detectors).
+    /// The solve's one number: 1-based, counted over every solve the
+    /// executor's observer closed, never reset. It is also the solve's trace
+    /// id.
     pub seq: u64,
     /// Solver name, e.g. `"solver::Cg"`.
     pub solver: String,
@@ -258,8 +257,9 @@ pub struct FlightReport {
     pub anomalies: Vec<Anomaly>,
     /// Per-system outcome counts when the solve was batched.
     pub batch: Option<BatchOutcome>,
-    /// The solve's trace id when span tracing was armed (links this run —
-    /// anomalous or not — to its `/traces/<id>` span tree).
+    /// Set to `seq` when tail sampling kept the solve's span tree: the link
+    /// to `/traces/<id>`. `None` when tracing was off or the tree was
+    /// dropped.
     pub trace_id: Option<u64>,
 }
 
@@ -342,28 +342,23 @@ impl FlightReport {
 // ---------------------------------------------------------------------------
 
 /// Convergence detector: given the first recorded residual, the trailing
-/// residual window (oldest first, at most `stagnation_window + 1` entries),
-/// and whether the solve converged, decides between [`Anomaly::Divergence`],
-/// [`Anomaly::Stagnation`], and a clean bill (`None`). Converged solves are
-/// never flagged.
-pub fn detect_convergence(
-    initial: f64,
-    window: &[f64],
-    converged: bool,
-    cfg: &DetectorConfig,
-) -> Option<Anomaly> {
+/// residual window (oldest first, at most [`STAGNATION_WINDOW`]` + 1`
+/// entries), and whether the solve converged, decides between
+/// [`Anomaly::Divergence`], [`Anomaly::Stagnation`], and a clean bill
+/// (`None`). Converged solves are never flagged.
+pub fn detect_convergence(initial: f64, window: &[f64], converged: bool) -> Option<Anomaly> {
     if converged {
         return None;
     }
     let last = *window.last()?;
-    if initial > 0.0 && initial.is_finite() && last >= cfg.divergence_growth * initial {
+    if initial > 0.0 && initial.is_finite() && last >= DIVERGENCE_GROWTH * initial {
         return Some(Anomaly::Divergence { initial, last });
     }
-    if window.len() > cfg.stagnation_window {
-        let from = window[window.len() - 1 - cfg.stagnation_window];
-        if from > 0.0 && from.is_finite() && last >= cfg.stagnation_ratio * from {
+    if window.len() > STAGNATION_WINDOW {
+        let from = window[window.len() - 1 - STAGNATION_WINDOW];
+        if from > 0.0 && from.is_finite() && last >= STAGNATION_RATIO * from {
             return Some(Anomaly::Stagnation {
-                window: cfg.stagnation_window,
+                window: STAGNATION_WINDOW,
                 from,
                 to: last,
             });
@@ -375,14 +370,14 @@ pub fn detect_convergence(
 /// Lane-imbalance detector over a per-lane utilization delta: flags when the
 /// busiest lane carried at least `imbalance_ratio` times the mean busy time.
 /// Skips pools with fewer than two lanes and jobs too small to judge
-/// (`imbalance_min_busy_ns`).
+/// ([`IMBALANCE_MIN_BUSY_NS`]).
 pub fn detect_lane_imbalance(lanes: &[LaneStats], cfg: &DetectorConfig) -> Option<Anomaly> {
     if lanes.len() < 2 {
         return None;
     }
     let total: u64 = lanes.iter().map(|l| l.busy_ns).sum();
     let mean = total / lanes.len() as u64;
-    if mean < cfg.imbalance_min_busy_ns.max(1) {
+    if mean < IMBALANCE_MIN_BUSY_NS {
         return None;
     }
     let (lane, busy_ns) = lanes
@@ -400,12 +395,12 @@ pub fn detect_lane_imbalance(lanes: &[LaneStats], cfg: &DetectorConfig) -> Optio
 }
 
 /// Latency-drift detector for one kernel: flags when this solve's p99 is at
-/// least `drift_ratio` times the rolling p99 baseline **and** the median
+/// least [`DRIFT_RATIO`] times the rolling p99 baseline **and** the median
 /// moved with it. A genuine kernel regression shifts the whole latency
 /// distribution; a preempted sample on a busy host inflates only the tail,
 /// so the median corroboration keeps the detector quiet on oversubscribed
 /// machines. Baselines are only trusted after `drift_min_solves` solves
-/// contributed, and tails below `drift_min_p99_ns` are never judged.
+/// contributed, and tails below [`DRIFT_MIN_P99_NS`] are never judged.
 pub fn detect_latency_drift(
     op: &str,
     p99_ns: u64,
@@ -415,15 +410,12 @@ pub fn detect_latency_drift(
     baseline_solves: u64,
     cfg: &DetectorConfig,
 ) -> Option<Anomaly> {
-    if baseline_solves < cfg.drift_min_solves
-        || baseline_p99 <= 0.0
-        || p99_ns < cfg.drift_min_p99_ns
-    {
+    if baseline_solves < cfg.drift_min_solves || baseline_p99 <= 0.0 || p99_ns < DRIFT_MIN_P99_NS {
         return None;
     }
     let ratio = p99_ns as f64 / baseline_p99;
-    let median_moved = baseline_p50 <= 0.0 || p50_ns as f64 >= cfg.drift_ratio * baseline_p50;
-    (ratio >= cfg.drift_ratio && median_moved).then_some(Anomaly::LatencyDrift {
+    let median_moved = baseline_p50 <= 0.0 || p50_ns as f64 >= DRIFT_RATIO * baseline_p50;
+    (ratio >= DRIFT_RATIO && median_moved).then_some(Anomaly::LatencyDrift {
         op: op.to_string(),
         p99_ns,
         baseline_ns: baseline_p99 as u64,
@@ -446,8 +438,8 @@ impl DriftBaseline {
     /// baseline, then updates it. A drifting sample is kept out of the
     /// baseline so a persistent regression keeps firing instead of
     /// normalizing itself away — but it is only *reported* once the drift
-    /// has held for `drift_min_streak` consecutive solves (one slow solve on
-    /// a noisy host is not a regression).
+    /// has held for [`DRIFT_MIN_STREAK`] consecutive solves (one slow solve
+    /// on a noisy host is not a regression).
     pub(crate) fn judge(
         &mut self,
         op: &str,
@@ -466,7 +458,7 @@ impl DriftBaseline {
         );
         if drift.is_some() {
             self.streak += 1;
-            return drift.filter(|_| self.streak >= cfg.drift_min_streak.max(1));
+            return drift.filter(|_| self.streak >= DRIFT_MIN_STREAK);
         }
         self.streak = 0;
         if self.solves == 0 {
@@ -487,46 +479,43 @@ mod tests {
 
     #[test]
     fn converged_solves_are_never_flagged() {
-        let cfg = DetectorConfig::default();
         let window = [1.0, 10.0, 100.0, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
-        assert_eq!(detect_convergence(1.0, &window, true, &cfg), None);
+        assert_eq!(detect_convergence(1.0, &window, true), None);
     }
 
     #[test]
     fn divergence_beats_stagnation_on_large_growth() {
-        let cfg = DetectorConfig::default();
-        let window: Vec<f64> = (0..=cfg.stagnation_window)
+        let window: Vec<f64> = (0..=STAGNATION_WINDOW)
             .map(|i| 2.0f64.powi(i as i32))
             .collect();
         // Growth 2^8 = 256x over the window but only vs initial 1e-3 -> 2e5x.
-        let got = detect_convergence(1.0e-3, &window, false, &cfg);
+        let got = detect_convergence(1.0e-3, &window, false);
         assert!(matches!(got, Some(Anomaly::Divergence { .. })), "{got:?}");
     }
 
     #[test]
     fn plateau_without_convergence_is_stagnation() {
-        let cfg = DetectorConfig::default();
-        let window = vec![1.0; cfg.stagnation_window + 1];
-        let got = detect_convergence(1.0, &window, false, &cfg);
+        let window = vec![1.0; STAGNATION_WINDOW + 1];
+        let got = detect_convergence(1.0, &window, false);
         match got {
             Some(Anomaly::Stagnation {
                 window: w,
                 from,
                 to,
             }) => {
-                assert_eq!(w, cfg.stagnation_window);
+                assert_eq!(w, STAGNATION_WINDOW);
                 assert_eq!(from, 1.0);
                 assert_eq!(to, 1.0);
             }
             other => panic!("expected Stagnation, got {other:?}"),
         }
         // A steadily improving (if slow) solve is not stagnating.
-        let improving: Vec<f64> = (0..=cfg.stagnation_window)
+        let improving: Vec<f64> = (0..=STAGNATION_WINDOW)
             .map(|i| 0.9f64.powi(i as i32))
             .collect();
-        assert_eq!(detect_convergence(1.0, &improving, false, &cfg), None);
+        assert_eq!(detect_convergence(1.0, &improving, false), None);
         // Too few residuals to judge: stay silent.
-        assert_eq!(detect_convergence(1.0, &[1.0, 1.0], false, &cfg), None);
+        assert_eq!(detect_convergence(1.0, &[1.0, 1.0], false), None);
     }
 
     #[test]

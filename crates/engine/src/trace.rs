@@ -19,7 +19,7 @@
 //! kernels themselves. The pool layers cannot be event-reconstructed —
 //! chunks run concurrently on other threads — so they are propagated
 //! *explicitly*: `parallel_chunks` asks the observer for a dispatch handle
-//! carrying a [`SpanContext`] `{trace_id, parent_span_id}`, the chunk
+//! carrying a [`SpanContext`] (the dispatch span's id), the chunk
 //! closures record begin/end/steal against cache-padded per-lane buffers,
 //! and the handle folds them back into the tree when the dispatch ends.
 //! A stolen chunk's span is owned by the lane that *executed* it (`lane`),
@@ -34,43 +34,47 @@
 //! * traces whose solve tripped an anomaly detector (stagnation, divergence,
 //!   lane imbalance, latency drift) are always retained
 //!   (`retained = "anomaly"`),
-//! * traces exceeding [`TraceConfig::latency_threshold_ns`] are always
+//! * traces of solves slower than [`LATENCY_THRESHOLD_NS`] are always
 //!   retained (`retained = "latency"`),
-//! * healthy traces are head-sampled 1-in-`sample_n`
+//! * healthy traces are head-sampled: the solve numbered `n` is kept when
+//!   `n - 1` is a multiple of [`TraceConfig::sample_n`]
 //!   (`retained = "sampled"`), and
 //! * everything else is dropped, counted in `gko_trace_drops_total`.
 //!
-//! The solve's [`FlightReport`](crate::FlightReport) and its [`TraceReport`]
-//! are built by the same end-of-solve fold, so they carry the same trace id
-//! and the same anomaly labels (arming tracing arms the flight plane).
+//! The ring keeps the newest [`TRACE_CAPACITY`] retained traces.
+//!
+//! # One id, one verdict
+//!
+//! The observer numbers each solve it closes once, from a counter that is
+//! never reset (arming tracing arms the flight plane, so every traced solve
+//! is closed into a run). That number is the run's
+//! [`FlightReport::seq`](crate::FlightReport::seq) and the trace's id: a
+//! retained [`TraceReport`] holds the run itself, and only a kept tree
+//! stamps [`FlightReport::trace_id`](crate::FlightReport::trace_id), so
+//! every `/runs` link resolves.
 //!
 //! Serving: `GET /traces` (index) and `GET /traces/<id>` (full span tree
 //! JSON; `?format=chrome` renders [`TraceReport::to_chrome_trace`]).
 
 use crate::config::{json, Config};
+use crate::telemetry::FlightReport;
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Identifiers and span records
 // ---------------------------------------------------------------------------
 
-/// Identifier of one traced solve. Unique per executor for its lifetime
-/// (ids are never reused, even across disarm/re-arm).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TraceId(pub u64);
-
-/// Identifier of one span inside a trace. `SpanId(0)` is reserved as "no
+/// Identifier of one span. Unique per executor for its lifetime (never
+/// reused, even across disarm/re-arm); `SpanId(0)` is reserved as "no
 /// parent" (the root's parent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
 
-/// The context a chunk closure carries through `WorkerPool` dispatch: which
-/// trace it belongs to and which span (the dispatch span) parents the chunk
-/// spans it records.
-#[derive(Clone, Copy, Debug)]
+/// The context a chunk closure carries through `WorkerPool` dispatch: the
+/// dispatch span that parents the chunk spans it records. Span ids are never
+/// reused, so it also names the solve the dispatch belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanContext {
-    /// Trace the dispatch belongs to.
-    pub trace_id: TraceId,
     /// Span id the recorded chunk spans are parented under.
     pub parent_span_id: SpanId,
 }
@@ -145,17 +149,12 @@ pub struct SpanRecord {
 // Completed traces
 // ---------------------------------------------------------------------------
 
-/// One retained trace: the span tree plus the solve-level verdicts that
-/// drove the retention decision.
+/// One retained trace: the solve's run and its span tree.
 #[derive(Clone, Debug)]
 pub struct TraceReport {
-    /// Trace identifier (the `/traces/<id>` key).
-    pub trace_id: u64,
-    /// 1-based ordinal of this solve among all traced solves (drives the
-    /// 1-in-N head sample).
-    pub seq: u64,
-    /// Root operator name, e.g. `"solver::Cg"`.
-    pub annotation: String,
+    /// The solve's flight report, the one `/runs` serves: its `seq` is the
+    /// trace id, and it holds the verdicts that drove retention.
+    pub run: FlightReport,
     /// Span id of the root solve span.
     pub root: u64,
     /// Wall-clock duration of the root span, nanoseconds.
@@ -163,14 +162,6 @@ pub struct TraceReport {
     /// Why the trace survived tail sampling: `"anomaly"`, `"latency"`, or
     /// `"sampled"`.
     pub retained: &'static str,
-    /// Anomaly kinds the flight recorder flagged for this solve.
-    pub anomalies: Vec<String>,
-    /// Completed iterations (0 when the solver emits none, e.g. batches).
-    pub iterations: u64,
-    /// Whether the solve converged.
-    pub converged: bool,
-    /// Stop reason name (or a batch outcome summary).
-    pub stop_reason: String,
     /// Spans discarded because the per-trace cap was hit.
     pub truncated_spans: u64,
     /// The completed spans, in completion order.
@@ -178,24 +169,25 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
+    /// The trace id (the `/traces/<id>` key): the run's number.
+    pub fn id(&self) -> u64 {
+        self.run.seq
+    }
+
     /// Index entry served by `GET /traces`.
     pub fn summary_config(&self) -> Config {
-        let anomalies: Vec<Config> = self
-            .anomalies
-            .iter()
-            .map(|k| Config::from(k.clone()))
-            .collect();
+        let anomalies: Vec<Config> = self.run.anomalies.iter().map(|a| a.kind().into()).collect();
         Config::map()
-            .with("trace_id", self.trace_id as i64)
-            .with("annotation", self.annotation.clone())
+            .with("trace_id", self.id() as i64)
+            .with("solver", self.run.solver.as_str())
             .with("duration_ns", self.duration_ns as i64)
             .with("retained", self.retained)
             .with("anomalies", anomalies)
-            .with("iterations", self.iterations as i64)
             .with("spans", self.spans.len())
     }
 
-    /// Full span-tree document served by `GET /traces/<id>`.
+    /// Full document served by `GET /traces/<id>`: the run as `/runs`
+    /// renders it, and the span tree.
     pub fn to_config(&self) -> Config {
         let spans: Vec<Config> = self
             .spans
@@ -215,11 +207,12 @@ impl TraceReport {
                 c
             })
             .collect();
-        self.summary_config()
-            .with("seq", self.seq as i64)
+        Config::map()
+            .with("trace_id", self.id() as i64)
+            .with("run", self.run.to_config())
             .with("root", self.root as i64)
-            .with("converged", self.converged)
-            .with("stop_reason", self.stop_reason.clone())
+            .with("duration_ns", self.duration_ns as i64)
+            .with("retained", self.retained)
             .with("truncated_spans", self.truncated_spans as i64)
             .with("spans", spans)
     }
@@ -240,7 +233,7 @@ impl TraceReport {
         let tid = |s: &SpanRecord| if s.lane == OWNER_LANE { 0 } else { s.lane + 1 };
         let mut events = vec![
             meta("process_name", 0, "gko".to_string()),
-            meta("thread_name", 0, format!("solve {}", self.annotation)),
+            meta("thread_name", 0, format!("solve {}", self.run.solver)),
         ];
         let pool_lanes: BTreeSet<u32> = self
             .spans
@@ -277,16 +270,19 @@ impl TraceReport {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Tracing policy knobs (see the module docs for the sampling model).
+/// Solves slower than this are always retained, whatever the head sample.
+pub const LATENCY_THRESHOLD_NS: u64 = 500_000_000;
+
+/// Retained traces kept in the ring (oldest evicted first).
+pub const TRACE_CAPACITY: usize = 16;
+
+/// The two tracing knobs a caller sets (see the module docs for the
+/// sampling model).
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Head-sample 1 healthy trace in every `sample_n` (clamped to >= 1;
     /// `1` retains every trace).
     pub sample_n: u64,
-    /// Traces slower than this are always retained regardless of sampling.
-    pub latency_threshold_ns: u64,
-    /// Retained traces kept in the ring (oldest evicted).
-    pub capacity: usize,
     /// Per-trace span cap; spans beyond it are counted in
     /// `truncated_spans`, keeping pathological solves bounded.
     pub max_spans: usize,
@@ -296,8 +292,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             sample_n: 16,
-            latency_threshold_ns: 500_000_000,
-            capacity: 16,
             max_spans: 200_000,
         }
     }
@@ -306,7 +300,6 @@ impl Default for TraceConfig {
 impl TraceConfig {
     pub(crate) fn normalized(mut self) -> Self {
         self.sample_n = self.sample_n.max(1);
-        self.capacity = self.capacity.max(1);
         self.max_spans = self.max_spans.max(64);
         self
     }

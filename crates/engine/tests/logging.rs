@@ -8,7 +8,7 @@ use gko::log::{Event, Record, SharedBuf, Stream};
 use gko::matrix::{Csr, Dense};
 use gko::solver::Cg;
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor, ObserveConfig, ProfileConfig};
+use gko::{Dim2, Executor, ObserveConfig};
 use std::sync::Arc;
 
 fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
@@ -49,7 +49,7 @@ fn cg_solve_emits_event_stream_and_kernel_breakdown() {
     exec.add_logger(record.clone());
     exec.observe(ObserveConfig {
         metrics: true,
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..ObserveConfig::default()
     });
     assert_eq!(

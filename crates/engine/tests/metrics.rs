@@ -8,7 +8,7 @@ use gko::matrix::{Csr, Dense};
 use gko::metrics::{bucket_index, bucket_upper_bound, Log2Histogram, HISTOGRAM_BUCKETS};
 use gko::solver::Cg;
 use gko::stop::Criteria;
-use gko::{Dim2, Executor, ObserveConfig, ProfileConfig, TraceConfig};
+use gko::{Dim2, Executor, ObserveConfig, TraceConfig};
 use std::sync::Arc;
 
 fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
@@ -77,7 +77,7 @@ fn unlogged_spmv_performs_no_histogram_writes() {
             sample_n: 1,
             ..TraceConfig::default()
         }),
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..ObserveConfig::default()
     });
     assert_eq!(
@@ -100,7 +100,7 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         "back on the one-relaxed-load path"
     );
     let off = exec.observing();
-    assert!(!off.metrics && off.flight.is_none() && off.trace.is_none() && off.profile.is_none());
+    assert!(!off.metrics && off.flight.is_none() && off.trace.is_none() && !off.profile);
     assert!(observer.metrics().is_none() && observer.runs().is_empty());
     solver.apply(&b, &mut x).unwrap();
     assert_eq!(
@@ -109,7 +109,7 @@ fn unlogged_spmv_performs_no_histogram_writes() {
         "detached observer sees nothing"
     );
     assert_eq!(observer.traces().len(), 1, "retained trace stays readable");
-    assert_eq!(observer.profile().solves, 1, "flame window stays readable");
+    assert_eq!(observer.profile().solves, 1, "flame tree stays readable");
 }
 
 #[test]

@@ -4,11 +4,13 @@
 //! `/metrics`, and the executor-level arming contract.
 
 use gko::config::Config;
+use gko::log::{Event, Logger};
 use gko::matrix::{BatchCsr, BatchDense, Csr};
+use gko::profile::MAX_FLAME_NODES;
 use gko::solver::BatchCg;
 use gko::stop::Criteria;
 use gko::telemetry::{prom, DetectorConfig};
-use gko::{Dim2, Executor, LinOp, ObserveConfig, ProfileConfig};
+use gko::{Dim2, Executor, LinOp, ObserveConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,16 +46,15 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     (status, body.to_string())
 }
 
-/// Profiling under `policy`, with the timing-based detectors neutralized
-/// (they fire spuriously on oversubscribed CI hosts).
-fn profiled(policy: ProfileConfig) -> ObserveConfig {
+/// Profiling, with the timing-based detectors neutralized (they fire
+/// spuriously on oversubscribed CI hosts).
+fn profiled() -> ObserveConfig {
     ObserveConfig {
         flight: Some(DetectorConfig {
             drift_min_solves: u64::MAX,
             imbalance_ratio: f64::INFINITY,
-            ..DetectorConfig::default()
         }),
-        profile: Some(policy),
+        profile: true,
         ..ObserveConfig::default()
     }
 }
@@ -109,8 +110,8 @@ fn assert_flame_node(node: &Config, context: &str) {
 #[test]
 fn concurrent_profile_scrapes_during_armed_batched_solve() {
     let exec = Executor::omp(16);
-    exec.observe(profiled(ProfileConfig::default()));
-    assert!(exec.observing().profile.is_some());
+    exec.observe(profiled());
+    assert!(exec.observing().profile);
     assert!(
         exec.observing().trace.is_some(),
         "profiling must arm tracing (it consumes the span stream)"
@@ -174,7 +175,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
     let snap = exec.observer().profile();
     assert_eq!(snap.solves, 8, "all armed solves folded: {}", snap.solves);
     assert!(!snap.nodes.is_empty());
-    assert!(snap.nodes.len() <= snap.max_nodes);
+    assert!(snap.nodes.len() <= MAX_FLAME_NODES);
     assert!(
         snap.nodes
             .iter()
@@ -218,7 +219,7 @@ fn concurrent_profile_scrapes_during_armed_batched_solve() {
 
     server.shutdown();
     exec.observe(ObserveConfig::default());
-    assert!(exec.observing().profile.is_none());
+    assert!(!exec.observing().profile);
 }
 
 /// A `/profile/diff` request without a base is a 400; an unknown baseline
@@ -254,15 +255,39 @@ fn profile_diff_error_paths_and_empty_window() {
     server.shutdown();
 }
 
-/// Executor-level arming contract: a custom node cap is respected under
-/// real solves, eviction is observable, and disarm/rearm keeps aggregates.
+/// Executor-level arming contract: the node cap holds under real solves,
+/// eviction is observable, and disarm/rearm keeps aggregates. A synthetic
+/// solve with more distinct kernels than the cap has nodes fills the tree
+/// first, so the real solve's new paths find no room.
 #[test]
 fn tiny_node_cap_bounds_real_solves() {
     let exec = Executor::omp(4);
-    exec.observe(profiled(ProfileConfig {
-        max_nodes: 8,
-        ..ProfileConfig::default()
-    }));
+    exec.observe(profiled());
+    let observer = exec.observer();
+    observer.on_event(&Event::LinOpApplyStarted { op: "solver::Fill" });
+    for k in 0..MAX_FLAME_NODES {
+        let op: &'static str = Box::leak(format!("kernel{k}").into_boxed_str());
+        observer.on_event(&Event::LinOpApplyStarted { op });
+        let done = Event::LinOpApplyCompleted {
+            op,
+            wall_ns: 1,
+            virtual_ns: 0,
+        };
+        observer.on_event(&done);
+    }
+    observer.on_event(&Event::LinOpApplyCompleted {
+        op: "solver::Fill",
+        wall_ns: 1,
+        virtual_ns: 0,
+    });
+    let full = observer.profile();
+    assert_eq!(
+        full.nodes.len(),
+        MAX_FLAME_NODES,
+        "the fill reached the cap"
+    );
+    assert!(full.evicted_nodes > 0);
+
     let a = Arc::new(poisson_csr(&exec, 256));
     let solver = gko::solver::Cg::new(a)
         .unwrap()
@@ -271,21 +296,21 @@ fn tiny_node_cap_bounds_real_solves() {
     let mut x = gko::matrix::Dense::<f64>::zeros(&exec, Dim2::new(256, 1));
     solver.apply(&b, &mut x).unwrap();
 
-    let snap = exec.observer().profile();
+    let snap = observer.profile();
     assert!(
-        snap.nodes.len() <= 8,
+        snap.nodes.len() <= MAX_FLAME_NODES,
         "cap respected: {} nodes",
         snap.nodes.len()
     );
-    assert_eq!(snap.max_nodes, 8);
+    assert_eq!(snap.solves, 2);
     assert!(
-        snap.evicted_nodes > 0,
-        "a real solve tree has more than 8 distinct paths"
+        snap.evicted_nodes > full.evicted_nodes,
+        "the real solve's paths had no room"
     );
     // Disarm the profiler alone (tracing stays): folds stop, aggregates
     // stay readable.
     exec.observe(ObserveConfig {
-        profile: None,
+        profile: false,
         ..exec.observing()
     });
     assert!(exec.observing().trace.is_some());

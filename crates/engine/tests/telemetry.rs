@@ -11,6 +11,7 @@ use gko::preconditioner::Jacobi;
 use gko::solver::{Cg, Ir};
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::prom;
+use gko::telemetry::recorder::{DRIFT_RATIO, IMBALANCE_MIN_BUSY_NS, STAGNATION_WINDOW};
 use gko::{Anomaly, DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -59,7 +60,6 @@ fn quiet_detectors() -> DetectorConfig {
     DetectorConfig {
         drift_min_solves: u64::MAX,
         imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
     }
 }
 
@@ -204,7 +204,7 @@ fn stagnating_richardson_on_indefinite_matrix_is_flagged() {
     assert_eq!(report.anomalies.len(), 1, "exactly one anomaly: {report:?}");
     match &report.anomalies[0] {
         Anomaly::Stagnation { window, from, to } => {
-            assert_eq!(*window, DetectorConfig::default().stagnation_window);
+            assert_eq!(*window, STAGNATION_WINDOW);
             assert!(
                 to >= from,
                 "residual plateaued or grew over the window: {from} -> {to}"
@@ -233,21 +233,20 @@ fn spin(iters: u64) -> f64 {
 #[test]
 fn skewed_chunks_trigger_lane_imbalance() {
     let exec = Executor::omp(8);
-    // Lower the busy-time floor so the test stays fast on any machine; the
-    // ratio threshold (the part under test) keeps its default.
-    let recorder = record_flights(
-        &exec,
-        DetectorConfig {
-            imbalance_min_busy_ns: 10_000,
-            ..DetectorConfig::default()
-        },
-    );
+    let recorder = record_flights(&exec, DetectorConfig::default());
 
-    // 8 chunks, one lane apiece: chunk 0 does ~20M flops, the rest ~1k.
+    // 8 chunks, one lane apiece: chunk 0 busies its lane for 16 busy-time
+    // floors, so the mean over the 8 lanes clears the floor on any machine
+    // and the busiest lane sits near 8x the mean; the rest do ~1k flops.
     let mut out = vec![0.0f64; 8];
     let bounds: Vec<usize> = (0..=8).collect();
+    let hot = std::time::Duration::from_nanos(16 * IMBALANCE_MIN_BUSY_NS);
     gko::executor::pool::parallel_chunks(&exec, &mut out, &bounds, |i, slot| {
-        slot[0] = spin(if i == 0 { 20_000_000 } else { 1_000 });
+        let start = std::time::Instant::now();
+        slot[0] = spin(1_000);
+        while i == 0 && start.elapsed() < hot {
+            slot[0] += spin(1_000);
+        }
     });
 
     // A tiny healthy solve closes out the report carrying the skewed delta.
@@ -332,7 +331,7 @@ fn injected_slow_kernel_triggers_latency_drift() {
         } => {
             assert_eq!(op, "csr");
             assert!(p99_ns > baseline_ns);
-            assert!(*ratio >= DetectorConfig::default().drift_ratio);
+            assert!(*ratio >= DRIFT_RATIO);
         }
         other => panic!("expected LatencyDrift, got {other:?}"),
     }
@@ -730,7 +729,7 @@ fn other_threads_events_stay_out_of_the_solve_in_flight() {
 fn exposition_of_a_fixed_status_is_strict_and_complete() {
     let observer = Observer::detached(ObserveConfig {
         metrics: true,
-        profile: Some(Default::default()),
+        profile: true,
         ..ObserveConfig::default()
     });
     observer.on_event(&Event::LinOpApplyStarted { op: "solver::Cg" });

@@ -2,15 +2,18 @@
 //! pool yields one rooted span tree whose per-lane chunk spans exactly tile
 //! every pool dispatch; anomalous solves are always retained while healthy
 //! ones head-sample 1-in-N; slow solves are retained by the latency
-//! threshold; and the inert/disarmed paths observe nothing.
+//! threshold; every run and its trace share one id, across re-arms too, and
+//! only a kept trace is linked; and the inert/disarmed paths observe nothing.
 
 use gko::linop::LinOp;
+use gko::log::{Event, Logger};
 use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::preconditioner::Jacobi;
 use gko::solver::{BatchCg, Cg, Ir};
-use gko::stop::Criteria;
-use gko::trace::{SpanKind, TraceConfig, TraceReport, OWNER_LANE};
-use gko::{DetectorConfig, Dim2, Executor, ObserveConfig, ProfileConfig};
+use gko::stop::{Criteria, StopReason};
+use gko::telemetry::BatchOutcome;
+use gko::trace::{SpanKind, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS, OWNER_LANE};
+use gko::{DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -52,7 +55,6 @@ fn quiet_detectors() -> DetectorConfig {
     DetectorConfig {
         drift_min_solves: u64::MAX,
         imbalance_ratio: f64::INFINITY,
-        ..DetectorConfig::default()
     }
 }
 
@@ -148,10 +150,10 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
         .observer()
         .latest_trace()
         .expect("sample_n=1 retains the solve");
-    assert_eq!(report.annotation, "solver::Cg");
-    assert!(report.converged, "{report:?}");
-    assert_eq!(report.stop_reason, "residual_reduction");
-    assert!(report.iterations > 0);
+    assert_eq!(report.run.solver, "solver::Cg");
+    assert!(report.run.converged, "{report:?}");
+    assert_eq!(report.run.stop_reason, Some(StopReason::ResidualReduction));
+    assert!(report.run.iterations > 0);
     assert_eq!(report.retained, "sampled");
     assert_eq!(report.truncated_spans, 0);
     assert!(report.duration_ns > 0);
@@ -175,14 +177,15 @@ fn armed_cg_solve_yields_one_rooted_tree_with_tiled_chunks() {
         .iter()
         .filter(|s| s.kind == SpanKind::Iteration)
         .collect();
-    assert_eq!(iters.len() as u64, report.iterations);
+    assert_eq!(iters.len(), report.run.iterations);
     for it in &iters {
         assert_eq!(it.parent, report.root);
-        assert!(it.index >= 1 && it.index <= report.iterations);
+        assert!(it.index >= 1 && it.index <= report.run.iterations as u64);
     }
-    // The flight report links back to this trace.
+    // The flight report links back to this trace, and the trace holds it.
     let flight = exec.observer().latest_run().unwrap();
-    assert_eq!(flight.trace_id, Some(report.trace_id));
+    assert_eq!(flight.trace_id, Some(report.id()));
+    assert_eq!(flight, report.run);
 
     // The JSON and Chrome-trace exports are well-formed.
     let doc =
@@ -214,13 +217,71 @@ fn healthy_solves_sample_one_in_n() {
     assert_eq!(reports.len(), 2, "1-in-4 of 8 solves: {reports:?}");
     assert_eq!(exec.observer().status().trace_drops, 6);
     assert_eq!(
-        reports.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        reports.iter().map(|r| r.id()).collect::<Vec<_>>(),
         vec![1, 5]
     );
     for r in &reports {
         assert_eq!(r.retained, "sampled");
-        assert!(r.anomalies.is_empty());
+        assert!(r.run.anomalies.is_empty());
     }
+}
+
+/// A run links only to a trace that exists: of eight healthy solves sampled
+/// 1-in-4, exactly the two kept runs carry a `trace_id` (their own number),
+/// and each resolves to the trace holding that run.
+#[test]
+fn sampled_out_runs_link_to_no_trace() {
+    let exec = Executor::omp(4);
+    exec.observe(traced(sampled(4)));
+    let a = Arc::new(poisson_csr(&exec, 512));
+    for _ in 0..8 {
+        solve_cg(&exec, &a);
+    }
+    let runs = exec.observer().runs();
+    assert_eq!(runs.len(), 8);
+    let linked: Vec<u64> = runs.iter().filter_map(|r| r.trace_id).collect();
+    assert_eq!(linked, vec![1, 5], "only the kept runs link");
+    for run in runs.iter().filter(|r| r.trace_id.is_some()) {
+        assert_eq!(run.trace_id, Some(run.seq));
+        let trace = exec.observer().trace(run.seq).expect("the link resolves");
+        assert_eq!(&trace.run, run);
+    }
+}
+
+/// One number per solve, whatever happens to the config in between: two
+/// solves, a re-arm with other detector thresholds, two more solves. Every
+/// run's number is its trace's id, the numbers strictly increase, and none
+/// repeats.
+#[test]
+fn one_id_survives_a_re_arm() {
+    let exec = Executor::omp(2);
+    exec.observe(traced(sampled(1)));
+    let a = Arc::new(poisson_csr(&exec, 128));
+    solve_cg(&exec, &a);
+    solve_cg(&exec, &a);
+    exec.observe(ObserveConfig {
+        flight: Some(DetectorConfig {
+            imbalance_ratio: 1e9,
+            ..quiet_detectors()
+        }),
+        ..exec.observing()
+    });
+    solve_cg(&exec, &a);
+    solve_cg(&exec, &a);
+
+    let runs = exec.observer().runs();
+    let seqs: Vec<u64> = runs.iter().map(|r| r.seq).collect();
+    assert_eq!(
+        seqs,
+        vec![1, 2, 3, 4],
+        "the re-arm kept the ring and the count"
+    );
+    for run in &runs {
+        assert_eq!(run.trace_id, Some(run.seq));
+        assert_eq!(exec.observer().trace(run.seq).expect("kept").run, *run);
+    }
+    let ids: Vec<u64> = exec.observer().traces().iter().map(|t| t.id()).collect();
+    assert_eq!(ids, seqs, "one id per solve, strictly increasing");
 }
 
 /// Anomalous solves are always retained, regardless of the head sample: a
@@ -259,18 +320,18 @@ fn anomalous_solves_are_always_retained() {
         .observer()
         .latest_trace()
         .expect("anomalous solve retained");
-    assert_eq!(report.seq, 2, "the stagnating solve is ordinal 2");
+    assert_eq!(report.id(), 2, "the stagnating solve is ordinal 2");
     assert_eq!(report.retained, "anomaly");
-    assert_eq!(report.annotation, "solver::Ir");
-    assert!(!report.converged);
-    assert_eq!(report.anomalies, vec!["stagnation".to_string()]);
-    assert_eq!(report.stop_reason, "max_iterations");
+    assert_eq!(report.run.solver, "solver::Ir");
+    assert!(!report.run.converged);
+    let labels: Vec<&str> = report.run.anomalies.iter().map(|a| a.kind()).collect();
+    assert_eq!(labels, ["stagnation"]);
+    assert_eq!(report.run.stop_reason, Some(StopReason::MaxIterations));
     // One end-of-solve fold: the run carries this trace id and the trace
-    // the run's anomaly labels.
+    // holds the run.
     let flight = exec.observer().latest_run().unwrap();
-    assert_eq!(flight.trace_id, Some(report.trace_id));
-    let labels: Vec<&str> = flight.anomalies.iter().map(|a| a.kind()).collect();
-    assert_eq!(labels, report.anomalies);
+    assert_eq!(flight.trace_id, Some(report.id()));
+    assert_eq!(flight, report.run);
     assert_eq!(
         exec.observer().status().trace_drops,
         0,
@@ -279,19 +340,27 @@ fn anomalous_solves_are_always_retained() {
 }
 
 /// Solves slower than the latency threshold are always retained, even when
-/// their ordinal is sampled out.
+/// their ordinal is sampled out. Each synthetic solve stays open just past
+/// [`LATENCY_THRESHOLD_NS`] on the wall clock.
 #[test]
 fn slow_solves_are_retained_by_latency_threshold() {
-    let exec = Executor::omp(2);
-    exec.observe(traced(TraceConfig {
-        sample_n: 1_000_000,
-        latency_threshold_ns: 1, // every real solve exceeds this
-        ..TraceConfig::default()
-    }));
-    let a = Arc::new(poisson_csr(&exec, 256));
-    solve_cg(&exec, &a);
-    solve_cg(&exec, &a);
-    let reports = exec.observer().traces();
+    let observer = Observer::detached(traced(sampled(1_000_000)));
+    for _ in 0..2 {
+        observer.on_event(&Event::LinOpApplyStarted { op: "solver::Cg" });
+        std::thread::sleep(std::time::Duration::from_nanos(LATENCY_THRESHOLD_NS));
+        observer.on_event(&Event::SolveCompleted {
+            solver: "solver::Cg",
+            iterations: 1,
+            residual: 1e-12,
+            reason: StopReason::ResidualReduction,
+        });
+        observer.on_event(&Event::LinOpApplyCompleted {
+            op: "solver::Cg",
+            wall_ns: LATENCY_THRESHOLD_NS,
+            virtual_ns: 0,
+        });
+    }
+    let reports = observer.traces();
     assert_eq!(reports.len(), 2);
     // Solve 1 is head-kept anyway, but the anomaly/latency verdict takes
     // precedence over the head sample; solve 2 survives only via latency.
@@ -299,7 +368,24 @@ fn slow_solves_are_retained_by_latency_threshold() {
         reports.iter().all(|r| r.retained == "latency"),
         "{reports:?}"
     );
-    assert_eq!(exec.observer().status().trace_drops, 0);
+    assert_eq!(observer.status().trace_drops, 0);
+}
+
+/// A root solver that reports no outcome (a direct solve emits no
+/// `SolveCompleted`) still closes into one run, and its trace holds it.
+#[test]
+fn direct_solve_closes_into_one_run_and_its_trace() {
+    let exec = Executor::reference();
+    exec.observe(traced(sampled(1)));
+    let solver = gko::solver::Direct::new(&poisson_csr(&exec, 32)).unwrap();
+    let b = Dense::<f64>::filled(&exec, Dim2::new(32, 1), 1.0);
+    let mut x = Dense::<f64>::zeros(&exec, Dim2::new(32, 1));
+    solver.apply(&b, &mut x).unwrap();
+    let runs = exec.observer().runs();
+    assert_eq!(runs.len(), 1);
+    assert_eq!(runs[0].solver, "solver::Direct");
+    assert_eq!((runs[0].stop_reason, runs[0].iterations), (None, 0));
+    assert_eq!(exec.observer().trace(runs[0].seq).unwrap().run, runs[0]);
 }
 
 /// Inert-path regression: an untraced executor assembles nothing, and
@@ -359,12 +445,15 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
         .observer()
         .latest_trace()
         .expect("batched solve retained");
-    assert_eq!(report.annotation, "solver::BatchCg");
-    assert!(report.converged);
-    assert!(
-        report.stop_reason.starts_with("batch: 5/5 converged"),
-        "{}",
-        report.stop_reason
+    assert_eq!(report.run.solver, "solver::BatchCg");
+    assert!(report.run.converged);
+    assert_eq!(
+        report.run.batch,
+        Some(BatchOutcome {
+            systems: 5,
+            converged: 5,
+            breakdowns: 0
+        })
     );
     assert!(
         report.spans.iter().all(|s| s.kind != SpanKind::Iteration),
@@ -379,11 +468,11 @@ fn batched_solve_produces_rooted_trace_without_iteration_layer() {
 fn profile_only_config_arms_tracer_and_flight_recorder() {
     let exec = Executor::reference();
     exec.observe(ObserveConfig {
-        profile: Some(ProfileConfig::default()),
+        profile: true,
         ..ObserveConfig::default()
     });
     let now = exec.observing();
-    assert!(now.profile.is_some());
+    assert!(now.profile);
     assert!(
         !now.metrics && exec.observer().metrics().is_none(),
         "metrics was not asked for"
@@ -440,7 +529,7 @@ fn concurrent_observe_flips_keep_every_solve_in_runs() {
         });
         let spans = flipper(ObserveConfig {
             trace: Some(sampled(1)),
-            profile: Some(ProfileConfig::default()),
+            profile: true,
             ..base.clone()
         });
         start.wait();
@@ -482,7 +571,7 @@ fn every_arm_and_disarm_order_returns_to_inert() {
             "metrics" => config.metrics = on,
             "flight" => config.flight = on.then(quiet_detectors),
             "trace" => config.trace = on.then(|| sampled(1)),
-            _ => config.profile = on.then(ProfileConfig::default),
+            _ => config.profile = on,
         }
     }
     /// All 24 orders of the four planes: the base-4 codes whose digits are
@@ -514,18 +603,15 @@ fn every_arm_and_disarm_order_returns_to_inert() {
             }
             let armed = exec.observing();
             assert!(armed.metrics && armed.flight.is_some());
-            assert!(armed.trace.is_some() && armed.profile.is_some());
+            assert!(armed.trace.is_some() && armed.profile);
             for (step, plane) in disarm.iter().enumerate() {
                 // `wanted` carries only what was asked for; the config in
                 // force adds what the remaining planes imply.
                 set(&mut wanted, plane, false);
                 exec.observe(wanted.clone());
                 let now = exec.observing();
-                assert_eq!(now.profile.is_some(), wanted.profile.is_some());
-                assert_eq!(
-                    now.trace.is_some(),
-                    wanted.trace.is_some() || now.profile.is_some()
-                );
+                assert_eq!(now.profile, wanted.profile);
+                assert_eq!(now.trace.is_some(), wanted.trace.is_some() || now.profile);
                 assert_eq!(
                     now.flight.is_some(),
                     wanted.flight.is_some() || now.trace.is_some()
