@@ -1,4 +1,5 @@
-//! Golden trajectories for the eight iterative solvers.
+//! The solver oracle: golden trajectories for the eight iterative solvers,
+//! and a band around a live reference run.
 //!
 //! Every solver runs on one fixed SPD and one fixed unsymmetric system, with
 //! and without Jacobi where the method takes a preconditioner, on the
@@ -18,6 +19,18 @@
 //! ```text
 //! cargo test -p gko --test solver_golden -- --ignored --nocapture print_golden_table
 //! ```
+//!
+//! The same generator prints [`FINGERPRINTS`]: every case of [`GOLDEN`] on
+//! `omp(2)`, `omp(16)` and `cuda(0)`, pinned by one `u64` fold of its
+//! history and solution bits. Every case that converges also checks its true
+//! residual `‖b - A x‖ / ‖b‖` against [`true_residual_bound`]. The bounded
+//! tier, `every_executor_stays_in_the_band_of_the_reference`, compares the
+//! first [`BAND_ITERS`] iterations on every executor but the reference with
+//! a live reference run, inside an ulp band that doubles per iteration, on
+//! the two golden systems and a 12 x 12 Poisson system; the cells that
+//! outgrow the band are listed in [`OUTSIDE_THE_BAND`] and pinned by their
+//! fingerprints only. A cell is one (kind, system, preconditioner, executor,
+//! tier); `--nocapture` prints the count per axis.
 //!
 //! The same runs assert the event contract of a solve: one
 //! `IterationComplete` per counted iteration and exactly one
@@ -45,6 +58,8 @@ use gko::{Dim2, Executor, GkoError, TripletValue, Value};
 use pygko_half::Half;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+mod common;
 
 /// Grid edge: 8 x 8 = 64 unknowns, several chunks per dense op on `omp(7)`.
 const GRID: usize = 8;
@@ -193,17 +208,63 @@ struct Trajectory {
     history: Vec<u64>,
 }
 
-fn executors() -> [(&'static str, Executor); 2] {
-    [
-        ("reference", Executor::reference()),
-        ("omp7", Executor::omp(7)),
-    ]
+/// The executors of [`GOLDEN`]'s full rows.
+fn executors() -> [Executor; 2] {
+    [Executor::reference(), Executor::omp(7)]
+}
+
+/// The executors of [`FINGERPRINTS`]' columns.
+fn fingerprinted() -> [Executor; 3] {
+    [Executor::omp(2), Executor::omp(16), Executor::cuda(0)]
+}
+
+/// Counts one checked solver cell of `case` (`kind/system/[value/]
+/// preconditioner/executor`) for the coverage table.
+fn cover_case(case: &str, tier: &str) {
+    let mut axes: Vec<&str> = case.split('/').collect();
+    if axes.len() == 4 {
+        axes.insert(2, "double");
+    }
+    let names = ["kind", "system", "value", "preconditioner", "executor"];
+    let mut cell: Vec<(&'static str, &dyn std::fmt::Display)> =
+        names.iter().zip(&axes).map(|(n, v)| (*n, v as _)).collect();
+    cell.push(("tier", &tier));
+    common::cover(&cell);
+}
+
+/// Bound on `‖b - A x‖ / ‖b‖` for a case converged in `V`: `REDUCTION` for
+/// the criterion, which stops on the recurrence residual (the guess is zero);
+/// `REDUCTION` once more for the recurrence's drift from the true residual
+/// (at most 0.98 `REDUCTION` measured in `f64`); and `8 ε_V` for storing `x`
+/// in `V`, which moves the residual by up to `κ(A) u_V ‖b‖`, with `κ ≤ 4.4`
+/// on the ragged system by diagonal dominance (0.41 `ε_V` measured in
+/// `f32`).
+fn true_residual_bound<V: Value>() -> f64 {
+    2.0 * REDUCTION + 8.0 * V::eps()
+}
+
+/// `‖b - A x‖ / ‖b‖`, summed in `f64` from the stored entries.
+fn true_residual<V: Value>(a: &Csr<V, i32>, b: &[V], x: &[V]) -> f64 {
+    let (rp, ci, vals) = (a.row_ptrs(), a.col_idxs(), a.values());
+    let (mut rr, mut bb) = (0.0, 0.0);
+    for (r, b) in b.iter().enumerate() {
+        let span = rp[r] as usize..rp[r + 1] as usize;
+        let ax: f64 = vals[span.clone()]
+            .iter()
+            .zip(&ci[span])
+            .map(|(v, &c)| v.to_f64() * x[c as usize].to_f64())
+            .sum();
+        rr += (b.to_f64() - ax).powi(2);
+        bb += b.to_f64().powi(2);
+    }
+    (rr / bb).sqrt()
 }
 
 /// Solves `b` from a zero guess with a solver whose events `record` observes,
 /// asserting the per-solve event contract on the way.
 fn trajectory<V: Value>(
     case: String,
+    a: &Csr<V, i32>,
     (op, logger): (Arc<dyn LinOp<V>>, ConvergenceLogger),
     record: &Record,
     b: &Dense<V>,
@@ -229,6 +290,14 @@ fn trajectory<V: Value>(
         rec.iterations,
         "{case}: history/iterations invariant"
     );
+    if rec.converged() {
+        let residual = true_residual(a, b.as_slice(), x.as_slice());
+        assert!(
+            residual <= true_residual_bound::<V>(),
+            "{case}: converged with a true residual of {residual:e}"
+        );
+        cover_case(&case, "true_residual");
+    }
     let solution: Vec<f64> = x.as_slice().iter().map(|v| v.to_f64()).collect();
     Trajectory {
         case,
@@ -240,25 +309,35 @@ fn trajectory<V: Value>(
     }
 }
 
-/// Runs every (solver, system, preconditioner, executor) case.
-fn trajectories() -> Vec<Trajectory> {
+/// The two golden systems: name and skew of [`stencil`].
+const SYSTEMS: [(&str, f64); 2] = [("spd", 0.0), ("unsym", 0.35)];
+
+/// Every (solver kind, preconditioner) pair, Jacobi where the kind takes one.
+fn configs() -> impl Iterator<Item = (&'static str, &'static str)> {
+    KINDS.into_iter().flat_map(|(kind, takes_precond)| {
+        let preconds: &[&str] = if takes_precond {
+            &["plain", "jacobi"]
+        } else {
+            &["plain"]
+        };
+        preconds.iter().map(move |p| (kind, *p))
+    })
+}
+
+/// Runs every (solver, system, preconditioner) case on each of `execs`.
+fn trajectories(execs: &[Executor]) -> Vec<Trajectory> {
     let mut out = Vec::new();
-    for (exec_name, exec) in executors() {
-        for (sys_name, skew) in [("spd", 0.0), ("unsym", 0.35)] {
-            let a = stencil(&exec, skew);
-            let b = rhs(&exec, a.size().rows);
-            for (kind, takes_precond) in KINDS {
-                for jacobi in [false, true] {
-                    if jacobi && !takes_precond {
-                        continue;
-                    }
-                    let pname = if jacobi { "jacobi" } else { "plain" };
-                    let case = format!("{kind}/{sys_name}/{pname}/{exec_name}");
-                    let record = Arc::new(Record::new());
-                    let criteria = Criteria::iterations_and_reduction(MAX_ITERS, REDUCTION);
-                    let built = solver_under_test(kind, &a, criteria, jacobi, Some(record.clone()));
-                    out.push(trajectory(case, built, &record, &b));
-                }
+    for exec in execs {
+        for (sys_name, skew) in SYSTEMS {
+            let a = stencil(exec, skew);
+            let b = rhs(exec, a.size().rows);
+            for (kind, pname) in configs() {
+                let case = format!("{kind}/{sys_name}/{pname}/{}", common::label(exec));
+                let record = Arc::new(Record::new());
+                let criteria = Criteria::iterations_and_reduction(MAX_ITERS, REDUCTION);
+                let jacobi = pname == "jacobi";
+                let built = solver_under_test(kind, &a, criteria, jacobi, Some(record.clone()));
+                out.push(trajectory(case, &a, built, &record, &b));
             }
         }
     }
@@ -300,14 +379,139 @@ fn print_table(name: &str, trajectories: &[Trajectory]) {
 
 #[test]
 fn trajectories_match_the_golden_table() {
-    assert_matches_table(&trajectories(), GOLDEN);
+    let got = trajectories(&executors());
+    assert_matches_table(&got, GOLDEN);
+    got.iter().for_each(|t| cover_case(&t.case, "golden"));
+    common::print_coverage("solver_golden::golden");
 }
 
-/// Prints [`GOLDEN`] as Rust source (see the module docs).
+impl Trajectory {
+    /// One `u64` fold of the residual history's bits and the solution's.
+    fn fingerprint(&self) -> u64 {
+        fold(self.history.iter().copied().chain([self.solution]))
+    }
+}
+
+/// [`trajectories`] on the [`fingerprinted`] executors as [`FINGERPRINTS`]
+/// rows: each case without its executor, then one fingerprint per executor.
+fn fingerprint_rows() -> Vec<(String, [u64; 3])> {
+    let got = trajectories(&fingerprinted());
+    let cases = got.len() / 3;
+    (0..cases)
+        .map(|i| {
+            let case = got[i].case.rsplit_once('/').unwrap().0;
+            let columns = [0, 1, 2].map(|e| &got[e * cases + i]);
+            for t in columns {
+                assert!(t.case.starts_with(case));
+                cover_case(&t.case, "fingerprint");
+            }
+            (case.to_string(), columns.map(Trajectory::fingerprint))
+        })
+        .collect()
+}
+
+/// Every case of [`GOLDEN`] on `omp(2)`, `omp(16)` and `cuda(0)`, pinned by
+/// one fingerprint each.
 #[test]
-#[ignore = "generator for the GOLDEN table"]
+fn other_executors_match_their_fingerprints() {
+    let got = fingerprint_rows();
+    assert_eq!(got.len(), FINGERPRINTS.len(), "case count");
+    for ((case, got), (want_case, want)) in got.iter().zip(FINGERPRINTS) {
+        assert_eq!(case, want_case);
+        assert_eq!(got, want, "{case} on omp2 / omp16 / cuda0 drifted");
+    }
+    common::print_coverage("solver_golden::fingerprints");
+}
+
+/// Prints [`GOLDEN`] and [`FINGERPRINTS`] as Rust source (see the module
+/// docs).
+#[test]
+#[ignore = "generator for the GOLDEN and FINGERPRINTS tables"]
 fn print_golden_table() {
-    print_table("GOLDEN", &trajectories());
+    print_table("GOLDEN", &trajectories(&executors()));
+    println!("#[rustfmt::skip]\nconst FINGERPRINTS: &[(&str, [u64; 3])] = &[");
+    for (case, [a, b, c]) in fingerprint_rows() {
+        println!("    ({case:?}, [{a:#018x}, {b:#018x}, {c:#018x}]),");
+    }
+    println!("];");
+}
+
+// ---------------------------------------------------------------------------
+// The band: other executors against a live reference run
+// ---------------------------------------------------------------------------
+
+/// Iterations the band covers, and the bound of one reassociated reduction.
+const BAND_ITERS: usize = 8;
+const BAND_ULPS: u64 = 4;
+
+/// Cells whose rounding differences outgrow the band: the Jacobi-scaled CGS
+/// and BiCGStab recurrences amplify them faster than doubling (by up to
+/// 8.3x past the band). They are pinned by [`FINGERPRINTS`] only.
+const OUTSIDE_THE_BAND: [&str; 11] = [
+    "cgs/spd/jacobi/omp2",
+    "cgs/spd/jacobi/omp7",
+    "cgs/spd/jacobi/omp16",
+    "cgs/spd/jacobi/cuda0",
+    "cgs/unsym/jacobi/omp2",
+    "cgs/unsym/jacobi/omp7",
+    "cgs/unsym/jacobi/omp16",
+    "cgs/unsym/jacobi/cuda0",
+    "bicgstab/unsym/jacobi/omp2",
+    "bicgstab/unsym/jacobi/omp16",
+    "bicgstab/unsym/jacobi/cuda0",
+];
+
+/// Each (kind, system, preconditioner) on every other executor against the
+/// reference executor, over [`BAND_ITERS`] iterations of the golden systems
+/// and a 12 x 12 Poisson system. A reduction reassociated by another chunk
+/// partition differs by a few ulps; a Krylov solve compounds that
+/// multiplicatively (each iteration's dots scale the next one's
+/// coefficients), so the bound doubles per iteration: residual `i` within
+/// `BAND_ULPS << (i + 1)` ulps, the solution within `BAND_ULPS << BAND_ITERS`
+/// (about 2e-13 relative). A racing or mispartitioned kernel produces
+/// wholesale different numbers, not a few hundred ulps.
+#[test]
+fn every_executor_stays_in_the_band_of_the_reference() {
+    let [reference, omp7] = executors();
+    let others: Vec<Executor> = std::iter::once(omp7).chain(fingerprinted()).collect();
+    let system = |name: &str, exec: &Executor| match name {
+        "poisson12" => common::poisson(exec, 12),
+        _ => stencil(exec, if name == "spd" { 0.0 } else { 0.35 }),
+    };
+    let run = |kind: &str, pname: &str, a: &Arc<Csr<f64, i32>>| {
+        let criteria = Criteria::iterations(BAND_ITERS);
+        let (op, logger) = solver_under_test(kind, a, criteria, pname == "jacobi", None);
+        let (exec, n) = (a.executor(), a.size().rows);
+        let mut x = Dense::zeros(exec, Dim2::new(n, 1));
+        op.apply(&rhs(exec, n), &mut x).unwrap();
+        (logger.snapshot().residual_history, x.to_host_vec())
+    };
+    for sys_name in ["spd", "unsym", "poisson12"] {
+        for (kind, pname) in configs() {
+            let (want_history, want_x) = run(kind, pname, &system(sys_name, &reference));
+            assert_eq!(want_history.len(), BAND_ITERS, "{kind}/{sys_name}/{pname}");
+            for exec in &others {
+                let case = format!("{kind}/{sys_name}/{pname}/{}", common::label(exec));
+                if OUTSIDE_THE_BAND.contains(&case.as_str()) {
+                    continue;
+                }
+                let (history, x) = run(kind, pname, &system(sys_name, exec));
+                assert_eq!(history.len(), want_history.len(), "{case}: iterations");
+                for (i, (got, want)) in history.iter().zip(&want_history).enumerate() {
+                    let tol = BAND_ULPS << (i + 1);
+                    let off = common::ulps(*got, *want);
+                    assert!(off <= tol, "{case} residual[{i}]: {off} ulps, band {tol}");
+                }
+                let tol = BAND_ULPS << BAND_ITERS;
+                for (i, (got, want)) in x.iter().zip(&want_x).enumerate() {
+                    let off = common::ulps(*got, *want);
+                    assert!(off <= tol, "{case} x[{i}]: {off} ulps, band {tol}");
+                }
+                cover_case(&case, "band");
+            }
+        }
+    }
+    common::print_coverage("solver_golden::band");
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +554,7 @@ where
     f64: TripletValue<V>,
 {
     let mut out = Vec::new();
-    for (exec_name, exec) in executors() {
+    for exec in executors() {
         let a = ragged_system::<V>(&exec);
         let values = rhs(&exec, RAGGED_N)
             .to_host_vec()
@@ -360,7 +564,7 @@ where
         let b = Dense::from_vec(&exec, Dim2::new(RAGGED_N, 1), values).unwrap();
         for jacobi in [false, true] {
             let pname = if jacobi { "jacobi" } else { "plain" };
-            let case = format!("gmres/ragged/{}/{pname}/{exec_name}", V::NAME);
+            let case = format!("gmres/ragged/{}/{pname}/{}", V::NAME, common::label(&exec));
             let record = Arc::new(Record::new());
             let s = Gmres::new(a.clone() as Arc<dyn LinOp<V>>)
                 .unwrap()
@@ -374,7 +578,7 @@ where
             let s = s.with_criteria(Criteria::iterations_and_reduction(MAX_ITERS, REDUCTION));
             s.add_logger(record.clone());
             let logger = s.logger().clone();
-            out.push(trajectory(case, (Arc::new(s), logger), &record, &b));
+            out.push(trajectory(case, &a, (Arc::new(s), logger), &record, &b));
         }
     }
     out
@@ -392,7 +596,10 @@ fn ragged_gmres_all() -> Vec<Trajectory> {
 /// these rows do, in every value type the solver is instantiated for.
 #[test]
 fn ragged_gmres_matches_the_golden_table() {
-    assert_matches_table(&ragged_gmres_all(), RAGGED_GMRES_GOLDEN);
+    let got = ragged_gmres_all();
+    assert_matches_table(&got, RAGGED_GMRES_GOLDEN);
+    got.iter().for_each(|t| cover_case(&t.case, "golden"));
+    common::print_coverage("solver_golden::ragged_gmres");
 }
 
 /// Prints [`RAGGED_GMRES_GOLDEN`] as Rust source.
@@ -516,10 +723,10 @@ fn a_non_finite_residual_is_an_unrecorded_breakdown() {
 /// Runs `check(label, executor, built solver)` for every solver kind on
 /// both executors, unpreconditioned, on the SPD system.
 fn for_each_solver(criteria: Criteria, check: impl Fn(&str, &Executor, Built)) {
-    for (exec_name, exec) in executors() {
+    for exec in executors() {
         let a = stencil(&exec, 0.0);
         for (kind, _) in KINDS {
-            let label = format!("{kind}/{exec_name}");
+            let label = format!("{kind}/{}", common::label(&exec));
             check(
                 &label,
                 &exec,
@@ -607,9 +814,14 @@ fn batch_guess(s: usize, i: usize) -> f64 {
     0.015625 * ((i + s) % 5) as f64
 }
 
+/// Order-sensitive fold of a sequence of bit patterns.
+fn fold(bits: impl Iterator<Item = u64>) -> u64 {
+    bits.fold(0u64, |h, b| h.rotate_left(5) ^ b)
+}
+
 /// Order-sensitive fold of a vector's bits.
 fn fingerprint<'a>(v: impl Iterator<Item = &'a f64>) -> u64 {
-    v.fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits())
+    fold(v.map(|v| v.to_bits()))
 }
 
 fn batch_outcomes(exec: &Executor, cg: bool, systems: usize, limit: usize) -> Vec<BatchGolden> {
@@ -859,6 +1071,38 @@ const BATCH_GOLDEN: &[(&str, &[BatchGolden])] = &[
         (11, StopReason::ResidualReduction, 0x403f99fcc014bbb0, 0x3e570dd903bd43de, 0x54d4f6af5c822017),
         (10, StopReason::ResidualReduction, 0x403fe37a764e53ba, 0x3e536ebc5ea6ec16, 0xe8a42af5ee3af6a7),
     ]),
+];
+
+#[rustfmt::skip]
+const FINGERPRINTS: &[(&str, [u64; 3])] = &[
+    ("cg/spd/plain", [0x9bcd3048f697823f, 0xe4301d4f53a72dd1, 0xe4301d4f53a72dd1]),
+    ("cg/spd/jacobi", [0x800b2ca661828b65, 0x037f2efe612a45d1, 0x037f2efe612a45d1]),
+    ("fcg/spd/plain", [0x2341d1ada9fc9d26, 0x76c6648aaa139956, 0x76c6648aaa139956]),
+    ("fcg/spd/jacobi", [0x98dcad99e448c8ff, 0xbcc3c3ea2c022621, 0xbcc3c3ea2c022621]),
+    ("cgs/spd/plain", [0x94d4afdc0a0132e6, 0x94d4afdc63325884, 0x94d4afdc63325884]),
+    ("cgs/spd/jacobi", [0x7f8e2a5cef7e95e1, 0x47802905f922cbde, 0x47802905f922cbde]),
+    ("bicgstab/spd/plain", [0x8b9a3c2530137ac2, 0x3a59bc02bbc09a23, 0x3a59bc02bbc09a23]),
+    ("bicgstab/spd/jacobi", [0x829910e4eca196cc, 0x889e84d75e3d27e5, 0x889e84d75e3d27e5]),
+    ("gmres/spd/plain", [0xcd07bae01ab78471, 0xcd07bae01ab78471, 0xcd07bae01ab78471]),
+    ("gmres/spd/jacobi", [0x9282f14103ac5921, 0x921d5d414a783a61, 0x921d5d414a783a61]),
+    ("ir/spd/plain", [0x3e1c196fff5b5215, 0x3e1c1f6fff5b5215, 0x3e1c1f6fff5b5215]),
+    ("ir/spd/jacobi", [0x521447a036b72bee, 0x521447c076b723ee, 0x521447c076b723ee]),
+    ("minres/spd/plain", [0x724f7cd5f017bf39, 0x5176761a8ae3d023, 0x5176761a8ae3d023]),
+    ("mixed_ir/spd/plain", [0x1c1b744cea8eee79, 0x1c1b744cea8eee79, 0x1c1b744cea8eee79]),
+    ("cg/unsym/plain", [0x060511621596c4d5, 0x3a0562b2006b40ae, 0x3a0562b2006b40ae]),
+    ("cg/unsym/jacobi", [0xe3a197bbfaf79995, 0x0a1d502d9eaa6760, 0x0a1d502d9eaa6760]),
+    ("fcg/unsym/plain", [0x91be906f0236dfb2, 0xdb46d0427bdc4c3b, 0xdb46d0427bdc4c3b]),
+    ("fcg/unsym/jacobi", [0x00ecf61014ef263a, 0x7c6608594e88a68b, 0x7c6608594e88a68b]),
+    ("cgs/unsym/plain", [0x732ec96ccf60c568, 0x4a29d39899071baf, 0x4a29d39899071baf]),
+    ("cgs/unsym/jacobi", [0x3003777f2b976cee, 0x63a787415d4f6024, 0x63a787415d4f6024]),
+    ("bicgstab/unsym/plain", [0xb98ffd5aeac3b1de, 0x0ab9afe5fc1a8ab0, 0x0ab9afe5fc1a8ab0]),
+    ("bicgstab/unsym/jacobi", [0xb95bda8cc7bd1af5, 0x2aa51ca833ef9e8f, 0x2aa51ca833ef9e8f]),
+    ("gmres/unsym/plain", [0x803fe6b7cf5b8ec4, 0xebe3780481a05c51, 0xebe3780481a05c51]),
+    ("gmres/unsym/jacobi", [0xe0c194a92631b1d0, 0x341cd8a83188a518, 0x341cd8a83188a518]),
+    ("ir/unsym/plain", [0xc13581849656ecc9, 0xc1358184ee80ecc9, 0xc1358184ee80ecc9]),
+    ("ir/unsym/jacobi", [0x07f627579c0c0703, 0x07f603771e23f8c3, 0x07f603771e23f8c3]),
+    ("minres/unsym/plain", [0x8193868dd32f60e6, 0xb33696074e4125cc, 0xb33696074e4125cc]),
+    ("mixed_ir/unsym/plain", [0x52866c62f8cfbdb8, 0x52866c7af8cfbdb8, 0x52866c7af8cfbdb8]),
 ];
 
 /// `(case, iterations, stop, criterion checks, solution fingerprint,

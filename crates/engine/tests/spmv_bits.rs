@@ -1,11 +1,21 @@
-//! Bit-for-bit pin of every format's SpMV.
+//! The SpMV oracle: every format and CSR strategy on every executor, in
+//! every value and index type, in two tiers.
 //!
-//! `parity.rs` compares executors with each other inside an ulp band; this
-//! file compares every format's `apply` / `apply_advanced` with a reference
-//! written *here*, in the kernel's own summation order, and asks for
-//! `to_bits` equality. A kernel rewrite that keeps the arithmetic keeps this
-//! file green with no edit; one that reassociates a sum, drops the `f64`
-//! accumulator, or changes how a split row is merged does not.
+//! * **Bit-exact**: `apply` / `apply_advanced` against a reference written
+//!   *here*, in the kernel's own summation order, `to_bits` equal. A kernel
+//!   rewrite that keeps the arithmetic keeps this file green with no edit;
+//!   one that reassociates a sum, drops the `f64` accumulator, or changes how
+//!   a split row is merged does not.
+//! * **Bounded**: the same output against the exact product of the stored
+//!   inputs, within the error bound [`assert_bounded`] derives from the row
+//!   length and the size of the products. It holds for any summation order,
+//!   so it still judges a kernel whose order changed on purpose.
+//!
+//! A cell is one (format or strategy, executor, value type, index type,
+//! input, `k`, `alpha` / `beta`, tier); `--nocapture` prints the count per
+//! axis. To add a cell, add its input to [`matrices`], its scalars to
+//! [`SCALARS`] or its executor to `common::THREADS`; a new format also needs
+//! its summation order below.
 //!
 //! The orders pinned (the formats' contract since PR 6 / PR 13):
 //!
@@ -22,7 +32,9 @@
 //!
 //! Matrices are chosen for the edges of those loops: every row length
 //! 0..=9, empty leading and trailing rows, no entries at all, 1 x 1, one row
-//! holding every entry (so segments cut it many times), stored `-0.0`; and,
+//! holding every entry (so segments cut it many times), stored `-0.0`, the
+//! shapes that stress chunk partitions (a wide row, an arrow head, a band of
+//! empty rows, seeded random matrices); and,
 //! for the CSR strategies, 9 001 short rows of random length beside one long
 //! row, the irregular class a row kernel may visit out of row order.
 
@@ -31,21 +43,18 @@ use gko::linop::LinOp;
 use gko::matrix::hybrid::DEFAULT_PERCENTILE;
 use gko::matrix::{
     BatchCsr, BatchDense, Coo, Csr, Dense, Ell, Hybrid, MergeSegment, ResolvedStrategy, Sellp,
-    SpmvStrategy,
+    SpmvPlan, SpmvStrategy,
 };
 use gko::{Dim2, Executor, Index, TripletValue, Value};
 use pygko_half::Half;
+use pygko_sim::testing::{case_rng, sparse_triplets};
+
+mod common;
 
 type Triplets = Vec<(usize, usize, f64)>;
 
-/// `(alpha, beta)` pairs: plain, scaled, accumulate, and the general case.
-const SCALARS: [(f64, f64); 4] = [(1.0, 0.0), (2.0, 0.0), (1.0, 1.0), (-0.5, 2.0)];
-
-fn executors() -> Vec<Executor> {
-    let mut all = vec![Executor::reference()];
-    all.extend([1, 2, 7, 16].map(Executor::omp));
-    all
-}
+/// `(alpha, beta)` pairs: plain, scaled, accumulate, and two general cases.
+const SCALARS: [(f64, f64); 5] = [(1.0, 0.0), (2.0, 0.0), (1.0, 1.0), (-0.5, 2.0), (2.0, -0.5)];
 
 /// Full-mantissa values of both signs across six binades, so that an `f64`
 /// sum of their products rounds at every step and a reassociated sum differs.
@@ -108,6 +117,32 @@ fn matrices() -> Vec<(&'static str, Dim2, Triplets)> {
             ],
         ),
     );
+    // The shapes that stress chunk partitions: a 1 x 33 row, an arrow head
+    // (dense first row and column), a band of empty rows inside a
+    // tridiagonal matrix, 64 rows of five entries, and three seeded random
+    // matrices.
+    let wide = (0..33).map(|j| (0, j, 1.0 + j as f64 * 0.125)).collect();
+    add("one_by_33", (Dim2::new(1, 33), wide));
+    let mut arrow = vec![(0, 0, 4.0)];
+    for j in 1..48 {
+        let head = [(0, j, 0.5 + j as f64 * 0.0625), (j, 0, -0.25)];
+        arrow.extend(head.into_iter().chain([(j, j, 3.0 + j as f64 * 0.5)]));
+    }
+    add("arrow_head", (Dim2::square(48), arrow));
+    let mut band = Vec::new();
+    for i in (0..40).filter(|i| !(15..25).contains(i)) {
+        band.push((i, i, 2.0 + i as f64 * 0.25));
+        band.extend((i > 0).then(|| (i, i - 1, -1.0)));
+        band.extend((i + 1 < 40).then(|| (i, i + 1, -0.5)));
+    }
+    add("empty_row_band", (Dim2::square(40), band));
+    let five = (0..320).map(|e| (e / 5, (e / 5 + 11 * (e % 5)) % 64, 1.0 / (3.0 + e as f64)));
+    add("five_per_row", (Dim2::square(64), five.collect()));
+    for (case, name) in ["random_0", "random_1", "random_2"].into_iter().enumerate() {
+        let mut rng = case_rng("parity_shapes", case as u64);
+        let (n, t) = sparse_triplets(&mut rng, 8, 48, 160, 4.0);
+        add(name, (Dim2::square(n), t));
+    }
     all
 }
 
@@ -361,36 +396,191 @@ fn assert_bits<V: Value>(got: &[V], want: &[V], ctx: &str) {
     }
 }
 
+/// `n u / (1 - n u)`: the relative error of `n` roundings of unit roundoff
+/// `u`, second-order terms included (infinite once `n u >= 1`).
+fn gamma(n: usize, u: f64) -> f64 {
+    let nu = n as f64 * u;
+    if nu < 1.0 {
+        nu / (1.0 - nu)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The smallest positive subnormal of `V`.
+fn smallest_subnormal<V: Value>() -> f64 {
+    let mut t = 1.0f64;
+    while V::from_f64(t / 2.0).to_f64() > 0.0 {
+        t /= 2.0;
+    }
+    t
+}
+
+/// The bounded tier: every output against the exact product of the inputs
+/// as stored in `V`, `alpha A b + beta x0`, evaluated in `f64` from `rows`.
+///
+/// Take one output of a row of `len` stored entries; `u` is the unit roundoff
+/// of `V` (`f64`'s is no larger), `η` its smallest subnormal,
+/// `S = Σ |a_j b_j|` and `M = |alpha| S + |beta x0|` (no `x0` term when
+/// `beta = 0`). A kernel cuts the row into at most `len + 1` pieces (one for
+/// a row kernel, one per segment that cuts it for merge-path and COO, the ELL
+/// part and the COO pieces for Hybrid) and sums each in `f64`: `len`
+/// roundings over all pieces, each at most `u S`. It adds each piece to `x`
+/// through three roundings in `V` (the piece to `V`, its product with
+/// `alpha`, the sum into `x`), and `beta x0` through two more (the product,
+/// and the final add or the prescale). Every partial value stays within
+/// `M (1 + O(u))`, so each of those `3 len + 5` roundings costs at most
+/// `u M + η / 2`. The reference's own `f64` evaluation adds `len + 2`
+/// roundings of at most `u M`. With the second-order terms folded into
+/// `γ_n = n u / (1 - n u)`:
+/// `|x - exact| ≤ γ_(5 len + 7) M + (3 len + 5) η`.
+fn assert_bounded<V: Value>(
+    exact: &[(f64, f64, usize)],
+    (alpha, beta): (V, V),
+    x0: &[V],
+    got: &[V],
+    (u, eta): (f64, f64),
+    ctx: &str,
+) {
+    let (alpha, beta) = (alpha.to_f64(), beta.to_f64());
+    for (i, &(sum, size, len)) in exact.iter().enumerate() {
+        let scaled = if beta == 0.0 {
+            0.0
+        } else {
+            beta * x0[i].to_f64()
+        };
+        let want = alpha * sum + scaled;
+        let magnitude = alpha.abs() * size + scaled.abs();
+        let bound = gamma(5 * len + 7, u) * magnitude + (3 * len + 5) as f64 * eta;
+        let off = (got[i].to_f64() - want).abs();
+        assert!(
+            off <= bound,
+            "{ctx}: x[{i}] = {:?} is {off:e} from {want:e}, bound {bound:e}",
+            got[i]
+        );
+    }
+}
+
+/// `(Σ a_j b_j, Σ |a_j b_j|, len)` in `f64` for every output of `rows` times
+/// the `k` columns of `b`: what [`assert_bounded`] measures against.
+fn exact_products<V: Value>(rows: &[Vec<Entry<V>>], k: usize, b: &[V]) -> Vec<(f64, f64, usize)> {
+    let mut out = Vec::with_capacity(rows.len() * k);
+    for entries in rows {
+        for c in 0..k {
+            let products = entries
+                .iter()
+                .map(|&(v, col)| v.to_f64() * b[col * k + c].to_f64());
+            let (sum, size) = products.fold((0.0, 0.0), |(s, m), p| (s + p, m + p.abs()));
+            out.push((sum, size, entries.len()));
+        }
+    }
+    out
+}
+
 /// A reference SpMV: `(k, alpha, b, beta, x)`.
 type ReferenceApply<'a, V> = &'a dyn Fn(usize, V, &[V], V, &mut [V]);
 
+/// Where an operator's cells sit: executor, format or strategy, and input.
+struct Site<'a> {
+    exec: &'a Executor,
+    format: String,
+    input: &'a str,
+}
+
 /// Drives `op` through `apply` and every `apply_advanced` scalar pair for
-/// `k` in {1, 3} against `reference`.
-fn check_op<V: Value>(exec: &Executor, op: &dyn LinOp<V>, reference: ReferenceApply<V>, ctx: &str) {
-    let dim = op.size();
+/// `k` in {1, 3}: bit for bit against `reference`, and against `rows` (the
+/// matrix as stored) within [`assert_bounded`]'s bound.
+fn check_op<V: Value, I: Index>(
+    site: &Site,
+    op: &dyn LinOp<V>,
+    rows: &[Vec<Entry<V>>],
+    reference: ReferenceApply<V>,
+) {
+    let (dim, exec, on) = (op.size(), site.exec, common::label(site.exec));
+    let roundoff = (V::eps() / 2.0, smallest_subnormal::<V>());
     for k in [1usize, 3] {
         let b = dense::<V>(exec, dim.cols, k, rhs_value);
         let bv = b.to_host_vec();
         let x0 = dense::<V>(exec, dim.rows, k, x0_value);
-
-        let mut x = x0.clone();
-        op.apply(&b, &mut x).unwrap();
-        let mut want = x0.to_host_vec();
-        reference(k, V::one(), &bv, V::zero(), &mut want);
-        assert_bits(&x.to_host_vec(), &want, &format!("{ctx} k={k} apply"));
-
-        for (alpha, beta) in SCALARS {
-            let (alpha, beta) = (V::from_f64(alpha), V::from_f64(beta));
+        let x0v = x0.to_host_vec();
+        let exact = exact_products(rows, k, &bv);
+        for scalars in std::iter::once(None).chain(SCALARS.map(Some)) {
+            let (alpha, beta) = scalars.map_or((V::one(), V::zero()), |(alpha, beta)| {
+                (V::from_f64(alpha), V::from_f64(beta))
+            });
             let mut x = x0.clone();
-            op.apply_advanced(alpha, &b, beta, &mut x).unwrap();
-            let mut want = x0.to_host_vec();
+            match scalars {
+                None => op.apply(&b, &mut x),
+                Some(_) => op.apply_advanced(alpha, &b, beta, &mut x),
+            }
+            .unwrap();
+            let got = x.to_host_vec();
+            let mut want = x0v.clone();
             reference(k, alpha, &bv, beta, &mut want);
-            assert_bits(
-                &x.to_host_vec(),
-                &want,
-                &format!("{ctx} k={k} alpha={alpha:?} beta={beta:?}"),
+            let how = scalars.map_or("apply".to_string(), |_| {
+                format!("alpha={alpha:?} beta={beta:?}")
+            });
+            let (format, input) = (&site.format, site.input);
+            let ctx = format!(
+                "{format} {}/{} {input} on {on} k={k} {how}",
+                V::NAME,
+                I::NAME
             );
+            assert_bits(&got, &want, &ctx);
+            assert_bounded(&exact, (alpha, beta), &x0v, &got, roundoff, &ctx);
+            for tier in ["bits", "bounded"] {
+                common::cover(&[
+                    ("format", format),
+                    ("executor", &on),
+                    ("value", &V::NAME),
+                    ("index", &I::NAME),
+                    ("input", &input),
+                    ("k", &k),
+                    ("scalars", &how),
+                    ("tier", &tier),
+                ]);
+            }
         }
+    }
+}
+
+/// Every CSR strategy, `Auto` included, against the reference of the
+/// strategy its plan resolves to; `plan_check` sees each plan first.
+fn check_csr<V: Value, I: Index>(
+    exec: &Executor,
+    csr: &Csr<V, I>,
+    m: &Reference<V>,
+    input: &str,
+    plan_check: impl Fn(SpmvStrategy, &SpmvPlan, &str),
+) {
+    let strategies = [
+        SpmvStrategy::Classical,
+        SpmvStrategy::LoadBalance,
+        SpmvStrategy::MergePath,
+        SpmvStrategy::Auto,
+    ];
+    for strategy in strategies {
+        let a = csr.clone().with_strategy(strategy);
+        let plan = a.plan();
+        let site = Site {
+            exec,
+            format: format!("csr {strategy:?}"),
+            input,
+        };
+        let ctx = format!("{} {input} on {}", site.format, common::label(exec));
+        if strategy == SpmvStrategy::MergePath {
+            assert_eq!(plan.resolved, ResolvedStrategy::MergePath, "{ctx}");
+        }
+        plan_check(strategy, &plan, &ctx);
+        let reference = |k, alpha, b: &[V], beta, x: &mut [V]| match plan.resolved {
+            ResolvedStrategy::MergePath => {
+                let sum = row_sum::<V>(k);
+                let (entries, row_of) = (&m.entries, &m.row_of);
+                reference_segments(entries, row_of, &plan.segments, sum, k, alpha, b, beta, x)
+            }
+            _ => reference_rows(&m.rows, k, alpha, b, beta, x),
+        };
+        check_op::<V, I>(&site, &a, &m.rows, &reference);
     }
 }
 
@@ -398,54 +588,19 @@ fn check_all_formats<V: Value, I: Index>()
 where
     f64: TripletValue<V>,
 {
-    for exec in executors() {
+    for exec in common::executors() {
         let workers = exec.spec().workers;
         for (name, dim, triplets) in matrices() {
             let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
             let m = Reference::of(&csr);
-            let ctx = |format: &str| {
-                format!(
-                    "{format} {}/{} {name} on {} x{workers}",
-                    V::NAME,
-                    I::NAME,
-                    exec.name()
-                )
+            let site = |format: &str| Site {
+                exec: &exec,
+                format: format.to_string(),
+                input: name,
             };
 
-            for strategy in [SpmvStrategy::Classical, SpmvStrategy::LoadBalance] {
-                let a = csr.clone().with_strategy(strategy);
-                check_op(
-                    &exec,
-                    &a,
-                    &|k, alpha, b, beta, x| reference_rows(&m.rows, k, alpha, b, beta, x),
-                    &ctx(&format!("csr {strategy:?}")),
-                );
-            }
+            check_csr(&exec, &csr, &m, name, |_, _, _| {});
 
-            let a = csr.clone().with_strategy(SpmvStrategy::MergePath);
-            let plan = a.plan();
-            assert_eq!(plan.resolved, ResolvedStrategy::MergePath);
-            check_op(
-                &exec,
-                &a,
-                &|k, alpha, b, beta, x| {
-                    let sum = row_sum::<V>(k);
-                    reference_segments(
-                        &m.entries,
-                        &m.row_of,
-                        &plan.segments,
-                        sum,
-                        k,
-                        alpha,
-                        b,
-                        beta,
-                        x,
-                    )
-                },
-                &ctx("csr MergePath"),
-            );
-
-            let coo_segments = m.coo_segments(workers);
             let reference_coo = |part: &Reference<V>, segments: &[MergeSegment]| {
                 let (entries, row_of) = (part.entries.clone(), part.row_of.clone());
                 let segments = segments.to_vec();
@@ -463,33 +618,33 @@ where
                     )
                 }
             };
-            check_op(
-                &exec,
+            check_op::<V, I>(
+                &site("coo"),
                 &Coo::from_csr(&csr),
-                &reference_coo(&m, &coo_segments),
-                &ctx("coo"),
+                &m.rows,
+                &reference_coo(&m, &m.coo_segments(workers)),
             );
 
             let ell_rows = m.padded(|_| m.max_row_len(0..dim.rows));
-            check_op(
-                &exec,
+            check_op::<V, I>(
+                &site("ell"),
                 &Ell::from_csr(&csr),
+                &m.rows,
                 &|k, alpha, b, beta, x| reference_rows(&ell_rows, k, alpha, b, beta, x),
-                &ctx("ell"),
             );
 
-            // The default slice, and one that leaves a ragged last slice.
-            for slice in [32usize, 3] {
+            // The default slice, and two that leave a ragged last slice.
+            for slice in [32usize, 4, 3] {
                 let width = |r: usize| {
                     let lo = r / slice * slice;
                     m.max_row_len(lo..(lo + slice).min(dim.rows))
                 };
                 let sellp_rows = m.padded(width);
-                check_op(
-                    &exec,
+                check_op::<V, I>(
+                    &site(&format!("sellp/{slice}")),
                     &Sellp::from_csr_with_slice(&csr, slice),
+                    &m.rows,
                     &|k, alpha, b, beta, x| reference_rows(&sellp_rows, k, alpha, b, beta, x),
-                    &ctx(&format!("sellp/{slice}")),
                 );
             }
 
@@ -503,17 +658,18 @@ where
             let (head, overflow) = m.split_at(width);
             let head_rows = head.padded(|_| head.max_row_len(0..dim.rows));
             let accumulate = reference_coo(&overflow, &overflow.coo_segments(workers));
-            check_op(
-                &exec,
+            check_op::<V, I>(
+                &site("hybrid"),
                 &Hybrid::from_csr(&csr),
+                &m.rows,
                 &|k, alpha, b, beta, x| {
                     reference_rows(&head_rows, k, alpha, b, beta, x);
                     accumulate(k, alpha, b, V::one(), x);
                 },
-                &ctx("hybrid"),
             );
         }
     }
+    common::print_coverage(&format!("spmv_bits::{}/{}", V::NAME, I::NAME));
 }
 
 /// Every CSR strategy on [`irregular_rows`], against the same references as
@@ -525,7 +681,7 @@ where
 {
     let (dim, triplets) = irregular_rows();
     assert_ne!(dim.rows % 128, 0);
-    for exec in executors() {
+    for exec in common::executors() {
         let workers = exec.spec().workers;
         let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
         assert_eq!(
@@ -534,54 +690,18 @@ where
             "Auto on the rail"
         );
         let m = Reference::of(&csr);
-        let strategies = [
-            SpmvStrategy::Classical,
-            SpmvStrategy::LoadBalance,
-            SpmvStrategy::MergePath,
-        ];
-        for strategy in strategies {
-            let a = csr.clone().with_strategy(strategy);
-            let plan = a.plan();
-            let (v, i, on) = (V::NAME, I::NAME, exec.name());
-            let ctx = format!("csr {strategy:?} {v}/{i} irregular on {on} x{workers}");
+        check_csr(&exec, &csr, &m, "irregular", |strategy, plan, ctx| {
             assert!(plan.ordered_rows() > 0, "{ctx}: rows grouped by length");
-            if strategy == SpmvStrategy::MergePath {
-                check_op(
-                    &exec,
-                    &a,
-                    &|k, alpha, b, beta, x| {
-                        let sum = row_sum::<V>(k);
-                        reference_segments(
-                            &m.entries,
-                            &m.row_of,
-                            &plan.segments,
-                            sum,
-                            k,
-                            alpha,
-                            b,
-                            beta,
-                            x,
-                        )
-                    },
-                    &ctx,
-                );
-            } else {
-                if workers == 7 {
-                    let off_grid = plan.row_bounds.iter().any(|b| b % 128 != 0);
-                    assert!(
-                        off_grid,
-                        "{ctx}: a piece boundary inside a window of 128 rows"
-                    );
-                }
-                check_op(
-                    &exec,
-                    &a,
-                    &|k, alpha, b, beta, x| reference_rows(&m.rows, k, alpha, b, beta, x),
-                    &ctx,
+            if workers == 7 && plan.resolved != ResolvedStrategy::MergePath {
+                let off_grid = plan.row_bounds.iter().any(|b| b % 128 != 0);
+                assert!(
+                    off_grid,
+                    "{ctx} ({strategy:?}): a piece boundary inside a window of 128 rows"
                 );
             }
-        }
+        });
     }
+    common::print_coverage(&format!("spmv_bits::irregular {}/{}", V::NAME, I::NAME));
 }
 
 #[test]
@@ -633,7 +753,7 @@ fn double_int64() {
 /// batches below and above every executor's chunk count.
 #[test]
 fn batch_csr_rows_sum_in_the_unrolled_order() {
-    for exec in executors() {
+    for exec in common::executors() {
         for (name, dim, triplets) in matrices() {
             if dim.rows == 0 {
                 continue;
