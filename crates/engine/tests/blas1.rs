@@ -1,14 +1,16 @@
-//! The fused BLAS-1 vocabulary of `matrix::dense` against the calls it
-//! replaces.
+//! The BLAS-1 vocabulary of `matrix::dense` against the calls it replaces
+//! and against the reference executor.
 //!
 //! Every fused operation must be **bit-identical** to its unfused sequence:
 //! the vectors it updates equal `copy_from` / `add_scaled` applied in order,
 //! and the reduction it returns equals `compute_dot` on the result — on the
 //! reference executor and on `omp(7)`, whose chunk boundaries fall inside
 //! blocks of eight. That is what lets a recurrence swap one for the other
-//! without its trajectory moving. Across executors a reduction may differ by
-//! the few ulps `parity.rs` allows any reassociated sum, and on one executor
-//! it may not differ at all from call to call.
+//! without its trajectory moving. The plain dot, norm and AXPY are rows of
+//! the same table, against an equivalent call. Across executors an update
+//! must be bit-identical too, while a reduction may differ by the
+//! [`TOL_ULPS`] any reassociated sum may; on one executor it may not differ
+//! at all from call to call.
 //!
 //! The elementwise product is pinned the same way against the element loop
 //! `Jacobi::apply` ran before scalar Jacobi became an inverted `Diagonal`.
@@ -19,25 +21,18 @@ use gko::preconditioner::Jacobi;
 use gko::{Dim2, Executor, Value};
 use pygko_half::Half;
 
-/// Thread counts and ulp bound of `parity.rs`.
-const THREADS: [usize; 4] = [1, 2, 7, 16];
+mod common;
+
+/// The ulps a reassociated reduction may move by across executors.
 const TOL_ULPS: u64 = 4;
 
-/// Lengths: empty, shorter than a block, shorter than `omp(7)`'s 14 chunks,
-/// a prime, and one past a multiple of every chunk count in play.
-const SIZES: [usize; 6] = [0, 5, 13, 100, 1023, 8 * 7 * 16 * 3 + 1];
-
-fn ulps(a: f64, b: f64) -> u64 {
-    let ordered = |x: f64| {
-        let b = x.to_bits() as i64;
-        if b < 0 {
-            i64::MIN - b
-        } else {
-            b
-        }
-    };
-    ordered(a).wrapping_sub(ordered(b)).unsigned_abs()
-}
+/// Lengths: empty, one, around a block of eight, shorter than `omp(7)`'s 14
+/// chunks, a prime, powers of two and one past them, one past a multiple of
+/// every chunk count in play (`8 * 7 * 16 * 3 + 1`), and one that streams
+/// past L2.
+const SIZES: [usize; 14] = [
+    0, 1, 5, 7, 8, 9, 13, 64, 100, 257, 1_000, 1_023, 2_689, 13_824,
+];
 
 /// Four vectors of full mantissas and mixed signs, so that a changed
 /// summation order or a fused multiply-add would show in the last bits.
@@ -67,7 +62,7 @@ struct Case {
 const ALPHA: f64 = 0.731_058_578_630_004_9;
 const BETA: f64 = -1.324_717_957_244_746;
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 9] = [
     Case {
         name: "add_scaled_with_residual",
         fused: |[mut x, mut r, p, q]| {
@@ -146,6 +141,27 @@ const CASES: [Case; 6] = [
             (vec![bits(&v)], vec![])
         },
     },
+    Case {
+        name: "compute_dot",
+        fused: |[a, b, _, _]| (vec![], vec![a.compute_dot(&b).unwrap().to_bits()]),
+        unfused: |[a, b, _, _]| (vec![], vec![b.compute_dot(&a).unwrap().to_bits()]),
+    },
+    Case {
+        name: "compute_norm2",
+        fused: |[a, _, _, _]| (vec![], vec![a.compute_norm2().to_bits()]),
+        unfused: |[a, _, _, _]| (vec![], vec![a.compute_dot(&a).unwrap().sqrt().to_bits()]),
+    },
+    Case {
+        name: "add_scaled",
+        fused: |[mut x, p, _, _]| {
+            x.add_scaled(ALPHA, &p).unwrap();
+            (vec![bits(&x)], vec![])
+        },
+        unfused: |[mut x, p, _, _]| {
+            x.scale_add(ALPHA, &p, 1.0).unwrap();
+            (vec![bits(&x)], vec![])
+        },
+    },
 ];
 
 /// The loop scalar `Jacobi::apply` was: row `i` of a block of `k` vectors
@@ -166,7 +182,7 @@ fn element_loop<V: Value>(inv: &[V], b: &[V], k: usize) -> Vec<V> {
 /// sweep) and 3 (the row loop).
 fn check_products<V: Value>(exec_name: &str, exec: &Executor) {
     let wide = |v: &[V]| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
-    for n in [0usize, 1, 7, 8, 9, 1_000, 13_824] {
+    for n in SIZES {
         for k in [1usize, 3] {
             let ctx = format!("{}/{exec_name}/n{n}/k{k}", V::NAME);
             let d: Vec<V> = (0..n)
@@ -203,12 +219,11 @@ fn check_products<V: Value>(exec_name: &str, exec: &Executor) {
 
 #[test]
 fn diagonal_and_jacobi_products_equal_the_element_loop_bit_for_bit() {
-    let omps = THREADS.map(|threads| (format!("omp{threads}"), Executor::omp(threads)));
-    let reference = ("reference".to_string(), Executor::reference());
-    for (name, exec) in std::iter::once(&reference).chain(&omps) {
-        check_products::<Half>(name, exec);
-        check_products::<f32>(name, exec);
-        check_products::<f64>(name, exec);
+    for exec in common::executors() {
+        let name = common::label(&exec);
+        check_products::<Half>(&name, &exec);
+        check_products::<f32>(&name, &exec);
+        check_products::<f64>(&name, &exec);
     }
 }
 
@@ -233,20 +248,21 @@ fn fused_operations_equal_their_unfused_sequences_bit_for_bit() {
 
 #[test]
 fn fused_operations_match_the_reference_executor() {
-    let reference = Executor::reference();
-    let omps = THREADS.map(|threads| (threads, Executor::omp(threads)));
+    let executors = common::executors();
+    let (reference, omps) = executors.split_first().unwrap();
     for n in SIZES {
         for case in &CASES {
-            let (want_vectors, want_sums) = (case.fused)(vectors(&reference, n));
-            for (threads, omp) in &omps {
+            let (want_vectors, want_sums) = (case.fused)(vectors(reference, n));
+            for omp in omps {
                 let (got_vectors, got_sums) = (case.fused)(vectors(omp, n));
-                let ctx = format!("{}/n{n}/omp{threads}", case.name);
+                let ctx = format!("{}/n{n}/{}", case.name, common::label(omp));
                 // Updates are elementwise: bitwise. Reductions combine
-                // different chunk partials: the parity bound.
+                // different chunk partials: the reassociation bound.
                 assert_eq!(got_vectors, want_vectors, "{ctx}");
                 for (got, want) in got_sums.iter().zip(&want_sums) {
                     let (got, want) = (f64::from_bits(*got), f64::from_bits(*want));
-                    assert!(ulps(got, want) <= TOL_ULPS, "{ctx}: {got} vs {want}");
+                    let off = common::ulps(got, want);
+                    assert!(off <= TOL_ULPS, "{ctx}: {got} vs {want}");
                 }
             }
         }
@@ -256,25 +272,12 @@ fn fused_operations_match_the_reference_executor() {
 #[test]
 fn reductions_repeat_bit_for_bit_under_any_schedule() {
     let exec = Executor::omp(7);
-    let n = 20_011;
-    let first: Vec<Outcome> = CASES.iter().map(|c| (c.fused)(vectors(&exec, n))).collect();
-    let [a, b, ..] = vectors(&exec, n);
-    let dot = a.compute_dot(&b).unwrap().to_bits();
-    let norm = a.compute_norm2().to_bits();
+    let inputs = vectors(&exec, 20_011);
+    let first: Vec<Outcome> = CASES.iter().map(|c| (c.fused)(inputs.clone())).collect();
     for round in 0..50 {
         for (case, want) in CASES.iter().zip(&first) {
-            assert_eq!(
-                (case.fused)(vectors(&exec, n)),
-                *want,
-                "{} round {round}",
-                case.name
-            );
+            let got = (case.fused)(inputs.clone());
+            assert_eq!(got, *want, "{} round {round}", case.name);
         }
-        assert_eq!(
-            a.compute_dot(&b).unwrap().to_bits(),
-            dot,
-            "dot round {round}"
-        );
-        assert_eq!(a.compute_norm2().to_bits(), norm, "norm round {round}");
     }
 }

@@ -13,33 +13,11 @@ use gko::matrix::{Csr, Dense};
 use gko::preconditioner::jacobi::Jacobi;
 use gko::solver::{BiCgStab, Cg, Cgs, Fcg, Gmres, Ir, Minres, MixedIr};
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor, GkoError};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use gko::{Dim2, Executor};
 use std::sync::Arc;
 
-fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
-    let n = g * g;
-    let mut t = Vec::new();
-    for i in 0..g {
-        for j in 0..g {
-            let r = i * g + j;
-            t.push((r, r, 4.0));
-            if i > 0 {
-                t.push((r, r - g, -1.0));
-            }
-            if i + 1 < g {
-                t.push((r, r + g, -1.0));
-            }
-            if j > 0 {
-                t.push((r, r - 1, -1.0));
-            }
-            if j + 1 < g {
-                t.push((r, r + 1, -1.0));
-            }
-        }
-    }
-    Arc::new(Csr::from_triplets(exec, Dim2::square(n), &t).unwrap())
-}
+mod common;
+use common::{poisson, PoisonAfter};
 
 fn assert_invariant(name: &str, rec: &SolveRecord) {
     assert_eq!(
@@ -48,59 +26,6 @@ fn assert_invariant(name: &str, rec: &SolveRecord) {
         "{name}: residual_history.len() must equal iterations (reason {:?})",
         rec.stop_reason
     );
-}
-
-/// Wraps an operator and overwrites one output entry with NaN once the
-/// operator has been applied `threshold` times — models a kernel that
-/// starts producing garbage mid-solve.
-struct PoisonAfter {
-    inner: Arc<Csr<f64, i32>>,
-    applies: AtomicUsize,
-    threshold: usize,
-}
-
-impl PoisonAfter {
-    fn new(inner: Arc<Csr<f64, i32>>, threshold: usize) -> Arc<Self> {
-        Arc::new(PoisonAfter {
-            inner,
-            applies: AtomicUsize::new(0),
-            threshold,
-        })
-    }
-
-    fn poison(&self, x: &mut Dense<f64>) {
-        if self.applies.fetch_add(1, Ordering::Relaxed) + 1 >= self.threshold {
-            x.set(0, 0, f64::NAN);
-        }
-    }
-}
-
-impl LinOp<f64> for PoisonAfter {
-    fn size(&self) -> Dim2 {
-        self.inner.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.inner.executor()
-    }
-
-    fn apply(&self, b: &Dense<f64>, x: &mut Dense<f64>) -> Result<(), GkoError> {
-        self.inner.apply(b, x)?;
-        self.poison(x);
-        Ok(())
-    }
-
-    fn apply_advanced(
-        &self,
-        alpha: f64,
-        b: &Dense<f64>,
-        beta: f64,
-        x: &mut Dense<f64>,
-    ) -> Result<(), GkoError> {
-        self.inner.apply_advanced(alpha, b, beta, x)?;
-        self.poison(x);
-        Ok(())
-    }
 }
 
 /// A poisoned SpMV must stop CG, BiCGStab, and GMRES with `Breakdown`

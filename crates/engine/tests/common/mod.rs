@@ -3,10 +3,16 @@
 
 #![allow(dead_code)]
 
-use gko::matrix::Csr;
-use gko::{Dim2, Executor};
+use gko::linop::LinOp;
+use gko::matrix::{Csr, Dense};
+use gko::solver::Cg;
+use gko::stop::Criteria;
+use gko::{DetectorConfig, Dim2, Executor, GkoError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// omp thread counts of the agreement checks: serial-on-omp, an even split,
@@ -84,6 +90,103 @@ pub fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
 
 /// Checked cells per axis and value.
 type Axes = BTreeMap<&'static str, BTreeMap<String, usize>>;
+
+/// CG on `a` from a right-hand side of ones, to a `1e-10` reduction within
+/// `2 n` iterations; asserts that it converged.
+pub fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) {
+    let n = a.size().rows;
+    let solver = Cg::new(a.clone())
+        .unwrap()
+        .with_criteria(Criteria::iterations_and_reduction(2 * n, 1e-10));
+    let b = Dense::<f64>::filled(exec, Dim2::new(n, 1), 1.0);
+    let mut x = Dense::<f64>::zeros(exec, Dim2::new(n, 1));
+    solver.apply(&b, &mut x).unwrap();
+    let reason = solver.logger().snapshot().stop_reason.unwrap();
+    assert!(
+        reason.is_converged(),
+        "reference solve converged: {reason:?}"
+    );
+}
+
+/// Detector thresholds with the two timing-based detectors switched off:
+/// wall-clock detectors fire spuriously on oversubscribed hosts.
+pub fn quiet_detectors() -> DetectorConfig {
+    DetectorConfig {
+        drift_min_solves: u64::MAX,
+        imbalance_ratio: f64::INFINITY,
+    }
+}
+
+/// Minimal HTTP/1.1 GET over a raw `TcpStream`; returns (status line, body).
+pub fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to telemetry server");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8(raw).expect("response is UTF-8");
+    let (head, body) = text
+        .split_once("\r\n\r\n")
+        .expect("response has a header/body split");
+    let status = head.lines().next().unwrap_or("").to_string();
+    (status, body.to_string())
+}
+
+/// Wraps an operator and overwrites one output entry with NaN once the
+/// operator has been applied `threshold` times — models a kernel that
+/// starts producing garbage mid-solve.
+pub struct PoisonAfter {
+    inner: Arc<Csr<f64, i32>>,
+    applies: AtomicUsize,
+    threshold: usize,
+}
+
+impl PoisonAfter {
+    pub fn new(inner: Arc<Csr<f64, i32>>, threshold: usize) -> Arc<Self> {
+        Arc::new(PoisonAfter {
+            inner,
+            applies: AtomicUsize::new(0),
+            threshold,
+        })
+    }
+
+    fn poison(&self, x: &mut Dense<f64>) {
+        if self.applies.fetch_add(1, Ordering::Relaxed) + 1 >= self.threshold {
+            x.set(0, 0, f64::NAN);
+        }
+    }
+}
+
+impl LinOp<f64> for PoisonAfter {
+    fn size(&self) -> Dim2 {
+        self.inner.size()
+    }
+
+    fn executor(&self) -> &Executor {
+        self.inner.executor()
+    }
+
+    fn apply(&self, b: &Dense<f64>, x: &mut Dense<f64>) -> Result<(), GkoError> {
+        self.inner.apply(b, x)?;
+        self.poison(x);
+        Ok(())
+    }
+
+    fn apply_advanced(
+        &self,
+        alpha: f64,
+        b: &Dense<f64>,
+        beta: f64,
+        x: &mut Dense<f64>,
+    ) -> Result<(), GkoError> {
+        self.inner.apply_advanced(alpha, b, beta, x)?;
+        self.poison(x);
+        Ok(())
+    }
+}
 
 thread_local! {
     /// The running test's cell count and [`Axes`].

@@ -10,7 +10,7 @@
 //! reader's loop in `crates/mtx/tests/mutation.rs`.
 
 use gko::config::{config_solve, Config};
-use gko::matrix::{Csr, Dense};
+use gko::matrix::Dense;
 use gko::solver::Cg;
 use gko::{Dim2, Executor, LinOp};
 use pygko_sim::rng::Xoshiro256pp;
@@ -18,6 +18,9 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::poisson_csr;
 
 const BUDGET: Duration = Duration::from_millis(1_000);
 
@@ -56,19 +59,6 @@ fn mutate(seeds: &[&str], alphabet: &[u8], case: u64) -> Vec<u8> {
         }
     }
     doc
-}
-
-/// The 1D Poisson matrix of `n` rows.
-fn poisson(exec: &Executor, n: usize) -> Arc<Csr<f64, i32>> {
-    let mut triplets = Vec::new();
-    for i in 0..n {
-        triplets.push((i, i, 4.0));
-        if i > 0 {
-            triplets.push((i, i - 1, -1.0));
-            triplets.push((i - 1, i, -1.0));
-        }
-    }
-    Arc::new(Csr::from_triplets(exec, Dim2::square(n), &triplets).unwrap())
 }
 
 /// Runs `check` on cases `0..` until at least `min` ran and, counting from
@@ -145,7 +135,7 @@ fn mutated_requests_always_get_a_status_line() {
     // One traced solve, so `/traces/1` exists.
     let b = Dense::<f64>::filled(&exec, Dim2::new(16, 1), 1.0);
     let mut x = Dense::<f64>::zeros(&exec, Dim2::new(16, 1));
-    Cg::new(poisson(&exec, 16))
+    Cg::new(Arc::new(poisson_csr(&exec, 16)))
         .unwrap()
         .apply(&b, &mut x)
         .unwrap();
@@ -203,7 +193,7 @@ const JSON_ALPHABET: &[u8] = b"{}[]\":,0123456789.-+eE \n\\utfnlr\x00\xff\xc3\xa
 #[test]
 fn mutated_configs_parse_and_build_or_fail_typed() {
     let exec = Executor::reference();
-    let matrix = poisson(&exec, 16);
+    let matrix = Arc::new(poisson_csr(&exec, 16));
     for seed in CONFIGS {
         let config = Config::from_json(seed).expect("seed documents parse");
         config_solve(matrix.clone(), &config).expect("seed documents build");

@@ -5,35 +5,14 @@
 
 use gko::linop::LinOp;
 use gko::log::{Event, Record, SharedBuf, Stream};
-use gko::matrix::{Csr, Dense};
+use gko::matrix::Dense;
 use gko::solver::Cg;
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor, ObserveConfig};
+use gko::{Executor, ObserveConfig};
 use std::sync::Arc;
 
-fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
-    let n = g * g;
-    let mut t = Vec::new();
-    for i in 0..g {
-        for j in 0..g {
-            let r = i * g + j;
-            t.push((r, r, 4.0));
-            if i > 0 {
-                t.push((r, r - g, -1.0));
-            }
-            if i + 1 < g {
-                t.push((r, r + g, -1.0));
-            }
-            if j > 0 {
-                t.push((r, r - 1, -1.0));
-            }
-            if j + 1 < g {
-                t.push((r, r + 1, -1.0));
-            }
-        }
-    }
-    Arc::new(Csr::from_triplets(exec, Dim2::square(n), &t).unwrap())
-}
+mod common;
+use common::poisson;
 
 #[test]
 fn cg_solve_emits_event_stream_and_kernel_breakdown() {

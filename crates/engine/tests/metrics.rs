@@ -11,17 +11,8 @@ use gko::stop::Criteria;
 use gko::{Dim2, Executor, ObserveConfig, TraceConfig};
 use std::sync::Arc;
 
-fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
-    let mut t = Vec::new();
-    for i in 0..n {
-        t.push((i, i, 4.0));
-        if i > 0 {
-            t.push((i, i - 1, -1.0));
-            t.push((i - 1, i, -1.0));
-        }
-    }
-    Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
-}
+mod common;
+use common::poisson_csr;
 
 /// Only the metrics plane on.
 fn metrics_only() -> ObserveConfig {

@@ -5,55 +5,23 @@
 
 use gko::config::Config;
 use gko::log::{Event, Logger};
-use gko::matrix::{BatchCsr, BatchDense, Csr};
+use gko::matrix::{BatchCsr, BatchDense};
 use gko::profile::MAX_FLAME_NODES;
 use gko::solver::BatchCg;
 use gko::stop::Criteria;
-use gko::telemetry::{prom, DetectorConfig};
+use gko::telemetry::prom;
 use gko::{Dim2, Executor, LinOp, ObserveConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
-    let mut t = Vec::new();
-    for i in 0..n {
-        t.push((i, i, 4.0));
-        if i > 0 {
-            t.push((i, i - 1, -1.0));
-            t.push((i - 1, i, -1.0));
-        }
-    }
-    Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
-}
-
-/// Minimal HTTP/1.1 GET over a raw `TcpStream`; returns (status line, body).
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to telemetry server");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: profile\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let text = String::from_utf8(raw).expect("response is UTF-8");
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split");
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
+mod common;
+use common::{http_get, poisson_csr, quiet_detectors};
 
 /// Profiling, with the timing-based detectors neutralized (they fire
 /// spuriously on oversubscribed CI hosts).
 fn profiled() -> ObserveConfig {
     ObserveConfig {
-        flight: Some(DetectorConfig {
-            drift_min_solves: u64::MAX,
-            imbalance_ratio: f64::INFINITY,
-        }),
+        flight: Some(quiet_detectors()),
         profile: true,
         ..ObserveConfig::default()
     }

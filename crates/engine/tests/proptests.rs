@@ -1,11 +1,11 @@
-//! Engine-level randomized property tests: format conversions, operator
-//! algebra, factorization residuals, and config JSON round trips on random
-//! inputs, driven by the deterministic in-tree harness
-//! (`pygko_sim::testing`).
+//! Engine-level randomized property tests: operator algebra, factorization
+//! residuals, and config JSON round trips on random inputs, driven by the
+//! deterministic in-tree harness (`pygko_sim::testing`). SpMV agreement
+//! between formats, strategies and executors is checked in `spmv_bits.rs`.
 
 use gko::config::Config;
 use gko::linop::LinOp;
-use gko::matrix::{Coo, Csr, Dense, Ell, Sellp};
+use gko::matrix::{Csr, Dense};
 use gko::{Dim2, Executor};
 use pygko_sim::rng::Xoshiro256pp;
 use pygko_sim::testing::{check, sparse_triplets};
@@ -54,36 +54,6 @@ fn config_tree(rng: &mut Xoshiro256pp, depth: usize) -> Config {
     }
 }
 
-/// All four sparse formats produce identical SpMV results.
-#[test]
-fn all_formats_agree() {
-    check("all_formats_agree", |rng| {
-        let (n, t) = sparse(rng);
-        let exec = Executor::reference();
-        let csr = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(n), &t).unwrap();
-        let coo = Coo::from_csr(&csr);
-        let ell = Ell::from_csr(&csr);
-        let sellp = Sellp::from_csr_with_slice(&csr, 4);
-        let b = Dense::<f64>::vector(&exec, n, 1.25);
-
-        let mut want = Dense::zeros(&exec, Dim2::new(n, 1));
-        csr.apply(&b, &mut want).unwrap();
-        let want = want.to_host_vec();
-        macro_rules! check_format {
-            ($m:expr) => {{
-                let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
-                $m.apply(&b, &mut x).unwrap();
-                for (a, w) in x.to_host_vec().iter().zip(&want) {
-                    assert!((a - w).abs() < 1e-10, "{a} vs {w}");
-                }
-            }};
-        }
-        check_format!(coo);
-        check_format!(ell);
-        check_format!(sellp);
-    });
-}
-
 /// Transpose is an involution.
 #[test]
 fn transpose_involution() {
@@ -121,28 +91,6 @@ fn adjoint_identity() {
             (lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()),
             "{lhs} vs {rhs}"
         );
-    });
-}
-
-/// Classical and load-balanced CSR strategies agree bit-for-bit (the
-/// partition changes scheduling, not per-row accumulation order).
-#[test]
-fn strategies_agree() {
-    use gko::matrix::SpmvStrategy;
-    check("strategies_agree", |rng| {
-        let (n, t) = sparse(rng);
-        let exec = Executor::omp(4);
-        let b = Dense::<f64>::vector(&exec, n, 0.5);
-        let mut out = Vec::new();
-        for s in [SpmvStrategy::Classical, SpmvStrategy::LoadBalance] {
-            let a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(n), &t)
-                .unwrap()
-                .with_strategy(s);
-            let mut x = Dense::zeros(&exec, Dim2::new(n, 1));
-            a.apply(&b, &mut x).unwrap();
-            out.push(x.to_host_vec());
-        }
-        assert_eq!(&out[0], &out[1]);
     });
 }
 

@@ -10,17 +10,8 @@ use gko::sanitize::{check_finite, stress_schedules, Schedule};
 use gko::{ClaimLog, Dim2, Executor, PartitionViolation};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
-    let mut t = Vec::new();
-    for i in 0..n {
-        t.push((i, i, 4.0));
-        if i > 0 {
-            t.push((i, i - 1, -1.0));
-            t.push((i - 1, i, -1.0));
-        }
-    }
-    Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
-}
+mod common;
+use common::poisson_csr;
 
 // ---------------------------------------------------------------------------
 // validate(): corrupted storage is rejected, well-formed storage passes

@@ -54,12 +54,12 @@ use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::preconditioner::Jacobi;
 use gko::solver::{BatchBiCgStab, BatchCg, BiCgStab, Cg, Cgs, Fcg, Gmres, Ir, Minres, MixedIr};
 use gko::stop::{Criteria, StopReason};
-use gko::{Dim2, Executor, GkoError, TripletValue, Value};
+use gko::{Dim2, Executor, TripletValue, Value};
 use pygko_half::Half;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 mod common;
+use common::PoisonAfter;
 
 /// Grid edge: 8 x 8 = 64 unknowns, several chunks per dense op on `omp(7)`.
 const GRID: usize = 8;
@@ -95,15 +95,8 @@ fn stencil(exec: &Executor, skew: f64) -> Arc<Csr<f64, i32>> {
 }
 
 fn rhs(exec: &Executor, n: usize) -> Dense<f64> {
-    let mut b = Dense::zeros(exec, Dim2::new(n, 1));
-    for i in 0..n {
-        b.set(
-            i,
-            0,
-            1.0 + 0.25 * ((i % 7) as f64) - 0.125 * ((i % 3) as f64),
-        );
-    }
-    b
+    let b = (0..n).map(|i| 1.0 + 0.25 * ((i % 7) as f64) - 0.125 * ((i % 3) as f64));
+    Dense::from_vec(exec, Dim2::new(n, 1), b.collect()).unwrap()
 }
 
 /// A built solver behind the two handles every case needs.
@@ -613,50 +606,6 @@ fn print_ragged_gmres_golden_table() {
 // Shared edge cases, one table over all eight solvers
 // ---------------------------------------------------------------------------
 
-/// `a`, with one output entry overwritten by NaN from the `threshold`-th
-/// application on: a kernel that starts producing garbage mid-solve.
-struct PoisonAfter {
-    inner: Arc<Csr<f64, i32>>,
-    applies: AtomicUsize,
-    threshold: usize,
-}
-
-impl PoisonAfter {
-    fn poison(&self, x: &mut Dense<f64>) {
-        if self.applies.fetch_add(1, Ordering::Relaxed) + 1 >= self.threshold {
-            x.set(0, 0, f64::NAN);
-        }
-    }
-}
-
-impl LinOp<f64> for PoisonAfter {
-    fn size(&self) -> Dim2 {
-        self.inner.size()
-    }
-
-    fn executor(&self) -> &Executor {
-        self.inner.executor()
-    }
-
-    fn apply(&self, b: &Dense<f64>, x: &mut Dense<f64>) -> Result<(), GkoError> {
-        self.inner.apply(b, x)?;
-        self.poison(x);
-        Ok(())
-    }
-
-    fn apply_advanced(
-        &self,
-        alpha: f64,
-        b: &Dense<f64>,
-        beta: f64,
-        x: &mut Dense<f64>,
-    ) -> Result<(), GkoError> {
-        self.inner.apply_advanced(alpha, b, beta, x)?;
-        self.poison(x);
-        Ok(())
-    }
-}
-
 /// A residual norm that is not finite ends the solve as an uncounted
 /// breakdown in every method: it is never recorded, whichever inner product
 /// of the recurrence overflows or is poisoned first. Two ways to get one: an
@@ -685,11 +634,7 @@ fn a_non_finite_residual_is_an_unrecorded_breakdown() {
     ];
     let criteria = Criteria::iterations_and_reduction(2000, 1e-10);
     for (kind, on_singular) in table {
-        let poisoned = Arc::new(PoisonAfter {
-            inner: a.clone(),
-            applies: AtomicUsize::new(0),
-            threshold: 3,
-        });
+        let poisoned = PoisonAfter::new(a.clone(), 3);
         let cases = [
             // Mixed-precision IR applies the matrix it was built from, not
             // an operator, so it cannot be poisoned this way.

@@ -190,36 +190,38 @@ fn x0_value(i: usize) -> f64 {
 // The reference, in the kernels' summation order
 // ---------------------------------------------------------------------------
 
-/// One stored entry as the reference sees it.
-type Entry<V> = (V, usize);
+/// One stored entry as the reference sees it: its value widened to `f64`
+/// (exactly, as every kernel widens it), and its column.
+type Entry = (f64, usize);
 
 /// The `k == 1` row sum: four accumulators, sequential tail.
-fn sum_unrolled<V: Value>(entries: &[Entry<V>], b: &[V], k: usize, c: usize) -> f64 {
+fn sum_unrolled(entries: &[Entry], b: &[f64], k: usize, c: usize) -> f64 {
     let mut a = [0.0f64; 4];
     let body = entries.len() / 4 * 4;
     for (i, &(v, col)) in entries[..body].iter().enumerate() {
-        a[i % 4] += v.to_f64() * b[col * k + c].to_f64();
+        a[i % 4] += v * b[col * k + c];
     }
     let mut tail = 0.0f64;
     for &(v, col) in &entries[body..] {
-        tail += v.to_f64() * b[col * k + c].to_f64();
+        tail += v * b[col * k + c];
     }
     ((a[0] + a[1]) + (a[2] + a[3])) + tail
 }
 
 /// The sequential sum (every `k > 1` kernel, and COO's `k == 1`).
-fn sum_in_order<V: Value>(entries: &[Entry<V>], b: &[V], k: usize, c: usize) -> f64 {
+fn sum_in_order(entries: &[Entry], b: &[f64], k: usize, c: usize) -> f64 {
     let mut acc = 0.0f64;
     for &(v, col) in entries {
-        acc += v.to_f64() * b[col * k + c].to_f64();
+        acc += v * b[col * k + c];
     }
     acc
 }
 
-type RowSum<V> = fn(&[Entry<V>], &[V], usize, usize) -> f64;
+/// A piece's sum: `(entries, b widened to f64, k, column)`.
+type RowSum = fn(&[Entry], &[f64], usize, usize) -> f64;
 
 /// How a row kernel sums for `k` right-hand sides.
-fn row_sum<V: Value>(k: usize) -> RowSum<V> {
+fn row_sum(k: usize) -> RowSum {
     if k == 1 {
         sum_unrolled
     } else {
@@ -229,16 +231,16 @@ fn row_sum<V: Value>(k: usize) -> RowSum<V> {
 
 /// Row kernels: every output written once from its (padded) row.
 fn reference_rows<V: Value>(
-    rows: &[Vec<Entry<V>>],
+    rows: &[Vec<Entry>],
     k: usize,
     alpha: V,
-    b: &[V],
+    b: &[f64],
     beta: V,
     x: &mut [V],
 ) {
     for (r, entries) in rows.iter().enumerate() {
         for c in 0..k {
-            let prod = V::from_f64(row_sum::<V>(k)(entries, b, k, c));
+            let prod = V::from_f64(row_sum(k)(entries, b, k, c));
             let out = &mut x[r * k + c];
             *out = if beta == V::zero() {
                 alpha * prod
@@ -252,13 +254,12 @@ fn reference_rows<V: Value>(
 /// Segment kernels: prescale, then per segment the pieces of its rows.
 #[allow(clippy::too_many_arguments)]
 fn reference_segments<V: Value>(
-    entries: &[Entry<V>],
-    row_of: &[usize],
+    part: &Reference,
     segments: &[MergeSegment],
-    piece_sum: RowSum<V>,
+    piece_sum: RowSum,
     k: usize,
     alpha: V,
-    b: &[V],
+    b: &[f64],
     beta: V,
     x: &mut [V],
 ) {
@@ -269,6 +270,7 @@ fn reference_segments<V: Value>(
             *v *= beta;
         }
     }
+    let (entries, row_of) = (&part.entries, &part.row_of);
     for seg in segments {
         let mut boundary = vec![0.0f64; 2 * k];
         let mut lo = seg.nnz_start;
@@ -303,27 +305,27 @@ fn reference_segments<V: Value>(
 
 /// The matrix as the reference reads it, taken from the library's own CSR
 /// arrays (so value rounding and duplicate handling are not re-derived).
-struct Reference<V> {
-    rows: Vec<Vec<Entry<V>>>,
-    entries: Vec<Entry<V>>,
+struct Reference {
+    rows: Vec<Vec<Entry>>,
+    entries: Vec<Entry>,
     row_of: Vec<usize>,
 }
 
-impl<V: Value> Reference<V> {
-    fn of<I: Index>(csr: &Csr<V, I>) -> Self {
+impl Reference {
+    fn of<V: Value, I: Index>(csr: &Csr<V, I>) -> Self {
         let (rp, ci, vals) = (csr.row_ptrs(), csr.col_idxs(), csr.values());
         let rows = rp.windows(2).map(|w| {
             let span = w[0].to_usize()..w[1].to_usize();
             vals[span.clone()]
                 .iter()
                 .zip(&ci[span])
-                .map(|(&v, c)| (v, c.to_usize()))
+                .map(|(&v, c)| (v.to_f64(), c.to_usize()))
                 .collect()
         });
         Reference::from_rows(rows.collect())
     }
 
-    fn from_rows(rows: Vec<Vec<Entry<V>>>) -> Self {
+    fn from_rows(rows: Vec<Vec<Entry>>) -> Self {
         let entries = rows.concat();
         let row_of = rows
             .iter()
@@ -338,13 +340,13 @@ impl<V: Value> Reference<V> {
 
     /// Rows padded to `width(r)` slots with value zero at the row's last
     /// column (column 0 for an empty row): the ELL / SELL-P layout.
-    fn padded(&self, width: impl Fn(usize) -> usize) -> Vec<Vec<Entry<V>>> {
+    fn padded(&self, width: impl Fn(usize) -> usize) -> Vec<Vec<Entry>> {
         self.rows
             .iter()
             .enumerate()
             .map(|(r, row)| {
                 let mut row = row.clone();
-                let pad = (V::zero(), row.last().map_or(0, |e| e.1));
+                let pad = (0.0, row.last().map_or(0, |e| e.1));
                 row.resize(width(r), pad);
                 row
             })
@@ -352,7 +354,7 @@ impl<V: Value> Reference<V> {
     }
 
     /// The first `width` entries of every row, and the rest.
-    fn split_at(&self, width: usize) -> (Reference<V>, Reference<V>) {
+    fn split_at(&self, width: usize) -> (Reference, Reference) {
         let cut = self
             .rows
             .iter()
@@ -375,6 +377,14 @@ impl<V: Value> Reference<V> {
                 row_last: self.row_of[w[1] - 1],
             })
             .collect()
+    }
+
+    /// COO's reference for an executor with `workers` lanes.
+    fn coo<V: Value>(&self, workers: usize) -> impl Fn(usize, V, &[f64], V, &mut [V]) + '_ {
+        let segments = self.coo_segments(workers);
+        move |k, alpha, b, beta, x| {
+            reference_segments(self, &segments, sum_in_order, k, alpha, b, beta, x)
+        }
     }
 
     fn max_row_len(&self, rows: std::ops::Range<usize>) -> usize {
@@ -463,13 +473,11 @@ fn assert_bounded<V: Value>(
 
 /// `(Σ a_j b_j, Σ |a_j b_j|, len)` in `f64` for every output of `rows` times
 /// the `k` columns of `b`: what [`assert_bounded`] measures against.
-fn exact_products<V: Value>(rows: &[Vec<Entry<V>>], k: usize, b: &[V]) -> Vec<(f64, f64, usize)> {
+fn exact_products(rows: &[Vec<Entry>], k: usize, b: &[f64]) -> Vec<(f64, f64, usize)> {
     let mut out = Vec::with_capacity(rows.len() * k);
     for entries in rows {
         for c in 0..k {
-            let products = entries
-                .iter()
-                .map(|&(v, col)| v.to_f64() * b[col * k + c].to_f64());
+            let products = entries.iter().map(|&(v, col)| v * b[col * k + c]);
             let (sum, size) = products.fold((0.0, 0.0), |(s, m), p| (s + p, m + p.abs()));
             out.push((sum, size, entries.len()));
         }
@@ -477,8 +485,8 @@ fn exact_products<V: Value>(rows: &[Vec<Entry<V>>], k: usize, b: &[V]) -> Vec<(f
     out
 }
 
-/// A reference SpMV: `(k, alpha, b, beta, x)`.
-type ReferenceApply<'a, V> = &'a dyn Fn(usize, V, &[V], V, &mut [V]);
+/// A reference SpMV: `(k, alpha, b widened to f64, beta, x)`.
+type ReferenceApply<'a, V> = &'a dyn Fn(usize, V, &[f64], V, &mut [V]);
 
 /// Where an operator's cells sit: executor, format or strategy, and input.
 struct Site<'a> {
@@ -493,14 +501,14 @@ struct Site<'a> {
 fn check_op<V: Value, I: Index>(
     site: &Site,
     op: &dyn LinOp<V>,
-    rows: &[Vec<Entry<V>>],
+    rows: &[Vec<Entry>],
     reference: ReferenceApply<V>,
 ) {
     let (dim, exec, on) = (op.size(), site.exec, common::label(site.exec));
     let roundoff = (V::eps() / 2.0, smallest_subnormal::<V>());
     for k in [1usize, 3] {
         let b = dense::<V>(exec, dim.cols, k, rhs_value);
-        let bv = b.to_host_vec();
+        let bv: Vec<f64> = b.as_slice().iter().map(|v| v.to_f64()).collect();
         let x0 = dense::<V>(exec, dim.rows, k, x0_value);
         let x0v = x0.to_host_vec();
         let exact = exact_products(rows, k, &bv);
@@ -549,7 +557,7 @@ fn check_op<V: Value, I: Index>(
 fn check_csr<V: Value, I: Index>(
     exec: &Executor,
     csr: &Csr<V, I>,
-    m: &Reference<V>,
+    m: &Reference,
     input: &str,
     plan_check: impl Fn(SpmvStrategy, &SpmvPlan, &str),
 ) {
@@ -572,11 +580,9 @@ fn check_csr<V: Value, I: Index>(
             assert_eq!(plan.resolved, ResolvedStrategy::MergePath, "{ctx}");
         }
         plan_check(strategy, &plan, &ctx);
-        let reference = |k, alpha, b: &[V], beta, x: &mut [V]| match plan.resolved {
+        let reference = |k, alpha, b: &[f64], beta, x: &mut [V]| match plan.resolved {
             ResolvedStrategy::MergePath => {
-                let sum = row_sum::<V>(k);
-                let (entries, row_of) = (&m.entries, &m.row_of);
-                reference_segments(entries, row_of, &plan.segments, sum, k, alpha, b, beta, x)
+                reference_segments(m, &plan.segments, row_sum(k), k, alpha, b, beta, x)
             }
             _ => reference_rows(&m.rows, k, alpha, b, beta, x),
         };
@@ -601,29 +607,7 @@ where
 
             check_csr(&exec, &csr, &m, name, |_, _, _| {});
 
-            let reference_coo = |part: &Reference<V>, segments: &[MergeSegment]| {
-                let (entries, row_of) = (part.entries.clone(), part.row_of.clone());
-                let segments = segments.to_vec();
-                move |k: usize, alpha: V, b: &[V], beta: V, x: &mut [V]| {
-                    reference_segments(
-                        &entries,
-                        &row_of,
-                        &segments,
-                        sum_in_order,
-                        k,
-                        alpha,
-                        b,
-                        beta,
-                        x,
-                    )
-                }
-            };
-            check_op::<V, I>(
-                &site("coo"),
-                &Coo::from_csr(&csr),
-                &m.rows,
-                &reference_coo(&m, &m.coo_segments(workers)),
-            );
+            check_op::<V, I>(&site("coo"), &Coo::from_csr(&csr), &m.rows, &m.coo(workers));
 
             let ell_rows = m.padded(|_| m.max_row_len(0..dim.rows));
             check_op::<V, I>(
@@ -657,7 +641,7 @@ where
             };
             let (head, overflow) = m.split_at(width);
             let head_rows = head.padded(|_| head.max_row_len(0..dim.rows));
-            let accumulate = reference_coo(&overflow, &overflow.coo_segments(workers));
+            let accumulate = overflow.coo(workers);
             check_op::<V, I>(
                 &site("hybrid"),
                 &Hybrid::from_csr(&csr),

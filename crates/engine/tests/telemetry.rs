@@ -8,38 +8,18 @@ use gko::linop::LinOp;
 use gko::log::{Event, Logger};
 use gko::matrix::{Csr, Dense};
 use gko::preconditioner::Jacobi;
-use gko::solver::{Cg, Ir};
+use gko::solver::Ir;
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::prom;
 use gko::telemetry::recorder::{DRIFT_RATIO, IMBALANCE_MIN_BUSY_NS, STAGNATION_WINDOW};
 use gko::{Anomaly, DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
-    let mut t = Vec::new();
-    for i in 0..n {
-        t.push((i, i, 4.0));
-        if i > 0 {
-            t.push((i, i - 1, -1.0));
-            t.push((i - 1, i, -1.0));
-        }
-    }
-    Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
-}
-
-fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) -> StopReason {
-    let n = a.size().rows;
-    let solver = Cg::new(a.clone())
-        .unwrap()
-        .with_criteria(Criteria::iterations_and_reduction(2 * n, 1e-10));
-    let b = Dense::<f64>::filled(exec, Dim2::new(n, 1), 1.0);
-    let mut x = Dense::<f64>::zeros(exec, Dim2::new(n, 1));
-    solver.apply(&b, &mut x).unwrap();
-    solver.logger().snapshot().stop_reason.unwrap()
-}
+mod common;
+use common::{http_get, poisson_csr, quiet_detectors, solve_cg};
 
 /// The flight plane alone, screened by `detectors`.
 fn flights(detectors: DetectorConfig) -> ObserveConfig {
@@ -53,32 +33,6 @@ fn flights(detectors: DetectorConfig) -> ObserveConfig {
 fn record_flights(exec: &Executor, detectors: DetectorConfig) -> &Observer {
     exec.observe(flights(detectors));
     exec.observer()
-}
-
-/// Detector thresholds with the two timing-based detectors switched off.
-fn quiet_detectors() -> DetectorConfig {
-    DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-    }
-}
-
-/// Minimal HTTP/1.1 GET over a raw `TcpStream`; returns (status line, body).
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to telemetry server");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: telemetry\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let text = String::from_utf8(raw).expect("response is UTF-8");
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split");
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
 }
 
 /// Satellite 3: four scraper threads hammer `/metrics` and `/healthz` while
@@ -123,11 +77,7 @@ fn concurrent_scrapes_during_solve_are_never_torn() {
         .collect();
 
     for _ in 0..12 {
-        let reason = solve_cg(&exec, &a);
-        assert!(
-            reason.is_converged(),
-            "reference solve converged: {reason:?}"
-        );
+        solve_cg(&exec, &a);
     }
     done.store(true, Ordering::Release);
     for handle in scrapers {
@@ -251,7 +201,7 @@ fn skewed_chunks_trigger_lane_imbalance() {
 
     // A tiny healthy solve closes out the report carrying the skewed delta.
     let a = Arc::new(poisson_csr(&exec, 64));
-    assert!(solve_cg(&exec, &a).is_converged());
+    solve_cg(&exec, &a);
 
     let report = recorder.latest_run().expect("solve recorded");
     let flagged: Vec<_> = report
@@ -375,7 +325,7 @@ fn healthy_reference_solves_produce_no_anomalies() {
     let recorder = record_flights(&exec, DetectorConfig::default());
     let a = Arc::new(poisson_csr(&exec, 1024));
     for _ in 0..6 {
-        assert!(solve_cg(&exec, &a).is_converged());
+        solve_cg(&exec, &a);
     }
     let status = recorder.status();
     assert_eq!(status.runs, 6);
@@ -427,7 +377,7 @@ fn runs_limit_truncates_newest_first() {
     let server = exec.serve_telemetry("127.0.0.1:0").unwrap();
     let a = Arc::new(poisson_csr(&exec, 256));
     for _ in 0..5 {
-        assert!(solve_cg(&exec, &a).is_converged());
+        solve_cg(&exec, &a);
     }
 
     let (status, body) = http_get(server.addr(), "/runs?limit=2");

@@ -9,7 +9,7 @@ use gko::linop::LinOp;
 use gko::log::{Event, Logger};
 use gko::matrix::{BatchCsr, BatchDense, Csr, Dense};
 use gko::preconditioner::Jacobi;
-use gko::solver::{BatchCg, Cg, Ir};
+use gko::solver::{BatchCg, Ir};
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::BatchOutcome;
 use gko::trace::{SpanKind, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS, OWNER_LANE};
@@ -17,46 +17,8 @@ use gko::{DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-fn poisson_csr(exec: &Executor, n: usize) -> Csr<f64, i32> {
-    let mut t = Vec::new();
-    for i in 0..n {
-        t.push((i, i, 4.0));
-        if i > 0 {
-            t.push((i, i - 1, -1.0));
-            t.push((i - 1, i, -1.0));
-        }
-    }
-    Csr::from_triplets(exec, Dim2::square(n), &t).unwrap()
-}
-
-fn solve_cg(exec: &Executor, a: &Arc<Csr<f64, i32>>) {
-    let n = a.size().rows;
-    let solver = Cg::new(a.clone())
-        .unwrap()
-        .with_criteria(Criteria::iterations_and_reduction(2 * n, 1e-10));
-    let b = Dense::<f64>::filled(exec, Dim2::new(n, 1), 1.0);
-    let mut x = Dense::<f64>::zeros(exec, Dim2::new(n, 1));
-    solver.apply(&b, &mut x).unwrap();
-    assert!(
-        solver
-            .logger()
-            .snapshot()
-            .stop_reason
-            .unwrap()
-            .is_converged(),
-        "reference solve must converge"
-    );
-}
-
-/// Flight-recorder thresholds with the timing-based detectors neutralized:
-/// these tests assert on *tracing* behaviour, and wall-clock detectors fire
-/// spuriously on oversubscribed CI hosts.
-fn quiet_detectors() -> DetectorConfig {
-    DetectorConfig {
-        drift_min_solves: u64::MAX,
-        imbalance_ratio: f64::INFINITY,
-    }
-}
+mod common;
+use common::{poisson_csr, quiet_detectors, solve_cg};
 
 /// Tracing under `policy`, screened by the quiet detectors.
 fn traced(policy: TraceConfig) -> ObserveConfig {
