@@ -467,9 +467,9 @@ const OUTSIDE_THE_BAND: [&str; 11] = [
 fn every_executor_stays_in_the_band_of_the_reference() {
     let [reference, omp7] = executors();
     let others: Vec<Executor> = std::iter::once(omp7).chain(fingerprinted()).collect();
-    let system = |name: &str, exec: &Executor| match name {
-        "poisson12" => common::poisson(exec, 12),
-        _ => stencil(exec, if name == "spd" { 0.0 } else { 0.35 }),
+    let system = |name: &str, exec: &Executor| match SYSTEMS.iter().find(|s| s.0 == name) {
+        Some(&(_, skew)) => stencil(exec, skew),
+        None => common::poisson(exec, 12),
     };
     let run = |kind: &str, pname: &str, a: &Arc<Csr<f64, i32>>| {
         let criteria = Criteria::iterations(BAND_ITERS);

@@ -47,7 +47,7 @@ use gko::matrix::{
 };
 use gko::{Dim2, Executor, Index, TripletValue, Value};
 use pygko_half::Half;
-use pygko_sim::testing::{case_rng, sparse_triplets};
+use pygko_sim::testing::{case_rng, sparse_triplets, DEFAULT_CASES};
 
 mod common;
 
@@ -89,6 +89,7 @@ fn matrices() -> Vec<(&'static str, Dim2, Triplets)> {
         with_row_lengths(9, &[0, 0, 0, 3, 1, 5, 2, 0, 0, 0, 0]),
     );
     add("all_empty", (Dim2::new(6, 5), Vec::new()));
+    add("all_empty_square", (Dim2::square(9), Vec::new()));
     add("zero_rows", (Dim2::new(0, 7), Vec::new()));
     add("one_by_one", (Dim2::new(1, 1), vec![(0, 0, -1.5)]));
     // Every entry in one row: any nonzero partition cuts it repeatedly.
@@ -427,7 +428,8 @@ fn smallest_subnormal<V: Value>() -> f64 {
 }
 
 /// The bounded tier: every output against the exact product of the inputs
-/// as stored in `V`, `alpha A b + beta x0`, evaluated in `f64` from `rows`.
+/// as stored in `V`, `alpha A b + beta x0`, evaluated in `f64` from the
+/// [`exact_products`] of the rows.
 ///
 /// Take one output of a row of `len` stored entries; `u` is the unit roundoff
 /// of `V` (`f64`'s is no larger), `η` its smallest subnormal,
@@ -590,67 +592,75 @@ fn check_csr<V: Value, I: Index>(
     }
 }
 
+/// Every format and CSR strategy on one matrix on `exec`.
+fn check_formats<V: Value, I: Index>(exec: &Executor, name: &str, dim: Dim2, triplets: &Triplets)
+where
+    f64: TripletValue<V>,
+{
+    let workers = exec.spec().workers;
+    let csr = Csr::<V, I>::from_triplets(exec, dim, triplets).unwrap();
+    let m = Reference::of(&csr);
+    let site = |format: &str| Site {
+        exec,
+        format: format.to_string(),
+        input: name,
+    };
+
+    check_csr(exec, &csr, &m, name, |_, _, _| {});
+
+    check_op::<V, I>(&site("coo"), &Coo::from_csr(&csr), &m.rows, &m.coo(workers));
+
+    let ell_rows = m.padded(|_| m.max_row_len(0..dim.rows));
+    check_op::<V, I>(
+        &site("ell"),
+        &Ell::from_csr(&csr),
+        &m.rows,
+        &|k, alpha, b, beta, x| reference_rows(&ell_rows, k, alpha, b, beta, x),
+    );
+
+    // The default slice, and two that leave a ragged last slice.
+    for slice in [32usize, 4, 3] {
+        let width = |r: usize| {
+            let lo = r / slice * slice;
+            m.max_row_len(lo..(lo + slice).min(dim.rows))
+        };
+        let sellp_rows = m.padded(width);
+        check_op::<V, I>(
+            &site(&format!("sellp/{slice}")),
+            &Sellp::from_csr_with_slice(&csr, slice),
+            &m.rows,
+            &|k, alpha, b, beta, x| reference_rows(&sellp_rows, k, alpha, b, beta, x),
+        );
+    }
+
+    // Hybrid: the ELL part applies alpha / beta, COO accumulates.
+    let mut lens: Vec<usize> = m.rows.iter().map(Vec::len).collect();
+    lens.sort_unstable();
+    let width = match dim.rows {
+        0 => 0,
+        rows => lens[((rows - 1) as f64 * DEFAULT_PERCENTILE) as usize],
+    };
+    let (head, overflow) = m.split_at(width);
+    let head_rows = head.padded(|_| head.max_row_len(0..dim.rows));
+    let accumulate = overflow.coo(workers);
+    check_op::<V, I>(
+        &site("hybrid"),
+        &Hybrid::from_csr(&csr),
+        &m.rows,
+        &|k, alpha, b, beta, x| {
+            reference_rows(&head_rows, k, alpha, b, beta, x);
+            accumulate(k, alpha, b, V::one(), x);
+        },
+    );
+}
+
 fn check_all_formats<V: Value, I: Index>()
 where
     f64: TripletValue<V>,
 {
     for exec in common::executors() {
-        let workers = exec.spec().workers;
         for (name, dim, triplets) in matrices() {
-            let csr = Csr::<V, I>::from_triplets(&exec, dim, &triplets).unwrap();
-            let m = Reference::of(&csr);
-            let site = |format: &str| Site {
-                exec: &exec,
-                format: format.to_string(),
-                input: name,
-            };
-
-            check_csr(&exec, &csr, &m, name, |_, _, _| {});
-
-            check_op::<V, I>(&site("coo"), &Coo::from_csr(&csr), &m.rows, &m.coo(workers));
-
-            let ell_rows = m.padded(|_| m.max_row_len(0..dim.rows));
-            check_op::<V, I>(
-                &site("ell"),
-                &Ell::from_csr(&csr),
-                &m.rows,
-                &|k, alpha, b, beta, x| reference_rows(&ell_rows, k, alpha, b, beta, x),
-            );
-
-            // The default slice, and two that leave a ragged last slice.
-            for slice in [32usize, 4, 3] {
-                let width = |r: usize| {
-                    let lo = r / slice * slice;
-                    m.max_row_len(lo..(lo + slice).min(dim.rows))
-                };
-                let sellp_rows = m.padded(width);
-                check_op::<V, I>(
-                    &site(&format!("sellp/{slice}")),
-                    &Sellp::from_csr_with_slice(&csr, slice),
-                    &m.rows,
-                    &|k, alpha, b, beta, x| reference_rows(&sellp_rows, k, alpha, b, beta, x),
-                );
-            }
-
-            // Hybrid: the ELL part applies alpha / beta, COO accumulates.
-            let mut lens: Vec<usize> = m.rows.iter().map(Vec::len).collect();
-            lens.sort_unstable();
-            let width = match dim.rows {
-                0 => 0,
-                rows => lens[((rows - 1) as f64 * DEFAULT_PERCENTILE) as usize],
-            };
-            let (head, overflow) = m.split_at(width);
-            let head_rows = head.padded(|_| head.max_row_len(0..dim.rows));
-            let accumulate = overflow.coo(workers);
-            check_op::<V, I>(
-                &site("hybrid"),
-                &Hybrid::from_csr(&csr),
-                &m.rows,
-                &|k, alpha, b, beta, x| {
-                    reference_rows(&head_rows, k, alpha, b, beta, x);
-                    accumulate(k, alpha, b, V::one(), x);
-                },
-            );
+            check_formats::<V, I>(&exec, name, dim, &triplets);
         }
     }
     common::print_coverage(&format!("spmv_bits::{}/{}", V::NAME, I::NAME));
@@ -686,6 +696,24 @@ where
         });
     }
     common::print_coverage(&format!("spmv_bits::irregular {}/{}", V::NAME, I::NAME));
+}
+
+/// The seeded random matrices of the engine's property tests, 64 per stream
+/// (`pygko_sim::testing`'s `sparse_triplets(rng, 2, 20, 50, 5.0)` on
+/// `case_rng(stream, case)`), each on the executor its property ran on.
+#[test]
+fn seeded_random_matrices_double_int32() {
+    let streams = [
+        ("all_formats_agree", Executor::reference()),
+        ("strategies_agree", Executor::omp(4)),
+    ];
+    for (stream, exec) in &streams {
+        for case in 0..DEFAULT_CASES as u64 {
+            let (n, t) = sparse_triplets(&mut case_rng(stream, case), 2, 20, 50, 5.0);
+            check_formats::<f64, i32>(exec, stream, Dim2::square(n), &t);
+        }
+    }
+    common::print_coverage("spmv_bits::seeded random double/int32");
 }
 
 #[test]
