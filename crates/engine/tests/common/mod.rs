@@ -1,7 +1,9 @@
 //! Builders, executor lists and comparisons shared by the engine's
-//! integration tests.
+//! integration tests, and the SpMV oracle ([`spmv`]).
 
 #![allow(dead_code)]
+
+pub mod spmv;
 
 use gko::linop::LinOp;
 use gko::matrix::{Csr, Dense};
@@ -86,6 +88,43 @@ pub fn poisson(exec: &Executor, g: usize) -> Arc<Csr<f64, i32>> {
         }
     }
     Arc::new(Csr::from_triplets(exec, Dim2::square(n), &t).unwrap())
+}
+
+/// Iterations the solver band covers, and the ulps one reduction
+/// reassociated by another chunk partition may move by.
+pub const BAND_ITERS: usize = 8;
+pub const BAND_ULPS: u64 = 4;
+
+/// The solver band: a run's residual history and solution against a live
+/// reference run of [`BAND_ITERS`] iterations. A Krylov solve compounds the
+/// few ulps of a reassociated reduction multiplicatively (each iteration's
+/// dots scale the next one's coefficients), so the bound doubles per
+/// iteration: residual `i` within `BAND_ULPS << (i + 1)` ulps, the solution
+/// within `BAND_ULPS << BAND_ITERS` (about 2e-13 relative). A racing or
+/// mispartitioned kernel produces wholesale different numbers, not a few
+/// hundred ulps.
+pub fn assert_in_band(case: &str, got: (&[f64], &[f64]), reference: (&[f64], &[f64])) {
+    let ((history, x), (want_history, want_x)) = (got, reference);
+    assert_eq!(
+        want_history.len(),
+        BAND_ITERS,
+        "{case}: reference iterations"
+    );
+    assert_eq!(history.len(), BAND_ITERS, "{case}: iterations");
+    for (i, (got, want)) in history.iter().zip(want_history).enumerate() {
+        let (off, tol) = (ulps(*got, *want), BAND_ULPS << (i + 1));
+        assert!(
+            off <= tol,
+            "{case} residual[{i}]: {got} vs {want}, {off} ulps, band {tol}"
+        );
+    }
+    for (i, (got, want)) in x.iter().zip(want_x).enumerate() {
+        let (off, tol) = (ulps(*got, *want), BAND_ULPS << BAND_ITERS);
+        assert!(
+            off <= tol,
+            "{case} x[{i}]: {got} vs {want}, {off} ulps, band {tol}"
+        );
+    }
 }
 
 /// Checked cells per axis and value.

@@ -1,8 +1,10 @@
-//! Engine-level randomized property tests: operator algebra, factorization
-//! residuals, and config JSON round trips on random inputs, driven by the
-//! deterministic in-tree harness (`pygko_sim::testing`). SpMV agreement
-//! between formats, strategies and executors is checked in `spmv_bits.rs`.
+//! Engine-level randomized property tests: SpMV agreement between formats
+//! and strategies, operator algebra, factorization residuals, and config
+//! JSON round trips on random inputs, driven by the deterministic in-tree
+//! harness (`pygko_sim::testing`). The SpMV properties run the SpMV oracle
+//! (`common/spmv.rs`) on their random matrices.
 
+use common::spmv::{check_formats, FORMATS};
 use gko::config::Config;
 use gko::linop::LinOp;
 use gko::matrix::{Csr, Dense};
@@ -10,6 +12,8 @@ use gko::{Dim2, Executor};
 use pygko_sim::rng::Xoshiro256pp;
 use pygko_sim::testing::{check, sparse_triplets};
 use std::collections::BTreeMap;
+
+mod common;
 
 /// Random square sparse matrix as (n, unique sorted triplets).
 fn sparse(rng: &mut Xoshiro256pp) -> (usize, Vec<(usize, usize, f64)>) {
@@ -52,6 +56,32 @@ fn config_tree(rng: &mut Xoshiro256pp, depth: usize) -> Config {
         }
         Config::Map(map)
     }
+}
+
+/// Every format and CSR strategy agrees with the summation-order reference
+/// bit for bit, and with the exact product within the bounded tier.
+#[test]
+fn all_formats_agree() {
+    let exec = Executor::reference();
+    check("all_formats_agree", |rng| {
+        let (n, t) = sparse(rng);
+        check_formats::<f64, i32>(&exec, "all_formats_agree", Dim2::square(n), &t, &FORMATS);
+    });
+    common::print_coverage("proptests::all_formats_agree");
+}
+
+/// The CSR strategies agree bit for bit on `omp(4)`: the partition changes
+/// scheduling, not the per-row summation order, so Classical and
+/// LoadBalance both equal the row-kernel reference (and every other format
+/// its own reference, on this executor's partitions).
+#[test]
+fn strategies_agree() {
+    let exec = Executor::omp(4);
+    check("strategies_agree", |rng| {
+        let (n, t) = sparse(rng);
+        check_formats::<f64, i32>(&exec, "strategies_agree", Dim2::square(n), &t, &FORMATS);
+    });
+    common::print_coverage("proptests::strategies_agree");
 }
 
 /// Transpose is an involution.

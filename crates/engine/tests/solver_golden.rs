@@ -25,12 +25,13 @@
 //! history and solution bits. Every case that converges also checks its true
 //! residual `‖b - A x‖ / ‖b‖` against [`true_residual_bound`]. The bounded
 //! tier, `every_executor_stays_in_the_band_of_the_reference`, compares the
-//! first [`BAND_ITERS`] iterations on every executor but the reference with
-//! a live reference run, inside an ulp band that doubles per iteration, on
-//! the two golden systems and a 12 x 12 Poisson system; the cells that
-//! outgrow the band are listed in [`OUTSIDE_THE_BAND`] and pinned by their
-//! fingerprints only. A cell is one (kind, system, preconditioner, executor,
-//! tier); `--nocapture` prints the count per axis.
+//! first `common::BAND_ITERS` iterations on every executor but the reference
+//! with a live reference run, inside an ulp band that doubles per iteration
+//! (`common::assert_in_band`), on the two golden systems and a 12 x 12
+//! Poisson system; the cells that outgrow the band are listed in
+//! [`OUTSIDE_THE_BAND`] and pinned by their fingerprints only. A cell is one
+//! (kind, system, preconditioner, executor, tier); `--nocapture` prints the
+//! count per axis.
 //!
 //! The same runs assert the event contract of a solve: one
 //! `IterationComplete` per counted iteration and exactly one
@@ -433,10 +434,6 @@ fn print_golden_table() {
 // The band: other executors against a live reference run
 // ---------------------------------------------------------------------------
 
-/// Iterations the band covers, and the bound of one reassociated reduction.
-const BAND_ITERS: usize = 8;
-const BAND_ULPS: u64 = 4;
-
 /// Cells whose rounding differences outgrow the band: the Jacobi-scaled CGS
 /// and BiCGStab recurrences amplify them faster than doubling (by up to
 /// 8.3x past the band). They are pinned by [`FINGERPRINTS`] only.
@@ -455,14 +452,8 @@ const OUTSIDE_THE_BAND: [&str; 11] = [
 ];
 
 /// Each (kind, system, preconditioner) on every other executor against the
-/// reference executor, over [`BAND_ITERS`] iterations of the golden systems
-/// and a 12 x 12 Poisson system. A reduction reassociated by another chunk
-/// partition differs by a few ulps; a Krylov solve compounds that
-/// multiplicatively (each iteration's dots scale the next one's
-/// coefficients), so the bound doubles per iteration: residual `i` within
-/// `BAND_ULPS << (i + 1)` ulps, the solution within `BAND_ULPS << BAND_ITERS`
-/// (about 2e-13 relative). A racing or mispartitioned kernel produces
-/// wholesale different numbers, not a few hundred ulps.
+/// reference executor, inside `common::assert_in_band`'s band, on the
+/// golden systems and a 12 x 12 Poisson system.
 #[test]
 fn every_executor_stays_in_the_band_of_the_reference() {
     let [reference, omp7] = executors();
@@ -472,7 +463,7 @@ fn every_executor_stays_in_the_band_of_the_reference() {
         None => common::poisson(exec, 12),
     };
     let run = |kind: &str, pname: &str, a: &Arc<Csr<f64, i32>>| {
-        let criteria = Criteria::iterations(BAND_ITERS);
+        let criteria = Criteria::iterations(common::BAND_ITERS);
         let (op, logger) = solver_under_test(kind, a, criteria, pname == "jacobi", None);
         let (exec, n) = (a.executor(), a.size().rows);
         let mut x = Dense::zeros(exec, Dim2::new(n, 1));
@@ -481,25 +472,14 @@ fn every_executor_stays_in_the_band_of_the_reference() {
     };
     for sys_name in ["spd", "unsym", "poisson12"] {
         for (kind, pname) in configs() {
-            let (want_history, want_x) = run(kind, pname, &system(sys_name, &reference));
-            assert_eq!(want_history.len(), BAND_ITERS, "{kind}/{sys_name}/{pname}");
+            let want = run(kind, pname, &system(sys_name, &reference));
             for exec in &others {
                 let case = format!("{kind}/{sys_name}/{pname}/{}", common::label(exec));
                 if OUTSIDE_THE_BAND.contains(&case.as_str()) {
                     continue;
                 }
                 let (history, x) = run(kind, pname, &system(sys_name, exec));
-                assert_eq!(history.len(), want_history.len(), "{case}: iterations");
-                for (i, (got, want)) in history.iter().zip(&want_history).enumerate() {
-                    let tol = BAND_ULPS << (i + 1);
-                    let off = common::ulps(*got, *want);
-                    assert!(off <= tol, "{case} residual[{i}]: {off} ulps, band {tol}");
-                }
-                let tol = BAND_ULPS << BAND_ITERS;
-                for (i, (got, want)) in x.iter().zip(&want_x).enumerate() {
-                    let off = common::ulps(*got, *want);
-                    assert!(off <= tol, "{case} x[{i}]: {off} ulps, band {tol}");
-                }
+                common::assert_in_band(&case, (&history, &x), (&want.0, &want.1));
                 cover_case(&case, "band");
             }
         }
