@@ -12,13 +12,12 @@ use gko::preconditioner::Jacobi;
 use gko::solver::{BatchCg, Ir};
 use gko::stop::{Criteria, StopReason};
 use gko::telemetry::BatchOutcome;
-use gko::trace::{SpanKind, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS, OWNER_LANE};
+use gko::trace::{SpanKind, TraceConfig, LATENCY_THRESHOLD_NS};
 use gko::{DetectorConfig, Dim2, Executor, ObserveConfig, Observer};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 mod common;
-use common::{poisson_csr, quiet_detectors, solve_cg};
+use common::{assert_rooted_tree, poisson_csr, quiet_detectors, solve_cg};
 
 /// Tracing under `policy`, screened by the quiet detectors.
 fn traced(policy: TraceConfig) -> ObserveConfig {
@@ -34,67 +33,6 @@ fn sampled(sample_n: u64) -> TraceConfig {
     TraceConfig {
         sample_n,
         ..TraceConfig::default()
-    }
-}
-
-/// Structural validation of a span tree: unique ids, exactly one root (the
-/// report's `root`), every parent resolvable, and for every dispatch span
-/// the chunk spans parented under it exactly tile `0..chunk_count`.
-fn assert_rooted_tree(report: &TraceReport, lanes: usize) {
-    let mut ids = BTreeSet::new();
-    for s in &report.spans {
-        assert!(ids.insert(s.id), "duplicate span id {} in {report:?}", s.id);
-    }
-    let roots: Vec<_> = report.spans.iter().filter(|s| s.parent == 0).collect();
-    assert_eq!(roots.len(), 1, "exactly one root span: {report:?}");
-    assert_eq!(roots[0].id, report.root);
-    assert_eq!(roots[0].kind, SpanKind::Solve);
-    for s in &report.spans {
-        if s.parent != 0 {
-            assert!(
-                ids.contains(&s.parent),
-                "span {} has dangling parent {}",
-                s.id,
-                s.parent
-            );
-        }
-        match s.kind {
-            SpanKind::Chunk => {
-                assert!(
-                    (s.lane as usize) < lanes,
-                    "chunk lane {} out of range",
-                    s.lane
-                );
-            }
-            _ => assert_eq!(s.lane, OWNER_LANE, "owner-thread span has a lane"),
-        }
-    }
-    // Per-dispatch tiling: a dispatch span's `index` is its chunk count, and
-    // the chunk spans parented under it must carry exactly the indices
-    // 0..count, each once.
-    let dispatches: Vec<_> = report
-        .spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Dispatch)
-        .collect();
-    assert!(
-        !dispatches.is_empty(),
-        "pooled solve produced no dispatch spans"
-    );
-    for d in &dispatches {
-        let mut chunk_indices: Vec<u64> = report
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Chunk && s.parent == d.id)
-            .map(|s| s.index)
-            .collect();
-        chunk_indices.sort_unstable();
-        let expected: Vec<u64> = (0..d.index).collect();
-        assert_eq!(
-            chunk_indices, expected,
-            "chunk spans must tile dispatch {} exactly",
-            d.id
-        );
     }
 }
 
