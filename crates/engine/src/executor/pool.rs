@@ -29,7 +29,7 @@ use crate::executor::Executor;
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Counters describing everything a [`WorkerPool`] has done since creation.
@@ -37,9 +37,11 @@ use std::time::Instant;
 pub struct PoolStats {
     /// Jobs submitted (one per parallel kernel execution).
     pub dispatches: u64,
-    /// Chunk closures executed across all jobs.
+    /// Chunk closures executed across all jobs: the sum over the lanes'
+    /// [`LaneStats::chunks`].
     pub chunks: u64,
-    /// Chunks executed by a thread other than the queue's home worker.
+    /// Chunks executed by a thread other than the queue's home worker: the
+    /// sum over the lanes' [`LaneStats::steals`].
     pub steals: u64,
     /// Times a worker went to sleep waiting for work.
     pub parks: u64,
@@ -135,6 +137,92 @@ struct LaneCounters {
 /// [`WorkerPool::run`], which blocks until every worker is done with it.
 type TaskPtr = *const (dyn Fn(usize) + Sync);
 
+/// One chunk as a lane ran it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ChunkRun {
+    /// The chunk index.
+    pub(crate) index: usize,
+    /// Taken from another lane's queue.
+    pub(crate) steal: bool,
+    /// Nanoseconds from the log's epoch to the chunk's start.
+    pub(crate) start_ns: u64,
+    /// Nanoseconds the chunk closure ran.
+    pub(crate) dur_ns: u64,
+}
+
+/// One lane's chunk runs, padded to a cache line so lanes never
+/// false-share.
+#[repr(align(64))]
+#[derive(Default)]
+struct LaneLog(Mutex<Vec<ChunkRun>>); // lock: pool.chunk_log
+
+/// The per-chunk record of one pool dispatch: which lane ran which chunk,
+/// stolen or not, and when. `drain` writes it, each lane into its own
+/// buffer, whenever the dispatch carries one; the sanitizer checks that the
+/// lanes' chunks partition the dispatch and the tracer turns the runs into
+/// chunk spans.
+pub(crate) struct ChunkLog {
+    epoch: Instant,
+    lanes: Box<[LaneLog]>,
+}
+
+impl ChunkLog {
+    /// An empty log for a pool of `lanes` lanes, its clock starting now.
+    pub(crate) fn new(lanes: usize) -> Self {
+        ChunkLog {
+            // lint: allow(forbidden-api): chunk start times feed trace spans
+            // only; they never enter the virtual timeline or a kernel result.
+            epoch: Instant::now(),
+            lanes: (0..lanes.max(1)).map(|_| LaneLog::default()).collect(),
+        }
+    }
+
+    /// The instant the log's times count from.
+    pub(crate) fn epoch(&self) -> Instant {
+        self.epoch
+    }
+
+    /// Lane `lane`'s buffer, held while the lane drains, with the log's
+    /// epoch. A lane past the log's last records into the last, so a
+    /// miscounted lane id fails the sanitizer's check instead of panicking.
+    pub(crate) fn lane(&self, lane: usize) -> LaneHold<'_> {
+        let buf = &self.lanes[lane.min(self.lanes.len() - 1)];
+        (
+            self.epoch,
+            buf.0.lock().unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
+    /// Every lane's runs, in lane order. Read once the dispatch is over.
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = MutexGuard<'_, Vec<ChunkRun>>> {
+        self.lanes
+            .iter()
+            .map(|buf| buf.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// A draining lane's hold on its buffer of a [`ChunkLog`], with the log's
+/// epoch.
+pub(crate) type LaneHold<'a> = (Instant, MutexGuard<'a, Vec<ChunkRun>>);
+
+/// Runs chunk `index` through `task`, timing and recording the run when the
+/// lane holds a log.
+#[inline]
+fn run_chunk(log: &mut Option<LaneHold<'_>>, index: usize, steal: bool, task: impl FnOnce()) {
+    let Some((epoch, runs)) = log else {
+        return task();
+    };
+    let start_ns = epoch.elapsed().as_nanos() as u64;
+    task();
+    let dur_ns = (epoch.elapsed().as_nanos() as u64).saturating_sub(start_ns);
+    runs.push(ChunkRun {
+        index,
+        steal,
+        start_ns,
+        dur_ns,
+    });
+}
+
 /// One worker's range of chunk indices. `next` is bumped with `fetch_add` by
 /// the owner *and* by thieves; an index is executed iff the fetched value is
 /// still below `end`, so every index in `[start, end)` runs exactly once.
@@ -146,6 +234,9 @@ struct ChunkQueue {
 /// The job currently published to the workers.
 struct Job {
     task: TaskPtr,
+    /// The dispatch's chunk log, null when it carries none. Kept alive like
+    /// `task`.
+    log: *const ChunkLog,
     queues: Vec<ChunkQueue>,
     /// Chunks this job's lanes took from other lanes' queues.
     steals: AtomicU64, // atomic: counter
@@ -167,8 +258,6 @@ struct Shared {
     /// submitting thread.
     panic_slot: Mutex<Option<Box<dyn Any + Send>>>, // lock: pool.panic_slot
     dispatches: AtomicU64, // atomic: counter
-    chunks: AtomicU64,    // atomic: counter
-    steals: AtomicU64,    // atomic: counter
     parks: AtomicU64,     // atomic: counter
     unparks: AtomicU64,   // atomic: counter
     dispatch_ns: AtomicU64, // atomic: counter
@@ -185,28 +274,10 @@ unsafe impl Send for Shared {}
 unsafe impl Sync for Shared {}
 
 thread_local! {
-    /// True while the current thread is executing chunks for some pool, used
-    /// to run nested dispatches inline instead of deadlocking on `submit`.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// The pool lane this thread drains as: worker threads carry their fixed
-    /// id, the submitting thread takes the last lane for the duration of a
-    /// `run`. Read by the sanitizer's claim recording.
-    static POOL_LANE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The pool lane the current thread is executing chunks for (0 outside any
-/// dispatch). Used by the sanitizer to attribute chunk claims to lanes.
-pub(crate) fn current_lane() -> usize {
-    POOL_LANE.with(|l| l.get())
-}
-
-/// The lane whose queue chunk `chunk` was seeded into: mirrors the queue
-/// bounds in [`WorkerPool::run`] (lane `w` owns `[w*chunks/lanes,
-/// (w+1)*chunks/lanes)`), i.e. the smallest `w` whose range still contains
-/// `chunk`. A chunk executed by any other lane was stolen; trace chunk
-/// spans use this to label steals.
-pub(crate) fn home_lane(chunk: usize, chunks: usize, lanes: usize) -> usize {
-    ((chunk + 1) * lanes).saturating_sub(1) / chunks.max(1)
+    /// The lane the current thread is executing chunks as for some pool,
+    /// `None` outside any drain: a nested dispatch runs inline on that lane
+    /// instead of deadlocking on `submit`.
+    static IN_POOL_WORKER: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// A persistent, work-stealing pool of `threads` execution lanes.
@@ -244,8 +315,6 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             panic_slot: Mutex::new(None),
             dispatches: AtomicU64::new(0),
-            chunks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
             dispatch_ns: AtomicU64::new(0),
@@ -280,10 +349,11 @@ impl WorkerPool {
     /// Snapshot of the activity counters.
     pub fn stats(&self) -> PoolStats {
         let s = &self.shared;
+        let lanes = self.lane_stats();
         PoolStats {
             dispatches: s.dispatches.load(Ordering::Relaxed),
-            chunks: s.chunks.load(Ordering::Relaxed),
-            steals: s.steals.load(Ordering::Relaxed),
+            chunks: lanes.iter().map(|l| l.chunks).sum(),
+            steals: lanes.iter().map(|l| l.steals).sum(),
             parks: s.parks.load(Ordering::Relaxed),
             unparks: s.unparks.load(Ordering::Relaxed),
             dispatch_ns: s.dispatch_ns.load(Ordering::Relaxed),
@@ -312,14 +382,26 @@ impl WorkerPool {
     /// dispatch alone did, whatever other threads dispatch meanwhile; a
     /// nested dispatch runs inline and reports nothing.
     pub fn run(&self, n_chunks: usize, task: &(dyn Fn(usize) + Sync)) -> Dispatched {
+        self.run_logged(n_chunks, task, None)
+    }
+
+    /// [`WorkerPool::run`], with every chunk run recorded in `log` when
+    /// given (a nested dispatch's too, on the lane it runs inline on).
+    pub(crate) fn run_logged(
+        &self,
+        n_chunks: usize,
+        task: &(dyn Fn(usize) + Sync),
+        log: Option<&ChunkLog>,
+    ) -> Dispatched {
         if n_chunks == 0 {
             return Dispatched::default();
         }
         // A chunk closure that itself dispatches (nested parallelism) would
         // deadlock waiting on its own pool; run such jobs inline instead.
-        if IN_POOL_WORKER.with(|w| w.get()) {
-            for i in 0..n_chunks {
-                task(i);
+        if let Some(lane) = IN_POOL_WORKER.with(Cell::get) {
+            let mut log = log.map(|log| log.lane(lane));
+            for index in 0..n_chunks {
+                run_chunk(&mut log, index, false, || task(index));
             }
             return Dispatched::default();
         }
@@ -347,6 +429,7 @@ impl WorkerPool {
         unsafe {
             *self.shared.job.get() = Some(Job {
                 task,
+                log: log.map_or(std::ptr::null(), |log| log as *const ChunkLog),
                 queues,
                 steals: AtomicU64::new(0),
             });
@@ -368,12 +451,11 @@ impl WorkerPool {
             // lint: allow(panic): the slot was set to `Some` a few lines up
             // while holding `submit`, so `as_ref()` cannot be `None`.
             let job = unsafe { (*self.shared.job.get()).as_ref().unwrap() };
-            IN_POOL_WORKER.with(|w| w.set(true));
-            POOL_LANE.with(|l| l.set(lanes - 1));
+            IN_POOL_WORKER.with(|w| w.set(Some(lanes - 1)));
             let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 drain(&self.shared, job, lanes - 1);
             }));
-            IN_POOL_WORKER.with(|w| w.set(false));
+            IN_POOL_WORKER.with(|w| w.set(None));
             if let Err(payload) = drained {
                 store_panic(&self.shared, payload);
             }
@@ -393,8 +475,8 @@ impl WorkerPool {
             }
             drop(epoch);
         }
-        // SAFETY: all lanes are done; drop the job (and the erased pointer)
-        // before `task`'s borrow ends. The lanes' steal counts happen before:
+        // SAFETY: all lanes are done; drop the job (and the erased pointers)
+        // before the borrows of `task` and `log` end. The lanes' steal counts happen before:
         // each worker added its own before the `active` decrement this thread
         // acquired.
         let job = unsafe { (*self.shared.job.get()).take() };
@@ -438,33 +520,33 @@ fn store_panic(shared: &Shared, payload: Box<dyn Any + Send>) {
 }
 
 /// Executes chunks for lane `me`: first its own queue, then round-robin
-/// stealing from the other lanes' queues.
+/// stealing from the other lanes' queues, recording each run in the job's
+/// chunk log when it carries one.
 fn drain(shared: &Shared, job: &Job, me: usize) {
     let lanes = job.queues.len();
     let mut ran = 0u64;
     let mut stolen = 0u64;
+    // SAFETY: `run` keeps the log, like the closure, alive until every lane
+    // exits.
+    let mut log = unsafe { job.log.as_ref() }.map(|log| log.lane(me));
     // lint: allow(forbidden-api): real busy time per lane feeds the
     // utilization-skew telemetry only; it never enters the virtual timeline
     // or any kernel result.
     let start = Instant::now();
     for offset in 0..lanes {
-        let victim = (me + offset) % lanes;
-        let queue = &job.queues[victim];
+        let queue = &job.queues[(me + offset) % lanes];
+        let steal = offset != 0;
         loop {
             let index = queue.next.fetch_add(1, Ordering::Relaxed);
             if index >= queue.end {
                 break;
             }
             // SAFETY: `run` keeps the closure alive until every lane exits.
-            unsafe { (*job.task)(index) };
+            run_chunk(&mut log, index, steal, || unsafe { (*job.task)(index) });
             ran += 1;
-            if offset != 0 {
-                stolen += 1;
-            }
+            stolen += u64::from(steal);
         }
     }
-    shared.chunks.fetch_add(ran, Ordering::Relaxed);
-    shared.steals.fetch_add(stolen, Ordering::Relaxed);
     job.steals.fetch_add(stolen, Ordering::Relaxed);
     if let Some(lane) = shared.lanes.get(me) {
         lane.chunks.fetch_add(ran, Ordering::Relaxed);
@@ -476,7 +558,6 @@ fn drain(shared: &Shared, job: &Job, me: usize) {
 
 /// Body of one parked OS worker.
 fn worker_loop(shared: Arc<Shared>, id: usize) {
-    POOL_LANE.with(|l| l.set(id));
     let mut seen = 0u64;
     loop {
         {
@@ -502,11 +583,11 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             // lint: allow(panic): same handshake — a bumped epoch implies
             // the submitter stored `Some` before notifying.
             let job = unsafe { (*shared.job.get()).as_ref().unwrap() };
-            IN_POOL_WORKER.with(|w| w.set(true));
+            IN_POOL_WORKER.with(|w| w.set(Some(id)));
             let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 drain(&shared, job, id);
             }));
-            IN_POOL_WORKER.with(|w| w.set(false));
+            IN_POOL_WORKER.with(|w| w.set(None));
             if let Err(payload) = drained {
                 store_panic(&shared, payload);
             }
@@ -560,83 +641,44 @@ where
         "bounds must end at the slice length"
     );
     let chunks = bounds.len() - 1;
-    if chunks == 0 {
-        return;
-    }
-
-    let pool = exec.worker_pool();
-    if pool.is_none() || chunks == 1 {
-        let mut rest = out;
-        for i in 0..chunks {
-            let len = bounds[i + 1] - bounds[i];
-            let (head, tail) = rest.split_at_mut(len);
-            f(i, head);
-            rest = tail;
-        }
-        return;
-    }
-
-    // Pre-split the output into disjoint sub-slices; lanes fetch chunk
-    // indices from the pool queues and look their slice up by index.
-    let mut pieces: Vec<&mut [T]> = Vec::with_capacity(chunks);
     let mut rest = out;
-    for i in 0..chunks {
-        let len = bounds[i + 1] - bounds[i];
-        let (head, tail) = rest.split_at_mut(len);
-        pieces.push(head);
+    let pieces = bounds.windows(2).map(move |w| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
         rest = tail;
-    }
+        head
+    });
+    let pool = match exec.worker_pool() {
+        Some(pool) if chunks > 1 => pool,
+        _ => {
+            pieces.enumerate().for_each(|(i, piece)| f(i, piece));
+            return;
+        }
+    };
+    // Lanes fetch chunk indices from the pool queues and look their piece
+    // up by index.
+    let mut pieces: Vec<&mut [T]> = pieces.collect();
     let table = PieceTable(pieces.as_mut_ptr());
-    // lint: allow(panic): the `pool.is_none()` case returned above.
-    let pool = pool.unwrap();
+    // With the sanitizer armed or a trace live on this thread (each off:
+    // one relaxed load), the lanes log every chunk they run. The sanitizer
+    // checks that the log partitions the chunk range (the machine check
+    // behind `PieceTable`'s SAFETY argument); the tracer turns it into the
+    // dispatch span's chunk spans.
+    let sanitize = exec.sanitizer().is_enabled();
+    let span = exec.observer().begin_dispatch(chunks);
+    let log = (sanitize || span.is_some()).then(|| ChunkLog::new(pool.threads()));
     let body = |i: usize| {
         // SAFETY: index `i` is delivered exactly once, so this `&mut` is the
         // only live reference to piece `i`.
-        let piece = unsafe { table.piece(i) };
-        f(i, piece);
+        f(i, unsafe { table.piece(i) });
     };
-    // With the sanitizer on, record which lane claimed which piece and
-    // verify after the drain that the claims exactly partition the chunk
-    // range — the machine check behind `PieceTable`'s SAFETY argument.
-    // Off path: one relaxed load.
-    let claims = exec
-        .sanitizer()
-        .is_enabled()
-        .then(|| crate::sanitize::ClaimLog::new(pool.threads()));
-    // With a trace live on this thread, open a dispatch span and have every
-    // chunk closure record begin/end/steal against the propagated
-    // SpanContext into cache-padded per-lane buffers. Off path (no trace,
-    // or a trace owned by another thread): one relaxed load.
-    let dispatch = exec.observer().begin_dispatch(pool.threads(), chunks);
-    let lanes_total = pool.threads();
-    let dispatched = match (&claims, &dispatch) {
-        (log, Some(d)) => {
-            let ctx = d.context();
-            pool.run(chunks, &move |i| {
-                let lane = current_lane();
-                if let Some(log) = log {
-                    log.record(lane, i);
-                }
-                let t0 = d.now_ns();
-                body(i);
-                let steal = lane != home_lane(i, chunks, lanes_total);
-                d.record(ctx, i, lane, steal, t0, d.now_ns());
-            })
+    let dispatched = pool.run_logged(chunks, &body, log.as_ref());
+    if let Some(log) = &log {
+        if sanitize {
+            exec.sanitizer().check_dispatch(log, chunks);
         }
-        (Some(log), None) => pool.run(chunks, &|i| {
-            log.record(current_lane(), i);
-            body(i);
-        }),
-        (None, None) => pool.run(chunks, &body),
-    };
-    if let Some(log) = &claims {
-        match log.verify(chunks) {
-            Ok(summary) => exec.sanitizer().note_job(summary.pieces),
-            Err(v) => crate::sanitize::report_violation("chunk-overlap detector", &v),
+        if let Some(span) = span {
+            exec.observer().end_dispatch(span, log);
         }
-    }
-    if let Some(d) = dispatch {
-        exec.observer().end_dispatch(d);
     }
     if exec.loggers().is_active() {
         exec.loggers().log(&crate::log::Event::PoolDispatch {
@@ -878,8 +920,9 @@ mod tests {
         // in the first chunk it takes, and the submitter's queue is still
         // untouched when it gets there.
         let submitter_ran = AtomicBool::new(false);
+        let submitter = std::thread::current().id();
         pool.run(64, &|_| {
-            if current_lane() == 3 {
+            if std::thread::current().id() == submitter {
                 submitter_ran.store(true, Ordering::Release);
             }
             while !submitter_ran.load(Ordering::Acquire) {
@@ -964,27 +1007,6 @@ mod tests {
         // Shrunk pool: extra baseline lanes are dropped, not diffed.
         let shrunk = lane_stats_since(&now[..1], &now);
         assert_eq!(shrunk, vec![LaneStats::default()]);
-    }
-
-    #[test]
-    fn home_lane_matches_queue_seeding() {
-        // `home_lane` must agree with the queue bounds `run` seeds
-        // (lane w owns [w*chunks/lanes, (w+1)*chunks/lanes)).
-        for &lanes in &[1usize, 2, 3, 4, 7, 16] {
-            for &chunks in &[2usize, 3, 5, 16, 37, 64] {
-                for w in 0..lanes {
-                    let start = w * chunks / lanes;
-                    let end = (w + 1) * chunks / lanes;
-                    for c in start..end {
-                        assert_eq!(
-                            home_lane(c, chunks, lanes),
-                            w,
-                            "chunk {c} of {chunks} on {lanes} lanes"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   run. `Reference`, `Omp`, `Cuda`, and `Hip` executors are provided; the
 //!   device executors are deterministic performance-model simulations (see
 //!   `pygko-sim`) that execute real numerics.
-//! * **The [`LinOp`](linop::LinOp) abstraction** (paper §4.2) unifies
+//! * **The [`LinOp`] abstraction** (paper §4.2) unifies
 //!   matrices, solvers, and preconditioners behind one `apply` interface,
 //!   enabling composable solver pipelines.
 //! * **Matrix formats** ([`matrix`]): `Dense`, `Csr` (with classical and
@@ -66,6 +66,6 @@ pub use linop::LinOp;
 pub use metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
 pub use observe::{ObserveConfig, Observer, ObserverStatus};
 pub use profile::{DiffRow, FlameStat, ProfileDiff, ProfileSnapshot};
-pub use sanitize::{ClaimLog, PartitionViolation, Sanitizer, SanitizerReport};
+pub use sanitize::{PartitionViolation, Sanitizer, SanitizerReport};
 pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
-pub use trace::{SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceReport};
+pub use trace::{SpanKind, SpanRecord, TraceConfig, TraceReport};

@@ -17,8 +17,8 @@
 //! in flight, the solve counter, the runs ring with its drift baselines, the
 //! trace ring and the flame tree. Event delivery holds the registry's
 //! `log.loggers` and then takes `observe.state`; under `observe.state` only
-//! the per-lane chunk buffers of a dispatch that has already finished are
-//! drained (leaf locks), so `log.loggers -> observe.state` is the only order
+//! the per-lane buffers of a finished dispatch's chunk log are read
+//! (`pool.chunk_log`, leaf locks), so `log.loggers -> observe.state` is the only order
 //! it takes part in.
 //! `Observer::observe` attaches and detaches outside the state lock, and
 //! `observe.arming` (never taken during delivery) serializes concurrent
@@ -53,7 +53,7 @@
 //! stop reason and no iterations.
 
 use crate::config::{json, Config};
-use crate::executor::pool::{lane_stats_since, LaneStats};
+use crate::executor::pool::{lane_stats_since, ChunkLog, LaneStats};
 use crate::executor::WeakExecutor;
 use crate::log::{Event, Logger, LoggerRegistry};
 use crate::metrics::{KernelSnapshot, Log2Histogram, MetricsSnapshot};
@@ -64,8 +64,8 @@ use crate::telemetry::recorder::{
     FlightReport, KernelLatency, ResidualSummary, SystemContext, RUNS_CAPACITY, STAGNATION_WINDOW,
 };
 use crate::trace::{
-    SpanContext, SpanId, SpanKind, SpanRecord, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS,
-    OWNER_LANE, TRACE_CAPACITY,
+    SpanKind, SpanRecord, TraceConfig, TraceReport, LATENCY_THRESHOLD_NS, OWNER_LANE,
+    TRACE_CAPACITY,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -845,20 +845,19 @@ impl Observer {
         flight.runs.push_back(run);
     }
 
-    // -- explicit pool propagation --------------------------------------------
+    // -- pool dispatches -------------------------------------------------------
 
-    /// Opens a dispatch span and hands back the context chunk closures
-    /// record against. Returns `None` — after exactly one relaxed load —
-    /// unless a traced solve is in flight *and* owned by the calling thread
-    /// (nested dispatches submitted by pool workers stay unattributed).
-    pub(crate) fn begin_dispatch(&self, lanes: usize, chunks: usize) -> Option<DispatchTrace> {
+    /// Opens a dispatch span of `chunks` chunks and returns its id. Returns
+    /// `None` — after exactly one relaxed load — unless a traced solve is in
+    /// flight *and* owned by the calling thread (nested dispatches submitted
+    /// by pool workers stay unattributed).
+    pub(crate) fn begin_dispatch(&self, chunks: usize) -> Option<u64> {
         if !self.tracing.load(Ordering::Relaxed) {
             return None;
         }
         let tid = std::thread::current().id();
         let mut guard = self.state();
         let st = &mut *guard;
-        let epoch = st.epoch?;
         let now = st.now_ns();
         let solve = st.solve.as_mut().filter(|s| s.owner == tid)?;
         let t = solve.trace.as_mut()?;
@@ -869,46 +868,41 @@ impl Observer {
             chunks as u64,
             now,
         );
-        Some(DispatchTrace {
-            ctx: SpanContext {
-                parent_span_id: SpanId(st.next_id),
-            },
-            epoch,
-            lanes: (0..lanes.max(1)).map(|_| LaneChunkBuf::default()).collect(),
-        })
+        Some(st.next_id)
     }
 
-    /// Folds a dispatch's per-lane chunk records into the tree and closes
-    /// the dispatch span. Chunk spans parent under the dispatch span from
-    /// the propagated [`SpanContext`].
-    pub(crate) fn end_dispatch(&self, d: DispatchTrace) {
+    /// Turns the drained dispatch's chunk log into chunk spans under the
+    /// dispatch span `dispatch` and closes it. The log's times count from
+    /// its own epoch and are shifted onto the trace's.
+    pub(crate) fn end_dispatch(&self, dispatch: u64, log: &ChunkLog) {
         let mut guard = self.state();
         let st = &mut *guard;
         let now = st.now_ns();
         let max_spans = st.config.trace.map_or(0, |policy| policy.max_spans);
+        let shift = st.epoch.map_or(0, |epoch| {
+            log.epoch().saturating_duration_since(epoch).as_nanos() as u64
+        });
         let Some(t) = st.solve.as_mut().and_then(|s| s.trace.as_mut()) else {
             return;
         };
         // Span ids are never reused, so an open dispatch span of this id is
-        // the one `d` was opened as.
-        let dispatch = d.ctx.parent_span_id.0;
+        // the one `begin_dispatch` opened for this log.
         if !t.open.iter().any(|o| o.id == dispatch) {
             return;
         }
-        for buf in d.lanes.iter() {
-            let mut recs = buf.recs.lock().unwrap_or_else(PoisonError::into_inner);
-            for rec in recs.drain(..) {
+        for (lane, runs) in log.lanes().enumerate() {
+            for run in runs.iter() {
                 st.next_id += 1;
                 let span = SpanRecord {
                     id: st.next_id,
                     parent: dispatch,
                     kind: SpanKind::Chunk,
                     name: "chunk",
-                    lane: rec.lane,
-                    steal: rec.steal,
-                    index: rec.index as u64,
-                    start_ns: rec.start_ns,
-                    dur_ns: rec.dur_ns,
+                    lane: lane as u32,
+                    steal: run.steal,
+                    index: run.index as u64,
+                    start_ns: shift + run.start_ns,
+                    dur_ns: run.dur_ns,
                 };
                 t.push(max_spans, span);
             }
@@ -1046,78 +1040,5 @@ impl Logger for Observer {
 
     fn name(&self) -> &'static str {
         "observer"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch-scoped chunk recording
-// ---------------------------------------------------------------------------
-
-/// One chunk execution recorded by a lane.
-struct ChunkRec {
-    index: usize,
-    lane: u32,
-    steal: bool,
-    start_ns: u64,
-    dur_ns: u64,
-}
-
-/// Cache-line-padded per-lane buffer: each lane appends its own chunk
-/// records without contending with (or false-sharing against) its
-/// neighbours.
-#[repr(align(64))]
-#[derive(Default)]
-struct LaneChunkBuf {
-    recs: Mutex<Vec<ChunkRec>>, // lock: trace.chunkbuf.recs
-}
-
-/// Live handle for one traced pool dispatch: carries the propagated
-/// [`SpanContext`] and the per-lane chunk buffers. Created by
-/// [`Observer::begin_dispatch`], consumed by [`Observer::end_dispatch`].
-pub(crate) struct DispatchTrace {
-    ctx: SpanContext,
-    epoch: Instant,
-    lanes: Box<[LaneChunkBuf]>,
-}
-
-impl DispatchTrace {
-    /// Nanoseconds since the trace epoch (chunk closures sample this at
-    /// begin and end).
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The context chunk closures carry: the dispatch span's id.
-    pub(crate) fn context(&self) -> SpanContext {
-        self.ctx
-    }
-
-    /// Records one executed chunk against the executing lane's buffer.
-    /// `ctx` is the span context the chunk closure carried across the
-    /// dispatch boundary; a record whose context does not match this
-    /// dispatch is discarded rather than attributed to the wrong tree.
-    pub(crate) fn record(
-        &self,
-        ctx: SpanContext,
-        index: usize,
-        lane: usize,
-        steal: bool,
-        start_ns: u64,
-        end_ns: u64,
-    ) {
-        if ctx != self.ctx {
-            return;
-        }
-        let Some(buf) = self.lanes.get(lane.min(self.lanes.len().saturating_sub(1))) else {
-            return;
-        };
-        let mut recs = buf.recs.lock().unwrap_or_else(PoisonError::into_inner);
-        recs.push(ChunkRec {
-            index,
-            lane: lane as u32,
-            steal,
-            start_ns,
-            dur_ns: end_ns.saturating_sub(start_ns),
-        });
     }
 }

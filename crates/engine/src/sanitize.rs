@@ -4,9 +4,9 @@
 //! Three facilities, all zero-cost until the executor's [`Sanitizer`] is
 //! switched on (or, for the last two, until called):
 //!
-//! * **Partition checks** ([`ClaimLog`], [`verify_merge_segments`] and the
-//!   crate's visit-order check). Four structures are pieces that tile a range
-//!   exactly once: a pool job's per-lane claims tile its chunk indices (the
+//! * **Partition checks** ([`verify_merge_segments`] and the crate's
+//!   visit-order check). Four structures are pieces that tile a range
+//!   exactly once: a pool job's per-lane chunk runs tile its chunk indices (the
 //!   one SAFETY sentence `PieceTable` is `Send + Sync` on: "each piece index
 //!   is delivered to exactly one lane"), the merge-path segments tile the
 //!   nonzeros, an ordered SpMV plan's pieces each visit their own rows, and a
@@ -35,15 +35,16 @@
 //! The sanitizer is designed so that the *disabled* path costs exactly one
 //! relaxed atomic load per pool dispatch (the [`Sanitizer::is_enabled`]
 //! check in `parallel_chunks`) — the same budget as the logging fast path.
-//! When enabled, each dispatch pays one mutex push per executed chunk plus an
-//! `O(chunks)` verification sweep; validation sweeps are `O(nnz)` per call
-//! and only run where explicitly requested.
+//! When enabled, each dispatch logs every chunk (one push and two clock reads,
+//! into the log the tracer reads too) and pays an `O(chunks)` verification
+//! sweep; validation sweeps are `O(nnz)` per call and only run where
+//! explicitly requested.
 //!
 //! [`Executor::enable_sanitizer`]: crate::executor::Executor::enable_sanitizer
 
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, Value};
-use crate::executor::pool::parallel_chunks;
+use crate::executor::pool::{parallel_chunks, ChunkLog};
 use crate::executor::Executor;
 use crate::matrix::order::VisitOrder;
 use crate::matrix::plan::{row_of, MergeSegment};
@@ -51,7 +52,6 @@ use pygko_sim::rng::Xoshiro256pp;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Partition checks
@@ -348,61 +348,19 @@ pub(crate) fn report_violation(detector: &str, v: &PartitionViolation) -> ! {
     panic!("sanitizer: {detector} tripped: {v}");
 }
 
-/// Records which pool lane claimed which piece index during one job.
-///
-/// Lanes only ever push to their own slot, so the per-lane mutexes are
-/// uncontended; the cross-lane view is only assembled by [`ClaimLog::verify`]
-/// after the drain, when all lanes are quiescent.
-pub struct ClaimLog {
-    lanes: Vec<Mutex<Vec<usize>>>, // lock: sanitize.lanes
-}
-
-/// Counters describing one verified job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClaimSummary {
-    /// Pieces verified (equals the job's chunk count).
-    pub pieces: usize,
-    /// Lanes that executed at least one piece.
-    pub lanes_used: usize,
-}
-
-impl ClaimLog {
-    /// A log for a pool with `lanes` execution lanes.
-    pub fn new(lanes: usize) -> Self {
-        ClaimLog {
-            lanes: (0..lanes.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-        }
+/// Checks that a dispatch's chunk log partitions `0..chunks`, the lanes
+/// being the partition's pieces: every chunk run once, by one lane, and in
+/// range.
+pub(crate) fn verify_chunks(
+    log: &ChunkLog,
+    chunks: usize,
+) -> std::result::Result<(), PartitionViolation> {
+    let mut order = VisitOrder::with_capacity(chunks);
+    for runs in log.lanes() {
+        order.visits.extend(runs.iter().map(|run| run.index));
+        order.end_piece();
     }
-
-    /// Records that `lane` executed piece `piece`. Lanes outside the
-    /// declared count are folded into the last slot so a miscounted lane id
-    /// still surfaces as a verification failure rather than a panic here.
-    pub fn record(&self, lane: usize, piece: usize) {
-        let slot = lane.min(self.lanes.len() - 1);
-        self.lanes[slot]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(piece);
-    }
-
-    /// Checks that the recorded claims are exactly a partition of
-    /// `0..n_pieces`, the lanes being the partition's pieces: every index
-    /// claimed once, by one lane, in range.
-    pub fn verify(&self, n_pieces: usize) -> std::result::Result<ClaimSummary, PartitionViolation> {
-        let mut order = VisitOrder::with_capacity(n_pieces);
-        let mut lanes_used = 0;
-        for claims in &self.lanes {
-            let claims = claims.lock().unwrap_or_else(|e| e.into_inner());
-            lanes_used += usize::from(!claims.is_empty());
-            order.visits.extend_from_slice(&claims);
-            order.end_piece();
-        }
-        verify_order(&order, Domain::Items(n_pieces), |piece| Ok((piece, [])))?;
-        Ok(ClaimSummary {
-            pieces: n_pieces,
-            lanes_used,
-        })
-    }
+    verify_order(&order, Domain::Items(chunks), |chunk| Ok((chunk, [])))
 }
 
 /// Checks that a merge-path segment list is an exact, ordered partition of
@@ -481,6 +439,15 @@ impl Sanitizer {
         self.jobs_checked.fetch_add(1, Ordering::Relaxed);
         self.pieces_checked
             .fetch_add(pieces as u64, Ordering::Relaxed);
+    }
+
+    /// Checks a drained dispatch's chunk log against its `chunks` indices
+    /// and credits the job; a violation aborts the apply.
+    pub(crate) fn check_dispatch(&self, log: &ChunkLog, chunks: usize) {
+        match verify_chunks(log, chunks) {
+            Ok(()) => self.note_job(chunks),
+            Err(v) => report_violation("chunk-overlap detector", &v),
+        }
     }
 
     /// Counter snapshot.
@@ -627,27 +594,33 @@ fn first_mismatch<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::pool::ChunkRun;
+
+    /// A log of one dispatch on `lanes` lanes, lane `l` having run `claims[l]`.
+    fn log_of(lanes: usize, claims: &[(usize, usize)]) -> ChunkLog {
+        let log = ChunkLog::new(lanes);
+        for &(lane, index) in claims {
+            log.lane(lane).1.push(ChunkRun {
+                index,
+                steal: false,
+                start_ns: 0,
+                dur_ns: 0,
+            });
+        }
+        log
+    }
 
     #[test]
     fn exact_partition_verifies() {
-        let log = ClaimLog::new(3);
-        log.record(0, 0);
-        log.record(0, 1);
-        log.record(1, 2);
-        log.record(2, 3);
-        let summary = log.verify(4).expect("disjoint partition");
-        assert_eq!(summary.pieces, 4);
-        assert_eq!(summary.lanes_used, 3);
+        let log = log_of(3, &[(0, 0), (0, 1), (1, 2), (2, 3)]);
+        verify_chunks(&log, 4).expect("disjoint partition");
     }
 
     #[test]
     fn overlap_is_detected() {
-        let log = ClaimLog::new(2);
-        log.record(0, 0);
-        log.record(0, 1);
-        log.record(1, 1); // lane 1 re-claims piece 1
-        log.record(1, 2);
-        match log.verify(3) {
+        // lane 1 re-claims piece 1
+        let log = log_of(2, &[(0, 0), (0, 1), (1, 1), (1, 2)]);
+        match verify_chunks(&log, 3) {
             Err(PartitionViolation::Duplicate {
                 item,
                 first,
@@ -663,22 +636,18 @@ mod tests {
 
     #[test]
     fn same_lane_double_execution_is_an_overlap() {
-        let log = ClaimLog::new(2);
-        log.record(0, 0);
-        log.record(0, 0);
+        let log = log_of(2, &[(0, 0), (0, 0)]);
         assert!(matches!(
-            log.verify(1),
+            verify_chunks(&log, 1),
             Err(PartitionViolation::Duplicate { item: 0, .. })
         ));
     }
 
     #[test]
     fn missing_piece_is_detected() {
-        let log = ClaimLog::new(2);
-        log.record(0, 0);
-        log.record(1, 2);
+        let log = log_of(2, &[(0, 0), (1, 2)]);
         assert_eq!(
-            log.verify(3),
+            verify_chunks(&log, 3),
             Err(PartitionViolation::Missing {
                 piece: None,
                 item: 1
@@ -688,17 +657,51 @@ mod tests {
 
     #[test]
     fn out_of_range_claim_is_detected() {
-        let log = ClaimLog::new(2);
-        log.record(0, 0);
-        log.record(1, 7);
+        let log = log_of(2, &[(0, 0), (1, 7)]);
         assert_eq!(
-            log.verify(2),
+            verify_chunks(&log, 2),
             Err(PartitionViolation::OutOfRange {
                 piece: 1,
                 item: 7,
                 end: 2
             })
         );
+    }
+
+    /// An injected overlapping claim plan must trip the detector with the
+    /// offending piece and both claiming lanes.
+    #[test]
+    fn injected_overlap_trips_detector() {
+        // lane 2 re-claims piece 1: the injected overlap
+        let log = log_of(3, &[(0, 0), (1, 1), (2, 1), (2, 2)]);
+        match verify_chunks(&log, 3) {
+            Err(PartitionViolation::Duplicate {
+                item,
+                first,
+                second,
+            }) => {
+                assert_eq!(item, 1);
+                assert_eq!((first, second), (1, 2));
+            }
+            other => panic!("expected Overlap, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_and_out_of_range_claims_trip_detector() {
+        let log = log_of(2, &[(0, 0), (1, 2)]);
+        assert!(matches!(
+            verify_chunks(&log, 4),
+            Err(PartitionViolation::Missing {
+                piece: None,
+                item: 1
+            })
+        ));
+        let log = log_of(2, &[(0, 0), (0, 9)]);
+        assert!(matches!(
+            verify_chunks(&log, 1),
+            Err(PartitionViolation::OutOfRange { item: 9, .. })
+        ));
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //! `LinOpApplyStarted`/`Completed` strictly nested on the solving thread, so
 //! a stack of open spans recovers the tree without any changes to the
 //! kernels themselves. The pool layers cannot be event-reconstructed —
-//! chunks run concurrently on other threads — so they are propagated
-//! *explicitly*: `parallel_chunks` asks the observer for a dispatch handle
-//! carrying a [`SpanContext`] (the dispatch span's id), the chunk
-//! closures record begin/end/steal against cache-padded per-lane buffers,
-//! and the handle folds them back into the tree when the dispatch ends.
-//! A stolen chunk's span is owned by the lane that *executed* it (`lane`),
-//! with `steal = true` recording that its home queue was elsewhere.
+//! chunks run concurrently on other threads — so `parallel_chunks` opens a
+//! dispatch span, hands the pool a chunk log of its own, and after the drain
+//! the observer turns the log's runs into the dispatch span's chunk spans.
+//! A chunk span is owned by the lane that *executed* it (`lane`), and
+//! `steal = true` records that the lane took it from another lane's queue.
 //!
 //! # Tail-based sampling
 //!
@@ -61,23 +59,8 @@ use crate::telemetry::FlightReport;
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
-// Identifiers and span records
+// Span records
 // ---------------------------------------------------------------------------
-
-/// Identifier of one span. Unique per executor for its lifetime (never
-/// reused, even across disarm/re-arm); `SpanId(0)` is reserved as "no
-/// parent" (the root's parent).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SpanId(pub u64);
-
-/// The context a chunk closure carries through `WorkerPool` dispatch: the
-/// dispatch span that parents the chunk spans it records. Span ids are never
-/// reused, so it also names the solve the dispatch belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanContext {
-    /// Span id the recorded chunk spans are parented under.
-    pub parent_span_id: SpanId,
-}
 
 /// Layer of the solve tree a span belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,8 +78,8 @@ pub enum SpanKind {
     /// One worker-pool dispatch; `index` carries the chunk count.
     Dispatch,
     /// One chunk closure executed by a pool lane; `index` is the chunk
-    /// index, `lane` the executing lane, `steal` whether the executing lane
-    /// differed from the chunk's home queue.
+    /// index, `lane` the executing lane, `steal` whether the lane took it
+    /// from another lane's queue.
     Chunk,
 }
 
