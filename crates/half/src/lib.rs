@@ -83,14 +83,26 @@ impl Half {
         Half(f32_to_f16_bits(v))
     }
 
-    /// Converts an `f64` to the nearest representable half.
+    /// Converts an `f64` to the nearest representable half (ties to even).
     ///
-    /// The conversion goes through `f32`; double rounding cannot change the
-    /// result here because binary16's precision (11 bits) is less than half
-    /// of binary32's (24 bits).
+    /// The conversion goes through `f32`, rounded to odd: truncated toward
+    /// zero, with the last bit set when anything was cut off. Rounding to
+    /// nearest twice could tie at the second step on a value that was not a
+    /// tie (`1 + 2^-11 + 2^-40` would become the tie `1 + 2^-11`, then 1.0);
+    /// to odd, the sticky bit keeps such a value off the tie, and since
+    /// binary32 carries 13 more bits than binary16 the one rounding to
+    /// nearest that follows is exact.
     #[inline]
     pub fn from_f64(v: f64) -> Self {
-        Half(f32_to_f16_bits(v as f32))
+        let nearest = v as f32;
+        if !nearest.is_finite() || f64::from(nearest) == v {
+            return Half(f32_to_f16_bits(nearest));
+        }
+        // One step toward zero if rounding went away from it (the bits are
+        // sign-magnitude), then the sticky bit.
+        let overshot = f64::from(nearest).abs() > v.abs();
+        let odd = (nearest.to_bits() - u32::from(overshot)) | 1;
+        Half(f32_to_f16_bits(f32::from_bits(odd)))
     }
 
     /// Widens to `f32` (exact).
@@ -355,6 +367,35 @@ mod tests {
         // 1 + 3*2^-11 is halfway between 1+2^-10 and 1+2^-9; even is 1+2^-9.
         let halfway2 = 1.0 + 3.0 * 2f32.powi(-11);
         assert_eq!(Half::from_f32(halfway2).to_f32(), 1.0 + 2f32.powi(-9));
+    }
+
+    /// Every pair of adjacent finite halves, either sign: the `f64`
+    /// midpoint goes to the one with the even bit pattern, and the midpoint
+    /// moved by a step below `f32` resolution goes to the nearer one.
+    #[test]
+    fn from_f64_rounds_once() {
+        for bits in 0..0x7BFFu16 {
+            let (lo, hi) = (Half(bits), Half(bits + 1));
+            let mid = (lo.to_f64() + hi.to_f64()) / 2.0;
+            let step = mid * 2f64.powi(-35);
+            let even = if bits % 2 == 0 { lo } else { hi };
+            for sign in [1.0, -1.0] {
+                for (v, want) in [(mid, even), (mid - step, lo), (mid + step, hi)] {
+                    let want = if sign < 0.0 { -want } else { want };
+                    let got = Half::from_f64(sign * v);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{:e} between {lo} and {hi}",
+                        sign * v
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            Half::from_f64(1.0 + 2f64.powi(-11) + 2f64.powi(-40)).to_bits(),
+            0x3C01
+        );
     }
 
     #[test]
