@@ -426,16 +426,31 @@ fn main() {
     })
     .seconds();
 
-    let batch_anomalies = bt_exec.observer().status().anomalies_total();
+    // Stagnation and divergence read only residuals, which are
+    // bit-reproducible, so the sweep must trip neither. Lane imbalance and
+    // latency drift read the wall clock and fire on a busy host with no
+    // code change: they are printed, and written nowhere.
+    let anomalies = bt_exec.observer().status().anomalies;
+    let count = |kind: &str| {
+        anomalies
+            .iter()
+            .find(|(k, _)| k == kind)
+            .map_or(0, |(_, n)| *n)
+    };
+    let residual_anomalies = count("stagnation") + count("divergence");
     let per_system_batched_ns = batched_secs / batch_systems as f64 * 1e9;
     let per_system_loop_ns = loop_secs / batch_systems as f64 * 1e9;
     println!(
         "\nbatched CG ({batch_systems} systems of {batch_n} rows, omp16):\n  \
-         batched {:.2} us/system | loop-of-singles {:.2} us/system | speedup {:.2}x | \
-         anomalies {batch_anomalies}",
+         batched {:.2} us/system | loop-of-singles {:.2} us/system | speedup {:.2}x\n  \
+         anomalies: stagnation {} | divergence {} | lane_imbalance {} | latency_drift {}",
         per_system_batched_ns / 1e3,
         per_system_loop_ns / 1e3,
-        loop_secs / batched_secs
+        loop_secs / batched_secs,
+        count("stagnation"),
+        count("divergence"),
+        count("lane_imbalance"),
+        count("latency_drift"),
     );
     assert!(
         batched_secs < loop_secs,
@@ -443,8 +458,8 @@ fn main() {
          batched {batched_secs}s vs loop {loop_secs}s"
     );
     assert_eq!(
-        batch_anomalies, 0,
-        "batched sweep tripped a flight-recorder detector"
+        residual_anomalies, 0,
+        "batched sweep tripped a residual detector: {anomalies:?}"
     );
 
     // Trace overhead: the same fixed-work CG solve (fixed iteration count,
@@ -705,7 +720,7 @@ fn main() {
         .with("speedup_vs_loop", loop_secs / batched_secs)
         .with("converged", batch_record.converged_count())
         .with("max_iterations", batch_record.max_iterations())
-        .with("anomalies_total", batch_anomalies as i64);
+        .with("residual_anomalies", residual_anomalies as i64);
     // The span counts are exact for the fixed-work solve.
     let span_counts_json = span_counts
         .iter()
