@@ -5,10 +5,10 @@
 //! device and any dtype without touching the engine internals — the
 //! extensibility proof-of-concept. Provided:
 //!
-//! * [`rayleigh_ritz`] — the Rayleigh–Ritz subspace eigensolver the paper
+//! * [`rayleigh_ritz()`] — the Rayleigh–Ritz subspace eigensolver the paper
 //!   names explicitly;
-//! * [`power_iteration`] — dominant eigenpair;
-//! * [`lanczos`] — Lanczos tridiagonalization eigensolver;
+//! * [`power_iteration()`] — dominant eigenpair;
+//! * [`lanczos()`] — Lanczos tridiagonalization eigensolver;
 //! * [`eig`] — the small dense symmetric (cyclic Jacobi) eigensolver the
 //!   others reduce to.
 

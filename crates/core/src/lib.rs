@@ -13,7 +13,7 @@
 //! * **A GIL analog.** Every facade call acquires a global lock and charges
 //!   a calibrated per-call binding cost to the device timeline ([`gil`]),
 //!   reproducing the overhead the paper measures in §6.3.
-//! * **The Listing 1 API.** [`device`], [`read`], [`as_tensor`],
+//! * **The Listing 1 API.** [`device()`], [`read()`], [`as_tensor`],
 //!   [`solver::gmres`] + preconditioners, and `apply` returning
 //!   `(logger, result)`.
 //! * **The Listing 2 config path.** [`solve`] builds a config dictionary,

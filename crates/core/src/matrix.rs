@@ -69,7 +69,7 @@ pub(crate) fn csr_half<V: Value>(
 
 impl SparseMatrix {
     /// Builds a matrix from (row, col, value) triplets with runtime type
-    /// selection — the facade's central constructor, used by [`crate::read`]
+    /// selection — the facade's central constructor, used by [`crate::read()`]
     /// and the benchmark harness.
     pub fn from_triplets(
         device: &Device,

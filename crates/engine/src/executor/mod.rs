@@ -201,7 +201,7 @@ impl Executor {
     /// larger).
     ///
     /// For `omp` executors this follows the *requested* thread count (capped
-    /// at [`MAX_FUNCTIONAL_THREADS`]) rather than the physical core count:
+    /// at `MAX_FUNCTIONAL_THREADS`, 32) rather than the physical core count:
     /// the persistent pool makes extra threads cheap (they park between
     /// kernels and the OS timeslices during them), and it means
     /// `Executor::omp(n)` exercises genuinely concurrent n-lane execution on

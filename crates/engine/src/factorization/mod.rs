@@ -5,7 +5,7 @@
 //!   [`Ilu`](crate::preconditioner::ilu::Ilu) preconditioner of Listing 1).
 //! * [`ic0`](ic0::ic0) — IC(0): incomplete Cholesky for SPD matrices (backs
 //!   the `Ic` preconditioner).
-//! * [`DenseLu`](lu::DenseLu) — dense LU with partial pivoting (backs the
+//! * [`DenseLu`] — dense LU with partial pivoting (backs the
 //!   [`Direct`](crate::solver::direct::Direct) solver binding).
 
 pub mod ic0;

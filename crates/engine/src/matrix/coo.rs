@@ -308,7 +308,7 @@ impl<V: Value, I: Index> LinOp<V> for Coo<V, I> {
     ///
     /// The sorted triplets are cut into nnz-balanced *segments* (the same
     /// partition the cost model charges) and handed to
-    /// [`plan::run_segments`], the scaffold shared with CSR merge-path: rows
+    /// `plan::run_segments`, the scaffold shared with CSR merge-path: rows
     /// strictly inside a segment are written directly, its first and last
     /// rows — which a boundary may split — are merged serially in segment
     /// order. No atomics, and the segment count derives from the device

@@ -8,7 +8,7 @@
 //!
 //! The apply delegates to the two parts, so Hybrid inherits the ELL
 //! kernel's unrolled four-accumulator inner loop (see
-//! [`Ell`](crate::matrix::ell::Ell)) on the regular part for free.
+//! [`Ell`]) on the regular part for free.
 
 use crate::base::dim::Dim2;
 use crate::base::error::Result;

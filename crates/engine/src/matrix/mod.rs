@@ -5,7 +5,7 @@
 //! format-choice ablation benches, plus the 2-D convolution operator the
 //! paper's outlook names as future work. All formats implement
 //! [`LinOp`](crate::linop::LinOp) (their `apply` is an SpMV) and conversions
-//! to/from [`Dense`](dense::Dense) and each other.
+//! to/from [`Dense`] and each other.
 
 pub mod batch;
 pub mod conv;

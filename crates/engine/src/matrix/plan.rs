@@ -28,7 +28,7 @@
 //!
 //! When row lengths change unpredictably from row to row, the plan also
 //! holds a **row order**: each piece's rows grouped by length inside windows
-//! of [`ORDER_WINDOW`] rows (the σ-window sort of SELL-C-σ, applied to the
+//! of `ORDER_WINDOW` rows (the σ-window sort of SELL-C-σ, applied to the
 //! visiting order only). The `k == 1` CSR kernels walk it instead of
 //! `0..rows`, so the row loop's exits become predictable; every row is
 //! still written once, from the same sum (DESIGN.md §14, "Row order").
@@ -240,7 +240,7 @@ pub fn load_balance_bounds<I: Index>(rows: usize, row_ptrs: &[I], max_chunks: us
 /// partition): a contiguous nonzero range plus the rows it spans.
 /// `row_first`/`row_last` are the rows of the first and last owned
 /// nonzero; either may extend into neighbouring segments (a split row),
-/// which is why [`run_segments`] routes their partial sums through
+/// which is why `run_segments` routes their partial sums through
 /// per-segment scratch instead of writing them directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeSegment {

@@ -3,9 +3,9 @@
 //! The paper's Listing 1 uses ILU with GMRES; Listing 2 configures scalar
 //! Jacobi through the config solver. Available:
 //!
-//! * [`Jacobi`](jacobi::Jacobi) — scalar (block size 1) and block Jacobi;
-//! * [`Ilu`](ilu::Ilu) — ILU(0) forward/backward triangular sweeps;
-//! * [`Ic`](ic::Ic) — IC(0) Cholesky sweeps for SPD systems.
+//! * [`Jacobi`] — scalar (block size 1) and block Jacobi;
+//! * [`Ilu`] — ILU(0) forward/backward triangular sweeps;
+//! * [`Ic`] — IC(0) Cholesky sweeps for SPD systems.
 //!
 //! `Ilu` and `Ic` are aliases of one type, [`Incomplete`], which differ only
 //! in the factorization whose factors they sweep.

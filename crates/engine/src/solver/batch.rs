@@ -95,7 +95,7 @@ impl BatchSolveRecord {
 /// The batched-solver shell: everything the batched methods share (the batch
 /// operator, the criteria, the two logger registries — solver-attached and
 /// executor-attached — and everything around the iterations), around the
-/// [`BatchMethod`] `M` that tells them apart. Use it through its aliases
+/// `BatchMethod` `M` that tells them apart. Use it through its aliases
 /// ([`BatchCg`], [`BatchBiCgStab`]).
 pub struct Batched<V: Value, I: Index, M> {
     op: Arc<BatchCsr<V, I>>,

@@ -1,6 +1,6 @@
 //! Iterative and direct solvers.
 //!
-//! All solvers are [`LinOp`](crate::linop::LinOp)s: `apply(b, x)` solves
+//! All solvers are [`LinOp`]s: `apply(b, x)` solves
 //! `A x = b` starting from the initial guess in `x` and overwrites `x` with
 //! the solution (Listing 1's usage). Failures to converge are reported
 //! through the solver's [`ConvergenceLogger`], not as errors, matching
@@ -12,7 +12,7 @@
 //! Givens rotations, per-iteration residual checks — §6.2.1's description of
 //! Ginkgo's GMRES), [`Ir`] (Richardson iteration) and [`MixedIr`]
 //! (mixed-precision refinement) are aliases of one type, [`Iterative`],
-//! which differ only in the [`Recurrence`] they plug in.
+//! which differ only in the `Recurrence` they plug in.
 //!
 //! The **shell** owns everything the methods share: the builder surface
 //! (`new`, `with_criteria`, `with_preconditioner`, `with_logger`,
@@ -25,7 +25,7 @@
 //! A **recurrence** supplies its workspace (`seed`, from the initial
 //! residual), one iteration (`iterate`) with its own breakdown tests, and —
 //! GMRES only — `form_solution`, which folds a pending Krylov cycle into `x`
-//! when the solve ends. An iteration answers with a [`Step`]: `Continue`
+//! when the solve ends. An iteration answers with a `Step`: `Continue`
 //! (done, here is the residual norm: the shell records it and asks the
 //! criteria), `Stop` (done, and the method itself ends the solve —
 //! BiCGStab's converged half step) or `Abort` (this iteration cannot run or
@@ -66,7 +66,7 @@
 //! # No preconditioner is no operator
 //!
 //! The shell holds the preconditioner as an `Option`. Recurrences reach it
-//! through [`SolverCore::preconditioned`], which returns its argument when
+//! through `SolverCore::preconditioned`, which returns its argument when
 //! there is none, so `M^{-1} v` aliases `v` instead of copying it: CG and
 //! FCG then take `ρ = r·r` from the norm their fused update just returned,
 //! BiCGStab's `p̂`/`ŝ` are `p`/`s`, and GMRES applies `A` to the basis vector
@@ -281,7 +281,7 @@ mod sealed {
 pub(crate) use sealed::{Iteration, Recurrence, SolverCore, Step};
 
 /// The iterative-solver shell: everything the eight methods share, around
-/// the [`Recurrence`] `M` that tells them apart. Use it through its aliases
+/// the `Recurrence` `M` that tells them apart. Use it through its aliases
 /// ([`Cg`], [`Gmres`], …).
 pub struct Iterative<V: Value, M> {
     core: SolverCore<V>,

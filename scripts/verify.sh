@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Offline verification gate: warning-free release build, full test suite
-# (workspace and the standalone benchmark package), lint-clean clippy, a
-# formatted tree, the wall-clock microbenchmark and observability smoke runs,
-# and the results gate. Run from anywhere; operates on the workspace
-# containing this script.
+# (workspace and the standalone benchmark package), lint-clean clippy,
+# warning-free rustdoc, a formatted tree, the wall-clock microbenchmark and
+# observability smoke runs, and the results gate. Run from anywhere;
+# operates on the workspace containing this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 # build and test it here to catch an engine API it imports disappearing.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc: no public doc links to a private item, no broken or ambiguous
+# link, no redundant link target.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # Formatting: the workspace is kept exactly as `cargo fmt` writes it.
 cargo fmt --check
 
