@@ -476,9 +476,9 @@ impl WorkerPool {
             drop(epoch);
         }
         // SAFETY: all lanes are done; drop the job (and the erased pointers)
-        // before the borrows of `task` and `log` end. The lanes' steal counts happen before:
-        // each worker added its own before the `active` decrement this thread
-        // acquired.
+        // before the borrows of `task` and `log` end. The lanes' steal counts
+        // happen before: each worker added its own before the `active`
+        // decrement this thread acquired.
         let job = unsafe { (*self.shared.job.get()).take() };
         let steals = job.map_or(0, |job| job.steals.into_inner());
         let wall_ns = start.elapsed().as_nanos() as u64;

@@ -18,8 +18,8 @@
 //! trace ring and the flame tree. Event delivery holds the registry's
 //! `log.loggers` and then takes `observe.state`; under `observe.state` only
 //! the per-lane buffers of a finished dispatch's chunk log are read
-//! (`pool.chunk_log`, leaf locks), so `log.loggers -> observe.state` is the only order
-//! it takes part in.
+//! (`pool.chunk_log`, leaf locks), so `log.loggers -> observe.state` is the
+//! only order it takes part in.
 //! `Observer::observe` attaches and detaches outside the state lock, and
 //! `observe.arming` (never taken during delivery) serializes concurrent
 //! `observe` calls so the attachment always matches the config in force.

@@ -6,9 +6,9 @@
 //!
 //! * **Partition checks** ([`verify_merge_segments`] and the crate's
 //!   visit-order check). Four structures are pieces that tile a range
-//!   exactly once: a pool job's per-lane chunk runs tile its chunk indices (the
-//!   one SAFETY sentence `PieceTable` is `Send + Sync` on: "each piece index
-//!   is delivered to exactly one lane"), the merge-path segments tile the
+//!   exactly once: a pool job's per-lane chunk runs tile its chunk indices
+//!   (the one SAFETY sentence `PieceTable` is `Send + Sync` on: "each piece
+//!   index is delivered to exactly one lane"), the merge-path segments tile the
 //!   nonzeros, an ordered SpMV plan's pieces each visit their own rows, and a
 //!   triangular sweep's levels together visit every row. With
 //!   [`Executor::enable_sanitizer`] on, every pool dispatch, merge-path
