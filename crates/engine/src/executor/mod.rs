@@ -521,6 +521,6 @@ mod tests {
         let p1 = e.worker_pool().unwrap() as *const _;
         let p2 = e.clone().worker_pool().unwrap() as *const _;
         assert_eq!(p1, p2, "clones share one pool");
-        assert_eq!(e.worker_pool().unwrap().threads(), 3);
+        assert_eq!(e.worker_pool().unwrap().threads(), e.functional_threads());
     }
 }

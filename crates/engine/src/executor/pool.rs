@@ -820,7 +820,10 @@ mod tests {
         // The workers were spawned once and parked between jobs, never
         // respawned: parks can exceed dispatches (initial park) but the pool
         // object itself persisted, which `threads()` pins down.
-        assert_eq!(exec.worker_pool().unwrap().threads(), 4);
+        assert_eq!(
+            exec.worker_pool().unwrap().threads(),
+            exec.functional_threads()
+        );
     }
 
     #[test]

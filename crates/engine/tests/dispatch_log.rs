@@ -66,7 +66,7 @@ fn chunk_spans_agree_with_the_pool_counters() {
 
         let report = exec.observer().latest_trace().expect("every solve kept");
         assert_eq!(report.truncated_spans, 0, "omp({threads})");
-        assert_rooted_tree(&report, threads);
+        assert_rooted_tree(&report, exec.functional_threads());
         let chunks = |parent: Option<u64>| {
             report
                 .spans
@@ -89,7 +89,7 @@ fn chunk_spans_agree_with_the_pool_counters() {
             let stolen = chunks(Some(span.id)).filter(|s| s.steal).count() as u64;
             assert_eq!(stolen, steals, "omp({threads}): dispatch {}", span.id);
         }
-        assert_eq!(lanes.len(), threads);
+        assert_eq!(lanes.len(), exec.functional_threads());
         for (lane, counted) in lanes.iter().enumerate() {
             let on_lane = |s: &&gko::SpanRecord| s.lane as usize == lane;
             let spans_on_lane = chunks(None).filter(on_lane).count() as u64;
