@@ -9,7 +9,7 @@
 //! through the call graph, and builds the lock-*acquisition-order* graph. A
 //! cycle in that graph is a potential deadlock and fails the gate with the
 //! offending acquisition chain; a lock held across a pool-dispatch boundary
-//! (`parallel_chunks` / `parallel_partials`) is flagged separately, since a
+//! (`parallel_chunks`) is flagged separately, since a
 //! worker blocking on a lock held by the submitting thread stalls the whole
 //! pool.
 //!
@@ -563,7 +563,7 @@ pub struct OrderEdge {
 
 /// Functions that hand work to the pool: holding a lock across these blocks
 /// every worker that needs it.
-const POOL_BOUNDARIES: &[&str] = &["parallel_chunks", "parallel_partials"];
+const POOL_BOUNDARIES: &[&str] = &["parallel_chunks"];
 
 /// Runs the full lock-order analysis, appending diagnostics.
 pub fn check_lock_order(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {

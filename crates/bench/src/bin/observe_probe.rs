@@ -129,7 +129,10 @@ fn detector_self_tests() {
     // withholds the first slow solve, the second fires exactly one
     // LatencyDrift.
     let obs = Observer::detached(ObserveConfig {
-        flight: Some(DetectorConfig::default()),
+        flight: Some(DetectorConfig {
+            drift_min_solves: 3,
+            ..cfg
+        }),
         ..ObserveConfig::default()
     });
     let solve = |wall_ns: u64| {

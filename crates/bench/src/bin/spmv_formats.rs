@@ -427,9 +427,10 @@ fn main() {
     .seconds();
 
     // Stagnation and divergence read only residuals, which are
-    // bit-reproducible, so the sweep must trip neither. Lane imbalance and
-    // latency drift read the wall clock and fire on a busy host with no
-    // code change: they are printed, and written nowhere.
+    // bit-reproducible, so the sweep must trip neither. Lane imbalance reads
+    // the wall clock (and cannot fire on a pool of three lanes or fewer);
+    // latency drift is off unless opted in. Both are printed, and written
+    // nowhere.
     let anomalies = bt_exec.observer().status().anomalies;
     let count = |kind: &str| {
         anomalies

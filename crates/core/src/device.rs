@@ -51,8 +51,10 @@ pub fn device(name: &str) -> PyResult<Device> {
 /// Creates a device with an explicit id — `pg.device(name, id)` (§4.1's
 /// `pyGinkgo.device(name, id=0)` factory).
 ///
-/// For `"omp"` the id selects the *thread count* (0 means all available),
-/// mirroring how the paper's CPU benchmarks sweep threads.
+/// For `"omp"` the id selects the *thread count*, mirroring how the paper's
+/// CPU benchmarks sweep threads; 0 models the paper's full 38-core socket.
+/// The count is the cost model's: the executor runs at most as many OS
+/// threads as the host has cores.
 pub fn device_with_id(name: &str, id: usize) -> PyResult<Device> {
     let exec = match name.to_ascii_lowercase().as_str() {
         "cuda" => Executor::cuda(id),

@@ -26,13 +26,6 @@ use pygko_sim::{ChunkWork, DeviceKind, DeviceSpec, Timeline};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-/// Upper bound on OS threads an executor will drive, regardless of how many
-/// workers the device model has. GPU specs model hundreds of schedulable
-/// workers; running that many host threads would only add context-switch
-/// overhead without changing results (chunking is spec-derived, not
-/// thread-derived).
-const MAX_FUNCTIONAL_THREADS: usize = 32;
-
 /// Which hardware backend an executor drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
@@ -66,6 +59,8 @@ struct Inner {
     timeline: Timeline,
     bytes_allocated: AtomicI64, // atomic: counter
     peak_bytes: AtomicU64,      // atomic: counter
+    /// OS threads of the pool (see [`Executor::functional_threads`]).
+    threads: usize,
     /// Lazily-spawned persistent worker pool; `None` once initialized means
     /// the executor is functionally single-threaded.
     pool: OnceLock<Option<WorkerPool>>,
@@ -104,7 +99,17 @@ impl WeakExecutor {
 pub struct Executor(Arc<Inner>);
 
 impl Executor {
-    fn make(backend: Backend, device_id: usize, spec: DeviceSpec) -> Self {
+    fn make(backend: Backend, device_id: usize, spec: DeviceSpec, pinned: Option<usize>) -> Self {
+        /// The host's parallelism, read once: `available_parallelism`
+        /// reads cgroup files on every call.
+        static HOST: OnceLock<usize> = OnceLock::new();
+        let host =
+            || *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let threads = match (backend, pinned) {
+            (_, Some(threads)) => threads.max(1),
+            (Backend::Reference, None) => 1,
+            _ => spec.workers.clamp(1, host()),
+        };
         Executor(Arc::new_cyclic(|inner| Inner {
             backend,
             device_id,
@@ -112,6 +117,7 @@ impl Executor {
             timeline: Timeline::new(),
             bytes_allocated: AtomicI64::new(0),
             peak_bytes: AtomicU64::new(0),
+            threads,
             pool: OnceLock::new(),
             loggers: LoggerRegistry::new(),
             observer: Arc::new(Observer::new(WeakExecutor(inner.clone()))),
@@ -124,28 +130,41 @@ impl Executor {
 
     /// Sequential host executor (the correctness reference).
     pub fn reference() -> Self {
-        Executor::make(Backend::Reference, 0, DeviceSpec::single_core())
+        Executor::make(Backend::Reference, 0, DeviceSpec::single_core(), None)
     }
 
     /// Multi-threaded host executor with `threads` worker threads, modeled
     /// as a Xeon Platinum 8368 socket (the paper's CPU platform).
     pub fn omp(threads: usize) -> Self {
-        Executor::make(Backend::Omp, 0, DeviceSpec::xeon_8368(threads))
+        Executor::make(Backend::Omp, 0, DeviceSpec::xeon_8368(threads), None)
+    }
+
+    /// `omp(threads)` whose pool keeps one OS thread per worker, however
+    /// many cores the host has. Test support only: it lets a test run real
+    /// interleavings of `threads` lanes on a smaller host.
+    #[doc(hidden)]
+    pub fn omp_pinned(threads: usize) -> Self {
+        Executor::make(
+            Backend::Omp,
+            0,
+            DeviceSpec::xeon_8368(threads),
+            Some(threads),
+        )
     }
 
     /// Simulated NVIDIA A100 with the given device id.
     pub fn cuda(device_id: usize) -> Self {
-        Executor::make(Backend::Cuda, device_id, DeviceSpec::a100())
+        Executor::make(Backend::Cuda, device_id, DeviceSpec::a100(), None)
     }
 
     /// Simulated AMD Instinct MI100 with the given device id.
     pub fn hip(device_id: usize) -> Self {
-        Executor::make(Backend::Hip, device_id, DeviceSpec::mi100())
+        Executor::make(Backend::Hip, device_id, DeviceSpec::mi100(), None)
     }
 
     /// Executor with a custom device model (for experiments).
     pub fn with_spec(backend: Backend, device_id: usize, spec: DeviceSpec) -> Self {
-        Executor::make(backend, device_id, spec)
+        Executor::make(backend, device_id, spec, None)
     }
 
     /// The backend this executor drives.
@@ -196,34 +215,21 @@ impl Executor {
         }
     }
 
-    /// Number of worker threads used for *functional* execution of chunked
-    /// kernels (modeled parallelism is `spec().workers` and can be much
-    /// larger).
+    /// Number of OS threads that run chunked kernels: 1 on the reference
+    /// backend, otherwise `spec().workers` capped at the host's available
+    /// parallelism (read once per process).
     ///
-    /// For `omp` executors this follows the *requested* thread count (capped
-    /// at `MAX_FUNCTIONAL_THREADS`, 32) rather than the physical core count:
-    /// the persistent pool makes extra threads cheap (they park between
-    /// kernels and the OS timeslices during them), and it means
-    /// `Executor::omp(n)` exercises genuinely concurrent n-lane execution on
-    /// any host — which is what the cross-thread-count parity tests rely on.
+    /// The spec's workers are logical, the pool's threads physical. Chunk
+    /// bounds and every virtual charge come from the spec, never from this
+    /// count, so it moves no result bit and no modeled time. Threads beyond
+    /// the host's cores only timeslice: on 2 vCPUs, 16 threads ran a 400-row
+    /// CG about 6x slower per iteration than 2.
     pub fn functional_threads(&self) -> usize {
-        match self.0.backend {
-            Backend::Reference => 1,
-            Backend::Omp => self.0.spec.workers.clamp(1, MAX_FUNCTIONAL_THREADS),
-            // GPU backends model hundreds of workers; functionally we use
-            // the host cores that exist. Results don't depend on this —
-            // chunking derives from the spec, never the thread count.
-            Backend::Cuda | Backend::Hip => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(self.0.spec.workers)
-                .min(MAX_FUNCTIONAL_THREADS),
-        }
+        self.0.threads
     }
 
     /// The executor's persistent worker pool, spawned on first use; `None`
-    /// when the executor is functionally single-threaded (reference, or a
-    /// one-worker spec), in which case chunked kernels run inline.
+    /// when [`Executor::functional_threads`] is 1: chunked kernels run inline.
     pub fn worker_pool(&self) -> Option<&WorkerPool> {
         self.0
             .pool
@@ -500,10 +506,16 @@ mod tests {
 
     #[test]
     fn omp_thread_count_flows_into_spec() {
-        let e = Executor::omp(16);
-        assert_eq!(e.spec().workers, 16);
-        assert_eq!(e.functional_threads(), 16);
-        assert!(Executor::omp(1000).functional_threads() <= MAX_FUNCTIONAL_THREADS);
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n in [1, 2, 16, 1000] {
+            let e = Executor::omp(n);
+            assert_eq!(e.spec().workers, n);
+            assert_eq!(e.functional_threads(), n.min(host), "omp({n})");
+        }
+        let cuda = Executor::cuda(0);
+        assert_eq!(cuda.functional_threads(), cuda.spec().workers.min(host));
+        assert_eq!(Executor::reference().functional_threads(), 1);
+        assert_eq!(Executor::omp_pinned(16).functional_threads(), 16);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   mis-predicted chunk cost cannot idle the other workers.
 //!
 //! Chunk partitions are derived from the executor's [`DeviceSpec`] (never
-//! from the physical core count), so functional results are bitwise
-//! reproducible across hosts; on machines with fewer cores than workers the
-//! OS timeslices. The *modeled* execution time likewise comes from the
-//! `pygko-sim` cost model (which charges `chunk_overhead_ns` per scheduled
+//! from the lane count), so functional results are bitwise reproducible
+//! across hosts. The spec's workers live in the cost model only: the
+//! executor gives its pool no more lanes (OS threads) than the host has
+//! cores ([`Executor::functional_threads`]). The *modeled* execution time
+//! likewise comes from the `pygko-sim` cost model (which charges `chunk_overhead_ns` per scheduled
 //! chunk), while the pool separately measures the *real* host-side dispatch
 //! overhead in [`PoolStats`] for the overhead benchmarks.
 //!
@@ -282,10 +283,11 @@ thread_local! {
 
 /// A persistent, work-stealing pool of `threads` execution lanes.
 ///
-/// `threads - 1` OS threads are spawned lazily at construction and parked
-/// between jobs; the thread calling [`WorkerPool::run`] acts as the final
-/// lane, so a pool for `n` functional threads occupies exactly `n` cores
-/// while a kernel runs and zero while idle.
+/// `threads - 1` OS threads are spawned at construction and parked between
+/// jobs; the thread calling [`WorkerPool::run`] acts as the final lane, so a
+/// pool of `n` lanes keeps `n` threads busy while a kernel runs and none
+/// while idle. It runs the count it is given; an executor gives it
+/// [`Executor::functional_threads`], at most the host's cores.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: usize,
@@ -690,21 +692,6 @@ where
     }
 }
 
-/// Computes one `f64` partial result per chunk in parallel and returns the
-/// partials in chunk order (so reductions are deterministic regardless of
-/// scheduling).
-pub fn parallel_partials<F>(exec: &Executor, chunks: usize, f: F) -> Vec<f64>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    let mut partials = vec![0.0f64; chunks];
-    let bounds: Vec<usize> = (0..=chunks).collect();
-    parallel_chunks(exec, &mut partials, &bounds, |i, slot| {
-        slot[0] = f(i);
-    });
-    partials
-}
-
 /// Pairwise (tree) reduction of partial sums.
 ///
 /// Unlike a left-to-right fold, the tree shape keeps rounding error growth
@@ -782,12 +769,6 @@ mod tests {
     fn bad_bounds_panic() {
         let mut data = vec![0u8; 4];
         parallel_chunks(&Executor::reference(), &mut data, &[0, 2], |_, _| {});
-    }
-
-    #[test]
-    fn partials_are_in_chunk_order() {
-        let p = parallel_partials(&omp(4), 8, |i| i as f64 * 2.0);
-        assert_eq!(p, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]);
     }
 
     #[test]

@@ -64,15 +64,17 @@ pub const DRIFT_MIN_STREAK: u64 = 2;
 /// The two detector thresholds a caller sets; every other threshold is one
 /// of the constants above (`DESIGN.md` §10 gives the reason for each value).
 ///
-/// The defaults stay silent on the healthy reference solves of this
-/// repository's tests and benchmarks, so a flagged report means something is
-/// genuinely off.
+/// The defaults stay silent on the healthy solves of this repository's
+/// tests and benchmarks, so a flagged report means something is genuinely
+/// off.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DetectorConfig {
     /// A solve is imbalanced when the busiest lane's busy-ns is at least
     /// this multiple of the mean over all lanes.
     pub imbalance_ratio: f64,
     /// Solves a kernel must appear in before its drift baseline is trusted.
+    /// The default, `u64::MAX`, trusts none: latency drift, which flagged
+    /// healthy solves on a busy 2-vCPU host, is opt-in (3 is a good count).
     pub drift_min_solves: u64,
 }
 
@@ -80,7 +82,7 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             imbalance_ratio: 4.0,
-            drift_min_solves: 3,
+            drift_min_solves: u64::MAX,
         }
     }
 }
@@ -371,6 +373,11 @@ pub fn detect_convergence(initial: f64, window: &[f64], converged: bool) -> Opti
 /// busiest lane carried at least `imbalance_ratio` times the mean busy time.
 /// Skips pools with fewer than two lanes and jobs too small to judge
 /// ([`IMBALANCE_MIN_BUSY_NS`]).
+///
+/// The busiest lane carries at most the total, so the ratio is at most the
+/// lane count (plus the mean's rounding, under `1 / IMBALANCE_MIN_BUSY_NS`):
+/// at the default 4.0 a pool of 3 lanes or fewer never fires, which is every
+/// pool on a host of 3 cores or fewer.
 pub fn detect_lane_imbalance(lanes: &[LaneStats], cfg: &DetectorConfig) -> Option<Anomaly> {
     if lanes.len() < 2 {
         return None;
@@ -548,7 +555,10 @@ mod tests {
 
     #[test]
     fn latency_drift_requires_trusted_baseline_and_moved_median() {
-        let cfg = DetectorConfig::default();
+        let cfg = DetectorConfig {
+            drift_min_solves: 3,
+            ..DetectorConfig::default()
+        };
         // Baseline not yet trusted.
         assert_eq!(
             detect_latency_drift("csr", 10_000_000, 10_000_000, 1_000.0, 1_000.0, 2, &cfg),

@@ -23,17 +23,28 @@ use std::sync::Arc;
 /// lanes than any test matrix has natural chunks.
 pub const THREADS: [usize; 5] = [1, 2, 4, 7, 16];
 
-/// The reference executor, then `omp(t)` for every `t` in [`THREADS`].
+/// omp thread counts also run pinned (`Executor::omp_pinned`): one OS
+/// thread per worker, so the interleavings of 7 and 16 lanes stay checked
+/// on a host with fewer cores, where `omp(t)` runs the host's count.
+pub const PINNED: [usize; 2] = [7, 16];
+
+/// The reference executor, then `omp(t)` for every `t` in [`THREADS`], then
+/// the pinned shape for every count in [`PINNED`].
 pub fn executors() -> Vec<Executor> {
     let mut all = vec![Executor::reference()];
     all.extend(THREADS.map(Executor::omp));
+    all.extend(PINNED.map(Executor::omp_pinned));
     all
 }
 
-/// Short name of an executor: `reference`, `omp7`, `cuda0`.
+/// Short name of an executor: `reference`, `omp7`, `cuda0`, and
+/// `omp7pinned` for a pinned pool with more threads than the host has
+/// cores.
 pub fn label(exec: &Executor) -> String {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     match exec.backend().name() {
         "reference" => "reference".to_string(),
+        "omp" if exec.functional_threads() > host => format!("omp{}pinned", exec.spec().workers),
         "omp" => format!("omp{}", exec.spec().workers),
         backend => format!("{backend}{}", exec.device_id()),
     }

@@ -22,7 +22,10 @@
 //!
 //! The same generator prints [`FINGERPRINTS`]: every case of [`GOLDEN`] on
 //! `omp(2)`, `omp(16)` and `cuda(0)`, pinned by one `u64` fold of its
-//! history and solution bits. Every case that converges also checks its true
+//! history and solution bits; `pinned_pools_follow_the_same_trajectories`
+//! runs every case on pools pinned at 7 and 16 threads and asserts it equal,
+//! bit for bit, to `omp(7)` and `omp(16)`, which run at most the host's
+//! cores. Every case that converges also checks its true
 //! residual `‖b - A x‖ / ‖b‖` against [`true_residual_bound`]. The bounded
 //! tier, `every_executor_stays_in_the_band_of_the_reference`, compares the
 //! first `common::BAND_ITERS` iterations on every executor but the reference
@@ -415,6 +418,27 @@ fn other_executors_match_their_fingerprints() {
         assert_eq!(got, want, "{case} on omp2 / omp16 / cuda0 drifted");
     }
     common::print_coverage("solver_golden::fingerprints");
+}
+
+/// The pool's thread count moves no bit: `omp(7)` and `omp(16)` run at
+/// most the host's cores, their pinned twins one thread per worker, and
+/// every trajectory is the same, so the twins hold [`GOLDEN`]'s `omp7` rows
+/// and [`FINGERPRINTS`]' `omp16` column too.
+#[test]
+fn pinned_pools_follow_the_same_trajectories() {
+    let want = trajectories(&[Executor::omp(7), Executor::omp(16)]);
+    let got = trajectories(&[Executor::omp_pinned(7), Executor::omp_pinned(16)]);
+    assert_eq!(got.len(), want.len(), "case count");
+    for (mut got, want) in got.into_iter().zip(want) {
+        assert!(
+            got.case.starts_with(&want.case),
+            "{} against {}",
+            got.case,
+            want.case
+        );
+        got.case.clone_from(&want.case);
+        assert_eq!(got, want, "{} drifted on a pinned pool", want.case);
+    }
 }
 
 /// Prints [`GOLDEN`] and [`FINGERPRINTS`] as Rust source (see the module

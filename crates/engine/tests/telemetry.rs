@@ -29,6 +29,15 @@ fn flights(detectors: DetectorConfig) -> ObserveConfig {
     }
 }
 
+/// The default detectors with latency drift opted in, trusting a baseline
+/// after three solves.
+fn drift_armed() -> DetectorConfig {
+    DetectorConfig {
+        drift_min_solves: 3,
+        ..DetectorConfig::default()
+    }
+}
+
 /// Arms the flight plane alone with `detectors` and hands its reader back.
 fn record_flights(exec: &Executor, detectors: DetectorConfig) -> &Observer {
     exec.observe(flights(detectors));
@@ -184,7 +193,9 @@ fn spin(iters: u64) -> f64 {
 /// flag `LaneImbalance` on that lane.
 #[test]
 fn skewed_chunks_trigger_lane_imbalance() {
-    let exec = Executor::omp(8);
+    // Eight real lanes whatever the host has: the imbalance ratio is at
+    // most the lane count, so the default threshold of 4 needs more.
+    let exec = Executor::omp_pinned(8);
     let recorder = record_flights(&exec, DetectorConfig::default());
 
     // 8 chunks, one lane apiece: chunk 0 busies its lane for 16 busy-time
@@ -234,7 +245,7 @@ fn skewed_chunks_trigger_lane_imbalance() {
 /// solves that built the baseline must not be.
 #[test]
 fn injected_slow_kernel_triggers_latency_drift() {
-    let recorder = Observer::detached(flights(DetectorConfig::default()));
+    let recorder = Observer::detached(flights(drift_armed()));
     let healthy_solve = |wall_ns: u64| {
         for _ in 0..8 {
             recorder.on_event(&Event::LinOpApplyCompleted {
@@ -618,7 +629,7 @@ fn concurrent_traces_scrape_during_armed_batched_solve() {
 fn other_threads_events_stay_out_of_the_solve_in_flight() {
     let observer = Observer::detached(ObserveConfig {
         metrics: true,
-        ..flights(DetectorConfig::default())
+        ..flights(drift_armed())
     });
     let csr = |wall_ns| Event::LinOpApplyCompleted {
         op: "csr",
