@@ -144,12 +144,8 @@ impl Executor {
     /// interleavings of `threads` lanes on a smaller host.
     #[doc(hidden)]
     pub fn omp_pinned(threads: usize) -> Self {
-        Executor::make(
-            Backend::Omp,
-            0,
-            DeviceSpec::xeon_8368(threads),
-            Some(threads),
-        )
+        let spec = DeviceSpec::xeon_8368(threads);
+        Executor::make(Backend::Omp, 0, spec, Some(threads))
     }
 
     /// Simulated NVIDIA A100 with the given device id.

@@ -17,12 +17,12 @@
 //!
 //! Chunk partitions are derived from the executor's [`DeviceSpec`] (never
 //! from the lane count), so functional results are bitwise reproducible
-//! across hosts. The spec's workers live in the cost model only: the
-//! executor gives its pool no more lanes (OS threads) than the host has
-//! cores ([`Executor::functional_threads`]). The *modeled* execution time
-//! likewise comes from the `pygko-sim` cost model (which charges `chunk_overhead_ns` per scheduled
-//! chunk), while the pool separately measures the *real* host-side dispatch
-//! overhead in [`PoolStats`] for the overhead benchmarks.
+//! across hosts; the executor gives its pool no more lanes (OS threads) than
+//! the host has cores ([`Executor::functional_threads`]). The *modeled*
+//! execution time likewise comes from the `pygko-sim` cost model (which
+//! charges `chunk_overhead_ns` per scheduled chunk), while the pool
+//! separately measures the *real* host-side dispatch overhead in
+//! [`PoolStats`] for the overhead benchmarks.
 //!
 //! [`DeviceSpec`]: pygko_sim::DeviceSpec
 

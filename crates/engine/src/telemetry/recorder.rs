@@ -375,9 +375,9 @@ pub fn detect_convergence(initial: f64, window: &[f64], converged: bool) -> Opti
 /// ([`IMBALANCE_MIN_BUSY_NS`]).
 ///
 /// The busiest lane carries at most the total, so the ratio is at most the
-/// lane count (plus the mean's rounding, under `1 / IMBALANCE_MIN_BUSY_NS`):
-/// at the default 4.0 a pool of 3 lanes or fewer never fires, which is every
-/// pool on a host of 3 cores or fewer.
+/// lane count (plus under `lanes / IMBALANCE_MIN_BUSY_NS` from the mean's
+/// rounding): at the default 4.0 a pool of 3 lanes or fewer never fires,
+/// which is every pool on a host of 3 cores or fewer.
 pub fn detect_lane_imbalance(lanes: &[LaneStats], cfg: &DetectorConfig) -> Option<Anomaly> {
     if lanes.len() < 2 {
         return None;
