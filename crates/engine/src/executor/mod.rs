@@ -218,8 +218,8 @@ impl Executor {
     /// The spec's workers are logical, the pool's threads physical. Chunk
     /// bounds and every virtual charge come from the spec, never from this
     /// count, so it moves no result bit and no modeled time. Threads beyond
-    /// the host's cores only timeslice: on 2 vCPUs, 16 threads ran a 400-row
-    /// CG about 6x slower per iteration than 2.
+    /// the host's cores only timeslice: on 2 vCPUs, 16 threads ran CG on 400
+    /// and 3 600 rows 5-6x slower per iteration than 2.
     pub fn functional_threads(&self) -> usize {
         self.0.threads
     }
