@@ -41,7 +41,7 @@ impl<T: Copy + Default + Send + Sync> Array<T> {
     }
 
     /// Copies this array to another executor, charging the transfer.
-    pub fn copy_to(&self, exec: &Executor) -> Array<T> {
+    pub(crate) fn copy_to(&self, exec: &Executor) -> Array<T> {
         let bytes = self.data.len() * std::mem::size_of::<T>();
         exec.track_alloc(bytes);
         if !self.exec.same_memory_space(exec) {
@@ -86,7 +86,7 @@ impl<T: Copy + Default + Send + Sync> Array<T> {
     }
 
     /// Validates that `self` and `other` are on the same executor.
-    pub fn check_same_executor<U>(&self, other: &Array<U>) -> Result<()> {
+    pub(crate) fn check_same_executor<U>(&self, other: &Array<U>) -> Result<()> {
         if self.exec.same_memory_space(&other.exec) {
             Ok(())
         } else {
@@ -95,17 +95,6 @@ impl<T: Copy + Default + Send + Sync> Array<T> {
                 right: other.exec.name().to_owned(),
             })
         }
-    }
-
-    /// Consumes the array and returns the host vector (charging a download
-    /// when leaving a device).
-    pub fn into_vec(self) -> Vec<T> {
-        let bytes = self.data.len() * std::mem::size_of::<T>();
-        self.exec.charge_download(bytes);
-        // Drop accounting happens manually here since we bypass Drop.
-        self.exec.track_dealloc(bytes);
-        let mut me = std::mem::ManuallyDrop::new(self);
-        std::mem::take(&mut me.data)
     }
 }
 
@@ -185,16 +174,6 @@ mod tests {
         assert!(a.check_same_executor(&b).is_err());
         let c = Array::from_vec(&host, vec![2.0f64; 4]);
         assert!(a.check_same_executor(&c).is_ok());
-    }
-
-    #[test]
-    fn into_vec_returns_data_and_balances_accounting() {
-        let exec = Executor::reference();
-        let base = exec.bytes_allocated();
-        let a = Array::from_vec(&exec, vec![5i32; 8]);
-        let v = a.into_vec();
-        assert_eq!(v, vec![5i32; 8]);
-        assert_eq!(exec.bytes_allocated(), base);
     }
 
     #[test]

@@ -34,12 +34,12 @@ impl Dim2 {
     }
 
     /// True for square operators.
-    pub const fn is_square(&self) -> bool {
+    pub(crate) const fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
     /// The transposed size.
-    pub const fn transposed(&self) -> Dim2 {
+    pub(crate) const fn transposed(&self) -> Dim2 {
         Dim2 {
             rows: self.cols,
             cols: self.rows,

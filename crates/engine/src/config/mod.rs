@@ -99,7 +99,7 @@ impl Config {
     }
 
     /// Required-field accessor with a config-error message.
-    pub fn require(&self, key: &str) -> Result<&Config> {
+    pub(crate) fn require(&self, key: &str) -> Result<&Config> {
         self.get(key)
             .ok_or_else(|| GkoError::InvalidConfig(format!("missing required key '{key}'")))
     }

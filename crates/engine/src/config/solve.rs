@@ -51,7 +51,7 @@ fn optional_positive(config: &Config, key: &str) -> Result<Option<usize>> {
 }
 
 /// Parses the `criteria` array of a config tree.
-pub fn parse_criteria(config: &Config) -> Result<Criteria> {
+pub(crate) fn parse_criteria(config: &Config) -> Result<Criteria> {
     let mut criteria = Criteria {
         max_iters: usize::MAX,
         reduction_factor: None,
@@ -109,7 +109,7 @@ pub fn parse_criteria(config: &Config) -> Result<Criteria> {
 }
 
 /// Builds the preconditioner named in the config (if any).
-pub fn build_preconditioner<V: Value, I: Index>(
+pub(crate) fn build_preconditioner<V: Value, I: Index>(
     matrix: &Arc<Csr<V, I>>,
     config: &Config,
 ) -> Result<Option<Arc<dyn LinOp<V>>>> {

@@ -201,7 +201,7 @@ impl Executor {
     pub fn synchronize(&self) {}
 
     /// Whether `self` and `other` address the same memory space.
-    pub fn same_memory_space(&self, other: &Executor) -> bool {
+    pub(crate) fn same_memory_space(&self, other: &Executor) -> bool {
         match (self.is_host(), other.is_host()) {
             (true, true) => true,
             (false, false) => {
@@ -268,7 +268,7 @@ impl Executor {
     }
 
     /// Charges a host-to-device upload (no cost on host executors).
-    pub fn charge_upload(&self, bytes: usize) {
+    pub(crate) fn charge_upload(&self, bytes: usize) {
         if !self.is_host() {
             let t = self.0.spec.copy_time_ns(bytes);
             self.0.timeline.charge_copy(t, bytes);
@@ -276,7 +276,7 @@ impl Executor {
     }
 
     /// Charges a device-to-host download (no cost on host executors).
-    pub fn charge_download(&self, bytes: usize) {
+    pub(crate) fn charge_download(&self, bytes: usize) {
         if !self.is_host() {
             let t = self.0.spec.copy_time_ns(bytes);
             self.0.timeline.charge_copy(t, bytes);
@@ -342,7 +342,7 @@ impl Executor {
 
     /// Real seconds since this executor was constructed (the
     /// `gko_uptime_seconds` gauge). Wall clock, not the virtual timeline.
-    pub fn uptime_seconds(&self) -> f64 {
+    pub(crate) fn uptime_seconds(&self) -> f64 {
         self.0.start.elapsed().as_secs_f64()
     }
 
@@ -394,7 +394,7 @@ impl Executor {
     }
 
     /// Records an allocation in the memory accountant.
-    pub fn track_alloc(&self, bytes: usize) {
+    pub(crate) fn track_alloc(&self, bytes: usize) {
         let now = self
             .0
             .bytes_allocated
@@ -407,14 +407,16 @@ impl Executor {
     }
 
     /// Records a deallocation.
-    pub fn track_dealloc(&self, bytes: usize) {
+    pub(crate) fn track_dealloc(&self, bytes: usize) {
         self.0
             .bytes_allocated
             .fetch_sub(bytes as i64, Ordering::Relaxed);
     }
 
-    /// Bytes currently allocated on this executor.
-    pub fn bytes_allocated(&self) -> i64 {
+    /// Bytes currently allocated on this executor (the leak checks' view
+    /// of the counter `peak_bytes` is derived from).
+    #[cfg(test)]
+    pub(crate) fn bytes_allocated(&self) -> i64 {
         self.0.bytes_allocated.load(Ordering::Relaxed)
     }
 

@@ -366,7 +366,7 @@ impl WorkerPool {
     ///
     /// The vector always has [`WorkerPool::threads`] entries; a lane that
     /// never executed a chunk reports zeros.
-    pub fn lane_stats(&self) -> Vec<LaneStats> {
+    pub(crate) fn lane_stats(&self) -> Vec<LaneStats> {
         self.shared
             .lanes
             .iter()
@@ -697,7 +697,7 @@ where
 /// Unlike a left-to-right fold, the tree shape keeps rounding error growth
 /// logarithmic in the chunk count and matches how device reductions combine
 /// partials, while staying fully deterministic for a given partial order.
-pub fn tree_reduce(partials: &[f64]) -> f64 {
+pub(crate) fn tree_reduce(partials: &[f64]) -> f64 {
     match partials.len() {
         0 => 0.0,
         1 => partials[0],

@@ -75,7 +75,7 @@ impl DenseLu {
     }
 
     /// Solves `A x = b` in `y`, which holds `b` on entry and `x` on return.
-    pub fn solve_in_place(&self, y: &mut [f64]) -> Result<()> {
+    pub(crate) fn solve_in_place(&self, y: &mut [f64]) -> Result<()> {
         if y.len() != self.n {
             return Err(GkoError::BadInput(format!(
                 "rhs length {} != n = {}",
@@ -101,23 +101,6 @@ impl DenseLu {
             y[i] /= self.lu[i * n + i];
         }
         Ok(())
-    }
-
-    /// The determinant of `A` (product of pivots with permutation sign).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.n {
-            det *= self.lu[i * self.n + i];
-        }
-        // Every row swap flips the sign.
-        let swaps = self
-            .pivots
-            .iter()
-            .enumerate()
-            .filter(|(k, p)| k != *p)
-            .count();
-        let sign = if swaps.is_multiple_of(2) { 1.0 } else { -1.0 };
-        det * sign
     }
 }
 
@@ -172,14 +155,6 @@ mod tests {
             let ax: f64 = (0..n).map(|j| a[i * n + j] * x[j]).sum();
             assert!((ax - b[i]).abs() < 1e-9, "row {i}: {ax} vs {}", b[i]);
         }
-    }
-
-    #[test]
-    fn determinant_of_known_matrix() {
-        let lu = DenseLu::factor(2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!((lu.determinant() - (-2.0)).abs() < 1e-12);
-        let lu = DenseLu::factor(2, &[0.0, 1.0, 1.0, 0.0]).unwrap();
-        assert!((lu.determinant() - (-1.0)).abs() < 1e-12);
     }
 
     #[test]

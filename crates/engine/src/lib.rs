@@ -64,8 +64,8 @@ pub use executor::pool::{LaneStats, PoolStats};
 pub use executor::Executor;
 pub use linop::LinOp;
 pub use metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
-pub use observe::{ObserveConfig, Observer, ObserverStatus};
-pub use profile::{DiffRow, FlameStat, ProfileDiff, ProfileSnapshot};
-pub use sanitize::{PartitionViolation, Sanitizer, SanitizerReport};
+pub use observe::{ObserveConfig, Observer};
+pub use profile::ProfileSnapshot;
+pub use sanitize::{Sanitizer, SanitizerReport};
 pub use telemetry::{Anomaly, DetectorConfig, FlightReport, TelemetryServer};
 pub use trace::{SpanKind, SpanRecord, TraceConfig, TraceReport};

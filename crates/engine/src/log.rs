@@ -660,7 +660,7 @@ impl ConvergenceLogger {
 
     /// Names the owning solver and adds a registry that receives the
     /// iteration/solve events this logger generates.
-    pub fn bind_events(&self, solver: &'static str, sink: LoggerRegistry) {
+    pub(crate) fn bind_events(&self, solver: &'static str, sink: LoggerRegistry) {
         let mut inner = self.lock();
         inner.solver = solver;
         inner.sinks.push(sink);

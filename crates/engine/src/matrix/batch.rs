@@ -340,7 +340,7 @@ impl<V: Value> BatchDense<V> {
     /// Per-system Euclidean norms into `out[s]` for active systems
     /// (inactive slots are left untouched). Accumulates in `f64` per system
     /// in element order, so results are deterministic.
-    pub fn norms2(&self, active: Option<&[bool]>, out: &mut [f64]) -> Result<()> {
+    pub(crate) fn norms2(&self, active: Option<&[bool]>, out: &mut [f64]) -> Result<()> {
         const NAME: &str = "batch_dense::norms2";
         self.check(NAME, None, Some(out.len()), active)?;
         let (vals, count) = (self.as_slice(), self.size.count());

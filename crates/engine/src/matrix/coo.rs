@@ -223,7 +223,7 @@ impl<V: Value, I: Index> Coo<V, I> {
     }
 
     /// Work description of a COO SpMV over an nnz partition.
-    pub fn spmv_work(&self, chunks: usize) -> Vec<ChunkWork> {
+    pub(crate) fn spmv_work(&self, chunks: usize) -> Vec<ChunkWork> {
         let bounds = uniform_bounds(self.nnz(), chunks);
         bounds
             .windows(2)
@@ -470,11 +470,7 @@ mod tests {
         let coo = Coo::<f64, i32>::from_triplets(&e, Dim2::square(n), &t).unwrap();
         let csr = coo.to_csr();
         let coo_bytes: f64 = coo.spmv_work(2).iter().map(|w| w.streamed_bytes).sum();
-        let csr_bytes: f64 = csr
-            .spmv_work(&csr.chunk_bounds(2))
-            .iter()
-            .map(|w| w.streamed_bytes)
-            .sum();
+        let csr_bytes: f64 = csr.plan().work.iter().map(|w| w.streamed_bytes).sum();
         assert!(coo_bytes > csr_bytes, "COO streams the explicit row array");
     }
 

@@ -18,22 +18,21 @@
 //! Partitioning is done once per matrix by the inspector–executor plan
 //! layer ([`crate::matrix::plan`]): the first apply builds an [`SpmvPlan`]
 //! (split points, resolved strategy, per-chunk cost work) which is cached on
-//! the matrix and reused by every later apply until the matrix is mutated.
+//! the matrix and reused by every later apply until its strategy changes.
 
 use crate::base::array::Array;
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
 use crate::base::types::{Index, TripletValue, Value};
-use crate::executor::pool::{parallel_chunks, uniform_bounds};
+use crate::executor::pool::parallel_chunks;
 use crate::executor::Executor;
 use crate::linop::{check_operands, LinOp};
 use crate::log::OpTimer;
 use crate::matrix::dense::Dense;
 use crate::matrix::plan::{
-    self, PlanCache, PlanCacheStats, ResolvedStrategy, RowStats, SegmentSink, SpmvPlan,
+    self, PlanCache, PlanCacheStats, ResolvedStrategy, SegmentSink, SpmvPlan,
 };
 use crate::sanitize::{report_violation, verify_merge_segments};
-use pygko_sim::ChunkWork;
 use std::sync::Arc;
 
 /// SpMV parallelization strategy.
@@ -525,24 +524,6 @@ impl<V: Value, I: Index> Csr<V, I> {
         (self.size, self.row_ptrs, self.col_idxs, self.values)
     }
 
-    /// Converts a dense matrix, dropping exact zeros.
-    pub fn from_dense(dense: &Dense<V>) -> Self {
-        let size = dense.size();
-        let mut triplets = Vec::new();
-        for i in 0..size.rows {
-            for j in 0..size.cols {
-                let v = dense.at(i, j);
-                if v != V::zero() {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
-        Csr::from_triplets(dense.executor(), size, &triplets)
-            // lint: allow(panic): indices come from iterating `size`, so
-            // they are in bounds by construction.
-            .expect("dense-derived triplets are always valid")
-    }
-
     /// Chooses the SpMV strategy (builder style). Drops any cached plan —
     /// the next apply re-runs the inspector for the new strategy.
     pub fn with_strategy(mut self, strategy: SpmvStrategy) -> Self {
@@ -576,17 +557,6 @@ impl<V: Value, I: Index> Csr<V, I> {
         self.values.as_slice()
     }
 
-    /// Mutable value access (structure stays fixed) — used by factorizations.
-    ///
-    /// Invalidates the cached plan. Today's plans depend only on the
-    /// structure, which value mutation cannot change, but invalidating on
-    /// every mutation keeps the cache trivially coherent with any future
-    /// value-dependent strategy heuristics.
-    pub fn values_mut(&mut self) -> &mut [V] {
-        self.plan.invalidate();
-        self.values.as_mut_slice()
-    }
-
     /// The cached execution plan for this matrix on its executor, running
     /// the inspector on first use (and again after invalidation).
     pub fn plan(&self) -> Arc<SpmvPlan> {
@@ -609,8 +579,8 @@ impl<V: Value, I: Index> Csr<V, I> {
     }
 
     /// Drops the cached plan so the next apply re-runs the inspector. Used
-    /// by the plan-reuse ablation bench; ordinary mutation paths
-    /// ([`Csr::values_mut`], [`Csr::with_strategy`]) invalidate on their own.
+    /// by the plan-reuse ablation bench; [`Csr::with_strategy`] invalidates
+    /// on its own.
     pub fn invalidate_plan(&self) {
         self.plan.invalidate();
     }
@@ -648,7 +618,7 @@ impl<V: Value, I: Index> Csr<V, I> {
     }
 
     /// Extracts the diagonal (missing diagonal entries read as zero).
-    pub fn extract_diagonal(&self) -> Vec<V> {
+    pub(crate) fn extract_diagonal(&self) -> Vec<V> {
         let rp = self.row_ptrs.as_slice();
         let ci = self.col_idxs.as_slice();
         let vals = self.values.as_slice();
@@ -703,53 +673,6 @@ impl<V: Value, I: Index> Csr<V, I> {
         // lint: allow(panic): counting sort of a valid CSR yields
         // monotone row pointers and in-bounds, sorted columns.
         .expect("transpose of valid CSR is valid")
-    }
-
-    /// Row chunk boundaries according to the active strategy (with `Auto`
-    /// resolved from the row statistics).
-    ///
-    /// Exposed so the cost model, the facade, and the ablation benches can
-    /// inspect the partition a kernel will use. This is the *uncached* path
-    /// for arbitrary chunk counts; applies go through [`Csr::plan`]. For
-    /// [`SpmvStrategy::MergePath`] — whose segments are not row-aligned —
-    /// the reported bounds are the deduplicated row spans of the segments.
-    pub fn chunk_bounds(&self, max_chunks: usize) -> Vec<usize> {
-        let m = self.size.rows;
-        let rp = self.row_ptrs.as_slice();
-        let stats = RowStats::inspect(m, rp);
-        match plan::resolve_strategy(self.strategy, &stats) {
-            ResolvedStrategy::Classical => uniform_bounds(m, max_chunks),
-            ResolvedStrategy::LoadBalance => plan::load_balance_bounds(m, rp, max_chunks),
-            ResolvedStrategy::MergePath => {
-                let segs = plan::merge_segments(m, rp, max_chunks);
-                if segs.is_empty() {
-                    return uniform_bounds(m, max_chunks);
-                }
-                let mut bounds = vec![0usize];
-                let mut last = 0usize;
-                for s in segs.iter().skip(1) {
-                    if s.row_first > last {
-                        bounds.push(s.row_first);
-                        last = s.row_first;
-                    }
-                }
-                bounds.push(m);
-                bounds
-            }
-        }
-    }
-
-    /// Work description of an SpMV under the given row partition.
-    pub fn spmv_work(&self, bounds: &[usize]) -> Vec<ChunkWork> {
-        let rp = self.row_ptrs.as_slice();
-        bounds
-            .windows(2)
-            .map(|w| {
-                let rows = (w[1] - w[0]) as f64;
-                let nnz = (rp[w[1]].to_usize() - rp[w[0]].to_usize()) as f64;
-                plan::spmv_chunk_work(rows, nnz, V::BYTES, I::BYTES)
-            })
-            .collect()
     }
 
     /// Row-parallel kernel (Classical and LoadBalance): each chunk owns a
@@ -887,6 +810,7 @@ impl<V: Value, I: Index> LinOp<V> for Csr<V, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::pool::uniform_bounds;
 
     fn exec() -> Executor {
         Executor::reference()
@@ -1038,8 +962,8 @@ mod tests {
             triplets.push((i, 0, 1.0));
         }
         let a = Csr::<f64, i32>::from_triplets(&e, Dim2::new(9, 9), &triplets).unwrap();
-        let bounds = a.chunk_bounds(4);
         let rp = a.row_ptrs();
+        let bounds = plan::load_balance_bounds(9, rp, 4);
         let nnz_per_chunk: Vec<usize> = bounds
             .windows(2)
             .map(|w| rp[w[1]].to_usize() - rp[w[0]].to_usize())
@@ -1051,8 +975,7 @@ mod tests {
             "heavy row isolated: {nnz_per_chunk:?}"
         );
 
-        let classical = a.with_strategy(SpmvStrategy::Classical).chunk_bounds(4);
-        assert_ne!(bounds, classical);
+        assert_ne!(bounds, uniform_bounds(9, 4));
     }
 
     #[test]
@@ -1096,15 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_roundtrip() {
-        let e = exec();
-        let d = Dense::from_rows(&e, &[[0.0f64, 1.5], [2.5, 0.0]]);
-        let a = Csr::<f64, i32>::from_dense(&d);
-        assert_eq!(a.nnz(), 2);
-        assert_eq!(a.to_dense().to_host_vec(), d.to_host_vec());
-    }
-
-    #[test]
     fn int64_indices_work() {
         let e = exec();
         let a = Csr::<f32, i64>::from_triplets(&e, Dim2::square(2), &[(0, 0, 2.0), (1, 1, 3.0)])
@@ -1132,7 +1046,7 @@ mod tests {
         triplets.push((n - 1, n - 1, 2.0));
         let a = Csr::<f64, i32>::from_triplets(&e, Dim2::square(n), &triplets).unwrap();
         for chunks in [2, 4, 16, 64, 1000] {
-            let bounds = a.chunk_bounds(chunks);
+            let bounds = plan::load_balance_bounds(n, a.row_ptrs(), chunks);
             assert_eq!(bounds[0], 0);
             assert_eq!(*bounds.last().unwrap(), n);
             assert!(
@@ -1154,9 +1068,7 @@ mod tests {
     fn spmv_work_accounts_all_nnz() {
         let e = exec();
         let a = sample(&e);
-        let bounds = a.chunk_bounds(2);
-        let work = a.spmv_work(&bounds);
-        let flops: f64 = work.iter().map(|w| w.flops).sum();
+        let flops: f64 = a.plan().work.iter().map(|w| w.flops).sum();
         assert_eq!(flops, 2.0 * a.nnz() as f64);
     }
 
@@ -1176,20 +1088,6 @@ mod tests {
         a.invalidate_plan();
         a.apply(&b, &mut x).unwrap();
         assert_eq!(a.plan_stats().builds, 2);
-    }
-
-    #[test]
-    fn plan_invalidated_on_value_mutation() {
-        let e = exec();
-        let mut a = sample(&e);
-        let b = Dense::from_rows(&e, &[[1.0f64], [2.0], [3.0]]);
-        let mut x = Dense::zeros(&e, Dim2::new(3, 1));
-        a.apply(&b, &mut x).unwrap();
-        assert_eq!(a.plan_stats().builds, 1);
-        a.values_mut()[0] = 10.0;
-        a.apply(&b, &mut x).unwrap();
-        assert_eq!(a.plan_stats().builds, 2, "mutation rebuilt the plan");
-        assert_eq!(x.to_host_vec(), vec![13.0, 6.0, 32.0]);
     }
 
     #[test]

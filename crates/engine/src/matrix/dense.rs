@@ -33,7 +33,7 @@
 //! | [`add_scaled_scale_add`](Dense::add_scaled_scale_add) | `p += αv; p = r + βp` | BiCGStab (`p`) |
 //! | [`compute_dot2`](Dense::compute_dot2) | `(t·t, t·s)` | BiCGStab |
 //! | [`assign_scaled`](Dense::assign_scaled) | `v = αw` | GMRES basis vectors |
-//! | [`assign_product`](Dense::assign_product) | `x = d ∘ b` | `Diagonal`, scalar Jacobi |
+//! | `assign_product` | `x = d ∘ b` | `Diagonal`, scalar Jacobi |
 //!
 //! Each is bit-identical to the sequence of `copy_from` / `add_scaled` /
 //! `compute_dot` calls it replaces: the same element arithmetic in the same
@@ -313,7 +313,7 @@ impl<V: Value> Dense<V> {
 
     /// Elementwise product: `self = d ∘ b`, a diagonal matrix applied to a
     /// vector.
-    pub fn assign_product(&mut self, d: &Dense<V>, b: &Dense<V>) -> Result<()> {
+    pub(crate) fn assign_product(&mut self, d: &Dense<V>, b: &Dense<V>) -> Result<()> {
         let f = |_: [V; 1], [d, b]: [V; 2]| ([d * b], []);
         Self::sweep("dense::scale", 3, 1.0, [self], [d, b], f).map(|[]| ())
     }

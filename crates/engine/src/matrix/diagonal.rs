@@ -1,5 +1,5 @@
-//! Diagonal matrices (Ginkgo's `matrix::Diagonal`) — used for row/column
-//! scaling and as the cheapest preconditioner building block.
+//! Diagonal matrices (Ginkgo's `matrix::Diagonal`) — the cheapest
+//! preconditioner building block.
 
 use crate::base::dim::Dim2;
 use crate::base::error::{GkoError, Result};
@@ -13,7 +13,7 @@ use crate::matrix::dense::Dense;
 use pygko_sim::ChunkWork;
 
 /// A diagonal matrix stored as its diagonal values, an `n x 1` column: its
-/// product with a vector is then [`Dense::assign_product`], one sweep like
+/// product with a vector is then `Dense::assign_product`, one sweep like
 /// every other BLAS-1 operation.
 #[derive(Debug, Clone)]
 pub struct Diagonal<V: Value> {
@@ -52,43 +52,6 @@ impl<V: Value> Diagonal<V> {
     /// The diagonal entries.
     pub fn values(&self) -> &[V] {
         self.values.as_slice()
-    }
-
-    /// Scales the rows of a CSR matrix in place: `A <- D A`.
-    pub fn scale_rows<I: Index>(&self, matrix: &mut Csr<V, I>) -> Result<()> {
-        if matrix.size().rows != self.len() {
-            return Err(GkoError::DimensionMismatch {
-                op: "scale_rows",
-                expected: Dim2::square(self.len()),
-                actual: matrix.size(),
-            });
-        }
-        let rp: Vec<usize> = matrix.row_ptrs().iter().map(|p| p.to_usize()).collect();
-        let d = self.values.as_slice().to_vec();
-        let vals = matrix.values_mut();
-        for r in 0..rp.len() - 1 {
-            for v in vals[rp[r]..rp[r + 1]].iter_mut() {
-                *v *= d[r];
-            }
-        }
-        Ok(())
-    }
-
-    /// Scales the columns of a CSR matrix in place: `A <- A D`.
-    pub fn scale_cols<I: Index>(&self, matrix: &mut Csr<V, I>) -> Result<()> {
-        if matrix.size().cols != self.len() {
-            return Err(GkoError::DimensionMismatch {
-                op: "scale_cols",
-                expected: Dim2::square(self.len()),
-                actual: matrix.size(),
-            });
-        }
-        let cols: Vec<usize> = matrix.col_idxs().iter().map(|c| c.to_usize()).collect();
-        let d = self.values.as_slice().to_vec();
-        for (v, &c) in matrix.values_mut().iter_mut().zip(&cols) {
-            *v *= d[c];
-        }
-        Ok(())
     }
 }
 
@@ -167,44 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn row_and_column_scaling() {
-        let exec = Executor::reference();
-        let mut a = Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(2),
-            &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)],
-        )
-        .unwrap();
-        let d = Diagonal::new(&exec, vec![2.0f64, 10.0]);
-        d.scale_rows(&mut a).unwrap();
-        assert_eq!(a.to_dense().to_host_vec(), vec![2.0, 4.0, 0.0, 30.0]);
-        d.scale_cols(&mut a).unwrap();
-        assert_eq!(a.to_dense().to_host_vec(), vec![4.0, 40.0, 0.0, 300.0]);
-    }
-
-    #[test]
-    fn equilibration_improves_conditioning() {
-        // D^{-1} A with D = diag(A) has unit diagonal — the classic Jacobi
-        // equilibration, composed from Diagonal pieces.
-        let exec = Executor::reference();
-        let mut a = Csr::<f64, i32>::from_triplets(
-            &exec,
-            Dim2::square(3),
-            &[(0, 0, 100.0), (0, 1, 1.0), (1, 1, 0.01), (2, 2, 5.0)],
-        )
-        .unwrap();
-        let dinv = Diagonal::from_matrix(&a).inverse().unwrap();
-        dinv.scale_rows(&mut a).unwrap();
-        assert_eq!(a.extract_diagonal(), vec![1.0, 1.0, 1.0]);
-    }
-
-    #[test]
     fn dimension_mismatches_are_rejected() {
         let exec = Executor::reference();
         let d = Diagonal::new(&exec, vec![1.0f64; 3]);
-        let mut a = Csr::<f64, i32>::from_triplets(&exec, Dim2::square(2), &[(0, 0, 1.0)]).unwrap();
-        assert!(d.scale_rows(&mut a).is_err());
-        assert!(d.scale_cols(&mut a).is_err());
         let b = Dense::<f64>::vector(&exec, 2, 1.0);
         let mut x = Dense::zeros(&exec, Dim2::new(3, 1));
         assert!(d.apply(&b, &mut x).is_err());

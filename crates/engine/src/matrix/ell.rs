@@ -89,16 +89,6 @@ impl<V: Value, I: Index> Ell<V, I> {
             .expect("ELL-derived triplets are valid")
     }
 
-    /// Number of stored slots (including padding).
-    pub fn stored_elements(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Padded row width.
-    pub fn stored_per_row(&self) -> usize {
-        self.stored_per_row
-    }
-
     /// Executor the matrix lives on.
     pub fn executor(&self) -> &Executor {
         self.values.executor()
@@ -129,7 +119,7 @@ impl<V: Value, I: Index> Ell<V, I> {
     }
 
     /// Work description: the padded element count is streamed.
-    pub fn spmv_work(&self, chunks: usize) -> Vec<ChunkWork> {
+    pub(crate) fn spmv_work(&self, chunks: usize) -> Vec<ChunkWork> {
         let bounds = uniform_bounds(self.size.rows, chunks);
         bounds
             .windows(2)
@@ -261,8 +251,8 @@ mod tests {
     fn padding_follows_longest_row() {
         let e = exec();
         let ell = Ell::from_csr(&sample_csr(&e));
-        assert_eq!(ell.stored_per_row(), 3);
-        assert_eq!(ell.stored_elements(), 9);
+        assert_eq!(ell.stored_per_row, 3);
+        assert_eq!(ell.values.len(), 9);
     }
 
     #[test]
@@ -300,14 +290,10 @@ mod tests {
         }
         let csr = Csr::<f64, i32>::from_triplets(&e, Dim2::square(10), &t).unwrap();
         let ell = Ell::from_csr(&csr);
-        assert_eq!(ell.stored_elements(), 100);
+        assert_eq!(ell.values.len(), 100);
         assert_eq!(csr.nnz(), 19);
         let ell_flops: f64 = ell.spmv_work(4).iter().map(|w| w.flops).sum();
-        let csr_flops: f64 = csr
-            .spmv_work(&csr.chunk_bounds(4))
-            .iter()
-            .map(|w| w.flops)
-            .sum();
+        let csr_flops: f64 = csr.plan().work.iter().map(|w| w.flops).sum();
         assert!(ell_flops > 4.0 * csr_flops, "padding is charged");
     }
 
@@ -316,7 +302,7 @@ mod tests {
         let e = exec();
         let csr = Csr::<f64, i32>::from_triplets::<f64>(&e, Dim2::square(2), &[]).unwrap();
         let ell = Ell::from_csr(&csr);
-        assert_eq!(ell.stored_per_row(), 0);
+        assert_eq!(ell.stored_per_row, 0);
         let b = Dense::from_rows(&e, &[[1.0f64], [1.0]]);
         let mut x = Dense::zeros(&e, Dim2::new(2, 1));
         ell.apply(&b, &mut x).unwrap();

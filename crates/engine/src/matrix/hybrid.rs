@@ -20,7 +20,6 @@ use crate::matrix::coo::Coo;
 use crate::matrix::csr::Csr;
 use crate::matrix::dense::Dense;
 use crate::matrix::ell::Ell;
-use pygko_sim::ChunkWork;
 
 /// Row-length percentile used to pick the ELL width (Ginkgo's default
 /// strategy keeps ~80% of rows fully inside the ELL part).
@@ -42,7 +41,7 @@ impl<V: Value, I: Index> Hybrid<V, I> {
 
     /// Converts from CSR, placing the `percentile`-quantile row length into
     /// the ELL part and the overflow into COO.
-    pub fn from_csr_with_percentile(csr: &Csr<V, I>, percentile: f64) -> Self {
+    pub(crate) fn from_csr_with_percentile(csr: &Csr<V, I>, percentile: f64) -> Self {
         assert!((0.0..=1.0).contains(&percentile), "percentile in [0, 1]");
         let size = csr.size();
         let rp = csr.row_ptrs();
@@ -109,11 +108,6 @@ impl<V: Value, I: Index> Hybrid<V, I> {
             .expect("merged triplets are valid")
     }
 
-    /// Stored nonzeros in the ELL part (including padding).
-    pub fn ell_stored(&self) -> usize {
-        self.ell.stored_elements()
-    }
-
     /// Nonzeros in the COO overflow part.
     pub fn coo_nnz(&self) -> usize {
         self.coo.nnz()
@@ -141,13 +135,6 @@ impl<V: Value, I: Index> Hybrid<V, I> {
         }
         self.ell.validate()?;
         self.coo.validate()
-    }
-
-    /// Combined work description (the two sub-kernels).
-    pub fn spmv_work(&self, chunks: usize) -> Vec<ChunkWork> {
-        let mut work = self.ell.spmv_work(chunks);
-        work.extend(self.coo.spmv_work(chunks));
-        work
     }
 }
 
@@ -219,14 +206,11 @@ mod tests {
         let csr = skewed(&exec, 100);
         let hyb = Hybrid::from_csr(&csr);
         assert!(hyb.coo_nnz() > 0, "the dense row must overflow");
-        // Padding is far below plain ELL's rows * max_len.
-        let ell_full = Ell::from_csr(&csr);
-        assert!(
-            hyb.ell_stored() < ell_full.stored_elements() / 10,
-            "hybrid {} vs full ELL {}",
-            hyb.ell_stored(),
-            ell_full.stored_elements()
-        );
+        // Padding is far below plain ELL's rows * max_len: the work model
+        // charges two flops per stored slot, padding included.
+        let flops = |ell: &Ell<f64, i32>| ell.spmv_work(1).iter().map(|w| w.flops).sum::<f64>();
+        let (hybrid, full) = (flops(&hyb.ell), flops(&Ell::from_csr(&csr)));
+        assert!(hybrid < full / 10.0, "hybrid {hybrid} vs full ELL {full}");
     }
 
     #[test]

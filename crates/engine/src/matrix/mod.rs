@@ -27,5 +27,5 @@ pub use dense::Dense;
 pub use diagonal::Diagonal;
 pub use ell::Ell;
 pub use hybrid::Hybrid;
-pub use plan::{MergeSegment, PlanCacheStats, ResolvedStrategy, RowStats, SpmvPlan};
+pub use plan::{MergeSegment, PlanCacheStats, ResolvedStrategy, SpmvPlan};
 pub use sellp::Sellp;

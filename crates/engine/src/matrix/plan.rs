@@ -6,7 +6,7 @@
 //! inspector–executor split), the partition work is now done once by an
 //! *inspector* ([`build_plan`]) and the result — an [`SpmvPlan`] holding the
 //! resolved strategy, precomputed split points, per-chunk cost descriptions,
-//! and row-skew statistics — is cached on the matrix ([`PlanCache`]) and
+//! and row-skew statistics — is cached on the matrix (`PlanCache`) and
 //! reused by every subsequent apply until the matrix is mutated.
 //!
 //! Three partition shapes are produced:
@@ -47,30 +47,30 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Classical chunks per worker: oversubscription lets stealing absorb the
 /// row-length imbalance a uniform row split cannot see.
-pub const CLASSICAL_OVERSUBSCRIPTION: usize = 4;
+pub(crate) const CLASSICAL_OVERSUBSCRIPTION: usize = 4;
 
 /// `Auto` picks [`SpmvStrategy::LoadBalance`] once the heaviest row exceeds
 /// this multiple of the average row length.
-pub const BALANCE_SKEW: f64 = 4.0;
+pub(crate) const BALANCE_SKEW: f64 = 4.0;
 
 /// `Auto` escalates to [`SpmvStrategy::MergePath`] once the heaviest row
 /// exceeds this multiple of the average — at that point one row rivals a
 /// whole worker's fair share and must itself be split.
-pub const MERGE_SKEW: f64 = 32.0;
+pub(crate) const MERGE_SKEW: f64 = 32.0;
 
 /// A plan visits rows grouped by length once the row length changes more
 /// than once per this many stored entries: then a row exit the branch
 /// predictor misses costs a visible share of the entries' own work. Circuit
 /// matrices change length ~0.14 times per entry, a power-law matrix's longer
 /// rows ~0.06, a stencil's ~0.002 (DESIGN.md §14, "Row order").
-pub const ORDER_NNZ_PER_CHANGE: usize = 10;
+pub(crate) const ORDER_NNZ_PER_CHANGE: usize = 10;
 
 /// Fewer rows than this are never reordered: across repeated applies the
 /// branch predictor learns a small matrix's whole row-length sequence (a
 /// loop of applies to a 4 000-row circuit reads ~0.7 ns/nnz in row order,
 /// ~30 % faster than grouped), and the order would only add its bookkeeping.
 /// Grouping wins from 6 000-8 000 rows on (DESIGN.md §14, "Row order").
-pub const ORDER_MIN_ROWS: usize = 8_192;
+pub(crate) const ORDER_MIN_ROWS: usize = 8_192;
 
 /// Consecutive rows inside which an ordered plan groups rows by length:
 /// wide enough to make runs of one length, narrow enough that the gathers
@@ -84,7 +84,7 @@ const ORDER_WINDOW: usize = 128;
 
 /// Row-length statistics derived from a CSR row-pointer array.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RowStats {
+pub(crate) struct RowStats {
     /// Matrix rows.
     pub rows: usize,
     /// Stored nonzeros.
@@ -99,7 +99,7 @@ pub struct RowStats {
 
 impl RowStats {
     /// One streaming pass over the row pointers.
-    pub fn inspect<I: Index>(rows: usize, row_ptrs: &[I]) -> Self {
+    pub(crate) fn inspect<I: Index>(rows: usize, row_ptrs: &[I]) -> Self {
         let mut max_row_nnz = 0usize;
         let mut empty_rows = 0usize;
         let mut length_changes = 0usize;
@@ -159,7 +159,7 @@ impl RowStats {
 ///
 /// Purely structural, so the same matrix resolves identically on every
 /// executor and every run.
-pub fn resolve_strategy(requested: SpmvStrategy, stats: &RowStats) -> ResolvedStrategy {
+pub(crate) fn resolve_strategy(requested: SpmvStrategy, stats: &RowStats) -> ResolvedStrategy {
     match requested {
         SpmvStrategy::Classical => ResolvedStrategy::Classical,
         SpmvStrategy::LoadBalance => ResolvedStrategy::LoadBalance,
@@ -205,7 +205,11 @@ impl ResolvedStrategy {
 
 /// Row boundaries with (approximately) equal nonzeros per chunk, deduplicated
 /// so skewed matrices never produce empty chunks.
-pub fn load_balance_bounds<I: Index>(rows: usize, row_ptrs: &[I], max_chunks: usize) -> Vec<usize> {
+pub(crate) fn load_balance_bounds<I: Index>(
+    rows: usize,
+    row_ptrs: &[I],
+    max_chunks: usize,
+) -> Vec<usize> {
     let nnz = if rows == 0 {
         0
     } else {
@@ -462,8 +466,6 @@ pub struct SpmvPlan {
     pub segments: Vec<MergeSegment>,
     /// Per-chunk cost-model work, aligned with the partition above.
     pub work: Vec<ChunkWork>,
-    /// Row-skew statistics gathered by the inspector.
-    pub stats: RowStats,
     /// Every piece's rows, local to the piece, in the order the `k == 1`
     /// kernels visit them; `None` when every piece runs in row order.
     pub(crate) order: Option<VisitOrder<u32>>,
@@ -565,7 +567,7 @@ impl PlanCacheStats {
 /// executor worker count) changes; structural mutation must call
 /// [`PlanCache::invalidate`] explicitly.
 #[derive(Debug, Default)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     slot: Mutex<Option<Arc<SpmvPlan>>>, // lock: plan.slot
     builds: AtomicU64,                  // atomic: counter
     hits: AtomicU64,                    // atomic: counter
@@ -587,7 +589,7 @@ impl PlanCache {
     }
 
     /// Drops the cached plan (the next apply re-runs the inspector).
-    pub fn invalidate(&self) {
+    pub(crate) fn invalidate(&self) {
         *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
@@ -603,7 +605,7 @@ impl PlanCache {
     ///
     /// The slot lock is held across `build`, so concurrent first applies of
     /// one matrix run the inspector exactly once.
-    pub fn get_or_build<F>(
+    pub(crate) fn get_or_build<F>(
         &self,
         requested: SpmvStrategy,
         workers: usize,
@@ -706,7 +708,6 @@ pub fn build_plan<I: Index>(
         row_bounds,
         segments,
         work,
-        stats,
         order: None,
     };
     // Not charged: the order is a schedule for the host's branch predictor,
@@ -1038,7 +1039,6 @@ mod tests {
             row_bounds: vec![0, 1],
             segments: Vec::new(),
             work: Vec::new(),
-            stats: RowStats::default(),
             order: None,
         };
         let p1 = cache.get_or_build(SpmvStrategy::Auto, 2, build);

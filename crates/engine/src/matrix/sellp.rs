@@ -19,7 +19,7 @@ use crate::matrix::dense::Dense;
 use pygko_sim::ChunkWork;
 
 /// Default rows per slice (Ginkgo uses the warp size; 32 here).
-pub const DEFAULT_SLICE_SIZE: usize = 32;
+pub(crate) const DEFAULT_SLICE_SIZE: usize = 32;
 
 /// Sparse matrix in sliced-ELL format.
 #[derive(Debug, Clone)]
@@ -124,16 +124,6 @@ impl<V: Value, I: Index> Sellp<V, I> {
             .expect("SELL-P-derived triplets are valid")
     }
 
-    /// Total stored slots (including padding).
-    pub fn stored_elements(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Rows per slice.
-    pub fn slice_size(&self) -> usize {
-        self.slice_size
-    }
-
     /// Executor the matrix lives on.
     pub fn executor(&self) -> &Executor {
         self.values.executor()
@@ -194,7 +184,7 @@ impl<V: Value, I: Index> Sellp<V, I> {
     }
 
     /// One chunk per slice: the padded slice volume is streamed.
-    pub fn spmv_work(&self) -> Vec<ChunkWork> {
+    pub(crate) fn spmv_work(&self) -> Vec<ChunkWork> {
         self.slice_lengths
             .iter()
             .map(|&len| {
@@ -345,8 +335,10 @@ mod tests {
         let csr = skewed(&e, 128);
         let sellp = Sellp::from_csr_with_slice(&csr, 16);
         let ell = crate::matrix::ell::Ell::from_csr(&csr);
-        assert!(sellp.stored_elements() < ell.stored_elements());
-        assert!(sellp.stored_elements() >= csr.nnz());
+        // Both work models charge two flops per stored slot, padding included.
+        let flops = |work: Vec<ChunkWork>| work.iter().map(|w| w.flops).sum::<f64>();
+        assert!(flops(sellp.spmv_work()) < flops(ell.spmv_work(1)));
+        assert!(sellp.values.len() >= csr.nnz());
     }
 
     #[test]

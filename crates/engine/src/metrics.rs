@@ -13,7 +13,7 @@
 //!
 //! Reading happens through an immutable [`MetricsSnapshot`], which renders
 //! itself as Prometheus text exposition ([`MetricsSnapshot::to_prometheus`])
-//! through [`Exposition`], the one writer behind `/metrics`.
+//! through `Exposition`, the one writer behind `/metrics`.
 
 use std::fmt::{Display, Write as _};
 
@@ -191,7 +191,7 @@ impl MetricsSnapshot {
     }
 
     /// Appends this snapshot's metric families to `doc`.
-    pub fn write_families(&self, doc: &mut Exposition) {
+    pub(crate) fn write_families(&self, doc: &mut Exposition) {
         for (name, help, value) in [
             (
                 "gko_events_total",
@@ -272,7 +272,7 @@ impl MetricsSnapshot {
 /// [`Exposition::sample`] / [`Exposition::histogram`] that follows belongs to
 /// it, so a sample can never appear under a family that was not declared.
 #[derive(Debug, Default)]
-pub struct Exposition {
+pub(crate) struct Exposition {
     out: String,
     family: &'static str,
 }

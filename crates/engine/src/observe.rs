@@ -516,7 +516,7 @@ impl Observer {
     /// the `/runs` JSON document. `total` carries the retained count so a
     /// truncated response is recognizable; `returned` the length of
     /// `reports`. HTTP callers default `limit` to
-    /// [`DEFAULT_RUNS_LIMIT`](crate::telemetry::DEFAULT_RUNS_LIMIT).
+    /// `DEFAULT_RUNS_LIMIT`.
     pub fn runs_json(&self, limit: usize) -> String {
         let st = self.state();
         let reports: Vec<Config> = st
@@ -560,7 +560,7 @@ impl Observer {
     }
 
     /// `GET /traces` index: newest first, plus ring/drop counters.
-    pub fn traces_json(&self) -> String {
+    pub(crate) fn traces_json(&self) -> String {
         let st = self.state();
         let traces: Vec<Config> = st
             .traces
@@ -589,7 +589,7 @@ impl Observer {
 
     /// A committed flame baseline by name; `Err` lists the known names
     /// (ascending).
-    pub fn profile_baseline(&self, name: &str) -> Result<ProfileSnapshot, Vec<String>> {
+    pub(crate) fn profile_baseline(&self, name: &str) -> Result<ProfileSnapshot, Vec<String>> {
         let st = self.state();
         match st.flame.baselines.get(name) {
             Some(snapshot) => Ok(snapshot.clone()),

@@ -19,7 +19,7 @@
 //! * [`ProfileSnapshot::to_config`] — a nested JSON flame tree;
 //! * [`ProfileSnapshot::folded`] — inferno / `flamegraph.pl` folded-stacks
 //!   text (`path;path;... <self_wall_ns>` per line);
-//! * [`diff`] — a differential profile against a named committed baseline
+//! * `diff` — a differential profile against a named committed baseline
 //!   (per-path delta of self-time and calls), served by `/profile/diff` to
 //!   *attribute* a regression to span paths instead of reporting a bare
 //!   ratio.
@@ -217,7 +217,7 @@ fn nest(nodes: &[FlameStat], mut from: usize, depth: usize) -> (Vec<Config>, usi
 
 /// One path's delta in a [`ProfileDiff`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct DiffRow {
+pub(crate) struct DiffRow {
     /// The `;`-joined span path.
     pub path: String,
     /// Baseline self wall time, nanoseconds.
@@ -237,7 +237,7 @@ pub struct DiffRow {
 /// A differential profile: the current tree vs a committed baseline, sorted
 /// worst regression first.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfileDiff {
+pub(crate) struct ProfileDiff {
     /// Per-path deltas, sorted by `delta_pct` descending (ties broken by
     /// absolute self-time growth, then path).
     pub rows: Vec<DiffRow>,
@@ -270,7 +270,7 @@ impl ProfileDiff {
 
 /// Differential profile of `current` against `base`: one row per path seen
 /// in either snapshot, sorted worst self-time regression first.
-pub fn diff(base: &ProfileSnapshot, current: &ProfileSnapshot) -> ProfileDiff {
+pub(crate) fn diff(base: &ProfileSnapshot, current: &ProfileSnapshot) -> ProfileDiff {
     let mut rows: Vec<DiffRow> = Vec::new();
     for n in &current.nodes {
         let b = base.find(&n.path);

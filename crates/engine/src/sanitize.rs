@@ -4,7 +4,7 @@
 //! Three facilities, all zero-cost until the executor's [`Sanitizer`] is
 //! switched on (or, for the last two, until called):
 //!
-//! * **Partition checks** ([`verify_merge_segments`] and the crate's
+//! * **Partition checks** (`verify_merge_segments` and the crate's
 //!   visit-order check). Four structures are pieces that tile a range
 //!   exactly once: a pool job's per-lane chunk runs tile its chunk indices
 //!   (the one SAFETY sentence `PieceTable` is `Send + Sync` on: "each piece
@@ -16,7 +16,7 @@
 //!   pieces: bounds that start at 0, never decrease and end at the range's
 //!   end; every item visited exactly once; and the caller's predicate (a
 //!   segment's declared rows, a sweep row reading only rows of earlier
-//!   levels). Any failure is one [`PartitionViolation`]. It means aliasing
+//!   levels). Any failure is one `PartitionViolation`. It means aliasing
 //!   `&mut` slices or a wrong result without a sign, so it fails loudly
 //!   (panic) rather than returning an error a caller could ignore.
 //! * **Structural validation** (`validate()` on every matrix format, plus
@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// is a pool lane, a merge-path segment, an SpMV plan's piece or a sweep's
 /// level; an item is a chunk index, a nonzero or a row.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PartitionViolation {
+pub(crate) enum PartitionViolation {
     /// There are `found` pieces where the plan has `expected`.
     Pieces {
         /// Pieces planned.
@@ -370,7 +370,7 @@ pub(crate) fn verify_chunks(
 /// This is the structural guarantee the merge-path kernel's `unsafe`
 /// direct writes rest on: contiguous non-overlapping nonzero ranges imply
 /// every interior row belongs to exactly one segment.
-pub fn verify_merge_segments<I: Index>(
+pub(crate) fn verify_merge_segments<I: Index>(
     row_ptrs: &[I],
     segments: &[MergeSegment],
 ) -> std::result::Result<(), PartitionViolation> {

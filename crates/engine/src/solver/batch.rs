@@ -70,7 +70,7 @@ impl BatchSolveRecord {
     }
 
     /// Systems that stopped with [`StopReason::Breakdown`].
-    pub fn breakdown_count(&self) -> usize {
+    pub(crate) fn breakdown_count(&self) -> usize {
         self.outcomes
             .iter()
             .filter(|o| o.stop_reason == StopReason::Breakdown)

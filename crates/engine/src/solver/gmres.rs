@@ -24,7 +24,7 @@ use crate::stop::StopReason;
 use pygko_sim::ChunkWork;
 
 /// Default Krylov subspace dimension (the paper's GMRES restart of 30).
-pub const DEFAULT_KRYLOV_DIM: usize = 30;
+pub(crate) const DEFAULT_KRYLOV_DIM: usize = 30;
 
 /// The restarted GMRES solver.
 pub type Gmres<V> = Iterative<V, GmresMethod>;

@@ -93,7 +93,7 @@ pub mod minres;
 pub mod mixed;
 pub mod triangular;
 
-pub use batch::{BatchBiCgStab, BatchCg, BatchSolveRecord, BatchSystemOutcome};
+pub use batch::{BatchBiCgStab, BatchCg, BatchSolveRecord};
 pub use bicgstab::BiCgStab;
 pub use cg::Cg;
 pub use cgs::Cgs;

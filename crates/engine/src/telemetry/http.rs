@@ -10,7 +10,7 @@
 //! * `/healthz` — executor/pool liveness and sanitizer/tracer/profiler arm
 //!   state, as JSON;
 //! * `/runs` — the retained flight reports, newest first, as JSON. `?limit=N` caps the count (default
-//!   [`DEFAULT_RUNS_LIMIT`](super::DEFAULT_RUNS_LIMIT)); reports carry a
+//!   `DEFAULT_RUNS_LIMIT`); reports carry a
 //!   `trace_id` linking to their span tree when tracing was armed;
 //! * `/traces` — index of the tail-sampled trace store (trace_id,
 //!   annotation, duration, anomaly kinds, retention reason);
@@ -203,7 +203,7 @@ fn route(exec: &Executor, path: &str, query: &str) -> Reply {
         "/runs" => {
             let limit = query_param(query, "limit")
                 .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(super::DEFAULT_RUNS_LIMIT);
+                .unwrap_or(super::recorder::DEFAULT_RUNS_LIMIT);
             Reply::json("200 OK", observer.runs_json(limit))
         }
         "/traces" => Reply::json("200 OK", observer.traces_json()),

@@ -25,10 +25,7 @@ pub mod prom;
 pub mod recorder;
 
 pub use http::TelemetryServer;
-pub use recorder::{
-    Anomaly, BatchOutcome, DetectorConfig, FlightReport, KernelLatency, ResidualSummary,
-    SystemContext, DEFAULT_RUNS_LIMIT,
-};
+pub use recorder::{Anomaly, BatchOutcome, DetectorConfig, FlightReport};
 
 use crate::config::{json, Config};
 use crate::executor::pool::LaneStats;
@@ -37,7 +34,7 @@ use crate::metrics::Exposition;
 use crate::observe::ObserverStatus;
 
 /// Renders the full `/metrics` document for `exec`: see [`render_exposition`].
-pub fn render_prometheus(exec: &Executor) -> String {
+pub(crate) fn render_prometheus(exec: &Executor) -> String {
     render_exposition(
         &exec.observer().status(),
         &exec.pool_lane_stats(),
@@ -169,7 +166,7 @@ pub fn render_exposition(
 }
 
 /// Renders the `/healthz` JSON document for `exec`.
-pub fn health_json(exec: &Executor) -> String {
+pub(crate) fn health_json(exec: &Executor) -> String {
     let stats = exec.pool_stats();
     let lanes = exec.pool_lane_stats();
     let sanitizer = exec.sanitizer_report();

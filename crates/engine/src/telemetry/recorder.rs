@@ -9,7 +9,7 @@
 //! detectors before pushing it into a bounded ring:
 //!
 //! * **convergence** — a solve that gave up is flagged [`Anomaly::Divergence`]
-//!   when its final residual grew by [`DIVERGENCE_GROWTH`] over the initial
+//!   when its final residual grew by `DIVERGENCE_GROWTH` over the initial
 //!   one, or [`Anomaly::Stagnation`] when the last [`STAGNATION_WINDOW`]
 //!   iterations made no meaningful progress;
 //! * **lane imbalance** — [`Anomaly::LaneImbalance`] when one pool lane's
@@ -28,10 +28,10 @@ use crate::stop::StopReason;
 
 /// Default cap on reports returned by a `/runs` scrape when the request
 /// carries no explicit `?limit=N`.
-pub const DEFAULT_RUNS_LIMIT: usize = 32;
+pub(crate) const DEFAULT_RUNS_LIMIT: usize = 32;
 
 /// Reports retained in the flight ring (oldest evicted first).
-pub const RUNS_CAPACITY: usize = 64;
+pub(crate) const RUNS_CAPACITY: usize = 64;
 
 /// Iterations the stagnation check looks back over.
 pub const STAGNATION_WINDOW: usize = 8;
@@ -39,11 +39,11 @@ pub const STAGNATION_WINDOW: usize = 8;
 /// A non-converged solve is stagnating when the newest residual is at least
 /// this fraction of the residual [`STAGNATION_WINDOW`] iterations ago (1.0
 /// is exactly no progress; 0.99 tolerates 1 %).
-pub const STAGNATION_RATIO: f64 = 0.99;
+pub(crate) const STAGNATION_RATIO: f64 = 0.99;
 
 /// A non-converged solve is diverging when its final residual is at least
 /// this factor above the initial one.
-pub const DIVERGENCE_GROWTH: f64 = 1.0e3;
+pub(crate) const DIVERGENCE_GROWTH: f64 = 1.0e3;
 
 /// Imbalance is only assessed when the mean per-lane busy time is at least
 /// this many nanoseconds: tiny jobs always look skewed.
@@ -55,11 +55,11 @@ pub const DRIFT_RATIO: f64 = 3.0;
 
 /// Drift is only assessed when this solve's p99 is at least this many
 /// nanoseconds: micro-kernel tails are dominated by scheduler noise.
-pub const DRIFT_MIN_P99_NS: u64 = 100_000;
+pub(crate) const DRIFT_MIN_P99_NS: u64 = 100_000;
 
 /// Consecutive drifting solves required before [`Anomaly::LatencyDrift`] is
 /// reported: one slow solve on a noisy host is not a regression.
-pub const DRIFT_MIN_STREAK: u64 = 2;
+pub(crate) const DRIFT_MIN_STREAK: u64 = 2;
 
 /// The two detector thresholds a caller sets; every other threshold is one
 /// of the constants above (`DESIGN.md` §10 gives the reason for each value).
@@ -180,7 +180,7 @@ impl Anomaly {
 /// The system matrix a recorded solve ran against (set by the facade via
 /// [`Observer::annotate`](crate::Observer::annotate)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SystemContext {
+pub(crate) struct SystemContext {
     /// Matrix rows.
     pub rows: usize,
     /// Matrix columns.
@@ -242,7 +242,7 @@ pub struct FlightReport {
     /// Solver name, e.g. `"solver::Cg"`.
     pub solver: String,
     /// The system matrix, when the facade annotated it.
-    pub context: Option<SystemContext>,
+    pub(crate) context: Option<SystemContext>,
     /// Fully completed iterations.
     pub iterations: usize,
     /// Why the solve stopped (`None` only for the `Default` value).
@@ -408,7 +408,7 @@ pub fn detect_lane_imbalance(lanes: &[LaneStats], cfg: &DetectorConfig) -> Optio
 /// so the median corroboration keeps the detector quiet on oversubscribed
 /// machines. Baselines are only trusted after `drift_min_solves` solves
 /// contributed, and tails below [`DRIFT_MIN_P99_NS`] are never judged.
-pub fn detect_latency_drift(
+pub(crate) fn detect_latency_drift(
     op: &str,
     p99_ns: u64,
     p50_ns: u64,

@@ -39,7 +39,7 @@
 //!   (`retained = "sampled"`), and
 //! * everything else is dropped, counted in `gko_trace_drops_total`.
 //!
-//! The ring keeps the newest [`TRACE_CAPACITY`] retained traces.
+//! The ring keeps the newest `TRACE_CAPACITY` retained traces.
 //!
 //! # One id, one verdict
 //!
@@ -158,7 +158,7 @@ impl TraceReport {
     }
 
     /// Index entry served by `GET /traces`.
-    pub fn summary_config(&self) -> Config {
+    pub(crate) fn summary_config(&self) -> Config {
         let anomalies: Vec<Config> = self.run.anomalies.iter().map(|a| a.kind().into()).collect();
         Config::map()
             .with("trace_id", self.id() as i64)
@@ -257,7 +257,7 @@ impl TraceReport {
 pub const LATENCY_THRESHOLD_NS: u64 = 500_000_000;
 
 /// Retained traces kept in the ring (oldest evicted first).
-pub const TRACE_CAPACITY: usize = 16;
+pub(crate) const TRACE_CAPACITY: usize = 16;
 
 /// The two tracing knobs a caller sets (see the module docs for the
 /// sampling model).
