@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 /// A declared (annotated) atomic.
 #[derive(Debug)]
-pub struct AtomicDecl {
+pub(crate) struct AtomicDecl {
     /// Role: `counter`, `flag`, or `seqlock`.
     pub role: String,
     /// Declaring struct, or `None` for a static.
@@ -35,8 +35,6 @@ pub struct AtomicDecl {
     pub field: String,
     /// Declaring file index.
     pub file: usize,
-    /// 0-based declaration line.
-    pub line: usize,
 }
 
 fn is_atomic_type(ty: &str) -> bool {
@@ -63,7 +61,7 @@ fn must_declare(path: &str) -> bool {
 }
 
 /// Collects declared atomics and emits declaration diagnostics.
-pub fn collect_atomics(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<AtomicDecl> {
+pub(crate) fn collect_atomics(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<AtomicDecl> {
     let mut decls = Vec::new();
     let mut push_decl = |file: usize,
                          line: usize,
@@ -97,7 +95,6 @@ pub fn collect_atomics(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<Atomi
                 struct_name: struct_name.map(str::to_owned),
                 field: field.to_owned(),
                 file,
-                line,
             }),
             Some(r) => diags.push(Diagnostic {
                 path: path.clone(),
@@ -209,7 +206,7 @@ fn orderings_in_args(full: &str, open_paren: usize) -> Vec<String> {
 }
 
 /// The `atomic-ordering` rule: role-checks every attributed atomic access.
-pub fn check_atomic_ordering(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check_atomic_ordering(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     let decls = collect_atomics(ws, diags);
     // Field-name cascade table (same scheme as lock attribution).
     let mut by_field: BTreeMap<&str, Vec<usize>> = BTreeMap::new();

@@ -404,7 +404,7 @@ fn resolve(
 
 /// A direct panic site inside a function.
 #[derive(Debug, Clone)]
-pub struct PanicSite {
+pub(crate) struct PanicSite {
     /// 0-based line.
     pub line: usize,
     /// What panics (`unwrap()`, `panic!`, …).
@@ -413,7 +413,7 @@ pub struct PanicSite {
 
 /// Per-function direct panic sites, excluding test code and sites justified
 /// by `// lint: allow(panic): ...`.
-pub fn direct_panic_sites(ws: &Workspace) -> Vec<Vec<PanicSite>> {
+pub(crate) fn direct_panic_sites(ws: &Workspace) -> Vec<Vec<PanicSite>> {
     let mut out = vec![Vec::new(); ws.functions.len()];
     for (id, f) in ws.functions.iter().enumerate() {
         if f.in_test || f.body_start == f.body_end {
@@ -452,7 +452,7 @@ pub fn direct_panic_sites(ws: &Workspace) -> Vec<Vec<PanicSite>> {
 }
 
 /// Fixed point of "can this function transitively reach a panic site".
-pub fn can_panic(ws: &Workspace, graph: &CallGraph, sites: &[Vec<PanicSite>]) -> Vec<bool> {
+pub(crate) fn can_panic(ws: &Workspace, graph: &CallGraph, sites: &[Vec<PanicSite>]) -> Vec<bool> {
     let n = ws.functions.len();
     let mut can = vec![false; n];
     // Reverse edges for worklist propagation.
@@ -555,7 +555,7 @@ fn has_panicking_succ(graph: &CallGraph, sites: &[Vec<PanicSite>], id: FnId) -> 
 
 /// The `panic-reach` rule: flags panic-free-zone functions whose calls cross
 /// out of the zone into transitively-panicking code.
-pub fn check_panic_reach(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check_panic_reach(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
     let sites = direct_panic_sites(ws);
     let can = can_panic(ws, graph, &sites);
     let in_zone = |file: usize| {

@@ -66,20 +66,20 @@ use std::path::Path;
 use tokenizer::LintSource;
 
 /// Rule identifiers, as used both in diagnostics and in `lint: allow(...)`.
-pub const RULE_SAFETY: &str = "safety";
+pub(crate) const RULE_SAFETY: &str = "safety";
 /// Rule id for the no-panicking-shortcuts rule: `.unwrap()` / `.expect(..)`
 /// and the `panic!` macro family are banned in engine hot paths outside
 /// `#[cfg(test)]`.
-pub const RULE_PANIC: &str = "panic";
+pub(crate) const RULE_PANIC: &str = "panic";
 /// Rule id for the instrumentation-coverage rule: `apply`/SpMV entry points
 /// must emit `LinOpApply*` events (directly or by delegation).
-pub const RULE_INSTRUMENTATION: &str = "instrumentation";
+pub(crate) const RULE_INSTRUMENTATION: &str = "instrumentation";
 /// Rule id for the forbidden-API rule: no `std::process`, no wall-clock
 /// reads outside the logging/metrics/bench layers.
-pub const RULE_FORBIDDEN_API: &str = "forbidden-api";
+pub(crate) const RULE_FORBIDDEN_API: &str = "forbidden-api";
 /// Rule id for the escape-hatch hygiene rule: every `lint: allow(...)`
 /// directive must carry a non-empty justification.
-pub const RULE_ESCAPE_HATCH: &str = "escape-hatch";
+pub(crate) const RULE_ESCAPE_HATCH: &str = "escape-hatch";
 /// Rule id for the lock-order analysis (declarations, acquisition-order
 /// cycles, locks held across pool dispatch). See [`locks`].
 pub const RULE_LOCK_ORDER: &str = "lock-order";
@@ -168,7 +168,7 @@ const ENTRY_POINTS: &[&str] = &[
 
 /// Lints one source file. `rel_path` must be workspace-relative with `/`
 /// separators (it selects which path-scoped rules apply).
-pub fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
+pub(crate) fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let parsed = LintSource::parse(src);
     let mut diags = Vec::new();
     check_escape_hatches(rel_path, &parsed, &mut diags);
@@ -489,7 +489,7 @@ pub(crate) fn macro_invoked(code: &str, name: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Directories (workspace-relative) scanned by [`lint_workspace`].
-pub const SCAN_ROOTS: &[&str] = &["crates", "examples", "tests"];
+pub(crate) const SCAN_ROOTS: &[&str] = &["crates", "examples", "tests"];
 
 /// Runs the semantic (cross-function) rules over already-parsed sources.
 fn lint_semantic(models: Vec<FileModel>, deps: &BTreeMap<String, Vec<String>>) -> Vec<Diagnostic> {
@@ -523,7 +523,7 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
 }
 
 /// Deterministic global order: path, then line, then rule, then message.
-pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
+pub(crate) fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.path.as_str(),
@@ -680,7 +680,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> Result<(),
 // ---------------------------------------------------------------------------
 
 /// One injected-violation case for the gate's self-test.
-pub struct SelfTestCase {
+pub(crate) struct SelfTestCase {
     /// Short case name for the report.
     pub name: &'static str,
     /// Pretend workspace-relative path (selects path-scoped rules).
@@ -693,7 +693,7 @@ pub struct SelfTestCase {
 
 /// Built-in violation snippets: each must trip exactly the rule it targets,
 /// and the clean variants must not. [`run_self_test`] executes them.
-pub fn self_test_cases() -> Vec<SelfTestCase> {
+pub(crate) fn self_test_cases() -> Vec<SelfTestCase> {
     vec![
         SelfTestCase {
             name: "unsafe without SAFETY",
@@ -809,7 +809,7 @@ pub fn self_test_cases() -> Vec<SelfTestCase> {
 
 /// One injected-violation case for the semantic rules' self-test: a small
 /// multi-file workspace and the rule expected to fire across it.
-pub struct SemSelfTestCase {
+pub(crate) struct SemSelfTestCase {
     /// Short case name for the report.
     pub name: &'static str,
     /// Pretend workspace files (path, source).
@@ -820,18 +820,18 @@ pub struct SemSelfTestCase {
 
 /// Built-in semantic violation fixtures: known-bad/known-good twins for
 /// `lock-order`, `atomic-ordering`, and `panic-reach`.
-pub fn sem_self_test_cases() -> Vec<SemSelfTestCase> {
+pub(crate) fn sem_self_test_cases() -> Vec<SemSelfTestCase> {
     const CYCLE_BAD: &str = "use std::sync::Mutex;\n\
         pub struct S {\n    // lock: selftest.a\n    a: Mutex<u32>,\n    // lock: selftest.b\n    b: Mutex<u32>,\n}\n\
         impl S {\n\
             pub fn ab(&self) {\n        let g = self.a.lock();\n        let h = self.b.lock();\n    }\n\
-            pub fn ba(&self) {\n        let g = self.b.lock();\n        let h = self.a.lock();\n    }\n\
+            pub(crate) fn ba(&self) {\n        let g = self.b.lock();\n        let h = self.a.lock();\n    }\n\
         }\n";
     const CYCLE_GOOD: &str = "use std::sync::Mutex;\n\
         pub struct S {\n    // lock: selftest.a\n    a: Mutex<u32>,\n    // lock: selftest.b\n    b: Mutex<u32>,\n}\n\
         impl S {\n\
             pub fn ab(&self) {\n        let g = self.a.lock();\n        let h = self.b.lock();\n    }\n\
-            pub fn ab_again(&self) {\n        let g = self.a.lock();\n        let h = self.b.lock();\n    }\n\
+            pub(crate) fn ab_again(&self) {\n        let g = self.a.lock();\n        let h = self.b.lock();\n    }\n\
         }\n";
     vec![
         SemSelfTestCase {

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Which lock type a declaration uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LockFlavor {
+pub(crate) enum LockFlavor {
     /// `std::sync::Mutex`.
     Mutex,
     /// `std::sync::RwLock`.
@@ -40,7 +40,7 @@ pub enum LockFlavor {
 
 /// A declared (annotated) lock.
 #[derive(Debug)]
-pub struct LockDecl {
+pub(crate) struct LockDecl {
     /// The `// lock: <name>` name.
     pub name: String,
     /// Declaring struct, or `None` for a static.
@@ -56,7 +56,7 @@ pub struct LockDecl {
 }
 
 /// Index into the declared-locks table.
-pub type LockId = usize;
+pub(crate) type LockId = usize;
 
 fn lock_flavor(ty: &str) -> Option<LockFlavor> {
     // A borrowed lock (`&'a Mutex<T>` in a guard struct) is a reference to
@@ -84,7 +84,7 @@ fn must_declare(path: &str) -> bool {
 
 /// Collects declared locks and emits declaration diagnostics (undeclared
 /// engine/core locks, malformed names, duplicate names).
-pub fn collect_locks(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<LockDecl> {
+pub(crate) fn collect_locks(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<LockDecl> {
     let mut decls: Vec<LockDecl> = Vec::new();
     let mut push_decl = |file: usize,
                          line: usize,
@@ -203,7 +203,7 @@ pub fn collect_locks(ws: &Workspace, diags: &mut Vec<Diagnostic>) -> Vec<LockDec
 // ---------------------------------------------------------------------------
 
 /// One parsed postfix segment of a receiver chain.
-pub struct ReceiverSegment {
+pub(crate) struct ReceiverSegment {
     /// Segment identifier (`self`, a field name, or `0`/`1` tuple indices).
     pub name: String,
     /// True when the segment carried a call suffix (`helper()`).
@@ -211,7 +211,7 @@ pub struct ReceiverSegment {
 }
 
 /// Public alias used by the atomics analysis.
-pub fn receiver_segments(full: &str, dot: usize) -> Option<Vec<ReceiverSegment>> {
+pub(crate) fn receiver_segments(full: &str, dot: usize) -> Option<Vec<ReceiverSegment>> {
     parse_receiver(full, dot)
 }
 
@@ -356,7 +356,7 @@ fn attribute(
 
 /// One attributed lock acquisition with its hold region.
 #[derive(Debug, Clone)]
-pub struct Acquisition {
+pub(crate) struct Acquisition {
     /// Which declared lock.
     pub lock: LockId,
     /// Byte offset of the acquisition (the receiver's trailing `.`).
@@ -437,7 +437,7 @@ fn acquisitions_in(
 
 /// True when a function returns a lock guard (its acquisitions belong to the
 /// caller's scope, not its own).
-pub fn is_guard_fn(ws: &Workspace, id: FnId) -> bool {
+pub(crate) fn is_guard_fn(ws: &Workspace, id: FnId) -> bool {
     let sig = &ws.functions[id].signature;
     sig.find("->").is_some_and(|p| sig[p..].contains("Guard"))
 }
@@ -548,11 +548,7 @@ fn find_drop_of(text: &str, ident: &str) -> Option<usize> {
 
 /// A lock-order edge `from -> to` with the acquisition that witnessed it.
 #[derive(Debug)]
-pub struct OrderEdge {
-    /// Held lock.
-    pub from: LockId,
-    /// Lock acquired while `from` is held.
-    pub to: LockId,
+pub(crate) struct OrderEdge {
     /// Witness file index.
     pub file: usize,
     /// Witness 0-based line (the inner acquisition or the crossing call).
@@ -566,7 +562,7 @@ pub struct OrderEdge {
 const POOL_BOUNDARIES: &[&str] = &["parallel_chunks"];
 
 /// Runs the full lock-order analysis, appending diagnostics.
-pub fn check_lock_order(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check_lock_order(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) {
     let decls = collect_locks(ws, diags);
     let n = ws.functions.len();
 
@@ -630,8 +626,6 @@ pub fn check_lock_order(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagn
             return;
         }
         edges.entry((from, to)).or_insert(OrderEdge {
-            from,
-            to,
             file,
             line,
             witness,
@@ -887,7 +881,7 @@ mod tests {
                 let g = self.a.lock();\n\
                 let h = self.b.lock();\n\
             }\n\
-            pub fn ba(&self) {\n\
+            pub(crate) fn ba(&self) {\n\
                 let g = self.b.lock();\n\
                 let h = self.a.lock();\n\
             }\n\
@@ -933,7 +927,7 @@ mod tests {
             }\n\
             impl S {\n\
                 pub fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
-                pub fn ba(&self) {\n\
+                pub(crate) fn ba(&self) {\n\
                     let g = self.b.lock();\n\
                     drop(g);\n\
                     let h = self.a.lock();\n\
@@ -1001,7 +995,7 @@ mod tests {
                     let g = self.a_guard();\n\
                     let h = self.b.lock();\n\
                 }\n\
-                pub fn ba(&self) {\n\
+                pub(crate) fn ba(&self) {\n\
                     let g = self.b.lock();\n\
                     let h = self.a_guard();\n\
                 }\n\

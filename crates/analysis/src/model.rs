@@ -1,6 +1,6 @@
 //! A lightweight semantic model of the workspace.
 //!
-//! The per-line rules in [`crate::lint_file`] are deliberately local; the
+//! The per-line rules in `crate::lint_file` are deliberately local; the
 //! concurrency rules (`lock-order`, `atomic-ordering`, `panic-reach`) need to
 //! see *across* functions and files. This module parses every source file
 //! into items — structs with their fields, `impl` blocks, `static`s, and
@@ -22,11 +22,11 @@ use crate::tokenizer::LintSource;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Roles an atomic declaration may take.
-pub const ATOMIC_ROLES: &[&str] = &["counter", "flag", "seqlock"];
+pub(crate) const ATOMIC_ROLES: &[&str] = &["counter", "flag", "seqlock"];
 
 /// A field of a struct (tuple fields are named `"0"`, `"1"`, …).
 #[derive(Debug)]
-pub struct FieldInfo {
+pub(crate) struct FieldInfo {
     /// Field name.
     pub name: String,
     /// Masked type text.
@@ -41,13 +41,11 @@ pub struct FieldInfo {
 
 /// A struct and its fields.
 #[derive(Debug)]
-pub struct StructInfo {
+pub(crate) struct StructInfo {
     /// Index of the declaring file in [`Workspace::files`].
     pub file: usize,
     /// Struct name.
     pub name: String,
-    /// 0-based line of the `struct` keyword.
-    pub line: usize,
     /// True when declared under `#[cfg(test)]`.
     pub in_test: bool,
     /// Parsed fields.
@@ -56,7 +54,7 @@ pub struct StructInfo {
 
 /// A `static` item (named locks like a GIL live here).
 #[derive(Debug)]
-pub struct StaticInfo {
+pub(crate) struct StaticInfo {
     /// Index of the declaring file in [`Workspace::files`].
     pub file: usize,
     /// Static name.
@@ -122,9 +120,9 @@ pub struct Workspace {
     /// Parsed files.
     pub files: Vec<FileModel>,
     /// All structs.
-    pub structs: Vec<StructInfo>,
+    pub(crate) structs: Vec<StructInfo>,
     /// All statics.
-    pub statics: Vec<StaticInfo>,
+    pub(crate) statics: Vec<StaticInfo>,
     /// All functions, indexable by `FnId`.
     pub functions: Vec<Function>,
     /// crate dir -> set of crate dirs it may call into (transitive deps,
@@ -133,7 +131,7 @@ pub struct Workspace {
 }
 
 /// Index into [`Workspace::functions`].
-pub type FnId = usize;
+pub(crate) type FnId = usize;
 
 impl Workspace {
     /// Builds the model from pre-parsed sources and a crate dependency map
@@ -168,25 +166,9 @@ impl Workspace {
         }
     }
 
-    /// The innermost function whose body contains `offset` in file `file`.
-    pub fn function_at(&self, file: usize, offset: usize) -> Option<FnId> {
-        let mut best: Option<FnId> = None;
-        for (id, f) in self.functions.iter().enumerate() {
-            if f.file == file && f.body_start <= offset && offset < f.body_end {
-                let tighter = best
-                    .map(|b| self.functions[b].body_end - self.functions[b].body_start)
-                    .is_none_or(|span| f.body_end - f.body_start < span);
-                if tighter {
-                    best = Some(id);
-                }
-            }
-        }
-        best
-    }
-
     /// Byte ranges of *other* functions nested inside `f`'s body (nested
     /// `fn` items). Scans over `f`'s body should skip these.
-    pub fn nested_fn_ranges(&self, id: FnId) -> Vec<(usize, usize)> {
+    pub(crate) fn nested_fn_ranges(&self, id: FnId) -> Vec<(usize, usize)> {
         let f = &self.functions[id];
         self.functions
             .iter()
@@ -550,7 +532,6 @@ fn parse_struct(file_idx: usize, src: &LintSource, full: &str, at: usize) -> Opt
     Some(StructInfo {
         file: file_idx,
         name,
-        line,
         in_test,
         fields,
     })
@@ -623,7 +604,7 @@ fn parse_named_field(text: &str) -> Option<(String, String)> {
 }
 
 /// Validates a `// lock: <name>` / `// atomic: <role>` token's charset.
-pub fn valid_annotation_name(name: &str) -> bool {
+pub(crate) fn valid_annotation_name(name: &str) -> bool {
     !name.is_empty()
         && name
             .chars()
@@ -731,9 +712,8 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         let full = w.files[0].source.full_code();
         let deep_at = full.find("deep").unwrap();
-        assert_eq!(
-            w.function_at(0, deep_at),
-            Some(w.functions.iter().position(|f| f.name == "inner").unwrap())
-        );
+        let inner = &w.functions[w.functions.iter().position(|f| f.name == "inner").unwrap()];
+        assert_eq!(ranges[0], (inner.body_start, inner.body_end));
+        assert!(ranges[0].0 <= deep_at && deep_at < ranges[0].1);
     }
 }

@@ -15,7 +15,7 @@
 
 /// One source line after lexing.
 #[derive(Clone, Debug, Default)]
-pub struct Masked {
+pub(crate) struct Masked {
     /// The line's code with comments removed and literal contents blanked.
     pub code: String,
     /// Concatenated comment text appearing on this line (markers stripped),
@@ -28,7 +28,7 @@ pub struct Masked {
 
 /// A parsed `// lint: allow(<rule>): <justification>` directive.
 #[derive(Clone, Debug)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// The rule being suppressed.
     pub rule: String,
     /// The stated justification (may be empty — the lint flags that).
@@ -37,7 +37,7 @@ pub struct Allow {
 
 /// A function item discovered in the masked code.
 #[derive(Clone, Debug)]
-pub struct FnInfo {
+pub(crate) struct FnInfo {
     /// The function's name.
     pub name: String,
     /// The masked text of the function body (between its outer braces);
@@ -52,7 +52,7 @@ pub struct FnInfo {
 /// A lexed source file, ready for rule checks.
 pub struct LintSource {
     /// Per-line lexing results.
-    pub lines: Vec<Masked>,
+    pub(crate) lines: Vec<Masked>,
     allows: Vec<Vec<Allow>>,
     in_test: Vec<bool>,
     /// All masked lines joined with `\n` (for multi-line scans).
@@ -110,14 +110,14 @@ impl LintSource {
     }
 
     /// True when `line` (0-based) is inside a `#[cfg(test)]` item.
-    pub fn in_test(&self, line: usize) -> bool {
+    pub(crate) fn in_test(&self, line: usize) -> bool {
         self.in_test.get(line).copied().unwrap_or(false)
     }
 
     /// The `lint: allow(...)` directives governing `line`: those written on
     /// the line itself plus any on an unbroken run of comment-only or blank
     /// lines immediately above it.
-    pub fn allow_at(&self, line: usize) -> Vec<&Allow> {
+    pub(crate) fn allow_at(&self, line: usize) -> Vec<&Allow> {
         let mut out: Vec<&Allow> = self.allows[line].iter().collect();
         let mut l = line;
         while l > 0 {
@@ -132,7 +132,7 @@ impl LintSource {
     }
 
     /// Every allow directive in the file, with its 0-based line.
-    pub fn all_allows(&self) -> impl Iterator<Item = (usize, &Allow)> {
+    pub(crate) fn all_allows(&self) -> impl Iterator<Item = (usize, &Allow)> {
         self.allows
             .iter()
             .enumerate()
@@ -141,7 +141,7 @@ impl LintSource {
 
     /// Extracts `fn` items (free functions and methods) from the masked
     /// code by brace matching.
-    pub fn functions(&self) -> Vec<FnInfo> {
+    pub(crate) fn functions(&self) -> Vec<FnInfo> {
         let bytes = self.full.as_bytes();
         let mut out = Vec::new();
         let mut i = 0usize;
@@ -200,22 +200,14 @@ impl LintSource {
     /// blanked, comments stripped). Multi-line constructs — chained call
     /// receivers, signatures split across lines — can be matched here
     /// without comment/string false positives.
-    pub fn full_code(&self) -> &str {
+    pub(crate) fn full_code(&self) -> &str {
         &self.full
     }
 
     /// Maps a byte offset within [`full_code`](Self::full_code) back to its
     /// 0-based line, so semantic rules can report `file:line` diagnostics.
-    pub fn line_of_offset(&self, offset: usize) -> usize {
+    pub(crate) fn line_of_offset(&self, offset: usize) -> usize {
         self.line_of(offset)
-    }
-
-    /// Byte offset of a 0-based line's start within [`full_code`](Self::full_code).
-    pub fn line_start(&self, line: usize) -> usize {
-        self.line_starts
-            .get(line)
-            .copied()
-            .unwrap_or(self.full.len())
     }
 }
 

@@ -127,7 +127,7 @@ impl<V: Value, I: Index> CupyGmres<V, I> {
 /// `host_syncs` device-to-host scalar reads (the `rho`/`alpha` values the
 /// Python control flow branches on). Ginkgo's C++ iteration has neither —
 /// the structural source of the paper's Fig. 3c speedups at low NNZ.
-pub fn iteration_tax_ns(exec: &Executor, python_calls: usize, host_syncs: usize) -> f64 {
+pub(crate) fn iteration_tax_ns(exec: &Executor, python_calls: usize, host_syncs: usize) -> f64 {
     python_calls as f64 * CUPY_NS + host_syncs as f64 * exec.spec().copy_time_ns(8)
 }
 

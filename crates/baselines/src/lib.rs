@@ -50,13 +50,13 @@ use std::sync::Arc;
 /// cuSPARSE; SciPy calls C directly.
 pub mod overhead {
     /// SciPy: one C call.
-    pub const SCIPY_NS: f64 = 600.0;
+    pub(crate) const SCIPY_NS: f64 = 600.0;
     /// CuPy: thin Python wrapper + cuSPARSE descriptor handling.
-    pub const CUPY_NS: f64 = 2_000.0;
+    pub(crate) const CUPY_NS: f64 = 2_000.0;
     /// PyTorch: eager dispatcher + autograd bookkeeping.
-    pub const TORCH_NS: f64 = 8_000.0;
+    pub(crate) const TORCH_NS: f64 = 8_000.0;
     /// TensorFlow: eager op executor.
-    pub const TF_NS: f64 = 25_000.0;
+    pub(crate) const TF_NS: f64 = 25_000.0;
 }
 
 /// Extra throughput penalty for fp64 on the unoptimized PyTorch and

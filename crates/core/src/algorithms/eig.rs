@@ -13,7 +13,7 @@ use crate::error::{PyGinkgoError, PyResult};
 ///
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues ascending and
 /// `eigenvectors[k]` the normalized eigenvector for `eigenvalues[k]`.
-pub fn symmetric_eig(n: usize, a: &[f64]) -> PyResult<(Vec<f64>, Vec<Vec<f64>>)> {
+pub(crate) fn symmetric_eig(n: usize, a: &[f64]) -> PyResult<(Vec<f64>, Vec<Vec<f64>>)> {
     if a.len() != n * n {
         return Err(PyGinkgoError::Value(format!(
             "matrix buffer has {} entries, expected {}",

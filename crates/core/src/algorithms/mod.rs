@@ -9,15 +9,14 @@
 //!   names explicitly;
 //! * [`power_iteration()`] — dominant eigenpair;
 //! * [`lanczos()`] — Lanczos tridiagonalization eigensolver;
-//! * [`eig`] — the small dense symmetric (cyclic Jacobi) eigensolver the
+//! * `eig` — the small dense symmetric (cyclic Jacobi) eigensolver the
 //!   others reduce to.
 
-pub mod eig;
+mod eig;
 pub mod lanczos;
 pub mod power_iteration;
 pub mod rayleigh_ritz;
 
-pub use eig::symmetric_eig;
 pub use lanczos::lanczos;
 pub use power_iteration::power_iteration;
-pub use rayleigh_ritz::{rayleigh_ritz, RitzPair};
+pub use rayleigh_ritz::rayleigh_ritz;

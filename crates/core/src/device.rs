@@ -20,19 +20,9 @@ impl Device {
         &self.exec
     }
 
-    /// Lower-case backend name (`"cuda"`, `"hip"`, `"omp"`, `"reference"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.exec.backend().name()
-    }
-
     /// Marketing name of the simulated hardware (e.g. `"NVIDIA A100"`).
     pub fn hardware_name(&self) -> &str {
         self.exec.name()
-    }
-
-    /// True for host (CPU) devices.
-    pub fn is_cpu(&self) -> bool {
-        self.exec.is_host()
     }
 
     /// Blocks until device work completes (API-shape parity; see
@@ -77,18 +67,22 @@ mod tests {
     #[test]
     fn listing_1_device_call_works() {
         let dev = device("cuda").unwrap();
-        assert_eq!(dev.backend_name(), "cuda");
+        assert_eq!(dev.executor().backend().name(), "cuda");
         assert_eq!(dev.hardware_name(), "NVIDIA A100");
-        assert!(!dev.is_cpu());
+        assert!(!dev.executor().is_host());
         dev.synchronize();
+    }
+
+    fn backend(name: &str) -> &'static str {
+        device(name).unwrap().executor().backend().name()
     }
 
     #[test]
     fn names_are_case_insensitive_with_aliases() {
-        assert_eq!(device("CUDA").unwrap().backend_name(), "cuda");
-        assert_eq!(device("ROCm").unwrap().backend_name(), "hip");
-        assert_eq!(device("OpenMP").unwrap().backend_name(), "omp");
-        assert_eq!(device("cpu").unwrap().backend_name(), "reference");
+        assert_eq!(backend("CUDA"), "cuda");
+        assert_eq!(backend("ROCm"), "hip");
+        assert_eq!(backend("OpenMP"), "omp");
+        assert_eq!(backend("cpu"), "reference");
     }
 
     #[test]

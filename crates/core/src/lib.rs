@@ -64,11 +64,11 @@ pub mod tensor;
 pub use config_solver::{solve, solve_from_config_file};
 pub use conv::conv2d;
 pub use device::{device, device_with_id, Device};
-pub use dtype::{DType, IndexType};
+pub use dtype::DType;
 pub use error::{PyGinkgoError, PyResult};
 pub use gko::{HistogramSnapshot, MetricsSnapshot};
-pub use logger::{Logger, LoggerData, ProfileEntry};
+pub use logger::Logger;
 pub use matrix::{MatrixFormat, SparseMatrix};
 pub use read::{read, write};
-pub use solver::{Observations, Observe};
+pub use solver::Observe;
 pub use tensor::{as_tensor, as_tensor_fill, Tensor};

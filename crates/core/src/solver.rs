@@ -35,7 +35,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default)]
 pub struct Observe {
     /// Keep a bounded in-memory history of this many events
-    /// ([`Observe::RECORD`] is Ginkgo's default capacity); overflow is
+    /// (`Record::DEFAULT_CAPACITY` is Ginkgo's default capacity); overflow is
     /// counted in [`LoggerData::dropped_events`], never silently lost.
     pub record: Option<usize>,
     /// Render events to an internal text buffer.
@@ -67,11 +67,6 @@ pub struct Observe {
     /// each apply and the solution after it, and `"full"` (or `"on"`)
     /// enables both.
     pub sanitize: Option<String>,
-}
-
-impl Observe {
-    /// The default event-history capacity of [`Observe::record`].
-    pub const RECORD: Option<usize> = Some(Record::DEFAULT_CAPACITY);
 }
 
 /// Everything a solver's device executor has observed — the one reader,
@@ -796,7 +791,7 @@ mod tests {
         let solver = cg(&dev, &mtx, None, 200, 1e-9)
             .unwrap()
             .observe(Observe {
-                record: Observe::RECORD,
+                record: Some(Record::DEFAULT_CAPACITY),
                 stream: true,
                 metrics: true,
                 profile: true,
@@ -854,7 +849,7 @@ mod tests {
         let exec = dev.executor();
         assert!(!exec.loggers().is_active());
         let recording = Observe {
-            record: Observe::RECORD,
+            record: Some(Record::DEFAULT_CAPACITY),
             ..Observe::default()
         };
         let solver = cg(&dev, &mtx, None, 100, 1e-9)

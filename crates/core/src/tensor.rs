@@ -298,6 +298,6 @@ mod tests {
         let delta = gpu.executor().timeline().snapshot().since(&before);
         assert!(delta.copies >= 1);
         assert_eq!(g.to_vec(), t.to_vec());
-        assert_eq!(g.device().backend_name(), "cuda");
+        assert_eq!(g.device().executor().backend().name(), "cuda");
     }
 }

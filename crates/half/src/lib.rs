@@ -37,12 +37,8 @@ pub struct Half(u16);
 impl Half {
     /// Positive zero.
     pub const ZERO: Half = Half(0x0000);
-    /// Negative zero.
-    pub const NEG_ZERO: Half = Half(0x8000);
     /// One.
     pub const ONE: Half = Half(0x3C00);
-    /// Negative one.
-    pub const NEG_ONE: Half = Half(0xBC00);
     /// Positive infinity.
     pub const INFINITY: Half = Half(0x7C00);
     /// Negative infinity.
@@ -55,14 +51,9 @@ impl Half {
     pub const MIN: Half = Half(0xFBFF);
     /// Smallest positive normal value, 2^-14.
     pub const MIN_POSITIVE: Half = Half(0x0400);
-    /// Smallest positive subnormal value, 2^-24.
-    pub const MIN_POSITIVE_SUBNORMAL: Half = Half(0x0001);
     /// Machine epsilon: the difference between 1.0 and the next larger
     /// representable value, 2^-10.
     pub const EPSILON: Half = Half(0x1400);
-
-    /// Number of significand digits, including the implicit bit.
-    pub const MANTISSA_DIGITS: u32 = 11;
 
     /// Creates a half from its raw bit pattern.
     #[inline]
@@ -336,11 +327,11 @@ mod tests {
     fn constants_have_expected_values() {
         assert_eq!(Half::ZERO.to_f32(), 0.0);
         assert_eq!(Half::ONE.to_f32(), 1.0);
-        assert_eq!(Half::NEG_ONE.to_f32(), -1.0);
+        assert_eq!(Half::from_bits(0xBC00).to_f32(), -1.0);
         assert_eq!(Half::MAX.to_f32(), 65504.0);
         assert_eq!(Half::MIN.to_f32(), -65504.0);
         assert_eq!(Half::MIN_POSITIVE.to_f32(), 2f32.powi(-14));
-        assert_eq!(Half::MIN_POSITIVE_SUBNORMAL.to_f32(), 2f32.powi(-24));
+        assert_eq!(Half::from_bits(0x0001).to_f32(), 2f32.powi(-24));
         assert_eq!(Half::EPSILON.to_f32(), 9.765625e-4);
         assert!(Half::NAN.is_nan());
         assert!(Half::INFINITY.is_infinite());
@@ -411,7 +402,7 @@ mod tests {
     #[test]
     fn underflow_handles_subnormals() {
         let tiny = 2f32.powi(-24);
-        assert_eq!(Half::from_f32(tiny), Half::MIN_POSITIVE_SUBNORMAL);
+        assert_eq!(Half::from_f32(tiny), Half::from_bits(0x0001));
         // Below half the smallest subnormal flushes to zero.
         assert_eq!(Half::from_f32(2f32.powi(-26)), Half::ZERO);
         // Halfway between 0 and the smallest subnormal rounds to even (zero).
@@ -455,14 +446,14 @@ mod tests {
             Half::INFINITY,
             Half::ONE,
             Half::ZERO,
-            Half::NEG_ZERO,
-            Half::NEG_ONE,
+            Half::from_bits(0x8000),
+            Half::from_bits(0xBC00),
             Half::NEG_INFINITY,
         ];
         values.sort_by(Half::total_cmp);
         assert_eq!(values[0], Half::NEG_INFINITY);
-        assert_eq!(values[1], Half::NEG_ONE);
-        assert_eq!(values[2], Half::NEG_ZERO);
+        assert_eq!(values[1], Half::from_bits(0xBC00));
+        assert_eq!(values[2], Half::from_bits(0x8000));
         assert_eq!(values[3], Half::ZERO);
         assert_eq!(values[4], Half::ONE);
         assert_eq!(values[5], Half::INFINITY);

@@ -40,7 +40,12 @@ impl GeneratedMatrix {
 
 /// Diagonal mass matrix (the `bcsstm37`/`bcsstm39` class): positive diagonal
 /// entries, with only `fill_fraction` of the rows populated.
-pub fn diagonal_mass(name: &str, n: usize, fill_fraction: f64, seed: u64) -> GeneratedMatrix {
+pub(crate) fn diagonal_mass(
+    name: &str,
+    n: usize,
+    fill_fraction: f64,
+    seed: u64,
+) -> GeneratedMatrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut triplets = Vec::new();
     for i in 0..n {
@@ -213,7 +218,7 @@ pub fn circuit(
 /// Delaunay-mesh-like graph Laplacian (the `delaunay_n17` class): a planar
 /// triangulated grid with randomly flipped diagonals; ~6 nonzeros per row,
 /// symmetric, positive definite after diagonal shift.
-pub fn delaunay(name: &str, side: usize, seed: u64) -> GeneratedMatrix {
+pub(crate) fn delaunay(name: &str, side: usize, seed: u64) -> GeneratedMatrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let n = side * side;
     let idx = |i: usize, j: usize| i * side + j;
@@ -262,7 +267,7 @@ pub fn delaunay(name: &str, side: usize, seed: u64) -> GeneratedMatrix {
 /// High-density unstructured matrix (the `av41092` class): ~`row_nnz`
 /// nonzeros per row scattered widely, strongly unsymmetric. Density above
 /// 0.1% — the paper notes SpMV speedups drop for this class.
-pub fn dense_rows(name: &str, n: usize, row_nnz: usize, seed: u64) -> GeneratedMatrix {
+pub(crate) fn dense_rows(name: &str, n: usize, row_nnz: usize, seed: u64) -> GeneratedMatrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut triplets = Vec::with_capacity(n * (row_nnz + 1));
     for i in 0..n {

@@ -13,8 +13,8 @@
 
 #![warn(missing_docs)]
 
-pub mod collection;
+mod collection;
 pub mod generators;
 
 pub use collection::{overhead_suite, representative, solver_suite, spmv_suite, MatrixInfo};
-pub use generators::{GeneratedBatch, GeneratedMatrix};
+pub use generators::GeneratedMatrix;

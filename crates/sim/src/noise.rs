@@ -27,7 +27,7 @@ impl Noise {
     }
 
     /// One standard normal sample.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare.take() {
             return z;
         }

@@ -11,7 +11,7 @@ use crate::rng::{splitmix64, Xoshiro256pp};
 
 /// Default number of random cases per property (matches the `ProptestConfig`
 /// the original suite used).
-pub const DEFAULT_CASES: usize = 64;
+pub(crate) const DEFAULT_CASES: usize = 64;
 
 /// Runs `body` for `cases` deterministic cases.
 ///
@@ -31,7 +31,7 @@ pub fn check_cases(name: &str, cases: usize, mut body: impl FnMut(&mut Xoshiro25
     }
 }
 
-/// Runs `body` for [`DEFAULT_CASES`] deterministic cases.
+/// Runs `body` for `DEFAULT_CASES` deterministic cases.
 pub fn check(name: &str, body: impl FnMut(&mut Xoshiro256pp)) {
     check_cases(name, DEFAULT_CASES, body);
 }
