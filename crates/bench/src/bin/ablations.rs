@@ -20,8 +20,8 @@ use gko::{Dim2, Executor};
 use pygko_baselines::cupy::CupyGmres;
 use pygko_baselines::gpu_executor;
 use pygko_bench::{
-    cast_triplets, fmt, print_first_calls, solver_iters, time_per_iter, time_spmv, virtual_secs,
-    Report,
+    cast_triplets, fmt, print_first_calls, time_per_iter, time_spmv, virtual_secs, Report,
+    SOLVER_ITERS,
 };
 use pygko_matgen::generators::{poisson2d, rmat};
 use std::sync::Arc;
@@ -72,7 +72,6 @@ fn spmv_strategy() {
 /// Ablation 2: the two GMRES formulations of §6.2.1, cost per iteration at
 /// a fixed iteration budget.
 fn gmres_variant() {
-    let iters = solver_iters();
     let mut report = Report::new(
         "Ablation 2: GMRES variant cost (fixed iterations, A100)",
         &["n", "Ginkgo s/iter", "CuPy-style s/iter", "ratio"],
@@ -81,7 +80,7 @@ fn gmres_variant() {
         let gen = poisson2d("g", (n as f64).sqrt() as usize, (n as f64).sqrt() as usize);
         let t64 = cast_triplets::<f64>(&gen);
         let dim = Dim2::new(gen.rows, gen.cols);
-        let criteria = Criteria::iterations(iters);
+        let criteria = Criteria::iterations(SOLVER_ITERS);
 
         let gk = Executor::cuda(0);
         let a = Arc::new(Csr::<f64, i32>::from_triplets(&gk, dim, &t64).unwrap());
@@ -89,12 +88,22 @@ fn gmres_variant() {
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let gko_tpi = time_per_iter(&gk, &solver, iters);
+        let gko_tpi = time_per_iter(
+            &gk,
+            &solver,
+            solver.logger(),
+            &format!("poisson2d n={n} Ginkgo GMRES"),
+        );
 
         let cu = gpu_executor("CuPy-style");
         let a_cu = Arc::new(Csr::<f64, i32>::from_triplets(&cu, dim, &t64).unwrap());
         let solver = CupyGmres::new(a_cu, 30, criteria);
-        let cupy_tpi = time_per_iter(&cu, &solver, iters);
+        let cupy_tpi = time_per_iter(
+            &cu,
+            &solver,
+            solver.logger(),
+            &format!("poisson2d n={n} CuPy GMRES"),
+        );
 
         report.row(vec![
             gen.rows.to_string(),

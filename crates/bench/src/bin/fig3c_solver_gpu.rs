@@ -12,13 +12,12 @@ use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_baselines::cupy::{CupyGmres, CupyKrylov};
 use pygko_baselines::gpu_executor;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, time_per_iter, Report};
+use pygko_bench::{cast_triplets, fmt, maybe_shrink, time_per_iter, Report, SOLVER_ITERS};
 use pygko_matgen::solver_suite;
 use std::sync::Arc;
 
 fn main() {
-    let iters = solver_iters();
-    println!("fixed iterations per solve: {iters} (paper: 1000; metric is time/iteration)");
+    println!("fixed iterations per solve: {SOLVER_ITERS} (paper: 1000; metric is time/iteration)");
 
     let mut report = Report::new(
         "Figure 3c: solver time-per-iteration speedup vs CuPy on A100, fp64",
@@ -34,7 +33,8 @@ fn main() {
         let nnz = gen.nnz();
         let t64 = cast_triplets::<f64>(&gen);
         let dim = Dim2::new(n, n);
-        let criteria = Criteria::iterations(iters);
+        let criteria = Criteria::iterations(SOLVER_ITERS);
+        let what = |library: &str, solver: &str| format!("{} {library} {solver}", gen.name);
 
         // pyGinkgo on its executor.
         let gk = Executor::cuda(0);
@@ -49,26 +49,26 @@ fn main() {
         let s = Cg::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cg = time_per_iter(&gk, &s, iters);
+        let gko_cg = time_per_iter(&gk, &s, s.logger(), &what("pyGinkgo", "CG"));
         let s = CupyKrylov::cg(a_cu.clone(), criteria).unwrap();
-        let cupy_cg = time_per_iter(&cu, &s, iters);
+        let cupy_cg = time_per_iter(&cu, &s, s.logger(), &what("CuPy", "CG"));
 
         // CGS.
         let s = Cgs::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cgs = time_per_iter(&gk, &s, iters);
+        let gko_cgs = time_per_iter(&gk, &s, s.logger(), &what("pyGinkgo", "CGS"));
         let s = CupyKrylov::cgs(a_cu.clone(), criteria).unwrap();
-        let cupy_cgs = time_per_iter(&cu, &s, iters);
+        let cupy_cgs = time_per_iter(&cu, &s, s.logger(), &what("CuPy", "CGS"));
 
         // GMRES(30): Ginkgo's Givens/device variant vs CuPy's CPU variant.
         let s = Gmres::new(a_gk.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let gko_gmres = time_per_iter(&gk, &s, iters);
+        let gko_gmres = time_per_iter(&gk, &s, s.logger(), &what("pyGinkgo", "GMRES"));
         let s = CupyGmres::new(a_cu.clone(), 30, criteria);
-        let cupy_gmres = time_per_iter(&cu, &s, iters);
+        let cupy_gmres = time_per_iter(&cu, &s, s.logger(), &what("CuPy", "GMRES"));
 
         let sp = [cupy_cg / gko_cg, cupy_cgs / gko_cgs, cupy_gmres / gko_gmres];
         for (acc, v) in sums.iter_mut().zip(sp) {

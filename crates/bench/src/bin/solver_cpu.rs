@@ -12,12 +12,11 @@ use gko::stop::Criteria;
 use gko::{Dim2, Executor};
 use pygko_baselines::scipy::scipy_solver;
 use pygko_baselines::scipy_executor;
-use pygko_bench::{cast_triplets, fmt, maybe_shrink, solver_iters, time_per_iter, Report};
+use pygko_bench::{cast_triplets, fmt, maybe_shrink, time_per_iter, Report, SOLVER_ITERS};
 use pygko_matgen::solver_suite;
 use std::sync::Arc;
 
 fn main() {
-    let iters = solver_iters();
     let mut report = Report::new(
         "Section 6.2.2: solver time/iteration speedup vs SciPy on CPU, fp64",
         &["matrix", "nnz", "CG x", "CGS x", "GMRES x"],
@@ -32,7 +31,8 @@ fn main() {
         let nnz = gen.nnz();
         let t64 = cast_triplets::<f64>(&gen);
         let dim = Dim2::new(n, n);
-        let criteria = Criteria::iterations(iters);
+        let criteria = Criteria::iterations(SOLVER_ITERS);
+        let what = |library: &str, solver: &str| format!("{} {library} {solver}", gen.name);
 
         // pyGinkgo on 32 threads.
         let omp = Executor::omp(32);
@@ -41,26 +41,26 @@ fn main() {
         let s = Cg::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cg = time_per_iter(&omp, &s, iters);
+        let gko_cg = time_per_iter(&omp, &s, s.logger(), &what("pyGinkgo", "CG"));
         let s = Cgs::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_criteria(criteria);
-        let gko_cgs = time_per_iter(&omp, &s, iters);
+        let gko_cgs = time_per_iter(&omp, &s, s.logger(), &what("pyGinkgo", "CGS"));
         let s = Gmres::new(a.clone() as Arc<dyn LinOp<f64>>)
             .unwrap()
             .with_krylov_dim(30)
             .with_criteria(criteria);
-        let gko_gmres = time_per_iter(&omp, &s, iters);
+        let gko_gmres = time_per_iter(&omp, &s, s.logger(), &what("pyGinkgo", "GMRES"));
 
         // SciPy on one core.
         let sp = scipy_executor();
         let a_sp = Arc::new(Csr::<f64, i32>::from_triplets(&sp, dim, &t64).unwrap());
-        let (s, _) = scipy_solver(a_sp.clone(), "cg", iters).unwrap();
-        let scipy_cg = time_per_iter(&sp, &*s, iters);
-        let (s, _) = scipy_solver(a_sp.clone(), "cgs", iters).unwrap();
-        let scipy_cgs = time_per_iter(&sp, &*s, iters);
-        let (s, _) = scipy_solver(a_sp, "gmres", iters).unwrap();
-        let scipy_gmres = time_per_iter(&sp, &*s, iters);
+        let (s, log) = scipy_solver(a_sp.clone(), "cg", SOLVER_ITERS).unwrap();
+        let scipy_cg = time_per_iter(&sp, &*s, &log, &what("SciPy", "CG"));
+        let (s, log) = scipy_solver(a_sp.clone(), "cgs", SOLVER_ITERS).unwrap();
+        let scipy_cgs = time_per_iter(&sp, &*s, &log, &what("SciPy", "CGS"));
+        let (s, log) = scipy_solver(a_sp, "gmres", SOLVER_ITERS).unwrap();
+        let scipy_gmres = time_per_iter(&sp, &*s, &log, &what("SciPy", "GMRES"));
 
         cg_speedups.push(scipy_cg / gko_cg);
         rows.push((

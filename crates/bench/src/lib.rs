@@ -9,9 +9,6 @@
 //!
 //! * `PYGKO_BENCH_QUICK=1` — shrink suites to their smaller members for a
 //!   fast smoke run (used by CI-style validation).
-//! * `PYGKO_SOLVER_ITERS` — iterations for the fixed-iteration solver
-//!   benchmarks (default 100; the paper used 1000 — the metric is time per
-//!   iteration, so the count only affects noise, which we do not have).
 //! * `PYGKO_RESULTS_DIR` — redirect all benchmark output files away from the
 //!   committed `results/` directory (`scripts/verify.sh` points it at a
 //!   scratch directory and compares what the bins write with `results/`).
@@ -19,6 +16,7 @@
 #![warn(missing_docs)]
 
 use gko::linop::LinOp;
+use gko::log::ConvergenceLogger;
 use gko::matrix::Dense;
 use gko::{Dim2, Executor, Value};
 use pygko_matgen::{GeneratedMatrix, MatrixInfo};
@@ -34,18 +32,11 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Iteration count for fixed-iteration solver benches.
-///
-/// The paper runs 1000 iterations; the reported metric is *time per
-/// iteration*, which in this deterministic simulation is independent of the
-/// count, so the default is a faster 100. Set `PYGKO_SOLVER_ITERS=1000` to
-/// match the paper exactly.
-pub fn solver_iters() -> usize {
-    std::env::var("PYGKO_SOLVER_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100)
-}
+/// Iterations every fixed-iteration solver bench runs. The paper runs 1000;
+/// the metric is time per iteration, over which one-time charges (the first
+/// SpMV's plan, the initial residual) amortise, so a figure depends on the
+/// count and is reproducible at this one.
+pub const SOLVER_ITERS: usize = 100;
 
 /// Filters a suite down for quick mode (keeps every third matrix).
 pub fn maybe_shrink(suite: Vec<MatrixInfo>) -> Vec<MatrixInfo> {
@@ -126,13 +117,32 @@ pub fn print_first_calls(what: &str, timings: &[SpmvTiming]) {
     println!("first calls, not plotted: {what} up to {worst:.2}x the steady call");
 }
 
-/// Virtual seconds per iteration of one solve with `solver` from a ones
-/// right-hand side and a zero guess, for a solver stopped after `iters`
-/// iterations.
-pub fn time_per_iter<V: Value>(exec: &Executor, solver: &dyn LinOp<V>, iters: usize) -> f64 {
-    let b = Dense::<V>::filled(exec, Dim2::new(solver.size().cols, 1), V::one());
+/// Virtual seconds per iteration of one solve with `solver`, stopped after
+/// [`SOLVER_ITERS`] iterations, from a zero guess and the right-hand side
+/// `b_i = sin(i)`. `logger` is the solver's: the solve must run every
+/// iteration, or the division would charge a short solve's time to
+/// iterations it never ran, so a solve that stops early fails, naming the
+/// matrix and the solver (`what`).
+///
+/// Ones would not do: on a shifted Laplacian with a constant row sum,
+/// `A 1 = c 1` makes ones an eigenvector, and CG or CGS finishes (and
+/// breaks down) after one iteration. Nor would the ramp `b_i = 1 + i / n`:
+/// CGS on `omp(32)` meets `r~ . v = 0` in working precision at iteration 95
+/// on `poisson3d_18`.
+pub fn time_per_iter<V: Value>(
+    exec: &Executor,
+    solver: &dyn LinOp<V>,
+    logger: &ConvergenceLogger,
+    what: &str,
+) -> f64 {
+    let n = solver.size().cols;
+    let rhs = (0..n).map(|i| V::from_f64((i as f64).sin())).collect();
+    let b = Dense::<V>::column(exec, rhs);
     let mut x = Dense::<V>::zeros(exec, Dim2::new(solver.size().rows, 1));
-    virtual_secs(exec, || solver.apply(&b, &mut x).expect("solve")).seconds() / iters as f64
+    let t = virtual_secs(exec, || solver.apply(&b, &mut x).expect("solve"));
+    let iterations = logger.snapshot().iterations;
+    assert_eq!(iterations, SOLVER_ITERS, "{what}: the solve stopped early");
+    t.seconds() / SOLVER_ITERS as f64
 }
 
 /// GFLOP/s of an SpMV given its nonzero count and virtual seconds.

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Offline verification gate: warning-free release build, full test suite
 # (workspace and the standalone benchmark package), lint-clean clippy,
-# warning-free rustdoc, a formatted tree, the wall-clock microbenchmark and
-# observability smoke runs, and the results gate. Run from anywhere;
-# operates on the workspace containing this script.
+# warning-free rustdoc, a formatted tree, the lint and public-surface gates,
+# the wall-clock microbenchmark and observability smoke runs, and the results
+# gate. Run from anywhere; operates on the workspace containing this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,6 +22,8 @@ cargo fmt --check
 
 # Static lint gate (plus its injected-violation self-test).
 ./scripts/check_lint.sh
+# Public-surface gate: every library pub fn is named outside its crate.
+./scripts/check_surface.sh
 
 cargo build --release --offline -p pygko-bench
 bin=./target/release
@@ -48,7 +50,7 @@ PYGKO_BENCH_QUICK=1 "$bin/observe_probe"
 # write. Everything they write is virtual time or a count, so a rerun of the
 # same code writes the same bytes; a change that moves a figure must commit
 # the regenerated file with it.
-unset PYGKO_BENCH_QUICK PYGKO_SOLVER_ITERS
+unset PYGKO_BENCH_QUICK
 mkdir -p "$scratch/results" "$scratch/logs"
 for b in fig3a_spmv_gpu fig3b_spmv_cpu fig3c_solver_gpu fig4_representative \
     fig5a_devices fig5bc_overhead solver_cpu tab1_types tab2_matrices \
